@@ -45,8 +45,7 @@
 //! count, split, join/leave schedule, or crash/re-dispatch history yields
 //! byte-identical masks to a single-process `ilt batch` run.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -58,6 +57,7 @@ use ilt_runtime::{
 use crate::breaker::BreakerConfig;
 use crate::membership::{Acquire, MemberView, Membership, Settle, WorkerSlot};
 use crate::stats::ClusterStats;
+use crate::transport::{connect, parse_response, request, write_request};
 use crate::wire::{encode_job_ids, parse_shard_header, parse_shard_job};
 
 /// Cluster topology and supervision tuning.
@@ -729,16 +729,11 @@ impl Coordinator {
         Ok((header.fingerprint, outputs))
     }
 
-    /// Best-effort cancel fan-out to one worker.
+    /// Best-effort cancel fan-out to one worker. Any answer is an ack: a
+    /// 404 means the shard already finished.
     fn send_cancel(&self, addr: &str, sid: &str) {
-        let Ok(mut stream) = connect(addr, self.config.connect_timeout) else { return };
-        let _ = stream.set_read_timeout(Some(self.config.connect_timeout));
-        if write_request(&mut stream, "DELETE", &format!("/v1/shards/{sid}"), &[]).is_ok() {
-            // Drain the (tiny) ack so the worker never blocks on us; a 404
-            // means the shard already finished, which is an ack too.
-            let mut sink = [0u8; 1024];
-            while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-        }
+        let path = format!("/v1/shards/{sid}");
+        let _ = request(addr, "DELETE", &path, &[], self.config.connect_timeout);
     }
 
     /// Recomputes the `workers_alive` gauge from the membership.
@@ -768,23 +763,11 @@ pub fn post_membership(
     action: &str,
     timeout: Duration,
 ) -> Result<(), String> {
-    let mut stream = connect(coordinator_addr, timeout)?;
-    let _ = stream.set_read_timeout(Some(timeout));
     let path = format!(
         "/v1/members?addr={}&action={action}",
         crate::params::query_encode(worker_addr)
     );
-    write_request(&mut stream, "POST", &path, &[])?;
-    let mut raw = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
-    match parse_response(&raw) {
+    match request(coordinator_addr, "POST", &path, &[], timeout) {
         Ok((200, _)) => Ok(()),
         Ok((status, body)) => Err(format!(
             "coordinator {coordinator_addr} refused {action}: HTTP {status} {}",
@@ -909,89 +892,13 @@ fn mark_probe(slot: &WorkerSlot, ok: bool, config: &ClusterConfig, stats: &Clust
 
 /// One `GET /healthz` probe.
 fn probe(addr: &str, config: &ClusterConfig) -> bool {
-    let Ok(mut stream) = connect(addr, config.connect_timeout) else { return false };
-    let _ = stream.set_read_timeout(Some(config.connect_timeout));
-    if write_request(&mut stream, "GET", "/healthz", &[]).is_err() {
-        return false;
-    }
-    let mut raw = Vec::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
-    matches!(parse_response(&raw), Ok((200, _)))
-}
-
-fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
-    let targets: Vec<SocketAddr> = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve worker {addr}: {e}"))?
-        .collect();
-    let mut last = format!("worker {addr} resolves to no address");
-    for target in targets {
-        match TcpStream::connect_timeout(&target, timeout) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                return Ok(stream);
-            }
-            Err(e) => last = format!("cannot connect to worker {addr}: {e}"),
-        }
-    }
-    Err(last)
-}
-
-fn write_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> Result<(), String> {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: worker\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("cannot send request: {e}"))
-}
-
-/// Minimal HTTP/1.1 response parse: status code + body. The worker always
-/// answers `connection: close`, so the caller reads to EOF first.
-fn parse_response(raw: &[u8]) -> Result<(u16, Vec<u8>), String> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or("truncated response head")?;
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "non-utf8 response head")?;
-    let status_line = head.lines().next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    Ok((status, raw[head_end + 4..].to_vec()))
+    matches!(request(addr, "GET", "/healthz", &[], config.connect_timeout), Ok((200, _)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ilt_runtime::JobMetrics;
-
-    #[test]
-    fn response_parse_extracts_status_and_body() {
-        let raw = b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\n\r\nhello";
-        let (status, body) = parse_response(raw).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, b"hello");
-        assert!(parse_response(b"HTTP/1.1 200").is_err());
-    }
 
     #[test]
     fn probe_failures_accumulate_to_death_and_recovery_resets() {

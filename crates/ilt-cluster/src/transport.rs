@@ -14,7 +14,7 @@
 //! when driving the parser directly).
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Hard caps applied while reading one request.
@@ -651,6 +651,89 @@ pub fn base64_decode(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
+// ---------------------------------------------------------------------------
+// The one-shot client: one request per connection, `connection: close`.
+// ---------------------------------------------------------------------------
+
+/// Sends one request to `addr` on a fresh connection and reads the response
+/// to EOF; `timeout` bounds the connect and each read. Returns the status
+/// code and body. This is the workspace's one one-shot HTTP client:
+/// heartbeats, cancel fan-out, membership posts and test shutdowns all go
+/// through it (shard dispatch drives the same pieces with its own
+/// cancellable read loop).
+///
+/// # Errors
+///
+/// A message when `addr` does not resolve or connect, the request cannot be
+/// sent, or the response head is truncated or malformed.
+pub fn request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    timeout: Duration,
+) -> Result<(u16, Vec<u8>), String> {
+    let mut stream = connect(addr, timeout)?;
+    let _ = stream.set_read_timeout(Some(timeout));
+    write_request(&mut stream, method, path, body)?;
+    let mut raw = Vec::new();
+    // A read error after a complete response (reset, timeout on a peer that
+    // never closes) still leaves that response parseable.
+    let _ = stream.read_to_end(&mut raw);
+    parse_response(&raw)
+}
+
+pub(crate) fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
+    let targets: Vec<SocketAddr> =
+        addr.to_socket_addrs().map_err(|e| format!("cannot resolve {addr}: {e}"))?.collect();
+    let mut last = format!("{addr} resolves to no address");
+    for target in targets {
+        match TcpStream::connect_timeout(&target, timeout) {
+            Ok(stream) => {
+                let _ = stream.set_nodelay(true);
+                return Ok(stream);
+            }
+            Err(e) => last = format!("cannot connect to {addr}: {e}"),
+        }
+    }
+    Err(last)
+}
+
+pub(crate) fn write_request(
+    stream: &mut TcpStream,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> Result<(), String> {
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nhost: worker\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
+    );
+    stream
+        .write_all(head.as_bytes())
+        .and_then(|()| stream.write_all(body))
+        .and_then(|()| stream.flush())
+        .map_err(|e| format!("cannot send request: {e}"))
+}
+
+/// Minimal HTTP/1.1 response parse: status code + body. Servers here always
+/// answer `connection: close`, so the caller reads to EOF first.
+pub(crate) fn parse_response(raw: &[u8]) -> Result<(u16, Vec<u8>), String> {
+    let head_end = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or("truncated response head")?;
+    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "non-utf8 response head")?;
+    let status_line = head.lines().next().unwrap_or("");
+    let status: u16 = status_line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
+    Ok((status, raw[head_end + 4..].to_vec()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,6 +741,15 @@ mod tests {
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
         let mut cursor = io::Cursor::new(raw.to_vec());
         Request::read_from(&mut cursor, &Limits::default())
+    }
+
+    #[test]
+    fn response_parse_extracts_status_and_body() {
+        let raw = b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\n\r\nhello";
+        let (status, body) = parse_response(raw).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, b"hello");
+        assert!(parse_response(b"HTTP/1.1 200").is_err());
     }
 
     #[test]

@@ -22,10 +22,7 @@
 //! after decode — the same witness the checkpoint restore path uses.
 
 use ilt_field::{parse_pgm, pgm_bytes};
-use ilt_runtime::{
-    field_hash, json_escape, json_field_raw, json_field_str, json_field_u64, parse_wal_record,
-    JobOutput,
-};
+use ilt_runtime::{field_hash, json, json_escape, parse_wal_record, JobOutput};
 
 use crate::transport::{base64_decode, base64_encode};
 
@@ -88,15 +85,15 @@ pub fn shard_header_line(header: &ShardHeader) -> String {
 /// Returns a message when the line is not a shard header or a field is
 /// malformed.
 pub fn parse_shard_header(line: &str) -> Result<ShardHeader, String> {
-    if json_field_str(line, "kind")? != "shard_header" {
+    let v = json::parse(line)?;
+    if v.field_str("kind")? != "shard_header" {
         return Err(format!("not a shard header: {line}"));
     }
-    let fp = json_field_str(line, "fingerprint")?;
     Ok(ShardHeader {
-        shard: json_field_str(line, "shard")?,
-        jobs: json_field_u64(line, "jobs")? as usize,
-        fingerprint: u64::from_str_radix(&fp, 16).map_err(|_| format!("bad fingerprint {fp}"))?,
-        restored: json_field_u64(line, "restored")? as usize,
+        shard: v.field_str("shard")?.to_string(),
+        jobs: v.field_usize("jobs")?,
+        fingerprint: v.field_hex("fingerprint")?,
+        restored: v.field_usize("restored")?,
     })
 }
 
@@ -120,13 +117,13 @@ pub fn shard_job_line(output: &JobOutput) -> String {
 /// whose hash does not match the record — any of which means the shard
 /// result cannot be trusted and the shard must be re-dispatched.
 pub fn parse_shard_job(line: &str) -> Result<JobOutput, String> {
-    let loaded = parse_wal_record(line)?;
-    let record = loaded.record;
-    let mask = match json_field_raw(line, "mask") {
+    let v = json::parse(line)?;
+    let record = parse_wal_record(&v)?.record;
+    let mask = match v.get("mask") {
         None => None,
-        Some(_) => {
-            let b64 = json_field_str(line, "mask")?;
-            let bytes = base64_decode(&b64).map_err(|e| format!("bad mask base64: {e}"))?;
+        Some(b64) => {
+            let b64 = b64.as_str().ok_or("field mask is not a string")?;
+            let bytes = base64_decode(b64).map_err(|e| format!("bad mask base64: {e}"))?;
             let img = parse_pgm(&bytes).map_err(|e| format!("bad mask PGM: {e}"))?;
             let mask = img.threshold(0.5);
             if let Some(metrics) = &record.metrics {
@@ -199,6 +196,27 @@ mod tests {
         };
         assert_eq!(parse_shard_header(&shard_header_line(&header)).unwrap(), header);
         assert!(parse_shard_header("{\"kind\":\"run_header\"}").is_err());
+    }
+
+    #[test]
+    fn golden_lines_are_pinned_both_ways() {
+        const HEADER: &str = r#"{"kind":"shard_header","shard":"7-1 \"x\"","jobs":3,"fingerprint":"deadbeefcafef00d","restored":1}"#;
+        let header = ShardHeader {
+            shard: "7-1 \"x\"".into(),
+            jobs: 3,
+            fingerprint: 0xdead_beef_cafe_f00d,
+            restored: 1,
+        };
+        assert_eq!(shard_header_line(&header), HEADER);
+        assert_eq!(parse_shard_header(HEADER).unwrap(), header);
+
+        // The WAL record (ckpt always null on the wire) + the PGM in base64.
+        const JOB: &str = r#"{"job_id":4,"case":"wire","tile":[0,1],"grid":64,"attempts":1,"status":"done","l2_nm2":10.0,"pvband_nm2":5.0,"epe":0,"shots":7,"iterations":40,"mask_hash":"36266942fcc0d345","sim_ms":1.0,"optimize_ms":2.0,"evaluate_ms":0.0,"wall_ms":3.0,"ckpt":null,"mask":"UDUKMiAyCjI1NQr/AAD/"}"#;
+        let sent = output(4, Some(Field2D::from_fn(2, 2, checker)));
+        assert_eq!(shard_job_line(&sent), JOB);
+        let got = parse_shard_job(JOB).unwrap();
+        assert_eq!(got.record, sent.record);
+        assert_eq!(got.mask.unwrap().as_slice(), sent.mask.unwrap().as_slice());
     }
 
     #[test]

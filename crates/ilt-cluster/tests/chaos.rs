@@ -5,12 +5,11 @@
 //! speculation race surfaces two *disagreeing* results, the job fails hard
 //! rather than emit a possibly-wrong mask.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ilt_cluster::transport::{serve_connection, ConnOptions, Request, Response};
+use ilt_cluster::transport::{request, serve_connection, ConnOptions, Request, Response};
 use ilt_cluster::wire::{parse_job_ids, shard_header_line, shard_job_line, ShardHeader};
 use ilt_cluster::{
     BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, JobParams, Worker, WorkerConfig,
@@ -34,16 +33,7 @@ fn spawn_worker(faults: FaultPlan) -> (String, std::thread::JoinHandle<()>) {
 }
 
 fn shutdown(addr: &str) {
-    if let Ok(mut stream) = TcpStream::connect(addr) {
-        let _ = stream.write_all(
-            format!(
-                "POST /v1/shutdown HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
-            )
-            .as_bytes(),
-        );
-        let mut sink = Vec::new();
-        let _ = stream.read_to_end(&mut sink);
-    }
+    let _ = request(addr, "POST", "/v1/shutdown", &[], Duration::from_secs(10));
 }
 
 fn tiny_params() -> JobParams {

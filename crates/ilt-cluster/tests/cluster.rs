@@ -3,11 +3,11 @@
 //! no child processes; process-crash chaos lives in the root `cluster_e2e`
 //! test, which can afford to lose a worker process).
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use ilt_cluster::transport::request;
 use ilt_cluster::{
     BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, JobParams, Worker, WorkerConfig,
 };
@@ -31,16 +31,7 @@ fn spawn_worker(faults: FaultPlan) -> (String, std::thread::JoinHandle<()>) {
 }
 
 fn shutdown(addr: &str) {
-    if let Ok(mut stream) = TcpStream::connect(addr) {
-        let _ = stream.write_all(
-            format!(
-                "POST /v1/shutdown HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
-            )
-            .as_bytes(),
-        );
-        let mut sink = Vec::new();
-        let _ = stream.read_to_end(&mut sink);
-    }
+    let _ = request(addr, "POST", "/v1/shutdown", &[], Duration::from_secs(10));
 }
 
 /// A small multi-tile job: 128 px via clip split into 64 px tiles with an

@@ -155,3 +155,41 @@ fn random_garbage_is_always_a_typed_error() {
     assert!(parse_shard_header("{}").is_err());
     assert!(parse_shard_job("{}").is_err());
 }
+
+/// Shapes only a hostile or broken worker sends, now that response lines
+/// reach a recursive parser: nesting deep enough to exhaust a thread's
+/// stack (the default 2 MB test-thread stack here), and objects that say
+/// the same key twice (which value would a first-match reader trust?).
+#[test]
+fn deep_nesting_and_duplicate_keys_are_typed_errors() {
+    for bomb in ["{\"a\":".repeat(100_000), "[".repeat(1 << 20)] {
+        for parsed in [parse_shard_job(&bomb).map(|_| ()), parse_shard_header(&bomb).map(|_| ())] {
+            let err = parsed.expect_err("a nesting bomb must not parse");
+            assert!(err.contains("nesting"), "{err}");
+        }
+        // The same bomb smuggled into an otherwise valid line's field.
+        let line = header_line().replacen("\"jobs\":4", &format!("\"jobs\":{bomb}"), 1);
+        assert!(parse_shard_header(&line).is_err());
+    }
+
+    let original = masked_output(3);
+    let job = shard_job_line(&original);
+    let claimed = format!("\"mask_hash\":\"{:016x}\"", original.record.metrics.unwrap().mask_hash);
+    assert!(job.contains(&claimed));
+    for (field, dup) in [
+        ("\"status\":\"done\"", "\"status\":\"done\",\"status\":\"failed\""),
+        ("\"job_id\":3", "\"job_id\":3,\"job_id\":4"),
+        (claimed.as_str(), &format!("{claimed},\"mask_hash\":\"0000000000000000\"")),
+    ] {
+        let err = parse_shard_job(&job.replacen(field, dup, 1)).expect_err("duplicate key");
+        assert!(err.contains("duplicate key"), "{err}");
+    }
+    let header = header_line().replacen("\"jobs\":4", "\"jobs\":4,\"jobs\":400", 1);
+    assert!(parse_shard_header(&header).unwrap_err().contains("duplicate key"));
+
+    // Integers are exact or rejected — never cast.
+    for bad in ["4.5", "-4", "1e300", "18014398509481984"] {
+        let header = header_line().replacen("\"jobs\":4", &format!("\"jobs\":{bad}"), 1);
+        assert!(parse_shard_header(&header).is_err(), "jobs={bad} must be rejected");
+    }
+}

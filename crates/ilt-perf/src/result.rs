@@ -1,11 +1,15 @@
 //! The `ilt-bench/v2` result schema: one JSON document per workload,
-//! hand-rolled both ways (hermetic — no serde), with typed load errors so
-//! the diff gate can tell a torn baseline from a schema bump from a
+//! written by hand and read back through the workspace's shared
+//! `ilt_runtime::json` codec (hermetic — no serde), with typed load errors
+//! so the diff gate can tell a torn baseline from a schema bump from a
 //! genuine regression.
 
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use ilt_runtime::json::{self, Value};
+use ilt_runtime::{json_escape, json_f64};
 
 use crate::measure::{EnvStamp, MeasureConfig, Sample};
 use crate::registry::Workload;
@@ -183,7 +187,7 @@ impl BenchResult {
             if i > 0 {
                 extra.push_str(", ");
             }
-            extra.push_str(&format!("\"{}\": {}", json_escape(k), json_num(*v)));
+            extra.push_str(&format!("\"{}\": {}", json_escape(k), json_f64(*v)));
         }
         format!(
             "{{\n  \"schema\": \"{SCHEMA_V2}\",\n  \"workload\": \"{}\",\n  \"units\": \"{}\",\n  \
@@ -192,10 +196,10 @@ impl BenchResult {
              \"extra\": {{{extra}}}\n}}\n",
             json_escape(&self.workload),
             json_escape(&self.units),
-            json_num(self.threshold),
+            json_f64(self.threshold),
             self.reps,
-            json_num(self.median_us),
-            json_num(self.mad_us),
+            json_f64(self.median_us),
+            json_f64(self.mad_us),
             self.smoke,
             json_escape(&self.git_rev),
             self.threads,
@@ -205,82 +209,49 @@ impl BenchResult {
 
     /// Parses a v2 JSON document. `path` is only used to label errors.
     pub fn from_json(text: &str, path: &Path) -> Result<BenchResult, PerfError> {
-        let doc = JsonDoc::parse(text).map_err(|detail| PerfError::Malformed {
-            path: path.to_path_buf(),
-            detail,
-        })?;
-        let field = |key: &str| {
-            doc.get(key).ok_or_else(|| PerfError::Malformed {
-                path: path.to_path_buf(),
-                detail: format!("missing field {key:?}"),
-            })
-        };
-        let str_field = |key: &str| {
-            field(key).and_then(|v| {
-                v.as_str().ok_or_else(|| PerfError::Malformed {
-                    path: path.to_path_buf(),
-                    detail: format!("field {key:?} is not a string"),
-                })
-            })
-        };
-        let num_field = |key: &str| {
-            field(key).and_then(|v| {
-                v.as_num().ok_or_else(|| PerfError::Malformed {
-                    path: path.to_path_buf(),
-                    detail: format!("field {key:?} is not a number"),
-                })
-            })
-        };
-        let schema = str_field("schema")?;
+        let malformed = |detail: String| PerfError::Malformed { path: path.to_path_buf(), detail };
+        let doc = json::parse(text).map_err(malformed)?;
+        let schema = doc.field_str("schema").map_err(malformed)?;
         if schema != SCHEMA_V2 {
-            return Err(PerfError::SchemaMismatch { path: path.to_path_buf(), found: schema });
+            return Err(PerfError::SchemaMismatch {
+                path: path.to_path_buf(),
+                found: schema.to_string(),
+            });
         }
-        let smoke = match field("smoke")? {
-            JsonValue::Bool(b) => *b,
-            _ => {
-                return Err(PerfError::Malformed {
-                    path: path.to_path_buf(),
-                    detail: "field \"smoke\" is not a boolean".into(),
-                })
-            }
-        };
-        let extra = match field("extra")? {
-            JsonValue::Object(pairs) => pairs
+        Self::from_doc(&doc).map_err(malformed)
+    }
+
+    fn from_doc(doc: &Value) -> Result<BenchResult, String> {
+        let text = |key: &str| doc.field_str(key).map(str::to_string);
+        let extra = match doc.get("extra") {
+            Some(Value::Object(pairs)) => pairs
                 .iter()
                 .map(|(k, v)| {
-                    v.as_num().map(|n| (k.clone(), n)).ok_or_else(|| PerfError::Malformed {
-                        path: path.to_path_buf(),
-                        detail: format!("extra field {k:?} is not a number"),
-                    })
+                    let n = v.as_f64().ok_or_else(|| format!("extra field {k:?} is not a number"));
+                    n.map(|n| (k.clone(), n))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
-            _ => {
-                return Err(PerfError::Malformed {
-                    path: path.to_path_buf(),
-                    detail: "field \"extra\" is not an object".into(),
-                })
-            }
-        };
-        // Optional: results written before the kernel stamp existed load
-        // as "unknown" rather than failing the whole diff.
-        let simd = match doc.get("simd") {
-            Some(v) => v.as_str().ok_or_else(|| PerfError::Malformed {
-                path: path.to_path_buf(),
-                detail: "field \"simd\" is not a string".into(),
-            })?,
-            None => "unknown".to_string(),
+            _ => return Err("field \"extra\" is missing or not an object".into()),
         };
         Ok(BenchResult {
-            workload: str_field("workload")?,
-            units: str_field("units")?,
-            threshold: num_field("threshold")?,
-            reps: num_field("reps")? as usize,
-            median_us: num_field("median_us")?,
-            mad_us: num_field("mad_us")?,
-            smoke,
-            git_rev: str_field("git_rev")?,
-            threads: num_field("threads")? as usize,
-            simd,
+            workload: text("workload")?,
+            units: text("units")?,
+            threshold: doc.field_f64("threshold")?,
+            reps: doc.field_usize("reps")?,
+            median_us: doc.field_f64("median_us")?,
+            mad_us: doc.field_f64("mad_us")?,
+            smoke: doc
+                .get("smoke")
+                .and_then(Value::as_bool)
+                .ok_or("field \"smoke\" is missing or not a boolean")?,
+            git_rev: text("git_rev")?,
+            threads: doc.field_usize("threads")?,
+            // Optional: results written before the kernel stamp existed load
+            // as "unknown" rather than failing the whole diff.
+            simd: match doc.get("simd") {
+                Some(_) => text("simd")?,
+                None => "unknown".to_string(),
+            },
             extra,
         })
     }
@@ -298,233 +269,6 @@ impl BenchResult {
         std::fs::write(&path, self.to_json())
             .map_err(|source| PerfError::Io { path: path.clone(), source })?;
         Ok(path)
-    }
-}
-
-/// Formats a float without trailing noise: integers stay integral, the
-/// rest keep three decimals (microsecond resolution is below timer noise).
-fn json_num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".into(); // defensively mapped, like the journal does
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.3}")
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON value — just the shapes the v2 schema uses.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn as_str(&self) -> Option<String> {
-        match self {
-            JsonValue::Str(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// A whitespace-tolerant recursive-descent parser for one JSON object.
-/// Small by design: strings, numbers, booleans, and nested objects cover
-/// the whole v2 schema; anything else is a malformed document.
-struct JsonDoc {
-    fields: Vec<(String, JsonValue)>,
-}
-
-impl JsonDoc {
-    fn parse(text: &str) -> Result<JsonDoc, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        match value {
-            JsonValue::Object(fields) => Ok(JsonDoc { fields }),
-            _ => Err("top level is not an object".into()),
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of document".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? != b {
-            return Err(format!("expected {:?} at byte {}", b as char, self.pos));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'"' => Ok(JsonValue::Str(self.string()?)),
-            b't' | b'f' => self.boolean(),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other as char, self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            let key = match self.peek()? {
-                b'"' => self.string()?,
-                _ => return Err(format!("expected a key string at byte {}", self.pos)),
-            };
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos, other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-sync to char boundaries for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn boolean(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(JsonValue::Bool(true))
-        } else if self.bytes[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(JsonValue::Bool(false))
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        raw.parse::<f64>().map(JsonValue::Num).map_err(|_| format!("bad number {raw:?}"))
     }
 }
 
@@ -568,17 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_document_is_a_typed_malformed_error() {
-        let r = sample_result();
-        let json = r.to_json();
-        let torn = &json[..json.len() / 2];
-        match BenchResult::from_json(torn, Path::new("torn.json")) {
-            Err(PerfError::Malformed { .. }) => {}
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn v1_schema_is_surfaced_not_silently_passed() {
         let v1 = r#"{"schema": "ilt-bench-fft/v1", "p": 25, "reps": 5, "extra": {}}"#;
         match BenchResult::from_json(v1, Path::new("BENCH_fft.json")) {
@@ -590,8 +323,14 @@ mod tests {
     }
 
     #[test]
-    fn garbage_and_non_objects_are_malformed() {
-        for bad in ["", "[1,2]", "nonsense", "{\"a\": }", "{\"a\": 1} trailing"] {
+    fn unparseable_and_mistyped_documents_are_typed_malformed() {
+        // What the parser itself rejects is pinned in ilt_runtime::json's
+        // table; here: every such failure, and every schema-level one,
+        // surfaces as `Malformed` (not a panic, not a silent pass).
+        let json = sample_result().to_json();
+        let torn = &json[..json.len() / 2];
+        let mistyped = json.replace("\"reps\": 5", "\"reps\": 5.5");
+        for bad in [torn, "", "[1,2]", "{\"a\": 1} trailing", &mistyped] {
             assert!(
                 matches!(
                     BenchResult::from_json(bad, Path::new("bad.json")),

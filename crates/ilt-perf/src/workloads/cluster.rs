@@ -4,10 +4,9 @@
 //! the ILT costs dominating (tiny tiles, few iterations) — plus the
 //! straggler-speculation race against a stalling replica.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
+use ilt_cluster::transport::request;
 use ilt_cluster::{ClusterConfig, Coordinator, ExecPolicy, JobParams, Worker, WorkerConfig};
 use ilt_runtime::{assemble_batch, planned_job_list, FaultPlan, SimulatorCache};
 
@@ -37,16 +36,7 @@ fn spawn_worker(
 }
 
 fn shutdown(addr: &str) {
-    if let Ok(mut stream) = TcpStream::connect(addr) {
-        let _ = stream.write_all(
-            format!(
-                "POST /v1/shutdown HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
-            )
-            .as_bytes(),
-        );
-        let mut sink = Vec::new();
-        let _ = stream.read_to_end(&mut sink);
-    }
+    let _ = request(addr, "POST", "/v1/shutdown", &[], Duration::from_secs(10));
 }
 
 /// One op = dispatch a multi-tile job's shards across the replicas, stream

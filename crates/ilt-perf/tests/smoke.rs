@@ -127,3 +127,28 @@ fn baseline_dir_without_file_is_a_hard_error() {
     let _ = std::fs::remove_dir_all(&fresh);
     let _ = std::fs::remove_dir_all(&baselines);
 }
+
+/// Every baseline checked in at the repo root — written by several earlier
+/// commits, five of them before the `simd` stamp existed — loads through
+/// the shared `ilt_runtime::json` reader, and each names a registered
+/// workload.
+#[test]
+fn every_checked_in_baseline_loads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut loaded = 0;
+    let mut unstamped = 0;
+    for workload in registry() {
+        let path = root.join(BenchResult::file_name(workload.name));
+        let result = BenchResult::load(&path).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(result.workload, workload.name);
+        assert!(!result.smoke && result.median_us > 0.0, "{}", path.display());
+        loaded += 1;
+        unstamped += usize::from(result.simd == "unknown");
+    }
+    let on_disk = std::fs::read_dir(&root)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .count();
+    assert_eq!((loaded, on_disk, unstamped), (14, 14, 5));
+}

@@ -28,18 +28,17 @@
 //! differ between the crashed run and its resume.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use ilt_field::{parse_pgm, pgm_bytes};
 
+use crate::append_log::AppendLog;
 use crate::batch::{BatchCase, BatchConfig};
 use crate::fault::FaultPlan;
-use crate::journal::{
-    field_hash, fnv1a64, JobMetrics, JobRecord, JobStatus, StageTimes,
-};
+use crate::journal::{field_hash, fnv1a64, JobMetrics, JobRecord, JobStatus, StageTimes};
+use crate::json::Value;
 use crate::pool::JobOutput;
 
 /// Name of the write-ahead log inside a checkpoint directory.
@@ -108,7 +107,7 @@ pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()>
 /// the WAL line, in that order.
 pub struct CheckpointSink {
     dir: PathBuf,
-    wal: Mutex<File>,
+    wal: AppendLog,
     faults: FaultPlan,
 }
 
@@ -129,21 +128,16 @@ impl CheckpointSink {
     ) -> std::io::Result<Self> {
         fs::create_dir_all(dir)?;
         let wal_path = dir.join(WAL_FILE);
-        let wal = if resume && wal_path.exists() {
-            OpenOptions::new().append(true).open(&wal_path)?
-        } else {
-            let mut f = File::create(&wal_path)?;
-            f.write_all(
-                format!(
-                    "{{\"kind\":\"run_header\",\"version\":1,\"fingerprint\":\"{fingerprint:016x}\",\"jobs\":{jobs}}}\n"
-                )
-                .as_bytes(),
-            )?;
-            f.sync_data()?;
-            f
-        };
+        let fresh = !(resume && wal_path.exists());
+        let wal = AppendLog::open(&wal_path)?;
+        if fresh {
+            wal.truncate_after(|| Ok(()))?;
+            wal.append(&format!(
+                "{{\"kind\":\"run_header\",\"version\":1,\"fingerprint\":\"{fingerprint:016x}\",\"jobs\":{jobs}}}"
+            ))?;
+        }
         fsync_dir(dir);
-        Ok(Self { dir: dir.to_path_buf(), wal: Mutex::new(wal), faults })
+        Ok(Self { dir: dir.to_path_buf(), wal, faults })
     }
 
     /// The checkpoint directory.
@@ -176,16 +170,8 @@ impl CheckpointSink {
             }
             _ => None,
         };
-        let line = output.record.to_json_wal(ckpt.as_deref());
-        {
-            let mut wal = self.wal.lock().expect("checkpoint WAL lock poisoned");
-            let durable = wal
-                .write_all(line.as_bytes())
-                .and_then(|()| wal.write_all(b"\n"))
-                .and_then(|()| wal.sync_data());
-            if let Err(e) = durable {
-                eprintln!("checkpoint: WAL append failed for job {job_id}: {e}");
-            }
+        if let Err(e) = self.wal.append(&output.record.to_json_wal(ckpt.as_deref())) {
+            eprintln!("checkpoint: WAL append failed for job {job_id}: {e}");
         }
         if self.faults.crash_after_checkpoint(job_id) {
             eprintln!("checkpoint: injected process crash after job {job_id} became durable");
@@ -228,37 +214,22 @@ pub struct LoadedRun {
 /// a non-trailing line is corrupt.
 pub fn load_wal(dir: &Path) -> Result<LoadedRun, String> {
     let path = dir.join(WAL_FILE);
-    let bytes = fs::read(&path)
-        .map_err(|e| format!("cannot read checkpoint WAL {}: {e}", path.display()))?;
-    let text = String::from_utf8_lossy(&bytes);
-    let lines: Vec<&str> = text.split('\n').filter(|l| !l.trim().is_empty()).collect();
-    let header = lines
-        .first()
-        .ok_or_else(|| format!("checkpoint WAL {} is empty", path.display()))?;
+    let replay =
+        AppendLog::replay(&path, true).map_err(|e| format!("checkpoint WAL unreadable: {e}"))?;
+    let (header, rest) = replay
+        .records
+        .split_first()
+        .ok_or_else(|| format!("checkpoint WAL {} is missing or empty", path.display()))?;
     let (fingerprint, jobs) = parse_header(header)
         .map_err(|e| format!("checkpoint WAL {} header unreadable: {e}", path.display()))?;
     let mut records = BTreeMap::new();
-    let mut dropped_trailing = false;
-    for (i, line) in lines[1..].iter().enumerate() {
-        match parse_wal_record(line) {
-            Ok(loaded) => {
-                records.insert(loaded.record.job_id, loaded);
-            }
-            Err(e) if i + 2 == lines.len() => {
-                // The torn final append of a crash — expected, drop it.
-                let _ = e;
-                dropped_trailing = true;
-            }
-            Err(e) => {
-                return Err(format!(
-                    "checkpoint WAL {} line {} is corrupt: {e}",
-                    path.display(),
-                    i + 2
-                ));
-            }
-        }
+    for (i, value) in rest.iter().enumerate() {
+        let loaded = parse_wal_record(value).map_err(|e| {
+            format!("checkpoint WAL {} record {} is corrupt: {e}", path.display(), i + 1)
+        })?;
+        records.insert(loaded.record.job_id, loaded);
     }
-    Ok(LoadedRun { fingerprint, jobs, records, dropped_trailing })
+    Ok(LoadedRun { fingerprint, jobs, records, dropped_trailing: replay.dropped_tail })
 }
 
 /// Loads a checkpointed mask and re-binarizes it. PGM stores one byte per
@@ -289,190 +260,71 @@ pub fn restore_output(dir: &Path, loaded: &LoadedRecord) -> Option<JobOutput> {
     Some(JobOutput { record: loaded.record.clone(), mask: Some(mask) })
 }
 
-// ---------------------------------------------------------------------------
-// A minimal field extractor for the workspace's own hand-rolled JSON. Not a
-// general JSON parser: it relies on the writers in this workspace escaping
-// every `"` inside string values, which makes a bare `"key":` sequence
-// unambiguous outside strings.
-// ---------------------------------------------------------------------------
-
-/// Extracts the raw value of `key` from a single-object JSON line produced
-/// by this workspace's writers (`"…"` strings, flat `[…]` arrays, numbers,
-/// `null`, booleans). Returns `None` when the key is absent.
-pub fn json_field_raw<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let mut from = 0;
-    while let Some(pos) = obj[from..].find(&pat) {
-        let abs = from + pos;
-        if matches!(obj[..abs].chars().next_back(), Some('{') | Some(',')) {
-            return Some(json_value_prefix(&obj[abs + pat.len()..]));
-        }
-        from = abs + pat.len();
-    }
-    None
-}
-
-fn json_value_prefix(s: &str) -> &str {
-    let bytes = s.as_bytes();
-    match bytes.first() {
-        Some(b'"') => {
-            let mut i = 1;
-            while i < bytes.len() {
-                match bytes[i] {
-                    b'\\' => i += 2,
-                    b'"' => return &s[..=i],
-                    _ => i += 1,
-                }
-            }
-            s // unterminated: a torn line; callers reject it downstream
-        }
-        Some(b'[') => s.find(']').map_or(s, |i| &s[..=i]),
-        _ => {
-            let end = s
-                .find(|c| c == ',' || c == '}')
-                .unwrap_or(s.len());
-            &s[..end]
-        }
-    }
-}
-
-/// Decodes a JSON string literal (with quotes) written by
-/// [`crate::journal::json_escape`].
-pub fn json_unescape(literal: &str) -> Result<String, String> {
-    let inner = literal
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("not a string literal: {literal}"))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('/') => out.push('/'),
-            Some('b') => out.push('\u{0008}'),
-            Some('f') => out.push('\u{000c}'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let cp = u32::from_str_radix(&hex, 16)
-                    .map_err(|_| format!("bad \\u escape in {literal}"))?;
-                out.push(
-                    char::from_u32(cp).ok_or_else(|| format!("bad codepoint in {literal}"))?,
-                );
-            }
-            other => return Err(format!("bad escape \\{other:?} in {literal}")),
-        }
-    }
-    Ok(out)
-}
-
-/// Extracts `key` as a decoded string.
-pub fn json_field_str(obj: &str, key: &str) -> Result<String, String> {
-    json_unescape(json_field_raw(obj, key).ok_or_else(|| format!("missing field {key}"))?)
-}
-
-/// Extracts `key` as an unsigned integer.
-pub fn json_field_u64(obj: &str, key: &str) -> Result<u64, String> {
-    json_field_raw(obj, key)
-        .ok_or_else(|| format!("missing field {key}"))?
-        .trim()
-        .parse()
-        .map_err(|_| format!("field {key} is not an integer"))
-}
-
-/// Extracts `key` as an `f64`; JSON `null` (a defensively-mapped non-finite
-/// value) reads back as 0.
-pub fn json_field_f64(obj: &str, key: &str) -> Result<f64, String> {
-    let raw = json_field_raw(obj, key).ok_or_else(|| format!("missing field {key}"))?.trim();
-    if raw == "null" {
-        return Ok(0.0);
-    }
-    raw.parse().map_err(|_| format!("field {key} is not a number"))
-}
-
-fn parse_header(line: &str) -> Result<(u64, usize), String> {
-    if json_field_str(line, "kind")? != "run_header" {
+fn parse_header(header: &Value) -> Result<(u64, usize), String> {
+    if header.field_str("kind")? != "run_header" {
         return Err("first WAL line is not a run_header".into());
     }
-    let fp = json_field_str(line, "fingerprint")?;
-    let fingerprint = u64::from_str_radix(&fp, 16)
-        .map_err(|_| format!("bad fingerprint {fp}"))?;
-    let jobs = json_field_u64(line, "jobs")? as usize;
-    Ok((fingerprint, jobs))
+    Ok((header.field_hex("fingerprint")?, header.field_usize("jobs")?))
 }
 
-/// Parses one WAL record line back into its [`JobRecord`] + checkpoint name.
+/// Reads one parsed WAL record (or shard job line — the same serialization)
+/// back into its [`JobRecord`] + checkpoint name.
 ///
 /// # Errors
 ///
-/// Returns a message describing the first malformed field; a torn line
-/// (crash mid-append) fails here and is dropped by [`load_wal`] when — and
-/// only when — it is the trailing line.
-pub fn parse_wal_record(line: &str) -> Result<LoadedRecord, String> {
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err("line is not a complete JSON object".into());
-    }
-    let job_id = json_field_u64(line, "job_id")? as usize;
-    let case = json_field_str(line, "case")?;
-    let tile_raw = json_field_raw(line, "tile").ok_or("missing field tile")?;
-    let tile = if tile_raw.trim() == "null" {
-        None
-    } else {
-        let inner = tile_raw
-            .trim()
-            .strip_prefix('[')
-            .and_then(|s| s.strip_suffix(']'))
-            .ok_or_else(|| format!("bad tile {tile_raw}"))?;
-        let mut parts = inner.split(',');
-        let r: usize = parts
-            .next()
-            .and_then(|p| p.trim().parse().ok())
-            .ok_or_else(|| format!("bad tile {tile_raw}"))?;
-        let c: usize = parts
-            .next()
-            .and_then(|p| p.trim().parse().ok())
-            .ok_or_else(|| format!("bad tile {tile_raw}"))?;
-        Some((r, c))
+/// Returns a message describing the first missing or mistyped field.
+pub fn parse_wal_record(v: &Value) -> Result<LoadedRecord, String> {
+    let tile = match v.get("tile") {
+        Some(Value::Null) => None,
+        Some(Value::Array(rc)) if rc.len() == 2 => {
+            let coord = |x: &Value| x.as_u64().and_then(|n| usize::try_from(n).ok());
+            Some(coord(&rc[0]).zip(coord(&rc[1])).ok_or("bad tile coordinates")?)
+        }
+        _ => return Err("field tile is neither null nor a [row, col] pair".into()),
     };
-    let grid = json_field_u64(line, "grid")? as usize;
-    let attempts = json_field_u64(line, "attempts")? as u32;
-    let status = match json_field_str(line, "status")?.as_str() {
+    let status = match v.field_str("status")? {
         "done" => JobStatus::Done,
-        "degraded" => JobStatus::Degraded(json_field_str(line, "reason")?),
-        "failed" => JobStatus::Failed(json_field_str(line, "reason")?),
+        "degraded" => JobStatus::Degraded(v.field_str("reason")?.to_string()),
+        "failed" => JobStatus::Failed(v.field_str("reason")?.to_string()),
         "cancelled" => JobStatus::Cancelled,
         other => return Err(format!("unknown status {other}")),
     };
-    let metrics = if json_field_raw(line, "mask_hash").is_some() {
+    let metrics = if v.get("mask_hash").is_some() {
         Some(JobMetrics {
-            l2_nm2: json_field_f64(line, "l2_nm2")?,
-            pvband_nm2: json_field_f64(line, "pvband_nm2")?,
-            epe_violations: json_field_u64(line, "epe")? as usize,
-            shots: json_field_u64(line, "shots")? as usize,
-            iterations: json_field_u64(line, "iterations")? as usize,
-            mask_hash: u64::from_str_radix(&json_field_str(line, "mask_hash")?, 16)
-                .map_err(|_| "bad mask_hash")?,
+            l2_nm2: v.field_f64("l2_nm2")?,
+            pvband_nm2: v.field_f64("pvband_nm2")?,
+            epe_violations: v.field_usize("epe")?,
+            shots: v.field_usize("shots")?,
+            iterations: v.field_usize("iterations")?,
+            mask_hash: v.field_hex("mask_hash")?,
         })
     } else {
         None
     };
-    let times = StageTimes {
-        sim_ms: json_field_f64(line, "sim_ms").unwrap_or(0.0),
-        optimize_ms: json_field_f64(line, "optimize_ms").unwrap_or(0.0),
-        evaluate_ms: json_field_f64(line, "evaluate_ms").unwrap_or(0.0),
+    // Timing is informational: a record without it still restores.
+    let ms = |key: &str| v.field_f64(key).unwrap_or(0.0);
+    let ckpt = match v.get("ckpt") {
+        Some(Value::Null) => None,
+        Some(Value::Str(name)) => Some(name.clone()),
+        _ => return Err("missing or mistyped field ckpt".into()),
     };
-    let wall_ms = json_field_f64(line, "wall_ms").unwrap_or(0.0);
-    let ckpt_raw = json_field_raw(line, "ckpt").ok_or("missing field ckpt")?;
-    let ckpt = if ckpt_raw.trim() == "null" { None } else { Some(json_unescape(ckpt_raw)?) };
     Ok(LoadedRecord {
-        record: JobRecord { job_id, case, tile, grid, attempts, status, metrics, times, wall_ms },
+        record: JobRecord {
+            job_id: v.field_usize("job_id")?,
+            case: v.field_str("case")?.to_string(),
+            tile,
+            grid: v.field_usize("grid")?,
+            attempts: u32::try_from(v.field_u64("attempts")?)
+                .map_err(|_| "field attempts is out of range")?,
+            status,
+            metrics,
+            times: StageTimes {
+                sim_ms: ms("sim_ms"),
+                optimize_ms: ms("optimize_ms"),
+                evaluate_ms: ms("evaluate_ms"),
+            },
+            wall_ms: ms("wall_ms"),
+        },
         ckpt,
     })
 }
@@ -481,6 +333,7 @@ pub fn parse_wal_record(line: &str) -> Result<LoadedRecord, String> {
 mod tests {
     use super::*;
     use ilt_field::Field2D;
+    use std::fs::OpenOptions;
 
     fn record(id: usize, status: JobStatus, with_metrics: bool) -> JobRecord {
         JobRecord {
@@ -512,24 +365,10 @@ mod tests {
         ] {
             let rec = record(0, status, metrics);
             let line = rec.to_json_wal(ckpt);
-            let parsed = parse_wal_record(&line).expect(&line);
+            let parsed = parse_wal_record(&crate::json::parse(&line).unwrap()).expect(&line);
             assert_eq!(parsed.record, rec, "round trip of {line}");
             assert_eq!(parsed.ckpt.as_deref(), ckpt);
         }
-    }
-
-    #[test]
-    fn field_extractor_skips_keys_inside_strings() {
-        // The value of "case" contains text that looks like other keys, but
-        // its quotes arrive escaped, so the extractor must not be fooled.
-        let rec = JobRecord {
-            case: "evil\",\"status\":\"done".into(),
-            ..record(7, JobStatus::Failed("why".into()), false)
-        };
-        let line = rec.to_json_wal(None);
-        let parsed = parse_wal_record(&line).unwrap();
-        assert_eq!(parsed.record.case, "evil\",\"status\":\"done");
-        assert!(matches!(parsed.record.status, JobStatus::Failed(_)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! attempt timeouts, checkpoint-write durability gaps, the NaN guard in the
 //! optimize loop, simulator-cache build failures, and a hard process crash
 //! immediately after a checkpoint becomes durable (the "kill -9 mid-run"
-//! used by `verify_resume.sh`).
+//! used by `tests/resume_e2e.rs`).
 //!
 //! Determinism is the point: a fault either fires at `(job_id, attempt)` or
 //! it does not, for every execution, regardless of thread count. The seeded

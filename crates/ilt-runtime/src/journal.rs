@@ -23,6 +23,8 @@ use std::path::Path;
 
 use ilt_field::Field2D;
 
+use crate::json::{json_escape, json_f64};
+
 /// Terminal state of a job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobStatus {
@@ -151,41 +153,6 @@ pub fn field_hash(f: &Field2D) -> u64 {
             .flat_map(|d| d.to_le_bytes())
             .chain(f.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes())),
     )
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-///
-/// Covers the full set RFC 8259 requires: `"` and `\`, the short escapes
-/// `\b \f \n \r \t`, and `\u00XX` for every remaining control character in
-/// U+0000..=U+001F. This is the one escaping helper shared by every
-/// hand-rolled JSON producer in the workspace (`ilt-runtime`'s journal and
-/// `ilt-server`'s HTTP responses) — do not fork it.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000c}' => out.push_str("\\f"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Shortest-roundtrip JSON number for an `f64` (no NaN/inf in records by
-/// construction; they are mapped to `null` defensively).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".into()
-    }
 }
 
 impl JobRecord {
@@ -576,24 +543,6 @@ mod tests {
         assert!(jsonl.lines().last().unwrap().contains("\"kind\":\"summary\""));
         assert!(!jsonl.contains("_ms\""));
         assert!(!jsonl.contains("threads"));
-    }
-
-    #[test]
-    fn escape_covers_every_control_character() {
-        for cp in 0u32..0x20 {
-            let ch = char::from_u32(cp).unwrap();
-            let escaped = json_escape(&ch.to_string());
-            assert!(escaped.is_ascii(), "U+{cp:04X} -> {escaped:?}");
-            assert!(
-                escaped.starts_with('\\'),
-                "U+{cp:04X} must be escaped, got {escaped:?}"
-            );
-        }
-        assert_eq!(json_escape("\u{0008}\u{000c}"), "\\b\\f");
-        assert_eq!(json_escape("\u{0000}\u{001f}"), "\\u0000\\u001f");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        // Non-control unicode passes through untouched.
-        assert_eq!(json_escape("λ=193nm"), "λ=193nm");
     }
 
     #[test]

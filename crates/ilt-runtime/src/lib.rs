@@ -17,6 +17,10 @@
 //!   per-stage wall-times, mask hash) and serializes to JSON Lines with all
 //!   nondeterministic timing fields at the tail.
 //! - [`run_batch`] glues the above into the `ilt batch` command.
+//! - [`json`] and [`AppendLog`] are the workspace's one record codec and
+//!   one durable JSON Lines log: the checkpoint WAL here, the server's
+//!   state log, the cluster's wire lines and the bench results all read
+//!   through the former, and both logs append and replay through the latter.
 //!
 //! ```
 //! use ilt_field::Field2D;
@@ -46,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod append_log;
 mod batch;
 mod cache;
 mod cancel;
@@ -53,6 +58,7 @@ mod checkpoint;
 mod fault;
 mod job;
 mod journal;
+pub mod json;
 mod pool;
 mod tiler;
 
@@ -62,17 +68,17 @@ pub use batch::{
 };
 pub use cache::SimulatorCache;
 pub use cancel::{CancelToken, Progress};
+pub use append_log::{AppendLog, Replay};
 pub use checkpoint::{
-    config_fingerprint, json_field_f64, json_field_raw, json_field_str, json_field_u64,
-    json_unescape, load_mask, load_wal, mask_file_name, parse_wal_record, restore_output,
+    config_fingerprint, load_mask, load_wal, mask_file_name, parse_wal_record, restore_output,
     write_atomic, CheckpointSink, LoadedRecord, LoadedRun, WAL_FILE,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use job::{run_attempt, run_degraded_attempt, IltJob, JobSuccess};
 pub use journal::{
-    failure_kind, field_hash, fnv1a64, json_escape, json_f64, JobMetrics, JobRecord, JobStatus,
-    RunReport, StageTimes,
+    failure_kind, field_hash, fnv1a64, JobMetrics, JobRecord, JobStatus, RunReport, StageTimes,
 };
+pub use json::{json_escape, json_f64};
 pub use pool::{
     run_jobs, run_jobs_checkpointed, ClassQueues, JobOutput, PoolConfig, PriorityClass,
 };

@@ -126,6 +126,45 @@ fn truncated_trailing_wal_line_reruns_only_the_torn_job() {
 }
 
 #[test]
+fn resumed_records_are_never_glued_onto_a_torn_wal_tail() {
+    let cases = [bar_case("m1", 128)];
+    let dir = temp_dir("glue");
+    let mut cfg = tiled_config();
+    cfg.checkpoint = Some(dir.clone());
+    let full = run_batch(&cases, &cfg, &SimulatorCache::new()).unwrap();
+
+    // The crash: the process died while appending the 4th record, so that
+    // line is half there and every later job never reported in. Resuming on
+    // 2 threads then appends 6 records, the first of which must not
+    // continue the torn half-line.
+    let wal_path = dir.join(WAL_FILE);
+    let raw = fs::read_to_string(&wal_path).unwrap();
+    let lines: Vec<&str> = raw.lines().collect();
+    let torn = lines[..4].join("\n") + "\n" + &lines[4][..lines[4].len() / 2];
+    fs::write(&wal_path, torn).unwrap();
+    let before = load_wal(&dir).unwrap();
+    assert!(before.dropped_trailing);
+    assert_eq!(before.records.len(), 3);
+
+    let resumed = run_batch_resume(&cases, &cfg, &SimulatorCache::new(), true).unwrap();
+    assert_eq!(resumed.restored_jobs, 3);
+    assert_eq!(resumed.report.digest(), full.report.digest());
+
+    for line in fs::read_to_string(&wal_path).unwrap().lines() {
+        ilt_runtime::json::parse(line).unwrap_or_else(|e| panic!("not JSON ({e}): {line}"));
+    }
+    let after = load_wal(&dir).unwrap();
+    assert!(!after.dropped_trailing, "the torn tail was cut off, not built upon");
+    assert_eq!(after.records.len(), 9);
+
+    let again = run_batch_resume(&cases, &cfg, &SimulatorCache::new(), true).unwrap();
+    assert_eq!(again.restored_jobs, 9, "every job's record survived intact");
+    assert_eq!(again.report.digest(), full.report.digest());
+    assert_eq!(field_hash(&again.cases[0].mask), field_hash(&full.cases[0].mask));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn fingerprint_mismatch_rejects_the_resume() {
     let cases = [bar_case("m1", 128)];
     let dir = temp_dir("fpr");

@@ -12,7 +12,8 @@ use std::path::{Path, PathBuf};
 
 use ilt_layouts::Xorshift64Star;
 use ilt_runtime::{
-    load_wal, CheckpointSink, FaultPlan, JobMetrics, JobRecord, JobStatus, StageTimes, WAL_FILE,
+    load_wal, CheckpointSink, FaultPlan, JobMetrics, JobOutput, JobRecord, JobStatus, StageTimes,
+    WAL_FILE,
 };
 
 fn record(id: usize) -> JobRecord {
@@ -116,6 +117,23 @@ fn truncation_at_any_offset_is_tolerated_as_one_torn_tail() {
         } else {
             saw_clean = true;
         }
+        // Reopen-and-append after the tear: the new record starts its own
+        // line, so the log is strict JSON throughout and a second replay
+        // sees the survivors plus that record — nothing torn, nothing glued.
+        let sink = CheckpointSink::create(&dir, 0xf00d, jobs, true, FaultPlan::none()).unwrap();
+        sink.persist(&JobOutput { record: record(jobs), mask: None });
+        drop(sink);
+        for line in fs::read_to_string(&path).unwrap().lines() {
+            assert!(
+                ilt_runtime::json::parse(line).is_ok(),
+                "round {round}: cut {cut}: glued line {line}"
+            );
+        }
+        let again = load_wal(&dir).unwrap();
+        assert!(!again.dropped_trailing, "round {round}: cut {cut}");
+        let mut expected = intact;
+        expected.push(jobs);
+        assert_eq!(again.records.keys().copied().collect::<Vec<_>>(), expected);
     }
     assert!(saw_torn && saw_clean, "200 seeded cuts must cover both boundary shapes");
     let _ = fs::remove_dir_all(&dir);

@@ -41,8 +41,6 @@
 //!   recovery replays the snapshot first, then the log, idempotently.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -50,10 +48,11 @@ use std::time::{Duration, Instant};
 
 use ilt_field::{pgm_bytes, Field2D};
 use ilt_metrics::EvalReport;
+use ilt_runtime::json::Value;
 use ilt_runtime::{
-    field_hash, json_escape, json_f64, json_field_str, json_field_u64, load_mask,
-    mask_file_name, planned_jobs, write_atomic, BatchCase, BatchConfig, CancelToken, ClassQueues,
-    JobRecord, PriorityClass, Progress,
+    field_hash, json_escape, json_f64, load_mask, mask_file_name, planned_jobs, write_atomic,
+    AppendLog, BatchCase, BatchConfig, CancelToken, ClassQueues, JobRecord, PriorityClass,
+    Progress,
 };
 
 use ilt_cluster::params::{ExecPolicy, JobParams, JobSource};
@@ -271,16 +270,18 @@ pub enum MaskFetch {
 /// The compaction snapshot beside `state.jsonl`; always written atomically.
 pub const SNAPSHOT_FILE: &str = "state.snapshot.jsonl";
 
+/// The append-only log inside a state directory.
+const LOG_FILE: &str = "state.jsonl";
+
 /// Append-only persistence of the job table: one `state.jsonl` line per
-/// admission, cancellation, and terminal outcome, masks and inline targets
-/// as atomically-written PGM files beside it. Once the log grows past
+/// admission, cancellation, and terminal outcome (an
+/// [`ilt_runtime::AppendLog`]), masks and inline targets as
+/// atomically-written PGM files beside it. Once the log grows past
 /// `compact_bytes` (0 disables), [`JobStore::maybe_compact`] folds the live
 /// table into [`SNAPSHOT_FILE`] and truncates the log.
 pub struct StateLog {
     dir: PathBuf,
-    file: Mutex<File>,
-    /// Bytes currently in `state.jsonl`; drives the compaction trigger.
-    bytes: AtomicU64,
+    log: AppendLog,
     compact_bytes: u64,
     /// Terminal transitions mid-persist (line appended, job table not yet
     /// updated). Compaction refuses to truncate while any are in flight —
@@ -301,46 +302,36 @@ impl StateLog {
         Self::open_with_compaction(dir, 0)
     }
 
-    /// [`StateLog::open`] with a compaction threshold: once `state.jsonl`
-    /// exceeds `compact_bytes` bytes, the next terminal transition folds the
-    /// log into a snapshot. `0` disables compaction.
+    /// [`StateLog::open`] with a compaction threshold: once the log exceeds
+    /// `compact_bytes` bytes, the next terminal transition folds it into a
+    /// snapshot. `0` disables compaction.
     ///
     /// # Errors
     ///
     /// Propagates directory/file creation failures.
     pub fn open_with_compaction(dir: &Path, compact_bytes: u64) -> std::io::Result<StateLog> {
         std::fs::create_dir_all(dir)?;
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join("state.jsonl"))?;
-        let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
         Ok(StateLog {
             dir: dir.to_path_buf(),
-            file: Mutex::new(file),
-            bytes: AtomicU64::new(bytes),
+            log: AppendLog::open(&dir.join(LOG_FILE))?,
             compact_bytes,
             persisting: AtomicU64::new(0),
         })
     }
 
-    /// The directory holding `state.jsonl` and its PGM side files.
+    /// The directory holding the log and its PGM side files.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
     fn append(&self, line: &str) {
-        let mut file = self.file.lock().expect("state log lock poisoned");
         // Persistence failures must never fail the job; a lost line only
         // means the job is re-run (or forgotten) after a restart.
-        let _ = file.write_all(line.as_bytes());
-        let _ = file.write_all(b"\n");
-        let _ = file.sync_data();
-        self.bytes.fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
+        let _ = self.log.append(line);
     }
 
     fn wants_compaction(&self) -> bool {
-        self.compact_bytes > 0 && self.bytes.load(Ordering::Relaxed) >= self.compact_bytes
+        self.compact_bytes > 0 && self.log.len() >= self.compact_bytes
     }
 
     fn begin_persist(&self) {
@@ -352,40 +343,39 @@ impl StateLog {
     }
 
     /// Atomically installs `snapshot` as [`SNAPSHOT_FILE`] and truncates
-    /// `state.jsonl`. The file lock is held across both steps so no append
-    /// can land between them; a crash in between leaves snapshot *plus* the
-    /// full log, which recovery replays idempotently. Refuses (harmlessly —
-    /// the next terminal transition retries) while another thread is
-    /// between appending an outcome line and updating the job table.
+    /// the log, with no append able to land between the two; a crash in
+    /// between leaves snapshot *plus* the full log, which recovery replays
+    /// idempotently. Refuses (harmlessly — the next terminal transition
+    /// retries) while another thread is between appending an outcome line
+    /// and updating the job table.
     fn replace_with_snapshot(&self, snapshot: &[u8]) -> std::io::Result<()> {
-        let file = self.file.lock().expect("state log lock poisoned");
-        if self.persisting.load(Ordering::SeqCst) > 0 {
-            return Err(std::io::Error::other("terminal transition mid-persist"));
-        }
-        write_atomic(&self.dir, SNAPSHOT_FILE, snapshot)?;
-        file.set_len(0)?;
-        file.sync_data()?;
-        self.bytes.store(0, Ordering::Relaxed);
-        Ok(())
+        self.log.truncate_after(|| {
+            if self.persisting.load(Ordering::SeqCst) > 0 {
+                return Err(std::io::Error::other("terminal transition mid-persist"));
+            }
+            write_atomic(&self.dir, SNAPSHOT_FILE, snapshot)
+        })
     }
 
     fn log_submit(&self, id: usize, params: &JobParams, admission: &Admission) {
-        let mut line = format!(
-            "{{\"kind\":\"submit\",\"id\":{id},\"query\":\"{}\"{}",
-            json_escape(&params.to_query()),
-            admission_fields(admission)
-        );
-        if let JobSource::Inline(img) = &params.source {
-            let name = format!("job-{id}-target.pgm");
-            // The target must be durable before the line that references it.
-            if write_atomic(&self.dir, &name, &pgm_bytes(img, 0.0, 1.0)).is_ok() {
-                line.push_str(&format!(",\"target\":\"{name}\""));
-            } else {
-                return; // without the raster the submission can't be replayed
+        let target = match &params.source {
+            JobSource::Inline(img) => {
+                let name = target_file_name(id);
+                // The target must be durable before the line that references it.
+                if write_atomic(&self.dir, &name, &pgm_bytes(img, 0.0, 1.0)).is_err() {
+                    return; // without the raster the submission can't be replayed
+                }
+                Some(name)
             }
-        }
-        line.push('}');
-        self.append(&line);
+            _ => None,
+        };
+        self.append(&submit_line(
+            id,
+            &params.to_query(),
+            &admission.client,
+            admission.class,
+            target.as_deref(),
+        ));
     }
 
     fn log_finish(&self, id: usize, outcome: &Result<JobDone, String>) {
@@ -411,15 +401,32 @@ impl StateLog {
     }
 }
 
-/// The `client`/`class` tail of a submit record (state log and compaction
-/// snapshot write the identical shape). The client id was validated at
-/// admission to a JSON-safe alphabet; `json_escape` is belt and braces.
-fn admission_fields(admission: &Admission) -> String {
-    format!(
-        ",\"client\":\"{}\",\"class\":\"{}\"",
-        json_escape(&admission.client),
-        admission.class.as_str()
-    )
+/// Side file holding job `id`'s inline target raster.
+fn target_file_name(id: usize) -> String {
+    format!("job-{id}-target.pgm")
+}
+
+/// The `submit` record — the one definition the state log and the
+/// compaction snapshot share. The client id was validated at admission to a
+/// JSON-safe alphabet; `json_escape` is belt and braces.
+fn submit_line(
+    id: usize,
+    query: &str,
+    client: &str,
+    class: PriorityClass,
+    target: Option<&str>,
+) -> String {
+    let mut line = format!(
+        "{{\"kind\":\"submit\",\"id\":{id},\"query\":\"{}\",\"client\":\"{}\",\"class\":\"{}\"",
+        json_escape(query),
+        json_escape(client),
+        class.as_str()
+    );
+    if let Some(name) = target {
+        line.push_str(&format!(",\"target\":\"{name}\""));
+    }
+    line.push('}');
+    line
 }
 
 /// The `finish` record of a successful job; `mask_file` references a PGM
@@ -527,70 +534,59 @@ impl JobStore {
         state: StateLog,
         policy: &ExecPolicy,
     ) -> Result<(JobStore, RecoveryStats), String> {
-        let snapshot = match std::fs::read_to_string(state.dir.join(SNAPSHOT_FILE)) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(format!("read state snapshot: {e}")),
-        };
-        let raw = std::fs::read_to_string(state.dir.join("state.jsonl"))
-            .map_err(|e| format!("read state log: {e}"))?;
-
         // Replay: submissions in record order (first submit per id wins, so
         // the snapshot takes precedence over a stale untruncated log),
         // outcomes and cancellations folded in by id.
         let mut submits: Vec<(usize, String, Option<String>, Admission)> = Vec::new();
         let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut finishes: BTreeMap<usize, String> = BTreeMap::new();
+        let mut finishes: BTreeMap<usize, Value> = BTreeMap::new();
         let mut cancels: BTreeSet<usize> = BTreeSet::new();
         let mut next_id_floor = 0usize;
         // The snapshot is written atomically, so damage there is real
         // corruption; only the appended log can have a torn tail.
-        for (tolerate_tail, text, what) in
-            [(false, snapshot.as_str(), "state snapshot"), (true, raw.as_str(), "state log")]
-        {
-            let lines: Vec<&str> = text.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                let parsed = (|| -> Option<()> {
-                    match json_field_str(line, "kind").ok()?.as_str() {
+        for (file, tolerate_tail) in [(SNAPSHOT_FILE, false), (LOG_FILE, true)] {
+            let path = state.dir.join(file);
+            for record in AppendLog::replay(&path, tolerate_tail)?.records {
+                let mut fold = || -> Result<(), String> {
+                    match record.field_str("kind")? {
                         "submit" => {
-                            let id = json_field_u64(line, "id").ok()? as usize;
-                            let query = json_field_str(line, "query").ok()?;
-                            let target = json_field_str(line, "target").ok();
+                            let id = record.field_usize("id")?;
                             // Pre-multi-tenant logs have no client/class;
                             // they replay under the defaults.
+                            let default = Admission::default();
                             let admission = Admission {
-                                client: json_field_str(line, "client")
-                                    .unwrap_or_else(|_| "anonymous".into()),
-                                class: json_field_str(line, "class")
+                                client: record
+                                    .field_str("client")
+                                    .map_or(default.client, str::to_string),
+                                class: record
+                                    .field_str("class")
                                     .ok()
-                                    .and_then(|c| PriorityClass::parse(&c))
-                                    .unwrap_or(PriorityClass::Normal),
+                                    .and_then(PriorityClass::parse)
+                                    .unwrap_or(default.class),
                             };
                             if seen.insert(id) {
-                                submits.push((id, query, target, admission));
+                                submits.push((
+                                    id,
+                                    record.field_str("query")?.to_string(),
+                                    record.field_str("target").ok().map(str::to_string),
+                                    admission,
+                                ));
                             }
                         }
                         "finish" => {
-                            let id = json_field_u64(line, "id").ok()? as usize;
-                            finishes.insert(id, line.to_string());
+                            finishes.insert(record.field_usize("id")?, record.clone());
                         }
                         "cancel" => {
-                            cancels.insert(json_field_u64(line, "id").ok()? as usize);
+                            cancels.insert(record.field_usize("id")?);
                         }
                         "compact" => {
-                            let next = json_field_u64(line, "next_id").ok()? as usize;
-                            next_id_floor = next_id_floor.max(next);
+                            next_id_floor = next_id_floor.max(record.field_usize("next_id")?);
                         }
                         _ => {} // future record kinds are not an error
                     }
-                    Some(())
-                })();
-                if parsed.is_none() {
-                    if tolerate_tail && i + 1 == lines.len() {
-                        break; // torn trailing line: the crash we exist to survive
-                    }
-                    return Err(format!("{what} line {} is corrupt: {line}", i + 1));
-                }
+                    Ok(())
+                };
+                fold().map_err(|e| format!("{} holds a corrupt record: {e}", path.display()))?;
             }
         }
 
@@ -791,7 +787,7 @@ impl JobStore {
         config.progress = progress.clone();
         let tiles_planned = planned_jobs(&case, &config).unwrap_or(1);
         let target_file = params.and_then(|p| match &p.source {
-            JobSource::Inline(_) => Some(format!("job-{id}-target.pgm")),
+            JobSource::Inline(_) => Some(target_file_name(id)),
             _ => None,
         });
         inner.jobs.insert(
@@ -969,23 +965,18 @@ impl JobStore {
             if entry.result.as_ref().is_some_and(|d| d.mask.is_none()) {
                 continue; // mask evicted: not worth resurrecting either
             }
-            snapshot.push_str(&format!(
-                "{{\"kind\":\"submit\",\"id\":{},\"query\":\"{}\"{}",
+            snapshot.push_str(&submit_line(
                 entry.id,
-                json_escape(query),
-                admission_fields(&Admission {
-                    client: entry.client.clone(),
-                    class: entry.class
-                })
+                query,
+                &entry.client,
+                entry.class,
+                entry.target_file.as_deref(),
             ));
-            if let Some(target) = &entry.target_file {
-                snapshot.push_str(&format!(",\"target\":\"{target}\""));
-                keep.insert(target.clone());
-            }
+            snapshot.push('\n');
+            keep.extend(entry.target_file.clone());
             if entry.result.as_ref().is_some_and(|d| d.mask.is_some()) {
                 keep.insert(mask_file_name(entry.id));
             }
-            snapshot.push_str("}\n");
             if entry.state.is_terminal() {
                 let line = match (&entry.result, &entry.error) {
                     (Some(done), _) => {
@@ -1240,29 +1231,18 @@ fn terminal_entry(id: usize, name: String, state: JobState, error: Option<String
 /// Returns `None` when the outcome claims a mask that is missing or fails
 /// hash verification — the caller re-queues the job instead of serving a
 /// mask the log can't vouch for.
-fn restore_finished(dir: &Path, id: usize, name: String, line: &str) -> Option<JobEntry> {
-    let ok = ilt_runtime::json_field_raw(line, "ok")? == "true";
-    if !ok {
-        let error = json_field_str(line, "error").unwrap_or_default();
+fn restore_finished(dir: &Path, id: usize, name: String, fin: &Value) -> Option<JobEntry> {
+    if !fin.get("ok")?.as_bool()? {
+        let error = fin.field_str("error").unwrap_or_default().to_string();
         return Some(terminal_entry(id, name, JobState::Failed, Some(error)));
     }
-    let mask = match json_field_str(line, "mask") {
-        Err(_) => return None, // success without a durable mask: re-run
-        Ok(file) => {
-            let loaded = load_mask(dir, &file).ok()?;
-            let recorded = json_field_str(line, "mask_hash")
-                .ok()
-                .and_then(|h| u64::from_str_radix(&h, 16).ok())?;
-            if field_hash(&loaded) != recorded {
-                return None;
-            }
-            loaded
-        }
-    };
-    let tiles = json_field_u64(line, "tiles").ok()? as usize;
-    let failed_tiles = json_field_u64(line, "failed_tiles").ok()? as usize;
-    let degraded_tiles = json_field_u64(line, "degraded_tiles").unwrap_or(0) as usize;
-    let wall_ms = ilt_runtime::json_field_f64(line, "wall_ms").unwrap_or(0.0);
+    // A success without a durable mask returns None here: re-run.
+    let mask = load_mask(dir, fin.field_str("mask").ok()?).ok()?;
+    if field_hash(&mask) != fin.field_hex("mask_hash").ok()? {
+        return None;
+    }
+    let tiles = fin.field_usize("tiles").ok()?;
+    let failed_tiles = fin.field_usize("failed_tiles").ok()?;
     let error = (failed_tiles > 0)
         .then(|| format!("{failed_tiles} of {tiles} tile(s) failed"));
     let state = if failed_tiles == 0 { JobState::Done } else { JobState::Failed };
@@ -1273,9 +1253,9 @@ fn restore_finished(dir: &Path, id: usize, name: String, line: &str) -> Option<J
         records: Vec::new(),
         tiles,
         failed_tiles,
-        degraded_tiles,
+        degraded_tiles: fin.field_usize("degraded_tiles").unwrap_or(0),
         eval: None,
-        wall_ms,
+        wall_ms: fin.field_f64("wall_ms").unwrap_or(0.0),
     });
     Some(entry)
 }
@@ -1708,6 +1688,54 @@ mod tests {
     }
 
     #[test]
+    fn record_appended_after_a_torn_tail_is_not_glued_onto_it() {
+        // The crash: two submits persisted, the second torn mid-append. The
+        // restarted server then finishes job 0 — its `finish` record must
+        // start on a fresh line, not continue the half-written submit.
+        let dir = temp_dir("glue");
+        let (c, cfg) = tiny_case("a");
+        {
+            let store = JobStore::with_state(8, Some(StateLog::open(&dir).unwrap()));
+            let params = JobParams::from_request(
+                &request_with_query("case=case1&grid=64&kernels=3"),
+                &ExecPolicy::default(),
+            )
+            .unwrap();
+            store.submit_persisted(&params, c.clone(), cfg.clone()).unwrap();
+            store.submit_persisted(&params, c, cfg).unwrap();
+        }
+        let path = dir.join("state.jsonl");
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let keep = raw.len() - raw.lines().last().unwrap().len() / 2 - 1;
+        std::fs::write(&path, &raw.as_bytes()[..keep]).unwrap();
+
+        let (store, stats) =
+            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+        assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
+        let (id, case, _, _) = store.take_next().unwrap();
+        assert_eq!(id, 0);
+        // (The recovered job was re-planned from its persisted query.)
+        let expected = pgm_bytes(&case.target.threshold(0.5), 0.0, 1.0);
+        store.finish(id, Ok(done_for(&case, 1)));
+        drop(store);
+
+        let log = std::fs::read_to_string(&path).unwrap();
+        for line in log.lines() {
+            ilt_runtime::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        }
+        let (store, stats) =
+            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+        assert_eq!(stats, RecoveryStats { restored: 1, requeued: 0 });
+        assert_eq!(store.len(), 1, "no phantom job from a glued line");
+        assert!(store.render_detail(0, false).unwrap().contains("\"state\":\"done\""));
+        match store.mask_pgm(0) {
+            MaskFetch::Ready(bytes) => assert!(bytes == expected, "restored mask differs"),
+            _ => panic!("the finished job must come back with its mask"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn cancel_queued_job_is_immediately_terminal() {
         let store = JobStore::new(4);
         let (c, cfg) = tiny_case("a");
@@ -1972,9 +2000,8 @@ mod tests {
             let (store, _) =
                 JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default())
                     .unwrap_or_else(|e| panic!("round {round}: cut {cut} must recover: {e}"));
-            // Every fully-intact submit record materializes as a job; at
-            // most the torn trailing line can add one more (its fields may
-            // still field-parse without the closing brace).
+            // Every fully-intact submit record materializes as a job; the
+            // torn trailing line never does.
             let submit_starts = healthy[..cut]
                 .split(|&b| b == b'\n')
                 .filter(|l| l.starts_with(b"{\"kind\":\"submit\""))
@@ -1988,6 +2015,27 @@ mod tests {
                 "round {round}: cut {cut}: {} jobs from {intact_submits}..={submit_starts} submits",
                 store.len()
             );
+            // Reopen-and-append after the tear: the next record lands on
+            // its own line, so every line parses and a second recovery sees
+            // exactly the same jobs plus the new one.
+            let jobs = store.len();
+            let late = JobParams::from_request(
+                &request_with_query("case=case1&grid=64&kernels=3&name=late"),
+                &ExecPolicy::default(),
+            )
+            .unwrap();
+            store.submit_persisted(&late, c.clone(), cfg.clone()).unwrap();
+            drop(store);
+            for line in std::fs::read_to_string(&path).unwrap().lines() {
+                assert!(
+                    ilt_runtime::json::parse(line).is_ok(),
+                    "round {round}: cut {cut}: glued line {line}"
+                );
+            }
+            let (again, _) =
+                JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default())
+                    .unwrap_or_else(|e| panic!("round {round}: cut {cut}: second recovery: {e}"));
+            assert_eq!(again.len(), jobs + 1, "round {round}: cut {cut}: phantom or lost job");
         }
         // The undamaged log still replays everything.
         std::fs::write(&path, &healthy).unwrap();

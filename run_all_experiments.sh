@@ -2,7 +2,6 @@
 # Regenerates every table and figure; used to populate EXPERIMENTS.md.
 set -e
 ./verify_runtime.sh
-./verify_resume.sh
 ./verify_server.sh
 ./verify_cluster.sh
 ./verify_chaos.sh

@@ -5,11 +5,11 @@
 //! a mask byte-identical to the single-process batch engine — with the
 //! re-dispatch visible in `/metrics`.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use multilevel_ilt::cluster::transport::request;
 use multilevel_ilt::cluster::{ExecPolicy, JobParams};
 use multilevel_ilt::field::pgm_bytes;
 use multilevel_ilt::runtime::{run_batch, SimulatorCache};
@@ -50,25 +50,7 @@ fn spawn_ilt(args: &[&str]) -> (Proc, String) {
 
 /// One `connection: close` HTTP exchange; returns status and body.
 fn http(addr: &str, method: &str, path: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
-            )
-            .as_bytes(),
-        )
-        .expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("response head") + 4;
-    let status: u16 = String::from_utf8_lossy(&raw[..head_end])
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    (status, raw[head_end..].to_vec())
+    request(addr, method, path, &[], Duration::from_secs(30)).expect("http exchange")
 }
 
 #[test]

@@ -1,0 +1,134 @@
+//! End-to-end crash-safe checkpoint/resume through the real `ilt` binary:
+//! a run killed mid-flight by injected faults (`panic@2` fails job 2 every
+//! attempt, `crash@4` aborts the process the instant job 4's checkpoint is
+//! durable) and then resumed must be byte-identical — journal and stitched
+//! mask — to a run that never crashed; an incompatible resume is rejected;
+//! a checkpoint directory written by an earlier commit's binary resumes the
+//! same way; and a WAL whose tail was torn by the crash resumes cleanly,
+//! twice.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use multilevel_ilt::runtime::{json, load_wal, WAL_FILE};
+
+const COMMON: &[&str] =
+    &["batch", "--threads", "2", "--grid", "128", "--tile", "64", "--kernels", "4", "--no-timing"];
+
+/// `ilt batch` on `case1` (3x3 tiles) writing `<dir>/<tag>.jsonl`,
+/// `<dir>/<tag>_case1_mask.pgm` and the checkpoint dir `<dir>/<tag>.jsonl.ckpt`.
+fn batch(dir: &Path, tag: &str, halo: &str, extra: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ilt"))
+        .args(COMMON)
+        .args(["--halo", halo])
+        .args(["--out", dir.join(tag).to_str().unwrap()])
+        .args(["--journal", dir.join(format!("{tag}.jsonl")).to_str().unwrap()])
+        .args(extra)
+        .arg("case1")
+        .output()
+        .expect("run ilt batch")
+}
+
+fn text(out: &Output) -> String {
+    format!("{}{}", String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr))
+}
+
+/// Jobs the `resume: N job(s) restored…` line reports.
+fn restored(out: &Output) -> usize {
+    text(out)
+        .lines()
+        .find_map(|l| l.strip_prefix("resume: ")?.split(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no resume line in:\n{}", text(out)))
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ilt-resume-e2e-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn assert_same_outputs(dir: &Path, a: &str, b: &str) {
+    for suffix in [".jsonl", "_case1_mask.pgm"] {
+        let (fa, fb) = (dir.join(format!("{a}{suffix}")), dir.join(format!("{b}{suffix}")));
+        assert!(fs::read(&fa).unwrap() == fs::read(&fb).unwrap(), "{fa:?} and {fb:?} differ");
+    }
+}
+
+#[test]
+fn crashed_run_resumes_byte_identical_to_an_uninterrupted_one() {
+    let dir = temp_dir("crash");
+    let reference = batch(&dir, "a", "8", &["--checkpoint"]);
+    assert!(reference.status.success(), "{}", text(&reference));
+
+    // The crash: dies mid-run with no canonical journal, only the WAL.
+    let crashed = batch(&dir, "b", "8", &["--checkpoint", "--inject", "panic@2,crash@4"]);
+    assert!(!crashed.status.success(), "the injected crash must kill the run");
+    assert!(text(&crashed).contains("injected process crash"), "{}", text(&crashed));
+    assert!(!dir.join("b.jsonl").exists(), "a crashed run writes no canonical journal");
+    assert!(dir.join("b.jsonl.ckpt").join(WAL_FILE).exists(), "the WAL survives the crash");
+
+    // A resume under a different result-affecting configuration is refused.
+    let mismatch = batch(&dir, "b", "16", &["--resume"]);
+    assert!(!mismatch.status.success());
+    assert!(text(&mismatch).contains("fingerprint mismatch"), "{}", text(&mismatch));
+
+    let resumed = batch(&dir, "b", "8", &["--resume"]);
+    assert!(resumed.status.success(), "{}", text(&resumed));
+    assert!(restored(&resumed) >= 1, "job 4 at least was durable before the crash");
+    assert_same_outputs(&dir, "a", "b");
+
+    // The same crash as the binary of commit 588e7d6 left it (`panic@2,
+    // crash@7` under `--retries 0`: seven durable tiles, one failure
+    // record, job 8 never reported): that commit's own `--resume` restores
+    // 7 jobs from this directory, and so must every later one.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_588e7d6");
+    let ckpt = dir.join("p.jsonl.ckpt");
+    fs::create_dir_all(&ckpt).unwrap();
+    for entry in fs::read_dir(fixture).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), ckpt.join(entry.file_name())).unwrap();
+    }
+    let resumed = batch(&dir, "p", "8", &["--resume"]);
+    assert!(resumed.status.success(), "{}", text(&resumed));
+    assert_eq!(restored(&resumed), 7);
+    assert_same_outputs(&dir, "a", "p");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_wal_tail_resumes_cleanly_twice() {
+    let dir = temp_dir("torn");
+    let reference = batch(&dir, "a", "8", &["--checkpoint"]);
+    assert!(reference.status.success(), "{}", text(&reference));
+
+    // The crash tore the 4th record mid-append and lost everything after.
+    let ckpt = dir.join("a.jsonl.ckpt");
+    let wal = ckpt.join(WAL_FILE);
+    let raw = fs::read_to_string(&wal).unwrap();
+    let lines: Vec<&str> = raw.lines().collect();
+    assert_eq!(lines.len(), 10, "header + 9 records");
+    fs::write(&wal, lines[..4].join("\n") + "\n" + &lines[4][..lines[4].len() / 2]).unwrap();
+    fs::rename(dir.join("a.jsonl"), dir.join("ref.jsonl")).unwrap();
+    fs::rename(dir.join("a_case1_mask.pgm"), dir.join("ref_case1_mask.pgm")).unwrap();
+
+    let first = batch(&dir, "a", "8", &["--resume"]);
+    assert!(first.status.success(), "{}", text(&first));
+    assert_eq!(restored(&first), 3);
+    assert_same_outputs(&dir, "ref", "a");
+    // Nothing was appended onto the torn half-line: the log is strict JSON
+    // throughout and holds every job exactly as the reference run did.
+    for line in fs::read_to_string(&wal).unwrap().lines() {
+        json::parse(line).unwrap_or_else(|e| panic!("not JSON ({e}): {line}"));
+    }
+    let replay = load_wal(&ckpt).unwrap();
+    assert!(!replay.dropped_trailing);
+    assert_eq!(replay.records.len(), 9);
+
+    let second = batch(&dir, "a", "8", &["--resume"]);
+    assert!(second.status.success(), "{}", text(&second));
+    assert_eq!(restored(&second), 9, "the second resume recomputes nothing");
+    assert_same_outputs(&dir, "ref", "a");
+    let _ = fs::remove_dir_all(&dir);
+}
