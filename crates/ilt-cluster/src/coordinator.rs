@@ -47,7 +47,7 @@
 
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ilt_runtime::{
@@ -114,7 +114,9 @@ pub struct Coordinator {
     config: ClusterConfig,
     members: Arc<Membership>,
     stats: Arc<ClusterStats>,
-    stop: Arc<AtomicBool>,
+    /// Set (and notified) on drop; the monitor thread sleeps on it between
+    /// heartbeats.
+    stop: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl Coordinator {
@@ -130,7 +132,7 @@ impl Coordinator {
         let stats = Arc::new(ClusterStats::default());
         stats.members_joined.add(members.len() as u64);
         stats.workers_alive.store(members.len() as u64, Ordering::Relaxed);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
         {
             let members = Arc::clone(&members);
             let stats = Arc::clone(&stats);
@@ -252,15 +254,12 @@ impl Coordinator {
                 .enumerate()
                 .filter(|(_, jobs)| !jobs.is_empty())
                 .map(|(shard_idx, jobs)| {
-                    // The shard's "home" replica under the static layout;
-                    // landing anywhere else counts as a re-dispatch.
-                    let preferred = members[shard_idx % members.len()].addr.clone();
                     let latencies = &latencies;
                     let poison = &poison;
                     scope.spawn(move || {
                         let sid = format!("{job_id}-{shard_idx}");
                         let result = self.run_shard_supervised(
-                            &sid, &preferred, query, body, jobs, cancel, latencies, poison,
+                            &sid, query, body, jobs, cancel, latencies, poison,
                         );
                         (shard_idx, result)
                     })
@@ -321,7 +320,6 @@ impl Coordinator {
     fn run_shard_supervised(
         &self,
         sid: &str,
-        preferred: &str,
         query: &str,
         body: &[u8],
         jobs: &[&PlannedJob],
@@ -376,10 +374,9 @@ impl Coordinator {
                     });
                 }
             };
-            // Any dispatch that is not the shard's first attempt on its
-            // preferred replica is a re-dispatch — whether the preferred
-            // worker died, is quarantined, or was simply saturated.
-            if !attempts.is_empty() || slot.addr != preferred {
+            // Only a dispatch that follows a failed attempt is a re-dispatch;
+            // where least-loaded scheduling places the first one is not.
+            if !attempts.is_empty() {
                 self.stats.shards_redispatched.inc();
             }
             let addr = slot.addr.clone();
@@ -634,8 +631,8 @@ impl Coordinator {
         let mut cancel_sent = false;
         let mut cancel_deadline: Option<Instant> = None;
         let mut abort_deadline: Option<Instant> = None;
+        let mut chunk = [0u8; 65536];
         loop {
-            let mut chunk = [0u8; 65536];
             match stream.read(&mut chunk) {
                 Ok(0) => break,
                 Ok(n) => raw.extend_from_slice(&chunk[..n]),
@@ -690,7 +687,7 @@ impl Coordinator {
             }
         }
 
-        let (status, response_body) = parse_response(&raw).map_err(ShardError::Retry)?;
+        let (status, response_body) = parse_response(raw).map_err(ShardError::Retry)?;
         if status != 200 {
             let reason = format!(
                 "worker {} refused shard {sid}: HTTP {status} {}",
@@ -745,7 +742,12 @@ impl Coordinator {
 
 impl Drop for Coordinator {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        let (stopped, wake) = &*self.stop;
+        // A poisoned flag means the monitor already died; nothing to stop.
+        if let Ok(mut stopped) = stopped.lock() {
+            *stopped = true;
+        }
+        wake.notify_all();
     }
 }
 
@@ -856,9 +858,10 @@ fn monitor_loop(
     config: &ClusterConfig,
     members: &Membership,
     stats: &ClusterStats,
-    stop: &AtomicBool,
+    stop: &(Mutex<bool>, Condvar),
 ) {
-    while !stop.load(Ordering::SeqCst) {
+    let (stopped, wake) = stop;
+    loop {
         for slot in members.snapshot() {
             let ok = probe(&slot.addr, config);
             mark_probe(&slot, ok, config, stats);
@@ -866,10 +869,16 @@ fn monitor_loop(
         stats.workers_alive.store(members.alive_count() as u64, Ordering::Relaxed);
         // Health changed or time passed: unpark waiting supervisors.
         members.notify();
-        // Sleep in small steps so drop() stops the thread promptly.
-        let deadline = Instant::now() + config.heartbeat;
-        while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(20));
+        // One heartbeat of sleep, cut short the moment drop() sets the flag.
+        let (stopped, _) = wake
+            .wait_timeout_while(
+                stopped.lock().expect("stop flag lock"),
+                config.heartbeat,
+                |stopped| !*stopped,
+            )
+            .expect("stop flag lock");
+        if *stopped {
+            return;
         }
     }
 }

@@ -154,8 +154,9 @@ pub struct ClusterStats {
     /// Worker replicas currently passing heartbeats (a gauge, written by
     /// the heartbeat monitor).
     pub workers_alive: AtomicU64,
-    /// Shards re-dispatched to another worker after their worker died or
-    /// became unreachable mid-shard.
+    /// Shard dispatches that followed a failed attempt of the same shard
+    /// (worker death, refusal, torn or garbled response). A shard's first
+    /// dispatch never counts, wherever scheduling places it.
     pub shards_redispatched: Counter,
     /// Heartbeat probes that failed (each probe, not each declared death).
     pub heartbeat_failures: Counter,
@@ -184,7 +185,7 @@ impl ClusterStats {
             self.workers_alive.load(Ordering::Relaxed)
         ));
         out.push_str(&format!(
-            "# HELP ilt_shards_redispatched_total Shards re-dispatched after a worker death.\n# TYPE ilt_shards_redispatched_total counter\nilt_shards_redispatched_total {}\n",
+            "# HELP ilt_shards_redispatched_total Shard dispatches that followed a failed attempt (worker death, refusal, torn or garbled response).\n# TYPE ilt_shards_redispatched_total counter\nilt_shards_redispatched_total {}\n",
             self.shards_redispatched.get()
         ));
         out.push_str(&format!(

@@ -396,6 +396,11 @@ impl Response {
     /// `keep_alive` announces `Connection: keep-alive` so the client may
     /// send another request on the same socket.
     ///
+    /// Head and body leave in one `write_all`: two writes put two segments
+    /// on the wire, and the second then waits for the peer's delayed ACK of
+    /// the first. Only [`WireFault::ReadStall`] splits the response, on
+    /// purpose.
+    ///
     /// # Errors
     ///
     /// Propagates socket write errors (including write timeouts).
@@ -420,30 +425,34 @@ impl Response {
             head.push_str(&format!("{name}: {value}\r\n"));
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
+        let mut wire = head.into_bytes();
+        wire.reserve(self.body.len());
+        let body_start = wire.len();
         match self.wire_fault {
-            None | Some(WireFault::ConnRefuse) => w.write_all(&self.body)?,
+            None | Some(WireFault::ConnRefuse) => wire.extend_from_slice(&self.body),
             Some(WireFault::TornResponse) => {
                 // Full content-length declared above; deliver only two
                 // thirds and stop — a torn JSONL stream.
-                w.write_all(&self.body[..self.body.len() * 2 / 3])?;
+                wire.extend_from_slice(&self.body[..self.body.len() * 2 / 3]);
             }
             Some(WireFault::ReadStall(stall)) => {
                 let half = self.body.len() / 2;
-                w.write_all(&self.body[..half])?;
+                wire.extend_from_slice(&self.body[..half]);
+                w.write_all(&wire)?;
                 w.flush()?;
                 std::thread::sleep(stall);
-                w.write_all(&self.body[half..])?;
+                wire.clear();
+                wire.extend_from_slice(&self.body[half..]);
             }
             Some(WireFault::Garble) => {
-                let mut garbled = self.body.clone();
-                let mid = garbled.len() / 2;
-                for b in garbled.iter_mut().skip(mid).take(16) {
+                wire.extend_from_slice(&self.body);
+                let mid = body_start + self.body.len() / 2;
+                for b in wire.iter_mut().skip(mid).take(16) {
                     *b ^= 0xa5;
                 }
-                w.write_all(&garbled)?;
             }
         }
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -512,6 +521,9 @@ pub fn serve_connection(
 ) {
     let _ = stream.set_read_timeout(Some(options.read_timeout));
     let _ = stream.set_write_timeout(Some(options.write_timeout));
+    // A response is small and complete when written: never hold it back
+    // for the ACK of an earlier one (pipelined replies, `ReadStall` halves).
+    let _ = stream.set_nodelay(true);
     let mut carry = Vec::new();
     let mut served = 0usize;
     loop {
@@ -680,7 +692,7 @@ pub fn request(
     // A read error after a complete response (reset, timeout on a peer that
     // never closes) still leaves that response parseable.
     let _ = stream.read_to_end(&mut raw);
-    parse_response(&raw)
+    parse_response(raw)
 }
 
 pub(crate) fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
@@ -706,20 +718,22 @@ pub(crate) fn write_request(
     body: &[u8],
 ) -> Result<(), String> {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let head = format!(
+    let mut wire = format!(
         "{method} {path} HTTP/1.1\r\nhost: worker\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
         body.len()
-    );
+    )
+    .into_bytes();
+    wire.extend_from_slice(body);
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
+        .write_all(&wire)
         .and_then(|()| stream.flush())
         .map_err(|e| format!("cannot send request: {e}"))
 }
 
 /// Minimal HTTP/1.1 response parse: status code + body. Servers here always
-/// answer `connection: close`, so the caller reads to EOF first.
-pub(crate) fn parse_response(raw: &[u8]) -> Result<(u16, Vec<u8>), String> {
+/// answer `connection: close`, so the caller reads to EOF first and hands
+/// the buffer over; the body is split off it, not copied.
+pub(crate) fn parse_response(mut raw: Vec<u8>) -> Result<(u16, Vec<u8>), String> {
     let head_end = raw
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
@@ -731,7 +745,7 @@ pub(crate) fn parse_response(raw: &[u8]) -> Result<(u16, Vec<u8>), String> {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    Ok((status, raw[head_end + 4..].to_vec()))
+    Ok((status, raw.split_off(head_end + 4)))
 }
 
 #[cfg(test)]
@@ -746,10 +760,10 @@ mod tests {
     #[test]
     fn response_parse_extracts_status_and_body() {
         let raw = b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\n\r\nhello";
-        let (status, body) = parse_response(raw).unwrap();
+        let (status, body) = parse_response(raw.to_vec()).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, b"hello");
-        assert!(parse_response(b"HTTP/1.1 200").is_err());
+        assert!(parse_response(b"HTTP/1.1 200".to_vec()).is_err());
     }
 
     #[test]
@@ -874,53 +888,99 @@ mod tests {
         assert!(text.contains("connection: keep-alive\r\n"), "{text}");
     }
 
+    /// A sink that keeps each `write` call apart, with its arrival time:
+    /// on a `TCP_NODELAY` socket every call is a segment.
+    #[derive(Default)]
+    struct Segments(Vec<(std::time::Instant, Vec<u8>)>);
+
+    impl Segments {
+        fn bytes(&self) -> Vec<u8> {
+            self.0.iter().flat_map(|(_, segment)| segment.iter().copied()).collect()
+        }
+    }
+
+    impl Write for Segments {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push((std::time::Instant::now(), buf.to_vec()));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn unfaulted_response_is_one_write_of_the_same_bytes() {
+        let body: Vec<u8> = (0..16 * 1024 + 11).map(|i| (i % 251) as u8).collect();
+        for (keep_alive, connection) in [(false, "close"), (true, "keep-alive")] {
+            let mut wire = Segments::default();
+            Response::pgm(body.clone())
+                .with_header("x-mask-hash", "00ff")
+                .write_with_connection(&mut wire, keep_alive)
+                .unwrap();
+            let mut expected = format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: image/x-portable-graymap\r\n\
+                 content-length: {}\r\nconnection: {connection}\r\nx-mask-hash: 00ff\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            expected.extend_from_slice(&body);
+            assert!(wire.bytes() == expected, "response bytes changed ({connection})");
+            assert_eq!(wire.0.len(), 1, "head and body must leave in one write");
+        }
+    }
+
     #[test]
     fn wire_faults_damage_only_the_write() {
         let body = "abcdefghijklmnopqrstuvwxyz0123456789";
+        let written = |fault: WireFault, keep_alive: bool| {
+            let mut wire = Segments::default();
+            Response::jsonl(200, body)
+                .with_wire_fault(Some(fault))
+                .write_with_connection(&mut wire, keep_alive)
+                .unwrap();
+            wire
+        };
         let mut clean = Vec::new();
         Response::jsonl(200, body).write_to(&mut clean).unwrap();
 
-        let mut refused = Vec::new();
-        Response::jsonl(200, body)
-            .with_wire_fault(Some(WireFault::ConnRefuse))
-            .write_to(&mut refused)
-            .unwrap();
-        assert!(refused.is_empty(), "conn_refuse writes nothing at all");
+        let refused = written(WireFault::ConnRefuse, false);
+        assert!(refused.0.is_empty(), "conn_refuse writes nothing at all");
 
-        let mut torn = Vec::new();
-        Response::jsonl(200, body)
-            .with_wire_fault(Some(WireFault::TornResponse))
-            .write_to(&mut torn)
-            .unwrap();
+        let torn = written(WireFault::TornResponse, false).bytes();
         let torn_text = String::from_utf8_lossy(&torn);
         assert!(
             torn_text.contains(&format!("content-length: {}\r\n", body.len())),
             "torn response still declares the full length: {torn_text}"
         );
-        assert_eq!(clean.len() - torn.len(), body.len() - body.len() * 2 / 3);
+        assert!(
+            torn_text.ends_with(&format!("\r\n\r\n{}", &body[..body.len() * 2 / 3])),
+            "torn response stops at two thirds of the body: {torn_text}"
+        );
 
-        let mut garbled = Vec::new();
-        Response::jsonl(200, body)
-            .with_wire_fault(Some(WireFault::Garble))
-            .write_to(&mut garbled)
-            .unwrap();
+        let garbled = written(WireFault::Garble, false).bytes();
         assert_eq!(garbled.len(), clean.len(), "garble keeps the length");
         assert_ne!(garbled, clean, "garble flips body bytes");
+        let head_len = clean.len() - body.len();
+        assert_eq!(garbled[..head_len], clean[..head_len], "garble leaves the head alone");
 
-        let mut stalled = Vec::new();
-        Response::jsonl(200, body)
-            .with_wire_fault(Some(WireFault::ReadStall(Duration::from_millis(1))))
-            .write_to(&mut stalled)
-            .unwrap();
-        assert_eq!(stalled, clean, "read_stall delivers identical bytes, just slowly");
+        let stall = Duration::from_millis(20);
+        let stalled = written(WireFault::ReadStall(stall), false);
+        assert_eq!(stalled.bytes(), clean, "read_stall delivers identical bytes, just slowly");
+        assert!(stalled.0.len() >= 2, "read_stall is a deliberate split");
+        let (first, last) = (&stalled.0[0], &stalled.0[stalled.0.len() - 1]);
+        assert!(last.0.duration_since(first.0) >= stall, "the stall sits between the halves");
+        assert!(first.1.ends_with(&body.as_bytes()[..body.len() / 2]), "half the body goes first");
 
         // A faulted response never keeps the connection alive.
-        let mut ka = Vec::new();
-        Response::jsonl(200, body)
-            .with_wire_fault(Some(WireFault::Garble))
-            .write_with_connection(&mut ka, true)
-            .unwrap();
-        assert!(String::from_utf8_lossy(&ka).contains("connection: close\r\n"));
+        for fault in [WireFault::TornResponse, WireFault::Garble, WireFault::ReadStall(stall)] {
+            let wire = written(fault, true).bytes();
+            assert!(
+                String::from_utf8_lossy(&wire).contains("connection: close\r\n"),
+                "{fault:?} must announce connection: close"
+            );
+        }
     }
 
     #[test]

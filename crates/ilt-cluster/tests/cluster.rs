@@ -112,10 +112,14 @@ fn dead_worker_shards_are_redispatched_to_survivors() {
     };
     let (live_addr, handle) = spawn_worker(FaultPlan::none());
 
+    // The monitor's one probe before the job starts must not be enough to
+    // declare the replica dead, or no shard would ever be sent to it: the
+    // second strike has to be a failed dispatch, which is what this test
+    // is about.
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![dead_addr, live_addr.clone()],
-        heartbeat: Duration::from_millis(50),
-        heartbeat_failures: 1,
+        heartbeat: Duration::from_secs(5),
+        heartbeat_failures: 2,
         ..ClusterConfig::default()
     })
     .expect("coordinator");
@@ -138,10 +142,57 @@ fn dead_worker_shards_are_redispatched_to_survivors() {
     assert_eq!(
         coordinator.stats().workers_alive.load(Ordering::Relaxed),
         1,
-        "the heartbeat monitor must see exactly one live replica"
+        "probe and failed dispatch together must leave exactly one live replica"
     );
     shutdown(&live_addr);
     handle.join().expect("worker thread");
+}
+
+#[test]
+fn healthy_cluster_under_contention_counts_no_redispatch() {
+    let params = tiny_params();
+    let (case, config) = params.plan().expect("plan");
+    let query = params.to_query();
+    let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
+
+    // Two jobs × 4 shards over 2 workers × 2 slots: least-loaded
+    // scheduling must queue shards and place them wherever a slot frees
+    // up. No attempt fails, so nothing is re-dispatched.
+    let workers: Vec<_> = (0..2).map(|_| spawn_worker(FaultPlan::none())).collect();
+    let coordinator = Coordinator::new(ClusterConfig {
+        workers: workers.iter().map(|(addr, _)| addr.clone()).collect(),
+        max_inflight_per_worker: 2,
+        speculate_factor: 0.0,
+        ..ClusterConfig::default()
+    })
+    .expect("coordinator");
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for job_id in [1, 2] {
+            let (coordinator, start, query, plan) = (&coordinator, &start, &query, &plan);
+            let (cancel, progress) = (&config.cancel, &config.progress);
+            scope.spawn(move || {
+                start.wait();
+                let outputs = coordinator
+                    .run_job(job_id, query, &[], plan, cancel, progress)
+                    .expect("clustered run");
+                assert!(outputs.iter().all(|o| o.record.status == JobStatus::Done));
+            });
+        }
+    });
+    let views = coordinator.member_views();
+    assert!(views.iter().all(|v| v.completed >= 1), "both replicas took shards");
+    assert_eq!(
+        coordinator.stats().shards_redispatched.get(),
+        0,
+        "first dispatches are not re-dispatches, wherever they land"
+    );
+    assert_eq!(coordinator.stats().heartbeat_failures.get(), 0);
+
+    for (addr, handle) in workers {
+        shutdown(&addr);
+        handle.join().expect("worker thread");
+    }
 }
 
 #[test]

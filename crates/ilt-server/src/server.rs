@@ -13,8 +13,8 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ilt_cluster::{ClusterConfig, Coordinator, ExecPolicy, JobParams};
@@ -116,7 +116,10 @@ struct Shared {
     cache: SimulatorCache,
     coordinator: Option<Coordinator>,
     shutdown: AtomicBool,
-    active_connections: AtomicUsize,
+    active_connections: Mutex<usize>,
+    /// Notified by the handler that brings `active_connections` to zero;
+    /// the drain waits on it.
+    connections_idle: Condvar,
     journal: Mutex<Option<std::fs::File>>,
     addr: SocketAddr,
 }
@@ -168,7 +171,8 @@ impl Server {
             cache: SimulatorCache::with_capacity(config.cache_capacity),
             coordinator,
             shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
+            active_connections: Mutex::new(0),
+            connections_idle: Condvar::new(),
             journal: Mutex::new(journal),
             addr,
             config,
@@ -210,10 +214,13 @@ impl Server {
                 Err(_) => continue, // transient accept error (EMFILE, reset)
             };
             let shared = Arc::clone(&self.shared);
-            if shared.active_connections.fetch_add(1, Ordering::SeqCst)
-                >= shared.config.max_connections
-            {
-                shared.active_connections.fetch_sub(1, Ordering::SeqCst);
+            let admitted = {
+                let mut active = shared.active_connections.lock().expect("connection count lock");
+                let admitted = *active < shared.config.max_connections;
+                *active += usize::from(admitted);
+                admitted
+            };
+            if !admitted {
                 let mut stream = stream;
                 let _ = Response::error(503, "connection limit reached")
                     .with_header("retry-after", "1")
@@ -224,7 +231,12 @@ impl Server {
                 .name("ilt-server-conn".into())
                 .spawn(move || {
                     handle_connection(&shared, stream);
-                    shared.active_connections.fetch_sub(1, Ordering::SeqCst);
+                    let mut active =
+                        shared.active_connections.lock().expect("connection count lock");
+                    *active -= 1;
+                    if *active == 0 {
+                        shared.connections_idle.notify_all();
+                    }
                 })
                 .expect("spawn connection handler");
         }
@@ -236,12 +248,13 @@ impl Server {
         }
         self.shared.store.abandon_queued();
         // Let in-flight responses (including the shutdown ack) finish.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while self.shared.active_connections.load(Ordering::SeqCst) > 0
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let active = self.shared.active_connections.lock().expect("connection count lock");
+        drop(
+            self.shared
+                .connections_idle
+                .wait_timeout_while(active, Duration::from_secs(5), |active| *active > 0)
+                .expect("connection count lock"),
+        );
         if let Some(journal) = self.shared.journal.lock().expect("journal lock").as_mut() {
             let _ = journal.flush();
         }
