@@ -69,6 +69,32 @@ pub fn assert_gradients_close(analytic: &Field2D, numeric: &Field2D, tol: f64) {
     }
 }
 
+/// [`assert_gradients_close`] for a gradient probed with
+/// [`finite_diff_at`]: `numeric[i]` is the finite difference at `pixels[i]`.
+/// The tolerance is relative to the probe, with `floor` as the smallest
+/// magnitude it is scaled by (pass the largest probe times a small factor
+/// when the gradient's scale is far from 1).
+///
+/// # Panics
+///
+/// Panics with the offending pixel on mismatch.
+pub fn assert_gradients_close_at(
+    analytic: &Field2D,
+    pixels: &[(usize, usize)],
+    numeric: &[f64],
+    tol: f64,
+    floor: f64,
+) {
+    assert_eq!(pixels.len(), numeric.len(), "one finite difference per pixel");
+    for (&(r, c), &n) in pixels.iter().zip(numeric) {
+        let a = analytic[(r, c)];
+        assert!(
+            (a - n).abs() <= tol * n.abs().max(floor),
+            "gradient mismatch at ({r},{c}): analytic {a} vs numeric {n}"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +115,14 @@ mod tests {
         let sparse = finite_diff_at(&x, 1e-6, &[(0, 0), (2, 3)], f);
         assert!((sparse[0] - dense[(0, 0)]).abs() < 1e-10);
         assert!((sparse[1] - dense[(2, 3)]).abs() < 1e-10);
+        assert_gradients_close_at(&dense, &[(0, 0), (2, 3)], &sparse, 1e-9, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient mismatch at (1,0)")]
+    fn sampled_mismatch_names_the_pixel() {
+        let a = Field2D::filled(2, 2, 1.0);
+        assert_gradients_close_at(&a, &[(0, 1), (1, 0)], &[1.0, 1.1], 1e-3, 1.0);
     }
 
     #[test]

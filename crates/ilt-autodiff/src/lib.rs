@@ -42,5 +42,7 @@
 mod gradcheck;
 mod graph;
 
-pub use gradcheck::{assert_gradients_close, finite_diff, finite_diff_at};
+pub use gradcheck::{
+    assert_gradients_close, assert_gradients_close_at, finite_diff, finite_diff_at,
+};
 pub use graph::{Gradients, Graph, Var};

@@ -1,0 +1,87 @@
+//! Finite-difference check of the high-resolution stage's whole chain at
+//! the shapes the optimizer runs it: `upsample_nearest(s) -> hopkins ->
+//! resist_sigmoid -> avg_pool_down(s) -> sq_diff_sum`, on a grid where the
+//! simulator's sample grid is smaller than the mask (`Q < m`), so both of
+//! its resamplings and the `2P - 1` crop of the incoming gradient sit
+//! between the loss and the mask.
+
+use std::sync::Arc;
+
+use ilt_autodiff::{assert_gradients_close_at, finite_diff_at, Graph};
+use ilt_field::Field2D;
+use ilt_layouts::Xorshift64Star;
+use ilt_optics::{LithoSimulator, OpticsConfig, ProcessCondition};
+
+const GRID: usize = 128;
+
+fn loss(
+    graph: &mut Graph,
+    mask_s: &Field2D,
+    target_s: &Field2D,
+    s: usize,
+    cond: ProcessCondition,
+) -> (ilt_autodiff::Var, ilt_autodiff::Var) {
+    let leaf = graph.leaf(mask_s.clone());
+    let mask = graph.upsample_nearest(leaf, s);
+    let intensity = graph.hopkins(mask, cond.defocus);
+    let wafer = graph.resist_sigmoid(intensity, 50.0, cond.dose, 0.225);
+    let wafer_s = graph.avg_pool_down(wafer, s);
+    let target = graph.leaf(target_s.clone());
+    (leaf, graph.sq_diff_sum(wafer_s, target))
+}
+
+#[test]
+fn high_res_chain_gradient_matches_finite_differences() {
+    let cfg = OpticsConfig {
+        grid: GRID,
+        nm_per_px: 4.0,
+        num_kernels: 4,
+        ..OpticsConfig::default()
+    };
+    let sim = Arc::new(LithoSimulator::new(cfg).expect("valid optics"));
+    assert!(
+        sim.sample_grid(GRID) < GRID,
+        "the chain must cross the resampled path"
+    );
+
+    for s in [2usize, 4] {
+        let n = GRID / s;
+        let mask_s = Field2D::from_fn(n, n, |r, c| {
+            0.5 + 0.35
+                * ((r as f64 * 0.7 * s as f64 / 4.0).sin()
+                    * (c as f64 * 0.45 * s as f64 / 4.0 + 0.2).cos())
+        });
+        let target_s = Field2D::from_fn(n, n, |r, c| {
+            if (n * 3 / 8..n * 5 / 8).contains(&r) && (n / 4..n * 3 / 4).contains(&c) {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        let mut rng = Xorshift64Star::new(0xc0de + s as u64);
+        let mut coord = || rng.gen_range_u32(0, n as u32 - 1) as usize;
+        let pixels: Vec<(usize, usize)> = (0..8).map(|_| (coord(), coord())).collect();
+
+        for cond in [ProcessCondition::inner(), ProcessCondition::outer()] {
+            let mut graph = Graph::new(sim.clone());
+            let (leaf, l) = loss(&mut graph, &mask_s, &target_s, s, cond);
+            let grads = graph.backward(l);
+            let analytic = grads.wrt(leaf).expect("mask gradient");
+
+            let numeric = finite_diff_at(&mask_s, 1e-5, &pixels, |m| {
+                let mut graph = Graph::new(sim.clone());
+                let (_, l) = loss(&mut graph, m, &target_s, s, cond);
+                graph.scalar(l)
+            });
+            let scale = analytic
+                .as_slice()
+                .iter()
+                .fold(0.0, |m: f64, v| m.max(v.abs()));
+            assert!(
+                scale > 1e-3,
+                "s={s} {cond:?}: degenerate gradient {scale:e}"
+            );
+            assert_gradients_close_at(analytic, &pixels, &numeric, 1e-5, 1e-2 * scale);
+        }
+    }
+}

@@ -7,7 +7,7 @@
 //! The type is `Send + Sync`: plans are immutable after construction, so one
 //! instance can serve every worker thread of the batch runtime.
 //!
-//! Three structural optimizations keep the hot path fast:
+//! These structural optimizations keep the hot path fast:
 //!
 //! * **Cache-blocked column pass** — columns are processed in transposed
 //!   panels so each cache line of the row-major buffer is touched once per
@@ -19,6 +19,10 @@
 //!   transform (`Q` = `P` rounded up to a power of two) plus a phase twist,
 //!   which is exactly the last `log2(Q)` butterfly stages — the first
 //!   `log2(N/Q)` stages of the dense transform only ever combine zeros.
+//! * **Real-output pruned inverse** ([`Fft2d::inverse_padded_real_with`]) —
+//!   the same, for a field known to be real (an aerial image, a gradient):
+//!   Hermitian symmetry halves the row pass and lets the column pass run on
+//!   packed column pairs, and the result lands in an `f64` buffer.
 //! * **Real-input forward** ([`Fft2d::forward_real`]) — the mask is real, so
 //!   two rows are packed into one complex transform and the spectra are
 //!   separated through Hermitian symmetry, halving the row pass; the column
@@ -398,25 +402,10 @@ impl Fft2d {
         let q = p.next_power_of_two();
         let s = n / q;
         let qplan = FftPlanner::global(|planner| planner.plan(q, Direction::Inverse));
-        let amp = q as f64 / n as f64;
         // Twist table `e^{+2 pi i f r0 / n} * q/n`, memoized per (n, p): a
         // multi-level simulator replays the same shapes thousands of times,
         // so the p * s sin_cos calls happen once per scratch, not per call.
-        let twist = scratch.twist.get_or_build((n, p, false), || {
-            let mut table = Vec::with_capacity(p * s);
-            for i in 0..p {
-                let f = signed_freq(i, p);
-                for r0 in 0..s {
-                    table.push(
-                        Complex64::from_polar_angle(
-                            std::f64::consts::TAU * f as f64 * r0 as f64 / n as f64,
-                        )
-                        .scale(amp),
-                    );
-                }
-            }
-            table
-        });
+        let twist = scratch.twist.get_or_build((n, p, false), || build_inverse_twist(n, p));
         let grid = grown(&mut scratch.grid, q * n);
         for r0 in 0..s {
             // Band rows land at q-grid rows 0..ph and q-pl..q, each fully
@@ -434,6 +423,108 @@ impl Fft2d {
             col_pass(grid, q, n, &qplan, &mut scratch.panel);
             for j in 0..q {
                 out[(r0 + s * j) * n..][..n].copy_from_slice(&grid[j * n..(j + 1) * n]);
+            }
+        }
+    }
+
+    /// Real part of [`Fft2d::inverse_padded`] for an odd support `p`, written
+    /// straight into a real buffer at about half the cost.
+    ///
+    /// The real part of the inverse is the inverse of the spectrum's
+    /// Hermitian part, `(S[f] + conj(S[-f])) / 2`, so this is exact for any
+    /// `spec` and free for one that is Hermitian already (the spectrum of a
+    /// real field). Hermitian symmetry then halves both passes: only the
+    /// `(p + 1) / 2` non-negative row frequencies are row-transformed — row
+    /// `-f` is the conjugate of row `f` — and the column pass packs columns
+    /// `2c, 2c + 1` into one complex column `a + i b`, whose inverse carries
+    /// the two real output columns in its real and imaginary parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transform is not square, `p` is even or exceeds `n`,
+    /// `spec.len() != p * p`, or `out.len() != n * n`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ilt_fft::{Complex64, Fft2d, Fft2dScratch};
+    ///
+    /// let fft = Fft2d::new(32, 32);
+    /// let spec: Vec<Complex64> =
+    ///     (0..25).map(|i| Complex64::new(i as f64, 3.0 - i as f64)).collect();
+    /// let mut dense = vec![Complex64::ZERO; 32 * 32];
+    /// fft.inverse_padded(&spec, 5, &mut dense);
+    /// let mut real = vec![0.0; 32 * 32];
+    /// fft.inverse_padded_real_with(&spec, 5, &mut real, &mut Fft2dScratch::new());
+    /// for (a, b) in real.iter().zip(&dense) {
+    ///     assert!((a - b.re).abs() < 1e-12);
+    /// }
+    /// ```
+    pub fn inverse_padded_real_with(
+        &self,
+        spec: &[Complex64],
+        p: usize,
+        out: &mut [f64],
+        scratch: &mut Fft2dScratch,
+    ) {
+        let n = self.rows;
+        assert_eq!(self.rows, self.cols, "inverse_padded_real requires a square transform");
+        assert!(p % 2 == 1 && p <= n, "support {p} must be odd and within 1..={n}");
+        assert_eq!(spec.len(), p * p, "spectrum must be p*p");
+        assert_eq!(out.len(), n * n, "output must be n*n");
+
+        if n == 1 {
+            out[0] = spec[0].re;
+            return;
+        }
+
+        // Row pass over frequencies 0..=h of the Hermitian part.
+        let h = p / 2;
+        let band = grown(&mut scratch.band, (h + 1) * n);
+        for (f, brow) in band.chunks_exact_mut(n).enumerate() {
+            let srow = &spec[f * p..(f + 1) * p];
+            let mrow = &spec[(p - f) % p * p..][..p];
+            brow.fill(Complex64::ZERO);
+            for (g, &v) in srow.iter().enumerate() {
+                let dst = if g <= h { g } else { n - (p - g) };
+                brow[dst] = (v + mrow[(p - g) % p].conj()).scale(0.5);
+            }
+            self.row_inv.process(brow);
+        }
+
+        // Column pass on the q-grid as in `inverse_padded_with`, over packed
+        // column pairs: grid row `+f` holds `(a + i b) t_f`, row `-f` holds
+        // `(conj a + i conj b) conj t_f`.
+        let q = p.next_power_of_two();
+        let s = n / q;
+        let half = n / 2;
+        let qplan = FftPlanner::global(|planner| planner.plan(q, Direction::Inverse));
+        let twist = scratch.twist.get_or_build((n, p, false), || build_inverse_twist(n, p));
+        let grid = grown(&mut scratch.grid, q * half);
+        for r0 in 0..s {
+            grid[(h + 1) * half..(q - h) * half].fill(Complex64::ZERO);
+            for (f, brow) in band.chunks_exact(n).enumerate() {
+                let t = twist[f * s + r0];
+                let (lower, upper) = grid.split_at_mut((h + 1) * half);
+                let pos = &mut lower[f * half..(f + 1) * half];
+                for (d, ab) in pos.iter_mut().zip(brow.chunks_exact(2)) {
+                    *d = Complex64::new(ab[0].re - ab[1].im, ab[0].im + ab[1].re) * t;
+                }
+                if f > 0 {
+                    let tc = t.conj();
+                    let neg = &mut upper[(q - f - h - 1) * half..][..half];
+                    for (d, ab) in neg.iter_mut().zip(brow.chunks_exact(2)) {
+                        *d = Complex64::new(ab[0].re + ab[1].im, ab[1].re - ab[0].im) * tc;
+                    }
+                }
+            }
+            col_pass(grid, q, half, &qplan, &mut scratch.panel);
+            for (j, grow) in grid.chunks_exact(half).enumerate() {
+                let orow = &mut out[(r0 + s * j) * n..][..n];
+                for (pair, z) in orow.chunks_exact_mut(2).zip(grow) {
+                    pair[0] = z.re;
+                    pair[1] = z.im;
+                }
             }
         }
     }
@@ -765,6 +856,29 @@ fn closure_neg_index(i: usize, p: usize, n: usize) -> usize {
     } else {
         i // +p/2 aliases -p/2 when p == n: the bin is self-conjugate
     }
+}
+
+/// Twist table of the pruned inverse: `e^{+2 pi i f r0 / n} * q/n` for every
+/// retained frequency `f` (rows, [`signed_freq`] order) and output-row
+/// residue `r0 in 0..n/q` (columns). The `q/n` amplitude bridges the `1/q`
+/// plan normalization to the `1/n` the dense path applies.
+fn build_inverse_twist(n: usize, p: usize) -> Vec<Complex64> {
+    let q = p.next_power_of_two();
+    let s = n / q;
+    let amp = q as f64 / n as f64;
+    let mut table = Vec::with_capacity(p * s);
+    for i in 0..p {
+        let f = signed_freq(i, p);
+        for r0 in 0..s {
+            table.push(
+                Complex64::from_polar_angle(
+                    std::f64::consts::TAU * f as f64 * r0 as f64 / n as f64,
+                )
+                .scale(amp),
+            );
+        }
+    }
+    table
 }
 
 /// Twist table of the pruned forward: `e^{-2 pi i f b / n}` for every

@@ -50,7 +50,7 @@ pub use complex::Complex64;
 pub use fft2d::{fft2_real, Fft2d};
 pub use plan::{Direction, FftPlan, FftPlanner};
 pub use scratch::{
-    with_installed_scratch, with_thread_scratch, Fft2dScratch, ScratchPool,
+    grown, with_installed_scratch, with_thread_scratch, Fft2dScratch, ScratchPool, WorkBuffers,
 };
 pub use simd::active_kernel;
 pub use spectrum::{

@@ -32,11 +32,21 @@ use crate::complex::Complex64;
 /// Grows `buf` to at least `len` and returns the `len`-prefix slice.
 ///
 /// Contents are unspecified; callers must fully overwrite or zero it.
-pub(crate) fn grown(buf: &mut Vec<Complex64>, len: usize) -> &mut [Complex64] {
+pub fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
-        buf.resize(len, Complex64::ZERO);
+        buf.resize(len, T::default());
     }
     &mut buf[..len]
+}
+
+/// Buffers the arena keeps for its caller rather than for the transforms:
+/// the caller assigns the roles and sizes them with [`grown`].
+#[derive(Debug, Default)]
+pub struct WorkBuffers {
+    /// Independent complex buffers.
+    pub complex: [Vec<Complex64>; 4],
+    /// One real buffer.
+    pub real: Vec<f64>,
 }
 
 /// Key of a memoized phase-twist table: `(n, p, forward)`.
@@ -123,6 +133,8 @@ pub struct Fft2dScratch {
     pub(crate) batch_out: Vec<Complex64>,
     /// Memoized phase-twist tables of the pruned paths.
     pub(crate) twist: TwistCache,
+    /// Caller-side buffers, checked out by [`Fft2dScratch::with_work`].
+    work: WorkBuffers,
 }
 
 impl Fft2dScratch {
@@ -131,10 +143,22 @@ impl Fft2dScratch {
         Self::default()
     }
 
-    /// Total complex values currently held across all buffers and memoized
-    /// tables.
+    /// Runs `f` with the caller-side [`WorkBuffers`] checked out of the
+    /// workspace, so `f` can fill them with transforms that run on `self`.
+    /// They are empty inside a nested call, and a panic in `f` only costs
+    /// their warmth.
+    pub fn with_work<R>(&mut self, f: impl FnOnce(&mut WorkBuffers, &mut Fft2dScratch) -> R) -> R {
+        let mut work = std::mem::take(&mut self.work);
+        let result = f(&mut work, self);
+        self.work = work;
+        result
+    }
+
+    /// Total values currently held across all buffers and memoized tables.
     pub fn capacity(&self) -> usize {
-        self.panel.len()
+        self.work.complex.iter().map(Vec::len).sum::<usize>()
+            + self.work.real.len()
+            + self.panel.len()
             + self.band.len()
             + self.grid.len()
             + self.fold.len()

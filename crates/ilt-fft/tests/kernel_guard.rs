@@ -10,7 +10,7 @@
 //! to bit identity via `to_bits` — no tolerance at all.
 
 use ilt_fft::{
-    crop_centered, pad_centered_into, Complex64, Direction, Fft2d, FftPlan,
+    crop_centered, pad_centered_into, Complex64, Direction, Fft2d, Fft2dScratch, FftPlan,
 };
 
 /// xorshift64* — deterministic fixtures without pulling in another crate.
@@ -188,6 +188,29 @@ fn pruned_inverse_matches_dense_pad_across_sizes_and_supports() {
             let mut got = vec![Complex64::ZERO; n * n];
             fft.inverse_padded(&spec, p, &mut got);
             assert_close(&got, &want, 1e-12, &format!("inverse_padded n={n} p={p}"));
+        }
+    }
+}
+
+#[test]
+fn real_pruned_inverse_is_the_real_part_of_the_dense_inverse() {
+    // Odd supports only (a centered Hermitian block), up to p = n - 1 where
+    // the q-grid is the whole column; the spectra are *not* Hermitian, so
+    // this also pins that the routine takes the Hermitian part itself.
+    for n in [2usize, 8, 16, 64, 256, 1024] {
+        let fft = Fft2d::new(n, n);
+        let mut rng = Rng(0x0DD5_EED5 ^ n as u64);
+        for p in [1, 7, 25, 113, n - 1].into_iter().filter(|&p| p < n) {
+            let spec = rng.complex_buf(p * p);
+            let mut want = vec![Complex64::ZERO; n * n];
+            pad_centered_into(&spec, p, &mut want, n);
+            fft.inverse(&mut want);
+            let want: Vec<Complex64> = want.iter().map(|z| Complex64::from_real(z.re)).collect();
+
+            let mut got = vec![0.0; n * n];
+            fft.inverse_padded_real_with(&spec, p, &mut got, &mut Fft2dScratch::new());
+            let got: Vec<Complex64> = got.iter().map(|&x| Complex64::from_real(x)).collect();
+            assert_close(&got, &want, 1e-12, &format!("inverse_padded_real n={n} p={p}"));
         }
     }
 }

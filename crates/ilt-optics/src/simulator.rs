@@ -10,16 +10,29 @@
 //! * reduced everything (Eq. 8): the low-resolution ILT path, where the
 //!   already-downsampled mask is transformed at `N/s` directly.
 //!
+//! **Band-limited evaluation.** All three run Eq. 7 taken to its limit. Each
+//! coherent field `z_k` is band-limited to the `P x P` block and the
+//! intensity `sum_k w_k |z_k|^2` to `2P - 1`, so the per-kernel transforms
+//! never run at the mask's size `m`: they run on the intensity's Nyquist
+//! grid `Q = min(m, next_pow2(2P - 1))` ([`LithoSimulator::sample_grid`]),
+//! and the `Q^2` samples are interpolated to `m^2` pixels once, through the
+//! `(2P - 1)^2` block of their spectrum ([`Fft2d::inverse_padded_real_with`]
+//! — the image is real, so that transform costs half a complex one). Both
+//! resamplings are exact; the amplitude bridges `(Q/m)^2` on the mask
+//! spectrum and `(m/Q)^2` on the intensity spectrum are powers of two. When
+//! `Q = m` (grids no larger than `2P - 1`) there is nothing to resample and
+//! the step is skipped.
+//!
 //! The engine also exposes the *adjoint* of the aerial-image map
 //! ([`LithoSimulator::aerial_vjp`]), which is the gradient kernel every ILT
 //! iteration needs — this replaces PyTorch autograd in the original
-//! implementation.
+//! implementation. It runs on the same grid.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use ilt_fft::{with_thread_scratch, Complex64, Fft2d, Fft2dScratch};
+use ilt_fft::{grown, with_thread_scratch, Complex64, Fft2d, Fft2dScratch};
 use ilt_field::Field2D;
 
 use crate::config::OpticsConfig;
@@ -73,14 +86,15 @@ pub struct CornerPrints {
 
 /// Saved forward state allowing a cheap adjoint pass.
 ///
-/// Holds only the `N_k` cropped per-kernel spectra (`P^2` complex values
-/// each), not the full-size convolution fields, so caching a 2048-pixel
-/// forward pass costs kilobytes instead of gigabytes.
+/// Holds only the cropped mask spectrum (`P^2` complex values), not the
+/// convolution fields, so caching a 2048-pixel forward pass costs kilobytes
+/// instead of gigabytes; the adjoint re-derives each `z_k` from it on the
+/// `Q`-point sample grid.
 pub struct AerialCache {
     m: usize,
     defocus: bool,
-    /// `S_k = H_k . crop(F(M))`, one `P^2` block per kernel.
-    spectra: Vec<Vec<Complex64>>,
+    /// `crop(F(M))`, bridged to the sample grid's normalization.
+    low: Vec<Complex64>,
 }
 
 impl fmt::Debug for AerialCache {
@@ -88,7 +102,6 @@ impl fmt::Debug for AerialCache {
         f.debug_struct("AerialCache")
             .field("m", &self.m)
             .field("defocus", &self.defocus)
-            .field("kernels", &self.spectra.len())
             .finish()
     }
 }
@@ -224,70 +237,113 @@ impl LithoSimulator {
         self.aerial_with_cache(mask, defocus).0
     }
 
+    /// The grid the per-kernel transforms of an `m`-pixel evaluation run on:
+    /// `Q = min(m, next_pow2(2P - 1))`, the Nyquist grid of the intensity.
+    ///
+    /// `Q > 2(P - 1)` is what makes both directions exact. Forward, the
+    /// `2P - 1` band of `I` fits the grid. Backward, `g_Q . z_k` has band
+    /// radius `3(P - 1)/2` and does alias on the grid, but a frequency `f`
+    /// folds onto `f - Q`, and `|f| <= 3(P - 1)/2` puts that at distance
+    /// `>= Q - 3(P - 1)/2 > (P - 1)/2` from zero: outside the `P x P` block,
+    /// which is all the adjoint keeps.
+    pub fn sample_grid(&self, m: usize) -> usize {
+        let p = self.nominal.p();
+        let q = m.min((2 * p - 1).next_power_of_two());
+        debug_assert!(q == m || 2 * (p - 1) < q, "sample grid {q} aliases into the P = {p} block");
+        q
+    }
+
     /// Like [`LithoSimulator::aerial`], returning the adjoint cache as well.
     ///
     /// The hot path: one **pruned** real-input forward FFT of the mask
     /// ([`Fft2d::forward_real_cropped_with`] — only the retained `P x P`
-    /// band is ever computed) plus one batch of pruned padded inverses over
-    /// the kernels ([`Fft2d::inverse_padded_batch_with`]), all running on
-    /// the calling thread's reusable FFT workspace so batch workers never
-    /// allocate scratch in the per-kernel loop.
+    /// band is ever computed), one pruned padded inverse per kernel on the
+    /// sample grid, and one interpolation to the mask's pixels, all in the
+    /// calling thread's reusable FFT workspace so batch workers allocate
+    /// nothing but the result.
     pub fn aerial_with_cache(&self, mask: &Field2D, defocus: bool) -> (Field2D, AerialCache) {
-        with_thread_scratch(|scratch| self.aerial_with_cache_scratch(mask, defocus, scratch))
+        with_thread_scratch(|scratch| {
+            let m = self.check_mask(mask);
+            let low = self.mask_spectrum(mask, m, scratch);
+            let intensity = self.intensity(self.kernels(defocus), &low, m, scratch);
+            (Field2D::from_vec(m, m, intensity), AerialCache { m, defocus, low })
+        })
     }
 
-    fn aerial_with_cache_scratch(
+    /// `crop_P(F_n(mask))`, bridged from the mask grid's `1/n^2` inverse
+    /// normalization to that of the sample grid of an `m`-pixel evaluation.
+    fn mask_spectrum(
         &self,
         mask: &Field2D,
-        defocus: bool,
+        m: usize,
         scratch: &mut Fft2dScratch,
-    ) -> (Field2D, AerialCache) {
-        let m = self.check_mask(mask);
-        let kernels = self.kernels(defocus);
-        let p = kernels.p();
-        let fft = self.fft(m);
-
+    ) -> Vec<Complex64> {
+        let (n, p, q) = (mask.rows(), self.nominal.p(), self.sample_grid(m));
         let mut low = vec![Complex64::ZERO; p * p];
-        fft.forward_real_cropped_with(mask.as_slice(), p, &mut low, scratch);
-        let (intensity, cached) = self.aerial_from_low(&fft, kernels, &low, m, scratch);
-        (
-            Field2D::from_vec(m, m, intensity),
-            AerialCache { m, defocus, spectra: cached },
-        )
+        self.fft(n).forward_real_cropped_with(mask.as_slice(), p, &mut low, scratch);
+        if q != n {
+            let bridge = (q * q) as f64 / (n * n) as f64;
+            for z in &mut low {
+                *z = z.scale(bridge);
+            }
+        }
+        low
     }
 
-    /// Shared tail of every aerial evaluation: weight the cropped mask
-    /// spectrum by each kernel, invert the whole batch through one warm
-    /// workspace, and accumulate `sum_k w_k |z_k|^2`.
-    fn aerial_from_low(
+    /// Shared core of every aerial evaluation: `sum_k w_k |z_k|^2` sampled
+    /// on the `Q`-point grid (one kernel-weighted pruned inverse each), then
+    /// interpolated to `m x m` pixels through its `(2P - 1)^2` spectrum.
+    ///
+    /// The interpolant of non-negative samples can undershoot an exact zero
+    /// by a rounding error (-2e-16 along a phase edge's dark fringe), so the
+    /// interpolated image is clamped at zero. The adjoint ignores the clamp:
+    /// it only ever acts within rounding of zero, where the resist's slope
+    /// times that error is far under the rounding of the loss.
+    fn intensity(
         &self,
-        fft: &Fft2d,
         kernels: &KernelSet,
         low: &[Complex64],
         m: usize,
         scratch: &mut Fft2dScratch,
-    ) -> (Vec<f64>, Vec<Vec<Complex64>>) {
-        let p = kernels.p();
-        let cached: Vec<Vec<Complex64>> = (0..kernels.num_kernels())
-            .map(|k| {
-                kernels.spectrum(k).iter().zip(low).map(|(&h, &f)| h * f).collect()
-            })
-            .collect();
-        let refs: Vec<&[Complex64]> = cached.iter().map(|v| v.as_slice()).collect();
-        let weights = kernels.weights();
-        let mut intensity = vec![0.0; m * m];
-        fft.inverse_padded_batch_with(
-            &refs,
-            p,
-            |k, z| {
-                let w = weights[k];
-                for (acc, zv) in intensity.iter_mut().zip(z) {
+    ) -> Vec<f64> {
+        let (p, q) = (kernels.p(), self.sample_grid(m));
+        let fft_q = self.fft(q);
+        let mut out = vec![0.0; m * m];
+        scratch.with_work(|work, scratch| {
+            let [sk, wide, _, field] = &mut work.complex;
+            let sk = grown(sk, p * p);
+            let z = grown(field, q * q);
+            let sampled = if q == m {
+                &mut out[..]
+            } else {
+                let sampled = grown(&mut work.real, q * q);
+                sampled.fill(0.0);
+                sampled
+            };
+            for (k, &w) in kernels.weights().iter().enumerate() {
+                for ((s, &h), &f) in sk.iter_mut().zip(kernels.spectrum(k)).zip(low) {
+                    *s = h * f;
+                }
+                fft_q.inverse_padded_with(sk, p, z, scratch);
+                for (acc, zv) in sampled.iter_mut().zip(z.iter()) {
                     *acc += w * zv.norm_sqr();
                 }
-            },
-            scratch,
-        );
-        (intensity, cached)
+            }
+            if q < m {
+                let band = 2 * p - 1;
+                let spectrum = grown(wide, band * band);
+                fft_q.forward_real_cropped_with(sampled, band, spectrum, scratch);
+                let bridge = ((m / q) * (m / q)) as f64;
+                for z in spectrum.iter_mut() {
+                    *z = z.scale(bridge);
+                }
+                self.fft(m).inverse_padded_real_with(spectrum, band, &mut out, scratch);
+                for v in out.iter_mut().filter(|v| **v < 0.0) {
+                    *v = 0.0;
+                }
+            }
+        });
+        out
     }
 
     /// Focused and defocused aerial images sharing a single pruned forward
@@ -302,12 +358,9 @@ impl LithoSimulator {
     pub fn aerial_pair(&self, mask: &Field2D) -> (Field2D, Field2D) {
         with_thread_scratch(|scratch| {
             let m = self.check_mask(mask);
-            let p = self.nominal.p();
-            let fft = self.fft(m);
-            let mut low = vec![Complex64::ZERO; p * p];
-            fft.forward_real_cropped_with(mask.as_slice(), p, &mut low, scratch);
-            let (focused, _) = self.aerial_from_low(&fft, &self.nominal, &low, m, scratch);
-            let (defocused, _) = self.aerial_from_low(&fft, &self.defocused, &low, m, scratch);
+            let low = self.mask_spectrum(mask, m, scratch);
+            let focused = self.intensity(&self.nominal, &low, m, scratch);
+            let defocused = self.intensity(&self.defocused, &low, m, scratch);
             (
                 Field2D::from_vec(m, m, focused),
                 Field2D::from_vec(m, m, defocused),
@@ -320,55 +373,68 @@ impl LithoSimulator {
     ///
     /// Derivation: with `z_k = C_k M` (linear), `I = sum_k w_k |z_k|^2`, so
     /// `dL/dM = sum_k 2 w_k Re[C_k^H (g . z_k)]`, and `C_k^H` has the same
-    /// crop/pad structure with `conj(H_k)`.
+    /// crop/pad structure with `conj(H_k)`. `g` is full-band, but `C_k^H`
+    /// keeps the `P x P` block of the spectrum of `g . z_k`, which only the
+    /// `(2P - 1)^2` block of `g` can reach: that block is resampled to the
+    /// sample grid once (the adjoint of the forward interpolation, bridge 1)
+    /// and the per-kernel work runs there — see
+    /// [`LithoSimulator::sample_grid`] for why the aliasing is harmless.
     ///
     /// # Panics
     ///
     /// Panics if `grad` is not the cache's resolution.
     pub fn aerial_vjp(&self, cache: &AerialCache, grad: &Field2D) -> Field2D {
-        with_thread_scratch(|scratch| self.aerial_vjp_scratch(cache, grad, scratch))
-    }
-
-    fn aerial_vjp_scratch(
-        &self,
-        cache: &AerialCache,
-        grad: &Field2D,
-        scratch: &mut Fft2dScratch,
-    ) -> Field2D {
         let m = cache.m;
         assert_eq!(grad.shape(), (m, m), "gradient must match cached resolution {m}");
         let kernels = self.kernels(cache.defocus);
-        let p = kernels.p();
-        let fft = self.fft(m);
-
-        let g = grad.as_slice();
-        let mut acc = vec![Complex64::ZERO; p * p];
-        let mut buf = vec![Complex64::ZERO; m * m];
-        let mut cropped = vec![Complex64::ZERO; p * p];
-        for (k, sk) in cache.spectra.iter().enumerate() {
-            let w = kernels.weights()[k];
-            let hk = kernels.spectrum(k);
-            // Recompute z_k from the tiny cached spectrum (pruned inverse).
-            fft.inverse_padded_with(sk, p, &mut buf, scratch);
-            // u = g .* z_k, then back through the adjoint convolution. The
-            // input is a full-band complex product, so the real row packing
-            // does not apply — but the adjoint immediately crops to P x P,
-            // so the pruned forward skips every discarded frequency.
-            for (z, &gi) in buf.iter_mut().zip(g) {
-                *z = z.scale(gi);
-            }
-            fft.forward_cropped_with(&buf, p, &mut cropped, scratch);
-            let scale = 2.0 * w;
-            for ((a, &h), &c) in acc.iter_mut().zip(hk).zip(&cropped) {
-                *a += (h.conj() * c).scale(scale);
-            }
-        }
-        fft.inverse_padded_with(&acc, p, &mut buf, scratch);
-        Field2D::from_vec(m, m, buf.iter().map(|z| z.re).collect())
+        let (p, q) = (kernels.p(), self.sample_grid(m));
+        let (fft_m, fft_q) = (self.fft(m), self.fft(q));
+        with_thread_scratch(|scratch| {
+            scratch.with_work(|work, scratch| {
+                let [sk, wide, acc, field] = &mut work.complex;
+                let z = grown(field, q * q);
+                let g: &[f64] = if q == m {
+                    grad.as_slice()
+                } else {
+                    let band = 2 * p - 1;
+                    let spectrum = grown(wide, band * band);
+                    fft_m.forward_real_cropped_with(grad.as_slice(), band, spectrum, scratch);
+                    let g = grown(&mut work.real, q * q);
+                    fft_q.inverse_padded_real_with(spectrum, band, g, scratch);
+                    g
+                };
+                let sk = grown(sk, p * p);
+                let cropped = grown(wide, p * p);
+                let acc = grown(acc, p * p);
+                acc.fill(Complex64::ZERO);
+                for (k, &w) in kernels.weights().iter().enumerate() {
+                    let hk = kernels.spectrum(k);
+                    for ((s, &h), &f) in sk.iter_mut().zip(hk).zip(&cache.low) {
+                        *s = h * f;
+                    }
+                    // Recompute z_k from the tiny spectrum (pruned inverse),
+                    // then u = g .* z_k back through the adjoint convolution,
+                    // which crops to P x P, so the pruned forward skips
+                    // every discarded frequency.
+                    fft_q.inverse_padded_with(sk, p, z, scratch);
+                    for (z, &gi) in z.iter_mut().zip(g) {
+                        *z = z.scale(gi);
+                    }
+                    fft_q.forward_cropped_with(z, p, cropped, scratch);
+                    let scale = 2.0 * w;
+                    for ((a, &h), &c) in acc.iter_mut().zip(hk).zip(cropped.iter()) {
+                        *a += (h.conj() * c).scale(scale);
+                    }
+                }
+                let mut out = vec![0.0; m * m];
+                fft_m.inverse_padded_real_with(acc, p, &mut out, scratch);
+                Field2D::from_vec(m, m, out)
+            })
+        })
     }
 
     /// Eq. 7: aerial image of a **full-resolution** mask, evaluated only at
-    /// every `s`-th pixel, via `N/s`-point inverse transforms.
+    /// every `s`-th pixel: the shared core asked for `N/s` pixels a side.
     ///
     /// Exact (not approximate) because the kernel spectra vanish outside the
     /// retained band. Used by the forward-simulation timing study; the
@@ -382,21 +448,11 @@ impl LithoSimulator {
         assert!(s > 0 && n % s == 0, "scale {s} must divide mask size {n}");
         let m = n / s;
         let kernels = self.kernels(defocus);
-        let p = kernels.p();
-        assert!(m >= p, "reduced size {m} smaller than kernel support {p}");
+        assert!(m >= kernels.p(), "reduced size {m} smaller than kernel support {}", kernels.p());
         assert!(m.is_power_of_two(), "reduced size {m} must be a power of two");
-
-        let fft_n = self.fft(n);
-        let fft_m = self.fft(m);
         with_thread_scratch(|scratch| {
-            let mut low = vec![Complex64::ZERO; p * p];
-            fft_n.forward_real_cropped_with(mask.as_slice(), p, &mut low, scratch);
-            let bridge = 1.0 / (s * s) as f64; // normalization change N -> N/s
-            for z in &mut low {
-                *z = z.scale(bridge);
-            }
-            let (intensity, _) = self.aerial_from_low(&fft_m, kernels, &low, m, scratch);
-            Field2D::from_vec(m, m, intensity)
+            let low = self.mask_spectrum(mask, m, scratch);
+            Field2D::from_vec(m, m, self.intensity(kernels, &low, m, scratch))
         })
     }
 
@@ -439,12 +495,16 @@ mod tests {
     use crate::source::SourceSpec;
 
     fn sim(grid: usize) -> LithoSimulator {
+        sim_with_kernels(grid, 6)
+    }
+
+    fn sim_with_kernels(grid: usize, num_kernels: usize) -> LithoSimulator {
         // 4 nm pixels keep the clip physically meaningful at small grids
         // (grid 128 -> a 512 nm clip) so the pupil is actually resolved.
         let cfg = OpticsConfig {
             grid,
             nm_per_px: 4.0,
-            num_kernels: 6,
+            num_kernels,
             source: SourceSpec::Annular { sigma_in: 0.5, sigma_out: 0.9 },
             defocus_nm: 60.0,
             ..OpticsConfig::default()
@@ -480,11 +540,29 @@ mod tests {
 
     #[test]
     fn intensity_is_nonnegative_and_finite() {
+        let check = |sim: &LithoSimulator, mask: &Field2D, what: &str| {
+            let n = mask.rows();
+            assert!(sim.sample_grid(n) < n, "{what}: must take the resampled path");
+            for defocus in [false, true] {
+                let i = sim.aerial(mask, defocus);
+                assert!(i.min() >= 0.0, "{what}: min intensity {:e}", i.min());
+                assert!(i.as_slice().iter().all(|v| v.is_finite()));
+            }
+        };
         let sim = sim(64);
-        let mask = square_mask(64, 20, 44);
-        let i = sim.aerial(&mask, true);
-        assert!(i.min() >= 0.0);
-        assert!(i.as_slice().iter().all(|v| v.is_finite()));
+        check(&sim, &square_mask(64, 20, 44), "feature");
+        check(&sim, &square_mask(64, 30, 34), "dark field with one via");
+        // A phase edge images as a dark fringe: under one (even) kernel the
+        // field is exactly zero along the edge column, which is off the
+        // sample grid, so its intensity is an interpolated zero — about
+        // -2e-16 on 512 pixels here before the write-out clamps it.
+        let n = 256;
+        let edge = Field2D::from_fn(n, n, |_, c| match (c + n - 129) % n {
+            0 | 128 => 0.0,
+            d if d < 128 => -1.0,
+            _ => 1.0,
+        });
+        check(&sim_with_kernels(n, 1), &edge, "phase edge");
     }
 
     #[test]

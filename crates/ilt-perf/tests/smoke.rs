@@ -129,7 +129,7 @@ fn baseline_dir_without_file_is_a_hard_error() {
 }
 
 /// Every baseline checked in at the repo root — written by several earlier
-/// commits, four of them before the `simd` stamp existed — loads through
+/// commits, all of them carrying the `simd` stamp by now — loads through
 /// the shared `ilt_runtime::json` reader, and each names a registered
 /// workload.
 #[test]
@@ -150,5 +150,5 @@ fn every_checked_in_baseline_loads() {
         .filter_map(|e| e.ok()?.file_name().into_string().ok())
         .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
         .count();
-    assert_eq!((loaded, on_disk, unstamped), (14, 14, 4));
+    assert_eq!((loaded, on_disk, unstamped), (14, 14, 0));
 }
