@@ -17,7 +17,7 @@ use std::sync::Arc;
 use ilt_autodiff::Graph;
 use ilt_core::{LossRecord, OptimizeRegion};
 use ilt_field::{avg_pool_down, Field2D};
-use ilt_optics::{LithoSimulator, ProcessCondition};
+use ilt_optics::LithoSimulator;
 
 /// Configuration of the level-set baseline.
 #[derive(Clone, Debug, PartialEq)]
@@ -108,8 +108,6 @@ impl LevelSetIlt {
         let target_s = if s > 1 { avg_pool_down(target, s).threshold(0.5) } else { target.clone() };
         let region_s = self.cfg.region.region_mask_at_scale(target, nm, s);
         let mut phi = signed_distance(&target_s);
-        let alpha = self.sim.config().resist_steepness;
-        let i_th = self.sim.config().resist_threshold;
 
         let mut history = Vec::new();
         for iteration in 0..iterations {
@@ -118,16 +116,7 @@ impl LevelSetIlt {
 
             let mut g = Graph::new(self.sim.clone());
             let m = g.leaf(mask_field.clone());
-            let outer = ProcessCondition::outer();
-            let inner = ProcessCondition::inner();
-            let i_out = g.hopkins(m, outer.defocus);
-            let z_out = g.resist_sigmoid(i_out, alpha, outer.dose, i_th);
-            let i_in = g.hopkins(m, inner.defocus);
-            let z_in = g.resist_sigmoid(i_in, alpha, inner.dose, i_th);
-            let t = g.leaf(target_s.clone());
-            let l_l2 = g.sq_diff_sum(z_out, t);
-            let l_pvb = g.sq_diff_sum(z_in, z_out);
-            let loss = g.add(l_l2, l_pvb);
+            let loss = g.eq5_loss(m, 1, &target_s, 1.0, 1.0);
             history.push(LossRecord { stage: 0, iteration, scale: s, loss: g.scalar(loss) });
 
             let grads = g.backward(loss);

@@ -50,8 +50,23 @@ impl LossWeights {
         self.curvature != 0.0 || self.gray != 0.0
     }
 
+    /// The total loss of one optimizer step on the binarized mask node
+    /// `mask_s`, simulated as `upsample_nearest(mask_s, up)`: Eq. 5 as the
+    /// one fused node [`Graph::eq5_loss`], plus the regularizers — which
+    /// still see the mask at the simulated size, as [`LossWeights::build`]
+    /// hands it to them.
+    pub fn eq5(&self, g: &mut Graph, mask_s: Var, up: usize, target: &Field2D) -> Var {
+        let total = g.eq5_loss(mask_s, up, target, self.l2, self.pvband);
+        if !self.has_regularizers() {
+            return total;
+        }
+        let mask = if up > 1 { g.upsample_nearest(mask_s, up) } else { mask_s };
+        self.add_regularizers(g, total, mask)
+    }
+
     /// Assembles the total loss node from the two wafer images, the target
-    /// and the (binarized) mask.
+    /// and the (binarized) mask, out of the unfused operators: the
+    /// reference [`LossWeights::eq5`] is held to.
     ///
     /// `z_out`/`z_in` are the outer/inner corner wafer nodes at target
     /// resolution; `mask` is the binarized mask node the regularizers act
@@ -69,8 +84,11 @@ impl LossWeights {
         let l_pvb = g.sq_diff_sum(z_in, z_out);
         let a = g.scale(l_l2, self.l2);
         let b = g.scale(l_pvb, self.pvband);
-        let mut total = g.add(a, b);
+        let total = g.add(a, b);
+        self.add_regularizers(g, total, mask)
+    }
 
+    fn add_regularizers(&self, g: &mut Graph, mut total: Var, mask: Var) -> Var {
         if self.curvature != 0.0 {
             let smooth = g.avg_pool_same(mask, 3);
             let rough = g.sq_diff_sum(mask, smooth);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use ilt_autodiff::Graph;
 use ilt_field::{avg_pool_down, upsample_nearest, Field2D};
 use ilt_geom::{simplify_mask, SimplifyConfig};
-use ilt_optics::{LithoSimulator, ProcessCondition};
+use ilt_optics::LithoSimulator;
 
 use crate::binary::BinaryFunction;
 use crate::loss::LossWeights;
@@ -261,10 +261,7 @@ impl MultiLevelIlt {
             let mut opt_state = UpdateState::new();
 
             for iteration in 0..stage.iterations {
-                let (loss, grad) = match stage.kind {
-                    StageKind::LowRes => self.low_res_step(&m_raw, &z_t_s),
-                    StageKind::HighRes => self.high_res_step(&m_raw, &z_t_s, scale),
-                };
+                let (loss, grad) = self.step(stage.kind, scale, &m_raw, &z_t_s);
                 history.push(LossRecord { stage: stage_idx, iteration, scale, loss });
                 total_iterations += 1;
 
@@ -305,26 +302,29 @@ impl MultiLevelIlt {
         }
     }
 
-    /// One low-resolution iteration: returns `(loss, dL/dM')` at scale size.
-    fn low_res_step(&self, m_raw: &Field2D, z_t_s: &Field2D) -> (f64, Field2D) {
+    /// One iteration of a stage at `scale`: returns `(loss, dL/dM')`, both
+    /// on the reduced grid of `m_raw` and `z_t_s`.
+    ///
+    /// The tape is leaf -> [smoothing pool] -> binary function -> Eq. 5
+    /// (one node, [`LossWeights::eq5`]). A low-resolution stage simulates
+    /// the binarized mask as it is (Eq. 8); a high-resolution stage
+    /// (Algorithm 1 lines 7-9) simulates its `scale`-fold upsampling (Eq. 3)
+    /// and binarizes without the smoothing pool, which "is only adopted by
+    /// low-resolution ILTs".
+    pub fn step(
+        &self,
+        kind: StageKind,
+        scale: usize,
+        m_raw: &Field2D,
+        z_t_s: &Field2D,
+    ) -> (f64, Field2D) {
         let mut g = Graph::new(self.sim.clone());
         let v_raw = g.leaf(m_raw.clone());
-        let m = self.binarize_with_smoothing(&mut g, v_raw);
-        let loss = self.eq5_loss(&mut g, m, z_t_s, 1);
-        let loss_value = g.scalar(loss);
-        let grads = g.backward(loss);
-        (loss_value, grads.wrt(v_raw).expect("mask influences loss").clone())
-    }
-
-    /// One high-resolution iteration (Algorithm 1 lines 7-9).
-    fn high_res_step(&self, m_raw: &Field2D, z_t_s: &Field2D, s: usize) -> (f64, Field2D) {
-        let mut g = Graph::new(self.sim.clone());
-        let v_raw = g.leaf(m_raw.clone());
-        // High-resolution ILT binarizes without the smoothing pool (the
-        // smoothing operation "is only adopted by low-resolution ILTs").
-        let m_s = self.cfg.binary.apply(&mut g, v_raw);
-        let m_full = g.upsample_nearest(m_s, s);
-        let loss = self.eq5_loss(&mut g, m_full, z_t_s, s);
+        let (m, up) = match kind {
+            StageKind::LowRes => (self.binarize_with_smoothing(&mut g, v_raw), 1),
+            StageKind::HighRes => (self.cfg.binary.apply(&mut g, v_raw), scale),
+        };
+        let loss = self.cfg.loss_weights.eq5(&mut g, m, up, z_t_s);
         let loss_value = g.scalar(loss);
         let grads = g.backward(loss);
         (loss_value, grads.wrt(v_raw).expect("mask influences loss").clone())
@@ -346,31 +346,6 @@ impl MultiLevelIlt {
             }
             None => self.cfg.binary.apply(g, v_raw),
         }
-    }
-
-    /// Eq. 5 on a mask node: simulate both corners, pool by `pool` if the
-    /// wafer images are larger than the target, and combine the two terms.
-    fn eq5_loss(
-        &self,
-        g: &mut Graph,
-        mask: ilt_autodiff::Var,
-        z_t_s: &Field2D,
-        pool: usize,
-    ) -> ilt_autodiff::Var {
-        let alpha = self.sim.config().resist_steepness;
-        let i_th = self.sim.config().resist_threshold;
-        let outer = ProcessCondition::outer();
-        let inner = ProcessCondition::inner();
-
-        let i_out = g.hopkins(mask, outer.defocus);
-        let mut z_out = g.resist_sigmoid(i_out, alpha, outer.dose, i_th);
-        let i_in = g.hopkins(mask, inner.defocus);
-        let mut z_in = g.resist_sigmoid(i_in, alpha, inner.dose, i_th);
-        if pool > 1 {
-            z_out = g.avg_pool_down(z_out, pool);
-            z_in = g.avg_pool_down(z_in, pool);
-        }
-        self.cfg.loss_weights.build(g, z_out, z_in, z_t_s, mask)
     }
 
     /// Final mask synthesis: output binary function (`T_R = 0.4`), nearest
@@ -420,7 +395,7 @@ fn freeze(m_raw: &mut Field2D, region: &Field2D, frozen: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ilt_optics::{OpticsConfig, SourceSpec};
+    use ilt_optics::{OpticsConfig, ProcessCondition, SourceSpec};
 
     fn test_sim(grid: usize) -> Arc<LithoSimulator> {
         let cfg = OpticsConfig {

@@ -3,7 +3,8 @@
 //! resist_sigmoid -> avg_pool_down(s) -> sq_diff_sum`, on a grid where the
 //! simulator's sample grid is smaller than the mask (`Q < m`), so both of
 //! its resamplings and the `2P - 1` crop of the incoming gradient sit
-//! between the loss and the mask.
+//! between the loss and the mask — and of the one node the optimizer runs in
+//! its place, `Graph::eq5_loss`, with both corners live.
 
 use std::sync::Arc;
 
@@ -30,8 +31,7 @@ fn loss(
     (leaf, graph.sq_diff_sum(wafer_s, target))
 }
 
-#[test]
-fn high_res_chain_gradient_matches_finite_differences() {
+fn sim() -> Arc<LithoSimulator> {
     let cfg = OpticsConfig {
         grid: GRID,
         nm_per_px: 4.0,
@@ -43,24 +43,58 @@ fn high_res_chain_gradient_matches_finite_differences() {
         sim.sample_grid(GRID) < GRID,
         "the chain must cross the resampled path"
     );
+    sim
+}
 
+/// A smooth mask and a bar target on the `GRID / s` grid, and eight seeded
+/// pixels to probe.
+fn fixture(s: usize) -> (Field2D, Field2D, Vec<(usize, usize)>) {
+    let n = GRID / s;
+    let mask_s = Field2D::from_fn(n, n, |r, c| {
+        0.5 + 0.35
+            * ((r as f64 * 0.7 * s as f64 / 4.0).sin()
+                * (c as f64 * 0.45 * s as f64 / 4.0 + 0.2).cos())
+    });
+    let target_s = Field2D::from_fn(n, n, |r, c| {
+        if (n * 3 / 8..n * 5 / 8).contains(&r) && (n / 4..n * 3 / 4).contains(&c) {
+            1.0
+        } else {
+            0.0
+        }
+    });
+    let mut rng = Xorshift64Star::new(0xc0de + s as u64);
+    let mut coord = || rng.gen_range_u32(0, n as u32 - 1) as usize;
+    let pixels = (0..8).map(|_| (coord(), coord())).collect();
+    (mask_s, target_s, pixels)
+}
+
+#[test]
+fn fused_eq5_node_gradient_matches_finite_differences() {
+    let sim = sim();
+    for s in [1usize, 2, 4] {
+        let (mask_s, target_s, pixels) = fixture(s);
+        let eq5 = |m: &Field2D| {
+            let mut graph = Graph::new(sim.clone());
+            let leaf = graph.leaf(m.clone());
+            let l = graph.eq5_loss(leaf, s, &target_s, 2.0, 0.5);
+            (graph.scalar(l), graph.backward(l).wrt(leaf).expect("mask gradient").clone())
+        };
+        let analytic = eq5(&mask_s).1;
+        let numeric = finite_diff_at(&mask_s, 1e-5, &pixels, |m| eq5(m).0);
+        let scale = analytic
+            .as_slice()
+            .iter()
+            .fold(0.0, |m: f64, v| m.max(v.abs()));
+        assert!(scale > 1e-3, "s={s}: degenerate gradient {scale:e}");
+        assert_gradients_close_at(&analytic, &pixels, &numeric, 1e-5, 1e-2 * scale);
+    }
+}
+
+#[test]
+fn high_res_chain_gradient_matches_finite_differences() {
+    let sim = sim();
     for s in [2usize, 4] {
-        let n = GRID / s;
-        let mask_s = Field2D::from_fn(n, n, |r, c| {
-            0.5 + 0.35
-                * ((r as f64 * 0.7 * s as f64 / 4.0).sin()
-                    * (c as f64 * 0.45 * s as f64 / 4.0 + 0.2).cos())
-        });
-        let target_s = Field2D::from_fn(n, n, |r, c| {
-            if (n * 3 / 8..n * 5 / 8).contains(&r) && (n / 4..n * 3 / 4).contains(&c) {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let mut rng = Xorshift64Star::new(0xc0de + s as u64);
-        let mut coord = || rng.gen_range_u32(0, n as u32 - 1) as usize;
-        let pixels: Vec<(usize, usize)> = (0..8).map(|_| (coord(), coord())).collect();
+        let (mask_s, target_s, pixels) = fixture(s);
 
         for cond in [ProcessCondition::inner(), ProcessCondition::outer()] {
             let mut graph = Graph::new(sim.clone());

@@ -44,9 +44,14 @@ pub fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
 #[derive(Debug, Default)]
 pub struct WorkBuffers {
     /// Independent complex buffers.
-    pub complex: [Vec<Complex64>; 4],
+    pub complex: [Vec<Complex64>; 3],
     /// One real buffer.
     pub real: Vec<f64>,
+    /// Further complex buffers, for a caller that keeps one per item of its
+    /// input (it pushes as many as it needs).
+    pub complex_each: Vec<Vec<Complex64>>,
+    /// Further real buffers, likewise.
+    pub real_each: Vec<Vec<f64>>,
 }
 
 /// Key of a memoized phase-twist table: `(n, p, forward)`.
@@ -156,8 +161,9 @@ impl Fft2dScratch {
 
     /// Total values currently held across all buffers and memoized tables.
     pub fn capacity(&self) -> usize {
-        self.work.complex.iter().map(Vec::len).sum::<usize>()
+        self.work.complex.iter().chain(&self.work.complex_each).map(Vec::len).sum::<usize>()
             + self.work.real.len()
+            + self.work.real_each.iter().map(Vec::len).sum::<usize>()
             + self.panel.len()
             + self.band.len()
             + self.grid.len()

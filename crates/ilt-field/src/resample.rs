@@ -87,34 +87,37 @@ pub fn avg_pool_down(f: &Field2D, s: usize) -> Field2D {
 /// ```
 pub fn avg_pool_same(f: &Field2D, n: usize) -> Field2D {
     assert!(n % 2 == 1, "smoothing kernel size must be odd, got {n}");
-    if n == 1 {
+    if n == 1 || f.is_empty() {
         return f.clone();
     }
     let (rows, cols) = f.shape();
-    let h = (n / 2) as isize;
+    let h = n / 2;
     let inv = 1.0 / (n * n) as f64;
     let src = f.as_slice();
 
-    // Separable implementation: horizontal prefix pass then vertical pass.
+    // Separable, both passes along rows. Every sum adds its terms in index
+    // order from zero, whichever path computes it.
     let mut horiz = vec![0.0; rows * cols];
-    for r in 0..rows {
-        let row = &src[r * cols..(r + 1) * cols];
-        for c in 0..cols {
-            let lo = (c as isize - h).max(0) as usize;
-            let hi = ((c as isize + h) as usize).min(cols - 1);
-            horiz[r * cols + c] = row[lo..=hi].iter().sum();
+    // Columns `left..right` see a full window; the rest clamp to the row.
+    let left = h.min(cols);
+    let right = cols.saturating_sub(h).max(left);
+    for (row, sums) in src.chunks_exact(cols).zip(horiz.chunks_exact_mut(cols)) {
+        for c in (0..left).chain(right..cols) {
+            sums[c] = row[c.saturating_sub(h)..=(c + h).min(cols - 1)].iter().sum();
+        }
+        for (sum, window) in sums[left..right].iter_mut().zip(row.windows(n)) {
+            *sum = window.iter().sum();
         }
     }
     let mut out = vec![0.0; rows * cols];
-    for c in 0..cols {
-        for r in 0..rows {
-            let lo = (r as isize - h).max(0) as usize;
-            let hi = ((r as isize + h) as usize).min(rows - 1);
-            let mut acc = 0.0;
-            for rr in lo..=hi {
-                acc += horiz[rr * cols + c];
+    for (r, acc) in out.chunks_exact_mut(cols).enumerate() {
+        for rr in r.saturating_sub(h)..=(r + h).min(rows - 1) {
+            for (a, &v) in acc.iter_mut().zip(&horiz[rr * cols..(rr + 1) * cols]) {
+                *a += v;
             }
-            out[r * cols + c] = acc * inv;
+        }
+        for a in acc {
+            *a *= inv;
         }
     }
     Field2D::from_vec(rows, cols, out)
@@ -246,6 +249,66 @@ mod tests {
                     }
                 }
                 assert!((fast[(r, c)] - acc / 9.0).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// The routine as it stood before both passes went row-major: a clamped
+    /// slice per pixel, then a column walk. Kept as the bit-exact reference.
+    fn avg_pool_same_reference(f: &Field2D, n: usize) -> Field2D {
+        let (rows, cols) = f.shape();
+        let h = (n / 2) as isize;
+        let inv = 1.0 / (n * n) as f64;
+        let src = f.as_slice();
+
+        // Separable implementation: horizontal prefix pass then vertical pass.
+        let mut horiz = vec![0.0; rows * cols];
+        for r in 0..rows {
+            let row = &src[r * cols..(r + 1) * cols];
+            for c in 0..cols {
+                let lo = (c as isize - h).max(0) as usize;
+                let hi = ((c as isize + h) as usize).min(cols - 1);
+                horiz[r * cols + c] = row[lo..=hi].iter().sum();
+            }
+        }
+        let mut out = vec![0.0; rows * cols];
+        for c in 0..cols {
+            for r in 0..rows {
+                let lo = (r as isize - h).max(0) as usize;
+                let hi = ((r as isize + h) as usize).min(rows - 1);
+                let mut acc = 0.0;
+                for rr in lo..=hi {
+                    acc += horiz[rr * cols + c];
+                }
+                out[r * cols + c] = acc * inv;
+            }
+        }
+        Field2D::from_vec(rows, cols, out)
+    }
+
+    #[test]
+    fn avg_pool_same_is_bit_identical_to_the_column_walking_routine() {
+        let noisy = |rows: usize, cols: usize| {
+            Field2D::from_fn(rows, cols, |r, c| {
+                let v = ((r * 31 + c * 17) % 23) as f64 / 7.0 - 1.5;
+                if (r + c) % 5 == 0 { -0.0 } else { v * 1.000_000_1_f64.powi((r * c) as i32 % 40) }
+            })
+        };
+        let mut fields = vec![noisy(256, 256), noisy(0, 3), noisy(3, 0)];
+        for rows in 1..=7 {
+            for cols in 1..=5 {
+                fields.push(noisy(rows, cols));
+            }
+        }
+        for f in &fields {
+            for n in [3, 5] {
+                let (got, want) = (avg_pool_same(f, n), avg_pool_same_reference(f, n));
+                let same = got
+                    .as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{:?} field, n={n}: bits differ", f.shape());
             }
         }
     }

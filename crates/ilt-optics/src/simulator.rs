@@ -26,13 +26,29 @@
 //! The engine also exposes the *adjoint* of the aerial-image map
 //! ([`LithoSimulator::aerial_vjp`]), which is the gradient kernel every ILT
 //! iteration needs — this replaces PyTorch autograd in the original
-//! implementation. It runs on the same grid.
+//! implementation. It runs on the same grid, on the `K` fields `z_k` the
+//! forward kept there ([`AerialCache`]: `K Q^2` values, megabytes, never
+//! `m^2`).
+//!
+//! **Process-window operator.** An ILT iteration wants more than one aerial
+//! image and its adjoint: Eq. 5 simulates the *same* mask at two process
+//! corners, through the sigmoid resist, and — in Algorithm 1's
+//! high-resolution branch — from a mask kept at `N/s` with the wafer images
+//! pooled straight back to `N/s`. [`LithoSimulator::soft_corners`] is that
+//! whole map with its adjoint, built from the internals above (one
+//! `mask_spectrum`, one per-kernel sweep, one per-kernel adjoint loop, one
+//! interpolation): the mask is transformed once at `N/s` for all corners
+//! (the upsampling becomes a Dirichlet factor on its spectrum, exactly),
+//! resist, pool and `dZ/dI` are one pass over each image, and the corners'
+//! gradients are summed as `P x P` spectra and inverted once at `N/s`.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use ilt_fft::{grown, with_thread_scratch, Complex64, Fft2d, Fft2dScratch};
+use ilt_fft::{
+    grown, signed_freq, with_thread_scratch, Complex64, Fft2d, Fft2dScratch, WorkBuffers,
+};
 use ilt_field::Field2D;
 
 use crate::config::OpticsConfig;
@@ -86,15 +102,16 @@ pub struct CornerPrints {
 
 /// Saved forward state allowing a cheap adjoint pass.
 ///
-/// Holds only the cropped mask spectrum (`P^2` complex values), not the
-/// convolution fields, so caching a 2048-pixel forward pass costs kilobytes
-/// instead of gigabytes; the adjoint re-derives each `z_k` from it on the
-/// `Q`-point sample grid.
+/// Holds the `K` coherent fields `z_k` on the `Q`-point sample grid
+/// (`K Q^2` complex values: 2.6 MB at `K = 10`, `Q = 128`), so the adjoint
+/// inverts nothing again. Its size follows the kernel block, not the mask:
+/// caching a 2048-pixel forward pass costs the same megabytes, where the
+/// mask-sized fields would be gigabytes.
 pub struct AerialCache {
     m: usize,
     defocus: bool,
-    /// `crop(F(M))`, bridged to the sample grid's normalization.
-    low: Vec<Complex64>,
+    /// `z_k` on the sample grid, kernel after kernel.
+    fields: Vec<Complex64>,
 }
 
 impl fmt::Debug for AerialCache {
@@ -234,7 +251,11 @@ impl LithoSimulator {
     ///
     /// Panics if the mask is not square/power-of-two or smaller than `P`.
     pub fn aerial(&self, mask: &Field2D, defocus: bool) -> Field2D {
-        self.aerial_with_cache(mask, defocus).0
+        with_thread_scratch(|scratch| {
+            let m = self.check_mask(mask);
+            let low = self.mask_spectrum(mask, 1, m, scratch);
+            Field2D::from_vec(m, m, self.intensity(defocus, &low, m, None, scratch))
+        })
     }
 
     /// The grid the per-kernel transforms of an `m`-pixel evaluation run on:
@@ -260,29 +281,43 @@ impl LithoSimulator {
     /// band is ever computed), one pruned padded inverse per kernel on the
     /// sample grid, and one interpolation to the mask's pixels, all in the
     /// calling thread's reusable FFT workspace so batch workers allocate
-    /// nothing but the result.
+    /// nothing but the result and the cache's `K Q^2` fields.
     pub fn aerial_with_cache(&self, mask: &Field2D, defocus: bool) -> (Field2D, AerialCache) {
         with_thread_scratch(|scratch| {
             let m = self.check_mask(mask);
-            let low = self.mask_spectrum(mask, m, scratch);
-            let intensity = self.intensity(self.kernels(defocus), &low, m, scratch);
-            (Field2D::from_vec(m, m, intensity), AerialCache { m, defocus, low })
+            let low = self.mask_spectrum(mask, 1, m, scratch);
+            let mut fields = vec![Complex64::ZERO; self.evaluation(defocus, m).slab_len()];
+            let intensity = self.intensity(defocus, &low, m, Some(&mut fields), scratch);
+            (Field2D::from_vec(m, m, intensity), AerialCache { m, defocus, fields })
         })
     }
 
-    /// `crop_P(F_n(mask))`, bridged from the mask grid's `1/n^2` inverse
-    /// normalization to that of the sample grid of an `m`-pixel evaluation.
+    /// `crop_P(F_N(upsample_nearest(mask, up)))` with `N = up * n`, bridged
+    /// from that grid's `1/N^2` inverse normalization to that of the sample
+    /// grid of an `m`-pixel evaluation.
+    ///
+    /// The upsampled mask is never formed: its spectrum is the mask's own
+    /// times the separable factor of [`dirichlet`], exactly, and `P <= n`
+    /// puts the whole retained block inside the `n`-point transform.
     fn mask_spectrum(
         &self,
         mask: &Field2D,
+        up: usize,
         m: usize,
         scratch: &mut Fft2dScratch,
     ) -> Vec<Complex64> {
         let (n, p, q) = (mask.rows(), self.nominal.p(), self.sample_grid(m));
         let mut low = vec![Complex64::ZERO; p * p];
         self.fft(n).forward_real_cropped_with(mask.as_slice(), p, &mut low, scratch);
-        if q != n {
-            let bridge = (q * q) as f64 / (n * n) as f64;
+        let bridge = (q * q) as f64 / (n * up * n * up) as f64;
+        if up > 1 {
+            let d = dirichlet(p, up, n * up);
+            for (row, &dr) in low.chunks_exact_mut(p).zip(&d) {
+                for (z, &dc) in row.iter_mut().zip(&d) {
+                    *z *= (dr * dc).scale(bridge);
+                }
+            }
+        } else if q != n {
             for z in &mut low {
                 *z = z.scale(bridge);
             }
@@ -290,59 +325,65 @@ impl LithoSimulator {
         low
     }
 
-    /// Shared core of every aerial evaluation: `sum_k w_k |z_k|^2` sampled
-    /// on the `Q`-point grid (one kernel-weighted pruned inverse each), then
-    /// interpolated to `m x m` pixels through its `(2P - 1)^2` spectrum.
+    /// `dL/dmask_s` on the `n`-pixel grid from the `P x P` accumulator of
+    /// [`Evaluation::pull_back`]: the block sum over `up x up` pixels of
+    /// `Re F_N^-1 pad(acc)`, `N = up * n`, computed as
+    /// `Re F_n^-1 pad(conj(D) . acc) / up^2` — [`dirichlet`] again.
+    fn mask_gradient(
+        &self,
+        n: usize,
+        up: usize,
+        mut acc: Vec<Complex64>,
+        scratch: &mut Fft2dScratch,
+    ) -> Field2D {
+        let p = self.nominal.p();
+        if up > 1 {
+            let d = dirichlet(p, up, n * up);
+            let inv = 1.0 / (up * up) as f64;
+            for (row, &dr) in acc.chunks_exact_mut(p).zip(&d) {
+                for (z, &dc) in row.iter_mut().zip(&d) {
+                    *z *= (dr * dc).conj().scale(inv);
+                }
+            }
+        }
+        let mut out = vec![0.0; n * n];
+        self.fft(n).inverse_padded_real_with(&acc, p, &mut out, scratch);
+        Field2D::from_vec(n, n, out)
+    }
+
+    fn evaluation(&self, defocus: bool, m: usize) -> Evaluation<'_> {
+        let q = self.sample_grid(m);
+        Evaluation { kernels: self.kernels(defocus), m, q, fft_m: self.fft(m), fft_q: self.fft(q) }
+    }
+
+    /// A zeroed `P x P` accumulator for [`Evaluation::pull_back`].
+    fn accumulator(&self) -> Vec<Complex64> {
+        vec![Complex64::ZERO; self.nominal.p() * self.nominal.p()]
+    }
+
+    /// [`Evaluation::image`] into a fresh buffer, clamped at zero.
     ///
     /// The interpolant of non-negative samples can undershoot an exact zero
     /// by a rounding error (-2e-16 along a phase edge's dark fringe), so the
-    /// interpolated image is clamped at zero. The adjoint ignores the clamp:
-    /// it only ever acts within rounding of zero, where the resist's slope
-    /// times that error is far under the rounding of the loss.
+    /// interpolated image is clamped. The adjoint ignores the clamp: it only
+    /// ever acts within rounding of zero, where the resist's slope times
+    /// that error is far under the rounding of the loss.
     fn intensity(
         &self,
-        kernels: &KernelSet,
+        defocus: bool,
         low: &[Complex64],
         m: usize,
+        keep: Option<&mut [Complex64]>,
         scratch: &mut Fft2dScratch,
     ) -> Vec<f64> {
-        let (p, q) = (kernels.p(), self.sample_grid(m));
-        let fft_q = self.fft(q);
+        let eval = self.evaluation(defocus, m);
         let mut out = vec![0.0; m * m];
-        scratch.with_work(|work, scratch| {
-            let [sk, wide, _, field] = &mut work.complex;
-            let sk = grown(sk, p * p);
-            let z = grown(field, q * q);
-            let sampled = if q == m {
-                &mut out[..]
-            } else {
-                let sampled = grown(&mut work.real, q * q);
-                sampled.fill(0.0);
-                sampled
-            };
-            for (k, &w) in kernels.weights().iter().enumerate() {
-                for ((s, &h), &f) in sk.iter_mut().zip(kernels.spectrum(k)).zip(low) {
-                    *s = h * f;
-                }
-                fft_q.inverse_padded_with(sk, p, z, scratch);
-                for (acc, zv) in sampled.iter_mut().zip(z.iter()) {
-                    *acc += w * zv.norm_sqr();
-                }
+        scratch.with_work(|work, scratch| eval.image(low, keep, &mut out, work, scratch));
+        if eval.q < m {
+            for v in out.iter_mut().filter(|v| **v < 0.0) {
+                *v = 0.0;
             }
-            if q < m {
-                let band = 2 * p - 1;
-                let spectrum = grown(wide, band * band);
-                fft_q.forward_real_cropped_with(sampled, band, spectrum, scratch);
-                let bridge = ((m / q) * (m / q)) as f64;
-                for z in spectrum.iter_mut() {
-                    *z = z.scale(bridge);
-                }
-                self.fft(m).inverse_padded_real_with(spectrum, band, &mut out, scratch);
-                for v in out.iter_mut().filter(|v| **v < 0.0) {
-                    *v = 0.0;
-                }
-            }
-        });
+        }
         out
     }
 
@@ -358,13 +399,11 @@ impl LithoSimulator {
     pub fn aerial_pair(&self, mask: &Field2D) -> (Field2D, Field2D) {
         with_thread_scratch(|scratch| {
             let m = self.check_mask(mask);
-            let low = self.mask_spectrum(mask, m, scratch);
-            let focused = self.intensity(&self.nominal, &low, m, scratch);
-            let defocused = self.intensity(&self.defocused, &low, m, scratch);
-            (
-                Field2D::from_vec(m, m, focused),
-                Field2D::from_vec(m, m, defocused),
-            )
+            let low = self.mask_spectrum(mask, 1, m, scratch);
+            let [focused, defocused] = [false, true].map(|defocus| {
+                Field2D::from_vec(m, m, self.intensity(defocus, &low, m, None, scratch))
+            });
+            (focused, defocused)
         })
     }
 
@@ -377,7 +416,7 @@ impl LithoSimulator {
     /// keeps the `P x P` block of the spectrum of `g . z_k`, which only the
     /// `(2P - 1)^2` block of `g` can reach: that block is resampled to the
     /// sample grid once (the adjoint of the forward interpolation, bridge 1)
-    /// and the per-kernel work runs there — see
+    /// and the per-kernel work runs there, on the cache's `z_k` — see
     /// [`LithoSimulator::sample_grid`] for why the aliasing is harmless.
     ///
     /// # Panics
@@ -386,51 +425,120 @@ impl LithoSimulator {
     pub fn aerial_vjp(&self, cache: &AerialCache, grad: &Field2D) -> Field2D {
         let m = cache.m;
         assert_eq!(grad.shape(), (m, m), "gradient must match cached resolution {m}");
-        let kernels = self.kernels(cache.defocus);
-        let (p, q) = (kernels.p(), self.sample_grid(m));
-        let (fft_m, fft_q) = (self.fft(m), self.fft(q));
+        let eval = self.evaluation(cache.defocus, m);
         with_thread_scratch(|scratch| {
             scratch.with_work(|work, scratch| {
-                let [sk, wide, acc, field] = &mut work.complex;
-                let z = grown(field, q * q);
-                let g: &[f64] = if q == m {
-                    grad.as_slice()
-                } else {
-                    let band = 2 * p - 1;
-                    let spectrum = grown(wide, band * band);
-                    fft_m.forward_real_cropped_with(grad.as_slice(), band, spectrum, scratch);
-                    let g = grown(&mut work.real, q * q);
-                    fft_q.inverse_padded_real_with(spectrum, band, g, scratch);
-                    g
-                };
-                let sk = grown(sk, p * p);
-                let cropped = grown(wide, p * p);
-                let acc = grown(acc, p * p);
-                acc.fill(Complex64::ZERO);
-                for (k, &w) in kernels.weights().iter().enumerate() {
-                    let hk = kernels.spectrum(k);
-                    for ((s, &h), &f) in sk.iter_mut().zip(hk).zip(&cache.low) {
-                        *s = h * f;
-                    }
-                    // Recompute z_k from the tiny spectrum (pruned inverse),
-                    // then u = g .* z_k back through the adjoint convolution,
-                    // which crops to P x P, so the pruned forward skips
-                    // every discarded frequency.
-                    fft_q.inverse_padded_with(sk, p, z, scratch);
-                    for (z, &gi) in z.iter_mut().zip(g) {
-                        *z = z.scale(gi);
-                    }
-                    fft_q.forward_cropped_with(z, p, cropped, scratch);
-                    let scale = 2.0 * w;
-                    for ((a, &h), &c) in acc.iter_mut().zip(hk).zip(cropped.iter()) {
-                        *a += (h.conj() * c).scale(scale);
-                    }
-                }
-                let mut out = vec![0.0; m * m];
-                fft_m.inverse_padded_real_with(acc, p, &mut out, scratch);
-                Field2D::from_vec(m, m, out)
+                let mut acc = self.accumulator();
+                eval.pull_back(&cache.fields, grad.as_slice(), &mut acc, work, scratch);
+                self.mask_gradient(m, 1, acc, scratch)
             })
         })
+    }
+
+    /// The differentiable twin of [`LithoSimulator::print_corners`], fused
+    /// with its own adjoint: the process-window operator of Eq. 5.
+    ///
+    /// Simulates `upsample_nearest(mask_s, up)` (Eq. 3; Eq. 8 when
+    /// `up = 1`) under each of `conds`, applies the sigmoid resist (Eq. 9)
+    /// and average-pools the wafer images back by `up`, hands those
+    /// `n x n` images to `seeds` — which returns whatever it computed from
+    /// them and one `dL/dZ` per condition — and returns that value with
+    /// `dL/dmask_s`.
+    ///
+    /// No field of the chain is formed at full size except one plane per
+    /// condition: the mask is transformed at its own `n` pixels once for all
+    /// conditions (times a Dirichlet factor that stands for the upsampling,
+    /// exactly); the `m = up * n`-pixel image is clamped,
+    /// exposed, pooled and overwritten with `dZ/dI` in one pass; the adjoint
+    /// multiplies the plane by the spread seed in place, reuses the `z_k`
+    /// the forward kept, sums every condition into one `P x P` accumulator
+    /// and ends in a single `n`-pixel inverse. Planes and `z_k` live in the
+    /// thread's FFT workspace, so a stage's iterations recycle them.
+    ///
+    /// `seeds` runs while that workspace is checked out: simulator calls
+    /// made from inside it fall back to a cold one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask is not square/power-of-two or smaller than `P`,
+    /// `up` is not a power of two, or `seeds` returns fields of another
+    /// number or shape than the wafer images.
+    pub fn soft_corners<R>(
+        &self,
+        mask_s: &Field2D,
+        up: usize,
+        conds: &[ProcessCondition],
+        seeds: impl FnOnce(&[Field2D]) -> (R, Vec<Field2D>),
+    ) -> (R, Field2D) {
+        let n = self.check_mask(mask_s);
+        assert!(up.is_power_of_two(), "upsample factor {up} must be a power of two");
+        let m = n * up;
+        let evals: Vec<_> = conds.iter().map(|c| self.evaluation(c.defocus, m)).collect();
+        with_thread_scratch(|scratch| {
+            scratch.with_work(|work, scratch| {
+                let low = self.mask_spectrum(mask_s, up, m, scratch);
+                // Checked out of `work` so the evaluations can borrow the rest.
+                let mut planes = std::mem::take(&mut work.real_each);
+                let mut slabs = std::mem::take(&mut work.complex_each);
+                planes.resize_with(planes.len().max(conds.len()), Vec::new);
+                slabs.resize_with(slabs.len().max(conds.len()), Vec::new);
+
+                let mut wafers = Vec::with_capacity(conds.len());
+                for ((cond, eval), (plane, slab)) in
+                    conds.iter().zip(&evals).zip(planes.iter_mut().zip(&mut slabs))
+                {
+                    let plane = grown(plane, m * m);
+                    let fields = grown(slab, eval.slab_len());
+                    eval.image(&low, Some(fields), plane, work, scratch);
+                    wafers.push(self.expose_and_pool(plane, m, up, cond.dose));
+                }
+
+                let (value, seeds) = seeds(&wafers);
+                assert_eq!(seeds.len(), conds.len(), "one seed per process condition");
+                let mut acc = self.accumulator();
+                for ((eval, seed), (plane, slab)) in
+                    evals.iter().zip(&seeds).zip(planes.iter_mut().zip(&slabs))
+                {
+                    assert_eq!(seed.shape(), (n, n), "seed must match the wafer image");
+                    let plane = &mut plane[..m * m];
+                    spread_seed(plane, seed, up);
+                    eval.pull_back(&slab[..eval.slab_len()], plane, &mut acc, work, scratch);
+                }
+                work.real_each = planes;
+                work.complex_each = slabs;
+                (value, self.mask_gradient(n, up, acc, scratch))
+            })
+        })
+    }
+
+    /// One pass over an `m x m` aerial image: clamp (see
+    /// [`LithoSimulator::intensity`]), sigmoid resist under `dose`, average
+    /// pool by `up` into the returned wafer image, and leave `dZ/dI` in
+    /// place of `I`. Each pooled pixel adds its `up^2` inputs in
+    /// [`ilt_field::avg_pool_down`]'s order.
+    fn expose_and_pool(&self, plane: &mut [f64], m: usize, up: usize, dose: f64) -> Field2D {
+        let (alpha, th) = (self.cfg.resist_steepness, self.cfg.resist_threshold);
+        let slope = alpha * dose;
+        let n = m / up;
+        let mut pooled = vec![0.0; n * n];
+        for (r, row) in plane.chunks_exact_mut(m).enumerate() {
+            let sums = &mut pooled[r / up * n..][..n];
+            for (block, sum) in row.chunks_exact_mut(up).zip(sums) {
+                for v in block {
+                    let i = if *v < 0.0 { 0.0 } else { *v };
+                    let y = 1.0 / (1.0 + (-alpha * (dose * i - th)).exp());
+                    *sum += y;
+                    *v = slope * y * (1.0 - y);
+                }
+            }
+        }
+        if up > 1 {
+            let inv = 1.0 / (up * up) as f64;
+            for v in &mut pooled {
+                *v *= inv;
+            }
+        }
+        Field2D::from_vec(n, n, pooled)
     }
 
     /// Eq. 7: aerial image of a **full-resolution** mask, evaluated only at
@@ -447,12 +555,12 @@ impl LithoSimulator {
         let n = self.check_mask(mask);
         assert!(s > 0 && n % s == 0, "scale {s} must divide mask size {n}");
         let m = n / s;
-        let kernels = self.kernels(defocus);
-        assert!(m >= kernels.p(), "reduced size {m} smaller than kernel support {}", kernels.p());
+        let p = self.nominal.p();
+        assert!(m >= p, "reduced size {m} smaller than kernel support {p}");
         assert!(m.is_power_of_two(), "reduced size {m} must be a power of two");
         with_thread_scratch(|scratch| {
-            let low = self.mask_spectrum(mask, m, scratch);
-            Field2D::from_vec(m, m, self.intensity(kernels, &low, m, scratch))
+            let low = self.mask_spectrum(mask, 1, m, scratch);
+            Field2D::from_vec(m, m, self.intensity(defocus, &low, m, None, scratch))
         })
     }
 
@@ -485,6 +593,142 @@ impl LithoSimulator {
             nominal: self.resist_hard(&focused, ProcessCondition::nominal().dose),
             inner: self.resist_hard(&defocused, ProcessCondition::inner().dose),
             outer: self.resist_hard(&focused, ProcessCondition::outer().dose),
+        }
+    }
+}
+
+/// One kernel set evaluated at `m` pixels: the grids and transforms its
+/// forward and adjoint share.
+///
+/// Both work in the arena's buffers under fixed roles, `work.complex =
+/// [H_k . F, wide spectrum / cropped product, z_k or g . z_k]` and
+/// `work.real` for the `Q^2` samples.
+struct Evaluation<'a> {
+    kernels: &'a KernelSet,
+    m: usize,
+    /// [`LithoSimulator::sample_grid`] of `m`.
+    q: usize,
+    fft_m: Arc<Fft2d>,
+    fft_q: Arc<Fft2d>,
+}
+
+impl Evaluation<'_> {
+    /// Values in the `K` coherent fields `z_k` on the sample grid.
+    fn slab_len(&self) -> usize {
+        self.kernels.num_kernels() * self.q * self.q
+    }
+
+    /// Shared core of every aerial evaluation: `sum_k w_k |z_k|^2` sampled
+    /// on the `Q`-point grid (one kernel-weighted pruned inverse each, kept
+    /// in `keep` when the adjoint will want them), then interpolated to the
+    /// `m x m` pixels of `out` through its `(2P - 1)^2` spectrum. Not
+    /// clamped: see [`LithoSimulator::intensity`].
+    fn image(
+        &self,
+        low: &[Complex64],
+        mut keep: Option<&mut [Complex64]>,
+        out: &mut [f64],
+        work: &mut WorkBuffers,
+        scratch: &mut Fft2dScratch,
+    ) {
+        let (kernels, p, q, m) = (self.kernels, self.kernels.p(), self.q, self.m);
+        let [sk, wide, field] = &mut work.complex;
+        let sk = grown(sk, p * p);
+        let sampled = if q == m { &mut *out } else { grown(&mut work.real, q * q) };
+        sampled.fill(0.0);
+        for (k, &w) in kernels.weights().iter().enumerate() {
+            for ((s, &h), &f) in sk.iter_mut().zip(kernels.spectrum(k)).zip(low) {
+                *s = h * f;
+            }
+            let z = match keep.as_deref_mut() {
+                Some(fields) => &mut fields[k * q * q..][..q * q],
+                None => grown(field, q * q),
+            };
+            self.fft_q.inverse_padded_with(sk, p, z, scratch);
+            for (acc, zv) in sampled.iter_mut().zip(z.iter()) {
+                *acc += w * zv.norm_sqr();
+            }
+        }
+        if q < m {
+            let band = 2 * p - 1;
+            let spectrum = grown(wide, band * band);
+            self.fft_q.forward_real_cropped_with(sampled, band, spectrum, scratch);
+            let bridge = ((m / q) * (m / q)) as f64;
+            for z in spectrum.iter_mut() {
+                *z = z.scale(bridge);
+            }
+            self.fft_m.inverse_padded_real_with(spectrum, band, out, scratch);
+        }
+    }
+
+    /// Adds `sum_k 2 w_k conj(H_k) . crop_P F_Q(g_Q . z_k)` to `acc`
+    /// (`P x P`), where `fields` are the `z_k` [`Evaluation::image`] kept
+    /// and `g_Q` is the `(2P - 1)^2` band of `grad = dL/dI` resampled to the
+    /// sample grid. The product's transform crops to `P x P`, so the pruned
+    /// forward skips every discarded frequency.
+    fn pull_back(
+        &self,
+        fields: &[Complex64],
+        grad: &[f64],
+        acc: &mut [Complex64],
+        work: &mut WorkBuffers,
+        scratch: &mut Fft2dScratch,
+    ) {
+        let (kernels, p, q, m) = (self.kernels, self.kernels.p(), self.q, self.m);
+        let [_, wide, field] = &mut work.complex;
+        let g: &[f64] = if q == m {
+            grad
+        } else {
+            let band = 2 * p - 1;
+            let spectrum = grown(wide, band * band);
+            self.fft_m.forward_real_cropped_with(grad, band, spectrum, scratch);
+            let g = grown(&mut work.real, q * q);
+            self.fft_q.inverse_padded_real_with(spectrum, band, g, scratch);
+            g
+        };
+        let product = grown(field, q * q);
+        let cropped = grown(wide, p * p);
+        for (k, &w) in kernels.weights().iter().enumerate() {
+            for ((u, &z), &gi) in product.iter_mut().zip(&fields[k * q * q..][..q * q]).zip(g) {
+                *u = z.scale(gi);
+            }
+            self.fft_q.forward_cropped_with(product, p, cropped, scratch);
+            let scale = 2.0 * w;
+            for ((a, &h), &c) in acc.iter_mut().zip(kernels.spectrum(k)).zip(cropped.iter()) {
+                *a += (h.conj() * c).scale(scale);
+            }
+        }
+    }
+}
+
+/// The spectrum of `upsample_nearest(x, s)` on `N = s n` points is the
+/// `n`-point spectrum of `x` times `D_s(f) = sum_{a < s} e^{-2 pi i f a / N}`
+/// (split the output index as `s r + a`), and the adjoint — the `s`-block
+/// sum of an `N`-point inverse — is the `n`-point inverse of `conj(D_s)`
+/// times the spectrum, over `s`. Returns `D_s` at the `p` retained
+/// frequencies, in their unshifted order; the 2-D factor is separable.
+fn dirichlet(p: usize, s: usize, big_n: usize) -> Vec<Complex64> {
+    (0..p)
+        .map(|i| {
+            let step = -2.0 * std::f64::consts::PI * signed_freq(i, p) as f64 / big_n as f64;
+            (0..s).fold(Complex64::ZERO, |sum, a| {
+                let (sin, cos) = (step * a as f64).sin_cos();
+                sum + Complex64::new(cos, sin)
+            })
+        })
+        .collect()
+}
+
+/// `plane[r, c] *= seed[r / up, c / up] / up^2`: the average pool's adjoint
+/// applied to the `dZ/dI` plane in place, leaving `dL/dI`.
+fn spread_seed(plane: &mut [f64], seed: &Field2D, up: usize) {
+    let inv = 1.0 / (up * up) as f64;
+    for (r, row) in plane.chunks_exact_mut(seed.cols() * up).enumerate() {
+        for (block, &g) in row.chunks_exact_mut(up).zip(seed.row(r / up)) {
+            let g = g * inv;
+            for v in block {
+                *v *= g;
+            }
         }
     }
 }
@@ -643,6 +887,80 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn dirichlet_factor_carries_upsampling_and_block_sum_across_the_transform() {
+        // P = 29 against n = 32: the retained block nearly fills the small
+        // transform, which is as tight as `P <= n` gets.
+        let sim = sim_with_kernels(256, 2);
+        let (n, p) = (32, sim.kernels(false).p());
+        assert_eq!(p, 29);
+        let x = Field2D::from_fn(n, n, |r, c| ((r * 7 + c * 13) % 11) as f64 / 11.0 - 0.3);
+        let acc: Vec<Complex64> = (0..p * p)
+            .map(|i| Complex64::new(((i * 5) % 17) as f64 - 8.0, ((i * 3) % 13) as f64 - 6.0))
+            .collect();
+        let gradient = |n: usize, up: usize| {
+            with_thread_scratch(|scratch| sim.mask_gradient(n, up, acc.clone(), scratch))
+        };
+        for s in [2usize, 4, 8] {
+            let big = n * s;
+            // crop_P F_N . upsample_s = D . crop_P F_n (same bridge: m = N).
+            let (direct, via_d) = with_thread_scratch(|scratch| {
+                let up = ilt_field::upsample_nearest(&x, s);
+                (sim.mask_spectrum(&up, 1, big, scratch), sim.mask_spectrum(&x, s, big, scratch))
+            });
+            let scale = direct.iter().fold(0.0, |m: f64, z| m.max(z.abs()));
+            for (a, b) in direct.iter().zip(&via_d) {
+                assert!((*a - *b).abs() <= 1e-12 * scale, "s={s}: spectrum {a:?} vs {b:?}");
+            }
+            // blocksum_s . Re F_N^-1 pad = Re F_n^-1 pad . conj(D) / s^2.
+            let summed = ilt_field::avg_pool_down(&gradient(big, 1), s).scale((s * s) as f64);
+            let via_d = gradient(n, s);
+            let scale = summed.max().max(-summed.min());
+            for (a, b) in summed.as_slice().iter().zip(via_d.as_slice()) {
+                assert!((a - b).abs() <= 1e-12 * scale, "s={s}: gradient {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn soft_corners_matches_the_unfused_calls() {
+        // L = sum_c <W_c, pool(resist(aerial(upsample(x)))))> at two corners.
+        let sim = sim(64);
+        let conds = [ProcessCondition::outer(), ProcessCondition::inner()];
+        for up in [1usize, 2] {
+            let n = 64 / up;
+            let x = Field2D::from_fn(n, n, |r, c| {
+                0.5 + 0.4 * ((r as f64 * 0.5).sin() * (c as f64 * 0.3).cos())
+            });
+            let weights = [3usize, 5].map(|k| {
+                Field2D::from_fn(n, n, |r, c| ((r + 2 * c) % k) as f64 / k as f64 - 0.4)
+            });
+            let (wafers, grad) = sim.soft_corners(&x, up, &conds, |z| (z.to_vec(), weights.to_vec()));
+
+            let full = ilt_field::upsample_nearest(&x, up);
+            let alpha = sim.config().resist_steepness;
+            let mut want_grad = Field2D::zeros(n, n);
+            for ((cond, w), wafer) in conds.iter().zip(&weights).zip(&wafers) {
+                let (i, cache) = sim.aerial_with_cache(&full, cond.defocus);
+                let z = sim.resist_sigmoid(&i, cond.dose);
+                let want = ilt_field::avg_pool_down(&z, up);
+                if up == 1 {
+                    // Same arithmetic in the same order: not a bit moves.
+                    assert_eq!(wafer, &want, "{cond:?}: wafer");
+                }
+                let err = (wafer - &want).map(f64::abs).max();
+                assert!(err <= 1e-12, "up={up} {cond:?}: wafer off by {err:e}");
+                let spread = ilt_field::upsample_nearest(w, up).scale(1.0 / (up * up) as f64);
+                let g = spread.zip_map(&z, |g, y| g * alpha * cond.dose * y * (1.0 - y));
+                let at_full = sim.aerial_vjp(&cache, &g);
+                want_grad += &ilt_field::avg_pool_down(&at_full, up).scale((up * up) as f64);
+            }
+            let scale = want_grad.max().max(-want_grad.min());
+            let err = (&grad - &want_grad).map(f64::abs).max();
+            assert!(err <= 1e-12 * scale, "up={up}: gradient off by {err:e} of {scale:e}");
         }
     }
 

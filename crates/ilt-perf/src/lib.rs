@@ -9,9 +9,10 @@
 //! Three pieces:
 //!
 //! - **Registry** ([`registry`]): a flat list of [`Workload`]s — name,
-//!   tags, units, regression threshold, and a run function. Six families
+//!   tags, units, regression threshold, and a run function. Seven families
 //!   ship in-tree: FFT variants, simulator aerial/vjp, autodiff backward,
-//!   the tiled runtime pipeline, HTTP server throughput (keep-alive +
+//!   one optimizer step of each Algorithm 1 branch, the tiled runtime
+//!   pipeline, HTTP server throughput (keep-alive +
 //!   cancellation mixed in, over the shared `ilt_server::harness`
 //!   loopback client), and cluster shard dispatch/assembly.
 //! - **Measurement engine** ([`measure`]): one untimed warmup, then

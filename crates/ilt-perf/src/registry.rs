@@ -109,6 +109,22 @@ pub fn registry() -> Vec<Workload> {
             run: workloads::autodiff::backward,
         },
         Workload {
+            name: "core_step_lo",
+            tags: &["core"],
+            units: "us_per_op",
+            threshold: 0.5,
+            notes: "one low-res optimizer step (MultiLevelIlt::step: tape, fused Eq. 5 operator, backward) of ICCAD case 1 at grid 1024, s=4, 10 kernels",
+            run: workloads::optimizer::step_lo,
+        },
+        Workload {
+            name: "core_step_hi",
+            tags: &["core"],
+            units: "us_per_op",
+            threshold: 0.5,
+            notes: "one high-res optimizer step at the same point: mask and gradient at N/s, both corners simulated at N",
+            run: workloads::optimizer::step_hi,
+        },
+        Workload {
             name: "runtime_tile_pipeline",
             tags: &["runtime"],
             units: "us_per_op",
@@ -217,7 +233,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate workload names");
-        for family in ["fft", "simulator", "autodiff", "runtime", "server", "cluster"] {
+        for family in ["fft", "simulator", "autodiff", "core", "runtime", "server", "cluster"] {
             assert!(
                 all.iter().any(|w| w.tags.contains(&family)),
                 "no workload tagged {family}"

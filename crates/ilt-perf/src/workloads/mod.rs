@@ -8,6 +8,7 @@
 pub mod autodiff;
 pub mod cluster;
 pub mod fft;
+pub mod optimizer;
 pub mod runtime;
 pub mod server;
 pub mod simulator;

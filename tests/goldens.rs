@@ -20,19 +20,15 @@ const GRID: usize = 256;
 /// `(L2 nm^2, PVB nm^2, shots, FNV-1a of the mask)`.
 type Golden = (u64, u64, u64, u64);
 
-fn measure(sim: &Arc<LithoSimulator>, case: usize, schedule: &[Stage]) -> Golden {
-    let target = iccad2013_case(case).rasterize(GRID);
-    let mask = MultiLevelIlt::new(sim.clone(), IltConfig::default())
-        .run(&target, schedule)
-        .mask;
+fn measure(sim: &Arc<LithoSimulator>, target: &Field2D, mask: &Field2D) -> Golden {
     let checker = EpeChecker {
         nm_per_px: sim.config().nm_per_px,
         ..EpeChecker::default()
     };
-    let c = sim.print_corners(&mask);
+    let c = sim.print_corners(mask);
     let report = EvalReport::evaluate(
-        &target,
-        &mask,
+        target,
+        mask,
         &c.nominal,
         &c.inner,
         &c.outer,
@@ -53,12 +49,11 @@ fn measure(sim: &Arc<LithoSimulator>, case: usize, schedule: &[Stage]) -> Golden
         report.l2_nm2 as u64,
         report.pvband_nm2 as u64,
         report.shots as u64,
-        field_hash(&mask),
+        field_hash(mask),
     )
 }
 
-#[test]
-fn fast_and_lowres_schedules_reproduce_their_goldens() {
+fn paper_scale_sim() -> Arc<LithoSimulator> {
     let cfg = OpticsConfig {
         grid: GRID,
         nm_per_px: 8.0,
@@ -70,7 +65,12 @@ fn fast_and_lowres_schedules_reproduce_their_goldens() {
         57,
         "the goldens assume the paper-scale kernel block"
     );
-    let sim = Arc::new(LithoSimulator::new(cfg).expect("valid optics"));
+    Arc::new(LithoSimulator::new(cfg).expect("valid optics"))
+}
+
+#[test]
+fn fast_and_lowres_schedules_reproduce_their_goldens() {
+    let sim = paper_scale_sim();
     let fast = [Stage::low_res(2, 10), Stage::high_res(2, 3)];
     let lowres = [Stage::low_res(2, 14)];
     let goldens: [(usize, &str, &[Stage], Golden); 4] = [
@@ -90,10 +90,39 @@ fn fast_and_lowres_schedules_reproduce_their_goldens() {
         ),
     ];
     for (case, name, schedule, want) in goldens {
-        let got = measure(&sim, case, schedule);
+        let target = iccad2013_case(case).rasterize(GRID);
+        let mask = MultiLevelIlt::new(sim.clone(), IltConfig::default())
+            .run(&target, schedule)
+            .mask;
+        let got = measure(&sim, &target, &mask);
         assert_eq!(
             got, want,
             "case {case}, {name}: (L2, PVB, shots, mask hash)"
         );
     }
+}
+
+/// The two baselines that share the optimizer's Eq. 5 step: conventional
+/// pixel ILT is `low_res(1, n)` — the process-window operator at `up = 1`,
+/// `m = N`, `Q < m` — and the level-set loop calls the same node. Values
+/// computed at commit dce88d6, where both spelled Eq. 5 out as Hopkins,
+/// resist and loss nodes.
+#[test]
+fn conventional_and_level_set_baselines_reproduce_their_goldens() {
+    let sim = paper_scale_sim();
+    let target = iccad2013_case(1).rasterize(GRID);
+    let conventional = ConventionalIlt::new(sim.clone()).run(&target, 10).mask;
+    assert_eq!(
+        measure(&sim, &target, &conventional),
+        (40704, 24896, 31, 0xb00b_74f4_c087_4b18),
+        "conventional: (L2, PVB, shots, mask hash)"
+    );
+    let level_set = LevelSetIlt::new(sim.clone(), LevelSetConfig::default())
+        .run(&target, 12)
+        .mask;
+    assert_eq!(
+        measure(&sim, &target, &level_set),
+        (21888, 25664, 32, 0xcb54_30b3_781e_1125),
+        "level set: (L2, PVB, shots, mask hash)"
+    );
 }

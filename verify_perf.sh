@@ -14,7 +14,9 @@
 #   4. with ILT_FFT_FORCE_SCALAR=1 the scalar fallback passes the same
 #      bit-identity guard tests as the SIMD kernels, proving the forced
 #      path stays live and numerically identical — and the simulator built
-#      on it still matches its dense reference (tests/spectral_guard.rs).
+#      on it still matches its dense reference (tests/spectral_guard.rs)
+#      and the fused Eq. 5 operator the unfused chain
+#      (crates/ilt-core/tests/eq5_operator.rs).
 set -e
 BIN=./target/release/ilt
 OUT=bench-out/perf
@@ -36,6 +38,8 @@ echo "simd stamp: $(grep -Eo '"simd": "[a-z0-9]+"' "$OUT"/BENCH_fft_real_forward
 ILT_FFT_FORCE_SCALAR=1 cargo test -q -p ilt-fft --test kernel_guard \
   | tee bench-out/scalar-guard.log
 ILT_FFT_FORCE_SCALAR=1 cargo test -q -p multilevel-ilt --test spectral_guard \
+  | tee -a bench-out/scalar-guard.log
+ILT_FFT_FORCE_SCALAR=1 cargo test -q -p ilt-core --test eq5_operator \
   | tee -a bench-out/scalar-guard.log
 
 echo PERF_VERIFIED
