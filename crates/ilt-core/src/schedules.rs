@@ -80,6 +80,35 @@ pub fn clamp_scales(schedule: &[Stage], grid: usize, min_size: usize) -> Vec<Sta
         .collect()
 }
 
+/// The one schedule clamp every entry point applies (`ilt run`, the batch
+/// runtime's jobs, `ilt tables`): [`clamp_effective_pitch`] to `max_eff_nm`,
+/// then [`clamp_scales`] so each reduced grid stays at or above both 32 px
+/// and the SOCS kernel support `kernel_size` — below it the downsampled
+/// grid cannot hold one kernel and the simulator panics.
+///
+/// # Examples
+///
+/// ```
+/// use ilt_core::schedules::{clamp_to_grid, our_fast};
+///
+/// // A 2048-nm clip at grid 256 (8 nm/px, P = 57): the pitch ceiling
+/// // already answers s = 1; lifting it, 256 / 4 = 64 >= 57 keeps s = 4
+/// // and 256 / 8 = 32 < 57 halves the high-res stage's s = 8.
+/// assert!(clamp_to_grid(&our_fast(), 8.0, 8.0, 256, 57).iter().all(|s| s.scale == 1));
+/// let lifted = clamp_to_grid(&our_fast(), 8.0, 64.0, 256, 57);
+/// assert_eq!((lifted[0].scale, lifted[1].scale), (4, 4));
+/// ```
+pub fn clamp_to_grid(
+    base: &[Stage],
+    nm_per_px: f64,
+    max_eff_nm: f64,
+    grid: usize,
+    kernel_size: usize,
+) -> Vec<Stage> {
+    let floor = 32.max(kernel_size.next_power_of_two());
+    clamp_scales(&clamp_effective_pitch(base, nm_per_px, max_eff_nm), grid, floor)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,10 +35,10 @@
 //!   plus a phase twist, so only the `P` surviving rows are ever
 //!   row-transformed. The real variant packs column pairs and separates them
 //!   through Hermitian symmetry over the closure of the retained set.
-//! * **Batched transforms** ([`Fft2d::forward_real_batch`],
-//!   [`Fft2d::inverse_padded_batch`]) — many-tile/many-kernel shapes share
-//!   one workspace, so twiddle tables, memoized twist tables and grown
-//!   buffers are warm for everything after the first item.
+//! * **Batched inverse** ([`Fft2d::inverse_padded_batch`]) — many spectra
+//!   of one support stream through one output buffer and one workspace, so
+//!   twiddle tables, memoized twist tables and grown buffers are warm for
+//!   everything after the first item.
 //!
 //! All paths are exact restructurings of the same sums, so they agree with
 //! the dense transforms to f64 rounding (~1e-15 relative).
@@ -760,31 +760,6 @@ impl Fft2d {
         }
     }
 
-    /// [`Fft2d::forward_real`] over many images, reusing one workspace (and
-    /// therefore one set of twiddle/twist tables) across the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any image length differs from `rows * cols`.
-    pub fn forward_real_batch(&self, imgs: &[&[f64]]) -> Vec<Vec<Complex64>> {
-        with_thread_scratch(|scratch| self.forward_real_batch_with(imgs, scratch))
-    }
-
-    /// [`Fft2d::forward_real_batch`] with an explicit reusable workspace.
-    pub fn forward_real_batch_with(
-        &self,
-        imgs: &[&[f64]],
-        scratch: &mut Fft2dScratch,
-    ) -> Vec<Vec<Complex64>> {
-        imgs.iter()
-            .map(|img| {
-                let mut out = vec![Complex64::ZERO; self.rows * self.cols];
-                self.forward_real_with(img, &mut out, scratch);
-                out
-            })
-            .collect()
-    }
-
     /// [`Fft2d::inverse_padded`] over many spectra sharing one support `p`,
     /// streaming each full-grid result to `each(index, grid)` from a single
     /// reused buffer.
@@ -1148,14 +1123,6 @@ mod tests {
         let n = 32;
         let p = 7;
         let fft = Fft2d::new(n, n);
-        let imgs: Vec<Vec<f64>> = (0..3).map(|k| lcg_vals(60 + k, n * n)).collect();
-        let img_refs: Vec<&[f64]> = imgs.iter().map(|v| v.as_slice()).collect();
-        let batched = fft.forward_real_batch(&img_refs);
-        for (img, got) in imgs.iter().zip(&batched) {
-            let want = fft.forward_real(img);
-            assert_eq!(got, &want, "batched forward must equal the sequential path");
-        }
-
         let specs: Vec<Vec<Complex64>> = (0..3).map(|k| lcg_complex(70 + k, p * p)).collect();
         let spec_refs: Vec<&[Complex64]> = specs.iter().map(|v| v.as_slice()).collect();
         let mut seen = 0;

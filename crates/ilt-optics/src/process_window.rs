@@ -13,7 +13,7 @@ use crate::config::OpticsConfig;
 use crate::kernels::KernelSet;
 use crate::simulator::LithoSimulator;
 
-/// The sweep grid and acceptance criterion.
+/// The sweep grid and acceptance rule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProcessWindowSpec {
     /// Defocus levels to evaluate, in nm (0 = nominal focus).

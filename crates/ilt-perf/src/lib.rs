@@ -1,12 +1,17 @@
-//! # ilt-perf — the performance barometer for the ILT stack
+//! # ilt-perf — the measurement system of the ILT stack
 //!
 //! Rebar-style perf coverage (`BurntSushi/rebar`, METHODOLOGY.md): many
 //! small, easy-to-add workloads spanning **every** performance-critical
 //! layer, because speeding up one path routinely slows another. The crate
 //! is hermetic and std-only — it runs on the same disconnected machines as
-//! tier-1 and needs no Criterion, no python, no registry crates.
+//! tier-1 and needs no python and no registry crates.
 //!
-//! Three pieces:
+//! Beside the barometer live the paper's own measurements: [`tables`]
+//! regenerates every table, figure, the Section III-B timing study and the
+//! design ablations as markdown (`ilt tables`), with [`published`] holding
+//! the paper-reported numbers printed next to them.
+//!
+//! The barometer is three pieces:
 //!
 //! - **Registry** ([`registry`]): a flat list of [`Workload`]s — name,
 //!   tags, units, regression threshold, and a run function. Seven families
@@ -25,7 +30,8 @@
 //!   and reports a regression when a fresh median exceeds the baseline by
 //!   more than the workload's threshold.
 //!
-//! The CLI front end is `ilt bench list|run|diff`; `verify_perf.sh` and
+//! The CLI front ends are `ilt bench list|run|diff` and
+//! `ilt tables <selector>...`; `verify_perf.sh` and
 //! `verify_bench.sh` wire it into the standing regression gate.
 //!
 //! ## Adding a workload (~20 lines)
@@ -43,8 +49,10 @@
 
 pub mod diff;
 pub mod measure;
+pub mod published;
 pub mod registry;
 pub mod result;
+pub mod tables;
 pub mod workloads;
 
 pub use diff::{diff_dirs, diff_result, DiffReport, DiffRow};

@@ -66,17 +66,6 @@ pub fn registry() -> Vec<Workload> {
             run: workloads::fft::pruned_forward,
         },
         Workload {
-            name: "fft_batch_forward",
-            tags: &["fft"],
-            units: "us_per_op",
-            // Allocates its full batch of output spectra per op, so page
-            // faults dominate the dispersion; gets the wider threshold the
-            // other allocation-heavy workloads use.
-            threshold: 0.8,
-            notes: "batched real forward (forward_real_batch_with): 4 images at N=1024 through one plan and scratch arena",
-            run: workloads::fft::batch_forward,
-        },
-        Workload {
             name: "fft_batch_inverse",
             tags: &["fft"],
             units: "us_per_op",
@@ -256,7 +245,7 @@ mod tests {
     #[test]
     fn selection_filters_by_tag_and_name() {
         let fft = select(&Selection { tags: vec!["fft".into()], names: vec![] });
-        assert_eq!(fft.len(), 6);
+        assert_eq!(fft.len(), 5);
         let one = select(&Selection { tags: vec![], names: vec!["sim_*".into()] });
         assert_eq!(one.len(), 2);
         let both = select(&Selection {
@@ -264,7 +253,7 @@ mod tests {
             names: vec!["*_forward".into()],
         });
         let names: Vec<_> = both.iter().map(|w| w.name).collect();
-        assert_eq!(names, ["fft_real_forward", "fft_pruned_forward", "fft_batch_forward"]);
+        assert_eq!(names, ["fft_real_forward", "fft_pruned_forward"]);
         assert_eq!(select(&Selection::all()).len(), registry().len());
     }
 }

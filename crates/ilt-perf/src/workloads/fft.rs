@@ -1,9 +1,9 @@
 //! FFT workloads: the per-iteration spectral hot paths of the simulator.
 //!
-//! Six variants — the dense pad-then-invert reference, the pruned padded
+//! Five variants — the dense pad-then-invert reference, the pruned padded
 //! inverse that replaced it, the Hermitian real-input forward, the pruned
 //! real forward (crop fused into the column pass), and the batched
-//! forward/inverse used by the SOCS kernel sum. The fast paths cross-check
+//! inverse used by the SOCS kernel sum. The fast paths cross-check
 //! against their references once per run, so a kernel change that breaks
 //! numerics fails the bench before it can post a "speedup".
 
@@ -31,13 +31,13 @@ fn random_spec(p: usize) -> Vec<Complex64> {
 }
 
 /// A deterministic `p x p` kernel spectrum with an explicit seed, so the
-/// batch workloads can build several distinct spectra.
+/// batch workload can build several distinct spectra.
 fn random_spec_seeded(p: usize, seed: u64) -> Vec<Complex64> {
     let mut rng = Xorshift64Star::new(seed);
     (0..p * p).map(|_| Complex64::new(noise(&mut rng), noise(&mut rng))).collect()
 }
 
-/// How many transforms the batch workloads run per operation: enough to
+/// How many transforms the batch workload runs per operation: enough to
 /// amortize twiddle/scratch sharing, small enough to keep full-mode runs
 /// in the tens of milliseconds.
 fn batch_len(cfg: &MeasureConfig) -> usize {
@@ -160,39 +160,6 @@ pub fn pruned_forward(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
     });
     check_agreement(&out, &reference, "fft_pruned_forward", "dense forward + crop", n)?;
     Ok(sample.with_extra("n", n as f64).with_extra("p", p as f64))
-}
-
-/// The batched real forward ([`Fft2d::forward_real_batch_with`]): several
-/// mask images through one plan and one scratch arena, the shape the tile
-/// worker pool runs. Cross-checked against per-image forwards.
-pub fn batch_forward(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
-    let (n, _) = sizes(cfg);
-    let k = batch_len(cfg);
-    let fft = Fft2d::new(n, n);
-    let mut scratch = Fft2dScratch::new();
-    let imgs: Vec<Vec<f64>> = (0..k)
-        .map(|i| {
-            let mut rng = Xorshift64Star::new(0xCAFE_D00D ^ (i as u64 + 1));
-            (0..n * n).map(|_| noise(&mut rng)).collect()
-        })
-        .collect();
-    let img_refs: Vec<&[f64]> = imgs.iter().map(|v| v.as_slice()).collect();
-
-    let mut reference = Vec::with_capacity(k);
-    for img in &imgs {
-        let mut out = vec![Complex64::ZERO; n * n];
-        fft.forward_real_with(img, &mut out, &mut scratch);
-        reference.push(out);
-    }
-
-    let mut batch_out = Vec::new();
-    let sample = measure(cfg, || {
-        batch_out = fft.forward_real_batch_with(&img_refs, &mut scratch);
-    });
-    for (got, want) in batch_out.iter().zip(&reference) {
-        check_agreement(got, want, "fft_batch_forward", "per-image real forward", n)?;
-    }
-    Ok(sample.with_extra("n", n as f64).with_extra("batch", k as f64))
 }
 
 /// The batched pruned inverse ([`Fft2d::inverse_padded_batch_with`]): the

@@ -1,7 +1,7 @@
 //! Runtime workload: the tiled batch pipeline end-to-end — tiling, the
 //! worker pool, the shared simulator cache, and halo-crop stitching.
 
-use ilt_core::{schedules, IltConfig, Stage};
+use ilt_core::{IltConfig, Stage};
 use ilt_layouts::via_pattern;
 use ilt_optics::OpticsConfig;
 use ilt_runtime::{planned_job_list, run_batch, BatchCase, BatchConfig, SeamPolicy, SimulatorCache};
@@ -57,15 +57,6 @@ pub fn tile_pipeline(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
     });
     if let Some(detail) = failure {
         return Err(PerfError::workload(NAME, detail));
-    }
-    // The schedule must have survived clamping, or we timed a no-op.
-    let clamped = schedules::clamp_scales(
-        &schedules::clamp_effective_pitch(&config.schedule, case.nm_per_px, config.max_eff_nm),
-        tile.min(grid),
-        32,
-    );
-    if clamped.is_empty() {
-        return Err(PerfError::workload(NAME, "schedule clamped to nothing"));
     }
     Ok(sample
         .with_extra("grid", grid as f64)

@@ -26,14 +26,14 @@ use std::time::{Duration, Instant};
 
 use ilt_core::{schedules, IltConfig, Stage};
 use ilt_field::Field2D;
-use ilt_metrics::{EpeChecker, EvalReport};
+use ilt_metrics::EvalReport;
 use ilt_optics::OpticsConfig;
 
 use crate::cache::SimulatorCache;
 use crate::cancel::{CancelToken, Progress};
 use crate::checkpoint::{config_fingerprint, load_wal, restore_output, CheckpointSink};
 use crate::fault::FaultPlan;
-use crate::job::IltJob;
+use crate::job::{evaluate_mask, IltJob};
 use crate::journal::{JobStatus, RunReport};
 use crate::pool::{run_jobs_checkpointed, JobOutput, PoolConfig};
 use crate::tiler::{SeamPolicy, TileGrid};
@@ -554,11 +554,13 @@ fn make_job(
         nm_per_px: case.nm_per_px,
         ..config.optics.clone()
     };
-    // Coarse stages must stay above both the generic floor and the SOCS
-    // kernel support, or the downsampled grid cannot hold one kernel.
-    let min_size = 32.max(optics.kernel_size().next_power_of_two());
-    let pitched = schedules::clamp_effective_pitch(&config.schedule, case.nm_per_px, config.max_eff_nm);
-    let schedule = schedules::clamp_scales(&pitched, grid, min_size);
+    let schedule = schedules::clamp_to_grid(
+        &config.schedule,
+        case.nm_per_px,
+        config.max_eff_nm,
+        grid,
+        optics.kernel_size(),
+    );
     IltJob {
         id,
         case: case.name.clone(),
@@ -610,20 +612,10 @@ fn assemble_case(
             ..config.optics.clone()
         };
         let sim = cache.get_or_build(&optics)?;
-        let corners = sim.print_corners(&mask);
-        let checker = EpeChecker { nm_per_px: case.nm_per_px, ..EpeChecker::default() };
         let tat = Duration::from_secs_f64(
             slice.iter().map(|o| o.record.wall_ms).sum::<f64>() / 1e3,
         );
-        Some(EvalReport::evaluate(
-            &binary_target,
-            &mask,
-            &corners.nominal,
-            &corners.inner,
-            &corners.outer,
-            &checker,
-            tat,
-        ))
+        Some(evaluate_mask(&sim, &binary_target, &mask, tat))
     } else {
         None
     };

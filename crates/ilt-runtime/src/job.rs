@@ -15,12 +15,12 @@
 //! the optimizer (poisoned or real) fails the attempt with a typed
 //! `"numeric"` reason instead of journaling a garbage mask.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ilt_core::{IltConfig, MultiLevelIlt, Stage};
 use ilt_field::Field2D;
 use ilt_metrics::{EpeChecker, EvalReport};
-use ilt_optics::OpticsConfig;
+use ilt_optics::{LithoSimulator, OpticsConfig};
 
 use crate::cache::SimulatorCache;
 use crate::fault::FaultPlan;
@@ -61,6 +61,30 @@ impl IltJob {
         }
         Some(fallback)
     }
+}
+
+/// Scores a finished mask with the contest metrics: prints it at the three
+/// process corners of `sim` and evaluates L2 / PVB / EPE / shots against
+/// `target` at the simulator's pixel pitch. The one mask evaluator of the
+/// workspace — the CLI, the batch runtime, the paper tables, the examples
+/// and the golden tests all score through it.
+pub fn evaluate_mask(
+    sim: &LithoSimulator,
+    target: &Field2D,
+    mask: &Field2D,
+    tat: Duration,
+) -> EvalReport {
+    let corners = sim.print_corners(mask);
+    let checker = EpeChecker { nm_per_px: sim.config().nm_per_px, ..EpeChecker::default() };
+    EvalReport::evaluate(
+        target,
+        mask,
+        &corners.nominal,
+        &corners.inner,
+        &corners.outer,
+        &checker,
+        tat,
+    )
 }
 
 /// The product of a successful attempt.
@@ -132,17 +156,7 @@ fn run_scheduled_attempt(
     }
 
     let t_eval = Instant::now();
-    let corners = sim.print_corners(&result.mask);
-    let checker = EpeChecker { nm_per_px: job.optics.nm_per_px, ..EpeChecker::default() };
-    let report = EvalReport::evaluate(
-        &job.target,
-        &result.mask,
-        &corners.nominal,
-        &corners.inner,
-        &corners.outer,
-        &checker,
-        t_opt.elapsed(),
-    );
+    let report = evaluate_mask(&sim, &job.target, &result.mask, t_opt.elapsed());
     let evaluate_ms = t_eval.elapsed().as_secs_f64() * 1e3;
     if !(report.l2_nm2.is_finite() && report.pvband_nm2.is_finite()) {
         return Err(format!(

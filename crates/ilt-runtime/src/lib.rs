@@ -74,7 +74,7 @@ pub use checkpoint::{
     write_atomic, CheckpointSink, LoadedRecord, LoadedRun, WAL_FILE,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use job::{run_attempt, run_degraded_attempt, IltJob, JobSuccess};
+pub use job::{evaluate_mask, run_attempt, run_degraded_attempt, IltJob, JobSuccess};
 pub use journal::{
     failure_kind, field_hash, fnv1a64, JobMetrics, JobRecord, JobStatus, RunReport, StageTimes,
 };

@@ -179,10 +179,12 @@ fn whole_clip_batch_matches_direct_optimizer() {
         })
         .unwrap();
     // The engine clamps the schedule to the job grid; mirror that here.
-    let schedule = ilt_core::schedules::clamp_scales(
-        &ilt_core::schedules::clamp_effective_pitch(&cfg.schedule, case.nm_per_px, cfg.max_eff_nm),
+    let schedule = ilt_core::schedules::clamp_to_grid(
+        &cfg.schedule,
+        case.nm_per_px,
+        cfg.max_eff_nm,
         64,
-        32.max(sim.config().kernel_size().next_power_of_two()),
+        sim.config().kernel_size(),
     );
     let direct = MultiLevelIlt::new(sim, IltConfig::default()).run(&case.target, &schedule);
     assert_eq!(field_hash(&out.cases[0].mask), field_hash(&direct.mask));

@@ -23,20 +23,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("== {} at {grid} px ({nm_per_px} nm/px) ==", case.name());
     let optics = OpticsConfig { grid, nm_per_px, num_kernels: 8, ..OpticsConfig::default() };
     let sim = Arc::new(LithoSimulator::new(optics)?);
-    let checker = EpeChecker { nm_per_px, ..EpeChecker::default() };
 
-    let evaluate = |mask: &Field2D, tat: std::time::Duration| -> EvalReport {
-        let corners = sim.print_corners(mask);
-        EvalReport::evaluate(
-            &target,
-            mask,
-            &corners.nominal,
-            &corners.inner,
-            &corners.outer,
-            &checker,
-            tat,
-        )
-    };
+    let evaluate =
+        |mask: &Field2D, tat: std::time::Duration| evaluate_mask(&sim, &target, mask, tat);
 
     // How bad is it with no correction at all?
     let raw = evaluate(&target, std::time::Duration::ZERO);

@@ -63,24 +63,15 @@ fn main() -> Result<(), Box<dyn Error>> {
     let result = ilt.run(&target, &schedule);
     let tat = timer.elapsed();
 
-    let corners = sim.print_corners(&result.mask);
-    let checker = EpeChecker { nm_per_px, ..EpeChecker::default() };
-    let report = EvalReport::evaluate(
-        &target,
-        &result.mask,
-        &corners.nominal,
-        &corners.inner,
-        &corners.outer,
-        &checker,
-        tat,
-    );
+    let report = evaluate_mask(&sim, &target, &result.mask, tat);
 
     println!("iterations run: {}", result.total_iterations);
     println!("{report}");
 
     write_pgm(&target, "quickstart_target.pgm", 0.0, 1.0)?;
     write_pgm(&result.mask, "quickstart_mask.pgm", 0.0, 1.0)?;
-    write_pgm(&corners.nominal, "quickstart_wafer.pgm", 0.0, 1.0)?;
+    let wafer = sim.print(&result.mask, ProcessCondition::nominal());
+    write_pgm(&wafer, "quickstart_wafer.pgm", 0.0, 1.0)?;
     println!("wrote quickstart_target.pgm / quickstart_mask.pgm / quickstart_wafer.pgm");
     Ok(())
 }

@@ -1,30 +1,15 @@
 #!/bin/bash
-# Regenerates every table and figure; used to populate EXPERIMENTS.md.
-set -e
+# Runs every verify script, then regenerates every table and figure of the
+# paper at its operating point (s = 4 is admissible from grid 1024 up);
+# EXPERIMENTS.md is the tables log with prose around it.
+set -eo pipefail
 ./verify_runtime.sh
 ./verify_server.sh
 ./verify_cluster.sh
 ./verify_chaos.sh
 ./verify_perf.sh
 ./verify_bench.sh
-BIN=./target/release/tables
-OUT=bench-out
+OUT=bench-out/tables
 mkdir -p $OUT
-# The `tables` binary lives in crates/bench, which is excluded from the
-# hermetic workspace (Criterion needs the registry). Build it on a connected
-# machine with `cargo build --release --manifest-path crates/bench/Cargo.toml`.
-if [ ! -x "$BIN" ]; then
-    echo "SKIP: $BIN not built (crates/bench needs a connected machine); ran runtime and server verification only"
-    echo ALL_EXPERIMENTS_DONE
-    exit 0
-fi
-$BIN --table 2 --grid 512 2>&1 | tee $OUT/table2.log
-$BIN --table 3 --grid 512 2>&1 | tee $OUT/table3.log
-$BIN --table 4 --grid 512 2>&1 | tee $OUT/table4.log
-$BIN --figure 1 --grid 512 2>&1 | tee $OUT/fig1.log
-$BIN --figure 4 --grid 512 2>&1 | tee $OUT/fig4.log
-$BIN --figure 5 --grid 512 2>&1 | tee $OUT/fig5.log
-$BIN --figure 6 --grid 512 2>&1 | tee $OUT/fig6.log
-$BIN --figure 7 --grid 512 2>&1 | tee $OUT/fig7.log
-$BIN --figure 8 --grid 512 2>&1 | tee $OUT/fig8.log
+./target/release/ilt tables all --grid 1024 --out $OUT 2>&1 | tee $OUT/all_1024.md
 echo ALL_EXPERIMENTS_DONE

@@ -16,7 +16,6 @@
 //!              [--allow-inject] [--compact-bytes 0]
 //!              [--keep-alive 32] [--idle-timeout-s 5]
 //!              [--workers host:port,host:port] [--heartbeat-ms 500]
-//!              [--heartbeat-failures 3] [--cancel-grace-s 10]
 //! ilt worker   [--addr 127.0.0.1:8080] [--threads 4] [--state-dir DIR]
 //!              [--retries 1] [--timeout-s 0] [--inject SPEC[,SPEC...]]
 //! ilt evaluate --target design.pgm --mask mask.pgm [--grid 512] [--clip-nm 2048]
@@ -25,6 +24,9 @@
 //! ilt bench    <list|run|diff> [NAME_GLOB ...] [--tag TAG] [--name GLOB]
 //!              [--smoke] [--reps 5] [--out bench-out/perf] [--baselines .]
 //!              [--threshold F]
+//! ilt tables   <table1..4|fig1|fig4..8|timing|ablation|all>... [--grid 512]
+//!              [--kernels 10] [--max-eff-nm 8] [--case N] [--smoke]
+//!              [--reps 5] [--out bench-out/tables]
 //! ```
 //!
 //! Targets may come from the built-in benchmark generators (`--case`,
@@ -61,18 +63,14 @@
 //! each job's tile plan is sharded across the live `ilt worker` replicas
 //! and reassembled centrally (byte-identical to a local run). Membership
 //! is dynamic — `POST /v1/members` joins, drains, or removes replicas at
-//! runtime — and supervision is self-healing: `--heartbeat-ms`/
-//! `--heartbeat-failures` tune worker-death detection (dead workers get
-//! their shards re-dispatched), `--breaker-failures`/`--breaker-base-ms`/
-//! `--breaker-cap-ms` tune the per-worker circuit breaker that
-//! quarantines flaky-but-alive replicas, `--speculate-factor`/
-//! `--speculate-after` govern straggler speculation (a shard running
-//! longer than factor × the job's median latency races a second replica;
-//! first result wins, and both results must agree bit-exactly),
-//! `--max-inflight` caps concurrent shards per worker, and
-//! `--max-shard-attempts` bounds dispatch attempts before a shard is
-//! declared lost. `--cancel-grace-s` bounds how long a job cancellation
-//! waits for worker acknowledgements. `worker` starts one replica;
+//! runtime — and supervision is self-healing: `--heartbeat-ms` sets the
+//! worker-death probe interval (dead workers get their shards
+//! re-dispatched; flaky-but-alive ones are quarantined by a per-worker
+//! circuit breaker) and `--speculate-factor`/`--speculate-after` govern
+//! straggler speculation (a shard running longer than factor × the job's
+//! median latency races a second replica; first result wins, and both
+//! results must agree bit-exactly). Every other supervision setting is
+//! `ClusterConfig::default()`. `worker` starts one replica;
 //! `--register HOST:PORT` makes it announce itself to that coordinator
 //! after binding (and deregister on shutdown); its `--inject` fault plan
 //! is deliberately local (never forwarded by a coordinator) and now
@@ -86,8 +84,13 @@
 //! cluster families), `run` measures the selected workloads and writes one
 //! `BENCH_<name>.json` (schema `ilt-bench/v2`) per workload, and `diff`
 //! compares a fresh run against the checked-in baselines, exiting non-zero
-//! past each workload's regression threshold — the standing perf gate,
-//! with no python or Criterion anywhere.
+//! past each workload's regression threshold — the standing perf gate.
+//! `tables` regenerates the paper's tables, figures, Section III-B timing
+//! study and the design ablations as markdown (the same crate's `tables`
+//! module), headed by the reproducing command line and the revision / FFT
+//! kernel stamp; `--case` narrows Tables II-IV to one clip and `--smoke`
+//! cuts every iteration budget to 2 for a seconds-long dry run. Both are
+//! std-only: no python, no registry crates.
 
 use std::error::Error;
 use std::sync::Arc;
@@ -134,13 +137,6 @@ struct Cli {
     workers: Option<String>,
     cluster: bool,
     heartbeat_ms: u64,
-    heartbeat_failures: u32,
-    cancel_grace_s: f64,
-    max_inflight: u32,
-    max_shard_attempts: u32,
-    breaker_failures: u32,
-    breaker_base_ms: u64,
-    breaker_cap_ms: u64,
     speculate_factor: f64,
     speculate_after: usize,
     register: Option<String>,
@@ -157,7 +153,7 @@ struct Cli {
 impl Cli {
     fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Cli), Box<dyn Error>> {
         let command =
-            args.next().ok_or("usage: ilt <run|batch|serve|worker|evaluate|fracture|kernels|bench> ...")?;
+            args.next().ok_or("usage: ilt <run|batch|serve|worker|evaluate|fracture|kernels|bench|tables> ...")?;
         let mut cli = Cli {
             grid: 512,
             kernels: 10,
@@ -197,13 +193,6 @@ impl Cli {
             workers: None,
             cluster: false,
             heartbeat_ms: 500,
-            heartbeat_failures: 3,
-            cancel_grace_s: 10.0,
-            max_inflight: 2,
-            max_shard_attempts: 0,
-            breaker_failures: 3,
-            breaker_base_ms: 500,
-            breaker_cap_ms: 30_000,
             speculate_factor: 3.0,
             speculate_after: 3,
             register: None,
@@ -260,13 +249,6 @@ impl Cli {
                 "--workers" => cli.workers = Some(value()?),
                 "--cluster" => cli.cluster = true,
                 "--heartbeat-ms" => cli.heartbeat_ms = value()?.parse()?,
-                "--heartbeat-failures" => cli.heartbeat_failures = value()?.parse()?,
-                "--cancel-grace-s" => cli.cancel_grace_s = value()?.parse()?,
-                "--max-inflight" => cli.max_inflight = value()?.parse()?,
-                "--max-shard-attempts" => cli.max_shard_attempts = value()?.parse()?,
-                "--breaker-failures" => cli.breaker_failures = value()?.parse()?,
-                "--breaker-base-ms" => cli.breaker_base_ms = value()?.parse()?,
-                "--breaker-cap-ms" => cli.breaker_cap_ms = value()?.parse()?,
                 "--speculate-factor" => cli.speculate_factor = value()?.parse()?,
                 "--speculate-after" => cli.speculate_after = value()?.parse()?,
                 "--register" => cli.register = Some(value()?),
@@ -323,43 +305,27 @@ impl Cli {
         Ok(Arc::new(LithoSimulator::new(cfg)?))
     }
 
-    fn schedule(&self, nm_per_px: f64) -> Result<Vec<Stage>, Box<dyn Error>> {
-        let base = match self.schedule.as_str() {
-            "fast" => schedules::our_fast(),
-            "exact" => schedules::our_exact(),
-            "via" => schedules::via_recipe(),
-            other => return Err(format!("unknown schedule {other} (fast|exact|via)").into()),
-        };
-        let s = schedules::clamp_effective_pitch(&base, nm_per_px, self.max_eff_nm);
-        Ok(schedules::clamp_scales(&s, self.grid, 32))
+    /// The named `--schedule` as the paper states it, before any clamp.
+    fn base_schedule(&self) -> Result<Vec<Stage>, Box<dyn Error>> {
+        match self.schedule.as_str() {
+            "fast" => Ok(schedules::our_fast()),
+            "exact" => Ok(schedules::our_exact()),
+            "via" => Ok(schedules::via_recipe()),
+            other => Err(format!("unknown schedule {other} (fast|exact|via)").into()),
+        }
     }
-}
-
-fn evaluate_and_print(
-    sim: &LithoSimulator,
-    target: &Field2D,
-    mask: &Field2D,
-    tat: std::time::Duration,
-) {
-    let nm = sim.config().nm_per_px;
-    let corners = sim.print_corners(mask);
-    let checker = EpeChecker { nm_per_px: nm, ..EpeChecker::default() };
-    let report = EvalReport::evaluate(
-        target,
-        mask,
-        &corners.nominal,
-        &corners.inner,
-        &corners.outer,
-        &checker,
-        tat,
-    );
-    println!("{report}");
 }
 
 fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let (target, nm) = cli.load_target()?;
     let sim = cli.simulator(nm)?;
-    let schedule = cli.schedule(nm)?;
+    let schedule = schedules::clamp_to_grid(
+        &cli.base_schedule()?,
+        nm,
+        cli.max_eff_nm,
+        cli.grid,
+        sim.config().kernel_size(),
+    );
     println!(
         "optimizing {} px clip at {nm} nm/px with schedule {:?}",
         cli.grid, schedule
@@ -369,7 +335,7 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let result = MultiLevelIlt::new(sim.clone(), cfg).run(&target, &schedule);
     let tat = timer.elapsed();
     println!("ran {} iterations in {:.2} s", result.total_iterations, tat.as_secs_f64());
-    evaluate_and_print(&sim, &target, &result.mask, tat);
+    println!("{}", evaluate_mask(&sim, &target, &result.mask, tat));
 
     let mask_path = format!("{}_mask.pgm", cli.out);
     let wafer_path = format!("{}_wafer.pgm", cli.out);
@@ -438,12 +404,6 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
             None => return Err(format!("bad --seam {blend} (crop or blend:K)").into()),
         },
     };
-    let base = match cli.schedule.as_str() {
-        "fast" => schedules::our_fast(),
-        "exact" => schedules::our_exact(),
-        "via" => schedules::via_recipe(),
-        other => return Err(format!("unknown schedule {other} (fast|exact|via)").into()),
-    };
     let faults = match &cli.inject {
         Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("bad --inject {spec}: {e}"))?,
         None => FaultPlan::none(),
@@ -461,7 +421,7 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
         seam,
         optics: OpticsConfig { num_kernels: cli.kernels, ..OpticsConfig::default() },
         ilt: IltConfig { early_exit_window: Some(15), ..IltConfig::default() },
-        schedule: base,
+        schedule: cli.base_schedule()?,
         max_eff_nm: cli.max_eff_nm,
         timeout: (cli.timeout_s > 0.0).then(|| std::time::Duration::from_secs_f64(cli.timeout_s)),
         max_retries: cli.retries,
@@ -542,16 +502,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let cluster = (cli.cluster || !workers.is_empty()).then(|| ClusterConfig {
         workers,
         heartbeat: std::time::Duration::from_millis(cli.heartbeat_ms.max(10)),
-        heartbeat_failures: cli.heartbeat_failures.max(1),
-        cancel_grace: std::time::Duration::from_secs_f64(cli.cancel_grace_s.max(0.1)),
-        max_inflight_per_worker: cli.max_inflight.max(1),
-        max_shard_attempts: cli.max_shard_attempts,
-        breaker: multilevel_ilt::cluster::BreakerConfig {
-            threshold: cli.breaker_failures.max(1),
-            base: std::time::Duration::from_millis(cli.breaker_base_ms.max(1)),
-            cap: std::time::Duration::from_millis(cli.breaker_cap_ms.max(1)),
-            ..multilevel_ilt::cluster::BreakerConfig::default()
-        },
         speculate_factor: cli.speculate_factor.max(0.0),
         speculate_min_samples: cli.speculate_after.max(1),
         ..ClusterConfig::default()
@@ -680,7 +630,7 @@ fn cmd_evaluate(cli: &Cli) -> Result<(), Box<dyn Error>> {
         .into());
     }
     let sim = cli.simulator(nm)?;
-    evaluate_and_print(&sim, &target, &mask, std::time::Duration::ZERO);
+    println!("{}", evaluate_mask(&sim, &target, &mask, std::time::Duration::ZERO));
     Ok(())
 }
 
@@ -745,7 +695,7 @@ fn cmd_kernels(cli: &Cli) -> Result<(), Box<dyn Error>> {
 /// (schema `ilt-bench/v2`) per workload into `--out`; `diff` compares a
 /// fresh run directory against the checked-in baselines in `--baselines`
 /// and exits non-zero past each workload's regression threshold. Entirely
-/// std-only: no Criterion, no python, no network.
+/// std-only: no python, no network.
 fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
     use multilevel_ilt::perf::{
         diff_dirs, env_stamp, select, BenchResult, MeasureConfig, Selection,
@@ -834,6 +784,21 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
     }
 }
 
+/// The paper's tables and figures: `ilt tables <selector>...` over
+/// [`multilevel_ilt::perf::tables`].
+fn cmd_tables(cli: &Cli) -> Result<(), Box<dyn Error>> {
+    use multilevel_ilt::perf::{tables, MeasureConfig};
+    let config = tables::TablesConfig {
+        grid: cli.grid,
+        kernels: cli.kernels,
+        max_eff_nm: cli.max_eff_nm,
+        case: cli.case,
+        measure: MeasureConfig { smoke: cli.smoke, reps: cli.reps.max(1) },
+        out: cli.out_flag.clone().unwrap_or_else(|| "bench-out/tables".into()).into(),
+    };
+    tables::run(&cli.cases, &config, &mut std::io::stdout().lock())
+}
+
 fn main() {
     let (command, cli) = match Cli::parse(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
@@ -851,8 +816,9 @@ fn main() {
         "fracture" => cmd_fracture(&cli),
         "kernels" => cmd_kernels(&cli),
         "bench" => cmd_bench(&cli),
+        "tables" => cmd_tables(&cli),
         other => Err(format!(
-            "unknown command {other} (run|batch|serve|worker|evaluate|fracture|kernels|bench)"
+            "unknown command {other} (run|batch|serve|worker|evaluate|fracture|kernels|bench|tables)"
         )
         .into()),
     };

@@ -69,8 +69,8 @@ pub mod prelude {
         KernelSet, LithoSimulator, OpticsConfig, ProcessCondition, SourceSpec,
     };
     pub use ilt_runtime::{
-        run_batch, run_batch_resume, BatchCase, BatchConfig, FaultPlan, RunReport, SeamPolicy,
-        SimulatorCache,
+        evaluate_mask, run_batch, run_batch_resume, BatchCase, BatchConfig, FaultPlan, RunReport,
+        SeamPolicy, SimulatorCache,
     };
     pub use ilt_cluster::{ClusterConfig, Worker, WorkerConfig};
     pub use ilt_server::{Server, ServerConfig};

@@ -100,16 +100,8 @@ fn eval_report_fields_are_consistent() {
     let result = MultiLevelIlt::new(sim.clone(), IltConfig::default())
         .run(&target, &[Stage::low_res(2, 8)]);
     let corners = sim.print_corners(&result.mask);
-    let checker = EpeChecker { nm_per_px: 8.0, ..EpeChecker::default() };
-    let report = EvalReport::evaluate(
-        &target,
-        &result.mask,
-        &corners.nominal,
-        &corners.inner,
-        &corners.outer,
-        &checker,
-        std::time::Duration::from_secs(1),
-    );
+    let report =
+        evaluate_mask(&sim, &target, &result.mask, std::time::Duration::from_secs(1));
     assert_eq!(report.shots, shot_count(&result.mask));
     assert_eq!(
         report.l2_nm2,

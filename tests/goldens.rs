@@ -21,20 +21,7 @@ const GRID: usize = 256;
 type Golden = (u64, u64, u64, u64);
 
 fn measure(sim: &Arc<LithoSimulator>, target: &Field2D, mask: &Field2D) -> Golden {
-    let checker = EpeChecker {
-        nm_per_px: sim.config().nm_per_px,
-        ..EpeChecker::default()
-    };
-    let c = sim.print_corners(mask);
-    let report = EvalReport::evaluate(
-        target,
-        mask,
-        &c.nominal,
-        &c.inner,
-        &c.outer,
-        &checker,
-        Duration::ZERO,
-    );
+    let report = evaluate_mask(sim, target, mask, Duration::ZERO);
     assert_eq!(
         report.l2_nm2.fract(),
         0.0,

@@ -141,22 +141,23 @@ fn early_exit_bounds_iterations() {
     assert_eq!(result.total_iterations, 16, "15-iteration window plus the first");
 }
 
-/// Table I's qualitative ordering: downsampled masks are simpler. The
-/// high-res (downsampling) variant must produce no more shots than
-/// conventional full-resolution ILT under the same budget.
+/// Table I's qualitative ordering, through the runner `ilt tables table1`
+/// itself uses, on the table's own clip: downsampled masks are simpler, and
+/// the no-downsampling mask has the most shots of the three variants (the
+/// paper calls its complexity unacceptable). Ten iterations already separate
+/// them (41 / 39 / 87; the table's 100 iterations: 93 / 189 / 450). Counts
+/// only — wall-clock ratios are not asserted.
 #[test]
 fn downsampling_simplifies_masks() {
-    let s = sim(128, 4.0, 4);
-    let target = bar_target(128);
-    let full = MultiLevelIlt::new(s.clone(), IltConfig::default())
-        .run(&target, &[Stage::low_res(1, 12)]);
-    let down = MultiLevelIlt::new(s.clone(), IltConfig::default())
-        .run(&target, &[Stage::high_res(2, 12)]);
+    let s = sim(256, 8.0, 4);
+    let target = iccad2013_case(1).rasterize(256);
+    // 8 nm pixels under a 16 nm ceiling: the paper's s = 4 clamps to s = 2.
+    let (scale, rows) = multilevel_ilt::perf::tables::table1_variants(&s, &target, 16.0, 10);
+    assert_eq!(scale, 2);
+    let shots: Vec<usize> = rows.iter().map(|(_, report)| report.shots).collect();
     assert!(
-        shot_count(&down.mask) <= shot_count(&full.mask),
-        "downsampled mask must be simpler: {} vs {}",
-        shot_count(&down.mask),
-        shot_count(&full.mask)
+        shots[0] < shots[2] && shots[1] < shots[2],
+        "no-downsampling must have the most shots (low-res / high-res / none): {shots:?}"
     );
 }
 
