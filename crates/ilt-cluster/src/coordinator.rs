@@ -687,7 +687,7 @@ impl Coordinator {
             }
         }
 
-        let (status, response_body) = parse_response(raw).map_err(ShardError::Retry)?;
+        let (status, _, response_body) = parse_response(raw).map_err(ShardError::Retry)?;
         if status != 200 {
             let reason = format!(
                 "worker {} refused shard {sid}: HTTP {status} {}",

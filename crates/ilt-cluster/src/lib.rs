@@ -6,10 +6,11 @@
 //! - [`transport`] — the std-only HTTP/1.1 parser/writer and keep-alive
 //!   connection loop shared by the job service and the worker (extracted
 //!   from `ilt-server` so both speak the identical wire dialect).
-//! - [`params`] — the validated job specification ([`JobParams`]) whose
-//!   query serialization doubles as the dispatch format: every process
-//!   plans the job through the same code path, which is what makes
-//!   sharded output byte-identical to single-process output.
+//! - [`params`] — the one job description ([`JobParams`]): every route —
+//!   command line, `POST /v1/jobs`, state log, shard dispatch — decodes
+//!   through [`JobParams::from_pairs`] and plans through
+//!   [`JobParams::plan`], which is what makes sharded, served and batch
+//!   output byte-identical.
 //! - [`wire`] — the shard dispatch/result codec (JSON Lines over HTTP,
 //!   masks as hash-verified base64 PGM).
 //! - [`worker`] — the `ilt worker` service: executes designated tile

@@ -1,19 +1,20 @@
-//! Job parameterization shared by the coordinator, the job service, and
-//! the cluster worker.
+//! The one description of an ILT job, whatever route it arrives by.
 //!
-//! [`JobParams`] is the single validated description of one ILT job: it is
-//! decoded from a `POST /v1/jobs` submission, serialized back to the query
-//! syntax for the state log ([`JobParams::to_query`]), and shipped over the
-//! wire verbatim when the coordinator dispatches tile shards to workers —
-//! every process re-derives identical [`BatchCase`]/[`BatchConfig`] inputs
-//! via [`JobParams::plan`], which is what makes sharded output byte-equal
-//! to a single-process run.
+//! [`JobParams`] is decoded and validated by exactly one function,
+//! [`JobParams::from_pairs`], from `key=value` pairs plus an optional inline
+//! PGM: the `ilt` command line hands it its job flags as the query keys
+//! they are, `POST /v1/jobs` its query string and body
+//! ([`JobParams::from_request`]), the state log and the shard wire the
+//! string [`JobParams::to_query`] wrote ([`JobParams::from_saved`]). Exactly
+//! one function, [`JobParams::plan`], turns a description into the batch
+//! engine's [`BatchCase`]/[`BatchConfig`], so every process derives the same
+//! inputs and a mask is byte-equal whichever route its job took.
 
 use ilt_core::{schedules, IltConfig, Stage};
 use ilt_field::{parse_pgm, Field2D};
-use ilt_layouts::{extended_case, iccad2013_case, via_pattern};
+use ilt_layouts::{m1_case, via_pattern};
 use ilt_optics::OpticsConfig;
-use ilt_runtime::{BatchCase, BatchConfig, FaultPlan, SeamPolicy};
+use ilt_runtime::{planned_jobs, BatchCase, BatchConfig, FaultPlan, SeamPolicy};
 
 use crate::transport::Request;
 
@@ -53,11 +54,9 @@ impl Default for ExecPolicy {
     }
 }
 
-/// A fully validated job specification, decoded from one `POST /v1/jobs`.
-///
-/// Defaults mirror the `ilt batch` CLI exactly, so a served job with no
-/// overrides produces a mask byte-identical to the batch command for the
-/// same case (which `verify_server.sh` asserts).
+/// A fully validated job specification. Every default is the one
+/// [`JobParams::from_pairs`] applies to a key that was not sent; no caller
+/// keeps a second copy.
 #[derive(Clone, Debug)]
 pub struct JobParams {
     /// Target geometry.
@@ -132,32 +131,48 @@ pub fn query_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-fn parse_num<T: std::str::FromStr>(req: &Request, key: &str, default: T) -> Result<T, String> {
-    match req.query_param(key) {
+/// The value of the first pair named `key`.
+fn lookup<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
+    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+}
+
+fn num<T: std::str::FromStr>(
+    pairs: &[(String, String)],
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match lookup(pairs, key) {
         None => Ok(default),
         Some(raw) => raw.parse().map_err(|_| format!("bad {key}={raw:?}")),
     }
 }
 
 impl JobParams {
-    /// Decodes and validates a submission request (query parameters plus an
-    /// optional inline PGM body).
+    /// Decodes and validates one job: `pairs` are its `key=value` settings
+    /// (first occurrence of a key wins, unknown keys are ignored), `body`
+    /// an inline PGM target or empty. Keys: exactly one source — `case`
+    /// (`N` or `caseN`), `via` (`SEED` or `viaSEED`) or a non-empty `body`
+    /// — then `name grid clip_nm kernels tile halo seam schedule iters
+    /// max_eff_nm threads timeout_s retries eval inject`.
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first invalid parameter; the
-    /// handler maps it to `400 Bad Request`.
-    pub fn from_request(req: &Request, policy: &ExecPolicy) -> Result<JobParams, String> {
-        let source = match (req.query_param("case"), req.query_param("via"), req.body.is_empty()) {
+    /// A message describing the first invalid setting; the HTTP handler
+    /// maps it to `400 Bad Request`, the command line prints it.
+    pub fn from_pairs(
+        pairs: &[(String, String)],
+        body: &[u8],
+        policy: &ExecPolicy,
+    ) -> Result<JobParams, String> {
+        let get = |key| lookup(pairs, key);
+        let source = match (get("case"), get("via"), body.is_empty()) {
             (Some(c), None, true) => {
                 let id: usize = c
                     .strip_prefix("case")
                     .unwrap_or(c)
                     .parse()
                     .map_err(|_| format!("bad case={c:?}"))?;
-                if !(1..=20).contains(&id) {
-                    return Err(format!("case ids are 1..=10 (ICCAD) or 11..=20 (extended), got {id}"));
-                }
+                m1_case(id)?; // the id range lives beside the generators
                 JobSource::Case(id)
             }
             (None, Some(v), true) => {
@@ -169,7 +184,7 @@ impl JobParams {
                 JobSource::Via(seed)
             }
             (None, None, false) => {
-                let img = parse_pgm(&req.body).map_err(|e| format!("bad PGM body: {e}"))?;
+                let img = parse_pgm(body).map_err(|e| format!("bad PGM body: {e}"))?;
                 let (rows, cols) = img.shape();
                 if rows != cols || !rows.is_power_of_two() {
                     return Err(format!(
@@ -179,12 +194,12 @@ impl JobParams {
                 JobSource::Inline(img.threshold(0.5))
             }
             (None, None, true) => {
-                return Err("submit one of ?case=N, ?via=SEED, or an inline PGM body".into())
+                return Err("give one of case=N, via=SEED, or an inline PGM target".into())
             }
-            _ => return Err("pass exactly one of ?case, ?via, or an inline PGM body".into()),
+            _ => return Err("give exactly one of case, via, or an inline PGM target".into()),
         };
 
-        let name = match req.query_param("name") {
+        let name = match get("name") {
             Some(n) if !n.is_empty() => n.to_string(),
             _ => match &source {
                 JobSource::Case(id) => format!("case{id}"),
@@ -193,51 +208,42 @@ impl JobParams {
             },
         };
 
-        let grid: usize = parse_num(req, "grid", 512)?;
+        let grid: usize = num(pairs, "grid", 512)?;
         if !grid.is_power_of_two() || !(32..=4096).contains(&grid) {
             return Err(format!("grid must be a power of two in 32..=4096, got {grid}"));
         }
-        let clip_nm: f64 = parse_num(req, "clip_nm", 2048.0)?;
+        let clip_nm: f64 = num(pairs, "clip_nm", 2048.0)?;
         if !(clip_nm > 0.0) {
             return Err(format!("clip_nm must be positive, got {clip_nm}"));
         }
-        let kernels: usize = parse_num(req, "kernels", 10)?;
+        let kernels: usize = num(pairs, "kernels", 10)?;
         if !(1..=50).contains(&kernels) {
             return Err(format!("kernels must be in 1..=50, got {kernels}"));
         }
-        let tile: usize = parse_num(req, "tile", 512)?;
-        let halo: usize = parse_num(req, "halo", 64)?;
-        let seam = match req.query_param("seam").unwrap_or("crop") {
+        let seam = match get("seam").unwrap_or("crop") {
             "crop" => SeamPolicy::Crop,
             other => match other.strip_prefix("blend:").and_then(|b| b.parse::<usize>().ok()) {
                 Some(band) => SeamPolicy::Blend { band },
                 None => return Err(format!("bad seam={other:?} (crop or blend:K)")),
             },
         };
-        let schedule = req.query_param("schedule").unwrap_or("fast").to_string();
+        let schedule = get("schedule").unwrap_or("fast").to_string();
         if !matches!(schedule.as_str(), "fast" | "exact" | "via") {
             return Err(format!("unknown schedule {schedule:?} (fast|exact|via)"));
         }
-        let iters = match req.query_param("iters") {
+        let iters = match get("iters") {
             None => None,
-            Some(raw) => {
-                let n: usize = raw.parse().map_err(|_| format!("bad iters={raw:?}"))?;
-                if !(1..=10_000).contains(&n) {
-                    return Err(format!("iters must be in 1..=10000, got {n}"));
-                }
-                Some(n)
-            }
+            Some(raw) => match raw.parse::<usize>() {
+                Ok(n) if (1..=10_000).contains(&n) => Some(n),
+                _ => return Err(format!("iters must be in 1..=10000, got {raw:?}")),
+            },
         };
-        let max_eff_nm: f64 = parse_num(req, "max_eff_nm", 8.0)?;
-        let threads = parse_num(req, "threads", 1usize)?.clamp(1, policy.max_threads_per_job.max(1));
-        let timeout_s: f64 = parse_num(req, "timeout_s", policy.default_timeout_s)?;
-        let retries: u32 = parse_num(req, "retries", policy.default_retries)?.min(10);
-        let evaluate = match req.query_param("eval").unwrap_or("1") {
+        let evaluate = match get("eval").unwrap_or("1") {
             "1" | "true" => true,
             "0" | "false" => false,
             other => return Err(format!("bad eval={other:?} (0 or 1)")),
         };
-        let faults = match req.query_param("inject") {
+        let faults = match get("inject") {
             None => FaultPlan::none(),
             Some(_) if !policy.allow_inject => {
                 return Err("fault injection is disabled (start the server with --allow-inject)"
@@ -252,22 +258,33 @@ impl JobParams {
             grid,
             clip_nm,
             kernels,
-            tile,
-            halo,
+            tile: num(pairs, "tile", 512)?,
+            halo: num(pairs, "halo", 64)?,
             seam,
             schedule,
             iters,
-            max_eff_nm,
-            threads,
-            timeout_s,
-            retries,
+            max_eff_nm: num(pairs, "max_eff_nm", 8.0)?,
+            threads: num(pairs, "threads", 1usize)?
+                .clamp(1, policy.max_threads_per_job.max(1)),
+            timeout_s: num(pairs, "timeout_s", policy.default_timeout_s)?,
+            retries: num(pairs, "retries", policy.default_retries)?.min(10),
             evaluate,
             faults,
         })
     }
 
+    /// [`JobParams::from_pairs`] on a submission's query parameters and
+    /// body.
+    ///
+    /// # Errors
+    ///
+    /// Same messages as [`JobParams::from_pairs`].
+    pub fn from_request(req: &Request, policy: &ExecPolicy) -> Result<JobParams, String> {
+        JobParams::from_pairs(&req.query, &req.body, policy)
+    }
+
     /// Serializes the parameters back into the query string
-    /// [`JobParams::from_request`] parses — the persistence format of the
+    /// [`JobParams::from_saved`] parses — the persistence format of the
     /// state log and the dispatch format of the cluster wire protocol.
     /// Inline targets are carried separately (as a PGM file or body).
     pub fn to_query(&self) -> String {
@@ -308,49 +325,46 @@ impl JobParams {
         q
     }
 
-    /// Reconstructs parameters from a persisted query string (plus the
-    /// saved target raster for inline jobs), re-using the full request
-    /// validation path.
+    /// [`JobParams::from_pairs`] on a string [`JobParams::to_query`] wrote
+    /// (plus the saved target raster for inline jobs).
     ///
     /// # Errors
     ///
-    /// Same messages as [`JobParams::from_request`].
+    /// Same messages as [`JobParams::from_pairs`].
     pub fn from_saved(
         query: &str,
         body: Vec<u8>,
         policy: &ExecPolicy,
     ) -> Result<JobParams, String> {
-        let req = Request {
-            method: "POST".into(),
-            path: "/v1/jobs".into(),
-            query: query
-                .split('&')
-                .filter(|p| !p.is_empty())
-                .map(|p| {
-                    let (k, v) = p.split_once('=').unwrap_or((p, ""));
-                    (k.to_string(), query_decode(v))
-                })
-                .collect(),
-            headers: Vec::new(),
-            body,
-        };
+        let pairs: Vec<(String, String)> = query
+            .split('&')
+            .filter(|p| !p.is_empty())
+            .map(|p| {
+                let (k, v) = p.split_once('=').unwrap_or((p, ""));
+                (k.to_string(), query_decode(v))
+            })
+            .collect();
         // Recovery must replay faults even on a locked-down restart; the
         // original submission already passed the gate.
         let relaxed = ExecPolicy { allow_inject: true, ..*policy };
-        JobParams::from_request(&req, &relaxed)
+        JobParams::from_pairs(&pairs, &body, &relaxed)
     }
 
-    /// Materializes the batch-engine inputs. Mirrors `ilt batch` exactly:
-    /// same optics template, same `IltConfig`, same schedule lookup.
+    /// The one place a description becomes batch-engine inputs: rasterizes
+    /// the target, looks the schedule up, fills the [`BatchConfig`] (optics
+    /// template, `IltConfig`, tiling, retry policy, fault plan) and checks
+    /// that the tile geometry can be planned. What is not part of a job
+    /// (`degrade`, `checkpoint`, cancel token, progress counter) keeps its
+    /// default for the caller to set.
     ///
     /// # Errors
     ///
-    /// Currently none beyond construction; kept fallible for future
-    /// validation that needs the rasterized target.
+    /// What [`planned_jobs`] rejects: a tile size that is not a power of
+    /// two, a halo that leaves no core.
     pub fn plan(&self) -> Result<(BatchCase, BatchConfig), String> {
         let (target, nm_per_px) = match &self.source {
             JobSource::Case(id) => {
-                let layout = if *id <= 10 { iccad2013_case(*id) } else { extended_case(*id) };
+                let layout = m1_case(*id)?;
                 (layout.rasterize(self.grid), layout.nm_per_px(self.grid))
             }
             JobSource::Via(seed) => {
@@ -389,6 +403,7 @@ impl JobParams {
             faults: self.faults.clone(),
             ..BatchConfig::default()
         };
+        planned_jobs(&case, &config)?;
         Ok((case, config))
     }
 }

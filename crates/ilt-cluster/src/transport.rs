@@ -692,7 +692,7 @@ pub fn request(
     // A read error after a complete response (reset, timeout on a peer that
     // never closes) still leaves that response parseable.
     let _ = stream.read_to_end(&mut raw);
-    parse_response(raw)
+    parse_response(raw).map(|(status, _, body)| (status, body))
 }
 
 pub(crate) fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
@@ -730,22 +730,34 @@ pub(crate) fn write_request(
         .map_err(|e| format!("cannot send request: {e}"))
 }
 
-/// Minimal HTTP/1.1 response parse: status code + body. Servers here always
-/// answer `connection: close`, so the caller reads to EOF first and hands
-/// the buffer over; the body is split off it, not copied.
-pub(crate) fn parse_response(mut raw: Vec<u8>) -> Result<(u16, Vec<u8>), String> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or("truncated response head")?;
+/// The workspace's one HTTP/1.1 response parser: status code, header
+/// `(name, value)` pairs with names lower-cased, and everything after the
+/// head as the body — split off `raw`, not copied. A caller that read to
+/// EOF gets the whole body; a keep-alive reader hands over what it has and
+/// frames the rest by `content-length`.
+///
+/// # Errors
+///
+/// A message for a missing head terminator, a non-UTF-8 head or a status
+/// line without a numeric code.
+pub fn parse_response(
+    mut raw: Vec<u8>,
+) -> Result<(u16, Vec<(String, String)>, Vec<u8>), String> {
+    let head_end = find_terminator(&raw).ok_or("truncated response head")?;
+    let body = raw.split_off(head_end + 4);
     let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "non-utf8 response head")?;
-    let status_line = head.lines().next().unwrap_or("");
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or("");
     let status: u16 = status_line
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    Ok((status, raw.split_off(head_end + 4)))
+    let headers = lines
+        .filter_map(|l| l.split_once(':'))
+        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
+        .collect();
+    Ok((status, headers, body))
 }
 
 #[cfg(test)]
@@ -759,10 +771,15 @@ mod tests {
 
     #[test]
     fn response_parse_extracts_status_and_body() {
-        let raw = b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\n\r\nhello";
-        let (status, body) = parse_response(raw.to_vec()).unwrap();
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nx-empty:\r\n\r\nhello";
+        let (status, headers, body) = parse_response(raw.to_vec()).unwrap();
         assert_eq!(status, 200);
+        assert_eq!(
+            headers,
+            [("content-type".to_string(), "text/plain".to_string()), ("x-empty".into(), "".into())]
+        );
         assert_eq!(body, b"hello");
+        assert!(parse_response(b"HTTP/1.1 OK\r\n\r\n".to_vec()).is_err());
         assert!(parse_response(b"HTTP/1.1 200".to_vec()).is_err());
     }
 

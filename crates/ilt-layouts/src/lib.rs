@@ -8,6 +8,8 @@
 //!   Table IV,
 //! * [`via_pattern`] — random via clips for the Section IV-C study.
 //!
+//! [`m1_case`] maps a case id 1..=20 onto the first two families.
+//!
 //! Layouts are rectangle lists in nm ([`Layout`]) rasterizable onto any
 //! grid size, so the same case can be run at the paper's full 2048-pixel
 //! resolution or at reduced scale on small machines.
@@ -33,7 +35,7 @@ mod via;
 pub use layout::{Layout, NmRect};
 pub use rng::Xorshift64Star;
 pub use m1::{
-    extended_case, extended_suite, iccad2013_case, iccad2013_suite, CLIP_NM, EXTENDED_AREAS,
-    ICCAD2013_AREAS,
+    extended_case, extended_suite, iccad2013_case, iccad2013_suite, m1_case, CLIP_NM,
+    EXTENDED_AREAS, ICCAD2013_AREAS,
 };
 pub use via::{via_pattern, via_pattern_with, via_suite, ViaPatternConfig};

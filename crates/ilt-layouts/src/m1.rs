@@ -69,6 +69,21 @@ pub fn extended_case(id: usize) -> Layout {
     synth_case(format!("case{id}"), EXTENDED_AREAS[id - 11], id as u64 * 31 + 7)
 }
 
+/// Benchmark clip `id` of either family: [`iccad2013_case`] for 1..=10,
+/// [`extended_case`] for 11..=20 — the one place a case id from a command
+/// line, a query string or a table selector becomes a layout.
+///
+/// # Errors
+///
+/// A message naming the valid ranges for any other id.
+pub fn m1_case(id: usize) -> Result<Layout, String> {
+    match id {
+        1..=10 => Ok(iccad2013_case(id)),
+        11..=20 => Ok(extended_case(id)),
+        _ => Err(format!("case ids are 1..=10 (ICCAD) or 11..=20 (extended), got {id}")),
+    }
+}
+
 /// All ten ICCAD 2013 cases in order.
 pub fn iccad2013_suite() -> Vec<Layout> {
     (1..=10).map(iccad2013_case).collect()
@@ -247,6 +262,15 @@ mod tests {
             let px_area = img.count_on() as f64 * layout.nm_per_px(grid).powi(2);
             let rel = (px_area - layout.area_nm2() as f64).abs() / layout.area_nm2() as f64;
             assert!(rel < 0.08, "grid {grid}: relative area error {rel}");
+        }
+    }
+
+    #[test]
+    fn m1_case_spans_both_families_and_rejects_the_rest() {
+        assert_eq!(m1_case(3).unwrap(), iccad2013_case(3));
+        assert_eq!(m1_case(17).unwrap(), extended_case(17));
+        for id in [0, 21, 999] {
+            assert!(m1_case(id).unwrap_err().contains("case ids are 1..=10"), "{id}");
         }
     }
 

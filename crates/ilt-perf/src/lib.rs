@@ -2,7 +2,9 @@
 //!
 //! Rebar-style perf coverage (`BurntSushi/rebar`, METHODOLOGY.md): many
 //! small, easy-to-add workloads spanning **every** performance-critical
-//! layer, because speeding up one path routinely slows another. The crate
+//! compute layer, because speeding up one path routinely slows another
+//! (the serving path has its one measurement in `benchmark/`'s
+//! `serve_small`; this crate depends on neither service crate). The crate
 //! is hermetic and std-only — it runs on the same disconnected machines as
 //! tier-1 and needs no python and no registry crates.
 //!
@@ -14,12 +16,10 @@
 //! The barometer is three pieces:
 //!
 //! - **Registry** ([`registry`]): a flat list of [`Workload`]s — name,
-//!   tags, units, regression threshold, and a run function. Seven families
+//!   tags, units, regression threshold, and a run function. Five families
 //!   ship in-tree: FFT variants, simulator aerial/vjp, autodiff backward,
-//!   one optimizer step of each Algorithm 1 branch, the tiled runtime
-//!   pipeline, HTTP server throughput (keep-alive +
-//!   cancellation mixed in, over the shared `ilt_server::harness`
-//!   loopback client), and cluster shard dispatch/assembly.
+//!   one optimizer step of each Algorithm 1 branch, and the tiled runtime
+//!   pipeline.
 //! - **Measurement engine** ([`measure`]): one untimed warmup, then
 //!   median-of-N wall times with MAD dispersion, stamped with the
 //!   environment (git revision, hardware thread count) so a checked-in

@@ -20,7 +20,7 @@ pub struct Workload {
     pub units: &'static str,
     /// Allowed fractional slowdown vs. the checked-in baseline before
     /// `diff` reports a regression (0.5 = fail past 1.5x). Noisier
-    /// workloads (socket round trips, thread pools) get wider thresholds.
+    /// workloads (thread pools) get wider thresholds.
     pub threshold: f64,
     /// One-line description for `ilt bench list`.
     pub notes: &'static str,
@@ -30,7 +30,9 @@ pub struct Workload {
     pub run: fn(&MeasureConfig) -> Result<Sample, PerfError>,
 }
 
-/// Every workload the barometer ships, covering each layer of the stack.
+/// Every workload the barometer ships: one or more per compute layer, from
+/// the FFT kernels up to the tiled runtime. The serving path is measured
+/// end to end by `benchmark/`'s `serve_small`, not here.
 pub fn registry() -> Vec<Workload> {
     vec![
         Workload {
@@ -121,38 +123,6 @@ pub fn registry() -> Vec<Workload> {
             notes: "tiled batch end-to-end via run_batch: 256 px via clip, 9 tiles, 2 worker threads",
             run: workloads::runtime::tile_pipeline,
         },
-        Workload {
-            name: "server_jobs",
-            tags: &["server"],
-            units: "us_per_op",
-            threshold: 1.0,
-            notes: "loopback HTTP: submit+poll 3 jobs on one keep-alive connection with a cancellation mixed in",
-            run: workloads::server::jobs,
-        },
-        Workload {
-            name: "server_fairness",
-            tags: &["server"],
-            units: "us_per_op",
-            threshold: 1.0,
-            notes: "multi-tenant admission: 3 clients at 3 priority classes submit interleaved and poll to done through the weighted class queues",
-            run: workloads::server::fairness,
-        },
-        Workload {
-            name: "cluster_shard",
-            tags: &["cluster"],
-            units: "us_per_op",
-            threshold: 1.0,
-            notes: "coordinator shard dispatch + reassembly of a 9-tile job across 2 loopback workers",
-            run: workloads::cluster::shard_roundtrip,
-        },
-        Workload {
-            name: "cluster_speculation",
-            tags: &["cluster"],
-            units: "us_per_op",
-            threshold: 1.0,
-            notes: "straggler speculation: one of 2 replicas stalls every shard on the wire; detection + re-execution race, first result wins",
-            run: workloads::cluster::speculation_race,
-        },
     ]
 }
 
@@ -222,7 +192,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate workload names");
-        for family in ["fft", "simulator", "autodiff", "core", "runtime", "server", "cluster"] {
+        for family in ["fft", "simulator", "autodiff", "core", "runtime"] {
             assert!(
                 all.iter().any(|w| w.tags.contains(&family)),
                 "no workload tagged {family}"

@@ -32,7 +32,7 @@ use ilt_core::{
 };
 use ilt_field::{avg_pool_down, write_csv, write_pgm, Field2D};
 use ilt_geom::{component_count, label_components};
-use ilt_layouts::{extended_case, iccad2013_case, via_pattern, Layout};
+use ilt_layouts::{iccad2013_case, m1_case, via_pattern, Layout};
 use ilt_metrics::{pvband, squared_l2, EvalReport, TurnaroundTimer};
 use ilt_optics::{LithoSimulator, OpticsConfig, ProcessCondition};
 use ilt_runtime::{evaluate_mask, SimulatorCache};
@@ -151,8 +151,8 @@ pub fn run(selectors: &[String], cfg: &TablesConfig, w: &mut dyn Write) -> Res {
     if let Some(bad) = selectors.iter().find(|s| !known(s)) {
         return Err(format!("unknown selector {bad} ({names}|all)").into());
     }
-    if cfg.case.is_some_and(|id| !(1..=20).contains(&id)) {
-        return Err("case ids are 1..=10 (ICCAD) or 11..=20 (extended)".into());
+    if let Some(id) = cfg.case {
+        m1_case(id)?;
     }
     std::fs::create_dir_all(&cfg.out)?;
 
@@ -315,7 +315,7 @@ fn suite(
 
     let mut sums = vec![[0.0f64; 5]; methods.len()];
     for &id in &ids {
-        let case = if id <= 10 { iccad2013_case(id) } else { extended_case(id) };
+        let case = m1_case(id)?;
         let (target, sim) = run.clip(&case)?;
         write!(run.w, "| {id} |")?;
         for (m, sum) in methods.iter().zip(&mut sums) {

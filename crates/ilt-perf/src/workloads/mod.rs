@@ -6,11 +6,9 @@
 //! [`crate::measure::Sample`] with descriptive extras attached.
 
 pub mod autodiff;
-pub mod cluster;
 pub mod fft;
 pub mod optimizer;
 pub mod runtime;
-pub mod server;
 pub mod simulator;
 
 use ilt_layouts::Xorshift64Star;

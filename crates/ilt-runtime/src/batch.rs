@@ -19,6 +19,13 @@
 //! restores every job with a durable successful checkpoint, and re-runs
 //! only the rest — producing masks and a journal byte-identical to an
 //! uninterrupted run.
+//!
+//! There is one execution path. [`run_batch`] / [`run_batch_resume`] run
+//! every planned job and then [`assemble_batch`]; [`run_shard`] — the
+//! cluster worker's entry point — runs a subset and returns it un-stitched
+//! for [`assemble_batch`] on the coordinator. Both are the same private
+//! `execute` (plan, restore from the WAL, pool, merge in job-id order), so
+//! a sharded mask equals a local one because the same code made it.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -158,7 +165,7 @@ struct CasePlan {
 
 /// Validates a case's geometry and plans its tile decomposition without
 /// building any job (no window extraction): the shared front half of
-/// [`run_batch_resume`], [`planned_job_list`], and [`assemble_batch`].
+/// `execute`, [`planned_job_list`], [`planned_jobs`] and [`assemble_batch`].
 fn plan_case(case: &BatchCase, config: &BatchConfig, first_job: usize) -> Result<CasePlan, String> {
     let (rows, cols) = case.target.shape();
     if rows != cols || !rows.is_power_of_two() {
@@ -262,23 +269,42 @@ pub fn run_batch_resume(
     cache: &SimulatorCache,
     resume: bool,
 ) -> Result<BatchOutcome, String> {
+    let (ran, total_wall_ms) = execute(cases, config, cache, None, resume)?;
+    let outcome = assemble_batch(cases, config, ran.outputs, cache, total_wall_ms)?;
+    Ok(BatchOutcome { restored_jobs: ran.restored_jobs, ..outcome })
+}
+
+/// The one way jobs run, behind [`run_batch_resume`] (every planned job)
+/// and [`run_shard`] (the `wanted` ids, sorted): plan the cases, keep the
+/// wanted jobs, restore what the checkpoint WAL vouches for, run the rest
+/// on the pool, merge in job-id order. Also returns the pool's wall time,
+/// ms.
+fn execute(
+    cases: &[BatchCase],
+    config: &BatchConfig,
+    cache: &SimulatorCache,
+    wanted: Option<&[usize]>,
+    resume: bool,
+) -> Result<(ShardOutcome, f64), String> {
     if config.threads == 0 {
         return Err("batch needs at least one thread".into());
     }
     let mut jobs = Vec::new();
-    let mut plans = Vec::with_capacity(cases.len());
     for case in cases {
         let plan = plan_case(case, config, jobs.len())?;
         build_case_jobs(case, &plan, config, &mut jobs);
-        plans.push(plan);
     }
-    if let Some(max_target) = config.faults.max_job_id() {
-        if max_target >= jobs.len() {
-            return Err(format!(
-                "fault plan targets job {max_target}, but only {} jobs are planned",
-                jobs.len()
-            ));
+    let planned = jobs.len();
+    let in_plan = |what: &str, max_id: Option<usize>| match max_id {
+        Some(id) if id >= planned => {
+            Err(format!("{what} job {id}, but only {planned} jobs are planned"))
         }
+        _ => Ok(()),
+    };
+    in_plan("shard targets", wanted.and_then(|w| w.last().copied()))?;
+    in_plan("fault plan targets", config.faults.max_job_id())?;
+    if let Some(wanted) = wanted {
+        jobs.retain(|j| wanted.binary_search(&j.id).is_ok());
     }
 
     let fingerprint = config_fingerprint(cases, config);
@@ -296,17 +322,17 @@ pub fn run_batch_resume(
                 loaded.fingerprint
             ));
         }
-        if let Some((&max_id, _)) = loaded.records.last_key_value() {
-            if max_id >= jobs.len() {
-                return Err(format!(
-                    "checkpoint WAL records job {max_id}, but only {} jobs are planned",
-                    jobs.len()
-                ));
-            }
+        // A whole batch owns its checkpoint directory, so a record beyond
+        // the plan is an error; a shard's reused directory may hold records
+        // from a differently-shaped predecessor, which are not its jobs.
+        if wanted.is_none() {
+            in_plan("checkpoint WAL records", loaded.records.keys().next_back().copied())?;
         }
         for (id, rec) in &loaded.records {
-            if let Some(output) = restore_output(dir, rec) {
-                restored.insert(*id, output);
+            if jobs.binary_search_by_key(id, |j| j.id).is_ok() {
+                if let Some(output) = restore_output(dir, rec) {
+                    restored.insert(*id, output);
+                }
             }
         }
     }
@@ -328,30 +354,15 @@ pub fn run_batch_resume(
         cancel: config.cancel.clone(),
         progress: config.progress.clone(),
     };
-    let pending: Vec<IltJob> =
-        jobs.into_iter().filter(|j| !restored.contains_key(&j.id)).collect();
+    jobs.retain(|j| !restored.contains_key(&j.id));
     let restored_jobs = restored.len();
     let started = Instant::now();
-    let fresh = run_jobs_checkpointed(pending, &pool, cache, sink.as_ref());
+    let fresh = run_jobs_checkpointed(jobs, &pool, cache, sink.as_ref());
     let total_wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-    // Merge restored and fresh outputs back into job-id order.
-    let mut outputs: Vec<JobOutput> = restored
-        .into_values()
-        .chain(fresh)
-        .collect();
+    let mut outputs: Vec<JobOutput> = restored.into_values().chain(fresh).collect();
     outputs.sort_by_key(|o| o.record.job_id);
-
-    let mut results = Vec::with_capacity(cases.len());
-    for (case, plan) in cases.iter().zip(&plans) {
-        results.push(assemble_case(case, plan, &outputs, config, cache)?);
-    }
-    let report = RunReport {
-        threads: config.threads,
-        records: outputs.into_iter().map(|o| o.record).collect(),
-        total_wall_ms,
-    };
-    Ok(BatchOutcome { report, cases: results, restored_jobs })
+    Ok((ShardOutcome { outputs, restored_jobs }, total_wall_ms))
 }
 
 /// Materializes a planned case into pool jobs (extracting tile windows),
@@ -408,90 +419,16 @@ pub fn run_shard(
     job_ids: &[usize],
     resume: bool,
 ) -> Result<ShardOutcome, String> {
-    if config.threads == 0 {
-        return Err("shard needs at least one thread".into());
-    }
     if job_ids.is_empty() {
         return Err("shard has no job ids".into());
     }
-    let cases = std::slice::from_ref(case);
-    let plan = plan_case(case, config, 0)?;
-    let mut all_jobs = Vec::with_capacity(plan.jobs);
-    build_case_jobs(case, &plan, config, &mut all_jobs);
     let mut wanted: Vec<usize> = job_ids.to_vec();
     wanted.sort_unstable();
     wanted.dedup();
     if wanted.len() != job_ids.len() {
         return Err("shard job ids contain duplicates".into());
     }
-    if let Some(&max) = wanted.last() {
-        if max >= all_jobs.len() {
-            return Err(format!(
-                "shard targets job {max}, but only {} jobs are planned",
-                all_jobs.len()
-            ));
-        }
-    }
-    if let Some(max_target) = config.faults.max_job_id() {
-        if max_target >= all_jobs.len() {
-            return Err(format!(
-                "fault plan targets job {max_target}, but only {} jobs are planned",
-                all_jobs.len()
-            ));
-        }
-    }
-    let jobs: Vec<IltJob> =
-        all_jobs.into_iter().filter(|j| wanted.binary_search(&j.id).is_ok()).collect();
-
-    let fingerprint = config_fingerprint(cases, config);
-    let mut restored: HashMap<usize, JobOutput> = HashMap::new();
-    if resume {
-        let dir = config
-            .checkpoint
-            .as_deref()
-            .ok_or("resume requires a checkpoint directory")?;
-        let loaded = load_wal(dir)?;
-        if loaded.fingerprint != fingerprint {
-            return Err(format!(
-                "checkpoint fingerprint mismatch: recorded {:016x}, current {fingerprint:016x} — \
-                 resume must use the same case and result-affecting configuration",
-                loaded.fingerprint
-            ));
-        }
-        for (id, rec) in &loaded.records {
-            // Restore only this shard's jobs; a reused checkpoint dir may
-            // hold records from a differently-shaped predecessor shard.
-            if wanted.binary_search(id).is_ok() {
-                if let Some(output) = restore_output(dir, rec) {
-                    restored.insert(*id, output);
-                }
-            }
-        }
-    }
-
-    let sink = match &config.checkpoint {
-        Some(dir) => Some(
-            CheckpointSink::create(dir, fingerprint, jobs.len(), resume, config.faults.clone())
-                .map_err(|e| format!("cannot open checkpoint dir {}: {e}", dir.display()))?,
-        ),
-        None => None,
-    };
-    let pool = PoolConfig {
-        threads: config.threads,
-        timeout: config.timeout,
-        max_retries: config.max_retries,
-        degrade: config.degrade,
-        faults: config.faults.clone(),
-        cancel: config.cancel.clone(),
-        progress: config.progress.clone(),
-    };
-    let pending: Vec<IltJob> =
-        jobs.into_iter().filter(|j| !restored.contains_key(&j.id)).collect();
-    let restored_jobs = restored.len();
-    let fresh = run_jobs_checkpointed(pending, &pool, cache, sink.as_ref());
-    let mut outputs: Vec<JobOutput> = restored.into_values().chain(fresh).collect();
-    outputs.sort_by_key(|o| o.record.job_id);
-    Ok(ShardOutcome { outputs, restored_jobs })
+    execute(std::slice::from_ref(case), config, cache, Some(&wanted), resume).map(|(ran, _)| ran)
 }
 
 /// Reassembles a batch outcome from per-job outputs produced elsewhere
@@ -639,19 +576,7 @@ fn assemble_case(
 /// Rejects the same malformed inputs as [`run_batch`] (non-square or
 /// non-power-of-two target, bad tile geometry).
 pub fn planned_jobs(case: &BatchCase, config: &BatchConfig) -> Result<usize, String> {
-    let (rows, cols) = case.target.shape();
-    if rows != cols || !rows.is_power_of_two() {
-        return Err(format!(
-            "case {}: target must be square power-of-two, got {rows}x{cols}",
-            case.name
-        ));
-    }
-    if rows <= config.tile {
-        return Ok(1);
-    }
-    let grid = TileGrid::new(rows, config.tile, config.halo)
-        .map_err(|e| format!("case {}: {e}", case.name))?;
-    Ok(grid.len())
+    plan_case(case, config, 0).map(|plan| plan.jobs)
 }
 
 #[cfg(test)]

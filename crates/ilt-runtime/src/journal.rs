@@ -14,8 +14,8 @@
 //! Determinism contract: everything in a record except the `*_ms` timing
 //! fields is a pure function of the job's inputs. `RunReport::digest`
 //! collects exactly the deterministic fields, which is what the
-//! `--threads 1` vs `--threads N` equivalence test and `verify_runtime.sh`
-//! compare.
+//! `--threads 1` vs `--threads N` equivalence test
+//! (`tests/batch_determinism.rs`) compares.
 
 use std::fmt;
 use std::io::Write;

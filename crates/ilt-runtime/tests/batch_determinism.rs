@@ -30,20 +30,21 @@ fn config(threads: usize) -> BatchConfig {
     }
 }
 
-/// One tiled M1 clip, run single- and dual-threaded: every deterministic
-/// journal field and every output mask bit must match.
+/// Two tiled M1 clips in one batch, on one thread and on four: every output
+/// mask bit matches, and so does the whole untimed journal — job lines and
+/// the summary line alike, no field stripped.
 #[test]
 fn two_threads_match_one_thread_bit_for_bit() {
     let run = |threads: usize| {
         let cache = SimulatorCache::new();
-        let cases = [m1_case(1, 128)];
+        let cases = [m1_case(1, 128), m1_case(2, 128)];
         run_batch(&cases, &config(threads), &cache).expect("batch runs")
     };
     let serial = run(1);
-    let parallel = run(2);
+    let parallel = run(4);
 
     assert_eq!(serial.report.digest(), parallel.report.digest());
-    assert_eq!(serial.cases.len(), parallel.cases.len());
+    assert_eq!(serial.cases.len(), 2);
     for (a, b) in serial.cases.iter().zip(&parallel.cases) {
         assert_eq!(
             field_hash(&a.mask),
@@ -52,15 +53,9 @@ fn two_threads_match_one_thread_bit_for_bit() {
             a.name
         );
     }
-    // Journals agree line-for-line once the trailing timing fields go.
-    let strip = |jsonl: String| -> Vec<String> {
-        jsonl
-            .lines()
-            .map(|l| l.split("\"sim_ms\"").next().unwrap().to_string())
-            .filter(|l| !l.contains("\"kind\":\"summary\""))
-            .collect()
-    };
-    assert_eq!(strip(serial.report.to_jsonl()), strip(parallel.report.to_jsonl()));
+    let journal = serial.report.to_jsonl_opts(false);
+    assert!(journal.contains("\"kind\":\"summary\""), "{journal}");
+    assert_eq!(journal, parallel.report.to_jsonl_opts(false));
 }
 
 /// Blend stitching must also be thread-count invariant (the accumulation

@@ -1,9 +1,10 @@
 //! Shared loopback harness for integration tests and benchmarks.
 //!
 //! Started life as `tests/util`; promoted into the crate proper so the
-//! `ilt-perf` server workloads and the integration suites drive the exact
-//! same client instead of duplicating it. Everything here panics on
-//! protocol violations — it is a dev tool, not production code.
+//! integration suites and `benchmark/`'s `serve_small` drive the exact
+//! same client instead of duplicating it, and responses are parsed by the
+//! workspace's one parser, `transport::parse_response`. Everything here
+//! panics on protocol violations — it is a dev tool, not production code.
 //!
 //! Two client shapes, matching the two things callers need to exercise:
 //!
@@ -24,9 +25,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ilt_field::Field2D;
-use ilt_runtime::SeamPolicy;
 
-use crate::{JobParams, JobSource, Server, ServerConfig};
+use crate::http::parse_response;
+use crate::{ExecPolicy, JobParams, Server, ServerConfig};
 
 /// One parsed HTTP response.
 pub struct Reply {
@@ -50,20 +51,6 @@ impl Reply {
     }
 }
 
-fn parse_head(head: &str) -> (u16, Vec<(String, String)>) {
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers)
-}
-
 /// One raw exchange on a fresh connection: sends `raw` verbatim, reads the
 /// response to EOF. The request must make the server close the connection
 /// (send `Connection: close`, or be malformed — errors always close).
@@ -73,13 +60,8 @@ pub fn exchange(addr: SocketAddr, raw: &[u8]) -> Reply {
     stream.write_all(raw).expect("send request");
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("read response");
-    let split = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response head terminator");
-    let head = String::from_utf8(response[..split].to_vec()).expect("utf8 head");
-    let (status, headers) = parse_head(&head);
-    Reply { status, headers, body: response[split + 4..].to_vec() }
+    let (status, headers, body) = parse_response(response).expect("response head");
+    Reply { status, headers, body }
 }
 
 /// `GET path` on a fresh close-delimited connection.
@@ -166,42 +148,33 @@ impl Conn {
 
     /// Reads one `Content-Length`-framed response from the connection.
     pub fn read_reply(&mut self) -> io::Result<Reply> {
-        let split = loop {
-            if let Some(p) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break p;
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed before a full response head",
-                ));
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8(self.buf[..split].to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 head"))?;
-        let (status, headers) = parse_head(&head);
+        while !self.buf.windows(4).any(|w| w == b"\r\n\r\n") {
+            self.fill("connection closed before a full response head")?;
+        }
+        let (status, headers, rest) = parse_response(std::mem::take(&mut self.buf))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        self.buf = rest;
         let len: usize = headers
             .iter()
             .find(|(n, _)| n == "content-length")
             .and_then(|(_, v)| v.parse().ok())
             .expect("server responses always carry content-length");
-        self.buf.drain(..split + 4);
         while self.buf.len() < len {
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ));
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
+            self.fill("connection closed mid-body")?;
         }
         let body: Vec<u8> = self.buf.drain(..len).collect();
         Ok(Reply { status, headers, body })
+    }
+
+    /// Appends one read's worth of bytes to the buffer; EOF is `eof`.
+    fn fill(&mut self, eof: &'static str) -> io::Result<()> {
+        let mut chunk = [0u8; 4096];
+        let n = self.stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, eof));
+        }
+        self.buf.extend_from_slice(&chunk[..n]);
+        Ok(())
     }
 
     /// Reads one byte, expecting the server to have closed the connection
@@ -244,31 +217,16 @@ pub fn tiny_pgm() -> Vec<u8> {
 /// Query params for a job small enough to finish in well under a second.
 pub const FAST_JOB: &str = "clip_nm=512&kernels=3&iters=2";
 
-/// The [`JobParams`] equivalent of [`FAST_JOB`] for an inline target.
+/// The [`JobParams`] a server decodes from `POST /v1/jobs?`[`FAST_JOB`]
+/// with `target` as the body.
 pub fn fast_params(target: Field2D) -> JobParams {
-    JobParams {
-        source: JobSource::Inline(target),
-        name: "inline".into(),
-        grid: 512,
-        clip_nm: 512.0,
-        kernels: 3,
-        tile: 512,
-        halo: 64,
-        seam: SeamPolicy::Crop,
-        schedule: "fast".into(),
-        iters: Some(2),
-        max_eff_nm: 8.0,
-        threads: 1,
-        timeout_s: 0.0,
-        retries: 1,
-        evaluate: true,
-        faults: ilt_runtime::FaultPlan::none(),
-    }
+    let pgm = ilt_field::pgm_bytes(&target, 0.0, 1.0);
+    JobParams::from_saved(FAST_JOB, pgm, &ExecPolicy::default()).expect("FAST_JOB decodes")
 }
 
 /// Parses the job id out of a submit reply's `Location: /v1/jobs/{id}`
-/// header. Shared by the integration suites and the `ilt-perf` server
-/// workloads so every client agrees on where the id lives.
+/// header. Shared by the integration suites and the repo benchmark so
+/// every client agrees on where the id lives.
 pub fn job_id(reply: &Reply) -> Result<usize, String> {
     let loc = reply.header("location").ok_or("submit reply lacks a Location header")?;
     loc.rsplit('/').next().and_then(|s| s.parse().ok()).ok_or(format!("bad Location {loc}"))

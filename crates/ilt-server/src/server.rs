@@ -148,9 +148,9 @@ impl Server {
             None => None,
         };
         let (mut store, recovered) = match &config.state_dir {
-            None => (JobStore::new(config.queue_cap), RecoveryStats::default()),
+            None => (JobStore::new(config.queue_cap, None), RecoveryStats::default()),
             Some(dir) => {
-                let state = StateLog::open_with_compaction(dir, config.compact_state_bytes)?;
+                let state = StateLog::open(dir, config.compact_state_bytes)?;
                 JobStore::recover(config.queue_cap, state, &config.policy)
                     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
             }
@@ -647,7 +647,7 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
             return Response::error(400, &why);
         }
     };
-    match shared.store.submit_persisted_as(&params, case, config, admission) {
+    match shared.store.submit(Some(&params), case, config, admission) {
         Ok(id) => {
             shared.metrics.accepted.inc();
             Response::json(

@@ -292,24 +292,14 @@ pub struct StateLog {
 
 impl StateLog {
     /// Opens (creating if needed) the state log in `dir`, appending to any
-    /// existing log so recovery and continuation share one file. Compaction
-    /// is disabled; see [`StateLog::open_with_compaction`].
+    /// existing log so recovery and continuation share one file. Once the
+    /// log exceeds `compact_bytes` bytes, the next terminal transition
+    /// folds it into a snapshot; `0` disables compaction.
     ///
     /// # Errors
     ///
     /// Propagates directory/file creation failures.
-    pub fn open(dir: &Path) -> std::io::Result<StateLog> {
-        Self::open_with_compaction(dir, 0)
-    }
-
-    /// [`StateLog::open`] with a compaction threshold: once the log exceeds
-    /// `compact_bytes` bytes, the next terminal transition folds it into a
-    /// snapshot. `0` disables compaction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory/file creation failures.
-    pub fn open_with_compaction(dir: &Path, compact_bytes: u64) -> std::io::Result<StateLog> {
+    pub fn open(dir: &Path, compact_bytes: u64) -> std::io::Result<StateLog> {
         std::fs::create_dir_all(dir)?;
         Ok(StateLog {
             dir: dir.to_path_buf(),
@@ -479,14 +469,9 @@ pub struct JobStore {
 }
 
 impl JobStore {
-    /// Creates an empty store admitting at most `queue_cap` waiting jobs.
-    pub fn new(queue_cap: usize) -> Self {
-        Self::with_state(queue_cap, None)
-    }
-
-    /// Creates an empty store that persists admissions and outcomes to
-    /// `state`.
-    pub fn with_state(queue_cap: usize, state: Option<StateLog>) -> Self {
+    /// Creates an empty store admitting at most `queue_cap` waiting jobs,
+    /// persisting admissions and outcomes to `state` when there is one.
+    pub fn new(queue_cap: usize, state: Option<StateLog>) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 jobs: BTreeMap::new(),
@@ -590,7 +575,7 @@ impl JobStore {
             }
         }
 
-        let store = JobStore::with_state(queue_cap, Some(state));
+        let store = JobStore::new(queue_cap, Some(state));
         let mut stats = RecoveryStats::default();
         {
             let dir = store.state.as_ref().expect("state is set").dir.clone();
@@ -600,19 +585,22 @@ impl JobStore {
                     Some(t) => std::fs::read(dir.join(t)).unwrap_or_default(),
                     None => Vec::new(),
                 };
-                let planned = JobParams::from_saved(&query, body, policy)
-                    .and_then(|p| p.plan().map(|cc| (p, cc)));
+                let planned = JobParams::from_saved(&query, body, policy).and_then(|p| {
+                    let (case, config) = p.plan()?;
+                    let tiles = planned_jobs(&case, &config)?;
+                    Ok((p, case, config, tiles))
+                });
                 let mut entry = match planned {
                     Err(why) => {
                         stats.restored += 1;
-                        terminal_entry(
+                        new_entry(
                             id,
                             format!("job{id}"),
                             JobState::Failed,
                             Some(format!("unreplayable after restart: {why}")),
                         )
                     }
-                    Ok((params, (case, mut config))) => {
+                    Ok((params, case, config, tiles)) => {
                         let finished = finishes
                             .get(&id)
                             .and_then(|fin| restore_finished(&dir, id, params.name.clone(), fin));
@@ -625,7 +613,7 @@ impl JobStore {
                             // cancelled; the job never re-runs.
                             None if cancels.contains(&id) => {
                                 stats.restored += 1;
-                                terminal_entry(id, params.name, JobState::Cancelled, None)
+                                new_entry(id, params.name, JobState::Cancelled, None)
                             }
                             // No durable outcome (or an unverifiable mask):
                             // the job runs again with its original id, in
@@ -634,27 +622,7 @@ impl JobStore {
                                 stats.requeued += 1;
                                 inner.queue.push(admission.class, id);
                                 inner.usage_add_queued(&admission.client);
-                                let cancel = CancelToken::new();
-                                let progress = Progress::new();
-                                config.cancel = cancel.clone();
-                                config.progress = progress.clone();
-                                let tiles_planned = planned_jobs(&case, &config).unwrap_or(1);
-                                JobEntry {
-                                    id,
-                                    name: params.name,
-                                    client: admission.client.clone(),
-                                    class: admission.class,
-                                    state: JobState::Queued,
-                                    error: None,
-                                    work: Some((case, config)),
-                                    result: None,
-                                    finished_at: None,
-                                    cancel,
-                                    progress,
-                                    tiles_planned,
-                                    query: None,
-                                    target_file: None,
-                                }
+                                queued_entry(id, case, config, tiles)
                             }
                         }
                     }
@@ -675,79 +643,29 @@ impl JobStore {
         self.inner.lock().expect("job store lock poisoned")
     }
 
-    /// Admits a job under the default admission (anonymous client, normal
-    /// priority), or refuses it with the reason the handler turns into a
-    /// 503/429.
+    /// Admits a planned job for `admission`'s client and class, or refuses
+    /// it with the reason the handler turns into a 503/429. With `params`
+    /// (every HTTP submission) the description is retained and, when a
+    /// state log is configured, persisted so the job survives a restart.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Full`] when the queue is at capacity,
     /// [`SubmitError::Draining`] after shutdown started,
     /// [`SubmitError::Quota`] when the client is over a per-client quota.
+    ///
+    /// # Panics
+    ///
+    /// If `(case, config)` cannot be planned; [`JobParams::plan`] has
+    /// already refused such a job.
     pub fn submit(
         &self,
-        name: String,
-        case: BatchCase,
-        config: BatchConfig,
-    ) -> Result<usize, SubmitError> {
-        self.submit_inner(name, case, config, None, Admission::default())
-    }
-
-    /// [`JobStore::submit`] with an explicit client identity and priority
-    /// class.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JobStore::submit`].
-    pub fn submit_as(
-        &self,
-        name: String,
-        case: BatchCase,
-        config: BatchConfig,
-        admission: Admission,
-    ) -> Result<usize, SubmitError> {
-        self.submit_inner(name, case, config, None, admission)
-    }
-
-    /// [`JobStore::submit`], additionally persisting the submission to the
-    /// state log (when one is configured) so it survives a restart.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JobStore::submit`].
-    pub fn submit_persisted(
-        &self,
-        params: &JobParams,
-        case: BatchCase,
-        config: BatchConfig,
-    ) -> Result<usize, SubmitError> {
-        self.submit_inner(params.name.clone(), case, config, Some(params), Admission::default())
-    }
-
-    /// [`JobStore::submit_persisted`] with an explicit admission — the HTTP
-    /// submission path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JobStore::submit`].
-    pub fn submit_persisted_as(
-        &self,
-        params: &JobParams,
-        case: BatchCase,
-        config: BatchConfig,
-        admission: Admission,
-    ) -> Result<usize, SubmitError> {
-        self.submit_inner(params.name.clone(), case, config, Some(params), admission)
-    }
-
-    fn submit_inner(
-        &self,
-        name: String,
-        case: BatchCase,
-        mut config: BatchConfig,
         params: Option<&JobParams>,
+        case: BatchCase,
+        config: BatchConfig,
         admission: Admission,
     ) -> Result<usize, SubmitError> {
+        let tiles_planned = planned_jobs(&case, &config).expect("submit takes a plannable job");
         let mut inner = self.lock();
         if !inner.accepting {
             return Err(SubmitError::Draining);
@@ -779,38 +697,17 @@ impl JobStore {
         if let (Some(state), Some(params)) = (&self.state, params) {
             state.log_submit(id, params, &admission);
         }
-        // Every job gets its own cancel token and progress counter, wired
-        // into the batch config the worker will execute.
-        let cancel = CancelToken::new();
-        let progress = Progress::new();
-        config.cancel = cancel.clone();
-        config.progress = progress.clone();
-        let tiles_planned = planned_jobs(&case, &config).unwrap_or(1);
-        let target_file = params.and_then(|p| match &p.source {
+        let mut entry = queued_entry(id, case, config, tiles_planned);
+        entry.query = params.map(|p| p.to_query());
+        entry.target_file = params.and_then(|p| match &p.source {
             JobSource::Inline(_) => Some(target_file_name(id)),
             _ => None,
         });
-        inner.jobs.insert(
-            id,
-            JobEntry {
-                id,
-                name,
-                client: admission.client.clone(),
-                class: admission.class,
-                state: JobState::Queued,
-                error: None,
-                work: Some((case, config)),
-                result: None,
-                finished_at: None,
-                cancel,
-                progress,
-                tiles_planned,
-                query: params.map(|p| p.to_query()),
-                target_file,
-            },
-        );
         inner.queue.push(admission.class, id);
         inner.usage_add_queued(&admission.client);
+        entry.client = admission.client;
+        entry.class = admission.class;
+        inner.jobs.insert(id, entry);
         drop(inner);
         self.wakeup.notify_one();
         Ok(id)
@@ -1207,24 +1104,38 @@ fn gc_state_files(dir: &Path, keep: &BTreeSet<String>) {
     }
 }
 
-/// A terminal [`JobEntry`] with no retained work or result.
-fn terminal_entry(id: usize, name: String, state: JobState, error: Option<String>) -> JobEntry {
+/// The one place a [`JobEntry`] is spelled out: no work, no result, a
+/// fresh cancel token and progress counter, the default admission; a
+/// terminal `state` is stamped finished now.
+fn new_entry(id: usize, name: String, state: JobState, error: Option<String>) -> JobEntry {
+    let default = Admission::default();
     JobEntry {
         id,
         name,
-        client: "anonymous".into(),
-        class: PriorityClass::Normal,
+        client: default.client,
+        class: default.class,
+        finished_at: state.is_terminal().then(Instant::now),
         state,
         error,
         work: None,
         result: None,
-        finished_at: Some(Instant::now()),
         cancel: CancelToken::new(),
         progress: Progress::new(),
         tiles_planned: 0,
         query: None,
         target_file: None,
     }
+}
+
+/// A queued entry owning its work, its cancel token and progress counter
+/// wired into the batch config the worker will execute.
+fn queued_entry(id: usize, case: BatchCase, mut config: BatchConfig, tiles: usize) -> JobEntry {
+    let mut entry = new_entry(id, case.name.clone(), JobState::Queued, None);
+    config.cancel = entry.cancel.clone();
+    config.progress = entry.progress.clone();
+    entry.tiles_planned = tiles;
+    entry.work = Some((case, config));
+    entry
 }
 
 /// Reconstructs a terminal [`JobEntry`] from a persisted finish line.
@@ -1234,7 +1145,7 @@ fn terminal_entry(id: usize, name: String, state: JobState, error: Option<String
 fn restore_finished(dir: &Path, id: usize, name: String, fin: &Value) -> Option<JobEntry> {
     if !fin.get("ok")?.as_bool()? {
         let error = fin.field_str("error").unwrap_or_default().to_string();
-        return Some(terminal_entry(id, name, JobState::Failed, Some(error)));
+        return Some(new_entry(id, name, JobState::Failed, Some(error)));
     }
     // A success without a durable mask returns None here: re-run.
     let mask = load_mask(dir, fin.field_str("mask").ok()?).ok()?;
@@ -1246,7 +1157,7 @@ fn restore_finished(dir: &Path, id: usize, name: String, fin: &Value) -> Option<
     let error = (failed_tiles > 0)
         .then(|| format!("{failed_tiles} of {tiles} tile(s) failed"));
     let state = if failed_tiles == 0 { JobState::Done } else { JobState::Failed };
-    let mut entry = terminal_entry(id, name, state, error);
+    let mut entry = new_entry(id, name, state, error);
     entry.result = Some(JobDone {
         mask_hash: field_hash(&mask),
         mask: Some(mask),
@@ -1310,29 +1221,29 @@ mod tests {
 
     #[test]
     fn queue_capacity_is_enforced() {
-        let store = JobStore::new(2);
+        let store = JobStore::new(2, None);
         let (c, cfg) = tiny_case("a");
-        assert_eq!(store.submit("a".into(), c.clone(), cfg.clone()), Ok(0));
-        assert_eq!(store.submit("b".into(), c.clone(), cfg.clone()), Ok(1));
+        assert_eq!(store.submit(None, c.clone(), cfg.clone(), Admission::default()), Ok(0));
+        assert_eq!(store.submit(None, c.clone(), cfg.clone(), Admission::default()), Ok(1));
         assert_eq!(
-            store.submit("c".into(), c.clone(), cfg.clone()),
+            store.submit(None, c.clone(), cfg.clone(), Admission::default()),
             Err(SubmitError::Full { capacity: 2 })
         );
         // Claiming one frees a slot.
         let (id, ..) = store.take_next().unwrap();
         assert_eq!(id, 0);
-        assert_eq!(store.submit("c".into(), c, cfg), Ok(2));
+        assert_eq!(store.submit(None, c, cfg, Admission::default()), Ok(2));
         assert_eq!(store.queue_depth(), 2);
         assert_eq!(store.running(), 1);
     }
 
     #[test]
     fn draining_refuses_submissions_but_serves_queue() {
-        let store = JobStore::new(4);
+        let store = JobStore::new(4, None);
         let (c, cfg) = tiny_case("a");
-        store.submit("a".into(), c.clone(), cfg.clone()).unwrap();
+        store.submit(None, c.clone(), cfg.clone(), Admission::default()).unwrap();
         store.close();
-        assert_eq!(store.submit("b".into(), c, cfg), Err(SubmitError::Draining));
+        assert_eq!(store.submit(None, c, cfg, Admission::default()), Err(SubmitError::Draining));
         // The queued job is still handed out, then the drain signal.
         assert!(store.take_next().is_some());
         store.finish(0, Err("x".into()));
@@ -1341,9 +1252,9 @@ mod tests {
 
     #[test]
     fn finish_transitions_states_and_renders() {
-        let store = JobStore::new(4);
+        let store = JobStore::new(4, None);
         let (c, cfg) = tiny_case("m1 \"quoted\"");
-        store.submit("m1 \"quoted\"".into(), c, cfg).unwrap();
+        store.submit(None, c, cfg, Admission::default()).unwrap();
         let (id, case, _, _) = store.take_next().unwrap();
         let mask = case.target.threshold(0.5);
         let done = JobDone {
@@ -1371,9 +1282,9 @@ mod tests {
 
     #[test]
     fn failed_tiles_mark_the_job_failed() {
-        let store = JobStore::new(4);
+        let store = JobStore::new(4, None);
         let (c, cfg) = tiny_case("a");
-        store.submit("a".into(), c, cfg).unwrap();
+        store.submit(None, c, cfg, Admission::default()).unwrap();
         let (id, case, _, _) = store.take_next().unwrap();
         let mask = case.target.threshold(0.5);
         store.finish(
@@ -1398,9 +1309,9 @@ mod tests {
 
     #[test]
     fn abandon_queued_fails_leftovers() {
-        let store = JobStore::new(4);
+        let store = JobStore::new(4, None);
         let (c, cfg) = tiny_case("a");
-        store.submit("a".into(), c, cfg).unwrap();
+        store.submit(None, c, cfg, Admission::default()).unwrap();
         store.close();
         store.abandon_queued();
         let detail = store.render_detail(0, false).unwrap();
@@ -1470,6 +1381,12 @@ mod tests {
                 "query {bad:?} must be rejected"
             );
         }
+        // Well-formed values no tile plan can satisfy: the planner's verdict
+        // is `plan()`'s, before admission.
+        for bad in ["case=1&grid=128&tile=48", "case=1&grid=128&tile=64&halo=40"] {
+            let p = JobParams::from_request(&request_with_query(bad), &ExecPolicy::default());
+            assert!(p.expect(bad).plan().is_err(), "query {bad:?} must not plan");
+        }
     }
 
     fn done_for(case: &BatchCase, tiles: usize) -> JobDone {
@@ -1495,9 +1412,9 @@ mod tests {
 
     #[test]
     fn ttl_sweep_evicts_masks_but_keeps_metadata() {
-        let store = JobStore::new(4);
+        let store = JobStore::new(4, None);
         let (c, cfg) = tiny_case("a");
-        store.submit("a".into(), c.clone(), cfg).unwrap();
+        store.submit(None, c.clone(), cfg, Admission::default()).unwrap();
         let (id, case, _, _) = store.take_next().unwrap();
         store.finish(id, Ok(done_for(&case, 1)));
 
@@ -1518,10 +1435,10 @@ mod tests {
 
     #[test]
     fn residency_cap_evicts_oldest_finished_first() {
-        let store = JobStore::new(8);
+        let store = JobStore::new(8, None);
         let (c, cfg) = tiny_case("a");
-        for i in 0..3 {
-            store.submit(format!("j{i}"), c.clone(), cfg.clone()).unwrap();
+        for _ in 0..3 {
+            store.submit(None, c.clone(), cfg.clone(), Admission::default()).unwrap();
         }
         for _ in 0..3 {
             let (id, case, _, _) = store.take_next().unwrap();
@@ -1601,19 +1518,19 @@ mod tests {
         let (c, cfg) = tiny_case("a");
         {
             let store =
-                JobStore::with_state(8, Some(StateLog::open(&dir).unwrap()));
+                JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3&name=done-job"),
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit_persisted(&params, c.clone(), cfg.clone()).unwrap();
+            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
             let interrupted = JobParams::from_request(
                 &request_with_query("case=case2&grid=64&kernels=3&name=interrupted"),
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit_persisted(&interrupted, c.clone(), cfg.clone()).unwrap();
+            store.submit(Some(&interrupted), c.clone(), cfg.clone(), Admission::default()).unwrap();
             // Job 0 finishes; job 1 is taken but never finished (the crash).
             let (id, case, _, _) = store.take_next().unwrap();
             store.finish(id, Ok(done_for(&case, 1)));
@@ -1621,7 +1538,7 @@ mod tests {
         }
 
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         // Job 0 came back finished, mask verified byte-identical.
         let detail = store.render_detail(0, false).unwrap();
@@ -1645,7 +1562,7 @@ mod tests {
         bytes[n - 1] ^= 0xff;
         std::fs::write(&mask_path, bytes).unwrap();
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 0, requeued: 2 });
         assert_eq!(store.queue_depth(), 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1655,15 +1572,15 @@ mod tests {
     fn torn_trailing_state_line_is_tolerated() {
         let dir = temp_dir("torn");
         {
-            let store = JobStore::with_state(8, Some(StateLog::open(&dir).unwrap()));
+            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
             let (c, cfg) = tiny_case("a");
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3"),
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit_persisted(&params, c.clone(), cfg.clone()).unwrap();
-            store.submit_persisted(&params, c, cfg).unwrap();
+            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
+            store.submit(Some(&params), c, cfg, Admission::default()).unwrap();
         }
         // Chop the last line in half: a crash mid-append.
         let path = dir.join("state.jsonl");
@@ -1672,14 +1589,14 @@ mod tests {
         std::fs::write(&path, &raw.as_bytes()[..keep]).unwrap();
 
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
         assert_eq!(store.len(), 1, "the torn submission is simply forgotten");
 
         // Mid-file corruption, by contrast, refuses to recover.
         std::fs::write(&path, "{\"kind\":\"submit\",\"id\":garbage\nnot json either\n").unwrap();
-        let err = match JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default())
-        {
+        let state = StateLog::open(&dir, 0).unwrap();
+        let err = match JobStore::recover(8, state, &ExecPolicy::default()) {
             Err(e) => e,
             Ok(_) => panic!("mid-file corruption must refuse recovery"),
         };
@@ -1695,14 +1612,14 @@ mod tests {
         let dir = temp_dir("glue");
         let (c, cfg) = tiny_case("a");
         {
-            let store = JobStore::with_state(8, Some(StateLog::open(&dir).unwrap()));
+            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3"),
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit_persisted(&params, c.clone(), cfg.clone()).unwrap();
-            store.submit_persisted(&params, c, cfg).unwrap();
+            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
+            store.submit(Some(&params), c, cfg, Admission::default()).unwrap();
         }
         let path = dir.join("state.jsonl");
         let raw = std::fs::read_to_string(&path).unwrap();
@@ -1710,7 +1627,7 @@ mod tests {
         std::fs::write(&path, &raw.as_bytes()[..keep]).unwrap();
 
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
         let (id, case, _, _) = store.take_next().unwrap();
         assert_eq!(id, 0);
@@ -1724,7 +1641,7 @@ mod tests {
             ilt_runtime::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         }
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 0 });
         assert_eq!(store.len(), 1, "no phantom job from a glued line");
         assert!(store.render_detail(0, false).unwrap().contains("\"state\":\"done\""));
@@ -1737,10 +1654,10 @@ mod tests {
 
     #[test]
     fn cancel_queued_job_is_immediately_terminal() {
-        let store = JobStore::new(4);
+        let store = JobStore::new(4, None);
         let (c, cfg) = tiny_case("a");
-        store.submit("a".into(), c.clone(), cfg.clone()).unwrap();
-        store.submit("b".into(), c, cfg).unwrap();
+        store.submit(None, c.clone(), cfg.clone(), Admission::default()).unwrap();
+        store.submit(None, c, cfg, Admission::default()).unwrap();
         assert_eq!(store.cancel(1), CancelOutcome::Cancelled);
         assert_eq!(store.queue_depth(), 1, "only job 0 remains queued");
         let detail = store.render_detail(1, false).unwrap();
@@ -1759,9 +1676,9 @@ mod tests {
 
     #[test]
     fn cancel_running_job_sets_the_token_and_lands_cancelled() {
-        let store = JobStore::new(4);
+        let store = JobStore::new(4, None);
         let (c, cfg) = tiny_case("a");
-        store.submit("a".into(), c, cfg).unwrap();
+        store.submit(None, c, cfg, Admission::default()).unwrap();
         let (id, _case, config, _) = store.take_next().unwrap();
         assert!(!config.cancel.is_cancelled());
         assert_eq!(store.cancel(id), CancelOutcome::Cancelling);
@@ -1779,11 +1696,11 @@ mod tests {
 
     #[test]
     fn progress_counters_render_for_live_jobs_only() {
-        let store = JobStore::new(4);
+        let store = JobStore::new(4, None);
         let target = Field2D::from_fn(64, 64, |r, _| if r < 32 { 1.0 } else { 0.0 });
         let case = BatchCase { name: "p".into(), target, nm_per_px: 8.0 };
         let config = BatchConfig { tile: 32, halo: 8, ..BatchConfig::default() };
-        store.submit("p".into(), case, config).unwrap();
+        store.submit(None, case, config, Admission::default()).unwrap();
         let detail = store.render_detail(0, false).unwrap();
         assert!(detail.contains("\"tiles_done\":0"), "{detail}");
         assert!(
@@ -1806,18 +1723,18 @@ mod tests {
         let dir = temp_dir("cancel-restart");
         let (c, cfg) = tiny_case("a");
         {
-            let store = JobStore::with_state(8, Some(StateLog::open(&dir).unwrap()));
+            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3&name=doomed"),
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit_persisted(&params, c.clone(), cfg.clone()).unwrap();
-            store.submit_persisted(&params, c, cfg).unwrap();
+            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
+            store.submit(Some(&params), c, cfg, Admission::default()).unwrap();
             assert_eq!(store.cancel(0), CancelOutcome::Cancelled);
         }
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         let detail = store.render_detail(0, false).unwrap();
         assert!(detail.contains("\"state\":\"cancelled\""), "never re-runs: {detail}");
@@ -1838,11 +1755,13 @@ mod tests {
         };
         {
             // Threshold 1 byte: every terminal transition compacts.
-            let state = StateLog::open_with_compaction(&dir, 1).unwrap();
-            let store = JobStore::with_state(8, Some(state));
-            store.submit_persisted(&params("keeper"), c.clone(), cfg.clone()).unwrap();
-            store.submit_persisted(&params("doomed"), c.clone(), cfg.clone()).unwrap();
-            store.submit_persisted(&params("pending"), c.clone(), cfg.clone()).unwrap();
+            let state = StateLog::open(&dir, 1).unwrap();
+            let store = JobStore::new(8, Some(state));
+            for name in ["keeper", "doomed", "pending"] {
+                store
+                    .submit(Some(&params(name)), c.clone(), cfg.clone(), Admission::default())
+                    .unwrap();
+            }
             let (id, case, _, _) = store.take_next().unwrap();
             store.finish(id, Ok(done_for(&case, 1))); // compacts
             assert_eq!(store.cancel(1), CancelOutcome::Cancelled); // compacts again
@@ -1856,7 +1775,7 @@ mod tests {
         assert!(log.is_empty(), "truncated after the last compaction: {log:?}");
 
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         // The finished job is byte-identical across the compaction boundary.
         match store.mask_pgm(0) {
@@ -1868,7 +1787,7 @@ mod tests {
         // The cancelled id is gone for good; ids never recycle.
         assert!(store.render_detail(1, false).is_none());
         let (sc, scfg) = tiny_case("next");
-        assert_eq!(store.submit("next".into(), sc, scfg), Ok(3));
+        assert_eq!(store.submit(None, sc, scfg, Admission::default()), Ok(3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1881,13 +1800,13 @@ mod tests {
             req.body = pgm_bytes(&img, 0.0, 1.0);
             let p = JobParams::from_request(&req, &ExecPolicy::default()).unwrap();
             let (case, cfg) = p.plan().unwrap();
-            store.submit_persisted(&p, case, cfg).unwrap()
+            store.submit(Some(&p), case, cfg, Admission::default()).unwrap()
         };
         let exists = |name: &str| dir.join(name).exists();
 
         // Threshold 1 byte: every terminal transition compacts + sweeps.
-        let state = StateLog::open_with_compaction(&dir, 1).unwrap();
-        let store = JobStore::with_state(8, Some(state));
+        let state = StateLog::open(&dir, 1).unwrap();
+        let store = JobStore::new(8, Some(state));
         submit(&store, "done-a");
         submit(&store, "doomed");
         submit(&store, "done-b");
@@ -1923,7 +1842,7 @@ mod tests {
         // Recovery agrees: the GCed id is gone, the kept one restores
         // byte-identically.
         let (store, _) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert!(store.render_detail(0, false).is_none(), "GCed id answers 404");
         assert!(matches!(store.mask_pgm(2), MaskFetch::Ready(_)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1943,23 +1862,23 @@ mod tests {
         .unwrap();
         let pre_compaction_log;
         {
-            let store = JobStore::with_state(8, Some(StateLog::open(&dir).unwrap()));
-            store.submit_persisted(&params, c.clone(), cfg.clone()).unwrap();
-            store.submit_persisted(&params, c.clone(), cfg.clone()).unwrap();
+            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
+            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
+            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
             let (id, case, _, _) = store.take_next().unwrap();
             store.finish(id, Ok(done_for(&case, 1)));
             pre_compaction_log = std::fs::read_to_string(dir.join("state.jsonl")).unwrap();
         }
         {
             // Compact for real...
-            let state = StateLog::open_with_compaction(&dir, 1).unwrap();
+            let state = StateLog::open(&dir, 1).unwrap();
             let store = JobStore::recover(8, state, &ExecPolicy::default()).unwrap().0;
             assert!(store.maybe_compact());
         }
         // ...then simulate the crash by restoring the un-truncated log.
         std::fs::write(dir.join("state.jsonl"), &pre_compaction_log).unwrap();
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         assert_eq!(store.len(), 2, "no duplicates from replaying both files");
         assert!(matches!(store.mask_pgm(0), MaskFetch::Ready(_)));
@@ -1975,14 +1894,14 @@ mod tests {
         let dir = temp_dir("state-fuzz");
         let (c, cfg) = tiny_case("a");
         {
-            let store = JobStore::with_state(8, Some(StateLog::open(&dir).unwrap()));
+            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
             for i in 0..4 {
                 let params = JobParams::from_request(
                     &request_with_query(&format!("case=case1&grid=64&kernels=3&name=f{i}")),
                     &ExecPolicy::default(),
                 )
                 .unwrap();
-                store.submit_persisted(&params, c.clone(), cfg.clone()).unwrap();
+                store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
             }
             for _ in 0..2 {
                 let (id, case, _, _) = store.take_next().unwrap();
@@ -1998,7 +1917,7 @@ mod tests {
             let cut = (rng.next_u64() as usize) % healthy.len() + 1;
             std::fs::write(&path, &healthy[..cut]).unwrap();
             let (store, _) =
-                JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default())
+                JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default())
                     .unwrap_or_else(|e| panic!("round {round}: cut {cut} must recover: {e}"));
             // Every fully-intact submit record materializes as a job; the
             // torn trailing line never does.
@@ -2024,7 +1943,7 @@ mod tests {
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit_persisted(&late, c.clone(), cfg.clone()).unwrap();
+            store.submit(Some(&late), c.clone(), cfg.clone(), Admission::default()).unwrap();
             drop(store);
             for line in std::fs::read_to_string(&path).unwrap().lines() {
                 assert!(
@@ -2033,14 +1952,14 @@ mod tests {
                 );
             }
             let (again, _) =
-                JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default())
+                JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default())
                     .unwrap_or_else(|e| panic!("round {round}: cut {cut}: second recovery: {e}"));
             assert_eq!(again.len(), jobs + 1, "round {round}: cut {cut}: phantom or lost job");
         }
         // The undamaged log still replays everything.
         std::fs::write(&path, &healthy).unwrap();
         let (store, _) =
-            JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
         assert_eq!(store.len(), 4);
         assert!(full_lines >= 7, "submits + finishes + cancel all logged");
         let _ = std::fs::remove_dir_all(&dir);

@@ -62,7 +62,7 @@ struct ModelUsage {
 /// demands both drain to zero at the end.
 fn fuzz_episode(seed: u64) {
     let mut rng = Xorshift64Star::new(0x9e37_79b9_0000_0000 ^ seed.wrapping_add(1));
-    let mut store = JobStore::new(QUEUE_CAP);
+    let mut store = JobStore::new(QUEUE_CAP, None);
     store.set_quotas(QUOTA_INFLIGHT, QUOTA_QUEUED);
     let (case, config) = fast_work();
 
@@ -87,12 +87,7 @@ fn fuzz_episode(seed: u64) {
                 let admission =
                     Admission { client: CLIENTS[client].into(), class };
                 let usage = usage_of(&queued, &running, client);
-                let verdict = store.submit_as(
-                    format!("fuzz{seed}-{op}"),
-                    case.clone(),
-                    config.clone(),
-                    admission,
-                );
+                let verdict = store.submit(None, case.clone(), config.clone(), admission);
                 if usage.queued >= QUOTA_QUEUED {
                     assert!(
                         matches!(verdict, Err(SubmitError::Quota { scope: "queued", .. })),
@@ -221,7 +216,7 @@ fn seeded_fuzz_admission_accounting_never_leaks() {
 /// reconcile to zero even for cancels that raced completion.
 #[test]
 fn concurrent_cancel_races_reconcile_at_drain() {
-    let mut store = JobStore::new(64);
+    let mut store = JobStore::new(64, None);
     store.set_quotas(0, 0);
     let store = Arc::new(store);
     let (case, config) = fast_work();
@@ -240,13 +235,13 @@ fn concurrent_cancel_races_reconcile_at_drain() {
         .collect();
 
     let mut rng = Xorshift64Star::new(7);
-    for i in 0..40 {
+    for _ in 0..40 {
         let admission = Admission {
             client: CLIENTS[(rng.next_u64() % 3) as usize].into(),
             class: PriorityClass::ALL[(rng.next_u64() % 3) as usize],
         };
         let id = store
-            .submit_as(format!("race{i}"), case.clone(), config.clone(), admission)
+            .submit(None, case.clone(), config.clone(), admission)
             .expect("no quotas, cap 64: submit always admitted");
         if rng.next_u64() % 2 == 0 {
             // Any outcome class is legal here; accounting is what we pin.
@@ -385,28 +380,28 @@ fn quota_breach_gets_429_and_other_clients_still_complete() {
 /// claiming a job does not free the slot; finishing does.
 #[test]
 fn inflight_quota_counts_running_jobs() {
-    let mut store = JobStore::new(8);
+    let mut store = JobStore::new(8, None);
     store.set_quotas(1, 0);
     let (case, config) = fast_work();
     let alice = || Admission { client: "alice".into(), class: PriorityClass::Normal };
 
-    let id = store.submit_as("a0".into(), case.clone(), config.clone(), alice()).unwrap();
+    let id = store.submit(None, case.clone(), config.clone(), alice()).unwrap();
     let taken = store.take_next().expect("claim a0");
     assert_eq!(taken.0, id);
-    let verdict = store.submit_as("a1".into(), case.clone(), config.clone(), alice());
+    let verdict = store.submit(None, case.clone(), config.clone(), alice());
     assert!(
         matches!(verdict, Err(SubmitError::Quota { scope: "inflight", limit: 1, .. })),
         "running jobs must count against the inflight quota"
     );
     // Other clients are unaffected; finishing frees alice's slot.
     store
-        .submit_as("b0".into(), case.clone(), config.clone(), Admission {
+        .submit(None, case.clone(), config.clone(), Admission {
             client: "bob".into(),
             class: PriorityClass::High,
         })
         .unwrap();
     store.finish(id, Ok(done()));
-    store.submit_as("a1".into(), case, config, alice()).expect("slot freed by finish");
+    store.submit(None, case, config, alice()).expect("slot freed by finish");
 }
 
 /// Residency eviction followed by `GET /mask` re-hydrates the durable copy

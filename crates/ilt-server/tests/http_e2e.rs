@@ -1,6 +1,6 @@
 //! Loopback integration tests: the server is exercised through real TCP
 //! sockets with the shared `ilt_server::harness` client (also used by the
-//! lifecycle suite and the `ilt-perf` server workloads), covering the
+//! lifecycle suite and the repo benchmark), covering the
 //! robustness paths (malformed requests, oversized bodies, queue-full
 //! backpressure) and the full submit → poll → fetch-mask round trip, whose
 //! result must be byte-identical to running the batch engine in-process.
@@ -17,7 +17,12 @@ use util::{
 
 #[test]
 fn rejects_malformed_and_unroutable_requests() {
-    let (addr, handle) = start(ServerConfig { workers: 0, ..ServerConfig::default() });
+    let state_dir = util::temp_dir("e2e_rejects");
+    let (addr, handle) = start(ServerConfig {
+        workers: 0,
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    });
 
     let reply = exchange(addr, b"BOGUS\r\nhost: t\r\n\r\n");
     assert_eq!(reply.status, 400, "{}", reply.text());
@@ -43,7 +48,26 @@ fn rejects_malformed_and_unroutable_requests() {
     let reply = post(addr, "/v1/jobs?case=case1&grid=100", b"");
     assert_eq!(reply.status, 400);
 
+    // Tile geometry no plan can satisfy is a client error at the door: no
+    // job id, no queue slot, no durable `submit` line, no failed job.
+    for (query, why) in [
+        ("case=1&grid=128&kernels=3&tile=48&iters=1", "tile size 48 must be a power of two"),
+        ("case=1&grid=128&kernels=3&tile=64&halo=40&iters=1", "halo 40 leaves no core"),
+    ] {
+        let reply = post(addr, &format!("/v1/jobs?{query}"), b"");
+        assert_eq!(reply.status, 400, "{query}: {}", reply.text());
+        assert!(reply.text().contains(why), "{query}: {}", reply.text());
+    }
+    assert!(get(addr, "/v1/jobs").text().starts_with("{\"jobs\":[],"));
+    let text = get(addr, "/metrics").text();
+    assert!(text.contains("ilt_jobs_rejected_total 4\n"), "{text}");
+    assert!(text.contains("ilt_jobs_accepted_total 0\n"), "{text}");
+    assert!(text.contains("ilt_jobs_failed_total 0\n"), "{text}");
+
     shutdown(addr, handle);
+    let log = std::fs::read_to_string(state_dir.join("state.jsonl")).expect("state log");
+    assert!(!log.contains("\"kind\":\"submit\""), "{log}");
+    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]

@@ -59,12 +59,12 @@ fn inline_target() -> Vec<u8> {
 /// Drives the store through every record kind; returns the state dir.
 fn write_all_kinds(tag: &str) -> PathBuf {
     let dir = temp_dir(tag);
-    let store = JobStore::with_state(8, Some(StateLog::open(&dir).unwrap()));
+    let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
     let submit = |query: &str, body: Vec<u8>, client: &str, class| {
         let p = params(query, body);
         let (case, config) = p.plan().unwrap();
         let admission = Admission { client: client.into(), class };
-        store.submit_persisted_as(&p, case, config, admission).unwrap()
+        store.submit(Some(&p), case, config, admission).unwrap()
     };
     submit(&format!("via=7&name=alpha&{QUERY}"), Vec::new(), "anonymous", PriorityClass::Normal);
     submit(
@@ -119,7 +119,7 @@ fn state_log_and_snapshot_writers_emit_the_golden_lines() {
 
     // Compaction rewrites the live table with the same line shapes: the
     // cancelled job ages out, each survivor is its submit then its finish.
-    let state = StateLog::open_with_compaction(&dir, 1).unwrap();
+    let state = StateLog::open(&dir, 1).unwrap();
     let (store, stats) = JobStore::recover(8, state, &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 3, requeued: 0 });
     assert!(store.maybe_compact());
@@ -145,7 +145,7 @@ fn golden_lines_recover_to_the_jobs_they_describe() {
     ];
     fs::write(dir.join("state.jsonl"), log.join("\n") + "\n").unwrap();
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 3, requeued: 0 });
     assert_eq!(
         store.render_list(),
@@ -166,12 +166,13 @@ fn golden_lines_recover_to_the_jobs_they_describe() {
         [COMPACT.into(), submit_via(), FINISH_OK.into(), submit_inline(), FINISH_ERR.into()];
     fs::write(dir.join(SNAPSHOT_FILE), snapshot.join("\n") + "\n").unwrap();
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 2, requeued: 0 });
     assert!(store.render_detail(2, false).is_none());
     let p = params(&format!("via=9&name=next&{QUERY}"), Vec::new());
     let (case, config) = p.plan().unwrap();
-    assert_eq!(store.submit_persisted(&p, case, config), Ok(3), "ids continue past the floor");
+    let next = store.submit(Some(&p), case, config, Admission::default());
+    assert_eq!(next, Ok(3), "ids continue past the floor");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -182,7 +183,7 @@ fn pre_multi_tenant_submit_replays_under_the_default_admission() {
     let legacy = format!(r#"{{"kind":"submit","id":0,"query":"via=7&name=old&{QUERY}"}}"#);
     fs::write(dir.join("state.jsonl"), legacy + "\n").unwrap();
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
     let detail = store.render_detail(0, false).unwrap();
     assert!(
@@ -222,7 +223,7 @@ const FIXTURE_TAIL: &str = concat!(
 fn state_dir_written_by_the_parent_commit_recovers_identically() {
     let dir = fixture_copy("state-fixture");
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 3, requeued: 1 });
     assert_eq!(store.render_list(), format!("{{\"jobs\":[{FIXTURE_DONE}{FIXTURE_TAIL}"));
     for id in [0, 1, 3] {
@@ -243,7 +244,7 @@ fn parent_commit_snapshot_plus_stale_untruncated_log_recovers_identically() {
     log.extend(fs::read(dir.join("state.jsonl")).unwrap());
     fs::write(dir.join("state.jsonl"), log).unwrap();
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 4, requeued: 1 });
     let cancelled =
         r#"{"id":2,"name":"doomed","client":"tenant-b","class":"low","state":"cancelled"},"#;

@@ -31,7 +31,15 @@
 //!
 //! Targets may come from the built-in benchmark generators (`--case`,
 //! `--via`) or from a PGM file (`--target`); masks are written/read as
-//! binary PGM so the tool round-trips with itself. `batch` takes its cases
+//! binary PGM so the tool round-trips with itself. A job is described to
+//! this tool exactly as it is to `POST /v1/jobs`: each job flag is the
+//! decoder's query key spelled with dashes (`--grid 128` is `grid=128`,
+//! `--no-eval` is `eval=0`, a target `caseN | viaS | x.pgm` is `case= |
+//! via= | body` + `name=<stem>`), handed to `JobParams::from_pairs` — the
+//! one decoder, which owns every default and check — and turned into the
+//! engine's inputs by `JobParams::plan`, so `run`, `evaluate`, `batch`
+//! and a served job with the same description compute the same thing.
+//! `batch` takes its cases
 //! as positional arguments (`caseN`, `viaN`, or a PGM path), splits targets
 //! wider than `--tile` into overlapping tiles, runs everything on a worker
 //! pool with a shared simulator cache, and journals one JSON line per job;
@@ -80,8 +88,8 @@
 //! checkpoint WALs so a restarted worker resumes a re-dispatched shard
 //! instead of recomputing it. `bench` is the
 //! hermetic, std-only performance barometer (the `ilt-perf` crate): `list`
-//! shows the workload registry (FFT, simulator, autodiff, runtime, server,
-//! cluster families), `run` measures the selected workloads and writes one
+//! shows the workload registry (FFT, simulator, autodiff, optimizer step and
+//! tiled-runtime families), `run` measures the selected workloads and writes one
 //! `BENCH_<name>.json` (schema `ilt-bench/v2`) per workload, and `diff`
 //! compares a fresh run against the checked-in baselines, exiting non-zero
 //! past each workload's regression threshold — the standing perf gate.
@@ -95,32 +103,31 @@
 use std::error::Error;
 use std::sync::Arc;
 
+use multilevel_ilt::cluster::{ExecPolicy, JobParams};
 use multilevel_ilt::geom::fracture;
 use multilevel_ilt::prelude::*;
 
+/// The long flags that are part of a job's description. Each is the
+/// decoder's query key spelled with dashes (`--max-eff-nm 8` is
+/// `max_eff_nm=8`), and that is how it is kept: as a pair for
+/// [`JobParams::from_pairs`], which owns every default and every check.
+const JOB_FLAGS: [&str; 12] = [
+    "--grid", "--kernels", "--clip-nm", "--schedule", "--max-eff-nm", "--threads", "--tile",
+    "--halo", "--seam", "--retries", "--timeout-s", "--inject",
+];
+
 struct Cli {
-    grid: usize,
-    kernels: usize,
-    clip_nm: f64,
-    schedule: String,
-    case: Option<usize>,
-    via: Option<u64>,
+    /// The job flags that were given, as `key=value` pairs (`--no-eval` is
+    /// `eval=0`). A flag that was not given is not here.
+    job: Vec<(String, String)>,
+    /// `--case N | --via SEED | --target x.pgm`, as `caseN | viaSEED | x.pgm`.
     target: Option<String>,
     mask: Option<String>,
     out: String,
-    max_eff_nm: f64,
-    threads: usize,
-    tile: usize,
-    halo: usize,
-    seam: String,
     journal: Option<String>,
     no_timing: bool,
-    retries: u32,
-    timeout_s: f64,
-    no_eval: bool,
     checkpoint: bool,
     resume: bool,
-    inject: Option<String>,
     no_degrade: bool,
     addr: String,
     queue: usize,
@@ -155,28 +162,14 @@ impl Cli {
         let command =
             args.next().ok_or("usage: ilt <run|batch|serve|worker|evaluate|fracture|kernels|bench|tables> ...")?;
         let mut cli = Cli {
-            grid: 512,
-            kernels: 10,
-            clip_nm: 2048.0,
-            schedule: "fast".into(),
-            case: None,
-            via: None,
+            job: Vec::new(),
             target: None,
             mask: None,
             out: "ilt".into(),
-            max_eff_nm: 8.0,
-            threads: 1,
-            tile: 512,
-            halo: 64,
-            seam: "crop".into(),
             journal: None,
             no_timing: false,
-            retries: 1,
-            timeout_s: 0.0,
-            no_eval: false,
             checkpoint: false,
             resume: false,
-            inject: None,
             no_degrade: false,
             addr: "127.0.0.1:8080".into(),
             queue: 16,
@@ -207,32 +200,26 @@ impl Cli {
         };
         while let Some(flag) = args.next() {
             let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            if JOB_FLAGS.contains(&flag.as_str()) {
+                // The decoder reads the first pair of a key; a flag given
+                // twice means its last value.
+                cli.job.insert(0, (flag[2..].replace('-', "_"), value()?));
+                continue;
+            }
             match flag.as_str() {
-                "--grid" => cli.grid = value()?.parse()?,
-                "--kernels" => cli.kernels = value()?.parse()?,
-                "--clip-nm" => cli.clip_nm = value()?.parse()?,
-                "--schedule" => cli.schedule = value()?,
-                "--case" => cli.case = Some(value()?.parse()?),
-                "--via" => cli.via = Some(value()?.parse()?),
+                "--no-eval" => cli.job.push(("eval".into(), "0".into())),
+                "--case" => cli.target = Some(format!("case{}", value()?)),
+                "--via" => cli.target = Some(format!("via{}", value()?)),
                 "--target" => cli.target = Some(value()?),
                 "--mask" => cli.mask = Some(value()?),
                 "--out" => {
                     cli.out = value()?;
                     cli.out_flag = Some(cli.out.clone());
                 }
-                "--max-eff-nm" => cli.max_eff_nm = value()?.parse()?,
-                "--threads" => cli.threads = value()?.parse()?,
-                "--tile" => cli.tile = value()?.parse()?,
-                "--halo" => cli.halo = value()?.parse()?,
-                "--seam" => cli.seam = value()?,
                 "--journal" => cli.journal = Some(value()?),
                 "--no-timing" => cli.no_timing = true,
-                "--retries" => cli.retries = value()?.parse()?,
-                "--timeout-s" => cli.timeout_s = value()?.parse()?,
-                "--no-eval" => cli.no_eval = true,
                 "--checkpoint" => cli.checkpoint = true,
                 "--resume" => cli.resume = true,
-                "--inject" => cli.inject = Some(value()?),
                 "--no-degrade" => cli.no_degrade = true,
                 "--addr" => cli.addr = value()?,
                 "--queue" => cli.queue = value()?.parse()?,
@@ -267,72 +254,80 @@ impl Cli {
         Ok((command, cli))
     }
 
-    fn load_target(&self) -> Result<(Field2D, f64), Box<dyn Error>> {
-        if let Some(id) = self.case {
-            if !(1..=20).contains(&id) {
-                return Err(format!("case ids are 1..=10 (ICCAD) or 11..=20 (extended), got {id}").into());
-            }
-            let layout = if id <= 10 {
-                iccad2013_case(id)
-            } else {
-                extended_case(id)
-            };
-            return Ok((layout.rasterize(self.grid), layout.nm_per_px(self.grid)));
+    /// A job flag read outside a job (`serve`'s pool size, `kernels`' grid):
+    /// the value given, or that command's own `default`.
+    fn flag<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.job.iter().find(|(k, _)| k == key) {
+            None => Ok(default),
+            Some((_, raw)) => raw.parse().map_err(|_| format!("bad {key}={raw:?}")),
         }
-        if let Some(seed) = self.via {
-            let layout = via_pattern(seed);
-            return Ok((layout.rasterize(self.grid), layout.nm_per_px(self.grid)));
-        }
-        if let Some(path) = &self.target {
-            let img = multilevel_ilt::field::read_pgm(path)?.threshold(0.5);
-            let (rows, cols) = img.shape();
-            if rows != cols || !rows.is_power_of_two() {
-                return Err(format!("target must be square power-of-two, got {rows}x{cols}").into());
-            }
-            let nm = self.clip_nm / rows as f64;
-            return Ok((img, nm));
-        }
-        Err("pass one of --case N, --via SEED or --target file.pgm".into())
     }
 
-    fn simulator(&self, nm_per_px: f64) -> Result<Arc<LithoSimulator>, Box<dyn Error>> {
-        let cfg = OpticsConfig {
-            grid: self.grid,
-            nm_per_px,
-            num_kernels: self.kernels,
-            ..OpticsConfig::default()
+    /// `--timeout-s` / `--retries` as the defaults `serve` and `worker` give
+    /// requests that do not set their own.
+    fn policy(&self) -> Result<ExecPolicy, String> {
+        let base = ExecPolicy::default();
+        Ok(ExecPolicy {
+            default_timeout_s: self.flag("timeout_s", base.default_timeout_s)?,
+            default_retries: self.flag("retries", base.default_retries)?,
+            ..base
+        })
+    }
+
+    /// One job through the decoder every route shares: the job flags as
+    /// given, plus `spec` (`caseN | viaSEED | x.pgm`) as `case= | via= |
+    /// body` + `name=<stem>`. The command line may use every thread it asks
+    /// for and may inject faults.
+    fn plan(&self, spec: &str) -> Result<(JobParams, BatchCase, BatchConfig), Box<dyn Error>> {
+        let mut pairs = self.job.clone();
+        let mut body = Vec::new();
+        if spec.ends_with(".pgm") {
+            body = std::fs::read(spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
+            let stem = std::path::Path::new(spec).file_stem().unwrap_or(spec.as_ref());
+            pairs.push(("name".into(), stem.to_string_lossy().into_owned()));
+        } else {
+            let key = if spec.starts_with("via") { "via" } else { "case" };
+            pairs.push((key.into(), spec.into()));
+        }
+        let policy = ExecPolicy {
+            max_threads_per_job: usize::MAX,
+            allow_inject: true,
+            ..ExecPolicy::default()
         };
-        Ok(Arc::new(LithoSimulator::new(cfg)?))
+        let params =
+            JobParams::from_pairs(&pairs, &body, &policy).map_err(|e| format!("{spec}: {e}"))?;
+        let (case, config) = params.plan()?;
+        Ok((params, case, config))
     }
 
-    /// The named `--schedule` as the paper states it, before any clamp.
-    fn base_schedule(&self) -> Result<Vec<Stage>, Box<dyn Error>> {
-        match self.schedule.as_str() {
-            "fast" => Ok(schedules::our_fast()),
-            "exact" => Ok(schedules::our_exact()),
-            "via" => Ok(schedules::via_recipe()),
-            other => Err(format!("unknown schedule {other} (fast|exact|via)").into()),
-        }
+    /// The planned `--case | --via | --target` job of `run` / `evaluate`
+    /// and the whole-clip simulator it runs on.
+    fn single(&self) -> Result<(BatchCase, BatchConfig, Arc<LithoSimulator>), Box<dyn Error>> {
+        let spec =
+            self.target.as_ref().ok_or("pass one of --case N, --via SEED or --target file.pgm")?;
+        let (_, case, config) = self.plan(spec)?;
+        let optics = OpticsConfig {
+            grid: case.target.shape().0,
+            nm_per_px: case.nm_per_px,
+            ..config.optics.clone()
+        };
+        Ok((case, config, Arc::new(LithoSimulator::new(optics)?)))
     }
 }
 
 fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let (target, nm) = cli.load_target()?;
-    let sim = cli.simulator(nm)?;
+    let (BatchCase { target, nm_per_px: nm, .. }, config, sim) = cli.single()?;
+    let grid = target.shape().0;
     let schedule = schedules::clamp_to_grid(
-        &cli.base_schedule()?,
+        &config.schedule,
         nm,
-        cli.max_eff_nm,
-        cli.grid,
+        config.max_eff_nm,
+        grid,
         sim.config().kernel_size(),
     );
-    println!(
-        "optimizing {} px clip at {nm} nm/px with schedule {:?}",
-        cli.grid, schedule
-    );
+    println!("optimizing {grid} px clip at {nm} nm/px with schedule {schedule:?}");
     let timer = TurnaroundTimer::start();
-    let cfg = IltConfig { early_exit_window: Some(15), ..IltConfig::default() };
-    let result = MultiLevelIlt::new(sim.clone(), cfg).run(&target, &schedule);
+    let result = MultiLevelIlt::new(sim.clone(), config.ilt).run(&target, &schedule);
     let tat = timer.elapsed();
     println!("ran {} iterations in {:.2} s", result.total_iterations, tat.as_secs_f64());
     println!("{}", evaluate_mask(&sim, &target, &result.mask, tat));
@@ -350,86 +345,28 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Resolves one positional batch case: `caseN`, `viaN`, or a PGM path.
-fn load_batch_case(spec: &str, cli: &Cli) -> Result<BatchCase, Box<dyn Error>> {
-    if let Some(id) = spec.strip_prefix("case").and_then(|s| s.parse::<usize>().ok()) {
-        if !(1..=20).contains(&id) {
-            return Err(format!("{spec}: case ids are 1..=10 (ICCAD) or 11..=20 (extended)").into());
-        }
-        let layout = if id <= 10 { iccad2013_case(id) } else { extended_case(id) };
-        return Ok(BatchCase {
-            name: spec.to_string(),
-            target: layout.rasterize(cli.grid),
-            nm_per_px: layout.nm_per_px(cli.grid),
-        });
-    }
-    if let Some(seed) = spec.strip_prefix("via").and_then(|s| s.parse::<u64>().ok()) {
-        let layout = via_pattern(seed);
-        return Ok(BatchCase {
-            name: spec.to_string(),
-            target: layout.rasterize(cli.grid),
-            nm_per_px: layout.nm_per_px(cli.grid),
-        });
-    }
-    if spec.ends_with(".pgm") {
-        let img = multilevel_ilt::field::read_pgm(spec)
-            .map_err(|e| format!("cannot read {spec}: {e}"))?
-            .threshold(0.5);
-        let (rows, cols) = img.shape();
-        if rows != cols || !rows.is_power_of_two() {
-            return Err(format!("{spec}: target must be square power-of-two, got {rows}x{cols}").into());
-        }
-        let name = std::path::Path::new(spec)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| spec.to_string());
-        return Ok(BatchCase { name, target: img, nm_per_px: cli.clip_nm / rows as f64 });
-    }
-    Err(format!("cannot parse case {spec}: expected caseN, viaN or a .pgm path").into())
-}
-
 fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    if cli.cases.is_empty() {
-        return Err("batch needs at least one case (caseN, viaN or file.pgm)".into());
+    // The cases share every job flag, so any one plan carries the batch's
+    // configuration.
+    let mut cases = Vec::with_capacity(cli.cases.len());
+    let mut shared = None;
+    for spec in &cli.cases {
+        let (params, case, config) = cli.plan(spec)?;
+        cases.push(case);
+        shared = Some((params.schedule, config));
     }
-    let cases = cli
-        .cases
-        .iter()
-        .map(|spec| load_batch_case(spec, cli))
-        .collect::<Result<Vec<_>, _>>()?;
-    let seam = match cli.seam.as_str() {
-        "crop" => SeamPolicy::Crop,
-        blend => match blend.strip_prefix("blend:").and_then(|b| b.parse::<usize>().ok()) {
-            Some(band) => SeamPolicy::Blend { band },
-            None => return Err(format!("bad --seam {blend} (crop or blend:K)").into()),
-        },
-    };
-    let faults = match &cli.inject {
-        Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("bad --inject {spec}: {e}"))?,
-        None => FaultPlan::none(),
-    };
+    let (schedule, plan) =
+        shared.ok_or("batch needs at least one case (caseN, viaN or file.pgm)")?;
     let journal_path = cli
         .journal
         .clone()
         .unwrap_or_else(|| format!("{}_journal.jsonl", cli.out));
-    let checkpoint = (cli.checkpoint || cli.resume)
-        .then(|| std::path::PathBuf::from(format!("{journal_path}.ckpt")));
+    // Only what is not part of a job is set here.
     let config = BatchConfig {
-        threads: cli.threads,
-        tile: cli.tile,
-        halo: cli.halo,
-        seam,
-        optics: OpticsConfig { num_kernels: cli.kernels, ..OpticsConfig::default() },
-        ilt: IltConfig { early_exit_window: Some(15), ..IltConfig::default() },
-        schedule: cli.base_schedule()?,
-        max_eff_nm: cli.max_eff_nm,
-        timeout: (cli.timeout_s > 0.0).then(|| std::time::Duration::from_secs_f64(cli.timeout_s)),
-        max_retries: cli.retries,
-        evaluate_stitched: !cli.no_eval,
         degrade: !cli.no_degrade,
-        checkpoint,
-        faults,
-        ..BatchConfig::default()
+        checkpoint: (cli.checkpoint || cli.resume)
+            .then(|| std::path::PathBuf::from(format!("{journal_path}.ckpt"))),
+        ..plan
     };
     println!(
         "batch: {} case(s), {} thread(s), tile {} px, halo {} px, schedule {}",
@@ -437,7 +374,7 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
         config.threads,
         config.tile,
         config.halo,
-        cli.schedule
+        schedule
     );
     if let Some(dir) = &config.checkpoint {
         println!("checkpoint: {}", dir.display());
@@ -508,16 +445,11 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
     });
     let config = ServerConfig {
         addr: cli.addr.clone(),
-        workers: cli.threads.max(1),
+        workers: cli.flag("threads", 1usize)?.max(1),
         queue_cap: cli.queue,
         journal: cli.journal.clone().map(Into::into),
         cache_capacity: cli.cache,
-        policy: multilevel_ilt::server::ExecPolicy {
-            default_timeout_s: cli.timeout_s,
-            default_retries: cli.retries,
-            allow_inject: cli.allow_inject,
-            ..multilevel_ilt::server::ExecPolicy::default()
-        },
+        policy: ExecPolicy { allow_inject: cli.allow_inject, ..cli.policy()? },
         state_dir: cli.state_dir.clone().map(Into::into),
         result_ttl: (cli.result_ttl_s > 0.0)
             .then(|| std::time::Duration::from_secs_f64(cli.result_ttl_s)),
@@ -537,7 +469,8 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
     }
     let replicas = config.cluster.as_ref().map(|c| c.workers.clone());
     let server = Server::bind(config)?;
-    // The verify script parses this line to find the ephemeral port.
+    // `verify_chaos.sh` and `tests/cluster_e2e.rs` parse this line to find
+    // the ephemeral port.
     println!("listening on http://{}", server.local_addr());
     println!(
         "{workers} worker(s), queue capacity {queue}; POST /v1/shutdown to drain"
@@ -559,19 +492,14 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let faults = match &cli.inject {
-        Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("bad --inject {spec}: {e}"))?,
-        None => FaultPlan::none(),
-    };
+    let spec = cli.flag("inject", String::new())?;
     let config = WorkerConfig {
         addr: cli.addr.clone(),
         state_dir: cli.state_dir.clone().map(Into::into),
-        faults,
-        policy: multilevel_ilt::cluster::ExecPolicy {
-            default_timeout_s: cli.timeout_s,
-            default_retries: cli.retries,
-            max_threads_per_job: cli.threads.max(1),
-            ..multilevel_ilt::cluster::ExecPolicy::default()
+        faults: FaultPlan::parse(&spec).map_err(|e| format!("bad --inject {spec}: {e}"))?,
+        policy: ExecPolicy {
+            max_threads_per_job: cli.flag("threads", 1usize)?.max(1),
+            ..cli.policy()?
         },
         ..WorkerConfig::default()
     };
@@ -580,7 +508,7 @@ fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
     }
     let worker = Worker::bind(config)?;
     let local = worker.local_addr()?;
-    // The verify script parses this line to find the ephemeral port.
+    // Parsed like `serve`'s listen line.
     println!("worker listening on http://{local}");
     println!("POST /v1/shutdown to stop");
     // Self-registration: announce this replica to the coordinator once the
@@ -618,7 +546,7 @@ fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_evaluate(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let (target, nm) = cli.load_target()?;
+    let (BatchCase { target, .. }, _, sim) = cli.single()?;
     let mask_path = cli.mask.as_ref().ok_or("evaluate needs --mask file.pgm")?;
     let mask = multilevel_ilt::field::read_pgm(mask_path)?.threshold(0.5);
     if mask.shape() != target.shape() {
@@ -629,7 +557,6 @@ fn cmd_evaluate(cli: &Cli) -> Result<(), Box<dyn Error>> {
         )
         .into());
     }
-    let sim = cli.simulator(nm)?;
     println!("{}", evaluate_mask(&sim, &target, &mask, std::time::Duration::ZERO));
     Ok(())
 }
@@ -658,16 +585,17 @@ fn cmd_fracture(cli: &Cli) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_kernels(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let nm = cli.clip_nm / cli.grid as f64;
+    let grid = cli.flag("grid", 512usize)?;
+    let nm = cli.flag("clip_nm", 2048.0)? / grid as f64;
     let cfg = OpticsConfig {
-        grid: cli.grid,
+        grid,
         nm_per_px: nm,
-        num_kernels: cli.kernels,
+        num_kernels: cli.flag("kernels", 10)?,
         ..OpticsConfig::default()
     };
     println!(
         "grid {} ({} nm/px), P = {}, N_k = {}",
-        cli.grid,
+        grid,
         nm,
         cfg.kernel_size(),
         cfg.num_kernels
@@ -789,10 +717,13 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
 fn cmd_tables(cli: &Cli) -> Result<(), Box<dyn Error>> {
     use multilevel_ilt::perf::{tables, MeasureConfig};
     let config = tables::TablesConfig {
-        grid: cli.grid,
-        kernels: cli.kernels,
-        max_eff_nm: cli.max_eff_nm,
-        case: cli.case,
+        grid: cli.flag("grid", 512)?,
+        kernels: cli.flag("kernels", 10)?,
+        max_eff_nm: cli.flag("max_eff_nm", 8.0)?,
+        case: match cli.target.as_deref().and_then(|t| t.strip_prefix("case")) {
+            Some(id) => Some(id.parse().map_err(|_| format!("bad --case {id}"))?),
+            None => None,
+        },
         measure: MeasureConfig { smoke: cli.smoke, reps: cli.reps.max(1) },
         out: cli.out_flag.clone().unwrap_or_else(|| "bench-out/tables".into()).into(),
     };

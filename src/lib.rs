@@ -63,7 +63,7 @@ pub mod prelude {
         avg_pool_down, avg_pool_same, upsample_nearest, write_csv, write_pgm, Field2D,
     };
     pub use ilt_geom::{shot_count, simplify_mask, SimplifyConfig};
-    pub use ilt_layouts::{extended_case, iccad2013_case, via_pattern, Layout};
+    pub use ilt_layouts::{extended_case, iccad2013_case, m1_case, via_pattern, Layout};
     pub use ilt_metrics::{pvband, squared_l2, EpeChecker, EvalReport, TurnaroundTimer};
     pub use ilt_optics::{
         KernelSet, LithoSimulator, OpticsConfig, ProcessCondition, SourceSpec,

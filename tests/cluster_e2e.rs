@@ -1,9 +1,14 @@
-//! End-to-end cluster chaos: a coordinator and two `ilt worker` processes
-//! on loopback, one worker armed with an injected process crash
-//! (`--inject crash@0`) that kills it mid-job. The coordinator must detect
-//! the death, re-dispatch the lost shard to the survivor, and still serve
-//! a mask byte-identical to the single-process batch engine — with the
-//! re-dispatch visible in `/metrics`.
+//! The real `ilt` binary as real processes on loopback.
+//!
+//! Cluster chaos: a coordinator and two `ilt worker` processes, one worker
+//! armed with an injected process crash (`--inject crash@0`) that kills it
+//! mid-job. The coordinator must detect the death, re-dispatch the lost
+//! shard to the survivor, and still serve a mask byte-identical to the
+//! single-process batch engine — with the re-dispatch visible in
+//! `/metrics`.
+//!
+//! Four routes: one job description through `ilt batch`, the in-process
+//! engine, `ilt serve` and `ilt serve --workers` yields one PGM.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -11,8 +16,12 @@ use std::time::{Duration, Instant};
 
 use multilevel_ilt::cluster::transport::request;
 use multilevel_ilt::cluster::{ExecPolicy, JobParams};
-use multilevel_ilt::field::pgm_bytes;
+use multilevel_ilt::field::{pgm_bytes, Field2D};
 use multilevel_ilt::runtime::{run_batch, SimulatorCache};
+
+/// The tests take turns: each runs several processes, and which worker the
+/// crash test's first shard lands on is sensitive to a loaded machine.
+static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Kills the child on drop so a failing assertion never leaks processes.
 struct Proc(Child);
@@ -49,12 +58,35 @@ fn spawn_ilt(args: &[&str]) -> (Proc, String) {
 }
 
 /// One `connection: close` HTTP exchange; returns status and body.
-fn http(addr: &str, method: &str, path: &str) -> (u16, Vec<u8>) {
-    request(addr, method, path, &[], Duration::from_secs(30)).expect("http exchange")
+fn http(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+    request(addr, method, path, body, Duration::from_secs(30)).expect("http exchange")
+}
+
+/// Submits `query` (+ `body`) as job 0 of a fresh server at `addr`, polls
+/// it to `done` and returns the served mask.
+fn serve_mask(addr: &str, query: &str, body: &[u8]) -> Vec<u8> {
+    let (status, reply) = http(addr, "POST", &format!("/v1/jobs?{query}"), body);
+    assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&reply));
+    let deadline = Instant::now() + Duration::from_secs(180);
+    loop {
+        let (status, detail) = http(addr, "GET", "/v1/jobs/0", &[]);
+        assert_eq!(status, 200);
+        let detail = String::from_utf8_lossy(&detail).into_owned();
+        if detail.contains("\"state\":\"done\"") {
+            break;
+        }
+        assert!(!detail.contains("\"state\":\"failed\""), "job must not fail: {detail}");
+        assert!(Instant::now() < deadline, "job did not finish in time: {detail}");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let (status, mask) = http(addr, "GET", "/v1/jobs/0/mask", &[]);
+    assert_eq!(status, 200);
+    mask
 }
 
 #[test]
 fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     const QUERY: &str = "via=7&grid=128&kernels=3&tile=64&halo=8&iters=2&threads=1&eval=0";
 
     // Reference: the in-process batch engine on the identical parameters.
@@ -91,29 +123,22 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
         "100",
     ]);
 
-    let (status, body) = http(&addr_c, "POST", &format!("/v1/jobs?{QUERY}"));
-    assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&body));
+    // The job must survive the crash.
+    let mask = serve_mask(&addr_c, QUERY, &[]);
+    assert!(mask == reference_pgm, "cluster mask must match ilt batch byte-for-byte");
 
-    let deadline = Instant::now() + Duration::from_secs(180);
-    loop {
-        let (status, body) = http(&addr_c, "GET", "/v1/jobs/0");
+    // The heartbeat monitor needs three missed probes to bury worker A;
+    // the job may be done sooner.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let metrics = loop {
+        let (status, metrics) = http(&addr_c, "GET", "/metrics", &[]);
         assert_eq!(status, 200);
-        let body = String::from_utf8_lossy(&body).into_owned();
-        if body.contains("\"state\":\"done\"") {
-            break;
+        let metrics = String::from_utf8_lossy(&metrics).into_owned();
+        if metrics.contains("ilt_workers_alive 1\n") || Instant::now() >= deadline {
+            break metrics;
         }
-        assert!(!body.contains("\"state\":\"failed\""), "job must survive the crash: {body}");
-        assert!(Instant::now() < deadline, "job did not finish in time: {body}");
-        std::thread::sleep(Duration::from_millis(200));
-    }
-
-    let (status, mask) = http(&addr_c, "GET", "/v1/jobs/0/mask");
-    assert_eq!(status, 200);
-    assert_eq!(mask, reference_pgm, "cluster mask must match ilt batch byte-for-byte");
-
-    let (status, metrics) = http(&addr_c, "GET", "/metrics");
-    assert_eq!(status, 200);
-    let metrics = String::from_utf8_lossy(&metrics).into_owned();
+        std::thread::sleep(Duration::from_millis(100));
+    };
     let redispatched: u64 = metrics
         .lines()
         .find_map(|l| l.strip_prefix("ilt_shards_redispatched_total "))
@@ -122,10 +147,13 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
         .parse()
         .expect("numeric counter");
     assert!(redispatched >= 1, "the crashed shard must be re-dispatched:\n{metrics}");
-    assert!(
-        metrics.contains("ilt_workers_configured 2"),
-        "both replicas configured:\n{metrics}"
-    );
+    for line in [
+        "ilt_workers_configured 2",
+        "ilt_workers_alive 1",
+        "ilt_shard_latency_ms_bucket{stage=\"shard\",le=\"+Inf\"}",
+    ] {
+        assert!(metrics.contains(line), "expected `{line}` after one crash:\n{metrics}");
+    }
 
     // The crash plan really fired: worker A is dead of an abnormal exit,
     // not still serving.
@@ -137,6 +165,86 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
     assert!(!exit.success(), "worker A must die of the injected abort, got {exit:?}");
 
     let _ = std::fs::remove_dir_all(&state_a);
+}
+
+/// One job description, written once as the decoder's pairs, through all
+/// four routes — `ilt batch` (the pairs as flags, the target as a PGM
+/// file), the in-process engine (`run_batch(plan())`), `ilt serve` (the
+/// pairs as a query, the target as the body) and `ilt serve --workers`
+/// (the same, sharded over two `ilt worker`s) — is one PGM, byte for byte,
+/// and the binary's `--no-timing` journal is the in-process report's.
+#[test]
+fn one_description_takes_four_routes_to_one_mask() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const PAIRS: [(&str, &str); 6] = [
+        ("clip_nm", "512"),
+        ("kernels", "3"),
+        ("tile", "32"),
+        ("halo", "4"),
+        ("threads", "1"),
+        ("eval", "0"),
+    ];
+    let dir = std::env::temp_dir().join(format!("ilt-four-routes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+    let target = Field2D::from_fn(64, 64, |r, c| {
+        if (24..40).contains(&r) && (16..48).contains(&c) { 1.0 } else { 0.0 }
+    });
+    let pgm = pgm_bytes(&target, 0.0, 1.0);
+    std::fs::write(path("routes.pgm"), &pgm).expect("write target");
+
+    // Route 1: the in-process engine. The file's stem is the job's name.
+    let mut pairs: Vec<(String, String)> =
+        PAIRS.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+    pairs.push(("name".into(), "routes".into()));
+    let params = JobParams::from_pairs(&pairs, &pgm, &ExecPolicy::default()).expect("params");
+    let (case, config) = params.plan().expect("plan");
+    let reference = run_batch(&[case], &config, &SimulatorCache::new()).expect("local batch");
+    assert_eq!(reference.cases[0].tiles, 9, "the job must exercise tiling and stitching");
+    let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
+
+    // Route 2: `ilt batch`, each pair as the flag it is.
+    let mut args: Vec<String> =
+        ["batch", "--no-timing", "--out", &path("cli")].map(Into::into).into();
+    for (key, value) in PAIRS {
+        match (key, value) {
+            ("eval", "0") => args.push("--no-eval".into()),
+            _ => args.extend([format!("--{}", key.replace('_', "-")), value.to_string()]),
+        }
+    }
+    args.push(path("routes.pgm"));
+    let status = Command::new(env!("CARGO_BIN_EXE_ilt"))
+        .args(&args)
+        .stdout(Stdio::null())
+        .status()
+        .expect("run ilt batch");
+    assert!(status.success(), "ilt {args:?} failed");
+    let cli_mask = std::fs::read(path("cli_routes_mask.pgm")).expect("CLI mask");
+    assert!(cli_mask == reference_pgm, "`ilt batch` mask differs from run_batch(plan())");
+    let cli_journal = std::fs::read_to_string(path("cli_journal.jsonl")).expect("CLI journal");
+    assert_eq!(cli_journal, reference.report.to_jsonl_opts(false));
+
+    // Routes 3 and 4: `ilt serve`, alone and coordinating two workers.
+    let query: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    let query = query.join("&");
+    let (_local, addr_local) = spawn_ilt(&["serve", "--addr", "127.0.0.1:0"]);
+    let served = serve_mask(&addr_local, &query, &pgm);
+    assert!(served == reference_pgm, "`ilt serve` mask differs from run_batch(plan())");
+
+    let (_worker_a, addr_a) = spawn_ilt(&["worker", "--addr", "127.0.0.1:0"]);
+    let (_worker_b, addr_b) = spawn_ilt(&["worker", "--addr", "127.0.0.1:0"]);
+    let (_coordinator, addr_c) = spawn_ilt(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        &format!("{addr_a},{addr_b}"),
+    ]);
+    let sharded = serve_mask(&addr_c, &query, &pgm);
+    assert!(sharded == reference_pgm, "`ilt serve --workers` mask differs from run_batch(plan())");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `Child::wait` with a deadline, std-only (no `wait-timeout` crate).

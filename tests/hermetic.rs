@@ -25,3 +25,14 @@ fn workspace_excludes_nothing() {
         manifest.lines().filter(|l| l.trim_start().starts_with("exclude")).collect();
     assert!(excludes.is_empty(), "a package is carved out of the workspace: {excludes:?}");
 }
+
+/// The barometer measures compute kernels; the serving path has its one
+/// measurement in `benchmark/`'s `serve_small`. A serving workload cannot
+/// drift back in without one of these dependencies.
+#[test]
+fn barometer_links_neither_service_crate() {
+    let manifest = read("crates/ilt-perf/Cargo.toml");
+    for service in ["ilt-server", "ilt-cluster"] {
+        assert!(!manifest.contains(service), "crates/ilt-perf/Cargo.toml names {service}");
+    }
+}

@@ -2,8 +2,7 @@
 # Smoke-verifies the performance barometer subsystem itself (crates/ilt-perf):
 #   1. the registry lists and every workload family is present;
 #   2. a smoke run (1 rep, tiny fixtures) of the FULL registry completes —
-#      every layer's setup path runs, including the loopback server and the
-#      sharded cluster;
+#      every compute layer's setup path runs, FFT kernels to tiled runtime;
 #   3. `bench diff` refuses to gate on smoke numbers;
 #   4. a real run of the pruned-inverse workload passes diff against the
 #      checked-in baseline;
@@ -16,7 +15,7 @@ rm -rf "$OUT"
 mkdir -p "$OUT/smoke" "$OUT/real"
 
 "$BIN" bench list | tee "$OUT/list.log"
-for fam in fft simulator autodiff runtime server cluster; do
+for fam in fft simulator autodiff core runtime; do
     grep -q "$fam" "$OUT/list.log" || { echo "MISSING_FAMILY: $fam"; exit 1; }
 done
 
