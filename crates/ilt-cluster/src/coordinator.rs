@@ -45,7 +45,6 @@
 //! count, split, join/leave schedule, or crash/re-dispatch history yields
 //! byte-identical masks to a single-process `ilt batch` run.
 
-use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -57,7 +56,7 @@ use ilt_runtime::{
 use crate::breaker::BreakerConfig;
 use crate::membership::{Acquire, MemberView, Membership, Settle, WorkerSlot};
 use crate::stats::ClusterStats;
-use crate::transport::{connect, parse_response, request, write_request};
+use crate::transport::{request, Client, Reply};
 use crate::wire::{encode_job_ids, parse_shard_header, parse_shard_job};
 
 /// Cluster topology and supervision tuning.
@@ -393,17 +392,14 @@ impl Coordinator {
                     // dispatch) or a poisoned race: re-dispatch cannot help.
                     return ShardResult::Lost(reason);
                 }
-                Err(ShardError::Superseded) => {
+                Err(retryable) => {
                     // Only loser copies inside the race are superseded; a
                     // race that *returns* it would be a logic error — treat
                     // it as retryable rather than crash.
-                    attempts.push(format!(
-                        "attempt {} on {addr}: superseded ({} ms)",
-                        attempts.len() + 1,
-                        started.elapsed().as_millis()
-                    ));
-                }
-                Err(ShardError::Retry(reason)) => {
+                    let reason = match retryable {
+                        ShardError::Retry(reason) => reason,
+                        _ => "superseded".into(),
+                    };
                     attempts.push(format!(
                         "attempt {} on {addr}: {reason} ({} ms)",
                         attempts.len() + 1,
@@ -616,78 +612,50 @@ impl Coordinator {
         cancel: &CancelToken,
         abort: &AtomicBool,
     ) -> Result<(u64, Vec<JobOutput>), ShardError> {
-        let mut stream = connect(&slot.addr, self.config.connect_timeout)
-            .map_err(ShardError::Retry)?;
-        write_request(&mut stream, "POST", path, body).map_err(ShardError::Retry)?;
-        // Short read timeouts turn the blocking wait into a poll loop so
+        let mut client = Client::connect(&slot.addr, self.config.connect_timeout)?;
+        client.send("POST", path, &[], body, true)?;
+        // Short read timeouts turn the blocking wait into a poll so
         // cancellation, worker death, and a lost speculation race interrupt
         // a long compute promptly — the poll must stay well under the
         // heartbeat interval or a superseded copy sits blind until its
         // stalled read completes.
-        let _ = stream.set_read_timeout(Some(
+        client.set_read_timeout(
             self.config.heartbeat.min(Duration::from_millis(25)).max(Duration::from_millis(5)),
-        ));
-        let mut raw = Vec::new();
-        let mut cancel_sent = false;
+        );
         let mut cancel_deadline: Option<Instant> = None;
         let mut abort_deadline: Option<Instant> = None;
-        let mut chunk = [0u8; 65536];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => raw.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if abort.load(Ordering::SeqCst) && abort_deadline.is_none() {
-                        // The race was decided against this copy. The
-                        // winner's supervisor already sent the cancel; give
-                        // the worker a bounded grace to surface whatever it
-                        // finished (feeding the agreement check), then
-                        // stand down.
-                        abort_deadline = Some(Instant::now() + self.config.cancel_grace);
-                    }
-                    if let Some(deadline) = abort_deadline {
-                        if Instant::now() >= deadline {
-                            return Err(ShardError::Superseded);
-                        }
-                    }
-                    if cancel.is_cancelled() && !cancel_sent {
-                        // Fan the cancellation out to the worker, then keep
-                        // waiting (bounded) for its cancelled records: the
-                        // job must not turn terminal while a replica still
-                        // computes on its behalf.
-                        self.send_cancel(&slot.addr, sid);
-                        cancel_sent = true;
-                        cancel_deadline = Some(Instant::now() + self.config.cancel_grace);
-                    }
-                    if let Some(deadline) = cancel_deadline {
-                        if Instant::now() >= deadline {
-                            return Err(ShardError::Permanent(
-                                "worker did not acknowledge cancellation in time".into(),
-                            ));
-                        }
-                    }
-                    if !slot.is_alive() {
-                        return Err(ShardError::Retry(format!(
-                            "worker {} died mid-shard (heartbeat)",
-                            slot.addr
-                        )));
-                    }
-                }
-                Err(e) => {
-                    return Err(ShardError::Retry(format!(
-                        "worker {} connection failed mid-shard: {e}",
-                        slot.addr
-                    )))
-                }
+        let Reply { status, body: response_body, .. } = client.read_reply_with(|| {
+            if abort.load(Ordering::SeqCst) && abort_deadline.is_none() {
+                // The race was decided against this copy. The winner's
+                // supervisor already sent the cancel; give the worker a
+                // bounded grace to surface whatever it finished (feeding
+                // the agreement check), then stand down.
+                abort_deadline = Some(Instant::now() + self.config.cancel_grace);
             }
-        }
-
-        let (status, _, response_body) = parse_response(raw).map_err(ShardError::Retry)?;
+            if abort_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                return Err(ShardError::Superseded);
+            }
+            if cancel.is_cancelled() && cancel_deadline.is_none() {
+                // Fan the cancellation out to the worker, then keep
+                // waiting (bounded) for its cancelled records: the job
+                // must not turn terminal while a replica still computes
+                // on its behalf.
+                self.send_cancel(&slot.addr, sid);
+                cancel_deadline = Some(Instant::now() + self.config.cancel_grace);
+            }
+            if cancel_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                return Err(ShardError::Permanent(
+                    "worker did not acknowledge cancellation in time".into(),
+                ));
+            }
+            if !slot.is_alive() {
+                return Err(ShardError::Retry(format!(
+                    "worker {} died mid-shard (heartbeat)",
+                    slot.addr
+                )));
+            }
+            Ok(())
+        })?;
         if status != 200 {
             let reason = format!(
                 "worker {} refused shard {sid}: HTTP {status} {}",
@@ -704,15 +672,13 @@ impl Coordinator {
             });
         }
         let text = std::str::from_utf8(&response_body)
-            .map_err(|_| ShardError::Retry("non-utf8 shard response".into()))?;
+            .map_err(|_| "non-utf8 shard response".to_string())?;
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| ShardError::Retry("empty shard response".into()))
-            .and_then(|l| parse_shard_header(l).map_err(ShardError::Retry))?;
+        let header =
+            parse_shard_header(lines.next().ok_or_else(|| "empty shard response".to_string())?)?;
         let mut outputs = Vec::with_capacity(header.jobs);
         for line in lines {
-            outputs.push(parse_shard_job(line).map_err(ShardError::Retry)?);
+            outputs.push(parse_shard_job(line)?);
         }
         outputs.sort_by_key(|o| o.record.job_id);
         let got: Vec<usize> = outputs.iter().map(|o| o.record.job_id).collect();
@@ -791,6 +757,14 @@ enum ShardError {
     Permanent(String),
     /// This copy lost a speculation race and was cut short.
     Superseded,
+}
+
+/// A transport failure (connect, send, a response cut short or malformed)
+/// says nothing about the shard: try another replica.
+impl From<String> for ShardError {
+    fn from(reason: String) -> Self {
+        ShardError::Retry(reason)
+    }
 }
 
 /// When a speculation race yields two results, they must be the same

@@ -3,9 +3,10 @@
 //! One `ilt serve` process can only scale to its own cores. This crate
 //! adds a coordinator/worker topology on top of the existing runtime:
 //!
-//! - [`transport`] — the std-only HTTP/1.1 parser/writer and keep-alive
-//!   connection loop shared by the job service and the worker (extracted
-//!   from `ilt-server` so both speak the identical wire dialect).
+//! - [`transport`] — the whole std-only HTTP/1.1 edge, one of each: request
+//!   parser and response writer, keep-alive connection loop, accept loop
+//!   ([`transport::Listener`]) and client ([`transport::Client`]) — the job
+//!   service, the worker, the coordinator and the test harness share them.
 //! - [`params`] — the one job description ([`JobParams`]): every route —
 //!   command line, `POST /v1/jobs`, state log, shard dispatch — decodes
 //!   through [`JobParams::from_pairs`] and plans through

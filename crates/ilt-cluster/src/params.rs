@@ -16,7 +16,7 @@ use ilt_layouts::{m1_case, via_pattern};
 use ilt_optics::OpticsConfig;
 use ilt_runtime::{planned_jobs, BatchCase, BatchConfig, FaultPlan, SeamPolicy};
 
-use crate::transport::Request;
+use crate::transport::{first, Request};
 
 /// Where a job's target geometry comes from.
 #[derive(Clone, Debug)]
@@ -131,17 +131,12 @@ pub fn query_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// The value of the first pair named `key`.
-fn lookup<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-}
-
 fn num<T: std::str::FromStr>(
     pairs: &[(String, String)],
     key: &str,
     default: T,
 ) -> Result<T, String> {
-    match lookup(pairs, key) {
+    match first(pairs, key) {
         None => Ok(default),
         Some(raw) => raw.parse().map_err(|_| format!("bad {key}={raw:?}")),
     }
@@ -164,7 +159,7 @@ impl JobParams {
         body: &[u8],
         policy: &ExecPolicy,
     ) -> Result<JobParams, String> {
-        let get = |key| lookup(pairs, key);
+        let get = |key| first(pairs, key);
         let source = match (get("case"), get("via"), body.is_empty()) {
             (Some(c), None, true) => {
                 let id: usize = c

@@ -1,20 +1,25 @@
-//! A minimal HTTP/1.1 request parser and response writer over `TcpStream` —
-//! the shared wire transport of the job service (`ilt serve`) and the
-//! cluster worker (`ilt worker`).
+//! The workspace's whole HTTP/1.1 edge over `TcpStream`, one of each — the
+//! shared wire transport of the job service (`ilt serve`), the cluster
+//! worker (`ilt worker`), the coordinator and the test harness.
 //!
-//! Only the subset those services need: request-line + header parsing with
-//! a hard size cap, `Content-Length` bodies with their own cap,
+//! Only the subset those need. **Serving:** request-line + header parsing
+//! with a hard size cap, `Content-Length` bodies with their own cap,
 //! percent-decoded query strings, and HTTP/1.1 persistent connections —
 //! [`Request::read_from_buffered`] carries pipelined bytes between requests
-//! and reports whether the client permits keep-alive, while
-//! [`serve_connection`] bounds each connection with a request cap and an
-//! idle timeout. Robustness limits are explicit inputs ([`Limits`]) so
-//! every handler path is testable without a server; socket read/write
-//! timeouts are set on the stream by [`serve_connection`] (or by the caller
-//! when driving the parser directly).
+//! and reports whether the client permits keep-alive, [`serve_connection`]
+//! bounds each connection with a request cap and an idle timeout, and
+//! [`Listener::serve`] is the one accept loop (connection cap, shutdown
+//! wake). Robustness limits are explicit inputs ([`Limits`]) so every
+//! handler path is testable without a server; socket read/write timeouts
+//! are set on the stream by [`serve_connection`] (or by the caller when
+//! driving the parser directly). **Calling:** [`Client`] is the one client
+//! — one request encoder, one `content-length`-framed response reader —
+//! and [`request`] a one-shot over it.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Hard caps applied while reading one request.
@@ -67,15 +72,20 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
+/// First value under `name` in a header, query or job-key pair list.
+pub(crate) fn first<'a>(pairs: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    pairs.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+}
+
 impl Request {
     /// First header value with the given (lower-case) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        first(&self.headers, name)
     }
 
     /// First query parameter with the given name.
     pub fn query_param(&self, name: &str) -> Option<&str> {
-        self.query.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        first(&self.query, name)
     }
 
     /// Reads and parses one request from `stream`.
@@ -149,8 +159,8 @@ impl Request {
         let query = parse_query(raw_query)
             .map_err(|e| HttpError::BadRequest(format!("bad query encoding: {e}")))?;
 
-        let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-            Some((_, v)) => v
+        let content_length = match first(&headers, "content-length") {
+            Some(v) => v
                 .parse::<usize>()
                 .map_err(|_| HttpError::BadRequest(format!("bad content-length {v:?}")))?,
             None => 0,
@@ -177,10 +187,7 @@ impl Request {
             body.extend_from_slice(&chunk[..n]);
         }
 
-        let connection = headers
-            .iter()
-            .find(|(n, _)| n == "connection")
-            .map(|(_, v)| v.to_ascii_lowercase());
+        let connection = first(&headers, "connection").map(str::to_ascii_lowercase);
         let keep_alive = match connection.as_deref() {
             Some(v) => {
                 let tokens: Vec<&str> = v.split(',').map(str::trim).collect();
@@ -313,52 +320,32 @@ pub struct Response {
 }
 
 impl Response {
+    fn new(status: u16, content_type: &'static str, body: Vec<u8>) -> Response {
+        Response { status, headers: Vec::new(), body, content_type, wire_fault: None }
+    }
+
     /// A JSON response (the body must already be serialized JSON).
     pub fn json(status: u16, body: impl Into<String>) -> Response {
         let mut body = body.into();
         if !body.ends_with('\n') {
             body.push('\n');
         }
-        Response {
-            status,
-            headers: Vec::new(),
-            body: body.into_bytes(),
-            content_type: "application/json",
-            wire_fault: None,
-        }
+        Response::new(status, "application/json", body.into_bytes())
     }
 
     /// A plain-text response.
     pub fn text(status: u16, body: impl Into<String>) -> Response {
-        Response {
-            status,
-            headers: Vec::new(),
-            body: body.into().into_bytes(),
-            content_type: "text/plain; charset=utf-8",
-            wire_fault: None,
-        }
+        Response::new(status, "text/plain; charset=utf-8", body.into().into_bytes())
     }
 
     /// A binary PGM image response.
     pub fn pgm(body: Vec<u8>) -> Response {
-        Response {
-            status: 200,
-            headers: Vec::new(),
-            body,
-            content_type: "image/x-portable-graymap",
-            wire_fault: None,
-        }
+        Response::new(200, "image/x-portable-graymap", body)
     }
 
     /// A JSON Lines response (shard result streams).
     pub fn jsonl(status: u16, body: impl Into<String>) -> Response {
-        Response {
-            status,
-            headers: Vec::new(),
-            body: body.into().into_bytes(),
-            content_type: "application/jsonl",
-            wire_fault: None,
-        }
+        Response::new(status, "application/jsonl", body.into().into_bytes())
     }
 
     /// An error response with a JSON `{"error": ...}` body, using the
@@ -664,20 +651,198 @@ pub fn base64_decode(s: &str) -> Result<Vec<u8>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// The one-shot client: one request per connection, `connection: close`.
+// The client: one connection, one request encoder, one framed reader.
 // ---------------------------------------------------------------------------
 
-/// Sends one request to `addr` on a fresh connection and reads the response
-/// to EOF; `timeout` bounds the connect and each read. Returns the status
-/// code and body. This is the workspace's one one-shot HTTP client:
-/// heartbeats, cancel fan-out, membership posts and test shutdowns all go
-/// through it (shard dispatch drives the same pieces with its own
-/// cancellable read loop).
+/// One parsed response.
+#[derive(Debug)]
+pub struct Reply {
+    /// Status code from the response line.
+    pub status: u16,
+    /// Header `(name, value)` pairs, names lower-cased.
+    pub headers: Vec<(String, String)>,
+    /// Raw response body.
+    pub body: Vec<u8>,
+}
+
+impl Reply {
+    /// First header with the given (lower-case) name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        first(&self.headers, name)
+    }
+
+    /// Body as lossy UTF-8.
+    pub fn text(&self) -> String {
+        String::from_utf8_lossy(&self.body).into_owned()
+    }
+}
+
+/// The workspace's one HTTP/1.1 client: a connection that encodes requests
+/// one way ([`Client::send`]) and frames every response by its
+/// `content-length` ([`Client::read_reply_with`]), so it serves one-shot
+/// exchanges ([`request`]), keep-alive and pipelined sessions, and shard
+/// dispatch, whose wait for a long compute polls a closure.
+pub struct Client {
+    stream: TcpStream,
+    /// Bytes read past the last reply (pipelined responses).
+    buf: Vec<u8>,
+}
+
+impl Client {
+    /// Connects to `addr` with `TCP_NODELAY`; `timeout` bounds the connect
+    /// and, until [`Client::set_read_timeout`], each read.
+    ///
+    /// # Errors
+    ///
+    /// A message when `addr` does not resolve or accept a connection.
+    pub fn connect(addr: &str, timeout: Duration) -> Result<Client, String> {
+        let targets: Vec<SocketAddr> =
+            addr.to_socket_addrs().map_err(|e| format!("cannot resolve {addr}: {e}"))?.collect();
+        let mut last = format!("{addr} resolves to no address");
+        for target in targets {
+            match TcpStream::connect_timeout(&target, timeout) {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_read_timeout(Some(timeout));
+                    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+                    return Ok(Client { stream, buf: Vec::new() });
+                }
+                Err(e) => last = format!("cannot connect to {addr}: {e}"),
+            }
+        }
+        Err(last)
+    }
+
+    /// How long one read may block before [`Client::read_reply_with`] calls
+    /// its poll closure (or [`Client::read_reply`] gives up).
+    pub fn set_read_timeout(&mut self, timeout: Duration) {
+        let _ = self.stream.set_read_timeout(Some(timeout));
+    }
+
+    /// Writes raw bytes without reading anything back (pipelining,
+    /// malformed-request tests).
+    ///
+    /// # Errors
+    ///
+    /// A message for a socket write error or timeout.
+    pub fn send_raw(&mut self, raw: &[u8]) -> Result<(), String> {
+        self.stream
+            .write_all(raw)
+            .and_then(|()| self.stream.flush())
+            .map_err(|e| format!("cannot send request: {e}"))
+    }
+
+    /// The one request encoder: request line, `host`, `content-length`,
+    /// `connection: close` when `close` (HTTP/1.1 keep-alive otherwise),
+    /// then `headers`; head and body leave in one write.
+    ///
+    /// # Errors
+    ///
+    /// See [`Client::send_raw`].
+    pub fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        close: bool,
+    ) -> Result<(), String> {
+        let mut head = format!(
+            "{method} {path} HTTP/1.1\r\nhost: worker\r\ncontent-length: {}\r\n",
+            body.len()
+        );
+        if close {
+            head.push_str("connection: close\r\n");
+        }
+        for (name, value) in headers {
+            head.push_str(&format!("{name}: {value}\r\n"));
+        }
+        head.push_str("\r\n");
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(body);
+        self.send_raw(&wire)
+    }
+
+    /// One keep-alive exchange: [`Client::send`] without extra headers,
+    /// then [`Client::read_reply`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Client::send_raw`] and [`Client::read_reply`].
+    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> Result<Reply, String> {
+        self.send(method, path, &[], body, false)?;
+        self.read_reply()
+    }
+
+    /// Reads one response; a read that times out is an error.
+    ///
+    /// # Errors
+    ///
+    /// See [`Client::read_reply_with`].
+    pub fn read_reply(&mut self) -> Result<Reply, String> {
+        self.read_reply_with(|| Err("timed out waiting for the response".to_string()))
+    }
+
+    /// The one response reader: the head, then exactly `content-length`
+    /// body bytes; whatever arrived beyond them stays buffered for the next
+    /// call. Each time a read times out, `on_timeout` decides whether to
+    /// keep waiting (`Ok`) or give up with its own error.
+    ///
+    /// # Errors
+    ///
+    /// `on_timeout`'s error, or a message (through `E::from`) when the
+    /// connection closes or fails before the response is complete, or the
+    /// head is malformed or carries no `content-length`.
+    pub fn read_reply_with<E: From<String>>(
+        &mut self,
+        mut on_timeout: impl FnMut() -> Result<(), E>,
+    ) -> Result<Reply, E> {
+        // The parsed head with the body length it promises, once it is in.
+        let mut head: Option<(Reply, usize)> = None;
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            if head.is_none() && find_terminator(&self.buf).is_some() {
+                let mut reply = parse_response(std::mem::take(&mut self.buf))?;
+                self.buf = std::mem::take(&mut reply.body);
+                let len = first(&reply.headers, "content-length")
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| "response carries no content-length".to_string())?;
+                head = Some((reply, len));
+            }
+            if let Some((mut reply, len)) = head.take_if(|(_, len)| self.buf.len() >= *len) {
+                let rest = self.buf.split_off(len);
+                reply.body = std::mem::replace(&mut self.buf, rest);
+                return Ok(reply);
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    let at = if head.is_some() { "mid-body" } else { "before a full response head" };
+                    return Err(format!("connection closed {at}").into());
+                }
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                    on_timeout()?;
+                }
+                Err(e) => return Err(format!("connection failed mid-response: {e}").into()),
+            }
+        }
+    }
+
+    /// Reads one byte, expecting the peer to have closed the connection
+    /// (EOF) rather than sent anything.
+    pub fn expect_closed(&mut self) -> bool {
+        let mut one = [0u8; 1];
+        self.buf.is_empty() && matches!(self.stream.read(&mut one), Ok(0))
+    }
+}
+
+/// One request on a fresh connection, `connection: close`: heartbeats,
+/// cancel fan-out, membership posts and shutdowns. `timeout` bounds the
+/// connect and each read. Returns the status code and body.
 ///
 /// # Errors
 ///
-/// A message when `addr` does not resolve or connect, the request cannot be
-/// sent, or the response head is truncated or malformed.
+/// See [`Client::connect`], [`Client::send_raw`] and [`Client::read_reply`].
 pub fn request(
     addr: &str,
     method: &str,
@@ -685,64 +850,15 @@ pub fn request(
     body: &[u8],
     timeout: Duration,
 ) -> Result<(u16, Vec<u8>), String> {
-    let mut stream = connect(addr, timeout)?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    write_request(&mut stream, method, path, body)?;
-    let mut raw = Vec::new();
-    // A read error after a complete response (reset, timeout on a peer that
-    // never closes) still leaves that response parseable.
-    let _ = stream.read_to_end(&mut raw);
-    parse_response(raw).map(|(status, _, body)| (status, body))
+    let mut client = Client::connect(addr, timeout)?;
+    client.send(method, path, &[], body, true)?;
+    client.read_reply().map(|reply| (reply.status, reply.body))
 }
 
-pub(crate) fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
-    let targets: Vec<SocketAddr> =
-        addr.to_socket_addrs().map_err(|e| format!("cannot resolve {addr}: {e}"))?.collect();
-    let mut last = format!("{addr} resolves to no address");
-    for target in targets {
-        match TcpStream::connect_timeout(&target, timeout) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                return Ok(stream);
-            }
-            Err(e) => last = format!("cannot connect to {addr}: {e}"),
-        }
-    }
-    Err(last)
-}
-
-pub(crate) fn write_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> Result<(), String> {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut wire = format!(
-        "{method} {path} HTTP/1.1\r\nhost: worker\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    wire.extend_from_slice(body);
-    stream
-        .write_all(&wire)
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("cannot send request: {e}"))
-}
-
-/// The workspace's one HTTP/1.1 response parser: status code, header
-/// `(name, value)` pairs with names lower-cased, and everything after the
-/// head as the body — split off `raw`, not copied. A caller that read to
-/// EOF gets the whole body; a keep-alive reader hands over what it has and
-/// frames the rest by `content-length`.
-///
-/// # Errors
-///
-/// A message for a missing head terminator, a non-UTF-8 head or a status
-/// line without a numeric code.
-pub fn parse_response(
-    mut raw: Vec<u8>,
-) -> Result<(u16, Vec<(String, String)>, Vec<u8>), String> {
+/// Parses the response head that opens `raw`: status code and header
+/// `(name, value)` pairs with names lower-cased; `body` gets whatever
+/// follows the head — split off, not copied.
+fn parse_response(mut raw: Vec<u8>) -> Result<Reply, String> {
     let head_end = find_terminator(&raw).ok_or("truncated response head")?;
     let body = raw.split_off(head_end + 4);
     let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "non-utf8 response head")?;
@@ -757,7 +873,124 @@ pub fn parse_response(
         .filter_map(|l| l.split_once(':'))
         .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
         .collect();
-    Ok((status, headers, body))
+    Ok(Reply { status, headers, body })
+}
+
+// ---------------------------------------------------------------------------
+// The listener: one accept loop, one connection cap, one shutdown wake.
+// ---------------------------------------------------------------------------
+
+/// What a [`Listener`]'s accept loop and its connection handlers share: the
+/// shutdown flag (with the address a throwaway connection wakes the loop
+/// at) and the count of connections being served.
+pub struct Gate {
+    addr: SocketAddr,
+    shutdown: AtomicBool,
+    active: Mutex<usize>,
+    /// Notified by the handler that brings `active` to zero.
+    idle: Condvar,
+}
+
+impl Gate {
+    /// Has [`Gate::shut_down`] been called?
+    pub fn is_shut_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Stops the accept loop: sets the flag, then (the first time) nudges
+    /// the loop out of its blocking accept with a throwaway connection,
+    /// which is dropped unanswered.
+    pub fn shut_down(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        }
+    }
+
+    /// Blocks until no connection is being served, or `timeout` passes —
+    /// lets in-flight responses (a shutdown's own ack) finish.
+    pub fn wait_idle(&self, timeout: Duration) {
+        let active = self.active.lock().expect("connection count lock");
+        drop(self.idle.wait_timeout_while(active, timeout, |active| *active > 0));
+    }
+}
+
+/// A bound listen socket and the one accept loop ([`Listener::serve`]) the
+/// job service and the cluster worker both run.
+pub struct Listener {
+    listener: TcpListener,
+    gate: Arc<Gate>,
+}
+
+impl Listener {
+    /// Binds `addr` (port 0 picks a free port).
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket bind errors.
+    pub fn bind(addr: &str) -> io::Result<Listener> {
+        let listener = TcpListener::bind(addr)?;
+        let gate = Arc::new(Gate {
+            addr: listener.local_addr()?,
+            shutdown: AtomicBool::new(false),
+            active: Mutex::new(0),
+            idle: Condvar::new(),
+        });
+        Ok(Listener { listener, gate })
+    }
+
+    /// The bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.gate.addr
+    }
+
+    /// The handle routes use to observe and trigger shutdown.
+    pub fn gate(&self) -> Arc<Gate> {
+        Arc::clone(&self.gate)
+    }
+
+    /// Accepts until [`Gate::shut_down`]: each connection gets a thread
+    /// running [`serve_connection`] over `route` (downgraded to
+    /// `connection: close` once shutdown starts); beyond `max_connections`
+    /// concurrently served ones, a connection is answered `503` with
+    /// `retry-after: 1` and closed.
+    pub fn serve(
+        &self,
+        max_connections: usize,
+        options: ConnOptions,
+        route: impl Fn(&Request) -> Response + Send + Sync + 'static,
+    ) {
+        let route = Arc::new(route);
+        for stream in self.listener.incoming() {
+            if self.gate.is_shut_down() {
+                break; // the wake-up connection itself is dropped unanswered
+            }
+            let Ok(mut stream) = stream else { continue }; // transient (EMFILE, reset)
+            let admitted = {
+                let mut active = self.gate.active.lock().expect("connection count lock");
+                let admitted = *active < max_connections;
+                *active += usize::from(admitted);
+                admitted
+            };
+            if !admitted {
+                let _ = Response::error(503, "connection limit reached")
+                    .with_header("retry-after", "1")
+                    .write_to(&mut stream);
+                continue;
+            }
+            let (gate, route) = (self.gate(), Arc::clone(&route));
+            std::thread::Builder::new()
+                .name("ilt-conn".into())
+                .spawn(move || {
+                    serve_connection(stream, &options, |req| route(req), || !gate.is_shut_down());
+                    let mut active = gate.active.lock().expect("connection count lock");
+                    *active -= 1;
+                    if *active == 0 {
+                        gate.idle.notify_all();
+                    }
+                })
+                .expect("spawn connection handler");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -772,7 +1005,7 @@ mod tests {
     #[test]
     fn response_parse_extracts_status_and_body() {
         let raw = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nx-empty:\r\n\r\nhello";
-        let (status, headers, body) = parse_response(raw.to_vec()).unwrap();
+        let Reply { status, headers, body } = parse_response(raw.to_vec()).unwrap();
         assert_eq!(status, 200);
         assert_eq!(
             headers,
@@ -781,6 +1014,84 @@ mod tests {
         assert_eq!(body, b"hello");
         assert!(parse_response(b"HTTP/1.1 OK\r\n\r\n".to_vec()).is_err());
         assert!(parse_response(b"HTTP/1.1 200".to_vec()).is_err());
+    }
+
+    /// A loopback peer for [`Client`]: runs `peer` on the first accepted
+    /// connection and returns what it returns.
+    fn with_peer<T: Send + 'static>(
+        peer: impl FnOnce(TcpStream) -> T + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<T>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (addr, std::thread::spawn(move || peer(listener.accept().unwrap().0)))
+    }
+
+    #[test]
+    fn the_one_request_encoder_keeps_production_bytes() {
+        let (addr, peer) = with_peer(|mut stream| {
+            let mut got = Vec::new();
+            stream.read_to_end(&mut got).unwrap();
+            got
+        });
+        let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
+        // What the coordinator's dispatch, probe and cancel put on the wire.
+        client.send("POST", "/v1/shards?shard=1-0", &[], b"P5", true).unwrap();
+        // The keep-alive spelling with extra headers (dev harness only).
+        client.send("GET", "/x", &[("x-ilt-client", "alice")], b"", false).unwrap();
+        drop(client);
+        assert_eq!(
+            String::from_utf8(peer.join().unwrap()).unwrap(),
+            "POST /v1/shards?shard=1-0 HTTP/1.1\r\nhost: worker\r\ncontent-length: 2\r\n\
+             connection: close\r\n\r\nP5\
+             GET /x HTTP/1.1\r\nhost: worker\r\ncontent-length: 0\r\nx-ilt-client: alice\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn replies_are_framed_by_content_length_and_timeouts_poll() {
+        let (addr, peer) = with_peer(|mut stream| {
+            // Two pipelined replies in one segment, then a third whose body
+            // dribbles in after a pause, then a torn one.
+            let mut wire = Vec::new();
+            Response::text(200, "one").write_with_connection(&mut wire, true).unwrap();
+            Response::text(404, "").write_with_connection(&mut wire, true).unwrap();
+            wire.extend_from_slice(b"HTTP/1.1 200 OK\r\ncontent-length: 4\r\n\r\nsl");
+            stream.write_all(&wire).unwrap();
+            std::thread::sleep(Duration::from_millis(120));
+            stream.write_all(b"owHTTP/1.1 200 OK\r\ncontent-length: 9\r\n\r\ntorn").unwrap();
+        });
+        let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
+        let one = client.read_reply().unwrap();
+        assert_eq!((one.status, one.text().as_str()), (200, "one"));
+        assert_eq!(one.header("connection"), Some("keep-alive"));
+        let two = client.read_reply().unwrap();
+        assert_eq!((two.status, two.body.len()), (404, 0));
+        client.set_read_timeout(Duration::from_millis(10));
+        let mut polls = 0;
+        let slow = client
+            .read_reply_with(|| {
+                polls += 1;
+                Ok::<(), String>(())
+            })
+            .unwrap();
+        assert_eq!(slow.text(), "slow");
+        assert!(polls >= 2, "each read timeout calls the poll closure, got {polls}");
+        peer.join().unwrap();
+        let torn = client.read_reply_with(|| Ok::<(), String>(())).unwrap_err();
+        assert!(torn.contains("mid-body"), "{torn}");
+        assert!(!client.expect_closed(), "the torn bytes stay buffered");
+
+        // The poll closure's verdict ends the wait with its own error; a
+        // peer that closes without a byte is an error too.
+        let (addr, peer) = with_peer(|stream| {
+            std::thread::sleep(Duration::from_millis(60));
+            drop(stream);
+        });
+        let mut client = Client::connect(&addr, Duration::from_millis(10)).unwrap();
+        assert!(client.read_reply().unwrap_err().contains("timed out"));
+        peer.join().unwrap();
+        assert!(client.read_reply().unwrap_err().contains("before a full response head"));
+        assert!(client.expect_closed());
     }
 
     #[test]

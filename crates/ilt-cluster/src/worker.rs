@@ -30,9 +30,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ilt_runtime::{
@@ -40,7 +38,7 @@ use ilt_runtime::{
 };
 
 use crate::params::{ExecPolicy, JobParams};
-use crate::transport::{serve_connection, ConnOptions, Request, Response, WireFault};
+use crate::transport::{ConnOptions, Gate, Listener, Request, Response, WireFault};
 use crate::wire::{parse_job_ids, shard_header_line, shard_job_line, ShardHeader};
 
 /// Worker service configuration.
@@ -82,12 +80,16 @@ struct WorkerShared {
     /// How often each shard id has been dispatched to this replica — the
     /// attempt counter transport faults (`conn_refuse@J:A` etc.) address.
     dispatch_counts: Mutex<HashMap<String, u32>>,
-    shutdown: AtomicBool,
+    gate: Arc<Gate>,
 }
+
+/// Connections served at once; beyond it the shared accept loop answers
+/// `503` (the job service's default cap).
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// A bound (but not yet running) worker service.
 pub struct Worker {
-    listener: TcpListener,
+    listener: Listener,
     shared: Arc<WorkerShared>,
 }
 
@@ -98,48 +100,32 @@ impl Worker {
     ///
     /// Propagates socket bind errors.
     pub fn bind(config: WorkerConfig) -> io::Result<Worker> {
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok(Worker {
-            listener,
-            shared: Arc::new(WorkerShared {
-                config,
-                cache: SimulatorCache::new(),
-                active: Mutex::new(HashMap::new()),
-                dispatch_counts: Mutex::new(HashMap::new()),
-                shutdown: AtomicBool::new(false),
-            }),
-        })
+        let listener = Listener::bind(&config.addr)?;
+        let shared = Arc::new(WorkerShared {
+            config,
+            cache: SimulatorCache::new(),
+            active: Mutex::new(HashMap::new()),
+            dispatch_counts: Mutex::new(HashMap::new()),
+            gate: listener.gate(),
+        });
+        Ok(Worker { listener, shared })
     }
 
     /// The bound address (resolves an ephemeral port request).
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
+    /// None today: the address was resolved at bind time.
     pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.listener.local_addr())
     }
 
-    /// Serves until `POST /v1/shutdown`. One thread per connection; shard
-    /// execution runs inside the handler.
+    /// Serves until `POST /v1/shutdown`, on the shared accept loop: one
+    /// thread per connection (at most [`MAX_CONNECTIONS`]); shard execution
+    /// runs inside the handler.
     pub fn run(self) {
-        let addr = self.listener.local_addr().ok();
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let shared = Arc::clone(&self.shared);
-            let addr = addr;
-            std::thread::spawn(move || {
-                let options = shared.config.conn;
-                let keep = {
-                    let shared = Arc::clone(&shared);
-                    move || !shared.shutdown.load(Ordering::SeqCst)
-                };
-                serve_connection(stream, &options, |req| route(&shared, addr, req), keep);
-            });
-        }
+        let Worker { listener, shared } = self;
+        listener.serve(MAX_CONNECTIONS, shared.config.conn, move |req| route(&shared, req));
     }
 }
 
@@ -150,7 +136,7 @@ fn valid_shard_id(sid: &str) -> bool {
         && sid.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
 }
 
-fn route(shared: &WorkerShared, addr: Option<std::net::SocketAddr>, req: &Request) -> Response {
+fn route(shared: &WorkerShared, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => Response::text(200, "ok\n"),
@@ -166,12 +152,7 @@ fn route(shared: &WorkerShared, addr: Option<std::net::SocketAddr>, req: &Reques
             }
         }
         ("POST", ["v1", "shutdown"]) => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // The accept loop only observes the flag on its next wakeup;
-            // a throwaway self-connection provides it.
-            if let Some(addr) = addr {
-                let _ = TcpStream::connect(addr);
-            }
+            shared.gate.shut_down();
             Response::json(200, "{\"shutdown\":true}")
         }
         _ => Response::error(404, &format!("no route for {} {}", req.method, req.path)),

@@ -165,16 +165,6 @@ pub struct IltResult {
     pub total_iterations: usize,
 }
 
-impl IltResult {
-    /// Best cross-scale-normalized loss seen during the run.
-    pub fn best_normalized_loss(&self) -> Option<f64> {
-        self.loss_history
-            .iter()
-            .map(|r| r.loss * (r.scale * r.scale) as f64)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite losses"))
-    }
-}
-
 /// The multi-level ILT engine.
 ///
 /// # Examples

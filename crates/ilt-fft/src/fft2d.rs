@@ -23,11 +23,6 @@
 //!   the same, for a field known to be real (an aerial image, a gradient):
 //!   Hermitian symmetry halves the row pass and lets the column pass run on
 //!   packed column pairs, and the result lands in an `f64` buffer.
-//! * **Real-input forward** ([`Fft2d::forward_real`]) — the mask is real, so
-//!   two rows are packed into one complex transform and the spectra are
-//!   separated through Hermitian symmetry, halving the row pass; the column
-//!   pass covers only the non-redundant half-spectrum, with the upper
-//!   columns filled by conjugate mirroring.
 //! * **Pruned forward** ([`Fft2d::forward_cropped`],
 //!   [`Fft2d::forward_real_cropped`]) — the mirror of the pruned inverse:
 //!   when only the centered `P x P` block of the spectrum is kept, the
@@ -235,93 +230,6 @@ impl Fft2d {
             row_plan.process(row);
         }
         col_pass(data, self.rows, self.cols, col_plan, &mut scratch.panel);
-    }
-
-    /// Forward 2-D transform of a real-valued image into a new complex
-    /// buffer, exploiting Hermitian symmetry.
-    ///
-    /// Two real rows are packed into one complex row transform and the two
-    /// spectra separated afterwards, so the row pass costs half of the
-    /// complex path's; the column pass runs over the non-redundant
-    /// half-spectrum only, with the remaining columns reconstructed by
-    /// conjugate mirroring. The result equals the dense complex transform of
-    /// the same image to f64 rounding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `img.len() != rows * cols`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ilt_fft::{Complex64, Fft2d};
-    ///
-    /// let fft = Fft2d::new(2, 2);
-    /// let spec = fft.forward_real(&[1.0, 0.0, 0.0, 0.0]);
-    /// assert!(spec.iter().all(|z| (*z - Complex64::ONE).abs() < 1e-12));
-    /// ```
-    pub fn forward_real(&self, img: &[f64]) -> Vec<Complex64> {
-        let mut out = vec![Complex64::ZERO; self.rows * self.cols];
-        with_thread_scratch(|scratch| self.forward_real_with(img, &mut out, scratch));
-        out
-    }
-
-    /// [`Fft2d::forward_real`] writing into a caller-provided buffer with an
-    /// explicit reusable workspace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `img.len()` or `out.len()` differ from `rows * cols`.
-    pub fn forward_real_with(
-        &self,
-        img: &[f64],
-        out: &mut [Complex64],
-        scratch: &mut Fft2dScratch,
-    ) {
-        let (rows, cols) = (self.rows, self.cols);
-        assert_eq!(img.len(), rows * cols, "image must be rows*cols = {}", rows * cols);
-        assert_eq!(out.len(), rows * cols, "output must be rows*cols = {}", rows * cols);
-
-        if rows == 1 {
-            for (o, &x) in out.iter_mut().zip(img) {
-                *o = Complex64::from_real(x);
-            }
-            self.row_fwd.process(out);
-            return;
-        }
-
-        // Row pass: transform rows (2t, 2t+1) as one complex row x + i*y,
-        // then split via X[k] = (Z[k] + conj(Z[-k]))/2,
-        // Y[k] = (Z[k] - conj(Z[-k]))/(2i). Only columns 0..=cols/2 are
-        // unpacked: the 2-D spectrum of a real image is Hermitian, so the
-        // upper columns come from conjugate mirroring after the column pass.
-        let half = cols / 2;
-        let pack = grown(&mut scratch.grid, cols);
-        for t in 0..rows / 2 {
-            let x = &img[(2 * t) * cols..(2 * t + 1) * cols];
-            let y = &img[(2 * t + 1) * cols..(2 * t + 2) * cols];
-            for (z, (&xv, &yv)) in pack.iter_mut().zip(x.iter().zip(y)) {
-                *z = Complex64::new(xv, yv);
-            }
-            self.row_fwd.process(pack);
-            for k in 0..=half {
-                let a = pack[k];
-                let b = pack[(cols - k) % cols].conj();
-                out[(2 * t) * cols + k] = (a + b).scale(0.5);
-                let d = a - b;
-                out[(2 * t + 1) * cols + k] = Complex64::new(d.im * 0.5, -d.re * 0.5);
-            }
-        }
-
-        // Column pass over the non-redundant half-spectrum only, then fill
-        // the rest via X[r, c] = conj(X[(rows-r) % rows, cols-c]).
-        col_pass_limit(out, rows, cols, half + 1, &self.col_fwd, &mut scratch.panel);
-        for r in 0..rows {
-            let rm = if r == 0 { 0 } else { rows - r };
-            for c in half + 1..cols {
-                out[r * cols + c] = out[rm * cols + (cols - c)].conj();
-            }
-        }
     }
 
     /// Inverse transform of an `n x n` spectrum that is zero outside its
@@ -665,7 +573,9 @@ impl Fft2d {
     ///
     /// let fft = Fft2d::new(16, 16);
     /// let img: Vec<f64> = (0..256).map(|i| (i as f64 * 0.17).cos()).collect();
-    /// let want = crop_centered(&fft.forward_real(&img), 16, 6);
+    /// let mut dense: Vec<Complex64> = img.iter().map(|&x| Complex64::from_real(x)).collect();
+    /// fft.forward(&mut dense);
+    /// let want = crop_centered(&dense, 16, 6);
     /// let mut got = vec![Complex64::ZERO; 36];
     /// fft.forward_real_cropped(&img, 6, &mut got);
     /// for (a, b) in got.iter().zip(&want) {
@@ -874,31 +784,6 @@ fn build_forward_twist(n: usize, p: usize) -> Vec<Complex64> {
     table
 }
 
-/// Computes the forward 2-D FFT of a real-valued row-major image into a new
-/// complex buffer.
-///
-/// Convenience wrapper used at API boundaries where the input is a mask or
-/// wafer image (`f64` pixels). Routed through the global planner cache and
-/// the Hermitian-packed row pass, so calling it repeatedly does not rebuild
-/// twiddle tables.
-///
-/// # Panics
-///
-/// Panics if `data.len() != rows * cols` or a dimension is not a power of two.
-///
-/// # Examples
-///
-/// ```
-/// use ilt_fft::fft2_real;
-///
-/// let spec = fft2_real(&[1.0, 0.0, 0.0, 0.0], 2, 2);
-/// assert!(spec.iter().all(|z| (z.re - 1.0).abs() < 1e-12 && z.im.abs() < 1e-12));
-/// ```
-pub fn fft2_real(data: &[f64], rows: usize, cols: usize) -> Vec<Complex64> {
-    assert_eq!(data.len(), rows * cols);
-    Fft2d::new(rows, cols).forward_real(data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1013,36 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn real_helper_matches_complex_path() {
-        let (rows, cols) = (8, 16);
-        let img: Vec<f64> = (0..rows * cols).map(|i| (i as f64 * 0.21).sin()).collect();
-        let via_helper = fft2_real(&img, rows, cols);
-        let mut via_complex: Vec<Complex64> =
-            img.iter().map(|&x| Complex64::from_real(x)).collect();
-        Fft2d::new(rows, cols).forward(&mut via_complex);
-        for (a, b) in via_helper.iter().zip(&via_complex) {
-            assert!((*a - *b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn forward_real_matches_complex_on_random_images() {
-        for (seed, (rows, cols)) in
-            [(1u64, (1usize, 8usize)), (2, (2, 2)), (3, (16, 8)), (4, (64, 64)), (5, (128, 32))]
-                .into_iter()
-        {
-            let img = lcg_vals(seed, rows * cols);
-            let fft = Fft2d::new(rows, cols);
-            let real_path = fft.forward_real(&img);
-            let mut complex_path: Vec<Complex64> =
-                img.iter().map(|&x| Complex64::from_real(x)).collect();
-            fft.forward(&mut complex_path);
-            let diff = max_abs_diff(&real_path, &complex_path);
-            assert!(diff <= 1e-12, "{rows}x{cols}: max |diff| = {diff:e}");
-        }
-    }
-
-    #[test]
     fn pruned_inverse_matches_dense_on_random_spectra() {
         for (seed, (n, p)) in
             [(11u64, (64usize, 8usize)), (12, (256, 25)), (13, (512, 25))].into_iter()
@@ -1109,7 +964,9 @@ mod tests {
         ] {
             let img = lcg_vals(seed, n * n);
             let fft = Fft2d::new(n, n);
-            let want = crop_centered(&fft.forward_real(&img), n, p);
+            let mut dense: Vec<Complex64> = img.iter().map(|&x| Complex64::from_real(x)).collect();
+            fft.forward(&mut dense);
+            let want = crop_centered(&dense, n, p);
             let mut got = vec![Complex64::ZERO; p * p];
             fft.forward_real_cropped(&img, p, &mut got);
             let scale: f64 = want.iter().map(|z| z.abs()).fold(1.0, f64::max);
@@ -1148,11 +1005,11 @@ mod tests {
         let mut tmp = lcg_complex(23, 128 * 128);
         other.forward_with(&mut tmp, &mut reused);
 
-        let mut out_reused = vec![Complex64::ZERO; n * n];
-        fft.forward_real_with(&img, &mut out_reused, &mut reused);
-        let mut out_fresh = vec![Complex64::ZERO; n * n];
-        fft.forward_real_with(&img, &mut out_fresh, &mut Fft2dScratch::new());
-        assert_eq!(out_reused, out_fresh, "forward_real must not depend on scratch history");
+        let mut out_reused = vec![Complex64::ZERO; p * p];
+        fft.forward_real_cropped_with(&img, p, &mut out_reused, &mut reused);
+        let mut out_fresh = vec![Complex64::ZERO; p * p];
+        fft.forward_real_cropped_with(&img, p, &mut out_fresh, &mut Fft2dScratch::new());
+        assert_eq!(out_reused, out_fresh, "the real forward must not depend on scratch history");
 
         let mut inv_reused = vec![Complex64::ZERO; n * n];
         fft.inverse_padded_with(&spec, p, &mut inv_reused, &mut reused);

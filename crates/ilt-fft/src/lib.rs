@@ -8,8 +8,8 @@
 //! * [`FftPlanner`] / [`FftPlan`] — cached 1-D radix-2 plans, shared
 //!   process-wide through [`FftPlanner::global`],
 //! * [`Fft2d`] — reusable 2-D transforms over row-major buffers, with a
-//!   cache-blocked column pass, a Hermitian-packed real-input forward
-//!   ([`Fft2d::forward_real`]), and a pruned padded inverse
+//!   cache-blocked column pass, a pruned Hermitian-packed real-input
+//!   forward ([`Fft2d::forward_real_cropped`]), and a pruned padded inverse
 //!   ([`Fft2d::inverse_padded`]) that skips all work on the
 //!   structurally-zero part of a padded kernel spectrum,
 //! * [`Fft2dScratch`] / [`with_thread_scratch`] — reusable workspaces so
@@ -21,13 +21,13 @@
 //! # Example: band-limited downsampling (the Eq. 7 trick)
 //!
 //! ```
-//! use ilt_fft::{fft2_real, crop_centered, Fft2d, Complex64};
+//! use ilt_fft::{Fft2d, Complex64};
 //!
 //! // A 16x16 image; keep only its 8x8 low-frequency block and reconstruct
 //! // at quarter area — the core move of low-resolution lithography.
 //! let img: Vec<f64> = (0..256).map(|i| (i % 16) as f64 / 16.0).collect();
-//! let spec = fft2_real(&img, 16, 16);
-//! let mut small = crop_centered(&spec, 16, 8);
+//! let mut small = vec![Complex64::ZERO; 64];
+//! Fft2d::new(16, 16).forward_real_cropped(&img, 8, &mut small);
 //! for z in &mut small { *z = z.scale(1.0 / 4.0); } // 1/s^2, s = 2
 //! Fft2d::new(8, 8).inverse(&mut small);
 //! assert_eq!(small.len(), 64);
@@ -47,7 +47,7 @@ mod simd;
 mod spectrum;
 
 pub use complex::Complex64;
-pub use fft2d::{fft2_real, Fft2d};
+pub use fft2d::Fft2d;
 pub use plan::{Direction, FftPlan, FftPlanner};
 pub use scratch::{
     grown, with_installed_scratch, with_thread_scratch, Fft2dScratch, ScratchPool, WorkBuffers,

@@ -481,7 +481,7 @@ impl FftPlanner {
 
     /// Runs `f` against the process-wide shared planner.
     ///
-    /// Every [`crate::Fft2d::new`] and [`crate::fft2_real`] call goes through
+    /// Every [`crate::Fft2d::new`] call goes through
     /// this cache, so constructing a transform for an already-seen size costs
     /// four `Arc` clones instead of a twiddle-table build — and every worker
     /// thread in the pool shares one set of twiddle tables per size. The lock

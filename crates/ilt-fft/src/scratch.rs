@@ -277,12 +277,12 @@ fn swap_with_arena(s: &mut Fft2dScratch) -> bool {
 /// # Examples
 ///
 /// ```
-/// use ilt_fft::{fft2_real, with_installed_scratch, Fft2dScratch};
+/// use ilt_fft::{with_installed_scratch, Complex64, Fft2d, Fft2dScratch};
 ///
 /// let mut scratch = Fft2dScratch::new();
-/// let img = vec![1.0; 64 * 64];
+/// let mut img = vec![Complex64::ONE; 64 * 64];
 /// with_installed_scratch(&mut scratch, || {
-///     let _ = fft2_real(&img, 64, 64); // warms `scratch`, not the arena
+///     Fft2d::new(64, 64).forward(&mut img); // warms `scratch`, not the arena
 /// });
 /// assert!(scratch.capacity() > 0);
 /// ```

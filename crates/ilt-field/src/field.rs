@@ -127,12 +127,6 @@ impl Field2D {
         &mut self.data
     }
 
-    /// Consumes the field, returning its buffer.
-    #[inline]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Bounds-checked pixel access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> Option<f64> {
@@ -159,13 +153,6 @@ impl Field2D {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every pixel in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -485,9 +472,6 @@ mod tests {
         assert_eq!(a.map(|x| x + 1.0).sum(), a.sum() + 4.0);
         let b = Field2D::filled(2, 2, 2.0);
         assert_eq!(a.hadamard(&b).sum(), 2.0 * a.sum());
-        let mut c = a.clone();
-        c.map_inplace(|x| x * 0.0);
-        assert_eq!(c.sum(), 0.0);
     }
 
     #[test]

@@ -19,8 +19,9 @@ pub struct Workload {
     /// What one operation is; diff refuses to compare mismatched units.
     pub units: &'static str,
     /// Allowed fractional slowdown vs. the checked-in baseline before
-    /// `diff` reports a regression (0.5 = fail past 1.5x). Noisier
-    /// workloads (thread pools) get wider thresholds.
+    /// `diff` reports a regression (0.1 = fail past 1.1x), set from the
+    /// workload's measured spread on the reference box:
+    /// `max(0.05, 4 x MAD / median)`, rounded up.
     pub threshold: f64,
     /// One-line description for `ilt bench list`.
     pub notes: &'static str,
@@ -39,7 +40,7 @@ pub fn registry() -> Vec<Workload> {
             name: "fft_dense_inverse",
             tags: &["fft"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.21,
             notes: "dense pad-then-invert of a PxP kernel spectrum at N=1024 (the slow reference path)",
             run: workloads::fft::dense_inverse,
         },
@@ -47,23 +48,15 @@ pub fn registry() -> Vec<Workload> {
             name: "fft_pruned_inverse",
             tags: &["fft"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.27,
             notes: "pruned padded inverse (inverse_padded_with) at N=1024, P=25; carries the injected-delay hook",
             run: workloads::fft::pruned_inverse,
-        },
-        Workload {
-            name: "fft_real_forward",
-            tags: &["fft"],
-            units: "us_per_op",
-            threshold: 0.5,
-            notes: "Hermitian real-input forward (forward_real_with) at N=1024",
-            run: workloads::fft::real_forward,
         },
         Workload {
             name: "fft_pruned_forward",
             tags: &["fft"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.16,
             notes: "pruned real forward (forward_real_cropped_with) at N=1024, P=25 — crop fused into the column pass",
             run: workloads::fft::pruned_forward,
         },
@@ -71,7 +64,7 @@ pub fn registry() -> Vec<Workload> {
             name: "fft_batch_inverse",
             tags: &["fft"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.25,
             notes: "batched pruned inverse (inverse_padded_batch_with): 4 spectra at N=1024, P=25 sharing one twist cache",
             run: workloads::fft::batch_inverse,
         },
@@ -79,7 +72,7 @@ pub fn registry() -> Vec<Workload> {
             name: "sim_aerial",
             tags: &["simulator"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.05,
             notes: "one aerial image (SOCS sum over 10 kernels) of ICCAD case 1 at grid 512",
             run: workloads::simulator::aerial,
         },
@@ -87,7 +80,7 @@ pub fn registry() -> Vec<Workload> {
             name: "sim_vjp",
             tags: &["simulator"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.11,
             notes: "one aerial vector-Jacobian product (the backward hot path) at grid 512",
             run: workloads::simulator::vjp,
         },
@@ -95,7 +88,7 @@ pub fn registry() -> Vec<Workload> {
             name: "autodiff_backward",
             tags: &["autodiff"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.05,
             notes: "reverse sweep of the full ILT pipeline graph (pool-sigmoid-Hopkins-resist-loss) at grid 256",
             run: workloads::autodiff::backward,
         },
@@ -103,7 +96,7 @@ pub fn registry() -> Vec<Workload> {
             name: "core_step_lo",
             tags: &["core"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.05,
             notes: "one low-res optimizer step (MultiLevelIlt::step: tape, fused Eq. 5 operator, backward) of ICCAD case 1 at grid 1024, s=4, 10 kernels",
             run: workloads::optimizer::step_lo,
         },
@@ -111,7 +104,7 @@ pub fn registry() -> Vec<Workload> {
             name: "core_step_hi",
             tags: &["core"],
             units: "us_per_op",
-            threshold: 0.5,
+            threshold: 0.05,
             notes: "one high-res optimizer step at the same point: mask and gradient at N/s, both corners simulated at N",
             run: workloads::optimizer::step_hi,
         },
@@ -119,7 +112,7 @@ pub fn registry() -> Vec<Workload> {
             name: "runtime_tile_pipeline",
             tags: &["runtime"],
             units: "us_per_op",
-            threshold: 0.8,
+            threshold: 0.12,
             notes: "tiled batch end-to-end via run_batch: 256 px via clip, 9 tiles, 2 worker threads",
             run: workloads::runtime::tile_pipeline,
         },
@@ -153,11 +146,6 @@ impl Selection {
     /// The match-everything selection.
     pub fn all() -> Selection {
         Selection::default()
-    }
-
-    /// True when the selection has no constraints.
-    pub fn is_all(&self) -> bool {
-        self.tags.is_empty() && self.names.is_empty()
     }
 
     /// Does `w` pass both filters?
@@ -207,7 +195,7 @@ mod tests {
         assert!(glob_match("sim_aerial", "sim_aerial"));
         assert!(glob_match("*_inverse", "fft_dense_inverse"));
         assert!(!glob_match("fft_*", "sim_aerial"));
-        assert!(!glob_match("fft", "fft_real_forward"));
+        assert!(!glob_match("fft", "fft_pruned_forward"));
         assert!(!glob_match("", "x"));
         assert!(glob_match("**", "x"));
     }
@@ -215,7 +203,7 @@ mod tests {
     #[test]
     fn selection_filters_by_tag_and_name() {
         let fft = select(&Selection { tags: vec!["fft".into()], names: vec![] });
-        assert_eq!(fft.len(), 5);
+        assert_eq!(fft.len(), 4);
         let one = select(&Selection { tags: vec![], names: vec!["sim_*".into()] });
         assert_eq!(one.len(), 2);
         let both = select(&Selection {
@@ -223,7 +211,7 @@ mod tests {
             names: vec!["*_forward".into()],
         });
         let names: Vec<_> = both.iter().map(|w| w.name).collect();
-        assert_eq!(names, ["fft_real_forward", "fft_pruned_forward"]);
+        assert_eq!(names, ["fft_pruned_forward"]);
         assert_eq!(select(&Selection::all()).len(), registry().len());
     }
 }

@@ -115,28 +115,6 @@ pub fn pruned_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
     Ok(sample.with_extra("n", n as f64).with_extra("p", p as f64))
 }
 
-/// The Hermitian real-input forward ([`Fft2d::forward_real_with`]) that
-/// opens every iteration, cross-checked against the complex forward.
-pub fn real_forward(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
-    let (n, _) = sizes(cfg);
-    let fft = Fft2d::new(n, n);
-    let mut scratch = Fft2dScratch::new();
-    let img = random_image(n);
-
-    let mut reference = vec![Complex64::ZERO; n * n];
-    for (z, &x) in reference.iter_mut().zip(&img) {
-        *z = Complex64::from_real(x);
-    }
-    fft.forward_with(&mut reference, &mut scratch);
-
-    let mut out = vec![Complex64::ZERO; n * n];
-    let sample = measure(cfg, || {
-        fft.forward_real_with(&img, &mut out, &mut scratch);
-    });
-    check_agreement(&out, &reference, "fft_real_forward", "complex forward", n)?;
-    Ok(sample.with_extra("n", n as f64))
-}
-
 /// The pruned real forward ([`Fft2d::forward_real_cropped_with`]): crop to
 /// the `P x P` kernel support fused into the column pass, so only the
 /// retained band of rows is ever column-transformed. Cross-checked against

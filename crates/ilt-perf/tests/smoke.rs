@@ -150,5 +150,5 @@ fn every_checked_in_baseline_loads() {
         .filter_map(|e| e.ok()?.file_name().into_string().ok())
         .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
         .count();
-    assert_eq!((loaded, on_disk, unstamped), (11, 11, 0));
+    assert_eq!((loaded, on_disk, unstamped), (10, 10, 0));
 }

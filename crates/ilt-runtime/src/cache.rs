@@ -72,10 +72,6 @@ pub struct SimulatorCache {
     hits: Arc<AtomicUsize>,
     misses: Arc<AtomicUsize>,
     evictions: Arc<AtomicUsize>,
-    /// Fault hook: the next `n` builds fail with a typed `io:` error
-    /// *without* caching the failure (a transient outage, not a bad
-    /// configuration).
-    fail_builds: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for SimulatorCache {
@@ -124,16 +120,6 @@ impl SimulatorCache {
     /// configuration fails fast on every subsequent job instead of
     /// re-attempting the build (until evicted like any other entry).
     pub fn get_or_build(&self, cfg: &OpticsConfig) -> Result<Arc<LithoSimulator>, String> {
-        // Injected transient failure: consume one budget unit and fail
-        // without touching the map, so the next request builds normally —
-        // exactly how a transient allocation or I/O failure behaves.
-        if self
-            .fail_builds
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            return Err("io: injected simulator build failure".into());
-        }
         let key = Self::key(cfg);
         let slot: Slot = {
             let mut store = self.store.lock().expect("simulator cache lock poisoned");
@@ -202,13 +188,6 @@ impl SimulatorCache {
     /// Entries dropped by the LRU policy since construction.
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Fault hook: makes the next `n` [`SimulatorCache::get_or_build`]
-    /// calls fail with a transient (uncached) `io:` error. Deterministic
-    /// chaos for the job retry path that crosses the cache.
-    pub fn inject_build_failures(&self, n: usize) {
-        self.fail_builds.fetch_add(n, Ordering::SeqCst);
     }
 }
 
@@ -304,19 +283,6 @@ mod tests {
         assert_eq!(cache.hits(), 2);
         cache.get_or_build(&small_cfg(64)).unwrap(); // evicted: rebuild
         assert_eq!(cache.misses(), 4);
-    }
-
-    #[test]
-    fn injected_build_failures_are_transient_and_uncached() {
-        let cache = SimulatorCache::new();
-        cache.inject_build_failures(2);
-        let err = cache.get_or_build(&small_cfg(64)).unwrap_err();
-        assert!(err.starts_with("io:"), "{err}");
-        assert!(cache.get_or_build(&small_cfg(64)).is_err());
-        assert!(cache.is_empty(), "transient failures must not be cached");
-        // Budget spent: the same configuration now builds normally.
-        assert!(cache.get_or_build(&small_cfg(64)).is_ok());
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

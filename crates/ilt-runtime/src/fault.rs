@@ -154,15 +154,6 @@ impl FaultPlan {
         self
     }
 
-    /// Arms a process abort that fires immediately after job
-    /// `job_id`'s checkpoint is durable (WAL line fsynced). Used to
-    /// simulate a mid-run kill at a deterministic point.
-    #[must_use]
-    pub fn with_crash_after_checkpoint(mut self, job_id: usize) -> Self {
-        self.crash_after_checkpoint = Some(job_id);
-        self
-    }
-
     /// Seeded random scatter: each of `n_jobs` jobs independently suffers
     /// one first-attempt fault with probability `rate`, the kind cycling
     /// deterministically through `kinds`. Same seed, same plan.

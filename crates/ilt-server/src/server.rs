@@ -11,10 +11,9 @@
 //! jobs, flushes the journal, and only then lets [`Server::run`] return.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ilt_cluster::{ClusterConfig, Coordinator, ExecPolicy, JobParams};
@@ -24,10 +23,10 @@ use ilt_runtime::{
     BatchOutcome, JobStatus, PriorityClass, SimulatorCache,
 };
 
-use crate::http::{ConnOptions, Limits, Request, Response};
+use crate::http::{ConnOptions, Gate, Limits, Listener, Request, Response};
 use crate::metrics::{Gauges, Metrics};
 use crate::store::{
-    Admission, CancelOutcome, JobDone, JobStore, MaskFetch, RecoveryStats, StateLog, SubmitError,
+    Admission, CancelOutcome, JobDone, JobStore, MaskFetch, StateLog, SubmitError,
 };
 
 /// Everything tunable about a server instance.
@@ -115,18 +114,15 @@ struct Shared {
     metrics: Metrics,
     cache: SimulatorCache,
     coordinator: Option<Coordinator>,
-    shutdown: AtomicBool,
-    active_connections: Mutex<usize>,
-    /// Notified by the handler that brings `active_connections` to zero;
-    /// the drain waits on it.
-    connections_idle: Condvar,
+    /// The listener's shutdown flag and connection count; the drain sets
+    /// the one and waits on the other.
+    gate: Arc<Gate>,
     journal: Mutex<Option<std::fs::File>>,
-    addr: SocketAddr,
 }
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
+    listener: Listener,
     shared: Arc<Shared>,
 }
 
@@ -141,21 +137,23 @@ impl Server {
     /// Propagates bind and journal-creation failures, and state-log
     /// corruption beyond a torn trailing line.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
+        let listener = Listener::bind(&config.addr)?;
         let journal = match &config.journal {
             Some(path) => Some(std::fs::File::create(path)?),
             None => None,
         };
-        let (mut store, recovered) = match &config.state_dir {
-            None => (JobStore::new(config.queue_cap, None), RecoveryStats::default()),
-            Some(dir) => {
-                let state = StateLog::open(dir, config.compact_state_bytes)?;
-                JobStore::recover(config.queue_cap, state, &config.policy)
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            }
+        let state = match &config.state_dir {
+            Some(dir) => Some(StateLog::open(dir, config.compact_state_bytes)?),
+            None => None,
         };
-        store.set_quotas(config.quota_inflight, config.quota_queued);
+        let (store, recovered) = JobStore::open(
+            config.queue_cap,
+            config.quota_inflight,
+            config.quota_queued,
+            state,
+            &config.policy,
+        )
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let metrics = Metrics::default();
         metrics.recovered.add((recovered.restored + recovered.requeued) as u64);
         let coordinator = match &config.cluster {
@@ -170,11 +168,8 @@ impl Server {
             metrics,
             cache: SimulatorCache::with_capacity(config.cache_capacity),
             coordinator,
-            shutdown: AtomicBool::new(false),
-            active_connections: Mutex::new(0),
-            connections_idle: Condvar::new(),
+            gate: listener.gate(),
             journal: Mutex::new(journal),
-            addr,
             config,
         });
         Ok(Server { listener, shared })
@@ -182,7 +177,7 @@ impl Server {
 
     /// The bound address (use after binding port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.listener.local_addr()
     }
 
     /// Serves until drained: accepts connections, executes jobs, and
@@ -205,41 +200,16 @@ impl Server {
             );
         }
 
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break; // the wake-up connection itself is dropped unanswered
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue, // transient accept error (EMFILE, reset)
-            };
-            let shared = Arc::clone(&self.shared);
-            let admitted = {
-                let mut active = shared.active_connections.lock().expect("connection count lock");
-                let admitted = *active < shared.config.max_connections;
-                *active += usize::from(admitted);
-                admitted
-            };
-            if !admitted {
-                let mut stream = stream;
-                let _ = Response::error(503, "connection limit reached")
-                    .with_header("retry-after", "1")
-                    .write_to(&mut stream);
-                continue;
-            }
-            std::thread::Builder::new()
-                .name("ilt-server-conn".into())
-                .spawn(move || {
-                    handle_connection(&shared, stream);
-                    let mut active =
-                        shared.active_connections.lock().expect("connection count lock");
-                    *active -= 1;
-                    if *active == 0 {
-                        shared.connections_idle.notify_all();
-                    }
-                })
-                .expect("spawn connection handler");
-        }
+        let config = &self.shared.config;
+        let options = ConnOptions {
+            limits: config.limits,
+            read_timeout: config.read_timeout,
+            write_timeout: config.write_timeout,
+            idle_timeout: config.idle_timeout,
+            keep_alive_requests: config.keep_alive_requests,
+        };
+        let shared = Arc::clone(&self.shared);
+        self.listener.serve(config.max_connections, options, move |req| route(&shared, req));
 
         // Drain: no new admissions, workers finish queued + in-flight jobs.
         self.shared.store.close();
@@ -248,13 +218,7 @@ impl Server {
         }
         self.shared.store.abandon_queued();
         // Let in-flight responses (including the shutdown ack) finish.
-        let active = self.shared.active_connections.lock().expect("connection count lock");
-        drop(
-            self.shared
-                .connections_idle
-                .wait_timeout_while(active, Duration::from_secs(5), |active| *active > 0)
-                .expect("connection count lock"),
-        );
+        self.shared.gate.wait_idle(Duration::from_secs(5));
         if let Some(journal) = self.shared.journal.lock().expect("journal lock").as_mut() {
             let _ = journal.flush();
         }
@@ -459,30 +423,11 @@ fn append_journal(shared: &Shared, records: &[ilt_runtime::JobRecord]) {
     }
 }
 
-/// Serves one connection through the shared transport keep-alive loop
-/// ([`crate::http::serve_connection`], the same machinery cluster workers
-/// use); draining downgrades in-flight connections to `Connection: close`.
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let options = ConnOptions {
-        limits: shared.config.limits,
-        read_timeout: shared.config.read_timeout,
-        write_timeout: shared.config.write_timeout,
-        idle_timeout: shared.config.idle_timeout,
-        keep_alive_requests: shared.config.keep_alive_requests,
-    };
-    crate::http::serve_connection(
-        stream,
-        &options,
-        |request| route(shared, request),
-        || !shared.shutdown.load(Ordering::SeqCst),
-    );
-}
-
 fn route(shared: &Shared, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.gate.is_shut_down() {
                 Response::text(503, "draining\n")
             } else {
                 Response::text(200, "ok\n")
@@ -512,62 +457,60 @@ fn route(shared: &Shared, req: &Request) -> Response {
         ("GET", ["v1", "jobs"]) => Response::json(200, shared.store.render_list()),
         (_, ["v1", "jobs"]) => method_not_allowed("GET, POST"),
 
-        ("GET", ["v1", "jobs", id]) => match id.parse::<usize>() {
-            Err(_) => Response::error(400, &format!("bad job id {id:?}")),
-            Ok(id) => {
-                let base64 = req.query_param("mask") == Some("base64");
-                match shared.store.render_detail(id, base64) {
-                    Some(body) => Response::json(200, body),
-                    None => Response::error(404, &format!("no job {id}")),
-                }
+        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| {
+            let base64 = req.query_param("mask") == Some("base64");
+            match shared.store.render_detail(id, base64) {
+                Some(body) => Response::json(200, body),
+                None => Response::error(404, &format!("no job {id}")),
             }
-        },
-        ("DELETE", ["v1", "jobs", id]) => match id.parse::<usize>() {
-            Err(_) => Response::error(400, &format!("bad job id {id:?}")),
-            Ok(id) => cancel_job(shared, id),
-        },
+        }),
+        ("DELETE", ["v1", "jobs", id]) => with_job_id(id, |id| cancel_job(shared, id)),
         (_, ["v1", "jobs", _]) => method_not_allowed("GET, DELETE"),
 
-        ("GET", ["v1", "jobs", id, "mask"]) => match id.parse::<usize>() {
-            Err(_) => Response::error(400, &format!("bad job id {id:?}")),
-            Ok(id) => match shared.store.mask_pgm(id) {
-                MaskFetch::Ready(bytes) => Response::pgm(bytes),
-                MaskFetch::Rehydrated(bytes) => {
-                    shared.metrics.rehydrated.inc();
-                    Response::pgm(bytes)
-                }
-                MaskFetch::NotReady(state) => Response::error(
-                    409,
-                    &format!("job {id} has no mask yet (state: {state:?})"),
-                ),
-                MaskFetch::Gone => Response::error(
-                    410,
-                    &format!(
-                        "job {id} finished but its mask was evicted and is not recoverable"
-                    ),
-                ),
-                MaskFetch::NoSuchJob => Response::error(404, &format!("no job {id}")),
-            },
-        },
+        ("GET", ["v1", "jobs", id, "mask"]) => with_job_id(id, |id| match shared.store.mask_pgm(id) {
+            MaskFetch::Ready(bytes) => Response::pgm(bytes),
+            MaskFetch::Rehydrated(bytes) => {
+                shared.metrics.rehydrated.inc();
+                Response::pgm(bytes)
+            }
+            MaskFetch::NotReady(state) => {
+                Response::error(409, &format!("job {id} has no mask yet (state: {state:?})"))
+            }
+            MaskFetch::Gone => Response::error(
+                410,
+                &format!("job {id} finished but its mask was evicted and is not recoverable"),
+            ),
+            MaskFetch::NoSuchJob => Response::error(404, &format!("no job {id}")),
+        }),
         (_, ["v1", "jobs", _, "mask"]) => method_not_allowed("GET"),
 
-        ("GET", ["v1", "members"]) => match &shared.coordinator {
+        (method @ ("GET" | "POST"), ["v1", "members"]) => match &shared.coordinator {
             None => Response::error(409, "not a cluster coordinator (no workers configured)"),
-            Some(coordinator) => Response::json(200, render_members(coordinator)),
-        },
-        ("POST", ["v1", "members"]) => match &shared.coordinator {
-            None => Response::error(409, "not a cluster coordinator (no workers configured)"),
+            Some(coordinator) if method == "GET" => {
+                Response::json(200, render_members(coordinator))
+            }
             Some(coordinator) => member_action(coordinator, req),
         },
         (_, ["v1", "members"]) => method_not_allowed("GET, POST"),
 
+        // The SIGTERM-equivalent entry point (`std` offers no portable
+        // signal handling): stop admissions, then wake the accept loop.
         ("POST", ["v1", "shutdown"]) => {
-            start_drain(shared);
+            shared.store.close();
+            shared.gate.shut_down();
             Response::json(202, "{\"state\":\"draining\"}")
         }
         (_, ["v1", "shutdown"]) => method_not_allowed("POST"),
 
         _ => Response::error(404, &format!("no route for {} {}", req.method, req.path)),
+    }
+}
+
+/// Routes a `{id}` path segment to `then`, or answers `400`.
+fn with_job_id(raw: &str, then: impl FnOnce(usize) -> Response) -> Response {
+    match raw.parse() {
+        Ok(id) => then(id),
+        Err(_) => Response::error(400, &format!("bad job id {raw:?}")),
     }
 }
 
@@ -678,16 +621,4 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
             .with_header("retry-after", "1")
         }
     }
-}
-
-/// Stops admissions and wakes the accept loop; the SIGTERM-equivalent
-/// entry point (`std` offers no portable signal handling, so the trigger
-/// is an admin endpoint on the loopback listener).
-fn start_drain(shared: &Shared) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return; // already draining
-    }
-    shared.store.close();
-    // Nudge the accept loop out of its blocking accept.
-    let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
 }

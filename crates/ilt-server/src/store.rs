@@ -21,7 +21,7 @@
 //! With a state directory configured, the store doubles as a write-ahead
 //! log: every admission and every terminal outcome is appended to
 //! `state.jsonl` (masks written atomically beside it), and
-//! [`JobStore::recover`] rebuilds the job table on restart — finished jobs
+//! [`JobStore::open`] rebuilds the job table on restart — finished jobs
 //! come back with their masks (hash-verified), interrupted ones are
 //! re-planned and re-queued.
 //!
@@ -446,7 +446,7 @@ fn finish_line_err(id: usize, error: &str) -> String {
     )
 }
 
-/// What [`JobStore::recover`] reconstructed from a state directory.
+/// What [`JobStore::open`] reconstructed from a state directory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Finished jobs restored with a hash-verified mask (or a recorded
@@ -469,9 +469,19 @@ pub struct JobStore {
 }
 
 impl JobStore {
-    /// Creates an empty store admitting at most `queue_cap` waiting jobs,
-    /// persisting admissions and outcomes to `state` when there is one.
+    /// An empty store admitting at most `queue_cap` waiting jobs, without
+    /// per-client quotas: [`JobStore::open`] with nothing to replay.
+    /// Admissions and outcomes are persisted to `state` when there is one.
     pub fn new(queue_cap: usize, state: Option<StateLog>) -> Self {
+        Self::empty(queue_cap, 0, 0, state)
+    }
+
+    fn empty(
+        queue_cap: usize,
+        quota_inflight: usize,
+        quota_queued: usize,
+        state: Option<StateLog>,
+    ) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 jobs: BTreeMap::new(),
@@ -484,26 +494,21 @@ impl JobStore {
             }),
             wakeup: Condvar::new(),
             queue_cap: queue_cap.max(1),
-            quota_inflight: 0,
-            quota_queued: 0,
+            quota_inflight,
+            quota_queued,
             state,
         }
     }
 
-    /// Sets the per-client quotas (0 = unlimited). Takes `&mut self`
-    /// because quotas are fixed before the store is shared — the server
-    /// applies its `--quota-*` flags between recovery and serving.
-    pub fn set_quotas(&mut self, max_inflight: usize, max_queued: usize) {
-        self.quota_inflight = max_inflight;
-        self.quota_queued = max_queued;
-    }
-
-    /// Rebuilds a store from `state`'s snapshot + log: jobs with a recorded
-    /// outcome come back finished (masks loaded and hash-verified), jobs
-    /// with a recorded cancellation come back terminal-cancelled, and jobs
-    /// that were queued or running when the process died are re-planned
-    /// from their persisted parameters and re-queued (bypassing the
-    /// admission cap — they were already admitted once). The compaction
+    /// The constructor: a store admitting at most `queue_cap` waiting jobs
+    /// under the per-client quotas (caps on non-terminal and on queued jobs;
+    /// 0 = unlimited), persisting to `state` when there is one — and first
+    /// rebuilt from its snapshot + log: jobs with a recorded outcome come
+    /// back finished (masks loaded and hash-verified), jobs with a recorded
+    /// cancellation come back terminal-cancelled, and jobs that were queued
+    /// or running when the process died are re-planned from their persisted
+    /// parameters and re-queued (bypassing the admission cap — they were
+    /// already admitted once), `policy` bounding them. The compaction
     /// snapshot, when present, is replayed before `state.jsonl`; duplicate
     /// submit records are first-win and outcomes are folded in on top, so a
     /// crash between snapshot installation and log truncation replays to
@@ -514,11 +519,17 @@ impl JobStore {
     ///
     /// Returns a message for an unreadable or mid-file-corrupt log or
     /// snapshot.
-    pub fn recover(
+    pub fn open(
         queue_cap: usize,
-        state: StateLog,
+        quota_inflight: usize,
+        quota_queued: usize,
+        state: Option<StateLog>,
         policy: &ExecPolicy,
     ) -> Result<(JobStore, RecoveryStats), String> {
+        let store = JobStore::empty(queue_cap, quota_inflight, quota_queued, state);
+        let Some(state) = &store.state else {
+            return Ok((store, RecoveryStats::default()));
+        };
         // Replay: submissions in record order (first submit per id wins, so
         // the snapshot takes precedence over a stale untruncated log),
         // outcomes and cancellations folded in by id.
@@ -575,10 +586,9 @@ impl JobStore {
             }
         }
 
-        let store = JobStore::new(queue_cap, Some(state));
         let mut stats = RecoveryStats::default();
         {
-            let dir = store.state.as_ref().expect("state is set").dir.clone();
+            let dir = &state.dir;
             let mut inner = store.lock();
             for (id, query, target, admission) in submits {
                 let body = match &target {
@@ -603,7 +613,7 @@ impl JobStore {
                     Ok((params, case, config, tiles)) => {
                         let finished = finishes
                             .get(&id)
-                            .and_then(|fin| restore_finished(&dir, id, params.name.clone(), fin));
+                            .and_then(|fin| restore_finished(dir, id, params.name.clone(), fin));
                         match finished {
                             Some(entry) => {
                                 stats.restored += 1;
@@ -1538,7 +1548,7 @@ mod tests {
         }
 
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         // Job 0 came back finished, mask verified byte-identical.
         let detail = store.render_detail(0, false).unwrap();
@@ -1562,7 +1572,7 @@ mod tests {
         bytes[n - 1] ^= 0xff;
         std::fs::write(&mask_path, bytes).unwrap();
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 0, requeued: 2 });
         assert_eq!(store.queue_depth(), 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1589,14 +1599,14 @@ mod tests {
         std::fs::write(&path, &raw.as_bytes()[..keep]).unwrap();
 
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
         assert_eq!(store.len(), 1, "the torn submission is simply forgotten");
 
         // Mid-file corruption, by contrast, refuses to recover.
         std::fs::write(&path, "{\"kind\":\"submit\",\"id\":garbage\nnot json either\n").unwrap();
         let state = StateLog::open(&dir, 0).unwrap();
-        let err = match JobStore::recover(8, state, &ExecPolicy::default()) {
+        let err = match JobStore::open(8, 0, 0, Some(state), &ExecPolicy::default()) {
             Err(e) => e,
             Ok(_) => panic!("mid-file corruption must refuse recovery"),
         };
@@ -1627,7 +1637,7 @@ mod tests {
         std::fs::write(&path, &raw.as_bytes()[..keep]).unwrap();
 
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
         let (id, case, _, _) = store.take_next().unwrap();
         assert_eq!(id, 0);
@@ -1641,7 +1651,7 @@ mod tests {
             ilt_runtime::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         }
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 0 });
         assert_eq!(store.len(), 1, "no phantom job from a glued line");
         assert!(store.render_detail(0, false).unwrap().contains("\"state\":\"done\""));
@@ -1734,7 +1744,7 @@ mod tests {
             assert_eq!(store.cancel(0), CancelOutcome::Cancelled);
         }
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         let detail = store.render_detail(0, false).unwrap();
         assert!(detail.contains("\"state\":\"cancelled\""), "never re-runs: {detail}");
@@ -1775,7 +1785,7 @@ mod tests {
         assert!(log.is_empty(), "truncated after the last compaction: {log:?}");
 
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         // The finished job is byte-identical across the compaction boundary.
         match store.mask_pgm(0) {
@@ -1842,7 +1852,7 @@ mod tests {
         // Recovery agrees: the GCed id is gone, the kept one restores
         // byte-identically.
         let (store, _) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert!(store.render_detail(0, false).is_none(), "GCed id answers 404");
         assert!(matches!(store.mask_pgm(2), MaskFetch::Ready(_)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1872,13 +1882,13 @@ mod tests {
         {
             // Compact for real...
             let state = StateLog::open(&dir, 1).unwrap();
-            let store = JobStore::recover(8, state, &ExecPolicy::default()).unwrap().0;
+            let store = JobStore::open(8, 0, 0, Some(state), &ExecPolicy::default()).unwrap().0;
             assert!(store.maybe_compact());
         }
         // ...then simulate the crash by restoring the un-truncated log.
         std::fs::write(dir.join("state.jsonl"), &pre_compaction_log).unwrap();
         let (store, stats) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         assert_eq!(store.len(), 2, "no duplicates from replaying both files");
         assert!(matches!(store.mask_pgm(0), MaskFetch::Ready(_)));
@@ -1917,7 +1927,7 @@ mod tests {
             let cut = (rng.next_u64() as usize) % healthy.len() + 1;
             std::fs::write(&path, &healthy[..cut]).unwrap();
             let (store, _) =
-                JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default())
+                JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default())
                     .unwrap_or_else(|e| panic!("round {round}: cut {cut} must recover: {e}"));
             // Every fully-intact submit record materializes as a job; the
             // torn trailing line never does.
@@ -1952,14 +1962,14 @@ mod tests {
                 );
             }
             let (again, _) =
-                JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default())
+                JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default())
                     .unwrap_or_else(|e| panic!("round {round}: cut {cut}: second recovery: {e}"));
             assert_eq!(again.len(), jobs + 1, "round {round}: cut {cut}: phantom or lost job");
         }
         // The undamaged log still replays everything.
         std::fs::write(&path, &healthy).unwrap();
         let (store, _) =
-            JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(store.len(), 4);
         assert!(full_lines >= 7, "submits + finishes + cancel all logged");
         let _ = std::fs::remove_dir_all(&dir);

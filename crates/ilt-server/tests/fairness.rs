@@ -60,10 +60,14 @@ struct ModelUsage {
 /// across 3 clients × 3 classes, with a shadow model predicting every
 /// admission verdict; reconciles usage and queue depth op-by-op and
 /// demands both drain to zero at the end.
+/// A state-less store with per-client quotas.
+fn quota_store(queue_cap: usize, inflight: usize, queued: usize) -> JobStore {
+    JobStore::open(queue_cap, inflight, queued, None, &ExecPolicy::default()).expect("no state").0
+}
+
 fn fuzz_episode(seed: u64) {
     let mut rng = Xorshift64Star::new(0x9e37_79b9_0000_0000 ^ seed.wrapping_add(1));
-    let mut store = JobStore::new(QUEUE_CAP, None);
-    store.set_quotas(QUOTA_INFLIGHT, QUOTA_QUEUED);
+    let store = quota_store(QUEUE_CAP, QUOTA_INFLIGHT, QUOTA_QUEUED);
     let (case, config) = fast_work();
 
     // Shadow model: (id, client_index) per lifecycle bucket.
@@ -216,9 +220,7 @@ fn seeded_fuzz_admission_accounting_never_leaks() {
 /// reconcile to zero even for cancels that raced completion.
 #[test]
 fn concurrent_cancel_races_reconcile_at_drain() {
-    let mut store = JobStore::new(64, None);
-    store.set_quotas(0, 0);
-    let store = Arc::new(store);
+    let store = Arc::new(JobStore::new(64, None));
     let (case, config) = fast_work();
 
     let workers: Vec<_> = (0..2)
@@ -380,8 +382,7 @@ fn quota_breach_gets_429_and_other_clients_still_complete() {
 /// claiming a job does not free the slot; finishing does.
 #[test]
 fn inflight_quota_counts_running_jobs() {
-    let mut store = JobStore::new(8, None);
-    store.set_quotas(1, 0);
+    let store = quota_store(8, 1, 0);
     let (case, config) = fast_work();
     let alice = || Admission { client: "alice".into(), class: PriorityClass::Normal };
 

@@ -9,6 +9,8 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use ilt_cluster::transport::request;
+use ilt_cluster::{Worker, WorkerConfig};
 use ilt_server::{ExecPolicy, ServerConfig, SNAPSHOT_FILE};
 use util::{delete, get, post, shutdown, start, tiny_pgm, wait_for_state, Conn, FAST_JOB};
 
@@ -133,8 +135,8 @@ fn cancel_vs_complete_races_stay_clean_across_restart() {
 
     let mut states = vec![String::new(); JOBS];
     for (id, state) in states.iter_mut().enumerate() {
-        let (landed, text) = util::wait_for_terminal(addr, id);
-        assert_ne!(landed, "failed", "{text}");
+        let text = wait_for_state(addr, id, "done|cancelled");
+        let landed = if text.contains("\"state\":\"done\"") { "done" } else { "cancelled" };
         *state = format!("\"state\":\"{landed}\"");
     }
     for status in canceller.join().expect("canceller thread") {
@@ -266,6 +268,43 @@ fn a_keep_alive_connection_serves_the_request_cap_then_closes() {
     assert!(conn.expect_closed(), "server must close at the request cap");
 
     shutdown(addr, handle);
+}
+
+/// Both services run the one accept loop, so both are capped: connection
+/// cap + 1 is answered `503` + `retry-after` unasked and closed, and a
+/// slot freed by a departing client serves again.
+#[test]
+fn connections_past_the_cap_get_503_and_a_freed_slot_serves_again() {
+    const CAP: usize = 3;
+    let (server, handle) =
+        start(ServerConfig { workers: 0, max_connections: CAP, ..ServerConfig::default() });
+    let worker = Worker::bind(WorkerConfig::default()).expect("bind worker");
+    let worker_addr = worker.local_addr().expect("worker addr");
+    let worker_thread = std::thread::spawn(move || worker.run());
+
+    for (addr, cap) in [(server, CAP), (worker_addr, ilt_cluster::worker::MAX_CONNECTIONS)] {
+        let mut idle: Vec<Conn> = (0..cap).map(|_| Conn::open(addr)).collect();
+        let mut refused = Conn::open(addr);
+        let reply = refused.read_reply().expect("the accept loop answers without being asked");
+        assert_eq!(reply.status, 503, "{}", reply.text());
+        assert_eq!(reply.header("retry-after"), Some("1"));
+        assert!(refused.expect_closed());
+
+        // One client leaves; its handler sees the close and frees the slot.
+        idle.pop();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !matches!(
+            request(&addr.to_string(), "GET", "/healthz", &[], Duration::from_secs(5)),
+            Ok((200, _))
+        ) {
+            assert!(Instant::now() < deadline, "{addr}: the freed slot never served");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    assert_eq!(post(worker_addr, "/v1/shutdown", b"").status, 200);
+    worker_thread.join().expect("worker thread");
+    shutdown(server, handle);
 }
 
 #[test]

@@ -120,7 +120,7 @@ fn state_log_and_snapshot_writers_emit_the_golden_lines() {
     // Compaction rewrites the live table with the same line shapes: the
     // cancelled job ages out, each survivor is its submit then its finish.
     let state = StateLog::open(&dir, 1).unwrap();
-    let (store, stats) = JobStore::recover(8, state, &ExecPolicy::default()).unwrap();
+    let (store, stats) = JobStore::open(8, 0, 0, Some(state), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 3, requeued: 0 });
     assert!(store.maybe_compact());
     assert_eq!(
@@ -145,7 +145,7 @@ fn golden_lines_recover_to_the_jobs_they_describe() {
     ];
     fs::write(dir.join("state.jsonl"), log.join("\n") + "\n").unwrap();
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 3, requeued: 0 });
     assert_eq!(
         store.render_list(),
@@ -166,7 +166,7 @@ fn golden_lines_recover_to_the_jobs_they_describe() {
         [COMPACT.into(), submit_via(), FINISH_OK.into(), submit_inline(), FINISH_ERR.into()];
     fs::write(dir.join(SNAPSHOT_FILE), snapshot.join("\n") + "\n").unwrap();
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 2, requeued: 0 });
     assert!(store.render_detail(2, false).is_none());
     let p = params(&format!("via=9&name=next&{QUERY}"), Vec::new());
@@ -183,7 +183,7 @@ fn pre_multi_tenant_submit_replays_under_the_default_admission() {
     let legacy = format!(r#"{{"kind":"submit","id":0,"query":"via=7&name=old&{QUERY}"}}"#);
     fs::write(dir.join("state.jsonl"), legacy + "\n").unwrap();
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
     let detail = store.render_detail(0, false).unwrap();
     assert!(
@@ -218,12 +218,12 @@ const FIXTURE_TAIL: &str = concat!(
 /// The state directory a `588e7d6` server left behind after a restart, a
 /// compaction and a `kill -9`: jobs 0, 1 (inline target) and 3 finished,
 /// 2 cancelled and compacted away, 4 interrupted. The expected values are
-/// what that commit's own `JobStore::recover` reports for it.
+/// what that commit's own `JobStore::open` reports for it.
 #[test]
 fn state_dir_written_by_the_parent_commit_recovers_identically() {
     let dir = fixture_copy("state-fixture");
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 3, requeued: 1 });
     assert_eq!(store.render_list(), format!("{{\"jobs\":[{FIXTURE_DONE}{FIXTURE_TAIL}"));
     for id in [0, 1, 3] {
@@ -244,7 +244,7 @@ fn parent_commit_snapshot_plus_stale_untruncated_log_recovers_identically() {
     log.extend(fs::read(dir.join("state.jsonl")).unwrap());
     fs::write(dir.join("state.jsonl"), log).unwrap();
     let (store, stats) =
-        JobStore::recover(8, StateLog::open(&dir, 0).unwrap(), &ExecPolicy::default()).unwrap();
+        JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 4, requeued: 1 });
     let cancelled =
         r#"{"id":2,"name":"doomed","client":"tenant-b","class":"low","state":"cancelled"},"#;

@@ -1,10 +1,9 @@
 #!/bin/bash
-# Runs every verify script (the runtime, server and cluster legs are cargo
-# tests: tier-1 covers them), then regenerates every table and figure of the
-# paper at its operating point (s = 4 is admissible from grid 1024 up);
-# EXPERIMENTS.md is the tables log with prose around it.
+# Runs every verify script (the runtime, server, cluster and chaos legs are
+# cargo tests: tier-1 covers them), then regenerates every table and figure
+# of the paper at its operating point (s = 4 is admissible from grid 1024
+# up); EXPERIMENTS.md is the tables log with prose around it.
 set -eo pipefail
-./verify_chaos.sh
 ./verify_perf.sh
 ./verify_bench.sh
 OUT=bench-out/tables

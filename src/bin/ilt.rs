@@ -102,6 +102,7 @@
 
 use std::error::Error;
 use std::sync::Arc;
+use std::time::Duration;
 
 use multilevel_ilt::cluster::{ExecPolicy, JobParams};
 use multilevel_ilt::geom::fracture;
@@ -116,44 +117,34 @@ const JOB_FLAGS: [&str; 12] = [
     "--halo", "--seam", "--retries", "--timeout-s", "--inject",
 ];
 
+/// Every other long flag, and whether it takes a value. What a flag means
+/// is read where it is used, by its key ([`Cli::get`], [`Cli::flag`],
+/// [`Cli::on`]); this table only tells a known flag from a typo.
+const FLAGS: [(&str, bool); 35] = [
+    ("--no-eval", false), ("--case", true), ("--via", true), ("--target", true),
+    ("--mask", true), ("--out", true), ("--journal", true), ("--no-timing", false),
+    ("--checkpoint", false), ("--resume", false), ("--no-degrade", false), ("--addr", true),
+    ("--queue", true), ("--cache", true), ("--state-dir", true), ("--result-ttl-s", true),
+    ("--max-masks", true), ("--quota-inflight", true), ("--quota-queued", true),
+    ("--allow-inject", false), ("--compact-bytes", true), ("--keep-alive", true),
+    ("--idle-timeout-s", true), ("--workers", true), ("--cluster", false),
+    ("--heartbeat-ms", true), ("--speculate-factor", true), ("--speculate-after", true),
+    ("--register", true), ("--reps", true), ("--tag", true), ("--name", true),
+    ("--baselines", true), ("--smoke", false), ("--threshold", true),
+];
+
+/// `--addr` when it is not given (`serve`, `worker`).
+const DEFAULT_ADDR: &str = "127.0.0.1:8080";
+
 struct Cli {
     /// The job flags that were given, as `key=value` pairs (`--no-eval` is
     /// `eval=0`). A flag that was not given is not here.
     job: Vec<(String, String)>,
+    /// Every other flag that was given, keyed the same way (`--state-dir`
+    /// is `state_dir`); a switch's value is `true`.
+    opts: Vec<(String, String)>,
     /// `--case N | --via SEED | --target x.pgm`, as `caseN | viaSEED | x.pgm`.
     target: Option<String>,
-    mask: Option<String>,
-    out: String,
-    journal: Option<String>,
-    no_timing: bool,
-    checkpoint: bool,
-    resume: bool,
-    no_degrade: bool,
-    addr: String,
-    queue: usize,
-    cache: usize,
-    state_dir: Option<String>,
-    result_ttl_s: f64,
-    max_masks: usize,
-    quota_inflight: usize,
-    quota_queued: usize,
-    allow_inject: bool,
-    compact_bytes: u64,
-    keep_alive: usize,
-    idle_timeout_s: f64,
-    workers: Option<String>,
-    cluster: bool,
-    heartbeat_ms: u64,
-    speculate_factor: f64,
-    speculate_after: usize,
-    register: Option<String>,
-    reps: usize,
-    tags: Vec<String>,
-    names: Vec<String>,
-    baselines: String,
-    smoke: bool,
-    threshold: Option<f64>,
-    out_flag: Option<String>,
     cases: Vec<String>,
 }
 
@@ -161,106 +152,62 @@ impl Cli {
     fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Cli), Box<dyn Error>> {
         let command =
             args.next().ok_or("usage: ilt <run|batch|serve|worker|evaluate|fracture|kernels|bench|tables> ...")?;
-        let mut cli = Cli {
-            job: Vec::new(),
-            target: None,
-            mask: None,
-            out: "ilt".into(),
-            journal: None,
-            no_timing: false,
-            checkpoint: false,
-            resume: false,
-            no_degrade: false,
-            addr: "127.0.0.1:8080".into(),
-            queue: 16,
-            cache: 16,
-            state_dir: None,
-            result_ttl_s: 0.0,
-            max_masks: 0,
-            quota_inflight: 0,
-            quota_queued: 0,
-            allow_inject: false,
-            compact_bytes: 0,
-            keep_alive: 32,
-            idle_timeout_s: 5.0,
-            workers: None,
-            cluster: false,
-            heartbeat_ms: 500,
-            speculate_factor: 3.0,
-            speculate_after: 3,
-            register: None,
-            reps: 5,
-            tags: Vec::new(),
-            names: Vec::new(),
-            baselines: ".".into(),
-            smoke: false,
-            threshold: None,
-            out_flag: None,
-            cases: Vec::new(),
-        };
+        let mut cli = Cli { job: Vec::new(), opts: Vec::new(), target: None, cases: Vec::new() };
         while let Some(flag) = args.next() {
-            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
-            if JOB_FLAGS.contains(&flag.as_str()) {
-                // The decoder reads the first pair of a key; a flag given
-                // twice means its last value.
-                cli.job.insert(0, (flag[2..].replace('-', "_"), value()?));
+            if !flag.starts_with("--") {
+                cli.cases.push(flag);
                 continue;
             }
-            match flag.as_str() {
-                "--no-eval" => cli.job.push(("eval".into(), "0".into())),
-                "--case" => cli.target = Some(format!("case{}", value()?)),
-                "--via" => cli.target = Some(format!("via{}", value()?)),
-                "--target" => cli.target = Some(value()?),
-                "--mask" => cli.mask = Some(value()?),
-                "--out" => {
-                    cli.out = value()?;
-                    cli.out_flag = Some(cli.out.clone());
-                }
-                "--journal" => cli.journal = Some(value()?),
-                "--no-timing" => cli.no_timing = true,
-                "--checkpoint" => cli.checkpoint = true,
-                "--resume" => cli.resume = true,
-                "--no-degrade" => cli.no_degrade = true,
-                "--addr" => cli.addr = value()?,
-                "--queue" => cli.queue = value()?.parse()?,
-                "--cache" => cli.cache = value()?.parse()?,
-                "--state-dir" => cli.state_dir = Some(value()?),
-                "--result-ttl-s" => cli.result_ttl_s = value()?.parse()?,
-                "--max-masks" => cli.max_masks = value()?.parse()?,
-                "--quota-inflight" => cli.quota_inflight = value()?.parse()?,
-                "--quota-queued" => cli.quota_queued = value()?.parse()?,
-                "--allow-inject" => cli.allow_inject = true,
-                "--compact-bytes" => cli.compact_bytes = value()?.parse()?,
-                "--keep-alive" => cli.keep_alive = value()?.parse()?,
-                "--idle-timeout-s" => cli.idle_timeout_s = value()?.parse()?,
-                "--workers" => cli.workers = Some(value()?),
-                "--cluster" => cli.cluster = true,
-                "--heartbeat-ms" => cli.heartbeat_ms = value()?.parse()?,
-                "--speculate-factor" => cli.speculate_factor = value()?.parse()?,
-                "--speculate-after" => cli.speculate_after = value()?.parse()?,
-                "--register" => cli.register = Some(value()?),
-                "--reps" => cli.reps = value()?.parse()?,
-                "--tag" => cli.tags.push(value()?),
-                "--name" => cli.names.push(value()?),
-                "--baselines" => cli.baselines = value()?,
-                "--smoke" => cli.smoke = true,
-                "--threshold" => cli.threshold = Some(value()?.parse()?),
-                other if flag.starts_with("--") => {
-                    return Err(format!("unknown flag {other}").into())
-                }
-                positional => cli.cases.push(positional.to_string()),
+            let is_job = JOB_FLAGS.contains(&flag.as_str());
+            let takes_value = is_job
+                || FLAGS
+                    .iter()
+                    .find(|(name, _)| *name == flag)
+                    .ok_or_else(|| format!("unknown flag {flag}"))?
+                    .1;
+            let value = match takes_value {
+                true => args.next().ok_or_else(|| format!("{flag} needs a value"))?,
+                false => "true".into(),
+            };
+            let key = flag[2..].replace('-', "_");
+            match key.as_str() {
+                "no_eval" => cli.job.push(("eval".into(), "0".into())),
+                "case" | "via" => cli.target = Some(format!("{key}{value}")),
+                "target" => cli.target = Some(value),
+                // A lookup reads the first pair of a key; a flag given twice
+                // means its last value.
+                _ if is_job => cli.job.insert(0, (key, value)),
+                _ => cli.opts.insert(0, (key, value)),
             }
         }
         Ok((command, cli))
     }
 
-    /// A job flag read outside a job (`serve`'s pool size, `kernels`' grid):
-    /// the value given, or that command's own `default`.
+    /// The value a flag was given, job flag or not.
+    fn get(&self, key: &str) -> Option<&str> {
+        self.job.iter().chain(&self.opts).find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// Was this switch (or flag) given?
+    fn on(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Every value of a flag that accumulates (`--tag`, `--name`), in the
+    /// order given.
+    fn all(&self, key: &str) -> Vec<String> {
+        self.opts.iter().rev().filter(|(k, _)| k == key).map(|(_, v)| v.clone()).collect()
+    }
+
+    /// A flag's value parsed, if it was given.
+    fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key).map(|raw| raw.parse().map_err(|_| format!("bad {key}={raw:?}"))).transpose()
+    }
+
+    /// A flag's value parsed, or the reading command's own `default` when
+    /// it was not given (`serve`'s pool size, `kernels`' grid).
     fn flag<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.job.iter().find(|(k, _)| k == key) {
-            None => Ok(default),
-            Some((_, raw)) => raw.parse().map_err(|_| format!("bad {key}={raw:?}")),
-        }
+        Ok(self.parsed(key)?.unwrap_or(default))
     }
 
     /// `--timeout-s` / `--retries` as the defaults `serve` and `worker` give
@@ -332,8 +279,9 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     println!("ran {} iterations in {:.2} s", result.total_iterations, tat.as_secs_f64());
     println!("{}", evaluate_mask(&sim, &target, &result.mask, tat));
 
-    let mask_path = format!("{}_mask.pgm", cli.out);
-    let wafer_path = format!("{}_wafer.pgm", cli.out);
+    let out = cli.get("out").unwrap_or("ilt");
+    let mask_path = format!("{out}_mask.pgm");
+    let wafer_path = format!("{out}_wafer.pgm");
     write_pgm(&result.mask, &mask_path, 0.0, 1.0)?;
     write_pgm(
         &sim.print(&result.mask, ProcessCondition::nominal()),
@@ -357,14 +305,14 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
     }
     let (schedule, plan) =
         shared.ok_or("batch needs at least one case (caseN, viaN or file.pgm)")?;
-    let journal_path = cli
-        .journal
-        .clone()
-        .unwrap_or_else(|| format!("{}_journal.jsonl", cli.out));
+    let out = cli.get("out").unwrap_or("ilt");
+    let journal_path =
+        cli.get("journal").map_or_else(|| format!("{out}_journal.jsonl"), Into::into);
+    let resume = cli.on("resume");
     // Only what is not part of a job is set here.
     let config = BatchConfig {
-        degrade: !cli.no_degrade,
-        checkpoint: (cli.checkpoint || cli.resume)
+        degrade: !cli.on("no_degrade"),
+        checkpoint: (cli.on("checkpoint") || resume)
             .then(|| std::path::PathBuf::from(format!("{journal_path}.ckpt"))),
         ..plan
     };
@@ -381,8 +329,8 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
     }
 
     let cache = SimulatorCache::new();
-    let outcome = run_batch_resume(&cases, &config, &cache, cli.resume)?;
-    if cli.resume {
+    let outcome = run_batch_resume(&cases, &config, &cache, resume)?;
+    if resume {
         println!(
             "resume: {} job(s) restored from durable checkpoints",
             outcome.restored_jobs
@@ -396,7 +344,7 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
     );
 
     for case in &outcome.cases {
-        let mask_path = format!("{}_{}_mask.pgm", cli.out, case.name);
+        let mask_path = format!("{out}_{}_mask.pgm", case.name);
         write_pgm(&case.mask, &mask_path, 0.0, 1.0)
             .map_err(|e| format!("cannot write {mask_path}: {e}"))?;
         match &case.eval {
@@ -413,7 +361,7 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
 
     outcome
         .report
-        .write_jsonl_opts(&journal_path, !cli.no_timing)
+        .write_jsonl_opts(&journal_path, !cli.on("no_timing"))
         .map_err(|e| format!("cannot write {journal_path}: {e}"))?;
     println!("journal: {journal_path}");
 
@@ -425,40 +373,43 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let workers: Vec<String> = match &cli.workers {
-        None => Vec::new(),
-        Some(list) => {
-            list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(Into::into).collect()
-        }
-    };
-    if cli.workers.is_some() && workers.is_empty() {
+    let workers: Vec<String> = cli
+        .get("workers")
+        .map(|list| list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(Into::into))
+        .map_or_else(Vec::new, Iterator::collect);
+    if cli.on("workers") && workers.is_empty() {
         return Err("--workers needs at least one host:port".into());
     }
     // `--workers` lists initial replicas; `--cluster` alone starts an empty
     // coordinator that workers register with (`ilt worker --register`).
-    let cluster = (cli.cluster || !workers.is_empty()).then(|| ClusterConfig {
-        workers,
-        heartbeat: std::time::Duration::from_millis(cli.heartbeat_ms.max(10)),
-        speculate_factor: cli.speculate_factor.max(0.0),
-        speculate_min_samples: cli.speculate_after.max(1),
-        ..ClusterConfig::default()
-    });
+    let cluster = if cli.on("cluster") || !workers.is_empty() {
+        Some(ClusterConfig {
+            workers,
+            heartbeat: Duration::from_millis(cli.flag("heartbeat_ms", 500u64)?.max(10)),
+            speculate_factor: cli.flag("speculate_factor", 3.0f64)?.max(0.0),
+            speculate_min_samples: cli.flag("speculate_after", 3usize)?.max(1),
+            ..ClusterConfig::default()
+        })
+    } else {
+        None
+    };
+    let result_ttl_s = cli.flag("result_ttl_s", 0.0f64)?;
+    let max_masks = cli.flag("max_masks", 0usize)?;
     let config = ServerConfig {
-        addr: cli.addr.clone(),
+        addr: cli.get("addr").unwrap_or(DEFAULT_ADDR).into(),
         workers: cli.flag("threads", 1usize)?.max(1),
-        queue_cap: cli.queue,
-        journal: cli.journal.clone().map(Into::into),
-        cache_capacity: cli.cache,
-        policy: ExecPolicy { allow_inject: cli.allow_inject, ..cli.policy()? },
-        state_dir: cli.state_dir.clone().map(Into::into),
-        result_ttl: (cli.result_ttl_s > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(cli.result_ttl_s)),
-        max_resident_masks: if cli.max_masks == 0 { usize::MAX } else { cli.max_masks },
-        quota_inflight: cli.quota_inflight,
-        quota_queued: cli.quota_queued,
-        compact_state_bytes: cli.compact_bytes,
-        keep_alive_requests: cli.keep_alive.max(1),
-        idle_timeout: std::time::Duration::from_secs_f64(cli.idle_timeout_s.max(0.05)),
+        queue_cap: cli.flag("queue", 16)?,
+        journal: cli.get("journal").map(Into::into),
+        cache_capacity: cli.flag("cache", 16)?,
+        policy: ExecPolicy { allow_inject: cli.on("allow_inject"), ..cli.policy()? },
+        state_dir: cli.get("state_dir").map(Into::into),
+        result_ttl: (result_ttl_s > 0.0).then(|| Duration::from_secs_f64(result_ttl_s)),
+        max_resident_masks: if max_masks == 0 { usize::MAX } else { max_masks },
+        quota_inflight: cli.flag("quota_inflight", 0)?,
+        quota_queued: cli.flag("quota_queued", 0)?,
+        compact_state_bytes: cli.flag("compact_bytes", 0)?,
+        keep_alive_requests: cli.flag("keep_alive", 32usize)?.max(1),
+        idle_timeout: Duration::from_secs_f64(cli.flag("idle_timeout_s", 5.0f64)?.max(0.05)),
         cluster,
         ..ServerConfig::default()
     };
@@ -469,8 +420,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
     }
     let replicas = config.cluster.as_ref().map(|c| c.workers.clone());
     let server = Server::bind(config)?;
-    // `verify_chaos.sh` and `tests/cluster_e2e.rs` parse this line to find
-    // the ephemeral port.
+    // `tests/cluster_e2e.rs` parses this line to find the ephemeral port.
     println!("listening on http://{}", server.local_addr());
     println!(
         "{workers} worker(s), queue capacity {queue}; POST /v1/shutdown to drain"
@@ -494,8 +444,8 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
 fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let spec = cli.flag("inject", String::new())?;
     let config = WorkerConfig {
-        addr: cli.addr.clone(),
-        state_dir: cli.state_dir.clone().map(Into::into),
+        addr: cli.get("addr").unwrap_or(DEFAULT_ADDR).into(),
+        state_dir: cli.get("state_dir").map(Into::into),
         faults: FaultPlan::parse(&spec).map_err(|e| format!("bad --inject {spec}: {e}"))?,
         policy: ExecPolicy {
             max_threads_per_job: cli.flag("threads", 1usize)?.max(1),
@@ -514,10 +464,11 @@ fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
     // Self-registration: announce this replica to the coordinator once the
     // socket is bound. Retried in the background so a worker started
     // moments before its coordinator still joins.
-    if let Some(coordinator) = cli.register.clone() {
+    let register = cli.get("register").map(String::from);
+    if let Some(coordinator) = register.clone() {
         let me = local.to_string();
         std::thread::spawn(move || {
-            let timeout = std::time::Duration::from_secs(2);
+            let timeout = Duration::from_secs(2);
             for attempt in 0..40u32 {
                 match multilevel_ilt::cluster::post_membership(&coordinator, &me, "join", timeout)
                 {
@@ -526,19 +477,19 @@ fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
                         return;
                     }
                     Err(e) if attempt == 39 => eprintln!("registration failed: {e}"),
-                    Err(_) => std::thread::sleep(std::time::Duration::from_millis(250)),
+                    Err(_) => std::thread::sleep(Duration::from_millis(250)),
                 }
             }
         });
     }
     worker.run();
-    if let Some(coordinator) = &cli.register {
+    if let Some(coordinator) = &register {
         // Best-effort goodbye so the coordinator stops dispatching here.
         let _ = multilevel_ilt::cluster::post_membership(
             coordinator,
             &local.to_string(),
             "leave",
-            std::time::Duration::from_secs(2),
+            Duration::from_secs(2),
         );
     }
     println!("stopped");
@@ -547,7 +498,7 @@ fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
 
 fn cmd_evaluate(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let (BatchCase { target, .. }, _, sim) = cli.single()?;
-    let mask_path = cli.mask.as_ref().ok_or("evaluate needs --mask file.pgm")?;
+    let mask_path = cli.get("mask").ok_or("evaluate needs --mask file.pgm")?;
     let mask = multilevel_ilt::field::read_pgm(mask_path)?.threshold(0.5);
     if mask.shape() != target.shape() {
         return Err(format!(
@@ -557,12 +508,12 @@ fn cmd_evaluate(cli: &Cli) -> Result<(), Box<dyn Error>> {
         )
         .into());
     }
-    println!("{}", evaluate_mask(&sim, &target, &mask, std::time::Duration::ZERO));
+    println!("{}", evaluate_mask(&sim, &target, &mask, Duration::ZERO));
     Ok(())
 }
 
 fn cmd_fracture(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let mask_path = cli.mask.as_ref().ok_or("fracture needs --mask file.pgm")?;
+    let mask_path = cli.get("mask").ok_or("fracture needs --mask file.pgm")?;
     let mask = multilevel_ilt::field::read_pgm(mask_path)?.threshold(0.5);
     let rects = fracture(&mask);
     // Write through a buffered handle and treat a broken pipe (e.g.
@@ -635,11 +586,11 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
                  [--out DIR] [--baselines DIR] [--threshold F]";
     let sub = cli.cases.first().map(String::as_str).ok_or(usage)?;
     // Positionals after the subcommand are name globs, same as --name.
-    let mut selection = Selection { tags: cli.tags.clone(), names: cli.names.clone() };
+    let mut selection = Selection { tags: cli.all("tag"), names: cli.all("name") };
     selection.names.extend(cli.cases[1..].iter().cloned());
     // Fresh results live out of the way by default; baselines are the
     // checked-in BENCH_*.json at the repo root.
-    let out_dir = cli.out_flag.clone().unwrap_or_else(|| "bench-out/perf".into());
+    let out_dir = cli.get("out").unwrap_or("bench-out/perf");
 
     match sub {
         "list" => {
@@ -665,9 +616,9 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
             if workloads.is_empty() {
                 return Err("no workloads match the selection".into());
             }
-            let cfg = MeasureConfig { smoke: cli.smoke, reps: cli.reps.max(1) };
+            let cfg = MeasureConfig { smoke: cli.on("smoke"), reps: cli.flag("reps", 5usize)?.max(1) };
             let env = env_stamp();
-            std::fs::create_dir_all(&out_dir)
+            std::fs::create_dir_all(out_dir)
                 .map_err(|e| format!("cannot create {out_dir}: {e}"))?;
             println!(
                 "bench run: {} workload(s), median of {} rep(s){}",
@@ -678,7 +629,7 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
             for w in &workloads {
                 let sample = (w.run)(&cfg)?;
                 let result = BenchResult::new(w, &sample, &cfg, &env);
-                let path = result.write(Path::new(&out_dir))?;
+                let path = result.write(Path::new(out_dir))?;
                 println!(
                     "{:<22} {:>12.1} {} (mad {:.1})  -> {}",
                     w.name,
@@ -692,10 +643,10 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
         }
         "diff" => {
             let report = diff_dirs(
-                Path::new(&cli.baselines),
-                Path::new(&out_dir),
+                Path::new(cli.get("baselines").unwrap_or(".")),
+                Path::new(out_dir),
                 &selection,
-                cli.threshold,
+                cli.parsed("threshold")?,
             )?;
             print!("{}", report.render());
             let regressions = report.regressions();
@@ -724,8 +675,8 @@ fn cmd_tables(cli: &Cli) -> Result<(), Box<dyn Error>> {
             Some(id) => Some(id.parse().map_err(|_| format!("bad --case {id}"))?),
             None => None,
         },
-        measure: MeasureConfig { smoke: cli.smoke, reps: cli.reps.max(1) },
-        out: cli.out_flag.clone().unwrap_or_else(|| "bench-out/tables".into()).into(),
+        measure: MeasureConfig { smoke: cli.on("smoke"), reps: cli.flag("reps", 5usize)?.max(1) },
+        out: cli.get("out").unwrap_or("bench-out/tables").into(),
     };
     tables::run(&cli.cases, &config, &mut std::io::stdout().lock())
 }

@@ -7,6 +7,9 @@
 //! single-process batch engine — with the re-dispatch visible in
 //! `/metrics`.
 //!
+//! Kill -9 + `--register`: a replica dies under the job, a replacement
+//! announces itself mid-job, a straggler is speculated — same mask.
+//!
 //! Four routes: one job description through `ilt batch`, the in-process
 //! engine, `ilt serve` and `ilt serve --workers` yields one PGM.
 
@@ -67,6 +70,11 @@ fn http(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
 fn serve_mask(addr: &str, query: &str, body: &[u8]) -> Vec<u8> {
     let (status, reply) = http(addr, "POST", &format!("/v1/jobs?{query}"), body);
     assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&reply));
+    await_mask(addr)
+}
+
+/// Polls job 0 at `addr` to `done` and returns the served mask.
+fn await_mask(addr: &str) -> Vec<u8> {
     let deadline = Instant::now() + Duration::from_secs(180);
     loop {
         let (status, detail) = http(addr, "GET", "/v1/jobs/0", &[]);
@@ -165,6 +173,95 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
     assert!(!exit.success(), "worker A must die of the injected abort, got {exit:?}");
 
     let _ = std::fs::remove_dir_all(&state_a);
+}
+
+/// The self-healing story on real processes (once `verify_chaos.sh`):
+/// replica A stalls the wire response of whatever shard carries job 0, so
+/// that shard is a straggler; replica B — every shard stalled, so the kill
+/// is sure to catch it mid-shard — dies of `kill -9` under the job; a
+/// replacement started with `--register` announces itself mid-job and picks
+/// up the slack, including the speculative copy of the straggler. The mask
+/// is still the in-process engine's, and `/metrics` tells the story.
+#[test]
+fn killed_worker_is_replaced_by_a_registering_one_and_the_straggler_is_speculated() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const QUERY: &str = "via=7&grid=128&kernels=3&tile=64&halo=8&iters=2&threads=1&eval=0";
+    const STRAGGLE: &str = "read_stall@0=4000";
+
+    let params = JobParams::from_saved(QUERY, Vec::new(), &ExecPolicy::default()).expect("params");
+    let (case, config) = params.plan().expect("plan");
+    let reference = run_batch(&[case], &config, &SimulatorCache::new()).expect("local batch");
+    let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
+
+    let b_stalls: Vec<String> = (0..9).map(|job| format!("read_stall@{job}=5000")).collect();
+    let (_worker_a, addr_a) =
+        spawn_ilt(&["worker", "--addr", "127.0.0.1:0", "--inject", STRAGGLE]);
+    let (mut worker_b, addr_b) =
+        spawn_ilt(&["worker", "--addr", "127.0.0.1:0", "--inject", &b_stalls.join(",")]);
+    let (_coordinator, addr_c) = spawn_ilt(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--threads",
+        "1",
+        "--workers",
+        &format!("{addr_a},{addr_b}"),
+        "--heartbeat-ms",
+        "100",
+        "--speculate-factor",
+        "1.5",
+        "--speculate-after",
+        "1",
+    ]);
+
+    // Submit, then tear the cluster apart under the job.
+    let (status, reply) = http(&addr_c, "POST", &format!("/v1/jobs?{QUERY}"), &[]);
+    assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&reply));
+    std::thread::sleep(Duration::from_millis(300));
+    worker_b.0.kill().expect("kill -9 worker B");
+    let (_worker_c, addr_new) = spawn_ilt(&[
+        "worker", "--addr", "127.0.0.1:0", "--inject", STRAGGLE, "--register", &addr_c,
+    ]);
+    let members = |want: &str| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (status, members) = http(&addr_c, "GET", "/v1/members", &[]);
+            assert_eq!(status, 200);
+            let members = String::from_utf8_lossy(&members).into_owned();
+            if members.contains(&format!("\"addr\":\"{want}\"")) {
+                return members;
+            }
+            assert!(Instant::now() < deadline, "{want} is not a member: {members}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    };
+    members(&addr_new);
+
+    let mask = await_mask(&addr_c);
+    assert!(mask == reference_pgm, "mask under kill/join/straggler chaos differs from run_batch");
+
+    let (status, metrics) = http(&addr_c, "GET", "/metrics", &[]);
+    assert_eq!(status, 200);
+    let metrics = String::from_utf8_lossy(&metrics).into_owned();
+    let metric = |name: &str| -> u64 {
+        let line = metrics.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+        line.unwrap_or_else(|| panic!("{name} exported:\n{metrics}")).parse().expect("counter")
+    };
+    assert!(metric("ilt_members_joined_total") >= 3, "A, B and the replacement:\n{metrics}");
+    assert!(
+        metric("ilt_worker_heartbeat_failures_total") >= 1,
+        "the kill must be noticed by the heartbeat monitor:\n{metrics}"
+    );
+    // B's in-flight shards come back one of two ways, depending on who is
+    // first: a speculative copy already racing the stalled dispatch wins,
+    // or the dispatch that died with B is retried on another replica.
+    assert!(
+        metric("ilt_shards_redispatched_total") + metric("ilt_speculation_wins_total") >= 1,
+        "neither a re-dispatch nor a speculation win after the kill:\n{metrics}"
+    );
+    assert!(metric("ilt_shards_speculated_total") >= 1, "the straggler was never speculated");
+    assert!(metrics.contains("ilt_worker_breaker_state{"), "per-worker breaker gauge:\n{metrics}");
+    members(&addr_a);
 }
 
 /// One job description, written once as the decoder's pairs, through all

@@ -36,3 +36,45 @@ fn barometer_links_neither_service_crate() {
         assert!(!manifest.contains(service), "crates/ilt-perf/Cargo.toml names {service}");
     }
 }
+
+/// One HTTP/1.1 edge: only `transport.rs` encodes a request or a status
+/// line (`HTTP/1.1\r\n`), runs an accept loop (`.incoming()`) or may read a
+/// socket to EOF (`read_to_end(` — and it does not). Checked on the
+/// non-test part of every workspace source file: the lines before its first
+/// top-level `#[cfg(test)]`.
+#[test]
+fn only_transport_speaks_http_or_accepts_connections() {
+    const TRANSPORT: &str = "crates/ilt-cluster/src/transport.rs";
+    fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(&krate.expect("crate directory").path().join("src"), &mut files);
+    }
+    assert!(files.iter().any(|f| f.ends_with(TRANSPORT)), "{TRANSPORT} moved; update this guard");
+    for file in files.iter().filter(|f| !f.ends_with(TRANSPORT)) {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        let shipped: Vec<&str> = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).collect();
+        for needle in ["HTTP/1.1\\r\\n", ".incoming()", "read_to_end("] {
+            assert!(
+                !shipped.iter().any(|l| l.contains(needle)),
+                "{} has its own `{needle}`; the HTTP edge lives in {TRANSPORT}",
+                file.display()
+            );
+        }
+    }
+    let transport = read(TRANSPORT);
+    let shipped = transport.split("\n#[cfg(test)]").next().expect("non-test part");
+    assert!(!shipped.contains("read_to_end("), "{TRANSPORT} frames by content-length, not EOF");
+    assert_eq!(shipped.matches(".incoming()").count(), 1, "one accept loop");
+}

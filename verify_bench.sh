@@ -30,8 +30,8 @@ grep -q "smoke" "$OUT/refusal.log" || { echo "WRONG_REFUSAL"; cat "$OUT/refusal.
 "$BIN" bench run --name fft_pruned_inverse --out "$OUT/real"
 "$BIN" bench diff --name fft_pruned_inverse --out "$OUT/real" --baselines .
 
-# The injected slowdown must trip the gate: 200 ms/op against a baseline in
-# the hundreds of microseconds is far past the 50% threshold.
+# The injected slowdown must trip the gate: 200 ms/op against a 5.3 ms
+# baseline is far past its 27% threshold.
 ILT_BENCH_DELAY_US=200000 "$BIN" bench run --name fft_pruned_inverse --out "$OUT/real"
 if "$BIN" bench diff --name fft_pruned_inverse --out "$OUT/real" --baselines .; then
     echo "GATE_BLIND: injected 200ms/op slowdown did not fail bench diff"
