@@ -55,7 +55,7 @@ use ilt_runtime::{
 
 use crate::breaker::BreakerConfig;
 use crate::membership::{Acquire, MemberView, Membership, Settle, WorkerSlot};
-use crate::stats::ClusterStats;
+use crate::stats::{family, ClusterStats};
 use crate::transport::{request, Client, Reply};
 use crate::wire::{encode_job_ids, parse_shard_header, parse_shard_job};
 
@@ -190,8 +190,11 @@ impl Coordinator {
     /// per-worker `ilt_worker_breaker_state` gauge — to `out`.
     pub fn render_metrics(&self, out: &mut String) {
         self.stats.render(self.members.len(), out);
-        out.push_str(
-            "# HELP ilt_worker_breaker_state Circuit-breaker state per worker (0 closed, 1 half-open, 2 open).\n# TYPE ilt_worker_breaker_state gauge\n",
+        family(
+            out,
+            "ilt_worker_breaker_state",
+            "Circuit-breaker state per worker (0 closed, 1 half-open, 2 open).",
+            "gauge",
         );
         for view in self.member_views() {
             out.push_str(&format!(

@@ -11,12 +11,12 @@
 //! inputs and a mask is byte-equal whichever route its job took.
 
 use ilt_core::{schedules, IltConfig, Stage};
-use ilt_field::{parse_pgm, Field2D};
+use ilt_field::{parse_pgm, pgm_bytes, Field2D};
 use ilt_layouts::{m1_case, via_pattern};
 use ilt_optics::OpticsConfig;
 use ilt_runtime::{planned_jobs, BatchCase, BatchConfig, FaultPlan, SeamPolicy};
 
-use crate::transport::{first, Request};
+use crate::transport::{first, parse_query, Request};
 
 /// Where a job's target geometry comes from.
 #[derive(Clone, Debug)]
@@ -110,25 +110,11 @@ pub fn query_encode(s: &str) -> String {
     out
 }
 
-/// Inverse of [`query_encode`]; malformed escapes pass through verbatim
-/// (the log is trusted local state, not hostile input).
-pub fn query_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() {
-            let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-            if let Some(v) = hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                out.push(v);
-                i += 3;
-                continue;
-            }
-        }
-        out.push(bytes[i]);
-        i += 1;
-    }
-    String::from_utf8_lossy(&out).into_owned()
+/// True when `s` may travel unescaped into metric labels, JSON strings and
+/// file names: 1..=`max_len` bytes of `[A-Za-z0-9._-]` plus `extra`.
+pub fn is_label(s: &str, max_len: usize, extra: &[u8]) -> bool {
+    (1..=max_len).contains(&s.len())
+        && s.bytes().all(|b| b.is_ascii_alphanumeric() || b"._-".contains(&b) || extra.contains(&b))
 }
 
 fn num<T: std::str::FromStr>(
@@ -280,9 +266,25 @@ impl JobParams {
 
     /// Serializes the parameters back into the query string
     /// [`JobParams::from_saved`] parses — the persistence format of the
-    /// state log and the dispatch format of the cluster wire protocol.
-    /// Inline targets are carried separately (as a PGM file or body).
+    /// state log. Inline targets are carried separately (as a PGM file).
     pub fn to_query(&self) -> String {
+        self.query(true)
+    }
+
+    /// What a coordinator puts on the wire for this job, `(query, body)`:
+    /// [`JobParams::to_query`] without `inject=` — faults stay local to a
+    /// replica, and a worker started with its own `--inject` plan applies
+    /// that one — and the target as a PGM body only when it is inline
+    /// (`case=` / `via=` sources are re-resolved by the worker).
+    pub fn dispatch(&self) -> (String, Vec<u8>) {
+        let body = match &self.source {
+            JobSource::Inline(img) => pgm_bytes(img, 0.0, 1.0),
+            _ => Vec::new(),
+        };
+        (self.query(false), body)
+    }
+
+    fn query(&self, with_faults: bool) -> String {
         let mut q = String::new();
         match &self.source {
             JobSource::Case(id) => q.push_str(&format!("case={id}")),
@@ -314,7 +316,7 @@ impl JobParams {
         push(format!("timeout_s={}", self.timeout_s));
         push(format!("retries={}", self.retries));
         push(format!("eval={}", if self.evaluate { 1 } else { 0 }));
-        if !self.faults.is_empty() {
+        if with_faults && !self.faults.is_empty() {
             push(format!("inject={}", self.faults));
         }
         q
@@ -325,20 +327,14 @@ impl JobParams {
     ///
     /// # Errors
     ///
-    /// Same messages as [`JobParams::from_pairs`].
+    /// Same messages as [`JobParams::from_pairs`], or the query codec's for
+    /// a malformed `%`-escape.
     pub fn from_saved(
         query: &str,
         body: Vec<u8>,
         policy: &ExecPolicy,
     ) -> Result<JobParams, String> {
-        let pairs: Vec<(String, String)> = query
-            .split('&')
-            .filter(|p| !p.is_empty())
-            .map(|p| {
-                let (k, v) = p.split_once('=').unwrap_or((p, ""));
-                (k.to_string(), query_decode(v))
-            })
-            .collect();
+        let pairs = parse_query(query)?;
         // Recovery must replay faults even on a locked-down restart; the
         // original submission already passed the gate.
         let relaxed = ExecPolicy { allow_inject: true, ..*policy };
@@ -400,5 +396,48 @@ impl JobParams {
         };
         planned_jobs(&case, &config)?;
         Ok((case, config))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `to_query -> from_saved -> to_query` is the identity, whatever the
+    /// free-text name holds: `from_saved` reads through the transport's one
+    /// codec, so `query_encode` has to be its exact inverse.
+    #[test]
+    fn saved_queries_round_trip_names_with_metacharacters() {
+        let policy = ExecPolicy::default();
+        let base = JobParams::from_saved("via=3&grid=64&seam=blend:4&iters=2", Vec::new(), &policy)
+            .expect("base decodes");
+        for name in ["a+b", "100%", "50%2", "k=v&x=y", "two words", " ", "wörld-✓", "%zz+%41"] {
+            let named = JobParams { name: name.into(), ..base.clone() };
+            let saved = named.to_query();
+            let back = JobParams::from_saved(&saved, Vec::new(), &policy).expect(name);
+            assert_eq!(back.name, name);
+            assert_eq!(back.to_query(), saved, "{name:?}");
+        }
+        // The one codec is strict: a damaged escape is an error, where the
+        // lenient decoder this replaced passed it through.
+        let err = JobParams::from_saved("via=3&name=bad%2", Vec::new(), &policy).unwrap_err();
+        assert!(err.contains("truncated %-escape"), "{err}");
+    }
+
+    #[test]
+    fn dispatch_drops_inject_and_carries_only_inline_targets() {
+        let open = ExecPolicy { allow_inject: true, ..ExecPolicy::default() };
+        let via = JobParams::from_saved("via=3&grid=64&inject=panic@0:1", Vec::new(), &open).unwrap();
+        assert!(via.to_query().ends_with("&eval=1&inject=panic@0:1"));
+        let (query, body) = via.dispatch();
+        assert_eq!(format!("{query}&inject=panic@0:1"), via.to_query());
+        assert!(body.is_empty(), "named sources are re-resolved by the worker");
+
+        let img = Field2D::from_fn(32, 32, |r, _| f64::from(u8::from(r < 16)));
+        let pgm = pgm_bytes(&img, 0.0, 1.0);
+        let inline = JobParams::from_saved("clip_nm=256&inject=crash@0", pgm.clone(), &open).unwrap();
+        let (query, body) = inline.dispatch();
+        assert!(!query.contains("inject"), "{query}");
+        assert!(body == pgm, "the inline raster travels as the PGM it arrived as");
     }
 }

@@ -65,13 +65,24 @@ impl FailureKinds {
     /// Appends the family (`# HELP`/`# TYPE` plus one line per kind) to a
     /// Prometheus text exposition.
     pub fn render(&self, out: &mut String) {
-        out.push_str(
-            "# HELP ilt_tile_failures_total Failed tile jobs by failure classification.\n# TYPE ilt_tile_failures_total counter\n",
-        );
+        let name = "ilt_tile_failures_total";
+        family(out, name, "Failed tile jobs by failure classification.", "counter");
         for (kind, counter) in FAILURE_KINDS.iter().zip(&self.counts) {
-            out.push_str(&format!("ilt_tile_failures_total{{kind=\"{kind}\"}} {}\n", counter.get()));
+            out.push_str(&format!("{name}{{kind=\"{kind}\"}} {}\n", counter.get()));
         }
     }
+}
+
+/// The one `# HELP` / `# TYPE` writer of the exposition: opens family
+/// `name` of type `kind`; its sample lines follow.
+pub fn family(out: &mut String, name: &str, help: &str, kind: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+}
+
+/// A [`family`] of one unlabeled sample.
+pub fn scalar(out: &mut String, name: &str, help: &str, kind: &str, value: u64) {
+    family(out, name, help, kind);
+    out.push_str(&format!("{name} {value}\n"));
 }
 
 /// Upper bounds (inclusive, milliseconds) of the latency buckets; an
@@ -177,40 +188,21 @@ pub struct ClusterStats {
 impl ClusterStats {
     /// Appends the cluster families to a Prometheus text exposition.
     pub fn render(&self, workers_configured: usize, out: &mut String) {
-        out.push_str(&format!(
-            "# HELP ilt_workers_configured Worker replicas currently registered.\n# TYPE ilt_workers_configured gauge\nilt_workers_configured {workers_configured}\n"
-        ));
-        out.push_str(&format!(
-            "# HELP ilt_workers_alive Worker replicas currently passing heartbeats.\n# TYPE ilt_workers_alive gauge\nilt_workers_alive {}\n",
-            self.workers_alive.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "# HELP ilt_shards_redispatched_total Shard dispatches that followed a failed attempt (worker death, refusal, torn or garbled response).\n# TYPE ilt_shards_redispatched_total counter\nilt_shards_redispatched_total {}\n",
-            self.shards_redispatched.get()
-        ));
-        out.push_str(&format!(
-            "# HELP ilt_worker_heartbeat_failures_total Failed worker heartbeat probes.\n# TYPE ilt_worker_heartbeat_failures_total counter\nilt_worker_heartbeat_failures_total {}\n",
-            self.heartbeat_failures.get()
-        ));
-        out.push_str(&format!(
-            "# HELP ilt_shards_speculated_total Straggler shards speculatively re-executed.\n# TYPE ilt_shards_speculated_total counter\nilt_shards_speculated_total {}\n",
-            self.shards_speculated.get()
-        ));
-        out.push_str(&format!(
-            "# HELP ilt_speculation_wins_total Speculative copies that beat the straggler.\n# TYPE ilt_speculation_wins_total counter\nilt_speculation_wins_total {}\n",
-            self.speculation_wins.get()
-        ));
-        out.push_str(&format!(
-            "# HELP ilt_members_joined_total Workers ever registered with the coordinator.\n# TYPE ilt_members_joined_total counter\nilt_members_joined_total {}\n",
-            self.members_joined.get()
-        ));
-        out.push_str(&format!(
-            "# HELP ilt_members_left_total Workers that left the membership.\n# TYPE ilt_members_left_total counter\nilt_members_left_total {}\n",
-            self.members_left.get()
-        ));
-        out.push_str(
-            "# HELP ilt_shard_latency_ms Shard dispatch round-trip latency, milliseconds.\n# TYPE ilt_shard_latency_ms histogram\n",
-        );
+        let alive = self.workers_alive.load(Ordering::Relaxed);
+        let counters = [
+            ("ilt_shards_redispatched_total", "Shard dispatches that followed a failed attempt (worker death, refusal, torn or garbled response).", &self.shards_redispatched),
+            ("ilt_worker_heartbeat_failures_total", "Failed worker heartbeat probes.", &self.heartbeat_failures),
+            ("ilt_shards_speculated_total", "Straggler shards speculatively re-executed.", &self.shards_speculated),
+            ("ilt_speculation_wins_total", "Speculative copies that beat the straggler.", &self.speculation_wins),
+            ("ilt_members_joined_total", "Workers ever registered with the coordinator.", &self.members_joined),
+            ("ilt_members_left_total", "Workers that left the membership.", &self.members_left),
+        ];
+        scalar(out, "ilt_workers_configured", "Worker replicas currently registered.", "gauge", workers_configured as u64);
+        scalar(out, "ilt_workers_alive", "Worker replicas currently passing heartbeats.", "gauge", alive);
+        for (name, help, counter) in counters {
+            scalar(out, name, help, "counter", counter.get());
+        }
+        family(out, "ilt_shard_latency_ms", "Shard dispatch round-trip latency, milliseconds.", "histogram");
         self.shard_ms.render("ilt_shard_latency_ms", "shard", out);
     }
 }

@@ -247,7 +247,10 @@ fn find_terminator(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn parse_query(raw: &str) -> Result<Vec<(String, String)>, String> {
+/// The one query codec: `k=v` pairs split at `&`, both sides
+/// [`percent_decode`]d — a request's query string and a description
+/// [`crate::JobParams::to_query`] wrote alike.
+pub(crate) fn parse_query(raw: &str) -> Result<Vec<(String, String)>, String> {
     let mut out = Vec::new();
     for pair in raw.split('&').filter(|p| !p.is_empty()) {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
@@ -914,6 +917,23 @@ impl Gate {
     }
 }
 
+/// One admitted connection's share of the cap, taken at admission. Dropping
+/// it — when the handler returns *or its route unwinds* — gives the slot
+/// back and wakes [`Gate::wait_idle`] if it was the last.
+struct Slot(Arc<Gate>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // Never panics: every update leaves the count valid, so a poisoned
+        // lock still guards a good value.
+        let mut active = self.0.active.lock().unwrap_or_else(|e| e.into_inner());
+        *active -= 1;
+        if *active == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
 /// A bound listen socket and the one accept loop ([`Listener::serve`]) the
 /// job service and the cluster worker both run.
 pub struct Listener {
@@ -965,28 +985,25 @@ impl Listener {
                 break; // the wake-up connection itself is dropped unanswered
             }
             let Ok(mut stream) = stream else { continue }; // transient (EMFILE, reset)
-            let admitted = {
+            let slot = {
                 let mut active = self.gate.active.lock().expect("connection count lock");
-                let admitted = *active < max_connections;
-                *active += usize::from(admitted);
-                admitted
+                (*active < max_connections).then(|| {
+                    *active += 1;
+                    Slot(self.gate())
+                })
             };
-            if !admitted {
+            let Some(slot) = slot else {
                 let _ = Response::error(503, "connection limit reached")
                     .with_header("retry-after", "1")
                     .write_to(&mut stream);
                 continue;
-            }
-            let (gate, route) = (self.gate(), Arc::clone(&route));
+            };
+            let route = Arc::clone(&route);
             std::thread::Builder::new()
                 .name("ilt-conn".into())
                 .spawn(move || {
-                    serve_connection(stream, &options, |req| route(req), || !gate.is_shut_down());
-                    let mut active = gate.active.lock().expect("connection count lock");
-                    *active -= 1;
-                    if *active == 0 {
-                        gate.idle.notify_all();
-                    }
+                    let slot = slot; // released when this thread ends, however it ends
+                    serve_connection(stream, &options, |req| route(req), || !slot.0.is_shut_down());
                 })
                 .expect("spawn connection handler");
         }
@@ -1092,6 +1109,32 @@ mod tests {
         peer.join().unwrap();
         assert!(client.read_reply().unwrap_err().contains("before a full response head"));
         assert!(client.expect_closed());
+    }
+
+    #[test]
+    fn a_panicking_route_gives_its_connection_slot_back() {
+        let listener = Arc::new(Listener::bind("127.0.0.1:0").unwrap());
+        let (addr, gate) = (listener.local_addr().to_string(), listener.gate());
+        let accept = std::thread::spawn({
+            let listener = Arc::clone(&listener);
+            move || {
+                listener.serve(2, ConnOptions::default(), |req| match req.path.as_str() {
+                    "/boom" => panic!("route panicked (expected by this test)"),
+                    _ => Response::text(200, "ok\n"),
+                })
+            }
+        });
+        let get = |path: &str| request(&addr, "GET", path, b"", Duration::from_secs(5));
+        for _ in 0..3 {
+            // The handler unwinds without answering: the socket just closes.
+            assert!(get("/boom").is_err());
+        }
+        // More panics than the cap has slots, and the listener still serves.
+        assert_eq!(get("/ok").map(|(status, _)| status), Ok(200));
+        gate.wait_idle(Duration::from_secs(5));
+        assert_eq!(*gate.active.lock().unwrap_or_else(|e| e.into_inner()), 0);
+        gate.shut_down();
+        accept.join().unwrap();
     }
 
     #[test]

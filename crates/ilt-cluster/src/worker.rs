@@ -37,7 +37,7 @@ use ilt_runtime::{
     config_fingerprint, run_shard, CancelToken, FaultKind, FaultPlan, SimulatorCache, WAL_FILE,
 };
 
-use crate::params::{ExecPolicy, JobParams};
+use crate::params::{is_label, ExecPolicy, JobParams};
 use crate::transport::{ConnOptions, Gate, Listener, Request, Response, WireFault};
 use crate::wire::{parse_job_ids, shard_header_line, shard_job_line, ShardHeader};
 
@@ -129,13 +129,6 @@ impl Worker {
     }
 }
 
-/// Shard ids become directory names; confine them to a safe alphabet.
-fn valid_shard_id(sid: &str) -> bool {
-    !sid.is_empty()
-        && sid.len() <= 64
-        && sid.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
-}
-
 fn route(shared: &WorkerShared, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
@@ -163,7 +156,8 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
     let Some(sid) = req.query_param("shard").map(str::to_string) else {
         return Response::error(400, "missing shard= id");
     };
-    if !valid_shard_id(&sid) {
+    // Shard ids become directory names.
+    if !is_label(&sid, 64, b"") {
         return Response::error(400, &format!("bad shard id {sid:?}"));
     }
     let job_ids = match req.query_param("jobs") {

@@ -1,90 +1,117 @@
-// Gated behind `slow-tests`: proptest comes from the registry, which the
-// hermetic tier-1 build never touches. To run these, restore the `proptest`
-// dev-dependency in Cargo.toml and pass `--features slow-tests`.
-#![cfg(feature = "slow-tests")]
-
-//! Property-based tests for field operators.
+//! Property tests for field operators: each property runs over `CASES`
+//! inputs drawn from a seeded `Xorshift64Star`, so a failure replays from
+//! its case number.
 
 use ilt_field::{avg_pool_down, avg_pool_same, upsample_bilinear, upsample_nearest, Field2D};
-use proptest::prelude::*;
+use ilt_layouts::Xorshift64Star;
 
-fn field(rows: usize, cols: usize) -> impl Strategy<Value = Field2D> {
-    proptest::collection::vec(-10.0f64..10.0, rows * cols)
-        .prop_map(move |v| Field2D::from_vec(rows, cols, v))
+const CASES: u64 = 64;
+
+/// Uniform in `[lo, hi)`, from the generator's top 53 bits.
+fn uniform(rng: &mut Xorshift64Star, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * ((rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn field(rng: &mut Xorshift64Star, rows: usize, cols: usize) -> Field2D {
+    Field2D::from_fn(rows, cols, |_, _| uniform(rng, -10.0, 10.0))
+}
 
-    /// Downsampling preserves the global mean exactly.
-    #[test]
-    fn pool_down_preserves_mean(f in field(8, 8), s in prop::sample::select(vec![1usize, 2, 4, 8])) {
-        let p = avg_pool_down(&f, s);
-        prop_assert!((p.mean() - f.mean()).abs() < 1e-10);
+/// One of `choices`, uniformly.
+fn pick(rng: &mut Xorshift64Star, choices: &[usize]) -> usize {
+    choices[rng.gen_range_u32(0, choices.len() as u32 - 1) as usize]
+}
+
+/// Downsampling preserves the global mean exactly.
+#[test]
+fn pool_down_preserves_mean() {
+    let mut rng = Xorshift64Star::new(1);
+    for case in 0..CASES {
+        let (f, s) = (field(&mut rng, 8, 8), pick(&mut rng, &[1, 2, 4, 8]));
+        assert!((avg_pool_down(&f, s).mean() - f.mean()).abs() < 1e-10, "case {case}, s = {s}");
     }
+}
 
-    /// pool(upsample(f, s), s) == f for any field and factor.
-    #[test]
-    fn pool_inverts_upsample(f in field(6, 4), s in 1usize..=4) {
-        let u = upsample_nearest(&f, s);
-        let back = avg_pool_down(&u, s);
+/// pool(upsample(f, s), s) == f for any field and factor.
+#[test]
+fn pool_inverts_upsample() {
+    let mut rng = Xorshift64Star::new(2);
+    for case in 0..CASES {
+        let (f, s) = (field(&mut rng, 6, 4), pick(&mut rng, &[1, 2, 3, 4]));
+        let back = avg_pool_down(&upsample_nearest(&f, s), s);
         for (a, b) in back.as_slice().iter().zip(f.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-10);
+            assert!((a - b).abs() < 1e-10, "case {case}, s = {s}");
         }
     }
+}
 
-    /// Smoothing cannot expand the value range (zero padding can only pull
-    /// toward zero, which we account for by extending the range with 0).
-    #[test]
-    fn smoothing_is_range_bounded(f in field(8, 8), n in prop::sample::select(vec![1usize, 3, 5])) {
-        let s = avg_pool_same(&f, n);
-        let lo = f.min().min(0.0) - 1e-12;
-        let hi = f.max().max(0.0) + 1e-12;
-        for &v in s.as_slice() {
-            prop_assert!(v >= lo && v <= hi);
+/// Smoothing cannot expand the value range (zero padding can only pull
+/// toward zero, which we account for by extending the range with 0).
+#[test]
+fn smoothing_is_range_bounded() {
+    let mut rng = Xorshift64Star::new(3);
+    for case in 0..CASES {
+        let (f, n) = (field(&mut rng, 8, 8), pick(&mut rng, &[1, 3, 5]));
+        let (lo, hi) = (f.min().min(0.0) - 1e-12, f.max().max(0.0) + 1e-12);
+        for &v in avg_pool_same(&f, n).as_slice() {
+            assert!(v >= lo && v <= hi, "case {case}, n = {n}: {v} outside [{lo}, {hi}]");
         }
     }
+}
 
-    /// Smoothing preserves the sum of interior-heavy fields exactly when the
-    /// border is zero (every window sum is complete).
-    #[test]
-    fn smoothing_preserves_sum_with_zero_border(inner in field(6, 6)) {
+/// Smoothing preserves the sum of interior-heavy fields exactly when the
+/// border is zero (every window sum is complete).
+#[test]
+fn smoothing_preserves_sum_with_zero_border() {
+    let mut rng = Xorshift64Star::new(4);
+    for case in 0..CASES {
         let mut f = Field2D::zeros(10, 10);
-        f.paste(&inner, 2, 2);
-        let s = avg_pool_same(&f, 3);
-        prop_assert!((s.sum() - f.sum()).abs() < 1e-9);
+        f.paste(&field(&mut rng, 6, 6), 2, 2);
+        assert!((avg_pool_same(&f, 3).sum() - f.sum()).abs() < 1e-9, "case {case}");
     }
+}
 
-    /// Bilinear upsampling stays within the source value range.
-    #[test]
-    fn bilinear_range_bounded(f in field(5, 5), s in 1usize..=4) {
+/// Bilinear upsampling stays within the source value range.
+#[test]
+fn bilinear_range_bounded() {
+    let mut rng = Xorshift64Star::new(5);
+    for case in 0..CASES {
+        let (f, s) = (field(&mut rng, 5, 5), pick(&mut rng, &[1, 2, 3, 4]));
         let u = upsample_bilinear(&f, s);
-        prop_assert!(u.min() >= f.min() - 1e-12);
-        prop_assert!(u.max() <= f.max() + 1e-12);
+        assert!(u.min() >= f.min() - 1e-12 && u.max() <= f.max() + 1e-12, "case {case}, s = {s}");
     }
+}
 
-    /// Thresholding is idempotent.
-    #[test]
-    fn threshold_idempotent(f in field(6, 6), t in -5.0f64..5.0) {
-        let b = f.threshold(t);
-        prop_assert_eq!(b.threshold(0.5), b.clone());
-        for &v in b.as_slice() {
-            prop_assert!(v == 0.0 || v == 1.0);
-        }
+/// Thresholding is idempotent.
+#[test]
+fn threshold_idempotent() {
+    let mut rng = Xorshift64Star::new(6);
+    for case in 0..CASES {
+        let b = field(&mut rng, 6, 6).threshold(uniform(&mut rng, -5.0, 5.0));
+        assert_eq!(b.threshold(0.5), b, "case {case}");
+        assert!(b.as_slice().iter().all(|&v| v == 0.0 || v == 1.0), "case {case}");
     }
+}
 
-    /// XOR count is symmetric and zero against self.
-    #[test]
-    fn xor_symmetry(a in field(5, 5), b in field(5, 5)) {
-        prop_assert_eq!(a.xor_count(&b), b.xor_count(&a));
-        prop_assert_eq!(a.xor_count(&a), 0);
+/// XOR count is symmetric and zero against self.
+#[test]
+fn xor_symmetry() {
+    let mut rng = Xorshift64Star::new(7);
+    for case in 0..CASES {
+        let (a, b) = (field(&mut rng, 5, 5), field(&mut rng, 5, 5));
+        assert_eq!(a.xor_count(&b), b.xor_count(&a), "case {case}");
+        assert_eq!(a.xor_count(&a), 0, "case {case}");
     }
+}
 
-    /// crop is a partial inverse of paste.
-    #[test]
-    fn crop_inverts_paste(inner in field(3, 4), r0 in 0usize..5, c0 in 0usize..4) {
+/// crop is a partial inverse of paste.
+#[test]
+fn crop_inverts_paste() {
+    let mut rng = Xorshift64Star::new(8);
+    for case in 0..CASES {
+        let inner = field(&mut rng, 3, 4);
+        let (r0, c0) = (pick(&mut rng, &[0, 1, 2, 3, 4]), pick(&mut rng, &[0, 1, 2, 3]));
         let mut big = Field2D::zeros(8, 8);
         big.paste(&inner, r0, c0);
-        prop_assert_eq!(big.crop(r0, c0, 3, 4), inner);
+        assert_eq!(big.crop(r0, c0, 3, 4), inner, "case {case}, at ({r0}, {c0})");
     }
 }

@@ -1,109 +1,121 @@
-// Gated behind `slow-tests`: proptest comes from the registry, which the
-// hermetic tier-1 build never touches. To run these, restore the `proptest`
-// dev-dependency in Cargo.toml and pass `--features slow-tests`.
-#![cfg(feature = "slow-tests")]
-
-//! Property-based tests: fracturing must always produce an exact disjoint
-//! tiling, and component labelling must partition the foreground.
+//! Property tests: fracturing must always produce an exact disjoint tiling,
+//! and component labelling must partition the foreground. Each property
+//! runs over `CASES` inputs drawn from a seeded `Xorshift64Star`, so a
+//! failure replays from its case number.
 
 use ilt_field::Field2D;
 use ilt_geom::{
     component_count, dilate, erode, fracture, label_components, rasterize_rects, Rect,
 };
-use proptest::prelude::*;
+use ilt_layouts::Xorshift64Star;
 
-fn random_mask(rows: usize, cols: usize) -> impl Strategy<Value = Field2D> {
-    proptest::collection::vec(prop::bool::weighted(0.4), rows * cols).prop_map(move |bits| {
-        Field2D::from_vec(
-            rows,
-            cols,
-            bits.into_iter().map(|b| if b { 1.0 } else { 0.0 }).collect(),
-        )
-    })
+const CASES: u64 = 48;
+
+/// Uniform integer in `lo..hi`.
+fn below(rng: &mut Xorshift64Star, lo: usize, hi: usize) -> usize {
+    rng.gen_range_u32(lo as u32, hi as u32 - 1) as usize
 }
 
-fn random_rects(max: usize) -> impl Strategy<Value = Vec<Rect>> {
-    proptest::collection::vec((0usize..12, 0usize..12, 1usize..6, 1usize..6), 0..max)
-        .prop_map(|v| {
-            v.into_iter()
-                .map(|(r0, c0, h, w)| Rect::new(r0, c0, (r0 + h).min(16), (c0 + w).min(16)))
-                .collect()
+/// Each pixel on with probability 0.4.
+fn random_mask(rng: &mut Xorshift64Star, rows: usize, cols: usize) -> Field2D {
+    Field2D::from_vec(
+        rows,
+        cols,
+        (0..rows * cols).map(|_| f64::from(u8::from(below(rng, 0, 10) < 4))).collect(),
+    )
+}
+
+/// Up to `max - 1` rectangles inside a 16-px clip.
+fn random_rects(rng: &mut Xorshift64Star, max: usize) -> Vec<Rect> {
+    (0..below(rng, 0, max))
+        .map(|_| {
+            let (r0, c0) = (below(rng, 0, 12), below(rng, 0, 12));
+            let (h, w) = (below(rng, 1, 6), below(rng, 1, 6));
+            Rect::new(r0, c0, (r0 + h).min(16), (c0 + w).min(16))
         })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Fracture rectangles are disjoint and cover the mask exactly.
-    #[test]
-    fn fracture_is_exact_tiling(mask in random_mask(12, 12)) {
+/// Fracture rectangles are disjoint and cover the mask exactly.
+#[test]
+fn fracture_is_exact_tiling() {
+    let mut rng = Xorshift64Star::new(1);
+    for case in 0..CASES {
+        let mask = random_mask(&mut rng, 12, 12);
         let rects = fracture(&mask);
         let area: usize = rects.iter().map(Rect::area).sum();
-        prop_assert_eq!(area, mask.count_on());
-        prop_assert_eq!(rasterize_rects(&rects, 12, 12), mask);
+        assert_eq!(area, mask.count_on(), "case {case}");
+        assert_eq!(rasterize_rects(&rects, 12, 12), mask, "case {case}");
         for i in 0..rects.len() {
             for j in i + 1..rects.len() {
-                prop_assert!(!rects[i].intersects(&rects[j]));
+                assert!(!rects[i].intersects(&rects[j]), "case {case}: shots {i} and {j} overlap");
             }
         }
     }
+}
 
-    /// Component areas sum to the foreground area, and every component's
-    /// bounding box is tight.
-    #[test]
-    fn components_partition_foreground(mask in random_mask(10, 10)) {
+/// Component areas sum to the foreground area, and every component's
+/// bounding box is tight.
+#[test]
+fn components_partition_foreground() {
+    let mut rng = Xorshift64Star::new(2);
+    for case in 0..CASES {
+        let mask = random_mask(&mut rng, 10, 10);
         let comps = label_components(&mask);
         let total: usize = comps.iter().map(|c| c.area).sum();
-        prop_assert_eq!(total, mask.count_on());
-        prop_assert_eq!(comps.len(), component_count(&mask));
+        assert_eq!(total, mask.count_on(), "case {case}");
+        assert_eq!(comps.len(), component_count(&mask), "case {case}");
         for comp in &comps {
-            let mut rmin = usize::MAX;
-            let mut rmax = 0;
-            let mut cmin = usize::MAX;
-            let mut cmax = 0;
-            for &(r, c) in &comp.pixels {
-                rmin = rmin.min(r);
-                rmax = rmax.max(r);
-                cmin = cmin.min(c);
-                cmax = cmax.max(c);
-            }
-            prop_assert_eq!(comp.bbox, Rect::new(rmin, cmin, rmax + 1, cmax + 1));
-            prop_assert!(comp.solidity() > 0.0 && comp.solidity() <= 1.0);
+            let rows = comp.pixels.iter().map(|&(r, _)| r);
+            let cols = comp.pixels.iter().map(|&(_, c)| c);
+            let tight = Rect::new(
+                rows.clone().min().unwrap(),
+                cols.clone().min().unwrap(),
+                rows.max().unwrap() + 1,
+                cols.max().unwrap() + 1,
+            );
+            assert_eq!(comp.bbox, tight, "case {case}");
+            assert!(comp.solidity() > 0.0 && comp.solidity() <= 1.0, "case {case}");
         }
     }
+}
 
-    /// Rasterizing rectangles then fracturing never produces more shots than
-    /// input rectangles would suggest per row-slab bound, and reproduces the mask.
-    #[test]
-    fn fracture_of_rect_unions(rects in random_rects(6)) {
-        let mask = rasterize_rects(&rects, 16, 16);
-        let shots = fracture(&mask);
-        prop_assert_eq!(rasterize_rects(&shots, 16, 16), mask);
+/// Fracturing a union of rectangles reproduces the mask they rasterize to.
+#[test]
+fn fracture_of_rect_unions() {
+    let mut rng = Xorshift64Star::new(3);
+    for case in 0..CASES {
+        let mask = rasterize_rects(&random_rects(&mut rng, 6), 16, 16);
+        assert_eq!(rasterize_rects(&fracture(&mask), 16, 16), mask, "case {case}");
     }
+}
 
-    /// Erosion shrinks, dilation grows, and both are monotone.
-    #[test]
-    fn morphology_monotone(mask in random_mask(10, 10), radius in 0usize..3) {
-        let e = erode(&mask, radius);
-        let d = dilate(&mask, radius);
+/// Erosion shrinks, dilation grows, and both are monotone.
+#[test]
+fn morphology_monotone() {
+    let mut rng = Xorshift64Star::new(4);
+    for case in 0..CASES {
+        let (mask, radius) = (random_mask(&mut rng, 10, 10), below(&mut rng, 0, 3));
+        let (e, d) = (erode(&mask, radius), dilate(&mask, radius));
         for i in 0..100 {
             let m = mask.as_slice()[i] >= 0.5;
-            let ev = e.as_slice()[i] >= 0.5;
-            let dv = d.as_slice()[i] >= 0.5;
-            prop_assert!(!ev || m, "erosion must be a subset");
-            prop_assert!(!m || dv, "dilation must be a superset");
+            assert!(e.as_slice()[i] < 0.5 || m, "case {case}: erosion must be a subset");
+            assert!(!m || d.as_slice()[i] >= 0.5, "case {case}: dilation must be a superset");
         }
     }
+}
 
-    /// Duality: erode(mask) == !dilate(!mask) away from the border.
-    #[test]
-    fn erosion_dilation_duality(mask in random_mask(10, 10)) {
+/// Duality: erode(mask) == !dilate(!mask) away from the border.
+#[test]
+fn erosion_dilation_duality() {
+    let mut rng = Xorshift64Star::new(5);
+    for case in 0..CASES {
+        let mask = random_mask(&mut rng, 10, 10);
         let e = erode(&mask, 1);
-        let inv = mask.map(|x| 1.0 - x);
-        let d = dilate(&inv, 1);
+        let d = dilate(&mask.map(|x| 1.0 - x), 1);
         for r in 1..9 {
             for c in 1..9 {
-                prop_assert_eq!(e[(r, c)] >= 0.5, d[(r, c)] < 0.5, "({}, {})", r, c);
+                assert_eq!(e[(r, c)] >= 0.5, d[(r, c)] < 0.5, "case {case}, ({r}, {c})");
             }
         }
     }

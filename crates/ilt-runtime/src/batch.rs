@@ -42,7 +42,7 @@ use crate::checkpoint::{config_fingerprint, load_wal, restore_output, Checkpoint
 use crate::fault::FaultPlan;
 use crate::job::{evaluate_mask, IltJob};
 use crate::journal::{JobStatus, RunReport};
-use crate::pool::{run_jobs_checkpointed, JobOutput, PoolConfig};
+use crate::pool::{run_jobs, JobOutput};
 use crate::tiler::{SeamPolicy, TileGrid};
 
 /// One input to a batch run: a named target clip.
@@ -345,19 +345,10 @@ fn execute(
         None => None,
     };
 
-    let pool = PoolConfig {
-        threads: config.threads,
-        timeout: config.timeout,
-        max_retries: config.max_retries,
-        degrade: config.degrade,
-        faults: config.faults.clone(),
-        cancel: config.cancel.clone(),
-        progress: config.progress.clone(),
-    };
     jobs.retain(|j| !restored.contains_key(&j.id));
     let restored_jobs = restored.len();
     let started = Instant::now();
-    let fresh = run_jobs_checkpointed(jobs, &pool, cache, sink.as_ref());
+    let fresh = run_jobs(jobs, config, cache, sink.as_ref());
     let total_wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let mut outputs: Vec<JobOutput> = restored.into_values().chain(fresh).collect();
@@ -731,7 +722,7 @@ mod tests {
             run_batch(&[bar_case("big", 128)], &small_config(threads), &cache)
                 .unwrap()
                 .report
-                .digest()
+                .to_jsonl_opts(false)
         };
         assert_eq!(run(1), run(3));
     }

@@ -12,9 +12,9 @@
 //! ad-hoc stopwatch prints.
 //!
 //! Determinism contract: everything in a record except the `*_ms` timing
-//! fields is a pure function of the job's inputs. `RunReport::digest`
-//! collects exactly the deterministic fields, which is what the
-//! `--threads 1` vs `--threads N` equivalence test
+//! fields is a pure function of the job's inputs.
+//! `RunReport::to_jsonl_opts(false)` serializes exactly the deterministic
+//! fields, which is what the `--threads 1` vs `--threads N` equivalence test
 //! (`tests/batch_determinism.rs`) compares.
 
 use std::fmt;
@@ -230,31 +230,6 @@ impl JobRecord {
         }
         s
     }
-
-    /// The deterministic fields only — identical across thread counts.
-    pub fn digest(&self) -> String {
-        let metrics = match &self.metrics {
-            Some(m) => format!(
-                "l2={:?} pvb={:?} epe={} shots={} iters={} mask={:016x}",
-                m.l2_nm2, m.pvband_nm2, m.epe_violations, m.shots, m.iterations, m.mask_hash
-            ),
-            None => "none".into(),
-        };
-        format!(
-            "job={} case={} tile={:?} grid={} status={} {}",
-            self.job_id,
-            self.case,
-            self.tile,
-            self.grid,
-            match &self.status {
-                JobStatus::Done => "done".into(),
-                JobStatus::Degraded(why) => format!("degraded({why})"),
-                JobStatus::Failed(why) => format!("failed({why})"),
-                JobStatus::Cancelled => "cancelled".into(),
-            },
-            metrics
-        )
-    }
 }
 
 impl RunReport {
@@ -376,17 +351,6 @@ impl RunReport {
     pub fn write_jsonl_opts(&self, path: impl AsRef<Path>, timing: bool) -> std::io::Result<()> {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_jsonl_opts(timing).as_bytes())
-    }
-
-    /// Deterministic digest of the run (job order, masks, metrics — no
-    /// timings). Equal digests mean bit-identical results.
-    pub fn digest(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&r.digest());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -552,9 +516,9 @@ mod tests {
         a.wall_ms = 1.0;
         b.wall_ms = 99.0;
         b.times.optimize_ms = 1e6;
-        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a.to_json_opts(false), b.to_json_opts(false));
         b.metrics.as_mut().unwrap().mask_hash ^= 1;
-        assert_ne!(a.digest(), b.digest());
+        assert_ne!(a.to_json_opts(false), b.to_json_opts(false));
     }
 
     #[test]
@@ -605,7 +569,7 @@ mod tests {
         assert!(line.contains("\"reason\":\"numeric: NaN in tile\""));
         assert!(line.contains("\"mask_hash\""), "degraded results carry metrics");
         assert!(r.status.has_mask() && !r.status.is_done());
-        assert!(r.digest().contains("degraded(numeric"));
+        assert!(r.to_json_opts(false).contains("\"status\":\"degraded\",\"reason\":\"numeric"));
         let report = RunReport { threads: 1, records: vec![r], total_wall_ms: 1.0 };
         assert_eq!(report.failed_jobs(), 0);
         assert_eq!(report.degraded_jobs(), 1);
@@ -622,7 +586,7 @@ mod tests {
         assert!(line.contains("\"metrics\":null"));
         assert_eq!(line.matches('{').count(), line.matches('}').count());
         assert!(!r.status.has_mask() && !r.status.is_done());
-        assert!(r.digest().contains("status=cancelled"));
+        assert!(r.to_json_opts(false).contains("\"status\":\"cancelled\""));
         let report = RunReport { threads: 1, records: vec![r], total_wall_ms: 1.0 };
         assert_eq!(report.failed_jobs(), 0);
         assert_eq!(report.cancelled_jobs(), 1);

@@ -79,7 +79,5 @@ pub use journal::{
     failure_kind, field_hash, fnv1a64, JobMetrics, JobRecord, JobStatus, RunReport, StageTimes,
 };
 pub use json::{json_escape, json_f64};
-pub use pool::{
-    run_jobs, run_jobs_checkpointed, ClassQueues, JobOutput, PoolConfig, PriorityClass,
-};
+pub use pool::{run_jobs, JobOutput};
 pub use tiler::{SeamPolicy, TileGrid, TileSpec};

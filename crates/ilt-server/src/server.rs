@@ -16,18 +16,18 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ilt_cluster::{ClusterConfig, Coordinator, ExecPolicy, JobParams};
+use ilt_cluster::{is_label, ClusterConfig, Coordinator, ExecPolicy, JobParams};
 use ilt_field::pgm_bytes;
 use ilt_runtime::{
-    assemble_batch, failure_kind, field_hash, planned_job_list, run_batch, BatchCase, BatchConfig,
-    BatchOutcome, JobStatus, PriorityClass, SimulatorCache,
+    assemble_batch, failure_kind, field_hash, json_escape, json_f64, planned_job_list, run_batch,
+    BatchCase, BatchConfig, BatchOutcome, JobStatus, SimulatorCache,
 };
 
 use crate::http::{ConnOptions, Gate, Limits, Listener, Request, Response};
 use crate::metrics::{Gauges, Metrics};
-use crate::store::{
-    Admission, CancelOutcome, JobDone, JobStore, MaskFetch, StateLog, SubmitError,
-};
+use crate::admission::{Admission, PriorityClass};
+use crate::state::StateLog;
+use crate::store::{CancelOutcome, JobDone, JobEntry, JobStore, MaskFetch, SubmitError};
 
 /// Everything tunable about a server instance.
 #[derive(Clone, Debug)]
@@ -227,23 +227,25 @@ impl Server {
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some((id, case, config, query)) = shared.store.take_next() {
+    while let Some((id, params, cancel, progress)) = shared.store.take_next() {
         let started = Instant::now();
-        let cases = [case];
-        let outcome = match (&shared.coordinator, &query) {
-            // Recovered pre-cluster submissions have no stored query; they
-            // fall through to local execution rather than being guessed at.
-            (Some(coordinator), Some(query)) => {
-                run_clustered(shared, coordinator, id, &cases, &config, query)
+        // The claim is the description; this is where it becomes work.
+        let outcome = params.plan().and_then(|(case, config)| {
+            let config = BatchConfig { cancel: cancel.clone(), progress, ..config };
+            let cases = [case];
+            match &shared.coordinator {
+                Some(coordinator) => {
+                    run_clustered(shared, coordinator, id, &params, &cases, &config)
+                }
+                None => run_batch(&cases, &config, &shared.cache),
             }
-            _ => run_batch(&cases, &config, &shared.cache),
-        };
+        });
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         // A cancelled run (token set, at least one tile skipped) is a
         // distinct terminal state: no mask, no failure. A job that managed
         // to complete every tile despite a late cancel stays Done —
         // cancellation is best-effort by design.
-        if config.cancel.is_cancelled() {
+        if cancel.is_cancelled() {
             if let Ok(out) = &outcome {
                 if out.cases.first().is_some_and(|c| c.cancelled_tiles > 0) {
                     append_journal(shared, &out.report.records);
@@ -301,43 +303,17 @@ fn run_clustered(
     shared: &Shared,
     coordinator: &Coordinator,
     id: usize,
+    params: &JobParams,
     cases: &[BatchCase; 1],
     config: &BatchConfig,
-    query: &str,
 ) -> Result<BatchOutcome, String> {
     let started = Instant::now();
-    // Fault injection stays local to each process: the coordinator strips
-    // `inject=` from the dispatched query, and a worker started with its
-    // own `--inject` plan applies that one instead.
-    let wire_query = strip_query_param(query, "inject");
+    let (query, body) = params.dispatch();
     let plan = planned_job_list(cases, config)?;
-    // Inline-target submissions carry the raster in the dispatch body;
-    // case/via sources are re-resolved by name on the worker side.
-    let named_source = query
-        .split('&')
-        .any(|pair| pair.starts_with("case=") || pair.starts_with("via="));
-    let body =
-        if named_source { Vec::new() } else { pgm_bytes(&cases[0].target, 0.0, 1.0) };
-    let outputs = coordinator.run_job(
-        id,
-        &wire_query,
-        &body,
-        &plan,
-        &config.cancel,
-        &config.progress,
-    )?;
+    let outputs =
+        coordinator.run_job(id, &query, &body, &plan, &config.cancel, &config.progress)?;
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     assemble_batch(cases, config, outputs, &shared.cache, wall_ms)
-}
-
-/// Drops every `key=...` pair from a URL query string (used to keep fault
-/// plans out of cluster dispatches).
-fn strip_query_param(query: &str, key: &str) -> String {
-    query
-        .split('&')
-        .filter(|pair| pair.split_once('=').map_or(*pair, |(k, _)| k) != key)
-        .collect::<Vec<_>>()
-        .join("&")
 }
 
 /// `GET /v1/members`: the live membership with per-worker health —
@@ -359,16 +335,6 @@ fn render_members(coordinator: &Coordinator) -> String {
     body
 }
 
-/// Worker addresses travel into metric labels and JSON unescaped; keep
-/// them to the `host:port` alphabet.
-fn valid_member_addr(addr: &str) -> bool {
-    !addr.is_empty()
-        && addr.len() <= 256
-        && addr
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b':' | b'-' | b'_' | b'['| b']'))
-}
-
 /// `POST /v1/members?addr=H:P&action=join|leave|drain`: mutates the live
 /// membership. Join is what `ilt worker --register` calls after binding;
 /// drain then leave is the graceful decommission sequence.
@@ -376,7 +342,9 @@ fn member_action(coordinator: &Coordinator, req: &Request) -> Response {
     let Some(addr) = req.query_param("addr") else {
         return Response::error(400, "missing addr= parameter");
     };
-    if !valid_member_addr(addr) {
+    // Addresses travel into metric labels and JSON unescaped: the label
+    // alphabet plus what `host:port` and `[v6]:port` need.
+    if !is_label(addr, 256, b":[]") {
         return Response::error(400, &format!("bad member address {addr:?}"));
     }
     let action = req.query_param("action").unwrap_or("join");
@@ -539,22 +507,13 @@ fn cancel_job(shared: &Shared, id: usize) -> Response {
     }
 }
 
-/// Client ids travel into metric labels and state-log JSON unescaped; keep
-/// them to a flat identifier alphabet, bounded.
-fn valid_client_id(client: &str) -> bool {
-    !client.is_empty()
-        && client.len() <= 64
-        && client
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
-}
-
 /// Extracts the multi-tenant carriers from a submission: `X-Ilt-Client`
 /// (default `anonymous`) and `X-Ilt-Priority` (`high`/`normal`/`low`,
 /// default `normal`).
 fn admission_from(req: &Request) -> Result<Admission, String> {
     let client = req.header("x-ilt-client").unwrap_or("anonymous");
-    if !valid_client_id(client) {
+    // Client ids travel into metric labels and state-log JSON unescaped.
+    if !is_label(client, 64, b"") {
         return Err(format!(
             "bad X-Ilt-Client {client:?}: expected 1-64 chars of [A-Za-z0-9._-]"
         ));
@@ -583,25 +542,22 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
             return Response::error(400, &why);
         }
     };
-    let (case, config) = match params.plan() {
-        Ok(planned) => planned,
-        Err(why) => {
-            shared.metrics.rejected.inc();
-            return Response::error(400, &why);
-        }
-    };
-    match shared.store.submit(Some(&params), case, config, admission) {
+    match shared.store.submit(&params, admission) {
         Ok(id) => {
             shared.metrics.accepted.inc();
             Response::json(
                 202,
                 format!(
                     "{{\"id\":{id},\"name\":\"{}\",\"state\":\"queued\",\"queue_depth\":{}}}",
-                    ilt_runtime::json_escape(&params.name),
+                    json_escape(&params.name),
                     shared.store.queue_depth()
                 ),
             )
             .with_header("location", format!("/v1/jobs/{id}"))
+        }
+        Err(SubmitError::Unplannable(why)) => {
+            shared.metrics.rejected.inc();
+            Response::error(400, &why)
         }
         Err(SubmitError::Full { capacity }) => {
             shared.metrics.rejected.inc();
@@ -621,4 +577,89 @@ fn submit_job(shared: &Shared, req: &Request) -> Response {
             .with_header("retry-after", "1")
         }
     }
+}
+
+/// The JSON views of the job table, beside the routes that serve them.
+impl JobStore {
+    /// JSON summary array for `GET /v1/jobs`.
+    pub fn render_list(&self) -> String {
+        let inner = self.lock();
+        let items: Vec<String> = inner.jobs.values().map(render_summary).collect();
+        format!("{{\"jobs\":[{}],\"queue_depth\":{}}}", items.join(","), inner.queue.len())
+    }
+
+    /// JSON detail object for `GET /v1/jobs/{id}`; `None` for unknown ids.
+    /// With `mask_base64` the finished mask is inlined as a base64 PGM.
+    pub fn render_detail(&self, id: usize, mask_base64: bool) -> Option<String> {
+        let inner = self.lock();
+        let entry = inner.jobs.get(&id)?;
+        let mut s = render_summary(entry);
+        s.pop(); // strip the closing brace to extend the object
+        if let Some(done) = &entry.result {
+            let records: Vec<String> = done.records.iter().map(|r| r.to_json()).collect();
+            s.push_str(&format!(
+                ",\"mask_hash\":\"{:016x}\",\"wall_ms\":{},\"records\":[{}]",
+                done.mask_hash,
+                json_f64(done.wall_ms),
+                records.join(",")
+            ));
+            if let Some(eval) = &done.eval {
+                s.push_str(&format!(
+                    ",\"eval\":{{\"l2_nm2\":{},\"pvband_nm2\":{},\"epe\":{},\"shots\":{}}}",
+                    json_f64(eval.l2_nm2),
+                    json_f64(eval.pvband_nm2),
+                    eval.epe_violations(),
+                    eval.shots
+                ));
+            }
+            if mask_base64 {
+                if let Some(mask) = &done.mask {
+                    let pgm = pgm_bytes(mask, 0.0, 1.0);
+                    s.push_str(&format!(
+                        ",\"mask_pgm_base64\":\"{}\"",
+                        crate::http::base64_encode(&pgm)
+                    ));
+                }
+            }
+        }
+        s.push('}');
+        Some(s)
+    }
+}
+
+fn render_summary(entry: &JobEntry) -> String {
+    let name = match &entry.params {
+        Ok(params) => params.name.clone(),
+        Err(_) => format!("job{}", entry.id),
+    };
+    let mut s = format!(
+        "{{\"id\":{},\"name\":\"{}\",\"client\":\"{}\",\"class\":\"{}\",\"state\":\"{}\"",
+        entry.id,
+        json_escape(&name),
+        json_escape(&entry.client),
+        entry.class.as_str(),
+        entry.state.as_str()
+    );
+    if let Some(done) = &entry.result {
+        s.push_str(&format!(
+            ",\"tiles\":{},\"failed_tiles\":{},\"degraded_tiles\":{},\"mask_resident\":{}",
+            done.tiles,
+            done.failed_tiles,
+            done.degraded_tiles,
+            done.mask.is_some()
+        ));
+    } else if !entry.state.is_terminal() {
+        // Streaming progress for queued/running jobs: tiles completed so
+        // far out of the planned decomposition.
+        s.push_str(&format!(
+            ",\"tiles_done\":{},\"tiles_planned\":{}",
+            entry.progress.done(),
+            entry.tiles_planned
+        ));
+    }
+    if let Some(error) = &entry.error {
+        s.push_str(&format!(",\"error\":\"{}\"", json_escape(error)));
+    }
+    s.push('}');
+    s
 }

@@ -1,61 +1,44 @@
-//! Job admission, bookkeeping, and the bounded work queue.
+//! The job table and the lifecycle of a job inside it.
 //!
 //! The store is the single synchronization point between HTTP handler
-//! threads (submit, poll, list) and the job workers (take, finish). Its
-//! admission queue is *bounded*: a submission beyond capacity is refused at
-//! the door — the handler turns that into `503 Service Unavailable` with a
-//! `Retry-After` hint — so a flood of requests costs the flooder latency
-//! instead of costing the server memory. Completed masks (the only large
-//! retained objects) are bounded too: [`JobStore::sweep`] evicts masks past
-//! their TTL or beyond the residency cap, after which the mask endpoint
-//! re-hydrates from the state directory when it can (hash-verified) and
-//! answers `410 Gone` only when the durable copy is truly unusable.
+//! threads (submit, poll, list) and the job workers (take, finish). What it
+//! keeps of a job is its description, a [`JobParams`] — the name, the
+//! persistence query, the inline target's side file and the planned work
+//! are all derived from it where they are needed, so a queued job costs its
+//! description, not a rasterized plan. Its admission queue is *bounded*: a
+//! submission beyond capacity is refused at the door — the handler turns
+//! that into `503 Service Unavailable` with a `Retry-After` hint — so a
+//! flood of requests costs the flooder latency instead of costing the
+//! server memory. Completed masks (the only large retained objects) are
+//! bounded too: [`JobStore::sweep`] evicts masks past their TTL or beyond
+//! the residency cap, after which the mask endpoint re-hydrates from the
+//! state directory when it can (hash-verified) and answers `410 Gone` only
+//! when the durable copy is truly unusable.
 //!
-//! Admission is multi-tenant: every submission carries an [`Admission`]
-//! (client id + [`PriorityClass`]), the queue is per-class FIFOs drained by
-//! smooth weighted round-robin ([`ilt_runtime::ClassQueues`], weights
-//! 4/2/1 — high never starves, low always eventually runs), and per-client
-//! queued/in-flight quotas refuse a flooding client with
-//! [`SubmitError::Quota`] (a 429 upstream) while other clients proceed.
+//! Who may queue what — clients, classes, quotas, the weighted class
+//! queues — is [`crate::admission`]; persistence, restart and compaction
+//! are [`crate::state`]; the JSON views are beside the routes in
+//! `server.rs`.
 //!
-//! With a state directory configured, the store doubles as a write-ahead
-//! log: every admission and every terminal outcome is appended to
-//! `state.jsonl` (masks written atomically beside it), and
-//! [`JobStore::open`] rebuilds the job table on restart — finished jobs
-//! come back with their masks (hash-verified), interrupted ones are
-//! re-planned and re-queued.
-//!
-//! Two lifecycle extensions keep a long-lived server bounded:
-//!
-//! - **Cancellation** ([`JobStore::cancel`]): a queued job is pulled out of
-//!   the queue and turns terminal immediately; a running job has its
-//!   cooperative [`CancelToken`] set and stops at the next tile boundary
-//!   (the worker then records it via [`JobStore::finish_cancelled`]). Both
-//!   paths append a `cancel` record so a restart does not resurrect the job.
-//! - **Compaction** ([`JobStore::maybe_compact`]): once `state.jsonl` grows
-//!   past a configured byte threshold, the live job table is snapshot to
-//!   `state.snapshot.jsonl` (written atomically) and the log is truncated,
-//!   so restart replay stays proportional to *live* jobs — cancelled jobs
-//!   and evicted masks are dropped from the snapshot and answer 404 after
-//!   the next restart. A crash between snapshot and truncate is safe:
-//!   recovery replays the snapshot first, then the log, idempotently.
+//! **Cancellation** ([`JobStore::cancel`]): a queued job is pulled out of
+//! the queue and turns terminal immediately; a running job has its
+//! cooperative [`CancelToken`] set and stops at the next tile boundary
+//! (the worker then records it via [`JobStore::finish_cancelled`]). Both
+//! paths append a `cancel` record so a restart does not resurrect the job.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use ilt_cluster::params::{JobParams, JobSource};
 use ilt_field::{pgm_bytes, Field2D};
 use ilt_metrics::EvalReport;
-use ilt_runtime::json::Value;
 use ilt_runtime::{
-    field_hash, json_escape, json_f64, load_mask, mask_file_name, planned_jobs, write_atomic,
-    AppendLog, BatchCase, BatchConfig, CancelToken, ClassQueues, JobRecord, PriorityClass,
-    Progress,
+    field_hash, load_mask, mask_file_name, CancelToken, JobRecord, Progress,
 };
 
-use ilt_cluster::params::{ExecPolicy, JobParams, JobSource};
+use crate::admission::{Admission, ClassQueues, ClientUsage, PriorityClass, Usage};
+use crate::state::{plan_tiles, StateLog};
 
 /// Lifecycle of a job inside the store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,7 +56,7 @@ pub enum JobState {
 }
 
 impl JobState {
-    fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
@@ -83,7 +66,7 @@ impl JobState {
         }
     }
 
-    fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(self, JobState::Done | JobState::Failed | JobState::Cancelled)
     }
 }
@@ -125,107 +108,64 @@ pub struct JobDone {
     pub wall_ms: f64,
 }
 
-/// Who submitted a job and at what priority — the multi-tenant carriers of
-/// every admission (`X-Ilt-Client` / `X-Ilt-Priority` over HTTP).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Admission {
-    /// Client identity; quotas and the rejection metric are keyed by it.
-    /// Validated upstream to `[A-Za-z0-9._-]{1,64}` because it travels into
-    /// metric labels and state-log JSON unescaped.
-    pub client: String,
-    /// Scheduling class of the job inside the admission queue.
-    pub class: PriorityClass,
+pub(crate) struct JobEntry {
+    pub(crate) id: usize,
+    /// The job's description; everything else a job is known by — name,
+    /// persistence query, target side file, planned work — is derived from
+    /// it. Once the job is claimed or terminal an inline target's raster
+    /// has left it ([`JobEntry::take_work`]); none of the other three reads
+    /// the pixels. `Err` is the raw `(query, target file)` of a persisted
+    /// record that no longer decoded at restart: such an entry is terminal
+    /// `Failed`, and compaction writes the record back as it found it.
+    pub(crate) params: Result<JobParams, (String, Option<String>)>,
+    /// Submitting client; owns this job's share of the quotas.
+    pub(crate) client: String,
+    /// Scheduling class the job was admitted under.
+    pub(crate) class: PriorityClass,
+    pub(crate) state: JobState,
+    pub(crate) error: Option<String>,
+    pub(crate) result: Option<JobDone>,
+    /// When the terminal state was recorded; the TTL clock for eviction.
+    pub(crate) finished_at: Option<Instant>,
+    /// Cooperative cancel token, handed to the executor that claims the job.
+    pub(crate) cancel: CancelToken,
+    /// Tiles completed so far, shared with the job's pool workers.
+    pub(crate) progress: Progress,
+    /// Tiles the job decomposes into (for the progress denominator).
+    pub(crate) tiles_planned: usize,
 }
 
-impl Default for Admission {
-    fn default() -> Self {
-        Admission { client: "anonymous".into(), class: PriorityClass::Normal }
+impl JobEntry {
+    /// The whole description, for the executor that claims the job — or
+    /// for nobody, when the job turns terminal unclaimed. An inline
+    /// target's raster goes with it (what the table keeps is an empty
+    /// one), so a finished job retains a few dozen bytes of description,
+    /// not its pixels.
+    fn take_work(&mut self) -> Option<JobParams> {
+        let kept = self.params.as_mut().ok()?;
+        let source = match &mut kept.source {
+            JobSource::Inline(img) => {
+                JobSource::Inline(std::mem::replace(img, Field2D::zeros(0, 0)))
+            }
+            named => named.clone(),
+        };
+        Some(JobParams { source, ..kept.clone() })
     }
 }
 
-/// Live per-client admission counters backing the quota checks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClientUsage {
-    /// Jobs waiting in the class queues.
-    pub queued: usize,
-    /// Jobs claimed by a worker and not yet terminal.
-    pub active: usize,
-}
-
-struct JobEntry {
-    id: usize,
-    name: String,
-    /// Submitting client; owns this job's share of the quotas.
-    client: String,
-    /// Scheduling class the job was admitted under.
-    class: PriorityClass,
-    state: JobState,
-    error: Option<String>,
-    /// Pending work, taken by the worker that starts the job.
-    work: Option<(BatchCase, BatchConfig)>,
-    result: Option<JobDone>,
-    /// When the terminal state was recorded; the TTL clock for eviction.
-    finished_at: Option<Instant>,
-    /// Cooperative cancel token shared with the job's `BatchConfig`.
-    cancel: CancelToken,
-    /// Tiles completed so far, shared with the job's pool workers.
-    progress: Progress,
-    /// Tiles the job decomposes into (for the progress denominator).
-    tiles_planned: usize,
-    /// Persistence query of the submission, retained so compaction can
-    /// regenerate the submit line; `None` for non-persisted submissions.
-    query: Option<String>,
-    /// Side file holding an inline target's raster, when there is one.
-    target_file: Option<String>,
-}
-
-struct Inner {
+pub(crate) struct Inner {
     /// Job table keyed by id. A map, not a vector: compaction drops
     /// cancelled ids from persistence, so after a restart the id space has
     /// holes (dropped ids answer 404).
-    jobs: BTreeMap<usize, JobEntry>,
-    next_id: usize,
+    pub(crate) jobs: BTreeMap<usize, JobEntry>,
+    pub(crate) next_id: usize,
     /// Per-class FIFOs drained by smooth weighted round-robin — the pool
     /// feed where priority takes effect.
-    queue: ClassQueues<usize>,
+    pub(crate) queue: ClassQueues<usize>,
     accepting: bool,
     running: usize,
     evicted: usize,
-    /// Per-client queued/active counts; entries are dropped the moment both
-    /// hit zero, so a drained store reconciles to an empty map.
-    usage: BTreeMap<String, ClientUsage>,
-}
-
-impl Inner {
-    fn usage_add_queued(&mut self, client: &str) {
-        self.usage.entry(client.to_string()).or_default().queued += 1;
-    }
-
-    /// Moves one of `client`'s jobs from queued to active (worker claim).
-    fn usage_claim(&mut self, client: &str) {
-        let u = self.usage.get_mut(client).expect("claimed client has usage");
-        assert!(u.queued > 0, "claim with zero queued for {client:?}");
-        u.queued -= 1;
-        u.active += 1;
-    }
-
-    fn usage_drop_queued(&mut self, client: &str) {
-        let u = self.usage.get_mut(client).expect("dequeued client has usage");
-        assert!(u.queued > 0, "queued underflow for {client:?}");
-        u.queued -= 1;
-        if *u == ClientUsage::default() {
-            self.usage.remove(client);
-        }
-    }
-
-    fn usage_drop_active(&mut self, client: &str) {
-        let u = self.usage.get_mut(client).expect("finished client has usage");
-        assert!(u.active > 0, "active underflow for {client:?}");
-        u.active -= 1;
-        if *u == ClientUsage::default() {
-            self.usage.remove(client);
-        }
-    }
+    pub(crate) usage: Usage,
 }
 
 /// Why a submission was refused.
@@ -238,6 +178,9 @@ pub enum SubmitError {
     },
     /// The server is draining and accepts no new work.
     Draining,
+    /// The description does not plan (impossible tile geometry); the handler
+    /// answers `400` with the planner's message.
+    Unplannable(String),
     /// The submitting client is over one of its per-client quotas; the
     /// handler turns this into `429 Too Many Requests` + `Retry-After`.
     Quota {
@@ -267,195 +210,6 @@ pub enum MaskFetch {
     NoSuchJob,
 }
 
-/// The compaction snapshot beside `state.jsonl`; always written atomically.
-pub const SNAPSHOT_FILE: &str = "state.snapshot.jsonl";
-
-/// The append-only log inside a state directory.
-const LOG_FILE: &str = "state.jsonl";
-
-/// Append-only persistence of the job table: one `state.jsonl` line per
-/// admission, cancellation, and terminal outcome (an
-/// [`ilt_runtime::AppendLog`]), masks and inline targets as
-/// atomically-written PGM files beside it. Once the log grows past
-/// `compact_bytes` (0 disables), [`JobStore::maybe_compact`] folds the live
-/// table into [`SNAPSHOT_FILE`] and truncates the log.
-pub struct StateLog {
-    dir: PathBuf,
-    log: AppendLog,
-    compact_bytes: u64,
-    /// Terminal transitions mid-persist (line appended, job table not yet
-    /// updated). Compaction refuses to truncate while any are in flight —
-    /// it would snapshot the job as unfinished *and* discard its outcome
-    /// line, losing the result across a restart.
-    persisting: AtomicU64,
-}
-
-impl StateLog {
-    /// Opens (creating if needed) the state log in `dir`, appending to any
-    /// existing log so recovery and continuation share one file. Once the
-    /// log exceeds `compact_bytes` bytes, the next terminal transition
-    /// folds it into a snapshot; `0` disables compaction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory/file creation failures.
-    pub fn open(dir: &Path, compact_bytes: u64) -> std::io::Result<StateLog> {
-        std::fs::create_dir_all(dir)?;
-        Ok(StateLog {
-            dir: dir.to_path_buf(),
-            log: AppendLog::open(&dir.join(LOG_FILE))?,
-            compact_bytes,
-            persisting: AtomicU64::new(0),
-        })
-    }
-
-    /// The directory holding the log and its PGM side files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn append(&self, line: &str) {
-        // Persistence failures must never fail the job; a lost line only
-        // means the job is re-run (or forgotten) after a restart.
-        let _ = self.log.append(line);
-    }
-
-    fn wants_compaction(&self) -> bool {
-        self.compact_bytes > 0 && self.log.len() >= self.compact_bytes
-    }
-
-    fn begin_persist(&self) {
-        self.persisting.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn end_persist(&self) {
-        self.persisting.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Atomically installs `snapshot` as [`SNAPSHOT_FILE`] and truncates
-    /// the log, with no append able to land between the two; a crash in
-    /// between leaves snapshot *plus* the full log, which recovery replays
-    /// idempotently. Refuses (harmlessly — the next terminal transition
-    /// retries) while another thread is between appending an outcome line
-    /// and updating the job table.
-    fn replace_with_snapshot(&self, snapshot: &[u8]) -> std::io::Result<()> {
-        self.log.truncate_after(|| {
-            if self.persisting.load(Ordering::SeqCst) > 0 {
-                return Err(std::io::Error::other("terminal transition mid-persist"));
-            }
-            write_atomic(&self.dir, SNAPSHOT_FILE, snapshot)
-        })
-    }
-
-    fn log_submit(&self, id: usize, params: &JobParams, admission: &Admission) {
-        let target = match &params.source {
-            JobSource::Inline(img) => {
-                let name = target_file_name(id);
-                // The target must be durable before the line that references it.
-                if write_atomic(&self.dir, &name, &pgm_bytes(img, 0.0, 1.0)).is_err() {
-                    return; // without the raster the submission can't be replayed
-                }
-                Some(name)
-            }
-            _ => None,
-        };
-        self.append(&submit_line(
-            id,
-            &params.to_query(),
-            &admission.client,
-            admission.class,
-            target.as_deref(),
-        ));
-    }
-
-    fn log_finish(&self, id: usize, outcome: &Result<JobDone, String>) {
-        let line = match outcome {
-            Ok(done) => {
-                let mut mask_file = None;
-                if let Some(mask) = &done.mask {
-                    let name = mask_file_name(id);
-                    // Mask first, then the line claiming it exists.
-                    if write_atomic(&self.dir, &name, &pgm_bytes(mask, 0.0, 1.0)).is_ok() {
-                        mask_file = Some(name);
-                    }
-                }
-                finish_line_ok(id, done, mask_file.as_deref())
-            }
-            Err(e) => finish_line_err(id, e),
-        };
-        self.append(&line);
-    }
-
-    fn log_cancel(&self, id: usize) {
-        self.append(&format!("{{\"kind\":\"cancel\",\"id\":{id}}}"));
-    }
-}
-
-/// Side file holding job `id`'s inline target raster.
-fn target_file_name(id: usize) -> String {
-    format!("job-{id}-target.pgm")
-}
-
-/// The `submit` record — the one definition the state log and the
-/// compaction snapshot share. The client id was validated at admission to a
-/// JSON-safe alphabet; `json_escape` is belt and braces.
-fn submit_line(
-    id: usize,
-    query: &str,
-    client: &str,
-    class: PriorityClass,
-    target: Option<&str>,
-) -> String {
-    let mut line = format!(
-        "{{\"kind\":\"submit\",\"id\":{id},\"query\":\"{}\",\"client\":\"{}\",\"class\":\"{}\"",
-        json_escape(query),
-        json_escape(client),
-        class.as_str()
-    );
-    if let Some(name) = target {
-        line.push_str(&format!(",\"target\":\"{name}\""));
-    }
-    line.push('}');
-    line
-}
-
-/// The `finish` record of a successful job; `mask_file` references a PGM
-/// already durable in the state directory.
-fn finish_line_ok(id: usize, done: &JobDone, mask_file: Option<&str>) -> String {
-    let mut line = format!("{{\"kind\":\"finish\",\"id\":{id},\"ok\":true");
-    if let Some(name) = mask_file {
-        line.push_str(&format!(
-            ",\"mask\":\"{name}\",\"mask_hash\":\"{:016x}\"",
-            done.mask_hash
-        ));
-    }
-    line.push_str(&format!(
-        ",\"tiles\":{},\"failed_tiles\":{},\"degraded_tiles\":{},\"wall_ms\":{}}}",
-        done.tiles,
-        done.failed_tiles,
-        done.degraded_tiles,
-        json_f64(done.wall_ms)
-    ));
-    line
-}
-
-fn finish_line_err(id: usize, error: &str) -> String {
-    format!(
-        "{{\"kind\":\"finish\",\"id\":{id},\"ok\":false,\"error\":\"{}\"}}",
-        json_escape(error)
-    )
-}
-
-/// What [`JobStore::open`] reconstructed from a state directory.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Finished jobs restored with a hash-verified mask (or a recorded
-    /// failure).
-    pub restored: usize,
-    /// Interrupted jobs re-planned and re-queued.
-    pub requeued: usize,
-}
-
 /// The shared job table plus its bounded admission queue.
 pub struct JobStore {
     inner: Mutex<Inner>,
@@ -465,7 +219,7 @@ pub struct JobStore {
     quota_inflight: usize,
     /// Per-client cap on queued jobs; 0 = unlimited.
     quota_queued: usize,
-    state: Option<StateLog>,
+    pub(crate) state: Option<StateLog>,
 }
 
 impl JobStore {
@@ -476,7 +230,7 @@ impl JobStore {
         Self::empty(queue_cap, 0, 0, state)
     }
 
-    fn empty(
+    pub(crate) fn empty(
         queue_cap: usize,
         quota_inflight: usize,
         quota_queued: usize,
@@ -490,7 +244,7 @@ impl JobStore {
                 accepting: true,
                 running: 0,
                 evicted: 0,
-                usage: BTreeMap::new(),
+                usage: Usage::default(),
             }),
             wakeup: Condvar::new(),
             queue_cap: queue_cap.max(1),
@@ -500,182 +254,26 @@ impl JobStore {
         }
     }
 
-    /// The constructor: a store admitting at most `queue_cap` waiting jobs
-    /// under the per-client quotas (caps on non-terminal and on queued jobs;
-    /// 0 = unlimited), persisting to `state` when there is one — and first
-    /// rebuilt from its snapshot + log: jobs with a recorded outcome come
-    /// back finished (masks loaded and hash-verified), jobs with a recorded
-    /// cancellation come back terminal-cancelled, and jobs that were queued
-    /// or running when the process died are re-planned from their persisted
-    /// parameters and re-queued (bypassing the admission cap — they were
-    /// already admitted once), `policy` bounding them. The compaction
-    /// snapshot, when present, is replayed before `state.jsonl`; duplicate
-    /// submit records are first-win and outcomes are folded in on top, so a
-    /// crash between snapshot installation and log truncation replays to
-    /// the same table. A torn trailing *log* line (crash mid-append) is
-    /// tolerated; that job is simply re-run.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an unreadable or mid-file-corrupt log or
-    /// snapshot.
-    pub fn open(
-        queue_cap: usize,
-        quota_inflight: usize,
-        quota_queued: usize,
-        state: Option<StateLog>,
-        policy: &ExecPolicy,
-    ) -> Result<(JobStore, RecoveryStats), String> {
-        let store = JobStore::empty(queue_cap, quota_inflight, quota_queued, state);
-        let Some(state) = &store.state else {
-            return Ok((store, RecoveryStats::default()));
-        };
-        // Replay: submissions in record order (first submit per id wins, so
-        // the snapshot takes precedence over a stale untruncated log),
-        // outcomes and cancellations folded in by id.
-        let mut submits: Vec<(usize, String, Option<String>, Admission)> = Vec::new();
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut finishes: BTreeMap<usize, Value> = BTreeMap::new();
-        let mut cancels: BTreeSet<usize> = BTreeSet::new();
-        let mut next_id_floor = 0usize;
-        // The snapshot is written atomically, so damage there is real
-        // corruption; only the appended log can have a torn tail.
-        for (file, tolerate_tail) in [(SNAPSHOT_FILE, false), (LOG_FILE, true)] {
-            let path = state.dir.join(file);
-            for record in AppendLog::replay(&path, tolerate_tail)?.records {
-                let mut fold = || -> Result<(), String> {
-                    match record.field_str("kind")? {
-                        "submit" => {
-                            let id = record.field_usize("id")?;
-                            // Pre-multi-tenant logs have no client/class;
-                            // they replay under the defaults.
-                            let default = Admission::default();
-                            let admission = Admission {
-                                client: record
-                                    .field_str("client")
-                                    .map_or(default.client, str::to_string),
-                                class: record
-                                    .field_str("class")
-                                    .ok()
-                                    .and_then(PriorityClass::parse)
-                                    .unwrap_or(default.class),
-                            };
-                            if seen.insert(id) {
-                                submits.push((
-                                    id,
-                                    record.field_str("query")?.to_string(),
-                                    record.field_str("target").ok().map(str::to_string),
-                                    admission,
-                                ));
-                            }
-                        }
-                        "finish" => {
-                            finishes.insert(record.field_usize("id")?, record.clone());
-                        }
-                        "cancel" => {
-                            cancels.insert(record.field_usize("id")?);
-                        }
-                        "compact" => {
-                            next_id_floor = next_id_floor.max(record.field_usize("next_id")?);
-                        }
-                        _ => {} // future record kinds are not an error
-                    }
-                    Ok(())
-                };
-                fold().map_err(|e| format!("{} holds a corrupt record: {e}", path.display()))?;
-            }
-        }
-
-        let mut stats = RecoveryStats::default();
-        {
-            let dir = &state.dir;
-            let mut inner = store.lock();
-            for (id, query, target, admission) in submits {
-                let body = match &target {
-                    Some(t) => std::fs::read(dir.join(t)).unwrap_or_default(),
-                    None => Vec::new(),
-                };
-                let planned = JobParams::from_saved(&query, body, policy).and_then(|p| {
-                    let (case, config) = p.plan()?;
-                    let tiles = planned_jobs(&case, &config)?;
-                    Ok((p, case, config, tiles))
-                });
-                let mut entry = match planned {
-                    Err(why) => {
-                        stats.restored += 1;
-                        new_entry(
-                            id,
-                            format!("job{id}"),
-                            JobState::Failed,
-                            Some(format!("unreplayable after restart: {why}")),
-                        )
-                    }
-                    Ok((params, case, config, tiles)) => {
-                        let finished = finishes
-                            .get(&id)
-                            .and_then(|fin| restore_finished(dir, id, params.name.clone(), fin));
-                        match finished {
-                            Some(entry) => {
-                                stats.restored += 1;
-                                entry
-                            }
-                            // A cancellation with no durable outcome stays
-                            // cancelled; the job never re-runs.
-                            None if cancels.contains(&id) => {
-                                stats.restored += 1;
-                                new_entry(id, params.name, JobState::Cancelled, None)
-                            }
-                            // No durable outcome (or an unverifiable mask):
-                            // the job runs again with its original id, in
-                            // its original class, on its client's quota.
-                            None => {
-                                stats.requeued += 1;
-                                inner.queue.push(admission.class, id);
-                                inner.usage_add_queued(&admission.client);
-                                queued_entry(id, case, config, tiles)
-                            }
-                        }
-                    }
-                };
-                entry.query = Some(query);
-                entry.target_file = target;
-                entry.client = admission.client;
-                entry.class = admission.class;
-                inner.jobs.insert(id, entry);
-            }
-            inner.next_id =
-                next_id_floor.max(inner.jobs.keys().next_back().map_or(0, |&id| id + 1));
-        }
-        Ok((store, stats))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().expect("job store lock poisoned")
     }
 
-    /// Admits a planned job for `admission`'s client and class, or refuses
-    /// it with the reason the handler turns into a 503/429. With `params`
-    /// (every HTTP submission) the description is retained and, when a
-    /// state log is configured, persisted so the job survives a restart.
+    /// Admits the job `params` describes for `admission`'s client and
+    /// class, or refuses it with the reason the handler turns into a
+    /// 400/503/429. The description is retained — it is all the store keeps
+    /// of the work — and, when a state log is configured, persisted so the
+    /// job survives a restart.
     ///
     /// # Errors
     ///
+    /// [`SubmitError::Unplannable`] when the description does not plan,
     /// [`SubmitError::Full`] when the queue is at capacity,
     /// [`SubmitError::Draining`] after shutdown started,
     /// [`SubmitError::Quota`] when the client is over a per-client quota.
-    ///
-    /// # Panics
-    ///
-    /// If `(case, config)` cannot be planned; [`JobParams::plan`] has
-    /// already refused such a job.
-    pub fn submit(
-        &self,
-        params: Option<&JobParams>,
-        case: BatchCase,
-        config: BatchConfig,
-        admission: Admission,
-    ) -> Result<usize, SubmitError> {
-        let tiles_planned = planned_jobs(&case, &config).expect("submit takes a plannable job");
+    pub fn submit(&self, params: &JobParams, admission: Admission) -> Result<usize, SubmitError> {
+        // Planned once, outside the lock, for the tile count; the executor
+        // that claims the job plans it again to run it.
+        let tiles_planned = plan_tiles(params).map_err(SubmitError::Unplannable)?;
         let mut inner = self.lock();
         if !inner.accepting {
             return Err(SubmitError::Draining);
@@ -683,41 +281,20 @@ impl JobStore {
         // Per-client verdicts come before the global one: a flooding client
         // is told it is over *its* quota (429) rather than blamed on shared
         // capacity (503).
-        let usage = inner.usage.get(&admission.client).copied().unwrap_or_default();
-        if self.quota_queued > 0 && usage.queued >= self.quota_queued {
-            return Err(SubmitError::Quota {
-                client: admission.client,
-                scope: "queued",
-                limit: self.quota_queued,
-            });
-        }
-        if self.quota_inflight > 0 && usage.queued + usage.active >= self.quota_inflight {
-            return Err(SubmitError::Quota {
-                client: admission.client,
-                scope: "inflight",
-                limit: self.quota_inflight,
-            });
-        }
+        inner.usage.admit(&admission.client, self.quota_queued, self.quota_inflight)?;
         if inner.queue.len() >= self.queue_cap {
             return Err(SubmitError::Full { capacity: self.queue_cap });
         }
         let id = inner.next_id;
         inner.next_id += 1;
         // Logged under the lock so state-log order matches id order.
-        if let (Some(state), Some(params)) = (&self.state, params) {
+        if let Some(state) = &self.state {
             state.log_submit(id, params, &admission);
         }
-        let mut entry = queued_entry(id, case, config, tiles_planned);
-        entry.query = params.map(|p| p.to_query());
-        entry.target_file = params.and_then(|p| match &p.source {
-            JobSource::Inline(_) => Some(target_file_name(id)),
-            _ => None,
-        });
         inner.queue.push(admission.class, id);
-        inner.usage_add_queued(&admission.client);
-        entry.client = admission.client;
-        entry.class = admission.class;
-        inner.jobs.insert(id, entry);
+        inner.usage.add_queued(&admission.client);
+        let queued = new_entry(id, Ok(params.clone()), admission, JobState::Queued, None);
+        inner.jobs.insert(id, JobEntry { tiles_planned, ..queued });
         drop(inner);
         self.wakeup.notify_one();
         Ok(id)
@@ -726,21 +303,21 @@ impl JobStore {
     /// Blocks until a job is available and claims it, or returns `None`
     /// when the store is draining and the queue is empty (worker exit
     /// signal). In-flight and already-queued jobs are always drained.
-    /// The fourth element is the job's persisted parameter query (present
-    /// for every HTTP submission) — the cluster coordinator re-dispatches
-    /// from it so workers re-plan through the identical validation path.
-    pub fn take_next(&self) -> Option<(usize, BatchCase, BatchConfig, Option<String>)> {
+    /// The claim is the job's id, its description — the executor plans it,
+    /// the cluster coordinator dispatches it — and the cancel token and
+    /// progress counter to wire into the planned run.
+    pub fn take_next(&self) -> Option<(usize, JobParams, CancelToken, Progress)> {
         let mut inner = self.lock();
         loop {
             if let Some((_, id)) = inner.queue.pop() {
                 inner.running += 1;
                 let entry = inner.jobs.get_mut(&id).expect("queued id exists");
                 entry.state = JobState::Running;
-                let (case, config) = entry.work.take().expect("queued job retains its work");
-                let query = entry.query.clone();
+                let params = entry.take_work().expect("a queued job has its description");
+                let claim = (id, params, entry.cancel.clone(), entry.progress.clone());
                 let client = entry.client.clone();
-                inner.usage_claim(&client);
-                return Some((id, case, config, query));
+                inner.usage.claim(&client);
+                return Some(claim);
             }
             if !inner.accepting {
                 return None;
@@ -779,7 +356,7 @@ impl JobStore {
             }
         }
         entry.finished_at = Some(Instant::now());
-        inner.usage_drop_active(&client);
+        inner.usage.drop_active(&client);
         drop(inner);
         if let Some(state) = &self.state {
             state.end_persist();
@@ -799,7 +376,7 @@ impl JobStore {
         entry.state = JobState::Cancelled;
         entry.finished_at = Some(Instant::now());
         let client = entry.client.clone();
-        inner.usage_drop_active(&client);
+        inner.usage.drop_active(&client);
         drop(inner);
         self.wakeup.notify_all();
         self.maybe_compact();
@@ -818,11 +395,11 @@ impl JobStore {
         let outcome = match entry.state {
             JobState::Queued => {
                 entry.state = JobState::Cancelled;
-                entry.work = None;
+                entry.take_work();
                 entry.finished_at = Some(Instant::now());
                 let client = entry.client.clone();
                 inner.queue.retain(|&q| q != id);
-                inner.usage_drop_queued(&client);
+                inner.usage.drop_queued(&client);
                 CancelOutcome::Cancelled
             }
             JobState::Running => {
@@ -845,70 +422,6 @@ impl JobStore {
             self.maybe_compact();
         }
         outcome
-    }
-
-    /// Folds the state log into [`SNAPSHOT_FILE`] and truncates it, once it
-    /// has outgrown the configured threshold. Cancelled jobs and jobs whose
-    /// mask was evicted are dropped from the snapshot — after the next
-    /// restart those ids answer 404. Returns whether a compaction ran.
-    pub fn maybe_compact(&self) -> bool {
-        let Some(state) = &self.state else { return false };
-        if !state.wants_compaction() {
-            return false;
-        }
-        // Built and installed under the table lock: the snapshot is a
-        // consistent point-in-time view, and appends (which also take the
-        // store lock on every path that logs) cannot interleave.
-        let inner = self.lock();
-        let mut snapshot = format!("{{\"kind\":\"compact\",\"next_id\":{}}}\n", inner.next_id);
-        // Side files referenced by snapshot entries; everything else in the
-        // state directory is orphaned by this compaction and swept after.
-        let mut keep: BTreeSet<String> = BTreeSet::new();
-        for entry in inner.jobs.values() {
-            let Some(query) = &entry.query else { continue }; // never persisted
-            if entry.state == JobState::Cancelled {
-                continue; // dropped: compaction is how cancelled ids age out
-            }
-            if entry.result.as_ref().is_some_and(|d| d.mask.is_none()) {
-                continue; // mask evicted: not worth resurrecting either
-            }
-            snapshot.push_str(&submit_line(
-                entry.id,
-                query,
-                &entry.client,
-                entry.class,
-                entry.target_file.as_deref(),
-            ));
-            snapshot.push('\n');
-            keep.extend(entry.target_file.clone());
-            if entry.result.as_ref().is_some_and(|d| d.mask.is_some()) {
-                keep.insert(mask_file_name(entry.id));
-            }
-            if entry.state.is_terminal() {
-                let line = match (&entry.result, &entry.error) {
-                    (Some(done), _) => {
-                        // The mask PGM was made durable by log_finish before
-                        // its original finish line was appended.
-                        let mask_file =
-                            done.mask.as_ref().map(|_| mask_file_name(entry.id));
-                        finish_line_ok(entry.id, done, mask_file.as_deref())
-                    }
-                    (None, Some(error)) => finish_line_err(entry.id, error),
-                    (None, None) => finish_line_err(entry.id, "unknown failure"),
-                };
-                snapshot.push_str(&line);
-                snapshot.push('\n');
-            }
-        }
-        let ok = state.replace_with_snapshot(snapshot.as_bytes()).is_ok();
-        if ok {
-            // Still under the table lock (no submit/finish can be writing
-            // new side files), delete the PGM files the snapshot no longer
-            // references: masks and targets of compacted-away jobs.
-            gc_state_files(&state.dir, &keep);
-        }
-        drop(inner);
-        ok
     }
 
     /// Evicts resident masks that finished more than `ttl` ago, then the
@@ -965,10 +478,10 @@ impl JobStore {
             let entry = inner.jobs.get_mut(&id).expect("queued id exists");
             entry.state = JobState::Failed;
             entry.error = Some("dropped at shutdown before a worker picked it up".into());
-            entry.work = None;
+            entry.take_work();
             entry.finished_at = Some(Instant::now());
             let client = entry.client.clone();
-            inner.usage_drop_queued(&client);
+            inner.usage.drop_queued(&client);
         }
     }
 
@@ -986,7 +499,7 @@ impl JobStore {
     /// store returns an empty vector — the reconciliation invariant the
     /// fairness fuzz test pins.
     pub fn quota_usage(&self) -> Vec<(String, ClientUsage)> {
-        self.lock().usage.iter().map(|(c, u)| (c.clone(), *u)).collect()
+        self.lock().usage.snapshot()
     }
 
     /// Jobs currently executing.
@@ -1002,51 +515,6 @@ impl JobStore {
     /// True when no job was ever admitted.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// JSON summary array for `GET /v1/jobs`.
-    pub fn render_list(&self) -> String {
-        let inner = self.lock();
-        let items: Vec<String> = inner.jobs.values().map(render_summary).collect();
-        format!("{{\"jobs\":[{}],\"queue_depth\":{}}}", items.join(","), inner.queue.len())
-    }
-
-    /// JSON detail object for `GET /v1/jobs/{id}`; `None` for unknown ids.
-    /// With `mask_base64` the finished mask is inlined as a base64 PGM.
-    pub fn render_detail(&self, id: usize, mask_base64: bool) -> Option<String> {
-        let inner = self.lock();
-        let entry = inner.jobs.get(&id)?;
-        let mut s = render_summary(entry);
-        s.pop(); // strip the closing brace to extend the object
-        if let Some(done) = &entry.result {
-            let records: Vec<String> = done.records.iter().map(|r| r.to_json()).collect();
-            s.push_str(&format!(
-                ",\"mask_hash\":\"{:016x}\",\"wall_ms\":{},\"records\":[{}]",
-                done.mask_hash,
-                json_f64(done.wall_ms),
-                records.join(",")
-            ));
-            if let Some(eval) = &done.eval {
-                s.push_str(&format!(
-                    ",\"eval\":{{\"l2_nm2\":{},\"pvband_nm2\":{},\"epe\":{},\"shots\":{}}}",
-                    json_f64(eval.l2_nm2),
-                    json_f64(eval.pvband_nm2),
-                    eval.epe_violations(),
-                    eval.shots
-                ));
-            }
-            if mask_base64 {
-                if let Some(mask) = &done.mask {
-                    let pgm = ilt_field::pgm_bytes(mask, 0.0, 1.0);
-                    s.push_str(&format!(
-                        ",\"mask_pgm_base64\":\"{}\"",
-                        crate::http::base64_encode(&pgm)
-                    ));
-                }
-            }
-        }
-        s.push('}');
-        Some(s)
     }
 
     /// The finished mask as PGM bytes, for `GET /v1/jobs/{id}/mask`.
@@ -1066,7 +534,7 @@ impl JobStore {
                 Some(entry) => match &entry.result {
                     Some(done) => match &done.mask {
                         Some(mask) => {
-                            return MaskFetch::Ready(ilt_field::pgm_bytes(mask, 0.0, 1.0))
+                            return MaskFetch::Ready(pgm_bytes(mask, 0.0, 1.0))
                         }
                         None => {
                             let Some(state) = &self.state else { return MaskFetch::Gone };
@@ -1098,162 +566,105 @@ impl JobStore {
     }
 }
 
-/// Deletes `job-*.pgm` side files (masks and inline targets) that the
-/// just-installed compaction snapshot no longer references. Runs under the
-/// job-table lock, so no concurrent submission or finish can be writing a
-/// new side file while the directory is swept; `wal.jsonl`, `state.jsonl`,
-/// the snapshot itself, and any foreign files are never touched.
-fn gc_state_files(dir: &Path, keep: &BTreeSet<String>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("job-") && name.ends_with(".pgm") && !keep.contains(name) {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-}
-
-/// The one place a [`JobEntry`] is spelled out: no work, no result, a
-/// fresh cancel token and progress counter, the default admission; a
-/// terminal `state` is stamped finished now.
-fn new_entry(id: usize, name: String, state: JobState, error: Option<String>) -> JobEntry {
-    let default = Admission::default();
-    JobEntry {
+/// The one place a [`JobEntry`] is spelled out: no result, a fresh cancel
+/// token and progress counter; a terminal `state` is stamped finished now
+/// and keeps no work.
+pub(crate) fn new_entry(
+    id: usize,
+    params: Result<JobParams, (String, Option<String>)>,
+    admission: Admission,
+    state: JobState,
+    error: Option<String>,
+) -> JobEntry {
+    let mut entry = JobEntry {
         id,
-        name,
-        client: default.client,
-        class: default.class,
+        params,
+        client: admission.client,
+        class: admission.class,
         finished_at: state.is_terminal().then(Instant::now),
         state,
         error,
-        work: None,
         result: None,
         cancel: CancelToken::new(),
         progress: Progress::new(),
         tiles_planned: 0,
-        query: None,
-        target_file: None,
+    };
+    if entry.finished_at.is_some() {
+        entry.take_work(); // a job restored finished has no work left
     }
-}
-
-/// A queued entry owning its work, its cancel token and progress counter
-/// wired into the batch config the worker will execute.
-fn queued_entry(id: usize, case: BatchCase, mut config: BatchConfig, tiles: usize) -> JobEntry {
-    let mut entry = new_entry(id, case.name.clone(), JobState::Queued, None);
-    config.cancel = entry.cancel.clone();
-    config.progress = entry.progress.clone();
-    entry.tiles_planned = tiles;
-    entry.work = Some((case, config));
     entry
-}
-
-/// Reconstructs a terminal [`JobEntry`] from a persisted finish line.
-/// Returns `None` when the outcome claims a mask that is missing or fails
-/// hash verification — the caller re-queues the job instead of serving a
-/// mask the log can't vouch for.
-fn restore_finished(dir: &Path, id: usize, name: String, fin: &Value) -> Option<JobEntry> {
-    if !fin.get("ok")?.as_bool()? {
-        let error = fin.field_str("error").unwrap_or_default().to_string();
-        return Some(new_entry(id, name, JobState::Failed, Some(error)));
-    }
-    // A success without a durable mask returns None here: re-run.
-    let mask = load_mask(dir, fin.field_str("mask").ok()?).ok()?;
-    if field_hash(&mask) != fin.field_hex("mask_hash").ok()? {
-        return None;
-    }
-    let tiles = fin.field_usize("tiles").ok()?;
-    let failed_tiles = fin.field_usize("failed_tiles").ok()?;
-    let error = (failed_tiles > 0)
-        .then(|| format!("{failed_tiles} of {tiles} tile(s) failed"));
-    let state = if failed_tiles == 0 { JobState::Done } else { JobState::Failed };
-    let mut entry = new_entry(id, name, state, error);
-    entry.result = Some(JobDone {
-        mask_hash: field_hash(&mask),
-        mask: Some(mask),
-        records: Vec::new(),
-        tiles,
-        failed_tiles,
-        degraded_tiles: fin.field_usize("degraded_tiles").unwrap_or(0),
-        eval: None,
-        wall_ms: fin.field_f64("wall_ms").unwrap_or(0.0),
-    });
-    Some(entry)
-}
-
-fn render_summary(entry: &JobEntry) -> String {
-    let mut s = format!(
-        "{{\"id\":{},\"name\":\"{}\",\"client\":\"{}\",\"class\":\"{}\",\"state\":\"{}\"",
-        entry.id,
-        json_escape(&entry.name),
-        json_escape(&entry.client),
-        entry.class.as_str(),
-        entry.state.as_str()
-    );
-    if let Some(done) = &entry.result {
-        s.push_str(&format!(
-            ",\"tiles\":{},\"failed_tiles\":{},\"degraded_tiles\":{},\"mask_resident\":{}",
-            done.tiles,
-            done.failed_tiles,
-            done.degraded_tiles,
-            done.mask.is_some()
-        ));
-    } else if !entry.state.is_terminal() {
-        // Streaming progress for queued/running jobs: tiles completed so
-        // far out of the planned decomposition.
-        s.push_str(&format!(
-            ",\"tiles_done\":{},\"tiles_planned\":{}",
-            entry.progress.done(),
-            entry.tiles_planned
-        ));
-    }
-    if let Some(error) = &entry.error {
-        s.push_str(&format!(",\"error\":\"{}\"", json_escape(error)));
-    }
-    s.push('}');
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{fast_params, tiny_target};
     use crate::http::Request;
+    use crate::state::{RecoveryStats, SNAPSHOT_FILE};
+    use crate::ExecPolicy;
+    use ilt_runtime::BatchCase;
+    use std::path::PathBuf;
 
-    fn tiny_case(name: &str) -> (BatchCase, BatchConfig) {
-        let target = Field2D::from_fn(64, 64, |r, c| {
-            if (24..40).contains(&r) && (16..48).contains(&c) { 1.0 } else { 0.0 }
-        });
-        (
-            BatchCase { name: name.into(), target, nm_per_px: 8.0 },
-            BatchConfig::default(),
-        )
+    /// A description that plans in microseconds: the harness's tiny inline
+    /// target under [`FAST_JOB`](crate::harness::FAST_JOB).
+    fn tiny_params(name: &str) -> JobParams {
+        JobParams { name: name.into(), ..fast_params(tiny_target()) }
+    }
+
+    /// The case a finished tiny job reports its mask for.
+    fn tiny_case(name: &str) -> BatchCase {
+        tiny_params(name).plan().unwrap().0
     }
 
     #[test]
     fn queue_capacity_is_enforced() {
         let store = JobStore::new(2, None);
-        let (c, cfg) = tiny_case("a");
-        assert_eq!(store.submit(None, c.clone(), cfg.clone(), Admission::default()), Ok(0));
-        assert_eq!(store.submit(None, c.clone(), cfg.clone(), Admission::default()), Ok(1));
+        let p = tiny_params("a");
+        assert_eq!(store.submit(&p, Admission::default()), Ok(0));
+        assert_eq!(store.submit(&p, Admission::default()), Ok(1));
         assert_eq!(
-            store.submit(None, c.clone(), cfg.clone(), Admission::default()),
+            store.submit(&p, Admission::default()),
             Err(SubmitError::Full { capacity: 2 })
         );
         // Claiming one frees a slot.
         let (id, ..) = store.take_next().unwrap();
         assert_eq!(id, 0);
-        assert_eq!(store.submit(None, c, cfg, Admission::default()), Ok(2));
+        assert_eq!(store.submit(&p, Admission::default()), Ok(2));
         assert_eq!(store.queue_depth(), 2);
         assert_eq!(store.running(), 1);
     }
 
     #[test]
+    fn an_inline_targets_raster_leaves_the_table_with_the_claim() {
+        let store = JobStore::new(4, None);
+        store.submit(&tiny_params("claimed"), Admission::default()).unwrap();
+        store.submit(&tiny_params("cancelled"), Admission::default()).unwrap();
+        let kept = |id: usize| match &store.lock().jobs[&id].params {
+            Ok(JobParams { source: JobSource::Inline(img), .. }) => img.shape(),
+            other => panic!("job {id} lost its description: {other:?}"),
+        };
+        assert_eq!((kept(0), kept(1)), ((64, 64), (64, 64)), "queued jobs hold their target");
+        let (id, claim, ..) = store.take_next().unwrap();
+        assert!(
+            matches!(&claim.source, JobSource::Inline(img) if *img == tiny_target().threshold(0.5)),
+            "the executor gets the whole description"
+        );
+        assert_eq!(store.cancel(1), CancelOutcome::Cancelled);
+        assert_eq!((kept(0), kept(1)), ((0, 0), (0, 0)), "claimed or terminal: pixels gone");
+        // What the table derives from a description never read them.
+        store.finish(id, Ok(done_for(&tiny_case("claimed"), 1)));
+        assert!(store.render_list().contains(r#""name":"claimed""#));
+        let Ok(described) = &store.lock().jobs[&0].params else { panic!("described") };
+        assert_eq!(described.to_query(), tiny_params("claimed").to_query());
+    }
+
+    #[test]
     fn draining_refuses_submissions_but_serves_queue() {
         let store = JobStore::new(4, None);
-        let (c, cfg) = tiny_case("a");
-        store.submit(None, c.clone(), cfg.clone(), Admission::default()).unwrap();
+        let p = tiny_params("a");
+        store.submit(&p, Admission::default()).unwrap();
         store.close();
-        assert_eq!(store.submit(None, c, cfg, Admission::default()), Err(SubmitError::Draining));
+        assert_eq!(store.submit(&p, Admission::default()), Err(SubmitError::Draining));
         // The queued job is still handed out, then the drain signal.
         assert!(store.take_next().is_some());
         store.finish(0, Err("x".into()));
@@ -1263,10 +674,9 @@ mod tests {
     #[test]
     fn finish_transitions_states_and_renders() {
         let store = JobStore::new(4, None);
-        let (c, cfg) = tiny_case("m1 \"quoted\"");
-        store.submit(None, c, cfg, Admission::default()).unwrap();
-        let (id, case, _, _) = store.take_next().unwrap();
-        let mask = case.target.threshold(0.5);
+        store.submit(&tiny_params("m1 \"quoted\""), Admission::default()).unwrap();
+        let (id, p, ..) = store.take_next().unwrap();
+        let mask = p.plan().unwrap().0.target.threshold(0.5);
         let done = JobDone {
             mask_hash: ilt_runtime::field_hash(&mask),
             mask: Some(mask),
@@ -1293,10 +703,9 @@ mod tests {
     #[test]
     fn failed_tiles_mark_the_job_failed() {
         let store = JobStore::new(4, None);
-        let (c, cfg) = tiny_case("a");
-        store.submit(None, c, cfg, Admission::default()).unwrap();
-        let (id, case, _, _) = store.take_next().unwrap();
-        let mask = case.target.threshold(0.5);
+        store.submit(&tiny_params("a"), Admission::default()).unwrap();
+        let (id, p, ..) = store.take_next().unwrap();
+        let mask = p.plan().unwrap().0.target.threshold(0.5);
         store.finish(
             id,
             Ok(JobDone {
@@ -1320,8 +729,8 @@ mod tests {
     #[test]
     fn abandon_queued_fails_leftovers() {
         let store = JobStore::new(4, None);
-        let (c, cfg) = tiny_case("a");
-        store.submit(None, c, cfg, Admission::default()).unwrap();
+        let p = tiny_params("a");
+        store.submit(&p, Admission::default()).unwrap();
         store.close();
         store.abandon_queued();
         let detail = store.render_detail(0, false).unwrap();
@@ -1423,10 +832,10 @@ mod tests {
     #[test]
     fn ttl_sweep_evicts_masks_but_keeps_metadata() {
         let store = JobStore::new(4, None);
-        let (c, cfg) = tiny_case("a");
-        store.submit(None, c.clone(), cfg, Admission::default()).unwrap();
-        let (id, case, _, _) = store.take_next().unwrap();
-        store.finish(id, Ok(done_for(&case, 1)));
+        let (p, c) = (tiny_params("a"), tiny_case("a"));
+        store.submit(&p, Admission::default()).unwrap();
+        let (id, ..) = store.take_next().unwrap();
+        store.finish(id, Ok(done_for(&c, 1)));
 
         // A generous TTL keeps the mask; a zero TTL evicts it.
         assert_eq!(store.sweep(Some(Duration::from_secs(3600)), usize::MAX), 0);
@@ -1446,13 +855,13 @@ mod tests {
     #[test]
     fn residency_cap_evicts_oldest_finished_first() {
         let store = JobStore::new(8, None);
-        let (c, cfg) = tiny_case("a");
+        let (p, c) = (tiny_params("a"), tiny_case("a"));
         for _ in 0..3 {
-            store.submit(None, c.clone(), cfg.clone(), Admission::default()).unwrap();
+            store.submit(&p, Admission::default()).unwrap();
         }
         for _ in 0..3 {
-            let (id, case, _, _) = store.take_next().unwrap();
-            store.finish(id, Ok(done_for(&case, 1)));
+            let (id, ..) = store.take_next().unwrap();
+            store.finish(id, Ok(done_for(&c, 1)));
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(store.sweep(None, 1), 2, "two oldest evicted");
@@ -1525,7 +934,7 @@ mod tests {
     #[test]
     fn state_log_recovers_done_and_requeues_interrupted() {
         let dir = temp_dir("recover");
-        let (c, cfg) = tiny_case("a");
+        let c = tiny_case("a");
         {
             let store =
                 JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
@@ -1534,16 +943,16 @@ mod tests {
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
+            store.submit(&params, Admission::default()).unwrap();
             let interrupted = JobParams::from_request(
                 &request_with_query("case=case2&grid=64&kernels=3&name=interrupted"),
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit(Some(&interrupted), c.clone(), cfg.clone(), Admission::default()).unwrap();
+            store.submit(&interrupted, Admission::default()).unwrap();
             // Job 0 finishes; job 1 is taken but never finished (the crash).
-            let (id, case, _, _) = store.take_next().unwrap();
-            store.finish(id, Ok(done_for(&case, 1)));
+            let (id, ..) = store.take_next().unwrap();
+            store.finish(id, Ok(done_for(&c, 1)));
             let _ = store.take_next().unwrap();
         }
 
@@ -1561,9 +970,9 @@ mod tests {
             _ => panic!("recovered mask must be ready"),
         }
         // Job 1 is queued again under its original id and params.
-        let (id, case, _, _) = store.take_next().unwrap();
+        let (id, p, ..) = store.take_next().unwrap();
         assert_eq!(id, 1);
-        assert_eq!(case.name, "interrupted");
+        assert_eq!(p.name, "interrupted");
 
         // A finish line whose mask file was corrupted is not trusted.
         let mask_path = dir.join(mask_file_name(0));
@@ -1583,14 +992,13 @@ mod tests {
         let dir = temp_dir("torn");
         {
             let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
-            let (c, cfg) = tiny_case("a");
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3"),
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
-            store.submit(Some(&params), c, cfg, Admission::default()).unwrap();
+            store.submit(&params, Admission::default()).unwrap();
+            store.submit(&params, Admission::default()).unwrap();
         }
         // Chop the last line in half: a crash mid-append.
         let path = dir.join("state.jsonl");
@@ -1620,7 +1028,7 @@ mod tests {
         // restarted server then finishes job 0 — its `finish` record must
         // start on a fresh line, not continue the half-written submit.
         let dir = temp_dir("glue");
-        let (c, cfg) = tiny_case("a");
+        let c = tiny_case("a");
         {
             let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
@@ -1628,8 +1036,8 @@ mod tests {
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
-            store.submit(Some(&params), c, cfg, Admission::default()).unwrap();
+            store.submit(&params, Admission::default()).unwrap();
+            store.submit(&params, Admission::default()).unwrap();
         }
         let path = dir.join("state.jsonl");
         let raw = std::fs::read_to_string(&path).unwrap();
@@ -1639,11 +1047,10 @@ mod tests {
         let (store, stats) =
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
-        let (id, case, _, _) = store.take_next().unwrap();
+        let (id, ..) = store.take_next().unwrap();
         assert_eq!(id, 0);
-        // (The recovered job was re-planned from its persisted query.)
-        let expected = pgm_bytes(&case.target.threshold(0.5), 0.0, 1.0);
-        store.finish(id, Ok(done_for(&case, 1)));
+        let expected = pgm_bytes(&c.target.threshold(0.5), 0.0, 1.0);
+        store.finish(id, Ok(done_for(&c, 1)));
         drop(store);
 
         let log = std::fs::read_to_string(&path).unwrap();
@@ -1665,9 +1072,9 @@ mod tests {
     #[test]
     fn cancel_queued_job_is_immediately_terminal() {
         let store = JobStore::new(4, None);
-        let (c, cfg) = tiny_case("a");
-        store.submit(None, c.clone(), cfg.clone(), Admission::default()).unwrap();
-        store.submit(None, c, cfg, Admission::default()).unwrap();
+        let p = tiny_params("a");
+        store.submit(&p, Admission::default()).unwrap();
+        store.submit(&p, Admission::default()).unwrap();
         assert_eq!(store.cancel(1), CancelOutcome::Cancelled);
         assert_eq!(store.queue_depth(), 1, "only job 0 remains queued");
         let detail = store.render_detail(1, false).unwrap();
@@ -1687,12 +1094,12 @@ mod tests {
     #[test]
     fn cancel_running_job_sets_the_token_and_lands_cancelled() {
         let store = JobStore::new(4, None);
-        let (c, cfg) = tiny_case("a");
-        store.submit(None, c, cfg, Admission::default()).unwrap();
-        let (id, _case, config, _) = store.take_next().unwrap();
-        assert!(!config.cancel.is_cancelled());
+        let p = tiny_params("a");
+        store.submit(&p, Admission::default()).unwrap();
+        let (id, _, cancel, _) = store.take_next().unwrap();
+        assert!(!cancel.is_cancelled());
         assert_eq!(store.cancel(id), CancelOutcome::Cancelling);
-        assert!(config.cancel.is_cancelled(), "the worker's token is the same token");
+        assert!(cancel.is_cancelled(), "the worker's token is the same token");
         // The worker observes the token at a tile boundary and reports in.
         store.finish_cancelled(id);
         assert_eq!(store.running(), 0);
@@ -1707,22 +1114,20 @@ mod tests {
     #[test]
     fn progress_counters_render_for_live_jobs_only() {
         let store = JobStore::new(4, None);
-        let target = Field2D::from_fn(64, 64, |r, _| if r < 32 { 1.0 } else { 0.0 });
-        let case = BatchCase { name: "p".into(), target, nm_per_px: 8.0 };
-        let config = BatchConfig { tile: 32, halo: 8, ..BatchConfig::default() };
-        store.submit(None, case, config, Admission::default()).unwrap();
+        let p = JobParams { tile: 32, halo: 8, ..tiny_params("p") };
+        store.submit(&p, Admission::default()).unwrap();
         let detail = store.render_detail(0, false).unwrap();
         assert!(detail.contains("\"tiles_done\":0"), "{detail}");
         assert!(
             detail.contains("\"tiles_planned\":16"),
             "64px field over 16px cores (tile 32 - 2*halo 8) = 4x4: {detail}"
         );
-        let (id, case, config, _) = store.take_next().unwrap();
-        config.progress.tick();
-        config.progress.tick();
+        let (id, _, _, progress) = store.take_next().unwrap();
+        progress.tick();
+        progress.tick();
         let detail = store.render_detail(id, false).unwrap();
         assert!(detail.contains("\"tiles_done\":2"), "{detail}");
-        store.finish(id, Ok(done_for(&case, 4)));
+        store.finish(id, Ok(done_for(&tiny_case("p"), 4)));
         let detail = store.render_detail(id, false).unwrap();
         assert!(!detail.contains("tiles_done"), "terminal jobs report tiles, not progress: {detail}");
         assert!(detail.contains("\"tiles\":4"), "{detail}");
@@ -1731,7 +1136,6 @@ mod tests {
     #[test]
     fn cancelled_job_survives_restart_as_cancelled() {
         let dir = temp_dir("cancel-restart");
-        let (c, cfg) = tiny_case("a");
         {
             let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
@@ -1739,8 +1143,8 @@ mod tests {
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
-            store.submit(Some(&params), c, cfg, Admission::default()).unwrap();
+            store.submit(&params, Admission::default()).unwrap();
+            store.submit(&params, Admission::default()).unwrap();
             assert_eq!(store.cancel(0), CancelOutcome::Cancelled);
         }
         let (store, stats) =
@@ -1755,7 +1159,7 @@ mod tests {
     #[test]
     fn compaction_snapshots_live_jobs_truncates_log_and_drops_cancelled() {
         let dir = temp_dir("compact");
-        let (c, cfg) = tiny_case("a");
+        let c = tiny_case("a");
         let params = |name: &str| {
             JobParams::from_request(
                 &request_with_query(&format!("case=case1&grid=64&kernels=3&name={name}")),
@@ -1769,11 +1173,11 @@ mod tests {
             let store = JobStore::new(8, Some(state));
             for name in ["keeper", "doomed", "pending"] {
                 store
-                    .submit(Some(&params(name)), c.clone(), cfg.clone(), Admission::default())
+                    .submit(&params(name), Admission::default())
                     .unwrap();
             }
-            let (id, case, _, _) = store.take_next().unwrap();
-            store.finish(id, Ok(done_for(&case, 1))); // compacts
+            let (id, ..) = store.take_next().unwrap();
+            store.finish(id, Ok(done_for(&c, 1))); // compacts
             assert_eq!(store.cancel(1), CancelOutcome::Cancelled); // compacts again
         }
         let snapshot = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap();
@@ -1796,8 +1200,7 @@ mod tests {
         }
         // The cancelled id is gone for good; ids never recycle.
         assert!(store.render_detail(1, false).is_none());
-        let (sc, scfg) = tiny_case("next");
-        assert_eq!(store.submit(None, sc, scfg, Admission::default()), Ok(3));
+        assert_eq!(store.submit(&tiny_params("next"), Admission::default()), Ok(3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1809,9 +1212,9 @@ mod tests {
             let mut req = request_with_query(&format!("clip_nm=512&grid=64&kernels=3&name={name}"));
             req.body = pgm_bytes(&img, 0.0, 1.0);
             let p = JobParams::from_request(&req, &ExecPolicy::default()).unwrap();
-            let (case, cfg) = p.plan().unwrap();
-            store.submit(Some(&p), case, cfg, Admission::default()).unwrap()
+            store.submit(&p, Admission::default()).unwrap()
         };
+        let c = tiny_case("a");
         let exists = |name: &str| dir.join(name).exists();
 
         // Threshold 1 byte: every terminal transition compacts + sweeps.
@@ -1820,11 +1223,11 @@ mod tests {
         submit(&store, "done-a");
         submit(&store, "doomed");
         submit(&store, "done-b");
-        let (id, case, _, _) = store.take_next().unwrap();
-        store.finish(id, Ok(done_for(&case, 1)));
+        let (id, ..) = store.take_next().unwrap();
+        store.finish(id, Ok(done_for(&c, 1)));
         assert_eq!(store.cancel(1), CancelOutcome::Cancelled);
-        let (id, case, _, _) = store.take_next().unwrap();
-        store.finish(id, Ok(done_for(&case, 1)));
+        let (id, ..) = store.take_next().unwrap();
+        store.finish(id, Ok(done_for(&c, 1)));
 
         // The cancelled job aged out of the snapshot, so its inline-target
         // side file is orphaned and swept; live jobs keep all their files.
@@ -1864,7 +1267,7 @@ mod tests {
         // leaves the snapshot AND the full pre-compaction log. Recovery
         // must fold both into the same table a clean compaction produces.
         let dir = temp_dir("compact-crash");
-        let (c, cfg) = tiny_case("a");
+        let c = tiny_case("a");
         let params = JobParams::from_request(
             &request_with_query("case=case1&grid=64&kernels=3&name=surviv"),
             &ExecPolicy::default(),
@@ -1873,10 +1276,10 @@ mod tests {
         let pre_compaction_log;
         {
             let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
-            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
-            store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
-            let (id, case, _, _) = store.take_next().unwrap();
-            store.finish(id, Ok(done_for(&case, 1)));
+            store.submit(&params, Admission::default()).unwrap();
+            store.submit(&params, Admission::default()).unwrap();
+            let (id, ..) = store.take_next().unwrap();
+            store.finish(id, Ok(done_for(&c, 1)));
             pre_compaction_log = std::fs::read_to_string(dir.join("state.jsonl")).unwrap();
         }
         {
@@ -1902,7 +1305,7 @@ mod tests {
         // truncation point — never an error, never a phantom job.
         use ilt_layouts::Xorshift64Star;
         let dir = temp_dir("state-fuzz");
-        let (c, cfg) = tiny_case("a");
+        let c = tiny_case("a");
         {
             let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
             for i in 0..4 {
@@ -1911,11 +1314,11 @@ mod tests {
                     &ExecPolicy::default(),
                 )
                 .unwrap();
-                store.submit(Some(&params), c.clone(), cfg.clone(), Admission::default()).unwrap();
+                store.submit(&params, Admission::default()).unwrap();
             }
             for _ in 0..2 {
-                let (id, case, _, _) = store.take_next().unwrap();
-                store.finish(id, Ok(done_for(&case, 1)));
+                let (id, ..) = store.take_next().unwrap();
+                store.finish(id, Ok(done_for(&c, 1)));
             }
             store.cancel(2);
         }
@@ -1953,7 +1356,7 @@ mod tests {
                 &ExecPolicy::default(),
             )
             .unwrap();
-            store.submit(Some(&late), c.clone(), cfg.clone(), Admission::default()).unwrap();
+            store.submit(&late, Admission::default()).unwrap();
             drop(store);
             for line in std::fs::read_to_string(&path).unwrap().lines() {
                 assert!(

@@ -10,9 +10,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ilt_layouts::Xorshift64Star;
-use ilt_runtime::{field_hash, BatchCase, BatchConfig, PriorityClass};
+use ilt_runtime::field_hash;
 use ilt_server::{
-    Admission, CancelOutcome, ExecPolicy, JobDone, JobStore, ServerConfig, SubmitError,
+    Admission, CancelOutcome, ExecPolicy, JobDone, JobParams, JobStore, PriorityClass,
+    ServerConfig, SubmitError,
 };
 use util::{
     fast_params, get, job_id, post, post_with_headers, shutdown, start, tiny_pgm, tiny_target,
@@ -24,9 +25,9 @@ fn chaos_policy() -> ExecPolicy {
     ExecPolicy { allow_inject: true, ..ExecPolicy::default() }
 }
 
-/// The planned work unit every fuzz submission clones.
-fn fast_work() -> (BatchCase, BatchConfig) {
-    fast_params(util::tiny_target()).plan().expect("fast params plan")
+/// The description every fuzz submission shares.
+fn fast_work() -> JobParams {
+    fast_params(util::tiny_target())
 }
 
 /// A successful outcome for a store-level job (1 tile, tiny mask).
@@ -68,7 +69,7 @@ fn quota_store(queue_cap: usize, inflight: usize, queued: usize) -> JobStore {
 fn fuzz_episode(seed: u64) {
     let mut rng = Xorshift64Star::new(0x9e37_79b9_0000_0000 ^ seed.wrapping_add(1));
     let store = quota_store(QUEUE_CAP, QUOTA_INFLIGHT, QUOTA_QUEUED);
-    let (case, config) = fast_work();
+    let params = fast_work();
 
     // Shadow model: (id, client_index) per lifecycle bucket.
     let mut queued: Vec<(usize, usize)> = Vec::new();
@@ -91,7 +92,7 @@ fn fuzz_episode(seed: u64) {
                 let admission =
                     Admission { client: CLIENTS[client].into(), class };
                 let usage = usage_of(&queued, &running, client);
-                let verdict = store.submit(None, case.clone(), config.clone(), admission);
+                let verdict = store.submit(&params, admission);
                 if usage.queued >= QUOTA_QUEUED {
                     assert!(
                         matches!(verdict, Err(SubmitError::Quota { scope: "queued", .. })),
@@ -221,7 +222,7 @@ fn seeded_fuzz_admission_accounting_never_leaks() {
 #[test]
 fn concurrent_cancel_races_reconcile_at_drain() {
     let store = Arc::new(JobStore::new(64, None));
-    let (case, config) = fast_work();
+    let params = fast_work();
 
     let workers: Vec<_> = (0..2)
         .map(|_| {
@@ -243,7 +244,7 @@ fn concurrent_cancel_races_reconcile_at_drain() {
             class: PriorityClass::ALL[(rng.next_u64() % 3) as usize],
         };
         let id = store
-            .submit(None, case.clone(), config.clone(), admission)
+            .submit(&params, admission)
             .expect("no quotas, cap 64: submit always admitted");
         if rng.next_u64() % 2 == 0 {
             // Any outcome class is legal here; accounting is what we pin.
@@ -383,26 +384,26 @@ fn quota_breach_gets_429_and_other_clients_still_complete() {
 #[test]
 fn inflight_quota_counts_running_jobs() {
     let store = quota_store(8, 1, 0);
-    let (case, config) = fast_work();
+    let params = fast_work();
     let alice = || Admission { client: "alice".into(), class: PriorityClass::Normal };
 
-    let id = store.submit(None, case.clone(), config.clone(), alice()).unwrap();
+    let id = store.submit(&params, alice()).unwrap();
     let taken = store.take_next().expect("claim a0");
     assert_eq!(taken.0, id);
-    let verdict = store.submit(None, case.clone(), config.clone(), alice());
+    let verdict = store.submit(&params, alice());
     assert!(
         matches!(verdict, Err(SubmitError::Quota { scope: "inflight", limit: 1, .. })),
         "running jobs must count against the inflight quota"
     );
     // Other clients are unaffected; finishing frees alice's slot.
     store
-        .submit(None, case.clone(), config.clone(), Admission {
+        .submit(&params, Admission {
             client: "bob".into(),
             class: PriorityClass::High,
         })
         .unwrap();
     store.finish(id, Ok(done()));
-    store.submit(None, case, config, alice()).expect("slot freed by finish");
+    store.submit(&params, alice()).expect("slot freed by finish");
 }
 
 /// Residency eviction followed by `GET /mask` re-hydrates the durable copy

@@ -75,6 +75,22 @@ fn membership_lifecycle_over_http_and_metrics_exposition() {
     shutdown(addr, handle);
 }
 
+/// The whole exposition of a fresh coordinator-mode server — family order,
+/// help text, types, every zeroed sample — is the bytes commit 7322372
+/// served, when five writers formatted `# HELP` / `# TYPE` lines.
+#[test]
+fn metrics_exposition_of_a_fresh_coordinator_is_byte_pinned() {
+    let (addr, handle) = start(ServerConfig {
+        workers: 0,
+        cluster: Some(ClusterConfig::default()),
+        ..ServerConfig::default()
+    });
+    let body = get(addr, "/metrics").text();
+    let golden = include_str!("fixtures/metrics_7322372.txt");
+    assert!(body == golden, "GET /metrics changed:\n{body}");
+    shutdown(addr, handle);
+}
+
 #[test]
 fn members_api_requires_cluster_mode() {
     let (addr, handle) = start(ServerConfig { workers: 0, ..ServerConfig::default() });

@@ -61,10 +61,8 @@ fn write_all_kinds(tag: &str) -> PathBuf {
     let dir = temp_dir(tag);
     let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
     let submit = |query: &str, body: Vec<u8>, client: &str, class| {
-        let p = params(query, body);
-        let (case, config) = p.plan().unwrap();
         let admission = Admission { client: client.into(), class };
-        store.submit(Some(&p), case, config, admission).unwrap()
+        store.submit(&params(query, body), admission).unwrap()
     };
     submit(&format!("via=7&name=alpha&{QUERY}"), Vec::new(), "anonymous", PriorityClass::Normal);
     submit(
@@ -76,9 +74,9 @@ fn write_all_kinds(tag: &str) -> PathBuf {
     submit(&format!("via=8&name=doomed&{QUERY}"), Vec::new(), "tenant-b", PriorityClass::Low);
     assert_eq!(store.cancel(2), CancelOutcome::Cancelled);
     for _ in 0..2 {
-        let (id, case, ..) = store.take_next().unwrap();
+        let (id, p, ..) = store.take_next().unwrap();
         if id == 0 {
-            let mask = case.target.threshold(0.5);
+            let mask = p.plan().unwrap().0.target.threshold(0.5);
             let done = JobDone {
                 mask_hash: field_hash(&mask),
                 mask: Some(mask),
@@ -170,8 +168,7 @@ fn golden_lines_recover_to_the_jobs_they_describe() {
     assert_eq!(stats, RecoveryStats { restored: 2, requeued: 0 });
     assert!(store.render_detail(2, false).is_none());
     let p = params(&format!("via=9&name=next&{QUERY}"), Vec::new());
-    let (case, config) = p.plan().unwrap();
-    let next = store.submit(Some(&p), case, config, Admission::default());
+    let next = store.submit(&p, Admission::default());
     assert_eq!(next, Ok(3), "ids continue past the floor");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -249,5 +246,43 @@ fn parent_commit_snapshot_plus_stale_untruncated_log_recovers_identically() {
     let cancelled =
         r#"{"id":2,"name":"doomed","client":"tenant-b","class":"low","state":"cancelled"},"#;
     assert_eq!(store.render_list(), format!("{{\"jobs\":[{FIXTURE_DONE}{cancelled}{FIXTURE_TAIL}"));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Compaction renders each submit record from the job's description, not
+/// from a kept copy of the logged query — so it is an identity on what
+/// `588e7d6` wrote only if that commit's queries decode (through the
+/// transport's one query codec) and re-encode to themselves.
+#[test]
+fn compacting_the_parent_commits_state_dir_rewrites_its_records_byte_for_byte() {
+    let dir = fixture_copy("state-fixture-compact");
+    let mut expected = lines(&dir.join(SNAPSHOT_FILE));
+    expected[0] = r#"{"kind":"compact","next_id":5}"#.into();
+    expected.extend(lines(&dir.join("state.jsonl")));
+    let state = StateLog::open(&dir, 1).unwrap();
+    let (store, _) = JobStore::open(8, 0, 0, Some(state), &ExecPolicy::default()).unwrap();
+    assert!(store.maybe_compact());
+    assert_eq!(lines(&dir.join(SNAPSHOT_FILE)), expected);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Restart decodes a finished job and never plans it: a description that
+/// still decodes but no longer plans (`tile=48`) comes back `done` with its
+/// mask, where planning it would have turned it into an unreplayable
+/// failure — and restart time does not scale with rasterization.
+#[test]
+fn restart_does_not_plan_finished_jobs() {
+    let dir = write_all_kinds("state-unplanned");
+    let path = dir.join("state.jsonl");
+    let log = fs::read_to_string(&path).unwrap();
+    assert_eq!(log.matches("tile=512").count(), 3);
+    fs::write(&path, log.replace("tile=512", "tile=48")).unwrap();
+    let (store, stats) =
+        JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
+    assert_eq!(stats, RecoveryStats { restored: 3, requeued: 0 });
+    let list = store.render_list();
+    assert!(list.contains(r#""name":"alpha","client":"anonymous","class":"normal","state":"done""#), "{list}");
+    assert!(!list.contains("unreplayable"), "{list}");
+    assert!(matches!(store.mask_pgm(0), MaskFetch::Ready(_)));
     let _ = fs::remove_dir_all(&dir);
 }

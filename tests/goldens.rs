@@ -89,6 +89,38 @@ fn fast_and_lowres_schedules_reproduce_their_goldens() {
     }
 }
 
+/// Our-exact (80 low-resolution + 10 high-resolution iterations) through
+/// the one schedule clamp every entry point applies, with the pitch ceiling
+/// at 16 nm so both stages keep `s = 2` as above. Values computed at commit
+/// 7322372; the clips run side by side because 90 iterations in the debug
+/// profile are the longest thing in this file.
+#[test]
+fn our_exact_schedule_reproduces_its_goldens() {
+    let sim = paper_scale_sim();
+    let schedule = schedules::clamp_to_grid(&schedules::our_exact(), 8.0, 16.0, GRID, 57);
+    assert!(schedule.iter().all(|stage| stage.scale == 2));
+    let goldens: [(usize, Golden); 2] = [
+        (1, (13184, 25472, 127, 0xbc54_63f8_3ad7_0085)),
+        (2, (13568, 27264, 128, 0xb518_06b5_42ca_6305)),
+    ];
+    std::thread::scope(|scope| {
+        for (case, want) in goldens {
+            let (sim, schedule) = (sim.clone(), &schedule);
+            scope.spawn(move || {
+                let target = iccad2013_case(case).rasterize(GRID);
+                let mask = MultiLevelIlt::new(sim.clone(), IltConfig::default())
+                    .run(&target, schedule)
+                    .mask;
+                assert_eq!(
+                    measure(&sim, &target, &mask),
+                    want,
+                    "case {case}, our-exact: (L2, PVB, shots, mask hash)"
+                );
+            });
+        }
+    });
+}
+
 /// The two baselines that share the optimizer's Eq. 5 step: conventional
 /// pixel ILT is `low_res(1, n)` — the process-window operator at `up = 1`,
 /// `m = N`, `Q < m` — and the level-set loop calls the same node. Values
