@@ -8,8 +8,7 @@
 //!
 //! * [`ConventionalIlt`] — single-level pixel ILT with the legacy
 //!   `T_R = 0` sigmoid (Table I's "w/o downsampling" row, Fig. 4(a)),
-//! * [`LevelSetIlt`] — a GLS-ILT-style level-set optimizer [6],
-//! * [`EdgeOpc`] — iterative edge-based model OPC (the intro's contrast).
+//! * [`LevelSetIlt`] — a GLS-ILT-style level-set optimizer [6].
 //!
 //! # Example
 //!
@@ -36,8 +35,6 @@
 
 mod conventional;
 mod levelset;
-mod opc;
 
 pub use conventional::ConventionalIlt;
 pub use levelset::{signed_distance, LevelSetConfig, LevelSetIlt, LevelSetResult};
-pub use opc::{EdgeOpc, EdgeOpcConfig, OpcResult};

@@ -52,8 +52,7 @@ pub use membership::{MemberView, Membership};
 pub use params::{is_label, query_encode, ExecPolicy, JobParams, JobSource};
 pub use stats::{ClusterStats, Counter, FailureKinds, Histogram, FAILURE_KINDS, LATENCY_BUCKETS_MS};
 pub use transport::{
-    base64_decode, base64_encode, serve_connection, ConnOptions, HttpError, Limits, Request,
-    Response, WireFault,
+    base64_decode, base64_encode, serve_connection, ConnOptions, HttpError, Limits, Request, Response,
 };
 pub use wire::{ShardHeader, SHARD_PATH};
 pub use worker::{Worker, WorkerConfig};

@@ -22,6 +22,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use ilt_runtime::FaultKind;
+
 /// Hard caps applied while reading one request.
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
@@ -288,27 +290,6 @@ fn percent_decode(s: &str, plus_as_space: bool) -> Result<String, String> {
     String::from_utf8(out).map_err(|_| format!("non-utf8 after decoding {s:?}"))
 }
 
-/// A deterministic transport-level fault applied while *writing* a
-/// response — the worker-side half of the `conn_refuse` / `read_stall` /
-/// `torn_response` / `garble` chaos kinds in `FaultPlan`. The response is
-/// computed normally; only its trip over the wire is damaged, so the
-/// coordinator's retry/hash machinery is what gets exercised.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireFault {
-    /// Write nothing at all and let the connection close (a refused or
-    /// reset dispatch).
-    ConnRefuse,
-    /// Write the head and half the body, stall this long, then finish
-    /// (a half-open, dribbling stream).
-    ReadStall(Duration),
-    /// Declare the full `Content-Length` but truncate the body at two
-    /// thirds (a torn JSONL stream).
-    TornResponse,
-    /// Flip a run of bytes in the middle of the body (corruption the
-    /// mask-hash verification must catch).
-    Garble,
-}
-
 /// One response, written with `Content-Length` and `Connection: close`.
 #[derive(Debug)]
 pub struct Response {
@@ -319,7 +300,7 @@ pub struct Response {
     /// Body bytes.
     pub body: Vec<u8>,
     content_type: &'static str,
-    wire_fault: Option<WireFault>,
+    wire_fault: Option<FaultKind>,
 }
 
 impl Response {
@@ -364,10 +345,19 @@ impl Response {
         self
     }
 
-    /// Arms a [`WireFault`] to be applied when this response is written
-    /// (`None` clears it). Used by the worker's chaos injection.
+    /// Arms a transport fault (`conn_refuse` / `read_stall` /
+    /// `torn_response` / `garble`, what `FaultPlan::transport_fault` yields)
+    /// to be applied when this response is written; `None` clears it. The
+    /// response is computed normally and only its trip over the wire is
+    /// damaged, so the coordinator's retry / hash machinery is what the
+    /// worker's chaos injection exercises.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fault kind that is not a transport kind.
     #[must_use]
-    pub fn with_wire_fault(mut self, fault: Option<WireFault>) -> Response {
+    pub fn with_wire_fault(mut self, fault: Option<FaultKind>) -> Response {
+        assert!(fault.is_none_or(FaultKind::is_transport), "{fault:?} is not a wire fault");
         self.wire_fault = fault;
         self
     }
@@ -388,14 +378,14 @@ impl Response {
     ///
     /// Head and body leave in one `write_all`: two writes put two segments
     /// on the wire, and the second then waits for the peer's delayed ACK of
-    /// the first. Only [`WireFault::ReadStall`] splits the response, on
+    /// the first. Only [`FaultKind::ReadStall`] splits the response, on
     /// purpose.
     ///
     /// # Errors
     ///
     /// Propagates socket write errors (including write timeouts).
     pub fn write_with_connection(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        if self.wire_fault == Some(WireFault::ConnRefuse) {
+        if self.wire_fault == Some(FaultKind::ConnRefuse) {
             // Write nothing; the caller's connection teardown delivers the
             // refusal (the client sees EOF before any status line).
             return Ok(());
@@ -419,28 +409,33 @@ impl Response {
         wire.reserve(self.body.len());
         let body_start = wire.len();
         match self.wire_fault {
-            None | Some(WireFault::ConnRefuse) => wire.extend_from_slice(&self.body),
-            Some(WireFault::TornResponse) => {
+            Some(FaultKind::TornResponse) => {
                 // Full content-length declared above; deliver only two
                 // thirds and stop — a torn JSONL stream.
                 wire.extend_from_slice(&self.body[..self.body.len() * 2 / 3]);
             }
-            Some(WireFault::ReadStall(stall)) => {
+            Some(FaultKind::ReadStall { ms }) => {
+                // Head and half the body, a stall, then the rest — a
+                // half-open, dribbling stream.
                 let half = self.body.len() / 2;
                 wire.extend_from_slice(&self.body[..half]);
                 w.write_all(&wire)?;
                 w.flush()?;
-                std::thread::sleep(stall);
+                std::thread::sleep(Duration::from_millis(ms));
                 wire.clear();
                 wire.extend_from_slice(&self.body[half..]);
             }
-            Some(WireFault::Garble) => {
+            Some(FaultKind::Garble) => {
+                // Corruption the mask-hash verification must catch.
                 wire.extend_from_slice(&self.body);
                 let mid = body_start + self.body.len() / 2;
                 for b in wire.iter_mut().skip(mid).take(16) {
                     *b ^= 0xa5;
                 }
             }
+            // Unfaulted: `conn_refuse` returned above and `with_wire_fault`
+            // admits no other kind.
+            _ => wire.extend_from_slice(&self.body),
         }
         w.write_all(&wire)?;
         w.flush()
@@ -1305,7 +1300,7 @@ mod tests {
     #[test]
     fn wire_faults_damage_only_the_write() {
         let body = "abcdefghijklmnopqrstuvwxyz0123456789";
-        let written = |fault: WireFault, keep_alive: bool| {
+        let written = |fault: FaultKind, keep_alive: bool| {
             let mut wire = Segments::default();
             Response::jsonl(200, body)
                 .with_wire_fault(Some(fault))
@@ -1316,10 +1311,10 @@ mod tests {
         let mut clean = Vec::new();
         Response::jsonl(200, body).write_to(&mut clean).unwrap();
 
-        let refused = written(WireFault::ConnRefuse, false);
+        let refused = written(FaultKind::ConnRefuse, false);
         assert!(refused.0.is_empty(), "conn_refuse writes nothing at all");
 
-        let torn = written(WireFault::TornResponse, false).bytes();
+        let torn = written(FaultKind::TornResponse, false).bytes();
         let torn_text = String::from_utf8_lossy(&torn);
         assert!(
             torn_text.contains(&format!("content-length: {}\r\n", body.len())),
@@ -1330,14 +1325,14 @@ mod tests {
             "torn response stops at two thirds of the body: {torn_text}"
         );
 
-        let garbled = written(WireFault::Garble, false).bytes();
+        let garbled = written(FaultKind::Garble, false).bytes();
         assert_eq!(garbled.len(), clean.len(), "garble keeps the length");
         assert_ne!(garbled, clean, "garble flips body bytes");
         let head_len = clean.len() - body.len();
         assert_eq!(garbled[..head_len], clean[..head_len], "garble leaves the head alone");
 
         let stall = Duration::from_millis(20);
-        let stalled = written(WireFault::ReadStall(stall), false);
+        let stalled = written(FaultKind::ReadStall { ms: 20 }, false);
         assert_eq!(stalled.bytes(), clean, "read_stall delivers identical bytes, just slowly");
         assert!(stalled.0.len() >= 2, "read_stall is a deliberate split");
         let (first, last) = (&stalled.0[0], &stalled.0[stalled.0.len() - 1]);
@@ -1345,7 +1340,7 @@ mod tests {
         assert!(first.1.ends_with(&body.as_bytes()[..body.len() / 2]), "half the body goes first");
 
         // A faulted response never keeps the connection alive.
-        for fault in [WireFault::TornResponse, WireFault::Garble, WireFault::ReadStall(stall)] {
+        for fault in [FaultKind::TornResponse, FaultKind::Garble, FaultKind::ReadStall { ms: 20 }] {
             let wire = written(fault, true).bytes();
             assert!(
                 String::from_utf8_lossy(&wire).contains("connection: close\r\n"),

@@ -38,7 +38,7 @@ use ilt_runtime::{
 };
 
 use crate::params::{is_label, ExecPolicy, JobParams};
-use crate::transport::{ConnOptions, Gate, Listener, Request, Response, WireFault};
+use crate::transport::{ConnOptions, Gate, Listener, Request, Response};
 use crate::wire::{parse_job_ids, shard_header_line, shard_job_line, ShardHeader};
 
 /// Worker service configuration.
@@ -193,21 +193,11 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
             *n += 1;
             *n
         };
-        job_ids.iter().find_map(|&j| params.faults.transport_fault(j, attempt)).map(
-            |kind| match kind {
-                FaultKind::ConnRefuse => WireFault::ConnRefuse,
-                FaultKind::ReadStall { ms } => {
-                    WireFault::ReadStall(std::time::Duration::from_millis(ms))
-                }
-                FaultKind::TornResponse => WireFault::TornResponse,
-                FaultKind::Garble => WireFault::Garble,
-                _ => unreachable!("transport_fault only yields transport kinds"),
-            },
-        )
+        job_ids.iter().find_map(|&j| params.faults.transport_fault(j, attempt))
     } else {
         None
     };
-    if wire_fault == Some(WireFault::ConnRefuse) {
+    if wire_fault == Some(FaultKind::ConnRefuse) {
         // Simulated connection refusal: drop the request without computing
         // (or writing a single byte — see `Response::with_wire_fault`).
         return Response::error(503, "injected conn_refuse").with_wire_fault(wire_fault);

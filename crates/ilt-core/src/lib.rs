@@ -51,4 +51,4 @@ pub use optimizer::{
     IltConfig, IltResult, LossRecord, MultiLevelIlt, Smoothing, SmoothingPlacement, Stage,
     StageKind,
 };
-pub use region::{pattern_bbox, OptimizeRegion};
+pub use region::OptimizeRegion;

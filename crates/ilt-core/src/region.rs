@@ -8,7 +8,7 @@
 //! opaque.
 
 use ilt_field::{avg_pool_down, Field2D};
-use ilt_geom::{label_components, Rect};
+use ilt_geom::label_components;
 
 /// How the writable mask region is derived from the target.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,22 +101,10 @@ impl OptimizeRegion {
     }
 }
 
-/// Convenience: bounding box of all foreground pixels, if any.
-pub fn pattern_bbox(target: &Field2D) -> Option<Rect> {
-    let comps = label_components(target);
-    let first = comps.first()?;
-    Some(
-        comps
-            .iter()
-            .skip(1)
-            .fold(first.bbox, |acc, c| acc.union_bbox(&c.bbox)),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ilt_geom::rasterize_rects;
+    use ilt_geom::{rasterize_rects, Rect};
 
     fn two_features() -> Field2D {
         rasterize_rects(
@@ -194,12 +182,5 @@ mod tests {
             OptimizeRegion::Option2 { margin_nm: 10.0 }.region_mask(&t, 1.0).count_on(),
             0
         );
-        assert!(pattern_bbox(&t).is_none());
-    }
-
-    #[test]
-    fn pattern_bbox_spans_all_features() {
-        let t = two_features();
-        assert_eq!(pattern_bbox(&t), Some(Rect::new(10, 10, 50, 54)));
     }
 }

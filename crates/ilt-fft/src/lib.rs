@@ -54,6 +54,5 @@ pub use scratch::{
 };
 pub use simd::active_kernel;
 pub use spectrum::{
-    crop_centered, fftshift, freq_index, ifftshift, pad_centered, pad_centered_into,
-    signed_freq,
+    crop_centered, fftshift, freq_index, pad_centered, pad_centered_into, signed_freq,
 };

@@ -16,8 +16,8 @@
 //! digit reversal is *not* an involution, so reusing bit reversal is what
 //! keeps the cheap swap-pair permutation valid).
 //!
-//! Stage butterflies run through one of three kernels selected once per
-//! process ([`crate::active_kernel`]): AVX2, SSE2, or the scalar reference.
+//! Stage butterflies run through one of two kernels selected once per
+//! process ([`crate::active_kernel`]): AVX2 or the scalar reference.
 //! The SIMD kernels are written to be **bit-identical** to the scalar path
 //! (no FMA contraction, same operation order), so masks produced on any
 //! machine agree bit-for-bit; `ILT_FFT_FORCE_SCALAR=1` pins the scalar path
@@ -180,7 +180,7 @@ impl FftPlan {
     }
 
     /// Transforms `data` in place using the process-wide selected kernel
-    /// (AVX2/SSE2 when detected, scalar otherwise — see
+    /// (AVX2 when detected, scalar otherwise — see
     /// [`crate::active_kernel`]).
     ///
     /// Inverse plans divide by `len` so that a forward/inverse pair is the
@@ -474,11 +474,6 @@ impl FftPlanner {
             .clone()
     }
 
-    /// Number of distinct plans currently cached.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.len()
-    }
-
     /// Runs `f` against the process-wide shared planner.
     ///
     /// Every [`crate::Fft2d::new`] call goes through
@@ -570,7 +565,7 @@ mod tests {
     #[test]
     fn simd_process_is_bit_identical_to_scalar() {
         // On machines without SIMD this trivially passes (both run scalar);
-        // with AVX2/SSE2 it pins the kernels' bit-compatibility contract.
+        // with AVX2 it pins the kernels' bit-compatibility contract.
         for bits in 1..=10 {
             let n = 1usize << bits;
             let input = ramp(n);
@@ -711,7 +706,7 @@ mod tests {
         let b = planner.plan(64, Direction::Forward);
         assert!(Arc::ptr_eq(&a, &b));
         let _ = planner.plan(64, Direction::Inverse);
-        assert_eq!(planner.cached_plans(), 2);
+        assert_eq!(planner.plans.len(), 2);
     }
 
     #[test]

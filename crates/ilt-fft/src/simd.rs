@@ -10,14 +10,12 @@
 //! Every SIMD kernel performs **exactly the same IEEE-754 operations in the
 //! same order** as the scalar reference in `plan.rs`:
 //!
-//! * complex multiply uses separate `mul`/`addsub` (or `mul`/`xor`/`add` on
-//!   SSE2) — never FMA, which would contract `a*c - b*d` into a differently
-//!   rounded result;
+//! * complex multiply uses separate `mul`/`addsub` — never FMA, which would
+//!   contract `a*c - b*d` into a differently rounded result;
 //! * the imaginary part exploits only the bitwise-safe commutativity of IEEE
 //!   addition (`x.re*w.im + x.im*w.re` vs `x.im*w.re + x.re*w.im`);
 //! * the `±i` rotation is a lane swap plus a sign-bit XOR, exact in both
-//!   paths;
-//! * subtraction via `a + (-b)` (SSE2 path) is bitwise equal to `a - b`.
+//!   paths.
 //!
 //! Consequently `process` and `process_scalar` agree bit-for-bit, printed
 //! masks do not depend on the host CPU, and `ILT_FFT_FORCE_SCALAR=1` runs
@@ -32,9 +30,6 @@ pub(crate) enum Kernel {
     /// 256-bit lanes, two complex values per butterfly step.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     Avx2,
-    /// 128-bit lanes, one complex value per butterfly step.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    Sse2,
     /// Portable reference path.
     Scalar,
 }
@@ -43,7 +38,6 @@ impl Kernel {
     fn name(self) -> &'static str {
         match self {
             Kernel::Avx2 => "avx2",
-            Kernel::Sse2 => "sse2",
             Kernel::Scalar => "scalar",
         }
     }
@@ -55,8 +49,8 @@ pub(crate) fn active() -> Kernel {
     *ACTIVE.get_or_init(detect)
 }
 
-/// Name of the butterfly kernel selected for this process: `"avx2"`,
-/// `"sse2"`, or `"scalar"`.
+/// Name of the butterfly kernel selected for this process: `"avx2"` or
+/// `"scalar"`.
 ///
 /// Benchmark environment stamps record this so baselines from different
 /// machines are comparable; set `ILT_FFT_FORCE_SCALAR=1` before the first
@@ -66,7 +60,7 @@ pub(crate) fn active() -> Kernel {
 ///
 /// ```
 /// let k = ilt_fft::active_kernel();
-/// assert!(["avx2", "sse2", "scalar"].contains(&k));
+/// assert!(["avx2", "scalar"].contains(&k));
 /// ```
 pub fn active_kernel() -> &'static str {
     active().name()
@@ -84,9 +78,6 @@ fn detect() -> Kernel {
         if is_x86_feature_detected!("avx2") {
             return Kernel::Avx2;
         }
-        if is_x86_feature_detected!("sse2") {
-            return Kernel::Sse2;
-        }
     }
     Kernel::Scalar
 }
@@ -103,8 +94,6 @@ pub(crate) fn radix4_stage(
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { x86::radix4_stage_avx2(data, stage, forward) },
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Sse2 => unsafe { x86::radix4_stage_sse2(data, stage, forward) },
         _ => crate::plan::radix4_stage_scalar(data, stage, forward),
     }
 }
@@ -467,71 +456,6 @@ mod x86 {
             base += stride;
         }
     }
-
-    /// Complex multiply on one 128-bit lane. Subtraction of the `im*im`
-    /// cross term is realized as `xor` of the sign bit plus `add`, which is
-    /// bitwise equal to `sub` (SSE2 has no `addsub`; that arrived in SSE3).
-    #[inline(always)]
-    unsafe fn cmul128(x: __m128d, w: __m128d, neg_lo: __m128d) -> __m128d {
-        let wr = _mm_shuffle_pd(w, w, 0b00); // [w.re, w.re]
-        let wi = _mm_shuffle_pd(w, w, 0b11); // [w.im, w.im]
-        let xs = _mm_shuffle_pd(x, x, 0b01); // [x.im, x.re]
-        let prod = _mm_mul_pd(x, wr);
-        let cross = _mm_xor_pd(_mm_mul_pd(xs, wi), neg_lo); // [-x.im*w.im, x.re*w.im]
-        _mm_add_pd(prod, cross)
-    }
-
-    /// Fused radix-4 stage over 128-bit lanes (one complex value per step).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure SSE2 is available (always true on x86_64; checked
-    /// once by `detect`). Requires `stage.t >= 2`.
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn radix4_stage_sse2(
-        data: &mut [Complex64],
-        stage: &Radix4Stage,
-        forward: bool,
-    ) {
-        let t = stage.t;
-        debug_assert!(t >= 2);
-        let stride = 4 * t;
-        let n = data.len();
-        let ptr = data.as_mut_ptr() as *mut f64;
-        let w1 = stage.w1.as_ptr() as *const f64;
-        let w2 = stage.w2.as_ptr() as *const f64;
-        let w3 = stage.w3.as_ptr() as *const f64;
-        let neg_lo = _mm_set_pd(0.0, -0.0);
-        let sigma_mask = if forward {
-            _mm_set_pd(-0.0, 0.0)
-        } else {
-            _mm_set_pd(0.0, -0.0)
-        };
-
-        let mut base = 0usize;
-        while base < n {
-            for j in 0..t {
-                let pa = ptr.add(2 * (base + j));
-                let pb = ptr.add(2 * (base + j + t));
-                let pc = ptr.add(2 * (base + j + 2 * t));
-                let pd = ptr.add(2 * (base + j + 3 * t));
-                let a = _mm_loadu_pd(pa);
-                let u1 = cmul128(_mm_loadu_pd(pb), _mm_loadu_pd(w2.add(2 * j)), neg_lo);
-                let u2 = cmul128(_mm_loadu_pd(pc), _mm_loadu_pd(w1.add(2 * j)), neg_lo);
-                let u3 = cmul128(_mm_loadu_pd(pd), _mm_loadu_pd(w3.add(2 * j)), neg_lo);
-                let t0 = _mm_add_pd(a, u1);
-                let t1 = _mm_sub_pd(a, u1);
-                let t2 = _mm_add_pd(u2, u3);
-                let t3 = _mm_sub_pd(u2, u3);
-                let s3 = _mm_xor_pd(_mm_shuffle_pd(t3, t3, 0b01), sigma_mask);
-                _mm_storeu_pd(pa, _mm_add_pd(t0, t2));
-                _mm_storeu_pd(pb, _mm_add_pd(t1, s3));
-                _mm_storeu_pd(pc, _mm_sub_pd(t0, t2));
-                _mm_storeu_pd(pd, _mm_sub_pd(t1, s3));
-            }
-            base += stride;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -540,7 +464,7 @@ mod tests {
 
     #[test]
     fn active_kernel_is_a_known_name() {
-        assert!(["avx2", "sse2", "scalar"].contains(&active_kernel()));
+        assert!(["avx2", "scalar"].contains(&active_kernel()));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! its case number.
 
 use ilt_fft::{
-    crop_centered, fftshift, ifftshift, pad_centered, Complex64, Direction, Fft2d, FftPlan,
+    crop_centered, pad_centered, Complex64, Direction, Fft2d, FftPlan,
 };
 use ilt_layouts::Xorshift64Star;
 
@@ -98,14 +98,3 @@ fn real_input_conjugate_symmetry() {
     }
 }
 
-/// fftshift and ifftshift are mutually inverse for all sizes.
-#[test]
-fn shift_roundtrip() {
-    let mut rng = Xorshift64Star::new(6);
-    for case in 0..CASES {
-        let n = rng.gen_range_u32(1, 12) as usize;
-        let data = complex_vec(&mut rng, n * n, 1e6);
-        assert_eq!(ifftshift(&fftshift(&data, n), n), data, "case {case}, n = {n}");
-        assert_eq!(fftshift(&ifftshift(&data, n), n), data, "case {case}, n = {n}");
-    }
-}

@@ -165,35 +165,6 @@ pub fn upsample_nearest(f: &Field2D, s: usize) -> Field2D {
     Field2D::from_vec(or, oc, out)
 }
 
-/// Bilinear upsampling by integer factor `s` with half-pixel alignment.
-///
-/// Used by post-processing to visualize low-resolution masks smoothly; the
-/// optimization path itself uses [`upsample_nearest`], matching Algorithm 1.
-///
-/// # Panics
-///
-/// Panics if `s == 0`.
-pub fn upsample_bilinear(f: &Field2D, s: usize) -> Field2D {
-    assert!(s > 0, "upsample factor must be positive");
-    if s == 1 {
-        return f.clone();
-    }
-    let (rows, cols) = f.shape();
-    let (or, oc) = (rows * s, cols * s);
-    let src = f.as_slice();
-    Field2D::from_fn(or, oc, |r, c| {
-        // Map output pixel center to source coordinates (align corners=false).
-        let sy = ((r as f64 + 0.5) / s as f64 - 0.5).clamp(0.0, rows as f64 - 1.0);
-        let sx = ((c as f64 + 0.5) / s as f64 - 0.5).clamp(0.0, cols as f64 - 1.0);
-        let (y0, x0) = (sy.floor() as usize, sx.floor() as usize);
-        let (y1, x1) = ((y0 + 1).min(rows - 1), (x0 + 1).min(cols - 1));
-        let (fy, fx) = (sy - y0 as f64, sx - x0 as f64);
-        let top = src[y0 * cols + x0] * (1.0 - fx) + src[y0 * cols + x1] * fx;
-        let bot = src[y1 * cols + x0] * (1.0 - fx) + src[y1 * cols + x1] * fx;
-        top * (1.0 - fy) + bot * fy
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,25 +315,5 @@ mod tests {
                 assert_eq!(u[(r, c)], f[(r / 3, c / 3)]);
             }
         }
-    }
-
-    #[test]
-    fn bilinear_preserves_constants_and_range() {
-        let f = Field2D::filled(3, 3, 0.7);
-        let u = upsample_bilinear(&f, 4);
-        assert_eq!(u.shape(), (12, 12));
-        for &v in u.as_slice() {
-            assert!((v - 0.7).abs() < 1e-12);
-        }
-
-        let g = Field2D::from_fn(4, 4, |r, _| r as f64);
-        let ug = upsample_bilinear(&g, 2);
-        assert!(ug.min() >= g.min() - 1e-12 && ug.max() <= g.max() + 1e-12);
-    }
-
-    #[test]
-    fn bilinear_scale_one_is_identity() {
-        let f = Field2D::from_fn(3, 5, |r, c| (r * 5 + c) as f64);
-        assert_eq!(upsample_bilinear(&f, 1), f);
     }
 }

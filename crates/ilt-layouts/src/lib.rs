@@ -35,7 +35,6 @@ mod via;
 pub use layout::{Layout, NmRect};
 pub use rng::Xorshift64Star;
 pub use m1::{
-    extended_case, extended_suite, iccad2013_case, iccad2013_suite, m1_case, CLIP_NM,
-    EXTENDED_AREAS, ICCAD2013_AREAS,
+    extended_case, iccad2013_case, m1_case, CLIP_NM, EXTENDED_AREAS, ICCAD2013_AREAS,
 };
-pub use via::{via_pattern, via_pattern_with, via_suite, ViaPatternConfig};
+pub use via::{via_pattern, via_pattern_with, ViaPatternConfig};

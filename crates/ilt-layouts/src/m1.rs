@@ -84,16 +84,6 @@ pub fn m1_case(id: usize) -> Result<Layout, String> {
     }
 }
 
-/// All ten ICCAD 2013 cases in order.
-pub fn iccad2013_suite() -> Vec<Layout> {
-    (1..=10).map(iccad2013_case).collect()
-}
-
-/// All ten extended cases in order.
-pub fn extended_suite() -> Vec<Layout> {
-    (11..=20).map(extended_case).collect()
-}
-
 /// Tiny deterministic LCG; `rand` is reserved for the via sampler where
 /// rejection sampling wants a real RNG.
 struct Lcg(u64);
@@ -231,13 +221,10 @@ mod tests {
 
     #[test]
     fn extended_cases_have_more_geometry_than_iccad() {
-        let avg_iccad: f64 = iccad2013_suite()
-            .iter()
-            .map(|l| l.rects().len() as f64)
-            .sum::<f64>()
-            / 10.0;
+        let avg_iccad: f64 =
+            (1..=10).map(|id| iccad2013_case(id).rects().len() as f64).sum::<f64>() / 10.0;
         let avg_ext: f64 =
-            extended_suite().iter().map(|l| l.rects().len() as f64).sum::<f64>() / 10.0;
+            (11..=20).map(|id| extended_case(id).rects().len() as f64).sum::<f64>() / 10.0;
         assert!(
             avg_ext > avg_iccad,
             "extended cases should carry more shapes: {avg_ext} vs {avg_iccad}"
@@ -246,7 +233,7 @@ mod tests {
 
     #[test]
     fn features_are_m1_scale() {
-        for layout in iccad2013_suite() {
+        for layout in (1..=10).map(iccad2013_case) {
             for r in layout.rects() {
                 let w = (r.x1 - r.x0).min(r.y1 - r.y0);
                 assert!((48..=320).contains(&w), "{}: feature width {w}", layout.name());

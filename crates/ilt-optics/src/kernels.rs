@@ -35,7 +35,7 @@ const EIG_TOL: f64 = 1e-10;
 /// use ilt_optics::{KernelSet, OpticsConfig};
 ///
 /// let cfg = OpticsConfig { grid: 256, num_kernels: 6, ..OpticsConfig::default() };
-/// let kernels = KernelSet::from_config(&cfg, 0.0);
+/// let (kernels, _defocused) = KernelSet::focus_pair(&cfg);
 /// assert_eq!(kernels.num_kernels(), 6);
 /// // The leading kernel dominates.
 /// assert!(kernels.weights()[0] >= kernels.weights()[5]);
@@ -51,30 +51,14 @@ pub struct KernelSet {
 }
 
 impl KernelSet {
-    /// Builds the kernel set for `cfg` at the given defocus (nm; 0 for the
-    /// nominal condition), normalized so the **nominal** open-frame aerial
-    /// intensity equals 1.
-    ///
-    /// Note: for a consistent dose scale across process corners, defocused
-    /// sets should be normalized with the nominal constant — use
-    /// [`KernelSet::focus_pair`] which handles this.
+    /// Builds the `(nominal, defocused)` kernel pair for the process-window
+    /// corners, both normalized by the nominal open-frame intensity (so the
+    /// nominal open-frame aerial intensity equals 1 and dose factors are
+    /// directly comparable between corners).
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid (see [`OpticsConfig::validate`]).
-    pub fn from_config(cfg: &OpticsConfig, defocus_nm: f64) -> Self {
-        let mut set = Self::raw_from_config(cfg, defocus_nm);
-        let c = set.open_frame_intensity();
-        assert!(c > 0.0, "degenerate kernel set: zero open-frame intensity");
-        for w in &mut set.weights {
-            *w /= c;
-        }
-        set
-    }
-
-    /// Builds the `(nominal, defocused)` kernel pair for the process-window
-    /// corners, both normalized by the nominal open-frame intensity so dose
-    /// factors are directly comparable between corners.
     pub fn focus_pair(cfg: &OpticsConfig) -> (KernelSet, KernelSet) {
         let mut nominal = Self::raw_from_config(cfg, 0.0);
         let mut defocus = Self::raw_from_config(cfg, cfg.defocus_nm);
@@ -196,7 +180,7 @@ mod tests {
 
     #[test]
     fn weights_are_descending_and_nonnegative() {
-        let ks = KernelSet::from_config(&tiny_cfg(), 0.0);
+        let ks = KernelSet::focus_pair(&tiny_cfg()).0;
         for w in ks.weights().windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
         }
@@ -205,28 +189,28 @@ mod tests {
 
     #[test]
     fn open_frame_intensity_is_one_after_normalization() {
-        let ks = KernelSet::from_config(&tiny_cfg(), 0.0);
+        let ks = KernelSet::focus_pair(&tiny_cfg()).0;
         assert!((ks.open_frame_intensity() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn captured_energy_is_high_for_enough_kernels() {
         let cfg = OpticsConfig { num_kernels: 12, ..tiny_cfg() };
-        let ks = KernelSet::from_config(&cfg, 0.0);
+        let ks = KernelSet::focus_pair(&cfg).0;
         assert!(
             ks.captured_energy() > 0.85,
             "12 kernels should capture most energy, got {}",
             ks.captured_energy()
         );
         // More kernels capture more energy.
-        let small = KernelSet::from_config(&OpticsConfig { num_kernels: 3, ..tiny_cfg() }, 0.0);
+        let small = KernelSet::focus_pair(&OpticsConfig { num_kernels: 3, ..tiny_cfg() }).0;
         assert!(ks.captured_energy() > small.captured_energy());
     }
 
     #[test]
     fn spectra_are_unit_norm_and_band_limited() {
         let cfg = tiny_cfg();
-        let ks = KernelSet::from_config(&cfg, 0.0);
+        let ks = KernelSet::focus_pair(&cfg).0;
         let p = ks.p();
         // Partially coherent kernels extend to (1 + sigma_max) * cutoff:
         // T(f, f) = sum_s J(s) |P(s + f)|^2 is nonzero out to that band.
@@ -277,7 +261,7 @@ mod tests {
 
     #[test]
     fn spatial_kernel_is_centered_and_localized() {
-        let ks = KernelSet::from_config(&tiny_cfg(), 0.0);
+        let ks = KernelSet::focus_pair(&tiny_cfg()).0;
         let img = ks.spatial_magnitude(0, 128);
         // Peak within a few pixels of the center.
         let mut best = (0usize, 0usize);

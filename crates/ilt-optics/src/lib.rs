@@ -37,7 +37,6 @@
 mod config;
 mod eig;
 mod kernels;
-mod process_window;
 mod pupil;
 mod simulator;
 mod source;
@@ -47,7 +46,6 @@ mod zernike;
 pub use config::OpticsConfig;
 pub use eig::{sym_eig_jacobi, top_eigenpairs, EigPair, HermitianOp};
 pub use kernels::KernelSet;
-pub use process_window::{sweep_process_window, ProcessWindow, ProcessWindowSpec};
 pub use pupil::Pupil;
 pub use simulator::{AerialCache, CornerPrints, LithoSimulator, ProcessCondition};
 pub use source::{SourcePoint, SourceSpec};

@@ -183,29 +183,6 @@ impl LithoSimulator {
         Ok(LithoSimulator { cfg, nominal, defocused, ffts: Mutex::new(HashMap::new()) })
     }
 
-    /// Builds a simulator from pre-computed kernel sets (for tests and for
-    /// replaying externally calibrated kernels).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid or the kernel
-    /// supports disagree with it.
-    pub fn with_kernels(
-        cfg: OpticsConfig,
-        nominal: KernelSet,
-        defocused: KernelSet,
-    ) -> Result<Self, String> {
-        cfg.validate()?;
-        if nominal.p() != cfg.kernel_size() || defocused.p() != cfg.kernel_size() {
-            return Err(format!(
-                "kernel support {} does not match configured size {}",
-                nominal.p(),
-                cfg.kernel_size()
-            ));
-        }
-        Ok(LithoSimulator { cfg, nominal, defocused, ffts: Mutex::new(HashMap::new()) })
-    }
-
     /// The configuration this simulator was built from.
     pub fn config(&self) -> &OpticsConfig {
         &self.cfg
@@ -1026,13 +1003,5 @@ mod tests {
     fn non_power_of_two_mask_panics() {
         let sim = sim(64);
         let _ = sim.aerial(&Field2D::zeros(48, 48), false);
-    }
-
-    #[test]
-    fn with_kernels_rejects_mismatched_support() {
-        let cfg64 = OpticsConfig { grid: 64, num_kernels: 4, ..OpticsConfig::default() };
-        let cfg128 = OpticsConfig { grid: 128, num_kernels: 4, ..OpticsConfig::default() };
-        let (n, d) = KernelSet::focus_pair(&cfg64);
-        assert!(LithoSimulator::with_kernels(cfg128, n, d).is_err());
     }
 }

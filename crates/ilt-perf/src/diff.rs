@@ -3,7 +3,7 @@
 //! Entirely in-tree — no python, no external diff tool. A workload
 //! regresses when its fresh median exceeds the baseline median by more
 //! than the baseline's recorded threshold; everything else (torn files,
-//! schema bumps, smoke results, missing baselines, unit changes) is a
+//! schema bumps, smoke results, missing baselines) is a
 //! typed [`PerfError`], never a silent pass.
 
 use std::path::Path;
@@ -65,22 +65,19 @@ impl DiffReport {
 /// Compares one fresh result against its baseline.
 ///
 /// The regression threshold comes from the *baseline* file (the checked-in
-/// number is the contract) unless `threshold_override` is given. The
-/// boundary is exclusive: a fresh median exactly at
-/// `baseline * (1 + threshold)` still passes.
+/// number is the contract). The boundary is exclusive: a fresh median
+/// exactly at `baseline * (1 + threshold)` still passes.
 ///
 /// # Errors
 ///
 /// [`PerfError::SmokeResult`] if either side was recorded in smoke mode
 /// (labelled with the offending side's path via `baseline_path` /
-/// `fresh_path`), [`PerfError::UnitsMismatch`] when the two measure
-/// different units.
+/// `fresh_path`).
 pub fn diff_result(
     baseline: &BenchResult,
     fresh: &BenchResult,
     baseline_path: &Path,
     fresh_path: &Path,
-    threshold_override: Option<f64>,
 ) -> Result<DiffRow, PerfError> {
     if baseline.smoke {
         return Err(PerfError::SmokeResult { path: baseline_path.to_path_buf() });
@@ -88,14 +85,7 @@ pub fn diff_result(
     if fresh.smoke {
         return Err(PerfError::SmokeResult { path: fresh_path.to_path_buf() });
     }
-    if baseline.units != fresh.units {
-        return Err(PerfError::UnitsMismatch {
-            workload: fresh.workload.clone(),
-            baseline: baseline.units.clone(),
-            fresh: fresh.units.clone(),
-        });
-    }
-    let threshold = threshold_override.unwrap_or(baseline.threshold);
+    let threshold = baseline.threshold;
     let limit = baseline.median_us * (1.0 + threshold);
     let ratio = if baseline.median_us > 0.0 {
         fresh.median_us / baseline.median_us
@@ -129,7 +119,6 @@ pub fn diff_dirs(
     baseline_dir: &Path,
     fresh_dir: &Path,
     selection: &Selection,
-    threshold_override: Option<f64>,
 ) -> Result<DiffReport, PerfError> {
     let reg = registry();
     let mut names: Vec<String> = std::fs::read_dir(fresh_dir)
@@ -160,7 +149,7 @@ pub fn diff_dirs(
             return Err(PerfError::MissingBaseline { workload: name, path: baseline_path });
         }
         let baseline = BenchResult::load(&baseline_path)?;
-        rows.push(diff_result(&baseline, &fresh, &baseline_path, &fresh_path, threshold_override)?);
+        rows.push(diff_result(&baseline, &fresh, &baseline_path, &fresh_path)?);
     }
     Ok(DiffReport { rows })
 }
@@ -172,7 +161,6 @@ mod tests {
     fn result(median: f64, threshold: f64) -> BenchResult {
         BenchResult {
             workload: "w".into(),
-            units: "us_per_op".into(),
             threshold,
             reps: 5,
             median_us: median,
@@ -186,7 +174,7 @@ mod tests {
     }
 
     fn row(baseline: &BenchResult, fresh: &BenchResult) -> DiffRow {
-        diff_result(baseline, fresh, Path::new("b.json"), Path::new("f.json"), None)
+        diff_result(baseline, fresh, Path::new("b.json"), Path::new("f.json"))
             .expect("comparable results")
     }
 
@@ -204,13 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn threshold_comes_from_the_baseline_unless_overridden() {
+    fn threshold_comes_from_the_baseline() {
         let baseline = result(100.0, 0.1);
         let fresh = result(120.0, 9.9); // fresh file's threshold is ignored
         assert!(row(&baseline, &fresh).regressed);
-        let relaxed =
-            diff_result(&baseline, &fresh, Path::new("b"), Path::new("f"), Some(0.5)).unwrap();
-        assert!(!relaxed.regressed);
     }
 
     #[test]
@@ -219,23 +204,12 @@ mod tests {
         smoke.smoke = true;
         let full = result(100.0, 0.5);
         assert!(matches!(
-            diff_result(&smoke, &full, Path::new("b"), Path::new("f"), None),
+            diff_result(&smoke, &full, Path::new("b"), Path::new("f")),
             Err(PerfError::SmokeResult { .. })
         ));
         assert!(matches!(
-            diff_result(&full, &smoke, Path::new("b"), Path::new("f"), None),
+            diff_result(&full, &smoke, Path::new("b"), Path::new("f")),
             Err(PerfError::SmokeResult { .. })
-        ));
-    }
-
-    #[test]
-    fn units_mismatch_is_an_error() {
-        let baseline = result(100.0, 0.5);
-        let mut fresh = result(100.0, 0.5);
-        fresh.units = "jobs_per_s".into();
-        assert!(matches!(
-            diff_result(&baseline, &fresh, Path::new("b"), Path::new("f"), None),
-            Err(PerfError::UnitsMismatch { .. })
         ));
     }
 
@@ -251,7 +225,7 @@ mod tests {
         // Fresh result with no baseline: MissingBaseline.
         result(100.0, 0.5).write(&fresh).unwrap();
         assert!(matches!(
-            diff_dirs(&baselines, &fresh, &Selection::all(), None),
+            diff_dirs(&baselines, &fresh, &Selection::all()),
             Err(PerfError::MissingBaseline { .. })
         ));
 
@@ -259,20 +233,20 @@ mod tests {
         let json = result(100.0, 0.5).to_json();
         std::fs::write(baselines.join("BENCH_w.json"), &json[..json.len() / 3]).unwrap();
         assert!(matches!(
-            diff_dirs(&baselines, &fresh, &Selection::all(), None),
+            diff_dirs(&baselines, &fresh, &Selection::all()),
             Err(PerfError::Malformed { .. })
         ));
 
         // Intact baseline: one clean row.
         result(100.0, 0.5).write(&baselines).unwrap();
-        let report = diff_dirs(&baselines, &fresh, &Selection::all(), None).unwrap();
+        let report = diff_dirs(&baselines, &fresh, &Selection::all()).unwrap();
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.regressions(), 0);
         assert!(report.render().contains("ok"));
 
         // Empty selection must not look green.
         let none = Selection { tags: vec![], names: vec!["nomatch_*".into()] };
-        assert!(diff_dirs(&baselines, &fresh, &none, None).is_err());
+        assert!(diff_dirs(&baselines, &fresh, &none).is_err());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -16,7 +16,7 @@
 //! The barometer is three pieces:
 //!
 //! - **Registry** ([`registry`]): a flat list of [`Workload`]s — name,
-//!   tags, units, regression threshold, and a run function. Five families
+//!   tags, regression threshold, and a run function. Five families
 //!   ship in-tree: FFT variants, simulator aerial/vjp, autodiff backward,
 //!   one optimizer step of each Algorithm 1 branch, and the tiled runtime
 //!   pipeline.
@@ -31,8 +31,8 @@
 //!   more than the workload's threshold.
 //!
 //! The CLI front ends are `ilt bench list|run|diff` and
-//! `ilt tables <selector>...`; `verify_perf.sh` and
-//! `verify_bench.sh` wire it into the standing regression gate.
+//! `ilt tables <selector>...`; `verify_perf.sh` wires the FFT family into
+//! the standing regression gate.
 //!
 //! ## Adding a workload (~20 lines)
 //!
@@ -56,6 +56,6 @@ pub mod tables;
 pub mod workloads;
 
 pub use diff::{diff_dirs, diff_result, DiffReport, DiffRow};
-pub use measure::{env_stamp, injected_delay, measure, EnvStamp, MeasureConfig, Sample};
+pub use measure::{env_stamp, measure, EnvStamp, MeasureConfig, Sample};
 pub use registry::{glob_match, registry, select, Selection, Workload};
 pub use result::{BenchResult, PerfError, SCHEMA_V2};

@@ -1,7 +1,7 @@
 //! The measurement engine: warmup, median-of-N, MAD dispersion, and the
 //! environment stamp that ties a number to the machine that produced it.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How a workload should be measured.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,7 +85,7 @@ pub struct EnvStamp {
     pub git_rev: String,
     /// Hardware threads available to the process.
     pub threads: usize,
-    /// Active FFT kernel (`avx2`, `sse2`, or `scalar`), as detected at
+    /// Active FFT kernel (`avx2` or `scalar`), as detected at
     /// runtime — records whether a number was produced with SIMD
     /// butterflies or the forced-scalar fallback.
     pub simd: String,
@@ -106,21 +106,6 @@ pub fn env_stamp() -> EnvStamp {
     let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let simd = ilt_fft::active_kernel().to_string();
     EnvStamp { git_rev, threads, simd }
-}
-
-/// Chaos hook for the regression gate itself: sleeps for
-/// `ILT_BENCH_DELAY_US` microseconds when that variable is set. Exactly
-/// one workload (`fft_pruned_inverse`) calls this per rep, so the verify
-/// scripts can prove end-to-end that an injected slowdown makes
-/// `ilt bench diff` exit non-zero. Unset (the normal case) it is free.
-pub fn injected_delay() {
-    if let Ok(v) = std::env::var("ILT_BENCH_DELAY_US") {
-        if let Ok(us) = v.trim().parse::<u64>() {
-            if us > 0 {
-                std::thread::sleep(Duration::from_micros(us));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +137,7 @@ mod tests {
         assert!(env.threads >= 1);
         assert!(!env.git_rev.is_empty());
         assert!(
-            ["avx2", "sse2", "scalar"].contains(&env.simd.as_str()),
+            ["avx2", "scalar"].contains(&env.simd.as_str()),
             "unexpected kernel stamp {:?}",
             env.simd
         );

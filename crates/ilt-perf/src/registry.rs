@@ -16,8 +16,6 @@ pub struct Workload {
     pub name: &'static str,
     /// Family tags for `--tag` selection (`fft`, `simulator`, …).
     pub tags: &'static [&'static str],
-    /// What one operation is; diff refuses to compare mismatched units.
-    pub units: &'static str,
     /// Allowed fractional slowdown vs. the checked-in baseline before
     /// `diff` reports a regression (0.1 = fail past 1.1x), set from the
     /// workload's measured spread on the reference box:
@@ -37,41 +35,29 @@ pub struct Workload {
 pub fn registry() -> Vec<Workload> {
     vec![
         Workload {
-            name: "fft_dense_inverse",
-            tags: &["fft"],
-            units: "us_per_op",
-            threshold: 0.21,
-            notes: "dense pad-then-invert of a PxP kernel spectrum at N=1024 (the slow reference path)",
-            run: workloads::fft::dense_inverse,
-        },
-        Workload {
             name: "fft_pruned_inverse",
             tags: &["fft"],
-            units: "us_per_op",
-            threshold: 0.27,
-            notes: "pruned padded inverse (inverse_padded_with) at N=1024, P=25; carries the injected-delay hook",
+            threshold: 0.09,
+            notes: "one SOCS sweep of the pruned padded inverse (inverse_padded_with): 10 kernel spectra, P=57 -> Q=128",
             run: workloads::fft::pruned_inverse,
+        },
+        Workload {
+            name: "fft_pruned_real_inverse",
+            tags: &["fft"],
+            threshold: 0.15,
+            notes: "pruned real inverse (inverse_padded_real_with): the 113^2 image band -> N=1024",
+            run: workloads::fft::pruned_real_inverse,
         },
         Workload {
             name: "fft_pruned_forward",
             tags: &["fft"],
-            units: "us_per_op",
-            threshold: 0.16,
-            notes: "pruned real forward (forward_real_cropped_with) at N=1024, P=25 — crop fused into the column pass",
+            threshold: 0.14,
+            notes: "pruned real forward (forward_real_cropped_with): N=1024 -> the 113^2 band, crop fused into the column pass",
             run: workloads::fft::pruned_forward,
-        },
-        Workload {
-            name: "fft_batch_inverse",
-            tags: &["fft"],
-            units: "us_per_op",
-            threshold: 0.25,
-            notes: "batched pruned inverse (inverse_padded_batch_with): 4 spectra at N=1024, P=25 sharing one twist cache",
-            run: workloads::fft::batch_inverse,
         },
         Workload {
             name: "sim_aerial",
             tags: &["simulator"],
-            units: "us_per_op",
             threshold: 0.05,
             notes: "one aerial image (SOCS sum over 10 kernels) of ICCAD case 1 at grid 512",
             run: workloads::simulator::aerial,
@@ -79,7 +65,6 @@ pub fn registry() -> Vec<Workload> {
         Workload {
             name: "sim_vjp",
             tags: &["simulator"],
-            units: "us_per_op",
             threshold: 0.11,
             notes: "one aerial vector-Jacobian product (the backward hot path) at grid 512",
             run: workloads::simulator::vjp,
@@ -87,7 +72,6 @@ pub fn registry() -> Vec<Workload> {
         Workload {
             name: "autodiff_backward",
             tags: &["autodiff"],
-            units: "us_per_op",
             threshold: 0.05,
             notes: "reverse sweep of the full ILT pipeline graph (pool-sigmoid-Hopkins-resist-loss) at grid 256",
             run: workloads::autodiff::backward,
@@ -95,7 +79,6 @@ pub fn registry() -> Vec<Workload> {
         Workload {
             name: "core_step_lo",
             tags: &["core"],
-            units: "us_per_op",
             threshold: 0.05,
             notes: "one low-res optimizer step (MultiLevelIlt::step: tape, fused Eq. 5 operator, backward) of ICCAD case 1 at grid 1024, s=4, 10 kernels",
             run: workloads::optimizer::step_lo,
@@ -103,7 +86,6 @@ pub fn registry() -> Vec<Workload> {
         Workload {
             name: "core_step_hi",
             tags: &["core"],
-            units: "us_per_op",
             threshold: 0.05,
             notes: "one high-res optimizer step at the same point: mask and gradient at N/s, both corners simulated at N",
             run: workloads::optimizer::step_hi,
@@ -111,7 +93,6 @@ pub fn registry() -> Vec<Workload> {
         Workload {
             name: "runtime_tile_pipeline",
             tags: &["runtime"],
-            units: "us_per_op",
             threshold: 0.12,
             notes: "tiled batch end-to-end via run_batch: 256 px via clip, 9 tiles, 2 worker threads",
             run: workloads::runtime::tile_pipeline,
@@ -193,7 +174,7 @@ mod tests {
         assert!(glob_match("fft_*", "fft_pruned_inverse"));
         assert!(glob_match("*", "anything"));
         assert!(glob_match("sim_aerial", "sim_aerial"));
-        assert!(glob_match("*_inverse", "fft_dense_inverse"));
+        assert!(glob_match("*_inverse", "fft_pruned_inverse"));
         assert!(!glob_match("fft_*", "sim_aerial"));
         assert!(!glob_match("fft", "fft_pruned_forward"));
         assert!(!glob_match("", "x"));
@@ -203,7 +184,7 @@ mod tests {
     #[test]
     fn selection_filters_by_tag_and_name() {
         let fft = select(&Selection { tags: vec!["fft".into()], names: vec![] });
-        assert_eq!(fft.len(), 4);
+        assert_eq!(fft.len(), 3);
         let one = select(&Selection { tags: vec![], names: vec!["sim_*".into()] });
         assert_eq!(one.len(), 2);
         let both = select(&Selection {

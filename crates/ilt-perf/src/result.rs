@@ -56,16 +56,6 @@ pub enum PerfError {
         /// Where the baseline was expected.
         path: PathBuf,
     },
-    /// Baseline and fresh results measure different units — the numbers
-    /// are not comparable.
-    UnitsMismatch {
-        /// The workload involved.
-        workload: String,
-        /// Units recorded in the baseline.
-        baseline: String,
-        /// Units recorded in the fresh result.
-        fresh: String,
-    },
     /// A workload's own setup or self-check failed (e.g. a fast path
     /// diverged from its reference output).
     Workload {
@@ -107,10 +97,6 @@ impl fmt::Display for PerfError {
                 "{workload}: no baseline at {} — check one in with `ilt bench run --name {workload} --out <baseline dir>`",
                 path.display()
             ),
-            PerfError::UnitsMismatch { workload, baseline, fresh } => write!(
-                f,
-                "{workload}: baseline measures {baseline:?} but fresh run measures {fresh:?}"
-            ),
             PerfError::Workload { workload, detail } => {
                 write!(f, "workload {workload}: {detail}")
             }
@@ -132,8 +118,6 @@ impl Error for PerfError {
 pub struct BenchResult {
     /// Registry name of the workload.
     pub workload: String,
-    /// What one operation is (informational; must match to diff).
-    pub units: String,
     /// Allowed fractional slowdown vs. this result when it serves as the
     /// baseline (0.5 = fail past 1.5x).
     pub threshold: f64,
@@ -149,9 +133,7 @@ pub struct BenchResult {
     pub git_rev: String,
     /// Hardware threads on the measuring machine.
     pub threads: usize,
-    /// FFT kernel active during the measurement (`avx2`, `sse2`,
-    /// `scalar`); `unknown` when loading results written before the stamp
-    /// existed.
+    /// FFT kernel active during the measurement (`avx2` or `scalar`).
     pub simd: String,
     /// Workload-specific scalars (grid sizes, tile counts, speedups…).
     pub extra: Vec<(String, f64)>,
@@ -162,7 +144,6 @@ impl BenchResult {
     pub fn new(w: &Workload, sample: &Sample, cfg: &MeasureConfig, env: &EnvStamp) -> BenchResult {
         BenchResult {
             workload: w.name.to_string(),
-            units: w.units.to_string(),
             threshold: w.threshold,
             reps: sample.reps,
             median_us: sample.median_us,
@@ -190,12 +171,11 @@ impl BenchResult {
             extra.push_str(&format!("\"{}\": {}", json_escape(k), json_f64(*v)));
         }
         format!(
-            "{{\n  \"schema\": \"{SCHEMA_V2}\",\n  \"workload\": \"{}\",\n  \"units\": \"{}\",\n  \
-             \"threshold\": {},\n  \"reps\": {},\n  \"median_us\": {},\n  \"mad_us\": {},\n  \
-             \"smoke\": {},\n  \"git_rev\": \"{}\",\n  \"threads\": {},\n  \"simd\": \"{}\",\n  \
+            "{{\n  \"schema\": \"{SCHEMA_V2}\",\n  \"workload\": \"{}\",\n  \"threshold\": {},\n  \
+             \"reps\": {},\n  \"median_us\": {},\n  \"mad_us\": {},\n  \"smoke\": {},\n  \
+             \"git_rev\": \"{}\",\n  \"threads\": {},\n  \"simd\": \"{}\",\n  \
              \"extra\": {{{extra}}}\n}}\n",
             json_escape(&self.workload),
-            json_escape(&self.units),
             json_f64(self.threshold),
             self.reps,
             json_f64(self.median_us),
@@ -235,7 +215,6 @@ impl BenchResult {
         };
         Ok(BenchResult {
             workload: text("workload")?,
-            units: text("units")?,
             threshold: doc.field_f64("threshold")?,
             reps: doc.field_usize("reps")?,
             median_us: doc.field_f64("median_us")?,
@@ -246,12 +225,7 @@ impl BenchResult {
                 .ok_or("field \"smoke\" is missing or not a boolean")?,
             git_rev: text("git_rev")?,
             threads: doc.field_usize("threads")?,
-            // Optional: results written before the kernel stamp existed load
-            // as "unknown" rather than failing the whole diff.
-            simd: match doc.get("simd") {
-                Some(_) => text("simd")?,
-                None => "unknown".to_string(),
-            },
+            simd: text("simd")?,
             extra,
         })
     }
@@ -279,7 +253,6 @@ mod tests {
     fn sample_result() -> BenchResult {
         BenchResult {
             workload: "fft_pruned_inverse".into(),
-            units: "us_per_op".into(),
             threshold: 0.5,
             reps: 5,
             median_us: 11430.926,
@@ -290,17 +263,6 @@ mod tests {
             simd: "avx2".into(),
             extra: vec![("n".into(), 1024.0), ("p".into(), 25.0)],
         }
-    }
-
-    #[test]
-    fn missing_simd_field_defaults_to_unknown() {
-        // A result written before the kernel stamp existed still loads.
-        let mut r = sample_result();
-        r.simd = "unknown".into();
-        let json = r.to_json().replace("  \"simd\": \"unknown\",\n", "");
-        assert!(!json.contains("simd"));
-        let back = BenchResult::from_json(&json, Path::new("old.json")).expect("parse");
-        assert_eq!(back, r);
     }
 
     #[test]

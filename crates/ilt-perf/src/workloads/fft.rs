@@ -1,51 +1,27 @@
-//! FFT workloads: the per-iteration spectral hot paths of the simulator.
+//! FFT workloads: the transforms one fused optimizer step runs, at the
+//! shapes it runs them (`LithoSimulator`'s `image` / `pull_back` on the
+//! 2048-nm clips at grid 1024: `P = 57`, sample grid `Q = 128`, image band
+//! `2P - 1 = 113`).
 //!
-//! Five variants — the dense pad-then-invert reference, the pruned padded
-//! inverse that replaced it, the Hermitian real-input forward, the pruned
-//! real forward (crop fused into the column pass), and the batched
-//! inverse used by the SOCS kernel sum. The fast paths cross-check
-//! against their references once per run, so a kernel change that breaks
-//! numerics fails the bench before it can post a "speedup".
+//! Three variants — the per-kernel pruned padded inverse at `Q`, the
+//! pruned real inverse that interpolates the image band to the mask grid,
+//! and the pruned real forward that crops a mask-sized gradient back to
+//! that band. Each cross-checks against a dense reference once per run, so
+//! a kernel change that breaks numerics fails the bench before it can post
+//! a "speedup".
 
 use ilt_fft::{crop_centered, pad_centered_into, Complex64, Fft2d, Fft2dScratch};
 use ilt_layouts::Xorshift64Star;
 
-use crate::measure::{injected_delay, measure, MeasureConfig, Sample};
+use crate::measure::{measure, MeasureConfig, Sample};
 use crate::result::PerfError;
 
 use super::noise;
 
-/// Grid and kernel-support sizes: the full-chip serving grid in full mode,
-/// a tiny transform in smoke mode.
-fn sizes(cfg: &MeasureConfig) -> (usize, usize) {
-    if cfg.smoke {
-        (64, 5)
-    } else {
-        (1024, 25)
-    }
-}
-
-/// A deterministic `p x p` kernel spectrum.
-fn random_spec(p: usize) -> Vec<Complex64> {
-    random_spec_seeded(p, 0x5EED_F00D)
-}
-
-/// A deterministic `p x p` kernel spectrum with an explicit seed, so the
-/// batch workload can build several distinct spectra.
-fn random_spec_seeded(p: usize, seed: u64) -> Vec<Complex64> {
+/// A deterministic `p x p` spectrum.
+fn random_spec(p: usize, seed: u64) -> Vec<Complex64> {
     let mut rng = Xorshift64Star::new(seed);
     (0..p * p).map(|_| Complex64::new(noise(&mut rng), noise(&mut rng))).collect()
-}
-
-/// How many transforms the batch workload runs per operation: enough to
-/// amortize twiddle/scratch sharing, small enough to keep full-mode runs
-/// in the tens of milliseconds.
-fn batch_len(cfg: &MeasureConfig) -> usize {
-    if cfg.smoke {
-        2
-    } else {
-        4
-    }
 }
 
 /// A deterministic real mask image of side `n`.
@@ -76,51 +52,63 @@ fn check_agreement(
     Ok(())
 }
 
-/// Dense pad + inverse of a `P x P` kernel spectrum: the per-kernel cost
-/// of every simulator iteration before the pruned path existed. Kept as a
-/// workload so the pruned path's advantage stays an *observed* number.
-pub fn dense_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
-    let (n, p) = sizes(cfg);
-    let fft = Fft2d::new(n, n);
-    let mut scratch = Fft2dScratch::new();
-    let spec = random_spec(p);
-    let mut buf = vec![Complex64::ZERO; n * n];
-    let sample = measure(cfg, || {
-        pad_centered_into(&spec, p, &mut buf, n);
-        fft.inverse_with(&mut buf, &mut scratch);
-    });
-    Ok(sample.with_extra("n", n as f64).with_extra("p", p as f64))
-}
-
-/// The pruned padded inverse ([`Fft2d::inverse_padded_with`]) — the path
-/// every simulator iteration actually runs. Cross-checked against the
-/// dense reference; carries the `ILT_BENCH_DELAY_US` injection hook the
-/// verify scripts use to prove the diff gate trips.
+/// One SOCS sweep of the per-kernel pruned padded inverse
+/// ([`Fft2d::inverse_padded_with`]): `K = 10` kernel spectra of support
+/// `P = 57` onto the `Q = 128` sample grid — the only shape the simulator
+/// runs it at, one sweep per focus state of a fused step. The last field is
+/// cross-checked against the dense pad-then-invert reference.
 pub fn pruned_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
-    let (n, p) = sizes(cfg);
-    let fft = Fft2d::new(n, n);
+    let (q, p, k) = if cfg.smoke { (32, 9, 2) } else { (128, 57, 10) };
+    let fft = Fft2d::new(q, q);
     let mut scratch = Fft2dScratch::new();
-    let spec = random_spec(p);
+    let specs: Vec<Vec<Complex64>> =
+        (0..k).map(|i| random_spec(p, 0x5EED_F00D ^ (i as u64 + 1))).collect();
 
-    let mut reference = vec![Complex64::ZERO; n * n];
-    pad_centered_into(&spec, p, &mut reference, n);
+    let mut reference = vec![Complex64::ZERO; q * q];
+    pad_centered_into(&specs[k - 1], p, &mut reference, q);
     fft.inverse_with(&mut reference, &mut scratch);
 
-    let mut buf = vec![Complex64::ZERO; n * n];
+    let mut buf = vec![Complex64::ZERO; q * q];
     let sample = measure(cfg, || {
-        fft.inverse_padded_with(&spec, p, &mut buf, &mut scratch);
-        injected_delay();
+        for spec in &specs {
+            fft.inverse_padded_with(spec, p, &mut buf, &mut scratch);
+        }
     });
-    check_agreement(&buf, &reference, "fft_pruned_inverse", "dense inverse", n)?;
-    Ok(sample.with_extra("n", n as f64).with_extra("p", p as f64))
+    check_agreement(&buf, &reference, "fft_pruned_inverse", "dense inverse", q)?;
+    Ok(sample.with_extra("n", q as f64).with_extra("p", p as f64).with_extra("kernels", k as f64))
 }
 
-/// The pruned real forward ([`Fft2d::forward_real_cropped_with`]): crop to
-/// the `P x P` kernel support fused into the column pass, so only the
-/// retained band of rows is ever column-transformed. Cross-checked against
-/// the dense complex forward followed by a centered crop.
+/// The pruned real inverse ([`Fft2d::inverse_padded_real_with`]): the
+/// `(2P - 1)^2 = 113^2` band of an intensity interpolated to the `N = 1024`
+/// mask grid — one per corner image of a high-resolution step. Cross-checked
+/// against the real part of the complex pruned inverse.
+pub fn pruned_real_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
+    let (n, band) = if cfg.smoke { (64, 9) } else { (1024, 113) };
+    let fft = Fft2d::new(n, n);
+    let mut scratch = Fft2dScratch::new();
+    let spec = random_spec(band, 0x5EED_F00D);
+
+    let mut reference = vec![Complex64::ZERO; n * n];
+    fft.inverse_padded_with(&spec, band, &mut reference, &mut scratch);
+    let reference: Vec<Complex64> = reference.iter().map(|z| Complex64::from_real(z.re)).collect();
+
+    let mut out = vec![0.0; n * n];
+    let sample = measure(cfg, || {
+        fft.inverse_padded_real_with(&spec, band, &mut out, &mut scratch);
+    });
+    let got: Vec<Complex64> = out.iter().map(|&x| Complex64::from_real(x)).collect();
+    check_agreement(&got, &reference, "fft_pruned_real_inverse", "inverse_padded_with(..).re", n)?;
+    Ok(sample.with_extra("n", n as f64).with_extra("p", band as f64))
+}
+
+/// The pruned real forward ([`Fft2d::forward_real_cropped_with`]): an
+/// `N = 1024` gradient image cropped to its `113^2` band, the crop fused
+/// into the column pass so only the retained rows are ever
+/// column-transformed — one per corner of a high-resolution step.
+/// Cross-checked against the dense complex forward followed by a centered
+/// crop.
 pub fn pruned_forward(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
-    let (n, p) = sizes(cfg);
+    let (n, p) = if cfg.smoke { (64, 9) } else { (1024, 113) };
     let fft = Fft2d::new(n, n);
     let mut scratch = Fft2dScratch::new();
     let img = random_image(n);
@@ -138,40 +126,4 @@ pub fn pruned_forward(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
     });
     check_agreement(&out, &reference, "fft_pruned_forward", "dense forward + crop", n)?;
     Ok(sample.with_extra("n", n as f64).with_extra("p", p as f64))
-}
-
-/// The batched pruned inverse ([`Fft2d::inverse_padded_batch_with`]): the
-/// SOCS kernel sum's shape — every kernel spectrum through one shared
-/// twist cache and scratch arena, results streamed to a callback.
-/// Cross-checked against sequential pruned inverses.
-pub fn batch_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
-    let (n, p) = sizes(cfg);
-    let k = batch_len(cfg);
-    let fft = Fft2d::new(n, n);
-    let mut scratch = Fft2dScratch::new();
-    let specs: Vec<Vec<Complex64>> =
-        (0..k).map(|i| random_spec_seeded(p, 0x5EED_F00D ^ (i as u64 + 1))).collect();
-    let spec_refs: Vec<&[Complex64]> = specs.iter().map(|v| v.as_slice()).collect();
-
-    let mut reference = vec![Complex64::ZERO; k * n * n];
-    for (i, spec) in specs.iter().enumerate() {
-        let mut buf = vec![Complex64::ZERO; n * n];
-        fft.inverse_padded_with(spec, p, &mut buf, &mut scratch);
-        reference[i * n * n..(i + 1) * n * n].copy_from_slice(&buf);
-    }
-
-    let mut got = vec![Complex64::ZERO; k * n * n];
-    let sample = measure(cfg, || {
-        fft.inverse_padded_batch_with(
-            &spec_refs,
-            p,
-            |i, z| got[i * n * n..(i + 1) * n * n].copy_from_slice(z),
-            &mut scratch,
-        );
-    });
-    check_agreement(&got, &reference, "fft_batch_inverse", "sequential pruned inverse", n)?;
-    Ok(sample
-        .with_extra("n", n as f64)
-        .with_extra("p", p as f64)
-        .with_extra("batch", k as f64))
 }

@@ -707,7 +707,8 @@ mod tests {
         assert_eq!(out.cases[0].tiles, 9);
         assert_eq!(out.cases[0].cancelled_tiles, 9);
         assert_eq!(out.cases[0].failed_tiles, 0, "cancelled tiles are not failures");
-        assert_eq!(out.report.cancelled_jobs(), 9);
+        let cancelled = out.report.records.iter().filter(|r| r.status == JobStatus::Cancelled);
+        assert_eq!(cancelled.count(), 9);
         assert_eq!(out.report.failed_jobs(), 0);
         assert_eq!(config.progress.done(), 0);
         assert_eq!(out.cases[0].mask, case.target.threshold(0.5));

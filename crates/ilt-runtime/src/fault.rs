@@ -10,15 +10,10 @@
 //! used by `tests/resume_e2e.rs`).
 //!
 //! Determinism is the point: a fault either fires at `(job_id, attempt)` or
-//! it does not, for every execution, regardless of thread count. The seeded
-//! [`FaultPlan::scattered`] constructor draws its *choice* of victims from
-//! the in-tree xorshift generator, so even randomized chaos runs replay
-//! exactly from their seed.
+//! it does not, for every execution, regardless of thread count.
 
 use std::fmt;
 use std::time::Duration;
-
-use ilt_layouts::Xorshift64Star;
 
 /// What a single injected fault does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,26 +147,6 @@ impl FaultPlan {
     pub fn with(mut self, spec: FaultSpec) -> Self {
         self.specs.push(spec);
         self
-    }
-
-    /// Seeded random scatter: each of `n_jobs` jobs independently suffers
-    /// one first-attempt fault with probability `rate`, the kind cycling
-    /// deterministically through `kinds`. Same seed, same plan.
-    pub fn scattered(seed: u64, n_jobs: usize, rate: f64, kinds: &[FaultKind]) -> Self {
-        let mut rng = Xorshift64Star::new(seed.max(1));
-        let mut plan = Self::default();
-        if kinds.is_empty() || !(rate > 0.0) {
-            return plan;
-        }
-        let mut pick = 0usize;
-        for job_id in 0..n_jobs {
-            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            if u < rate {
-                plan.specs.push(FaultSpec::at(job_id, 1, kinds[pick % kinds.len()]));
-                pick += 1;
-            }
-        }
-        plan
     }
 
     /// The largest job id any spec targets (for validation against the
@@ -504,18 +479,5 @@ mod tests {
         assert!(!q.has_transport_faults());
         assert_eq!(q.transport_fault(0, 1), None);
         assert_eq!(q.transport_fault(1, 1), None);
-    }
-
-    #[test]
-    fn scattered_is_seed_deterministic() {
-        let kinds = [FaultKind::Panic, FaultKind::PoisonNan];
-        let a = FaultPlan::scattered(42, 100, 0.3, &kinds);
-        let b = FaultPlan::scattered(42, 100, 0.3, &kinds);
-        assert_eq!(a, b);
-        assert!(!a.is_empty(), "30% of 100 jobs should hit something");
-        let c = FaultPlan::scattered(43, 100, 0.3, &kinds);
-        assert_ne!(a, c, "different seed, different plan (overwhelmingly)");
-        assert!(FaultPlan::scattered(42, 100, 0.0, &kinds).is_empty());
-        assert!(FaultPlan::scattered(42, 100, 0.5, &[]).is_empty());
     }
 }

@@ -249,14 +249,6 @@ impl RunReport {
             .count()
     }
 
-    /// Number of jobs that ended [`JobStatus::Cancelled`] (never ran).
-    pub fn cancelled_jobs(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.status, JobStatus::Cancelled))
-            .count()
-    }
-
     /// Number of jobs whose terminal (or degrading) reason classifies as
     /// the typed `"numeric"` failure — the NaN/Inf guard tripping.
     pub fn numeric_failures(&self) -> usize {
@@ -589,7 +581,6 @@ mod tests {
         assert!(r.to_json_opts(false).contains("\"status\":\"cancelled\""));
         let report = RunReport { threads: 1, records: vec![r], total_wall_ms: 1.0 };
         assert_eq!(report.failed_jobs(), 0);
-        assert_eq!(report.cancelled_jobs(), 1);
         assert_eq!(report.numeric_failures(), 0);
         assert!(report.to_string().contains("CANCELLED"));
     }

@@ -66,31 +66,19 @@ impl Usage {
         Ok(())
     }
 
-    pub(crate) fn add_queued(&mut self, client: &str) {
-        self.0.entry(client.to_string()).or_default().queued += 1;
-    }
-
-    /// Moves one of `client`'s jobs from queued to active (worker claim).
-    pub(crate) fn claim(&mut self, client: &str) {
-        let u = self.0.get_mut(client).expect("claimed client has usage");
-        assert!(u.queued > 0, "claim with zero queued for {client:?}");
-        u.queued -= 1;
-        u.active += 1;
-    }
-
-    pub(crate) fn drop_queued(&mut self, client: &str) {
-        let u = self.0.get_mut(client).expect("dequeued client has usage");
-        assert!(u.queued > 0, "queued underflow for {client:?}");
-        u.queued -= 1;
-        if *u == ClientUsage::default() {
-            self.0.remove(client);
-        }
-    }
-
-    pub(crate) fn drop_active(&mut self, client: &str) {
-        let u = self.0.get_mut(client).expect("finished client has usage");
-        assert!(u.active > 0, "active underflow for {client:?}");
-        u.active -= 1;
+    /// Moves `client`'s counts by `(d_queued, d_active)`: `(1, 0)` is an
+    /// admission, `(-1, 1)` a worker's claim, `(-1, 0)` a dequeue without
+    /// one (cancel, drain) and `(0, -1)` a finished job.
+    pub(crate) fn shift(&mut self, client: &str, d_queued: isize, d_active: isize) {
+        let u = self.0.entry(client.to_string()).or_default();
+        u.queued = u
+            .queued
+            .checked_add_signed(d_queued)
+            .unwrap_or_else(|| panic!("queued underflow for {client:?}"));
+        u.active = u
+            .active
+            .checked_add_signed(d_active)
+            .unwrap_or_else(|| panic!("active underflow for {client:?}"));
         if *u == ClientUsage::default() {
             self.0.remove(client);
         }

@@ -334,7 +334,7 @@ impl JobStore {
                         if state == JobState::Queued {
                             stats.requeued += 1;
                             inner.queue.push(admission.class, id);
-                            inner.usage.add_queued(&admission.client);
+                            inner.usage.shift(&admission.client, 1, 0);
                         } else {
                             stats.restored += 1;
                         }

@@ -164,7 +164,6 @@ pub(crate) struct Inner {
     pub(crate) queue: ClassQueues<usize>,
     accepting: bool,
     running: usize,
-    evicted: usize,
     pub(crate) usage: Usage,
 }
 
@@ -243,7 +242,6 @@ impl JobStore {
                 queue: ClassQueues::new(),
                 accepting: true,
                 running: 0,
-                evicted: 0,
                 usage: Usage::default(),
             }),
             wakeup: Condvar::new(),
@@ -292,7 +290,7 @@ impl JobStore {
             state.log_submit(id, params, &admission);
         }
         inner.queue.push(admission.class, id);
-        inner.usage.add_queued(&admission.client);
+        inner.usage.shift(&admission.client, 1, 0);
         let queued = new_entry(id, Ok(params.clone()), admission, JobState::Queued, None);
         inner.jobs.insert(id, JobEntry { tiles_planned, ..queued });
         drop(inner);
@@ -316,7 +314,7 @@ impl JobStore {
                 let params = entry.take_work().expect("a queued job has its description");
                 let claim = (id, params, entry.cancel.clone(), entry.progress.clone());
                 let client = entry.client.clone();
-                inner.usage.claim(&client);
+                inner.usage.shift(&client, -1, 1);
                 return Some(claim);
             }
             if !inner.accepting {
@@ -356,7 +354,7 @@ impl JobStore {
             }
         }
         entry.finished_at = Some(Instant::now());
-        inner.usage.drop_active(&client);
+        inner.usage.shift(&client, 0, -1);
         drop(inner);
         if let Some(state) = &self.state {
             state.end_persist();
@@ -376,7 +374,7 @@ impl JobStore {
         entry.state = JobState::Cancelled;
         entry.finished_at = Some(Instant::now());
         let client = entry.client.clone();
-        inner.usage.drop_active(&client);
+        inner.usage.shift(&client, 0, -1);
         drop(inner);
         self.wakeup.notify_all();
         self.maybe_compact();
@@ -399,7 +397,7 @@ impl JobStore {
                 entry.finished_at = Some(Instant::now());
                 let client = entry.client.clone();
                 inner.queue.retain(|&q| q != id);
-                inner.usage.drop_queued(&client);
+                inner.usage.shift(&client, -1, 0);
                 CancelOutcome::Cancelled
             }
             JobState::Running => {
@@ -455,13 +453,7 @@ impl JobStore {
                 }
             }
         }
-        inner.evicted += evicted;
         evicted
-    }
-
-    /// Masks evicted since start.
-    pub fn evictions(&self) -> usize {
-        self.lock().evicted
     }
 
     /// Stops admissions and wakes every worker so the queue drains.
@@ -481,7 +473,7 @@ impl JobStore {
             entry.take_work();
             entry.finished_at = Some(Instant::now());
             let client = entry.client.clone();
-            inner.usage.drop_queued(&client);
+            inner.usage.shift(&client, -1, 0);
         }
     }
 
@@ -841,7 +833,6 @@ mod tests {
         assert_eq!(store.sweep(Some(Duration::from_secs(3600)), usize::MAX), 0);
         assert!(matches!(store.mask_pgm(0), MaskFetch::Ready(_)));
         assert_eq!(store.sweep(Some(Duration::ZERO), usize::MAX), 1);
-        assert_eq!(store.evictions(), 1);
         assert!(matches!(store.mask_pgm(0), MaskFetch::Gone));
         // Metadata and hash survive; only the pixels are gone.
         let detail = store.render_detail(0, true).unwrap();

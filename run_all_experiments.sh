@@ -5,7 +5,6 @@
 # up); EXPERIMENTS.md is the tables log with prose around it.
 set -eo pipefail
 ./verify_perf.sh
-./verify_bench.sh
 OUT=bench-out/tables
 mkdir -p $OUT
 ./target/release/ilt tables all --grid 1024 --out $OUT 2>&1 | tee $OUT/all_1024.md

@@ -23,7 +23,6 @@
 //! ilt kernels  [--grid 512] [--kernels 10]
 //! ilt bench    <list|run|diff> [NAME_GLOB ...] [--tag TAG] [--name GLOB]
 //!              [--smoke] [--reps 5] [--out bench-out/perf] [--baselines .]
-//!              [--threshold F]
 //! ilt tables   <table1..4|fig1|fig4..8|timing|ablation|all>... [--grid 512]
 //!              [--kernels 10] [--max-eff-nm 8] [--case N] [--smoke]
 //!              [--reps 5] [--out bench-out/tables]
@@ -120,7 +119,7 @@ const JOB_FLAGS: [&str; 12] = [
 /// Every other long flag, and whether it takes a value. What a flag means
 /// is read where it is used, by its key ([`Cli::get`], [`Cli::flag`],
 /// [`Cli::on`]); this table only tells a known flag from a typo.
-const FLAGS: [(&str, bool); 35] = [
+const FLAGS: [(&str, bool); 34] = [
     ("--no-eval", false), ("--case", true), ("--via", true), ("--target", true),
     ("--mask", true), ("--out", true), ("--journal", true), ("--no-timing", false),
     ("--checkpoint", false), ("--resume", false), ("--no-degrade", false), ("--addr", true),
@@ -130,7 +129,7 @@ const FLAGS: [(&str, bool); 35] = [
     ("--idle-timeout-s", true), ("--workers", true), ("--cluster", false),
     ("--heartbeat-ms", true), ("--speculate-factor", true), ("--speculate-after", true),
     ("--register", true), ("--reps", true), ("--tag", true), ("--name", true),
-    ("--baselines", true), ("--smoke", false), ("--threshold", true),
+    ("--baselines", true), ("--smoke", false),
 ];
 
 /// `--addr` when it is not given (`serve`, `worker`).
@@ -372,7 +371,12 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
+/// `serve`'s flags as a [`ServerConfig`]. A flag that was not given keeps
+/// the value `ServerConfig::default()` / `ClusterConfig::default()` /
+/// `ExecPolicy::default()` gives its field — the defaults live there, not
+/// here.
+fn server_config(cli: &Cli) -> Result<ServerConfig, String> {
+    let base = ServerConfig::default();
     let workers: Vec<String> = cli
         .get("workers")
         .map(|list| list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(Into::into))
@@ -383,36 +387,65 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
     // `--workers` lists initial replicas; `--cluster` alone starts an empty
     // coordinator that workers register with (`ilt worker --register`).
     let cluster = if cli.on("cluster") || !workers.is_empty() {
+        let base = ClusterConfig::default();
+        let heartbeat_ms = cli.flag("heartbeat_ms", base.heartbeat.as_millis() as u64)?;
         Some(ClusterConfig {
             workers,
-            heartbeat: Duration::from_millis(cli.flag("heartbeat_ms", 500u64)?.max(10)),
-            speculate_factor: cli.flag("speculate_factor", 3.0f64)?.max(0.0),
-            speculate_min_samples: cli.flag("speculate_after", 3usize)?.max(1),
-            ..ClusterConfig::default()
+            heartbeat: Duration::from_millis(heartbeat_ms.max(10)),
+            speculate_factor: cli.flag("speculate_factor", base.speculate_factor)?.max(0.0),
+            speculate_min_samples: cli.flag("speculate_after", base.speculate_min_samples)?.max(1),
+            ..base
         })
     } else {
         None
     };
-    let result_ttl_s = cli.flag("result_ttl_s", 0.0f64)?;
-    let max_masks = cli.flag("max_masks", 0usize)?;
-    let config = ServerConfig {
+    let idle_timeout_s = cli.flag("idle_timeout_s", base.idle_timeout.as_secs_f64())?;
+    Ok(ServerConfig {
         addr: cli.get("addr").unwrap_or(DEFAULT_ADDR).into(),
-        workers: cli.flag("threads", 1usize)?.max(1),
-        queue_cap: cli.flag("queue", 16)?,
+        workers: cli.flag("threads", base.workers)?.max(1),
+        queue_cap: cli.flag("queue", base.queue_cap)?,
         journal: cli.get("journal").map(Into::into),
-        cache_capacity: cli.flag("cache", 16)?,
+        cache_capacity: cli.flag("cache", base.cache_capacity)?,
         policy: ExecPolicy { allow_inject: cli.on("allow_inject"), ..cli.policy()? },
         state_dir: cli.get("state_dir").map(Into::into),
-        result_ttl: (result_ttl_s > 0.0).then(|| Duration::from_secs_f64(result_ttl_s)),
-        max_resident_masks: if max_masks == 0 { usize::MAX } else { max_masks },
-        quota_inflight: cli.flag("quota_inflight", 0)?,
-        quota_queued: cli.flag("quota_queued", 0)?,
-        compact_state_bytes: cli.flag("compact_bytes", 0)?,
-        keep_alive_requests: cli.flag("keep_alive", 32usize)?.max(1),
-        idle_timeout: Duration::from_secs_f64(cli.flag("idle_timeout_s", 5.0f64)?.max(0.05)),
+        // `0` spells the unbounded value of each.
+        result_ttl: match cli.parsed::<f64>("result_ttl_s")? {
+            Some(s) => (s > 0.0).then(|| Duration::from_secs_f64(s)),
+            None => base.result_ttl,
+        },
+        max_resident_masks: match cli.parsed("max_masks")? {
+            Some(0) => usize::MAX,
+            Some(n) => n,
+            None => base.max_resident_masks,
+        },
+        quota_inflight: cli.flag("quota_inflight", base.quota_inflight)?,
+        quota_queued: cli.flag("quota_queued", base.quota_queued)?,
+        compact_state_bytes: cli.flag("compact_bytes", base.compact_state_bytes)?,
+        keep_alive_requests: cli.flag("keep_alive", base.keep_alive_requests)?.max(1),
+        idle_timeout: Duration::from_secs_f64(idle_timeout_s.max(0.05)),
         cluster,
-        ..ServerConfig::default()
-    };
+        ..base
+    })
+}
+
+/// `worker`'s flags as a [`WorkerConfig`], defaults as in [`server_config`].
+fn worker_config(cli: &Cli) -> Result<WorkerConfig, String> {
+    let spec = cli.get("inject").unwrap_or("");
+    let policy = cli.policy()?;
+    Ok(WorkerConfig {
+        addr: cli.get("addr").unwrap_or(DEFAULT_ADDR).into(),
+        state_dir: cli.get("state_dir").map(Into::into),
+        faults: FaultPlan::parse(spec).map_err(|e| format!("bad --inject {spec}: {e}"))?,
+        policy: ExecPolicy {
+            max_threads_per_job: cli.flag("threads", policy.max_threads_per_job)?.max(1),
+            ..policy
+        },
+        ..WorkerConfig::default()
+    })
+}
+
+fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
+    let config = server_config(cli)?;
     let workers = config.workers;
     let queue = config.queue_cap;
     if let Some(dir) = &config.state_dir {
@@ -442,17 +475,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let spec = cli.flag("inject", String::new())?;
-    let config = WorkerConfig {
-        addr: cli.get("addr").unwrap_or(DEFAULT_ADDR).into(),
-        state_dir: cli.get("state_dir").map(Into::into),
-        faults: FaultPlan::parse(&spec).map_err(|e| format!("bad --inject {spec}: {e}"))?,
-        policy: ExecPolicy {
-            max_threads_per_job: cli.flag("threads", 1usize)?.max(1),
-            ..cli.policy()?
-        },
-        ..WorkerConfig::default()
-    };
+    let config = worker_config(cli)?;
     if let Some(dir) = &config.state_dir {
         println!("state: {}", dir.display());
     }
@@ -583,7 +606,7 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
 
     let usage = "usage: ilt bench <list|run|diff> [NAME_GLOB ...] \
                  [--tag TAG] [--name GLOB] [--smoke] [--reps N] \
-                 [--out DIR] [--baselines DIR] [--threshold F]";
+                 [--out DIR] [--baselines DIR]";
     let sub = cli.cases.first().map(String::as_str).ok_or(usage)?;
     // Positionals after the subcommand are name globs, same as --name.
     let mut selection = Selection { tags: cli.all("tag"), names: cli.all("name") };
@@ -598,13 +621,12 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
             if workloads.is_empty() {
                 return Err("no workloads match the selection".into());
             }
-            println!("{:<22} {:<11} {:>10} {:>10}  notes", "workload", "tags", "units", "threshold");
+            println!("{:<24} {:<11} {:>10}  notes", "workload", "tags", "threshold");
             for w in &workloads {
                 println!(
-                    "{:<22} {:<11} {:>10} {:>9.0}%  {}",
+                    "{:<24} {:<11} {:>9.0}%  {}",
                     w.name,
                     w.tags.join(","),
-                    w.units,
                     w.threshold * 100.0,
                     w.notes
                 );
@@ -631,10 +653,9 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
                 let result = BenchResult::new(w, &sample, &cfg, &env);
                 let path = result.write(Path::new(out_dir))?;
                 println!(
-                    "{:<22} {:>12.1} {} (mad {:.1})  -> {}",
+                    "{:<24} {:>12.1} us/op (mad {:.1})  -> {}",
                     w.name,
                     sample.median_us,
-                    w.units,
                     sample.mad_us,
                     path.display()
                 );
@@ -646,7 +667,6 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
                 Path::new(cli.get("baselines").unwrap_or(".")),
                 Path::new(out_dir),
                 &selection,
-                cli.parsed("threshold")?,
             )?;
             print!("{}", report.render());
             let regressions = report.regressions();
@@ -707,5 +727,94 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(args: &[&str]) -> Cli {
+        let argv = std::iter::once("serve").chain(args.iter().copied()).map(String::from);
+        Cli::parse(argv).expect("known flags").1
+    }
+
+    /// The whole flag -> config mapping of `serve` and `worker`: no flag
+    /// leaves every field at its crate's default (bar the CLI's own listen
+    /// address), and each flag alone moves exactly its field — compared
+    /// through `Debug`, which prints every field.
+    #[test]
+    fn serve_and_worker_flags_map_onto_the_config_defaults() {
+        type Edit<T> = fn(&mut T);
+        let serve: &[(&[&str], Edit<ServerConfig>)] = &[
+            (&[], |_| {}),
+            (&["--addr", "0.0.0.0:9"], |c| c.addr = "0.0.0.0:9".into()),
+            (&["--threads", "3"], |c| c.workers = 3),
+            (&["--threads", "0"], |c| c.workers = 1),
+            (&["--queue", "7"], |c| c.queue_cap = 7),
+            (&["--journal", "j.jsonl"], |c| c.journal = Some("j.jsonl".into())),
+            (&["--cache", "5"], |c| c.cache_capacity = 5),
+            (&["--retries", "3"], |c| c.policy.default_retries = 3),
+            (&["--timeout-s", "2.5"], |c| c.policy.default_timeout_s = 2.5),
+            (&["--allow-inject"], |c| c.policy.allow_inject = true),
+            (&["--state-dir", "sd"], |c| c.state_dir = Some("sd".into())),
+            (&["--result-ttl-s", "2.5"], |c| c.result_ttl = Some(Duration::from_millis(2500))),
+            (&["--result-ttl-s", "0"], |c| c.result_ttl = None),
+            (&["--max-masks", "9"], |c| c.max_resident_masks = 9),
+            (&["--max-masks", "0"], |c| c.max_resident_masks = usize::MAX),
+            (&["--quota-inflight", "3"], |c| c.quota_inflight = 3),
+            (&["--quota-queued", "4"], |c| c.quota_queued = 4),
+            (&["--compact-bytes", "4096"], |c| c.compact_state_bytes = 4096),
+            (&["--keep-alive", "8"], |c| c.keep_alive_requests = 8),
+            (&["--keep-alive", "0"], |c| c.keep_alive_requests = 1),
+            (&["--idle-timeout-s", "1.5"], |c| c.idle_timeout = Duration::from_millis(1500)),
+            (&["--idle-timeout-s", "0"], |c| c.idle_timeout = Duration::from_millis(50)),
+            (&["--cluster"], |c| c.cluster = Some(ClusterConfig::default())),
+            (&["--workers", "a:1, b:2"], |c| {
+                let workers = vec!["a:1".to_string(), "b:2".to_string()];
+                c.cluster = Some(ClusterConfig { workers, ..ClusterConfig::default() });
+            }),
+            (&["--cluster", "--heartbeat-ms", "250"], |c| {
+                let heartbeat = Duration::from_millis(250);
+                c.cluster = Some(ClusterConfig { heartbeat, ..ClusterConfig::default() });
+            }),
+            (&["--cluster", "--heartbeat-ms", "1"], |c| {
+                let heartbeat = Duration::from_millis(10);
+                c.cluster = Some(ClusterConfig { heartbeat, ..ClusterConfig::default() });
+            }),
+            (&["--cluster", "--speculate-factor", "-1"], |c| {
+                c.cluster = Some(ClusterConfig { speculate_factor: 0.0, ..ClusterConfig::default() });
+            }),
+            (&["--cluster", "--speculate-after", "0"], |c| {
+                c.cluster =
+                    Some(ClusterConfig { speculate_min_samples: 1, ..ClusterConfig::default() });
+            }),
+        ];
+        for (args, edit) in serve {
+            let mut want = ServerConfig { addr: DEFAULT_ADDR.into(), ..ServerConfig::default() };
+            edit(&mut want);
+            let got = server_config(&cli(args)).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "serve {args:?}");
+        }
+        for bad in [&["--workers", ""][..], &["--workers", " , "], &["--queue", "many"]] {
+            assert!(server_config(&cli(bad)).is_err(), "serve {bad:?} must be refused");
+        }
+
+        let worker: &[(&[&str], Edit<WorkerConfig>)] = &[
+            (&[], |_| {}),
+            (&["--threads", "3"], |c| c.policy.max_threads_per_job = 3),
+            (&["--threads", "0"], |c| c.policy.max_threads_per_job = 1),
+            (&["--retries", "0"], |c| c.policy.default_retries = 0),
+            (&["--timeout-s", "9"], |c| c.policy.default_timeout_s = 9.0),
+            (&["--state-dir", "sd"], |c| c.state_dir = Some("sd".into())),
+            (&["--inject", "garble@0"], |c| c.faults = FaultPlan::parse("garble@0").unwrap()),
+        ];
+        for (args, edit) in worker {
+            let mut want = WorkerConfig { addr: DEFAULT_ADDR.into(), ..WorkerConfig::default() };
+            edit(&mut want);
+            let got = worker_config(&cli(args)).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "worker {args:?}");
+        }
+        assert!(worker_config(&cli(&["--inject", "bogus"])).is_err());
     }
 }

@@ -54,7 +54,7 @@ pub use ilt_server as server;
 
 /// Everything needed to run an ILT flow end to end.
 pub mod prelude {
-    pub use ilt_baselines::{ConventionalIlt, EdgeOpc, EdgeOpcConfig, LevelSetConfig, LevelSetIlt};
+    pub use ilt_baselines::{ConventionalIlt, LevelSetConfig, LevelSetIlt};
     pub use ilt_core::{
         schedules, BinaryFunction, IltConfig, IltResult, MultiLevelIlt, OptimizeRegion,
         Smoothing, SmoothingPlacement, Stage, StageKind,

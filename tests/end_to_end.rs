@@ -126,13 +126,11 @@ fn baselines_and_ours_run_on_the_same_engine() {
         LevelSetConfig { scale: 2, ..LevelSetConfig::default() },
     )
     .run(&target, 8);
-    let opc = EdgeOpc::new(sim.clone(), EdgeOpcConfig::for_pixel_pitch(8.0)).run(&target, 4);
 
     for (label, mask) in [
         ("ours", &ours.mask),
         ("conventional", &conv.mask),
         ("levelset", &ls.mask),
-        ("opc", &opc.mask),
     ] {
         assert_eq!(mask.shape(), (64, 64), "{label}");
         assert!(mask.as_slice().iter().all(|&v| v == 0.0 || v == 1.0), "{label}");

@@ -3,7 +3,6 @@
 set -e
 T=./target/release/examples
 $T/binary_function_study 256 2>&1 | tail -5
-$T/process_window 4 128 2>&1 | tail -8
 $T/aberration_study 128 2>&1 | tail -5
 $T/quickstart 2>&1 | tail -3
 echo EXAMPLES_VERIFIED

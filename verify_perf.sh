@@ -5,7 +5,7 @@
 #      its fast path against the dense reference internally and exits
 #      non-zero on any divergence, so this doubles as a correctness gate;
 #   2. every fresh result carries the runtime-detected SIMD kernel stamp
-#      (`"simd": "avx2" | "sse2" | "scalar"`), so a checked-in number can
+#      (`"simd": "avx2" | "scalar"`), so a checked-in number can
 #      never be compared against a run on mystery hardware;
 #   3. `ilt bench diff --tag fft` compares the fresh medians against the
 #      checked-in BENCH_<workload>.json baselines at the repo root and exits
@@ -27,7 +27,7 @@ mkdir -p "$OUT"
 
 # Every fresh FFT result must carry a recognized kernel stamp.
 for f in "$OUT"/BENCH_fft_*.json; do
-  grep -Eq '"simd": "(avx2|sse2|scalar)"' "$f" \
+  grep -Eq '"simd": "(avx2|scalar)"' "$f" \
     || { echo "missing/unknown simd stamp in $f"; exit 1; }
 done
 echo "simd stamp: $(grep -Eo '"simd": "[a-z0-9]+"' "$OUT"/BENCH_fft_pruned_forward.json)"
