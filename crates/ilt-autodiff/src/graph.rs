@@ -19,7 +19,6 @@ pub struct Var(usize);
 enum Op {
     Leaf,
     Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
     Scale(Var, f64),
     /// Eq. 11: `y = 1 / (1 + exp(-beta (x - t_r)))`; only `beta` is
@@ -133,12 +132,6 @@ impl Graph {
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a) + self.value(b);
         self.push(value, Op::Add(a, b))
-    }
-
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a) - self.value(b);
-        self.push(value, Op::Sub(a, b))
     }
 
     /// Elementwise (Hadamard) product.
@@ -286,10 +279,6 @@ impl Graph {
                 Op::Add(a, b) => {
                     accumulate(&mut grads, *a, gout.clone());
                     accumulate(&mut grads, *b, gout.clone());
-                }
-                Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, gout.clone());
-                    accumulate(&mut grads, *b, -&gout);
                 }
                 Op::Mul(a, b) => {
                     let ga = gout.hadamard(self.value(*b));
@@ -506,7 +495,8 @@ mod tests {
             let b2 = g.scale(b, 2.0);
             let s = g.add(a, b2);
             let p = g.mul(s, a);
-            let d = g.sub(p, b);
+            let minus_b = g.scale(b, -1.0);
+            let d = g.add(p, minus_b);
             let zero = g.leaf(Field2D::zeros(4, 4));
             let loss = g.sq_diff_sum(d, zero);
             let grads = g.backward(loss);

@@ -61,11 +61,6 @@ impl ConventionalIlt {
         ConventionalIlt { engine: MultiLevelIlt::new(sim, cfg) }
     }
 
-    /// Access to the underlying engine (e.g. to inspect the configuration).
-    pub fn engine(&self) -> &MultiLevelIlt {
-        &self.engine
-    }
-
     /// Runs `iterations` of full-resolution pixel ILT.
     ///
     /// # Panics
@@ -121,7 +116,7 @@ mod tests {
     #[test]
     fn uses_legacy_binary_function() {
         let baseline = ConventionalIlt::new(sim());
-        assert_eq!(baseline.engine().config().binary, BinaryFunction::legacy_sigmoid());
-        assert!(baseline.engine().config().smoothing.is_none());
+        assert_eq!(baseline.engine.config().binary, BinaryFunction::legacy_sigmoid());
+        assert!(baseline.engine.config().smoothing.is_none());
     }
 }

@@ -19,13 +19,14 @@ use ilt_core::{LossRecord, OptimizeRegion};
 use ilt_field::{avg_pool_down, Field2D};
 use ilt_optics::LithoSimulator;
 
+/// Gradient step on `phi`.
+const LEARNING_RATE: f64 = 2.0;
+/// Heaviside smearing width in pixels.
+const EPSILON: f64 = 1.5;
+
 /// Configuration of the level-set baseline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LevelSetConfig {
-    /// Gradient step on `phi`.
-    pub learning_rate: f64,
-    /// Heaviside smearing width in pixels.
-    pub epsilon: f64,
     /// Redistance `phi` every this many iterations.
     pub redistance_every: usize,
     /// Writable-region policy (GLS-ILT uses the Option-2 corridor).
@@ -38,8 +39,6 @@ pub struct LevelSetConfig {
 impl Default for LevelSetConfig {
     fn default() -> Self {
         LevelSetConfig {
-            learning_rate: 2.0,
-            epsilon: 1.5,
             redistance_every: 10,
             region: OptimizeRegion::option2_default(),
             scale: 1,
@@ -112,7 +111,7 @@ impl LevelSetIlt {
         let mut history = Vec::new();
         for iteration in 0..iterations {
             // M = sigma(-phi / eps): 1 inside (phi < 0), 0 outside.
-            let mask_field = phi.map(|p| 1.0 / (1.0 + (p / self.cfg.epsilon).exp()));
+            let mask_field = phi.map(|p| 1.0 / (1.0 + (p / EPSILON).exp()));
 
             let mut g = Graph::new(self.sim.clone());
             let m = g.leaf(mask_field.clone());
@@ -122,9 +121,9 @@ impl LevelSetIlt {
             let grads = g.backward(loss);
             let dl_dm = grads.wrt(m).expect("mask drives the loss");
             // dM/dphi = -(1/eps) sigma (1 - sigma).
-            let eps = self.cfg.epsilon;
-            let dl_dphi = dl_dm.zip_map(&mask_field, |gm, mv| -gm * mv * (1.0 - mv) / eps);
-            let step = dl_dphi.hadamard(&region_s).scale(self.cfg.learning_rate);
+            let dl_dphi =
+                dl_dm.zip_map(&mask_field, |gm, mv| -gm * mv * (1.0 - mv) / EPSILON);
+            let step = dl_dphi.hadamard(&region_s).scale(LEARNING_RATE);
             phi -= &step;
 
             if (iteration + 1) % self.cfg.redistance_every == 0 {

@@ -182,11 +182,6 @@ impl Breaker {
     pub fn state(&self) -> BreakerState {
         self.core.lock().unwrap().state
     }
-
-    /// The backoff interval the current/next quarantine uses.
-    pub fn backoff(&self) -> Duration {
-        self.core.lock().unwrap().backoff
-    }
 }
 
 #[cfg(test)]
@@ -238,12 +233,12 @@ mod tests {
     fn failed_probe_reopens_with_grown_backoff() {
         let b = Breaker::new(cfg(1, 10, 1000), 1);
         b.on_failure();
-        let first = b.backoff();
+        let first = b.core.lock().unwrap().backoff;
         thread::sleep(first + Duration::from_millis(5));
         assert!(b.admit());
         b.on_failure();
         assert_eq!(b.state(), BreakerState::Open);
-        let second = b.backoff();
+        let second = b.core.lock().unwrap().backoff;
         assert!(second >= Duration::from_millis(10), "never below base");
         assert!(second <= first * 3, "decorrelated jitter is bounded by 3x prev");
         assert!(!b.admit(), "re-opened immediately");
@@ -256,7 +251,7 @@ mod tests {
             let mut seq = Vec::new();
             for _ in 0..8 {
                 b.on_failure();
-                let d = b.backoff();
+                let d = b.core.lock().unwrap().backoff;
                 assert!(d >= Duration::from_millis(10) && d <= Duration::from_millis(60));
                 seq.push(d);
                 // Force straight back to closed without waiting out the

@@ -59,6 +59,9 @@ use crate::stats::{family, ClusterStats};
 use crate::transport::{request, Client, Reply};
 use crate::wire::{encode_job_ids, parse_shard_header, parse_shard_job};
 
+/// Connect timeout of every coordinator -> worker connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Cluster topology and supervision tuning.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -70,8 +73,6 @@ pub struct ClusterConfig {
     pub heartbeat: Duration,
     /// Consecutive failed probes before a worker is declared dead.
     pub heartbeat_failures: u32,
-    /// Per-connection connect timeout.
-    pub connect_timeout: Duration,
     /// After cancel fan-out (or a speculation loss), how long to keep
     /// waiting for a worker's records before giving up on the exchange.
     pub cancel_grace: Duration,
@@ -95,7 +96,6 @@ impl Default for ClusterConfig {
             workers: Vec::new(),
             heartbeat: Duration::from_millis(500),
             heartbeat_failures: 3,
-            connect_timeout: Duration::from_secs(2),
             cancel_grace: Duration::from_secs(10),
             max_inflight_per_worker: 2,
             max_shard_attempts: 0,
@@ -145,11 +145,6 @@ impl Coordinator {
     /// The live cluster metrics, for `/metrics` rendering.
     pub fn stats(&self) -> &ClusterStats {
         &self.stats
-    }
-
-    /// Number of currently registered worker replicas.
-    pub fn workers_configured(&self) -> usize {
-        self.members.len()
     }
 
     /// Registers a worker address. Returns `false` when it is already a
@@ -615,7 +610,7 @@ impl Coordinator {
         cancel: &CancelToken,
         abort: &AtomicBool,
     ) -> Result<(u64, Vec<JobOutput>), ShardError> {
-        let mut client = Client::connect(&slot.addr, self.config.connect_timeout)?;
+        let mut client = Client::connect(&slot.addr, CONNECT_TIMEOUT)?;
         client.send("POST", path, &[], body, true)?;
         // Short read timeouts turn the blocking wait into a poll so
         // cancellation, worker death, and a lost speculation race interrupt
@@ -699,7 +694,7 @@ impl Coordinator {
     /// 404 means the shard already finished.
     fn send_cancel(&self, addr: &str, sid: &str) {
         let path = format!("/v1/shards/{sid}");
-        let _ = request(addr, "DELETE", &path, &[], self.config.connect_timeout);
+        let _ = request(addr, "DELETE", &path, &[], CONNECT_TIMEOUT);
     }
 
     /// Recomputes the `workers_alive` gauge from the membership.
@@ -840,7 +835,7 @@ fn monitor_loop(
     let (stopped, wake) = stop;
     loop {
         for slot in members.snapshot() {
-            let ok = probe(&slot.addr, config);
+            let ok = probe(&slot.addr);
             mark_probe(&slot, ok, config, stats);
         }
         stats.workers_alive.store(members.alive_count() as u64, Ordering::Relaxed);
@@ -877,8 +872,8 @@ fn mark_probe(slot: &WorkerSlot, ok: bool, config: &ClusterConfig, stats: &Clust
 }
 
 /// One `GET /healthz` probe.
-fn probe(addr: &str, config: &ClusterConfig) -> bool {
-    matches!(request(addr, "GET", "/healthz", &[], config.connect_timeout), Ok((200, _)))
+fn probe(addr: &str) -> bool {
+    matches!(request(addr, "GET", "/healthz", &[], CONNECT_TIMEOUT), Ok((200, _)))
 }
 
 #[cfg(test)]
@@ -905,7 +900,7 @@ mod tests {
     #[test]
     fn empty_membership_is_allowed_and_grows_at_runtime() {
         let c = Coordinator::new(ClusterConfig::default()).unwrap();
-        assert_eq!(c.workers_configured(), 0);
+        assert_eq!(c.members.len(), 0);
         let plan =
             vec![PlannedJob { id: 0, case: "c".into(), tile: None, grid: 64 }];
         let err = c
@@ -914,13 +909,13 @@ mod tests {
         assert!(err.contains("no registered workers"), "{err}");
         assert!(c.join("10.0.0.1:7"));
         assert!(!c.join("10.0.0.1:7"), "duplicate join refused");
-        assert_eq!(c.workers_configured(), 1);
+        assert_eq!(c.members.len(), 1);
         assert_eq!(c.stats().members_joined.get(), 1);
         assert!(c.drain("10.0.0.1:7"));
         assert!(c.member_views()[0].draining);
         assert!(c.leave("10.0.0.1:7"));
         assert_eq!(c.stats().members_left.get(), 1);
-        assert_eq!(c.workers_configured(), 0);
+        assert_eq!(c.members.len(), 0);
     }
 
     #[test]

@@ -128,6 +128,17 @@ fn num<T: std::str::FromStr>(
     }
 }
 
+/// [`num`] for the `f64` keys: `inf` and `NaN` parse, and mean nothing as
+/// a pitch, a width or a duration.
+fn finite(pairs: &[(String, String)], key: &str, default: f64) -> Result<f64, String> {
+    let value = num(pairs, key, default)?;
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(format!("bad {key}={:?}", first(pairs, key).unwrap_or_default()))
+    }
+}
+
 impl JobParams {
     /// Decodes and validates one job: `pairs` are its `key=value` settings
     /// (first occurrence of a key wins, unknown keys are ignored), `body`
@@ -193,7 +204,7 @@ impl JobParams {
         if !grid.is_power_of_two() || !(32..=4096).contains(&grid) {
             return Err(format!("grid must be a power of two in 32..=4096, got {grid}"));
         }
-        let clip_nm: f64 = num(pairs, "clip_nm", 2048.0)?;
+        let clip_nm = finite(pairs, "clip_nm", 2048.0)?;
         if !(clip_nm > 0.0) {
             return Err(format!("clip_nm must be positive, got {clip_nm}"));
         }
@@ -224,6 +235,11 @@ impl JobParams {
             "0" | "false" => false,
             other => return Err(format!("bad eval={other:?} (0 or 1)")),
         };
+        // `plan()` makes a `Duration` of a positive `timeout_s`; 1e300 is not one.
+        let timeout_s = finite(pairs, "timeout_s", policy.default_timeout_s)?;
+        if std::time::Duration::try_from_secs_f64(timeout_s.max(0.0)).is_err() {
+            return Err(format!("bad timeout_s={:?}", get("timeout_s").unwrap_or_default()));
+        }
         let faults = match get("inject") {
             None => FaultPlan::none(),
             Some(_) if !policy.allow_inject => {
@@ -244,10 +260,10 @@ impl JobParams {
             seam,
             schedule,
             iters,
-            max_eff_nm: num(pairs, "max_eff_nm", 8.0)?,
+            max_eff_nm: finite(pairs, "max_eff_nm", 8.0)?,
             threads: num(pairs, "threads", 1usize)?
                 .clamp(1, policy.max_threads_per_job.max(1)),
-            timeout_s: num(pairs, "timeout_s", policy.default_timeout_s)?,
+            timeout_s,
             retries: num(pairs, "retries", policy.default_retries)?.min(10),
             evaluate,
             faults,
@@ -439,5 +455,40 @@ mod tests {
         let (query, body) = inline.dispatch();
         assert!(!query.contains("inject"), "{query}");
         assert!(body == pgm, "the inline raster travels as the PGM it arrived as");
+    }
+
+    /// `inf` and `NaN` parse as `f64`; none is a width, a pitch or a
+    /// duration, and `plan()` used to panic in `Duration::from_secs_f64` on
+    /// the connection thread.
+    #[test]
+    fn non_finite_and_unrepresentable_numbers_are_refused_at_the_door() {
+        let policy = ExecPolicy::default();
+        for (key, value) in [
+            ("timeout_s", "inf"),
+            ("timeout_s", "1e300"),
+            ("timeout_s", "NaN"),
+            ("clip_nm", "inf"),
+            ("max_eff_nm", "NaN"),
+        ] {
+            let query = format!("via=3&grid=64&{key}={value}");
+            let err = JobParams::from_saved(&query, Vec::new(), &policy).unwrap_err();
+            assert_eq!(err, format!("bad {key}={value:?}"));
+        }
+        // Anything a `Duration` holds still plans; zero and negative mean none.
+        for ok in ["1e19", "-1", "0", "2.5"] {
+            let query = format!("via=3&grid=64&timeout_s={ok}");
+            JobParams::from_saved(&query, Vec::new(), &policy).expect(ok).plan().expect(ok);
+        }
+    }
+
+    /// The fingerprint of one description, measured at commit 676f030: what
+    /// a coordinator and its workers compare on every shard, and what a WAL
+    /// header written by an older binary holds.
+    #[test]
+    fn a_description_keeps_the_fingerprint_it_had() {
+        let params = JobParams::from_saved("case=1&grid=128&tile=64&halo=8", Vec::new(), &ExecPolicy::default());
+        let (case, config) = params.unwrap().plan().unwrap();
+        let fingerprint = ilt_runtime::config_fingerprint(&[case], &config);
+        assert_eq!(format!("{fingerprint:016x}"), "a80c6a8483709498");
     }
 }

@@ -89,6 +89,9 @@ impl Default for Smoothing {
     }
 }
 
+/// Eq. 12's final hard threshold `t_m`.
+const FINAL_THRESHOLD: f64 = 0.5;
+
 /// Hyper-parameters of a multi-level ILT run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IltConfig {
@@ -98,8 +101,6 @@ pub struct IltConfig {
     pub binary: BinaryFunction,
     /// Binary function for the final output (paper: sigmoid, `T_R = 0.4`).
     pub output_binary: BinaryFunction,
-    /// Final hard threshold `t_m` (Eq. 12; paper: 0.5).
-    pub final_threshold: f64,
     /// Contour smoothing in low-resolution stages (`None` disables).
     pub smoothing: Option<Smoothing>,
     /// Writable-region policy.
@@ -123,7 +124,6 @@ impl Default for IltConfig {
             learning_rate: 1.0,
             binary: BinaryFunction::paper_sigmoid(),
             output_binary: BinaryFunction::output_sigmoid(),
-            final_threshold: 0.5,
             smoothing: Some(Smoothing::default()),
             region: OptimizeRegion::option2_default(),
             early_exit_window: None,
@@ -351,7 +351,7 @@ impl MultiLevelIlt {
         let soft = self.cfg.output_binary.apply_field(m_raw);
         let soft = soft.hadamard(region_s); // frozen pixels stay opaque
         let full = if scale > 1 { upsample_nearest(&soft, scale) } else { soft };
-        let mut binary = full.threshold(self.cfg.final_threshold);
+        let mut binary = full.threshold(FINAL_THRESHOLD);
         if let Some(pp) = self.cfg.postprocess {
             binary = simplify_mask(&binary, target, pp).0;
         }

@@ -173,12 +173,6 @@ impl FftPlan {
         self.len <= 1
     }
 
-    /// Direction of this plan.
-    #[inline]
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-
     /// Transforms `data` in place using the process-wide selected kernel
     /// (AVX2 when detected, scalar otherwise — see
     /// [`crate::active_kernel`]).

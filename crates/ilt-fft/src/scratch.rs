@@ -190,8 +190,7 @@ impl Fft2dScratch {
 ///
 /// let pool = ScratchPool::new();
 /// let scratch = pool.checkout(); // empty on first use
-/// pool.restore(scratch);
-/// assert_eq!(pool.idle(), 1);
+/// pool.restore(scratch); // the next checkout gets it back, warm
 /// ```
 #[derive(Debug, Default)]
 pub struct ScratchPool {
@@ -216,11 +215,6 @@ impl ScratchPool {
     /// Returns a workspace to the free list for the next checkout.
     pub fn restore(&self, scratch: Fft2dScratch) {
         self.free.lock().expect("scratch pool lock poisoned").push(scratch);
-    }
-
-    /// Number of idle workspaces currently in the free list.
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("scratch pool lock poisoned").len()
     }
 }
 
@@ -352,15 +346,16 @@ mod tests {
     #[test]
     fn scratch_pool_recycles_workspaces() {
         let pool = ScratchPool::new();
-        assert_eq!(pool.idle(), 0);
+        let idle = |pool: &ScratchPool| pool.free.lock().unwrap().len();
+        assert_eq!(idle(&pool), 0);
         let mut s = pool.checkout();
         grown(&mut s.panel, 256);
         let warmed = s.capacity();
         pool.restore(s);
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(idle(&pool), 1);
         let back = pool.checkout();
         assert_eq!(back.capacity(), warmed, "checkout must return the warm workspace");
-        assert_eq!(pool.idle(), 0);
+        assert_eq!(idle(&pool), 0);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! * **Fracturing** ([`fracture`], [`shot_count`]) — Definition 4's mask
 //!   fracturing shot count, via exact horizontal-slab decomposition,
 //! * **Post-processing** ([`simplify_mask`]) — Section III-D's "eliminate too
-//!   small shapes and replace medium-sized irregular SRAFs with rectangles",
-//!   plus square-element [`erode`]/[`dilate`] morphology.
+//!   small shapes and replace medium-sized irregular SRAFs with rectangles".
 //!
 //! # Example
 //!
@@ -28,5 +27,5 @@ mod rect;
 
 pub use components::{component_count, label_components, Component};
 pub use fracture::{fracture, shot_count};
-pub use postprocess::{dilate, erode, simplify_mask, SimplifyConfig, SimplifyReport};
+pub use postprocess::{simplify_mask, SimplifyConfig, SimplifyReport};
 pub use rect::{rasterize_rects, Rect};

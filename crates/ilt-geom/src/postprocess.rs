@@ -107,60 +107,6 @@ pub fn simplify_mask(
     (out, report)
 }
 
-/// Morphological erosion of a binary mask with a `(2r+1)^2` square
-/// structuring element.
-///
-/// A pixel survives only if its entire neighborhood is foreground.
-pub fn erode(mask: &Field2D, radius: usize) -> Field2D {
-    morph(mask, radius, true)
-}
-
-/// Morphological dilation with a `(2r+1)^2` square structuring element.
-pub fn dilate(mask: &Field2D, radius: usize) -> Field2D {
-    morph(mask, radius, false)
-}
-
-fn morph(mask: &Field2D, radius: usize, erode: bool) -> Field2D {
-    if radius == 0 {
-        return mask.threshold(0.5);
-    }
-    let (rows, cols) = mask.shape();
-    let r = radius as isize;
-    // Separable: horizontal pass then vertical pass (min/max filters).
-    // Out-of-bounds pixels are background for both operations, so border
-    // pixels erode away and dilation clamps at the frame.
-    let pick = |acc: bool, v: bool| if erode { acc && v } else { acc || v };
-    let src = mask.as_slice();
-
-    let mut horiz = vec![false; rows * cols];
-    for row in 0..rows {
-        for col in 0..cols {
-            let mut acc = erode;
-            for d in -r..=r {
-                let cc = col as isize + d;
-                let v = cc >= 0
-                    && cc < cols as isize
-                    && src[row * cols + cc as usize] >= 0.5;
-                acc = pick(acc, v);
-            }
-            horiz[row * cols + col] = acc;
-        }
-    }
-    Field2D::from_fn(rows, cols, |row, col| {
-        let mut acc = erode;
-        for d in -r..=r {
-            let rr = row as isize + d;
-            let v = rr >= 0 && rr < rows as isize && horiz[rr as usize * cols + col];
-            acc = pick(acc, v);
-        }
-        if acc {
-            1.0
-        } else {
-            0.0
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,29 +172,5 @@ mod tests {
         let (out, report) = simplify_mask(&mask, &target, cfg);
         assert_eq!(out, mask);
         assert_eq!(report.kept, 2);
-    }
-
-    #[test]
-    fn erode_dilate_basics() {
-        let f = rasterize_rects(&[Rect::new(4, 4, 9, 9)], 16, 16);
-        let e = erode(&f, 1);
-        assert_eq!(e.count_on(), 9); // 5x5 -> 3x3
-        let d = dilate(&f, 1);
-        assert_eq!(d.count_on(), 49); // 5x5 -> 7x7
-        // Opening a large rect is identity.
-        assert_eq!(dilate(&erode(&f, 1), 1), f);
-    }
-
-    #[test]
-    fn erode_removes_thin_lines() {
-        let f = rasterize_rects(&[Rect::new(4, 0, 5, 16)], 16, 16); // 1-px line
-        assert_eq!(erode(&f, 1).count_on(), 0);
-    }
-
-    #[test]
-    fn dilation_clamps_at_borders() {
-        let f = rasterize_rects(&[Rect::new(0, 0, 1, 1)], 4, 4);
-        let d = dilate(&f, 1);
-        assert_eq!(d.count_on(), 4); // 2x2 survives in-bounds
     }
 }

@@ -4,9 +4,7 @@
 //! failure replays from its case number.
 
 use ilt_field::Field2D;
-use ilt_geom::{
-    component_count, dilate, erode, fracture, label_components, rasterize_rects, Rect,
-};
+use ilt_geom::{component_count, fracture, label_components, rasterize_rects, Rect};
 use ilt_layouts::Xorshift64Star;
 
 const CASES: u64 = 48;
@@ -87,36 +85,5 @@ fn fracture_of_rect_unions() {
     for case in 0..CASES {
         let mask = rasterize_rects(&random_rects(&mut rng, 6), 16, 16);
         assert_eq!(rasterize_rects(&fracture(&mask), 16, 16), mask, "case {case}");
-    }
-}
-
-/// Erosion shrinks, dilation grows, and both are monotone.
-#[test]
-fn morphology_monotone() {
-    let mut rng = Xorshift64Star::new(4);
-    for case in 0..CASES {
-        let (mask, radius) = (random_mask(&mut rng, 10, 10), below(&mut rng, 0, 3));
-        let (e, d) = (erode(&mask, radius), dilate(&mask, radius));
-        for i in 0..100 {
-            let m = mask.as_slice()[i] >= 0.5;
-            assert!(e.as_slice()[i] < 0.5 || m, "case {case}: erosion must be a subset");
-            assert!(!m || d.as_slice()[i] >= 0.5, "case {case}: dilation must be a superset");
-        }
-    }
-}
-
-/// Duality: erode(mask) == !dilate(!mask) away from the border.
-#[test]
-fn erosion_dilation_duality() {
-    let mut rng = Xorshift64Star::new(5);
-    for case in 0..CASES {
-        let mask = random_mask(&mut rng, 10, 10);
-        let e = erode(&mask, 1);
-        let d = dilate(&mask.map(|x| 1.0 - x), 1);
-        for r in 1..9 {
-            for c in 1..9 {
-                assert_eq!(e[(r, c)] >= 0.5, d[(r, c)] < 0.5, "case {case}, ({r}, {c})");
-            }
-        }
     }
 }

@@ -37,4 +37,4 @@ pub use rng::Xorshift64Star;
 pub use m1::{
     extended_case, iccad2013_case, m1_case, CLIP_NM, EXTENDED_AREAS, ICCAD2013_AREAS,
 };
-pub use via::{via_pattern, via_pattern_with, ViaPatternConfig};
+pub use via::via_pattern;

@@ -12,28 +12,9 @@ use crate::layout::{Layout, NmRect};
 use crate::m1::CLIP_NM;
 use crate::rng::Xorshift64Star;
 
-/// Configuration for the via-pattern sampler.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ViaPatternConfig {
-    /// Side of each (square) via in nm.
-    pub via_nm: u32,
-    /// Number of vias to place.
-    pub count: usize,
-    /// Minimum center-to-center spacing in nm.
-    pub min_spacing_nm: u32,
-    /// Margin kept free at the clip border, in nm.
-    pub margin_nm: u32,
-}
-
-impl Default for ViaPatternConfig {
-    /// ~70 nm contacts, 25 per clip, 250 nm spacing — dense enough for
-    /// optical interaction between neighbors.
-    fn default() -> Self {
-        ViaPatternConfig { via_nm: 70, count: 25, min_spacing_nm: 250, margin_nm: 300 }
-    }
-}
-
-/// Samples a random via clip with the default configuration.
+/// Samples a random via clip: 25 contacts of ~70 nm at 250 nm minimum
+/// center-to-center spacing — dense enough for optical interaction between
+/// neighbors — with a 300 nm free margin at the clip border.
 ///
 /// Deterministic per seed.
 ///
@@ -47,32 +28,22 @@ impl Default for ViaPatternConfig {
 /// assert_eq!(clip, via_pattern(3)); // deterministic
 /// ```
 pub fn via_pattern(seed: u64) -> Layout {
-    via_pattern_with(seed, ViaPatternConfig::default())
-}
-
-/// Samples a random via clip with an explicit configuration.
-///
-/// # Panics
-///
-/// Panics if the configuration cannot be satisfied (too many vias for the
-/// spacing) after a generous rejection-sampling budget.
-pub fn via_pattern_with(seed: u64, cfg: ViaPatternConfig) -> Layout {
+    const VIA_NM: u32 = 70;
+    const COUNT: usize = 25;
+    const MIN_SPACING_NM: i64 = 250;
+    const MARGIN_NM: u32 = 300;
     let mut rng = Xorshift64Star::new(seed.wrapping_mul(0xA076_1D64_78BD_642F));
-    let lo = cfg.margin_nm;
-    let hi = CLIP_NM - cfg.margin_nm - cfg.via_nm;
-    assert!(hi > lo, "margins leave no room for vias");
+    let (lo, hi) = (MARGIN_NM, CLIP_NM - MARGIN_NM - VIA_NM);
 
-    let mut centers: Vec<(i64, i64)> = Vec::with_capacity(cfg.count);
-    let mut rects = Vec::with_capacity(cfg.count);
+    let mut centers: Vec<(i64, i64)> = Vec::with_capacity(COUNT);
+    let mut rects = Vec::with_capacity(COUNT);
     let mut attempts = 0usize;
     let mut stuck = 0usize;
-    while rects.len() < cfg.count {
+    while rects.len() < COUNT {
         attempts += 1;
         assert!(
             attempts < 1_000_000,
-            "could not place {} vias with {} nm spacing",
-            cfg.count,
-            cfg.min_spacing_nm
+            "could not place {COUNT} vias with {MIN_SPACING_NM} nm spacing"
         );
         // Sequential placement can jam (no room left for the remaining
         // vias even though a global arrangement exists). Restart from an
@@ -86,15 +57,14 @@ pub fn via_pattern_with(seed: u64, cfg: ViaPatternConfig) -> Layout {
         }
         let x0 = rng.gen_range_u32(lo, hi);
         let y0 = rng.gen_range_u32(lo, hi);
-        let cx = i64::from(x0) + i64::from(cfg.via_nm) / 2;
-        let cy = i64::from(y0) + i64::from(cfg.via_nm) / 2;
-        let min_d2 = i64::from(cfg.min_spacing_nm) * i64::from(cfg.min_spacing_nm);
+        let cx = i64::from(x0) + i64::from(VIA_NM) / 2;
+        let cy = i64::from(y0) + i64::from(VIA_NM) / 2;
         if centers
             .iter()
-            .all(|&(px, py)| (px - cx).pow(2) + (py - cy).pow(2) >= min_d2)
+            .all(|&(px, py)| (px - cx).pow(2) + (py - cy).pow(2) >= MIN_SPACING_NM.pow(2))
         {
             centers.push((cx, cy));
-            rects.push(NmRect::new(x0, y0, x0 + cfg.via_nm, y0 + cfg.via_nm));
+            rects.push(NmRect::new(x0, y0, x0 + VIA_NM, y0 + VIA_NM));
             stuck = 0;
         }
     }
@@ -108,26 +78,17 @@ mod tests {
 
     #[test]
     fn spacing_constraint_is_respected() {
-        let cfg = ViaPatternConfig::default();
         let clip = via_pattern(7);
         let centers: Vec<(i64, i64)> = clip
             .rects()
             .iter()
-            .map(|r| {
-                (
-                    i64::from(r.x0) + i64::from(cfg.via_nm) / 2,
-                    i64::from(r.y0) + i64::from(cfg.via_nm) / 2,
-                )
-            })
+            .map(|r| (i64::from(r.x0) + 35, i64::from(r.y0) + 35))
             .collect();
         for i in 0..centers.len() {
             for j in i + 1..centers.len() {
                 let d2 = (centers[i].0 - centers[j].0).pow(2)
                     + (centers[i].1 - centers[j].1).pow(2);
-                assert!(
-                    d2 >= i64::from(cfg.min_spacing_nm).pow(2),
-                    "vias {i} and {j} too close"
-                );
+                assert!(d2 >= 250 * 250, "vias {i} and {j} too close");
             }
         }
     }
@@ -152,14 +113,6 @@ mod tests {
         for seed in 0..15 {
             assert_eq!(via_pattern(seed).rects().len(), 25, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn custom_config_is_honored() {
-        let cfg = ViaPatternConfig { via_nm: 90, count: 9, min_spacing_nm: 400, margin_nm: 200 };
-        let clip = via_pattern_with(11, cfg);
-        assert_eq!(clip.rects().len(), 9);
-        assert_eq!(clip.rects()[0].x1 - clip.rects()[0].x0, 90);
     }
 
     #[test]

@@ -56,6 +56,11 @@ impl EpeResult {
     }
 }
 
+/// Definition 3's violation threshold, nm.
+const THRESHOLD_NM: f64 = 15.0;
+/// Distance from segment ends within which no point is placed, nm.
+const CORNER_GUARD_NM: f64 = 10.0;
+
 /// Edge-placement-error checker.
 ///
 /// # Examples
@@ -73,25 +78,16 @@ impl EpeResult {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EpeChecker {
-    /// Violation threshold in nm (paper: 15 nm).
-    pub threshold_nm: f64,
     /// Spacing between measurement points along an edge, in nm (40 nm in
     /// the contest convention).
     pub spacing_nm: f64,
     /// Physical pixel pitch in nm.
     pub nm_per_px: f64,
-    /// Distance from segment ends within which no point is placed, in nm.
-    pub corner_guard_nm: f64,
 }
 
 impl Default for EpeChecker {
     fn default() -> Self {
-        EpeChecker {
-            threshold_nm: 15.0,
-            spacing_nm: 40.0,
-            nm_per_px: 1.0,
-            corner_guard_nm: 10.0,
-        }
+        EpeChecker { spacing_nm: 40.0, nm_per_px: 1.0 }
     }
 }
 
@@ -114,7 +110,7 @@ impl EpeChecker {
                     orientation: seg.orientation,
                     outward: (seg.outward.0 as i8, seg.outward.1 as i8),
                     displacement_nm: d,
-                    violation: d.abs() >= self.threshold_nm,
+                    violation: d.abs() >= THRESHOLD_NM,
                 });
             }
         }
@@ -122,10 +118,10 @@ impl EpeChecker {
     }
 
     /// Places measurement points along a segment: spaced `spacing_nm`,
-    /// avoiding `corner_guard_nm` at the ends, with at least a midpoint.
+    /// avoiding [`CORNER_GUARD_NM`] at the ends, with at least a midpoint.
     fn measure_points(&self, seg: &Segment) -> Vec<(usize, usize)> {
         let spacing = (self.spacing_nm / self.nm_per_px).max(1.0) as usize;
-        let guard = (self.corner_guard_nm / self.nm_per_px).round() as usize;
+        let guard = (CORNER_GUARD_NM / self.nm_per_px).round() as usize;
         let len = seg.len();
         let mut offsets = Vec::new();
         if len > 2 * guard + 1 {
@@ -144,7 +140,7 @@ impl EpeChecker {
 
     /// Signed distance (nm) from the target edge to the printed contour
     /// along the edge normal: positive when the print grew outward,
-    /// negative when it receded. Saturates at `+-threshold_nm` when no
+    /// negative when it receded. Saturates at `+-THRESHOLD_NM` when no
     /// crossing is found in the window.
     fn displacement(
         &self,
@@ -157,7 +153,7 @@ impl EpeChecker {
         // (r, c) is the inside pixel hugging the edge. The printed contour
         // is where `printed` crosses 0.5 walking along +-normal.
         let (rows, cols) = printed.shape();
-        let max_steps = (self.threshold_nm / self.nm_per_px).ceil() as isize + 1;
+        let max_steps = (THRESHOLD_NM / self.nm_per_px).ceil() as isize + 1;
         let on = |rr: isize, cc: isize| -> bool {
             rr >= 0
                 && cc >= 0
@@ -183,7 +179,7 @@ impl EpeChecker {
                 return sign * (t as f64 + 0.5) * self.nm_per_px;
             }
         }
-        sign * self.threshold_nm
+        sign * THRESHOLD_NM
     }
 }
 

@@ -1,7 +1,6 @@
 //! Optical configuration of the lithography system.
 
 use crate::source::SourceSpec;
-use crate::zernike::Wavefront;
 
 /// Full description of the imaging system and simulation grid.
 ///
@@ -42,10 +41,6 @@ pub struct OpticsConfig {
     pub resist_threshold: f64,
     /// Resist sigmoid steepness `alpha` (Eq. 9).
     pub resist_steepness: f64,
-    /// Zernike wavefront error applied to **both** focus conditions
-    /// (scanner aberration fingerprint); defocus is added on top for the
-    /// inner corner.
-    pub wavefront: Wavefront,
 }
 
 impl Default for OpticsConfig {
@@ -61,7 +56,6 @@ impl Default for OpticsConfig {
             kernel_size: None,
             resist_threshold: 0.225,
             resist_steepness: 50.0,
-            wavefront: Wavefront::new(),
         }
     }
 }

@@ -76,8 +76,7 @@ impl KernelSet {
     fn raw_from_config(cfg: &OpticsConfig, defocus_nm: f64) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid optics config: {e}"));
         let p = cfg.kernel_size();
-        let pupil = Pupil::new(cfg.na, cfg.wavelength_nm, defocus_nm)
-            .with_wavefront(cfg.wavefront.clone());
+        let pupil = Pupil::new(cfg.na, cfg.wavelength_nm, defocus_nm);
         // Sample the source densely enough that each annulus ring has
         // multiple points, but keep the TCC build cheap.
         let src_pts = cfg.source.sample(15);

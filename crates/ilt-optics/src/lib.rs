@@ -41,7 +41,6 @@ mod pupil;
 mod simulator;
 mod source;
 mod tcc;
-mod zernike;
 
 pub use config::OpticsConfig;
 pub use eig::{sym_eig_jacobi, top_eigenpairs, EigPair, HermitianOp};
@@ -50,4 +49,3 @@ pub use pupil::Pupil;
 pub use simulator::{AerialCache, CornerPrints, LithoSimulator, ProcessCondition};
 pub use source::{SourcePoint, SourceSpec};
 pub use tcc::Tcc;
-pub use zernike::{Wavefront, ZernikeTerm};

@@ -7,10 +7,7 @@
 
 use ilt_fft::Complex64;
 
-use crate::zernike::Wavefront;
-
-/// Pupil function of a (possibly defocused and aberrated) diffraction-
-/// limited lens.
+/// Pupil function of a (possibly defocused) diffraction-limited lens.
 ///
 /// # Examples
 ///
@@ -27,7 +24,6 @@ pub struct Pupil {
     wavelength_nm: f64,
     defocus_nm: f64,
     cutoff: f64,
-    wavefront: Wavefront,
 }
 
 impl Pupil {
@@ -39,38 +35,7 @@ impl Pupil {
     /// Panics if `na` or `wavelength_nm` is not positive.
     pub fn new(na: f64, wavelength_nm: f64, defocus_nm: f64) -> Self {
         assert!(na > 0.0 && wavelength_nm > 0.0, "NA and wavelength must be positive");
-        Pupil {
-            na,
-            wavelength_nm,
-            defocus_nm,
-            cutoff: na / wavelength_nm,
-            wavefront: Wavefront::new(),
-        }
-    }
-
-    /// Adds Zernike wavefront error on top of the paraxial defocus.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ilt_optics::{Pupil, Wavefront, ZernikeTerm};
-    ///
-    /// let aberrated = Pupil::new(1.35, 193.0, 0.0)
-    ///     .with_wavefront(Wavefront::new().with(ZernikeTerm::ComaX, 0.05));
-    /// // Coma breaks the pupil's left-right symmetry.
-    /// let left = aberrated.eval(-0.004, 0.0);
-    /// let right = aberrated.eval(0.004, 0.0);
-    /// assert!((left - right).abs() > 1e-3);
-    /// ```
-    #[must_use]
-    pub fn with_wavefront(mut self, wavefront: Wavefront) -> Self {
-        self.wavefront = wavefront;
-        self
-    }
-
-    /// The Zernike wavefront riding on this pupil.
-    pub fn wavefront(&self) -> &Wavefront {
-        &self.wavefront
+        Pupil { na, wavelength_nm, defocus_nm, cutoff: na / wavelength_nm }
     }
 
     /// Cutoff frequency `NA / lambda` in 1/nm.
@@ -79,35 +44,22 @@ impl Pupil {
         self.cutoff
     }
 
-    /// Defocus distance in nm.
-    #[inline]
-    pub fn defocus_nm(&self) -> f64 {
-        self.defocus_nm
-    }
-
     /// Evaluates the pupil at spatial frequency `(fx, fy)` in 1/nm.
     ///
     /// Returns 0 outside the cutoff; inside, a unit-magnitude value carrying
-    /// the defocus phase `-pi lambda z (fx^2 + fy^2)` plus any Zernike
-    /// wavefront error.
+    /// the defocus phase `-pi lambda z (fx^2 + fy^2)`.
     #[inline]
     pub fn eval(&self, fx: f64, fy: f64) -> Complex64 {
         let f2 = fx * fx + fy * fy;
         if f2 > self.cutoff * self.cutoff {
             return Complex64::ZERO;
         }
-        let mut value = if self.defocus_nm == 0.0 {
+        if self.defocus_nm == 0.0 {
             Complex64::ONE
         } else {
             let phase = -std::f64::consts::PI * self.wavelength_nm * self.defocus_nm * f2;
             Complex64::from_polar_angle(phase)
-        };
-        if !self.wavefront.is_empty() {
-            let rho = (f2.sqrt() / self.cutoff).min(1.0);
-            let theta = fy.atan2(fx);
-            value *= self.wavefront.phase_factor(rho, theta);
         }
-        value
     }
 }
 
@@ -161,31 +113,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn invalid_na_panics() {
         let _ = Pupil::new(0.0, 193.0, 0.0);
-    }
-
-    #[test]
-    fn wavefront_composes_with_defocus() {
-        use crate::zernike::{Wavefront, ZernikeTerm};
-        let base = Pupil::new(1.35, 193.0, 40.0);
-        let aberrated = base
-            .clone()
-            .with_wavefront(Wavefront::new().with(ZernikeTerm::Spherical, 0.05));
-        let f = 0.004;
-        let a = base.eval(f, 0.0);
-        let b = aberrated.eval(f, 0.0);
-        assert!((a.abs() - 1.0).abs() < 1e-12 && (b.abs() - 1.0).abs() < 1e-12);
-        assert!((a - b).abs() > 1e-3, "spherical must change the phase");
-        // Outside the cutoff both vanish.
-        assert_eq!(aberrated.eval(0.01, 0.0), Complex64::ZERO);
-    }
-
-    #[test]
-    fn empty_wavefront_is_free() {
-        use crate::zernike::Wavefront;
-        let base = Pupil::new(1.35, 193.0, 25.0);
-        let same = base.clone().with_wavefront(Wavefront::new());
-        for (fx, fy) in [(0.0, 0.0), (0.003, -0.002), (0.005, 0.004)] {
-            assert_eq!(base.eval(fx, fy), same.eval(fx, fy));
-        }
     }
 }

@@ -123,13 +123,6 @@ impl fmt::Debug for AerialCache {
     }
 }
 
-impl AerialCache {
-    /// Resolution of the cached forward pass.
-    pub fn size(&self) -> usize {
-        self.m
-    }
-}
-
 /// The forward lithography simulator.
 ///
 /// # Examples

@@ -35,16 +35,6 @@ pub enum SourceSpec {
         /// Outer radius in sigma units, `> sigma_in`.
         sigma_out: f64,
     },
-    /// Four-pole (quasar) fill: quadrants of an annulus centered on the
-    /// diagonals, with `opening` half-angle in radians.
-    Quasar {
-        /// Inner radius in sigma units.
-        sigma_in: f64,
-        /// Outer radius in sigma units.
-        sigma_out: f64,
-        /// Pole half-opening angle in radians, in `(0, pi/4]`.
-        opening: f64,
-    },
 }
 
 /// One discretized source point in sigma coordinates.
@@ -79,18 +69,6 @@ impl SourceSpec {
                     Ok(())
                 } else {
                     Err(format!("invalid annulus [{sigma_in}, {sigma_out}]"))
-                }
-            }
-            SourceSpec::Quasar { sigma_in, sigma_out, opening } => {
-                if sigma_in >= 0.0
-                    && sigma_out > sigma_in
-                    && sigma_out <= 1.0
-                    && opening > 0.0
-                    && opening <= std::f64::consts::FRAC_PI_4 + 1e-12
-                {
-                    Ok(())
-                } else {
-                    Err("invalid quasar parameters".into())
                 }
             }
         }
@@ -144,7 +122,6 @@ impl SourceSpec {
             SourceSpec::Coherent => 0.0,
             SourceSpec::Circular { sigma } => sigma,
             SourceSpec::Annular { sigma_out, .. } => sigma_out,
-            SourceSpec::Quasar { sigma_out, .. } => sigma_out,
         }
     }
 
@@ -155,21 +132,6 @@ impl SourceSpec {
             SourceSpec::Coherent => r < 1e-12,
             SourceSpec::Circular { sigma } => r <= sigma,
             SourceSpec::Annular { sigma_in, sigma_out } => r >= sigma_in && r <= sigma_out,
-            SourceSpec::Quasar { sigma_in, sigma_out, opening } => {
-                if r < sigma_in || r > sigma_out {
-                    return false;
-                }
-                let theta = sy.atan2(sx);
-                // Poles on the diagonals at +-45, +-135 degrees.
-                [1.0f64, 3.0, -1.0, -3.0].iter().any(|&q| {
-                    let center = q * std::f64::consts::FRAC_PI_4;
-                    let mut d = (theta - center).abs();
-                    if d > std::f64::consts::PI {
-                        d = std::f64::consts::TAU - d;
-                    }
-                    d <= opening
-                })
-            }
         }
     }
 }
@@ -199,7 +161,6 @@ mod tests {
         for spec in [
             SourceSpec::Circular { sigma: 0.8 },
             SourceSpec::Annular { sigma_in: 0.55, sigma_out: 0.95 },
-            SourceSpec::Quasar { sigma_in: 0.6, sigma_out: 0.9, opening: 0.5 },
         ] {
             let pts = spec.sample(25);
             let total: f64 = pts.iter().map(|p| p.weight).sum();
@@ -217,20 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn quasar_has_four_fold_symmetry() {
-        let spec = SourceSpec::Quasar { sigma_in: 0.5, sigma_out: 0.9, opening: 0.4 };
-        let pts = spec.sample(41);
-        assert!(!pts.is_empty());
-        for p in &pts {
-            // Every point's 90-degree rotation is also in the fill.
-            assert!(spec.contains(-p.sy, p.sx), "{p:?}");
-        }
-        // Points near the axes are excluded.
-        assert!(!spec.contains(0.7, 0.0));
-        assert!(!spec.contains(0.0, 0.7));
-    }
-
-    #[test]
     fn even_grid_is_bumped_to_odd() {
         let a = SourceSpec::Circular { sigma: 0.9 }.sample(20);
         let b = SourceSpec::Circular { sigma: 0.9 }.sample(21);
@@ -242,8 +189,5 @@ mod tests {
         assert!(SourceSpec::Circular { sigma: 0.0 }.validate().is_err());
         assert!(SourceSpec::Annular { sigma_in: 0.9, sigma_out: 0.6 }.validate().is_err());
         assert!(SourceSpec::Annular { sigma_in: 0.5, sigma_out: 1.2 }.validate().is_err());
-        assert!(SourceSpec::Quasar { sigma_in: 0.5, sigma_out: 0.9, opening: 2.0 }
-            .validate()
-            .is_err());
     }
 }

@@ -17,9 +17,11 @@
 //!
 //! Keying: the full [`OpticsConfig`] (which embeds the grid size and the
 //! pixel pitch, and therefore the multi-level scale geometry) rendered
-//! through its `Debug` form. Every field of the config is plain data with a
-//! deterministic `Debug` representation, so two configs collide exactly
-//! when they would build identical simulators.
+//! through its `Debug` form. The key is process-local — it never reaches a
+//! disk or a wire, so whatever `#[derive(Debug)]` prints this build is good
+//! enough: every field is plain data, and two configs collide exactly when
+//! they would build identical simulators. (What *is* persisted about a
+//! configuration is `checkpoint::config_fingerprint`, a written format.)
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,11 +101,6 @@ impl SimulatorCache {
     /// own insertion).
     pub fn with_capacity(capacity: usize) -> Self {
         Self { capacity: Some(capacity.max(1)), ..Self::default() }
-    }
-
-    /// The configured bound, `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// The cache key for a configuration.
@@ -209,7 +206,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.capacity(), None);
+        assert_eq!(cache.capacity, None);
     }
 
     #[test]
@@ -288,7 +285,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let cache = SimulatorCache::with_capacity(0);
-        assert_eq!(cache.capacity(), Some(1));
+        assert_eq!(cache.capacity, Some(1));
         cache.get_or_build(&small_cfg(32)).unwrap();
         cache.get_or_build(&small_cfg(64)).unwrap();
         assert_eq!(cache.len(), 1);

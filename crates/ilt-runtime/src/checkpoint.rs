@@ -32,7 +32,9 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use ilt_core::IltConfig;
 use ilt_field::{parse_pgm, pgm_bytes};
+use ilt_optics::OpticsConfig;
 
 use crate::append_log::AppendLog;
 use crate::batch::{BatchCase, BatchConfig};
@@ -51,6 +53,60 @@ pub const WAL_FILE: &str = "wal.jsonl";
 /// the checkpoint location itself — those only change *how* the run
 /// executes, never what a job computes.
 pub fn config_fingerprint(cases: &[BatchCase], config: &BatchConfig) -> u64 {
+    fnv1a64(fingerprint_preimage(cases, config).bytes())
+}
+
+/// The bytes [`config_fingerprint`] hashes — a written format (DESIGN
+/// "Fault model & recovery" has the table), on disk in every WAL header and
+/// on the shard wire. The three structs are destructured without `..`, so a
+/// new field does not compile until it is written here or bound to `_` as
+/// execution-only. Field names, order and the struct-literal spelling are
+/// what `#[derive(Debug)]` printed when the format was frozen; a field that
+/// has since been deleted keeps the constant text it always rendered to.
+fn fingerprint_preimage(cases: &[BatchCase], config: &BatchConfig) -> String {
+    let BatchConfig {
+        tile,
+        halo,
+        seam,
+        optics,
+        ilt,
+        schedule,
+        max_eff_nm,
+        evaluate_stitched,
+        // Execution-only: how a run executes, never what a job computes.
+        threads: _,
+        timeout: _,
+        max_retries: _,
+        degrade: _,
+        checkpoint: _,
+        faults: _,
+        cancel: _,
+        progress: _,
+    } = config;
+    let OpticsConfig {
+        grid,
+        nm_per_px,
+        na,
+        wavelength_nm,
+        source,
+        defocus_nm,
+        num_kernels,
+        kernel_size,
+        resist_threshold,
+        resist_steepness,
+    } = optics;
+    let IltConfig {
+        learning_rate,
+        binary,
+        output_binary,
+        smoothing,
+        region,
+        early_exit_window,
+        frozen_value,
+        postprocess,
+        loss_weights,
+        update_rule,
+    } = ilt;
     let mut s = String::new();
     for case in cases {
         s.push_str(&format!(
@@ -60,18 +116,25 @@ pub fn config_fingerprint(cases: &[BatchCase], config: &BatchConfig) -> u64 {
             case.nm_per_px
         ));
     }
+    s.push_str(&format!("tile:{tile};halo:{halo};seam:{seam:?};"));
     s.push_str(&format!(
-        "tile:{};halo:{};seam:{:?};optics:{:?};ilt:{:?};schedule:{:?};max_eff_nm:{:?};eval:{}",
-        config.tile,
-        config.halo,
-        config.seam,
-        config.optics,
-        config.ilt,
-        config.schedule,
-        config.max_eff_nm,
-        config.evaluate_stitched
+        "optics:OpticsConfig {{ grid: {grid}, nm_per_px: {nm_per_px:?}, na: {na:?}, \
+         wavelength_nm: {wavelength_nm:?}, source: {source:?}, defocus_nm: {defocus_nm:?}, \
+         num_kernels: {num_kernels}, kernel_size: {kernel_size:?}, \
+         resist_threshold: {resist_threshold:?}, resist_steepness: {resist_steepness:?}, \
+         wavefront: Wavefront {{ terms: [] }} }};"
     ));
-    fnv1a64(s.bytes())
+    s.push_str(&format!(
+        "ilt:IltConfig {{ learning_rate: {learning_rate:?}, binary: {binary:?}, \
+         output_binary: {output_binary:?}, final_threshold: 0.5, smoothing: {smoothing:?}, \
+         region: {region:?}, early_exit_window: {early_exit_window:?}, \
+         frozen_value: {frozen_value:?}, postprocess: {postprocess:?}, \
+         loss_weights: {loss_weights:?}, update_rule: {update_rule:?} }};"
+    ));
+    s.push_str(&format!(
+        "schedule:{schedule:?};max_eff_nm:{max_eff_nm:?};eval:{evaluate_stitched}"
+    ));
+    s
 }
 
 /// The durable mask file name for a job.
@@ -138,11 +201,6 @@ impl CheckpointSink {
         }
         fsync_dir(dir);
         Ok(Self { dir: dir.to_path_buf(), wal, faults })
-    }
-
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Makes one finished job durable: mask first (atomic file), WAL line
@@ -464,6 +522,45 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The pre-image is a format: these are the bytes commit 676f030 hashed
+    /// (through `format!("{:?}")` of the structs) for the same run, so every
+    /// fingerprint already in a WAL header or on the shard wire still
+    /// matches. A deliberate format change edits this literal — and orphans
+    /// every checkpoint directory on disk.
+    #[test]
+    fn fingerprint_preimage_is_a_pinned_format() {
+        let case = BatchCase {
+            name: "c".into(),
+            target: Field2D::from_fn(4, 4, |r, _| f64::from(u8::from(r > 1))),
+            nm_per_px: 8.0,
+        };
+        let config = BatchConfig {
+            tile: 64,
+            halo: 8,
+            optics: OpticsConfig { num_kernels: 10, ..OpticsConfig::default() },
+            ilt: IltConfig { early_exit_window: Some(15), ..IltConfig::default() },
+            schedule: ilt_core::schedules::our_fast(),
+            ..BatchConfig::default()
+        };
+        assert_eq!(
+            fingerprint_preimage(&[case], &config),
+            "case:c:303b0843c0cb9765:8.0;tile:64;halo:8;seam:Crop;\
+             optics:OpticsConfig { grid: 2048, nm_per_px: 1.0, na: 1.35, wavelength_nm: 193.0, \
+             source: Annular { sigma_in: 0.6, sigma_out: 0.9 }, defocus_nm: 60.0, \
+             num_kernels: 10, kernel_size: None, resist_threshold: 0.225, \
+             resist_steepness: 50.0, wavefront: Wavefront { terms: [] } };\
+             ilt:IltConfig { learning_rate: 1.0, binary: Sigmoid { beta: 4.0, t_r: 0.5 }, \
+             output_binary: Sigmoid { beta: 4.0, t_r: 0.4 }, final_threshold: 0.5, \
+             smoothing: Some(Smoothing { kernel: 3, placement: BeforeBinarize }), \
+             region: Option2 { margin_nm: 220.0 }, early_exit_window: Some(15), \
+             frozen_value: -2.0, postprocess: None, \
+             loss_weights: LossWeights { l2: 1.0, pvband: 1.0, curvature: 0.0, gray: 0.0 }, \
+             update_rule: Sgd };\
+             schedule:[Stage { kind: LowRes, scale: 4, iterations: 35 }, \
+             Stage { kind: HighRes, scale: 8, iterations: 5 }];max_eff_nm:8.0;eval:true"
+        );
+    }
+
     #[test]
     fn fingerprint_tracks_results_not_execution() {
         let case = BatchCase {
@@ -486,5 +583,59 @@ mod tests {
         let mut renamed = case.clone();
         renamed.name = "d".into();
         assert_ne!(fp, config_fingerprint(&[renamed], &base));
+    }
+
+    /// One edit per result-affecting field; each must move the fingerprint
+    /// (and does so through a leaf's `{:?}`, which the pinned literal above
+    /// does not exercise beyond the defaults).
+    #[test]
+    fn every_result_affecting_field_moves_the_fingerprint() {
+        use ilt_core::{BinaryFunction, LossWeights, OptimizeRegion, Stage, UpdateRule};
+        let case = BatchCase {
+            name: "c".into(),
+            target: Field2D::from_fn(8, 8, |r, _| f64::from(u8::from(r > 3))),
+            nm_per_px: 8.0,
+        };
+        let edits: &[(&str, fn(&mut BatchConfig))] = &[
+            ("tile", |c| c.tile = 256),
+            ("halo", |c| c.halo = 32),
+            ("seam", |c| c.seam = crate::SeamPolicy::Blend { band: 4 }),
+            ("optics.grid", |c| c.optics.grid = 1024),
+            ("optics.nm_per_px", |c| c.optics.nm_per_px = 2.0),
+            ("optics.na", |c| c.optics.na = 1.2),
+            ("optics.wavelength_nm", |c| c.optics.wavelength_nm = 248.0),
+            ("optics.source", |c| c.optics.source = ilt_optics::SourceSpec::Coherent),
+            ("optics.defocus_nm", |c| c.optics.defocus_nm = 25.0),
+            ("optics.num_kernels", |c| c.optics.num_kernels = 10),
+            ("optics.kernel_size", |c| c.optics.kernel_size = Some(35)),
+            ("optics.resist_threshold", |c| c.optics.resist_threshold = 0.3),
+            ("optics.resist_steepness", |c| c.optics.resist_steepness = 25.0),
+            ("ilt.learning_rate", |c| c.ilt.learning_rate = 0.5),
+            ("ilt.binary", |c| c.ilt.binary = BinaryFunction::Cosine),
+            ("ilt.output_binary", |c| c.ilt.output_binary = BinaryFunction::Cosine),
+            ("ilt.smoothing", |c| c.ilt.smoothing = None),
+            ("ilt.region", |c| c.ilt.region = OptimizeRegion::Full),
+            ("ilt.early_exit_window", |c| c.ilt.early_exit_window = Some(15)),
+            ("ilt.frozen_value", |c| c.ilt.frozen_value = -4.0),
+            ("ilt.postprocess", |c| c.ilt.postprocess = Some(Default::default())),
+            ("ilt.loss_weights", |c| c.ilt.loss_weights = LossWeights { gray: 0.1, ..c.ilt.loss_weights }),
+            ("ilt.update_rule", |c| c.ilt.update_rule = UpdateRule::Momentum { beta: 0.9 }),
+            ("schedule", |c| c.schedule = vec![Stage::low_res(4, 35)]),
+            ("max_eff_nm", |c| c.max_eff_nm = 16.0),
+            ("evaluate_stitched", |c| c.evaluate_stitched = false),
+        ];
+        let base = config_fingerprint(std::slice::from_ref(&case), &BatchConfig::default());
+        let mut seen = std::collections::BTreeSet::from([base]);
+        for (field, edit) in edits {
+            let mut config = BatchConfig::default();
+            edit(&mut config);
+            let moved = config_fingerprint(std::slice::from_ref(&case), &config);
+            assert!(seen.insert(moved), "{field} does not move the fingerprint");
+        }
+        let repitched = BatchCase { nm_per_px: 4.0, ..case.clone() };
+        assert_ne!(base, config_fingerprint(&[repitched], &BatchConfig::default()));
+        let mut redrawn = case.clone();
+        redrawn.target[(0, 0)] = 1.0;
+        assert_ne!(base, config_fingerprint(&[redrawn], &BatchConfig::default()));
     }
 }

@@ -112,19 +112,9 @@ impl TileGrid {
         self.tile
     }
 
-    /// Guard band width in pixels.
-    pub fn halo(&self) -> usize {
-        self.halo
-    }
-
     /// Core side length (`tile - 2 * halo`).
     pub fn core(&self) -> usize {
         self.tile - 2 * self.halo
-    }
-
-    /// Number of tiles along one side.
-    pub fn per_side(&self) -> usize {
-        self.per_side
     }
 
     /// Total number of tiles.
@@ -287,7 +277,7 @@ mod tests {
             assert!(or + s.core_rows <= grid.tile());
             assert!(oc + s.core_cols <= grid.tile());
             if s.grid_row > 0 {
-                assert!(or >= grid.halo(), "interior tile missing top halo");
+                assert!(or >= grid.halo, "interior tile missing top halo");
             }
         }
     }
@@ -326,7 +316,7 @@ mod tests {
         // field == tile is rejected upstream, but field slightly above one
         // core still produces a valid 2x2 decomposition.
         let grid = TileGrid::new(300, 256, 32).expect("valid");
-        assert_eq!(grid.per_side(), 2);
+        assert_eq!(grid.per_side, 2);
         let specs = grid.specs();
         assert_eq!(specs.len(), 4);
         assert_eq!(specs[3].core_rows, 300 - 192);

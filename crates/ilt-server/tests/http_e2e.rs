@@ -70,6 +70,21 @@ fn rejects_malformed_and_unroutable_requests() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// `inf` and `1e300` parse as `f64` but not into a `Duration`: the
+/// submission is planned on the connection thread, so these used to kill it
+/// and the client read EOF instead of a status.
+#[test]
+fn unbounded_timeout_is_a_400_with_a_body_not_a_closed_socket() {
+    let (addr, handle) = start(ServerConfig { workers: 0, ..ServerConfig::default() });
+    for value in ["inf", "1e300", "NaN"] {
+        let reply = post(addr, &format!("/v1/jobs?via=3&grid=64&timeout_s={value}"), b"");
+        assert_eq!(reply.status, 400, "timeout_s={value}: {}", reply.text());
+        assert!(reply.text().contains("timeout_s"), "timeout_s={value}: {}", reply.text());
+    }
+    assert!(get(addr, "/v1/jobs").text().starts_with("{\"jobs\":[],"));
+    shutdown(addr, handle);
+}
+
 #[test]
 fn oversized_bodies_and_heads_are_refused() {
     let limits = Limits { max_head_bytes: 2048, max_body_bytes: 4096 };

@@ -3,6 +3,5 @@
 set -e
 T=./target/release/examples
 $T/binary_function_study 256 2>&1 | tail -5
-$T/aberration_study 128 2>&1 | tail -5
 $T/quickstart 2>&1 | tail -3
 echo EXAMPLES_VERIFIED
