@@ -176,6 +176,13 @@ impl Breaker {
         c.open_until = Some(Instant::now() + c.backoff);
     }
 
+    /// When an open breaker's backoff ends and `admit` lets a probe
+    /// through; `None` unless open.
+    pub fn reopens_at(&self) -> Option<Instant> {
+        let c = self.core.lock().expect("breaker lock poisoned");
+        c.open_until.filter(|_| c.state == BreakerState::Open)
+    }
+
     /// Current state (transitions only happen inside `admit`, so an `Open`
     /// breaker past its deadline still reads `Open` until someone asks to
     /// dispatch).
@@ -217,12 +224,16 @@ mod tests {
     #[test]
     fn half_open_admits_exactly_one_probe_and_success_closes() {
         let b = Breaker::new(cfg(1, 10, 10), 1);
+        assert_eq!(b.reopens_at(), None, "closed: nothing to wait for");
         b.on_failure();
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.admit());
+        let reopens = b.reopens_at().expect("open: the backoff's end");
         thread::sleep(Duration::from_millis(15));
+        assert!(Instant::now() >= reopens);
         assert!(b.admit(), "backoff elapsed: one probe admitted");
         assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.reopens_at(), None, "half-open: the probe decides");
         assert!(!b.admit(), "probe slot is single-occupancy");
         b.on_success();
         assert_eq!(b.state(), BreakerState::Closed);

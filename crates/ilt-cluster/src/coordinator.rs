@@ -5,11 +5,19 @@
 //! PR 6 dispatched `tile_id % N` over a fixed worker list; this version is
 //! self-healing under partial, asymmetric, and transient failure:
 //!
+//! - **One loop per job**: [`Coordinator::run_job`] supervises its shards
+//!   itself, on the calling thread, from one table — *pending*, *running*
+//!   (one or two live copies, each an exchange on its own thread) and
+//!   *resolved*. Each turn settles the copies that reported, hangs up on
+//!   the ones that must stop, dispatches and speculates, then waits on the
+//!   membership condvar until the next event (a copy reports, a member
+//!   joins, leaves or is declared dead) or the next deadline it computed
+//!   (a straggler, a breaker backoff, a grace), at most one `heartbeat`.
 //! - **Dynamic membership**: workers join, drain, and leave a running
 //!   coordinator ([`Coordinator::join`] etc., wired to `POST /v1/members`).
-//!   Shards are split finer than the worker count and supervisors draw
-//!   workers from the *live* set ([`Membership::acquire`]), so a replica
-//!   that joins mid-job picks up queued shards immediately.
+//!   Shards are split finer than the worker count and the loop draws
+//!   workers from the *live* set ([`Membership::try_acquire`]), so a
+//!   replica that joins mid-job picks up queued shards immediately.
 //! - **Death detection**: a monitor thread probes every member's
 //!   `GET /healthz` on a fixed interval; after a configured number of
 //!   consecutive failures the worker is marked dead (and revived on the
@@ -30,10 +38,15 @@
 //!   The shard id keys the worker-side checkpoint WAL directory, so a
 //!   replica that already holds partial results restores them instead of
 //!   recomputing.
-//! - **Cancel fan-out**: when the job's [`CancelToken`] fires, each
-//!   in-flight shard gets a `DELETE /v1/shards/<sid>`; the coordinator
-//!   then *keeps waiting* (bounded by the cancel grace period) for the
-//!   worker's cancelled-at-tile-boundary records.
+//! - **Hang-up**: an exchange blocks on its socket until the reply, EOF or
+//!   a reset. When the loop must stop it — the worker was declared dead, a
+//!   loser's or a cancel's grace ran out — it shuts down a clone of that
+//!   copy's stream, which ends the blocked read at once, and settles the
+//!   copy with the error it recorded for the hang-up.
+//! - **Cancel fan-out**: when the job's [`CancelToken`] fires (seen within
+//!   one heartbeat), each in-flight copy gets a `DELETE /v1/shards/<sid>`;
+//!   the coordinator then *keeps waiting* (bounded by the cancel grace
+//!   period) for the worker's cancelled-at-tile-boundary records.
 //! - **Lost shards**: a shard that exhausts its attempt budget (or finds
 //!   no live worker) synthesizes terminal `failed` records carrying the
 //!   full per-attempt history — worker, error, elapsed — so the journal
@@ -45,8 +58,10 @@
 //! count, split, join/leave schedule, or crash/re-dispatch history yields
 //! byte-identical masks to a single-process `ilt batch` run.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use ilt_runtime::{
@@ -54,7 +69,7 @@ use ilt_runtime::{
 };
 
 use crate::breaker::BreakerConfig;
-use crate::membership::{Acquire, MemberView, Membership, Settle, WorkerSlot};
+use crate::membership::{MemberView, Membership, Settle, WorkerSlot};
 use crate::stats::{family, ClusterStats};
 use crate::transport::{request, Client, Reply};
 use crate::wire::{encode_job_ids, parse_shard_header, parse_shard_job};
@@ -62,14 +77,17 @@ use crate::wire::{encode_job_ids, parse_shard_header, parse_shard_job};
 /// Connect timeout of every coordinator -> worker connection.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Why the job's inbox can be poisoned: a thread panicked holding it.
+const INBOX: &str = "an exchange thread panicked holding the inbox";
+
 /// Cluster topology and supervision tuning.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Initial worker replica addresses (`host:port`); may be empty when
     /// workers will register themselves via `POST /v1/members`.
     pub workers: Vec<String>,
-    /// Heartbeat probe interval; also the liveness-poll granularity while
-    /// waiting on an in-flight shard.
+    /// Heartbeat probe interval; also the longest a job's supervising loop
+    /// waits between turns, so a running job sees a cancel within one.
     pub heartbeat: Duration,
     /// Consecutive failed probes before a worker is declared dead.
     pub heartbeat_failures: u32,
@@ -227,8 +245,8 @@ impl Coordinator {
         if plan.is_empty() {
             return Err("job plans no tiles".into());
         }
-        let members = self.members.snapshot();
-        if members.is_empty() {
+        let members = self.members.len();
+        if members == 0 {
             return Err(
                 "cluster has no registered workers; start one with `ilt worker --register` \
                  or add it via POST /v1/members"
@@ -237,52 +255,49 @@ impl Coordinator {
         }
         // Split finer than the member count so late joiners find queued
         // shards and stragglers stall less of the plan.
-        let shard_count = plan.len().min((members.len() * 2).max(4));
+        let shard_count = plan.len().min((members * 2).max(4));
         let mut assignments: Vec<Vec<&PlannedJob>> = vec![Vec::new(); shard_count];
         for job in plan {
             assignments[job.id % shard_count].push(job);
         }
-        let latencies = Mutex::new(Vec::new());
-        let poison: Mutex<Option<String>> = Mutex::new(None);
-
-        let results: Vec<(usize, ShardResult)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = assignments
-                .iter()
-                .enumerate()
-                .filter(|(_, jobs)| !jobs.is_empty())
-                .map(|(shard_idx, jobs)| {
-                    let latencies = &latencies;
-                    let poison = &poison;
-                    scope.spawn(move || {
-                        let sid = format!("{job_id}-{shard_idx}");
-                        let result = self.run_shard_supervised(
-                            &sid, query, body, jobs, cancel, latencies, poison,
-                        );
-                        (shard_idx, result)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard supervisor panicked")).collect()
+        let mut shards: Vec<Shard> = assignments
+            .iter()
+            .enumerate()
+            .filter(|(_, jobs)| !jobs.is_empty())
+            .map(|(shard_idx, jobs)| Shard::new(format!("{job_id}-{shard_idx}"), jobs, query))
+            .collect();
+        let inbox = Mutex::new(Vec::new());
+        let poison = std::thread::scope(|scope| {
+            Supervisor {
+                coordinator: self,
+                scope,
+                body,
+                cancel,
+                inbox: &inbox,
+                budget: match self.config.max_shard_attempts {
+                    0 => (members as u32 * 2).max(4),
+                    n => n,
+                },
+                latencies: Vec::new(),
+                poison: None,
+            }
+            .run(&mut shards)
         });
-
-        if let Some(reason) = poison.into_inner().unwrap() {
+        if let Some(reason) = poison {
             return Err(reason);
         }
 
         let mut outputs: Vec<JobOutput> = Vec::with_capacity(plan.len());
         let mut fingerprint: Option<u64> = None;
-        for (shard_idx, result) in results {
-            match result {
-                ShardResult::Done { outputs: shard_outputs, fingerprint: fp } => {
-                    match fingerprint {
-                        None => fingerprint = Some(fp),
-                        Some(seen) if seen != fp => {
-                            return Err(format!(
-                                "workers disagree on configuration fingerprint \
-                                 ({seen:016x} vs {fp:016x}) — replica version or parameter skew"
-                            ));
-                        }
-                        Some(_) => {}
+        for shard in shards {
+            match shard.outcome.expect("the loop resolves every shard") {
+                Ok((fp, shard_outputs)) => {
+                    let seen = *fingerprint.get_or_insert(fp);
+                    if seen != fp {
+                        return Err(format!(
+                            "workers disagree on configuration fingerprint \
+                             ({seen:016x} vs {fp:016x}) — replica version or parameter skew"
+                        ));
                     }
                     for output in shard_outputs {
                         if output.record.status != JobStatus::Cancelled {
@@ -291,7 +306,7 @@ impl Coordinator {
                         outputs.push(output);
                     }
                 }
-                ShardResult::Lost(reason) => {
+                Err(reason) => {
                     // The shard can no longer be computed anywhere; finish
                     // the job with terminal records instead of hanging.
                     let status = if cancel.is_cancelled() {
@@ -299,7 +314,7 @@ impl Coordinator {
                     } else {
                         JobStatus::Failed(format!("shard lost: {reason}"))
                     };
-                    for job in &assignments[shard_idx] {
+                    for job in shard.jobs {
                         outputs.push(synthesize(job, status.clone()));
                     }
                 }
@@ -307,394 +322,6 @@ impl Coordinator {
         }
         outputs.sort_by_key(|o| o.record.job_id);
         Ok(outputs)
-    }
-
-    /// Runs one shard to completion: acquire a worker from the live
-    /// membership, dispatch (racing a speculative copy when the shard
-    /// straggles), settle breakers, and re-dispatch on retryable failure
-    /// until the attempt budget runs out.
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard_supervised(
-        &self,
-        sid: &str,
-        query: &str,
-        body: &[u8],
-        jobs: &[&PlannedJob],
-        cancel: &CancelToken,
-        latencies: &Mutex<Vec<f64>>,
-        poison: &Mutex<Option<String>>,
-    ) -> ShardResult {
-        let ids: Vec<usize> = jobs.iter().map(|j| j.id).collect();
-        let path = format!(
-            "/v1/shards?shard={sid}&jobs={}{}{query}",
-            encode_job_ids(&ids),
-            if query.is_empty() { "" } else { "&" }
-        );
-        let budget = if self.config.max_shard_attempts > 0 {
-            self.config.max_shard_attempts
-        } else {
-            (self.members.len().max(1) as u32 * 2).max(4)
-        };
-        // Per-attempt history: worker, error, elapsed. Carried into the
-        // synthesized failure so the journal explains the shard's death.
-        let mut attempts: Vec<String> = Vec::new();
-        loop {
-            if poison.lock().unwrap().is_some() {
-                return ShardResult::Lost("job poisoned by speculation disagreement".into());
-            }
-            if cancel.is_cancelled() && attempts.is_empty() {
-                // Never *start* work for a cancelled job; in-flight shards
-                // are handled inside the exchange below.
-                return ShardResult::Lost("cancelled before dispatch".into());
-            }
-            if attempts.len() as u32 >= budget {
-                return ShardResult::Lost(format!(
-                    "gave up after {} dispatch attempts: {}",
-                    attempts.len(),
-                    attempts.join("; ")
-                ));
-            }
-            let slot = match self.members.acquire(self.config.max_inflight_per_worker, cancel) {
-                Acquire::Ok(slot) => slot,
-                Acquire::Cancelled => {
-                    return ShardResult::Lost("cancelled before dispatch".into());
-                }
-                Acquire::NoWorkers => {
-                    return ShardResult::Lost(if attempts.is_empty() {
-                        "no live worker".into()
-                    } else {
-                        format!(
-                            "no live worker after {} dispatch attempts: {}",
-                            attempts.len(),
-                            attempts.join("; ")
-                        )
-                    });
-                }
-            };
-            // Only a dispatch that follows a failed attempt is a re-dispatch;
-            // where least-loaded scheduling places the first one is not.
-            if !attempts.is_empty() {
-                self.stats.shards_redispatched.inc();
-            }
-            let addr = slot.addr.clone();
-            let started = Instant::now();
-            match self.race_shard(slot, sid, &path, body, &ids, cancel, latencies, poison) {
-                Ok((fingerprint, outputs)) => {
-                    let ms = started.elapsed().as_secs_f64() * 1e3;
-                    self.stats.shard_ms.observe(ms);
-                    latencies.lock().unwrap().push(ms);
-                    return ShardResult::Done { outputs, fingerprint };
-                }
-                Err(ShardError::Permanent(reason)) => {
-                    // Deterministic rejection (bad parameters, refused
-                    // dispatch) or a poisoned race: re-dispatch cannot help.
-                    return ShardResult::Lost(reason);
-                }
-                Err(retryable) => {
-                    // Only loser copies inside the race are superseded; a
-                    // race that *returns* it would be a logic error — treat
-                    // it as retryable rather than crash.
-                    let reason = match retryable {
-                        ShardError::Retry(reason) => reason,
-                        _ => "superseded".into(),
-                    };
-                    attempts.push(format!(
-                        "attempt {} on {addr}: {reason} ({} ms)",
-                        attempts.len() + 1,
-                        started.elapsed().as_millis()
-                    ));
-                }
-            }
-        }
-    }
-
-    /// One supervised dispatch: run the shard on `primary`, and if it
-    /// straggles past `speculate_factor × median`, race a speculative copy
-    /// on another worker. First result wins; the loser gets a cancel and a
-    /// bounded grace to surface its records, and when it does, the two
-    /// results must agree.
-    #[allow(clippy::too_many_arguments)]
-    fn race_shard(
-        &self,
-        primary: Arc<WorkerSlot>,
-        sid: &str,
-        path: &str,
-        body: &[u8],
-        ids: &[usize],
-        cancel: &CancelToken,
-        latencies: &Mutex<Vec<f64>>,
-        poison: &Mutex<Option<String>>,
-    ) -> Result<(u64, Vec<JobOutput>), ShardError> {
-        struct CopyDone {
-            speculative: bool,
-            addr: String,
-            result: Result<(u64, Vec<JobOutput>), ShardError>,
-        }
-        let speculation_on = self.config.speculate_factor > 0.0;
-        let primary_abort = AtomicBool::new(false);
-        let spec_abort = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<CopyDone>();
-
-        std::thread::scope(|scope| {
-            {
-                let tx = tx.clone();
-                let primary = Arc::clone(&primary);
-                let primary_abort = &primary_abort;
-                scope.spawn(move || {
-                    let result =
-                        self.exchange_shard(&primary, sid, path, body, ids, cancel, primary_abort);
-                    self.settle(&primary, &result);
-                    let _ = tx.send(CopyDone {
-                        speculative: false,
-                        addr: primary.addr.clone(),
-                        result,
-                    });
-                });
-            }
-
-            let started = Instant::now();
-            let mut outstanding = 1usize;
-            let mut spec_slot: Option<Arc<WorkerSlot>> = None;
-            let mut winner: Option<(bool, String, u64, Vec<JobOutput>)> = None;
-            let mut permanent: Option<String> = None;
-            let mut retry_errors: Vec<String> = Vec::new();
-
-            while outstanding > 0 {
-                match rx.recv_timeout(Duration::from_millis(20)) {
-                    Ok(done) => {
-                        outstanding -= 1;
-                        match done.result {
-                            Ok((fp, outs)) => {
-                                if let Some((_, waddr, wfp, wouts)) = &winner {
-                                    // The loser still delivered: the race is
-                                    // only sound if both copies agree.
-                                    if let Some(msg) = disagreement(
-                                        sid, waddr, *wfp, wouts, &done.addr, fp, &outs,
-                                    ) {
-                                        *poison.lock().unwrap() = Some(msg.clone());
-                                        permanent = Some(msg);
-                                    }
-                                } else {
-                                    winner = Some((done.speculative, done.addr, fp, outs));
-                                    if outstanding > 0 {
-                                        // Stand the other copy down: cancel
-                                        // its pending compute, but let it
-                                        // surface already-finished records
-                                        // (bounded by cancel_grace) so the
-                                        // agreement check above can run.
-                                        if done.speculative {
-                                            primary_abort.store(true, Ordering::SeqCst);
-                                            self.send_cancel(&primary.addr, sid);
-                                        } else if let Some(slot) = &spec_slot {
-                                            spec_abort.store(true, Ordering::SeqCst);
-                                            self.send_cancel(&slot.addr, sid);
-                                        }
-                                    }
-                                }
-                            }
-                            // The losing copy was cut short: neither a win
-                            // nor evidence against the worker.
-                            Err(ShardError::Superseded) => {}
-                            Err(ShardError::Permanent(reason)) => {
-                                permanent.get_or_insert(reason);
-                            }
-                            Err(ShardError::Retry(reason)) => {
-                                retry_errors.push(format!("{}: {reason}", done.addr));
-                                if done.speculative {
-                                    // The speculative copy died on a flaky
-                                    // worker; the straggler is still out
-                                    // there, so re-open the slot and let the
-                                    // next tick pick a different replica.
-                                    spec_slot = None;
-                                }
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if winner.is_none()
-                            && spec_slot.is_none()
-                            && speculation_on
-                            && !cancel.is_cancelled()
-                            && self.should_speculate(started, latencies)
-                        {
-                            if let Some(slot) = self.members.try_acquire(
-                                self.config.max_inflight_per_worker,
-                                &[primary.addr.as_str()],
-                            ) {
-                                self.stats.shards_speculated.inc();
-                                outstanding += 1;
-                                spec_slot = Some(Arc::clone(&slot));
-                                let tx = tx.clone();
-                                let spec_abort = &spec_abort;
-                                scope.spawn(move || {
-                                    let result = self.exchange_shard(
-                                        &slot, sid, path, body, ids, cancel, spec_abort,
-                                    );
-                                    self.settle(&slot, &result);
-                                    let _ = tx.send(CopyDone {
-                                        speculative: true,
-                                        addr: slot.addr.clone(),
-                                        result,
-                                    });
-                                });
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-
-            match winner {
-                Some(_) if permanent.is_some() => Err(ShardError::Permanent(permanent.unwrap())),
-                Some((speculative, _, fp, outs)) => {
-                    if speculative {
-                        self.stats.speculation_wins.inc();
-                    }
-                    Ok((fp, outs))
-                }
-                None => match permanent {
-                    Some(reason) => Err(ShardError::Permanent(reason)),
-                    None => Err(ShardError::Retry(if retry_errors.is_empty() {
-                        "shard dispatch failed".into()
-                    } else {
-                        retry_errors.join("; ")
-                    })),
-                },
-            }
-        })
-    }
-
-    /// Is the current dispatch a straggler worth speculating on?
-    fn should_speculate(&self, started: Instant, latencies: &Mutex<Vec<f64>>) -> bool {
-        let samples = latencies.lock().unwrap();
-        if samples.len() < self.config.speculate_min_samples.max(1) {
-            return false;
-        }
-        let mut sorted = samples.clone();
-        drop(samples);
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2].max(1.0);
-        started.elapsed().as_secs_f64() * 1e3 > self.config.speculate_factor * median
-    }
-
-    /// Applies one exchange outcome to the worker's ledgers: breaker
-    /// verdict, suspicion marking, and the inflight release.
-    fn settle(&self, slot: &WorkerSlot, result: &Result<(u64, Vec<JobOutput>), ShardError>) {
-        let verdict = match result {
-            Ok(_) => Settle::Success,
-            // Connection-level flakiness: breaker failure, and declare the
-            // worker suspect immediately (the monitor confirms or revives).
-            Err(ShardError::Retry(_)) => Settle::Failure,
-            // Deterministic rejections and superseded losers say nothing
-            // about the worker's health.
-            Err(ShardError::Permanent(_)) | Err(ShardError::Superseded) => Settle::Neutral,
-        };
-        if matches!(result, Err(ShardError::Retry(_))) {
-            mark_probe(slot, false, &self.config, &self.stats);
-            self.publish_alive();
-        }
-        self.members.release(slot, verdict);
-    }
-
-    /// One dispatch attempt: POST the shard, wait for the streamed result,
-    /// polling liveness, the cancel token, and the race-abort flag while
-    /// the worker computes.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_shard(
-        &self,
-        slot: &WorkerSlot,
-        sid: &str,
-        path: &str,
-        body: &[u8],
-        expected_ids: &[usize],
-        cancel: &CancelToken,
-        abort: &AtomicBool,
-    ) -> Result<(u64, Vec<JobOutput>), ShardError> {
-        let mut client = Client::connect(&slot.addr, CONNECT_TIMEOUT)?;
-        client.send("POST", path, &[], body, true)?;
-        // Short read timeouts turn the blocking wait into a poll so
-        // cancellation, worker death, and a lost speculation race interrupt
-        // a long compute promptly — the poll must stay well under the
-        // heartbeat interval or a superseded copy sits blind until its
-        // stalled read completes.
-        client.set_read_timeout(
-            self.config.heartbeat.min(Duration::from_millis(25)).max(Duration::from_millis(5)),
-        );
-        let mut cancel_deadline: Option<Instant> = None;
-        let mut abort_deadline: Option<Instant> = None;
-        let Reply { status, body: response_body, .. } = client.read_reply_with(|| {
-            if abort.load(Ordering::SeqCst) && abort_deadline.is_none() {
-                // The race was decided against this copy. The winner's
-                // supervisor already sent the cancel; give the worker a
-                // bounded grace to surface whatever it finished (feeding
-                // the agreement check), then stand down.
-                abort_deadline = Some(Instant::now() + self.config.cancel_grace);
-            }
-            if abort_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                return Err(ShardError::Superseded);
-            }
-            if cancel.is_cancelled() && cancel_deadline.is_none() {
-                // Fan the cancellation out to the worker, then keep
-                // waiting (bounded) for its cancelled records: the job
-                // must not turn terminal while a replica still computes
-                // on its behalf.
-                self.send_cancel(&slot.addr, sid);
-                cancel_deadline = Some(Instant::now() + self.config.cancel_grace);
-            }
-            if cancel_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                return Err(ShardError::Permanent(
-                    "worker did not acknowledge cancellation in time".into(),
-                ));
-            }
-            if !slot.is_alive() {
-                return Err(ShardError::Retry(format!(
-                    "worker {} died mid-shard (heartbeat)",
-                    slot.addr
-                )));
-            }
-            Ok(())
-        })?;
-        if status != 200 {
-            let reason = format!(
-                "worker {} refused shard {sid}: HTTP {status} {}",
-                slot.addr,
-                String::from_utf8_lossy(&response_body).trim()
-            );
-            // 4xx is deterministic (bad dispatch); anything else might be
-            // replica-local (mid-shutdown, resource pressure) and is worth
-            // one try elsewhere.
-            return Err(if (400..500).contains(&status) {
-                ShardError::Permanent(reason)
-            } else {
-                ShardError::Retry(reason)
-            });
-        }
-        let text = std::str::from_utf8(&response_body)
-            .map_err(|_| "non-utf8 shard response".to_string())?;
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header =
-            parse_shard_header(lines.next().ok_or_else(|| "empty shard response".to_string())?)?;
-        let mut outputs = Vec::with_capacity(header.jobs);
-        for line in lines {
-            outputs.push(parse_shard_job(line)?);
-        }
-        outputs.sort_by_key(|o| o.record.job_id);
-        let got: Vec<usize> = outputs.iter().map(|o| o.record.job_id).collect();
-        let mut want = expected_ids.to_vec();
-        want.sort_unstable();
-        if got != want || outputs.len() != header.jobs {
-            return Err(ShardError::Retry(format!(
-                "shard {sid} answered jobs {got:?}, expected {want:?}"
-            )));
-        }
-        Ok((header.fingerprint, outputs))
-    }
-
-    /// Best-effort cancel fan-out to one worker. Any answer is an ack: a
-    /// 404 means the shard already finished.
-    fn send_cancel(&self, addr: &str, sid: &str) {
-        let path = format!("/v1/shards/{sid}");
-        let _ = request(addr, "DELETE", &path, &[], CONNECT_TIMEOUT);
     }
 
     /// Recomputes the `workers_alive` gauge from the membership.
@@ -743,11 +370,6 @@ pub fn post_membership(
     }
 }
 
-enum ShardResult {
-    Done { outputs: Vec<JobOutput>, fingerprint: u64 },
-    Lost(String),
-}
-
 enum ShardError {
     /// Worth re-dispatching to another replica.
     Retry(String),
@@ -763,6 +385,428 @@ impl From<String> for ShardError {
     fn from(reason: String) -> Self {
         ShardError::Retry(reason)
     }
+}
+
+/// What an exchange thread reports: the shard's configuration fingerprint
+/// and outputs, or why not.
+type Exchanged = Result<(u64, Vec<JobOutput>), ShardError>;
+
+/// The loop's view of one shard: *pending* (no `race`, no `outcome`),
+/// *running* (`race` holds its live copies) or *resolved* (`outcome`).
+struct Shard<'p> {
+    sid: String,
+    jobs: &'p [&'p PlannedJob],
+    /// The dispatch target: shard id, job ids, the job's query.
+    path: String,
+    /// Failed attempts — worker, error, elapsed — carried into a lost
+    /// shard's records so the journal explains how it died.
+    attempts: Vec<String>,
+    race: Option<Race>,
+    /// Its configuration fingerprint and outputs, or why it is lost.
+    outcome: Option<Result<(u64, Vec<JobOutput>), String>>,
+}
+
+impl<'p> Shard<'p> {
+    fn new(sid: String, jobs: &'p [&'p PlannedJob], query: &str) -> Self {
+        let ids: Vec<usize> = jobs.iter().map(|j| j.id).collect();
+        let path = format!(
+            "/v1/shards?shard={sid}&jobs={}{}{query}",
+            encode_job_ids(&ids),
+            if query.is_empty() { "" } else { "&" }
+        );
+        Shard { sid, jobs, path, attempts: Vec::new(), race: None, outcome: None }
+    }
+}
+
+/// One dispatch attempt: the primary copy and, once it straggles past
+/// `speculate_factor × median`, a speculative copy on another worker. The
+/// first result wins; the loser gets a cancel and a bounded grace to
+/// surface its records, and when it does, the two results must agree.
+struct Race {
+    /// The primary's worker, for the attempt history.
+    addr: String,
+    started: Instant,
+    /// Copies whose exchange has not reported yet.
+    copies: Vec<LiveCopy>,
+    /// The first result: speculative?, worker, fingerprint, outputs.
+    winner: Option<(bool, String, u64, Vec<JobOutput>)>,
+    /// An error no other replica can fix; it loses the shard.
+    permanent: Option<String>,
+    /// `worker: error` of each copy worth retrying elsewhere.
+    retry_errors: Vec<String>,
+}
+
+/// One live copy of a shard. A race has at most one live primary and one
+/// live speculative copy, so the flag names it within its shard.
+struct LiveCopy {
+    slot: Arc<WorkerSlot>,
+    speculative: bool,
+    /// A clone of the exchange's stream, once it is connected: `shutdown`
+    /// on it ends the exchange's blocked read at once.
+    line: Arc<Mutex<Option<TcpStream>>>,
+    /// When the loop hangs up on this copy unless it reports first, and the
+    /// error it then settles with.
+    hang_up: Option<(Instant, ShardError)>,
+}
+
+/// The event loop that supervises one clustered job on the thread that
+/// called [`Coordinator::run_job`]. Copies exchange on scoped threads that
+/// report to `inbox` and notify the membership condvar the loop waits on.
+struct Supervisor<'s, 'e: 's> {
+    coordinator: &'e Coordinator,
+    scope: &'s Scope<'s, 'e>,
+    body: &'e [u8],
+    cancel: &'e CancelToken,
+    /// Settled copies: shard index, speculative flag, result.
+    inbox: &'e Mutex<Vec<(usize, bool, Exchanged)>>,
+    /// Dispatch attempts per shard before it is lost.
+    budget: u32,
+    /// Completed-shard latencies in ms, sorted: the speculation median.
+    latencies: Vec<f64>,
+    poison: Option<String>,
+}
+
+impl<'s, 'e: 's> Supervisor<'s, 'e> {
+    /// Turns until every shard is resolved. Returns the poisoning message
+    /// when a speculation race surfaced disagreeing results.
+    fn run(mut self, shards: &mut [Shard<'_>]) -> Option<String> {
+        let coordinator = self.coordinator;
+        loop {
+            let settled = std::mem::take(&mut *self.inbox.lock().expect(INBOX));
+            for (shard_idx, speculative, result) in settled {
+                self.settle(&mut shards[shard_idx], speculative, result);
+            }
+            let now = Instant::now();
+            let mut wake = now + coordinator.config.heartbeat;
+            let mut blocked = false;
+            let straggler = self.straggler_age();
+            for (shard_idx, shard) in shards.iter_mut().enumerate() {
+                if shard.outcome.is_some() {
+                    continue;
+                }
+                if shard.race.is_none() {
+                    blocked |= self.dispatch(shard_idx, shard);
+                    continue;
+                }
+                self.watch(shard, now, &mut wake);
+                if let Some(age) = straggler {
+                    blocked |= self.speculate(shard_idx, shard, age, now, &mut wake);
+                }
+            }
+            if shards.iter().all(|s| s.outcome.is_some()) {
+                return self.poison;
+            }
+            if blocked {
+                // Quarantine may be what holds a dispatch back.
+                if let Some(at) = coordinator.members.next_reopen().filter(|at| *at > now) {
+                    wake = wake.min(at);
+                }
+            }
+            coordinator.members.wait_until(wake, || !self.inbox.lock().expect(INBOX).is_empty());
+        }
+    }
+
+    /// Dispatches a pending shard to the least-loaded admissible worker, or
+    /// resolves it as lost. `true` when it has to wait for a worker.
+    fn dispatch(&self, shard_idx: usize, shard: &mut Shard<'_>) -> bool {
+        let coordinator = self.coordinator;
+        let tried = &shard.attempts;
+        let history = || format!("{} dispatch attempts: {}", tried.len(), tried.join("; "));
+        let lost = if self.poison.is_some() {
+            Some("job poisoned by speculation disagreement".to_string())
+        } else if self.cancel.is_cancelled() {
+            // Never *start* work for a cancelled job.
+            Some("cancelled before dispatch".into())
+        } else if tried.len() as u32 >= self.budget {
+            Some(format!("gave up after {}", history()))
+        } else if coordinator.members.alive_count() == 0 {
+            Some(if tried.is_empty() {
+                "no live worker".into()
+            } else {
+                format!("no live worker after {}", history())
+            })
+        } else {
+            None
+        };
+        if let Some(reason) = lost {
+            shard.outcome = Some(Err(reason));
+            return false;
+        }
+        let max_inflight = coordinator.config.max_inflight_per_worker;
+        let Some(slot) = coordinator.members.try_acquire(max_inflight, &[]) else {
+            return true;
+        };
+        // Only a dispatch that follows a failed attempt is a re-dispatch;
+        // where least-loaded scheduling places the first one is not.
+        if !shard.attempts.is_empty() {
+            coordinator.stats.shards_redispatched.inc();
+        }
+        let copy = self.launch(shard_idx, shard, slot, false);
+        shard.race = Some(Race {
+            addr: copy.slot.addr.clone(),
+            started: Instant::now(),
+            copies: vec![copy],
+            winner: None,
+            permanent: None,
+            retry_errors: Vec::new(),
+        });
+        false
+    }
+
+    /// Fans a cancel out to copies that have none armed yet, and hangs up on
+    /// copies whose grace ran out or whose worker was declared dead.
+    fn watch(&self, shard: &mut Shard<'_>, now: Instant, wake: &mut Instant) {
+        let race = shard.race.as_mut().expect("a running shard");
+        for copy in &mut race.copies {
+            if copy.hang_up.is_none() && self.cancel.is_cancelled() {
+                // The job must not turn terminal while a replica still
+                // computes on its behalf: cancel, then wait (bounded) for
+                // the worker's cancelled records.
+                send_cancel(&copy.slot.addr, &shard.sid);
+                copy.hang_up = Some((
+                    Instant::now() + self.coordinator.config.cancel_grace,
+                    ShardError::Permanent("worker did not acknowledge cancellation in time".into()),
+                ));
+            }
+            match &copy.hang_up {
+                // Its grace ran out.
+                Some((at, _)) if *at <= now => {}
+                _ if !copy.slot.is_alive() => {
+                    let died = format!("worker {} died mid-shard (heartbeat)", copy.slot.addr);
+                    copy.hang_up = Some((now, ShardError::Retry(died)));
+                }
+                Some((at, _)) => {
+                    *wake = (*wake).min(*at);
+                    continue;
+                }
+                None => continue,
+            }
+            // Repeated each turn until the copy reports: one still connecting
+            // has no stream to shut down yet.
+            if let Some(stream) = &*copy.line.lock().expect("hang-up handle poisoned") {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
+
+    /// How long a shard may run before it is a straggler:
+    /// `speculate_factor ×` the median completed-shard latency. `None` while
+    /// speculation is off, the job is cancelled or too few samples are in.
+    fn straggler_age(&self) -> Option<Duration> {
+        let config = &self.coordinator.config;
+        if config.speculate_factor <= 0.0
+            || self.cancel.is_cancelled()
+            || self.latencies.len() < config.speculate_min_samples.max(1)
+        {
+            return None;
+        }
+        let median_ms = self.latencies[self.latencies.len() / 2].max(1.0);
+        Duration::try_from_secs_f64(config.speculate_factor * median_ms / 1e3).ok()
+    }
+
+    /// Races a speculative copy of a shard whose only copy is its primary
+    /// and has run for `age`, on another worker. `true` when it is due but
+    /// no other worker can take it yet.
+    fn speculate(
+        &self,
+        shard_idx: usize,
+        shard: &mut Shard<'_>,
+        age: Duration,
+        now: Instant,
+        wake: &mut Instant,
+    ) -> bool {
+        let race = shard.race.as_ref().expect("a running shard");
+        let [primary] = race.copies.as_slice() else { return false };
+        if primary.speculative || race.winner.is_some() {
+            return false;
+        }
+        let due = race.started + age;
+        if due > now {
+            *wake = (*wake).min(due);
+            return false;
+        }
+        let coordinator = self.coordinator;
+        let max_inflight = coordinator.config.max_inflight_per_worker;
+        let avoid = [primary.slot.addr.as_str()];
+        let Some(slot) = coordinator.members.try_acquire(max_inflight, &avoid) else {
+            return true;
+        };
+        coordinator.stats.shards_speculated.inc();
+        let copy = self.launch(shard_idx, shard, slot, true);
+        shard.race.as_mut().expect("a running shard").copies.push(copy);
+        false
+    }
+
+    /// Starts one copy of `shard` on `slot`: an exchange thread that reports
+    /// to the inbox and wakes the loop.
+    fn launch(
+        &self,
+        shard_idx: usize,
+        shard: &Shard<'_>,
+        slot: Arc<WorkerSlot>,
+        speculative: bool,
+    ) -> LiveCopy {
+        let line = Arc::new(Mutex::new(None));
+        let (coordinator, body, inbox) = (self.coordinator, self.body, self.inbox);
+        let (addr, sid, path) = (slot.addr.clone(), shard.sid.clone(), shard.path.clone());
+        let ids: Vec<usize> = shard.jobs.iter().map(|j| j.id).collect();
+        let shared = Arc::clone(&line);
+        self.scope.spawn(move || {
+            let result = exchange_shard(&addr, &sid, &path, body, &ids, &shared);
+            inbox.lock().expect(INBOX).push((shard_idx, speculative, result));
+            coordinator.members.notify();
+        });
+        LiveCopy { slot, speculative, line, hang_up: None }
+    }
+
+    /// Applies one copy's result: the worker's ledgers, then the race — a
+    /// first result wins and stands the other copy down, a second must
+    /// agree with it. When the last copy has reported, the shard resolves,
+    /// or goes back to pending with one more failed attempt.
+    fn settle(&mut self, shard: &mut Shard<'_>, speculative: bool, result: Exchanged) {
+        let race = shard.race.as_mut().expect("a settled copy's shard is running");
+        let at = race.copies.iter().position(|c| c.speculative == speculative).expect("live");
+        let copy = race.copies.remove(at);
+        // A reply that made it stands; any other end of a copy past its
+        // hang-up is the hang-up, for the reason the loop recorded.
+        let result = match (result, copy.hang_up) {
+            (Err(_), Some((at, why))) if at <= Instant::now() => Err(why),
+            (result, _) => result,
+        };
+        let coordinator = self.coordinator;
+        let verdict = match &result {
+            Ok(_) => Settle::Success,
+            // Connection-level flakiness: breaker failure, and declare the
+            // worker suspect immediately (the monitor confirms or revives).
+            Err(ShardError::Retry(_)) => Settle::Failure,
+            // Deterministic rejections and superseded losers say nothing
+            // about the worker's health.
+            Err(ShardError::Permanent(_)) | Err(ShardError::Superseded) => Settle::Neutral,
+        };
+        if verdict == Settle::Failure {
+            mark_probe(&copy.slot, false, &coordinator.config, &coordinator.stats);
+            coordinator.publish_alive();
+        }
+        coordinator.members.release(&copy.slot, verdict);
+        let addr = copy.slot.addr.clone();
+        match result {
+            Ok((fp, outs)) => match &race.winner {
+                Some((_, winner_addr, winner_fp, winner_outs)) => {
+                    // The loser still delivered: the race is only sound if
+                    // both copies agree.
+                    let (w_addr, w_fp) = (winner_addr.as_str(), *winner_fp);
+                    if let Some(msg) =
+                        disagreement(&shard.sid, w_addr, w_fp, winner_outs, &addr, fp, &outs)
+                    {
+                        self.poison = Some(msg.clone());
+                        race.permanent = Some(msg);
+                    }
+                }
+                None => {
+                    // Stand the other copy down: cancel its pending compute,
+                    // but let it surface already-finished records (bounded
+                    // by cancel_grace) so the agreement check can run.
+                    for loser in race.copies.iter_mut().filter(|c| c.hang_up.is_none()) {
+                        send_cancel(&loser.slot.addr, &shard.sid);
+                        let grace = Instant::now() + coordinator.config.cancel_grace;
+                        loser.hang_up = Some((grace, ShardError::Superseded));
+                    }
+                    race.winner = Some((copy.speculative, addr, fp, outs));
+                }
+            },
+            // The losing copy was cut short: neither a win nor evidence
+            // against the worker.
+            Err(ShardError::Superseded) => {}
+            Err(ShardError::Permanent(reason)) => {
+                race.permanent.get_or_insert(reason);
+            }
+            Err(ShardError::Retry(reason)) => race.retry_errors.push(format!("{addr}: {reason}")),
+        }
+        if !race.copies.is_empty() {
+            return;
+        }
+        let race = shard.race.take().expect("a running shard");
+        let stats = &coordinator.stats;
+        match (race.winner, race.permanent) {
+            // Deterministic rejection, unacknowledged cancel or a poisoned
+            // race: re-dispatch cannot help.
+            (_, Some(reason)) => shard.outcome = Some(Err(reason)),
+            (Some((speculative, _, fingerprint, outputs)), None) => {
+                if speculative {
+                    stats.speculation_wins.inc();
+                }
+                let ms = race.started.elapsed().as_secs_f64() * 1e3;
+                stats.shard_ms.observe(ms);
+                let at = self.latencies.partition_point(|sample| *sample < ms);
+                self.latencies.insert(at, ms);
+                shard.outcome = Some(Ok((fingerprint, outputs)));
+            }
+            (None, None) => shard.attempts.push(format!(
+                "attempt {} on {}: {} ({} ms)",
+                shard.attempts.len() + 1,
+                race.addr,
+                race.retry_errors.join("; "),
+                race.started.elapsed().as_millis()
+            )),
+        }
+    }
+}
+
+/// One copy's exchange: POST the shard, then block on the socket until the
+/// reply arrives, the connection ends (EOF or reset: the worker died) or
+/// the loop hangs up.
+fn exchange_shard(
+    addr: &str,
+    sid: &str,
+    path: &str,
+    body: &[u8],
+    expected_ids: &[usize],
+    line: &Mutex<Option<TcpStream>>,
+) -> Exchanged {
+    let mut client = Client::connect(addr, CONNECT_TIMEOUT)?;
+    *line.lock().expect("hang-up handle poisoned") = Some(client.hang_up_handle()?);
+    client.send("POST", path, &[], body, true)?;
+    let Reply { status, body: response_body, .. } = client.read_reply()?;
+    if status != 200 {
+        let reason = format!(
+            "worker {addr} refused shard {sid}: HTTP {status} {}",
+            String::from_utf8_lossy(&response_body).trim()
+        );
+        // 4xx is deterministic (bad dispatch) — except `409 shard already
+        // running`: that replica still computes a copy the coordinator
+        // stopped listening to. It and anything else might be replica-local
+        // (mid-shutdown, resource pressure) and are worth a try elsewhere.
+        return Err(if (400..500).contains(&status) && status != 409 {
+            ShardError::Permanent(reason)
+        } else {
+            ShardError::Retry(reason)
+        });
+    }
+    let text =
+        std::str::from_utf8(&response_body).map_err(|_| "non-utf8 shard response".to_string())?;
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let header =
+        parse_shard_header(lines.next().ok_or_else(|| "empty shard response".to_string())?)?;
+    let mut outputs = Vec::with_capacity(header.jobs);
+    for line in lines {
+        outputs.push(parse_shard_job(line)?);
+    }
+    outputs.sort_by_key(|o| o.record.job_id);
+    let got: Vec<usize> = outputs.iter().map(|o| o.record.job_id).collect();
+    let mut want = expected_ids.to_vec();
+    want.sort_unstable();
+    if got != want || outputs.len() != header.jobs {
+        return Err(ShardError::Retry(format!(
+            "shard {sid} answered jobs {got:?}, expected {want:?}"
+        )));
+    }
+    Ok((header.fingerprint, outputs))
+}
+
+/// Best-effort cancel fan-out to one worker. Any answer is an ack: a 404
+/// means the shard already finished.
+fn send_cancel(addr: &str, sid: &str) {
+    let _ = request(addr, "DELETE", &format!("/v1/shards/{sid}"), &[], CONNECT_TIMEOUT);
 }
 
 /// When a speculation race yields two results, they must be the same
@@ -839,7 +883,7 @@ fn monitor_loop(
             mark_probe(&slot, ok, config, stats);
         }
         stats.workers_alive.store(members.alive_count() as u64, Ordering::Relaxed);
-        // Health changed or time passed: unpark waiting supervisors.
+        // Health changed or time passed: wake every job's loop.
         members.notify();
         // One heartbeat of sleep, cut short the moment drop() sets the flag.
         let (stopped, _) = wake

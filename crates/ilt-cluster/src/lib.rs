@@ -18,13 +18,16 @@
 //!   subsets via [`ilt_runtime::run_shard`], checkpoints them to the
 //!   standard WAL, and honors cooperative cancellation per shard.
 //! - [`membership`] — the dynamic worker registry (join/drain/leave at
-//!   runtime) and the scheduler that admits dispatches: least-loaded
-//!   first, breaker-gated, condvar-parked until capacity appears.
+//!   runtime), the scheduler that admits dispatches without blocking
+//!   (least-loaded first, breaker-gated), and the condvar a job's loop
+//!   waits on, which every join, leave, release and heartbeat round
+//!   notifies.
 //! - [`breaker`] — the per-worker circuit breaker (closed → open →
 //!   half-open with decorrelated-jitter backoff) that quarantines
 //!   flaky-but-alive replicas.
 //! - [`coordinator`] — shards a job's tile plan across the live
-//!   membership, supervises shards with heartbeats and attempt budgets,
+//!   membership, supervises them from one event loop per job (heartbeat
+//!   death verdicts, attempt budgets, hang-ups instead of read timeouts),
 //!   re-dispatches on failure, speculatively re-executes stragglers
 //!   (first result wins, results must agree), fans out cancellation, and
 //!   merges outputs for central stitching via

@@ -2,20 +2,22 @@
 //!
 //! PR 6's coordinator took a fixed `--workers` list at construction; this
 //! module replaces it with a registry workers can join, drain, and leave at
-//! runtime (the `POST /v1/members` wire call). Shard supervisors draw
-//! workers from the *current* set through [`Membership::acquire`], which is
-//! where the scheduling policy lives: least-loaded first, draining workers
-//! excluded, and every candidate gated by its circuit [`Breaker`] — so a
-//! quarantined worker receives no dispatches even while its heartbeats
-//! pass. Blocked supervisors park on a condvar and wake when a worker
-//! joins, a shard completes, or a backoff elapses, which is exactly how a
-//! late-joining worker picks up queued shards mid-job.
+//! runtime (the `POST /v1/members` wire call). A job's supervising loop
+//! draws workers from the *current* set through
+//! [`Membership::try_acquire`], which is where the scheduling policy lives:
+//! least-loaded first, draining workers excluded, and every candidate gated
+//! by its circuit [`Breaker`] — so a quarantined worker receives no
+//! dispatches even while its heartbeats pass. Nothing here blocks on a
+//! worker: the loop parks on the membership condvar
+//! ([`Membership::wait_until`]), which a join, a leave, a release and every
+//! heartbeat round notify, so a late-joining worker picks up queued shards
+//! mid-job at once.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::Instant;
 
-use ilt_runtime::CancelToken;
+use ilt_runtime::fnv1a64;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 
@@ -37,9 +39,7 @@ impl WorkerSlot {
     fn new(addr: String, breaker_cfg: BreakerConfig) -> Self {
         // Salt the jitter stream with the address so replicas sharing one
         // config seed do not back off in lockstep.
-        let salt = addr.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        });
+        let salt = fnv1a64(addr.bytes());
         WorkerSlot {
             addr,
             alive: AtomicBool::new(true),
@@ -100,17 +100,7 @@ pub enum Settle {
     Neutral,
 }
 
-/// The outcome of asking for a worker to dispatch to.
-pub enum Acquire {
-    /// A worker was admitted; release it with [`Membership::release`].
-    Ok(Arc<WorkerSlot>),
-    /// No live worker exists (empty set, or every member dead).
-    NoWorkers,
-    /// The job was cancelled while waiting.
-    Cancelled,
-}
-
-/// The live membership set plus the scheduler's wait/wake machinery.
+/// The live membership set plus the condvar a job's loop waits on.
 pub struct Membership {
     slots: Mutex<Vec<Arc<WorkerSlot>>>,
     changed: Condvar,
@@ -187,42 +177,40 @@ impl Membership {
         self.slots.lock().unwrap().iter().filter(|s| s.is_alive()).count()
     }
 
-    /// Wakes every parked supervisor (membership or health changed).
+    /// Wakes every waiting loop (membership or health changed).
     pub fn notify(&self) {
         let _guard = self.slots.lock().unwrap();
         self.changed.notify_all();
     }
 
-    /// Blocks until a worker is admitted, every member is dead/gone, or
-    /// the job is cancelled. Candidates are live, non-draining members
-    /// under `max_inflight`, least-loaded first, each gated by its
-    /// breaker; when all candidates are quarantined or saturated the
-    /// caller parks (bounded 25 ms re-check so breaker backoffs expire).
-    pub fn acquire(&self, max_inflight: u32, cancel: &CancelToken) -> Acquire {
-        let mut slots = self.slots.lock().unwrap();
-        loop {
-            if !slots.iter().any(|s| s.is_alive()) {
-                return Acquire::NoWorkers;
-            }
-            if cancel.is_cancelled() {
-                return Acquire::Cancelled;
-            }
-            if let Some(slot) = Self::admit_one(&slots, max_inflight, &[]) {
-                return Acquire::Ok(slot);
-            }
-            let (guard, _) =
-                self.changed.wait_timeout(slots, Duration::from_millis(25)).unwrap();
-            slots = guard;
+    /// Parks the caller until the membership changes or is notified (a
+    /// join, a leave, a release, a heartbeat round), or `deadline` passes —
+    /// unless `ready()` already holds. `ready` runs under the lock that
+    /// [`Membership::notify`] takes, so whatever a notifier published before
+    /// notifying cannot slip in between the check and the wait (and `ready`
+    /// must not call back into the membership).
+    pub fn wait_until(&self, deadline: Instant, ready: impl FnOnce() -> bool) {
+        let slots = self.slots.lock().expect("membership lock poisoned");
+        if !ready() {
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            drop(self.changed.wait_timeout(slots, timeout).expect("membership lock poisoned"));
         }
     }
 
-    /// Non-blocking acquire for speculative copies: like
-    /// [`Membership::acquire`] but never waits and skips `avoid`
-    /// addresses (the primary's worker). `None` when nothing is
-    /// admissible right now.
+    /// Admits a worker if one is admissible right now: live, not draining,
+    /// under `max_inflight`, not in `avoid` (a speculative copy skips its
+    /// primary's worker), least-loaded first, each gated by its breaker.
+    /// Release it with [`Membership::release`].
     pub fn try_acquire(&self, max_inflight: u32, avoid: &[&str]) -> Option<Arc<WorkerSlot>> {
         let slots = self.slots.lock().unwrap();
         Self::admit_one(&slots, max_inflight, avoid)
+    }
+
+    /// When the first open breaker's backoff ends: the latest a dispatch
+    /// held back by quarantine needs to look again.
+    pub fn next_reopen(&self) -> Option<Instant> {
+        let slots = self.slots.lock().expect("membership lock poisoned");
+        slots.iter().filter_map(|s| s.breaker.reopens_at()).min()
     }
 
     fn admit_one(
@@ -251,8 +239,8 @@ impl Membership {
         None
     }
 
-    /// Returns a worker acquired via [`Membership::acquire`] /
-    /// [`Membership::try_acquire`] and settles its breaker ledger.
+    /// Returns a worker acquired via [`Membership::try_acquire`] and
+    /// settles its breaker ledger.
     pub fn release(&self, slot: &WorkerSlot, settle: Settle) {
         slot.inflight.fetch_sub(1, Ordering::SeqCst);
         match settle {
@@ -330,49 +318,51 @@ mod tests {
     }
 
     #[test]
-    fn acquire_prefers_least_loaded_and_skips_draining() {
+    fn try_acquire_prefers_least_loaded_and_skips_draining() {
         let m = members(&["a:1", "b:2"]);
-        let cancel = CancelToken::new();
-        let first = match m.acquire(2, &cancel) {
-            Acquire::Ok(s) => s,
-            _ => panic!("expected a worker"),
-        };
+        let first = m.try_acquire(2, &[]).expect("a worker");
         assert_eq!(first.addr, "a:1", "tie broken by join order");
-        let second = match m.acquire(2, &cancel) {
-            Acquire::Ok(s) => s,
-            _ => panic!("expected a worker"),
-        };
+        let second = m.try_acquire(2, &[]).expect("a worker");
         assert_eq!(second.addr, "b:2", "least-loaded wins");
         m.drain("a:1");
         m.release(&first, Settle::Success);
-        let third = match m.acquire(2, &cancel) {
-            Acquire::Ok(s) => s,
-            _ => panic!("expected a worker"),
-        };
+        let third = m.try_acquire(2, &[]).expect("a worker");
         assert_eq!(third.addr, "b:2", "draining worker gets nothing");
     }
 
     #[test]
-    fn acquire_reports_no_workers_and_cancellation() {
-        let empty = members(&[]);
-        let cancel = CancelToken::new();
-        assert!(matches!(empty.acquire(2, &cancel), Acquire::NoWorkers));
-
+    fn try_acquire_admits_no_dead_or_saturated_worker() {
+        assert!(members(&[]).try_acquire(2, &[]).is_none(), "no members");
         let m = members(&["a:1"]);
         m.snapshot()[0].set_alive(false);
-        assert!(matches!(m.acquire(2, &cancel), Acquire::NoWorkers), "all dead");
-
+        assert!(m.try_acquire(2, &[]).is_none(), "all dead");
+        assert_eq!(m.alive_count(), 0, "what the loop reads as 'no live worker'");
         m.snapshot()[0].set_alive(true);
-        let held = match m.acquire(1, &cancel) {
-            Acquire::Ok(s) => s,
-            _ => panic!("expected a worker"),
-        };
-        cancel.cancel();
-        assert!(
-            matches!(m.acquire(1, &cancel), Acquire::Cancelled),
-            "saturated + cancelled unparks as Cancelled"
-        );
+        let held = m.try_acquire(1, &[]).expect("a worker");
+        assert!(m.try_acquire(1, &[]).is_none(), "saturated: the caller waits for a release");
         m.release(&held, Settle::Neutral);
+        assert_eq!(held.inflight(), 0);
+    }
+
+    #[test]
+    fn wait_until_wakes_on_a_join_and_skips_the_wait_when_ready() {
+        let m = members(&[]);
+        let far = Instant::now() + std::time::Duration::from_secs(60);
+        let started = Instant::now();
+        m.wait_until(far, || true);
+        assert!(started.elapsed().as_secs() < 30, "ready: no wait at all");
+        let joined = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| m.wait_until(far, || joined.load(Ordering::SeqCst)));
+            // Publish, then notify (the join does): the order an exchange
+            // thread follows with the coordinator's inbox.
+            joined.store(true, Ordering::SeqCst);
+            m.join("a:1");
+        });
+        assert!(started.elapsed().as_secs() < 30, "the join woke the waiter");
+        let near = Instant::now();
+        m.wait_until(near, || false);
+        assert!(near.elapsed().as_secs() < 30, "a passed deadline returns");
     }
 
     #[test]

@@ -677,9 +677,10 @@ impl Reply {
 
 /// The workspace's one HTTP/1.1 client: a connection that encodes requests
 /// one way ([`Client::send`]) and frames every response by its
-/// `content-length` ([`Client::read_reply_with`]), so it serves one-shot
+/// `content-length` ([`Client::read_reply`]), so it serves one-shot
 /// exchanges ([`request`]), keep-alive and pipelined sessions, and shard
-/// dispatch, whose wait for a long compute polls a closure.
+/// dispatch, whose read blocks through a long compute until the reply or a
+/// hang-up ([`Client::hang_up_handle`]).
 pub struct Client {
     stream: TcpStream,
     /// Bytes read past the last reply (pipelined responses).
@@ -688,7 +689,7 @@ pub struct Client {
 
 impl Client {
     /// Connects to `addr` with `TCP_NODELAY`; `timeout` bounds the connect
-    /// and, until [`Client::set_read_timeout`], each read.
+    /// and, until [`Client::hang_up_handle`], each read.
     ///
     /// # Errors
     ///
@@ -711,10 +712,17 @@ impl Client {
         Err(last)
     }
 
-    /// How long one read may block before [`Client::read_reply_with`] calls
-    /// its poll closure (or [`Client::read_reply`] gives up).
-    pub fn set_read_timeout(&mut self, timeout: Duration) {
-        let _ = self.stream.set_read_timeout(Some(timeout));
+    /// Lifts the read timeout, so [`Client::read_reply`] blocks until the
+    /// reply arrives or the connection ends, and returns a clone of the
+    /// connection: `shutdown` on it ends that blocked read at once (the
+    /// coordinator's hang-up).
+    ///
+    /// # Errors
+    ///
+    /// A message when the socket cannot be cloned.
+    pub fn hang_up_handle(&self) -> Result<TcpStream, String> {
+        let _ = self.stream.set_read_timeout(None);
+        self.stream.try_clone().map_err(|e| format!("cannot clone the connection: {e}"))
     }
 
     /// Writes raw bytes without reading anything back (pipelining,
@@ -772,29 +780,16 @@ impl Client {
         self.read_reply()
     }
 
-    /// Reads one response; a read that times out is an error.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::read_reply_with`].
-    pub fn read_reply(&mut self) -> Result<Reply, String> {
-        self.read_reply_with(|| Err("timed out waiting for the response".to_string()))
-    }
-
     /// The one response reader: the head, then exactly `content-length`
     /// body bytes; whatever arrived beyond them stays buffered for the next
-    /// call. Each time a read times out, `on_timeout` decides whether to
-    /// keep waiting (`Ok`) or give up with its own error.
+    /// call.
     ///
     /// # Errors
     ///
-    /// `on_timeout`'s error, or a message (through `E::from`) when the
-    /// connection closes or fails before the response is complete, or the
-    /// head is malformed or carries no `content-length`.
-    pub fn read_reply_with<E: From<String>>(
-        &mut self,
-        mut on_timeout: impl FnMut() -> Result<(), E>,
-    ) -> Result<Reply, E> {
+    /// A message when a read times out, the connection closes or fails
+    /// before the response is complete, or the head is malformed or carries
+    /// no `content-length`.
+    pub fn read_reply(&mut self) -> Result<Reply, String> {
         // The parsed head with the body length it promises, once it is in.
         let mut head: Option<(Reply, usize)> = None;
         let mut chunk = [0u8; 16 * 1024];
@@ -815,13 +810,13 @@ impl Client {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     let at = if head.is_some() { "mid-body" } else { "before a full response head" };
-                    return Err(format!("connection closed {at}").into());
+                    return Err(format!("connection closed {at}"));
                 }
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                    on_timeout()?;
+                    return Err("timed out waiting for the response".into());
                 }
-                Err(e) => return Err(format!("connection failed mid-response: {e}").into()),
+                Err(e) => return Err(format!("connection failed mid-response: {e}")),
             }
         }
     }
@@ -1060,7 +1055,7 @@ mod tests {
     }
 
     #[test]
-    fn replies_are_framed_by_content_length_and_timeouts_poll() {
+    fn replies_are_framed_by_content_length_and_a_hang_up_ends_the_wait() {
         let (addr, peer) = with_peer(|mut stream| {
             // Two pipelined replies in one segment, then a third whose body
             // dribbles in after a pause, then a torn one.
@@ -1078,23 +1073,14 @@ mod tests {
         assert_eq!(one.header("connection"), Some("keep-alive"));
         let two = client.read_reply().unwrap();
         assert_eq!((two.status, two.body.len()), (404, 0));
-        client.set_read_timeout(Duration::from_millis(10));
-        let mut polls = 0;
-        let slow = client
-            .read_reply_with(|| {
-                polls += 1;
-                Ok::<(), String>(())
-            })
-            .unwrap();
-        assert_eq!(slow.text(), "slow");
-        assert!(polls >= 2, "each read timeout calls the poll closure, got {polls}");
+        assert_eq!(client.read_reply().unwrap().text(), "slow", "the read waits out the pause");
         peer.join().unwrap();
-        let torn = client.read_reply_with(|| Ok::<(), String>(())).unwrap_err();
+        let torn = client.read_reply().unwrap_err();
         assert!(torn.contains("mid-body"), "{torn}");
         assert!(!client.expect_closed(), "the torn bytes stay buffered");
 
-        // The poll closure's verdict ends the wait with its own error; a
-        // peer that closes without a byte is an error too.
+        // A read that times out is an error; a peer that closes without a
+        // byte is an error too.
         let (addr, peer) = with_peer(|stream| {
             std::thread::sleep(Duration::from_millis(60));
             drop(stream);
@@ -1104,6 +1090,21 @@ mod tests {
         peer.join().unwrap();
         assert!(client.read_reply().unwrap_err().contains("before a full response head"));
         assert!(client.expect_closed());
+
+        // Past `hang_up_handle` no read timeout fires: the read waits on a
+        // silent peer until the handle shuts the connection down, and the
+        // peer sees that as EOF.
+        let (addr, peer) = with_peer(|mut stream| stream.read(&mut [0u8; 1]).unwrap_or(1));
+        let mut client = Client::connect(&addr, Duration::from_millis(10)).unwrap();
+        let handle = client.hang_up_handle().unwrap();
+        let hang_up = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(60));
+            handle.shutdown(std::net::Shutdown::Both).unwrap();
+        });
+        let err = client.read_reply().unwrap_err();
+        assert!(err.contains("before a full response head"), "{err}");
+        hang_up.join().unwrap();
+        assert_eq!(peer.join().unwrap(), 0);
     }
 
     #[test]
@@ -1123,6 +1124,9 @@ mod tests {
         for _ in 0..3 {
             // The handler unwinds without answering: the socket just closes.
             assert!(get("/boom").is_err());
+            // The socket closes before the unwinding thread drops its slot;
+            // a leaked slot makes this time out and the next request a 503.
+            gate.wait_idle(Duration::from_secs(5));
         }
         // More panics than the cap has slots, and the listener still serves.
         assert_eq!(get("/ok").map(|(status, _)| status), Ok(200));

@@ -5,11 +5,12 @@
 
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ilt_cluster::transport::request;
 use ilt_cluster::{
-    BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, JobParams, Worker, WorkerConfig,
+    BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, JobParams, Limits, Request, Response,
+    Worker, WorkerConfig,
 };
 use ilt_field::pgm_bytes;
 use ilt_runtime::{
@@ -32,6 +33,48 @@ fn spawn_worker(faults: FaultPlan) -> (String, std::thread::JoinHandle<()>) {
 
 fn shutdown(addr: &str) {
     let _ = request(addr, "POST", "/v1/shutdown", &[], Duration::from_secs(10));
+}
+
+/// A replica that accepts every connection and never writes a byte. It
+/// holds the streams open, so shard exchanges and `/healthz` probes alike
+/// hang until the coordinator gives up on them.
+fn spawn_black_hole() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind black hole");
+    let addr = listener.local_addr().expect("addr").to_string();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        for stream in listener.incoming() {
+            held.extend(stream);
+        }
+    });
+    addr
+}
+
+/// A replica that speaks just enough of the protocol to look alive:
+/// `/healthz` answers 200 and `DELETE /v1/shards/{sid}` 202. A shard
+/// `POST` is refused with `post_status`, or held open and never answered
+/// when that is `None`.
+fn spawn_fake_replica(post_status: Option<u16>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
+    let addr = listener.local_addr().expect("addr").to_string();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let Ok(req) = Request::read_from(&mut stream, &Limits::default()) else { continue };
+            let response = match (req.method.as_str(), post_status) {
+                ("POST", Some(status)) => Response::error(status, "shard is already running"),
+                ("POST", None) => {
+                    held.push(stream);
+                    continue;
+                }
+                ("DELETE", _) => Response::json(202, "{\"cancelling\":true}"),
+                _ => Response::text(200, "ok\n"),
+            };
+            let _ = response.write_to(&mut stream);
+        }
+    });
+    addr
 }
 
 /// A small multi-tile job: 128 px via clip split into 64 px tiles with an
@@ -460,5 +503,132 @@ fn lost_shard_records_carry_the_full_attempt_history() {
     }
 
     shutdown(&addr);
+    handle.join().expect("worker thread");
+}
+
+#[test]
+fn a_replica_that_never_answers_is_declared_dead_and_its_shards_move() {
+    let params = tiny_params();
+    let (case, config) = params.plan().expect("plan");
+    let query = params.to_query();
+    let cache = SimulatorCache::new();
+    let reference = run_batch(std::slice::from_ref(&case), &config, &cache).expect("local batch");
+    let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
+    let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
+
+    // The black hole is first in the roster, so it takes shards; its
+    // exchanges never end on their own. Only the death verdict (two probes
+    // that time out) can move them to the healthy replica.
+    let hole = spawn_black_hole();
+    let (live, handle) = spawn_worker(FaultPlan::none());
+    let coordinator = Coordinator::new(ClusterConfig {
+        workers: vec![hole, live.clone()],
+        heartbeat: Duration::from_millis(50),
+        heartbeat_failures: 2,
+        // A speculative copy could rescue the shards before the verdict.
+        speculate_factor: 0.0,
+        ..ClusterConfig::default()
+    })
+    .expect("coordinator");
+
+    let started = Instant::now();
+    let outputs = coordinator
+        .run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
+        .expect("clustered run despite a silent replica");
+    assert!(started.elapsed() < Duration::from_secs(30), "took {:?}", started.elapsed());
+    assert!(outputs.iter().all(|o| o.record.status == JobStatus::Done));
+    let outcome = assemble_batch(std::slice::from_ref(&case), &config, outputs, &cache, 0.0)
+        .expect("assemble");
+    assert!(
+        pgm_bytes(&outcome.cases[0].mask, 0.0, 1.0) == reference_pgm,
+        "shards moved off a dead replica must not change the mask"
+    );
+    assert!(coordinator.stats().shards_redispatched.get() >= 1);
+    assert_eq!(coordinator.stats().workers_alive.load(Ordering::Relaxed), 1);
+
+    shutdown(&live);
+    handle.join().expect("worker thread");
+}
+
+#[test]
+fn a_cancel_the_worker_never_acknowledges_ends_after_the_grace() {
+    let params = tiny_params();
+    let (case, config) = params.plan().expect("plan");
+    let query = params.to_query();
+    let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
+
+    // The replica acks the DELETE but never answers the dispatch: only the
+    // cancel grace can end the in-flight exchanges.
+    let deaf = spawn_fake_replica(None);
+    let coordinator = Coordinator::new(ClusterConfig {
+        workers: vec![deaf],
+        heartbeat: Duration::from_millis(50),
+        cancel_grace: Duration::from_millis(300),
+        ..ClusterConfig::default()
+    })
+    .expect("coordinator");
+
+    let cancel = config.cancel.clone();
+    std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(200));
+        cancel.cancel();
+    });
+    let started = Instant::now();
+    let outputs = coordinator
+        .run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
+        .expect("a cancelled run still merges");
+    assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
+    assert_eq!(outputs.len(), plan.len(), "every planned job gets a record");
+    for output in &outputs {
+        assert_eq!(output.record.status, JobStatus::Cancelled, "job {}", output.record.job_id);
+    }
+}
+
+#[test]
+fn a_409_refusal_is_retried_on_another_replica() {
+    let params = tiny_params();
+    let (case, config) = params.plan().expect("plan");
+    let query = params.to_query();
+    let cache = SimulatorCache::new();
+    let reference = run_batch(std::slice::from_ref(&case), &config, &cache).expect("local batch");
+    let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
+    let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
+
+    // `409 shard already running` is what a worker says while it still
+    // computes a shard the coordinator stopped listening to: a fact about
+    // that replica, not about the shard.
+    let busy = spawn_fake_replica(Some(409));
+    let (live, handle) = spawn_worker(FaultPlan::none());
+    let coordinator = Coordinator::new(ClusterConfig {
+        workers: vec![busy, live.clone()],
+        heartbeat: Duration::from_millis(50),
+        heartbeat_failures: 1000,
+        // The first refusal quarantines the replica for the whole test, so
+        // no shard is refused twice.
+        breaker: BreakerConfig {
+            threshold: 1,
+            base: Duration::from_secs(60),
+            cap: Duration::from_secs(60),
+            ..BreakerConfig::default()
+        },
+        ..ClusterConfig::default()
+    })
+    .expect("coordinator");
+
+    let outputs = coordinator
+        .run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
+        .expect("clustered run");
+    for output in &outputs {
+        assert_eq!(output.record.status, JobStatus::Done, "job {}", output.record.job_id);
+    }
+    let outcome = assemble_batch(std::slice::from_ref(&case), &config, outputs, &cache, 0.0)
+        .expect("assemble");
+    assert!(
+        pgm_bytes(&outcome.cases[0].mask, 0.0, 1.0) == reference_pgm,
+        "a refused shard re-run elsewhere must not change the mask"
+    );
+    assert!(coordinator.stats().shards_redispatched.get() >= 1);
+
+    shutdown(&live);
     handle.join().expect("worker thread");
 }
