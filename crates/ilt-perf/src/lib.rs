@@ -16,10 +16,10 @@
 //! The barometer is three pieces:
 //!
 //! - **Registry** ([`registry`]): a flat list of [`Workload`]s — name,
-//!   tags, regression threshold, and a run function. Five families
-//!   ship in-tree: FFT variants, simulator aerial/vjp, autodiff backward,
-//!   one optimizer step of each Algorithm 1 branch, and the tiled runtime
-//!   pipeline.
+//!   tags, regression threshold, and a run function. Four families
+//!   ship in-tree: the pruned FFT transforms of a fused step, the
+//!   simulator's aerial image, one optimizer step of each Algorithm 1
+//!   branch, and the tiled runtime pipeline.
 //! - **Measurement engine** ([`measure`]): one untimed warmup, then
 //!   median-of-N wall times with MAD dispersion, stamped with the
 //!   environment (git revision, hardware thread count) so a checked-in

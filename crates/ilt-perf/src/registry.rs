@@ -63,20 +63,6 @@ pub fn registry() -> Vec<Workload> {
             run: workloads::simulator::aerial,
         },
         Workload {
-            name: "sim_vjp",
-            tags: &["simulator"],
-            threshold: 0.11,
-            notes: "one aerial vector-Jacobian product (the backward hot path) at grid 512",
-            run: workloads::simulator::vjp,
-        },
-        Workload {
-            name: "autodiff_backward",
-            tags: &["autodiff"],
-            threshold: 0.05,
-            notes: "reverse sweep of the full ILT pipeline graph (pool-sigmoid-Hopkins-resist-loss) at grid 256",
-            run: workloads::autodiff::backward,
-        },
-        Workload {
             name: "core_step_lo",
             tags: &["core"],
             threshold: 0.05,
@@ -94,7 +80,7 @@ pub fn registry() -> Vec<Workload> {
             name: "runtime_tile_pipeline",
             tags: &["runtime"],
             threshold: 0.12,
-            notes: "tiled batch end-to-end via run_batch: 256 px via clip, 9 tiles, 2 worker threads",
+            notes: "tiled batch end-to-end via run_batch: 256 px via clip, 9 tiles, threads = 2",
             run: workloads::runtime::tile_pipeline,
         },
     ]
@@ -161,7 +147,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate workload names");
-        for family in ["fft", "simulator", "autodiff", "core", "runtime"] {
+        for family in ["fft", "simulator", "core", "runtime"] {
             assert!(
                 all.iter().any(|w| w.tags.contains(&family)),
                 "no workload tagged {family}"
@@ -186,7 +172,7 @@ mod tests {
         let fft = select(&Selection { tags: vec!["fft".into()], names: vec![] });
         assert_eq!(fft.len(), 3);
         let one = select(&Selection { tags: vec![], names: vec!["sim_*".into()] });
-        assert_eq!(one.len(), 2);
+        assert_eq!(one.len(), 1);
         let both = select(&Selection {
             tags: vec!["fft".into()],
             names: vec!["*_forward".into()],

@@ -5,7 +5,6 @@
 //! self-check against a reference path where one exists, and return the
 //! [`crate::measure::Sample`] with descriptive extras attached.
 
-pub mod autodiff;
 pub mod fft;
 pub mod optimizer;
 pub mod runtime;

@@ -1,61 +1,31 @@
-//! Simulator workloads: the SOCS aerial image and its vector-Jacobian
-//! product — the forward and backward halves of every ILT iteration.
+//! Simulator workload: the SOCS aerial image, the forward simulation every
+//! evaluation and every corner print runs.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
-use ilt_field::Field2D;
 use ilt_layouts::iccad2013_case;
 use ilt_optics::{LithoSimulator, OpticsConfig};
 
 use crate::measure::{measure, MeasureConfig, Sample};
 use crate::result::PerfError;
 
-/// Simulator fixture: ICCAD case 1 at the serving grid (512 px, 10
-/// kernels) in full mode, a 64 px clip with 3 kernels in smoke mode.
-fn fixture(cfg: &MeasureConfig, workload: &str) -> Result<(Arc<LithoSimulator>, Field2D), PerfError> {
+/// One aerial image: `num_kernels` pruned inverse transforms plus the
+/// coherent sum — the cost of every forward simulation. The fixture is
+/// ICCAD case 1 at the serving grid (512 px, 10 kernels) in full mode, a
+/// 64 px clip with 3 kernels in smoke mode.
+pub fn aerial(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
     let (grid, kernels) = if cfg.smoke { (64, 3) } else { (512, 10) };
     let layout = iccad2013_case(1);
-    let target = layout.rasterize(grid);
+    let mask = layout.rasterize(grid);
     let optics = OpticsConfig {
         grid,
         nm_per_px: layout.nm_per_px(grid),
         num_kernels: kernels,
         ..OpticsConfig::default()
     };
-    let sim = LithoSimulator::new(optics).map_err(|e| PerfError::workload(workload, e))?;
-    Ok((Arc::new(sim), target))
-}
-
-/// One aerial image: `num_kernels` pruned inverse transforms plus the
-/// coherent sum — the cost of every forward simulation.
-pub fn aerial(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
-    let (sim, mask) = fixture(cfg, "sim_aerial")?;
+    let sim = LithoSimulator::new(optics).map_err(|e| PerfError::workload("sim_aerial", e))?;
     let sample = measure(cfg, || {
         black_box(sim.aerial(&mask, false));
     });
-    let c = sim.config();
-    Ok(sample
-        .with_extra("grid", c.grid as f64)
-        .with_extra("kernels", c.num_kernels as f64))
-}
-
-/// One aerial vector-Jacobian product against a cached forward pass — the
-/// backward hot path every gradient iteration runs.
-pub fn vjp(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
-    let (sim, mask) = fixture(cfg, "sim_vjp")?;
-    let (aerial, cache) = sim.aerial_with_cache(&mask, false);
-    // An upstream gradient with structure (target minus intensity), so the
-    // VJP sees realistic data rather than a constant field.
-    let (rows, cols) = aerial.shape();
-    let grad = Field2D::from_fn(rows, cols, |r, c| {
-        mask.get(r, c).unwrap_or(0.0) - aerial.get(r, c).unwrap_or(0.0)
-    });
-    let sample = measure(cfg, || {
-        black_box(sim.aerial_vjp(&cache, &grad));
-    });
-    let c = sim.config();
-    Ok(sample
-        .with_extra("grid", c.grid as f64)
-        .with_extra("kernels", c.num_kernels as f64))
+    Ok(sample.with_extra("grid", grid as f64).with_extra("kernels", kernels as f64))
 }

@@ -3,7 +3,7 @@
 //! `run_batch` is the full-chip entry point. Each case whose target fits in
 //! one tile runs as a single whole-clip job; larger targets are decomposed
 //! by [`TileGrid`] and every tile becomes an independent job. All jobs of
-//! all cases go into one worker pool so a mix of clip sizes load-balances,
+//! all cases go into one pool so a mix of clip sizes load-balances,
 //! and all simulators come from one shared [`SimulatorCache`] so each
 //! distinct optics configuration is built exactly once per process.
 //!
@@ -59,7 +59,7 @@ pub struct BatchCase {
 /// Full configuration of a batch run.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// Worker threads.
+    /// Attempts run at once, each on its own thread.
     pub threads: usize,
     /// Tile window size in pixels (power of two).
     pub tile: usize,

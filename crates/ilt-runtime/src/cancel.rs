@@ -1,7 +1,7 @@
 //! Cooperative cancellation and live progress for pool runs.
 //!
 //! Both types are thin `Arc`-wrapped atomics so a caller (the HTTP server,
-//! a CLI signal handler) can keep one end while the worker pool holds the
+//! a CLI signal handler) can keep one end while the pool holds the
 //! other. Cancellation is *cooperative*: the pool checks the token at each
 //! tile boundary — an in-flight attempt is never interrupted, it finishes
 //! (or times out) and then the remaining queue drains as `cancelled`

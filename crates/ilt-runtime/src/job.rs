@@ -99,7 +99,8 @@ pub struct JobSuccess {
 }
 
 /// Runs one attempt of a job to completion, with `schedule` selecting the
-/// recipe (the job's own, or its degraded fallback).
+/// recipe: the job's own, or its [`IltJob::degraded_schedule`]. Faults keyed
+/// to `attempt` fire either way, so chaos plans can kill the fallback too.
 ///
 /// # Errors
 ///
@@ -112,7 +113,7 @@ pub struct JobSuccess {
 /// Panics when the fault plan targets `(job.id, attempt)` with a panic, and
 /// on the usual contract violations (target/grid mismatch); the pool
 /// converts panics into failed attempts via `catch_unwind`.
-fn run_scheduled_attempt(
+pub fn run_attempt(
     job: &IltJob,
     schedule: &[Stage],
     attempt: u32,
@@ -180,41 +181,6 @@ fn run_scheduled_attempt(
     })
 }
 
-/// Runs one attempt of a job with its full recipe.
-///
-/// # Errors
-///
-/// See [`run_degraded_attempt`]; both surface the same error taxonomy.
-///
-/// # Panics
-///
-/// Panics when the fault plan targets `(job.id, attempt)` with a panic.
-pub fn run_attempt(
-    job: &IltJob,
-    attempt: u32,
-    cache: &SimulatorCache,
-    faults: &FaultPlan,
-) -> Result<JobSuccess, String> {
-    run_scheduled_attempt(job, &job.schedule, attempt, cache, faults)
-}
-
-/// Runs the degraded fallback: the coarsest low-resolution pass only.
-/// Returns `None` when the job has no cheaper recipe to fall back to.
-///
-/// # Errors
-///
-/// Same taxonomy as [`run_attempt`]; faults keyed to `attempt` still fire,
-/// so chaos plans can kill the fallback too.
-pub fn run_degraded_attempt(
-    job: &IltJob,
-    attempt: u32,
-    cache: &SimulatorCache,
-    faults: &FaultPlan,
-) -> Option<Result<JobSuccess, String>> {
-    let schedule = job.degraded_schedule()?;
-    Some(run_scheduled_attempt(job, &schedule, attempt, cache, faults))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +208,16 @@ mod tests {
         }
     }
 
+    /// An attempt with the job's own (full) recipe.
+    fn own_recipe(
+        job: &IltJob,
+        attempt: u32,
+        cache: &SimulatorCache,
+        faults: &FaultPlan,
+    ) -> Result<JobSuccess, String> {
+        run_attempt(job, &job.schedule, attempt, cache, faults)
+    }
+
     fn panics(n: u32) -> FaultPlan {
         FaultPlan::none().with(FaultSpec::through(0, n, FaultKind::Panic))
     }
@@ -249,7 +225,7 @@ mod tests {
     #[test]
     fn attempt_produces_mask_and_metrics() {
         let cache = SimulatorCache::new();
-        let out = run_attempt(&small_job(), 1, &cache, &FaultPlan::none()).expect("job runs");
+        let out = own_recipe(&small_job(), 1, &cache, &FaultPlan::none()).expect("job runs");
         assert_eq!(out.mask.shape(), (64, 64));
         assert_eq!(out.metrics.iterations, 4);
         assert!(out.metrics.l2_nm2.is_finite());
@@ -259,8 +235,8 @@ mod tests {
     #[test]
     fn attempts_are_deterministic() {
         let cache = SimulatorCache::new();
-        let a = run_attempt(&small_job(), 1, &cache, &FaultPlan::none()).unwrap();
-        let b = run_attempt(&small_job(), 1, &cache, &FaultPlan::none()).unwrap();
+        let a = own_recipe(&small_job(), 1, &cache, &FaultPlan::none()).unwrap();
+        let b = own_recipe(&small_job(), 1, &cache, &FaultPlan::none()).unwrap();
         assert_eq!(a.metrics.mask_hash, b.metrics.mask_hash);
         assert_eq!(a.metrics.l2_nm2.to_bits(), b.metrics.l2_nm2.to_bits());
     }
@@ -269,13 +245,13 @@ mod tests {
     #[should_panic(expected = "injected failure")]
     fn injected_failure_panics_until_budget_spent() {
         let cache = SimulatorCache::new();
-        let _ = run_attempt(&small_job(), 1, &cache, &panics(1));
+        let _ = own_recipe(&small_job(), 1, &cache, &panics(1));
     }
 
     #[test]
     fn injected_failure_clears_on_retry() {
         let cache = SimulatorCache::new();
-        assert!(run_attempt(&small_job(), 2, &cache, &panics(1)).is_ok());
+        assert!(own_recipe(&small_job(), 2, &cache, &panics(1)).is_ok());
     }
 
     #[test]
@@ -283,24 +259,24 @@ mod tests {
         let cache = SimulatorCache::new();
         let mut job = small_job();
         job.optics.grid = 100; // not a power of two
-        assert!(run_attempt(&job, 1, &cache, &FaultPlan::none()).is_err());
+        assert!(own_recipe(&job, 1, &cache, &FaultPlan::none()).is_err());
     }
 
     #[test]
     fn poisoned_result_trips_the_numeric_guard() {
         let cache = SimulatorCache::new();
         let faults = FaultPlan::none().with(FaultSpec::at(0, 1, FaultKind::PoisonNan));
-        let err = run_attempt(&small_job(), 1, &cache, &faults).unwrap_err();
+        let err = own_recipe(&small_job(), 1, &cache, &faults).unwrap_err();
         assert!(err.starts_with("numeric:"), "{err}");
         // The next attempt (no fault) is clean.
-        assert!(run_attempt(&small_job(), 2, &cache, &faults).is_ok());
+        assert!(own_recipe(&small_job(), 2, &cache, &faults).is_ok());
     }
 
     #[test]
     fn injected_build_error_is_typed_io() {
         let cache = SimulatorCache::new();
         let faults = FaultPlan::none().with(FaultSpec::at(0, 1, FaultKind::BuildError));
-        let err = run_attempt(&small_job(), 1, &cache, &faults).unwrap_err();
+        let err = own_recipe(&small_job(), 1, &cache, &faults).unwrap_err();
         assert!(err.starts_with("io:"), "{err}");
         assert!(cache.is_empty(), "injected build error must not populate the cache");
     }
@@ -323,9 +299,9 @@ mod tests {
         let cache = SimulatorCache::new();
         let mut job = small_job();
         job.schedule = vec![Stage::low_res(2, 4), Stage::high_res(1, 2)];
-        let out = run_degraded_attempt(&job, 3, &cache, &FaultPlan::none())
-            .expect("fallback exists")
-            .expect("fallback runs");
+        let fallback = job.degraded_schedule().expect("fallback exists");
+        let out =
+            run_attempt(&job, &fallback, 3, &cache, &FaultPlan::none()).expect("fallback runs");
         assert_eq!(out.mask.shape(), (64, 64));
         assert_eq!(out.metrics.iterations, 4, "only the coarse stage runs");
     }

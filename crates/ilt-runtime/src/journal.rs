@@ -126,7 +126,7 @@ pub struct JobRecord {
 /// The measurement record of a whole batch run.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
-    /// Worker threads the pool ran with.
+    /// Attempts the pool ran at once (`BatchConfig::threads`).
     pub threads: usize,
     /// Per-job records, sorted by `job_id`.
     pub records: Vec<JobRecord>,

@@ -7,12 +7,13 @@
 //! - [`TileGrid`] partitions a large target into overlapping windows whose
 //!   cores tile the field exactly, and stitches per-tile masks back with a
 //!   hard crop or a linear seam blend ([`SeamPolicy`]).
-//! - [`run_jobs`] drains a queue of [`IltJob`]s with N workers, isolating
-//!   panics per attempt, enforcing per-attempt timeouts, retrying a bounded
-//!   number of times, and returning results in submission order so output
-//!   is deterministic for any thread count.
+//! - [`run_jobs`] drains a queue of [`IltJob`]s from one supervisor loop on
+//!   the caller's thread, running up to N attempts at once, each on its own
+//!   thread: it isolates panics per attempt, enforces per-attempt timeouts,
+//!   retries a bounded number of times, and returns results in submission
+//!   order so output is deterministic for any thread count.
 //! - [`SimulatorCache`] shares one built [`ilt_optics::LithoSimulator`] per
-//!   optics configuration across every worker.
+//!   optics configuration across every attempt.
 //! - [`RunReport`] journals one [`JobRecord`] per job (metrics, attempts,
 //!   per-stage wall-times, mask hash) and serializes to JSON Lines with all
 //!   nondeterministic timing fields at the tail.
@@ -74,7 +75,7 @@ pub use checkpoint::{
     write_atomic, CheckpointSink, LoadedRecord, LoadedRun, WAL_FILE,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use job::{evaluate_mask, run_attempt, run_degraded_attempt, IltJob, JobSuccess};
+pub use job::{evaluate_mask, run_attempt, IltJob, JobSuccess};
 pub use journal::{
     failure_kind, field_hash, fnv1a64, JobMetrics, JobRecord, JobStatus, RunReport, StageTimes,
 };

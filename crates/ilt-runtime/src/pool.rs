@@ -1,41 +1,49 @@
-//! A std-only worker pool with retries, timeouts, and panic isolation.
+//! A std-only attempt pool with retries, timeouts, and panic isolation.
 //!
-//! N worker threads drain a shared queue of [`IltJob`]s. Each *attempt* runs
-//! on a dedicated short-lived thread behind `catch_unwind`, reporting back
-//! over an `mpsc` channel; the worker waits with `recv_timeout`. That split
-//! buys two properties the workers themselves could not provide:
+//! One supervisor loop on the caller's thread drains a queue of
+//! [`IltJob`]s, keeping at most `threads` attempts live. Each *attempt*
+//! runs on a dedicated short-lived thread behind `catch_unwind` and reports
+//! `(slot, attempt, result)` on one shared `mpsc` channel; the loop waits on
+//! that channel, with `recv_timeout` until the oldest live attempt's
+//! deadline when the batch has a timeout. No other thread exists: nothing
+//! sleeps while an attempt computes except the loop itself, which joins
+//! each attempt thread that reported before it starts the next. That split
+//! buys two properties:
 //!
 //! - a panicking job becomes a failed attempt (possibly retried), never a
-//!   torn-down worker or an aborted process;
-//! - a wedged job times out at the worker while the runaway thread is
-//!   abandoned to finish (or spin) in the background — the pool's throughput
-//!   degrades by one concurrent slot at worst, but the batch completes.
+//!   torn-down loop or an aborted process;
+//! - a wedged job times out at the loop while the runaway thread is
+//!   abandoned to finish (or spin) in the background and its late report is
+//!   ignored — the pool's throughput degrades by one concurrent slot at
+//!   worst, but the batch completes.
 //!
-//! When the retry budget runs dry and degradation is enabled, the worker
-//! makes one final attempt with the job's degraded recipe (the coarsest
-//! low-resolution pass); success yields a [`JobStatus::Degraded`] record
+//! When the retry budget runs dry and degradation is enabled, the job goes
+//! back to the front of the queue once more with its degraded recipe (the
+//! coarsest low-resolution pass), numbered as the next attempt so fault
+//! plans can target it; success yields a [`JobStatus::Degraded`] record
 //! whose mask is real, corrected output — just coarse.
 //!
 //! Results are collected into a vector indexed by submission order, so the
 //! output — and the journal built from it — is byte-identical no matter how
-//! many workers raced over the queue. Each finished job is optionally pushed
-//! through a [`CheckpointSink`] the moment it completes, making progress
-//! durable long before the pool drains.
+//! many attempts ran at once. Each finished job is optionally pushed
+//! through a [`CheckpointSink`] on the loop thread the moment its outcome is
+//! known, making progress durable long before the pool drains.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::thread;
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
+use ilt_core::Stage;
 use ilt_fft::{with_installed_scratch, ScratchPool};
 use ilt_field::Field2D;
 
 use crate::batch::BatchConfig;
 use crate::cache::SimulatorCache;
 use crate::checkpoint::CheckpointSink;
-use crate::job::{run_attempt, run_degraded_attempt, IltJob, JobSuccess};
+use crate::job::{run_attempt, IltJob, JobSuccess};
 use crate::journal::{JobRecord, JobStatus};
 
 /// A finished job: its journal record plus the mask when it succeeded.
@@ -48,30 +56,25 @@ pub struct JobOutput {
 }
 
 struct Queued {
-    job: IltJob,
-    /// Index into `outputs` (submission order, not job id).
+    /// Shared with the attempt threads, which may outlive the pool.
+    job: Arc<IltJob>,
+    /// Index into the outputs (submission order, not job id).
     slot: usize,
     /// 1-based attempt about to run.
     attempt: u32,
     /// Wall-time already burned by failed attempts, in ms.
     spent_ms: f64,
+    /// Once the retries are used up: the degraded recipe, and the error
+    /// that used them up.
+    fallback: Option<(Vec<Stage>, String)>,
 }
 
-struct State {
-    queue: VecDeque<Queued>,
-    in_flight: usize,
-    /// Slot `i` holds the output of `jobs[i]`, filled as jobs finish.
-    outputs: Vec<Option<JobOutput>>,
-}
+/// What an attempt thread sends back: `(slot, attempt, result)`.
+type Report = (usize, u32, Result<JobSuccess, String>);
 
-struct Shared {
-    state: Mutex<State>,
-    wakeup: Condvar,
-}
-
-/// Runs `jobs` to completion on `config.threads` workers under the batch's
-/// resilience policy (`timeout`, `max_retries`, `degrade`, `faults`,
-/// `cancel`, `progress`).
+/// Runs `jobs` to completion, at most `config.threads` attempts at once,
+/// under the batch's resilience policy (`timeout`, `max_retries`,
+/// `degrade`, `faults`, `cancel`, `progress`).
 ///
 /// The returned vector is ordered like `jobs` regardless of scheduling; a
 /// job exhausted of retries yields a [`JobStatus::Degraded`] record (when
@@ -82,136 +85,106 @@ struct Shared {
 ///
 /// # Panics
 ///
-/// Panics if `config.threads == 0` or if worker threads cannot be spawned.
+/// Panics if `config.threads == 0` or if attempt threads cannot be spawned.
 pub fn run_jobs(
     jobs: Vec<IltJob>,
     config: &BatchConfig,
     cache: &SimulatorCache,
     sink: Option<&CheckpointSink>,
 ) -> Vec<JobOutput> {
-    assert!(config.threads >= 1, "pool needs at least one worker");
-    let n = jobs.len();
-    let shared = Shared {
-        state: Mutex::new(State {
-            queue: jobs
-                .into_iter()
-                .enumerate()
-                .map(|(slot, job)| Queued { job, slot, attempt: 1, spent_ms: 0.0 })
-                .collect(),
-            in_flight: 0,
-            outputs: (0..n).map(|_| None).collect(),
-        }),
-        wakeup: Condvar::new(),
-    };
-
-    thread::scope(|scope| {
-        for w in 0..config.threads {
-            let shared = &shared;
-            thread::Builder::new()
-                .name(format!("ilt-worker-{w}"))
-                .spawn_scoped(scope, move || worker_loop(shared, config, cache, sink))
-                .expect("spawn worker thread");
+    assert!(config.threads >= 1, "pool needs at least one thread");
+    let mut outputs: Vec<Option<JobOutput>> = jobs.iter().map(|_| None).collect();
+    let mut queue: VecDeque<Queued> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(slot, job)| {
+            Queued { job: Arc::new(job), slot, attempt: 1, spent_ms: 0.0, fallback: None }
+        })
+        .collect();
+    // Live attempts in start order, so the first has the earliest deadline.
+    let mut live: Vec<(Queued, Instant, JoinHandle<()>)> = Vec::with_capacity(config.threads);
+    let (tx, rx) = mpsc::channel::<Report>();
+    loop {
+        while live.len() < config.threads {
+            let Some(queued) = queue.pop_front() else { break };
+            // The tile boundary: a cancellation observed here turns the
+            // popped job (and, one by one, the rest of the queue) into a
+            // cancelled record without starting its attempt. Retries and
+            // fallbacks of a live job land back on the queue and are swept
+            // up the same way. Cancelled outputs are deliberately not
+            // checkpointed — on a resume they are exactly the jobs that
+            // should run.
+            if config.cancel.is_cancelled() {
+                // No attempt runs for this pop: count only those spent.
+                let Queued { job, slot, attempt, spent_ms, .. } = queued;
+                let status = JobStatus::Cancelled;
+                outputs[slot] = Some(output(&job, attempt - 1, status, spent_ms, None));
+                continue;
+            }
+            let thread = spawn_attempt(&queued, config, cache, tx.clone());
+            live.push((queued, Instant::now(), thread));
         }
-    });
-
-    let state = shared.state.into_inner().expect("pool state lock poisoned");
-    state
-        .outputs
+        let Some(&(_, oldest, _)) = live.first() else { break };
+        let report = match config.timeout {
+            Some(budget) => {
+                rx.recv_timeout(budget.saturating_sub(oldest.elapsed())).map_err(|_| budget)
+            }
+            None => Ok(rx.recv().expect("the loop holds a sender")),
+        };
+        let (Queued { job, slot, attempt, spent_ms, fallback }, started, result) = match report {
+            Ok((slot, attempt, result)) => {
+                let at = live.iter().position(|(q, ..)| (q.slot, q.attempt) == (slot, attempt));
+                // Not live: the late report of a timed-out, abandoned attempt.
+                let Some(at) = at else { continue };
+                // The reporter is exiting. Joining it before the next spawn
+                // frees its malloc arena for that thread (glibc gives a new
+                // thread a free arena if there is one): without the join,
+                // 128-px tiles optimize 20-30 % slower on a 2-core box.
+                let (queued, started, thread) = live.remove(at);
+                thread.join().expect("an attempt thread does nothing after its report");
+                (queued, started, result)
+            }
+            Err(budget) => {
+                let (queued, started, _abandoned) = live.remove(0);
+                let secs = budget.as_secs_f64();
+                let error = format!("timed out after {secs:.1}s (attempt thread abandoned)");
+                (queued, started, Err(error))
+            }
+        };
+        let spent_ms = spent_ms + started.elapsed().as_secs_f64() * 1e3;
+        let (status, attempts, success) = match (result, fallback) {
+            (Ok(success), None) => (JobStatus::Done, attempt, Some(success)),
+            // The fallback is numbered after the last full-recipe attempt,
+            // which is all the record counts.
+            (Ok(success), Some((_, why))) => (JobStatus::Degraded(why), attempt - 1, Some(success)),
+            (Err(_), Some((_, why))) => (JobStatus::Failed(why), attempt - 1, None),
+            (Err(error), None) => {
+                let next = attempt + 1;
+                if attempt <= config.max_retries {
+                    queue.push_back(Queued { job, slot, attempt: next, spent_ms, fallback: None });
+                    continue;
+                }
+                match job.degraded_schedule().filter(|_| config.degrade) {
+                    Some(recipe) => {
+                        let fallback = Some((recipe, error));
+                        queue.push_front(Queued { job, slot, attempt: next, spent_ms, fallback });
+                        continue;
+                    }
+                    None => (JobStatus::Failed(error), attempt, None),
+                }
+            }
+        };
+        let finished = output(&job, attempts, status, spent_ms, success);
+        if let Some(sink) = sink {
+            sink.persist(&finished);
+        }
+        config.progress.tick();
+        outputs[slot] = Some(finished);
+    }
+    outputs
         .into_iter()
         .map(|slot| slot.expect("every job slot filled when the pool drains"))
         .collect()
-}
-
-fn worker_loop(
-    shared: &Shared,
-    config: &BatchConfig,
-    cache: &SimulatorCache,
-    sink: Option<&CheckpointSink>,
-) {
-    loop {
-        let queued = {
-            let mut state = shared.state.lock().expect("pool state lock poisoned");
-            loop {
-                if let Some(q) = state.queue.pop_front() {
-                    state.in_flight += 1;
-                    break q;
-                }
-                if state.in_flight == 0 {
-                    return; // queue drained and nobody can refill it
-                }
-                state = shared.wakeup.wait(state).expect("pool state lock poisoned");
-            }
-        };
-
-        // The tile boundary: a cancellation observed here turns the popped
-        // job (and, one by one, the rest of the queue) into a cancelled
-        // record without starting its attempt. Retries of an in-flight job
-        // land back on the queue and are swept up the same way. Cancelled
-        // outputs are deliberately not checkpointed — on a resume they are
-        // exactly the jobs that should run.
-        if config.cancel.is_cancelled() {
-            let output = cancelled(&queued);
-            let mut state = shared.state.lock().expect("pool state lock poisoned");
-            state.outputs[queued.slot] = Some(output);
-            state.in_flight -= 1;
-            shared.wakeup.notify_all();
-            continue;
-        }
-
-        let started = Instant::now();
-        let outcome = execute_attempt(&queued.job, queued.attempt, false, config, cache);
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-
-        let finished_output = match outcome {
-            Ok(success) => Some(finished(&queued, success, elapsed_ms)),
-            Err(_) if queued.attempt <= config.max_retries => {
-                let mut state = shared.state.lock().expect("pool state lock poisoned");
-                state.queue.push_back(Queued {
-                    job: queued.job,
-                    slot: queued.slot,
-                    attempt: queued.attempt + 1,
-                    spent_ms: queued.spent_ms + elapsed_ms,
-                });
-                state.in_flight -= 1;
-                shared.wakeup.notify_all();
-                continue;
-            }
-            Err(error) => {
-                // Retry budget spent: one last stand with the degraded
-                // recipe, numbered as the next attempt so fault plans can
-                // target (and kill) the fallback too.
-                let fallback = if config.degrade {
-                    let t = Instant::now();
-                    let out =
-                        execute_attempt(&queued.job, queued.attempt + 1, true, config, cache);
-                    (out, t.elapsed().as_secs_f64() * 1e3)
-                } else {
-                    (Err(String::new()), 0.0)
-                };
-                match fallback {
-                    (Ok(success), degraded_ms) => {
-                        Some(degraded(&queued, success, error, elapsed_ms + degraded_ms))
-                    }
-                    (Err(_), degraded_ms) => {
-                        Some(failed(&queued, error, elapsed_ms + degraded_ms))
-                    }
-                }
-            }
-        };
-
-        let output = finished_output.expect("non-retry outcomes always produce an output");
-        // Durability first, outside the pool lock: the WAL append and mask
-        // write are I/O and must not serialize the other workers.
-        if let Some(sink) = sink {
-            sink.persist(&output);
-        }
-        config.progress.tick();
-        let mut state = shared.state.lock().expect("pool state lock poisoned");
-        state.outputs[queued.slot] = Some(output);
-        state.in_flight -= 1;
-        // Wake peers: a retry was enqueued, or the pool may now be drained.
-        shared.wakeup.notify_all();
-    }
 }
 
 /// Process-wide recycling of FFT workspaces across attempt threads.
@@ -229,60 +202,40 @@ fn scratch_pool() -> &'static ScratchPool {
     POOL.get_or_init(ScratchPool::new)
 }
 
-/// Runs one attempt on its own thread so panics and overruns stay contained.
-fn execute_attempt(
-    job: &IltJob,
-    attempt: u32,
-    degraded: bool,
+/// Starts one attempt on its own thread so panics and overruns stay
+/// contained; the thread reports on `tx` whether or not the loop still
+/// listens.
+fn spawn_attempt(
+    queued: &Queued,
     config: &BatchConfig,
     cache: &SimulatorCache,
-) -> Result<JobSuccess, String> {
-    let (tx, rx) = mpsc::channel();
-    let job = job.clone();
+    tx: mpsc::Sender<Report>,
+) -> JoinHandle<()> {
+    let (slot, attempt) = (queued.slot, queued.attempt);
+    let schedule = queued.fallback.as_ref().map_or(&queued.job.schedule, |(s, _)| s).clone();
+    let job = Arc::clone(&queued.job);
     let cache = cache.clone();
     let faults = config.faults.clone();
-    let id = job.id;
     thread::Builder::new()
-        .name(format!("ilt-job-{id}-a{attempt}"))
+        .name(format!("ilt-job-{}-a{attempt}", job.id))
         .spawn(move || {
             let pool = scratch_pool();
             let mut workspace = pool.checkout();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 with_installed_scratch(&mut workspace, || {
-                    if degraded {
-                        run_degraded_attempt(&job, attempt, &cache, &faults)
-                            .unwrap_or_else(|| Err("no degraded recipe for this job".into()))
-                    } else {
-                        run_attempt(&job, attempt, &cache, &faults)
-                    }
+                    run_attempt(&job, &schedule, attempt, &cache, &faults)
                 })
             }));
             // Recycle the workspace even after a panic: the installed-scratch
             // guard has already swapped the (grown) arena state back into it.
             pool.restore(workspace);
-            let flattened = match result {
-                Ok(run) => run,
-                Err(payload) => Err(format!("panic: {}", panic_message(payload.as_ref()))),
-            };
-            // The receiver is gone on timeout; nothing to do about it.
-            let _ = tx.send(flattened);
+            let result = result.unwrap_or_else(|payload| {
+                Err(format!("panic: {}", panic_message(payload.as_ref())))
+            });
+            // The receiver is gone once the pool drains; nothing to do.
+            let _ = tx.send((slot, attempt, result));
         })
-        .expect("spawn job attempt thread");
-
-    match config.timeout {
-        Some(budget) => rx.recv_timeout(budget).unwrap_or_else(|err| match err {
-            mpsc::RecvTimeoutError::Timeout => Err(format!(
-                "timed out after {:.1}s (attempt thread abandoned)",
-                budget.as_secs_f64()
-            )),
-            mpsc::RecvTimeoutError::Disconnected => {
-                Err("attempt thread died without reporting".into())
-            }
-        }),
-        None => rx
-            .recv()
-            .unwrap_or_else(|_| Err("attempt thread died without reporting".into())),
-    }
+        .expect("spawn job attempt thread")
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -295,43 +248,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn base_record(queued: &Queued, status: JobStatus, wall_ms: f64) -> JobRecord {
-    JobRecord {
-        job_id: queued.job.id,
-        case: queued.job.case.clone(),
-        tile: queued.job.tile.as_ref().map(|t| (t.grid_row, t.grid_col)),
-        grid: queued.job.target.shape().0,
-        attempts: queued.attempt,
+/// A job's output; metrics, stage times and mask come from `success`.
+fn output(
+    job: &IltJob,
+    attempts: u32,
+    status: JobStatus,
+    wall_ms: f64,
+    success: Option<JobSuccess>,
+) -> JobOutput {
+    let (metrics, times, mask) = match success {
+        Some(s) => (Some(s.metrics), s.times, Some(s.mask)),
+        None => (None, Default::default(), None),
+    };
+    let record = JobRecord {
+        job_id: job.id,
+        case: job.case.clone(),
+        tile: job.tile.as_ref().map(|t| (t.grid_row, t.grid_col)),
+        grid: job.target.shape().0,
+        attempts,
         status,
-        metrics: None,
-        times: Default::default(),
-        wall_ms: queued.spent_ms + wall_ms,
-    }
-}
-
-fn finished(queued: &Queued, success: JobSuccess, elapsed_ms: f64) -> JobOutput {
-    let mut record = base_record(queued, JobStatus::Done, elapsed_ms);
-    record.metrics = Some(success.metrics);
-    record.times = success.times;
-    JobOutput { record, mask: Some(success.mask) }
-}
-
-fn degraded(queued: &Queued, success: JobSuccess, why: String, elapsed_ms: f64) -> JobOutput {
-    let mut record = base_record(queued, JobStatus::Degraded(why), elapsed_ms);
-    record.metrics = Some(success.metrics);
-    record.times = success.times;
-    JobOutput { record, mask: Some(success.mask) }
-}
-
-fn failed(queued: &Queued, error: String, elapsed_ms: f64) -> JobOutput {
-    JobOutput { record: base_record(queued, JobStatus::Failed(error), elapsed_ms), mask: None }
-}
-
-fn cancelled(queued: &Queued) -> JobOutput {
-    let mut record = base_record(queued, JobStatus::Cancelled, 0.0);
-    // No attempt ran for this pop; report only the attempts already spent.
-    record.attempts = queued.attempt.saturating_sub(1);
-    JobOutput { record, mask: None }
+        metrics,
+        times,
+        wall_ms,
+    };
+    JobOutput { record, mask }
 }
 
 #[cfg(test)]
@@ -520,27 +460,32 @@ mod tests {
         // Prewarm so the clean retry only pays for optimization, keeping
         // the timeout budget honest in slow debug builds.
         cache.get_or_build(&j.optics).unwrap();
+        // The unfaulted reference runs under a budget no deadline can hold.
+        let unbounded = BatchConfig { timeout: Some(Duration::MAX), ..BatchConfig::default() };
+        let clean = run_jobs(vec![j.clone()], &unbounded, &cache, None);
+        // Attempt 1 overstays the 3 s budget by 0.3 s, so its late report
+        // lands while attempt 2 (1 s stall) is still live and is ignored.
         let outputs = run_jobs(
             vec![j],
             &BatchConfig {
                 threads: 1,
-                timeout: Some(Duration::from_secs(5)),
+                timeout: Some(Duration::from_secs(3)),
                 max_retries: 1,
                 degrade: true,
                 faults: FaultPlan::none()
-                    .with(FaultSpec::at(0, 1, FaultKind::Delay { ms: 60_000 })),
+                    .with(FaultSpec::at(0, 1, FaultKind::Delay { ms: 3_300 }))
+                    .with(FaultSpec::at(0, 2, FaultKind::Delay { ms: 1_000 })),
                 ..BatchConfig::default()
             },
             &cache,
             None,
         );
-        assert!(
-            matches!(outputs[0].record.status, JobStatus::Done),
-            "retry is clean, got {:?}",
-            outputs[0].record.status
-        );
-        assert_eq!(outputs[0].record.attempts, 2);
-        assert!(outputs[0].record.wall_ms >= 5_000.0, "attempt 1 burned the full timeout");
+        let record = &outputs[0].record;
+        assert!(matches!(record.status, JobStatus::Done), "retry is clean: {:?}", record.status);
+        assert_eq!(record.attempts, 2);
+        assert!(record.wall_ms >= 4_000.0, "the full timeout plus attempt 2's stall");
+        let hash = |o: &JobOutput| o.record.metrics.expect("a done job has metrics").mask_hash;
+        assert_eq!(hash(&outputs[0]), hash(&clean[0]), "same mask as an unfaulted run");
     }
 
     #[test]

@@ -87,7 +87,7 @@
 //! checkpoint WALs so a restarted worker resumes a re-dispatched shard
 //! instead of recomputing it. `bench` is the
 //! hermetic, std-only performance barometer (the `ilt-perf` crate): `list`
-//! shows the workload registry (FFT, simulator, autodiff, optimizer step and
+//! shows the workload registry (FFT, simulator, optimizer step and
 //! tiled-runtime families), `run` measures the selected workloads and writes one
 //! `BENCH_<name>.json` (schema `ilt-bench/v2`) per workload, and `diff`
 //! compares a fresh run against the checked-in baselines, exiting non-zero
