@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use ilt_field::{avg_pool_down, avg_pool_same, upsample_nearest, Field2D};
-use ilt_optics::{AerialCache, LithoSimulator, ProcessCondition};
+use ilt_optics::{logistic_in_place, AerialCache, LithoSimulator, ProcessCondition};
 
 /// Handle to a node in a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -149,7 +149,7 @@ impl Graph {
     /// The mask binary function of Eq. 11:
     /// `y = 1 / (1 + exp(-beta (x - t_r)))`.
     pub fn sigmoid(&mut self, x: Var, beta: f64, t_r: f64) -> Var {
-        let value = self.value(x).map(|v| 1.0 / (1.0 + (-beta * (v - t_r)).exp()));
+        let value = logistic_map(self.value(x), |v| -beta * (v - t_r));
         self.push(value, Op::Sigmoid { x, beta })
     }
 
@@ -162,7 +162,7 @@ impl Graph {
     /// The sigmoid resist model of Eq. 9 under a dose factor:
     /// `y = 1 / (1 + exp(-alpha (dose x - i_th)))`.
     pub fn resist_sigmoid(&mut self, x: Var, alpha: f64, dose: f64, i_th: f64) -> Var {
-        let value = self.value(x).map(|v| 1.0 / (1.0 + (-alpha * (dose * v - i_th)).exp()));
+        let value = logistic_map(self.value(x), |v| -alpha * (dose * v - i_th));
         self.push(value, Op::ResistSigmoid { x, alpha, dose })
     }
 
@@ -231,10 +231,22 @@ impl Graph {
         let corners = [ProcessCondition::outer(), ProcessCondition::inner()];
         let (value, grad) = sim.soft_corners(self.value(x), up, &corners, |z| {
             let (z_out, z_in) = (&z[0], &z[1]);
-            let value = l2 * z_out.sq_l2_dist(target) + pvb * z_in.sq_l2_dist(z_out);
-            let seed_in = (z_in - z_out).scale(2.0 * pvb);
-            let seed_out = &(z_out - target).scale(2.0 * l2) - &seed_in;
-            (value, vec![seed_out, seed_in])
+            assert_eq!(target.shape(), z_out.shape(), "target must match the wafer image");
+            // One pass: both squared distances summed in index order (as
+            // `sq_l2_dist` does) beside the two seeds.
+            let mut seed_out = Field2D::zeros(target.rows(), target.cols());
+            let mut seed_in = seed_out.clone();
+            let (mut to_target, mut between) = (0.0, 0.0);
+            let pixels = z_out.as_slice().iter().zip(z_in.as_slice()).zip(target.as_slice());
+            let seeds = seed_out.as_mut_slice().iter_mut().zip(seed_in.as_mut_slice());
+            for (((&zo, &zi), &t), (so, si)) in pixels.zip(seeds) {
+                let (d_out, d_in) = (zo - t, zi - zo);
+                to_target += d_out * d_out;
+                between += d_in * d_in;
+                *si = d_in * (2.0 * pvb);
+                *so = d_out * (2.0 * l2) - *si;
+            }
+            (l2 * to_target + pvb * between, vec![seed_out, seed_in])
         });
         self.push(Field2D::from_vec(1, 1, vec![value]), Op::Eq5Loss { x, grad })
     }
@@ -336,6 +348,14 @@ impl Graph {
         }
         Gradients { grads }
     }
+}
+
+/// `1 / (1 + e^arg(v))` of every pixel: the argument pass, then the
+/// shared logistic over the whole field.
+fn logistic_map(x: &Field2D, arg: impl Fn(f64) -> f64) -> Field2D {
+    let mut y = x.map(arg);
+    logistic_in_place(y.as_mut_slice());
+    y
 }
 
 fn accumulate(grads: &mut [Option<Field2D>], v: Var, g: Field2D) {

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use ilt_autodiff::Graph;
 use ilt_core::{LossRecord, OptimizeRegion};
 use ilt_field::{avg_pool_down, Field2D};
-use ilt_optics::LithoSimulator;
+use ilt_optics::{logistic, LithoSimulator};
 
 /// Gradient step on `phi`.
 const LEARNING_RATE: f64 = 2.0;
@@ -111,7 +111,7 @@ impl LevelSetIlt {
         let mut history = Vec::new();
         for iteration in 0..iterations {
             // M = sigma(-phi / eps): 1 inside (phi < 0), 0 outside.
-            let mask_field = phi.map(|p| 1.0 / (1.0 + (p / EPSILON).exp()));
+            let mask_field = phi.map(|p| logistic(p / EPSILON));
 
             let mut g = Graph::new(self.sim.clone());
             let m = g.leaf(mask_field.clone());

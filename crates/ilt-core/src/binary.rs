@@ -11,6 +11,7 @@
 
 use ilt_autodiff::{Graph, Var};
 use ilt_field::Field2D;
+use ilt_optics::logistic;
 
 /// A differentiable mask binarization function.
 ///
@@ -60,7 +61,7 @@ impl BinaryFunction {
     /// Scalar forward value.
     pub fn value(&self, x: f64) -> f64 {
         match *self {
-            BinaryFunction::Sigmoid { beta, t_r } => 1.0 / (1.0 + (-beta * (x - t_r)).exp()),
+            BinaryFunction::Sigmoid { beta, t_r } => logistic(-beta * (x - t_r)),
             BinaryFunction::Cosine => 0.5 * (1.0 + x.cos()),
         }
     }
@@ -69,7 +70,7 @@ impl BinaryFunction {
     pub fn derivative(&self, x: f64) -> f64 {
         match *self {
             BinaryFunction::Sigmoid { beta, t_r } => {
-                let y = 1.0 / (1.0 + (-beta * (x - t_r)).exp());
+                let y = logistic(-beta * (x - t_r));
                 beta * y * (1.0 - y)
             }
             BinaryFunction::Cosine => -0.5 * x.sin(),

@@ -16,7 +16,9 @@
 //!   long-lived worker threads never allocate inside a transform,
 //! * spectrum utilities ([`crop_centered`], [`pad_centered`], [`fftshift`])
 //!   implementing the frequency-domain size changes of Eqs. 3/7/8 of the
-//!   paper ("discard the high-frequency part of `F(M)`").
+//!   paper ("discard the high-frequency part of `F(M)`"),
+//! * [`logistic`] / [`logistic_in_place`] — the one sigmoid kernel (Eqs. 9
+//!   and 11), dispatched like the butterflies and bit-identical across them.
 //!
 //! # Example: band-limited downsampling (the Eq. 7 trick)
 //!
@@ -40,8 +42,9 @@ mod complex;
 mod fft2d;
 mod plan;
 mod scratch;
-// The one module allowed to use `unsafe`: `std::arch` SIMD butterflies,
-// runtime-dispatched and pinned bit-for-bit against the scalar path.
+// The one module allowed to use `unsafe`: `std::arch` SIMD butterflies and
+// the AVX2 logistic, runtime-dispatched and pinned bit-for-bit against the
+// scalar path.
 #[allow(unsafe_code)]
 mod simd;
 mod spectrum;
@@ -52,7 +55,7 @@ pub use plan::{Direction, FftPlan, FftPlanner};
 pub use scratch::{
     grown, with_installed_scratch, with_thread_scratch, Fft2dScratch, ScratchPool, WorkBuffers,
 };
-pub use simd::active_kernel;
+pub use simd::{active_kernel, logistic, logistic_in_place};
 pub use spectrum::{
     crop_centered, fftshift, freq_index, pad_centered, pad_centered_into, signed_freq,
 };

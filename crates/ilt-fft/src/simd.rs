@@ -1,9 +1,11 @@
-//! Runtime-dispatched SIMD butterfly kernels.
+//! Runtime-dispatched SIMD kernels: the FFT butterflies and the logistic
+//! every sigmoid of the stack runs on ([`logistic`], [`logistic_in_place`]).
 //!
 //! The kernel is selected **once per process** from CPU feature detection
 //! (`is_x86_feature_detected!`) and the `ILT_FFT_FORCE_SCALAR` environment
-//! variable, then cached; every [`crate::FftPlan::process`] call dispatches
-//! through the cached choice with zero per-call detection cost.
+//! variable, then cached; every [`crate::FftPlan::process`] and
+//! [`logistic_in_place`] call dispatches through the cached choice with zero
+//! per-call detection cost.
 //!
 //! ## Bit-compatibility contract
 //!
@@ -16,6 +18,10 @@
 //!   addition (`x.re*w.im + x.im*w.re` vs `x.im*w.re + x.re*w.im`);
 //! * the `±i` rotation is a lane swap plus a sign-bit XOR, exact in both
 //!   paths.
+//!
+//! The logistic keeps the same contract by construction: its AVX2 kernel is
+//! the scalar loop compiled with `avx2` enabled (no `fma`), so the compiler
+//! may widen it but not re-round it.
 //!
 //! Consequently `process` and `process_scalar` agree bit-for-bit, printed
 //! masks do not depend on the host CPU, and `ILT_FFT_FORCE_SCALAR=1` runs
@@ -80,6 +86,83 @@ fn detect() -> Kernel {
         }
     }
     Kernel::Scalar
+}
+
+/// `1.5 * 2^52`: adding it rounds a double below `2^51` in magnitude to the
+/// nearest integer, which then sits in the low mantissa bits.
+const ROUND_SHIFT: f64 = 6_755_399_441_055_744.0;
+/// `ln 2` split Cody–Waite style: `LN2_HI` has 32 significant bits, so
+/// `k * LN2_HI` is exact for every `|k| < 2^21`.
+const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+/// `1/n!` for `n = 2..=13`: the Taylor tail of `e^r` on `|r| <= ln2 / 2`,
+/// truncated 0.02 ulp short of the full series.
+const EXP_TAIL: [f64; 12] = [
+    1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0, 1.0 / 720.0, 1.0 / 5040.0, 1.0 / 40320.0,
+    1.0 / 362_880.0, 1.0 / 3_628_800.0, 1.0 / 39_916_800.0, 1.0 / 479_001_600.0,
+    1.0 / 6_227_020_800.0,
+];
+
+/// The logistic `1 / (1 + e^x)`, every sigmoid of the stack (`sigma(-a)`
+/// is the usual `1 / (1 + e^-a)`), within 2 ulp of libm's
+/// `1 / (1 + x.exp())` and saturating to exactly `1.0` / `0.0` where it
+/// does; NaN in, NaN out.
+///
+/// `e^x = 2^k e^r` with `k` rounded by [`ROUND_SHIFT`], `r` reduced by
+/// Cody–Waite and `e^r` a fixed degree-13 polynomial (Estrin); `2^k` is
+/// built from exponent bits in two halves so `k = 1024` still overflows
+/// correctly. Plain `mul`/`add` only — no FMA, no libm — so every kernel
+/// that evaluates it agrees to the bit: [`logistic_in_place`] is this
+/// function over a slice.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(ilt_fft::logistic(0.0), 0.5);
+/// assert_eq!(ilt_fft::logistic(-40.0), 1.0);
+/// assert_eq!(ilt_fft::logistic(f64::INFINITY), 0.0);
+/// ```
+#[inline(always)]
+pub fn logistic(x: f64) -> f64 {
+    // Clamps that keep a NaN: below -64, `1 + e^x` is already 1; above
+    // 710, `e^x` already overflows.
+    let x = if 710.0 < x { 710.0 } else { x };
+    let x = if x < -64.0 { -64.0 } else { x };
+    let t = x * std::f64::consts::LOG2_E + ROUND_SHIFT;
+    let k = t - ROUND_SHIFT;
+    let r = (x - k * LN2_HI) - k * LN2_LO;
+    let (r2, c) = (r * r, &EXP_TAIL);
+    let r4 = r2 * r2;
+    let b0 = (c[0] + c[1] * r) + (c[2] + c[3] * r) * r2;
+    let b1 = (c[4] + c[5] * r) + (c[6] + c[7] * r) * r2;
+    let b2 = (c[8] + c[9] * r) + (c[10] + c[11] * r) * r2;
+    let e_r = 1.0 + (r + r2 * ((b0 + b1 * r4) + b2 * (r4 * r4)));
+    // k in [-93, 1025]: two normal halves, each scaling exactly.
+    let ki = t.to_bits().wrapping_sub(ROUND_SHIFT.to_bits()) as i64;
+    let half = ki >> 1;
+    let pow2 = |j: i64| f64::from_bits((j.wrapping_add(1023) as u64) << 52);
+    1.0 / (1.0 + e_r * pow2(half) * pow2(ki - half))
+}
+
+/// [`logistic`] of every element, in place, on the process's kernel (see
+/// [`active_kernel`]); bit-identical to the element-wise calls on both.
+pub fn logistic_in_place(xs: &mut [f64]) {
+    match active() {
+        // SAFETY: `active()` is `Avx2` only when `detect` saw the CPU report
+        // AVX2, the one requirement of `logistic_avx2`.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => unsafe { x86::logistic_avx2(xs) },
+        _ => logistic_each(xs),
+    }
+}
+
+/// The one loop both kernels compile: scalar here, 4-wide in
+/// `x86::logistic_avx2`.
+#[inline(always)]
+fn logistic_each(xs: &mut [f64]) {
+    for x in xs {
+        *x = logistic(*x);
+    }
 }
 
 /// Runs one fused radix-4 stage (`t >= 2`) with the given kernel. The safe
@@ -307,6 +390,17 @@ mod x86 {
             _mm256_storeu_pd(ptr.add(2 * i + 4), _mm256_sub_pd(lows, highs)); // [C, D]
             i += 4;
         }
+    }
+
+    /// [`super::logistic_each`] compiled for AVX2: the same IEEE operations
+    /// per element, vectorized by the compiler (no FMA is enabled).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available (checked once by `detect`).
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn logistic_avx2(xs: &mut [f64]) {
+        super::logistic_each(xs)
     }
 
     /// Complex multiply of two packed values by one broadcast twiddle

@@ -215,6 +215,105 @@ fn real_pruned_inverse_is_the_real_part_of_the_dense_inverse() {
     }
 }
 
+/// The edges of the logistic's range: signed zeros, subnormals, the
+/// underflow of `e^x` (-745), its saturation of `1 + e^x` (-37.5), its
+/// overflow (709.8 / 710) and the infinities.
+const LOGISTIC_EDGES: [f64; 12] = [
+    0.0,
+    -0.0,
+    f64::MIN_POSITIVE / 8.0,
+    -f64::MIN_POSITIVE / 8.0,
+    -745.0,
+    -37.5,
+    709.78,
+    709.8,
+    710.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e300,
+];
+
+/// libm's logistic: what every sigmoid computed before the shared kernel,
+/// and the one place `f64::exp` remains.
+fn libm_logistic(x: f64) -> f64 {
+    1.0 / (1.0 + f64::exp(x))
+}
+
+/// Seeded arguments over the whole useful range, plus the edges; an odd
+/// length so the vector loop has a tail.
+fn logistic_inputs() -> Vec<f64> {
+    let mut rng = Rng(0x1061_571C);
+    let mut xs: Vec<f64> = (0..20_001).map(|i| match i % 3 {
+        0 => 80.0 * rng.next_f64(),
+        1 => 1600.0 * rng.next_f64(),
+        _ => 4.0 * rng.next_f64(),
+    }).collect();
+    xs.extend(LOGISTIC_EDGES);
+    xs
+}
+
+#[test]
+fn logistic_in_place_is_bit_identical_to_the_scalar_logistic() {
+    for len in [0usize, 1, 3, 4, 5, 17] {
+        let xs: Vec<f64> = logistic_inputs().into_iter().rev().take(len).collect();
+        let mut got = xs.clone();
+        ilt_fft::logistic_in_place(&mut got);
+        for (x, y) in xs.iter().zip(&got) {
+            assert_eq!(y.to_bits(), ilt_fft::logistic(*x).to_bits(), "len {len}, x = {x:e}");
+        }
+    }
+    let xs = logistic_inputs();
+    let mut got = xs.clone();
+    ilt_fft::logistic_in_place(&mut got);
+    for (x, y) in xs.iter().zip(&got) {
+        assert_eq!(y.to_bits(), ilt_fft::logistic(*x).to_bits(), "x = {x:e}");
+    }
+}
+
+#[test]
+fn logistic_is_within_two_ulp_of_libm() {
+    let mut worst = (0u64, 0.0);
+    for x in logistic_inputs() {
+        let (got, want) = (ilt_fft::logistic(x), libm_logistic(x));
+        let ulps = got.to_bits().abs_diff(want.to_bits());
+        if ulps > worst.0 {
+            worst = (ulps, x);
+        }
+    }
+    assert!(worst.0 <= 2, "{} ulp from libm at x = {:e}", worst.0, worst.1);
+}
+
+#[test]
+fn logistic_saturates_exactly_where_libm_does() {
+    // Every double within 4096 ulp of the two thresholds: `1 + e^x` rounding
+    // to 1 near -53 ln 2, and `e^x` overflowing near ln(f64::MAX).
+    for centre in [-53.0 * std::f64::consts::LN_2, f64::MAX.ln()] {
+        let bits = centre.to_bits();
+        let mut saturated = [false; 2];
+        for x in (bits - 4096..bits + 4096).map(f64::from_bits) {
+            let (got, want) = (ilt_fft::logistic(x), libm_logistic(x));
+            assert_eq!(got == 1.0, want == 1.0, "x = {x:e}: {got:e} vs libm {want:e}");
+            assert_eq!(got == 0.0, want == 0.0, "x = {x:e}: {got:e} vs libm {want:e}");
+            saturated[usize::from(want == 1.0 || want == 0.0)] = true;
+        }
+        assert_eq!(saturated, [true; 2], "the window around {centre} misses the threshold");
+    }
+    for x in logistic_inputs() {
+        let (got, want) = (ilt_fft::logistic(x), libm_logistic(x));
+        assert_eq!((got == 1.0, got == 0.0), (want == 1.0, want == 0.0), "x = {x:e}");
+    }
+}
+
+#[test]
+fn logistic_keeps_a_nan() {
+    // A NaN upstream must stay visible to the runtime's numeric guard
+    // instead of being squashed into a plausible value in (0, 1).
+    assert!(ilt_fft::logistic(f64::NAN).is_nan());
+    let mut xs = [0.5, f64::NAN, -f64::NAN, 1.0, f64::NAN];
+    ilt_fft::logistic_in_place(&mut xs);
+    assert_eq!(xs.map(f64::is_nan), [false, true, true, false, true]);
+}
+
 #[test]
 fn batched_paths_are_bit_identical_to_sequential() {
     let (n, p, k) = (64usize, 7usize, 3usize);

@@ -44,6 +44,9 @@ mod tcc;
 
 pub use config::OpticsConfig;
 pub use eig::{sym_eig_jacobi, top_eigenpairs, EigPair, HermitianOp};
+/// The logistic the sigmoid resist runs on, re-exported so the stack's
+/// other sigmoids (mask binarization, the level-set Heaviside) share it.
+pub use ilt_fft::{logistic, logistic_in_place};
 pub use kernels::KernelSet;
 pub use pupil::Pupil;
 pub use simulator::{AerialCache, CornerPrints, LithoSimulator, ProcessCondition};

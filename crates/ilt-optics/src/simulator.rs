@@ -47,7 +47,8 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use ilt_fft::{
-    grown, signed_freq, with_thread_scratch, Complex64, Fft2d, Fft2dScratch, WorkBuffers,
+    grown, logistic_in_place, signed_freq, with_thread_scratch, Complex64, Fft2d, Fft2dScratch,
+    WorkBuffers,
 };
 use ilt_field::Field2D;
 
@@ -481,25 +482,36 @@ impl LithoSimulator {
         })
     }
 
-    /// One pass over an `m x m` aerial image: clamp (see
-    /// [`LithoSimulator::intensity`]), sigmoid resist under `dose`, average
-    /// pool by `up` into the returned wafer image, and leave `dZ/dI` in
-    /// place of `I`. Each pooled pixel adds its `up^2` inputs in
-    /// [`ilt_field::avg_pool_down`]'s order.
+    /// Row by row over an `m x m` aerial image: clamp (see
+    /// [`LithoSimulator::intensity`]) and form the resist's argument, run
+    /// the sigmoid resist under `dose` over the row ([`logistic_in_place`]),
+    /// average pool it by `up` into the returned wafer image, and leave
+    /// `dZ/dI` in place of `I`. Each pooled pixel adds its `up^2` inputs in
+    /// [`ilt_field::avg_pool_down`]'s order. Four passes over a row in L1,
+    /// each a plain loop the compiler vectorizes (the block sums aside).
     fn expose_and_pool(&self, plane: &mut [f64], m: usize, up: usize, dose: f64) -> Field2D {
         let (alpha, th) = (self.cfg.resist_steepness, self.cfg.resist_threshold);
         let slope = alpha * dose;
         let n = m / up;
         let mut pooled = vec![0.0; n * n];
         for (r, row) in plane.chunks_exact_mut(m).enumerate() {
+            for v in row.iter_mut() {
+                let i = if *v < 0.0 { 0.0 } else { *v };
+                *v = -alpha * (dose * i - th);
+            }
+            logistic_in_place(row);
             let sums = &mut pooled[r / up * n..][..n];
-            for (block, sum) in row.chunks_exact_mut(up).zip(sums) {
-                for v in block {
-                    let i = if *v < 0.0 { 0.0 } else { *v };
-                    let y = 1.0 / (1.0 + (-alpha * (dose * i - th)).exp());
+            if up == 1 {
+                for (sum, y) in sums.iter_mut().zip(row.iter()) {
                     *sum += y;
-                    *v = slope * y * (1.0 - y);
                 }
+            } else {
+                for (block, sum) in row.chunks_exact(up).zip(sums) {
+                    *sum = block.iter().fold(*sum, |s, y| s + y);
+                }
+            }
+            for y in row.iter_mut() {
+                *y = slope * *y * (1.0 - *y);
             }
         }
         if up > 1 {
@@ -545,7 +557,9 @@ impl LithoSimulator {
     pub fn resist_sigmoid(&self, intensity: &Field2D, dose: f64) -> Field2D {
         let alpha = self.cfg.resist_steepness;
         let th = self.cfg.resist_threshold;
-        intensity.map(|i| 1.0 / (1.0 + (-alpha * (dose * i - th)).exp()))
+        let mut z = intensity.map(|i| -alpha * (dose * i - th));
+        logistic_in_place(z.as_mut_slice());
+        z
     }
 
     /// Full print: aerial image + hard resist under `cond`.
@@ -690,8 +704,15 @@ fn dirichlet(p: usize, s: usize, big_n: usize) -> Vec<Complex64> {
 }
 
 /// `plane[r, c] *= seed[r / up, c / up] / up^2`: the average pool's adjoint
-/// applied to the `dZ/dI` plane in place, leaving `dL/dI`.
+/// applied to the `dZ/dI` plane in place, leaving `dL/dI`. At `up = 1`
+/// (`g * 1.0` is `g`) one vectorizable product.
 fn spread_seed(plane: &mut [f64], seed: &Field2D, up: usize) {
+    if up == 1 {
+        for (v, &g) in plane.iter_mut().zip(seed.as_slice()) {
+            *v *= g;
+        }
+        return;
+    }
     let inv = 1.0 / (up * up) as f64;
     for (r, row) in plane.chunks_exact_mut(seed.cols() * up).enumerate() {
         for (block, &g) in row.chunks_exact_mut(up).zip(seed.row(r / up)) {

@@ -65,14 +65,14 @@ pub fn registry() -> Vec<Workload> {
         Workload {
             name: "core_step_lo",
             tags: &["core"],
-            threshold: 0.05,
+            threshold: 0.11,
             notes: "one low-res optimizer step (MultiLevelIlt::step: tape, fused Eq. 5 operator, backward) of ICCAD case 1 at grid 1024, s=4, 10 kernels",
             run: workloads::optimizer::step_lo,
         },
         Workload {
             name: "core_step_hi",
             tags: &["core"],
-            threshold: 0.05,
+            threshold: 0.15,
             notes: "one high-res optimizer step at the same point: mask and gradient at N/s, both corners simulated at N",
             run: workloads::optimizer::step_hi,
         },

@@ -13,11 +13,14 @@
 #      family, each set from its run-to-run spread on the reference box; a
 #      failure while the box is in its slow mode is re-run once);
 #   4. with ILT_FFT_FORCE_SCALAR=1 the scalar fallback passes the same
-#      bit-identity guard tests as the SIMD kernels, proving the forced
-#      path stays live and numerically identical — and the simulator built
-#      on it still matches its dense reference (tests/spectral_guard.rs)
-#      and the fused Eq. 5 operator the unfused chain
-#      (crates/ilt-core/tests/eq5_operator.rs).
+#      bit-identity guard tests as the SIMD kernels (butterflies and the
+#      logistic), proving the forced path stays live and numerically
+#      identical — and the simulator built on it still matches its dense
+#      reference (tests/spectral_guard.rs), the fused Eq. 5 operator the
+#      unfused chain (crates/ilt-core/tests/eq5_operator.rs), and the masks
+#      printed under the scalar logistic their goldens (tests/goldens.rs);
+#      no shipped sigmoid calls libm's `exp` behind the kernel's back
+#      (tests/hermetic.rs::one_exp_for_every_sigmoid).
 set -e
 BIN=./target/release/ilt
 OUT=bench-out/perf
@@ -38,7 +41,9 @@ echo "simd stamp: $(grep -Eo '"simd": "[a-z0-9]+"' "$OUT"/BENCH_fft_pruned_forwa
 # paths: run the kernel guard suite with SIMD disabled.
 ILT_FFT_FORCE_SCALAR=1 cargo test -q -p ilt-fft --test kernel_guard \
   | tee bench-out/scalar-guard.log
-ILT_FFT_FORCE_SCALAR=1 cargo test -q -p multilevel-ilt --test spectral_guard \
+ILT_FFT_FORCE_SCALAR=1 cargo test -q -p multilevel-ilt --test spectral_guard --test goldens \
+  | tee -a bench-out/scalar-guard.log
+ILT_FFT_FORCE_SCALAR=1 cargo test -q -p multilevel-ilt --test hermetic one_exp_for_every_sigmoid \
   | tee -a bench-out/scalar-guard.log
 ILT_FFT_FORCE_SCALAR=1 cargo test -q -p ilt-core --test eq5_operator \
   | tee -a bench-out/scalar-guard.log
