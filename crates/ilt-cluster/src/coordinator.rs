@@ -2,8 +2,7 @@
 //! tile set across worker replicas, supervises the shards, and merges the
 //! per-tile outputs for central stitching.
 //!
-//! PR 6 dispatched `tile_id % N` over a fixed worker list; this version is
-//! self-healing under partial, asymmetric, and transient failure:
+//! It is self-healing under partial, asymmetric, and transient failure:
 //!
 //! - **One loop per job**: [`Coordinator::run_job`] supervises its shards
 //!   itself, on the calling thread, from one table — *pending*, *running*

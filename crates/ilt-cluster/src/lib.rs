@@ -53,7 +53,7 @@ pub use breaker::{Breaker, BreakerConfig, BreakerState};
 pub use coordinator::{post_membership, ClusterConfig, Coordinator};
 pub use membership::{MemberView, Membership};
 pub use params::{is_label, query_encode, ExecPolicy, JobParams, JobSource};
-pub use stats::{ClusterStats, Counter, FailureKinds, Histogram, FAILURE_KINDS, LATENCY_BUCKETS_MS};
+pub use stats::{ClusterStats, Counter, FailureKinds, Histogram, LATENCY_BUCKETS_MS};
 pub use transport::{
     base64_decode, base64_encode, serve_connection, ConnOptions, HttpError, Limits, Request, Response,
 };

@@ -1,8 +1,7 @@
 //! Dynamic worker membership: the live, mutable set of replicas.
 //!
-//! PR 6's coordinator took a fixed `--workers` list at construction; this
-//! module replaces it with a registry workers can join, drain, and leave at
-//! runtime (the `POST /v1/members` wire call). A job's supervising loop
+//! A registry workers can join, drain, and leave at runtime (the
+//! `POST /v1/members` wire call). A job's supervising loop
 //! draws workers from the *current* set through
 //! [`Membership::try_acquire`], which is where the scheduling policy lives:
 //! least-loaded first, draining workers excluded, and every candidate gated

@@ -8,6 +8,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ilt_runtime::FAILURE_KINDS;
+
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -29,15 +31,12 @@ impl Counter {
     }
 }
 
-/// The fixed vocabulary of tile-failure classifications, mirroring
-/// [`ilt_runtime::failure_kind`].
-pub const FAILURE_KINDS: [&str; 5] = ["panic", "timeout", "numeric", "io", "other"];
-
-/// Per-kind tile-failure counters, rendered as one labeled Prometheus
-/// family (`ilt_tile_failures_total{kind="..."}`).
+/// Per-kind tile-failure counters, one per [`FAILURE_KINDS`] entry,
+/// rendered as one labeled Prometheus family
+/// (`ilt_tile_failures_total{kind="..."}`).
 #[derive(Debug)]
 pub struct FailureKinds {
-    counts: [Counter; 5],
+    counts: [Counter; FAILURE_KINDS.len()],
 }
 
 impl Default for FailureKinds {

@@ -90,17 +90,6 @@ impl Request {
         first(&self.query, name)
     }
 
-    /// Reads and parses one request from `stream`.
-    ///
-    /// # Errors
-    ///
-    /// See [`HttpError`]; on any error the connection should be answered
-    /// with the matching status (when possible) and closed.
-    pub fn read_from(stream: &mut impl Read, limits: &Limits) -> Result<Request, HttpError> {
-        let mut carry = Vec::new();
-        Request::read_from_buffered(stream, &mut carry, limits).map(|(req, _)| req)
-    }
-
     /// Reads one request from `stream`, consuming any bytes left in `carry`
     /// by the previous request first and leaving pipelined surplus there
     /// for the next call — the building block of a keep-alive connection
@@ -1006,7 +995,8 @@ mod tests {
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
         let mut cursor = io::Cursor::new(raw.to_vec());
-        Request::read_from(&mut cursor, &Limits::default())
+        Request::read_from_buffered(&mut cursor, &mut Vec::new(), &Limits::default())
+            .map(|(req, _)| req)
     }
 
     #[test]

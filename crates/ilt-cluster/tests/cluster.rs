@@ -61,7 +61,8 @@ fn spawn_fake_replica(post_status: Option<u16>) -> String {
         let mut held = Vec::new();
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
-            let Ok(req) = Request::read_from(&mut stream, &Limits::default()) else { continue };
+            let read = Request::read_from_buffered(&mut stream, &mut Vec::new(), &Limits::default());
+            let Ok((req, _)) = read else { continue };
             let response = match (req.method.as_str(), post_status) {
                 ("POST", Some(status)) => Response::error(status, "shard is already running"),
                 ("POST", None) => {

@@ -12,7 +12,7 @@
 //! * **Cache-blocked column pass** — columns are processed in transposed
 //!   panels so each cache line of the row-major buffer is touched once per
 //!   panel instead of once per column.
-//! * **Pruned padded inverse** ([`Fft2d::inverse_padded`]) — the simulator
+//! * **Pruned padded inverse** ([`Fft2d::inverse_padded_with`]) — the simulator
 //!   only ever inverts `N x N` spectra whose support is a tiny centered
 //!   `P x P` block; the pruned path runs row transforms over the `P` nonzero
 //!   rows only and replaces each length-`N` column transform by a length-`Q`
@@ -23,14 +23,14 @@
 //!   the same, for a field known to be real (an aerial image, a gradient):
 //!   Hermitian symmetry halves the row pass and lets the column pass run on
 //!   packed column pairs, and the result lands in an `f64` buffer.
-//! * **Pruned forward** ([`Fft2d::forward_cropped`],
-//!   [`Fft2d::forward_real_cropped`]) — the mirror of the pruned inverse:
+//! * **Pruned forward** ([`Fft2d::forward_cropped_with`],
+//!   [`Fft2d::forward_real_cropped_with`]) — the mirror of the pruned inverse:
 //!   when only the centered `P x P` block of the spectrum is kept, the
 //!   column pass runs first and folds each column into `q`-point transforms
 //!   plus a phase twist, so only the `P` surviving rows are ever
 //!   row-transformed. The real variant packs column pairs and separates them
 //!   through Hermitian symmetry over the closure of the retained set.
-//! * **Batched inverse** ([`Fft2d::inverse_padded_batch`]) — many spectra
+//! * **Batched inverse** ([`Fft2d::inverse_padded_batch_with`]) — many spectra
 //!   of one support stream through one output buffer and one workspace, so
 //!   twiddle tables, memoized twist tables and grown buffers are warm for
 //!   everything after the first item.
@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use crate::complex::Complex64;
 use crate::plan::{Direction, FftPlan, FftPlanner};
-use crate::scratch::{grown, with_thread_scratch, Fft2dScratch};
+use crate::scratch::{grown, Fft2dScratch};
 use crate::spectrum::{freq_index, signed_freq};
 
 /// Columns per transposed panel of the blocked column pass. Eight complex
@@ -105,18 +105,22 @@ fn col_pass_limit(
 /// for both axes; the inverse applies `1/(rows*cols)` normalization in total
 /// (each 1-D inverse pass normalizes by its own length).
 ///
+/// Every transform takes its workspace explicitly (the `*_with` forms); a
+/// caller with none to thread through borrows the thread's arena with
+/// [`with_thread_scratch`](crate::with_thread_scratch).
+///
 /// # Examples
 ///
 /// ```
-/// use ilt_fft::{Complex64, Fft2d};
+/// use ilt_fft::{with_thread_scratch, Complex64, Fft2d};
 ///
 /// let fft = Fft2d::new(4, 8);
 /// let mut data = vec![Complex64::ZERO; 4 * 8];
 /// data[0] = Complex64::ONE;
-/// fft.forward(&mut data);
+/// with_thread_scratch(|scratch| fft.forward_with(&mut data, scratch));
 /// // An impulse has a flat spectrum.
 /// assert!(data.iter().all(|z| (*z - Complex64::ONE).abs() < 1e-12));
-/// fft.inverse(&mut data);
+/// with_thread_scratch(|scratch| fft.inverse_with(&mut data, scratch));
 /// assert!((data[0] - Complex64::ONE).abs() < 1e-12);
 /// ```
 pub struct Fft2d {
@@ -179,36 +183,21 @@ impl Fft2d {
         self.cols
     }
 
-    /// In-place forward 2-D transform of a row-major buffer.
-    ///
-    /// Uses the thread-local scratch arena; prefer
-    /// [`Fft2d::forward_with`] where a workspace can be threaded through.
+    /// In-place forward 2-D transform of a row-major buffer: the dense,
+    /// unpruned reference the pruned paths are checked against.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn forward(&self, data: &mut [Complex64]) {
-        with_thread_scratch(|scratch| self.forward_with(data, scratch));
-    }
-
-    /// In-place inverse 2-D transform (normalized) of a row-major buffer.
-    ///
-    /// Uses the thread-local scratch arena; prefer
-    /// [`Fft2d::inverse_with`] where a workspace can be threaded through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn inverse(&self, data: &mut [Complex64]) {
-        with_thread_scratch(|scratch| self.inverse_with(data, scratch));
-    }
-
-    /// [`Fft2d::forward`] with an explicit reusable workspace.
     pub fn forward_with(&self, data: &mut [Complex64], scratch: &mut Fft2dScratch) {
         self.transform(data, &self.row_fwd, &self.col_fwd, scratch);
     }
 
-    /// [`Fft2d::inverse`] with an explicit reusable workspace.
+    /// In-place inverse 2-D transform (normalized) of a row-major buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
     pub fn inverse_with(&self, data: &mut [Complex64], scratch: &mut Fft2dScratch) {
         self.transform(data, &self.row_inv, &self.col_inv, scratch);
     }
@@ -236,7 +225,7 @@ impl Fft2d {
     /// centered `p x p` low-frequency block, fused with the padding step.
     ///
     /// Equivalent to [`crate::pad_centered_into`] followed by
-    /// [`Fft2d::inverse`], but prunes all work on structurally-zero data:
+    /// [`Fft2d::inverse_with`], but prunes all work on structurally-zero data:
     /// the row pass transforms only the `p` nonzero rows, and the column
     /// pass runs `q`-point transforms (`q = p.next_power_of_two()`) plus a
     /// per-residue phase twist instead of `n`-point transforms — skipping
@@ -253,26 +242,22 @@ impl Fft2d {
     /// # Examples
     ///
     /// ```
-    /// use ilt_fft::{pad_centered, Complex64, Fft2d};
+    /// use ilt_fft::{pad_centered, Complex64, Fft2d, Fft2dScratch};
     ///
     /// let fft = Fft2d::new(64, 64);
+    /// let mut scratch = Fft2dScratch::new();
     /// let spec: Vec<Complex64> =
     ///     (0..25).map(|i| Complex64::new(i as f64, -1.0)).collect();
     /// // Dense reference: pad to 64x64, then inverse.
     /// let mut dense = pad_centered(&spec, 5, 64);
-    /// fft.inverse(&mut dense);
+    /// fft.inverse_with(&mut dense, &mut scratch);
     /// // Pruned path.
     /// let mut out = vec![Complex64::ZERO; 64 * 64];
-    /// fft.inverse_padded(&spec, 5, &mut out);
+    /// fft.inverse_padded_with(&spec, 5, &mut out, &mut scratch);
     /// for (a, b) in out.iter().zip(&dense) {
     ///     assert!((*a - *b).abs() < 1e-12);
     /// }
     /// ```
-    pub fn inverse_padded(&self, spec: &[Complex64], p: usize, out: &mut [Complex64]) {
-        with_thread_scratch(|scratch| self.inverse_padded_with(spec, p, out, scratch));
-    }
-
-    /// [`Fft2d::inverse_padded`] with an explicit reusable workspace.
     pub fn inverse_padded_with(
         &self,
         spec: &[Complex64],
@@ -335,7 +320,7 @@ impl Fft2d {
         }
     }
 
-    /// Real part of [`Fft2d::inverse_padded`] for an odd support `p`, written
+    /// Real part of [`Fft2d::inverse_padded_with`] for an odd support `p`, written
     /// straight into a real buffer at about half the cost.
     ///
     /// The real part of the inverse is the inverse of the spectrum's
@@ -358,12 +343,13 @@ impl Fft2d {
     /// use ilt_fft::{Complex64, Fft2d, Fft2dScratch};
     ///
     /// let fft = Fft2d::new(32, 32);
+    /// let mut scratch = Fft2dScratch::new();
     /// let spec: Vec<Complex64> =
     ///     (0..25).map(|i| Complex64::new(i as f64, 3.0 - i as f64)).collect();
     /// let mut dense = vec![Complex64::ZERO; 32 * 32];
-    /// fft.inverse_padded(&spec, 5, &mut dense);
+    /// fft.inverse_padded_with(&spec, 5, &mut dense, &mut scratch);
     /// let mut real = vec![0.0; 32 * 32];
-    /// fft.inverse_padded_real_with(&spec, 5, &mut real, &mut Fft2dScratch::new());
+    /// fft.inverse_padded_real_with(&spec, 5, &mut real, &mut scratch);
     /// for (a, b) in real.iter().zip(&dense) {
     ///     assert!((a - b.re).abs() < 1e-12);
     /// }
@@ -440,9 +426,9 @@ impl Fft2d {
     /// Forward transform of an `n x n` complex buffer, fused with the crop
     /// to the centered `p x p` low-frequency block.
     ///
-    /// Equivalent to [`Fft2d::forward`] followed by
+    /// Equivalent to [`Fft2d::forward_with`] followed by
     /// [`crate::crop_centered`], but prunes all work on the discarded
-    /// frequencies — the mirror of [`Fft2d::inverse_padded`]. The column
+    /// frequencies — the mirror of [`Fft2d::inverse_padded_with`]. The column
     /// pass runs first and computes only the `p` retained row frequencies by
     /// residue folding: each length-`n` column is decimated into `s = n/q`
     /// interleaved length-`q` segments (`q = p.next_power_of_two()`), the
@@ -459,27 +445,23 @@ impl Fft2d {
     /// # Examples
     ///
     /// ```
-    /// use ilt_fft::{crop_centered, Complex64, Fft2d};
+    /// use ilt_fft::{crop_centered, Complex64, Fft2d, Fft2dScratch};
     ///
     /// let fft = Fft2d::new(16, 16);
+    /// let mut scratch = Fft2dScratch::new();
     /// let data: Vec<Complex64> =
     ///     (0..256).map(|i| Complex64::new((i as f64 * 0.3).sin(), 0.1)).collect();
     /// // Dense reference: full forward, then crop.
     /// let mut dense = data.clone();
-    /// fft.forward(&mut dense);
+    /// fft.forward_with(&mut dense, &mut scratch);
     /// let want = crop_centered(&dense, 16, 5);
     /// // Pruned path.
     /// let mut got = vec![Complex64::ZERO; 25];
-    /// fft.forward_cropped(&data, 5, &mut got);
+    /// fft.forward_cropped_with(&data, 5, &mut got, &mut scratch);
     /// for (a, b) in got.iter().zip(&want) {
     ///     assert!((*a - *b).abs() < 1e-9);
     /// }
     /// ```
-    pub fn forward_cropped(&self, data: &[Complex64], p: usize, out: &mut [Complex64]) {
-        with_thread_scratch(|scratch| self.forward_cropped_with(data, p, out, scratch));
-    }
-
-    /// [`Fft2d::forward_cropped`] with an explicit reusable workspace.
     pub fn forward_cropped_with(
         &self,
         data: &[Complex64],
@@ -555,7 +537,7 @@ impl Fft2d {
     ///
     /// Combines both pruning tricks: adjacent *columns* are packed into one
     /// complex column (the column pass runs first here), folded and
-    /// recombined as in [`Fft2d::forward_cropped`], then separated through
+    /// recombined as in [`Fft2d::forward_cropped_with`], then separated through
     /// Hermitian symmetry. Because separation at frequency `f` needs the
     /// packed spectrum at `-f`, the recombination covers the symmetric
     /// closure of the retained set (at most one extra frequency, `+p/2` for
@@ -569,24 +551,20 @@ impl Fft2d {
     /// # Examples
     ///
     /// ```
-    /// use ilt_fft::{crop_centered, Complex64, Fft2d};
+    /// use ilt_fft::{crop_centered, Complex64, Fft2d, Fft2dScratch};
     ///
     /// let fft = Fft2d::new(16, 16);
+    /// let mut scratch = Fft2dScratch::new();
     /// let img: Vec<f64> = (0..256).map(|i| (i as f64 * 0.17).cos()).collect();
     /// let mut dense: Vec<Complex64> = img.iter().map(|&x| Complex64::from_real(x)).collect();
-    /// fft.forward(&mut dense);
+    /// fft.forward_with(&mut dense, &mut scratch);
     /// let want = crop_centered(&dense, 16, 6);
     /// let mut got = vec![Complex64::ZERO; 36];
-    /// fft.forward_real_cropped(&img, 6, &mut got);
+    /// fft.forward_real_cropped_with(&img, 6, &mut got, &mut scratch);
     /// for (a, b) in got.iter().zip(&want) {
     ///     assert!((*a - *b).abs() < 1e-9);
     /// }
     /// ```
-    pub fn forward_real_cropped(&self, img: &[f64], p: usize, out: &mut [Complex64]) {
-        with_thread_scratch(|scratch| self.forward_real_cropped_with(img, p, out, scratch));
-    }
-
-    /// [`Fft2d::forward_real_cropped`] with an explicit reusable workspace.
     pub fn forward_real_cropped_with(
         &self,
         img: &[f64],
@@ -670,9 +648,9 @@ impl Fft2d {
         }
     }
 
-    /// [`Fft2d::inverse_padded`] over many spectra sharing one support `p`,
-    /// streaming each full-grid result to `each(index, grid)` from a single
-    /// reused buffer.
+    /// [`Fft2d::inverse_padded_with`] over many spectra sharing one support
+    /// `p`, streaming each full-grid result to `each(index, grid)` from a
+    /// single reused buffer.
     ///
     /// This is the shape of the Hopkins aerial accumulation (Eq. 3): `N_k`
     /// kernel spectra inverted back-to-back, each consumed immediately. The
@@ -681,17 +659,7 @@ impl Fft2d {
     ///
     /// # Panics
     ///
-    /// Panics as [`Fft2d::inverse_padded`] for any spectrum in the batch.
-    pub fn inverse_padded_batch(
-        &self,
-        specs: &[&[Complex64]],
-        p: usize,
-        each: impl FnMut(usize, &[Complex64]),
-    ) {
-        with_thread_scratch(|scratch| self.inverse_padded_batch_with(specs, p, each, scratch));
-    }
-
-    /// [`Fft2d::inverse_padded_batch`] with an explicit reusable workspace.
+    /// Panics as [`Fft2d::inverse_padded_with`] for any spectrum in the batch.
     pub fn inverse_padded_batch_with(
         &self,
         specs: &[&[Complex64]],
@@ -787,6 +755,7 @@ fn build_forward_twist(n: usize, p: usize) -> Vec<Complex64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::with_thread_scratch;
     use crate::spectrum::pad_centered;
 
     fn naive_dft2(input: &[Complex64], rows: usize, cols: usize) -> Vec<Complex64> {
@@ -841,7 +810,7 @@ mod tests {
         for (rows, cols) in [(2, 2), (4, 4), (4, 8), (8, 4), (16, 16)] {
             let input = sample(rows, cols);
             let mut data = input.clone();
-            Fft2d::new(rows, cols).forward(&mut data);
+            Fft2d::new(rows, cols).forward_with(&mut data, &mut Fft2dScratch::new());
             let want = naive_dft2(&input, rows, cols);
             for (a, b) in data.iter().zip(&want) {
                 assert!((*a - *b).abs() < 1e-8, "{rows}x{cols}");
@@ -854,9 +823,10 @@ mod tests {
         let (rows, cols) = (32, 16);
         let input = sample(rows, cols);
         let fft = Fft2d::new(rows, cols);
+        let mut scratch = Fft2dScratch::new();
         let mut data = input.clone();
-        fft.forward(&mut data);
-        fft.inverse(&mut data);
+        fft.forward_with(&mut data, &mut scratch);
+        fft.inverse_with(&mut data, &mut scratch);
         for (a, b) in data.iter().zip(&input) {
             assert!((*a - *b).abs() < 1e-10);
         }
@@ -873,7 +843,7 @@ mod tests {
             .map(|i| Complex64::from_real(u[i / cols] * v[i % cols]))
             .collect();
         let mut data = outer;
-        Fft2d::new(rows, cols).forward(&mut data);
+        Fft2d::new(rows, cols).forward_with(&mut data, &mut Fft2dScratch::new());
 
         let mut fu: Vec<Complex64> = u.iter().map(|&x| Complex64::from_real(x)).collect();
         let mut fv: Vec<Complex64> = v.iter().map(|&x| Complex64::from_real(x)).collect();
@@ -893,7 +863,7 @@ mod tests {
         let input = sample(rows, cols);
         let total: Complex64 = input.iter().copied().sum();
         let mut data = input;
-        Fft2d::new(rows, cols).forward(&mut data);
+        Fft2d::new(rows, cols).forward_with(&mut data, &mut Fft2dScratch::new());
         assert!((data[0] - total).abs() < 1e-10);
     }
 
@@ -904,10 +874,11 @@ mod tests {
         {
             let spec = lcg_complex(seed, p * p);
             let fft = Fft2d::new(n, n);
+            let mut scratch = Fft2dScratch::new();
             let mut dense = pad_centered(&spec, p, n);
-            fft.inverse(&mut dense);
+            fft.inverse_with(&mut dense, &mut scratch);
             let mut pruned = vec![Complex64::ZERO; n * n];
-            fft.inverse_padded(&spec, p, &mut pruned);
+            fft.inverse_padded_with(&spec, p, &mut pruned, &mut scratch);
             let diff = max_abs_diff(&pruned, &dense);
             assert!(diff <= 1e-12, "n={n} p={p}: max |diff| = {diff:e}");
         }
@@ -919,10 +890,11 @@ mod tests {
         for (n, p) in [(16usize, 1usize), (16, 16), (32, 6)] {
             let spec = lcg_complex(7 + n as u64, p * p);
             let fft = Fft2d::new(n, n);
+            let mut scratch = Fft2dScratch::new();
             let mut dense = pad_centered(&spec, p, n);
-            fft.inverse(&mut dense);
+            fft.inverse_with(&mut dense, &mut scratch);
             let mut pruned = vec![Complex64::ZERO; n * n];
-            fft.inverse_padded(&spec, p, &mut pruned);
+            fft.inverse_padded_with(&spec, p, &mut pruned, &mut scratch);
             let diff = max_abs_diff(&pruned, &dense);
             assert!(diff <= 1e-12, "n={n} p={p}: max |diff| = {diff:e}");
         }
@@ -940,11 +912,12 @@ mod tests {
         ] {
             let input = lcg_complex(seed, n * n);
             let fft = Fft2d::new(n, n);
+            let mut scratch = Fft2dScratch::new();
             let mut dense = input.clone();
-            fft.forward(&mut dense);
+            fft.forward_with(&mut dense, &mut scratch);
             let want = crop_centered(&dense, n, p);
             let mut got = vec![Complex64::ZERO; p * p];
-            fft.forward_cropped(&input, p, &mut got);
+            fft.forward_cropped_with(&input, p, &mut got, &mut scratch);
             let scale: f64 = want.iter().map(|z| z.abs()).fold(1.0, f64::max);
             let diff = max_abs_diff(&got, &want);
             assert!(diff <= 1e-12 * scale, "n={n} p={p}: max |diff| = {diff:e}");
@@ -964,11 +937,12 @@ mod tests {
         ] {
             let img = lcg_vals(seed, n * n);
             let fft = Fft2d::new(n, n);
+            let mut scratch = Fft2dScratch::new();
             let mut dense: Vec<Complex64> = img.iter().map(|&x| Complex64::from_real(x)).collect();
-            fft.forward(&mut dense);
+            fft.forward_with(&mut dense, &mut scratch);
             let want = crop_centered(&dense, n, p);
             let mut got = vec![Complex64::ZERO; p * p];
-            fft.forward_real_cropped(&img, p, &mut got);
+            fft.forward_real_cropped_with(&img, p, &mut got, &mut scratch);
             let scale: f64 = want.iter().map(|z| z.abs()).fold(1.0, f64::max);
             let diff = max_abs_diff(&got, &want);
             assert!(diff <= 1e-12 * scale, "n={n} p={p}: max |diff| = {diff:e}");
@@ -983,12 +957,14 @@ mod tests {
         let specs: Vec<Vec<Complex64>> = (0..3).map(|k| lcg_complex(70 + k, p * p)).collect();
         let spec_refs: Vec<&[Complex64]> = specs.iter().map(|v| v.as_slice()).collect();
         let mut seen = 0;
-        fft.inverse_padded_batch(&spec_refs, p, |k, grid| {
+        let mut sequential = Fft2dScratch::new();
+        let each = |k: usize, grid: &[Complex64]| {
             let mut want = vec![Complex64::ZERO; n * n];
-            fft.inverse_padded(&specs[k], p, &mut want);
+            fft.inverse_padded_with(&specs[k], p, &mut want, &mut sequential);
             assert_eq!(grid, want.as_slice(), "batched inverse must equal the sequential path");
             seen += 1;
-        });
+        };
+        fft.inverse_padded_batch_with(&spec_refs, p, each, &mut Fft2dScratch::new());
         assert_eq!(seen, specs.len());
     }
 
@@ -1023,7 +999,7 @@ mod tests {
         let n = 32;
         let input = lcg_complex(31, n * n);
         let mut via_arena = input.clone();
-        Fft2d::new(n, n).forward(&mut via_arena);
+        with_thread_scratch(|scratch| Fft2d::new(n, n).forward_with(&mut via_arena, scratch));
         let mut via_explicit = input;
         Fft2d::new(n, n).forward_with(&mut via_explicit, &mut Fft2dScratch::new());
         assert_eq!(via_arena, via_explicit);
@@ -1034,7 +1010,7 @@ mod tests {
     fn wrong_size_panics() {
         let fft = Fft2d::new(4, 4);
         let mut data = vec![Complex64::ZERO; 8];
-        fft.forward(&mut data);
+        fft.forward_with(&mut data, &mut Fft2dScratch::new());
     }
 
     #[test]
@@ -1042,7 +1018,7 @@ mod tests {
     fn inverse_padded_rejects_rectangular() {
         let fft = Fft2d::new(4, 8);
         let mut out = vec![Complex64::ZERO; 32];
-        fft.inverse_padded(&[Complex64::ONE], 1, &mut out);
+        fft.inverse_padded_with(&[Complex64::ONE], 1, &mut out, &mut Fft2dScratch::new());
     }
 
     #[test]
@@ -1050,6 +1026,6 @@ mod tests {
     fn inverse_padded_rejects_oversized_support() {
         let fft = Fft2d::new(4, 4);
         let mut out = vec![Complex64::ZERO; 16];
-        fft.inverse_padded(&vec![Complex64::ONE; 25], 5, &mut out);
+        fft.inverse_padded_with(&vec![Complex64::ONE; 25], 5, &mut out, &mut Fft2dScratch::new());
     }
 }

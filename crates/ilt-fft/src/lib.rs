@@ -9,11 +9,12 @@
 //!   process-wide through [`FftPlanner::global`],
 //! * [`Fft2d`] — reusable 2-D transforms over row-major buffers, with a
 //!   cache-blocked column pass, a pruned Hermitian-packed real-input
-//!   forward ([`Fft2d::forward_real_cropped`]), and a pruned padded inverse
-//!   ([`Fft2d::inverse_padded`]) that skips all work on the
+//!   forward ([`Fft2d::forward_real_cropped_with`]), and a pruned padded
+//!   inverse ([`Fft2d::inverse_padded_with`]) that skips all work on the
 //!   structurally-zero part of a padded kernel spectrum,
-//! * [`Fft2dScratch`] / [`with_thread_scratch`] — reusable workspaces so
-//!   long-lived worker threads never allocate inside a transform,
+//! * [`Fft2dScratch`] / [`with_thread_scratch`] — reusable workspaces, one
+//!   of which every transform takes, so long-lived worker threads never
+//!   allocate inside a transform,
 //! * spectrum utilities ([`crop_centered`], [`pad_centered`], [`fftshift`])
 //!   implementing the frequency-domain size changes of Eqs. 3/7/8 of the
 //!   paper ("discard the high-frequency part of `F(M)`"),
@@ -23,15 +24,16 @@
 //! # Example: band-limited downsampling (the Eq. 7 trick)
 //!
 //! ```
-//! use ilt_fft::{Fft2d, Complex64};
+//! use ilt_fft::{Complex64, Fft2d, Fft2dScratch};
 //!
 //! // A 16x16 image; keep only its 8x8 low-frequency block and reconstruct
 //! // at quarter area — the core move of low-resolution lithography.
+//! let mut scratch = Fft2dScratch::new();
 //! let img: Vec<f64> = (0..256).map(|i| (i % 16) as f64 / 16.0).collect();
 //! let mut small = vec![Complex64::ZERO; 64];
-//! Fft2d::new(16, 16).forward_real_cropped(&img, 8, &mut small);
+//! Fft2d::new(16, 16).forward_real_cropped_with(&img, 8, &mut small, &mut scratch);
 //! for z in &mut small { *z = z.scale(1.0 / 4.0); } // 1/s^2, s = 2
-//! Fft2d::new(8, 8).inverse(&mut small);
+//! Fft2d::new(8, 8).inverse_with(&mut small, &mut scratch);
 //! assert_eq!(small.len(), 64);
 //! ```
 

@@ -11,9 +11,8 @@
 //! ([`TwistCache`]), which would otherwise cost `p * n / q` trig calls per
 //! transform.
 //!
-//! Callers that cannot conveniently thread a scratch value through (the
-//! plain [`crate::Fft2d::forward`] / [`crate::Fft2d::inverse`] API) are
-//! served by a thread-local arena via [`with_thread_scratch`], which is also
+//! Callers that cannot conveniently thread a scratch value through borrow
+//! a thread-local arena via [`with_thread_scratch`], which is also
 //! non-allocating on repeat calls.
 //!
 //! Execution layers that spawn short-lived threads (the runtime pool runs
@@ -227,8 +226,8 @@ thread_local! {
 /// The arena persists for the life of the thread, so repeated transforms of
 /// the same sizes allocate nothing. Re-entrant use (calling
 /// `with_thread_scratch` while already inside it) falls back to a fresh
-/// temporary workspace instead of panicking, so the convenience
-/// [`crate::Fft2d::forward`] API stays safe to call from anywhere.
+/// temporary workspace instead of panicking, so it stays safe to call from
+/// anywhere.
 ///
 /// # Examples
 ///
@@ -271,12 +270,13 @@ fn swap_with_arena(s: &mut Fft2dScratch) -> bool {
 /// # Examples
 ///
 /// ```
-/// use ilt_fft::{with_installed_scratch, Complex64, Fft2d, Fft2dScratch};
+/// use ilt_fft::{with_installed_scratch, with_thread_scratch, Complex64, Fft2d, Fft2dScratch};
 ///
 /// let mut scratch = Fft2dScratch::new();
 /// let mut img = vec![Complex64::ONE; 64 * 64];
 /// with_installed_scratch(&mut scratch, || {
-///     Fft2d::new(64, 64).forward(&mut img); // warms `scratch`, not the arena
+///     // Warms `scratch`, not the arena.
+///     with_thread_scratch(|arena| Fft2d::new(64, 64).forward_with(&mut img, arena));
 /// });
 /// assert!(scratch.capacity() > 0);
 /// ```

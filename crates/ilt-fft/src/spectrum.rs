@@ -152,10 +152,11 @@ pub fn fftshift(data: &[Complex64], n: usize) -> Vec<Complex64> {
 mod tests {
     use super::*;
     use crate::fft2d::Fft2d;
+    use crate::scratch::Fft2dScratch;
 
     fn spec_of(img: &[f64], n: usize) -> Vec<Complex64> {
         let mut buf: Vec<Complex64> = img.iter().map(|&x| Complex64::from_real(x)).collect();
-        Fft2d::new(n, n).forward(&mut buf);
+        Fft2d::new(n, n).forward_with(&mut buf, &mut Fft2dScratch::new());
         buf
     }
 
@@ -199,7 +200,7 @@ mod tests {
         let small = crop_centered(&spec, n, 8);
         let restored_spec = pad_centered(&small, 8, n);
         let mut restored = restored_spec;
-        Fft2d::new(n, n).inverse(&mut restored);
+        Fft2d::new(n, n).inverse_with(&mut restored, &mut Fft2dScratch::new());
         for (z, &x) in restored.iter().zip(&img) {
             assert!((z.re - x).abs() < 1e-9 && z.im.abs() < 1e-12);
         }
@@ -228,7 +229,7 @@ mod tests {
             *z = z.scale(1.0 / (s * s) as f64);
         }
         let mut rec = small;
-        Fft2d::new(m, m).inverse(&mut rec);
+        Fft2d::new(m, m).inverse_with(&mut rec, &mut Fft2dScratch::new());
         for rr in 0..m {
             for cc in 0..m {
                 let want = img[(rr * s) * n + cc * s];

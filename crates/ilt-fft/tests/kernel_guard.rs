@@ -150,12 +150,13 @@ fn simd_paths_are_bit_identical_to_scalar_through_1024() {
 fn pruned_forward_matches_dense_crop_across_sizes_and_supports() {
     for n in [8usize, 16, 64, 256, 1024] {
         let fft = Fft2d::new(n, n);
+        let mut scratch = Fft2dScratch::new();
         let mut rng = Rng(0x5EED ^ n as u64);
         let img = rng.real_buf(n * n);
 
         let mut dense: Vec<Complex64> =
             img.iter().map(|&x| Complex64::from_real(x)).collect();
-        fft.forward(&mut dense);
+        fft.forward_with(&mut dense, &mut scratch);
 
         for p in supports(n) {
             let want = crop_centered(&dense, n, p);
@@ -164,11 +165,11 @@ fn pruned_forward_matches_dense_crop_across_sizes_and_supports() {
             let complex_input: Vec<Complex64> =
                 img.iter().map(|&x| Complex64::from_real(x)).collect();
             let mut got = vec![Complex64::ZERO; p * p];
-            fft.forward_cropped(&complex_input, p, &mut got);
+            fft.forward_cropped_with(&complex_input, p, &mut got, &mut scratch);
             assert_close(&got, &want, 1e-12, &format!("forward_cropped {label}"));
 
             let mut got_real = vec![Complex64::ZERO; p * p];
-            fft.forward_real_cropped(&img, p, &mut got_real);
+            fft.forward_real_cropped_with(&img, p, &mut got_real, &mut scratch);
             assert_close(&got_real, &want, 1e-12, &format!("forward_real_cropped {label}"));
         }
     }
@@ -178,15 +179,16 @@ fn pruned_forward_matches_dense_crop_across_sizes_and_supports() {
 fn pruned_inverse_matches_dense_pad_across_sizes_and_supports() {
     for n in [8usize, 16, 64, 256, 1024] {
         let fft = Fft2d::new(n, n);
+        let mut scratch = Fft2dScratch::new();
         let mut rng = Rng(0xBADC_0FFE ^ n as u64);
         for p in supports(n) {
             let spec = rng.complex_buf(p * p);
             let mut want = vec![Complex64::ZERO; n * n];
             pad_centered_into(&spec, p, &mut want, n);
-            fft.inverse(&mut want);
+            fft.inverse_with(&mut want, &mut scratch);
 
             let mut got = vec![Complex64::ZERO; n * n];
-            fft.inverse_padded(&spec, p, &mut got);
+            fft.inverse_padded_with(&spec, p, &mut got, &mut scratch);
             assert_close(&got, &want, 1e-12, &format!("inverse_padded n={n} p={p}"));
         }
     }
@@ -199,12 +201,13 @@ fn real_pruned_inverse_is_the_real_part_of_the_dense_inverse() {
     // this also pins that the routine takes the Hermitian part itself.
     for n in [2usize, 8, 16, 64, 256, 1024] {
         let fft = Fft2d::new(n, n);
+        let mut scratch = Fft2dScratch::new();
         let mut rng = Rng(0x0DD5_EED5 ^ n as u64);
         for p in [1, 7, 25, 113, n - 1].into_iter().filter(|&p| p < n) {
             let spec = rng.complex_buf(p * p);
             let mut want = vec![Complex64::ZERO; n * n];
             pad_centered_into(&spec, p, &mut want, n);
-            fft.inverse(&mut want);
+            fft.inverse_with(&mut want, &mut scratch);
             let want: Vec<Complex64> = want.iter().map(|z| Complex64::from_real(z.re)).collect();
 
             let mut got = vec![0.0; n * n];
@@ -323,11 +326,13 @@ fn batched_paths_are_bit_identical_to_sequential() {
     let specs: Vec<Vec<Complex64>> = (0..k).map(|_| rng.complex_buf(p * p)).collect();
     let spec_refs: Vec<&[Complex64]> = specs.iter().map(|v| v.as_slice()).collect();
     let mut seen = vec![false; k];
-    fft.inverse_padded_batch(&spec_refs, p, |i, z| {
+    let mut sequential = Fft2dScratch::new();
+    let each = |i: usize, z: &[Complex64]| {
         let mut want = vec![Complex64::ZERO; n * n];
-        fft.inverse_padded(&specs[i], p, &mut want);
+        fft.inverse_padded_with(&specs[i], p, &mut want, &mut sequential);
         assert_bits(z, &want, &format!("inverse_padded_batch item {i}"));
         seen[i] = true;
-    });
+    };
+    fft.inverse_padded_batch_with(&spec_refs, p, each, &mut Fft2dScratch::new());
     assert!(seen.iter().all(|&s| s), "batch skipped a spectrum");
 }

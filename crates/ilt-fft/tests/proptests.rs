@@ -3,7 +3,7 @@
 //! its case number.
 
 use ilt_fft::{
-    crop_centered, pad_centered, Complex64, Direction, Fft2d, FftPlan,
+    crop_centered, pad_centered, Complex64, Direction, Fft2d, Fft2dScratch, FftPlan,
 };
 use ilt_layouts::Xorshift64Star;
 
@@ -61,7 +61,7 @@ fn fft2_parseval() {
     for case in 0..CASES {
         let mut spec = complex_vec(&mut rng, 16 * 16, 100.0);
         let spatial: f64 = spec.iter().map(|z| z.norm_sqr()).sum();
-        Fft2d::new(16, 16).forward(&mut spec);
+        Fft2d::new(16, 16).forward_with(&mut spec, &mut Fft2dScratch::new());
         let freq: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / 256.0;
         assert!((spatial - freq).abs() <= 1e-7 * spatial.max(1.0), "case {case}");
     }
@@ -88,7 +88,7 @@ fn real_input_conjugate_symmetry() {
     for case in 0..CASES {
         let mut spec: Vec<Complex64> =
             (0..n * n).map(|_| Complex64::from_real(uniform(&mut rng, -10.0, 10.0))).collect();
-        Fft2d::new(n, n).forward(&mut spec);
+        Fft2d::new(n, n).forward_with(&mut spec, &mut Fft2dScratch::new());
         for r in 0..n {
             for c in 0..n {
                 let mirrored = spec[((n - r) % n) * n + (n - c) % n].conj();

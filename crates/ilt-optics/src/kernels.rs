@@ -12,7 +12,7 @@
 //! layout, DC at `[0,0]`), directly multipliable against
 //! [`ilt_fft::crop_centered`] output.
 
-use ilt_fft::{Complex64, Fft2d};
+use ilt_fft::{with_thread_scratch, Complex64, Fft2d};
 use ilt_field::Field2D;
 
 use crate::config::OpticsConfig;
@@ -156,7 +156,8 @@ impl KernelSet {
         // `Fft2d::new` shares plans through the global planner cache, and
         // the pruned padded inverse skips the zero part of the spectrum.
         let mut buf = vec![Complex64::ZERO; size * size];
-        Fft2d::new(size, size).inverse_padded(&self.spectra[k], self.p, &mut buf);
+        let fft = Fft2d::new(size, size);
+        with_thread_scratch(|s| fft.inverse_padded_with(&self.spectra[k], self.p, &mut buf, s));
         let shifted = ilt_fft::fftshift(&buf, size);
         Field2D::from_vec(size, size, shifted.iter().map(|z| z.abs()).collect())
     }

@@ -573,7 +573,6 @@ pub fn planned_jobs(case: &BatchCase, config: &BatchConfig) -> Result<usize, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultSpec};
 
     fn bar_case(name: &str, n: usize) -> BatchCase {
         let target = Field2D::from_fn(n, n, |r, c| {
@@ -618,7 +617,7 @@ mod tests {
         // 128 px field, 64 px tile, 8 px halo -> 48 px core -> 3x3 tiles.
         assert_eq!(out.cases[0].tiles, 9);
         assert_eq!(out.report.records.len(), 9);
-        assert!(out.report.records.iter().all(|r| r.status.is_done()));
+        assert!(out.report.records.iter().all(|r| r.status == JobStatus::Done));
         // One shared configuration: every tile job simulates at 64 px.
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.misses(), 1);
@@ -643,7 +642,7 @@ mod tests {
         config.max_retries = 0;
         // The panic covers every attempt including the degraded fallback,
         // so the tile truly fails and its core reverts to the target.
-        config.faults = FaultPlan::none().with(FaultSpec::always(0, FaultKind::Panic));
+        config.faults = FaultPlan::parse("panic@0").unwrap();
         let case = bar_case("clip", 64);
         let out = run_batch(&[case.clone()], &config, &cache).unwrap();
         assert_eq!(out.cases[0].failed_tiles, 1);
@@ -657,7 +656,7 @@ mod tests {
         let mut config = small_config(1);
         config.max_retries = 0;
         // Attempt 1 panics; the degraded fallback (attempt 2) is clean.
-        config.faults = FaultPlan::none().with(FaultSpec::at(0, 1, FaultKind::Panic));
+        config.faults = FaultPlan::parse("panic@0:1").unwrap();
         let case = bar_case("clip", 64);
         let out = run_batch(&[case.clone()], &config, &cache).unwrap();
         assert_eq!(out.cases[0].failed_tiles, 0);
@@ -690,7 +689,7 @@ mod tests {
         zero.threads = 0;
         assert!(run_batch(&[bar_case("x", 64)], &zero, &cache).is_err());
         let mut inject = small_config(1);
-        inject.faults = FaultPlan::none().with(FaultSpec::always(99, FaultKind::Panic));
+        inject.faults = FaultPlan::parse("panic@99").unwrap();
         assert!(run_batch(&[bar_case("x", 64)], &inject, &cache).is_err());
         let mut resume = small_config(1);
         resume.checkpoint = None;

@@ -451,7 +451,7 @@ mod tests {
         assert_eq!(run.jobs, 3);
         assert!(run.dropped_trailing);
         assert_eq!(run.records.len(), 2);
-        assert!(run.records[&0].record.status.is_done());
+        assert_eq!(run.records[&0].record.status, JobStatus::Done);
 
         // The same torn text in the *middle* of the log is real corruption.
         let mut f = File::create(&wal).unwrap();
@@ -477,7 +477,7 @@ mod tests {
         drop(f);
         let run = load_wal(&dir).unwrap();
         assert_eq!(run.records.len(), 1);
-        assert!(run.records[&0].record.status.is_done(), "last record wins");
+        assert_eq!(run.records[&0].record.status, JobStatus::Done, "last record wins");
         let _ = fs::remove_dir_all(&dir);
     }
 

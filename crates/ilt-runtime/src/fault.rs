@@ -1,13 +1,14 @@
 //! Deterministic fault injection for chaos-testing the runtime.
 //!
 //! A [`FaultPlan`] is a declarative, fully deterministic description of the
-//! failures a run should suffer: which job, which attempt, what kind. It
-//! replaces the old `inject_panics` counter with a model rich enough to
-//! exercise every recovery path the engine claims to have — panic isolation,
-//! attempt timeouts, checkpoint-write durability gaps, the NaN guard in the
-//! optimize loop, simulator-cache build failures, and a hard process crash
-//! immediately after a checkpoint becomes durable (the "kill -9 mid-run"
-//! used by `tests/resume_e2e.rs`).
+//! failures a run should suffer: which job, which attempt, what kind. It is
+//! rich enough to exercise every recovery path the engine claims to have —
+//! panic isolation, attempt timeouts, checkpoint-write durability gaps, the
+//! NaN guard in the optimize loop, simulator-cache build failures, and a
+//! hard process crash immediately after a checkpoint becomes durable (the
+//! "kill -9 mid-run" used by `tests/resume_e2e.rs`). Plans are written in
+//! one grammar, [`FaultPlan::parse`]'s, which `--inject`, `inject=` and the
+//! tests all use.
 //!
 //! Determinism is the point: a fault either fires at `(job_id, attempt)` or
 //! it does not, for every execution, regardless of thread count.
@@ -84,35 +85,18 @@ impl FaultKind {
 
 /// One injected fault, addressed to a job and a range of attempts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultSpec {
+struct FaultSpec {
     /// The target job id.
-    pub job_id: usize,
+    job_id: usize,
     /// First 1-based attempt the fault fires on.
-    pub first_attempt: u32,
+    first_attempt: u32,
     /// Last 1-based attempt the fault fires on (inclusive).
-    pub last_attempt: u32,
+    last_attempt: u32,
     /// What happens.
-    pub kind: FaultKind,
+    kind: FaultKind,
 }
 
 impl FaultSpec {
-    /// A fault firing on exactly one attempt of one job.
-    pub fn at(job_id: usize, attempt: u32, kind: FaultKind) -> Self {
-        Self { job_id, first_attempt: attempt, last_attempt: attempt, kind }
-    }
-
-    /// A fault firing on every attempt of one job (attempt 1 through
-    /// `u32::MAX`): the job can never succeed normally.
-    pub fn always(job_id: usize, kind: FaultKind) -> Self {
-        Self { job_id, first_attempt: 1, last_attempt: u32::MAX, kind }
-    }
-
-    /// A fault firing on attempts 1 through `n` (the old `inject_panics`
-    /// semantics when `kind` is [`FaultKind::Panic`]).
-    pub fn through(job_id: usize, n: u32, kind: FaultKind) -> Self {
-        Self { job_id, first_attempt: 1, last_attempt: n, kind }
-    }
-
     fn matches(&self, job_id: usize, attempt: u32) -> bool {
         self.job_id == job_id && (self.first_attempt..=self.last_attempt).contains(&attempt)
     }
@@ -140,13 +124,6 @@ impl FaultPlan {
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty() && self.crash_after_checkpoint.is_none()
-    }
-
-    /// Adds one fault spec (builder style).
-    #[must_use]
-    pub fn with(mut self, spec: FaultSpec) -> Self {
-        self.specs.push(spec);
-        self
     }
 
     /// The largest job id any spec targets (for validation against the
@@ -373,9 +350,7 @@ mod tests {
 
     #[test]
     fn attempt_ranges_address_precisely() {
-        let p = FaultPlan::none()
-            .with(FaultSpec::at(3, 2, FaultKind::Panic))
-            .with(FaultSpec::through(5, 2, FaultKind::PoisonNan));
+        let p = FaultPlan::parse("panic@3:2,nan@5:1-2").unwrap();
         assert!(!p.should_panic(3, 1));
         assert!(p.should_panic(3, 2));
         assert!(!p.should_panic(3, 3));

@@ -184,7 +184,6 @@ pub fn run_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultSpec};
     use ilt_core::Stage;
 
     fn small_job() -> IltJob {
@@ -219,7 +218,7 @@ mod tests {
     }
 
     fn panics(n: u32) -> FaultPlan {
-        FaultPlan::none().with(FaultSpec::through(0, n, FaultKind::Panic))
+        FaultPlan::parse(&format!("panic@0:1-{n}")).unwrap()
     }
 
     #[test]
@@ -265,7 +264,7 @@ mod tests {
     #[test]
     fn poisoned_result_trips_the_numeric_guard() {
         let cache = SimulatorCache::new();
-        let faults = FaultPlan::none().with(FaultSpec::at(0, 1, FaultKind::PoisonNan));
+        let faults = FaultPlan::parse("nan@0:1").unwrap();
         let err = own_recipe(&small_job(), 1, &cache, &faults).unwrap_err();
         assert!(err.starts_with("numeric:"), "{err}");
         // The next attempt (no fault) is clean.
@@ -275,7 +274,7 @@ mod tests {
     #[test]
     fn injected_build_error_is_typed_io() {
         let cache = SimulatorCache::new();
-        let faults = FaultPlan::none().with(FaultSpec::at(0, 1, FaultKind::BuildError));
+        let faults = FaultPlan::parse("build@0:1").unwrap();
         let err = own_recipe(&small_job(), 1, &cache, &faults).unwrap_err();
         assert!(err.starts_with("io:"), "{err}");
         assert!(cache.is_empty(), "injected build error must not populate the cache");

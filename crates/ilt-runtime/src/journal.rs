@@ -42,11 +42,6 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
-    /// True for [`JobStatus::Done`].
-    pub fn is_done(&self) -> bool {
-        matches!(self, JobStatus::Done)
-    }
-
     /// True when the job ended with a usable mask ([`JobStatus::Done`] or
     /// [`JobStatus::Degraded`]).
     pub fn has_mask(&self) -> bool {
@@ -54,9 +49,13 @@ impl JobStatus {
     }
 }
 
+/// Every label [`failure_kind`] returns, in the order the server's
+/// `/metrics` family renders them; `other`, the catch-all, is last.
+pub const FAILURE_KINDS: [&str; 5] = ["panic", "timeout", "numeric", "io", "other"];
+
 /// Classifies a failure reason into its typed kind, the label used by the
-/// journal summary and the server's `/metrics` failure counters: `panic`,
-/// `timeout`, `numeric`, `io`, or `other`.
+/// journal summary and the server's `/metrics` failure counters: one of
+/// [`FAILURE_KINDS`].
 pub fn failure_kind(reason: &str) -> &'static str {
     if reason.starts_with("panic") {
         "panic"
@@ -560,7 +559,7 @@ mod tests {
         assert!(line.contains("\"status\":\"degraded\""));
         assert!(line.contains("\"reason\":\"numeric: NaN in tile\""));
         assert!(line.contains("\"mask_hash\""), "degraded results carry metrics");
-        assert!(r.status.has_mask() && !r.status.is_done());
+        assert!(r.status.has_mask() && r.status != JobStatus::Done);
         assert!(r.to_json_opts(false).contains("\"status\":\"degraded\",\"reason\":\"numeric"));
         let report = RunReport { threads: 1, records: vec![r], total_wall_ms: 1.0 };
         assert_eq!(report.failed_jobs(), 0);
@@ -577,7 +576,7 @@ mod tests {
         assert!(line.contains("\"status\":\"cancelled\""), "{line}");
         assert!(line.contains("\"metrics\":null"));
         assert_eq!(line.matches('{').count(), line.matches('}').count());
-        assert!(!r.status.has_mask() && !r.status.is_done());
+        assert!(!r.status.has_mask() && r.status != JobStatus::Done);
         assert!(r.to_json_opts(false).contains("\"status\":\"cancelled\""));
         let report = RunReport { threads: 1, records: vec![r], total_wall_ms: 1.0 };
         assert_eq!(report.failed_jobs(), 0);
@@ -587,11 +586,19 @@ mod tests {
 
     #[test]
     fn failure_kinds_classify() {
-        assert_eq!(failure_kind("panic: injected failure"), "panic");
-        assert_eq!(failure_kind("timed out after 1.0s (attempt thread abandoned)"), "timeout");
-        assert_eq!(failure_kind("numeric: non-finite values in tile result"), "numeric");
-        assert_eq!(failure_kind("io: injected simulator acquisition failure"), "io");
-        assert_eq!(failure_kind("grid must be a power of two"), "other");
+        // One reason per branch of `failure_kind`, the catch-all last: the
+        // labels it returns are exactly FAILURE_KINDS, in order, so the
+        // last slot (where `FailureKinds` counts an unknown label) is `other`.
+        let reasons = [
+            "panic: injected failure",
+            "timed out after 1.0s (attempt thread abandoned)",
+            "numeric: non-finite values in tile result",
+            "io: injected simulator acquisition failure",
+            "grid must be a power of two",
+        ];
+        let kinds: Vec<&str> = reasons.into_iter().map(failure_kind).collect();
+        assert_eq!(kinds, FAILURE_KINDS);
+        assert_eq!(FAILURE_KINDS.last(), Some(&"other"));
     }
 
     #[test]

@@ -277,7 +277,7 @@ fn output(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultPlan, FaultSpec};
+    use crate::fault::FaultPlan;
     use std::time::Duration;
     use ilt_core::{IltConfig, Stage};
     use ilt_optics::OpticsConfig;
@@ -334,7 +334,7 @@ mod tests {
             &BatchConfig {
                 threads: 1,
                 max_retries: 1,
-                faults: FaultPlan::none().with(FaultSpec::through(0, 1, FaultKind::Panic)),
+                faults: FaultPlan::parse("panic@0:1").unwrap(),
                 ..BatchConfig::default()
             },
             &cache,
@@ -355,7 +355,7 @@ mod tests {
             &BatchConfig {
                 threads: 2,
                 max_retries: 2,
-                faults: FaultPlan::none().with(FaultSpec::always(0, FaultKind::Panic)),
+                faults: FaultPlan::parse("panic@0").unwrap(),
                 ..BatchConfig::default()
             },
             &cache,
@@ -380,7 +380,7 @@ mod tests {
             &BatchConfig {
                 threads: 1,
                 max_retries: 1,
-                faults: FaultPlan::none().with(FaultSpec::through(0, 2, FaultKind::Panic)),
+                faults: FaultPlan::parse("panic@0:1-2").unwrap(),
                 ..BatchConfig::default()
             },
             &cache,
@@ -400,7 +400,7 @@ mod tests {
                 threads: 1,
                 max_retries: 1,
                 degrade: false,
-                faults: FaultPlan::none().with(FaultSpec::through(0, 2, FaultKind::Panic)),
+                faults: FaultPlan::parse("panic@0:1-2").unwrap(),
                 ..BatchConfig::default()
             },
             &cache,
@@ -472,9 +472,7 @@ mod tests {
                 timeout: Some(Duration::from_secs(3)),
                 max_retries: 1,
                 degrade: true,
-                faults: FaultPlan::none()
-                    .with(FaultSpec::at(0, 1, FaultKind::Delay { ms: 3_300 }))
-                    .with(FaultSpec::at(0, 2, FaultKind::Delay { ms: 1_000 })),
+                faults: FaultPlan::parse("delay@0:1=3300,delay@0:2=1000").unwrap(),
                 ..BatchConfig::default()
             },
             &cache,
@@ -511,7 +509,7 @@ mod tests {
         // are swept off the queue as cancelled.
         let config = BatchConfig {
             threads: 1,
-            faults: FaultPlan::none().with(FaultSpec::at(0, 1, FaultKind::Delay { ms: 400 })),
+            faults: FaultPlan::parse("delay@0:1=400").unwrap(),
             ..BatchConfig::default()
         };
         let token = config.cancel.clone();
@@ -548,8 +546,7 @@ mod tests {
             &BatchConfig {
                 threads: 1,
                 max_retries: 1,
-                faults: FaultPlan::none()
-                    .with(FaultSpec::through(0, 2, FaultKind::PoisonNan)),
+                faults: FaultPlan::parse("nan@0:1-2").unwrap(),
                 ..BatchConfig::default()
             },
             &cache,

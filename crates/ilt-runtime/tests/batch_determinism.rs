@@ -5,7 +5,7 @@ use ilt_core::Stage;
 use ilt_layouts::iccad2013_case;
 use ilt_optics::OpticsConfig;
 use ilt_runtime::{
-    field_hash, run_batch, BatchCase, BatchConfig, FaultKind, FaultPlan, FaultSpec, SeamPolicy,
+    field_hash, run_batch, BatchCase, BatchConfig, FaultPlan, JobStatus, SeamPolicy,
     SimulatorCache,
 };
 
@@ -82,14 +82,14 @@ fn injected_failure_is_retried_and_journaled() {
     let mut cfg = config(2);
     cfg.max_retries = 1;
     // First attempt of job 0 panics.
-    cfg.faults = FaultPlan::none().with(FaultSpec::at(0, 1, FaultKind::Panic));
+    cfg.faults = FaultPlan::parse("panic@0:1").unwrap();
     let out = run_batch(&[m1_case(1, 128)], &cfg, &cache).expect("batch runs");
 
     assert_eq!(out.report.failed_jobs(), 0, "the retry must rescue the job");
     assert_eq!(out.report.total_retries(), 1);
     let rescued = &out.report.records[0];
     assert_eq!(rescued.attempts, 2);
-    assert!(rescued.status.is_done());
+    assert_eq!(rescued.status, JobStatus::Done);
     assert!(out.report.to_jsonl().contains("\"attempts\":2"));
     assert_eq!(out.cases[0].failed_tiles, 0);
 }
@@ -102,7 +102,7 @@ fn exhausted_retries_degrade_only_the_failed_core() {
     let mut cfg = config(2);
     cfg.max_retries = 0;
     // Every attempt panics, the degraded fallback included: a true failure.
-    cfg.faults = FaultPlan::none().with(FaultSpec::always(0, FaultKind::Panic));
+    cfg.faults = FaultPlan::parse("panic@0").unwrap();
     let case = m1_case(1, 128);
     let out = run_batch(&[case.clone()], &cfg, &cache).expect("batch runs");
 
@@ -123,7 +123,7 @@ fn exhausted_retries_degrade_only_the_failed_core() {
         }
     }
     // Every other job still completed normally.
-    assert!(out.report.records[1..].iter().all(|r| r.status.is_done()));
+    assert!(out.report.records[1..].iter().all(|r| r.status == JobStatus::Done));
 }
 
 /// The whole-clip path (target <= tile) and the shared cache interact

@@ -10,8 +10,8 @@ use ilt_core::Stage;
 use ilt_field::Field2D;
 use ilt_optics::OpticsConfig;
 use ilt_runtime::{
-    field_hash, load_wal, run_batch, run_batch_resume, BatchCase, BatchConfig, FaultKind,
-    FaultPlan, FaultSpec, JobStatus, SimulatorCache, WAL_FILE,
+    field_hash, load_wal, run_batch, run_batch_resume, BatchCase, BatchConfig, FaultPlan,
+    JobStatus, SimulatorCache, WAL_FILE,
 };
 
 fn bar_case(name: &str, n: usize) -> BatchCase {
@@ -58,7 +58,7 @@ fn resume_after_faulted_run_is_byte_identical_to_uninterrupted() {
     let mut faulted = tiled_config();
     faulted.checkpoint = Some(dir.clone());
     faulted.max_retries = 0;
-    faulted.faults = FaultPlan::none().with(FaultSpec::always(4, FaultKind::Panic));
+    faulted.faults = FaultPlan::parse("panic@4").unwrap();
     let crashed = run_batch(&cases, &faulted, &SimulatorCache::new()).unwrap();
     assert_eq!(crashed.report.failed_jobs(), 1);
 
@@ -85,7 +85,7 @@ fn resume_after_faulted_run_is_byte_identical_to_uninterrupted() {
     // replay resolves them last-wins.
     let wal = load_wal(&dir).unwrap();
     assert_eq!(wal.records.len(), 9);
-    assert!(wal.records[&4].record.status.is_done(), "last record wins");
+    assert_eq!(wal.records[&4].record.status, JobStatus::Done, "last record wins");
     let raw = fs::read_to_string(dir.join(WAL_FILE)).unwrap();
     let job4_lines = raw.lines().filter(|l| l.contains("\"job_id\":4,")).count();
     assert_eq!(job4_lines, 2, "failure and the resumed success both remain in the log");
@@ -197,13 +197,13 @@ fn checkpoint_write_fault_leaves_the_job_nondurable() {
     let dir = temp_dir("ckptfault");
     let mut cfg = tiled_config();
     cfg.checkpoint = Some(dir.clone());
-    cfg.faults = FaultPlan::none().with(FaultSpec::always(0, FaultKind::CheckpointError));
+    cfg.faults = FaultPlan::parse("ckpt@0").unwrap();
     let out = run_batch(&cases, &cfg, &SimulatorCache::new()).unwrap();
     assert_eq!(out.report.failed_jobs(), 0, "the job itself succeeds in memory");
 
     // The WAL records the success but with no durable mask...
     let loaded = load_wal(&dir).unwrap();
-    assert!(loaded.records[&0].record.status.is_done());
+    assert_eq!(loaded.records[&0].record.status, JobStatus::Done);
     assert!(loaded.records[&0].ckpt.is_none());
 
     // ...so a resume does not trust it and re-runs the job.
@@ -253,10 +253,7 @@ fn chaos_run_with_mixed_faults_still_converges_and_resumes() {
     cfg.max_retries = 1;
     // First attempts suffer a panic, a NaN poison, and a transient build
     // error on three different jobs; retries are clean.
-    cfg.faults = FaultPlan::none()
-        .with(FaultSpec::at(1, 1, FaultKind::Panic))
-        .with(FaultSpec::at(3, 1, FaultKind::PoisonNan))
-        .with(FaultSpec::at(5, 1, FaultKind::BuildError));
+    cfg.faults = FaultPlan::parse("panic@1:1,nan@3:1,build@5:1").unwrap();
     let out = run_batch(&cases, &cfg, &SimulatorCache::new()).unwrap();
     assert_eq!(out.report.failed_jobs(), 0);
     assert_eq!(out.report.total_retries(), 3);

@@ -1,29 +1,25 @@
-//! Shared loopback harness for integration tests and benchmarks.
+//! Loopback client for driving an in-process [`Server`]: what
+//! `benchmark/`'s `serve_small` runs, and what the integration suites'
+//! `tests/util` builds on.
 //!
-//! Started life as `tests/util`; promoted into the crate proper so the
-//! integration suites and `benchmark/`'s `serve_small` drive the exact
-//! same client — and that client is the workspace's one,
+//! Every request goes through the workspace's one client,
 //! [`crate::http::Client`]: nothing here encodes a request or frames a
 //! response. Everything here panics on protocol violations — it is a dev
 //! tool, not production code.
 //!
-//! - [`exchange`] / [`get`] / [`post`] / [`delete`]: one fresh connection
-//!   per request (`connection: close`). [`exchange`] sends raw bytes
-//!   verbatim — the tool for malformed-request tests.
+//! - [`get`] / [`post`]: one fresh connection per request
+//!   (`connection: close`).
 //! - [`Conn`]: one persistent connection — the tool for keep-alive,
 //!   pipelining, idle timeout and throughput measurement.
 
 use std::io;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use ilt_field::Field2D;
+use std::time::Duration;
 
 use crate::http::Client;
 pub use crate::http::Reply;
-use crate::{ExecPolicy, JobParams, Server, ServerConfig};
+use crate::{Server, ServerConfig};
 
 /// A persistent [`Client`] connection to a loopback server.
 pub struct Conn(Client);
@@ -48,52 +44,21 @@ impl std::ops::DerefMut for Conn {
     }
 }
 
-/// One raw exchange on a fresh connection: sends `raw` verbatim and reads
-/// one reply.
-pub fn exchange(addr: SocketAddr, raw: &[u8]) -> Reply {
-    let mut conn = Conn::open(addr);
-    conn.send_raw(raw).expect("send request");
-    conn.read_reply().expect("read response")
-}
-
 /// One `connection: close` request on a fresh connection.
-fn one_shot(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> Reply {
+fn one_shot(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> Reply {
     let mut conn = Conn::open(addr);
-    conn.send(method, path, headers, body, true).expect("send request");
+    conn.send(method, path, &[], body, true).expect("send request");
     conn.read_reply().expect("read response")
 }
 
 /// `GET path` on a fresh connection.
 pub fn get(addr: SocketAddr, path: &str) -> Reply {
-    one_shot(addr, "GET", path, &[], b"")
+    one_shot(addr, "GET", path, b"")
 }
 
 /// `POST path` with `body` on a fresh connection.
 pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> Reply {
-    one_shot(addr, "POST", path, &[], body)
-}
-
-/// [`post`] with extra request headers — the tool for multi-tenant tests
-/// that need to speak as a particular client (`X-Ilt-Client`) or priority
-/// class (`X-Ilt-Priority`).
-pub fn post_with_headers(
-    addr: SocketAddr,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> Reply {
-    one_shot(addr, "POST", path, headers, body)
-}
-
-/// `DELETE path` on a fresh connection.
-pub fn delete(addr: SocketAddr, path: &str) -> Reply {
-    one_shot(addr, "DELETE", path, &[], b"")
+    one_shot(addr, "POST", path, body)
 }
 
 /// Binds a [`Server`] and runs it on a background thread; returns its
@@ -112,60 +77,10 @@ pub fn shutdown(addr: SocketAddr, handle: JoinHandle<io::Result<()>>) {
     handle.join().expect("server thread").expect("clean drain");
 }
 
-/// A 64 px clip with one rectangle — the smallest interesting target.
-pub fn tiny_target() -> Field2D {
-    Field2D::from_fn(64, 64, |r, c| {
-        if (24..40).contains(&r) && (16..48).contains(&c) { 1.0 } else { 0.0 }
-    })
-}
-
-/// [`tiny_target`] encoded as binary PGM, ready to POST.
-pub fn tiny_pgm() -> Vec<u8> {
-    ilt_field::pgm_bytes(&tiny_target(), 0.0, 1.0)
-}
-
-/// Query params for a job small enough to finish in well under a second.
-pub const FAST_JOB: &str = "clip_nm=512&kernels=3&iters=2";
-
-/// The [`JobParams`] a server decodes from `POST /v1/jobs?`[`FAST_JOB`]
-/// with `target` as the body.
-pub fn fast_params(target: Field2D) -> JobParams {
-    let pgm = ilt_field::pgm_bytes(&target, 0.0, 1.0);
-    JobParams::from_saved(FAST_JOB, pgm, &ExecPolicy::default()).expect("FAST_JOB decodes")
-}
-
 /// Parses the job id out of a submit reply's `Location: /v1/jobs/{id}`
 /// header. Shared by the integration suites and the repo benchmark so
 /// every client agrees on where the id lives.
 pub fn job_id(reply: &Reply) -> Result<usize, String> {
     let loc = reply.header("location").ok_or("submit reply lacks a Location header")?;
     loc.rsplit('/').next().and_then(|s| s.parse().ok()).ok_or(format!("bad Location {loc}"))
-}
-
-/// Polls `GET /v1/jobs/{id}` until its state is `want` — alternatives
-/// separated by `|`, e.g. `"done|cancelled"` for a race either side may
-/// win — and returns the final detail JSON. Panics on HTTP errors, when the
-/// job lands in a terminal state that was not wanted, or after 120 s.
-pub fn wait_for_state(addr: SocketAddr, id: usize, want: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let reply = get(addr, &format!("/v1/jobs/{id}"));
-        assert_eq!(reply.status, 200, "{}", reply.text());
-        let text = reply.text();
-        let in_state = |state: &str| text.contains(&format!("\"state\":\"{state}\""));
-        if want.split('|').any(in_state) {
-            return text;
-        }
-        let landed = ["done", "failed", "cancelled"].into_iter().find(|s| in_state(s));
-        assert!(landed.is_none(), "job {id} landed `{landed:?}` waiting for `{want}`: {text}");
-        assert!(Instant::now() < deadline, "job {id} never reached `{want}`: {text}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// A fresh scratch directory under the system temp dir, unique per test.
-pub fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ilt_server_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }

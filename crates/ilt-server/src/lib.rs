@@ -62,7 +62,7 @@ mod store;
 pub use http::{base64_encode, HttpError, Limits, Request, Response};
 pub use ilt_cluster::params::{ExecPolicy, JobParams, JobSource};
 pub use admission::{Admission, ClassQueues, ClientUsage, PriorityClass};
-pub use metrics::{ClientCounters, Counter, FailureKinds, Gauges, Histogram, Metrics, FAILURE_KINDS};
+pub use metrics::{ClientCounters, Counter, FailureKinds, Gauges, Histogram, Metrics};
 pub use server::{Server, ServerConfig};
 pub use state::{RecoveryStats, StateLog, SNAPSHOT_FILE};
 pub use store::{CancelOutcome, JobDone, JobState, JobStore, MaskFetch, SubmitError};

@@ -14,11 +14,10 @@ use ilt_runtime::StageTimes;
 
 use crate::admission::PriorityClass;
 
-// The primitive instruments moved to `ilt-cluster` (the coordinator
-// observes shard health with them); re-exported here so every existing
-// `ilt_server::metrics::*` import keeps working.
+// The primitive instruments live in `ilt-cluster`: the coordinator observes
+// shard health with them too.
 use ilt_cluster::stats::{family, scalar};
-pub use ilt_cluster::stats::{Counter, FailureKinds, Histogram, FAILURE_KINDS, LATENCY_BUCKETS_MS};
+pub use ilt_cluster::stats::{Counter, FailureKinds, Histogram, LATENCY_BUCKETS_MS};
 
 /// A counter family labeled by client id — one Prometheus series per
 /// client that has tripped it. Mutex-backed rather than atomic: it only

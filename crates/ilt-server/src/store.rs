@@ -590,17 +590,28 @@ pub(crate) fn new_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{fast_params, tiny_target};
     use crate::http::Request;
     use crate::state::{RecoveryStats, SNAPSHOT_FILE};
     use crate::ExecPolicy;
     use ilt_runtime::BatchCase;
     use std::path::PathBuf;
 
-    /// A description that plans in microseconds: the harness's tiny inline
-    /// target under [`FAST_JOB`](crate::harness::FAST_JOB).
+    /// A 64 px clip with one rectangle.
+    fn tiny_target() -> Field2D {
+        Field2D::from_fn(64, 64, |r, c| {
+            if (24..40).contains(&r) && (16..48).contains(&c) { 1.0 } else { 0.0 }
+        })
+    }
+
+    /// A description that plans in microseconds: [`tiny_target`] inline,
+    /// three kernels, two iterations.
     fn tiny_params(name: &str) -> JobParams {
-        JobParams { name: name.into(), ..fast_params(tiny_target()) }
+        let params = JobParams::from_saved(
+            "clip_nm=512&kernels=3&iters=2",
+            pgm_bytes(&tiny_target(), 0.0, 1.0),
+            &ExecPolicy::default(),
+        );
+        JobParams { name: name.into(), ..params.expect("a tiny job decodes") }
     }
 
     /// The case a finished tiny job reports its mask for.
@@ -909,8 +920,9 @@ mod tests {
             let raw = format!(
                 "POST /v1/jobs?case=case1&inject={spec} HTTP/1.1\r\ncontent-length: 0\r\n\r\n"
             );
-            let req = crate::http::Request::read_from(
+            let (req, _) = crate::http::Request::read_from_buffered(
                 &mut raw.as_bytes(),
+                &mut Vec::new(),
                 &crate::http::Limits::default(),
             )
             .unwrap_or_else(|e| panic!("{spec}: {e:?}"));

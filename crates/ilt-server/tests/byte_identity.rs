@@ -12,11 +12,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 
 use ilt_cluster::{ClusterConfig, Worker, WorkerConfig};
-use ilt_server::harness::{self, get, job_id, post, post_with_headers, shutdown, start, tiny_pgm};
 use ilt_server::{
     Admission, CancelOutcome, ExecPolicy, JobParams, JobStore, Limits, PriorityClass, Request,
     ServerConfig, StateLog, SNAPSHOT_FILE,
 };
+use util::{get, job_id, post, post_with_headers, shutdown, start, tiny_pgm};
+
+mod util;
 
 /// `(request query, client, class)`; the third submission carries
 /// [`tiny_pgm`] as its body.
@@ -58,7 +60,7 @@ fn allow_inject() -> ExecPolicy {
 
 #[test]
 fn state_log_and_snapshot_equal_the_parent_binarys() {
-    let dir = harness::temp_dir("byte_identity_state");
+    let dir = util::temp_dir("byte_identity_state");
     let store = JobStore::new(8, Some(StateLog::open(&dir, 1).unwrap()));
     for (i, (query, client, class)) in SUBMISSIONS.into_iter().enumerate() {
         // Through the real request parser, as `POST /v1/jobs` decodes it.
@@ -67,7 +69,8 @@ fn state_log_and_snapshot_equal_the_parent_binarys() {
             format!("POST /v1/jobs?{query} HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len())
                 .into_bytes();
         raw.extend_from_slice(&body);
-        let req = Request::read_from(&mut &raw[..], &Limits::default()).unwrap();
+        let (req, _) =
+            Request::read_from_buffered(&mut &raw[..], &mut Vec::new(), &Limits::default()).unwrap();
         let params = JobParams::from_request(&req, &allow_inject()).unwrap();
         let class = PriorityClass::parse(class).unwrap();
         assert_eq!(store.submit(&params, Admission { client: client.into(), class }), Ok(i));
@@ -144,7 +147,7 @@ fn shard_dispatch_request_lines_equal_the_parent_binarys() {
     let worker_thread = std::thread::spawn(move || worker.run());
     let (proxy, request_lines) = recording_proxy(worker_addr);
 
-    let state_dir = harness::temp_dir("byte_identity_wire");
+    let state_dir = util::temp_dir("byte_identity_wire");
     let (addr, handle) = start(ServerConfig {
         workers: 1,
         policy: allow_inject(),
@@ -159,7 +162,7 @@ fn shard_dispatch_request_lines_equal_the_parent_binarys() {
         assert_eq!(job_id(&reply), Ok(i));
     }
     for id in 0..3 {
-        harness::wait_for_state(addr, id, "done");
+        util::wait_for_state(addr, id, "done");
     }
     // One whole-clip shard per job; `inject=` never leaves the coordinator.
     let mut dispatched: Vec<String> = request_lines

@@ -2,9 +2,7 @@
 //! quota accounting, a concurrent cancel-race reconciliation check, the
 //! weighted-priority starvation bound, per-client 429 quota breaches over
 //! real HTTP, and mask re-hydration (including corruption and restart
-//! legs) — all built on the shared `ilt_server::harness`.
-
-use ilt_server::harness as util;
+//! legs) — all built on the shared loopback helpers of `util`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,6 +17,8 @@ use util::{
     fast_params, get, job_id, post, post_with_headers, shutdown, start, tiny_pgm, tiny_target,
     wait_for_state, FAST_JOB,
 };
+
+mod util;
 
 /// A policy that accepts `inject=` so tests can stall tiles on demand.
 fn chaos_policy() -> ExecPolicy {

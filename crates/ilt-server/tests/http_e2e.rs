@@ -1,11 +1,9 @@
 //! Loopback integration tests: the server is exercised through real TCP
-//! sockets with the shared `ilt_server::harness` client (also used by the
-//! lifecycle suite and the repo benchmark), covering the
+//! sockets with the shared `util` helpers over `ilt_server::harness` (the
+//! client the repo benchmark also drives), covering the
 //! robustness paths (malformed requests, oversized bodies, queue-full
 //! backpressure) and the full submit → poll → fetch-mask round trip, whose
 //! result must be byte-identical to running the batch engine in-process.
-
-use ilt_server::harness as util;
 
 use std::time::Duration;
 
@@ -14,6 +12,8 @@ use ilt_server::{base64_encode, Limits, ServerConfig};
 use util::{
     delete, exchange, fast_params, get, post, shutdown, start, tiny_pgm, tiny_target, FAST_JOB,
 };
+
+mod util;
 
 #[test]
 fn rejects_malformed_and_unroutable_requests() {

@@ -11,8 +11,10 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use ilt_cluster::{Worker, WorkerConfig};
-use ilt_server::harness::{job_id, post, shutdown, start, wait_for_state, Conn};
 use ilt_server::ServerConfig;
+use util::{job_id, post, shutdown, start, wait_for_state, Conn};
+
+mod util;
 
 const EXCHANGES: usize = 40;
 const BOUND: Duration = Duration::from_millis(10);

@@ -3,8 +3,6 @@
 //! connection limits, streaming progress, and malformed-HTTP robustness —
 //! all over real loopback sockets via the shared `util` harness.
 
-use ilt_server::harness as util;
-
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -13,6 +11,8 @@ use ilt_cluster::transport::request;
 use ilt_cluster::{Worker, WorkerConfig};
 use ilt_server::{ExecPolicy, ServerConfig, SNAPSHOT_FILE};
 use util::{delete, get, post, shutdown, start, tiny_pgm, wait_for_state, Conn, FAST_JOB};
+
+mod util;
 
 /// A policy that accepts `inject=` so tests can stall tiles on demand.
 fn chaos_policy() -> ExecPolicy {

@@ -3,11 +3,11 @@
 //! sockets, input validation, and the Prometheus exposition including the
 //! per-worker breaker gauge.
 
-use ilt_server::harness as util;
-
 use ilt_cluster::ClusterConfig;
 use ilt_server::ServerConfig;
 use util::{get, post, shutdown, start};
+
+mod util;
 
 #[test]
 fn membership_lifecycle_over_http_and_metrics_exposition() {

@@ -109,19 +109,18 @@ fn no_workspace_manifest_declares_features() {
 
 /// What ships under `src/` for tests' sake: every `pub` / `pub(crate)`
 /// function no `ilt` command and no `benchmark/` workload reaches, with the
-/// test, example or reference role that keeps it. A function leaves this
-/// list by gaining a shipped caller or by being deleted with its tests;
-/// one joins it only with a reason a reviewer can check.
+/// reference, oracle, probe or fixture role that keeps it. A convenience a
+/// test can do without (a shortcut over a shipped entry point, a builder
+/// that bypasses a grammar users type, a one-line predicate) does not
+/// qualify: the test drives the shipped entry point instead. A function
+/// leaves this list by gaining a shipped caller or by being deleted with
+/// its tests; one joins it only with a reason a reviewer can check, and
+/// only by raising [`TOOLING_CEILING`] in the same change.
 const TEST_TOOLING: &[(&str, &str)] = &[
     // ilt-fft: the references the fast paths are pinned to.
     ("process_scalar", "FftPlan's scalar reference: crates/ilt-fft/tests/kernel_guard.rs holds `process` to it bit for bit"),
     ("process_cols_scalar", "FftPlan's scalar column reference: crates/ilt-fft/tests/kernel_guard.rs, same contract for `process_cols`"),
     ("pad_centered", "the dense pad the pruned inverse is checked against: crates/ilt-fft/tests/proptests.rs and fft2d.rs's unit tests"),
-    ("forward", "Fft2d's dense transform on the thread's scratch: the unpruned reference of tests/spectral_guard.rs, crates/ilt-fft/tests/kernel_guard.rs and proptests.rs"),
-    ("inverse", "its inverse: same three suites, and spectrum.rs's round-trip unit tests"),
-    ("forward_cropped", "Fft2d's thread-scratch form of `forward_cropped_with` (which the simulator calls): crates/ilt-fft/tests/kernel_guard.rs"),
-    ("forward_real_cropped", "Fft2d's thread-scratch form of `forward_real_cropped_with`: crates/ilt-fft/tests/kernel_guard.rs"),
-    ("inverse_padded_batch", "Fft2d's thread-scratch form of `inverse_padded_batch_with` (which benchmark/src/m1.rs links): crates/ilt-fft/tests/kernel_guard.rs"),
     ("capacity", "Fft2dScratch's held-values count: scratch.rs's unit tests prove reuse, pool recycling and panic-safe restore by it"),
     // ilt-field / ilt-geom / ilt-layouts / ilt-metrics: fixtures and oracles.
     ("count_on", "Field2D's pixel count: tests/end_to_end.rs, tests/paper_claims.rs and the geom / optics / layouts tests assert on it"),
@@ -140,23 +139,15 @@ const TEST_TOOLING: &[(&str, &str)] = &[
     ("assert_gradients_close", "gradcheck comparator: crates/ilt-autodiff/tests/pipeline_gradients.rs and ilt-core's binary / loss unit tests"),
     ("assert_gradients_close_at", "gradcheck comparator at chosen pixels: crates/ilt-core/tests/composite_gradcheck.rs"),
     ("without_simulator", "Graph with no optics attached: crates/ilt-autodiff/tests/pipeline_gradients.rs and ilt-core's binary / loss unit tests build pointwise tapes on it"),
-    // ilt-runtime: assertions and fault arming of the pool and resume tests.
-    ("is_done", "JobStatus::Done test: crates/ilt-runtime/tests/batch_determinism.rs and tests/resume_recovery.rs assert on it"),
-    ("through", "FaultSpec 'fail attempts 1..=n': pool.rs's and job.rs's retry tests arm the shipped fault path with it"),
-    ("always", "FaultSpec 'fail every attempt': crates/ilt-runtime/tests/batch_determinism.rs and resume_recovery.rs exhaust a job's retries with it"),
-    ("at", "FaultSpec 'fail one attempt': crates/ilt-runtime/tests/resume_recovery.rs and batch_determinism.rs, pool.rs's timeout tests"),
-    // ilt-cluster / ilt-server: the in-process HTTP harness and its probes.
+    // ilt-cluster / ilt-server: probes of live state.
     ("stats", "Coordinator's live counters (shipped code renders them through `render_metrics`): crates/ilt-cluster/tests/cluster.rs and chaos.rs assert on re-dispatch, speculation and membership counts"),
     ("expect_closed", "Client's EOF probe: crates/ilt-server/tests/lifecycle.rs proves the keep-alive cap closes the connection"),
-    ("read_from", "Request's parser entry for a recording proxy: crates/ilt-server/tests/byte_identity.rs pins the shard request line through it"),
     ("quota_usage", "JobStore's per-client counts: crates/ilt-server/tests/fairness.rs reconciles them to zero after every drain"),
-    ("exchange", "ilt_server::harness (linked by benchmark/src/serve.rs): keep-alive exchange of http_e2e.rs, lifecycle.rs, keep_alive_latency.rs"),
-    ("delete", "ilt_server::harness: DELETE of crates/ilt-server/tests/lifecycle.rs and http_e2e.rs"),
-    ("post_with_headers", "ilt_server::harness: tenant-header POST of crates/ilt-server/tests/fairness.rs and byte_identity.rs"),
-    ("wait_for_state", "ilt_server::harness: state poll of every crates/ilt-server/tests suite"),
-    ("fast_params", "ilt_server::harness: the seconds-scale job query of http_e2e.rs and fairness.rs"),
-    ("tiny_pgm", "ilt_server::harness: the inline target of http_e2e.rs, lifecycle.rs, fairness.rs and byte_identity.rs"),
 ];
+
+/// The most entries [`TEST_TOOLING`] may hold. It may only go down; a change
+/// that has to grow the list edits this constant on purpose.
+const TOOLING_CEILING: usize = 21;
 
 /// [`shipped_sources`] plus `benchmark/src/*.rs` whole: the code an `ilt`
 /// command or a benchmark workload can reach. The flag says which.
@@ -194,7 +185,10 @@ fn idents(text: &str) -> impl Iterator<Item = (usize, &str)> {
 /// segment of a path (`::name`, a function handed over as a value) outside
 /// comments and `pub use` — or be on [`TEST_TOOLING`], which in turn may
 /// list nothing that has a caller or no longer exists. A field, a parameter
-/// or a local of the same name is not a use.
+/// or a local of the same name is not a use; nor is a path into `std` /
+/// `core` (`std::env::temp_dir()`), nor a method or unqualified call in
+/// `benchmark/src` of a name `benchmark/src` declares itself
+/// (`cfg.temp_dir(..)` calls its own `RunConfig::temp_dir`).
 #[test]
 fn nothing_ships_uncalled() {
     fn declared_fn(line: &str) -> Option<&str> {
@@ -202,12 +196,27 @@ fn nothing_ships_uncalled() {
         let rest = rest.trim_start_matches("const ").trim_start_matches("unsafe ");
         idents(rest.strip_prefix("fn ")?).next().map(|(_, name)| name)
     }
+    fn code_lines(text: &str) -> impl Iterator<Item = &str> {
+        text.lines().map(str::trim).filter(|l| !l.starts_with("//"))
+    }
     let sources = reachable_sources();
+    // What `benchmark/src` declares itself: an unqualified call of such a
+    // name there (`cfg.temp_dir(..)`, `median(..)`) resolves to its own fn.
+    let mut benchmark_fns = std::collections::BTreeSet::new();
+    for (_, text, _) in sources.iter().filter(|(_, _, shipped)| !shipped) {
+        let mut previous = "";
+        for (_, token) in code_lines(text).flat_map(idents) {
+            if previous == "fn" {
+                benchmark_fns.insert(token);
+            }
+            previous = token;
+        }
+    }
     let mut declared = std::collections::BTreeMap::new();
     let mut uses = std::collections::BTreeSet::new();
     for (file, text, shipped) in &sources {
         let mut in_reexport = false;
-        for line in text.lines().map(str::trim).filter(|l| !l.starts_with("//")) {
+        for line in code_lines(text) {
             if in_reexport || line.starts_with("pub use ") || line.starts_with("pub(crate) use ") {
                 in_reexport = !line.ends_with(';');
                 continue;
@@ -218,10 +227,19 @@ fn nothing_ships_uncalled() {
             let mut previous = "";
             for (at, token) in idents(line) {
                 let after = &line[at + token.len()..];
+                let before = &line[..at];
+                let qualified = before.ends_with("::");
                 let used = after.starts_with('(')
                     || after.starts_with("::<")
-                    || (line[..at].ends_with("::") && !after.starts_with("::"));
-                if used && previous != "fn" {
+                    || (qualified && !after.starts_with("::"));
+                // `std::env::temp_dir()` names std's fn, not a workspace one.
+                let path = &before[before
+                    .trim_end_matches(|c: char| c.is_alphanumeric() || c == '_' || c == ':')
+                    .len()..];
+                let elsewhere = path.starts_with("std::")
+                    || path.starts_with("core::")
+                    || (!shipped && !qualified && benchmark_fns.contains(token));
+                if used && previous != "fn" && !elsewhere {
                     uses.insert(token);
                 }
                 previous = token;
@@ -241,6 +259,12 @@ fn nothing_ships_uncalled() {
         .filter(|(listed, _)| !uncalled.iter().any(|(name, _)| *name == listed))
         .collect();
     assert!(stale.is_empty(), "on TEST_TOOLING but called by shipped code, or gone: {stale:#?}");
+    assert!(
+        TEST_TOOLING.len() <= TOOLING_CEILING,
+        "TEST_TOOLING grew: {} > {TOOLING_CEILING}; drive a shipped entry point from the test \
+         instead, or raise the ceiling on purpose",
+        TEST_TOOLING.len()
+    );
 }
 
 /// Result- or behaviour-affecting settings no shipped code sets: every
@@ -276,14 +300,14 @@ const KEPT_KNOBS: &[(&str, &str)] = &[
     ("ClusterConfig::max_inflight_per_worker", "crates/ilt-cluster/tests/cluster.rs and chaos.rs size per-worker concurrency"),
     ("ClusterConfig::max_shard_attempts", "crates/ilt-cluster/tests/cluster.rs bounds re-dispatch at 2 to reach 'shard lost'"),
     ("ClusterConfig::breaker", "crates/ilt-cluster/tests/cluster.rs and chaos.rs tune or disable quarantine"),
-    // The listener's bounds; ROADMAP item 3 holds ServerConfig's restatement
-    // of ConnOptions for a benchmark-side change (benchmark/src/serve.rs
-    // sets `keep_alive_requests` beside these).
+    // The listener's bounds; ROADMAP item 1(b) holds ServerConfig's
+    // restatement of ConnOptions for a benchmark-side change
+    // (benchmark/src/serve.rs sets `keep_alive_requests` beside these).
     ("Limits::max_head_bytes", "crates/ilt-server/tests/http_e2e.rs::oversized_bodies_and_heads_are_refused lowers it to 2048"),
     ("Limits::max_body_bytes", "same test lowers it to 4096"),
     ("ServerConfig::limits", "same test hands the lowered Limits in"),
     ("ServerConfig::max_connections", "crates/ilt-server/tests/lifecycle.rs lowers the cap to see the 503"),
-    ("ServerConfig::read_timeout", "restates ConnOptions::read_timeout; ROADMAP item 3 names the benchmark-side change that folds the five into one ConnOptions"),
+    ("ServerConfig::read_timeout", "restates ConnOptions::read_timeout; ROADMAP item 1(b) folds the five into one ConnOptions once benchmark/ stops setting them"),
     ("ServerConfig::write_timeout", "restates ConnOptions::write_timeout; same ROADMAP entry"),
     ("WorkerConfig::conn", "crates/ilt-server/tests/keep_alive_latency.rs raises the worker's keep-alive cap through it"),
 ];
@@ -446,7 +470,7 @@ fn every_knob_has_a_setter() {
     assert!(stale.is_empty(), "on KEPT_KNOBS but set by shipped code, or gone: {stale:#?}");
 }
 
-/// ROADMAP item 4(b): a clustered job is supervised by events — a copy
+/// A clustered job is supervised by events — a copy
 /// reports, a member joins, leaves or is declared dead — and by deadlines
 /// the loop computes, never by a poll. In the shipped part of the
 /// coordinator and the membership: no `recv_timeout(`, `set_read_timeout(`
@@ -526,13 +550,13 @@ fn one_exp_for_every_sigmoid() {
     );
 }
 
-/// The number ROADMAP item 3 tracks, by the PR-14 counting command:
+/// The shipped line count, by the PR-14 counting command:
 /// non-blank, non-comment lines before each file's first top-level
 /// `#[cfg(test)]`, over `crates/*/src` and `src`. It may only go down; a
 /// change that has to grow it edits this constant on purpose.
 #[test]
 fn non_test_lines_do_not_grow() {
-    const CEILING: usize = 12918;
+    const CEILING: usize = 12819;
     let total: usize = shipped_sources()
         .iter()
         .flat_map(|(_, shipped)| shipped.lines())

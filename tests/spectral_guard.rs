@@ -11,7 +11,7 @@
 //! rest of the repo reasons about are bit-for-bit unchanged by the
 //! optimization.
 
-use multilevel_ilt::fft::{crop_centered, pad_centered_into, Complex64, Fft2d};
+use multilevel_ilt::fft::{crop_centered, pad_centered_into, Complex64, Fft2d, Fft2dScratch};
 use multilevel_ilt::layouts::Xorshift64Star;
 use multilevel_ilt::prelude::*;
 
@@ -47,10 +47,11 @@ fn dense_fields(sim: &LithoSimulator, mask: &Field2D, defocus: bool) -> Vec<Vec<
     let kernels = sim.kernels(defocus);
     let p = kernels.p();
     let fft = Fft2d::new(m, m);
+    let mut scratch = Fft2dScratch::new();
 
     let mut spec: Vec<Complex64> =
         mask.as_slice().iter().map(|&x| Complex64::from_real(x)).collect();
-    fft.forward(&mut spec);
+    fft.forward_with(&mut spec, &mut scratch);
     let low = crop_centered(&spec, m, p);
 
     (0..kernels.num_kernels())
@@ -59,7 +60,7 @@ fn dense_fields(sim: &LithoSimulator, mask: &Field2D, defocus: bool) -> Vec<Vec<
                 kernels.spectrum(k).iter().zip(&low).map(|(&h, &f)| h * f).collect();
             let mut buf = vec![Complex64::ZERO; m * m];
             pad_centered_into(&sk, p, &mut buf, m);
-            fft.inverse(&mut buf);
+            fft.inverse_with(&mut buf, &mut scratch);
             buf
         })
         .collect()
@@ -85,13 +86,14 @@ fn dense_vjp(sim: &LithoSimulator, mask: &Field2D, g: &Field2D, defocus: bool) -
     let kernels = sim.kernels(defocus);
     let p = kernels.p();
     let fft = Fft2d::new(m, m);
+    let mut scratch = Fft2dScratch::new();
 
     let mut grad = vec![0.0; m * m];
     let mut buf = vec![Complex64::ZERO; m * m];
     for (k, z) in dense_fields(sim, mask, defocus).iter().enumerate() {
         let mut u: Vec<Complex64> =
             z.iter().zip(g.as_slice()).map(|(z, &gi)| z.scale(gi)).collect();
-        fft.forward(&mut u);
+        fft.forward_with(&mut u, &mut scratch);
         let scale = 2.0 * kernels.weights()[k];
         let back: Vec<Complex64> = kernels
             .spectrum(k)
@@ -100,7 +102,7 @@ fn dense_vjp(sim: &LithoSimulator, mask: &Field2D, g: &Field2D, defocus: bool) -
             .map(|(&h, c)| (h.conj() * c).scale(scale))
             .collect();
         pad_centered_into(&back, p, &mut buf, m);
-        fft.inverse(&mut buf);
+        fft.inverse_with(&mut buf, &mut scratch);
         for (acc, b) in grad.iter_mut().zip(&buf) {
             *acc += b.re;
         }
@@ -203,25 +205,26 @@ fn sample_grid_aliasing_stays_outside_the_kept_block() {
         let q = sim.sample_grid(m);
         assert!(2 * (p - 1) < q, "grid {m}: Q {q} cannot hold the P = {p} adjoint");
         let (fft_m, fft_q) = (Fft2d::new(m, m), Fft2d::new(q, q));
+        let mut scratch = Fft2dScratch::new();
 
         // g_b: g band-limited to the (2P - 1)^2 block that can reach C_k^H.
         let g = noise(m, 0xa11a5 + m as u64);
         let mut spec: Vec<Complex64> =
             g.as_slice().iter().map(|&x| Complex64::from_real(x)).collect();
-        fft_m.forward(&mut spec);
+        fft_m.forward_with(&mut spec, &mut scratch);
         let mut g_b = vec![Complex64::ZERO; m * m];
         pad_centered_into(&crop_centered(&spec, m, 2 * p - 1), 2 * p - 1, &mut g_b, m);
-        fft_m.inverse(&mut g_b);
+        fft_m.inverse_with(&mut g_b, &mut scratch);
         // g_Q = (m/Q)^2 g_b on the sample grid (what the simulator builds).
         let stride = m / q;
         let g_q = subsample(&g_b, m, stride, (stride * stride) as f64);
 
         let z = &dense_fields(&sim, &test_mask(m), false)[0];
         let mut at_m: Vec<Complex64> = z.iter().zip(&g_b).map(|(&z, g)| z.scale(g.re)).collect();
-        fft_m.forward(&mut at_m);
+        fft_m.forward_with(&mut at_m, &mut scratch);
         let mut at_q: Vec<Complex64> =
             subsample(z, m, stride, 1.0).iter().zip(&g_q).map(|(&z, g)| z.scale(g.re)).collect();
-        fft_q.forward(&mut at_q);
+        fft_q.forward_with(&mut at_q, &mut scratch);
 
         let scale = at_m.iter().fold(0.0, |s: f64, v| s.max(v.abs()));
         let (kept_m, kept_q) = (crop_centered(&at_m, m, p), crop_centered(&at_q, q, p));
