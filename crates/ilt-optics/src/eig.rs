@@ -147,88 +147,70 @@ pub fn top_eigenpairs(
     orthonormalize(&mut q);
 
     let mut prev_ritz: Vec<f64> = vec![f64::INFINITY; k];
-    let mut ritz_values: Vec<f64> = vec![0.0; b];
 
     for iter in 0..max_iters {
-        // Z = A Q
-        let mut z: Vec<Vec<Complex64>> = q
-            .iter()
-            .map(|col| {
-                let mut out = vec![Complex64::ZERO; n];
-                op.apply(col, &mut out);
-                out
-            })
-            .collect();
-
-        // Rayleigh–Ritz on the block: S = Q^H Z (Hermitian b x b).
-        let mut s = vec![Complex64::ZERO; b * b];
-        for i in 0..b {
-            for j in 0..b {
-                s[i * b + j] = dot(&q[i], &z[j]);
-            }
-        }
-        let (vals, vecs) = hermitian_small_eig(&s, b);
-        ritz_values.copy_from_slice(&vals);
-
         // Rotate the multiplied block by the Ritz vectors, so the columns of
         // Z approximate eigenvector directions, then re-orthonormalize for
         // the next power step.
-        let mut rotated: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; n]; b];
-        for (col, rot) in rotated.iter_mut().enumerate() {
-            for (src, zc) in z.iter().enumerate() {
-                let coef = vecs[col * b + src];
-                if coef == Complex64::ZERO {
-                    continue;
-                }
-                for (r, &zv) in rot.iter_mut().zip(zc) {
-                    *r += zv * coef;
-                }
-            }
-        }
-        z = rotated;
-        orthonormalize(&mut z);
-        q = z;
+        let (z, vals, vecs) = rayleigh_ritz(op, &q);
+        q = combine(&z, &vecs, b);
+        orthonormalize(&mut q);
 
-        let converged = ritz_values[..k]
+        let converged = vals[..k]
             .iter()
             .zip(&prev_ritz)
             .all(|(&now, &before)| (now - before).abs() <= tol * now.abs().max(1e-30));
-        prev_ritz.copy_from_slice(&ritz_values[..k]);
+        prev_ritz.copy_from_slice(&vals[..k]);
         if converged && iter >= 2 {
             break;
         }
     }
 
     // Final Ritz extraction on the converged subspace.
-    let mut z: Vec<Vec<Complex64>> = q
+    let (_, vals, vecs) = rayleigh_ritz(op, &q);
+    combine(&q, &vecs, k)
+        .into_iter()
+        .zip(vals)
+        .map(|(mut vector, value)| {
+            normalize(&mut vector);
+            EigPair { value, vector }
+        })
+        .collect()
+}
+
+/// Rayleigh–Ritz on the orthonormal block `Q`: returns `Z = A Q` and the
+/// eigenpairs of `S = Q^H Z` (Hermitian `b x b`).
+fn rayleigh_ritz(op: &impl HermitianOp, q: &[Vec<Complex64>]) -> (Vec<Vec<Complex64>>, Vec<f64>, Vec<Complex64>) {
+    let z: Vec<Vec<Complex64>> = q
         .iter()
         .map(|col| {
-            let mut out = vec![Complex64::ZERO; n];
+            let mut out = vec![Complex64::ZERO; op.dim()];
             op.apply(col, &mut out);
             out
         })
         .collect();
-    let mut s = vec![Complex64::ZERO; b * b];
-    for i in 0..b {
-        for j in 0..b {
-            s[i * b + j] = dot(&q[i], &z[j]);
-        }
-    }
-    let (vals, vecs) = hermitian_small_eig(&s, b);
-    let mut pairs = Vec::with_capacity(k);
-    for col in 0..k {
-        let mut vector = vec![Complex64::ZERO; n];
-        for (src, qc) in q.iter().enumerate() {
-            let coef = vecs[col * b + src];
-            for (v, &qv) in vector.iter_mut().zip(qc) {
-                *v += qv * coef;
+    let s: Vec<Complex64> = q.iter().flat_map(|qi| z.iter().map(move |zj| dot(qi, zj))).collect();
+    let (vals, vecs) = hermitian_small_eig(&s, q.len());
+    (z, vals, vecs)
+}
+
+/// The first `count` combinations `sum_src cols[src] * coefs[c * b + src]`
+/// of the `b` columns (`coefs` column-major, as `hermitian_small_eig`
+/// returns its vectors).
+fn combine(cols: &[Vec<Complex64>], coefs: &[Complex64], count: usize) -> Vec<Vec<Complex64>> {
+    coefs
+        .chunks(cols.len())
+        .take(count)
+        .map(|row| {
+            let mut out = vec![Complex64::ZERO; cols[0].len()];
+            for (col, &coef) in cols.iter().zip(row) {
+                for (o, &x) in out.iter_mut().zip(col) {
+                    *o += x * coef;
+                }
             }
-        }
-        normalize(&mut vector);
-        pairs.push(EigPair { value: vals[col], vector });
-    }
-    drop(z.drain(..));
-    pairs
+            out
+        })
+        .collect()
 }
 
 /// Hermitian inner product `<a, b> = a^H b`.
@@ -250,7 +232,6 @@ fn normalize(v: &mut [Complex64]) {
 /// collapse (linearly dependent) are replaced by deterministic fresh
 /// directions and re-processed.
 fn orthonormalize(cols: &mut [Vec<Complex64>]) {
-    let n = cols.first().map_or(0, Vec::len);
     for i in 0..cols.len() {
         for _attempt in 0..3 {
             for _pass in 0..2 {
@@ -275,7 +256,6 @@ fn orthonormalize(cols: &mut [Vec<Complex64>]) {
                 let h = ((t as u64 + 1).wrapping_mul(i as u64 + 7)).wrapping_mul(0x2545F4914F6CDD1D);
                 *x = Complex64::new(((h >> 16) % 1000) as f64 / 500.0 - 1.0, ((h >> 40) % 1000) as f64 / 500.0 - 1.0);
             }
-            let _ = n;
         }
     }
 }

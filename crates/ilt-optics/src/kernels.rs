@@ -178,6 +178,42 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bits of both sets' weights, captured energy and
+    /// spectra.
+    fn kernel_bits_hash(sets: [&KernelSet; 2]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |x: f64| {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for ks in sets {
+            ks.weights().iter().for_each(|&w| eat(w));
+            eat(ks.captured_energy());
+            for k in 0..ks.num_kernels() {
+                ks.spectrum(k).iter().for_each(|z| { eat(z.re); eat(z.im) });
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn kernels_are_pinned_to_the_bit() {
+        // Grid 256 at 8 nm/px has the M1 clips' frequency step, so P = 57 and
+        // these are the kernels every paper-scale run uses. The literals were
+        // computed with a TCC matvec that visited every bin. A change that
+        // moves one bit of one kernel can move every mask golden after it.
+        let cases = [
+            (OpticsConfig { grid: 128, nm_per_px: 4.0, num_kernels: 5, ..OpticsConfig::default() }, 0x015c_9110_49b8_53da),
+            (OpticsConfig { grid: 256, nm_per_px: 8.0, num_kernels: 10, ..OpticsConfig::default() }, 0xe02c_27c1_b2fa_8f95),
+        ];
+        for (cfg, want) in cases {
+            let (nominal, defocused) = KernelSet::focus_pair(&cfg);
+            let got = kernel_bits_hash([&nominal, &defocused]);
+            assert_eq!(got, want, "P = {}: kernels moved ({got:#018x})", cfg.kernel_size());
+        }
+    }
+
     #[test]
     fn weights_are_descending_and_nonnegative() {
         let ks = KernelSet::focus_pair(&tiny_cfg()).0;

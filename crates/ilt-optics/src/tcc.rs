@@ -6,8 +6,11 @@
 //! leading eigenpairs are the SOCS kernels of Eq. 2/3 in the paper.
 //!
 //! The matrix is never materialized in the hot path: `T = A^H W A` with one
-//! row of `A` per source point, so a matvec costs `O(n_src * P^2)` instead
-//! of `O(P^4)`. A dense materialization is provided for tests.
+//! row of `A` per source point. A row is the pupil shifted by its source
+//! point, a disc that covers about a fifth of the `P x P` grid, so each row
+//! keeps only its nonzero bins and a matvec costs `O(n_src * |support|)`
+//! instead of `O(n_src * P^2)` (or `O(P^4)` dense). A dense materialization
+//! is provided for tests.
 
 use ilt_fft::{signed_freq, Complex64};
 
@@ -31,10 +34,20 @@ use crate::source::SourcePoint;
 #[derive(Clone, Debug)]
 pub struct Tcc {
     p: usize,
-    /// `rows[s][a] = P(f_s + f_a)` — the pupil shifted by source point `s`,
-    /// sampled on the `p x p` signed-frequency grid (bin `a`).
-    rows: Vec<Vec<Complex64>>,
-    weights: Vec<f64>,
+    rows: Vec<ShiftedPupil>,
+}
+
+/// One row of `A`: `P(f_s + f_a)` for source point `s` over the bins `a` of
+/// the `p x p` signed-frequency grid, kept where it is nonzero.
+///
+/// `runs` are the maximal runs of nonzero bins in increasing order, each as
+/// its first bin and its entries. Skipping the zero bins changes no bit of
+/// any sum over a row: a zero bin's product is a signed zero, and a sum that
+/// starts at `+0` never becomes `-0`, so adding it is the identity.
+#[derive(Clone, Debug)]
+struct ShiftedPupil {
+    weight: f64,
+    runs: Vec<(usize, Vec<Complex64>)>,
 }
 
 impl Tcc {
@@ -51,21 +64,27 @@ impl Tcc {
         assert!(p % 2 == 1, "kernel support must be odd");
         assert!(!source.is_empty(), "source must contain at least one point");
         let cutoff = pupil.cutoff();
-        let n = p * p;
-        let mut rows = Vec::with_capacity(source.len());
-        let mut weights = Vec::with_capacity(source.len());
-        for sp in source {
-            let (sx, sy) = (sp.sx * cutoff, sp.sy * cutoff);
-            let mut row = Vec::with_capacity(n);
-            for a in 0..n {
-                let fy = signed_freq(a / p, p) as f64 * freq_step;
-                let fx = signed_freq(a % p, p) as f64 * freq_step;
-                row.push(pupil.eval(sx + fx, sy + fy));
-            }
-            rows.push(row);
-            weights.push(sp.weight);
-        }
-        Tcc { p, rows, weights }
+        let rows = source
+            .iter()
+            .map(|sp| {
+                let (sx, sy) = (sp.sx * cutoff, sp.sy * cutoff);
+                let mut row = ShiftedPupil { weight: sp.weight, runs: Vec::new() };
+                for a in 0..p * p {
+                    let fy = signed_freq(a / p, p) as f64 * freq_step;
+                    let fx = signed_freq(a % p, p) as f64 * freq_step;
+                    let z = pupil.eval(sx + fx, sy + fy);
+                    if z == Complex64::ZERO {
+                        continue;
+                    }
+                    match row.runs.last_mut() {
+                        Some((start, values)) if *start + values.len() == a => values.push(z),
+                        _ => row.runs.push((a, vec![z])),
+                    }
+                }
+                row
+            })
+            .collect();
+        Tcc { p, rows }
     }
 
     /// Kernel support `P`.
@@ -79,8 +98,7 @@ impl Tcc {
     pub fn trace(&self) -> f64 {
         self.rows
             .iter()
-            .zip(&self.weights)
-            .map(|(row, &w)| w * row.iter().map(|z| z.norm_sqr()).sum::<f64>())
+            .map(|row| row.weight * row.runs.iter().flat_map(|(_, values)| values).map(|z| z.norm_sqr()).sum::<f64>())
             .sum()
     }
 
@@ -89,14 +107,12 @@ impl Tcc {
     pub fn dense(&self) -> Vec<Complex64> {
         let n = self.p * self.p;
         let mut m = vec![Complex64::ZERO; n * n];
-        for (row, &w) in self.rows.iter().zip(&self.weights) {
-            for a in 0..n {
-                if row[a] == Complex64::ZERO {
-                    continue;
-                }
-                let wa = row[a].scale(w);
-                for b in 0..n {
-                    m[a * n + b] += wa * row[b].conj();
+        for row in &self.rows {
+            let bins = || row.runs.iter().flat_map(|(start, values)| (*start..).zip(values.iter().copied()));
+            for (a, za) in bins() {
+                let wa = za.scale(row.weight);
+                for (b, zb) in bins() {
+                    m[a * n + b] += wa * zb.conj();
                 }
             }
         }
@@ -109,17 +125,21 @@ impl HermitianOp for Tcc {
         self.p * self.p
     }
 
-    /// `out = T v = sum_s w_s a_s (a_s^H v)`.
+    /// `out = T v = sum_s w_s a_s (a_s^H v)`, over each `a_s`'s support.
     fn apply(&self, v: &[Complex64], out: &mut [Complex64]) {
         out.fill(Complex64::ZERO);
-        for (row, &w) in self.rows.iter().zip(&self.weights) {
+        for row in &self.rows {
             let mut dot = Complex64::ZERO;
-            for (a, &x) in row.iter().zip(v) {
-                dot += a.conj() * x;
+            for (start, values) in &row.runs {
+                for (a, &x) in values.iter().zip(&v[*start..]) {
+                    dot += a.conj() * x;
+                }
             }
-            let dot = dot.scale(w);
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += a * dot;
+            let dot = dot.scale(row.weight);
+            for (start, values) in &row.runs {
+                for (o, &a) in out[*start..].iter_mut().zip(values) {
+                    *o += a * dot;
+                }
             }
         }
     }
@@ -134,6 +154,64 @@ mod tests {
         let pupil = Pupil::new(1.35, 193.0, defocus);
         let pts = SourceSpec::Annular { sigma_in: 0.5, sigma_out: 0.9 }.sample(9);
         Tcc::build(&pupil, &pts, 7, 1.0 / 512.0)
+    }
+
+    /// `T v` and the trace over every bin of every shifted pupil, zeros
+    /// included: the operator before each row kept only its support.
+    fn every_bin(pupil: &Pupil, source: &[SourcePoint], p: usize, step: f64, v: &[Complex64]) -> (Vec<Complex64>, f64) {
+        let cutoff = pupil.cutoff();
+        let mut out = vec![Complex64::ZERO; p * p];
+        let mut trace = 0.0;
+        for sp in source {
+            let row: Vec<Complex64> = (0..p * p)
+                .map(|a| {
+                    let fy = signed_freq(a / p, p) as f64 * step;
+                    let fx = signed_freq(a % p, p) as f64 * step;
+                    pupil.eval(sp.sx * cutoff + fx, sp.sy * cutoff + fy)
+                })
+                .collect();
+            let mut dot = Complex64::ZERO;
+            for (a, &x) in row.iter().zip(v) {
+                dot += a.conj() * x;
+            }
+            let dot = dot.scale(sp.weight);
+            for (o, &a) in out.iter_mut().zip(&row) {
+                *o += a * dot;
+            }
+            trace += sp.weight * row.iter().map(|z| z.norm_sqr()).sum::<f64>();
+        }
+        (out, trace)
+    }
+
+    #[test]
+    fn support_only_operator_is_the_every_bin_operator_to_the_bit() {
+        // P = 57 at 1/2048 per nm is the M1 kernel block, where a shifted
+        // pupil covers about a fifth of the bins; P = 9 at 1/512 clips the
+        // pupils at the block's edge.
+        let pts = SourceSpec::Annular { sigma_in: 0.6, sigma_out: 0.9 }.sample(15);
+        for (p, step) in [(57, 1.0 / 2048.0), (9, 1.0 / 512.0)] {
+            for defocus in [0.0, 60.0] {
+                let pupil = Pupil::new(1.35, 193.0, defocus);
+                let tcc = Tcc::build(&pupil, &pts, p, step);
+                let n = tcc.dim();
+                let kept: usize = tcc.rows.iter().flat_map(|row| &row.runs).map(|(_, values)| values.len()).sum();
+                if p == 57 {
+                    assert!(kept * 4 < pts.len() * n, "{kept} of {} bins kept", pts.len() * n);
+                }
+                let v: Vec<Complex64> =
+                    (0..n).map(|i| Complex64::new((i as f64 * 0.37).sin(), -(i as f64 * 0.91).cos())).collect();
+                let mut fast = vec![Complex64::ZERO; n];
+                tcc.apply(&v, &mut fast);
+                let (slow, trace) = every_bin(&pupil, &pts, p, step, &v);
+                for (a, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                    assert!(
+                        f.re.to_bits() == s.re.to_bits() && f.im.to_bits() == s.im.to_bits(),
+                        "P {p}, defocus {defocus}, bin {a}: {f} vs {s}"
+                    );
+                }
+                assert_eq!(tcc.trace().to_bits(), trace.to_bits(), "P {p}, defocus {defocus}");
+            }
+        }
     }
 
     #[test]
