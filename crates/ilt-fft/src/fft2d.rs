@@ -42,7 +42,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::complex::Complex64;
-use crate::plan::{Direction, FftPlan, FftPlanner};
+use crate::plan::{cached_plan, Direction, FftPlan};
 use crate::scratch::{grown, Fft2dScratch};
 use crate::spectrum::{freq_index, signed_freq};
 
@@ -54,7 +54,7 @@ const PANEL_COLS: usize = 8;
 /// Runs `plan` down every column of the row-major `rows x cols` buffer.
 ///
 /// Columns are copied into row-major panels of [`PANEL_COLS`] columns and
-/// transformed side by side by [`FftPlan::process_cols`]: each panel row is
+/// transformed side by side by [`FftPlan::process`]: each panel row is
 /// one contiguous 128-byte copy in and out, and the butterflies vectorize
 /// *across* the panel's columns with one twiddle broadcast per butterfly
 /// row.
@@ -65,32 +65,18 @@ fn col_pass(
     plan: &FftPlan,
     panel_buf: &mut Vec<Complex64>,
 ) {
-    col_pass_limit(data, rows, cols, cols, plan, panel_buf);
-}
-
-/// [`col_pass`] over the leading `limit` columns only; the rest of the
-/// buffer is left untouched (used by the Hermitian forward path, which
-/// reconstructs the remaining columns by conjugate mirroring).
-fn col_pass_limit(
-    data: &mut [Complex64],
-    rows: usize,
-    cols: usize,
-    limit: usize,
-    plan: &FftPlan,
-    panel_buf: &mut Vec<Complex64>,
-) {
     if rows <= 1 {
         return;
     }
-    let panel = grown(panel_buf, PANEL_COLS.min(limit.max(1)) * rows);
+    let panel = grown(panel_buf, PANEL_COLS.min(cols) * rows);
     let mut c0 = 0;
-    while c0 < limit {
-        let w = PANEL_COLS.min(limit - c0);
+    while c0 < cols {
+        let w = PANEL_COLS.min(cols - c0);
         for r in 0..rows {
             panel[r * w..(r + 1) * w]
                 .copy_from_slice(&data[r * cols + c0..r * cols + c0 + w]);
         }
-        plan.process_cols(&mut panel[..rows * w], w);
+        plan.process(&mut panel[..rows * w], w);
         for r in 0..rows {
             data[r * cols + c0..r * cols + c0 + w]
                 .copy_from_slice(&panel[r * w..(r + 1) * w]);
@@ -144,30 +130,21 @@ impl fmt::Debug for Fft2d {
 impl Fft2d {
     /// Creates a transform for `rows x cols` buffers.
     ///
-    /// Plans come from the process-wide [`FftPlanner::global`] cache, so
-    /// repeated construction for an already-seen size is four `Arc` clones.
+    /// Plans come from the crate's process-wide plan cache, so repeated
+    /// construction for an already-seen size is four `Arc` clones.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero or not a power of two.
     pub fn new(rows: usize, cols: usize) -> Self {
-        FftPlanner::global(|planner| Self::with_planner(rows, cols, planner))
-    }
-
-    /// Creates a transform sharing plans from an existing planner cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero or not a power of two.
-    pub fn with_planner(rows: usize, cols: usize, planner: &mut FftPlanner) -> Self {
         assert!(rows.is_power_of_two() && cols.is_power_of_two());
         Fft2d {
             rows,
             cols,
-            row_fwd: planner.plan(cols, Direction::Forward),
-            row_inv: planner.plan(cols, Direction::Inverse),
-            col_fwd: planner.plan(rows, Direction::Forward),
-            col_inv: planner.plan(rows, Direction::Inverse),
+            row_fwd: cached_plan(cols, Direction::Forward),
+            row_inv: cached_plan(cols, Direction::Inverse),
+            col_fwd: cached_plan(rows, Direction::Forward),
+            col_inv: cached_plan(rows, Direction::Inverse),
         }
     }
 
@@ -216,7 +193,7 @@ impl Fft2d {
             self.rows * self.cols
         );
         for row in data.chunks_exact_mut(self.cols) {
-            row_plan.process(row);
+            row_plan.process(row, 1);
         }
         col_pass(data, self.rows, self.cols, col_plan, &mut scratch.panel);
     }
@@ -284,7 +261,7 @@ impl Fft2d {
             brow.fill(Complex64::ZERO);
             brow[..ph].copy_from_slice(&srow[..ph]);
             brow[n - pl..].copy_from_slice(&srow[ph..]);
-            self.row_inv.process(brow);
+            self.row_inv.process(brow, 1);
         }
 
         // Column pass on the q-grid. Output rows split into s = n/q residue
@@ -292,9 +269,9 @@ impl Fft2d {
         // collapses to a length-q transform of the band rows twisted by
         // e^{i 2 pi f r0 / n}. The q/n amplitude bridges the 1/q plan
         // normalization to the 1/n the dense path applies.
-        let q = p.next_power_of_two();
+        let qplan = q_plan(p, Direction::Inverse);
+        let q = qplan.len();
         let s = n / q;
-        let qplan = FftPlanner::global(|planner| planner.plan(q, Direction::Inverse));
         // Twist table `e^{+2 pi i f r0 / n} * q/n`, memoized per (n, p): a
         // multi-level simulator replays the same shapes thousands of times,
         // so the p * s sin_cos calls happen once per scratch, not per call.
@@ -383,16 +360,16 @@ impl Fft2d {
                 let dst = if g <= h { g } else { n - (p - g) };
                 brow[dst] = (v + mrow[(p - g) % p].conj()).scale(0.5);
             }
-            self.row_inv.process(brow);
+            self.row_inv.process(brow, 1);
         }
 
         // Column pass on the q-grid as in `inverse_padded_with`, over packed
         // column pairs: grid row `+f` holds `(a + i b) t_f`, row `-f` holds
         // `(conj a + i conj b) conj t_f`.
-        let q = p.next_power_of_two();
+        let qplan = q_plan(p, Direction::Inverse);
+        let q = qplan.len();
         let s = n / q;
         let half = n / 2;
-        let qplan = FftPlanner::global(|planner| planner.plan(q, Direction::Inverse));
         let twist = scratch.twist.get_or_build((n, p, false), || build_inverse_twist(n, p));
         let grid = grown(&mut scratch.grid, q * half);
         for r0 in 0..s {
@@ -481,18 +458,13 @@ impl Fft2d {
         }
 
         let (ph, pl) = (p - p / 2, p / 2);
-        let q = p.next_power_of_two();
-        let s = n / q;
-        let qplan = FftPlanner::global(|planner| planner.plan(q, Direction::Forward));
+        let qplan = q_plan(p, Direction::Forward);
         let twist = scratch.twist.get_or_build((n, p, true), || build_forward_twist(n, p));
         let band = grown(&mut scratch.band, p * n);
         let fold = grown(&mut scratch.fold, n * PANEL_COLS.min(n));
 
-        // Column pass in panels of PANEL_COLS columns. A panel viewed as a
-        // `q x (s*w)` block *is* the stride-s decimation of its columns
-        // (row a, sub-column (b, j) sits at fold[(a*s + b)*w + j] =
-        // col_j[a*s + b]), so one `process_cols` call runs every length-q
-        // segment transform of the whole panel.
+        // Column pass in panels of PANEL_COLS columns, each recombined
+        // straight into the p retained band rows.
         let mut c0 = 0;
         while c0 < n {
             let w = PANEL_COLS.min(n - c0);
@@ -500,32 +472,14 @@ impl Fft2d {
                 fold[r * w..(r + 1) * w]
                     .copy_from_slice(&data[r * n + c0..r * n + c0 + w]);
             }
-            qplan.process_cols(&mut fold[..n * w], s * w);
-            // Recombine the retained frequencies only:
-            // X[f] = sum_b e^{-2 pi i f b / n} V_b[f mod q].
-            for i in 0..p {
-                let fi = freq_index(signed_freq(i, p), q);
-                if s == 1 {
-                    band[i * n + c0..i * n + c0 + w]
-                        .copy_from_slice(&fold[fi * w..(fi + 1) * w]);
-                    continue;
-                }
-                let trow = &twist[i * s..(i + 1) * s];
-                for j in 0..w {
-                    let mut acc = Complex64::ZERO;
-                    for (b, &tw) in trow.iter().enumerate() {
-                        acc += tw * fold[(fi * s + b) * w + j];
-                    }
-                    band[i * n + c0 + j] = acc;
-                }
-            }
+            fold_and_recombine(&qplan, twist, &mut fold[..n * w], w, p, p, &mut band[c0..], n);
             c0 += w;
         }
 
         // Row pass over the p retained rows only, cropping columns on the
         // way out.
         for (i, brow) in band.chunks_exact_mut(n).enumerate() {
-            self.row_fwd.process(brow);
+            self.row_fwd.process(brow, 1);
             let orow = &mut out[i * p..(i + 1) * p];
             orow[..ph].copy_from_slice(&brow[..ph]);
             orow[ph..].copy_from_slice(&brow[n - pl..]);
@@ -584,10 +538,8 @@ impl Fft2d {
         }
 
         let (ph, pl) = (p - p / 2, p / 2);
-        let q = p.next_power_of_two();
-        let s = n / q;
         let pc = closure_len(n, p);
-        let qplan = FftPlanner::global(|planner| planner.plan(q, Direction::Forward));
+        let qplan = q_plan(p, Direction::Forward);
         let twist = scratch.twist.get_or_build((n, p, true), || build_forward_twist(n, p));
         let band = grown(&mut scratch.band, p * n);
         let half_cols = n / 2;
@@ -596,8 +548,8 @@ impl Fft2d {
         let xz = grown(&mut scratch.xz, pc * panel_w);
 
         // Packed column pass in panels: each packed column pairs two real
-        // columns, and the panel viewed as `q x (s*w)` is the stride-s
-        // decimation of its packed columns (see `forward_cropped_with`).
+        // columns, and their packed spectra are recombined over the
+        // symmetric closure of the retained set.
         let mut cp0 = 0;
         while cp0 < half_cols {
             let w = panel_w.min(half_cols - cp0);
@@ -607,23 +559,7 @@ impl Fft2d {
                     *v = Complex64::new(pair[0], pair[1]);
                 }
             }
-            qplan.process_cols(&mut fold[..n * w], s * w);
-            // Packed spectra over the symmetric closure of the retained set.
-            for ci in 0..pc {
-                let fi = freq_index(closure_freq(ci, p), q);
-                if s == 1 {
-                    xz[ci * w..(ci + 1) * w].copy_from_slice(&fold[fi * w..(fi + 1) * w]);
-                    continue;
-                }
-                let trow = &twist[ci * s..(ci + 1) * s];
-                for j in 0..w {
-                    let mut acc = Complex64::ZERO;
-                    for (b, &tw) in trow.iter().enumerate() {
-                        acc += tw * fold[(fi * s + b) * w + j];
-                    }
-                    xz[ci * w + j] = acc;
-                }
-            }
+            fold_and_recombine(&qplan, twist, &mut fold[..n * w], w, p, pc, xz, w);
             // Hermitian separation: the even (real) part of a packed column
             // is its first real column, the odd part the second.
             for i in 0..p {
@@ -641,7 +577,7 @@ impl Fft2d {
         }
 
         for (i, brow) in band.chunks_exact_mut(n).enumerate() {
-            self.row_fwd.process(brow);
+            self.row_fwd.process(brow, 1);
             let orow = &mut out[i * p..(i + 1) * p];
             orow[..ph].copy_from_slice(&brow[..ph]);
             orow[ph..].copy_from_slice(&brow[n - pl..]);
@@ -675,6 +611,53 @@ impl Fft2d {
             each(k, &buf[..n]);
         }
         scratch.batch_out = buf;
+    }
+}
+
+/// The cached `q`-point plan of a pruned path with support `p`,
+/// `q = p.next_power_of_two()`.
+fn q_plan(p: usize, direction: Direction) -> Arc<FftPlan> {
+    cached_plan(p.next_power_of_two(), direction)
+}
+
+/// The pruned forward's column pass over one panel of `w` columns, recombined
+/// at closure frequencies `0..rows` only.
+///
+/// `fold` is the panel, `n x w` row-major. Viewed as a `q x (s*w)` block it
+/// *is* the stride-`s` decimation of its columns (row `a`, sub-column
+/// `(b, j)` sits at `fold[(a*s + b)*w + j] = col_j[a*s + b]`), so one
+/// `process` call runs every length-`q` segment transform of the panel.
+/// Closure index `ci` ([`closure_freq`]) then receives
+/// `X[f] = sum_b e^{-2 pi i f b / n} V_b[f mod q]` in `out[ci * stride..][..w]`.
+#[allow(clippy::too_many_arguments)]
+fn fold_and_recombine(
+    qplan: &FftPlan,
+    twist: &[Complex64],
+    fold: &mut [Complex64],
+    w: usize,
+    p: usize,
+    rows: usize,
+    out: &mut [Complex64],
+    stride: usize,
+) {
+    let q = qplan.len();
+    let s = fold.len() / (q * w);
+    qplan.process(fold, s * w);
+    for ci in 0..rows {
+        let fi = freq_index(closure_freq(ci, p), q);
+        let dst = &mut out[ci * stride..][..w];
+        if s == 1 {
+            dst.copy_from_slice(&fold[fi * w..(fi + 1) * w]);
+            continue;
+        }
+        // Each column's sum runs over `b` in order, from zero, as one scalar
+        // accumulator would; the columns advance side by side.
+        dst.fill(Complex64::ZERO);
+        for (b, &tw) in twist[ci * s..(ci + 1) * s].iter().enumerate() {
+            for (d, &v) in dst.iter_mut().zip(&fold[(fi * s + b) * w..][..w]) {
+                *d += tw * v;
+            }
+        }
     }
 }
 
@@ -847,14 +830,31 @@ mod tests {
 
         let mut fu: Vec<Complex64> = u.iter().map(|&x| Complex64::from_real(x)).collect();
         let mut fv: Vec<Complex64> = v.iter().map(|&x| Complex64::from_real(x)).collect();
-        FftPlan::new(rows, Direction::Forward).process(&mut fu);
-        FftPlan::new(cols, Direction::Forward).process(&mut fv);
+        FftPlan::new(rows, Direction::Forward).process(&mut fu, 1);
+        FftPlan::new(cols, Direction::Forward).process(&mut fv, 1);
 
         for r in 0..rows {
             for c in 0..cols {
                 assert!((data[r * cols + c] - fu[r] * fv[c]).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn plans_come_from_one_process_wide_cache() {
+        let (a, b) = (Fft2d::new(64, 64), Fft2d::new(64, 64));
+        for (x, y) in [
+            (&a.row_fwd, &b.row_fwd),
+            (&a.row_inv, &b.row_inv),
+            (&a.col_fwd, &b.col_fwd),
+            (&a.col_inv, &b.col_inv),
+        ] {
+            assert!(Arc::ptr_eq(x, y), "two Fft2d::new(64, 64) must share every plan");
+        }
+        // A pruned path with support 57 runs its columns on the same cached
+        // 64-point plans.
+        assert!(Arc::ptr_eq(&q_plan(57, Direction::Inverse), &a.col_inv));
+        assert!(Arc::ptr_eq(&q_plan(57, Direction::Forward), &a.col_fwd));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! implementation with:
 //!
 //! * [`Complex64`] — a self-contained complex value type,
-//! * [`FftPlanner`] / [`FftPlan`] — cached 1-D radix-2 plans, shared
-//!   process-wide through [`FftPlanner::global`],
+//! * [`FftPlan`] — 1-D fused radix-4 plans with one runner over
+//!   `len x width` panels (a row is the panel of width 1); [`Fft2d`] takes
+//!   them from one private process-wide cache, so each size and direction
+//!   is planned once,
 //! * [`Fft2d`] — reusable 2-D transforms over row-major buffers, with a
 //!   cache-blocked column pass, a pruned Hermitian-packed real-input
 //!   forward ([`Fft2d::forward_real_cropped_with`]), and a pruned padded
@@ -53,7 +55,7 @@ mod spectrum;
 
 pub use complex::Complex64;
 pub use fft2d::Fft2d;
-pub use plan::{Direction, FftPlan, FftPlanner};
+pub use plan::{Direction, FftPlan};
 pub use scratch::{
     grown, with_installed_scratch, with_thread_scratch, Fft2dScratch, ScratchPool, WorkBuffers,
 };

@@ -16,12 +16,20 @@
 //! digit reversal is *not* an involution, so reusing bit reversal is what
 //! keeps the cheap swap-pair permutation valid).
 //!
-//! Stage butterflies run through one of two kernels selected once per
-//! process ([`crate::active_kernel`]): AVX2 or the scalar reference.
-//! The SIMD kernels are written to be **bit-identical** to the scalar path
-//! (no FMA contraction, same operation order), so masks produced on any
-//! machine agree bit-for-bit; `ILT_FFT_FORCE_SCALAR=1` pins the scalar path
-//! for verification.
+//! A plan has one runner: it transforms a row-major `len x width` panel,
+//! every column side by side, and a single row is the panel of width 1.
+//! Each stage picks its butterfly from the kernel selected once per process
+//! ([`crate::active_kernel`]) and the width: AVX2 runs a row through its
+//! row kernels and an even-width panel through its column kernels;
+//! everything else runs through the scalar column kernels. The SIMD kernels
+//! are written to be **bit-identical** to the scalar path (no FMA
+//! contraction, same operation order), so masks produced on any machine
+//! agree bit-for-bit; `ILT_FFT_FORCE_SCALAR=1` pins the scalar path for
+//! verification.
+//!
+//! Plans are shared through one private process-wide cache
+//! ([`cached_plan`]): every [`crate::Fft2d`] of a size, on every thread,
+//! replays one set of twiddle tables.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -77,25 +85,32 @@ pub(crate) struct Radix4Stage {
 
 /// A reusable decimation-in-time plan for a fixed power-of-two size.
 ///
-/// Obtain plans through [`FftPlanner`], which caches them per size and
-/// direction.
+/// [`crate::Fft2d`] takes its plans from the crate's process-wide cache;
+/// `FftPlan::new` builds a private one.
 ///
 /// # Examples
 ///
 /// ```
-/// use ilt_fft::{Complex64, Direction, FftPlanner};
+/// use ilt_fft::{Complex64, Direction, FftPlan};
 ///
-/// let mut planner = FftPlanner::new();
-/// let fwd = planner.plan(8, Direction::Forward);
-/// let inv = planner.plan(8, Direction::Inverse);
+/// let fwd = FftPlan::new(8, Direction::Forward);
+/// let inv = FftPlan::new(8, Direction::Inverse);
 ///
+/// // One row is a panel of width 1.
 /// let mut data: Vec<Complex64> = (0..8).map(|i| Complex64::new(i as f64, 0.0)).collect();
 /// let original = data.clone();
-/// fwd.process(&mut data);
-/// inv.process(&mut data);
+/// fwd.process(&mut data, 1);
+/// inv.process(&mut data, 1);
 /// for (a, b) in data.iter().zip(&original) {
 ///     assert!((*a - *b).abs() < 1e-12);
 /// }
+///
+/// // Two columns side by side: each gets the transform of its own.
+/// let mut panel: Vec<Complex64> = (0..16).map(|i| Complex64::new(i as f64, 1.0)).collect();
+/// fwd.process(&mut panel, 2);
+/// let mut col: Vec<Complex64> = (0..8).map(|r| Complex64::new(2.0 * r as f64, 1.0)).collect();
+/// fwd.process(&mut col, 1);
+/// assert!((0..8).all(|r| panel[2 * r] == col[r]));
 /// ```
 pub struct FftPlan {
     len: usize,
@@ -173,59 +188,45 @@ impl FftPlan {
         self.len <= 1
     }
 
-    /// Transforms `data` in place using the process-wide selected kernel
-    /// (AVX2 when detected, scalar otherwise — see
-    /// [`crate::active_kernel`]).
+    /// Transforms the `width` interleaved columns of `panel` in place, on
+    /// the process-wide selected kernel (AVX2 when detected, scalar
+    /// otherwise — see [`crate::active_kernel`]). A single row is the panel
+    /// of width 1.
     ///
-    /// Inverse plans divide by `len` so that a forward/inverse pair is the
-    /// identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the planned size.
-    pub fn process(&self, data: &mut [Complex64]) {
-        self.run(data, simd::active());
-    }
-
-    /// Transforms `data` in place on the scalar reference path, regardless of
-    /// detected CPU features.
-    ///
-    /// This is the baseline the SIMD kernels are pinned against: for any
-    /// input, `process` and `process_scalar` produce bit-identical output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the planned size.
-    pub fn process_scalar(&self, data: &mut [Complex64]) {
-        self.run(data, Kernel::Scalar);
-    }
-
-    /// Transforms `width` interleaved columns in place.
-    ///
-    /// `panel` is a row-major `len x width` block; every column receives
-    /// exactly the transform of [`FftPlan::process`], bit-for-bit. The
-    /// butterflies run *across* columns, so the SIMD kernels see unit-stride
-    /// vectors and load each twiddle once per butterfly row instead of once
-    /// per value — this is the workhorse of the blocked 2-D column pass.
+    /// `panel` is a row-major `len x width` block, and every column receives
+    /// the same transform, bit for bit, whatever the width. The butterflies
+    /// run *across* columns, so the SIMD kernels see unit-stride vectors and
+    /// load each twiddle once per butterfly row instead of once per value —
+    /// the workhorse of the blocked 2-D column pass. Inverse plans divide by
+    /// `len` so that a forward/inverse pair is the identity.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero or `panel.len() != len * width`.
-    pub fn process_cols(&self, panel: &mut [Complex64], width: usize) {
-        self.run_cols(panel, width, simd::active());
+    pub fn process(&self, panel: &mut [Complex64], width: usize) {
+        self.run(panel, width, simd::active());
     }
 
-    /// [`FftPlan::process_cols`] on the scalar reference path.
-    pub fn process_cols_scalar(&self, panel: &mut [Complex64], width: usize) {
-        self.run_cols(panel, width, Kernel::Scalar);
+    /// [`FftPlan::process`] on the scalar reference path, regardless of
+    /// detected CPU features.
+    ///
+    /// This is the baseline the SIMD kernels are pinned against: for any
+    /// input and width, `process` and `process_scalar` produce bit-identical
+    /// output.
+    ///
+    /// # Panics
+    ///
+    /// As [`FftPlan::process`].
+    pub fn process_scalar(&self, panel: &mut [Complex64], width: usize) {
+        self.run(panel, width, Kernel::Scalar);
     }
 
-    fn run_cols(&self, panel: &mut [Complex64], width: usize, kernel: Kernel) {
+    fn run(&self, panel: &mut [Complex64], width: usize, kernel: Kernel) {
         assert!(width > 0, "panel width must be nonzero");
         assert_eq!(
             panel.len(),
             self.len * width,
-            "panel must be len*width = {}",
+            "buffer length must be len*width = {}",
             self.len * width
         );
         if self.len <= 1 {
@@ -234,6 +235,12 @@ impl FftPlan {
 
         for &(i, j) in &self.swaps {
             let (i0, j0) = (i as usize * width, j as usize * width);
+            // A row swaps single values: the width loop would cost a dense
+            // 128 x 128 transform pair ~3 %.
+            if width == 1 {
+                panel.swap(i0, j0);
+                continue;
+            }
             for k in 0..width {
                 panel.swap(i0 + k, j0 + k);
             }
@@ -242,11 +249,13 @@ impl FftPlan {
         let forward = self.direction == Direction::Forward;
 
         if self.leading_radix2 {
+            // Twiddle-free radix-2 pass over adjacent rows (W^0 = 1).
             simd::radix2_rows(panel, width, kernel);
         }
 
         for stage in &self.stages {
             if stage.t == 1 {
+                // All twiddles are W^0 = 1: pure add/sub butterfly.
                 simd::radix4_stage1_cols(panel, width, forward, kernel);
                 continue;
             }
@@ -260,40 +269,30 @@ impl FftPlan {
             }
         }
     }
+}
 
-    fn run(&self, data: &mut [Complex64], kernel: Kernel) {
-        assert_eq!(data.len(), self.len, "buffer length must match plan size");
-        if self.len <= 1 {
-            return;
-        }
-
-        for &(i, j) in &self.swaps {
-            data.swap(i as usize, j as usize);
-        }
-
-        let forward = self.direction == Direction::Forward;
-
-        if self.leading_radix2 {
-            // Twiddle-free radix-2 pass over adjacent pairs (W^0 = 1).
-            simd::radix2_pairs(data, kernel);
-        }
-
-        for stage in &self.stages {
-            if stage.t == 1 {
-                // All twiddles are W^0 = 1: pure add/sub butterfly.
-                simd::radix4_stage1(data, forward, kernel);
-                continue;
-            }
-            simd::radix4_stage(data, stage, forward, kernel);
-        }
-
-        if self.direction == Direction::Inverse {
-            let scale = 1.0 / self.len as f64;
-            for v in data.iter_mut() {
-                *v = v.scale(scale);
-            }
-        }
-    }
+/// The process-wide plan for `len` points, built on first use and shared
+/// from then on.
+///
+/// Every [`crate::Fft2d::new`] and every pruned path's `q`-point plan comes
+/// from here, so constructing a transform for an already-seen size costs
+/// four `Arc` clones instead of a twiddle-table build — and every worker
+/// thread shares one set of twiddle tables per size. The lock is held only
+/// for the map lookup, never across a transform.
+///
+/// # Panics
+///
+/// Panics if `len` is zero or not a power of two.
+pub(crate) fn cached_plan(len: usize, direction: Direction) -> Arc<FftPlan> {
+    type Plans = HashMap<(usize, Direction), Arc<FftPlan>>;
+    static PLANS: OnceLock<Mutex<Plans>> = OnceLock::new();
+    PLANS
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("FFT plan cache lock poisoned")
+        .entry((len, direction))
+        .or_insert_with(|| Arc::new(FftPlan::new(len, direction)))
+        .clone()
 }
 
 /// `s * z` where `s = -i` (forward) or `+i` (inverse): a swap plus one sign
@@ -307,67 +306,8 @@ pub(crate) fn rotate_sigma(z: Complex64, forward: bool) -> Complex64 {
     }
 }
 
-/// Scalar twiddle-free radix-2 pass over adjacent pairs.
-pub(crate) fn radix2_pairs_scalar(data: &mut [Complex64]) {
-    let mut i = 0;
-    while i < data.len() {
-        let a = data[i];
-        let b = data[i + 1];
-        data[i] = a + b;
-        data[i + 1] = a - b;
-        i += 2;
-    }
-}
-
-/// The `t == 1` fused stage: four adjacent points, no twiddle multiplies.
-pub(crate) fn radix4_stage1_scalar(data: &mut [Complex64], forward: bool) {
-    let mut base = 0;
-    while base < data.len() {
-        let a = data[base];
-        let b = data[base + 1];
-        let c = data[base + 2];
-        let d = data[base + 3];
-        let t0 = a + b;
-        let t1 = a - b;
-        let t2 = c + d;
-        let t3 = c - d;
-        let s3 = rotate_sigma(t3, forward);
-        data[base] = t0 + t2;
-        data[base + 1] = t1 + s3;
-        data[base + 2] = t0 - t2;
-        data[base + 3] = t1 - s3;
-        base += 4;
-    }
-}
-
-/// Scalar fused radix-4 stage for `t >= 2`; the reference the SIMD kernels
-/// must match bit-for-bit.
-pub(crate) fn radix4_stage_scalar(data: &mut [Complex64], stage: &Radix4Stage, forward: bool) {
-    let t = stage.t;
-    let stride = 4 * t;
-    let mut base = 0;
-    while base < data.len() {
-        for j in 0..t {
-            let a = data[base + j];
-            let u1 = data[base + j + t] * stage.w2[j];
-            let u2 = data[base + j + 2 * t] * stage.w1[j];
-            let u3 = data[base + j + 3 * t] * stage.w3[j];
-            let t0 = a + u1;
-            let t1 = a - u1;
-            let t2 = u2 + u3;
-            let t3 = u2 - u3;
-            let s3 = rotate_sigma(t3, forward);
-            data[base + j] = t0 + t2;
-            data[base + j + t] = t1 + s3;
-            data[base + j + 2 * t] = t0 - t2;
-            data[base + j + 3 * t] = t1 - s3;
-        }
-        base += stride;
-    }
-}
-
 /// Scalar twiddle-free radix-2 pass over adjacent *rows* of a
-/// `rows x width` panel.
+/// `rows x width` panel; the reference every kernel must match bit-for-bit.
 pub(crate) fn radix2_rows_scalar(panel: &mut [Complex64], width: usize) {
     let mut r0 = 0;
     while r0 < panel.len() {
@@ -441,60 +381,6 @@ pub(crate) fn radix4_stage_cols_scalar(
     }
 }
 
-/// A size-and-direction cache of [`FftPlan`]s.
-///
-/// Plans are shared via [`Arc`], so clones handed out by [`FftPlanner::plan`]
-/// are cheap and can be stored inside simulator structs.
-#[derive(Debug, Default)]
-pub struct FftPlanner {
-    plans: HashMap<(usize, Direction), Arc<FftPlan>>,
-}
-
-impl FftPlanner {
-    /// Creates an empty planner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a (possibly cached) plan for `len` points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero or not a power of two.
-    pub fn plan(&mut self, len: usize, direction: Direction) -> Arc<FftPlan> {
-        self.plans
-            .entry((len, direction))
-            .or_insert_with(|| Arc::new(FftPlan::new(len, direction)))
-            .clone()
-    }
-
-    /// Runs `f` against the process-wide shared planner.
-    ///
-    /// Every [`crate::Fft2d::new`] call goes through
-    /// this cache, so constructing a transform for an already-seen size costs
-    /// four `Arc` clones instead of a twiddle-table build — and every worker
-    /// thread in the pool shares one set of twiddle tables per size. The lock
-    /// is held only for the map lookup, never across a transform.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ilt_fft::{Direction, FftPlanner};
-    ///
-    /// let a = FftPlanner::global(|p| p.plan(64, Direction::Forward));
-    /// let b = FftPlanner::global(|p| p.plan(64, Direction::Forward));
-    /// assert!(std::sync::Arc::ptr_eq(&a, &b));
-    /// ```
-    pub fn global<R>(f: impl FnOnce(&mut FftPlanner) -> R) -> R {
-        static GLOBAL: OnceLock<Mutex<FftPlanner>> = OnceLock::new();
-        let mut guard = GLOBAL
-            .get_or_init(|| Mutex::new(FftPlanner::new()))
-            .lock()
-            .expect("global FFT planner lock poisoned");
-        f(&mut guard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,7 +415,7 @@ mod tests {
             let input = ramp(n);
             for dir in [Direction::Forward, Direction::Inverse] {
                 let mut data = input.clone();
-                FftPlan::new(n, dir).process(&mut data);
+                FftPlan::new(n, dir).process(&mut data, 1);
                 let want = naive_dft(&input, dir);
                 for (a, b) in data.iter().zip(&want) {
                     assert!((*a - *b).abs() < 1e-9, "n={n} dir={dir:?}");
@@ -546,7 +432,7 @@ mod tests {
             let input = ramp(n);
             for dir in [Direction::Forward, Direction::Inverse] {
                 let mut data = input.clone();
-                FftPlan::new(n, dir).process(&mut data);
+                FftPlan::new(n, dir).process(&mut data, 1);
                 let want = naive_dft(&input, dir);
                 let scale: f64 = input.iter().map(|z| z.abs()).sum::<f64>();
                 for (a, b) in data.iter().zip(&want) {
@@ -559,7 +445,8 @@ mod tests {
     #[test]
     fn simd_process_is_bit_identical_to_scalar() {
         // On machines without SIMD this trivially passes (both run scalar);
-        // with AVX2 it pins the kernels' bit-compatibility contract.
+        // with AVX2 it pins the row kernels to the scalar column kernels at
+        // width 1.
         for bits in 1..=10 {
             let n = 1usize << bits;
             let input = ramp(n);
@@ -567,8 +454,8 @@ mod tests {
                 let plan = FftPlan::new(n, dir);
                 let mut fast = input.clone();
                 let mut reference = input.clone();
-                plan.process(&mut fast);
-                plan.process_scalar(&mut reference);
+                plan.process(&mut fast, 1);
+                plan.process_scalar(&mut reference, 1);
                 for (a, b) in fast.iter().zip(&reference) {
                     assert!(
                         a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
@@ -581,9 +468,9 @@ mod tests {
 
     #[test]
     fn process_cols_is_bit_identical_to_per_column_process() {
-        // Both the SIMD and scalar column-parallel paths must reproduce the
-        // single-column transform exactly, for every panel width the 2-D
-        // passes use (including odd tail widths, which fall back to scalar).
+        // Both the SIMD and scalar paths must give every column of a panel
+        // exactly the one-column transform, for every panel width the 2-D
+        // passes use (including odd tail widths, which run scalar).
         for bits in 0..=9 {
             let n = 1usize << bits;
             for width in [1usize, 2, 3, 7, 8] {
@@ -593,13 +480,13 @@ mod tests {
                 for dir in [Direction::Forward, Direction::Inverse] {
                     let plan = FftPlan::new(n, dir);
                     let mut got = panel.clone();
-                    plan.process_cols(&mut got, width);
+                    plan.process(&mut got, width);
                     let mut got_scalar = panel.clone();
-                    plan.process_cols_scalar(&mut got_scalar, width);
+                    plan.process_scalar(&mut got_scalar, width);
                     for k in 0..width {
                         let mut col: Vec<Complex64> =
                             (0..n).map(|r| panel[r * width + k]).collect();
-                        plan.process_scalar(&mut col);
+                        plan.process_scalar(&mut col, 1);
                         for r in 0..n {
                             for (label, v) in
                                 [("simd", got[r * width + k]), ("scalar", got_scalar[r * width + k])]
@@ -624,8 +511,8 @@ mod tests {
         let n = 256;
         let input = ramp(n);
         let mut data = input.clone();
-        FftPlan::new(n, Direction::Forward).process(&mut data);
-        FftPlan::new(n, Direction::Inverse).process(&mut data);
+        FftPlan::new(n, Direction::Forward).process(&mut data, 1);
+        FftPlan::new(n, Direction::Inverse).process(&mut data, 1);
         for (a, b) in data.iter().zip(&input) {
             assert!((*a - *b).abs() < 1e-10);
         }
@@ -636,7 +523,7 @@ mod tests {
         let n = 64;
         let mut data = vec![Complex64::ZERO; n];
         data[0] = Complex64::ONE;
-        FftPlan::new(n, Direction::Forward).process(&mut data);
+        FftPlan::new(n, Direction::Forward).process(&mut data, 1);
         for v in &data {
             assert!((*v - Complex64::ONE).abs() < 1e-12);
         }
@@ -646,7 +533,7 @@ mod tests {
     fn constant_transforms_to_impulse() {
         let n = 64;
         let mut data = vec![Complex64::ONE; n];
-        FftPlan::new(n, Direction::Forward).process(&mut data);
+        FftPlan::new(n, Direction::Forward).process(&mut data, 1);
         assert!((data[0] - Complex64::from_real(n as f64)).abs() < 1e-10);
         for v in &data[1..] {
             assert!(v.abs() < 1e-10);
@@ -659,7 +546,7 @@ mod tests {
         let input = ramp(n);
         let time_energy: f64 = input.iter().map(|z| z.norm_sqr()).sum();
         let mut data = input;
-        FftPlan::new(n, Direction::Forward).process(&mut data);
+        FftPlan::new(n, Direction::Forward).process(&mut data, 1);
         let freq_energy: f64 = data.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert!((time_energy - freq_energy).abs() < 1e-8 * time_energy.max(1.0));
     }
@@ -667,14 +554,14 @@ mod tests {
     #[test]
     fn single_point_is_identity() {
         let mut data = vec![Complex64::new(2.0, -3.0)];
-        FftPlan::new(1, Direction::Forward).process(&mut data);
+        FftPlan::new(1, Direction::Forward).process(&mut data, 1);
         assert_eq!(data[0], Complex64::new(2.0, -3.0));
     }
 
     #[test]
     fn two_point_transform_is_sum_and_difference() {
         let mut data = vec![Complex64::new(1.0, 2.0), Complex64::new(-0.5, 0.25)];
-        FftPlan::new(2, Direction::Forward).process(&mut data);
+        FftPlan::new(2, Direction::Forward).process(&mut data, 1);
         assert_eq!(data[0], Complex64::new(0.5, 2.25));
         assert_eq!(data[1], Complex64::new(1.5, 1.75));
     }
@@ -690,17 +577,17 @@ mod tests {
     fn wrong_buffer_length_panics() {
         let plan = FftPlan::new(8, Direction::Forward);
         let mut data = vec![Complex64::ZERO; 4];
-        plan.process(&mut data);
+        plan.process(&mut data, 1);
     }
 
     #[test]
     fn planner_caches_plans() {
-        let mut planner = FftPlanner::new();
-        let a = planner.plan(64, Direction::Forward);
-        let b = planner.plan(64, Direction::Forward);
-        assert!(Arc::ptr_eq(&a, &b));
-        let _ = planner.plan(64, Direction::Inverse);
-        assert_eq!(planner.plans.len(), 2);
+        let a = cached_plan(64, Direction::Forward);
+        let b = cached_plan(64, Direction::Forward);
+        assert!(Arc::ptr_eq(&a, &b), "one size and direction must be one plan");
+        let inverse = cached_plan(64, Direction::Inverse);
+        assert!(!Arc::ptr_eq(&a, &inverse), "each direction has its own plan");
+        assert_eq!((inverse.len(), inverse.direction), (64, Direction::Inverse));
     }
 
     #[test]
@@ -714,9 +601,9 @@ mod tests {
         }
         let plan = FftPlan::new(n, Direction::Forward);
         let mut fx = input.clone();
-        plan.process(&mut fx);
+        plan.process(&mut fx, 1);
         let mut fs = shifted;
-        plan.process(&mut fs);
+        plan.process(&mut fs, 1);
         for k in 0..n {
             let phase =
                 Complex64::from_polar_angle(-std::f64::consts::TAU * k as f64 / n as f64);

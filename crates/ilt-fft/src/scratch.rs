@@ -125,11 +125,11 @@ pub struct Fft2dScratch {
     pub(crate) panel: Vec<Complex64>,
     /// Row-transformed band rows (`p x n`) of the pruned paths.
     pub(crate) band: Vec<Complex64>,
-    /// Residue grid (`q x n`) of the pruned padded inverse, and the packed
-    /// row-pair buffer of the real-input forward pass.
+    /// Residue grid of the pruned inverses: `q x n`, or `q x n/2` packed
+    /// column pairs for the real-output inverse.
     pub(crate) grid: Vec<Complex64>,
-    /// Fold buffer (`s` contiguous length-`q` segments) of the pruned
-    /// forward column pass, plus its per-column gathered input.
+    /// Column panel (`n x w`) of the pruned forward, transformed in place
+    /// as its `q x (s*w)` stride-`s` decimation.
     pub(crate) fold: Vec<Complex64>,
     /// Per-column retained/closure spectrum values of the pruned forward.
     pub(crate) xz: Vec<Complex64>,
@@ -178,9 +178,8 @@ impl Fft2dScratch {
 /// Execution layers that run work on short-lived threads (one thread per job
 /// attempt in the runtime pool) check a workspace out, install it with
 /// [`with_installed_scratch`] for the duration of the attempt, and restore
-/// it afterwards — so grown buffers, twiddle-table `Arc`s resolved through
-/// the planner, and memoized twist tables survive across attempts instead of
-/// dying with each thread.
+/// it afterwards — so grown buffers and memoized twist tables survive across
+/// attempts instead of dying with each thread.
 ///
 /// # Examples
 ///

@@ -165,48 +165,20 @@ fn logistic_each(xs: &mut [f64]) {
     }
 }
 
-/// Runs one fused radix-4 stage (`t >= 2`) with the given kernel. The safe
-/// boundary of the crate's only unsafe code: the SIMD paths require the CPU
-/// features verified once by [`detect`].
-pub(crate) fn radix4_stage(
-    data: &mut [crate::complex::Complex64],
-    stage: &crate::plan::Radix4Stage,
-    forward: bool,
-    kernel: Kernel,
-) {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { x86::radix4_stage_avx2(data, stage, forward) },
-        _ => crate::plan::radix4_stage_scalar(data, stage, forward),
-    }
-}
-
-/// Runs the twiddle-free leading radix-2 pass with the given kernel.
-pub(crate) fn radix2_pairs(data: &mut [crate::complex::Complex64], kernel: Kernel) {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { x86::radix2_pairs_avx(data) },
-        _ => crate::plan::radix2_pairs_scalar(data),
-    }
-}
-
-/// Runs the twiddle-free `t == 1` fused radix-4 stage with the given kernel.
-pub(crate) fn radix4_stage1(
-    data: &mut [crate::complex::Complex64],
-    forward: bool,
-    kernel: Kernel,
-) {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { x86::radix4_stage1_avx(data, forward) },
-        _ => crate::plan::radix4_stage1_scalar(data, forward),
-    }
-}
+// The three stage dispatchers below are the safe boundary of the crate's
+// only unsafe code. Each picks, per stage, the AVX2 row kernel for a single
+// row (`width == 1`), the AVX2 column kernel for an even width, and the
+// scalar column kernel for everything else.
 
 /// Runs the twiddle-free leading radix-2 pass across the rows of a
-/// `rows x width` panel ([`crate::FftPlan::process_cols`]).
+/// `rows x width` panel ([`crate::FftPlan::process`]).
 pub(crate) fn radix2_rows(panel: &mut [crate::complex::Complex64], width: usize, kernel: Kernel) {
     match kernel {
+        // SAFETY: `kernel` is `Avx2` only when `detect` saw the CPU report
+        // AVX2 (which implies AVX); the plan hands over whole pairs of rows.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if width == 1 => unsafe { x86::radix2_pairs_avx(panel) },
+        // SAFETY: as above, and the width is even.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if width % 2 == 0 => unsafe { x86::radix2_rows_avx(panel, width) },
         _ => crate::plan::radix2_rows_scalar(panel, width),
@@ -221,6 +193,11 @@ pub(crate) fn radix4_stage1_cols(
     kernel: Kernel,
 ) {
     match kernel {
+        // SAFETY: `kernel` is `Avx2` only when `detect` saw AVX2, and a row
+        // of a plan with a `t == 1` stage holds a multiple of 4 points.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if width == 1 => unsafe { x86::radix4_stage1_avx(panel, forward) },
+        // SAFETY: AVX2 as above, and the width is even.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if width % 2 == 0 => unsafe {
             x86::radix4_stage1_cols_avx(panel, width, forward)
@@ -239,6 +216,11 @@ pub(crate) fn radix4_stage_cols(
     kernel: Kernel,
 ) {
     match kernel {
+        // SAFETY: `kernel` is `Avx2` only when `detect` saw AVX2, and the
+        // runner sends only stages with `t >= 2` here, each a power of two.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if width == 1 => unsafe { x86::radix4_stage_avx2(panel, stage, forward) },
+        // SAFETY: AVX2 as above, and the width is even.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if width % 2 == 0 => unsafe {
             x86::radix4_stage_cols_avx(panel, width, stage, forward)

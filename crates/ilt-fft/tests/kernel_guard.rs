@@ -93,7 +93,7 @@ fn radix4_plan_matches_the_naive_dft() {
         for direction in [Direction::Forward, Direction::Inverse] {
             let want = naive_dft(&input, direction);
             let mut got = input.clone();
-            FftPlan::new(n, direction).process(&mut got);
+            FftPlan::new(n, direction).process(&mut got, 1);
             // The naive sum's own rounding dominates this bound.
             assert_close(&got, &want, 1e-10, &format!("radix-4 {direction:?} n={n}"));
         }
@@ -108,38 +108,36 @@ fn simd_paths_are_bit_identical_to_scalar_through_1024() {
         let input = rng.complex_buf(n);
         for direction in [Direction::Forward, Direction::Inverse] {
             let plan = FftPlan::new(n, direction);
+            // A row: the AVX2 row kernels against the scalar column kernels
+            // at width 1.
             let mut scalar = input.clone();
-            plan.process_scalar(&mut scalar);
+            plan.process_scalar(&mut scalar, 1);
             let mut fast = input.clone();
-            plan.process(&mut fast);
-            assert_bits(&fast, &scalar, &format!("process {direction:?} n={n}"));
+            plan.process(&mut fast, 1);
+            assert_bits(&fast, &scalar, &format!("row {direction:?} n={n}"));
 
-            // The column-parallel kernel: every column must get exactly
-            // the single-column transform, whatever the panel width.
+            // A panel: every column must get exactly the one-column
+            // transform, whatever the width, on either kernel.
             for width in [1usize, 2, 5, 8] {
                 let panel: Vec<Complex64> = rng.complex_buf(n * width);
                 let mut want = panel.clone();
                 for c in 0..width {
                     let mut col: Vec<Complex64> =
                         (0..n).map(|r| panel[r * width + c]).collect();
-                    plan.process_scalar(&mut col);
+                    plan.process_scalar(&mut col, 1);
                     for (r, z) in col.into_iter().enumerate() {
                         want[r * width + c] = z;
                     }
                 }
                 let mut fast = panel.clone();
-                plan.process_cols(&mut fast, width);
-                assert_bits(
-                    &fast,
-                    &want,
-                    &format!("process_cols {direction:?} n={n} width={width}"),
-                );
+                plan.process(&mut fast, width);
+                assert_bits(&fast, &want, &format!("process {direction:?} n={n} width={width}"));
                 let mut scalar_cols = panel.clone();
-                plan.process_cols_scalar(&mut scalar_cols, width);
+                plan.process_scalar(&mut scalar_cols, width);
                 assert_bits(
                     &scalar_cols,
                     &want,
-                    &format!("process_cols_scalar {direction:?} n={n} width={width}"),
+                    &format!("process_scalar {direction:?} n={n} width={width}"),
                 );
             }
         }

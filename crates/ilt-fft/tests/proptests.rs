@@ -26,8 +26,8 @@ fn fft_roundtrip() {
         let n = 1usize << rng.gen_range_u32(1, 8);
         let input = complex_vec(&mut rng, n, 1.0);
         let mut data = input.clone();
-        FftPlan::new(n, Direction::Forward).process(&mut data);
-        FftPlan::new(n, Direction::Inverse).process(&mut data);
+        FftPlan::new(n, Direction::Forward).process(&mut data, 1);
+        FftPlan::new(n, Direction::Inverse).process(&mut data, 1);
         for (a, b) in data.iter().zip(&input) {
             assert!((*a - *b).abs() < 1e-9, "case {case}, n = {n}");
         }
@@ -44,10 +44,10 @@ fn fft_linearity() {
         let a = uniform(&mut rng, -10.0, 10.0);
         let mut combo: Vec<Complex64> =
             x.iter().zip(&y).map(|(&xv, &yv)| xv.scale(a) + yv).collect();
-        plan.process(&mut combo);
+        plan.process(&mut combo, 1);
         let (mut fx, mut fy) = (x, y);
-        plan.process(&mut fx);
-        plan.process(&mut fy);
+        plan.process(&mut fx, 1);
+        plan.process(&mut fy, 1);
         for i in 0..64 {
             assert!((combo[i] - (fx[i].scale(a) + fy[i])).abs() < 1e-7, "case {case}, bin {i}");
         }

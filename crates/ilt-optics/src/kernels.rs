@@ -153,7 +153,7 @@ impl KernelSet {
     /// Panics if `size` is not a power of two or is smaller than `P`.
     pub fn spatial_magnitude(&self, k: usize, size: usize) -> Field2D {
         assert!(size.is_power_of_two() && size >= self.p);
-        // `Fft2d::new` shares plans through the global planner cache, and
+        // `Fft2d::new` shares plans through the process-wide plan cache, and
         // the pruned padded inverse skips the zero part of the spectrum.
         let mut buf = vec![Complex64::ZERO; size * size];
         let fft = Fft2d::new(size, size);

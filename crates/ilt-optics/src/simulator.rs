@@ -42,9 +42,7 @@
 //! resist, pool and `dZ/dI` are one pass over each image, and the corners'
 //! gradients are summed as `P x P` spectra and inverted once at `N/s`.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 use ilt_fft::{
     grown, logistic_in_place, signed_freq, with_thread_scratch, Complex64, Fft2d, Fft2dScratch,
@@ -147,11 +145,6 @@ pub struct LithoSimulator {
     cfg: OpticsConfig,
     nominal: KernelSet,
     defocused: KernelSet,
-    /// Per-resolution FFT engines, built lazily. A `Mutex` (held only for
-    /// the map lookup, never across a transform) keeps the simulator
-    /// `Send + Sync`, so one instance — and its expensive TCC build — can be
-    /// shared by every worker thread of the batch runtime.
-    ffts: Mutex<HashMap<usize, Arc<Fft2d>>>,
 }
 
 impl fmt::Debug for LithoSimulator {
@@ -174,7 +167,7 @@ impl LithoSimulator {
     pub fn new(cfg: OpticsConfig) -> Result<Self, String> {
         cfg.validate()?;
         let (nominal, defocused) = KernelSet::focus_pair(&cfg);
-        Ok(LithoSimulator { cfg, nominal, defocused, ffts: Mutex::new(HashMap::new()) })
+        Ok(LithoSimulator { cfg, nominal, defocused })
     }
 
     /// The configuration this simulator was built from.
@@ -189,15 +182,6 @@ impl LithoSimulator {
         } else {
             &self.nominal
         }
-    }
-
-    fn fft(&self, m: usize) -> Arc<Fft2d> {
-        self.ffts
-            .lock()
-            .expect("fft cache lock poisoned")
-            .entry(m)
-            .or_insert_with(|| Arc::new(Fft2d::new(m, m)))
-            .clone()
     }
 
     fn check_mask(&self, mask: &Field2D) -> usize {
@@ -279,7 +263,7 @@ impl LithoSimulator {
     ) -> Vec<Complex64> {
         let (n, p, q) = (mask.rows(), self.nominal.p(), self.sample_grid(m));
         let mut low = vec![Complex64::ZERO; p * p];
-        self.fft(n).forward_real_cropped_with(mask.as_slice(), p, &mut low, scratch);
+        Fft2d::new(n, n).forward_real_cropped_with(mask.as_slice(), p, &mut low, scratch);
         let bridge = (q * q) as f64 / (n * up * n * up) as f64;
         if up > 1 {
             let d = dirichlet(p, up, n * up);
@@ -318,13 +302,19 @@ impl LithoSimulator {
             }
         }
         let mut out = vec![0.0; n * n];
-        self.fft(n).inverse_padded_real_with(&acc, p, &mut out, scratch);
+        Fft2d::new(n, n).inverse_padded_real_with(&acc, p, &mut out, scratch);
         Field2D::from_vec(n, n, out)
     }
 
     fn evaluation(&self, defocus: bool, m: usize) -> Evaluation<'_> {
         let q = self.sample_grid(m);
-        Evaluation { kernels: self.kernels(defocus), m, q, fft_m: self.fft(m), fft_q: self.fft(q) }
+        Evaluation {
+            kernels: self.kernels(defocus),
+            m,
+            q,
+            fft_m: Fft2d::new(m, m),
+            fft_q: Fft2d::new(q, q),
+        }
     }
 
     /// A zeroed `P x P` accumulator for [`Evaluation::pull_back`].
@@ -592,8 +582,8 @@ struct Evaluation<'a> {
     m: usize,
     /// [`LithoSimulator::sample_grid`] of `m`.
     q: usize,
-    fft_m: Arc<Fft2d>,
-    fft_q: Arc<Fft2d>,
+    fft_m: Fft2d,
+    fft_q: Fft2d,
 }
 
 impl Evaluation<'_> {

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use crate::registry::{registry, Selection};
+use crate::registry::selected;
 use crate::result::{BenchResult, PerfError};
 
 /// One workload's baseline-vs-fresh comparison.
@@ -102,13 +102,14 @@ pub fn diff_result(
     })
 }
 
-/// Diffs every `BENCH_*.json` under `fresh_dir` (filtered by `selection`)
-/// against its namesake in `baseline_dir`.
+/// Diffs every `BENCH_*.json` under `fresh_dir` whose workload name matches
+/// any of `globs` (all of them for no globs) against its namesake in
+/// `baseline_dir`.
 ///
-/// Tag filtering consults the registry; a fresh result whose workload has
-/// left the registry still diffs by name. A selected fresh result without
-/// a baseline is a [`PerfError::MissingBaseline`] — new workloads must
-/// check in a number before they can ride the gate.
+/// A fresh result whose workload has left the registry still diffs by
+/// name. A selected fresh result without a baseline is a
+/// [`PerfError::MissingBaseline`] — new workloads must check in a number
+/// before they can ride the gate.
 ///
 /// # Errors
 ///
@@ -118,9 +119,8 @@ pub fn diff_result(
 pub fn diff_dirs(
     baseline_dir: &Path,
     fresh_dir: &Path,
-    selection: &Selection,
+    globs: &[String],
 ) -> Result<DiffReport, PerfError> {
-    let reg = registry();
     let mut names: Vec<String> = std::fs::read_dir(fresh_dir)
         .map_err(|source| PerfError::Io { path: fresh_dir.to_path_buf(), source })?
         .filter_map(|entry| {
@@ -128,10 +128,7 @@ pub fn diff_dirs(
             let workload = file.strip_prefix("BENCH_")?.strip_suffix(".json")?.to_string();
             Some(workload)
         })
-        .filter(|name| {
-            let tags = reg.iter().find(|w| w.name == name).map(|w| w.tags).unwrap_or(&[]);
-            selection.matches_parts(name, tags)
-        })
+        .filter(|name| selected(globs, name))
         .collect();
     names.sort_unstable();
     if names.is_empty() {
@@ -225,7 +222,7 @@ mod tests {
         // Fresh result with no baseline: MissingBaseline.
         result(100.0, 0.5).write(&fresh).unwrap();
         assert!(matches!(
-            diff_dirs(&baselines, &fresh, &Selection::all()),
+            diff_dirs(&baselines, &fresh, &[]),
             Err(PerfError::MissingBaseline { .. })
         ));
 
@@ -233,20 +230,19 @@ mod tests {
         let json = result(100.0, 0.5).to_json();
         std::fs::write(baselines.join("BENCH_w.json"), &json[..json.len() / 3]).unwrap();
         assert!(matches!(
-            diff_dirs(&baselines, &fresh, &Selection::all()),
+            diff_dirs(&baselines, &fresh, &[]),
             Err(PerfError::Malformed { .. })
         ));
 
         // Intact baseline: one clean row.
         result(100.0, 0.5).write(&baselines).unwrap();
-        let report = diff_dirs(&baselines, &fresh, &Selection::all()).unwrap();
+        let report = diff_dirs(&baselines, &fresh, &[]).unwrap();
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.regressions(), 0);
         assert!(report.render().contains("ok"));
 
         // Empty selection must not look green.
-        let none = Selection { tags: vec![], names: vec!["nomatch_*".into()] };
-        assert!(diff_dirs(&baselines, &fresh, &none).is_err());
+        assert!(diff_dirs(&baselines, &fresh, &["nomatch_*".into()]).is_err());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

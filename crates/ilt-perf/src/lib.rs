@@ -16,10 +16,11 @@
 //! The barometer is three pieces:
 //!
 //! - **Registry** ([`registry`]): a flat list of [`Workload`]s — name,
-//!   tags, regression threshold, and a run function. Four families
-//!   ship in-tree: the pruned FFT transforms of a fused step, the
-//!   simulator's aerial image, one optimizer step of each Algorithm 1
-//!   branch, and the tiled runtime pipeline.
+//!   regression threshold, and a run function. Four families, each a name
+//!   prefix (`fft_`, `sim_`, `core_`, `runtime_`), ship in-tree: the
+//!   pruned FFT transforms of a fused step, the simulator's aerial image,
+//!   one optimizer step of each Algorithm 1 branch, and the tiled runtime
+//!   pipeline.
 //! - **Measurement engine** ([`measure`]): one untimed warmup, then
 //!   median-of-N wall times with MAD dispersion, stamped with the
 //!   environment (git revision, hardware thread count) so a checked-in
@@ -41,7 +42,7 @@
 //! down when `cfg.smoke` is set), calls [`measure::measure`] around the
 //! hot operation, and returns the sample with any extra scalars attached.
 //! Then append one [`Workload`] literal to [`registry::registry`] and
-//! check in a baseline with `ilt bench run --name my_workload --out .`.
+//! check in a baseline with `ilt bench run my_workload --out .`.
 //! The smoke test in `tests/smoke.rs` picks it up automatically.
 
 #![forbid(unsafe_code)]
@@ -57,5 +58,5 @@ pub mod workloads;
 
 pub use diff::{diff_dirs, diff_result, DiffReport, DiffRow};
 pub use measure::{env_stamp, measure, EnvStamp, MeasureConfig, Sample};
-pub use registry::{glob_match, registry, select, Selection, Workload};
+pub use registry::{glob_match, registry, select, Workload};
 pub use result::{BenchResult, PerfError, SCHEMA_V2};

@@ -1,9 +1,9 @@
 //! The workload registry: every benchmark the barometer knows, as data.
 //!
-//! A [`Workload`] is one named, tagged measurement with its own regression
+//! A [`Workload`] is one named measurement with its own regression
 //! threshold; [`registry`] returns the full list and [`select`] filters it
-//! by tag and name glob — the shapes `ilt bench run --tag fft` and
-//! `ilt bench run --name 'sim_*'` need.
+//! by name glob. A family is a name prefix (`fft_*`, `sim_*`, `core_*`,
+//! `runtime_*`), so `ilt bench run 'fft_*'` measures one.
 
 use crate::measure::{MeasureConfig, Sample};
 use crate::result::PerfError;
@@ -11,11 +11,10 @@ use crate::workloads;
 
 /// One benchmark in the registry.
 pub struct Workload {
-    /// Unique registry name; also names the baseline file
+    /// Unique registry name, prefixed by its family (`fft_`, `sim_`,
+    /// `core_`, `runtime_`); also names the baseline file
     /// (`BENCH_<name>.json`).
     pub name: &'static str,
-    /// Family tags for `--tag` selection (`fft`, `simulator`, …).
-    pub tags: &'static [&'static str],
     /// Allowed fractional slowdown vs. the checked-in baseline before
     /// `diff` reports a regression (0.1 = fail past 1.1x), set from the
     /// workload's measured spread on the reference box:
@@ -36,49 +35,42 @@ pub fn registry() -> Vec<Workload> {
     vec![
         Workload {
             name: "fft_pruned_inverse",
-            tags: &["fft"],
             threshold: 0.09,
             notes: "one SOCS sweep of the pruned padded inverse (inverse_padded_with): 10 kernel spectra, P=57 -> Q=128",
             run: workloads::fft::pruned_inverse,
         },
         Workload {
             name: "fft_pruned_real_inverse",
-            tags: &["fft"],
             threshold: 0.15,
             notes: "pruned real inverse (inverse_padded_real_with): the 113^2 image band -> N=1024",
             run: workloads::fft::pruned_real_inverse,
         },
         Workload {
             name: "fft_pruned_forward",
-            tags: &["fft"],
             threshold: 0.14,
             notes: "pruned real forward (forward_real_cropped_with): N=1024 -> the 113^2 band, crop fused into the column pass",
             run: workloads::fft::pruned_forward,
         },
         Workload {
             name: "sim_aerial",
-            tags: &["simulator"],
             threshold: 0.05,
             notes: "one aerial image (SOCS sum over 10 kernels) of ICCAD case 1 at grid 512",
             run: workloads::simulator::aerial,
         },
         Workload {
             name: "core_step_lo",
-            tags: &["core"],
             threshold: 0.11,
             notes: "one low-res optimizer step (MultiLevelIlt::step: tape, fused Eq. 5 operator, backward) of ICCAD case 1 at grid 1024, s=4, 10 kernels",
             run: workloads::optimizer::step_lo,
         },
         Workload {
             name: "core_step_hi",
-            tags: &["core"],
             threshold: 0.15,
             notes: "one high-res optimizer step at the same point: mask and gradient at N/s, both corners simulated at N",
             run: workloads::optimizer::step_hi,
         },
         Workload {
             name: "runtime_tile_pipeline",
-            tags: &["runtime"],
             threshold: 0.12,
             notes: "tiled batch end-to-end via run_batch: 256 px via clip, 9 tiles, threads = 2",
             run: workloads::runtime::tile_pipeline,
@@ -100,44 +92,24 @@ pub fn glob_match(pattern: &str, name: &str) -> bool {
     rec(pattern.as_bytes(), name.as_bytes())
 }
 
-/// A tag/name filter over the registry.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Selection {
-    /// Keep workloads carrying any of these tags (empty = all tags).
-    pub tags: Vec<String>,
-    /// Keep workloads whose name matches any of these globs (empty = all).
-    pub names: Vec<String>,
+/// Does `name` match any of `globs`? No globs select every name.
+pub(crate) fn selected(globs: &[String], name: &str) -> bool {
+    globs.is_empty() || globs.iter().any(|g| glob_match(g, name))
 }
 
-impl Selection {
-    /// The match-everything selection.
-    pub fn all() -> Selection {
-        Selection::default()
-    }
-
-    /// Does `w` pass both filters?
-    pub fn matches(&self, w: &Workload) -> bool {
-        self.matches_parts(w.name, w.tags)
-    }
-
-    /// [`Selection::matches`] on raw name/tags (for results whose workload
-    /// is no longer in the registry).
-    pub fn matches_parts(&self, name: &str, tags: &[&str]) -> bool {
-        let tag_ok = self.tags.is_empty() || tags.iter().any(|t| self.tags.iter().any(|q| q == t));
-        let name_ok =
-            self.names.is_empty() || self.names.iter().any(|g| glob_match(g, name));
-        tag_ok && name_ok
-    }
-}
-
-/// Filters the full registry through `selection`.
-pub fn select(selection: &Selection) -> Vec<Workload> {
-    registry().into_iter().filter(|w| selection.matches(w)).collect()
+/// The registry's workloads whose names match any of `globs` (all of them
+/// for no globs).
+pub fn select(globs: &[String]) -> Vec<Workload> {
+    registry().into_iter().filter(|w| selected(globs, w.name)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn globs(patterns: &[&str]) -> Vec<String> {
+        patterns.iter().map(|p| p.to_string()).collect()
+    }
 
     #[test]
     fn registry_names_are_unique_and_cover_every_layer() {
@@ -147,10 +119,10 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate workload names");
-        for family in ["fft", "simulator", "core", "runtime"] {
+        for family in ["fft_", "sim_", "core_", "runtime_"] {
             assert!(
-                all.iter().any(|w| w.tags.contains(&family)),
-                "no workload tagged {family}"
+                all.iter().any(|w| w.name.starts_with(family)),
+                "no workload named {family}*"
             );
         }
     }
@@ -168,17 +140,18 @@ mod tests {
     }
 
     #[test]
-    fn selection_filters_by_tag_and_name() {
-        let fft = select(&Selection { tags: vec!["fft".into()], names: vec![] });
-        assert_eq!(fft.len(), 3);
-        let one = select(&Selection { tags: vec![], names: vec!["sim_*".into()] });
-        assert_eq!(one.len(), 1);
-        let both = select(&Selection {
-            tags: vec!["fft".into()],
-            names: vec!["*_forward".into()],
-        });
-        let names: Vec<_> = both.iter().map(|w| w.name).collect();
-        assert_eq!(names, ["fft_pruned_forward"]);
-        assert_eq!(select(&Selection::all()).len(), registry().len());
+    fn selection_filters_by_name_globs() {
+        assert_eq!(select(&globs(&["fft_*"])).len(), 3);
+        assert_eq!(select(&globs(&["sim_*"])).len(), 1);
+        let forward: Vec<_> = select(&globs(&["*_forward"])).iter().map(|w| w.name).collect();
+        assert_eq!(forward, ["fft_pruned_forward"]);
+        // Globs add up: a workload matching any of them is selected once.
+        let union: Vec<_> =
+            select(&globs(&["fft_*", "*_forward", "sim_*"])).iter().map(|w| w.name).collect();
+        assert_eq!(
+            union,
+            ["fft_pruned_inverse", "fft_pruned_real_inverse", "fft_pruned_forward", "sim_aerial"]
+        );
+        assert_eq!(select(&[]).len(), registry().len());
     }
 }

@@ -94,7 +94,7 @@ impl fmt::Display for PerfError {
             ),
             PerfError::MissingBaseline { workload, path } => write!(
                 f,
-                "{workload}: no baseline at {} — check one in with `ilt bench run --name {workload} --out <baseline dir>`",
+                "{workload}: no baseline at {} — check one in with `ilt bench run {workload} --out <baseline dir>`",
                 path.display()
             ),
             PerfError::Workload { workload, detail } => {

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use ilt_perf::{registry, BenchResult, EnvStamp, MeasureConfig, PerfError, Selection, SCHEMA_V2};
+use ilt_perf::{registry, BenchResult, EnvStamp, MeasureConfig, PerfError, SCHEMA_V2};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -58,7 +58,7 @@ fn smoke_results_never_gate() {
 
     let dir = temp_dir("gate");
     result.write(&dir).expect("write");
-    let err = ilt_perf::diff_dirs(&dir, &dir, &Selection::all())
+    let err = ilt_perf::diff_dirs(&dir, &dir, &[])
         .expect_err("smoke results must be refused");
     assert!(matches!(err, PerfError::SmokeResult { .. }), "got {err}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -66,19 +66,15 @@ fn smoke_results_never_gate() {
 
 #[test]
 fn selection_filters_reach_every_family() {
-    for tag in ["fft", "simulator", "core", "runtime"] {
-        let selection = Selection { tags: vec![tag.into()], names: Vec::new() };
-        let picked = ilt_perf::select(&selection);
-        assert!(!picked.is_empty(), "tag {tag} selects nothing");
+    for family in ["fft_", "sim_", "core_", "runtime_"] {
+        let picked = ilt_perf::select(&[format!("{family}*")]);
+        assert!(!picked.is_empty(), "{family}* selects nothing");
         assert!(
-            picked.iter().all(|w| w.tags.contains(&tag)),
-            "tag {tag} selected a foreign workload"
+            picked.iter().all(|w| w.name.starts_with(family)),
+            "{family}* selected a foreign workload"
         );
     }
-    let missing = ilt_perf::select(&Selection {
-        tags: Vec::new(),
-        names: vec!["no_such_workload_*".into()],
-    });
+    let missing = ilt_perf::select(&["no_such_workload_*".into()]);
     assert!(missing.is_empty(), "bogus glob matched something");
 }
 
@@ -102,7 +98,7 @@ fn baseline_dir_without_file_is_a_hard_error() {
     let fresh = temp_dir("fresh");
     let baselines = temp_dir("baselines");
     result.write(&fresh).expect("write");
-    let err = ilt_perf::diff_dirs(&baselines, &fresh, &Selection::all())
+    let err = ilt_perf::diff_dirs(&baselines, &fresh, &[])
         .expect_err("missing baseline must error");
     assert!(matches!(err, PerfError::MissingBaseline { .. }), "got {err}");
     assert!(!Path::new(&baselines).join("BENCH_fft_pruned_inverse.json").exists());
@@ -111,11 +107,11 @@ fn baseline_dir_without_file_is_a_hard_error() {
     // one past the workload's threshold fails the report (what
     // `ilt bench diff` turns into a non-zero exit).
     result.write(&baselines).expect("write baseline");
-    let same = ilt_perf::diff_dirs(&baselines, &fresh, &Selection::all()).expect("comparable");
+    let same = ilt_perf::diff_dirs(&baselines, &fresh, &[]).expect("comparable");
     assert_eq!((same.rows.len(), same.regressions()), (1, 0));
     let slow = ilt_perf::Sample { median_us: 123.0 * (1.0 + w.threshold) + 1.0, ..sample };
     BenchResult::new(&w, &slow, &cfg_smoke_fixtures, &env).write(&fresh).expect("write slow");
-    let tripped = ilt_perf::diff_dirs(&baselines, &fresh, &Selection::all()).expect("comparable");
+    let tripped = ilt_perf::diff_dirs(&baselines, &fresh, &[]).expect("comparable");
     assert_eq!(tripped.regressions(), 1, "{}", tripped.render());
     assert!(tripped.render().contains("REGRESSED"));
     let _ = std::fs::remove_dir_all(&fresh);

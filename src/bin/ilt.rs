@@ -21,8 +21,8 @@
 //! ilt evaluate --target design.pgm --mask mask.pgm [--grid 512] [--clip-nm 2048]
 //! ilt fracture --mask mask.pgm
 //! ilt kernels  [--grid 512] [--kernels 10]
-//! ilt bench    <list|run|diff> [NAME_GLOB ...] [--tag TAG] [--name GLOB]
-//!              [--smoke] [--reps 5] [--out bench-out/perf] [--baselines .]
+//! ilt bench    <list|run|diff> [NAME_GLOB ...] [--smoke] [--reps 5]
+//!              [--out bench-out/perf] [--baselines .]
 //! ilt tables   <table1..4|fig1|fig4..8|timing|ablation|all>... [--grid 512]
 //!              [--kernels 10] [--max-eff-nm 8] [--case N] [--smoke]
 //!              [--reps 5] [--out bench-out/tables]
@@ -119,7 +119,7 @@ const JOB_FLAGS: [&str; 12] = [
 /// Every other long flag, and whether it takes a value. What a flag means
 /// is read where it is used, by its key ([`Cli::get`], [`Cli::flag`],
 /// [`Cli::on`]); this table only tells a known flag from a typo.
-const FLAGS: [(&str, bool); 34] = [
+const FLAGS: [(&str, bool); 32] = [
     ("--no-eval", false), ("--case", true), ("--via", true), ("--target", true),
     ("--mask", true), ("--out", true), ("--journal", true), ("--no-timing", false),
     ("--checkpoint", false), ("--resume", false), ("--no-degrade", false), ("--addr", true),
@@ -128,8 +128,7 @@ const FLAGS: [(&str, bool); 34] = [
     ("--allow-inject", false), ("--compact-bytes", true), ("--keep-alive", true),
     ("--idle-timeout-s", true), ("--workers", true), ("--cluster", false),
     ("--heartbeat-ms", true), ("--speculate-factor", true), ("--speculate-after", true),
-    ("--register", true), ("--reps", true), ("--tag", true), ("--name", true),
-    ("--baselines", true), ("--smoke", false),
+    ("--register", true), ("--reps", true), ("--baselines", true), ("--smoke", false),
 ];
 
 /// `--addr` when it is not given (`serve`, `worker`).
@@ -190,12 +189,6 @@ impl Cli {
     /// Was this switch (or flag) given?
     fn on(&self, key: &str) -> bool {
         self.get(key).is_some()
-    }
-
-    /// Every value of a flag that accumulates (`--tag`, `--name`), in the
-    /// order given.
-    fn all(&self, key: &str) -> Vec<String> {
-        self.opts.iter().rev().filter(|(k, _)| k == key).map(|(_, v)| v.clone()).collect()
     }
 
     /// A flag's value parsed, if it was given.
@@ -599,42 +592,33 @@ fn cmd_kernels(cli: &Cli) -> Result<(), Box<dyn Error>> {
 /// and exits non-zero past each workload's regression threshold. Entirely
 /// std-only: no python, no network.
 fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    use multilevel_ilt::perf::{
-        diff_dirs, env_stamp, select, BenchResult, MeasureConfig, Selection,
-    };
+    use multilevel_ilt::perf::{diff_dirs, env_stamp, select, BenchResult, MeasureConfig};
     use std::path::Path;
 
     let usage = "usage: ilt bench <list|run|diff> [NAME_GLOB ...] \
-                 [--tag TAG] [--name GLOB] [--smoke] [--reps N] \
-                 [--out DIR] [--baselines DIR]";
+                 [--smoke] [--reps N] [--out DIR] [--baselines DIR]";
     let sub = cli.cases.first().map(String::as_str).ok_or(usage)?;
-    // Positionals after the subcommand are name globs, same as --name.
-    let mut selection = Selection { tags: cli.all("tag"), names: cli.all("name") };
-    selection.names.extend(cli.cases[1..].iter().cloned());
+    // Positionals after the subcommand are name globs; a family is a name
+    // prefix (`'fft_*'`). No globs select every workload.
+    let globs = &cli.cases[1..];
     // Fresh results live out of the way by default; baselines are the
     // checked-in BENCH_*.json at the repo root.
     let out_dir = cli.get("out").unwrap_or("bench-out/perf");
 
     match sub {
         "list" => {
-            let workloads = select(&selection);
+            let workloads = select(globs);
             if workloads.is_empty() {
                 return Err("no workloads match the selection".into());
             }
-            println!("{:<24} {:<11} {:>10}  notes", "workload", "tags", "threshold");
+            println!("{:<24} {:>10}  notes", "workload", "threshold");
             for w in &workloads {
-                println!(
-                    "{:<24} {:<11} {:>9.0}%  {}",
-                    w.name,
-                    w.tags.join(","),
-                    w.threshold * 100.0,
-                    w.notes
-                );
+                println!("{:<24} {:>9.0}%  {}", w.name, w.threshold * 100.0, w.notes);
             }
             Ok(())
         }
         "run" => {
-            let workloads = select(&selection);
+            let workloads = select(globs);
             if workloads.is_empty() {
                 return Err("no workloads match the selection".into());
             }
@@ -666,7 +650,7 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
             let report = diff_dirs(
                 Path::new(cli.get("baselines").unwrap_or(".")),
                 Path::new(out_dir),
-                &selection,
+                globs,
             )?;
             print!("{}", report.render());
             let regressions = report.regressions();

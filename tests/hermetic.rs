@@ -118,8 +118,7 @@ fn no_workspace_manifest_declares_features() {
 /// only by raising [`TOOLING_CEILING`] in the same change.
 const TEST_TOOLING: &[(&str, &str)] = &[
     // ilt-fft: the references the fast paths are pinned to.
-    ("process_scalar", "FftPlan's scalar reference: crates/ilt-fft/tests/kernel_guard.rs holds `process` to it bit for bit"),
-    ("process_cols_scalar", "FftPlan's scalar column reference: crates/ilt-fft/tests/kernel_guard.rs, same contract for `process_cols`"),
+    ("process_scalar", "FftPlan's scalar reference: crates/ilt-fft/tests/kernel_guard.rs holds `process` to it bit for bit, row and panel"),
     ("pad_centered", "the dense pad the pruned inverse is checked against: crates/ilt-fft/tests/proptests.rs and fft2d.rs's unit tests"),
     ("capacity", "Fft2dScratch's held-values count: scratch.rs's unit tests prove reuse, pool recycling and panic-safe restore by it"),
     // ilt-field / ilt-geom / ilt-layouts / ilt-metrics: fixtures and oracles.
@@ -147,7 +146,7 @@ const TEST_TOOLING: &[(&str, &str)] = &[
 
 /// The most entries [`TEST_TOOLING`] may hold. It may only go down; a change
 /// that has to grow the list edits this constant on purpose.
-const TOOLING_CEILING: usize = 21;
+const TOOLING_CEILING: usize = 20;
 
 /// [`shipped_sources`] plus `benchmark/src/*.rs` whole: the code an `ilt`
 /// command or a benchmark workload can reach. The flag says which.
@@ -556,7 +555,7 @@ fn one_exp_for_every_sigmoid() {
 /// change that has to grow it edits this constant on purpose.
 #[test]
 fn non_test_lines_do_not_grow() {
-    const CEILING: usize = 12807;
+    const CEILING: usize = 12628;
     let total: usize = shipped_sources()
         .iter()
         .flat_map(|(_, shipped)| shipped.lines())
