@@ -25,10 +25,11 @@ pub struct BreakerConfig {
     pub base: Duration,
     /// Ceiling on the open interval.
     pub cap: Duration,
-    /// Seed for the jitter stream; mixed with the worker address so
-    /// replicas sharing a config do not march in lockstep.
-    pub seed: u64,
 }
+
+/// Seed of every breaker's jitter stream; [`Breaker::new`] mixes in a
+/// per-worker salt so replicas do not march in lockstep.
+const JITTER_SEED: u64 = 0xb7ea_4e5d_17c0_ffee;
 
 impl Default for BreakerConfig {
     fn default() -> Self {
@@ -36,7 +37,6 @@ impl Default for BreakerConfig {
             threshold: 3,
             base: Duration::from_millis(500),
             cap: Duration::from_secs(30),
-            seed: 0xb7ea_4e5d_17c0_ffee,
         }
     }
 }
@@ -83,7 +83,10 @@ struct Core {
 
 /// The closed → open → half-open state machine guarding one worker.
 pub struct Breaker {
-    cfg: BreakerConfig,
+    // The `BreakerConfig`, normalised by `Breaker::new`.
+    threshold: u32,
+    base: Duration,
+    cap: Duration,
     core: Mutex<Core>,
 }
 
@@ -92,17 +95,18 @@ impl Breaker {
     /// worker (the coordinator hashes the address into it).
     pub fn new(cfg: BreakerConfig, salt: u64) -> Self {
         let base = cfg.base.max(Duration::from_millis(1));
-        let cfg = BreakerConfig { base, cap: cfg.cap.max(base), threshold: cfg.threshold.max(1), ..cfg };
         Breaker {
+            threshold: cfg.threshold.max(1),
+            base,
+            cap: cfg.cap.max(base),
             core: Mutex::new(Core {
                 state: BreakerState::Closed,
                 consecutive_fails: 0,
-                backoff: cfg.base,
+                backoff: base,
                 open_until: None,
                 probing: false,
-                rng: Xorshift64Star::new(cfg.seed ^ salt),
+                rng: Xorshift64Star::new(JITTER_SEED ^ salt),
             }),
-            cfg,
         }
     }
 
@@ -139,7 +143,7 @@ impl Breaker {
         let mut c = self.core.lock().unwrap();
         c.state = BreakerState::Closed;
         c.consecutive_fails = 0;
-        c.backoff = self.cfg.base;
+        c.backoff = self.base;
         c.open_until = None;
         c.probing = false;
     }
@@ -151,11 +155,11 @@ impl Breaker {
         let mut c = self.core.lock().unwrap();
         c.probing = false;
         match c.state {
-            BreakerState::HalfOpen => Self::reopen(&mut c, &self.cfg),
+            BreakerState::HalfOpen => self.reopen(&mut c),
             BreakerState::Closed => {
                 c.consecutive_fails += 1;
-                if c.consecutive_fails >= self.cfg.threshold {
-                    Self::reopen(&mut c, &self.cfg);
+                if c.consecutive_fails >= self.threshold {
+                    self.reopen(&mut c);
                 }
             }
             // A straggling failure from a dispatch admitted before the
@@ -164,13 +168,13 @@ impl Breaker {
         }
     }
 
-    fn reopen(c: &mut Core, cfg: &BreakerConfig) {
+    fn reopen(&self, c: &mut Core) {
         // Decorrelated jitter: uniform in [base, prev * 3], capped.
-        let prev = c.backoff.max(cfg.base);
-        let hi = prev.saturating_mul(3).min(cfg.cap).max(cfg.base);
-        let span = hi.saturating_sub(cfg.base).as_nanos() as u64;
+        let prev = c.backoff.max(self.base);
+        let hi = prev.saturating_mul(3).min(self.cap).max(self.base);
+        let span = hi.saturating_sub(self.base).as_nanos() as u64;
         let jitter = if span == 0 { 0 } else { c.rng.next_u64() % (span + 1) };
-        c.backoff = (cfg.base + Duration::from_nanos(jitter)).min(cfg.cap);
+        c.backoff = (self.base + Duration::from_nanos(jitter)).min(self.cap);
         c.state = BreakerState::Open;
         c.consecutive_fails = 0;
         c.open_until = Some(Instant::now() + c.backoff);
@@ -201,7 +205,6 @@ mod tests {
             threshold,
             base: Duration::from_millis(base_ms),
             cap: Duration::from_millis(cap_ms),
-            seed: 7,
         }
     }
 

@@ -95,9 +95,6 @@ pub struct ClusterConfig {
     pub cancel_grace: Duration,
     /// Maximum shards dispatched to one worker concurrently.
     pub max_inflight_per_worker: u32,
-    /// Dispatch attempts per shard before it is declared lost
-    /// (0 = automatic: `max(4, 2 × members)`).
-    pub max_shard_attempts: u32,
     /// Circuit-breaker tuning shared by every member.
     pub breaker: BreakerConfig,
     /// Speculate a shard once it runs longer than this multiple of the
@@ -115,7 +112,6 @@ impl Default for ClusterConfig {
             heartbeat_failures: 3,
             cancel_grace: Duration::from_secs(10),
             max_inflight_per_worker: 2,
-            max_shard_attempts: 0,
             breaker: BreakerConfig::default(),
             speculate_factor: 3.0,
             speculate_min_samples: 3,
@@ -273,10 +269,7 @@ impl Coordinator {
                 body,
                 cancel,
                 inbox: &inbox,
-                budget: match self.config.max_shard_attempts {
-                    0 => (members as u32 * 2).max(4),
-                    n => n,
-                },
+                budget: (members as u32 * 2).max(4),
                 latencies: Vec::new(),
                 poison: None,
             }

@@ -55,7 +55,7 @@ pub use membership::{MemberView, Membership};
 pub use params::{is_label, query_encode, ExecPolicy, JobParams, JobSource};
 pub use stats::{ClusterStats, Counter, FailureKinds, Histogram, LATENCY_BUCKETS_MS};
 pub use transport::{
-    base64_decode, base64_encode, serve_connection, ConnOptions, HttpError, Limits, Request, Response,
+    base64_decode, base64_encode, serve_connection, ConnOptions, HttpError, Request, Response,
 };
 pub use wire::{ShardHeader, SHARD_PATH};
 pub use worker::{Worker, WorkerConfig};

@@ -36,8 +36,8 @@ pub struct WorkerSlot {
 
 impl WorkerSlot {
     fn new(addr: String, breaker_cfg: BreakerConfig) -> Self {
-        // Salt the jitter stream with the address so replicas sharing one
-        // config seed do not back off in lockstep.
+        // Salt the jitter stream with the address so replicas do not back
+        // off in lockstep.
         let salt = fnv1a64(addr.bytes());
         WorkerSlot {
             addr,

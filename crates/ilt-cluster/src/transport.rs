@@ -9,12 +9,13 @@
 //! and reports whether the client permits keep-alive, [`serve_connection`]
 //! bounds each connection with a request cap and an idle timeout, and
 //! [`Listener::serve`] is the one accept loop (connection cap, shutdown
-//! wake). Robustness limits are explicit inputs ([`Limits`]) so every
-//! handler path is testable without a server; socket read/write timeouts
-//! are set on the stream by [`serve_connection`] (or by the caller when
-//! driving the parser directly). **Calling:** [`Client`] is the one client
-//! — one request encoder, one `content-length`-framed response reader —
-//! and [`request`] a one-shot over it.
+//! wake). The robustness limits are constants: [`MAX_HEAD_BYTES`],
+//! [`MAX_BODY_BYTES`], [`MAX_CONNECTIONS`] and a 10 s socket read/write
+//! timeout, which [`serve_connection`] and [`Client::connect`] set on the
+//! stream. The parser reads any `Read`, so every handler path is testable
+//! without a server. **Calling:** [`Client`] is the one client — one
+//! request encoder, one `content-length`-framed response reader — and
+//! [`request`] a one-shot over it.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -24,30 +25,28 @@ use std::time::Duration;
 
 use ilt_runtime::FaultKind;
 
-/// Hard caps applied while reading one request.
-#[derive(Clone, Copy, Debug)]
-pub struct Limits {
-    /// Maximum bytes of request line + headers (including the blank line).
-    pub max_head_bytes: usize,
-    /// Maximum bytes of body (`Content-Length` beyond this is rejected
-    /// before any body byte is read).
-    pub max_body_bytes: usize,
-}
+/// Maximum bytes of one request's line + headers (including the blank line).
+pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-impl Default for Limits {
-    fn default() -> Self {
-        Self { max_head_bytes: 8 * 1024, max_body_bytes: 8 * 1024 * 1024 }
-    }
-}
+/// Maximum bytes of one request's body: a larger `Content-Length` is
+/// refused before any body byte is read.
+pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+
+/// Connections one [`Listener`] serves at once; past it a connection is
+/// answered `503` with `retry-after: 1`.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Socket read/write timeout while a request or response is in flight.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Why a request could not be read; maps 1:1 onto an HTTP status.
 #[derive(Debug)]
 pub enum HttpError {
     /// Malformed request line, header, or encoding (400).
     BadRequest(String),
-    /// Declared or actual body larger than [`Limits::max_body_bytes`] (413).
+    /// Declared or actual body larger than [`MAX_BODY_BYTES`] (413).
     PayloadTooLarge(usize),
-    /// Head larger than [`Limits::max_head_bytes`] (431).
+    /// Head larger than [`MAX_HEAD_BYTES`] (431).
     HeadTooLarge,
     /// Socket error or timeout; no response can be assumed deliverable.
     Io(io::Error),
@@ -106,9 +105,8 @@ impl Request {
     pub fn read_from_buffered(
         stream: &mut impl Read,
         carry: &mut Vec<u8>,
-        limits: &Limits,
     ) -> Result<(Request, bool), HttpError> {
-        let (head, mut tail) = read_head_buffered(stream, carry, limits)?;
+        let (head, mut tail) = read_head_buffered(stream, carry)?;
         let head = std::str::from_utf8(&head)
             .map_err(|_| HttpError::BadRequest("non-utf8 request head".into()))?;
         let mut lines = head.split("\r\n");
@@ -156,7 +154,7 @@ impl Request {
                 .map_err(|_| HttpError::BadRequest(format!("bad content-length {v:?}")))?,
             None => 0,
         };
-        if content_length > limits.max_body_bytes {
+        if content_length > MAX_BODY_BYTES {
             return Err(HttpError::PayloadTooLarge(content_length));
         }
         if tail.len() > content_length {
@@ -207,7 +205,6 @@ impl Request {
 fn read_head_buffered(
     stream: &mut impl Read,
     carry: &mut Vec<u8>,
-    limits: &Limits,
 ) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
     let mut buf = std::mem::take(carry);
     loop {
@@ -216,7 +213,7 @@ fn read_head_buffered(
             buf.truncate(end);
             return Ok((buf, tail));
         }
-        if buf.len() >= limits.max_head_bytes {
+        if buf.len() >= MAX_HEAD_BYTES {
             return Err(HttpError::HeadTooLarge);
         }
         let mut chunk = [0u8; 1024];
@@ -451,16 +448,11 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Per-connection service options for [`serve_connection`]; both the job
-/// service and the cluster worker derive one from their own configuration.
+/// Per-connection keep-alive options for [`serve_connection`]: the job
+/// service derives one from its configuration, the cluster worker serves
+/// with the default.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnOptions {
-    /// HTTP parsing limits (head/body size caps).
-    pub limits: Limits,
-    /// Socket read timeout while receiving a request.
-    pub read_timeout: Duration,
-    /// Socket write timeout per response.
-    pub write_timeout: Duration,
     /// How long a keep-alive connection may sit idle between requests
     /// before it is closed.
     pub idle_timeout: Duration,
@@ -471,13 +463,7 @@ pub struct ConnOptions {
 
 impl Default for ConnOptions {
     fn default() -> Self {
-        Self {
-            limits: Limits::default(),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            idle_timeout: Duration::from_secs(5),
-            keep_alive_requests: 32,
-        }
+        Self { idle_timeout: Duration::from_secs(5), keep_alive_requests: 32 }
     }
 }
 
@@ -493,8 +479,8 @@ pub fn serve_connection(
     mut route: impl FnMut(&Request) -> Response,
     keep_open: impl Fn() -> bool,
 ) {
-    let _ = stream.set_read_timeout(Some(options.read_timeout));
-    let _ = stream.set_write_timeout(Some(options.write_timeout));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     // A response is small and complete when written: never hold it back
     // for the ACK of an earlier one (pipelined replies, `ReadStall` halves).
     let _ = stream.set_nodelay(true);
@@ -505,7 +491,7 @@ pub fn serve_connection(
         // read; those sockets need draining below or the close would RST
         // the client.
         let (response, refused) =
-            match Request::read_from_buffered(&mut stream, &mut carry, &options.limits) {
+            match Request::read_from_buffered(&mut stream, &mut carry) {
                 Ok((request, client_keep_alive)) => {
                     let response = route(&request);
                     served += 1;
@@ -527,10 +513,7 @@ pub fn serve_connection(
                 Err(HttpError::PayloadTooLarge(n)) => (
                     Response::error(
                         413,
-                        &format!(
-                            "body of {n} bytes exceeds the {}-byte limit",
-                            options.limits.max_body_bytes
-                        ),
+                        &format!("body of {n} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
                     ),
                     true,
                 ),
@@ -557,7 +540,7 @@ pub fn serve_connection(
                     Ok(0) | Err(_) => break,
                     Ok(n) => {
                         drained += n;
-                        if drained > options.limits.max_body_bytes {
+                        if drained > MAX_BODY_BYTES {
                             break;
                         }
                     }
@@ -692,7 +675,7 @@ impl Client {
                 Ok(stream) => {
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(timeout));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                     return Ok(Client { stream, buf: Vec::new() });
                 }
                 Err(e) => last = format!("cannot connect to {addr}: {e}"),
@@ -949,12 +932,11 @@ impl Listener {
 
     /// Accepts until [`Gate::shut_down`]: each connection gets a thread
     /// running [`serve_connection`] over `route` (downgraded to
-    /// `connection: close` once shutdown starts); beyond `max_connections`
+    /// `connection: close` once shutdown starts); beyond [`MAX_CONNECTIONS`]
     /// concurrently served ones, a connection is answered `503` with
     /// `retry-after: 1` and closed.
     pub fn serve(
         &self,
-        max_connections: usize,
         options: ConnOptions,
         route: impl Fn(&Request) -> Response + Send + Sync + 'static,
     ) {
@@ -966,7 +948,7 @@ impl Listener {
             let Ok(mut stream) = stream else { continue }; // transient (EMFILE, reset)
             let slot = {
                 let mut active = self.gate.active.lock().expect("connection count lock");
-                (*active < max_connections).then(|| {
+                (*active < MAX_CONNECTIONS).then(|| {
                     *active += 1;
                     Slot(self.gate())
                 })
@@ -995,7 +977,7 @@ mod tests {
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
         let mut cursor = io::Cursor::new(raw.to_vec());
-        Request::read_from_buffered(&mut cursor, &mut Vec::new(), &Limits::default())
+        Request::read_from_buffered(&mut cursor, &mut Vec::new())
             .map(|(req, _)| req)
     }
 
@@ -1104,14 +1086,14 @@ mod tests {
         let accept = std::thread::spawn({
             let listener = Arc::clone(&listener);
             move || {
-                listener.serve(2, ConnOptions::default(), |req| match req.path.as_str() {
+                listener.serve(ConnOptions::default(), |req| match req.path.as_str() {
                     "/boom" => panic!("route panicked (expected by this test)"),
                     _ => Response::text(200, "ok\n"),
                 })
             }
         });
         let get = |path: &str| request(&addr, "GET", path, b"", Duration::from_secs(5));
-        for _ in 0..3 {
+        for _ in 0..=MAX_CONNECTIONS {
             // The handler unwinds without answering: the socket just closes.
             assert!(get("/boom").is_err());
             // The socket closes before the unwinding thread drops its slot;
@@ -1208,16 +1190,16 @@ mod tests {
         let mut cursor = io::Cursor::new(raw.to_vec());
         let mut carry = Vec::new();
         let (first, keep) =
-            Request::read_from_buffered(&mut cursor, &mut carry, &Limits::default()).unwrap();
+            Request::read_from_buffered(&mut cursor, &mut carry).unwrap();
         assert_eq!(first.body, b"abc");
         assert!(keep, "1.1 without connection: close stays open");
         assert!(!carry.is_empty(), "the pipelined request waits in the carry");
         let (second, _) =
-            Request::read_from_buffered(&mut cursor, &mut carry, &Limits::default()).unwrap();
+            Request::read_from_buffered(&mut cursor, &mut carry).unwrap();
         assert_eq!(second.path, "/next");
         assert!(carry.is_empty());
         // Exhausted input at a request boundary: a clean EOF, not a 400.
-        match Request::read_from_buffered(&mut cursor, &mut carry, &Limits::default()) {
+        match Request::read_from_buffered(&mut cursor, &mut carry) {
             Err(HttpError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             other => panic!("expected clean EOF, got {other:?}"),
         }
@@ -1235,7 +1217,7 @@ mod tests {
             let mut cursor = io::Cursor::new(raw.to_vec());
             let mut carry = Vec::new();
             let (_, keep) =
-                Request::read_from_buffered(&mut cursor, &mut carry, &Limits::default()).unwrap();
+                Request::read_from_buffered(&mut cursor, &mut carry).unwrap();
             assert_eq!(keep, expect, "{:?}", String::from_utf8_lossy(raw));
         }
     }

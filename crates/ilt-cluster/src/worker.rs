@@ -54,10 +54,6 @@ pub struct WorkerConfig {
     pub faults: FaultPlan,
     /// Execution policy bounds applied to dispatched job parameters.
     pub policy: ExecPolicy,
-    /// Per-connection transport options. Shard execution happens inside
-    /// the request handler, so the read timeout only governs request
-    /// parsing — responses take as long as the shard takes.
-    pub conn: ConnOptions,
 }
 
 impl Default for WorkerConfig {
@@ -67,7 +63,6 @@ impl Default for WorkerConfig {
             state_dir: None,
             faults: FaultPlan::none(),
             policy: ExecPolicy::default(),
-            conn: ConnOptions::default(),
         }
     }
 }
@@ -82,10 +77,6 @@ struct WorkerShared {
     dispatch_counts: Mutex<HashMap<String, u32>>,
     gate: Arc<Gate>,
 }
-
-/// Connections served at once; beyond it the shared accept loop answers
-/// `503` (the job service's default cap).
-pub const MAX_CONNECTIONS: usize = 64;
 
 /// A bound (but not yet running) worker service.
 pub struct Worker {
@@ -121,11 +112,14 @@ impl Worker {
     }
 
     /// Serves until `POST /v1/shutdown`, on the shared accept loop: one
-    /// thread per connection (at most [`MAX_CONNECTIONS`]); shard execution
-    /// runs inside the handler.
+    /// thread per connection (at most [`crate::transport::MAX_CONNECTIONS`]);
+    /// shard execution runs inside the handler, so the socket read timeout
+    /// only governs request parsing. The coordinator closes every
+    /// connection after one exchange, so the keep-alive options are the
+    /// defaults.
     pub fn run(self) {
         let Worker { listener, shared } = self;
-        listener.serve(MAX_CONNECTIONS, shared.config.conn, move |req| route(&shared, req));
+        listener.serve(ConnOptions::default(), move |req| route(&shared, req));
     }
 }
 

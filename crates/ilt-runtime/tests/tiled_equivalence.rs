@@ -100,3 +100,49 @@ fn stitch_of_consistent_tiles_is_bit_exact() {
     let out = grid.stitch(&tiles, SeamPolicy::Crop, &Field2D::zeros(N, N));
     assert_eq!(out, src);
 }
+
+/// `Blend { band }` followed by the resist threshold is `Crop` plus a vote
+/// inside the `2 * band` squares at interior core corners. Along an edge
+/// two ramps sum to one and the core's owner always outweighs its
+/// neighbour (`(i + 0.5) / 2band` is never one half), so only where four
+/// tiles meet can the owner be outvoted. Tiles of independent random bits
+/// disagree everywhere they overlap, which is the worst case for that.
+#[test]
+fn thresholded_blend_is_crop_outside_the_corner_squares() {
+    for (field, tile, halo) in [(512, 256, 32), (1024, 256, 64), (512, 128, 16)] {
+        let case = format!("{field}/{tile}/{halo}");
+        let grid = TileGrid::new(field, tile, halo).expect("valid tiling");
+        let specs = grid.specs();
+        let mut rng = ilt_layouts::Xorshift64Star::new(field as u64 ^ tile as u64 ^ halo as u64);
+        let tiles: Vec<Option<Field2D>> = specs
+            .iter()
+            .map(|_| Some(Field2D::from_fn(tile, tile, |_, _| (rng.next_u64() >> 63) as f64)))
+            .collect();
+        let fallback = Field2D::zeros(field, field);
+        let crop = grid.stitch(&tiles, SeamPolicy::Crop, &fallback);
+        // Interior core boundaries, the same on both axes.
+        let seams: Vec<usize> =
+            specs.iter().filter(|s| s.grid_row > 0 && s.grid_col == 0).map(|s| s.core_r0).collect();
+        for band in [1, 8, 16, 32, 64] {
+            let blend = grid.stitch(&tiles, SeamPolicy::Blend { band }, &fallback).threshold(0.5);
+            let strip = band.min(halo);
+            let near_seam = |x: usize| seams.iter().any(|&s| x + strip >= s && x < s + strip);
+            let mut corner_votes = 0usize;
+            for r in 0..field {
+                for c in 0..field {
+                    if blend[(r, c)] == crop[(r, c)] {
+                        continue;
+                    }
+                    assert!(
+                        near_seam(r) && near_seam(c),
+                        "{case} blend:{band}: ({r}, {c}) differs outside a corner square"
+                    );
+                    corner_votes += 1;
+                }
+            }
+            // A 2 x 2 square cannot outvote its owner (0.75^2 > 1/2); wider
+            // ones do on random tiles.
+            assert_eq!(corner_votes == 0, band == 1, "{case} blend:{band}: {corner_votes} votes");
+        }
+    }
+}

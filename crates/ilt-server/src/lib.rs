@@ -59,7 +59,7 @@ mod server;
 mod state;
 mod store;
 
-pub use http::{base64_encode, HttpError, Limits, Request, Response};
+pub use http::{base64_encode, HttpError, Request, Response};
 pub use ilt_cluster::params::{ExecPolicy, JobParams, JobSource};
 pub use admission::{Admission, ClassQueues, ClientUsage, PriorityClass};
 pub use metrics::{ClientCounters, Counter, FailureKinds, Gauges, Histogram, Metrics};

@@ -23,7 +23,7 @@ use ilt_runtime::{
     BatchCase, BatchConfig, BatchOutcome, JobStatus, SimulatorCache,
 };
 
-use crate::http::{ConnOptions, Gate, Limits, Listener, Request, Response};
+use crate::http::{ConnOptions, Gate, Listener, Request, Response};
 use crate::metrics::{Gauges, Metrics};
 use crate::admission::{Admission, PriorityClass};
 use crate::state::StateLog;
@@ -38,14 +38,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded admission-queue capacity.
     pub queue_cap: usize,
-    /// Maximum concurrently served connections; excess get an immediate 503.
-    pub max_connections: usize,
-    /// Socket read timeout per request.
-    pub read_timeout: Duration,
-    /// Socket write timeout per response.
-    pub write_timeout: Duration,
-    /// HTTP parsing limits (head/body size caps).
-    pub limits: Limits,
     /// Per-request execution policy (default timeout/retries, thread cap).
     pub policy: ExecPolicy,
     /// Append every finished job's records here as JSON Lines.
@@ -88,10 +80,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_cap: 16,
-            max_connections: 64,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            limits: Limits::default(),
             policy: ExecPolicy::default(),
             journal: None,
             cache_capacity: 16,
@@ -202,14 +190,11 @@ impl Server {
 
         let config = &self.shared.config;
         let options = ConnOptions {
-            limits: config.limits,
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
             idle_timeout: config.idle_timeout,
             keep_alive_requests: config.keep_alive_requests,
         };
         let shared = Arc::clone(&self.shared);
-        self.listener.serve(config.max_connections, options, move |req| route(&shared, req));
+        self.listener.serve(options, move |req| route(&shared, req));
 
         // Drain: no new admissions, workers finish queued + in-flight jobs.
         self.shared.store.close();

@@ -920,12 +920,9 @@ mod tests {
             let raw = format!(
                 "POST /v1/jobs?case=case1&inject={spec} HTTP/1.1\r\ncontent-length: 0\r\n\r\n"
             );
-            let (req, _) = crate::http::Request::read_from_buffered(
-                &mut raw.as_bytes(),
-                &mut Vec::new(),
-                &crate::http::Limits::default(),
-            )
-            .unwrap_or_else(|e| panic!("{spec}: {e:?}"));
+            let (req, _) =
+                crate::http::Request::read_from_buffered(&mut raw.as_bytes(), &mut Vec::new())
+                    .unwrap_or_else(|e| panic!("{spec}: {e:?}"));
             let p = JobParams::from_request(&req, &open).expect(spec);
             assert_eq!(p.faults.to_string(), spec, "wire parse must be lossless");
             let saved = JobParams::from_saved(&p.to_query(), Vec::new(), &ExecPolicy::default())

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use ilt_cluster::{ClusterConfig, Worker, WorkerConfig};
 use ilt_server::{
-    Admission, CancelOutcome, ExecPolicy, JobParams, JobStore, Limits, PriorityClass, Request,
+    Admission, CancelOutcome, ExecPolicy, JobParams, JobStore, PriorityClass, Request,
     ServerConfig, StateLog, SNAPSHOT_FILE,
 };
 use util::{get, job_id, post, post_with_headers, shutdown, start, tiny_pgm};
@@ -70,7 +70,7 @@ fn state_log_and_snapshot_equal_the_parent_binarys() {
                 .into_bytes();
         raw.extend_from_slice(&body);
         let (req, _) =
-            Request::read_from_buffered(&mut &raw[..], &mut Vec::new(), &Limits::default()).unwrap();
+            Request::read_from_buffered(&mut &raw[..], &mut Vec::new()).unwrap();
         let params = JobParams::from_request(&req, &allow_inject()).unwrap();
         let class = PriorityClass::parse(class).unwrap();
         assert_eq!(store.submit(&params, Admission { client: client.into(), class }), Ok(i));

@@ -8,7 +8,8 @@
 use std::time::Duration;
 
 use ilt_runtime::{run_batch, SimulatorCache};
-use ilt_server::{base64_encode, Limits, ServerConfig};
+use ilt_server::http::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
+use ilt_server::{base64_encode, ServerConfig};
 use util::{
     delete, exchange, fast_params, get, post, shutdown, start, tiny_pgm, tiny_target, FAST_JOB,
 };
@@ -87,17 +88,16 @@ fn unbounded_timeout_is_a_400_with_a_body_not_a_closed_socket() {
 
 #[test]
 fn oversized_bodies_and_heads_are_refused() {
-    let limits = Limits { max_head_bytes: 2048, max_body_bytes: 4096 };
-    let (addr, handle) = start(ServerConfig { workers: 0, limits, ..ServerConfig::default() });
+    let (addr, handle) = start(ServerConfig { workers: 0, ..ServerConfig::default() });
 
     // Declared too large: refused from the Content-Length alone.
-    let raw = b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 999999\r\n\r\n";
-    let reply = exchange(addr, raw);
+    let raw = format!("POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+    let reply = exchange(addr, raw.as_bytes());
     assert_eq!(reply.status, 413, "{}", reply.text());
 
     // Oversized head.
     let mut raw = b"GET /v1/jobs?x=".to_vec();
-    raw.extend(std::iter::repeat(b'a').take(4096));
+    raw.extend(std::iter::repeat(b'a').take(MAX_HEAD_BYTES));
     raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
     let reply = exchange(addr, &raw);
     assert_eq!(reply.status, 431);

@@ -3,14 +3,15 @@
 //! second segment until the client's delayed ACK — 40 ms per exchange on
 //! Linux loopback. Both accept paths (`ilt_server::Server` and
 //! `ilt_cluster::Worker`) go through `transport::serve_connection`, so both
-//! are timed here. The bound is on the median of 40 round trips and sits
+//! are timed here. The bound is on the median of 40 round trips (31 on the
+//! worker, whose request cap is the default) and sits
 //! two orders of magnitude from either regime (≈ 0.1 ms against ≈ 44 ms),
 //! so a loaded machine cannot flake it.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use ilt_cluster::{Worker, WorkerConfig};
+use ilt_cluster::{ConnOptions, Worker, WorkerConfig};
 use ilt_server::ServerConfig;
 use util::{job_id, post, shutdown, start, wait_for_state, Conn};
 
@@ -19,12 +20,12 @@ mod util;
 const EXCHANGES: usize = 40;
 const BOUND: Duration = Duration::from_millis(10);
 
-/// Median round trip of `EXCHANGES` sequential `GET path` requests on one
+/// Median round trip of `exchanges` sequential `GET path` requests on one
 /// keep-alive connection; every reply must be a 200 of at least
 /// `min_body` bytes.
-fn median_round_trip(addr: SocketAddr, path: &str, min_body: usize) -> Duration {
+fn median_round_trip(addr: SocketAddr, path: &str, min_body: usize, exchanges: usize) -> Duration {
     let mut conn = Conn::open(addr);
-    let mut trips: Vec<Duration> = (0..EXCHANGES)
+    let mut trips: Vec<Duration> = (0..exchanges)
         .map(|i| {
             let sent = Instant::now();
             let reply = conn.request("GET", path, b"").expect("keep-alive exchange");
@@ -36,7 +37,7 @@ fn median_round_trip(addr: SocketAddr, path: &str, min_body: usize) -> Duration 
         })
         .collect();
     trips.sort();
-    trips[EXCHANGES / 2]
+    trips[exchanges / 2]
 }
 
 #[test]
@@ -53,7 +54,7 @@ fn server_keep_alive_exchanges_do_not_wait_on_delayed_acks() {
 
     let exchanges = [(format!("/v1/jobs/{id}"), 1), (format!("/v1/jobs/{id}/mask"), 128 * 128)];
     for (path, min_body) in exchanges {
-        let median = median_round_trip(addr, &path, min_body);
+        let median = median_round_trip(addr, &path, min_body, EXCHANGES);
         assert!(median < BOUND, "GET {path}: median round trip {median:?}, bound {BOUND:?}");
     }
     shutdown(addr, handle);
@@ -61,13 +62,13 @@ fn server_keep_alive_exchanges_do_not_wait_on_delayed_acks() {
 
 #[test]
 fn worker_keep_alive_exchanges_do_not_wait_on_delayed_acks() {
-    let mut config = WorkerConfig::default();
-    config.conn.keep_alive_requests = EXCHANGES + 1;
-    let worker = Worker::bind(config).expect("bind worker");
+    let worker = Worker::bind(WorkerConfig::default()).expect("bind worker");
     let addr = worker.local_addr().expect("worker addr");
     let handle = std::thread::spawn(move || worker.run());
 
-    let median = median_round_trip(addr, "/healthz", 1);
+    // Every exchange the worker's request cap keeps alive.
+    let exchanges = ConnOptions::default().keep_alive_requests - 1;
+    let median = median_round_trip(addr, "/healthz", 1, exchanges);
     assert!(median < BOUND, "GET /healthz: median round trip {median:?}, bound {BOUND:?}");
 
     assert_eq!(post(addr, "/v1/shutdown", b"").status, 200);

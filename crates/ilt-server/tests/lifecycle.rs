@@ -7,7 +7,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use ilt_cluster::transport::request;
+use ilt_cluster::transport::{request, MAX_CONNECTIONS};
 use ilt_cluster::{Worker, WorkerConfig};
 use ilt_server::{ExecPolicy, ServerConfig, SNAPSHOT_FILE};
 use util::{delete, get, post, shutdown, start, tiny_pgm, wait_for_state, Conn, FAST_JOB};
@@ -275,15 +275,13 @@ fn a_keep_alive_connection_serves_the_request_cap_then_closes() {
 /// slot freed by a departing client serves again.
 #[test]
 fn connections_past_the_cap_get_503_and_a_freed_slot_serves_again() {
-    const CAP: usize = 3;
-    let (server, handle) =
-        start(ServerConfig { workers: 0, max_connections: CAP, ..ServerConfig::default() });
+    let (server, handle) = start(ServerConfig { workers: 0, ..ServerConfig::default() });
     let worker = Worker::bind(WorkerConfig::default()).expect("bind worker");
     let worker_addr = worker.local_addr().expect("worker addr");
     let worker_thread = std::thread::spawn(move || worker.run());
 
-    for (addr, cap) in [(server, CAP), (worker_addr, ilt_cluster::worker::MAX_CONNECTIONS)] {
-        let mut idle: Vec<Conn> = (0..cap).map(|_| Conn::open(addr)).collect();
+    for addr in [server, worker_addr] {
+        let mut idle: Vec<Conn> = (0..MAX_CONNECTIONS).map(|_| Conn::open(addr)).collect();
         let mut refused = Conn::open(addr);
         let reply = refused.read_reply().expect("the accept loop answers without being asked");
         assert_eq!(reply.status, 503, "{}", reply.text());

@@ -433,7 +433,6 @@ fn worker_config(cli: &Cli) -> Result<WorkerConfig, String> {
             max_threads_per_job: cli.flag("threads", policy.max_threads_per_job)?.max(1),
             ..policy
         },
-        ..WorkerConfig::default()
     })
 }
 

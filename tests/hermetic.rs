@@ -297,19 +297,15 @@ const KEPT_KNOBS: &[(&str, &str)] = &[
     ("ClusterConfig::heartbeat_failures", "crates/ilt-cluster/tests/cluster.rs and chaos.rs set 2 / 1000 to make (or forbid) a death verdict"),
     ("ClusterConfig::cancel_grace", "crates/ilt-cluster/tests/chaos.rs and cluster.rs shorten it so a lost exchange ends inside the test"),
     ("ClusterConfig::max_inflight_per_worker", "crates/ilt-cluster/tests/cluster.rs and chaos.rs size per-worker concurrency"),
-    ("ClusterConfig::max_shard_attempts", "crates/ilt-cluster/tests/cluster.rs bounds re-dispatch at 2 to reach 'shard lost'"),
     ("ClusterConfig::breaker", "crates/ilt-cluster/tests/cluster.rs and chaos.rs tune or disable quarantine"),
-    // The listener's bounds; ROADMAP item 1(b) holds ServerConfig's
-    // restatement of ConnOptions for a benchmark-side change
-    // (benchmark/src/serve.rs sets `keep_alive_requests` beside these).
-    ("Limits::max_head_bytes", "crates/ilt-server/tests/http_e2e.rs::oversized_bodies_and_heads_are_refused lowers it to 2048"),
-    ("Limits::max_body_bytes", "same test lowers it to 4096"),
-    ("ServerConfig::limits", "same test hands the lowered Limits in"),
-    ("ServerConfig::max_connections", "crates/ilt-server/tests/lifecycle.rs lowers the cap to see the 503"),
-    ("ServerConfig::read_timeout", "restates ConnOptions::read_timeout; ROADMAP item 1(b) folds the five into one ConnOptions once benchmark/ stops setting them"),
-    ("ServerConfig::write_timeout", "restates ConnOptions::write_timeout; same ROADMAP entry"),
-    ("WorkerConfig::conn", "crates/ilt-server/tests/keep_alive_latency.rs raises the worker's keep-alive cap through it"),
+    ("BreakerConfig::threshold", "crates/ilt-cluster/tests/cluster.rs opens the breaker on the first failure; chaos.rs and cluster.rs raise it to 1000 to disable quarantine"),
+    ("BreakerConfig::base", "crates/ilt-cluster/tests/cluster.rs sets 40 ms to see a half-open probe, or 60 s to hold a quarantine for the whole test"),
+    ("BreakerConfig::cap", "same tests pin it to `base` so the backoff is exact"),
 ];
+
+/// The most entries [`KEPT_KNOBS`] may hold. It may only go down; a change
+/// that has to grow the list edits this constant on purpose.
+const KNOBS_CEILING: usize = 21;
 
 /// `text` without its comments, the contents of its string literals and its
 /// `'{'` / `'}'` char literals, so braces and names inside them are not read
@@ -347,13 +343,17 @@ fn code_only(text: &str) -> String {
 /// assigned from outside (`x.field =`, not `self.field =`: that is some
 /// type's own state) — outside the struct's declaration, its `Default` and
 /// patterns, or be on [`KEPT_KNOBS`] as `Name::field`, which in turn may
-/// list nothing that has a setter or no longer exists.
+/// list nothing that has a setter or no longer exists. An assignment names
+/// no type, so it counts only for a field name no other struct in those
+/// sources declares; a literal in the struct's own file that re-spreads a
+/// value (`..cfg`, anything but `..X::default()`) normalises a caller's
+/// setting rather than making one, so it does not count.
 #[test]
 fn every_knob_has_a_setter() {
     use std::collections::{BTreeMap, BTreeSet};
-    let sources: Vec<(bool, String)> = reachable_sources()
+    let sources: Vec<(std::path::PathBuf, bool, String)> = reachable_sources()
         .into_iter()
-        .map(|(_, text, shipped)| (shipped, code_only(&text)))
+        .map(|(file, text, shipped)| (file, shipped, code_only(&text)))
         .collect();
     // `Name {` ... the `}` that closes it, as (body, what follows).
     fn braced(text: &str) -> (&str, &str) {
@@ -386,18 +386,21 @@ fn every_knob_has_a_setter() {
         out
     }
 
-    // The knobs: `pub` fields of shipped structs with an `impl Default`.
+    // The knobs: `pub` fields of shipped structs with an `impl Default`,
+    // and the file that declares each such struct.
     let mut knobs: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (_, text) in sources.iter().filter(|(shipped, _)| *shipped) {
+    let mut homes: BTreeMap<&str, &Path> = BTreeMap::new();
+    for (_, _, text) in sources.iter().filter(|(_, shipped, _)| *shipped) {
         for (at, _) in text.match_indices("\nimpl Default for ") {
             let name = idents(&text[at + 18..]).next().expect("impl Default for <name>").1;
             knobs.insert(name, Vec::new());
         }
     }
-    for (_, text) in sources.iter().filter(|(shipped, _)| *shipped) {
+    for (file, _, text) in sources.iter().filter(|(_, shipped, _)| *shipped) {
         for (at, _) in text.match_indices("\npub struct ") {
             let name = idents(&text[at + 12..]).next().expect("struct name").1;
             let Some(fields) = knobs.get_mut(name) else { continue };
+            homes.insert(name, file);
             // The lines after `pub struct Name {`, up to its closing brace.
             let body = text[at + 1..].split("\n}").next().expect("struct body").lines().skip(1);
             for field in body.filter_map(|line| line.trim().strip_prefix("pub ")) {
@@ -406,10 +409,27 @@ fn every_knob_has_a_setter() {
         }
     }
 
+    // Every braced struct's field names, to tell whose field `x.field =` is.
+    let mut declarers: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (_, _, text) in &sources {
+        for (at, _) in idents(text).filter(|(_, token)| *token == "struct") {
+            let Some((start, name)) = idents(&text[at + 6..]).next() else { continue };
+            let rest = &text[at + 6 + start + name.len()..];
+            let open = rest.find(['{', ';']).filter(|&end| rest[end..].starts_with('{'));
+            let Some(open) = open else { continue }; // a unit or tuple struct
+            for item in items(braced(&rest[open..]).0) {
+                let head = item.split_once(':').map(|(head, _)| head).unwrap_or_default();
+                if let Some((_, field)) = idents(head).last() {
+                    declarers.entry(field).or_default().insert(name);
+                }
+            }
+        }
+    }
+
     // What a `Default` writes is the value nobody chose.
-    let beside_defaults: Vec<String> = sources
+    let beside_defaults: Vec<(&Path, String)> = sources
         .iter()
-        .map(|(_, text)| {
+        .map(|(file, _, text)| {
             let mut kept = String::new();
             let mut rest = text.as_str();
             while let Some(at) = rest.find("\nimpl Default for ") {
@@ -417,12 +437,12 @@ fn every_knob_has_a_setter() {
                 rest = &rest[at + 1..];
                 rest = &rest[rest.find("\n}").expect("end of impl Default")..];
             }
-            kept + rest
+            (file.as_path(), kept + rest)
         })
         .collect();
     let mut written: BTreeSet<(&str, &str)> = BTreeSet::new();
     let mut assigned: BTreeSet<&str> = BTreeSet::new();
-    for text in &beside_defaults {
+    for (file, text) in &beside_defaults {
         let mut previous = "";
         for (at, token) in idents(text) {
             let after = &text[at + token.len()..];
@@ -445,6 +465,12 @@ fn every_knob_has_a_setter() {
             if rest.starts_with("=>") || rest.starts_with('|') || rest.starts_with("= ") {
                 continue; // a pattern reads the fields
             }
+            let respreads = items(body)
+                .iter()
+                .any(|item| item.starts_with("..") && !item.ends_with("::default()"));
+            if respreads && homes.get(token) == Some(file) {
+                continue; // the type normalising a value handed to it
+            }
             for item in items(body) {
                 let Some((_, field)) = idents(item).next().filter(|_| !item.starts_with("..")) else {
                     continue;
@@ -454,10 +480,13 @@ fn every_knob_has_a_setter() {
         }
     }
 
+    let assigned_to = |name: &str, field: &str| {
+        assigned.contains(field) && declarers[field].iter().all(|declarer| *declarer == name)
+    };
     let unset: Vec<String> = knobs
         .iter()
         .flat_map(|(name, fields)| fields.iter().map(move |field| (*name, *field)))
-        .filter(|(name, field)| !written.contains(&(*name, *field)) && !assigned.contains(field))
+        .filter(|(name, field)| !written.contains(&(*name, *field)) && !assigned_to(name, field))
         .map(|(name, field)| format!("{name}::{field}"))
         .collect();
     println!("{} of {} knobs have no shipped setter", unset.len(), knobs.values().map(Vec::len).sum::<usize>());
@@ -467,6 +496,12 @@ fn every_knob_has_a_setter() {
     let stale: Vec<_> =
         KEPT_KNOBS.iter().filter(|(kept, _)| !unset.iter().any(|knob| knob == kept)).collect();
     assert!(stale.is_empty(), "on KEPT_KNOBS but set by shipped code, or gone: {stale:#?}");
+    assert!(
+        KEPT_KNOBS.len() <= KNOBS_CEILING,
+        "KEPT_KNOBS grew: {} > {KNOBS_CEILING}; have a command set the knob or turn it into a \
+         constant, or raise the ceiling on purpose",
+        KEPT_KNOBS.len()
+    );
 }
 
 /// A clustered job is supervised by events — a copy
@@ -555,7 +590,7 @@ fn one_exp_for_every_sigmoid() {
 /// change that has to grow it edits this constant on purpose.
 #[test]
 fn non_test_lines_do_not_grow() {
-    const CEILING: usize = 12628;
+    const CEILING: usize = 12588;
     let total: usize = shipped_sources()
         .iter()
         .flat_map(|(_, shipped)| shipped.lines())
