@@ -97,11 +97,6 @@ impl Graph {
         self.nodes.len()
     }
 
-    /// Returns `true` if no node has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     fn push(&mut self, value: Field2D, op: Op) -> Var {
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)

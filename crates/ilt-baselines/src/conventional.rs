@@ -20,6 +20,7 @@ use ilt_optics::LithoSimulator;
 /// ```
 /// use std::sync::Arc;
 /// use ilt_baselines::ConventionalIlt;
+/// use ilt_core::OptimizeRegion;
 /// use ilt_field::Field2D;
 /// use ilt_optics::{LithoSimulator, OpticsConfig};
 ///
@@ -29,7 +30,7 @@ use ilt_optics::LithoSimulator;
 /// let target = Field2D::from_fn(64, 64, |r, c| {
 ///     if (24..40).contains(&r) && (16..48).contains(&c) { 1.0 } else { 0.0 }
 /// });
-/// let result = ConventionalIlt::new(sim).run(&target, 5);
+/// let result = ConventionalIlt::new(sim, OptimizeRegion::option2_default()).run(&target, 5);
 /// assert_eq!(result.mask.shape(), (64, 64));
 /// # Ok(())
 /// # }
@@ -42,14 +43,10 @@ pub struct ConventionalIlt {
 impl ConventionalIlt {
     /// Creates the baseline with the legacy configuration: sigmoid
     /// `T_R = 0` for optimization *and* output, no smoothing pool, no
-    /// post-processing, full-resolution only.
-    pub fn new(sim: Arc<LithoSimulator>) -> Self {
-        Self::with_region(sim, OptimizeRegion::option2_default())
-    }
-
-    /// Same, but with an explicit writable-region policy (for like-for-like
-    /// table comparisons).
-    pub fn with_region(sim: Arc<LithoSimulator>, region: OptimizeRegion) -> Self {
+    /// post-processing, full-resolution only, writing where `region` allows
+    /// ([`OptimizeRegion::option2_default`] is the optimizer's own default;
+    /// the tables pass theirs for like-for-like comparisons).
+    pub fn new(sim: Arc<LithoSimulator>, region: OptimizeRegion) -> Self {
         let cfg = IltConfig {
             binary: BinaryFunction::legacy_sigmoid(),
             output_binary: BinaryFunction::legacy_sigmoid(),
@@ -88,6 +85,10 @@ mod tests {
         Arc::new(LithoSimulator::new(cfg).expect("valid config"))
     }
 
+    fn baseline() -> ConventionalIlt {
+        ConventionalIlt::new(sim(), OptimizeRegion::option2_default())
+    }
+
     fn target() -> Field2D {
         Field2D::from_fn(64, 64, |r, c| {
             if (24..40).contains(&r) && (14..50).contains(&c) {
@@ -100,7 +101,7 @@ mod tests {
 
     #[test]
     fn loss_decreases() {
-        let result = ConventionalIlt::new(sim()).run(&target(), 8);
+        let result = baseline().run(&target(), 8);
         let first = result.loss_history.first().unwrap().loss;
         let best = result.loss_history.iter().map(|r| r.loss).fold(f64::INFINITY, f64::min);
         assert!(best < first, "baseline must converge: {best} vs {first}");
@@ -108,15 +109,28 @@ mod tests {
 
     #[test]
     fn runs_at_full_resolution_only() {
-        let result = ConventionalIlt::new(sim()).run(&target(), 3);
+        let result = baseline().run(&target(), 3);
         assert!(result.loss_history.iter().all(|r| r.scale == 1));
         assert_eq!(result.final_scale, 1);
     }
 
     #[test]
     fn uses_legacy_binary_function() {
-        let baseline = ConventionalIlt::new(sim());
-        assert_eq!(baseline.engine.config().binary, BinaryFunction::legacy_sigmoid());
-        assert!(baseline.engine.config().smoothing.is_none());
+        // The engine under the legacy binary function with no smoothing
+        // pool optimizes the same `M'`, bit for bit; the paper's defaults
+        // do not.
+        let legacy = IltConfig {
+            binary: BinaryFunction::legacy_sigmoid(),
+            output_binary: BinaryFunction::legacy_sigmoid(),
+            smoothing: None,
+            postprocess: None,
+            ..IltConfig::default()
+        };
+        let stages = [Stage::low_res(1, 3)];
+        let got = baseline().run(&target(), 3);
+        let want = MultiLevelIlt::new(sim(), legacy).run(&target(), &stages);
+        assert_eq!((&got.raw_mask, &got.mask), (&want.raw_mask, &want.mask));
+        let paper = MultiLevelIlt::new(sim(), IltConfig::default()).run(&target(), &stages);
+        assert_ne!(got.raw_mask, paper.raw_mask);
     }
 }

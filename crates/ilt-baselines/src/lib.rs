@@ -15,6 +15,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use ilt_baselines::ConventionalIlt;
+//! use ilt_core::OptimizeRegion;
 //! use ilt_field::Field2D;
 //! use ilt_optics::{LithoSimulator, OpticsConfig};
 //!
@@ -24,7 +25,7 @@
 //! let target = Field2D::from_fn(64, 64, |r, c| {
 //!     if (28..36).contains(&r) && (16..48).contains(&c) { 1.0 } else { 0.0 }
 //! });
-//! let result = ConventionalIlt::new(sim).run(&target, 3);
+//! let result = ConventionalIlt::new(sim, OptimizeRegion::option2_default()).run(&target, 3);
 //! assert!(!result.loss_history.is_empty());
 //! # Ok(())
 //! # }

@@ -143,7 +143,6 @@ impl Coordinator {
         let members = Arc::new(Membership::new(&config.workers, config.breaker));
         let stats = Arc::new(ClusterStats::default());
         stats.members_joined.add(members.len() as u64);
-        stats.workers_alive.store(members.len() as u64, Ordering::Relaxed);
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         {
             let members = Arc::clone(&members);
@@ -166,7 +165,6 @@ impl Coordinator {
         let joined = self.members.join(addr);
         if joined {
             self.stats.members_joined.inc();
-            self.publish_alive();
         }
         joined
     }
@@ -183,7 +181,6 @@ impl Coordinator {
         let left = self.members.leave(addr);
         if left {
             self.stats.members_left.inc();
-            self.publish_alive();
         }
         left
     }
@@ -197,7 +194,7 @@ impl Coordinator {
     /// Appends the full cluster exposition — counters, histograms, and the
     /// per-worker `ilt_worker_breaker_state` gauge — to `out`.
     pub fn render_metrics(&self, out: &mut String) {
-        self.stats.render(self.members.len(), out);
+        self.stats.render(self.members.len(), self.members.alive_count(), out);
         family(
             out,
             "ilt_worker_breaker_state",
@@ -314,12 +311,6 @@ impl Coordinator {
         }
         outputs.sort_by_key(|o| o.record.job_id);
         Ok(outputs)
-    }
-
-    /// Recomputes the `workers_alive` gauge from the membership.
-    fn publish_alive(&self) {
-        self.stats.workers_alive.store(self.members.alive_count() as u64, Ordering::Relaxed);
-        self.members.notify();
     }
 }
 
@@ -677,7 +668,6 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
         };
         if verdict == Settle::Failure {
             mark_probe(&copy.slot, false, &coordinator.config, &coordinator.stats);
-            coordinator.publish_alive();
         }
         coordinator.members.release(&copy.slot, verdict);
         let addr = copy.slot.addr.clone();
@@ -874,7 +864,6 @@ fn monitor_loop(
             let ok = probe(&slot.addr);
             mark_probe(&slot, ok, config, stats);
         }
-        stats.workers_alive.store(members.alive_count() as u64, Ordering::Relaxed);
         // Health changed or time passed: wake every job's loop.
         members.notify();
         // One heartbeat of sleep, cut short the moment drop() sets the flag.

@@ -57,5 +57,5 @@ pub use stats::{ClusterStats, Counter, FailureKinds, Histogram, LATENCY_BUCKETS_
 pub use transport::{
     base64_decode, base64_encode, serve_connection, ConnOptions, HttpError, Request, Response,
 };
-pub use wire::{ShardHeader, SHARD_PATH};
+pub use wire::ShardHeader;
 pub use worker::{Worker, WorkerConfig};

@@ -166,11 +166,6 @@ impl Membership {
         self.slots.lock().unwrap().len()
     }
 
-    /// True when no worker is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Members currently passing heartbeats.
     pub fn alive_count(&self) -> usize {
         self.slots.lock().unwrap().iter().filter(|s| s.is_alive()).count()

@@ -56,11 +56,6 @@ impl FailureKinds {
         self.counts[Self::slot(kind)].inc();
     }
 
-    /// Current count for one kind.
-    pub fn get(&self, kind: &str) -> u64 {
-        self.counts[Self::slot(kind)].get()
-    }
-
     /// Appends the family (`# HELP`/`# TYPE` plus one line per kind) to a
     /// Prometheus text exposition.
     pub fn render(&self, out: &mut String) {
@@ -131,11 +126,6 @@ impl Histogram {
         }
     }
 
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
     /// Sum of all observations, ms.
     pub fn sum_ms(&self) -> f64 {
         f64::from_bits(self.sum_ms_bits.load(Ordering::Relaxed))
@@ -161,9 +151,6 @@ impl Histogram {
 /// appends them to its `/metrics` exposition when a cluster is configured.
 #[derive(Debug, Default)]
 pub struct ClusterStats {
-    /// Worker replicas currently passing heartbeats (a gauge, written by
-    /// the heartbeat monitor).
-    pub workers_alive: AtomicU64,
     /// Shard dispatches that followed a failed attempt of the same shard
     /// (worker death, refusal, torn or garbled response). A shard's first
     /// dispatch never counts, wherever scheduling places it.
@@ -185,9 +172,9 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// Appends the cluster families to a Prometheus text exposition.
-    pub fn render(&self, workers_configured: usize, out: &mut String) {
-        let alive = self.workers_alive.load(Ordering::Relaxed);
+    /// Appends the cluster families to a Prometheus text exposition; the
+    /// two membership gauges are read by the caller at render time.
+    pub fn render(&self, workers_configured: usize, workers_alive: usize, out: &mut String) {
         let counters = [
             ("ilt_shards_redispatched_total", "Shard dispatches that followed a failed attempt (worker death, refusal, torn or garbled response).", &self.shards_redispatched),
             ("ilt_worker_heartbeat_failures_total", "Failed worker heartbeat probes.", &self.heartbeat_failures),
@@ -197,7 +184,7 @@ impl ClusterStats {
             ("ilt_members_left_total", "Workers that left the membership.", &self.members_left),
         ];
         scalar(out, "ilt_workers_configured", "Worker replicas currently registered.", "gauge", workers_configured as u64);
-        scalar(out, "ilt_workers_alive", "Worker replicas currently passing heartbeats.", "gauge", alive);
+        scalar(out, "ilt_workers_alive", "Worker replicas currently passing heartbeats.", "gauge", workers_alive as u64);
         for (name, help, counter) in counters {
             scalar(out, name, help, "counter", counter.get());
         }
@@ -213,7 +200,6 @@ mod tests {
     #[test]
     fn cluster_stats_render_is_prometheus_clean() {
         let stats = ClusterStats::default();
-        stats.workers_alive.store(2, Ordering::Relaxed);
         stats.shards_redispatched.inc();
         stats.heartbeat_failures.add(3);
         stats.shard_ms.observe(42.0);
@@ -222,7 +208,7 @@ mod tests {
         stats.members_joined.add(2);
         stats.members_left.inc();
         let mut out = String::new();
-        stats.render(2, &mut out);
+        stats.render(2, 2, &mut out);
         assert!(out.contains("ilt_workers_configured 2\n"), "{out}");
         assert!(out.contains("ilt_workers_alive 2\n"), "{out}");
         assert!(out.contains("ilt_shards_redispatched_total 1\n"));

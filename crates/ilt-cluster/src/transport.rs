@@ -552,7 +552,7 @@ pub fn serve_connection(
 }
 
 /// Standard (RFC 4648) base64 with padding; used to inline mask images in
-/// JSON job views and shard result lines.
+/// shard result lines.
 pub fn base64_encode(bytes: &[u8]) -> String {
     const ALPHABET: &[u8; 64] =
         b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -739,17 +739,6 @@ impl Client {
         let mut wire = head.into_bytes();
         wire.extend_from_slice(body);
         self.send_raw(&wire)
-    }
-
-    /// One keep-alive exchange: [`Client::send`] without extra headers,
-    /// then [`Client::read_reply`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::send_raw`] and [`Client::read_reply`].
-    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> Result<Reply, String> {
-        self.send(method, path, &[], body, false)?;
-        self.read_reply()
     }
 
     /// The one response reader: the head, then exactly `content-length`

@@ -26,9 +26,6 @@ use ilt_runtime::{field_hash, json, json_escape, parse_wal_record, JobOutput};
 
 use crate::transport::{base64_decode, base64_encode};
 
-/// URL path prefix of the shard endpoints.
-pub const SHARD_PATH: &str = "/v1/shards";
-
 /// The header line opening a shard response stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardHeader {

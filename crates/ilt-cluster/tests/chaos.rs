@@ -12,7 +12,8 @@ use std::time::Duration;
 use ilt_cluster::transport::{request, serve_connection, ConnOptions, Request, Response};
 use ilt_cluster::wire::{parse_job_ids, shard_header_line, shard_job_line, ShardHeader};
 use ilt_cluster::{
-    BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, JobParams, Worker, WorkerConfig,
+    BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, Histogram, JobParams, Worker,
+    WorkerConfig,
 };
 use ilt_field::pgm_bytes;
 use ilt_runtime::{
@@ -34,6 +35,14 @@ fn spawn_worker(faults: FaultPlan) -> (String, std::thread::JoinHandle<()>) {
 
 fn shutdown(addr: &str) {
     let _ = request(addr, "POST", "/v1/shutdown", &[], Duration::from_secs(10));
+}
+
+/// Observations in `histogram`, read off its rendered `_count` line.
+fn observations(histogram: &Histogram) -> u64 {
+    let mut text = String::new();
+    histogram.render("h", "s", &mut text);
+    let count = text.lines().last().and_then(|line| line.rsplit(' ').next());
+    count.and_then(|n| n.parse().ok()).expect("a _count line")
 }
 
 fn tiny_params() -> JobParams {
@@ -263,7 +272,7 @@ fn disagreeing_speculation_results_fail_the_job_hard() {
     // Let the fast shards finish (establishing the latency median), then
     // present the liar as a fresh replica.
     let started = std::time::Instant::now();
-    while coordinator.stats().shard_ms.count() < 3 {
+    while observations(&coordinator.stats().shard_ms) < 3 {
         assert!(started.elapsed() < Duration::from_secs(60), "fast shards never finished");
         std::thread::sleep(Duration::from_millis(2));
     }

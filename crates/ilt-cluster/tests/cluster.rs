@@ -4,18 +4,25 @@
 //! test, which can afford to lose a worker process).
 
 use std::net::TcpListener;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use ilt_cluster::transport::request;
 use ilt_cluster::{
-    BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, JobParams, Request, Response,
-    Worker, WorkerConfig,
+    BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, Histogram, JobParams, Request,
+    Response, Worker, WorkerConfig,
 };
 use ilt_field::pgm_bytes;
 use ilt_runtime::{
     assemble_batch, planned_job_list, run_batch, FaultPlan, JobStatus, SimulatorCache,
 };
+
+/// Observations in `histogram`, read off its rendered `_count` line.
+fn observations(histogram: &Histogram) -> u64 {
+    let mut text = String::new();
+    histogram.render("h", "s", &mut text);
+    let count = text.lines().last().and_then(|line| line.rsplit(' ').next());
+    count.and_then(|n| n.parse().ok()).expect("a _count line")
+}
 
 /// Binds one worker replica on an ephemeral loopback port and serves it
 /// from a background thread until `shutdown` is called on its address.
@@ -184,7 +191,7 @@ fn dead_worker_shards_are_redispatched_to_survivors() {
         "the dead replica's shard must be re-dispatched"
     );
     assert_eq!(
-        coordinator.stats().workers_alive.load(Ordering::Relaxed),
+        coordinator.member_views().iter().filter(|view| view.alive).count(),
         1,
         "probe and failed dispatch together must leave exactly one live replica"
     );
@@ -437,7 +444,7 @@ fn late_joining_worker_picks_up_queued_shards_mid_job() {
     // Wait until at least one shard finished (so the job is provably mid
     // flight), then register the second replica.
     let started = std::time::Instant::now();
-    while coordinator.stats().shard_ms.count() < 1 {
+    while observations(&coordinator.stats().shard_ms) < 1 {
         assert!(started.elapsed() < Duration::from_secs(60), "first shard never finished");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -546,7 +553,7 @@ fn a_replica_that_never_answers_is_declared_dead_and_its_shards_move() {
         "shards moved off a dead replica must not change the mask"
     );
     assert!(coordinator.stats().shards_redispatched.get() >= 1);
-    assert_eq!(coordinator.stats().workers_alive.load(Ordering::Relaxed), 1);
+    assert_eq!(coordinator.member_views().iter().filter(|view| view.alive).count(), 1);
 
     shutdown(&live);
     handle.join().expect("worker thread");

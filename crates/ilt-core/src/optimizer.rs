@@ -199,11 +199,6 @@ impl MultiLevelIlt {
         MultiLevelIlt { sim, cfg }
     }
 
-    /// The hyper-parameters in use.
-    pub fn config(&self) -> &IltConfig {
-        &self.cfg
-    }
-
     /// The simulator in use.
     pub fn simulator(&self) -> &Arc<LithoSimulator> {
         &self.sim

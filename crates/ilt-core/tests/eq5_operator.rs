@@ -19,16 +19,16 @@ use ilt_optics::{LithoSimulator, OpticsConfig, ProcessCondition};
 
 /// The step as `ilt-core` built it before the operator existed.
 fn chain_step(
-    ilt: &MultiLevelIlt,
+    sim: &Arc<LithoSimulator>,
+    cfg: &IltConfig,
     kind: StageKind,
     s: usize,
     m_raw: &Field2D,
     z_t_s: &Field2D,
 ) -> (f64, Field2D, usize) {
-    let sim = ilt.simulator();
     let mut g = Graph::new(sim.clone());
     let v_raw = g.leaf(m_raw.clone());
-    let binary = ilt.config().binary;
+    let binary = cfg.binary;
     let mask = match kind {
         StageKind::LowRes => {
             let smoothed = g.avg_pool_same(v_raw, 3);
@@ -50,7 +50,7 @@ fn chain_step(
     };
     let z_out = wafer(&mut g, ProcessCondition::outer());
     let z_in = wafer(&mut g, ProcessCondition::inner());
-    let loss = ilt.config().loss_weights.build(&mut g, z_out, z_in, z_t_s, mask);
+    let loss = cfg.loss_weights.build(&mut g, z_out, z_in, z_t_s, mask);
     let grads = g.backward(loss);
     (g.scalar(loss), grads.wrt(v_raw).expect("mask gradient").clone(), g.len())
 }
@@ -139,10 +139,8 @@ fn assert_fused_step_matches_chain(class: &Class) {
                 "grid {} @ {} nm, K {num_kernels}, {kind:?} s {s}, {weights:?}",
                 class.grid, class.nm_per_px
             );
-            let ilt = MultiLevelIlt::new(
-                sim.clone(),
-                IltConfig { loss_weights: *weights, ..IltConfig::default() },
-            );
+            let cfg = IltConfig { loss_weights: *weights, ..IltConfig::default() };
+            let ilt = MultiLevelIlt::new(sim.clone(), cfg.clone());
             let z_t_s = avg_pool_down(&target, s);
             // Mid-optimization values: every sigmoid off its rails.
             let m_raw = Field2D::from_fn(class.grid / s, class.grid / s, |r, c| {
@@ -150,7 +148,7 @@ fn assert_fused_step_matches_chain(class: &Class) {
             });
 
             let (loss, grad) = ilt.step(kind, s, &m_raw, &z_t_s);
-            let (want_loss, want_grad, nodes) = chain_step(&ilt, kind, s, &m_raw, &z_t_s);
+            let (want_loss, want_grad, nodes) = chain_step(&sim, &cfg, kind, s, &m_raw, &z_t_s);
             if !weights.has_regularizers() {
                 // Two pools more where the wafer images come back down.
                 let want = if kind == LowRes { 13 } else { 15 };

@@ -32,8 +32,6 @@ impl Complex64 {
     pub const ZERO: Complex64 = Complex64 { re: 0.0, im: 0.0 };
     /// The multiplicative identity `1 + 0i`.
     pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
-    /// The imaginary unit `0 + 1i`.
-    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline]
@@ -94,12 +92,6 @@ impl Complex64 {
     #[inline]
     pub fn scale(self, s: f64) -> Self {
         Complex64 { re: self.re * s, im: self.im * s }
-    }
-
-    /// Returns `true` if both parts are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -264,7 +256,7 @@ mod tests {
         // e^{i pi/2} = i
         assert!(close(
             Complex64::from_polar_angle(std::f64::consts::FRAC_PI_2),
-            Complex64::I
+            Complex64::new(0.0, 1.0)
         ));
     }
 

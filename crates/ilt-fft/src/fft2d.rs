@@ -148,18 +148,6 @@ impl Fft2d {
         }
     }
 
-    /// Number of rows transformed.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns transformed.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// In-place forward 2-D transform of a row-major buffer: the dense,
     /// unpruned reference the pruned paths are checked against.
     ///

@@ -182,12 +182,6 @@ impl FftPlan {
         self.len
     }
 
-    /// Returns `true` when the plan is for the degenerate one-point transform.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len <= 1
-    }
-
     /// Transforms the `width` interleaved columns of `panel` in place, on
     /// the process-wide selected kernel (AVX2 when detected, scalar
     /// otherwise — see [`crate::active_kernel`]). A single row is the panel

@@ -103,12 +103,6 @@ impl Field2D {
         (self.rows, self.cols)
     }
 
-    /// Total number of pixels.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
     /// Returns `true` for a zero-pixel field.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -125,16 +119,6 @@ impl Field2D {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Bounds-checked pixel access.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> Option<f64> {
-        if r < self.rows && c < self.cols {
-            Some(self.data[r * self.cols + c])
-        } else {
-            None
-        }
     }
 
     /// Immutable view of row `r`.
@@ -376,7 +360,7 @@ mod tests {
     fn constructors_and_shape() {
         let z = Field2D::zeros(3, 4);
         assert_eq!(z.shape(), (3, 4));
-        assert_eq!(z.len(), 12);
+        assert_eq!(z.as_slice().len(), 12);
         assert_eq!(z.sum(), 0.0);
 
         let f = Field2D::filled(2, 2, 1.5);
@@ -397,8 +381,6 @@ mod tests {
         let f = ramp(3, 4);
         assert_eq!(f[(2, 3)], 11.0);
         assert_eq!(f.row(1), &[4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(f.get(2, 3), Some(11.0));
-        assert_eq!(f.get(3, 0), None);
     }
 
     #[test]

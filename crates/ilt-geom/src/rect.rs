@@ -14,8 +14,6 @@ use ilt_field::Field2D;
 /// assert_eq!(r.height(), 3);
 /// assert_eq!(r.width(), 4);
 /// assert_eq!(r.area(), 12);
-/// assert!(r.contains(3, 5));
-/// assert!(!r.contains(4, 5));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rect {
@@ -62,12 +60,6 @@ impl Rect {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.area() == 0
-    }
-
-    /// Returns `true` if pixel `(r, c)` lies inside.
-    #[inline]
-    pub fn contains(&self, r: usize, c: usize) -> bool {
-        r >= self.r0 && r < self.r1 && c >= self.c0 && c < self.c1
     }
 
     /// Returns `true` if the two rectangles share any pixel.

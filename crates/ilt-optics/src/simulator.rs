@@ -542,16 +542,6 @@ impl LithoSimulator {
         intensity.threshold(th)
     }
 
-    /// Sigmoid resist (Eq. 9) with dose:
-    /// `Z = 1 / (1 + exp(-alpha (dose * I - I_th)))`.
-    pub fn resist_sigmoid(&self, intensity: &Field2D, dose: f64) -> Field2D {
-        let alpha = self.cfg.resist_steepness;
-        let th = self.cfg.resist_threshold;
-        let mut z = intensity.map(|i| -alpha * (dose * i - th));
-        logistic_in_place(z.as_mut_slice());
-        z
-    }
-
     /// Full print: aerial image + hard resist under `cond`.
     pub fn print(&self, mask: &Field2D, cond: ProcessCondition) -> Field2D {
         let intensity = self.aerial(mask, cond.defocus);
@@ -906,6 +896,15 @@ mod tests {
         }
     }
 
+    /// Eq. 9's sigmoid resist as its own pass:
+    /// `Z = 1 / (1 + exp(-alpha (dose * I - I_th)))`.
+    fn resist_sigmoid(sim: &LithoSimulator, intensity: &Field2D, dose: f64) -> Field2D {
+        let cfg = sim.config();
+        let mut z = intensity.map(|i| -cfg.resist_steepness * (dose * i - cfg.resist_threshold));
+        logistic_in_place(z.as_mut_slice());
+        z
+    }
+
     #[test]
     fn soft_corners_matches_the_unfused_calls() {
         // L = sum_c <W_c, pool(resist(aerial(upsample(x)))))> at two corners.
@@ -926,7 +925,7 @@ mod tests {
             let mut want_grad = Field2D::zeros(n, n);
             for ((cond, w), wafer) in conds.iter().zip(&weights).zip(&wafers) {
                 let (i, cache) = sim.aerial_with_cache(&full, cond.defocus);
-                let z = sim.resist_sigmoid(&i, cond.dose);
+                let z = resist_sigmoid(&sim, &i, cond.dose);
                 let want = ilt_field::avg_pool_down(&z, up);
                 if up == 1 {
                     // Same arithmetic in the same order: not a bit moves.
@@ -990,7 +989,7 @@ mod tests {
         let sim = sim(64);
         let mask = square_mask(64, 16, 48);
         let i = sim.aerial(&mask, false);
-        let soft = sim.resist_sigmoid(&i, 1.0);
+        let soft = resist_sigmoid(&sim, &i, 1.0);
         let hard = sim.resist_hard(&i, 1.0);
         assert!(soft.min() >= 0.0 && soft.max() <= 1.0);
         // Soft and hard agree where intensity is far from threshold.

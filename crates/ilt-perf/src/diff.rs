@@ -3,13 +3,13 @@
 //! Entirely in-tree — no python, no external diff tool. A workload
 //! regresses when its fresh median exceeds the baseline median by more
 //! than the baseline's recorded threshold; everything else (torn files,
-//! schema bumps, smoke results, missing baselines) is a
-//! typed [`PerfError`], never a silent pass.
+//! schema bumps, smoke results, missing baselines) is an error message
+//! naming the file and the cause, never a silent pass.
 
 use std::path::Path;
 
 use crate::registry::selected;
-use crate::result::{BenchResult, PerfError};
+use crate::result::BenchResult;
 
 /// One workload's baseline-vs-fresh comparison.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,20 +70,21 @@ impl DiffReport {
 ///
 /// # Errors
 ///
-/// [`PerfError::SmokeResult`] if either side was recorded in smoke mode
-/// (labelled with the offending side's path via `baseline_path` /
-/// `fresh_path`).
+/// "recorded in smoke mode" if either side was (labelled with the
+/// offending side's path via `baseline_path` / `fresh_path`).
 pub fn diff_result(
     baseline: &BenchResult,
     fresh: &BenchResult,
     baseline_path: &Path,
     fresh_path: &Path,
-) -> Result<DiffRow, PerfError> {
-    if baseline.smoke {
-        return Err(PerfError::SmokeResult { path: baseline_path.to_path_buf() });
-    }
-    if fresh.smoke {
-        return Err(PerfError::SmokeResult { path: fresh_path.to_path_buf() });
+) -> Result<DiffRow, String> {
+    for (side, path) in [(baseline, baseline_path), (fresh, fresh_path)] {
+        if side.smoke {
+            return Err(format!(
+                "{}: recorded in smoke mode; smoke numbers never gate — rerun without --smoke",
+                path.display()
+            ));
+        }
     }
     let threshold = baseline.threshold;
     let limit = baseline.median_us * (1.0 + threshold);
@@ -107,9 +108,9 @@ pub fn diff_result(
 /// `baseline_dir`.
 ///
 /// A fresh result whose workload has left the registry still diffs by
-/// name. A selected fresh result without a baseline is a
-/// [`PerfError::MissingBaseline`] — new workloads must check in a number
-/// before they can ride the gate.
+/// name. A selected fresh result without a baseline is an error ("no
+/// baseline at ..") — new workloads must check in a number before they can
+/// ride the gate.
 ///
 /// # Errors
 ///
@@ -120,9 +121,9 @@ pub fn diff_dirs(
     baseline_dir: &Path,
     fresh_dir: &Path,
     globs: &[String],
-) -> Result<DiffReport, PerfError> {
+) -> Result<DiffReport, String> {
     let mut names: Vec<String> = std::fs::read_dir(fresh_dir)
-        .map_err(|source| PerfError::Io { path: fresh_dir.to_path_buf(), source })?
+        .map_err(|e| format!("{}: {e}", fresh_dir.display()))?
         .filter_map(|entry| {
             let file = entry.ok()?.file_name().into_string().ok()?;
             let workload = file.strip_prefix("BENCH_")?.strip_suffix(".json")?.to_string();
@@ -132,10 +133,10 @@ pub fn diff_dirs(
         .collect();
     names.sort_unstable();
     if names.is_empty() {
-        return Err(PerfError::Malformed {
-            path: fresh_dir.to_path_buf(),
-            detail: "no fresh BENCH_*.json results match the selection".into(),
-        });
+        return Err(format!(
+            "{}: malformed bench result: no fresh BENCH_*.json results match the selection",
+            fresh_dir.display()
+        ));
     }
     let mut rows = Vec::with_capacity(names.len());
     for name in names {
@@ -143,7 +144,10 @@ pub fn diff_dirs(
         let fresh = BenchResult::load(&fresh_path)?;
         let baseline_path = baseline_dir.join(BenchResult::file_name(&name));
         if !baseline_path.exists() {
-            return Err(PerfError::MissingBaseline { workload: name, path: baseline_path });
+            return Err(format!(
+                "{name}: no baseline at {} — check one in with `ilt bench run {name} --out <baseline dir>`",
+                baseline_path.display()
+            ));
         }
         let baseline = BenchResult::load(&baseline_path)?;
         rows.push(diff_result(&baseline, &fresh, &baseline_path, &fresh_path)?);
@@ -200,14 +204,10 @@ mod tests {
         let mut smoke = result(100.0, 0.5);
         smoke.smoke = true;
         let full = result(100.0, 0.5);
-        assert!(matches!(
-            diff_result(&smoke, &full, Path::new("b"), Path::new("f")),
-            Err(PerfError::SmokeResult { .. })
-        ));
-        assert!(matches!(
-            diff_result(&full, &smoke, Path::new("b"), Path::new("f")),
-            Err(PerfError::SmokeResult { .. })
-        ));
+        let err = diff_result(&smoke, &full, Path::new("b"), Path::new("f")).unwrap_err();
+        assert!(err.starts_with("b: recorded in smoke mode"), "{err}");
+        let err = diff_result(&full, &smoke, Path::new("b"), Path::new("f")).unwrap_err();
+        assert!(err.starts_with("f: recorded in smoke mode"), "{err}");
     }
 
     #[test]
@@ -219,20 +219,16 @@ mod tests {
         std::fs::create_dir_all(&baselines).unwrap();
         std::fs::create_dir_all(&fresh).unwrap();
 
-        // Fresh result with no baseline: MissingBaseline.
+        // Fresh result with no baseline: the gate names the missing file.
         result(100.0, 0.5).write(&fresh).unwrap();
-        assert!(matches!(
-            diff_dirs(&baselines, &fresh, &[]),
-            Err(PerfError::MissingBaseline { .. })
-        ));
+        let err = diff_dirs(&baselines, &fresh, &[]).unwrap_err();
+        assert!(err.starts_with("w: no baseline at "), "{err}");
 
-        // Torn baseline: Malformed, not a pass.
+        // Torn baseline: malformed, not a pass.
         let json = result(100.0, 0.5).to_json();
         std::fs::write(baselines.join("BENCH_w.json"), &json[..json.len() / 3]).unwrap();
-        assert!(matches!(
-            diff_dirs(&baselines, &fresh, &[]),
-            Err(PerfError::Malformed { .. })
-        ));
+        let err = diff_dirs(&baselines, &fresh, &[]).unwrap_err();
+        assert!(err.contains("BENCH_w.json: malformed bench result: "), "{err}");
 
         // Intact baseline: one clean row.
         result(100.0, 0.5).write(&baselines).unwrap();

@@ -37,7 +37,7 @@
 //!
 //! ## Adding a workload (~20 lines)
 //!
-//! Write a `fn my_workload(cfg: &MeasureConfig) -> Result<Sample, PerfError>`
+//! Write a `fn my_workload(cfg: &MeasureConfig) -> Result<Sample, String>`
 //! in the right `workloads` family module that builds its fixture (sized
 //! down when `cfg.smoke` is set), calls [`measure::measure`] around the
 //! hot operation, and returns the sample with any extra scalars attached.
@@ -59,4 +59,4 @@ pub mod workloads;
 pub use diff::{diff_dirs, diff_result, DiffReport, DiffRow};
 pub use measure::{env_stamp, measure, EnvStamp, MeasureConfig, Sample};
 pub use registry::{glob_match, registry, select, Workload};
-pub use result::{BenchResult, PerfError, SCHEMA_V2};
+pub use result::{BenchResult, SCHEMA_V2};

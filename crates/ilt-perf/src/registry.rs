@@ -6,7 +6,6 @@
 //! `runtime_*`), so `ilt bench run 'fft_*'` measures one.
 
 use crate::measure::{MeasureConfig, Sample};
-use crate::result::PerfError;
 use crate::workloads;
 
 /// One benchmark in the registry.
@@ -25,7 +24,7 @@ pub struct Workload {
     /// Runs the workload: builds fixtures (sized down in smoke mode),
     /// measures the hot operation, self-checks where a reference path
     /// exists, and returns the sample.
-    pub run: fn(&MeasureConfig) -> Result<Sample, PerfError>,
+    pub run: fn(&MeasureConfig) -> Result<Sample, String>,
 }
 
 /// Every workload the barometer ships: one or more per compute layer, from

@@ -1,11 +1,9 @@
 //! The `ilt-bench/v2` result schema: one JSON document per workload,
 //! written by hand and read back through the workspace's shared
-//! `ilt_runtime::json` codec (hermetic — no serde), with typed load errors
-//! so the diff gate can tell a torn baseline from a schema bump from a
-//! genuine regression.
+//! `ilt_runtime::json` codec (hermetic — no serde), with load errors that
+//! name the file and the cause, so a torn baseline, a schema bump and a
+//! genuine regression read differently.
 
-use std::error::Error;
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 use ilt_runtime::json::{self, Value};
@@ -16,102 +14,6 @@ use crate::registry::Workload;
 
 /// Schema identifier written to and required from every v2 result file.
 pub const SCHEMA_V2: &str = "ilt-bench/v2";
-
-/// Everything `ilt bench diff` can get wrong while loading or comparing
-/// results, as a typed error (not a silent pass, not a panic).
-#[derive(Debug)]
-pub enum PerfError {
-    /// A result file could not be read or written.
-    Io {
-        /// The file involved.
-        path: PathBuf,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// A result file exists but is not a well-formed v2 document (torn
-    /// write, truncation, hand-edit gone wrong…).
-    Malformed {
-        /// The file involved.
-        path: PathBuf,
-        /// What the parser objected to.
-        detail: String,
-    },
-    /// A result file declares a schema other than [`SCHEMA_V2`].
-    SchemaMismatch {
-        /// The file involved.
-        path: PathBuf,
-        /// The schema string the file declares.
-        found: String,
-    },
-    /// A result recorded in smoke mode reached the diff gate; smoke
-    /// numbers come from tiny fixtures and must never gate anything.
-    SmokeResult {
-        /// The file involved.
-        path: PathBuf,
-    },
-    /// A fresh result has no checked-in baseline to compare against.
-    MissingBaseline {
-        /// The workload lacking a baseline.
-        workload: String,
-        /// Where the baseline was expected.
-        path: PathBuf,
-    },
-    /// A workload's own setup or self-check failed (e.g. a fast path
-    /// diverged from its reference output).
-    Workload {
-        /// The workload that failed.
-        workload: String,
-        /// What went wrong.
-        detail: String,
-    },
-}
-
-impl PerfError {
-    /// Shorthand for a [`PerfError::Workload`].
-    pub fn workload(name: &str, detail: impl Into<String>) -> PerfError {
-        PerfError::Workload { workload: name.to_string(), detail: detail.into() }
-    }
-}
-
-impl fmt::Display for PerfError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PerfError::Io { path, source } => {
-                write!(f, "{}: {source}", path.display())
-            }
-            PerfError::Malformed { path, detail } => {
-                write!(f, "{}: malformed bench result: {detail}", path.display())
-            }
-            PerfError::SchemaMismatch { path, found } => write!(
-                f,
-                "{}: schema {found:?} is not {SCHEMA_V2:?} — regenerate with `ilt bench run`",
-                path.display()
-            ),
-            PerfError::SmokeResult { path } => write!(
-                f,
-                "{}: recorded in smoke mode; smoke numbers never gate — rerun without --smoke",
-                path.display()
-            ),
-            PerfError::MissingBaseline { workload, path } => write!(
-                f,
-                "{workload}: no baseline at {} — check one in with `ilt bench run {workload} --out <baseline dir>`",
-                path.display()
-            ),
-            PerfError::Workload { workload, detail } => {
-                write!(f, "workload {workload}: {detail}")
-            }
-        }
-    }
-}
-
-impl Error for PerfError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            PerfError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
 
 /// One workload's measurement in the `ilt-bench/v2` schema.
 #[derive(Clone, Debug, PartialEq)]
@@ -188,15 +90,22 @@ impl BenchResult {
     }
 
     /// Parses a v2 JSON document. `path` is only used to label errors.
-    pub fn from_json(text: &str, path: &Path) -> Result<BenchResult, PerfError> {
-        let malformed = |detail: String| PerfError::Malformed { path: path.to_path_buf(), detail };
+    ///
+    /// # Errors
+    ///
+    /// `<path>: malformed bench result: ..` for a document that does not
+    /// parse or lacks a field, `<path>: schema ".." is not "ilt-bench/v2"
+    /// ..` for another schema.
+    pub fn from_json(text: &str, path: &Path) -> Result<BenchResult, String> {
+        let malformed =
+            |detail: String| format!("{}: malformed bench result: {detail}", path.display());
         let doc = json::parse(text).map_err(malformed)?;
         let schema = doc.field_str("schema").map_err(malformed)?;
         if schema != SCHEMA_V2 {
-            return Err(PerfError::SchemaMismatch {
-                path: path.to_path_buf(),
-                found: schema.to_string(),
-            });
+            return Err(format!(
+                "{}: schema {schema:?} is not {SCHEMA_V2:?} — regenerate with `ilt bench run`",
+                path.display()
+            ));
         }
         Self::from_doc(&doc).map_err(malformed)
     }
@@ -231,17 +140,16 @@ impl BenchResult {
     }
 
     /// Loads `BENCH_<workload>.json` content from `path`.
-    pub fn load(path: &Path) -> Result<BenchResult, PerfError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|source| PerfError::Io { path: path.to_path_buf(), source })?;
+    pub fn load(path: &Path) -> Result<BenchResult, String> {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         BenchResult::from_json(&text, path)
     }
 
     /// Writes this result to `dir/BENCH_<workload>.json`.
-    pub fn write(&self, dir: &Path) -> Result<PathBuf, PerfError> {
+    pub fn write(&self, dir: &Path) -> Result<PathBuf, String> {
         let path = dir.join(BenchResult::file_name(&self.workload));
-        std::fs::write(&path, self.to_json())
-            .map_err(|source| PerfError::Io { path: path.clone(), source })?;
+        std::fs::write(&path, self.to_json()).map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(path)
     }
 }
@@ -276,30 +184,21 @@ mod tests {
     #[test]
     fn v1_schema_is_surfaced_not_silently_passed() {
         let v1 = r#"{"schema": "ilt-bench-fft/v1", "p": 25, "reps": 5, "extra": {}}"#;
-        match BenchResult::from_json(v1, Path::new("BENCH_fft.json")) {
-            Err(PerfError::SchemaMismatch { found, .. }) => {
-                assert_eq!(found, "ilt-bench-fft/v1");
-            }
-            other => panic!("expected SchemaMismatch, got {other:?}"),
-        }
+        let err = BenchResult::from_json(v1, Path::new("BENCH_fft.json")).expect_err("v1");
+        assert!(err.starts_with("BENCH_fft.json: schema \"ilt-bench-fft/v1\" is not"), "{err}");
     }
 
     #[test]
     fn unparseable_and_mistyped_documents_are_typed_malformed() {
         // What the parser itself rejects is pinned in ilt_runtime::json's
         // table; here: every such failure, and every schema-level one,
-        // surfaces as `Malformed` (not a panic, not a silent pass).
+        // surfaces as malformed (not a panic, not a silent pass).
         let json = sample_result().to_json();
         let torn = &json[..json.len() / 2];
         let mistyped = json.replace("\"reps\": 5", "\"reps\": 5.5");
         for bad in [torn, "", "[1,2]", "{\"a\": 1} trailing", &mistyped] {
-            assert!(
-                matches!(
-                    BenchResult::from_json(bad, Path::new("bad.json")),
-                    Err(PerfError::Malformed { .. })
-                ),
-                "{bad:?} should be malformed"
-            );
+            let err = BenchResult::from_json(bad, Path::new("bad.json")).expect_err(bad);
+            assert!(err.starts_with("bad.json: malformed bench result: "), "{bad:?}: {err}");
         }
     }
 }

@@ -276,7 +276,7 @@ impl Method {
         let timer = TurnaroundTimer::start();
         let mask = match self {
             Method::Conventional => {
-                ConventionalIlt::with_region(sim.clone(), region).run(target, run.budget(40)).mask
+                ConventionalIlt::new(sim.clone(), region).run(target, run.budget(40)).mask
             }
             Method::LevelSet => {
                 let cfg = LevelSetConfig { region, ..LevelSetConfig::default() };

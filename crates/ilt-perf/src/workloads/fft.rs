@@ -14,7 +14,6 @@ use ilt_fft::{crop_centered, pad_centered_into, Complex64, Fft2d, Fft2dScratch};
 use ilt_layouts::Xorshift64Star;
 
 use crate::measure::{measure, MeasureConfig, Sample};
-use crate::result::PerfError;
 
 use super::noise;
 
@@ -40,13 +39,13 @@ fn check_agreement(
     workload: &str,
     want_name: &str,
     n: usize,
-) -> Result<(), PerfError> {
+) -> Result<(), String> {
     let scale = want.iter().map(|z| z.abs()).fold(1.0, f64::max);
     let worst = got.iter().zip(want).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
     if worst > 1e-12 * scale {
-        return Err(PerfError::workload(
-            workload,
-            format!("diverged from {want_name} at N={n}: |diff| {worst:e} vs scale {scale:e}"),
+        return Err(format!(
+            "workload {workload}: diverged from {want_name} at N={n}: |diff| {worst:e} vs scale \
+             {scale:e}"
         ));
     }
     Ok(())
@@ -57,7 +56,7 @@ fn check_agreement(
 /// `P = 57` onto the `Q = 128` sample grid — the only shape the simulator
 /// runs it at, one sweep per focus state of a fused step. The last field is
 /// cross-checked against the dense pad-then-invert reference.
-pub fn pruned_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
+pub fn pruned_inverse(cfg: &MeasureConfig) -> Result<Sample, String> {
     let (q, p, k) = if cfg.smoke { (32, 9, 2) } else { (128, 57, 10) };
     let fft = Fft2d::new(q, q);
     let mut scratch = Fft2dScratch::new();
@@ -82,7 +81,7 @@ pub fn pruned_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
 /// `(2P - 1)^2 = 113^2` band of an intensity interpolated to the `N = 1024`
 /// mask grid — one per corner image of a high-resolution step. Cross-checked
 /// against the real part of the complex pruned inverse.
-pub fn pruned_real_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
+pub fn pruned_real_inverse(cfg: &MeasureConfig) -> Result<Sample, String> {
     let (n, band) = if cfg.smoke { (64, 9) } else { (1024, 113) };
     let fft = Fft2d::new(n, n);
     let mut scratch = Fft2dScratch::new();
@@ -107,7 +106,7 @@ pub fn pruned_real_inverse(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
 /// column-transformed — one per corner of a high-resolution step.
 /// Cross-checked against the dense complex forward followed by a centered
 /// crop.
-pub fn pruned_forward(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
+pub fn pruned_forward(cfg: &MeasureConfig) -> Result<Sample, String> {
     let (n, p) = if cfg.smoke { (64, 9) } else { (1024, 113) };
     let fft = Fft2d::new(n, n);
     let mut scratch = Fft2dScratch::new();

@@ -11,13 +11,12 @@ use ilt_layouts::iccad2013_case;
 use ilt_optics::{LithoSimulator, OpticsConfig};
 
 use crate::measure::{measure, MeasureConfig, Sample};
-use crate::result::PerfError;
 
 /// ICCAD case 1 at grid 1024, `s = 4`, 10 kernels (128 px, `s = 2`, 3
 /// kernels in smoke mode: the smallest grid whose half still holds the
 /// clip's `P = 57` block); the step starts from Algorithm 1's own initial
 /// mask, `AvgPool(Z_t, s)`.
-fn step(cfg: &MeasureConfig, kind: StageKind, name: &str) -> Result<Sample, PerfError> {
+fn step(cfg: &MeasureConfig, kind: StageKind, name: &str) -> Result<Sample, String> {
     let (grid, s, kernels) = if cfg.smoke { (128, 2, 3) } else { (1024, 4, 10) };
     let layout = iccad2013_case(1);
     let optics = OpticsConfig {
@@ -26,7 +25,7 @@ fn step(cfg: &MeasureConfig, kind: StageKind, name: &str) -> Result<Sample, Perf
         num_kernels: kernels,
         ..OpticsConfig::default()
     };
-    let sim = LithoSimulator::new(optics).map_err(|e| PerfError::workload(name, e))?;
+    let sim = LithoSimulator::new(optics).map_err(|e| format!("workload {name}: {e}"))?;
     let ilt = MultiLevelIlt::new(Arc::new(sim), IltConfig::default());
     let z_t_s = avg_pool_down(&layout.rasterize(grid), s);
 
@@ -40,12 +39,12 @@ fn step(cfg: &MeasureConfig, kind: StageKind, name: &str) -> Result<Sample, Perf
 }
 
 /// One low-resolution step: everything at `N/s` (Eq. 8).
-pub fn step_lo(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
+pub fn step_lo(cfg: &MeasureConfig) -> Result<Sample, String> {
     step(cfg, StageKind::LowRes, "core_step_lo")
 }
 
 /// One high-resolution step: mask and gradient at `N/s`, simulation at `N`
 /// (Eq. 3).
-pub fn step_hi(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
+pub fn step_hi(cfg: &MeasureConfig) -> Result<Sample, String> {
     step(cfg, StageKind::HighRes, "core_step_hi")
 }

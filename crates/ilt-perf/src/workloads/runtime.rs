@@ -7,7 +7,6 @@ use ilt_optics::OpticsConfig;
 use ilt_runtime::{planned_job_list, run_batch, BatchCase, BatchConfig, SeamPolicy, SimulatorCache};
 
 use crate::measure::{measure, MeasureConfig, Sample};
-use crate::result::PerfError;
 
 const NAME: &str = "runtime_tile_pipeline";
 
@@ -15,7 +14,7 @@ const NAME: &str = "runtime_tile_pipeline";
 /// multi-threaded pool. The simulator cache is shared across reps (as it
 /// is across jobs in production), so reps time the steady-state pipeline,
 /// not kernel construction.
-pub fn tile_pipeline(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
+pub fn tile_pipeline(cfg: &MeasureConfig) -> Result<Sample, String> {
     let (grid, tile, halo, threads, iters) =
         if cfg.smoke { (64, 64, 16, 1, 1) } else { (256, 128, 32, 2, 3) };
     let layout = via_pattern(7);
@@ -38,7 +37,7 @@ pub fn tile_pipeline(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
     };
     let cases = std::slice::from_ref(&case);
     let tiles = planned_job_list(cases, &config)
-        .map_err(|e| PerfError::workload(NAME, e))?
+        .map_err(|e| format!("workload {NAME}: {e}"))?
         .len();
 
     let cache = SimulatorCache::new();
@@ -56,7 +55,7 @@ pub fn tile_pipeline(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
         }
     });
     if let Some(detail) = failure {
-        return Err(PerfError::workload(NAME, detail));
+        return Err(format!("workload {NAME}: {detail}"));
     }
     Ok(sample
         .with_extra("grid", grid as f64)

@@ -7,13 +7,12 @@ use ilt_layouts::iccad2013_case;
 use ilt_optics::{LithoSimulator, OpticsConfig};
 
 use crate::measure::{measure, MeasureConfig, Sample};
-use crate::result::PerfError;
 
 /// One aerial image: `num_kernels` pruned inverse transforms plus the
 /// coherent sum — the cost of every forward simulation. The fixture is
 /// ICCAD case 1 at the serving grid (512 px, 10 kernels) in full mode, a
 /// 64 px clip with 3 kernels in smoke mode.
-pub fn aerial(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
+pub fn aerial(cfg: &MeasureConfig) -> Result<Sample, String> {
     let (grid, kernels) = if cfg.smoke { (64, 3) } else { (512, 10) };
     let layout = iccad2013_case(1);
     let mask = layout.rasterize(grid);
@@ -23,7 +22,7 @@ pub fn aerial(cfg: &MeasureConfig) -> Result<Sample, PerfError> {
         num_kernels: kernels,
         ..OpticsConfig::default()
     };
-    let sim = LithoSimulator::new(optics).map_err(|e| PerfError::workload("sim_aerial", e))?;
+    let sim = LithoSimulator::new(optics).map_err(|e| format!("workload sim_aerial: {e}"))?;
     let sample = measure(cfg, || {
         black_box(sim.aerial(&mask, false));
     });

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use ilt_perf::{registry, BenchResult, EnvStamp, MeasureConfig, PerfError, SCHEMA_V2};
+use ilt_perf::{registry, BenchResult, EnvStamp, MeasureConfig, SCHEMA_V2};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -60,7 +60,7 @@ fn smoke_results_never_gate() {
     result.write(&dir).expect("write");
     let err = ilt_perf::diff_dirs(&dir, &dir, &[])
         .expect_err("smoke results must be refused");
-    assert!(matches!(err, PerfError::SmokeResult { .. }), "got {err}");
+    assert!(err.contains("recorded in smoke mode"), "got {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -100,7 +100,7 @@ fn baseline_dir_without_file_is_a_hard_error() {
     result.write(&fresh).expect("write");
     let err = ilt_perf::diff_dirs(&baselines, &fresh, &[])
         .expect_err("missing baseline must error");
-    assert!(matches!(err, PerfError::MissingBaseline { .. }), "got {err}");
+    assert!(err.starts_with("fft_pruned_inverse: no baseline at "), "got {err}");
     assert!(!Path::new(&baselines).join("BENCH_fft_pruned_inverse.json").exists());
 
     // With a baseline on file the gate compares: the same number passes,

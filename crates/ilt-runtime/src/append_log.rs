@@ -76,11 +76,6 @@ impl AppendLog {
         self.lock().metadata().map_or(0, |m| m.len())
     }
 
-    /// True when the log holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Runs `install` — typically the atomic write of a snapshot that
     /// supersedes the log — and, when it succeeds, empties the log. Both
     /// happen under the append lock, so no record can land in between and
@@ -151,7 +146,7 @@ mod tests {
         let path = temp_log("basic");
         assert!(AppendLog::replay(&path, false).unwrap().records.is_empty(), "missing = empty");
         let log = AppendLog::open(&path).unwrap();
-        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
         log.append("{\"n\":1}").unwrap();
         log.append("{\"n\":2}").unwrap();
         assert_eq!(log.len(), 16);
@@ -164,7 +159,7 @@ mod tests {
         assert!(log.truncate_after(|| Err(io::Error::other("no"))).is_err());
         assert_eq!(log.len(), 16);
         log.truncate_after(|| Ok(())).unwrap();
-        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
         log.append("{\"n\":3}").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"{\"n\":3}\n");
         // Reopening an intact log continues it and knows its size.
@@ -210,7 +205,7 @@ mod tests {
         // A file that is nothing but a torn first line empties out.
         drop(log);
         std::fs::write(&path, "{\"kind\":\"run_hea").unwrap();
-        assert!(AppendLog::open(&path).unwrap().is_empty());
+        assert_eq!(AppendLog::open(&path).unwrap().len(), 0);
         assert_eq!(std::fs::read(&path).unwrap(), b"");
         let _ = std::fs::remove_file(&path);
     }

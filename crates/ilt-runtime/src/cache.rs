@@ -167,11 +167,6 @@ impl SimulatorCache {
         self.store.lock().expect("simulator cache lock poisoned").map.len()
     }
 
-    /// True when no configuration is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Requests served from an already-built simulator.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)

@@ -33,7 +33,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use ilt_core::IltConfig;
-use ilt_field::{parse_pgm, pgm_bytes};
+use ilt_field::{parse_pgm, pgm_bytes, Field2D};
 use ilt_optics::OpticsConfig;
 
 use crate::append_log::AppendLog;
@@ -165,6 +165,17 @@ pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()>
     Ok(())
 }
 
+/// The mask PGM `dir/name` re-binarized, when its bits hash to exactly
+/// `hash` — the record's claim; `None` for a missing, unreadable or
+/// corrupt file or one the record cannot vouch for. PGM stores one byte per
+/// pixel, so `1.0` round-trips as `255 * (1/255)` — not guaranteed to be
+/// the bit pattern of `1.0`; masks are binary by construction, so a
+/// threshold restores the exact field and its exact [`field_hash`].
+pub fn load_verified_mask(dir: &Path, name: &str, hash: u64) -> Option<Field2D> {
+    let mask = parse_pgm(&fs::read(dir.join(name)).ok()?).ok()?.threshold(0.5);
+    (field_hash(&mask) == hash).then_some(mask)
+}
+
 /// The live end of the write-ahead log: workers push each finished job
 /// through [`CheckpointSink::persist`], which makes the mask durable, then
 /// the WAL line, in that order.
@@ -290,17 +301,6 @@ pub fn load_wal(dir: &Path) -> Result<LoadedRun, String> {
     Ok(LoadedRun { fingerprint, jobs, records, dropped_trailing: replay.dropped_tail })
 }
 
-/// Loads a checkpointed mask and re-binarizes it. PGM stores one byte per
-/// pixel, so `1.0` round-trips as `255 * (1/255)` — not guaranteed to be
-/// the bit pattern of `1.0`; masks are binary by construction, so a
-/// threshold restores the exact field and its exact [`field_hash`].
-pub fn load_mask(dir: &Path, name: &str) -> Result<ilt_field::Field2D, String> {
-    let path = dir.join(name);
-    let bytes =
-        fs::read(&path).map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
-    Ok(parse_pgm(&bytes).map_err(|e| format!("{}: {e}", path.display()))?.threshold(0.5))
-}
-
 /// Turns a replayed record back into a pool output, but only when it is a
 /// *durable success*: status carries a mask, the mask file exists, and its
 /// bits hash to exactly what the record claims. Anything less returns
@@ -311,10 +311,7 @@ pub fn restore_output(dir: &Path, loaded: &LoadedRecord) -> Option<JobOutput> {
     }
     let name = loaded.ckpt.as_deref()?;
     let expected = loaded.record.metrics.as_ref()?.mask_hash;
-    let mask = load_mask(dir, name).ok()?;
-    if field_hash(&mask) != expected {
-        return None;
-    }
+    let mask = load_verified_mask(dir, name, expected)?;
     Some(JobOutput { record: loaded.record.clone(), mask: Some(mask) })
 }
 
@@ -488,8 +485,10 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let mask = Field2D::from_fn(16, 16, |r, c| f64::from(u8::from((r + c) % 3 == 0)));
         write_atomic(&dir, "job-0.pgm", &pgm_bytes(&mask, 0.0, 1.0)).unwrap();
-        let loaded = load_mask(&dir, "job-0.pgm").unwrap();
-        assert_eq!(field_hash(&loaded), field_hash(&mask), "binary masks round-trip bit-exact");
+        let loaded = load_verified_mask(&dir, "job-0.pgm", field_hash(&mask));
+        assert!(loaded.as_ref() == Some(&mask), "binary masks round-trip bit-exact");
+        assert!(load_verified_mask(&dir, "job-0.pgm", field_hash(&mask) ^ 1).is_none());
+        assert!(load_verified_mask(&dir, "job-1.pgm", field_hash(&mask)).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

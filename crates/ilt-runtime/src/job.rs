@@ -277,7 +277,7 @@ mod tests {
         let faults = FaultPlan::parse("build@0:1").unwrap();
         let err = own_recipe(&small_job(), 1, &cache, &faults).unwrap_err();
         assert!(err.starts_with("io:"), "{err}");
-        assert!(cache.is_empty(), "injected build error must not populate the cache");
+        assert_eq!(cache.len(), 0, "injected build error must not populate the cache");
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub use cache::SimulatorCache;
 pub use cancel::{CancelToken, Progress};
 pub use append_log::{AppendLog, Replay};
 pub use checkpoint::{
-    config_fingerprint, load_mask, load_wal, mask_file_name, parse_wal_record, restore_output,
-    write_atomic, CheckpointSink, LoadedRecord, LoadedRun, WAL_FILE,
+    config_fingerprint, load_verified_mask, load_wal, mask_file_name, parse_wal_record,
+    restore_output, write_atomic, CheckpointSink, LoadedRecord, LoadedRun, WAL_FILE,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use job::{evaluate_mask, run_attempt, IltJob, JobSuccess};

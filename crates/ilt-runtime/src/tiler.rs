@@ -102,11 +102,6 @@ impl TileGrid {
         Ok(TileGrid { field, tile, halo, per_side })
     }
 
-    /// Field side length in pixels.
-    pub fn field(&self) -> usize {
-        self.field
-    }
-
     /// Simulation window side length in pixels.
     pub fn tile(&self) -> usize {
         self.tile
@@ -120,11 +115,6 @@ impl TileGrid {
     /// Total number of tiles.
     pub fn len(&self) -> usize {
         self.per_side * self.per_side
-    }
-
-    /// True when the plan degenerates to a single tile.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// One axis of the placement: `(window0, core0, core_len)` for tile `i`.

@@ -220,11 +220,6 @@ impl<T> ClassQueues<T> {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    /// True when every class FIFO is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
-    }
-
     /// Queue depth per class, indexed like [`PriorityClass::ALL`].
     pub fn len_by_class(&self) -> [usize; 3] {
         [self.queues[0].len(), self.queues[1].len(), self.queues[2].len()]
@@ -270,7 +265,7 @@ mod tests {
             }
         }
         assert_eq!(seen_high, (16..28).collect::<Vec<_>>());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   and per-socket read/write timeouts ([`http`]).
 //! - **Job lifecycle**: `POST /v1/jobs` (benchmark case, via pattern, or
 //!   inline PGM target, with per-request tile/halo/iteration overrides) →
-//!   `GET /v1/jobs/{id}` (status, metrics, records, optional base64 mask)
+//!   `GET /v1/jobs/{id}` (status, metrics, records)
 //!   → `GET /v1/jobs/{id}/mask` (the mask as binary PGM, byte-identical to
 //!   `ilt batch` output for the same configuration).
 //! - **Live metrics**: `GET /metrics` in Prometheus text format — job
@@ -59,7 +59,7 @@ mod server;
 mod state;
 mod store;
 
-pub use http::{base64_encode, HttpError, Request, Response};
+pub use http::{HttpError, Request, Response};
 pub use ilt_cluster::params::{ExecPolicy, JobParams, JobSource};
 pub use admission::{Admission, ClassQueues, ClientUsage, PriorityClass};
 pub use metrics::{ClientCounters, Counter, FailureKinds, Gauges, Histogram, Metrics};

@@ -17,7 +17,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ilt_cluster::{is_label, ClusterConfig, Coordinator, ExecPolicy, JobParams};
-use ilt_field::pgm_bytes;
 use ilt_runtime::{
     assemble_batch, failure_kind, field_hash, json_escape, json_f64, planned_job_list, run_batch,
     BatchCase, BatchConfig, BatchOutcome, JobStatus, SimulatorCache,
@@ -410,12 +409,9 @@ fn route(shared: &Shared, req: &Request) -> Response {
         ("GET", ["v1", "jobs"]) => Response::json(200, shared.store.render_list()),
         (_, ["v1", "jobs"]) => method_not_allowed("GET, POST"),
 
-        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| {
-            let base64 = req.query_param("mask") == Some("base64");
-            match shared.store.render_detail(id, base64) {
-                Some(body) => Response::json(200, body),
-                None => Response::error(404, &format!("no job {id}")),
-            }
+        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| match shared.store.render_detail(id) {
+            Some(body) => Response::json(200, body),
+            None => Response::error(404, &format!("no job {id}")),
         }),
         ("DELETE", ["v1", "jobs", id]) => with_job_id(id, |id| cancel_job(shared, id)),
         (_, ["v1", "jobs", _]) => method_not_allowed("GET, DELETE"),
@@ -574,8 +570,8 @@ impl JobStore {
     }
 
     /// JSON detail object for `GET /v1/jobs/{id}`; `None` for unknown ids.
-    /// With `mask_base64` the finished mask is inlined as a base64 PGM.
-    pub fn render_detail(&self, id: usize, mask_base64: bool) -> Option<String> {
+    /// The mask itself is served by `GET /v1/jobs/{id}/mask`.
+    pub fn render_detail(&self, id: usize) -> Option<String> {
         let inner = self.lock();
         let entry = inner.jobs.get(&id)?;
         let mut s = render_summary(entry);
@@ -596,15 +592,6 @@ impl JobStore {
                     eval.epe_violations(),
                     eval.shots
                 ));
-            }
-            if mask_base64 {
-                if let Some(mask) = &done.mask {
-                    let pgm = pgm_bytes(mask, 0.0, 1.0);
-                    s.push_str(&format!(
-                        ",\"mask_pgm_base64\":\"{}\"",
-                        crate::http::base64_encode(&pgm)
-                    ));
-                }
             }
         }
         s.push('}');

@@ -24,7 +24,7 @@ use ilt_cluster::params::{ExecPolicy, JobParams, JobSource};
 use ilt_field::pgm_bytes;
 use ilt_runtime::json::Value;
 use ilt_runtime::{
-    field_hash, json_escape, json_f64, load_mask, mask_file_name, planned_jobs, write_atomic,
+    json_escape, json_f64, load_verified_mask, mask_file_name, planned_jobs, write_atomic,
     AppendLog,
 };
 
@@ -453,11 +453,8 @@ fn restore_finished(dir: &Path, fin: &Value) -> Option<(JobState, Option<String>
         return Some((JobState::Failed, Some(error), None));
     }
     // A success without a durable mask returns None here: re-run.
-    let mask = load_mask(dir, fin.field_str("mask").ok()?).ok()?;
-    let mask_hash = field_hash(&mask);
-    if mask_hash != fin.field_hex("mask_hash").ok()? {
-        return None;
-    }
+    let mask_hash = fin.field_hex("mask_hash").ok()?;
+    let mask = load_verified_mask(dir, fin.field_str("mask").ok()?, mask_hash)?;
     let tiles = fin.field_usize("tiles").ok()?;
     let failed_tiles = fin.field_usize("failed_tiles").ok()?;
     let error = (failed_tiles > 0)

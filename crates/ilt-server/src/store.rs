@@ -33,9 +33,7 @@ use std::time::{Duration, Instant};
 use ilt_cluster::params::{JobParams, JobSource};
 use ilt_field::{pgm_bytes, Field2D};
 use ilt_metrics::EvalReport;
-use ilt_runtime::{
-    field_hash, load_mask, mask_file_name, CancelToken, JobRecord, Progress,
-};
+use ilt_runtime::{load_verified_mask, mask_file_name, CancelToken, JobRecord, Progress};
 
 use crate::admission::{Admission, ClassQueues, ClientUsage, PriorityClass, Usage};
 use crate::state::{plan_tiles, StateLog};
@@ -222,13 +220,9 @@ pub struct JobStore {
 }
 
 impl JobStore {
-    /// An empty store admitting at most `queue_cap` waiting jobs, without
-    /// per-client quotas: [`JobStore::open`] with nothing to replay.
-    /// Admissions and outcomes are persisted to `state` when there is one.
-    pub fn new(queue_cap: usize, state: Option<StateLog>) -> Self {
-        Self::empty(queue_cap, 0, 0, state)
-    }
-
+    /// An empty store admitting at most `queue_cap` waiting jobs under the
+    /// per-client quotas (0 = unlimited), persisting to `state` when there
+    /// is one: [`JobStore::open`] with nothing to replay.
     pub(crate) fn empty(
         queue_cap: usize,
         quota_inflight: usize,
@@ -499,16 +493,6 @@ impl JobStore {
         self.lock().running
     }
 
-    /// Total jobs ever admitted.
-    pub fn len(&self) -> usize {
-        self.lock().jobs.len()
-    }
-
-    /// True when no job was ever admitted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The finished mask as PGM bytes, for `GET /v1/jobs/{id}/mask`.
     ///
     /// An evicted mask is *re-hydrated* when a state directory is
@@ -539,12 +523,9 @@ impl JobStore {
         };
         // Disk I/O and hashing run outside the lock; scrapes and submits
         // are never blocked on a re-hydration.
-        let Ok(loaded) = load_mask(&dir, &mask_file_name(id)) else {
+        let Some(loaded) = load_verified_mask(&dir, &mask_file_name(id), expected_hash) else {
             return MaskFetch::Gone;
         };
-        if field_hash(&loaded) != expected_hash {
-            return MaskFetch::Gone;
-        }
         let bytes = pgm_bytes(&loaded, 0.0, 1.0);
         let mut inner = self.lock();
         if let Some(done) = inner.jobs.get_mut(&id).and_then(|e| e.result.as_mut()) {
@@ -593,10 +574,15 @@ mod tests {
     use crate::http::Request;
     use crate::state::{RecoveryStats, SNAPSHOT_FILE};
     use crate::ExecPolicy;
-    use ilt_runtime::BatchCase;
+    use ilt_runtime::{field_hash, BatchCase};
     use std::path::PathBuf;
 
     /// A 64 px clip with one rectangle.
+    /// Jobs the table holds, every state.
+    fn jobs(store: &JobStore) -> usize {
+        store.lock().jobs.len()
+    }
+
     fn tiny_target() -> Field2D {
         Field2D::from_fn(64, 64, |r, c| {
             if (24..40).contains(&r) && (16..48).contains(&c) { 1.0 } else { 0.0 }
@@ -621,7 +607,7 @@ mod tests {
 
     #[test]
     fn queue_capacity_is_enforced() {
-        let store = JobStore::new(2, None);
+        let store = JobStore::empty(2, 0, 0, None);
         let p = tiny_params("a");
         assert_eq!(store.submit(&p, Admission::default()), Ok(0));
         assert_eq!(store.submit(&p, Admission::default()), Ok(1));
@@ -639,7 +625,7 @@ mod tests {
 
     #[test]
     fn an_inline_targets_raster_leaves_the_table_with_the_claim() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         store.submit(&tiny_params("claimed"), Admission::default()).unwrap();
         store.submit(&tiny_params("cancelled"), Admission::default()).unwrap();
         let kept = |id: usize| match &store.lock().jobs[&id].params {
@@ -663,7 +649,7 @@ mod tests {
 
     #[test]
     fn draining_refuses_submissions_but_serves_queue() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         let p = tiny_params("a");
         store.submit(&p, Admission::default()).unwrap();
         store.close();
@@ -676,7 +662,7 @@ mod tests {
 
     #[test]
     fn finish_transitions_states_and_renders() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         store.submit(&tiny_params("m1 \"quoted\""), Admission::default()).unwrap();
         let (id, p, ..) = store.take_next().unwrap();
         let mask = p.plan().unwrap().0.target.threshold(0.5);
@@ -691,10 +677,10 @@ mod tests {
             wall_ms: 12.0,
         };
         store.finish(id, Ok(done));
-        let detail = store.render_detail(0, false).unwrap();
+        let detail = store.render_detail(0).unwrap();
         assert!(detail.contains("\"state\":\"done\""), "{detail}");
         assert!(detail.contains("\\\"quoted\\\""), "escaping shared with the journal");
-        assert!(store.render_detail(99, false).is_none());
+        assert!(store.render_detail(99).is_none());
         match store.mask_pgm(0) {
             MaskFetch::Ready(bytes) => assert!(bytes.starts_with(b"P5\n64 64\n255\n")),
             _ => panic!("mask must be ready"),
@@ -705,7 +691,7 @@ mod tests {
 
     #[test]
     fn failed_tiles_mark_the_job_failed() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         store.submit(&tiny_params("a"), Admission::default()).unwrap();
         let (id, p, ..) = store.take_next().unwrap();
         let mask = p.plan().unwrap().0.target.threshold(0.5);
@@ -722,7 +708,7 @@ mod tests {
                 wall_ms: 1.0,
             }),
         );
-        let detail = store.render_detail(0, false).unwrap();
+        let detail = store.render_detail(0).unwrap();
         assert!(detail.contains("\"state\":\"failed\""));
         assert!(detail.contains("2 of 9 tile(s) failed"));
         // The degraded mask is still fetchable.
@@ -731,12 +717,12 @@ mod tests {
 
     #[test]
     fn abandon_queued_fails_leftovers() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         let p = tiny_params("a");
         store.submit(&p, Admission::default()).unwrap();
         store.close();
         store.abandon_queued();
-        let detail = store.render_detail(0, false).unwrap();
+        let detail = store.render_detail(0).unwrap();
         assert!(detail.contains("\"state\":\"failed\""));
         assert!(detail.contains("dropped at shutdown"));
         assert!(store.take_next().is_none());
@@ -834,7 +820,7 @@ mod tests {
 
     #[test]
     fn ttl_sweep_evicts_masks_but_keeps_metadata() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         let (p, c) = (tiny_params("a"), tiny_case("a"));
         store.submit(&p, Admission::default()).unwrap();
         let (id, ..) = store.take_next().unwrap();
@@ -846,17 +832,16 @@ mod tests {
         assert_eq!(store.sweep(Some(Duration::ZERO), usize::MAX), 1);
         assert!(matches!(store.mask_pgm(0), MaskFetch::Gone));
         // Metadata and hash survive; only the pixels are gone.
-        let detail = store.render_detail(0, true).unwrap();
+        let detail = store.render_detail(0).unwrap();
         assert!(detail.contains("\"mask_resident\":false"), "{detail}");
         assert!(detail.contains("\"mask_hash\""), "{detail}");
-        assert!(!detail.contains("mask_pgm_base64"), "{detail}");
         // Re-sweeping does not double-count.
         assert_eq!(store.sweep(Some(Duration::ZERO), usize::MAX), 0);
     }
 
     #[test]
     fn residency_cap_evicts_oldest_finished_first() {
-        let store = JobStore::new(8, None);
+        let store = JobStore::empty(8, 0, 0, None);
         let (p, c) = (tiny_params("a"), tiny_case("a"));
         for _ in 0..3 {
             store.submit(&p, Admission::default()).unwrap();
@@ -937,7 +922,7 @@ mod tests {
         let c = tiny_case("a");
         {
             let store =
-                JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
+                JobStore::empty(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3&name=done-job"),
                 &ExecPolicy::default(),
@@ -960,7 +945,7 @@ mod tests {
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
         // Job 0 came back finished, mask verified byte-identical.
-        let detail = store.render_detail(0, false).unwrap();
+        let detail = store.render_detail(0).unwrap();
         assert!(detail.contains("\"state\":\"done\""), "{detail}");
         assert!(detail.contains("done-job"), "{detail}");
         match store.mask_pgm(0) {
@@ -991,7 +976,7 @@ mod tests {
     fn torn_trailing_state_line_is_tolerated() {
         let dir = temp_dir("torn");
         {
-            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
+            let store = JobStore::empty(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3"),
                 &ExecPolicy::default(),
@@ -1009,7 +994,7 @@ mod tests {
         let (store, stats) =
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
-        assert_eq!(store.len(), 1, "the torn submission is simply forgotten");
+        assert_eq!(jobs(&store), 1, "the torn submission is simply forgotten");
 
         // Mid-file corruption, by contrast, refuses to recover.
         std::fs::write(&path, "{\"kind\":\"submit\",\"id\":garbage\nnot json either\n").unwrap();
@@ -1030,7 +1015,7 @@ mod tests {
         let dir = temp_dir("glue");
         let c = tiny_case("a");
         {
-            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
+            let store = JobStore::empty(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3"),
                 &ExecPolicy::default(),
@@ -1060,8 +1045,8 @@ mod tests {
         let (store, stats) =
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 0 });
-        assert_eq!(store.len(), 1, "no phantom job from a glued line");
-        assert!(store.render_detail(0, false).unwrap().contains("\"state\":\"done\""));
+        assert_eq!(jobs(&store), 1, "no phantom job from a glued line");
+        assert!(store.render_detail(0).unwrap().contains("\"state\":\"done\""));
         match store.mask_pgm(0) {
             MaskFetch::Ready(bytes) => assert!(bytes == expected, "restored mask differs"),
             _ => panic!("the finished job must come back with its mask"),
@@ -1071,13 +1056,13 @@ mod tests {
 
     #[test]
     fn cancel_queued_job_is_immediately_terminal() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         let p = tiny_params("a");
         store.submit(&p, Admission::default()).unwrap();
         store.submit(&p, Admission::default()).unwrap();
         assert_eq!(store.cancel(1), CancelOutcome::Cancelled);
         assert_eq!(store.queue_depth(), 1, "only job 0 remains queued");
-        let detail = store.render_detail(1, false).unwrap();
+        let detail = store.render_detail(1).unwrap();
         assert!(detail.contains("\"state\":\"cancelled\""), "{detail}");
         assert!(matches!(store.mask_pgm(1), MaskFetch::NotReady(JobState::Cancelled)));
         // Cancelling again (or a bogus id) reports what happened.
@@ -1093,7 +1078,7 @@ mod tests {
 
     #[test]
     fn cancel_running_job_sets_the_token_and_lands_cancelled() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         let p = tiny_params("a");
         store.submit(&p, Admission::default()).unwrap();
         let (id, _, cancel, _) = store.take_next().unwrap();
@@ -1103,7 +1088,7 @@ mod tests {
         // The worker observes the token at a tile boundary and reports in.
         store.finish_cancelled(id);
         assert_eq!(store.running(), 0);
-        let detail = store.render_detail(id, false).unwrap();
+        let detail = store.render_detail(id).unwrap();
         assert!(detail.contains("\"state\":\"cancelled\""), "{detail}");
         assert_eq!(
             store.cancel(id),
@@ -1113,10 +1098,10 @@ mod tests {
 
     #[test]
     fn progress_counters_render_for_live_jobs_only() {
-        let store = JobStore::new(4, None);
+        let store = JobStore::empty(4, 0, 0, None);
         let p = JobParams { tile: 32, halo: 8, ..tiny_params("p") };
         store.submit(&p, Admission::default()).unwrap();
-        let detail = store.render_detail(0, false).unwrap();
+        let detail = store.render_detail(0).unwrap();
         assert!(detail.contains("\"tiles_done\":0"), "{detail}");
         assert!(
             detail.contains("\"tiles_planned\":16"),
@@ -1125,10 +1110,10 @@ mod tests {
         let (id, _, _, progress) = store.take_next().unwrap();
         progress.tick();
         progress.tick();
-        let detail = store.render_detail(id, false).unwrap();
+        let detail = store.render_detail(id).unwrap();
         assert!(detail.contains("\"tiles_done\":2"), "{detail}");
         store.finish(id, Ok(done_for(&tiny_case("p"), 4)));
-        let detail = store.render_detail(id, false).unwrap();
+        let detail = store.render_detail(id).unwrap();
         assert!(!detail.contains("tiles_done"), "terminal jobs report tiles, not progress: {detail}");
         assert!(detail.contains("\"tiles\":4"), "{detail}");
     }
@@ -1137,7 +1122,7 @@ mod tests {
     fn cancelled_job_survives_restart_as_cancelled() {
         let dir = temp_dir("cancel-restart");
         {
-            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
+            let store = JobStore::empty(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()));
             let params = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3&name=doomed"),
                 &ExecPolicy::default(),
@@ -1150,7 +1135,7 @@ mod tests {
         let (store, stats) =
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
-        let detail = store.render_detail(0, false).unwrap();
+        let detail = store.render_detail(0).unwrap();
         assert!(detail.contains("\"state\":\"cancelled\""), "never re-runs: {detail}");
         assert_eq!(store.queue_depth(), 1, "only the uncancelled job is requeued");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1170,7 +1155,7 @@ mod tests {
         {
             // Threshold 1 byte: every terminal transition compacts.
             let state = StateLog::open(&dir, 1).unwrap();
-            let store = JobStore::new(8, Some(state));
+            let store = JobStore::empty(8, 0, 0, Some(state));
             for name in ["keeper", "doomed", "pending"] {
                 store
                     .submit(&params(name), Admission::default())
@@ -1199,7 +1184,7 @@ mod tests {
             _ => panic!("compacted mask must recover"),
         }
         // The cancelled id is gone for good; ids never recycle.
-        assert!(store.render_detail(1, false).is_none());
+        assert!(store.render_detail(1).is_none());
         assert_eq!(store.submit(&tiny_params("next"), Admission::default()), Ok(3));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1219,7 +1204,7 @@ mod tests {
 
         // Threshold 1 byte: every terminal transition compacts + sweeps.
         let state = StateLog::open(&dir, 1).unwrap();
-        let store = JobStore::new(8, Some(state));
+        let store = JobStore::empty(8, 0, 0, Some(state));
         submit(&store, "done-a");
         submit(&store, "doomed");
         submit(&store, "done-b");
@@ -1256,7 +1241,7 @@ mod tests {
         // byte-identically.
         let (store, _) =
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
-        assert!(store.render_detail(0, false).is_none(), "GCed id answers 404");
+        assert!(store.render_detail(0).is_none(), "GCed id answers 404");
         assert!(matches!(store.mask_pgm(2), MaskFetch::Ready(_)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1275,7 +1260,7 @@ mod tests {
         .unwrap();
         let pre_compaction_log;
         {
-            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
+            let store = JobStore::empty(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()));
             store.submit(&params, Admission::default()).unwrap();
             store.submit(&params, Admission::default()).unwrap();
             let (id, ..) = store.take_next().unwrap();
@@ -1293,7 +1278,7 @@ mod tests {
         let (store, stats) =
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert_eq!(stats, RecoveryStats { restored: 1, requeued: 1 });
-        assert_eq!(store.len(), 2, "no duplicates from replaying both files");
+        assert_eq!(jobs(&store), 2, "no duplicates from replaying both files");
         assert!(matches!(store.mask_pgm(0), MaskFetch::Ready(_)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1307,7 +1292,7 @@ mod tests {
         let dir = temp_dir("state-fuzz");
         let c = tiny_case("a");
         {
-            let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
+            let store = JobStore::empty(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()));
             for i in 0..4 {
                 let params = JobParams::from_request(
                     &request_with_query(&format!("case=case1&grid=64&kernels=3&name=f{i}")),
@@ -1343,14 +1328,14 @@ mod tests {
                 .filter(|l| l.starts_with(b"{\"kind\":\"submit\"") && l.ends_with(b"}"))
                 .count();
             assert!(
-                store.len() >= intact_submits && store.len() <= submit_starts,
+                jobs(&store) >= intact_submits && jobs(&store) <= submit_starts,
                 "round {round}: cut {cut}: {} jobs from {intact_submits}..={submit_starts} submits",
-                store.len()
+                jobs(&store)
             );
             // Reopen-and-append after the tear: the next record lands on
             // its own line, so every line parses and a second recovery sees
             // exactly the same jobs plus the new one.
-            let jobs = store.len();
+            let before = jobs(&store);
             let late = JobParams::from_request(
                 &request_with_query("case=case1&grid=64&kernels=3&name=late"),
                 &ExecPolicy::default(),
@@ -1367,13 +1352,13 @@ mod tests {
             let (again, _) =
                 JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default())
                     .unwrap_or_else(|e| panic!("round {round}: cut {cut}: second recovery: {e}"));
-            assert_eq!(again.len(), jobs + 1, "round {round}: cut {cut}: phantom or lost job");
+            assert_eq!(jobs(&again), before + 1, "round {round}: cut {cut}: phantom or lost job");
         }
         // The undamaged log still replays everything.
         std::fs::write(&path, &healthy).unwrap();
         let (store, _) =
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
-        assert_eq!(store.len(), 4);
+        assert_eq!(jobs(&store), 4);
         assert!(full_lines >= 7, "submits + finishes + cancel all logged");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -61,7 +61,8 @@ fn allow_inject() -> ExecPolicy {
 #[test]
 fn state_log_and_snapshot_equal_the_parent_binarys() {
     let dir = util::temp_dir("byte_identity_state");
-    let store = JobStore::new(8, Some(StateLog::open(&dir, 1).unwrap()));
+    let state = StateLog::open(&dir, 1).unwrap();
+    let (store, _) = JobStore::open(8, 0, 0, Some(state), &ExecPolicy::default()).unwrap();
     for (i, (query, client, class)) in SUBMISSIONS.into_iter().enumerate() {
         // Through the real request parser, as `POST /v1/jobs` decodes it.
         let body = body_of(i);

@@ -221,7 +221,7 @@ fn seeded_fuzz_admission_accounting_never_leaks() {
 /// reconcile to zero even for cancels that raced completion.
 #[test]
 fn concurrent_cancel_races_reconcile_at_drain() {
-    let store = Arc::new(JobStore::new(64, None));
+    let store = Arc::new(JobStore::open(64, 0, 0, None, &ExecPolicy::default()).unwrap().0);
     let params = fast_work();
 
     let workers: Vec<_> = (0..2)

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use ilt_runtime::{run_batch, SimulatorCache};
 use ilt_server::http::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
-use ilt_server::{base64_encode, ServerConfig};
+use ilt_server::ServerConfig;
 use util::{
     delete, exchange, fast_params, get, post, shutdown, start, tiny_pgm, tiny_target, FAST_JOB,
 };
@@ -175,16 +175,6 @@ fn end_to_end_round_trip_matches_the_batch_engine_bit_for_bit() {
     assert_eq!(reply.status, 200);
     assert_eq!(reply.header("content-type"), Some("image/x-portable-graymap"));
     assert_eq!(reply.body, expected_pgm, "served mask differs from batch output");
-
-    // The base64 view inlines exactly the same bytes.
-    let reply = get(addr, "/v1/jobs/0?mask=base64");
-    assert_eq!(reply.status, 200);
-    assert!(
-        reply
-            .text()
-            .contains(&format!("\"mask_pgm_base64\":\"{}\"", base64_encode(&expected_pgm))),
-        "base64 mask mismatch"
-    );
 
     // Listing shows the finished job; metrics agree with one accepted,
     // one completed, zero failed.

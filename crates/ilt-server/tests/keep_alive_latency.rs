@@ -28,7 +28,8 @@ fn median_round_trip(addr: SocketAddr, path: &str, min_body: usize, exchanges: u
     let mut trips: Vec<Duration> = (0..exchanges)
         .map(|i| {
             let sent = Instant::now();
-            let reply = conn.request("GET", path, b"").expect("keep-alive exchange");
+            conn.send("GET", path, &[], b"", false).expect("keep-alive request");
+            let reply = conn.read_reply().expect("keep-alive reply");
             let trip = sent.elapsed();
             assert_eq!(reply.status, 200, "{path} #{i}: {}", reply.text());
             assert_eq!(reply.header("connection"), Some("keep-alive"), "{path} #{i}");

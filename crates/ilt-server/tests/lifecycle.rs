@@ -259,7 +259,8 @@ fn a_keep_alive_connection_serves_the_request_cap_then_closes() {
 
     let mut conn = Conn::open(addr);
     for served in 1..=CAP {
-        let reply = conn.request("GET", "/healthz", b"").expect("keep-alive request");
+        conn.send("GET", "/healthz", &[], b"", false).expect("keep-alive request");
+        let reply = conn.read_reply().expect("keep-alive reply");
         assert_eq!(reply.status, 200);
         assert_eq!(reply.text(), "ok\n");
         let want = if served < CAP { "keep-alive" } else { "close" };
@@ -314,7 +315,8 @@ fn an_idle_keep_alive_connection_is_closed_at_the_idle_timeout() {
     });
 
     let mut conn = Conn::open(addr);
-    let reply = conn.request("GET", "/healthz", b"").expect("first request");
+    conn.send("GET", "/healthz", &[], b"", false).expect("first request");
+    let reply = conn.read_reply().expect("first reply");
     assert_eq!(reply.header("connection"), Some("keep-alive"));
 
     // Sit idle; the server must hang up on its own, promptly.

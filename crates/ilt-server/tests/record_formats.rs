@@ -59,7 +59,8 @@ fn inline_target() -> Vec<u8> {
 /// Drives the store through every record kind; returns the state dir.
 fn write_all_kinds(tag: &str) -> PathBuf {
     let dir = temp_dir(tag);
-    let store = JobStore::new(8, Some(StateLog::open(&dir, 0).unwrap()));
+    let state = StateLog::open(&dir, 0).unwrap();
+    let (store, _) = JobStore::open(8, 0, 0, Some(state), &ExecPolicy::default()).unwrap();
     let submit = |query: &str, body: Vec<u8>, client: &str, class| {
         let admission = Admission { client: client.into(), class };
         store.submit(&params(query, body), admission).unwrap()
@@ -154,7 +155,7 @@ fn golden_lines_recover_to_the_jobs_they_describe() {
         )
     );
     assert!(store
-        .render_detail(0, false)
+        .render_detail(0)
         .unwrap()
         .contains(r#""mask_hash":"1b66b7ee066af098","wall_ms":5.5"#));
 
@@ -166,7 +167,7 @@ fn golden_lines_recover_to_the_jobs_they_describe() {
     let (store, stats) =
         JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 2, requeued: 0 });
-    assert!(store.render_detail(2, false).is_none());
+    assert!(store.render_detail(2).is_none());
     let p = params(&format!("via=9&name=next&{QUERY}"), Vec::new());
     let next = store.submit(&p, Admission::default());
     assert_eq!(next, Ok(3), "ids continue past the floor");
@@ -182,7 +183,7 @@ fn pre_multi_tenant_submit_replays_under_the_default_admission() {
     let (store, stats) =
         JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
     assert_eq!(stats, RecoveryStats { restored: 0, requeued: 1 });
-    let detail = store.render_detail(0, false).unwrap();
+    let detail = store.render_detail(0).unwrap();
     assert!(
         detail.contains(r#""name":"old","client":"anonymous","class":"normal","state":"queued""#),
         "{detail}"

@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Conventional single-level pixel ILT (T_R = 0, no smoothing).
     let timer = TurnaroundTimer::start();
-    let conventional = ConventionalIlt::new(sim.clone()).run(&target, 30);
+    let conventional =
+        ConventionalIlt::new(sim.clone(), OptimizeRegion::option2_default()).run(&target, 30);
     let conv_report = evaluate(&conventional.mask, timer.elapsed());
     println!("conventional ILT : {conv_report}");
 

@@ -120,7 +120,8 @@ fn baselines_and_ours_run_on_the_same_engine() {
 
     let ours = MultiLevelIlt::new(sim.clone(), IltConfig::default())
         .run(&target, &[Stage::low_res(2, 8)]);
-    let conv = ConventionalIlt::new(sim.clone()).run(&target, 8);
+    let conv =
+        ConventionalIlt::new(sim.clone(), OptimizeRegion::option2_default()).run(&target, 8);
     let ls = LevelSetIlt::new(
         sim.clone(),
         LevelSetConfig { scale: 2, ..LevelSetConfig::default() },

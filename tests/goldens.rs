@@ -130,7 +130,9 @@ fn our_exact_schedule_reproduces_its_goldens() {
 fn conventional_and_level_set_baselines_reproduce_their_goldens() {
     let sim = paper_scale_sim();
     let target = iccad2013_case(1).rasterize(GRID);
-    let conventional = ConventionalIlt::new(sim.clone()).run(&target, 10).mask;
+    let conventional = ConventionalIlt::new(sim.clone(), OptimizeRegion::option2_default())
+        .run(&target, 10)
+        .mask;
     assert_eq!(
         measure(&sim, &target, &conventional),
         (40704, 24896, 31, 0xb00b_74f4_c087_4b18),

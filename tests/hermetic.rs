@@ -4,7 +4,7 @@
 //! next registry crate or `exclude`d directory fails here, not on a
 //! disconnected machine.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn read(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
@@ -37,27 +37,32 @@ fn barometer_links_neither_service_crate() {
     }
 }
 
-/// Every `.rs` file under `src/` and `crates/*/src/`, with the part of it
-/// that ships: the lines before its first top-level `#[cfg(test)]`.
-fn shipped_sources() -> Vec<(std::path::PathBuf, String)> {
-    fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
-            let path = entry.expect("directory entry").path();
-            if path.is_dir() {
-                rust_files(&path, out);
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
-                out.push(path);
-            }
+/// Every file under `dir`, outside any `target` directory.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if !path.is_dir() {
+            files.push(path);
+        } else if !path.ends_with("target") {
+            files.extend(files_under(&path));
         }
     }
+    files
+}
+
+/// Every `.rs` file under `src/` and `crates/*/src/`, with the part of it
+/// that ships: the lines before its first top-level `#[cfg(test)]`.
+fn shipped_sources() -> Vec<(PathBuf, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_files(&root.join("src"), &mut files);
+    let mut files = files_under(&root.join("src"));
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
-        rust_files(&krate.expect("crate directory").path().join("src"), &mut files);
+        files.extend(files_under(&krate.expect("crate directory").path().join("src")));
     }
+    files.sort();
     files
         .into_iter()
+        .filter(|file| file.extension().is_some_and(|ext| ext == "rs"))
         .map(|file| {
             let text = std::fs::read_to_string(&file).expect("readable source");
             let shipped: Vec<&str> =
@@ -107,15 +112,16 @@ fn no_workspace_manifest_declares_features() {
     }
 }
 
-/// What ships under `src/` for tests' sake: every `pub` / `pub(crate)`
-/// function no `ilt` command and no `benchmark/` workload reaches, with the
-/// reference, oracle, probe or fixture role that keeps it. A convenience a
-/// test can do without (a shortcut over a shipped entry point, a builder
-/// that bypasses a grammar users type, a one-line predicate) does not
-/// qualify: the test drives the shipped entry point instead. A function
-/// leaves this list by gaining a shipped caller or by being deleted with
-/// its tests; one joins it only with a reason a reviewer can check, and
-/// only by raising [`TOOLING_CEILING`] in the same change.
+/// What ships under `src/` for tests' sake: every `pub` / `pub(crate)` fn
+/// or const no `ilt` command and no `benchmark/` workload reaches, by name,
+/// with the reference, oracle, probe or fixture role that keeps it. A
+/// convenience a test can do without (a shortcut over a shipped entry
+/// point, a builder that bypasses a grammar users type, a one-line
+/// predicate or accessor) does not qualify: the test drives the shipped
+/// entry point instead. An item leaves this list by gaining a shipped use
+/// or by being deleted with its tests; one joins it only with a reason a
+/// reviewer can check, and only by raising [`TOOLING_CEILING`] in the same
+/// change.
 const TEST_TOOLING: &[(&str, &str)] = &[
     // ilt-fft: the references the fast paths are pinned to.
     ("process_scalar", "FftPlan's scalar reference: crates/ilt-fft/tests/kernel_guard.rs holds `process` to it bit for bit, row and panel"),
@@ -150,7 +156,7 @@ const TOOLING_CEILING: usize = 20;
 
 /// [`shipped_sources`] plus `benchmark/src/*.rs` whole: the code an `ilt`
 /// command or a benchmark workload can reach. The flag says which.
-fn reachable_sources() -> Vec<(std::path::PathBuf, String, bool)> {
+fn reachable_sources() -> Vec<(PathBuf, String, bool)> {
     let mut sources: Vec<_> =
         shipped_sources().into_iter().map(|(file, text)| (file, text, true)).collect();
     let benchmark = Path::new(env!("CARGO_MANIFEST_DIR")).join("benchmark/src");
@@ -178,84 +184,109 @@ fn idents(text: &str) -> impl Iterator<Item = (usize, &str)> {
 
 /// A line ships only if an `ilt` command or `benchmark/` reaches it, or a
 /// test needs it as the reference / tooling it checks shipped code with.
-/// Checked by name: every `pub` / `pub(crate)` function declared in
-/// [`shipped_sources`] must be **used** in shipped code or in
-/// `benchmark/src/*.rs` — called (`name(`, `name::<`) or named as the last
-/// segment of a path (`::name`, a function handed over as a value) outside
-/// comments and `pub use` — or be on [`TEST_TOOLING`], which in turn may
-/// list nothing that has a caller or no longer exists. A field, a parameter
-/// or a local of the same name is not a use; nor is a path into `std` /
-/// `core` (`std::env::temp_dir()`), nor a method or unqualified call in
-/// `benchmark/src` of a name `benchmark/src` declares itself
-/// (`cfg.temp_dir(..)` calls its own `RunConfig::temp_dir`).
+/// Checked by the compiler, which resolves every name: a copy of the tree
+/// under `target/shipped-probe/tree` marks every `pub` / `pub(crate)` fn and
+/// const in [`shipped_sources`] `#[deprecated(note = "probe#N")]` (and lets
+/// each `pub use` re-export them), and `cargo check` of the workspace's libs
+/// and bins and of `benchmark/` warns once per use. An item no warning names
+/// has no use outside tests and must be on [`TEST_TOOLING`], which in turn
+/// may list nothing that has a use or no longer exists.
 #[test]
 fn nothing_ships_uncalled() {
-    fn declared_fn(line: &str) -> Option<&str> {
+    // `pub [const] [unsafe] fn name` or `pub const NAME`, as its name.
+    fn declared(line: &str) -> Option<&str> {
         let rest = line.strip_prefix("pub(crate) ").or_else(|| line.strip_prefix("pub "))?;
-        let rest = rest.trim_start_matches("const ").trim_start_matches("unsafe ");
-        idents(rest.strip_prefix("fn ")?).next().map(|(_, name)| name)
-    }
-    fn code_lines(text: &str) -> impl Iterator<Item = &str> {
-        text.lines().map(str::trim).filter(|l| !l.starts_with("//"))
-    }
-    let sources = reachable_sources();
-    // What `benchmark/src` declares itself: an unqualified call of such a
-    // name there (`cfg.temp_dir(..)`, `median(..)`) resolves to its own fn.
-    let mut benchmark_fns = std::collections::BTreeSet::new();
-    for (_, text, _) in sources.iter().filter(|(_, _, shipped)| !shipped) {
-        let mut previous = "";
-        for (_, token) in code_lines(text).flat_map(idents) {
-            if previous == "fn" {
-                benchmark_fns.insert(token);
+        let words: Vec<&str> = idents(rest).map(|(_, word)| word).take(4).collect();
+        match words.iter().position(|word| *word == "fn") {
+            Some(at) if words[..at].iter().all(|word| ["const", "unsafe"].contains(word)) => {
+                words.get(at + 1).copied()
             }
-            previous = token;
+            _ => words.get(1).copied().filter(|_| words[0] == "const"),
         }
     }
-    let mut declared = std::collections::BTreeMap::new();
-    let mut uses = std::collections::BTreeSet::new();
-    for (file, text, shipped) in &sources {
-        let mut in_reexport = false;
-        for line in code_lines(text) {
-            if in_reexport || line.starts_with("pub use ") || line.starts_with("pub(crate) use ") {
-                in_reexport = !line.ends_with(';');
-                continue;
-            }
-            if let Some(name) = declared_fn(line).filter(|_| *shipped) {
-                declared.insert(name, file.as_path());
-            }
-            let mut previous = "";
-            for (at, token) in idents(line) {
-                let after = &line[at + token.len()..];
-                let before = &line[..at];
-                let qualified = before.ends_with("::");
-                let used = after.starts_with('(')
-                    || after.starts_with("::<")
-                    || (qualified && !after.starts_with("::"));
-                // `std::env::temp_dir()` names std's fn, not a workspace one.
-                let path = &before[before
-                    .trim_end_matches(|c: char| c.is_alphanumeric() || c == '_' || c == ':')
-                    .len()..];
-                let elsewhere = path.starts_with("std::")
-                    || path.starts_with("core::")
-                    || (!shipped && !qualified && benchmark_fns.contains(token));
-                if used && previous != "fn" && !elsewhere {
-                    uses.insert(token);
-                }
-                previous = token;
-            }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let probe = root.join("target/shipped-probe");
+    let tree = probe.join("tree");
+
+    // The copy, with the shipped part of every source file tagged.
+    let mut copy = std::collections::BTreeMap::new();
+    for entry in ["Cargo.toml", "Cargo.lock", "crates", "src", "tests", "examples", "benchmark"] {
+        let path = root.join(entry);
+        for file in if path.is_dir() { files_under(&path) } else { vec![path] } {
+            let bytes = std::fs::read(&file).expect("readable file");
+            copy.insert(file.strip_prefix(root).expect("under the root").to_path_buf(), bytes);
         }
     }
-    let uncalled: Vec<_> = declared.iter().filter(|(name, _)| !uses.contains(*name)).collect();
-    println!("{} of {} pub fns have no shipped caller", uncalled.len(), declared.len());
-    let unlisted: Vec<_> = uncalled
+    // Item N as `(name, "file:line")`.
+    let mut items: Vec<(String, String)> = Vec::new();
+    for (file, shipped) in shipped_sources() {
+        let file = file.strip_prefix(root).expect("under the root").to_path_buf();
+        let text = String::from_utf8(copy[&file].clone()).expect("UTF-8 source");
+        let mut tagged = Vec::new();
+        for (at, line) in shipped.lines().enumerate() {
+            let code = line.trim_start();
+            let indent = &line[..line.len() - code.len()];
+            if code.starts_with("pub use ") || code.starts_with("pub(crate) use ") {
+                tagged.push(format!("{indent}#[allow(deprecated)]"));
+            } else if let Some(name) = declared(code) {
+                tagged.push(format!("{indent}#[deprecated(note = \"probe#{}\")]", items.len()));
+                items.push((name.to_string(), format!("{}:{}", file.display(), at + 1)));
+            }
+            tagged.push(line.to_string());
+        }
+        copy.insert(file, (tagged.join("\n") + &text[shipped.len()..]).into_bytes());
+    }
+    assert!(items.len() >= 500, "tagged only {} items; the tagger is broken", items.len());
+    // Rewrite only what changed, so a warm check recompiles only that.
+    std::fs::create_dir_all(&tree).expect("writable target/");
+    for stale in files_under(&tree) {
+        if !copy.contains_key(stale.strip_prefix(&tree).expect("under the copy")) {
+            std::fs::remove_file(stale).expect("removable stale copy");
+        }
+    }
+    for (file, bytes) in &copy {
+        let path = tree.join(file);
+        if std::fs::read(&path).ok().as_ref() != Some(bytes) {
+            std::fs::create_dir_all(path.parent().unwrap()).expect("writable target/");
+            std::fs::write(&path, bytes).expect("writable target/");
+        }
+    }
+
+    let check = |dir: &Path, args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO"))
+            .args(["check", "--offline", "--message-format", "short"])
+            .args(args)
+            .current_dir(dir)
+            .env("CARGO_TARGET_DIR", probe.join("target"))
+            .env("RUSTFLAGS", "--cap-lints=warn")
+            .env_remove("CARGO_ENCODED_RUSTFLAGS")
+            .output()
+            .expect("cargo runs");
+        let log = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "cargo check {args:?} of the tagged copy failed:\n{log}");
+        log.into_owned()
+    };
+    let log = check(&tree, &["--workspace", "--lib", "--bins"])
+        + &check(&tree.join("benchmark"), &[]);
+    let used: std::collections::BTreeSet<usize> = log
+        .split("probe#")
+        .skip(1)
+        .filter_map(|rest| {
+            rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
+        })
+        .collect();
+    let unused: Vec<&(String, String)> =
+        items.iter().enumerate().filter(|(n, _)| !used.contains(n)).map(|(_, item)| item).collect();
+    println!("{} of {} pub fns and consts have no shipped use", unused.len(), items.len());
+    let unlisted: Vec<String> = unused
         .iter()
-        .filter(|(name, _)| !TEST_TOOLING.iter().any(|(listed, _)| listed == *name))
-        .map(|(name, file)| format!("{name} ({})", file.display()))
+        .filter(|(name, _)| !TEST_TOOLING.iter().any(|(listed, _)| listed == name))
+        .map(|(name, at)| format!("{name} ({at})"))
         .collect();
     assert!(unlisted.is_empty(), "shipped for no caller and not on TEST_TOOLING: {unlisted:#?}");
     let stale: Vec<_> = TEST_TOOLING
         .iter()
-        .filter(|(listed, _)| !uncalled.iter().any(|(name, _)| *name == listed))
+        .filter(|(listed, _)| !unused.iter().any(|(name, _)| name == listed))
         .collect();
     assert!(stale.is_empty(), "on TEST_TOOLING but called by shipped code, or gone: {stale:#?}");
     assert!(
@@ -351,7 +382,7 @@ fn code_only(text: &str) -> String {
 #[test]
 fn every_knob_has_a_setter() {
     use std::collections::{BTreeMap, BTreeSet};
-    let sources: Vec<(std::path::PathBuf, bool, String)> = reachable_sources()
+    let sources: Vec<(PathBuf, bool, String)> = reachable_sources()
         .into_iter()
         .map(|(file, text, shipped)| (file, shipped, code_only(&text)))
         .collect();
@@ -590,7 +621,7 @@ fn one_exp_for_every_sigmoid() {
 /// change that has to grow it edits this constant on purpose.
 #[test]
 fn non_test_lines_do_not_grow() {
-    const CEILING: usize = 12588;
+    const CEILING: usize = 12390;
     let total: usize = shipped_sources()
         .iter()
         .flat_map(|(_, shipped)| shipped.lines())
