@@ -17,6 +17,9 @@
 //! * [`Fft2dScratch`] / [`with_thread_scratch`] — reusable workspaces, one
 //!   of which every transform takes, so long-lived worker threads never
 //!   allocate inside a transform,
+//! * [`fork_join`] / [`hold_core`] — the process's core ledger: two
+//!   independent halves run side by side only on a core no compute thread
+//!   holds,
 //! * spectrum utilities ([`crop_centered`], [`pad_centered`], [`fftshift`])
 //!   implementing the frequency-domain size changes of Eqs. 3/7/8 of the
 //!   paper ("discard the high-frequency part of `F(M)`"),
@@ -43,6 +46,7 @@
 #![deny(unsafe_code)]
 
 mod complex;
+mod cores;
 mod fft2d;
 mod plan;
 mod scratch;
@@ -54,6 +58,7 @@ mod simd;
 mod spectrum;
 
 pub use complex::Complex64;
+pub use cores::{cores_borrowed, fork_join, hold_core};
 pub use fft2d::Fft2d;
 pub use plan::{Direction, FftPlan};
 pub use scratch::{

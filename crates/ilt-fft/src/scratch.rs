@@ -46,11 +46,11 @@ pub struct WorkBuffers {
     pub complex: [Vec<Complex64>; 3],
     /// One real buffer.
     pub real: Vec<f64>,
-    /// Further complex buffers, for a caller that keeps one per item of its
-    /// input (it pushes as many as it needs).
-    pub complex_each: Vec<Vec<Complex64>>,
-    /// Further real buffers, likewise.
-    pub real_each: Vec<Vec<f64>>,
+    /// Complex buffers a caller keeps for state it carries between
+    /// checkouts (it takes them out while it lends the workspace).
+    pub kept: [Vec<Complex64>; 3],
+    /// Real buffers kept likewise.
+    pub kept_real: [Vec<f64>; 2],
 }
 
 /// Key of a memoized phase-twist table: `(n, p, forward)`.
@@ -160,9 +160,9 @@ impl Fft2dScratch {
 
     /// Total values currently held across all buffers and memoized tables.
     pub fn capacity(&self) -> usize {
-        self.work.complex.iter().chain(&self.work.complex_each).map(Vec::len).sum::<usize>()
+        self.work.complex.iter().chain(&self.work.kept).map(Vec::len).sum::<usize>()
             + self.work.real.len()
-            + self.work.real_each.iter().map(Vec::len).sum::<usize>()
+            + self.work.kept_real.iter().map(Vec::len).sum::<usize>()
             + self.panel.len()
             + self.band.len()
             + self.grid.len()
@@ -197,8 +197,8 @@ pub struct ScratchPool {
 
 impl ScratchPool {
     /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        ScratchPool { free: Mutex::new(Vec::new()) }
     }
 
     /// Takes a workspace from the free list, or creates an empty one.

@@ -12,7 +12,7 @@
 //! layout, DC at `[0,0]`), directly multipliable against
 //! [`ilt_fft::crop_centered`] output.
 
-use ilt_fft::{with_thread_scratch, Complex64, Fft2d};
+use ilt_fft::{fork_join, with_thread_scratch, Complex64, Fft2d};
 use ilt_field::Field2D;
 
 use crate::config::OpticsConfig;
@@ -56,12 +56,22 @@ impl KernelSet {
     /// nominal open-frame aerial intensity equals 1 and dose factors are
     /// directly comparable between corners).
     ///
+    /// The two builds read nothing of each other, so they are the two halves
+    /// of a [`fork_join`]: side by side when the process has a spare core,
+    /// one after the other otherwise, with the same bits either way. The
+    /// normalization needs both and runs after the join.
+    ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid (see [`OpticsConfig::validate`]).
     pub fn focus_pair(cfg: &OpticsConfig) -> (KernelSet, KernelSet) {
-        let mut nominal = Self::raw_from_config(cfg, 0.0);
-        let mut defocus = Self::raw_from_config(cfg, cfg.defocus_nm);
+        let (mut nominal, mut defocus) = with_thread_scratch(|scratch| {
+            fork_join(
+                scratch,
+                |_| Self::raw_from_config(cfg, 0.0),
+                |_| Self::raw_from_config(cfg, cfg.defocus_nm),
+            )
+        });
         let c = nominal.open_frame_intensity();
         assert!(c > 0.0, "degenerate kernel set: zero open-frame intensity");
         for w in &mut nominal.weights {

@@ -47,6 +47,9 @@ pub use eig::{sym_eig_jacobi, top_eigenpairs, EigPair, HermitianOp};
 /// The logistic the sigmoid resist runs on, re-exported so the stack's
 /// other sigmoids (mask binarization, the level-set Heaviside) share it.
 pub use ilt_fft::{logistic, logistic_in_place};
+/// How many focus-state halves the process ran on an idle core (the
+/// simulator's forks; see `ilt_fft::fork_join`).
+pub use ilt_fft::cores_borrowed;
 pub use kernels::KernelSet;
 pub use pupil::Pupil;
 pub use simulator::{AerialCache, CornerPrints, LithoSimulator, ProcessCondition};

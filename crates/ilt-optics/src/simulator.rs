@@ -43,10 +43,11 @@
 //! gradients are summed as `P x P` spectra and inverted once at `N/s`.
 
 use std::fmt;
+use std::mem::take;
 
 use ilt_fft::{
-    grown, logistic_in_place, signed_freq, with_thread_scratch, Complex64, Fft2d, Fft2dScratch,
-    WorkBuffers,
+    fork_join, grown, logistic_in_place, signed_freq, with_thread_scratch, Complex64, Fft2d,
+    Fft2dScratch, WorkBuffers,
 };
 use ilt_field::Field2D;
 
@@ -209,7 +210,7 @@ impl LithoSimulator {
         with_thread_scratch(|scratch| {
             let m = self.check_mask(mask);
             let low = self.mask_spectrum(mask, 1, m, scratch);
-            Field2D::from_vec(m, m, self.intensity(defocus, &low, m, None, scratch))
+            self.intensity(defocus, &low, None, Field2D::zeros(m, m), scratch)
         })
     }
 
@@ -242,8 +243,9 @@ impl LithoSimulator {
             let m = self.check_mask(mask);
             let low = self.mask_spectrum(mask, 1, m, scratch);
             let mut fields = vec![Complex64::ZERO; self.evaluation(defocus, m).slab_len()];
-            let intensity = self.intensity(defocus, &low, m, Some(&mut fields), scratch);
-            (Field2D::from_vec(m, m, intensity), AerialCache { m, defocus, fields })
+            let image = Field2D::zeros(m, m);
+            let intensity = self.intensity(defocus, &low, Some(&mut fields), image, scratch);
+            (intensity, AerialCache { m, defocus, fields })
         })
     }
 
@@ -322,7 +324,7 @@ impl LithoSimulator {
         vec![Complex64::ZERO; self.nominal.p() * self.nominal.p()]
     }
 
-    /// [`Evaluation::image`] into a fresh buffer, clamped at zero.
+    /// [`Evaluation::image`] into the `m x m` image `out`, clamped at zero.
     ///
     /// The interpolant of non-negative samples can undershoot an exact zero
     /// by a rounding error (-2e-16 along a phase edge's dark fringe), so the
@@ -333,15 +335,16 @@ impl LithoSimulator {
         &self,
         defocus: bool,
         low: &[Complex64],
-        m: usize,
         keep: Option<&mut [Complex64]>,
+        mut out: Field2D,
         scratch: &mut Fft2dScratch,
-    ) -> Vec<f64> {
+    ) -> Field2D {
+        let m = out.rows();
         let eval = self.evaluation(defocus, m);
-        let mut out = vec![0.0; m * m];
-        scratch.with_work(|work, scratch| eval.image(low, keep, &mut out, work, scratch));
+        let image = out.as_mut_slice();
+        scratch.with_work(|work, scratch| eval.image(low, keep, image, work, scratch));
         if eval.q < m {
-            for v in out.iter_mut().filter(|v| **v < 0.0) {
+            for v in image.iter_mut().filter(|v| **v < 0.0) {
                 *v = 0.0;
             }
         }
@@ -352,7 +355,9 @@ impl LithoSimulator {
     /// transform of the mask (both kernel sets use the same `P`).
     ///
     /// This is the shape [`LithoSimulator::print_corners`] needs: the mask
-    /// spectrum is computed once instead of once per focus condition.
+    /// spectrum is computed once instead of once per focus condition, and
+    /// the two kernel sweeps run side by side ([`fork_join`]) when the
+    /// process has a spare core. Both images are allocated by the caller.
     ///
     /// # Panics
     ///
@@ -361,10 +366,12 @@ impl LithoSimulator {
         with_thread_scratch(|scratch| {
             let m = self.check_mask(mask);
             let low = self.mask_spectrum(mask, 1, m, scratch);
-            let [focused, defocused] = [false, true].map(|defocus| {
-                Field2D::from_vec(m, m, self.intensity(defocus, &low, m, None, scratch))
-            });
-            (focused, defocused)
+            let (focused, defocused) = (Field2D::zeros(m, m), Field2D::zeros(m, m));
+            fork_join(
+                scratch,
+                |s| self.intensity(false, &low, None, focused, s),
+                |s| self.intensity(true, &low, None, defocused, s),
+            )
         })
     }
 
@@ -388,11 +395,12 @@ impl LithoSimulator {
         assert_eq!(grad.shape(), (m, m), "gradient must match cached resolution {m}");
         let eval = self.evaluation(cache.defocus, m);
         with_thread_scratch(|scratch| {
+            let mut acc = self.accumulator();
             scratch.with_work(|work, scratch| {
-                let mut acc = self.accumulator();
-                eval.pull_back(&cache.fields, grad.as_slice(), &mut acc, work, scratch);
-                self.mask_gradient(m, 1, acc, scratch)
-            })
+                let add = |k, block: &[Complex64]| eval.add_term(&mut acc, k, block);
+                eval.pull_back(&cache.fields, grad.as_slice(), add, work, scratch);
+            });
+            self.mask_gradient(m, 1, acc, scratch)
         })
     }
 
@@ -407,14 +415,23 @@ impl LithoSimulator {
     /// `dL/dmask_s`.
     ///
     /// No field of the chain is formed at full size except one plane per
-    /// condition: the mask is transformed at its own `n` pixels once for all
+    /// condition: the mask is transformed at its own `n` pixels once for both
     /// conditions (times a Dirichlet factor that stands for the upsampling,
     /// exactly); the `m = up * n`-pixel image is clamped,
     /// exposed, pooled and overwritten with `dZ/dI` in one pass; the adjoint
     /// multiplies the plane by the spread seed in place, reuses the `z_k`
-    /// the forward kept, sums every condition into one `P x P` accumulator
-    /// and ends in a single `n`-pixel inverse. Planes and `z_k` live in the
-    /// thread's FFT workspace, so a stage's iterations recycle them.
+    /// the forward kept, sums both conditions into one `P x P` accumulator
+    /// and ends in a single `n`-pixel inverse.
+    ///
+    /// The two conditions are two halves of one [`fork_join`] each way:
+    /// image and exposure, then spread and pull-back, side by side when the
+    /// process has a spare core. Each condition's plane and `z_k` live in
+    /// the thread's FFT workspace between calls, so a stage's iterations
+    /// recycle them, and are lent to whichever half runs the condition.
+    /// Condition 1's `K` pulled-back blocks wait in a buffer of the same
+    /// workspace, and the caller adds their terms after condition 0's, in
+    /// kernel order: the accumulator sees the additions of one serial loop,
+    /// so both paths return the same bits.
     ///
     /// `seeds` runs while that workspace is checked out: simulator calls
     /// made from inside it fall back to a cold one.
@@ -428,62 +445,64 @@ impl LithoSimulator {
         &self,
         mask_s: &Field2D,
         up: usize,
-        conds: &[ProcessCondition],
+        conds: &[ProcessCondition; 2],
         seeds: impl FnOnce(&[Field2D]) -> (R, Vec<Field2D>),
     ) -> (R, Field2D) {
         let n = self.check_mask(mask_s);
         assert!(up.is_power_of_two(), "upsample factor {up} must be a power of two");
         let m = n * up;
-        let evals: Vec<_> = conds.iter().map(|c| self.evaluation(c.defocus, m)).collect();
+        let [e0, e1] = conds.map(|c| self.evaluation(c.defocus, m));
+        let [d0, d1] = conds.map(|c| c.dose);
+        let pp = self.nominal.p() * self.nominal.p();
         with_thread_scratch(|scratch| {
-            scratch.with_work(|work, scratch| {
-                let low = self.mask_spectrum(mask_s, up, m, scratch);
-                // Checked out of `work` so the evaluations can borrow the rest.
-                let mut planes = std::mem::take(&mut work.real_each);
-                let mut slabs = std::mem::take(&mut work.complex_each);
-                planes.resize_with(planes.len().max(conds.len()), Vec::new);
-                slabs.resize_with(slabs.len().max(conds.len()), Vec::new);
-
-                let mut wafers = Vec::with_capacity(conds.len());
-                for ((cond, eval), (plane, slab)) in
-                    conds.iter().zip(&evals).zip(planes.iter_mut().zip(&mut slabs))
-                {
-                    let plane = grown(plane, m * m);
-                    let fields = grown(slab, eval.slab_len());
-                    eval.image(&low, Some(fields), plane, work, scratch);
-                    wafers.push(self.expose_and_pool(plane, m, up, cond.dose));
-                }
-
-                let (value, seeds) = seeds(&wafers);
-                assert_eq!(seeds.len(), conds.len(), "one seed per process condition");
-                let mut acc = self.accumulator();
-                for ((eval, seed), (plane, slab)) in
-                    evals.iter().zip(&seeds).zip(planes.iter_mut().zip(&slabs))
-                {
-                    assert_eq!(seed.shape(), (n, n), "seed must match the wafer image");
-                    let plane = &mut plane[..m * m];
-                    spread_seed(plane, seed, up);
-                    eval.pull_back(&slab[..eval.slab_len()], plane, &mut acc, work, scratch);
-                }
-                work.real_each = planes;
-                work.complex_each = slabs;
-                (value, self.mask_gradient(n, up, acc, scratch))
-            })
+            let low = self.mask_spectrum(mask_s, up, m, scratch);
+            // Checked out of the workspace so that either half may run on it.
+            let (mut planes, mut slabs) =
+                scratch.with_work(|w, _| (take(&mut w.kept_real), take(&mut w.kept)));
+            let ([p0, p1], [s0, s1, blocks]) = (&mut planes, &mut slabs);
+            let (p0, s0) = (grown(p0, m * m), grown(s0, e0.slab_len()));
+            let (p1, s1) = (grown(p1, m * m), grown(s1, e1.slab_len()));
+            let mut wafers = [Field2D::zeros(n, n), Field2D::zeros(n, n)];
+            let [w0, w1] = &mut wafers;
+            fork_join(
+                scratch,
+                |s| self.expose_and_pool(e0.kept_image(&low, p0, s0, s), up, d0, w0),
+                |s| self.expose_and_pool(e1.kept_image(&low, p1, s1, s), up, d1, w1),
+            );
+            let (value, seeds) = seeds(&wafers);
+            assert_eq!(seeds.len(), 2, "one seed per process condition");
+            for seed in &seeds {
+                assert_eq!(seed.shape(), (n, n), "seed must match the wafer image");
+            }
+            let pending = grown(blocks, e1.kernels.num_kernels() * pp);
+            let park = |k: usize, b: &[Complex64]| pending[k * pp..][..pp].copy_from_slice(b);
+            let mut acc = self.accumulator();
+            fork_join(
+                scratch,
+                |s| e0.pull_corner(&seeds[0], up, p0, s0, s, |k, b| e0.add_term(&mut acc, k, b)),
+                |s| e1.pull_corner(&seeds[1], up, p1, s1, s, park),
+            );
+            for (k, block) in pending.chunks_exact(pp).enumerate() {
+                e1.add_term(&mut acc, k, block);
+            }
+            scratch.with_work(|w, _| (w.kept_real, w.kept) = (planes, slabs));
+            (value, self.mask_gradient(n, up, acc, scratch))
         })
     }
 
-    /// Row by row over an `m x m` aerial image: clamp (see
-    /// [`LithoSimulator::intensity`]) and form the resist's argument, run
-    /// the sigmoid resist under `dose` over the row ([`logistic_in_place`]),
-    /// average pool it by `up` into the returned wafer image, and leave
+    /// Row by row over an `m x m` aerial image, `m` being `up` times the
+    /// side of `wafer`: clamp (see [`LithoSimulator::intensity`]) and form
+    /// the resist's argument, run the sigmoid resist under `dose` over the
+    /// row ([`logistic_in_place`]), average pool it by `up` into `wafer`
+    /// (zero on entry), and leave
     /// `dZ/dI` in place of `I`. Each pooled pixel adds its `up^2` inputs in
     /// [`ilt_field::avg_pool_down`]'s order. Four passes over a row in L1,
     /// each a plain loop the compiler vectorizes (the block sums aside).
-    fn expose_and_pool(&self, plane: &mut [f64], m: usize, up: usize, dose: f64) -> Field2D {
+    fn expose_and_pool(&self, plane: &mut [f64], up: usize, dose: f64, wafer: &mut Field2D) {
         let (alpha, th) = (self.cfg.resist_steepness, self.cfg.resist_threshold);
         let slope = alpha * dose;
-        let n = m / up;
-        let mut pooled = vec![0.0; n * n];
+        let (n, m) = (wafer.rows(), wafer.rows() * up);
+        let pooled = wafer.as_mut_slice();
         for (r, row) in plane.chunks_exact_mut(m).enumerate() {
             for v in row.iter_mut() {
                 let i = if *v < 0.0 { 0.0 } else { *v };
@@ -506,11 +525,10 @@ impl LithoSimulator {
         }
         if up > 1 {
             let inv = 1.0 / (up * up) as f64;
-            for v in &mut pooled {
+            for v in pooled.iter_mut() {
                 *v *= inv;
             }
         }
-        Field2D::from_vec(n, n, pooled)
     }
 
     /// Eq. 7: aerial image of a **full-resolution** mask, evaluated only at
@@ -532,7 +550,7 @@ impl LithoSimulator {
         assert!(m.is_power_of_two(), "reduced size {m} must be a power of two");
         with_thread_scratch(|scratch| {
             let low = self.mask_spectrum(mask, 1, m, scratch);
-            Field2D::from_vec(m, m, self.intensity(defocus, &low, m, None, scratch))
+            self.intensity(defocus, &low, None, Field2D::zeros(m, m), scratch)
         })
     }
 
@@ -564,9 +582,10 @@ impl LithoSimulator {
 /// One kernel set evaluated at `m` pixels: the grids and transforms its
 /// forward and adjoint share.
 ///
-/// Both work in the arena's buffers under fixed roles, `work.complex =
-/// [H_k . F, wide spectrum / cropped product, z_k or g . z_k]` and
-/// `work.real` for the `Q^2` samples.
+/// Both work in the arena's buffers under fixed roles, `complex = [H_k . F,
+/// wide spectrum / cropped product, z_k or g . z_k]` and `real` for the
+/// `Q^2` samples; [`LithoSimulator::soft_corners`] keeps each condition's
+/// plane and `z_k` in `kept_real` and `kept`.
 struct Evaluation<'a> {
     kernels: &'a KernelSet,
     m: usize,
@@ -625,20 +644,21 @@ impl Evaluation<'_> {
         }
     }
 
-    /// Adds `sum_k 2 w_k conj(H_k) . crop_P F_Q(g_Q . z_k)` to `acc`
-    /// (`P x P`), where `fields` are the `z_k` [`Evaluation::image`] kept
-    /// and `g_Q` is the `(2P - 1)^2` band of `grad = dL/dI` resampled to the
-    /// sample grid. The product's transform crops to `P x P`, so the pruned
+    /// Hands `each` the block `crop_P F_Q(g_Q . z_k)` of every kernel `k`
+    /// in order, where `fields` are the `z_k` [`Evaluation::image`] kept and
+    /// `g_Q` is the `(2P - 1)^2` band of `grad = dL/dI` resampled to the
+    /// sample grid; [`Evaluation::add_term`] turns a block into its term of
+    /// `dL/dM`. The product's transform crops to `P x P`, so the pruned
     /// forward skips every discarded frequency.
     fn pull_back(
         &self,
         fields: &[Complex64],
         grad: &[f64],
-        acc: &mut [Complex64],
+        mut each: impl FnMut(usize, &[Complex64]),
         work: &mut WorkBuffers,
         scratch: &mut Fft2dScratch,
     ) {
-        let (kernels, p, q, m) = (self.kernels, self.kernels.p(), self.q, self.m);
+        let (p, q, m) = (self.kernels.p(), self.q, self.m);
         let [_, wide, field] = &mut work.complex;
         let g: &[f64] = if q == m {
             grad
@@ -652,16 +672,51 @@ impl Evaluation<'_> {
         };
         let product = grown(field, q * q);
         let cropped = grown(wide, p * p);
-        for (k, &w) in kernels.weights().iter().enumerate() {
+        for k in 0..self.kernels.num_kernels() {
             for ((u, &z), &gi) in product.iter_mut().zip(&fields[k * q * q..][..q * q]).zip(g) {
                 *u = z.scale(gi);
             }
             self.fft_q.forward_cropped_with(product, p, cropped, scratch);
-            let scale = 2.0 * w;
-            for ((a, &h), &c) in acc.iter_mut().zip(kernels.spectrum(k)).zip(cropped.iter()) {
-                *a += (h.conj() * c).scale(scale);
-            }
+            each(k, cropped);
         }
+    }
+
+    /// Adds kernel `k`'s term of the adjoint, `2 w_k conj(H_k) . block`, to
+    /// the `P x P` accumulator `acc`.
+    fn add_term(&self, acc: &mut [Complex64], k: usize, block: &[Complex64]) {
+        let scale = 2.0 * self.kernels.weights()[k];
+        for ((a, &h), &c) in acc.iter_mut().zip(self.kernels.spectrum(k)).zip(block) {
+            *a += (h.conj() * c).scale(scale);
+        }
+    }
+
+    /// [`Evaluation::image`] of one condition into its own `m x m` plane,
+    /// keeping its `z_k` in `slab` for the adjoint; returns the plane.
+    fn kept_image<'p>(
+        &self,
+        low: &[Complex64],
+        plane: &'p mut [f64],
+        slab: &mut [Complex64],
+        scratch: &mut Fft2dScratch,
+    ) -> &'p mut [f64] {
+        scratch.with_work(|work, scratch| self.image(low, Some(slab), plane, work, scratch));
+        plane
+    }
+
+    /// One condition's adjoint half of [`LithoSimulator::soft_corners`]:
+    /// spreads `seed` over the `dZ/dI` plane its forward half left and
+    /// pulls it back through the `z_k` [`Evaluation::kept_image`] kept.
+    fn pull_corner(
+        &self,
+        seed: &Field2D,
+        up: usize,
+        plane: &mut [f64],
+        slab: &[Complex64],
+        scratch: &mut Fft2dScratch,
+        each: impl FnMut(usize, &[Complex64]),
+    ) {
+        spread_seed(plane, seed, up);
+        scratch.with_work(|work, scratch| self.pull_back(slab, plane, each, work, scratch));
     }
 }
 

@@ -37,7 +37,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use ilt_core::Stage;
-use ilt_fft::{with_installed_scratch, ScratchPool};
+use ilt_fft::{hold_core, with_installed_scratch, ScratchPool};
 use ilt_field::Field2D;
 
 use crate::batch::BatchConfig;
@@ -221,9 +221,11 @@ fn spawn_attempt(
         .spawn(move || {
             let pool = scratch_pool();
             let mut workspace = pool.checkout();
+            // The attempt holds its core: a fork inside it borrows a helper
+            // only when another core is idle.
             let result = catch_unwind(AssertUnwindSafe(|| {
                 with_installed_scratch(&mut workspace, || {
-                    run_attempt(&job, &schedule, attempt, &cache, &faults)
+                    hold_core(|| run_attempt(&job, &schedule, attempt, &cache, &faults))
                 })
             }));
             // Recycle the workspace even after a panic: the installed-scratch

@@ -141,6 +141,7 @@ impl Metrics {
         counter(&mut out, "ilt_cache_hits_total", "Simulator cache hits.", gauges.cache_hits as u64);
         counter(&mut out, "ilt_cache_misses_total", "Simulator cache misses (builds).", gauges.cache_misses as u64);
         counter(&mut out, "ilt_cache_evictions_total", "Simulator cache LRU evictions.", gauges.cache_evictions as u64);
+        counter(&mut out, "ilt_spare_cores_borrowed_total", "Focus-state halves run on an idle core, process-wide.", ilt_optics::cores_borrowed());
         family(&mut out, "ilt_stage_latency_ms", "Per-stage job latency, milliseconds.", "histogram");
         self.sim_ms.render("ilt_stage_latency_ms", "sim", &mut out);
         self.optimize_ms.render("ilt_stage_latency_ms", "optimize", &mut out);

@@ -592,6 +592,35 @@ fn pool_supervises_from_the_callers_thread() {
     assert_eq!(spawns, 1, "{POOL} spawns {spawns} kinds of thread; only attempts get one");
 }
 
+/// One thread mechanism in the compute crates: in the shipped part of
+/// `ilt-fft`, `ilt-field`, `ilt-optics`, `ilt-autodiff` and `ilt-core`, a
+/// thread starts only in the core ledger's fork (`fork_join`), which
+/// borrows a core no compute thread holds and joins before it returns.
+#[test]
+fn compute_crates_start_threads_only_in_the_core_ledger() {
+    const LEDGER: &str = "crates/ilt-fft/src/cores.rs";
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sites = Vec::new();
+    for (file, shipped) in shipped_sources() {
+        let file = file.strip_prefix(root).unwrap_or(&file).display().to_string();
+        let compute = ["ilt-fft", "ilt-field", "ilt-optics", "ilt-autodiff", "ilt-core"]
+            .iter()
+            .any(|krate| file.starts_with(&format!("crates/{krate}/src/")));
+        if !compute {
+            continue;
+        }
+        let code = code_only(&shipped);
+        for needle in ["thread::scope", "spawn_scoped", "thread::spawn", "thread::Builder"] {
+            sites.extend((0..code.matches(needle).count()).map(|_| (file.clone(), needle)));
+        }
+    }
+    assert_eq!(
+        sites,
+        [(LEDGER.to_string(), "thread::scope")],
+        "the compute crates start threads only in {LEDGER}'s fork_join"
+    );
+}
+
 /// One logistic for every sigmoid: no shipped line calls libm's `exp`
 /// (`.exp()` or `f64::exp`, outside comments). A sigmoid calls
 /// `ilt_fft::logistic` / `logistic_in_place`, whose scalar and AVX2 kernels
@@ -621,7 +650,7 @@ fn one_exp_for_every_sigmoid() {
 /// change that has to grow it edits this constant on purpose.
 #[test]
 fn non_test_lines_do_not_grow() {
-    const CEILING: usize = 12390;
+    const CEILING: usize = 12490;
     let total: usize = shipped_sources()
         .iter()
         .flat_map(|(_, shipped)| shipped.lines())
