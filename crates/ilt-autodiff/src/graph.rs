@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use ilt_field::{avg_pool_down, avg_pool_same, upsample_nearest, Field2D};
-use ilt_optics::{logistic_in_place, AerialCache, LithoSimulator, ProcessCondition};
+use ilt_optics::{logistic_in_place, AerialCache, LithoSimulator};
 
 /// Handle to a node in a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -35,9 +35,6 @@ enum Op {
     /// Hopkins aerial image (Eq. 3/8) with the adjoint cache kept for
     /// backward.
     Hopkins { x: Var, cache: AerialCache },
-    /// The Eq. 5 scalar of the process-window operator. Its forward runs
-    /// the adjoint too, so the node carries `dL/dx` itself.
-    Eq5Loss { x: Var, grad: Field2D },
     /// Scalar `sum((a - b)^2)`, stored as a 1x1 field.
     SqDiffSum { a: Var, b: Var },
     /// Scalar `sum(x .* w)` against a constant weight field.
@@ -203,49 +200,6 @@ impl Graph {
         self.push(value, Op::Hopkins { x, cache })
     }
 
-    /// Eq. 5 of the mask `upsample_nearest(x, up)` in one node:
-    /// `l2 ||Z_out - target||^2 + pvb ||Z_in - Z_out||^2`, with `Z_out` /
-    /// `Z_in` the sigmoid-resist wafer images at the outer / inner process
-    /// corner, average-pooled by `up` back to `x`'s grid.
-    ///
-    /// Same value and gradient as [`Graph::upsample_nearest`] ->
-    /// [`Graph::hopkins`] -> [`Graph::resist_sigmoid`] ->
-    /// [`Graph::avg_pool_down`] -> [`Graph::sq_diff_sum`] spelled out for
-    /// both corners, through [`LithoSimulator::soft_corners`], which keeps
-    /// every field but one plane per corner at `x`'s size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph was created without a simulator, or if the mask
-    /// shape, `up` or the target's shape is rejected by the simulator.
-    pub fn eq5_loss(&mut self, x: Var, up: usize, target: &Field2D, l2: f64, pvb: f64) -> Var {
-        let sim = self
-            .sim
-            .clone()
-            .expect("graph was created without a lithography simulator");
-        let corners = [ProcessCondition::outer(), ProcessCondition::inner()];
-        let (value, grad) = sim.soft_corners(self.value(x), up, &corners, |z| {
-            let (z_out, z_in) = (&z[0], &z[1]);
-            assert_eq!(target.shape(), z_out.shape(), "target must match the wafer image");
-            // One pass: both squared distances summed in index order (as
-            // `sq_l2_dist` does) beside the two seeds.
-            let mut seed_out = Field2D::zeros(target.rows(), target.cols());
-            let mut seed_in = seed_out.clone();
-            let (mut to_target, mut between) = (0.0, 0.0);
-            let pixels = z_out.as_slice().iter().zip(z_in.as_slice()).zip(target.as_slice());
-            let seeds = seed_out.as_mut_slice().iter_mut().zip(seed_in.as_mut_slice());
-            for (((&zo, &zi), &t), (so, si)) in pixels.zip(seeds) {
-                let (d_out, d_in) = (zo - t, zi - zo);
-                to_target += d_out * d_out;
-                between += d_in * d_in;
-                *si = d_in * (2.0 * pvb);
-                *so = d_out * (2.0 * l2) - *si;
-            }
-            (l2 * to_target + pvb * between, vec![seed_out, seed_in])
-        });
-        self.push(Field2D::from_vec(1, 1, vec![value]), Op::Eq5Loss { x, grad })
-    }
-
     /// Scalar loss `sum((a - b)^2)` — both `L_l2` and `L_pvb` of Eq. 5.
     pub fn sq_diff_sum(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).sq_l2_dist(self.value(b));
@@ -327,7 +281,6 @@ impl Graph {
                     let sim = self.sim.as_ref().expect("hopkins node requires simulator");
                     accumulate(&mut grads, *x, sim.aerial_vjp(cache, &gout));
                 }
-                Op::Eq5Loss { x, grad } => accumulate(&mut grads, *x, grad.scale(gout[(0, 0)])),
                 Op::SqDiffSum { a, b } => {
                     let g = gout[(0, 0)];
                     let diff = self.value(*a) - self.value(*b);

@@ -4,8 +4,8 @@
 //! function `phi` (negative inside). Each iteration:
 //!
 //! 1. builds the transmission `M = sigma(-phi / eps)` (a smeared Heaviside),
-//! 2. evaluates the same Eq. 5 loss as the pixel methods through the
-//!    shared lithography engine and autodiff tape,
+//! 2. evaluates the same Eq. 5 loss and its gradient as the pixel methods
+//!    ([`LossWeights::eq5`] over the shared lithography engine),
 //! 3. descends `phi` along `dL/dphi = -(1/eps) sigma' (dL/dM)`,
 //! 4. periodically **redistances** `phi` back to a signed distance function
 //!    (chamfer transform), the step that keeps level-set masks smooth and
@@ -14,8 +14,7 @@
 
 use std::sync::Arc;
 
-use ilt_autodiff::Graph;
-use ilt_core::{LossRecord, OptimizeRegion};
+use ilt_core::{LossRecord, LossWeights, OptimizeRegion};
 use ilt_field::{avg_pool_down, Field2D};
 use ilt_optics::{logistic, LithoSimulator};
 
@@ -113,13 +112,9 @@ impl LevelSetIlt {
             // M = sigma(-phi / eps): 1 inside (phi < 0), 0 outside.
             let mask_field = phi.map(|p| logistic(p / EPSILON));
 
-            let mut g = Graph::new(self.sim.clone());
-            let m = g.leaf(mask_field.clone());
-            let loss = g.eq5_loss(m, 1, &target_s, 1.0, 1.0);
-            history.push(LossRecord { stage: 0, iteration, scale: s, loss: g.scalar(loss) });
+            let (loss, dl_dm) = LossWeights::paper().eq5(&self.sim, &mask_field, 1, &target_s);
+            history.push(LossRecord { stage: 0, iteration, scale: s, loss });
 
-            let grads = g.backward(loss);
-            let dl_dm = grads.wrt(m).expect("mask drives the loss");
             // dM/dphi = -(1/eps) sigma (1 - sigma).
             let dl_dphi =
                 dl_dm.zip_map(&mask_field, |gm, mv| -gm * mv * (1.0 - mv) / EPSILON);

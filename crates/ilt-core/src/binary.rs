@@ -11,7 +11,7 @@
 
 use ilt_autodiff::{Graph, Var};
 use ilt_field::Field2D;
-use ilt_optics::logistic;
+use ilt_optics::{logistic, logistic_in_place};
 
 /// A differentiable mask binarization function.
 ///
@@ -77,9 +77,28 @@ impl BinaryFunction {
         }
     }
 
-    /// Applies the function to a whole field.
+    /// Applies the function to a whole field (a sigmoid through the shared
+    /// [`logistic_in_place`], as [`Graph::sigmoid`] runs it).
     pub fn apply_field(&self, x: &Field2D) -> Field2D {
-        x.map(|v| self.value(v))
+        let BinaryFunction::Sigmoid { beta, t_r } = *self else {
+            return x.map(|v| self.value(v));
+        };
+        let mut y = x.map(|v| -beta * (v - t_r));
+        logistic_in_place(y.as_mut_slice());
+        y
+    }
+
+    /// The adjoint of [`BinaryFunction::apply_field`]: `dL/dx` from
+    /// `grad = dL/dy`, where `y = apply_field(x)`. Each pixel is formed in
+    /// the operand order of the tape's rule ([`BinaryFunction::apply`]), so
+    /// the two agree to the bit.
+    pub fn pull_back(&self, x: &Field2D, y: &Field2D, grad: &Field2D) -> Field2D {
+        match *self {
+            BinaryFunction::Sigmoid { beta, .. } => {
+                grad.zip_map(y, |g, yv| g * beta * yv * (1.0 - yv))
+            }
+            BinaryFunction::Cosine => grad.zip_map(x, |g, xv| -0.5 * xv.sin() * g),
+        }
     }
 
     /// Records the function on an autodiff graph.
@@ -164,6 +183,24 @@ mod tests {
         let grads = g.backward(loss);
         let numeric = finite_diff(&x0, 1e-6, |xv| f.apply_field(xv).sum());
         ilt_autodiff::assert_gradients_close(grads.wrt(x).unwrap(), &numeric, 1e-7);
+    }
+
+    #[test]
+    fn pull_back_is_the_tapes_rule_to_the_bit() {
+        let bits = |f: &Field2D| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x0 = Field2D::from_fn(5, 4, |r, c| (r as f64) * 0.7 - (c as f64) * 0.45);
+        let w = Field2D::from_fn(5, 4, |r, c| ((r * 3 + c) % 7) as f64 * 0.3 - 0.8);
+        for f in [BinaryFunction::paper_sigmoid(), BinaryFunction::Cosine] {
+            let mut g = Graph::without_simulator();
+            let x = g.leaf(x0.clone());
+            let y = f.apply(&mut g, x);
+            let loss = g.weighted_sum(y, w.clone());
+            let grads = g.backward(loss);
+            let y0 = f.apply_field(&x0);
+            assert_eq!(bits(g.value(y)), bits(&y0), "{f:?}: forward");
+            let want = grads.wrt(x).unwrap();
+            assert_eq!(bits(want), bits(&f.pull_back(&x0, &y0, &w)), "{f:?}: adjoint");
+        }
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //!   complexity term [4]: `sum(M (1 - M))` pushes transmissions to {0, 1},
 //!   discouraging the faint debris that inflates shot counts.
 //!
-//! Both are expressed through the existing autodiff operator set, so their
-//! gradients are exact.
+//! [`LossWeights::eq5`] is what the optimizer and the level-set baseline
+//! call: Eq. 5 through [`LithoSimulator::soft_corners`] plus both
+//! regularizers in closed form, no tape. [`LossWeights::build`] assembles
+//! the same loss from the autodiff operators; it is the reference `eq5` is
+//! held to.
 
 use ilt_autodiff::{Graph, Var};
-use ilt_field::Field2D;
+use ilt_field::{avg_pool_down, avg_pool_same, upsample_nearest, Field2D};
+use ilt_optics::{LithoSimulator, ProcessCondition};
 
 /// Weights of the loss terms. The paper's configuration is
 /// `l2 = pvband = 1`, regularizers off.
@@ -50,22 +54,91 @@ impl LossWeights {
         self.curvature != 0.0 || self.gray != 0.0
     }
 
-    /// The total loss of one optimizer step on the binarized mask node
-    /// `mask_s`, simulated as `upsample_nearest(mask_s, up)`: Eq. 5 as the
-    /// one fused node [`Graph::eq5_loss`], plus the regularizers — which
-    /// still see the mask at the simulated size, as [`LossWeights::build`]
-    /// hands it to them.
-    pub fn eq5(&self, g: &mut Graph, mask_s: Var, up: usize, target: &Field2D) -> Var {
-        let total = g.eq5_loss(mask_s, up, target, self.l2, self.pvband);
+    /// The total loss of one optimizer step on the binarized mask `mask_s`,
+    /// simulated as `upsample_nearest(mask_s, up)`, and its gradient with
+    /// respect to `mask_s`: Eq. 5, `l2 ||Z_out - target||^2 + pvband
+    /// ||Z_in - Z_out||^2` with `Z_out` / `Z_in` the sigmoid-resist wafer
+    /// images at the outer / inner process corner pooled by `up` back to
+    /// `mask_s`'s grid, plus the regularizers on the mask at simulated size.
+    ///
+    /// The regularizers' sums and gradient terms are formed and added in
+    /// the order the tape's reverse pass over [`LossWeights::build`] adds
+    /// them (gray, then curvature, then the block sum back from `up`, then
+    /// Eq. 5), so a step is the tape's to the bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator rejects the mask shape, `up` or the target's
+    /// shape.
+    pub fn eq5(
+        &self,
+        sim: &LithoSimulator,
+        mask_s: &Field2D,
+        up: usize,
+        target: &Field2D,
+    ) -> (f64, Field2D) {
+        let (l2, pvb) = (self.l2, self.pvband);
+        let corners = [ProcessCondition::outer(), ProcessCondition::inner()];
+        let (mut loss, grad) = sim.soft_corners(mask_s, up, &corners, |z| {
+            let (z_out, z_in) = (&z[0], &z[1]);
+            assert_eq!(target.shape(), z_out.shape(), "target must match the wafer image");
+            // One pass: both squared distances summed in index order (as
+            // `sq_l2_dist` does) beside the two seeds.
+            let mut seed_out = Field2D::zeros(target.rows(), target.cols());
+            let mut seed_in = seed_out.clone();
+            let (mut to_target, mut between) = (0.0, 0.0);
+            let pixels = z_out.as_slice().iter().zip(z_in.as_slice()).zip(target.as_slice());
+            let seeds = seed_out.as_mut_slice().iter_mut().zip(seed_in.as_mut_slice());
+            for (((&zo, &zi), &t), (so, si)) in pixels.zip(seeds) {
+                let (d_out, d_in) = (zo - t, zi - zo);
+                to_target += d_out * d_out;
+                between += d_in * d_in;
+                *si = d_in * (2.0 * pvb);
+                *so = d_out * (2.0 * l2) - *si;
+            }
+            (l2 * to_target + pvb * between, vec![seed_out, seed_in])
+        });
         if !self.has_regularizers() {
-            return total;
+            return (loss, grad);
         }
-        let mask = if up > 1 { g.upsample_nearest(mask_s, up) } else { mask_s };
-        self.add_regularizers(g, total, mask)
+        let reg = if up == 1 {
+            self.regularizers(&mut loss, mask_s)
+        } else {
+            // Adjoint of replication is the block sum.
+            let reg = self.regularizers(&mut loss, &upsample_nearest(mask_s, up));
+            avg_pool_down(&reg, up).scale((up * up) as f64)
+        };
+        (loss, &reg + &grad)
+    }
+
+    /// Adds the active regularizers of `mask` to `loss` (curvature, then
+    /// gray) and returns their gradient (gray, then curvature): the tape's
+    /// forward and reverse orders.
+    fn regularizers(&self, loss: &mut f64, mask: &Field2D) -> Field2D {
+        let (curvature, gray) = (self.curvature, self.gray);
+        let smooth = avg_pool_same(mask, 3);
+        if curvature != 0.0 {
+            *loss += mask.sq_l2_dist(&smooth) * curvature;
+        }
+        let mut terms = Vec::new();
+        if gray != 0.0 {
+            // sum(M (1 - M)) = sum(M) - sum(M^2): d/dM = -g M - g M + g.
+            *loss += (mask.sum() - mask.hadamard(mask).sum()) * gray;
+            let quad = mask.scale(-gray);
+            terms.extend([&quad + &quad, Field2D::filled(mask.rows(), mask.cols(), gray)]);
+        }
+        if curvature != 0.0 {
+            // ||M - S||^2 with S = mean3(M): 2c (M - S) on M, -2c (M - S)
+            // back through the pool.
+            let diff = mask - &smooth;
+            let far = avg_pool_same(&diff.scale(-2.0 * curvature), 3);
+            terms.extend([diff.scale(2.0 * curvature), far]);
+        }
+        terms.into_iter().reduce(|a, b| &a + &b).expect("a regularizer is active")
     }
 
     /// Assembles the total loss node from the two wafer images, the target
-    /// and the (binarized) mask, out of the unfused operators: the
+    /// and the (binarized) mask, out of the autodiff operators: the
     /// reference [`LossWeights::eq5`] is held to.
     ///
     /// `z_out`/`z_in` are the outer/inner corner wafer nodes at target
@@ -182,6 +255,29 @@ mod tests {
             "smooth {smooth_pen} vs rough {rough_pen}"
         );
         assert!(rough_pen > 1.0, "checkerboard must be penalized, got {rough_pen}");
+    }
+
+    #[test]
+    fn closed_form_regularizers_are_the_tapes_to_the_bit() {
+        let bits = |f: &Field2D| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mask, ..) = fields();
+        let eq5 = 1.25; // stands in for the Eq. 5 scalar the terms add to
+        for w in [
+            LossWeights { curvature: 0.7, ..LossWeights::default() },
+            LossWeights { gray: 0.3, ..LossWeights::default() },
+            LossWeights { curvature: 0.7, gray: 0.3, ..LossWeights::default() },
+        ] {
+            let mut g = Graph::without_simulator();
+            let m = g.leaf(mask.clone());
+            let total = g.leaf(Field2D::filled(1, 1, eq5));
+            let loss = w.add_regularizers(&mut g, total, m);
+            let grads = g.backward(loss);
+
+            let mut got = eq5;
+            let grad = w.regularizers(&mut got, &mask);
+            assert_eq!(got.to_bits(), g.scalar(loss).to_bits(), "{w:?}: loss");
+            assert_eq!(bits(&grad), bits(grads.wrt(m).unwrap()), "{w:?}: gradient");
+        }
     }
 
     #[test]

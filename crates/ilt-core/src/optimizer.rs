@@ -11,15 +11,17 @@
 //!   reduced grid and the mask stays simple.
 //!
 //! The loss is Eq. 5 (`L = L_l2 + L_pvb`, with `Z_out` replacing `Z_norm`
-//! in `L_l2` to save a third simulation), gradients flow through the
-//! `ilt-autodiff` tape, and a stage exits early when no new minimum loss
+//! in `L_l2` to save a third simulation). A step's gradient is the fixed
+//! chain pool -> binarize -> Eq. 5 and back, hand-written in
+//! [`MultiLevelIlt::step`] and held to the `ilt-autodiff` tape by
+//! `tests/eq5_operator.rs`. A stage exits early when no new minimum loss
 //! appears within a configurable window (the paper uses 15 iterations for
 //! via layers).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use ilt_autodiff::Graph;
-use ilt_field::{avg_pool_down, upsample_nearest, Field2D};
+use ilt_field::{avg_pool_down, avg_pool_same, upsample_nearest, Field2D};
 use ilt_geom::{simplify_mask, SimplifyConfig};
 use ilt_optics::LithoSimulator;
 
@@ -291,12 +293,13 @@ impl MultiLevelIlt {
     /// One iteration of a stage at `scale`: returns `(loss, dL/dM')`, both
     /// on the reduced grid of `m_raw` and `z_t_s`.
     ///
-    /// The tape is leaf -> [smoothing pool] -> binary function -> Eq. 5
-    /// (one node, [`LossWeights::eq5`]). A low-resolution stage simulates
-    /// the binarized mask as it is (Eq. 8); a high-resolution stage
-    /// (Algorithm 1 lines 7-9) simulates its `scale`-fold upsampling (Eq. 3)
-    /// and binarizes without the smoothing pool, which "is only adopted by
-    /// low-resolution ILTs".
+    /// The chain is [smoothing pool] -> binary function -> [smoothing
+    /// pool] -> Eq. 5 ([`LossWeights::eq5`]), with the smoothing pool on
+    /// the side [`SmoothingPlacement`] names, and back through each in
+    /// reverse order. A low-resolution stage simulates the binarized mask as
+    /// it is (Eq. 8); a high-resolution stage (Algorithm 1 lines 7-9)
+    /// simulates its `scale`-fold upsampling (Eq. 3) and binarizes without
+    /// the smoothing pool, which "is only adopted by low-resolution ILTs".
     pub fn step(
         &self,
         kind: StageKind,
@@ -304,34 +307,20 @@ impl MultiLevelIlt {
         m_raw: &Field2D,
         z_t_s: &Field2D,
     ) -> (f64, Field2D) {
-        let mut g = Graph::new(self.sim.clone());
-        let v_raw = g.leaf(m_raw.clone());
-        let (m, up) = match kind {
-            StageKind::LowRes => (self.binarize_with_smoothing(&mut g, v_raw), 1),
-            StageKind::HighRes => (self.cfg.binary.apply(&mut g, v_raw), scale),
+        let (up, smoothing) = match kind {
+            StageKind::LowRes => (1, self.cfg.smoothing),
+            StageKind::HighRes => (scale, None),
         };
-        let loss = self.cfg.loss_weights.eq5(&mut g, m, up, z_t_s);
-        let loss_value = g.scalar(loss);
-        let grads = g.backward(loss);
-        (loss_value, grads.wrt(v_raw).expect("mask influences loss").clone())
-    }
-
-    fn binarize_with_smoothing(
-        &self,
-        g: &mut Graph,
-        v_raw: ilt_autodiff::Var,
-    ) -> ilt_autodiff::Var {
-        match self.cfg.smoothing {
-            Some(Smoothing { kernel, placement: SmoothingPlacement::BeforeBinarize }) => {
-                let smoothed = g.avg_pool_same(v_raw, kernel);
-                self.cfg.binary.apply(g, smoothed)
-            }
-            Some(Smoothing { kernel, placement: SmoothingPlacement::AfterBinarize }) => {
-                let m = self.cfg.binary.apply(g, v_raw);
-                g.avg_pool_same(m, kernel)
-            }
-            None => self.cfg.binary.apply(g, v_raw),
-        }
+        let kernel = |at| smoothing.filter(|s| s.placement == at).map(|s| s.kernel);
+        let before = kernel(SmoothingPlacement::BeforeBinarize);
+        let after = kernel(SmoothingPlacement::AfterBinarize);
+        let x = smooth(Cow::Borrowed(m_raw), before);
+        let binary = self.cfg.binary;
+        let y = binary.apply_field(&x);
+        let mask = smooth(Cow::Borrowed(&y), after);
+        let (loss, grad) = self.cfg.loss_weights.eq5(&self.sim, &mask, up, z_t_s);
+        let grad = binary.pull_back(&x, &y, &smooth(Cow::Owned(grad), after));
+        (loss, smooth(Cow::Owned(grad), before).into_owned())
     }
 
     /// Final mask synthesis: output binary function (`T_R = 0.4`), nearest
@@ -352,6 +341,16 @@ impl MultiLevelIlt {
             binary = simplify_mask(&binary, target, pp).0;
         }
         binary
+    }
+}
+
+/// The `n x n` smoothing pool of `f`, or `f` itself for no pool. The
+/// centered same-size mean filter is its own adjoint, so the step's
+/// backward pass runs the same pool.
+fn smooth(f: Cow<'_, Field2D>, n: Option<usize>) -> Cow<'_, Field2D> {
+    match n {
+        Some(n) => Cow::Owned(avg_pool_same(&f, n)),
+        None => f,
     }
 }
 

@@ -3,12 +3,13 @@
 //! resist_sigmoid -> avg_pool_down(s) -> sq_diff_sum`, on a grid where the
 //! simulator's sample grid is smaller than the mask (`Q < m`), so both of
 //! its resamplings and the `2P - 1` crop of the incoming gradient sit
-//! between the loss and the mask — and of the one node the optimizer runs in
-//! its place, `Graph::eq5_loss`, with both corners live.
+//! between the loss and the mask — and of the tape-free function the
+//! optimizer runs in its place, `LossWeights::eq5`, with both corners live.
 
 use std::sync::Arc;
 
 use ilt_autodiff::{assert_gradients_close_at, finite_diff_at, Graph};
+use ilt_core::LossWeights;
 use ilt_field::Field2D;
 use ilt_layouts::Xorshift64Star;
 use ilt_optics::{LithoSimulator, OpticsConfig, ProcessCondition};
@@ -73,12 +74,8 @@ fn fused_eq5_node_gradient_matches_finite_differences() {
     let sim = sim();
     for s in [1usize, 2, 4] {
         let (mask_s, target_s, pixels) = fixture(s);
-        let eq5 = |m: &Field2D| {
-            let mut graph = Graph::new(sim.clone());
-            let leaf = graph.leaf(m.clone());
-            let l = graph.eq5_loss(leaf, s, &target_s, 2.0, 0.5);
-            (graph.scalar(l), graph.backward(l).wrt(leaf).expect("mask gradient").clone())
-        };
+        let weights = LossWeights { l2: 2.0, pvband: 0.5, ..LossWeights::default() };
+        let eq5 = |m: &Field2D| weights.eq5(&sim, m, s, &target_s);
         let analytic = eq5(&mask_s).1;
         let numeric = finite_diff_at(&mask_s, 1e-5, &pixels, |m| eq5(m).0);
         let scale = analytic

@@ -1,23 +1,31 @@
-//! Holds the optimizer's fused step to the chain it replaced.
+//! Holds the optimizer's hand-written step to the tape it replaced.
 //!
-//! [`MultiLevelIlt::step`] puts one Eq. 5 node on the tape
-//! (`Graph::eq5_loss` over `LithoSimulator::soft_corners`); before that the
-//! same step was thirteen nodes — Hopkins, resist, pool and loss per
-//! corner (fifteen with the two pools of a high-resolution step). These
-//! tests rebuild that chain through the public operators and assert loss and
-//! `dL/dM'` agree to rounding at every `(m, P -> Q, up)` class the optimizer
-//! runs, so the fused operator can only ever be a faster spelling of the
-//! reference.
+//! [`MultiLevelIlt::step`] builds no tape: it runs the binary function, the
+//! smoothing pool and their adjoints itself around one call of
+//! [`LossWeights::eq5`] (`LithoSimulator::soft_corners` plus the
+//! regularizers in closed form). The reference is the step as the tape
+//! spelled it out — Hopkins, resist, pool and loss per corner, thirteen
+//! nodes (fifteen with the two pools of a high-resolution step). These
+//! tests rebuild that chain through the public operators and assert loss
+//! and `dL/dM'` agree to rounding at every `(m, P -> Q, up)` class the
+//! optimizer runs, and on the two small classes for every branch of the
+//! step (smoothing before or after the binary function, none, a wider
+//! kernel, the cosine binary function), so the fused step can only ever be
+//! a faster spelling of the reference.
 
 use std::sync::Arc;
 
 use ilt_autodiff::{Graph, Var};
-use ilt_core::{IltConfig, LossWeights, MultiLevelIlt, StageKind};
+use ilt_core::{
+    BinaryFunction, IltConfig, LossWeights, MultiLevelIlt, Smoothing, SmoothingPlacement,
+    StageKind,
+};
 use ilt_field::{avg_pool_down, Field2D};
 use ilt_layouts::iccad2013_case;
 use ilt_optics::{LithoSimulator, OpticsConfig, ProcessCondition};
 
-/// The step as `ilt-core` built it before the operator existed.
+/// The step as `ilt-core` built it on the tape, following `cfg`'s smoothing
+/// and binary function.
 fn chain_step(
     sim: &Arc<LithoSimulator>,
     cfg: &IltConfig,
@@ -29,12 +37,19 @@ fn chain_step(
     let mut g = Graph::new(sim.clone());
     let v_raw = g.leaf(m_raw.clone());
     let binary = cfg.binary;
-    let mask = match kind {
-        StageKind::LowRes => {
-            let smoothed = g.avg_pool_same(v_raw, 3);
-            binary.apply(&mut g, smoothed)
-        }
-        StageKind::HighRes => {
+    let mask = match (kind, cfg.smoothing) {
+        (StageKind::LowRes, Some(Smoothing { kernel, placement })) => match placement {
+            SmoothingPlacement::BeforeBinarize => {
+                let smoothed = g.avg_pool_same(v_raw, kernel);
+                binary.apply(&mut g, smoothed)
+            }
+            SmoothingPlacement::AfterBinarize => {
+                let m = binary.apply(&mut g, v_raw);
+                g.avg_pool_same(m, kernel)
+            }
+        },
+        (StageKind::LowRes, None) => binary.apply(&mut g, v_raw),
+        (StageKind::HighRes, _) => {
             let m_s = binary.apply(&mut g, v_raw);
             g.upsample_nearest(m_s, s)
         }
@@ -119,7 +134,9 @@ const SETTINGS: [(usize, &[LossWeights]); 2] = [
     (10, &[LossWeights { l2: 2.0, pvband: 0.5, curvature: 0.0, gray: 0.0 }]),
 ];
 
-fn assert_fused_step_matches_chain(class: &Class) {
+/// Runs every step of `class` under each of `branches`, with each of
+/// [`SETTINGS`]' weights in place of the branch's own.
+fn assert_fused_step_matches_chain(class: &Class, branches: &[IltConfig]) {
     let target = iccad2013_case(1).rasterize(class.grid);
     for (num_kernels, weights) in SETTINGS {
         let cfg = OpticsConfig {
@@ -132,26 +149,36 @@ fn assert_fused_step_matches_chain(class: &Class) {
         assert_eq!(sim.kernels(false).p(), class.p, "grid {}: kernel block", class.grid);
         assert_eq!(sim.sample_grid(class.grid), class.q, "grid {}: sample grid", class.grid);
 
-        for (weights, &(kind, s)) in
-            weights.iter().flat_map(|w| class.steps.iter().map(move |st| (w, st)))
-        {
+        let runs = branches.iter().flat_map(|branch| {
+            weights.iter().flat_map(move |w| class.steps.iter().map(move |st| (branch, w, st)))
+        });
+        for (branch, weights, &(kind, s)) in runs {
             let tag = format!(
-                "grid {} @ {} nm, K {num_kernels}, {kind:?} s {s}, {weights:?}",
-                class.grid, class.nm_per_px
+                "grid {} @ {} nm, K {num_kernels}, {kind:?} s {s}, {weights:?}, {:?}, {:?}",
+                class.grid, class.nm_per_px, branch.smoothing, branch.binary
             );
-            let cfg = IltConfig { loss_weights: *weights, ..IltConfig::default() };
+            let cfg = IltConfig { loss_weights: *weights, ..branch.clone() };
             let ilt = MultiLevelIlt::new(sim.clone(), cfg.clone());
             let z_t_s = avg_pool_down(&target, s);
-            // Mid-optimization values: every sigmoid off its rails.
+            // Mid-optimization values: every binary function off its rails
+            // (the cosine transmits near 0 and blocks near pi).
             let m_raw = Field2D::from_fn(class.grid / s, class.grid / s, |r, c| {
-                z_t_s[(r, c)] + 0.3 * ((r as f64 * 0.37).sin() * (c as f64 * 0.23 + 0.4).cos())
+                let z = match cfg.binary {
+                    BinaryFunction::Cosine => 2.5 - 1.9 * z_t_s[(r, c)],
+                    BinaryFunction::Sigmoid { .. } => z_t_s[(r, c)],
+                };
+                z + 0.3 * ((r as f64 * 0.37).sin() * (c as f64 * 0.23 + 0.4).cos())
             });
 
             let (loss, grad) = ilt.step(kind, s, &m_raw, &z_t_s);
             let (want_loss, want_grad, nodes) = chain_step(&sim, &cfg, kind, s, &m_raw, &z_t_s);
             if !weights.has_regularizers() {
-                // Two pools more where the wafer images come back down.
-                let want = if kind == LowRes { 13 } else { 15 };
+                // Two pools more where the wafer images come back down, one
+                // fewer without the smoothing pool.
+                let want = match kind {
+                    LowRes => 12 + usize::from(cfg.smoothing.is_some()),
+                    HighRes => 15,
+                };
                 assert_eq!(nodes, want, "{tag}: the reference is the unfused chain");
             }
 
@@ -166,24 +193,47 @@ fn assert_fused_step_matches_chain(class: &Class) {
     }
 }
 
+/// Every branch of the step but the default: smoothing after the binary
+/// function, no smoothing, a 5x5 kernel, and the cosine binary function.
+fn other_branches() -> [IltConfig; 4] {
+    use SmoothingPlacement::{AfterBinarize, BeforeBinarize};
+    let smoothing = |kernel, placement| Some(Smoothing { kernel, placement });
+    [
+        IltConfig { smoothing: smoothing(3, AfterBinarize), ..IltConfig::default() },
+        IltConfig { smoothing: None, ..IltConfig::default() },
+        IltConfig { smoothing: smoothing(5, BeforeBinarize), ..IltConfig::default() },
+        IltConfig { binary: BinaryFunction::Cosine, ..IltConfig::default() },
+    ]
+}
+
 // One test per class, so the harness runs them side by side.
 
 #[test]
 fn fused_step_matches_the_chain_with_q_far_below_m() {
-    assert_fused_step_matches_chain(&Q_FAR_BELOW_M);
+    assert_fused_step_matches_chain(&Q_FAR_BELOW_M, &[IltConfig::default()]);
 }
 
 #[test]
 fn fused_step_matches_the_chain_with_q_an_octave_below_m() {
-    assert_fused_step_matches_chain(&Q_AN_OCTAVE_BELOW_M);
+    assert_fused_step_matches_chain(&Q_AN_OCTAVE_BELOW_M, &[IltConfig::default()]);
 }
 
 #[test]
 fn fused_step_matches_the_chain_with_q_equal_to_m_on_the_small_grid_only() {
-    assert_fused_step_matches_chain(&Q_IS_M_AT_N_OVER_S);
+    assert_fused_step_matches_chain(&Q_IS_M_AT_N_OVER_S, &[IltConfig::default()]);
 }
 
 #[test]
 fn fused_step_matches_the_chain_with_q_equal_to_m_on_both_grids() {
-    assert_fused_step_matches_chain(&Q_IS_M);
+    assert_fused_step_matches_chain(&Q_IS_M, &[IltConfig::default()]);
+}
+
+#[test]
+fn every_branch_matches_the_chain_with_q_equal_to_m_on_the_small_grid_only() {
+    assert_fused_step_matches_chain(&Q_IS_M_AT_N_OVER_S, &other_branches());
+}
+
+#[test]
+fn every_branch_matches_the_chain_with_q_equal_to_m_on_both_grids() {
+    assert_fused_step_matches_chain(&Q_IS_M, &other_branches());
 }

@@ -2,9 +2,11 @@
 //!
 //! Entirely in-tree — no python, no external diff tool. A workload
 //! regresses when its fresh median exceeds the baseline median by more
-//! than the baseline's recorded threshold; everything else (torn files,
-//! schema bumps, smoke results, missing baselines) is an error message
-//! naming the file and the cause, never a silent pass.
+//! than the baseline's recorded threshold, and its baseline is stale when
+//! the fresh median undercuts it by as much (a baseline far above the
+//! tree would let a regression of the same size pass); everything else
+//! (torn files, schema bumps, smoke results, missing baselines) is an
+//! error message naming the file and the cause, never a silent pass.
 
 use std::path::Path;
 
@@ -26,6 +28,9 @@ pub struct DiffRow {
     pub threshold: f64,
     /// True when `fresh > baseline * (1 + threshold)`.
     pub regressed: bool,
+    /// True when `fresh < baseline / (1 + threshold)`: re-record the
+    /// baseline.
+    pub stale: bool,
 }
 
 /// The full comparison across selected workloads.
@@ -39,6 +44,11 @@ impl DiffReport {
     /// Number of regressed rows.
     pub fn regressions(&self) -> usize {
         self.rows.iter().filter(|r| r.regressed).count()
+    }
+
+    /// Number of rows whose baseline is stale.
+    pub fn stale(&self) -> usize {
+        self.rows.iter().filter(|r| r.stale).count()
     }
 
     /// Human-readable table, one row per workload.
@@ -55,7 +65,11 @@ impl DiffReport {
                 r.fresh_us,
                 r.ratio,
                 1.0 + r.threshold,
-                if r.regressed { "REGRESSED" } else { "ok" }
+                match (r.regressed, r.stale) {
+                    (true, _) => "REGRESSED",
+                    (_, true) => "STALE",
+                    _ => "ok",
+                }
             ));
         }
         out
@@ -65,8 +79,9 @@ impl DiffReport {
 /// Compares one fresh result against its baseline.
 ///
 /// The regression threshold comes from the *baseline* file (the checked-in
-/// number is the contract). The boundary is exclusive: a fresh median
-/// exactly at `baseline * (1 + threshold)` still passes.
+/// number is the contract). Both boundaries are exclusive: a fresh median
+/// exactly at `baseline * (1 + threshold)` or `baseline / (1 + threshold)`
+/// still passes.
 ///
 /// # Errors
 ///
@@ -100,6 +115,7 @@ pub fn diff_result(
         ratio,
         threshold,
         regressed: fresh.median_us > limit,
+        stale: fresh.median_us < baseline.median_us / (1.0 + threshold),
     })
 }
 
@@ -197,6 +213,20 @@ mod tests {
         let baseline = result(100.0, 0.1);
         let fresh = result(120.0, 9.9); // fresh file's threshold is ignored
         assert!(row(&baseline, &fresh).regressed);
+    }
+
+    #[test]
+    fn a_baseline_the_tree_undercuts_past_its_threshold_is_stale() {
+        let baseline = result(150.0, 0.5);
+        // Exactly at baseline / (1 + threshold): passes.
+        let at = row(&baseline, &result(100.0, 0.5));
+        assert!(!at.stale && !at.regressed);
+        // A hair under: stale, not regressed, and rendered as such.
+        let under = row(&baseline, &result(100.0 - 1e-9, 0.5));
+        assert!(under.stale && !under.regressed);
+        let report = DiffReport { rows: vec![under] };
+        assert_eq!((report.stale(), report.regressions()), (1, 0));
+        assert!(report.render().contains("STALE"), "{}", report.render());
     }
 
     #[test]

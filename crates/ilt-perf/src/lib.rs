@@ -16,11 +16,11 @@
 //! The barometer is three pieces:
 //!
 //! - **Registry** ([`registry`]): a flat list of [`Workload`]s — name,
-//!   regression threshold, and a run function. Four families, each a name
-//!   prefix (`fft_`, `sim_`, `core_`, `runtime_`), ship in-tree: the
-//!   pruned FFT transforms of a fused step, the simulator's aerial image,
-//!   one optimizer step of each Algorithm 1 branch, and the tiled runtime
-//!   pipeline.
+//!   regression threshold, and a run function. Three families, each a name
+//!   prefix (`fft_`, `sim_`, `core_`), ship in-tree: the pruned FFT
+//!   transforms of a fused step, the simulator's aerial image, and one
+//!   optimizer step of each Algorithm 1 branch. The tiled runtime is timed
+//!   end to end by `benchmark/`'s `batch_tiles`.
 //! - **Measurement engine** ([`measure`]): one untimed warmup, then
 //!   median-of-N wall times with MAD dispersion, stamped with the
 //!   environment (git revision, hardware thread count) so a checked-in
@@ -29,7 +29,8 @@
 //!   `BENCH_<workload>.json` in the `ilt-bench/v2` schema; [`diff`]
 //!   compares a fresh run against checked-in baselines entirely in-tree
 //!   and reports a regression when a fresh median exceeds the baseline by
-//!   more than the workload's threshold.
+//!   more than the workload's threshold, and a stale baseline when it
+//!   undercuts it by as much.
 //!
 //! The CLI front ends are `ilt bench list|run|diff` and
 //! `ilt tables <selector>...`; `verify_perf.sh` wires the FFT family into

@@ -2,8 +2,8 @@
 //!
 //! A [`Workload`] is one named measurement with its own regression
 //! threshold; [`registry`] returns the full list and [`select`] filters it
-//! by name glob. A family is a name prefix (`fft_*`, `sim_*`, `core_*`,
-//! `runtime_*`), so `ilt bench run 'fft_*'` measures one.
+//! by name glob. A family is a name prefix (`fft_*`, `sim_*`, `core_*`),
+//! so `ilt bench run 'fft_*'` measures one.
 
 use crate::measure::{MeasureConfig, Sample};
 use crate::workloads;
@@ -11,8 +11,7 @@ use crate::workloads;
 /// One benchmark in the registry.
 pub struct Workload {
     /// Unique registry name, prefixed by its family (`fft_`, `sim_`,
-    /// `core_`, `runtime_`); also names the baseline file
-    /// (`BENCH_<name>.json`).
+    /// `core_`); also names the baseline file (`BENCH_<name>.json`).
     pub name: &'static str,
     /// Allowed fractional slowdown vs. the checked-in baseline before
     /// `diff` reports a regression (0.1 = fail past 1.1x), set from the
@@ -28,8 +27,9 @@ pub struct Workload {
 }
 
 /// Every workload the barometer ships: one or more per compute layer, from
-/// the FFT kernels up to the tiled runtime. The serving path is measured
-/// end to end by `benchmark/`'s `serve_small`, not here.
+/// the FFT kernels up to the optimizer step. The tiled runtime and the
+/// serving path are measured end to end by `benchmark/`'s `batch_tiles`
+/// and `serve_small`, not here.
 pub fn registry() -> Vec<Workload> {
     vec![
         Workload {
@@ -59,7 +59,7 @@ pub fn registry() -> Vec<Workload> {
         Workload {
             name: "core_step_lo",
             threshold: 0.11,
-            notes: "one low-res optimizer step (MultiLevelIlt::step: tape, fused Eq. 5 operator, backward) of ICCAD case 1 at grid 1024, s=4, 10 kernels",
+            notes: "one low-res optimizer step (MultiLevelIlt::step: pool, sigmoid, LossWeights::eq5, their adjoints) of ICCAD case 1 at grid 1024, s=4, 10 kernels",
             run: workloads::optimizer::step_lo,
         },
         Workload {
@@ -67,12 +67,6 @@ pub fn registry() -> Vec<Workload> {
             threshold: 0.15,
             notes: "one high-res optimizer step at the same point: mask and gradient at N/s, both corners simulated at N",
             run: workloads::optimizer::step_hi,
-        },
-        Workload {
-            name: "runtime_tile_pipeline",
-            threshold: 0.12,
-            notes: "tiled batch end-to-end via run_batch: 256 px via clip, 9 tiles, threads = 2",
-            run: workloads::runtime::tile_pipeline,
         },
     ]
 }
@@ -118,7 +112,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate workload names");
-        for family in ["fft_", "sim_", "core_", "runtime_"] {
+        for family in ["fft_", "sim_", "core_"] {
             assert!(
                 all.iter().any(|w| w.name.starts_with(family)),
                 "no workload named {family}*"

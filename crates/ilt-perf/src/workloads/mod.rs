@@ -7,7 +7,6 @@
 
 pub mod fft;
 pub mod optimizer;
-pub mod runtime;
 pub mod simulator;
 
 use ilt_layouts::Xorshift64Star;

@@ -1,6 +1,7 @@
-//! Optimizer workloads: one Eq. 5 step of [`MultiLevelIlt`] — tape build,
-//! the fused process-window operator, reverse sweep — at the paper's
-//! operating point, in each of Algorithm 1's two branches.
+//! Optimizer workloads: one Eq. 5 step of [`MultiLevelIlt`] — the binary
+//! function, `LossWeights::eq5` (both process corners through
+//! `LithoSimulator::soft_corners`) and the binary function's adjoint — at
+//! the paper's operating point, in each of Algorithm 1's two branches.
 
 use std::hint::black_box;
 use std::sync::Arc;

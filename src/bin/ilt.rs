@@ -87,11 +87,12 @@
 //! checkpoint WALs so a restarted worker resumes a re-dispatched shard
 //! instead of recomputing it. `bench` is the
 //! hermetic, std-only performance barometer (the `ilt-perf` crate): `list`
-//! shows the workload registry (FFT, simulator, optimizer step and
-//! tiled-runtime families), `run` measures the selected workloads and writes one
+//! shows the workload registry (FFT, simulator and optimizer step
+//! families), `run` measures the selected workloads and writes one
 //! `BENCH_<name>.json` (schema `ilt-bench/v2`) per workload, and `diff`
 //! compares a fresh run against the checked-in baselines, exiting non-zero
-//! past each workload's regression threshold — the standing perf gate.
+//! past each workload's regression threshold either way (slower:
+//! `REGRESSED`; faster: a `STALE` baseline) — the standing perf gate.
 //! `tables` regenerates the paper's tables, figures, Section III-B timing
 //! study and the design ablations as markdown (the same crate's `tables`
 //! module), headed by the reproducing command line and the revision / FFT
@@ -588,7 +589,7 @@ fn cmd_kernels(cli: &Cli) -> Result<(), Box<dyn Error>> {
 /// `run` executes the selected workloads and writes one `BENCH_<name>.json`
 /// (schema `ilt-bench/v2`) per workload into `--out`; `diff` compares a
 /// fresh run directory against the checked-in baselines in `--baselines`
-/// and exits non-zero past each workload's regression threshold. Entirely
+/// and exits non-zero past each workload's threshold, slower or faster. Entirely
 /// std-only: no python, no network.
 fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
     use multilevel_ilt::perf::{diff_dirs, env_stamp, select, BenchResult, MeasureConfig};
@@ -652,10 +653,11 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
                 globs,
             )?;
             print!("{}", report.render());
-            let regressions = report.regressions();
-            if regressions > 0 {
+            let (regressed, stale) = (report.regressions(), report.stale());
+            if regressed + stale > 0 {
                 return Err(format!(
-                    "{regressions} workload(s) regressed past threshold"
+                    "{regressed} workload(s) regressed past threshold, {stale} baseline(s) stale \
+                     (re-record with `ilt bench run <workload> --out <baseline dir>`)"
                 )
                 .into());
             }

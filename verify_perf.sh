@@ -9,15 +9,16 @@
 #      never be compared against a run on mystery hardware;
 #   3. `ilt bench diff 'fft_*'` compares the fresh medians against the
 #      checked-in BENCH_<workload>.json baselines at the repo root and exits
-#      non-zero past a workload's regression threshold (16-27% for the FFT
+#      non-zero past a workload's threshold either way (REGRESSED when
+#      slower, STALE when faster: re-record the baseline) (9-15% for the FFT
 #      family, each set from its run-to-run spread on the reference box; a
 #      failure while the box is in its slow mode is re-run once);
 #   4. with ILT_FFT_FORCE_SCALAR=1 the scalar fallback passes the same
 #      bit-identity guard tests as the SIMD kernels (butterflies and the
 #      logistic), proving the forced path stays live and numerically
 #      identical — and the simulator built on it still matches its dense
-#      reference (tests/spectral_guard.rs), the fused Eq. 5 operator the
-#      unfused chain (crates/ilt-core/tests/eq5_operator.rs), and the masks
+#      reference (tests/spectral_guard.rs), the optimizer's tape-free step
+#      the tape chain (crates/ilt-core/tests/eq5_operator.rs), and the masks
 #      printed under the scalar logistic their goldens (tests/goldens.rs);
 #      no shipped sigmoid calls libm's `exp` behind the kernel's back
 #      (tests/hermetic.rs::one_exp_for_every_sigmoid);
