@@ -226,7 +226,8 @@ impl MultiLevelIlt {
 
         // Algorithm 1 lines 2-3: M'_s <- AvgPool(Z_t, s).
         let mut scale = schedule[0].scale;
-        let mut m_raw = avg_pool_down(target, scale);
+        let mut z_t_s = avg_pool_down(target, scale);
+        let mut m_raw = z_t_s.clone();
         let mut region_s = self.cfg.region.region_mask_at_scale(target, nm_per_px, scale);
         freeze(&mut m_raw, &region_s, self.cfg.frozen_value);
 
@@ -237,10 +238,10 @@ impl MultiLevelIlt {
             if stage.scale != scale {
                 m_raw = resample_raw(&m_raw, scale, stage.scale);
                 scale = stage.scale;
+                z_t_s = avg_pool_down(target, scale);
                 region_s = self.cfg.region.region_mask_at_scale(target, nm_per_px, scale);
                 freeze(&mut m_raw, &region_s, self.cfg.frozen_value);
             }
-            let z_t_s = avg_pool_down(target, scale);
 
             let mut best_loss = f64::INFINITY;
             let mut best_mask = m_raw.clone();
@@ -323,9 +324,11 @@ impl MultiLevelIlt {
         (loss, smooth(Cow::Owned(grad), before).into_owned())
     }
 
-    /// Final mask synthesis: output binary function (`T_R = 0.4`), nearest
-    /// upsample to full resolution, hard threshold `t_m`, region freeze and
-    /// optional shape post-processing.
+    /// Final mask synthesis: output binary function (`T_R = 0.4`), region
+    /// freeze, hard threshold `t_m`, nearest upsample to full resolution and
+    /// optional shape post-processing. The threshold is pointwise, so it
+    /// commutes with the upsample and runs at the stage's scale: the mask
+    /// is the only full-size field.
     fn finalize(
         &self,
         m_raw: &Field2D,
@@ -333,10 +336,10 @@ impl MultiLevelIlt {
         target: &Field2D,
         region_s: &Field2D,
     ) -> Field2D {
-        let soft = self.cfg.output_binary.apply_field(m_raw);
-        let soft = soft.hadamard(region_s); // frozen pixels stay opaque
-        let full = if scale > 1 { upsample_nearest(&soft, scale) } else { soft };
-        let mut binary = full.threshold(FINAL_THRESHOLD);
+        // Frozen pixels stay opaque.
+        let mut soft = self.cfg.output_binary.apply_field(m_raw).hadamard(region_s);
+        soft.threshold_in_place(FINAL_THRESHOLD);
+        let mut binary = if scale > 1 { upsample_nearest(&soft, scale) } else { soft };
         if let Some(pp) = self.cfg.postprocess {
             binary = simplify_mask(&binary, target, pp).0;
         }

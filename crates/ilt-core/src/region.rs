@@ -7,8 +7,8 @@
 //! reports both (Tables II and III). Pixels outside the region are frozen
 //! opaque.
 
-use ilt_field::{avg_pool_down, Field2D};
-use ilt_geom::label_components;
+use ilt_field::Field2D;
+use ilt_geom::{label_components, Rect};
 
 /// How the writable mask region is derived from the target.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,7 +40,8 @@ impl OptimizeRegion {
         OptimizeRegion::Option2 { margin_nm: 220.0 }
     }
 
-    /// Computes the binary writable-region mask for a target image.
+    /// Computes the binary writable-region mask for a target image: the
+    /// `s = 1` case of [`OptimizeRegion::region_mask_at_scale`].
     ///
     /// `nm_per_px` converts the margins to pixels.
     ///
@@ -58,53 +59,49 @@ impl OptimizeRegion {
     /// assert!(region.count_on() < 64 * 64);
     /// ```
     pub fn region_mask(&self, target: &Field2D, nm_per_px: f64) -> Field2D {
-        let (rows, cols) = target.shape();
-        match *self {
-            OptimizeRegion::Full => Field2D::filled(rows, cols, 1.0),
-            OptimizeRegion::Option1 { margin_nm } => {
-                let margin = (margin_nm / nm_per_px).round() as usize;
-                let mut region = Field2D::zeros(rows, cols);
-                for comp in label_components(target) {
-                    comp.bbox.expand_clamped(margin, rows, cols).fill(&mut region, 1.0);
-                }
-                region
-            }
-            OptimizeRegion::Option2 { margin_nm } => {
-                let margin = (margin_nm / nm_per_px).round() as usize;
-                let comps = label_components(target);
-                let mut region = Field2D::zeros(rows, cols);
-                if let Some(first) = comps.first() {
-                    let bbox = comps
-                        .iter()
-                        .skip(1)
-                        .fold(first.bbox, |acc, c| acc.union_bbox(&c.bbox));
-                    bbox.expand_clamped(margin, rows, cols).fill(&mut region, 1.0);
-                }
-                region
-            }
-        }
+        self.region_mask_at_scale(target, nm_per_px, 1)
     }
 
-    /// Region mask downsampled to scale `s` (a reduced pixel is writable
-    /// when any covered pixel is writable, so border SRAF room survives
-    /// pooling).
+    /// The region mask at scale `s`, built on the reduced grid: a reduced
+    /// pixel is writable when its `s x s` block meets an expanded box, which
+    /// is the full-resolution mask pooled by `s` and kept where it is
+    /// nonzero, so border SRAF room survives pooling.
     ///
     /// # Panics
     ///
-    /// Panics if `s` does not divide the region dimensions.
+    /// Panics if `s` does not divide the target dimensions.
     pub fn region_mask_at_scale(&self, target: &Field2D, nm_per_px: f64, s: usize) -> Field2D {
-        let full = self.region_mask(target, nm_per_px);
-        if s == 1 {
-            return full;
+        let (rows, cols) = target.shape();
+        assert!(s > 0 && rows % s == 0 && cols % s == 0, "scale {s} must divide {rows}x{cols}");
+        let (boxes, margin_nm) = match *self {
+            OptimizeRegion::Full => (vec![Rect::new(0, 0, rows, cols)], 0.0),
+            OptimizeRegion::Option1 { margin_nm } => {
+                (label_components(target).into_iter().map(|c| c.bbox).collect(), margin_nm)
+            }
+            // The bounding box of all features is the one of all their
+            // pixels (the foreground of `label_components`).
+            OptimizeRegion::Option2 { margin_nm } => {
+                let on = target.as_slice().iter().enumerate().filter(|(_, v)| **v >= 0.5);
+                let pixel =
+                    |(i, _): (usize, _)| Rect::new(i / cols, i % cols, i / cols + 1, i % cols + 1);
+                (on.map(pixel).reduce(|a, b| a.union_bbox(&b)).into_iter().collect(), margin_nm)
+            }
+        };
+        let margin = (margin_nm / nm_per_px).round() as usize;
+        let mut region = Field2D::zeros(rows / s, cols / s);
+        for b in boxes.iter().map(|b| b.expand_clamped(margin, rows, cols)) {
+            let blocks = Rect::new(b.r0 / s, b.c0 / s, b.r1.div_ceil(s), b.c1.div_ceil(s));
+            blocks.fill(&mut region, 1.0);
         }
-        avg_pool_down(&full, s).map(|v| if v > 0.0 { 1.0 } else { 0.0 })
+        region
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ilt_geom::{rasterize_rects, Rect};
+    use ilt_field::avg_pool_down;
+    use ilt_geom::rasterize_rects;
 
     fn two_features() -> Field2D {
         rasterize_rects(
@@ -170,6 +167,86 @@ mod tests {
             for col in 0..64 {
                 if full[(row, col)] >= 0.5 {
                     assert_eq!(s4[(row / 4, col / 4)], 1.0, "({row},{col})");
+                }
+            }
+        }
+    }
+
+    /// The full-resolution derivation the at-scale path replaced: each
+    /// feature's expanded box (Option 1) or the expanded union of all
+    /// feature boxes (Option 2) filled at full size, then pooled by `s` and
+    /// kept where it is nonzero.
+    fn pooled_reference(region: OptimizeRegion, t: &Field2D, nm_per_px: f64, s: usize) -> Field2D {
+        let (rows, cols) = t.shape();
+        let comps = label_components(t);
+        let boxes: Vec<Rect> = match region {
+            OptimizeRegion::Full => vec![Rect::new(0, 0, rows, cols)],
+            OptimizeRegion::Option1 { .. } => comps.iter().map(|c| c.bbox).collect(),
+            OptimizeRegion::Option2 { .. } => {
+                comps.iter().map(|c| c.bbox).reduce(|a, b| a.union_bbox(&b)).into_iter().collect()
+            }
+        };
+        let mut full = Field2D::zeros(rows, cols);
+        for b in boxes {
+            let b = match region {
+                OptimizeRegion::Option1 { margin_nm } | OptimizeRegion::Option2 { margin_nm } => {
+                    b.expand_clamped((margin_nm / nm_per_px).round() as usize, rows, cols)
+                }
+                OptimizeRegion::Full => b,
+            };
+            b.fill(&mut full, 1.0);
+        }
+        avg_pool_down(&full, s).map(|v| if v > 0.0 { 1.0 } else { 0.0 })
+    }
+
+    #[test]
+    fn at_scale_region_is_the_pooled_full_region_to_the_bit() {
+        let n = 64;
+        // Margins of 5 px from these features clamp at the top, left,
+        // bottom and right edge in turn; the interior box does not clamp,
+        // and its odd corners put box edges inside every block size.
+        let edges = rasterize_rects(
+            &[
+                Rect::new(2, 21, 9, 30),
+                Rect::new(27, 3, 31, 12),
+                Rect::new(58, 37, 61, 45),
+                Rect::new(41, 57, 50, 63),
+                Rect::new(19, 23, 22, 43),
+            ],
+            n,
+            n,
+        );
+        let mut single = Field2D::zeros(n, n);
+        single[(37, 13)] = 1.0;
+        let layout = ilt_layouts::iccad2013_case(1);
+        let targets = [
+            ("edges", edges, 1.0),
+            ("empty", Field2D::zeros(n, n), 1.0),
+            ("single pixel", single, 1.0),
+            ("M1 case 1", layout.rasterize(256), layout.nm_per_px(256)),
+        ];
+        for (name, t, nm_per_px) in &targets {
+            for margin_nm in [0.0, 5.0 * nm_per_px, 27.0 * nm_per_px] {
+                for region in [
+                    OptimizeRegion::Full,
+                    OptimizeRegion::Option1 { margin_nm },
+                    OptimizeRegion::Option2 { margin_nm },
+                ] {
+                    for s in [1, 2, 4, 8] {
+                        let fast = region.region_mask_at_scale(t, *nm_per_px, s);
+                        let reference = pooled_reference(region, t, *nm_per_px, s);
+                        assert_eq!(fast.shape(), reference.shape());
+                        let mut pairs = fast.as_slice().iter().zip(reference.as_slice());
+                        assert!(
+                            pairs.all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "{name}, {region:?}, s = {s}"
+                        );
+                    }
+                    let full = region.region_mask(t, *nm_per_px);
+                    assert!(
+                        full == pooled_reference(region, t, *nm_per_px, 1),
+                        "{name}, {region:?}"
+                    );
                 }
             }
         }

@@ -220,6 +220,12 @@ impl Field2D {
         self.map(|x| if x >= t { 1.0 } else { 0.0 })
     }
 
+    /// [`Field2D::threshold`] over this field's own pixels, for a field
+    /// whose values are not needed afterwards.
+    pub fn threshold_in_place(&mut self, t: f64) {
+        self.data.iter_mut().for_each(|x| *x = if *x >= t { 1.0 } else { 0.0 });
+    }
+
     /// Counts pixels where the binarized values differ (XOR area in pixels).
     ///
     /// Used for PVBand (Definition 2). Inputs are interpreted as binary via
@@ -419,6 +425,9 @@ mod tests {
         let f = Field2D::from_vec(1, 4, vec![0.1, 0.5, 0.9, 0.49]);
         let b = f.threshold(0.5);
         assert_eq!(b.as_slice(), &[0.0, 1.0, 1.0, 0.0]);
+        let mut in_place = f.clone();
+        in_place.threshold_in_place(0.5);
+        assert_eq!(in_place, b);
         assert_eq!(b.count_on(), 2);
         let g = Field2D::from_vec(1, 4, vec![1.0, 1.0, 0.0, 0.0]);
         assert_eq!(b.xor_count(&g), 2);

@@ -560,22 +560,29 @@ impl LithoSimulator {
         intensity.threshold(th)
     }
 
+    /// [`LithoSimulator::resist_hard`] over the image's own pixels.
+    fn resist_in_place(&self, intensity: &mut Field2D, dose: f64) {
+        intensity.threshold_in_place(self.cfg.resist_threshold / dose);
+    }
+
     /// Full print: aerial image + hard resist under `cond`.
     pub fn print(&self, mask: &Field2D, cond: ProcessCondition) -> Field2D {
-        let intensity = self.aerial(mask, cond.defocus);
-        self.resist_hard(&intensity, cond.dose)
+        let mut print = self.aerial(mask, cond.defocus);
+        self.resist_in_place(&mut print, cond.dose);
+        print
     }
 
     /// Prints at the three process corners (Definitions 1 and 2).
     pub fn print_corners(&self, mask: &Field2D) -> CornerPrints {
         // Nominal and outer share the focused aerial image; inner needs the
-        // defocused one. One mask transform, two kernel sweeps, three prints.
-        let (focused, defocused) = self.aerial_pair(mask);
-        CornerPrints {
-            nominal: self.resist_hard(&focused, ProcessCondition::nominal().dose),
-            inner: self.resist_hard(&defocused, ProcessCondition::inner().dose),
-            outer: self.resist_hard(&focused, ProcessCondition::outer().dose),
-        }
+        // defocused one. One mask transform and two kernel sweeps; the outer
+        // print is the only new field, the other two are thresholded over
+        // their images, so no more than three full-size fields are alive.
+        let (mut nominal, mut inner) = self.aerial_pair(mask);
+        let outer = self.resist_hard(&nominal, ProcessCondition::outer().dose);
+        self.resist_in_place(&mut nominal, ProcessCondition::nominal().dose);
+        self.resist_in_place(&mut inner, ProcessCondition::inner().dose);
+        CornerPrints { nominal, inner, outer }
     }
 }
 
