@@ -24,7 +24,11 @@
 //!   implementing the frequency-domain size changes of Eqs. 3/7/8 of the
 //!   paper ("discard the high-frequency part of `F(M)`"),
 //! * [`logistic`] / [`logistic_in_place`] — the one sigmoid kernel (Eqs. 9
-//!   and 11), dispatched like the butterflies and bit-identical across them.
+//!   and 11), dispatched like the butterflies and bit-identical across them,
+//! * [`conj_dots`] / [`axpys`] / [`sub_axpys`] — block primitives (many
+//!   conjugate dots of one vector, many complex axpys with one vector) that
+//!   the SOCS eigensolver in `ilt-optics` runs every sum on, dispatched the
+//!   same way and bit-identical to their scalar loops.
 //!
 //! # Example: band-limited downsampling (the Eq. 7 trick)
 //!
@@ -50,9 +54,9 @@ mod cores;
 mod fft2d;
 mod plan;
 mod scratch;
-// The one module allowed to use `unsafe`: `std::arch` SIMD butterflies and
-// the AVX2 logistic, runtime-dispatched and pinned bit-for-bit against the
-// scalar path.
+// The one module allowed to use `unsafe`: `std::arch` SIMD butterflies, the
+// AVX2 logistic and block primitives, runtime-dispatched and pinned
+// bit-for-bit against the scalar path.
 #[allow(unsafe_code)]
 mod simd;
 mod spectrum;
@@ -64,7 +68,7 @@ pub use plan::{Direction, FftPlan};
 pub use scratch::{
     grown, with_installed_scratch, with_thread_scratch, Fft2dScratch, ScratchPool, WorkBuffers,
 };
-pub use simd::{active_kernel, logistic, logistic_in_place};
+pub use simd::{active_kernel, axpys, conj_dots, logistic, logistic_in_place, sub_axpys};
 pub use spectrum::{
     crop_centered, fftshift, freq_index, pad_centered, pad_centered_into, signed_freq,
 };

@@ -1,11 +1,13 @@
-//! Runtime-dispatched SIMD kernels: the FFT butterflies and the logistic
-//! every sigmoid of the stack runs on ([`logistic`], [`logistic_in_place`]).
+//! Runtime-dispatched SIMD kernels: the FFT butterflies, the logistic
+//! every sigmoid of the stack runs on ([`logistic`], [`logistic_in_place`]),
+//! and the block primitives the SOCS kernel build sums on ([`conj_dots`],
+//! [`axpys`], [`sub_axpys`]).
 //!
 //! The kernel is selected **once per process** from CPU feature detection
 //! (`is_x86_feature_detected!`) and the `ILT_FFT_FORCE_SCALAR` environment
-//! variable, then cached; every [`crate::FftPlan::process`] and
-//! [`logistic_in_place`] call dispatches through the cached choice with zero
-//! per-call detection cost.
+//! variable, then cached; every [`crate::FftPlan::process`],
+//! [`logistic_in_place`] and block-primitive call dispatches through the
+//! cached choice with zero per-call detection cost.
 //!
 //! ## Bit-compatibility contract
 //!
@@ -23,12 +25,20 @@
 //! the scalar loop compiled with `avx2` enabled (no `fma`), so the compiler
 //! may widen it but not re-round it.
 //!
+//! The block primitives keep it by widening across columns, never along a
+//! sum: a register holds two columns' `(re, im)` sums (or, for an axpy, two
+//! elements of one column), each product is the scalar complex multiply in
+//! the butterflies' `mul`/`addsub` form, and every sum runs in the scalar
+//! loop's order. Regrouping one sum to vectorize it would re-round it.
+//!
 //! Consequently `process` and `process_scalar` agree bit-for-bit, printed
-//! masks do not depend on the host CPU, and `ILT_FFT_FORCE_SCALAR=1` runs
-//! reproduce SIMD runs exactly. `crates/ilt-fft/tests/kernel_guard.rs` pins
-//! this contract.
+//! masks and SOCS kernels do not depend on the host CPU, and
+//! `ILT_FFT_FORCE_SCALAR=1` runs reproduce SIMD runs exactly.
+//! `crates/ilt-fft/tests/kernel_guard.rs` pins this contract.
 
 use std::sync::OnceLock;
+
+use crate::complex::Complex64;
 
 /// Which butterfly implementation `FftPlan::process` dispatches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -165,6 +175,87 @@ fn logistic_each(xs: &mut [f64]) {
     }
 }
 
+/// The conjugate dots of one vector against a block of columns:
+/// `acc[j] += conj(x[e]) * ys[j * stride + e]` for every `j`, each sum in
+/// increasing `e` from the caller's `acc[j]`, on the process's kernel and
+/// bit-identical on both. The AVX2 kernel holds two columns' sums per
+/// register, so it interleaves independent sums and reorders none.
+///
+/// # Panics
+///
+/// Panics if the last column runs past the end of `ys`.
+pub fn conj_dots(x: &[Complex64], ys: &[Complex64], stride: usize, acc: &mut [Complex64]) {
+    if let Some(last) = acc.len().checked_sub(1) {
+        assert!(last * stride + x.len() <= ys.len(), "column {last} runs past the block");
+    }
+    match active() {
+        // SAFETY: `active()` is `Avx2` only when `detect` saw the CPU report
+        // AVX2, and every column lies inside `ys` (asserted above).
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => unsafe { x86::conj_dots_avx(x, ys, stride, acc) },
+        _ => conj_dots_cols(x, ys, stride, acc),
+    }
+}
+
+/// Many complex axpys with one vector: `outs[j * stride + e] += x[e] *
+/// coefs[j]` for every `j` and `e`, on the process's kernel and
+/// bit-identical on both.
+///
+/// # Panics
+///
+/// Panics if the last column runs past the end of `outs`, or if two columns
+/// overlap (`stride < x.len()` with more than one coefficient).
+pub fn axpys(x: &[Complex64], coefs: &[Complex64], outs: &mut [Complex64], stride: usize) {
+    axpys_on::<false>(x, coefs, outs, stride)
+}
+
+/// [`axpys`] subtracting: `outs[j * stride + e] -= x[e] * coefs[j]`.
+/// Negated coefficients would not do: `x * -c` rounds an exact-zero
+/// product to `+0` where `-(x * c)` is `-0`, and `-0 + +0` is `+0`.
+///
+/// # Panics
+///
+/// As [`axpys`].
+pub fn sub_axpys(x: &[Complex64], coefs: &[Complex64], outs: &mut [Complex64], stride: usize) {
+    axpys_on::<true>(x, coefs, outs, stride)
+}
+
+fn axpys_on<const SUB: bool>(x: &[Complex64], coefs: &[Complex64], outs: &mut [Complex64], stride: usize) {
+    if let Some(last) = coefs.len().checked_sub(1) {
+        assert!(last * stride + x.len() <= outs.len(), "column {last} runs past the block");
+        assert!(last == 0 || x.len() <= stride, "columns overlap");
+    }
+    match active() {
+        // SAFETY: AVX2 as in `conj_dots`, and every column lies inside
+        // `outs` without overlapping another (asserted above).
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => unsafe { x86::axpys_avx::<SUB>(x, coefs, outs, stride) },
+        _ => axpys_cols::<SUB>(x, coefs, outs, stride),
+    }
+}
+
+/// The scalar [`conj_dots`]: one column at a time.
+fn conj_dots_cols(x: &[Complex64], ys: &[Complex64], stride: usize, acc: &mut [Complex64]) {
+    for (j, a) in acc.iter_mut().enumerate() {
+        for (&xe, &y) in x.iter().zip(&ys[j * stride..]) {
+            *a += xe.conj() * y;
+        }
+    }
+}
+
+/// The scalar [`axpys`] / [`sub_axpys`]: one column at a time.
+fn axpys_cols<const SUB: bool>(x: &[Complex64], coefs: &[Complex64], outs: &mut [Complex64], stride: usize) {
+    for (j, &c) in coefs.iter().enumerate() {
+        for (o, &xe) in outs[j * stride..].iter_mut().zip(x) {
+            if SUB {
+                *o -= xe * c;
+            } else {
+                *o += xe * c;
+            }
+        }
+    }
+}
+
 // The three stage dispatchers below are the safe boundary of the crate's
 // only unsafe code. Each picks, per stage, the AVX2 row kernel for a single
 // row (`width == 1`), the AVX2 column kernel for an even width, and the
@@ -172,7 +263,7 @@ fn logistic_each(xs: &mut [f64]) {
 
 /// Runs the twiddle-free leading radix-2 pass across the rows of a
 /// `rows x width` panel ([`crate::FftPlan::process`]).
-pub(crate) fn radix2_rows(panel: &mut [crate::complex::Complex64], width: usize, kernel: Kernel) {
+pub(crate) fn radix2_rows(panel: &mut [Complex64], width: usize, kernel: Kernel) {
     match kernel {
         // SAFETY: `kernel` is `Avx2` only when `detect` saw the CPU report
         // AVX2 (which implies AVX); the plan hands over whole pairs of rows.
@@ -187,7 +278,7 @@ pub(crate) fn radix2_rows(panel: &mut [crate::complex::Complex64], width: usize,
 
 /// Runs the `t == 1` fused radix-4 stage across panel columns.
 pub(crate) fn radix4_stage1_cols(
-    panel: &mut [crate::complex::Complex64],
+    panel: &mut [Complex64],
     width: usize,
     forward: bool,
     kernel: Kernel,
@@ -209,7 +300,7 @@ pub(crate) fn radix4_stage1_cols(
 /// Runs a fused radix-4 stage (`t >= 2`) across panel columns: the twiddles
 /// are broadcast once per butterfly row, and the vectors are unit-stride.
 pub(crate) fn radix4_stage_cols(
-    panel: &mut [crate::complex::Complex64],
+    panel: &mut [Complex64],
     width: usize,
     stage: &crate::plan::Radix4Stage,
     forward: bool,
@@ -392,6 +483,105 @@ mod x86 {
     unsafe fn cmul_bcast(x: __m256d, wr: __m256d, wi: __m256d) -> __m256d {
         let xs = _mm256_permute_pd(x, 0b0101); // [x0.im, x0.re, x1.im, x1.re]
         _mm256_addsub_pd(_mm256_mul_pd(x, wr), _mm256_mul_pd(xs, wi))
+    }
+
+    /// [`super::conj_dots`]: columns in pairs, up to four pairs per sweep of
+    /// `x`, each pair's two `(re, im)` sums in one register; an odd last
+    /// column goes to the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX is available and that column
+    /// `acc.len() - 1` ends inside `ys`.
+    #[target_feature(enable = "avx")]
+    pub(crate) unsafe fn conj_dots_avx(
+        x: &[Complex64],
+        ys: &[Complex64],
+        stride: usize,
+        acc: &mut [Complex64],
+    ) {
+        let (xp, len) = (x.as_ptr() as *const f64, x.len());
+        let col = |j: usize| ys.as_ptr().add(j * stride) as *const f64;
+        let sums = acc.as_mut_ptr() as *mut f64;
+        let mut j = 0;
+        while acc.len() - j >= 8 {
+            conj_dots_pairs::<4>(xp, len, col(j), stride, sums.add(2 * j));
+            j += 8;
+        }
+        match (acc.len() - j) / 2 {
+            3 => conj_dots_pairs::<3>(xp, len, col(j), stride, sums.add(2 * j)),
+            2 => conj_dots_pairs::<2>(xp, len, col(j), stride, sums.add(2 * j)),
+            1 => conj_dots_pairs::<1>(xp, len, col(j), stride, sums.add(2 * j)),
+            _ => {}
+        }
+        j = acc.len() & !1;
+        if j < acc.len() {
+            super::conj_dots_cols(x, &ys[j * stride..], stride, &mut acc[j..]);
+        }
+    }
+
+    /// `G` pairs of columns against `x`: column `2g` in the low half of
+    /// `sums[g]`, column `2g + 1` in the high half. Each product is
+    /// `conj(x_e) * y` in [`cmul_bcast`]'s form, the scalar's operations in
+    /// the scalar's order.
+    #[inline(always)]
+    unsafe fn conj_dots_pairs<const G: usize>(
+        x: *const f64,
+        len: usize,
+        y: *const f64,
+        stride: usize,
+        acc: *mut f64,
+    ) {
+        let mut sums = [_mm256_setzero_pd(); G];
+        for (g, s) in sums.iter_mut().enumerate() {
+            *s = _mm256_loadu_pd(acc.add(4 * g));
+        }
+        for e in 0..len {
+            let wr = _mm256_set1_pd(*x.add(2 * e));
+            let wi = _mm256_set1_pd(-*x.add(2 * e + 1));
+            for (g, s) in sums.iter_mut().enumerate() {
+                let lo = y.add(2 * (2 * g * stride + e));
+                let yv = _mm256_loadu2_m128d(lo.add(2 * stride), lo);
+                *s = _mm256_add_pd(*s, cmul_bcast(yv, wr, wi));
+            }
+        }
+        for (g, s) in sums.iter().enumerate() {
+            _mm256_storeu_pd(acc.add(4 * g), *s);
+        }
+    }
+
+    /// [`super::axpys`] (`SUB = false`) and [`super::sub_axpys`]: per column,
+    /// its coefficient broadcast and two elements per register; an odd last
+    /// element goes to the scalar loop. [`cmul_bcast`] adds the imaginary
+    /// part's two products in the other order, which IEEE addition's
+    /// commutativity makes the same bits.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX is available and that the columns end inside
+    /// `outs` without overlapping.
+    #[target_feature(enable = "avx")]
+    pub(crate) unsafe fn axpys_avx<const SUB: bool>(
+        x: &[Complex64],
+        coefs: &[Complex64],
+        outs: &mut [Complex64],
+        stride: usize,
+    ) {
+        let (xp, even) = (x.as_ptr() as *const f64, x.len() & !1);
+        for (j, c) in coefs.iter().enumerate() {
+            let (cr, ci) = (_mm256_set1_pd(c.re), _mm256_set1_pd(c.im));
+            let out = outs.as_mut_ptr().add(j * stride) as *mut f64;
+            for e in (0..even).step_by(2) {
+                let p = cmul_bcast(_mm256_loadu_pd(xp.add(2 * e)), cr, ci);
+                let o = _mm256_loadu_pd(out.add(2 * e));
+                let o = if SUB { _mm256_sub_pd(o, p) } else { _mm256_add_pd(o, p) };
+                _mm256_storeu_pd(out.add(2 * e), o);
+            }
+            if even < x.len() {
+                let at = j * stride + even;
+                super::axpys_cols::<SUB>(&x[even..], std::slice::from_ref(c), &mut outs[at..], stride);
+            }
+        }
     }
 
     /// Leading radix-2 pass across adjacent rows of a `rows x width` panel:

@@ -1,7 +1,8 @@
 //! Guard for the rebuilt spectral kernels: the radix-4 plan, the SIMD
-//! butterflies, the pruned (crop-fused) forward, and the batched 2-D paths
-//! are all pinned here against dense scalar references through the public
-//! API, across sizes 8..=1024 and kernel supports P in {1, 7, 25, N}.
+//! butterflies, the pruned (crop-fused) forward, the batched 2-D paths and
+//! the block primitives the SOCS kernel build sums on are all pinned here
+//! against dense scalar references through the public API, across sizes
+//! 8..=1024 and kernel supports P in {1, 7, 25, N}.
 //!
 //! Two kinds of pin. Paths that re-associate the arithmetic (pruned
 //! transforms compute the same spectrum through a different factorization)
@@ -10,7 +11,8 @@
 //! to bit identity via `to_bits` — no tolerance at all.
 
 use ilt_fft::{
-    crop_centered, pad_centered_into, Complex64, Direction, Fft2d, Fft2dScratch, FftPlan,
+    axpys, conj_dots, crop_centered, pad_centered_into, sub_axpys, Complex64, Direction, Fft2d,
+    Fft2dScratch, FftPlan,
 };
 
 /// xorshift64* — deterministic fixtures without pulling in another crate.
@@ -333,4 +335,87 @@ fn batched_paths_are_bit_identical_to_sequential() {
     };
     fft.inverse_padded_batch_with(&spec_refs, p, each, &mut Fft2dScratch::new());
     assert!(seen.iter().all(|&s| s), "batch skipped a spectrum");
+}
+
+/// Operands for the block primitives: ordinary values among signed zeros,
+/// subnormals and, where `huge`, `±1e300`. Only one factor of a product
+/// is ever huge, so no sum overflows into a NaN whose bits IEEE leaves open.
+fn edge_buf(rng: &mut Rng, len: usize, huge: bool) -> Vec<Complex64> {
+    let part = |rng: &mut Rng| {
+        let x = rng.next_f64();
+        match ((x + 0.5) * 16.0) as usize {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 5e-324,
+            3 => -2.5e-310,
+            4 if huge => 1e300,
+            5 if huge => -1e300,
+            _ => x,
+        }
+    };
+    (0..len).map(|_| Complex64::new(part(rng), part(rng))).collect()
+}
+
+/// The lengths and block widths the primitives are pinned at: empty, the
+/// AVX2 kernels' odd tails, the M1 kernel block (57^2 = 3249) and its
+/// rows, and widths around each pair and group of eight columns, up to
+/// the 24-kernel build's block of 32.
+const BLOCK_LENS: [usize; 7] = [0, 1, 2, 3, 7, 57, 3249];
+const BLOCK_WIDTHS: [usize; 8] = [1, 2, 3, 8, 9, 11, 18, 32];
+
+#[test]
+fn conj_dots_are_bit_identical_to_the_scalar_loop() {
+    let mut rng = Rng(0xD075_C015);
+    for len in BLOCK_LENS {
+        for width in BLOCK_WIDTHS {
+            for stride in [len, len + 3] {
+                let x = edge_buf(&mut rng, len, true);
+                let ys = edge_buf(&mut rng, (width - 1) * stride + len, false);
+                let start = edge_buf(&mut rng, width, true);
+                let mut want = start.clone();
+                for (j, acc) in want.iter_mut().enumerate() {
+                    for (&xe, &y) in x.iter().zip(&ys[j * stride..]) {
+                        *acc += xe.conj() * y;
+                    }
+                }
+                let mut got = start;
+                conj_dots(&x, &ys, stride, &mut got);
+                assert_bits(&got, &want, &format!("conj_dots len={len} width={width} stride={stride}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn axpys_are_bit_identical_to_the_scalar_loop() {
+    let mut rng = Rng(0xA8B7_5EED);
+    for len in BLOCK_LENS {
+        for width in BLOCK_WIDTHS {
+            for stride in [len, len + 3] {
+                let x = edge_buf(&mut rng, len, true);
+                let coefs = edge_buf(&mut rng, width, false);
+                let start = edge_buf(&mut rng, (width - 1) * stride + len, true);
+                for sub in [false, true] {
+                    let mut want = start.clone();
+                    for (j, &c) in coefs.iter().enumerate() {
+                        for (o, &xe) in want[j * stride..].iter_mut().zip(&x) {
+                            if sub {
+                                *o -= xe * c;
+                            } else {
+                                *o += xe * c;
+                            }
+                        }
+                    }
+                    let mut got = start.clone();
+                    if sub {
+                        sub_axpys(&x, &coefs, &mut got, stride);
+                    } else {
+                        axpys(&x, &coefs, &mut got, stride);
+                    }
+                    let what = format!("axpys (sub {sub}) len={len} width={width} stride={stride}");
+                    assert_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
 }

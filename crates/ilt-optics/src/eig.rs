@@ -6,23 +6,32 @@
 //!   matrices (the Rayleigh–Ritz projections, at most `2k x 2k`), and
 //! * blocked **subspace iteration** with Rayleigh–Ritz extraction for the
 //!   leading eigenpairs of a large Hermitian operator given only by its
-//!   matvec ([`HermitianOp`]), which is how the `P^2 x P^2` TCC is
+//!   block product ([`HermitianOp`]), which is how the `P^2 x P^2` TCC is
 //!   decomposed without ever being materialized.
+//!
+//! A block of `b` vectors of length `n` is one column-major buffer (column
+//! `j` at `j * n`), so every sum of the iteration runs on `ilt_fft`'s block
+//! primitives: the operator's product, `S = Q^H Z` ([`conj_dots`]), the
+//! Ritz rotation ([`axpys`]) and the first Gram–Schmidt pass
+//! ([`sub_axpys`]). Each interleaves independent sums and keeps every
+//! sum's own order, so the kernels have the bits of the one-column loops.
 //!
 //! Complex Hermitian Ritz blocks are handled through the standard real
 //! embedding `X + iY -> [[X, -Y], [Y, X]]`, whose spectrum duplicates each
 //! complex eigenvalue; duplicates are collapsed by complex Gram–Schmidt.
 
-use ilt_fft::Complex64;
+use ilt_fft::{axpys, conj_dots, sub_axpys, Complex64};
 
-/// A Hermitian linear operator exposed through its matrix–vector product.
+/// A Hermitian linear operator exposed through its product with a block.
 pub trait HermitianOp {
     /// Dimension of the (square) operator.
     fn dim(&self) -> usize;
-    /// Computes `out = A v`.
+    /// Computes `out = A v` for a column-major block of vectors (column `j`
+    /// at `j * dim()`).
     ///
-    /// Implementations may assume `v.len() == out.len() == self.dim()`.
-    fn apply(&self, v: &[Complex64], out: &mut [Complex64]);
+    /// Implementations may assume `v.len() == out.len()`, a multiple of
+    /// `self.dim()`.
+    fn apply_block(&self, v: &[Complex64], out: &mut [Complex64]);
 }
 
 /// One eigenpair of a Hermitian operator.
@@ -141,10 +150,11 @@ pub fn top_eigenpairs(
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
     };
-    let mut q: Vec<Vec<Complex64>> = (0..b)
-        .map(|_| (0..n).map(|_| Complex64::new(rand_unit(), rand_unit())).collect())
-        .collect();
-    orthonormalize(&mut q);
+    let mut q: Vec<Complex64> = (0..b * n).map(|_| Complex64::new(rand_unit(), rand_unit())).collect();
+    orthonormalize(&mut q, n);
+    // The one other block; each step writes `Z = A Q` here and the rotated
+    // block back over `Q`.
+    let mut z = vec![Complex64::ZERO; b * n];
 
     let mut prev_ritz: Vec<f64> = vec![f64::INFINITY; k];
 
@@ -152,9 +162,9 @@ pub fn top_eigenpairs(
         // Rotate the multiplied block by the Ritz vectors, so the columns of
         // Z approximate eigenvector directions, then re-orthonormalize for
         // the next power step.
-        let (z, vals, vecs) = rayleigh_ritz(op, &q);
-        q = combine(&z, &vecs, b);
-        orthonormalize(&mut q);
+        let (vals, vecs) = rayleigh_ritz(op, &q, &mut z);
+        combine(&z, n, &vecs, &mut q);
+        orthonormalize(&mut q, n);
 
         let converged = vals[..k]
             .iter()
@@ -167,50 +177,45 @@ pub fn top_eigenpairs(
     }
 
     // Final Ritz extraction on the converged subspace.
-    let (_, vals, vecs) = rayleigh_ritz(op, &q);
-    combine(&q, &vecs, k)
-        .into_iter()
+    let (vals, vecs) = rayleigh_ritz(op, &q, &mut z);
+    let vectors = &mut z[..k * n];
+    combine(&q, n, &vecs, vectors);
+    vectors
+        .chunks(n)
         .zip(vals)
-        .map(|(mut vector, value)| {
+        .map(|(vector, value)| {
+            let mut vector = vector.to_vec();
             normalize(&mut vector);
             EigPair { value, vector }
         })
         .collect()
 }
 
-/// Rayleigh–Ritz on the orthonormal block `Q`: returns `Z = A Q` and the
-/// eigenpairs of `S = Q^H Z` (Hermitian `b x b`).
-fn rayleigh_ritz(op: &impl HermitianOp, q: &[Vec<Complex64>]) -> (Vec<Vec<Complex64>>, Vec<f64>, Vec<Complex64>) {
-    let z: Vec<Vec<Complex64>> = q
-        .iter()
-        .map(|col| {
-            let mut out = vec![Complex64::ZERO; op.dim()];
-            op.apply(col, &mut out);
-            out
-        })
-        .collect();
-    let s: Vec<Complex64> = q.iter().flat_map(|qi| z.iter().map(move |zj| dot(qi, zj))).collect();
-    let (vals, vecs) = hermitian_small_eig(&s, q.len());
-    (z, vals, vecs)
+/// Rayleigh–Ritz on the orthonormal block `Q`: writes `Z = A Q` into `z` and
+/// returns the eigenpairs of `S = Q^H Z` (Hermitian `b x b`, row `i` the
+/// dots of `q_i` against every column of `Z`).
+fn rayleigh_ritz(op: &impl HermitianOp, q: &[Complex64], z: &mut [Complex64]) -> (Vec<f64>, Vec<Complex64>) {
+    let n = op.dim();
+    op.apply_block(q, z);
+    let b = q.len() / n;
+    let mut s = vec![Complex64::ZERO; b * b];
+    for (qi, row) in q.chunks(n).zip(s.chunks_mut(b)) {
+        conj_dots(qi, z, n, row);
+    }
+    hermitian_small_eig(&s, b)
 }
 
-/// The first `count` combinations `sum_src cols[src] * coefs[c * b + src]`
-/// of the `b` columns (`coefs` column-major, as `hermitian_small_eig`
-/// returns its vectors).
-fn combine(cols: &[Vec<Complex64>], coefs: &[Complex64], count: usize) -> Vec<Vec<Complex64>> {
-    coefs
-        .chunks(cols.len())
-        .take(count)
-        .map(|row| {
-            let mut out = vec![Complex64::ZERO; cols[0].len()];
-            for (col, &coef) in cols.iter().zip(row) {
-                for (o, &x) in out.iter_mut().zip(col) {
-                    *o += x * coef;
-                }
-            }
-            out
-        })
-        .collect()
+/// Writes into `out`'s `count` columns the first `count` combinations
+/// `sum_src cols[src] * coefs[c * b + src]` of the `b` columns (length `n`)
+/// of `cols` (`coefs` column-major `b x b`, as `hermitian_small_eig`
+/// returns its vectors), each summed in `src` order.
+fn combine(cols: &[Complex64], n: usize, coefs: &[Complex64], out: &mut [Complex64]) {
+    let (b, count) = (cols.len() / n, out.len() / n);
+    out.fill(Complex64::ZERO);
+    for (src, col) in cols.chunks(n).enumerate() {
+        let row: Vec<Complex64> = (0..count).map(|c| coefs[c * b + src]).collect();
+        axpys(col, &row, out, n);
+    }
 }
 
 /// Hermitian inner product `<a, b> = a^H b`.
@@ -228,35 +233,50 @@ fn normalize(v: &mut [Complex64]) {
     }
 }
 
-/// Modified Gram–Schmidt with one re-orthogonalization pass. Columns that
-/// collapse (linearly dependent) are replaced by deterministic fresh
-/// directions and re-processed.
-fn orthonormalize(cols: &mut [Vec<Complex64>]) {
-    for i in 0..cols.len() {
-        for _attempt in 0..3 {
-            for _pass in 0..2 {
-                for j in 0..i {
-                    let (left, right) = cols.split_at_mut(i);
-                    let proj = dot(&left[j], &right[0]);
-                    for (x, &b) in right[0].iter_mut().zip(&left[j]) {
-                        *x -= b * proj;
+/// Modified Gram–Schmidt with one re-orthogonalization pass over the
+/// column-major block `cols` (columns of length `n`). Columns that collapse
+/// (linearly dependent) are replaced by deterministic fresh directions and
+/// re-processed.
+///
+/// A column's first pass subtracts each finished column's projection in
+/// turn, so it is applied from the finished column to all later columns at
+/// once: the same subtractions, in the same order per column, as running it
+/// at the column's own turn. The second pass, the norm check and a
+/// reseeded column's two passes run at the column's turn.
+fn orthonormalize(cols: &mut [Complex64], n: usize) {
+    let b = cols.len() / n;
+    let mut proj = vec![Complex64::ZERO; b];
+    for i in 0..b {
+        let (done, rest) = cols.split_at_mut(i * n);
+        let (col, later) = rest.split_at_mut(n);
+        for attempt in 0..3 {
+            // The finished columns already ran attempt 0's first pass.
+            for _pass in usize::from(attempt == 0)..2 {
+                for q in done.chunks(n) {
+                    let p = dot(q, col);
+                    for (x, &qe) in col.iter_mut().zip(q) {
+                        *x -= qe * p;
                     }
                 }
             }
-            let norm = dot(&cols[i], &cols[i]).re.sqrt();
+            let norm = dot(col, col).re.sqrt();
             if norm > 1e-12 {
                 let inv = 1.0 / norm;
-                for x in cols[i].iter_mut() {
+                for x in col.iter_mut() {
                     *x = x.scale(inv);
                 }
                 break;
             }
             // Degenerate column: reseed deterministically from its index.
-            for (t, x) in cols[i].iter_mut().enumerate() {
+            for (t, x) in col.iter_mut().enumerate() {
                 let h = ((t as u64 + 1).wrapping_mul(i as u64 + 7)).wrapping_mul(0x2545F4914F6CDD1D);
                 *x = Complex64::new(((h >> 16) % 1000) as f64 / 500.0 - 1.0, ((h >> 40) % 1000) as f64 / 500.0 - 1.0);
             }
         }
+        let proj = &mut proj[..b - 1 - i];
+        proj.fill(Complex64::ZERO);
+        conj_dots(col, later, n, proj);
+        sub_axpys(col, proj, later, n);
     }
 }
 
@@ -328,13 +348,11 @@ mod tests {
         fn dim(&self) -> usize {
             self.n
         }
-        fn apply(&self, v: &[Complex64], out: &mut [Complex64]) {
-            for i in 0..self.n {
-                let mut acc = Complex64::ZERO;
-                for j in 0..self.n {
-                    acc += self.m[i * self.n + j] * v[j];
+        fn apply_block(&self, v: &[Complex64], out: &mut [Complex64]) {
+            for (v, out) in v.chunks(self.n).zip(out.chunks_mut(self.n)) {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = (0..self.n).map(|j| self.m[i * self.n + j] * v[j]).sum();
                 }
-                out[i] = acc;
             }
         }
     }
@@ -342,19 +360,15 @@ mod tests {
     /// Builds A = U diag(vals) U^H for a deterministic unitary-ish U.
     fn with_spectrum(vals: &[f64]) -> DenseH {
         let n = vals.len();
-        let mut cols: Vec<Vec<Complex64>> = (0..n)
-            .map(|j| {
-                (0..n)
-                    .map(|i| {
-                        let t = (i * n + j) as f64;
-                        Complex64::new((t * 0.7).sin() + 0.1, (t * 1.3).cos())
-                    })
-                    .collect()
+        let mut cols: Vec<Complex64> = (0..n * n)
+            .map(|at| {
+                let t = (at % n * n + at / n) as f64;
+                Complex64::new((t * 0.7).sin() + 0.1, (t * 1.3).cos())
             })
             .collect();
-        orthonormalize(&mut cols);
+        orthonormalize(&mut cols, n);
         let mut m = vec![Complex64::ZERO; n * n];
-        for (j, col) in cols.iter().enumerate() {
+        for (j, col) in cols.chunks(n).enumerate() {
             for a in 0..n {
                 for b in 0..n {
                     m[a * n + b] += col[a] * col[b].conj() * vals[j];
@@ -362,6 +376,60 @@ mod tests {
             }
         }
         DenseH { n, m }
+    }
+
+    /// `orthonormalize` as it was before the batched first pass: each
+    /// column's two passes, norm check and reseed at its own turn.
+    fn orthonormalize_sequential(cols: &mut [Vec<Complex64>]) {
+        for i in 0..cols.len() {
+            for _attempt in 0..3 {
+                for _pass in 0..2 {
+                    for j in 0..i {
+                        let (left, right) = cols.split_at_mut(i);
+                        let proj = dot(&left[j], &right[0]);
+                        for (x, &b) in right[0].iter_mut().zip(&left[j]) {
+                            *x -= b * proj;
+                        }
+                    }
+                }
+                let norm = dot(&cols[i], &cols[i]).re.sqrt();
+                if norm > 1e-12 {
+                    let inv = 1.0 / norm;
+                    for x in cols[i].iter_mut() {
+                        *x = x.scale(inv);
+                    }
+                    break;
+                }
+                for (t, x) in cols[i].iter_mut().enumerate() {
+                    let h = ((t as u64 + 1).wrapping_mul(i as u64 + 7)).wrapping_mul(0x2545F4914F6CDD1D);
+                    *x = Complex64::new(((h >> 16) % 1000) as f64 / 500.0 - 1.0, ((h >> 40) % 1000) as f64 / 500.0 - 1.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_gram_schmidt_is_the_sequential_one_to_the_bit() {
+        // Seven columns, an odd width: column 3 repeats column 1 and column 5
+        // is all zero, so both collapse and take the reseed path.
+        let n = 40;
+        let mut cols: Vec<Vec<Complex64>> = (0..7)
+            .map(|j| (0..n).map(|i| Complex64::new((i as f64 * 0.3 + j as f64).sin(), (i * j) as f64 * 0.01)).collect())
+            .collect();
+        cols[3] = cols[1].clone();
+        cols[5] = vec![Complex64::ZERO; n];
+        let mut block: Vec<Complex64> = cols.concat();
+        orthonormalize_sequential(&mut cols);
+        orthonormalize(&mut block, n);
+        for (j, (want, got)) in cols.iter().zip(block.chunks(n)).enumerate() {
+            for (e, (w, g)) in want.iter().zip(got).enumerate() {
+                assert!(
+                    w.re.to_bits() == g.re.to_bits() && w.im.to_bits() == g.im.to_bits(),
+                    "column {j}, element {e}: {g} vs {w}"
+                );
+            }
+        }
+        assert!((dot(&block[5 * n..6 * n], &block[5 * n..6 * n]).re - 1.0).abs() < 1e-12, "zero column not reseeded");
     }
 
     #[test]
@@ -411,7 +479,7 @@ mod tests {
             assert!((pair.value - want).abs() < 1e-6, "{} vs {want}", pair.value);
             // Residual || A v - lambda v ||.
             let mut av = vec![Complex64::ZERO; op.dim()];
-            op.apply(&pair.vector, &mut av);
+            op.apply_block(&pair.vector, &mut av);
             let res: f64 = av
                 .iter()
                 .zip(&pair.vector)

@@ -210,12 +210,17 @@ mod tests {
     #[test]
     fn kernels_are_pinned_to_the_bit() {
         // Grid 256 at 8 nm/px has the M1 clips' frequency step, so P = 57 and
-        // these are the kernels every paper-scale run uses. The literals were
-        // computed with a TCC matvec that visited every bin. A change that
-        // moves one bit of one kernel can move every mask golden after it.
+        // these are the kernels every paper-scale run uses. The first two
+        // literals were computed with a TCC matvec that visited every bin,
+        // the last two with one-column loops before the block primitives:
+        // K = 3 is a block of 11 (an odd width, a one-column tail) and K = 24
+        // a block of 32, the 24-kernel judge's. A change that moves one bit
+        // of one kernel can move every mask golden after it.
         let cases = [
             (OpticsConfig { grid: 128, nm_per_px: 4.0, num_kernels: 5, ..OpticsConfig::default() }, 0x015c_9110_49b8_53da),
             (OpticsConfig { grid: 256, nm_per_px: 8.0, num_kernels: 10, ..OpticsConfig::default() }, 0xe02c_27c1_b2fa_8f95),
+            (OpticsConfig { grid: 128, nm_per_px: 4.0, num_kernels: 3, ..OpticsConfig::default() }, 0xb947_619b_70e5_51ec),
+            (OpticsConfig { grid: 256, nm_per_px: 8.0, num_kernels: 24, ..OpticsConfig::default() }, 0xe786_a48c_95cc_a2af),
         ];
         for (cfg, want) in cases {
             let (nominal, defocused) = KernelSet::focus_pair(&cfg);

@@ -9,10 +9,13 @@
 //! row of `A` per source point. A row is the pupil shifted by its source
 //! point, a disc that covers about a fifth of the `P x P` grid, so each row
 //! keeps only its nonzero bins and a matvec costs `O(n_src * |support|)`
-//! instead of `O(n_src * P^2)` (or `O(P^4)` dense). A dense materialization
-//! is provided for tests.
+//! instead of `O(n_src * P^2)` (or `O(P^4)` dense). The eigensolver asks
+//! for the product with a whole block of vectors at once, so each row's
+//! dots and scatter run across all columns on `ilt_fft`'s block primitives
+//! while every column's sums keep the one-vector order. A dense
+//! materialization is provided for tests.
 
-use ilt_fft::{signed_freq, Complex64};
+use ilt_fft::{axpys, conj_dots, signed_freq, Complex64};
 
 use crate::eig::HermitianOp;
 use crate::pupil::Pupil;
@@ -125,21 +128,23 @@ impl HermitianOp for Tcc {
         self.p * self.p
     }
 
-    /// `out = T v = sum_s w_s a_s (a_s^H v)`, over each `a_s`'s support.
-    fn apply(&self, v: &[Complex64], out: &mut [Complex64]) {
+    /// `out = T v = sum_s w_s a_s (a_s^H v)` for every column `v` of the
+    /// block, one source row at a time across all columns: the row's dots
+    /// over its runs, the weight, then its scatter over the same runs.
+    fn apply_block(&self, v: &[Complex64], out: &mut [Complex64]) {
+        let n = self.dim();
+        let mut dots = vec![Complex64::ZERO; v.len() / n];
         out.fill(Complex64::ZERO);
         for row in &self.rows {
-            let mut dot = Complex64::ZERO;
+            dots.fill(Complex64::ZERO);
             for (start, values) in &row.runs {
-                for (a, &x) in values.iter().zip(&v[*start..]) {
-                    dot += a.conj() * x;
-                }
+                conj_dots(values, &v[*start..], n, &mut dots);
             }
-            let dot = dot.scale(row.weight);
+            for d in &mut dots {
+                *d = d.scale(row.weight);
+            }
             for (start, values) in &row.runs {
-                for (o, &a) in out[*start..].iter_mut().zip(values) {
-                    *o += a * dot;
-                }
+                axpys(values, &dots, &mut out[*start..], n);
             }
         }
     }
@@ -198,16 +203,22 @@ mod tests {
                 if p == 57 {
                     assert!(kept * 4 < pts.len() * n, "{kept} of {} bins kept", pts.len() * n);
                 }
-                let v: Vec<Complex64> =
-                    (0..n).map(|i| Complex64::new((i as f64 * 0.37).sin(), -(i as f64 * 0.91).cos())).collect();
-                let mut fast = vec![Complex64::ZERO; n];
-                tcc.apply(&v, &mut fast);
-                let (slow, trace) = every_bin(&pupil, &pts, p, step, &v);
-                for (a, (f, s)) in fast.iter().zip(&slow).enumerate() {
-                    assert!(
-                        f.re.to_bits() == s.re.to_bits() && f.im.to_bits() == s.im.to_bits(),
-                        "P {p}, defocus {defocus}, bin {a}: {f} vs {s}"
-                    );
+                // Three columns: a pair and the odd tail of the block product.
+                let v: Vec<Complex64> = (0..3 * n)
+                    .map(|i| Complex64::new((i as f64 * 0.37).sin(), -(i as f64 * 0.91).cos()))
+                    .collect();
+                let mut fast = vec![Complex64::ZERO; 3 * n];
+                tcc.apply_block(&v, &mut fast);
+                let mut trace = 0.0;
+                for (col, (v, fast)) in v.chunks(n).zip(fast.chunks(n)).enumerate() {
+                    let (slow, every_bin_trace) = every_bin(&pupil, &pts, p, step, v);
+                    trace = every_bin_trace;
+                    for (a, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                        assert!(
+                            f.re.to_bits() == s.re.to_bits() && f.im.to_bits() == s.im.to_bits(),
+                            "P {p}, defocus {defocus}, column {col}, bin {a}: {f} vs {s}"
+                        );
+                    }
                 }
                 assert_eq!(tcc.trace().to_bits(), trace.to_bits(), "P {p}, defocus {defocus}");
             }
@@ -222,7 +233,7 @@ mod tests {
         let v: Vec<Complex64> =
             (0..n).map(|i| Complex64::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos())).collect();
         let mut fast = vec![Complex64::ZERO; n];
-        tcc.apply(&v, &mut fast);
+        tcc.apply_block(&v, &mut fast);
         for a in 0..n {
             let mut slow = Complex64::ZERO;
             for b in 0..n {
@@ -256,7 +267,7 @@ mod tests {
                 })
                 .collect();
             let mut tv = vec![Complex64::ZERO; n];
-            tcc.apply(&v, &mut tv);
+            tcc.apply_block(&v, &mut tv);
             let quad: f64 = v.iter().zip(&tv).map(|(a, b)| (a.conj() * *b).re).sum();
             assert!(quad >= -1e-10, "v^H T v = {quad}");
         }

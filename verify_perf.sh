@@ -18,13 +18,19 @@
 #      logistic), proving the forced path stays live and numerically
 #      identical — and the simulator built on it still matches its dense
 #      reference (tests/spectral_guard.rs), the optimizer's tape-free step
-#      the tape chain (crates/ilt-core/tests/eq5_operator.rs), and the masks
-#      printed under the scalar logistic their goldens (tests/goldens.rs);
+#      the tape chain (crates/ilt-core/tests/eq5_operator.rs), the SOCS
+#      kernels built on the scalar block primitives their pinned bits
+#      (ilt-optics' kernels_are_pinned_to_the_bit and the TCC block product's
+#      support_only_operator_is_the_every_bin_operator_to_the_bit), and the
+#      masks printed under the scalar logistic their goldens (tests/goldens.rs);
 #      no shipped sigmoid calls libm's `exp` behind the kernel's back
 #      (tests/hermetic.rs::one_exp_for_every_sigmoid);
 #   5. the forced-scalar FFT medians are printed once, for the record only:
-#      there a row runs the scalar column kernel at width 1. Not gated.
-set -e
+#      there a row runs the scalar column kernel at width 1. No baseline,
+#      so no speed gate.
+# Every step above gates: the script runs with pipefail, so a failure
+# before a `| tee` stops it.
+set -eo pipefail
 BIN=./target/release/ilt
 OUT=bench-out/perf
 mkdir -p "$OUT"
@@ -50,8 +56,12 @@ ILT_FFT_FORCE_SCALAR=1 cargo test -q -p multilevel-ilt --test hermetic one_exp_f
   | tee -a bench-out/scalar-guard.log
 ILT_FFT_FORCE_SCALAR=1 cargo test -q -p ilt-core --test eq5_operator \
   | tee -a bench-out/scalar-guard.log
+ILT_FFT_FORCE_SCALAR=1 cargo test -q -p ilt-optics --lib -- \
+  kernels_are_pinned_to_the_bit support_only_operator_is_the_every_bin_operator_to_the_bit \
+  | tee -a bench-out/scalar-guard.log
 
-# On record, not gated: no baseline, and the pipeline's status is tee's.
+# On record, no speed gate (no baseline); a fast path that diverges from
+# its reference still fails the run.
 ILT_FFT_FORCE_SCALAR=1 "$BIN" bench run 'fft_*' --out bench-out/perf-scalar \
   | sed 's/^/scalar, not gated: /' | tee -a bench-out/bench-fft.log
 
