@@ -14,7 +14,7 @@ use ilt_core::{schedules, IltConfig, Stage};
 use ilt_field::{parse_pgm, pgm_bytes, Field2D};
 use ilt_layouts::{m1_case, via_pattern};
 use ilt_optics::OpticsConfig;
-use ilt_runtime::{planned_jobs, BatchCase, BatchConfig, FaultPlan, SeamPolicy};
+use ilt_runtime::{planned_jobs, BatchCase, BatchConfig, FaultPlan};
 
 use crate::transport::{first, parse_query, Request};
 
@@ -73,8 +73,6 @@ pub struct JobParams {
     pub tile: usize,
     /// Tile guard band.
     pub halo: usize,
-    /// Seam policy for stitched masks.
-    pub seam: SeamPolicy,
     /// Schedule name (`fast`, `exact`, `via`).
     pub schedule: String,
     /// Optional per-stage iteration override.
@@ -145,7 +143,8 @@ impl JobParams {
     /// an inline PGM target or empty. Keys: exactly one source — `case`
     /// (`N` or `caseN`), `via` (`SEED` or `viaSEED`) or a non-empty `body`
     /// — then `name grid clip_nm kernels tile halo seam schedule iters
-    /// max_eff_nm threads timeout_s retries eval inject`.
+    /// max_eff_nm threads timeout_s retries eval inject`, where `seam`
+    /// accepts only `crop`.
     ///
     /// # Errors
     ///
@@ -212,13 +211,11 @@ impl JobParams {
         if !(1..=50).contains(&kernels) {
             return Err(format!("kernels must be in 1..=50, got {kernels}"));
         }
-        let seam = match get("seam").unwrap_or("crop") {
-            "crop" => SeamPolicy::Crop,
-            other => match other.strip_prefix("blend:").and_then(|b| b.parse::<usize>().ok()) {
-                Some(band) => SeamPolicy::Blend { band },
-                None => return Err(format!("bad seam={other:?} (crop or blend:K)")),
-            },
-        };
+        // Tiles are stitched by crop, the one seam policy; the key stays so
+        // saved queries and the shard wire keep their bytes.
+        if let Some(other) = get("seam").filter(|&s| s != "crop") {
+            return Err(format!("bad seam={other:?} (only crop)"));
+        }
         let schedule = get("schedule").unwrap_or("fast").to_string();
         if !matches!(schedule.as_str(), "fast" | "exact" | "via") {
             return Err(format!("unknown schedule {schedule:?} (fast|exact|via)"));
@@ -257,7 +254,6 @@ impl JobParams {
             kernels,
             tile: num(pairs, "tile", 512)?,
             halo: num(pairs, "halo", 64)?,
-            seam,
             schedule,
             iters,
             max_eff_nm: finite(pairs, "max_eff_nm", 8.0)?,
@@ -319,10 +315,7 @@ impl JobParams {
         push(format!("kernels={}", self.kernels));
         push(format!("tile={}", self.tile));
         push(format!("halo={}", self.halo));
-        match self.seam {
-            SeamPolicy::Crop => push("seam=crop".into()),
-            SeamPolicy::Blend { band } => push(format!("seam=blend:{band}")),
-        }
+        push("seam=crop".into());
         push(format!("schedule={}", self.schedule));
         if let Some(n) = self.iters {
             push(format!("iters={n}"));
@@ -398,7 +391,6 @@ impl JobParams {
             threads: self.threads,
             tile: self.tile,
             halo: self.halo,
-            seam: self.seam,
             optics: OpticsConfig { num_kernels: self.kernels, ..OpticsConfig::default() },
             ilt: IltConfig { early_exit_window: Some(15), ..IltConfig::default() },
             schedule,
@@ -425,7 +417,7 @@ mod tests {
     #[test]
     fn saved_queries_round_trip_names_with_metacharacters() {
         let policy = ExecPolicy::default();
-        let base = JobParams::from_saved("via=3&grid=64&seam=blend:4&iters=2", Vec::new(), &policy)
+        let base = JobParams::from_saved("via=3&grid=64&seam=crop&iters=2", Vec::new(), &policy)
             .expect("base decodes");
         for name in ["a+b", "100%", "50%2", "k=v&x=y", "two words", " ", "wörld-✓", "%zz+%41"] {
             let named = JobParams { name: name.into(), ..base.clone() };

@@ -641,3 +641,33 @@ fn a_409_refusal_is_retried_on_another_replica() {
     shutdown(&live);
     handle.join().expect("worker thread");
 }
+
+/// Crop is the one seam policy. `seam=crop` survives a save byte for byte;
+/// any other value is the decoder's typed refusal naming crop, and a worker
+/// answers a shard query that carries one (from a coordinator that still
+/// wrote `seam=blend:K`) with `400` and that message, running nothing.
+#[test]
+fn crop_is_the_only_seam() {
+    let policy = ExecPolicy::default();
+    let saved = JobParams::from_saved("via=3&grid=64&seam=crop", Vec::new(), &policy)
+        .expect("crop decodes")
+        .to_query();
+    assert!(saved.contains("&seam=crop&"), "{saved}");
+    let back = JobParams::from_saved(&saved, Vec::new(), &policy).expect("saved decodes");
+    assert_eq!(back.to_query(), saved);
+    for raw in ["blend:4", "blend", "", "CROP"] {
+        let query = format!("via=3&grid=64&seam={raw}");
+        let err = JobParams::from_saved(&query, Vec::new(), &policy).unwrap_err();
+        assert_eq!(err, format!("bad seam={raw:?} (only crop)"));
+    }
+
+    let (addr, handle) = spawn_worker(FaultPlan::none());
+    let path = "/v1/shards?shard=0-0&jobs=0&via=3&grid=64&kernels=3&iters=1&seam=blend:4";
+    let (status, body) =
+        request(&addr, "POST", path, &[], Duration::from_secs(10)).expect("worker answers");
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("(only crop)"), "{body}");
+    shutdown(&addr);
+    handle.join().expect("worker thread");
+}

@@ -25,12 +25,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod blend;
 mod field;
 mod io;
 mod resample;
 
-pub use blend::{accumulate_weighted, normalize_weighted, seam_ramp, seam_weights};
 pub use field::Field2D;
 pub use io::{parse_pgm, pgm_bytes, read_pgm, write_csv, write_pgm};
 pub use resample::{avg_pool_down, avg_pool_same, upsample_nearest};

@@ -66,7 +66,8 @@ pub struct BatchConfig {
     /// Guard band in pixels; targets larger than `tile` are decomposed into
     /// windows overlapping by `2 * halo`.
     pub halo: usize,
-    /// Seam handling when stitching tiled masks.
+    /// Seam handling when stitching tiled masks; [`SeamPolicy::Crop`] is
+    /// its one value.
     pub seam: SeamPolicy,
     /// Optics template; `grid` and `nm_per_px` are overridden per job.
     pub optics: OpticsConfig,
@@ -424,8 +425,8 @@ pub fn run_shard(
 
 /// Reassembles a batch outcome from per-job outputs produced elsewhere
 /// (e.g. collected from cluster workers via [`run_shard`]): stitches each
-/// case with the same halo crop/blend policy [`run_batch`] applies and runs
-/// the same optional full-size evaluation, so the result is byte-identical
+/// case with the same halo crop [`run_batch`] applies and runs the same
+/// optional full-size evaluation, so the result is byte-identical
 /// to a single-process run of the same inputs.
 ///
 /// `outputs` must hold exactly one output per planned job, in any order.
@@ -524,12 +525,7 @@ fn assemble_case(
         None => slice[0].mask.clone().unwrap_or_else(|| binary_target.clone()),
         Some(grid) => {
             let tiles: Vec<Option<Field2D>> = slice.iter().map(|o| o.mask.clone()).collect();
-            let stitched = grid.stitch(&tiles, config.seam, &binary_target);
-            match config.seam {
-                // Blending averages across seams, so re-binarize.
-                SeamPolicy::Blend { .. } => stitched.threshold(0.5),
-                SeamPolicy::Crop => stitched,
-            }
+            grid.stitch(&tiles, config.seam, &binary_target)
         }
     };
     let eval = if config.evaluate_stitched {

@@ -598,7 +598,6 @@ mod tests {
         let edits: &[(&str, fn(&mut BatchConfig))] = &[
             ("tile", |c| c.tile = 256),
             ("halo", |c| c.halo = 32),
-            ("seam", |c| c.seam = crate::SeamPolicy::Blend { band: 4 }),
             ("optics.grid", |c| c.optics.grid = 1024),
             ("optics.nm_per_px", |c| c.optics.nm_per_px = 2.0),
             ("optics.na", |c| c.optics.na = 1.2),

@@ -6,7 +6,7 @@
 //!
 //! - [`TileGrid`] partitions a large target into overlapping windows whose
 //!   cores tile the field exactly, and stitches per-tile masks back with a
-//!   hard crop or a linear seam blend ([`SeamPolicy`]).
+//!   hard crop: each pixel comes from the one core that holds it.
 //! - [`run_jobs`] drains a queue of [`IltJob`]s from one supervisor loop on
 //!   the caller's thread, running up to N attempts at once, each on its own
 //!   thread: it isolates panics per attempt, enforces per-attempt timeouts,

@@ -860,7 +860,7 @@ mod tests {
     #[test]
     fn params_round_trip_through_the_query_codec() {
         let req = request_with_query(
-            "via=9&grid=64&kernels=3&tile=32&halo=8&seam=blend:4&schedule=via&iters=7&eval=0",
+            "via=9&grid=64&kernels=3&tile=32&halo=8&seam=crop&schedule=via&iters=7&eval=0",
         );
         let p = JobParams::from_request(&req, &ExecPolicy::default()).unwrap();
         let q = JobParams::from_saved(&p.to_query(), Vec::new(), &ExecPolicy::default()).unwrap();

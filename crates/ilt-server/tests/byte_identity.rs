@@ -1,11 +1,12 @@
 //! What a served job leaves on disk and puts on the wire is a function of
 //! its description alone. For one `case=` job, one `via=` job (free-text
-//! name, blended seam) and one inline PGM with `inject=`, the state log,
-//! the compaction snapshot and the `POST /v1/shards?...` request line are
-//! pinned to the bytes the binary of commit 7322372 wrote — when the store
-//! still kept the query string, the target file name and a rasterized plan
-//! beside the description, and `server.rs` cut `inject=` out of the query
-//! by splitting it at `&`.
+//! name, a tenant and a priority class) and one inline PGM with `inject=`,
+//! the state log, the compaction snapshot and the `POST /v1/shards?...`
+//! request line are pinned to the bytes the binary of commit 7322372 wrote
+//! — when the store still kept the query string, the target file name and
+//! a rasterized plan beside the description, and `server.rs` cut `inject=`
+//! out of the query by splitting it at `&`. Every description carries
+//! `seam=crop`, the one seam policy.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -24,7 +25,7 @@ mod util;
 /// [`tiny_pgm`] as its body.
 const SUBMISSIONS: [(&str, &str, &str); 3] = [
     ("case=3&grid=64&kernels=3&iters=2", "anonymous", "normal"),
-    ("via=7&name=we%26ird%3Dna+me%25&grid=64&kernels=3&iters=2&seam=blend:4", "tenant-a", "high"),
+    ("via=7&name=we%26ird%3Dna+me%25&grid=64&kernels=3&iters=2", "tenant-a", "high"),
     ("clip_nm=512&kernels=3&iters=2&inject=panic@0:1,delay@0:2=5", "tenant-b", "low"),
 ];
 
@@ -32,7 +33,7 @@ const SUBMISSIONS: [(&str, &str, &str); 3] = [
 /// without the third's `&inject=panic@0:1,delay@0:2=5` tail.
 const SAVED: [&str; 3] = [
     "case=3&name=case3&grid=64&clip_nm=2048&kernels=3&tile=512&halo=64&seam=crop&schedule=fast&iters=2&max_eff_nm=8&threads=1&timeout_s=0&retries=1&eval=1",
-    "via=7&name=we%26ird%3Dna%20me%25&grid=64&clip_nm=2048&kernels=3&tile=512&halo=64&seam=blend:4&schedule=fast&iters=2&max_eff_nm=8&threads=1&timeout_s=0&retries=1&eval=1",
+    "via=7&name=we%26ird%3Dna%20me%25&grid=64&clip_nm=2048&kernels=3&tile=512&halo=64&seam=crop&schedule=fast&iters=2&max_eff_nm=8&threads=1&timeout_s=0&retries=1&eval=1",
     "name=inline&grid=512&clip_nm=512&kernels=3&tile=512&halo=64&seam=crop&schedule=fast&iters=2&max_eff_nm=8&threads=1&timeout_s=0&retries=1&eval=1",
 ];
 const INJECT: &str = "&inject=panic@0:1,delay@0:2=5";

@@ -49,11 +49,13 @@ fn rejects_malformed_and_unroutable_requests() {
     let reply = post(addr, "/v1/jobs?case=case1&grid=100", b"");
     assert_eq!(reply.status, 400);
 
-    // Tile geometry no plan can satisfy is a client error at the door: no
-    // job id, no queue slot, no durable `submit` line, no failed job.
+    // Tile geometry no plan can satisfy, and a seam policy other than crop
+    // (the only one), are client errors at the door: no job id, no queue
+    // slot, no durable `submit` line, no failed job.
     for (query, why) in [
         ("case=1&grid=128&kernels=3&tile=48&iters=1", "tile size 48 must be a power of two"),
         ("case=1&grid=128&kernels=3&tile=64&halo=40&iters=1", "halo 40 leaves no core"),
+        ("case=1&grid=128&kernels=3&iters=1&seam=blend:4", r#"bad seam=\"blend:4\" (only crop)"#),
     ] {
         let reply = post(addr, &format!("/v1/jobs?{query}"), b"");
         assert_eq!(reply.status, 400, "{query}: {}", reply.text());
@@ -61,7 +63,7 @@ fn rejects_malformed_and_unroutable_requests() {
     }
     assert!(get(addr, "/v1/jobs").text().starts_with("{\"jobs\":[],"));
     let text = get(addr, "/metrics").text();
-    assert!(text.contains("ilt_jobs_rejected_total 4\n"), "{text}");
+    assert!(text.contains("ilt_jobs_rejected_total 5\n"), "{text}");
     assert!(text.contains("ilt_jobs_accepted_total 0\n"), "{text}");
     assert!(text.contains("ilt_jobs_failed_total 0\n"), "{text}");
 

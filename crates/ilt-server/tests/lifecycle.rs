@@ -248,6 +248,50 @@ fn compaction_truncates_the_log_and_restart_replays_the_live_set() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// A state log from a server that still took `seam=blend:K`: restart keeps
+/// the finished job and requeues the queued one as usual, and the blended
+/// job comes back terminal `failed` with the decoder's reason.
+#[test]
+fn restart_fails_a_logged_blend_seam_and_replays_the_rest() {
+    let state_dir = util::temp_dir("blend_restart");
+    let config = || ServerConfig {
+        workers: 1,
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = start(config());
+    assert_eq!(post(addr, &format!("/v1/jobs?{FAST_JOB}"), &tiny_pgm()).status, 202);
+    wait_for_state(addr, 0, "done");
+    let mask0 = get(addr, "/v1/jobs/0/mask").body;
+    shutdown(addr, handle);
+
+    let saved = |id: usize, seam: &str| {
+        format!(
+            r#"{{"kind":"submit","id":{id},"query":"via={id}&name=j{id}&grid=64&clip_nm=2048&kernels=3&tile=512&halo=64&seam={seam}&schedule=fast&iters=2&max_eff_nm=8&threads=1&timeout_s=0&retries=1&eval=1","client":"anonymous","class":"normal"}}"#
+        )
+    };
+    let mut log = std::fs::OpenOptions::new()
+        .append(true)
+        .open(state_dir.join("state.jsonl"))
+        .expect("state log");
+    writeln!(log, "{}\n{}", saved(1, "crop"), saved(2, "blend:4")).expect("append");
+    drop(log);
+
+    let (addr, handle) = start(config());
+    let failed = wait_for_state(addr, 2, "failed");
+    assert!(
+        failed.contains(r#"unreplayable after restart: bad seam=\"blend:4\" (only crop)"#),
+        "{failed}"
+    );
+    wait_for_state(addr, 1, "done");
+    assert!(get(addr, "/v1/jobs/0").text().contains("\"state\":\"done\""));
+    assert_eq!(get(addr, "/v1/jobs/0/mask").body, mask0, "mask 0 differs after restart");
+    let text = get(addr, "/metrics").text();
+    assert!(text.contains("ilt_jobs_recovered_total 3\n"), "{text}");
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 #[test]
 fn a_keep_alive_connection_serves_the_request_cap_then_closes() {
     const CAP: usize = 12;

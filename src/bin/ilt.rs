@@ -4,7 +4,7 @@
 //! ilt run      --case 1 [--grid 512] [--schedule fast|exact|via] [--out prefix]
 //! ilt run      --via 3  [--grid 256] ...
 //! ilt run      --target design.pgm --clip-nm 2048 ...
-//! ilt batch    [--threads 4] [--tile 512] [--halo 64] [--seam crop|blend:K]
+//! ilt batch    [--threads 4] [--tile 512] [--halo 64]
 //!              [--journal run.jsonl] [--no-timing] [--retries 1]
 //!              [--timeout-s 0] [--no-eval] [--checkpoint] [--resume]
 //!              [--inject SPEC[,SPEC...]] [--no-degrade]
@@ -112,9 +112,9 @@ use multilevel_ilt::prelude::*;
 /// decoder's query key spelled with dashes (`--max-eff-nm 8` is
 /// `max_eff_nm=8`), and that is how it is kept: as a pair for
 /// [`JobParams::from_pairs`], which owns every default and every check.
-const JOB_FLAGS: [&str; 12] = [
+const JOB_FLAGS: [&str; 11] = [
     "--grid", "--kernels", "--clip-nm", "--schedule", "--max-eff-nm", "--threads", "--tile",
-    "--halo", "--seam", "--retries", "--timeout-s", "--inject",
+    "--halo", "--retries", "--timeout-s", "--inject",
 ];
 
 /// Every other long flag, and whether it takes a value. What a flag means

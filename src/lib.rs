@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use ilt_runtime::{
         evaluate_mask, run_batch, run_batch_resume, BatchCase, BatchConfig, FaultPlan, RunReport,
-        SeamPolicy, SimulatorCache,
+        SimulatorCache,
     };
     pub use ilt_cluster::{ClusterConfig, Worker, WorkerConfig};
     pub use ilt_server::{Server, ServerConfig};
