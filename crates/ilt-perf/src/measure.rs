@@ -1,5 +1,5 @@
 //! The measurement engine: warmup, median-of-N, MAD dispersion, and the
-//! environment stamp that ties a number to the machine that produced it.
+//! provenance line that ties a number to the machine that produced it.
 
 use std::time::Instant;
 
@@ -8,8 +8,7 @@ use std::time::Instant;
 pub struct MeasureConfig {
     /// Smoke mode: one rep on tiny fixtures. Exercises every setup and hot
     /// path in milliseconds so tier-1 tests can run the whole registry
-    /// in-process; the resulting numbers are stamped `smoke` and refused
-    /// by the diff gate.
+    /// in-process; the resulting numbers time nothing of interest.
     pub smoke: bool,
     /// Timed repetitions per workload in full mode (smoke forces 1).
     pub reps: usize,
@@ -34,7 +33,7 @@ impl MeasureConfig {
 
 /// One measured workload: median wall time over the reps, with the median
 /// absolute deviation as the dispersion estimate (robust to the one-off
-/// stalls shared machines produce), plus workload-specific scalars.
+/// stalls shared machines produce).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sample {
     /// Median wall time per operation, microseconds.
@@ -43,17 +42,6 @@ pub struct Sample {
     pub mad_us: f64,
     /// Number of timed reps behind the median.
     pub reps: usize,
-    /// Workload-specific scalars (grid sizes, tile counts, speedups…)
-    /// carried verbatim into the result JSON's `extra` object.
-    pub extra: Vec<(String, f64)>,
-}
-
-impl Sample {
-    /// Attaches one extra scalar (builder-style).
-    pub fn with_extra(mut self, key: &str, value: f64) -> Sample {
-        self.extra.push((key.to_string(), value));
-        self
-    }
 }
 
 /// Times `op`: one untimed warmup (faults in buffers, fills plan and
@@ -61,39 +49,32 @@ impl Sample {
 pub fn measure(cfg: &MeasureConfig, mut op: impl FnMut()) -> Sample {
     op(); // warmup
     let reps = cfg.effective_reps();
-    let mut times: Vec<f64> = (0..reps)
+    let times: Vec<f64> = (0..reps)
         .map(|_| {
             let t = Instant::now();
             op();
             t.elapsed().as_secs_f64() * 1e6
         })
         .collect();
+    let (median_us, mad_us) = median_and_mad(times);
+    Sample { median_us, mad_us, reps }
+}
+
+/// The median of `times` and their median absolute deviation from it. An
+/// even count takes the upper of the two middle values, for both.
+fn median_and_mad(mut times: Vec<f64>) -> (f64, f64) {
     times.sort_by(f64::total_cmp);
     let median = times[times.len() / 2];
     let mut dev: Vec<f64> = times.iter().map(|t| (t - median).abs()).collect();
     dev.sort_by(f64::total_cmp);
-    let mad = dev[dev.len() / 2];
-    Sample { median_us: median, mad_us: mad, reps, extra: Vec::new() }
+    (median, dev[dev.len() / 2])
 }
 
-/// Where a measurement was taken: enough provenance to judge whether a
-/// checked-in baseline is comparable to a fresh run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EnvStamp {
-    /// Short git revision of the working tree, or `unknown` outside a
-    /// repository.
-    pub git_rev: String,
-    /// Hardware threads available to the process.
-    pub threads: usize,
-    /// Active FFT kernel (`avx2` or `scalar`), as detected at
-    /// runtime — records whether a number was produced with SIMD
-    /// butterflies or the forced-scalar fallback.
-    pub simd: String,
-}
-
-/// Stamps the current environment. Never fails: a missing `git` binary or
-/// a non-repository directory degrades to `unknown`.
-pub fn env_stamp() -> EnvStamp {
+/// The provenance line that heads `ilt bench run` and `ilt tables`:
+/// `# rev <git rev>, simd <avx2|scalar>, <N> hardware thread(s)`. Never
+/// fails: a missing `git` binary or a non-repository directory gives rev
+/// `unknown`.
+pub fn env_stamp() -> String {
     let git_rev = std::process::Command::new("git")
         .args(["rev-parse", "--short=12", "HEAD"])
         .output()
@@ -104,8 +85,8 @@ pub fn env_stamp() -> EnvStamp {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
     let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let simd = ilt_fft::active_kernel().to_string();
-    EnvStamp { git_rev, threads, simd }
+    let simd = ilt_fft::active_kernel();
+    format!("# rev {git_rev}, simd {simd}, {threads} hardware thread(s)")
 }
 
 #[cfg(test)]
@@ -114,10 +95,12 @@ mod tests {
 
     #[test]
     fn median_and_mad_are_robust_to_one_outlier() {
-        // Five reps where one is wildly slow: the median must not move.
-        let mut times = vec![10.0, 11.0, 10.5, 500.0, 10.2];
-        times.sort_by(f64::total_cmp);
-        assert_eq!(times[times.len() / 2], 10.5);
+        // Five reps where one is wildly slow: neither statistic follows it.
+        assert_eq!(median_and_mad(vec![10.0, 11.0, 10.5, 500.0, 10.2]), (10.5, 0.5));
+        assert_eq!(median_and_mad(vec![7.0]), (7.0, 0.0));
+        // An even count takes the upper middle: median 3 of [1, 2, 3, 4],
+        // deviations [0, 1, 1, 2] -> 1.
+        assert_eq!(median_and_mad(vec![4.0, 1.0, 3.0, 2.0]), (3.0, 1.0));
     }
 
     #[test]
@@ -133,13 +116,13 @@ mod tests {
 
     #[test]
     fn env_stamp_never_fails() {
-        let env = env_stamp();
-        assert!(env.threads >= 1);
-        assert!(!env.git_rev.is_empty());
-        assert!(
-            ["avx2", "scalar"].contains(&env.simd.as_str()),
-            "unexpected kernel stamp {:?}",
-            env.simd
-        );
+        let line = env_stamp();
+        let rest = line.strip_prefix("# rev ").expect(&line);
+        let (rev, rest) = rest.split_once(", simd ").expect(&line);
+        let (simd, threads) = rest.split_once(", ").expect(&line);
+        assert!(!rev.is_empty(), "{line}");
+        assert!(["avx2", "scalar"].contains(&simd), "unexpected kernel stamp in {line:?}");
+        let threads = threads.strip_suffix(" hardware thread(s)").expect(&line);
+        assert!(threads.parse::<usize>().expect(&line) >= 1);
     }
 }

@@ -1,9 +1,8 @@
 //! The workload registry: every benchmark the barometer knows, as data.
 //!
-//! A [`Workload`] is one named measurement with its own regression
-//! threshold; [`registry`] returns the full list and [`select`] filters it
-//! by name glob. A family is a name prefix (`fft_*`, `sim_*`, `core_*`),
-//! so `ilt bench run 'fft_*'` measures one.
+//! A [`Workload`] is one named measurement; [`registry`] returns the full
+//! list and [`select`] filters it by name glob. A family is a name prefix
+//! (`fft_*`, `sim_*`, `core_*`), so `ilt bench run 'fft_*'` measures one.
 
 use crate::measure::{MeasureConfig, Sample};
 use crate::workloads;
@@ -11,13 +10,8 @@ use crate::workloads;
 /// One benchmark in the registry.
 pub struct Workload {
     /// Unique registry name, prefixed by its family (`fft_`, `sim_`,
-    /// `core_`); also names the baseline file (`BENCH_<name>.json`).
+    /// `core_`).
     pub name: &'static str,
-    /// Allowed fractional slowdown vs. the checked-in baseline before
-    /// `diff` reports a regression (0.1 = fail past 1.1x), set from the
-    /// workload's measured spread on the reference box:
-    /// `max(0.05, 4 x MAD / median)`, rounded up.
-    pub threshold: f64,
     /// One-line description for `ilt bench list`.
     pub notes: &'static str,
     /// Runs the workload: builds fixtures (sized down in smoke mode),
@@ -34,37 +28,31 @@ pub fn registry() -> Vec<Workload> {
     vec![
         Workload {
             name: "fft_pruned_inverse",
-            threshold: 0.09,
             notes: "one SOCS sweep of the pruned padded inverse (inverse_padded_with): 10 kernel spectra, P=57 -> Q=128",
             run: workloads::fft::pruned_inverse,
         },
         Workload {
             name: "fft_pruned_real_inverse",
-            threshold: 0.15,
             notes: "pruned real inverse (inverse_padded_real_with): the 113^2 image band -> N=1024",
             run: workloads::fft::pruned_real_inverse,
         },
         Workload {
             name: "fft_pruned_forward",
-            threshold: 0.14,
             notes: "pruned real forward (forward_real_cropped_with): N=1024 -> the 113^2 band, crop fused into the column pass",
             run: workloads::fft::pruned_forward,
         },
         Workload {
             name: "sim_aerial",
-            threshold: 0.05,
             notes: "one aerial image (SOCS sum over 10 kernels) of ICCAD case 1 at grid 512",
             run: workloads::simulator::aerial,
         },
         Workload {
             name: "core_step_lo",
-            threshold: 0.11,
             notes: "one low-res optimizer step (MultiLevelIlt::step: pool, sigmoid, LossWeights::eq5, their adjoints) of ICCAD case 1 at grid 1024, s=4, 10 kernels",
             run: workloads::optimizer::step_lo,
         },
         Workload {
             name: "core_step_hi",
-            threshold: 0.15,
             notes: "one high-res optimizer step at the same point: mask and gradient at N/s, both corners simulated at N",
             run: workloads::optimizer::step_hi,
         },

@@ -156,7 +156,6 @@ pub fn run(selectors: &[String], cfg: &TablesConfig, w: &mut dyn Write) -> Res {
     }
     std::fs::create_dir_all(&cfg.out)?;
 
-    let env = env_stamp();
     writeln!(
         w,
         "# ilt tables {} --grid {} --kernels {} --max-eff-nm {}{}{} --reps {}",
@@ -168,7 +167,7 @@ pub fn run(selectors: &[String], cfg: &TablesConfig, w: &mut dyn Write) -> Res {
         if cfg.measure.smoke { " --smoke" } else { "" },
         cfg.measure.reps
     )?;
-    writeln!(w, "# rev {}, simd {}, {} hardware thread(s)", env.git_rev, env.simd, env.threads)?;
+    writeln!(w, "{}", env_stamp())?;
 
     let mut run = Run { cfg, cache: SimulatorCache::new(), w };
     let all = selectors.iter().any(|s| s == "all");

@@ -74,7 +74,7 @@ pub fn pruned_inverse(cfg: &MeasureConfig) -> Result<Sample, String> {
         }
     });
     check_agreement(&buf, &reference, "fft_pruned_inverse", "dense inverse", q)?;
-    Ok(sample.with_extra("n", q as f64).with_extra("p", p as f64).with_extra("kernels", k as f64))
+    Ok(sample)
 }
 
 /// The pruned real inverse ([`Fft2d::inverse_padded_real_with`]): the
@@ -97,7 +97,7 @@ pub fn pruned_real_inverse(cfg: &MeasureConfig) -> Result<Sample, String> {
     });
     let got: Vec<Complex64> = out.iter().map(|&x| Complex64::from_real(x)).collect();
     check_agreement(&got, &reference, "fft_pruned_real_inverse", "inverse_padded_with(..).re", n)?;
-    Ok(sample.with_extra("n", n as f64).with_extra("p", band as f64))
+    Ok(sample)
 }
 
 /// The pruned real forward ([`Fft2d::forward_real_cropped_with`]): an
@@ -124,5 +124,5 @@ pub fn pruned_forward(cfg: &MeasureConfig) -> Result<Sample, String> {
         fft.forward_real_cropped_with(&img, p, &mut out, &mut scratch);
     });
     check_agreement(&out, &reference, "fft_pruned_forward", "dense forward + crop", n)?;
-    Ok(sample.with_extra("n", n as f64).with_extra("p", p as f64))
+    Ok(sample)
 }

@@ -3,7 +3,7 @@
 //! Every function here has the same shape: build fixtures (sized down in
 //! smoke mode), call [`crate::measure::measure`] around the hot operation,
 //! self-check against a reference path where one exists, and return the
-//! [`crate::measure::Sample`] with descriptive extras attached.
+//! [`crate::measure::Sample`].
 
 pub mod fft;
 pub mod optimizer;

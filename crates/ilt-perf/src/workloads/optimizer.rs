@@ -33,10 +33,7 @@ fn step(cfg: &MeasureConfig, kind: StageKind, name: &str) -> Result<Sample, Stri
     let sample = measure(cfg, || {
         black_box(ilt.step(kind, s, &z_t_s, &z_t_s));
     });
-    Ok(sample
-        .with_extra("grid", grid as f64)
-        .with_extra("scale", s as f64)
-        .with_extra("kernels", kernels as f64))
+    Ok(sample)
 }
 
 /// One low-resolution step: everything at `N/s` (Eq. 8).

@@ -26,5 +26,5 @@ pub fn aerial(cfg: &MeasureConfig) -> Result<Sample, String> {
     let sample = measure(cfg, || {
         black_box(sim.aerial(&mask, false));
     });
-    Ok(sample.with_extra("grid", grid as f64).with_extra("kernels", kernels as f64))
+    Ok(sample)
 }

@@ -1,7 +1,7 @@
 //! The workspace's one JSON codec: the escaper and number formatter every
 //! hand-rolled writer uses, and the strict reader every record format goes
 //! through (run journal, checkpoint WAL, server state log, shard wire
-//! lines, `BENCH_*.json`).
+//! lines).
 //!
 //! The reader is a recursive-descent parser over already-validated UTF-8.
 //! Some of its input crosses a trust boundary (shard responses come from

@@ -21,8 +21,7 @@
 //! ilt evaluate --target design.pgm --mask mask.pgm [--grid 512] [--clip-nm 2048]
 //! ilt fracture --mask mask.pgm
 //! ilt kernels  [--grid 512] [--kernels 10]
-//! ilt bench    <list|run|diff> [NAME_GLOB ...] [--smoke] [--reps 5]
-//!              [--out bench-out/perf] [--baselines .]
+//! ilt bench    <list|run> [NAME_GLOB ...] [--smoke] [--reps 5]
 //! ilt tables   <table1..4|fig1|fig4..8|timing|ablation|all>... [--grid 512]
 //!              [--kernels 10] [--max-eff-nm 8] [--case N] [--smoke]
 //!              [--reps 5] [--out bench-out/tables]
@@ -88,11 +87,12 @@
 //! instead of recomputing it. `bench` is the
 //! hermetic, std-only performance barometer (the `ilt-perf` crate): `list`
 //! shows the workload registry (FFT, simulator and optimizer step
-//! families), `run` measures the selected workloads and writes one
-//! `BENCH_<name>.json` (schema `ilt-bench/v2`) per workload, and `diff`
-//! compares a fresh run against the checked-in baselines, exiting non-zero
-//! past each workload's regression threshold either way (slower:
-//! `REGRESSED`; faster: a `STALE` baseline) — the standing perf gate.
+//! families) and `run` measures the selected workloads, printing the
+//! median and MAD of each under a revision / FFT kernel / thread-count
+//! line. It measures and does not gate: compare two binaries by running
+//! both in turn on the same box. `run` exits non-zero when a workload
+//! fails, as an FFT workload does whose fast path diverges from its dense
+//! reference.
 //! `tables` regenerates the paper's tables, figures, Section III-B timing
 //! study and the design ablations as markdown (the same crate's `tables`
 //! module), headed by the reproducing command line and the revision / FFT
@@ -120,7 +120,7 @@ const JOB_FLAGS: [&str; 11] = [
 /// Every other long flag, and whether it takes a value. What a flag means
 /// is read where it is used, by its key ([`Cli::get`], [`Cli::flag`],
 /// [`Cli::on`]); this table only tells a known flag from a typo.
-const FLAGS: [(&str, bool); 32] = [
+const FLAGS: [(&str, bool); 31] = [
     ("--no-eval", false), ("--case", true), ("--via", true), ("--target", true),
     ("--mask", true), ("--out", true), ("--journal", true), ("--no-timing", false),
     ("--checkpoint", false), ("--resume", false), ("--no-degrade", false), ("--addr", true),
@@ -129,7 +129,7 @@ const FLAGS: [(&str, bool); 32] = [
     ("--allow-inject", false), ("--compact-bytes", true), ("--keep-alive", true),
     ("--idle-timeout-s", true), ("--workers", true), ("--cluster", false),
     ("--heartbeat-ms", true), ("--speculate-factor", true), ("--speculate-after", true),
-    ("--register", true), ("--reps", true), ("--baselines", true), ("--smoke", false),
+    ("--register", true), ("--reps", true), ("--smoke", false),
 ];
 
 /// `--addr` when it is not given (`serve`, `worker`).
@@ -583,85 +583,35 @@ fn cmd_kernels(cli: &Cli) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// The performance barometer: `ilt bench <list|run|diff>` over the
+/// The performance barometer: `ilt bench <list|run>` over the
 /// [`multilevel_ilt::perf`] workload registry.
 ///
-/// `run` executes the selected workloads and writes one `BENCH_<name>.json`
-/// (schema `ilt-bench/v2`) per workload into `--out`; `diff` compares a
-/// fresh run directory against the checked-in baselines in `--baselines`
-/// and exits non-zero past each workload's threshold, slower or faster. Entirely
+/// `run` prints the provenance line `ilt tables` also opens with, then one
+/// row per selected workload: median and MAD of its rep times. Entirely
 /// std-only: no python, no network.
 fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    use multilevel_ilt::perf::{diff_dirs, env_stamp, select, BenchResult, MeasureConfig};
-    use std::path::Path;
+    use multilevel_ilt::perf::{env_stamp, select, MeasureConfig};
 
-    let usage = "usage: ilt bench <list|run|diff> [NAME_GLOB ...] \
-                 [--smoke] [--reps N] [--out DIR] [--baselines DIR]";
+    let usage = "usage: ilt bench <list|run> [NAME_GLOB ...] [--smoke] [--reps N]";
     let sub = cli.cases.first().map(String::as_str).ok_or(usage)?;
     // Positionals after the subcommand are name globs; a family is a name
     // prefix (`'fft_*'`). No globs select every workload.
-    let globs = &cli.cases[1..];
-    // Fresh results live out of the way by default; baselines are the
-    // checked-in BENCH_*.json at the repo root.
-    let out_dir = cli.get("out").unwrap_or("bench-out/perf");
-
+    let workloads = select(&cli.cases[1..]);
     match sub {
+        "list" | "run" if workloads.is_empty() => Err("no workloads match the selection".into()),
         "list" => {
-            let workloads = select(globs);
-            if workloads.is_empty() {
-                return Err("no workloads match the selection".into());
-            }
-            println!("{:<24} {:>10}  notes", "workload", "threshold");
             for w in &workloads {
-                println!("{:<24} {:>9.0}%  {}", w.name, w.threshold * 100.0, w.notes);
+                println!("{:<24} {}", w.name, w.notes);
             }
             Ok(())
         }
         "run" => {
-            let workloads = select(globs);
-            if workloads.is_empty() {
-                return Err("no workloads match the selection".into());
-            }
             let cfg = MeasureConfig { smoke: cli.on("smoke"), reps: cli.flag("reps", 5usize)?.max(1) };
-            let env = env_stamp();
-            std::fs::create_dir_all(out_dir)
-                .map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-            println!(
-                "bench run: {} workload(s), median of {} rep(s){}",
-                workloads.len(),
-                cfg.effective_reps(),
-                if cfg.smoke { ", smoke fixtures" } else { "" }
-            );
+            println!("{}", env_stamp());
             for w in &workloads {
                 let sample = (w.run)(&cfg)?;
-                let result = BenchResult::new(w, &sample, &cfg, &env);
-                let path = result.write(Path::new(out_dir))?;
-                println!(
-                    "{:<24} {:>12.1} us/op (mad {:.1})  -> {}",
-                    w.name,
-                    sample.median_us,
-                    sample.mad_us,
-                    path.display()
-                );
+                println!("{:<24} {:>12.1} us/op (mad {:.1})", w.name, sample.median_us, sample.mad_us);
             }
-            Ok(())
-        }
-        "diff" => {
-            let report = diff_dirs(
-                Path::new(cli.get("baselines").unwrap_or(".")),
-                Path::new(out_dir),
-                globs,
-            )?;
-            print!("{}", report.render());
-            let (regressed, stale) = (report.regressions(), report.stale());
-            if regressed + stale > 0 {
-                return Err(format!(
-                    "{regressed} workload(s) regressed past threshold, {stale} baseline(s) stale \
-                     (re-record with `ilt bench run <workload> --out <baseline dir>`)"
-                )
-                .into());
-            }
-            println!("bench diff: {} workload(s) within threshold", report.rows.len());
             Ok(())
         }
         other => Err(format!("unknown bench subcommand {other}\n{usage}").into()),

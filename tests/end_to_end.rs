@@ -162,3 +162,39 @@ fn postprocessing_reduces_or_preserves_shot_count() {
         shot_count(&plain.mask)
     );
 }
+
+/// `ilt bench` through the real binary: `list` shows the registry, `run`
+/// prints the provenance line over one row per selected workload, and
+/// everything else is refused with a message.
+#[test]
+fn bench_lists_runs_and_refuses_through_the_cli() {
+    let bench = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ilt"))
+            .arg("bench")
+            .args(args)
+            .output()
+            .expect("run ilt");
+        let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8");
+        (out.status.success(), text(out.stdout), text(out.stderr))
+    };
+
+    let (ok, list, _) = bench(&["list"]);
+    assert!(ok);
+    assert_eq!(list.lines().count(), 6, "{list}");
+
+    let (ok, run, err) = bench(&["run", "--smoke", "fft_*"]);
+    assert!(ok, "{err}");
+    let lines: Vec<&str> = run.lines().collect();
+    assert_eq!(lines.len(), 4, "{run}");
+    assert!(lines[0].starts_with("# rev ") && lines[0].contains(", simd "), "{run}");
+    assert!(lines[1..].iter().all(|l| l.starts_with("fft_") && l.contains(" us/op")), "{run}");
+
+    for (args, refusal) in [
+        (&["diff"][..], "unknown bench subcommand"),
+        (&["run", "--baselines", "."], "unknown flag --baselines"),
+        (&["run", "no_such_*"], "no workloads match"),
+    ] {
+        let (ok, _, err) = bench(args);
+        assert!(!ok && err.contains(refusal), "{args:?}: {err}");
+    }
+}

@@ -677,7 +677,7 @@ fn one_exp_for_every_sigmoid() {
 /// change that has to grow it edits this constant on purpose.
 #[test]
 fn non_test_lines_do_not_grow() {
-    const CEILING: usize = 12458;
+    const CEILING: usize = 12160;
     let total: usize = shipped_sources()
         .iter()
         .flat_map(|(_, shipped)| shipped.lines())
