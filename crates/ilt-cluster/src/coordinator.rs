@@ -10,17 +10,18 @@
 //!   *resolved*. Each turn settles the copies that reported, hangs up on
 //!   the ones that must stop, dispatches and speculates, then waits on the
 //!   membership condvar until the next event (a copy reports, a member
-//!   joins, leaves or is declared dead) or the next deadline it computed
-//!   (a straggler, a breaker backoff, a grace), at most one `heartbeat`.
+//!   joins, leaves, dies or revives, the job is cancelled) or the next
+//!   deadline it computed (a straggler, a breaker backoff, a grace); with
+//!   no deadline pending it waits on events alone.
 //! - **Dynamic membership**: workers join, drain, and leave a running
 //!   coordinator ([`Coordinator::join`] etc., wired to `POST /v1/members`).
 //!   Shards are split finer than the worker count and the loop draws
 //!   workers from the *live* set ([`Membership::try_acquire`]), so a
 //!   replica that joins mid-job picks up queued shards immediately.
 //! - **Death detection**: a monitor thread probes every member's
-//!   `GET /healthz` on a fixed interval; after a configured number of
+//!   `GET /healthz` every `heartbeat`; after a configured number of
 //!   consecutive failures the worker is marked dead (and revived on the
-//!   next successful probe).
+//!   next successful probe). Only such a flip wakes the jobs' loops.
 //! - **Quarantine**: each member carries a circuit [`Breaker`]
 //!   (closed → open → half-open, decorrelated-jitter backoff). Consecutive
 //!   *shard* failures open it and only a successful shard closes it — a
@@ -41,9 +42,11 @@
 //!   a reset. When the loop must stop it — the worker was declared dead, a
 //!   loser's or a cancel's grace ran out — it shuts down a clone of that
 //!   copy's stream, which ends the blocked read at once, and settles the
-//!   copy with the error it recorded for the hang-up.
-//! - **Cancel fan-out**: when the job's [`CancelToken`] fires (seen within
-//!   one heartbeat), each in-flight copy gets a `DELETE /v1/shards/<sid>`;
+//!   copy with the error it recorded for the hang-up. A copy still
+//!   connecting finds the hang-up when it comes to store its stream.
+//! - **Cancel fan-out**: when the job's [`CancelToken`] fires (the
+//!   canceller then calls [`Coordinator::wake`]), each in-flight copy gets
+//!   a `DELETE /v1/shards/<sid>`;
 //!   the coordinator then *keeps waiting* (bounded by the cancel grace
 //!   period) for the worker's cancelled-at-tile-boundary records.
 //! - **Lost shards**: a shard that exhausts its attempt budget (or finds
@@ -85,8 +88,7 @@ pub struct ClusterConfig {
     /// Initial worker replica addresses (`host:port`); may be empty when
     /// workers will register themselves via `POST /v1/members`.
     pub workers: Vec<String>,
-    /// Heartbeat probe interval; also the longest a job's supervising loop
-    /// waits between turns, so a running job sees a cancel within one.
+    /// Interval of the monitor's `GET /healthz` probes.
     pub heartbeat: Duration,
     /// Consecutive failed probes before a worker is declared dead.
     pub heartbeat_failures: u32,
@@ -183,6 +185,12 @@ impl Coordinator {
             self.stats.members_left.inc();
         }
         left
+    }
+
+    /// Wakes every running job's loop: a canceller calls it after setting a
+    /// job's [`CancelToken`], so the cancel fans out at once.
+    pub fn wake(&self) {
+        self.members.notify();
     }
 
     /// Point-in-time views of every member (the `GET /v1/members` rows and
@@ -424,12 +432,23 @@ struct Race {
 struct LiveCopy {
     slot: Arc<WorkerSlot>,
     speculative: bool,
-    /// A clone of the exchange's stream, once it is connected: `shutdown`
-    /// on it ends the exchange's blocked read at once.
-    line: Arc<Mutex<Option<TcpStream>>>,
+    /// Where the loop hangs up on the exchange.
+    line: Arc<Mutex<Line>>,
     /// When the loop hangs up on this copy unless it reports first, and the
     /// error it then settles with.
     hang_up: Option<(Instant, ShardError)>,
+}
+
+/// The loop's end of one copy's connection.
+enum Line {
+    /// Not connected yet: the exchange stores its stream here, unless it
+    /// finds the line already hung up.
+    Connecting,
+    /// A clone of the exchange's stream: `shutdown` on it ends the
+    /// exchange's blocked read at once.
+    Connected(TcpStream),
+    /// The loop hung up: an exchange that finds this sends nothing.
+    HungUp,
 }
 
 /// The event loop that supervises one clustered job on the thread that
@@ -455,12 +474,16 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
     fn run(mut self, shards: &mut [Shard<'_>]) -> Option<String> {
         let coordinator = self.coordinator;
         loop {
+            // Read before the turn looks at anything: an event or a cancel
+            // that lands mid-turn, while no one waits, still ends the wait
+            // below.
+            let (seen, cancelled) = (coordinator.members.events(), self.cancel.is_cancelled());
             let settled = std::mem::take(&mut *self.inbox.lock().expect(INBOX));
             for (shard_idx, speculative, result) in settled {
                 self.settle(&mut shards[shard_idx], speculative, result);
             }
             let now = Instant::now();
-            let mut wake = now + coordinator.config.heartbeat;
+            let mut wake = None;
             let mut blocked = false;
             let straggler = self.straggler_age();
             for (shard_idx, shard) in shards.iter_mut().enumerate() {
@@ -482,10 +505,14 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
             if blocked {
                 // Quarantine may be what holds a dispatch back.
                 if let Some(at) = coordinator.members.next_reopen().filter(|at| *at > now) {
-                    wake = wake.min(at);
+                    wake = Some(wake.map_or(at, |w| w.min(at)));
                 }
             }
-            coordinator.members.wait_until(wake, || !self.inbox.lock().expect(INBOX).is_empty());
+            // An exchange files its report before it notifies, so a report
+            // is an event too.
+            coordinator.members.wait_until(wake, || {
+                coordinator.members.events() != seen || self.cancel.is_cancelled() != cancelled
+            });
         }
     }
 
@@ -538,7 +565,7 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
 
     /// Fans a cancel out to copies that have none armed yet, and hangs up on
     /// copies whose grace ran out or whose worker was declared dead.
-    fn watch(&self, shard: &mut Shard<'_>, now: Instant, wake: &mut Instant) {
+    fn watch(&self, shard: &mut Shard<'_>, now: Instant, wake: &mut Option<Instant>) {
         let race = shard.race.as_mut().expect("a running shard");
         for copy in &mut race.copies {
             if copy.hang_up.is_none() && self.cancel.is_cancelled() {
@@ -559,16 +586,16 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
                     copy.hang_up = Some((now, ShardError::Retry(died)));
                 }
                 Some((at, _)) => {
-                    *wake = (*wake).min(*at);
+                    *wake = Some(wake.map_or(*at, |w| w.min(*at)));
                     continue;
                 }
                 None => continue,
             }
-            // Repeated each turn until the copy reports: one still connecting
-            // has no stream to shut down yet.
-            if let Some(stream) = &*copy.line.lock().expect("hang-up handle poisoned") {
+            let mut line = copy.line.lock().expect("hang-up line poisoned");
+            if let Line::Connected(stream) = &*line {
                 let _ = stream.shutdown(Shutdown::Both);
             }
+            *line = Line::HungUp;
         }
     }
 
@@ -596,7 +623,7 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
         shard: &mut Shard<'_>,
         age: Duration,
         now: Instant,
-        wake: &mut Instant,
+        wake: &mut Option<Instant>,
     ) -> bool {
         let race = shard.race.as_ref().expect("a running shard");
         let [primary] = race.copies.as_slice() else { return false };
@@ -605,7 +632,7 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
         }
         let due = race.started + age;
         if due > now {
-            *wake = (*wake).min(due);
+            *wake = Some(wake.map_or(due, |w| w.min(due)));
             return false;
         }
         let coordinator = self.coordinator;
@@ -629,7 +656,7 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
         slot: Arc<WorkerSlot>,
         speculative: bool,
     ) -> LiveCopy {
-        let line = Arc::new(Mutex::new(None));
+        let line = Arc::new(Mutex::new(Line::Connecting));
         let (coordinator, body, inbox) = (self.coordinator, self.body, self.inbox);
         let (addr, sid, path) = (slot.addr.clone(), shard.sid.clone(), shard.path.clone());
         let ids: Vec<usize> = shard.jobs.iter().map(|j| j.id).collect();
@@ -743,10 +770,13 @@ fn exchange_shard(
     path: &str,
     body: &[u8],
     expected_ids: &[usize],
-    line: &Mutex<Option<TcpStream>>,
+    line: &Mutex<Line>,
 ) -> Exchanged {
     let mut client = Client::connect(addr, CONNECT_TIMEOUT)?;
-    *line.lock().expect("hang-up handle poisoned") = Some(client.hang_up_handle()?);
+    match &mut *line.lock().expect("hang-up line poisoned") {
+        Line::HungUp => return Err(ShardError::Retry("hung up while connecting".into())),
+        line => *line = Line::Connected(client.hang_up_handle()?),
+    }
     client.send("POST", path, &[], body, true)?;
     let Reply { status, body: response_body, .. } = client.read_reply()?;
     if status != 200 {
@@ -861,11 +891,11 @@ fn monitor_loop(
     let (stopped, wake) = stop;
     loop {
         for slot in members.snapshot() {
-            let ok = probe(&slot.addr);
-            mark_probe(&slot, ok, config, stats);
+            // A member died or revived: wake every job's loop.
+            if mark_probe(&slot, probe(&slot.addr), config, stats) {
+                members.notify();
+            }
         }
-        // Health changed or time passed: wake every job's loop.
-        members.notify();
         // One heartbeat of sleep, cut short the moment drop() sets the flag.
         let (stopped, _) = wake
             .wait_timeout_while(
@@ -880,20 +910,18 @@ fn monitor_loop(
     }
 }
 
-/// Applies one probe (or dispatch-failure) observation to a slot. Note
-/// this touches only *liveness* — a successful heartbeat never closes the
-/// worker's breaker; quarantine is earned back through shard successes.
-fn mark_probe(slot: &WorkerSlot, ok: bool, config: &ClusterConfig, stats: &ClusterStats) {
+/// Applies one probe (or dispatch-failure) observation to a slot; `true`
+/// when it flipped the slot's liveness. Note this touches only *liveness* —
+/// a successful heartbeat never closes the worker's breaker; quarantine is
+/// earned back through shard successes.
+fn mark_probe(slot: &WorkerSlot, ok: bool, config: &ClusterConfig, stats: &ClusterStats) -> bool {
     if ok {
         slot.heartbeat_fails().store(0, Ordering::Relaxed);
-        slot.set_alive(true);
-    } else {
-        stats.heartbeat_failures.inc();
-        let fails = slot.heartbeat_fails().fetch_add(1, Ordering::Relaxed) + 1;
-        if fails >= config.heartbeat_failures {
-            slot.set_alive(false);
-        }
+        return slot.set_alive(true);
     }
+    stats.heartbeat_failures.inc();
+    let fails = slot.heartbeat_fails().fetch_add(1, Ordering::Relaxed) + 1;
+    fails >= config.heartbeat_failures && slot.set_alive(false)
 }
 
 /// One `GET /healthz` probe.

@@ -8,9 +8,9 @@
 //! by its circuit [`Breaker`] — so a quarantined worker receives no
 //! dispatches even while its heartbeats pass. Nothing here blocks on a
 //! worker: the loop parks on the membership condvar
-//! ([`Membership::wait_until`]), which a join, a leave, a release and every
-//! heartbeat round notify, so a late-joining worker picks up queued shards
-//! mid-job at once.
+//! ([`Membership::wait_until`]), which a join, a leave, a release, a probe
+//! that flips a member's liveness and a job's cancel notify, so a
+//! late-joining worker picks up queued shards mid-job at once.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -56,8 +56,9 @@ impl WorkerSlot {
         self.alive.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn set_alive(&self, v: bool) {
-        self.alive.store(v, Ordering::SeqCst);
+    /// Sets liveness; `true` when that changed it.
+    pub(crate) fn set_alive(&self, v: bool) -> bool {
+        self.alive.swap(v, Ordering::SeqCst) != v
     }
 
     pub(crate) fn heartbeat_fails(&self) -> &AtomicU32 {
@@ -103,6 +104,8 @@ pub enum Settle {
 pub struct Membership {
     slots: Mutex<Vec<Arc<WorkerSlot>>>,
     changed: Condvar,
+    /// Notifications so far, counted under the `slots` lock.
+    events: AtomicU64,
     breaker_cfg: BreakerConfig,
 }
 
@@ -110,7 +113,8 @@ impl Membership {
     /// A membership seeded with `addrs` (the `--workers` list; may be
     /// empty — workers can join later).
     pub fn new(addrs: &[String], breaker_cfg: BreakerConfig) -> Self {
-        let m = Membership { slots: Mutex::new(Vec::new()), changed: Condvar::new(), breaker_cfg };
+        let (slots, changed, events) = (Mutex::default(), Condvar::new(), AtomicU64::new(0));
+        let m = Membership { slots, changed, events, breaker_cfg };
         for a in addrs {
             m.join(a);
         }
@@ -125,7 +129,8 @@ impl Membership {
             return false;
         }
         slots.push(Arc::new(WorkerSlot::new(addr.to_string(), self.breaker_cfg)));
-        self.changed.notify_all();
+        drop(slots);
+        self.notify();
         true
     }
 
@@ -150,8 +155,9 @@ impl Membership {
         let before = slots.len();
         slots.retain(|s| s.addr != addr);
         let removed = slots.len() != before;
+        drop(slots);
         if removed {
-            self.changed.notify_all();
+            self.notify();
         }
         removed
     }
@@ -171,23 +177,37 @@ impl Membership {
         self.slots.lock().unwrap().iter().filter(|s| s.is_alive()).count()
     }
 
-    /// Wakes every waiting loop (membership or health changed).
+    /// Wakes every waiting loop (membership, health or a job's cancel
+    /// changed).
     pub fn notify(&self) {
         let _guard = self.slots.lock().unwrap();
+        self.events.fetch_add(1, Ordering::SeqCst);
         self.changed.notify_all();
     }
 
+    /// How many notifications there have been. A loop reads it before it
+    /// looks at anything a notifier publishes, and its `ready` check passed
+    /// to [`Membership::wait_until`] compares: an event that lands while the
+    /// loop is not waiting is not slept through.
+    pub fn events(&self) -> u64 {
+        self.events.load(Ordering::SeqCst)
+    }
+
     /// Parks the caller until the membership changes or is notified (a
-    /// join, a leave, a release, a heartbeat round), or `deadline` passes —
-    /// unless `ready()` already holds. `ready` runs under the lock that
+    /// join, a leave, a release, a liveness flip, a cancel), or `deadline`
+    /// passes (with none, only an event ends the wait) — unless `ready()`
+    /// already holds. `ready` runs under the lock that
     /// [`Membership::notify`] takes, so whatever a notifier published before
     /// notifying cannot slip in between the check and the wait (and `ready`
-    /// must not call back into the membership).
-    pub fn wait_until(&self, deadline: Instant, ready: impl FnOnce() -> bool) {
-        let slots = self.slots.lock().expect("membership lock poisoned");
-        if !ready() {
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            drop(self.changed.wait_timeout(slots, timeout).expect("membership lock poisoned"));
+    /// must not take that lock: [`Membership::events`] is all it may read
+    /// here).
+    pub fn wait_until(&self, deadline: Option<Instant>, ready: impl FnOnce() -> bool) {
+        const POISONED: &str = "membership lock poisoned";
+        let slots = self.slots.lock().expect(POISONED);
+        match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
+            _ if ready() => {}
+            Some(timeout) => drop(self.changed.wait_timeout(slots, timeout).expect(POISONED)),
+            None => drop(self.changed.wait(slots).expect(POISONED)),
         }
     }
 
@@ -343,20 +363,23 @@ mod tests {
         let m = members(&[]);
         let far = Instant::now() + std::time::Duration::from_secs(60);
         let started = Instant::now();
-        m.wait_until(far, || true);
+        m.wait_until(Some(far), || true);
+        m.wait_until(None, || true);
         assert!(started.elapsed().as_secs() < 30, "ready: no wait at all");
-        let joined = AtomicBool::new(false);
+        // No deadline: only the join can end this wait.
+        let seen = m.events();
         std::thread::scope(|scope| {
-            scope.spawn(|| m.wait_until(far, || joined.load(Ordering::SeqCst)));
-            // Publish, then notify (the join does): the order an exchange
-            // thread follows with the coordinator's inbox.
-            joined.store(true, Ordering::SeqCst);
+            scope.spawn(|| m.wait_until(None, || m.events() != seen));
             m.join("a:1");
         });
         assert!(started.elapsed().as_secs() < 30, "the join woke the waiter");
         let near = Instant::now();
-        m.wait_until(near, || false);
+        m.wait_until(Some(near), || false);
         assert!(near.elapsed().as_secs() < 30, "a passed deadline returns");
+        // An event while no one waits is not slept through: the count moved.
+        let seen = m.events();
+        assert!(m.leave("a:1"));
+        m.wait_until(None, || m.events() != seen);
     }
 
     #[test]

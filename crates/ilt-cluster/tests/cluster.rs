@@ -265,15 +265,16 @@ fn cancellation_fans_out_to_workers() {
     })
     .expect("coordinator");
 
-    let cancel = config.cancel.clone();
-    std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(300));
-        cancel.cancel();
-    });
     let started = std::time::Instant::now();
-    let outputs = coordinator
-        .run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
-        .expect("cancelled run still merges");
+    let outputs = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(300));
+            config.cancel.cancel();
+            coordinator.wake();
+        });
+        coordinator.run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
+    })
+    .expect("cancelled run still merges");
     assert!(
         started.elapsed() < Duration::from_secs(20),
         "cancellation must cut the 30 s stall short"
@@ -577,15 +578,16 @@ fn a_cancel_the_worker_never_acknowledges_ends_after_the_grace() {
     })
     .expect("coordinator");
 
-    let cancel = config.cancel.clone();
-    std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(200));
-        cancel.cancel();
-    });
     let started = Instant::now();
-    let outputs = coordinator
-        .run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
-        .expect("a cancelled run still merges");
+    let outputs = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(200));
+            config.cancel.cancel();
+            coordinator.wake();
+        });
+        coordinator.run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
+    })
+    .expect("a cancelled run still merges");
     assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
     assert_eq!(outputs.len(), plan.len(), "every planned job gets a record");
     for output in &outputs {

@@ -13,8 +13,6 @@ use ilt_geom::{label_components, Rect};
 /// How the writable mask region is derived from the target.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum OptimizeRegion {
-    /// The whole clip is writable.
-    Full,
     /// Option 1 (Neural-ILT / A2-ILT): each target feature's bounding box,
     /// expanded by `margin_nm`.
     Option1 {
@@ -73,8 +71,7 @@ impl OptimizeRegion {
     pub fn region_mask_at_scale(&self, target: &Field2D, nm_per_px: f64, s: usize) -> Field2D {
         let (rows, cols) = target.shape();
         assert!(s > 0 && rows % s == 0 && cols % s == 0, "scale {s} must divide {rows}x{cols}");
-        let (boxes, margin_nm) = match *self {
-            OptimizeRegion::Full => (vec![Rect::new(0, 0, rows, cols)], 0.0),
+        let (boxes, margin_nm): (Vec<Rect>, f64) = match *self {
             OptimizeRegion::Option1 { margin_nm } => {
                 (label_components(target).into_iter().map(|c| c.bbox).collect(), margin_nm)
             }
@@ -109,13 +106,6 @@ mod tests {
             64,
             64,
         )
-    }
-
-    #[test]
-    fn full_region_is_everything() {
-        let t = two_features();
-        let r = OptimizeRegion::Full.region_mask(&t, 1.0);
-        assert_eq!(r.count_on(), 64 * 64);
     }
 
     #[test]
@@ -180,21 +170,17 @@ mod tests {
         let (rows, cols) = t.shape();
         let comps = label_components(t);
         let boxes: Vec<Rect> = match region {
-            OptimizeRegion::Full => vec![Rect::new(0, 0, rows, cols)],
             OptimizeRegion::Option1 { .. } => comps.iter().map(|c| c.bbox).collect(),
             OptimizeRegion::Option2 { .. } => {
                 comps.iter().map(|c| c.bbox).reduce(|a, b| a.union_bbox(&b)).into_iter().collect()
             }
         };
         let mut full = Field2D::zeros(rows, cols);
+        let (OptimizeRegion::Option1 { margin_nm } | OptimizeRegion::Option2 { margin_nm }) =
+            region;
+        let margin = (margin_nm / nm_per_px).round() as usize;
         for b in boxes {
-            let b = match region {
-                OptimizeRegion::Option1 { margin_nm } | OptimizeRegion::Option2 { margin_nm } => {
-                    b.expand_clamped((margin_nm / nm_per_px).round() as usize, rows, cols)
-                }
-                OptimizeRegion::Full => b,
-            };
-            b.fill(&mut full, 1.0);
+            b.expand_clamped(margin, rows, cols).fill(&mut full, 1.0);
         }
         avg_pool_down(&full, s).map(|v| if v > 0.0 { 1.0 } else { 0.0 })
     }
@@ -228,7 +214,6 @@ mod tests {
         for (name, t, nm_per_px) in &targets {
             for margin_nm in [0.0, 5.0 * nm_per_px, 27.0 * nm_per_px] {
                 for region in [
-                    OptimizeRegion::Full,
                     OptimizeRegion::Option1 { margin_nm },
                     OptimizeRegion::Option2 { margin_nm },
                 ] {

@@ -21,13 +21,6 @@
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SourceSpec {
-    /// Fully coherent on-axis point source.
-    Coherent,
-    /// Circular (conventional) fill of radius `sigma`.
-    Circular {
-        /// Outer radius in sigma units, in `(0, 1]`.
-        sigma: f64,
-    },
     /// Annular fill between two radii — the workhorse of M1/via layers.
     Annular {
         /// Inner radius in sigma units.
@@ -55,22 +48,11 @@ impl SourceSpec {
     ///
     /// Returns a message describing the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            SourceSpec::Coherent => Ok(()),
-            SourceSpec::Circular { sigma } => {
-                if sigma > 0.0 && sigma <= 1.0 {
-                    Ok(())
-                } else {
-                    Err(format!("circular sigma {sigma} must be in (0, 1]"))
-                }
-            }
-            SourceSpec::Annular { sigma_in, sigma_out } => {
-                if sigma_in >= 0.0 && sigma_out > sigma_in && sigma_out <= 1.0 {
-                    Ok(())
-                } else {
-                    Err(format!("invalid annulus [{sigma_in}, {sigma_out}]"))
-                }
-            }
+        let SourceSpec::Annular { sigma_in, sigma_out } = *self;
+        if sigma_in >= 0.0 && sigma_out > sigma_in && sigma_out <= 1.0 {
+            Ok(())
+        } else {
+            Err(format!("invalid annulus [{sigma_in}, {sigma_out}]"))
         }
     }
 
@@ -87,9 +69,6 @@ impl SourceSpec {
     /// [`SourceSpec::validate`]).
     pub fn sample(&self, grid: usize) -> Vec<SourcePoint> {
         self.validate().unwrap_or_else(|e| panic!("invalid source: {e}"));
-        if let SourceSpec::Coherent = self {
-            return vec![SourcePoint { sx: 0.0, sy: 0.0, weight: 1.0 }];
-        }
         let grid = if grid % 2 == 0 { grid + 1 } else { grid };
         let half = (grid / 2) as isize;
         let step = 1.0 / half as f64;
@@ -113,26 +92,20 @@ impl SourceSpec {
         pts
     }
 
-    /// Largest source radius in sigma units (0 for a coherent source).
+    /// Largest source radius in sigma units.
     ///
     /// The TCC band extends to `(1 + max_sigma) * NA / lambda`, so this
     /// drives the derived kernel support.
     pub fn max_sigma(&self) -> f64 {
-        match *self {
-            SourceSpec::Coherent => 0.0,
-            SourceSpec::Circular { sigma } => sigma,
-            SourceSpec::Annular { sigma_out, .. } => sigma_out,
-        }
+        let SourceSpec::Annular { sigma_out, .. } = *self;
+        sigma_out
     }
 
     /// Returns `true` if sigma-space point `(sx, sy)` lies in the fill.
     pub fn contains(&self, sx: f64, sy: f64) -> bool {
+        let SourceSpec::Annular { sigma_in, sigma_out } = *self;
         let r = (sx * sx + sy * sy).sqrt();
-        match *self {
-            SourceSpec::Coherent => r < 1e-12,
-            SourceSpec::Circular { sigma } => r <= sigma,
-            SourceSpec::Annular { sigma_in, sigma_out } => r >= sigma_in && r <= sigma_out,
-        }
+        r >= sigma_in && r <= sigma_out
     }
 }
 
@@ -141,25 +114,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coherent_is_a_single_axial_point() {
-        let pts = SourceSpec::Coherent.sample(11);
-        assert_eq!(pts.len(), 1);
-        assert_eq!(pts[0].sx, 0.0);
-        assert_eq!(pts[0].weight, 1.0);
-    }
-
-    #[test]
-    fn circular_includes_origin_annular_excludes_it() {
-        let circ = SourceSpec::Circular { sigma: 0.5 }.sample(21);
-        assert!(circ.iter().any(|p| p.sx == 0.0 && p.sy == 0.0));
+    fn annular_excludes_the_origin_a_filled_disc_includes_it() {
         let ann = SourceSpec::Annular { sigma_in: 0.4, sigma_out: 0.9 }.sample(21);
         assert!(!ann.iter().any(|p| p.sx == 0.0 && p.sy == 0.0));
+        let disc = SourceSpec::Annular { sigma_in: 0.0, sigma_out: 0.5 }.sample(21);
+        assert!(disc.iter().any(|p| p.sx == 0.0 && p.sy == 0.0));
     }
 
     #[test]
     fn weights_normalize_to_one() {
         for spec in [
-            SourceSpec::Circular { sigma: 0.8 },
+            SourceSpec::Annular { sigma_in: 0.0, sigma_out: 0.8 },
             SourceSpec::Annular { sigma_in: 0.55, sigma_out: 0.95 },
         ] {
             let pts = spec.sample(25);
@@ -179,14 +144,14 @@ mod tests {
 
     #[test]
     fn even_grid_is_bumped_to_odd() {
-        let a = SourceSpec::Circular { sigma: 0.9 }.sample(20);
-        let b = SourceSpec::Circular { sigma: 0.9 }.sample(21);
+        let a = SourceSpec::Annular { sigma_in: 0.3, sigma_out: 0.9 }.sample(20);
+        let b = SourceSpec::Annular { sigma_in: 0.3, sigma_out: 0.9 }.sample(21);
         assert_eq!(a.len(), b.len());
     }
 
     #[test]
     fn validation_errors() {
-        assert!(SourceSpec::Circular { sigma: 0.0 }.validate().is_err());
+        assert!(SourceSpec::Annular { sigma_in: 0.0, sigma_out: 0.0 }.validate().is_err());
         assert!(SourceSpec::Annular { sigma_in: 0.9, sigma_out: 0.6 }.validate().is_err());
         assert!(SourceSpec::Annular { sigma_in: 0.5, sigma_out: 1.2 }.validate().is_err());
     }

@@ -29,7 +29,7 @@ use crate::source::SourcePoint;
 /// use ilt_optics::{Pupil, SourceSpec, Tcc};
 ///
 /// let pupil = Pupil::new(1.35, 193.0, 0.0);
-/// let pts = SourceSpec::Circular { sigma: 0.5 }.sample(9);
+/// let pts = SourceSpec::Annular { sigma_in: 0.6, sigma_out: 0.9 }.sample(9);
 /// let tcc = Tcc::build(&pupil, &pts, 9, 1.0 / 256.0);
 /// assert_eq!(tcc.p(), 9);
 /// assert!(tcc.trace() > 0.0);
@@ -300,7 +300,8 @@ mod tests {
     #[test]
     fn coherent_source_gives_rank_one_tcc() {
         let pupil = Pupil::new(1.35, 193.0, 0.0);
-        let pts = SourceSpec::Coherent.sample(1);
+        // One on-axis point: a fully coherent source.
+        let pts = [SourcePoint { sx: 0.0, sy: 0.0, weight: 1.0 }];
         let tcc = Tcc::build(&pupil, &pts, 5, 1.0 / 512.0);
         // Rank-1: T = a a^H, so T^2 = (a^H a) T.
         let n = tcc.dim();

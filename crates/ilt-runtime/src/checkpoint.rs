@@ -602,7 +602,9 @@ mod tests {
             ("optics.nm_per_px", |c| c.optics.nm_per_px = 2.0),
             ("optics.na", |c| c.optics.na = 1.2),
             ("optics.wavelength_nm", |c| c.optics.wavelength_nm = 248.0),
-            ("optics.source", |c| c.optics.source = ilt_optics::SourceSpec::Coherent),
+            ("optics.source", |c| {
+                c.optics.source = ilt_optics::SourceSpec::Annular { sigma_in: 0.5, sigma_out: 0.9 }
+            }),
             ("optics.defocus_nm", |c| c.optics.defocus_nm = 25.0),
             ("optics.num_kernels", |c| c.optics.num_kernels = 10),
             ("optics.kernel_size", |c| c.optics.kernel_size = Some(35)),
@@ -612,7 +614,7 @@ mod tests {
             ("ilt.binary", |c| c.ilt.binary = BinaryFunction::Cosine),
             ("ilt.output_binary", |c| c.ilt.output_binary = BinaryFunction::Cosine),
             ("ilt.smoothing", |c| c.ilt.smoothing = None),
-            ("ilt.region", |c| c.ilt.region = OptimizeRegion::Full),
+            ("ilt.region", |c| c.ilt.region = OptimizeRegion::option1_default()),
             ("ilt.early_exit_window", |c| c.ilt.early_exit_window = Some(15)),
             ("ilt.frozen_value", |c| c.ilt.frozen_value = -4.0),
             ("ilt.postprocess", |c| c.ilt.postprocess = Some(Default::default())),

@@ -469,8 +469,9 @@ fn method_not_allowed(allow: &str) -> Response {
 
 /// `DELETE /v1/jobs/{id}`: a queued job dies immediately, a running job is
 /// asked to stop at its next tile boundary — both answer `202 Accepted`
-/// (cancellation of a running job is asynchronous and best-effort). A job
-/// already in a terminal state answers `409 Conflict` stating that state.
+/// (cancellation of a running job is asynchronous and best-effort); a
+/// clustered job's loop is woken to fan the cancel out. A job already in a
+/// terminal state answers `409 Conflict` stating that state.
 fn cancel_job(shared: &Shared, id: usize) -> Response {
     match shared.store.cancel(id) {
         CancelOutcome::Cancelled => {
@@ -478,6 +479,9 @@ fn cancel_job(shared: &Shared, id: usize) -> Response {
             Response::json(202, format!("{{\"id\":{id},\"state\":\"cancelled\"}}"))
         }
         CancelOutcome::Cancelling => {
+            if let Some(coordinator) = &shared.coordinator {
+                coordinator.wake();
+            }
             Response::json(202, format!("{{\"id\":{id},\"state\":\"cancelling\"}}"))
         }
         CancelOutcome::AlreadyFinished(state) => Response::error(

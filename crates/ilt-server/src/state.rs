@@ -18,7 +18,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ilt_cluster::params::{ExecPolicy, JobParams, JobSource};
 use ilt_field::pgm_bytes;
@@ -40,19 +39,16 @@ const LOG_FILE: &str = "state.jsonl";
 /// Append-only persistence of the job table: one `state.jsonl` line per
 /// admission, cancellation, and terminal outcome (an
 /// [`ilt_runtime::AppendLog`]), masks and inline targets as
-/// atomically-written PGM files beside it. Once the log grows past
-/// `compact_bytes` (0 disables), [`JobStore::maybe_compact`] folds the live
-/// table into [`SNAPSHOT_FILE`] and truncates the log.
+/// atomically-written PGM files beside it. Every line is appended under the
+/// job-table lock, in the same critical section as the change it records,
+/// so the table and the log never disagree under that lock. Once the log
+/// grows past `compact_bytes` (0 disables), [`JobStore::maybe_compact`]
+/// folds the live table into [`SNAPSHOT_FILE`] and truncates the log.
 pub struct StateLog {
     /// The directory holding the log and its PGM side files.
     pub(crate) dir: PathBuf,
     log: AppendLog,
     compact_bytes: u64,
-    /// Terminal transitions mid-persist (line appended, job table not yet
-    /// updated). Compaction refuses to truncate while any are in flight —
-    /// it would snapshot the job as unfinished *and* discard its outcome
-    /// line, losing the result across a restart.
-    persisting: AtomicU64,
 }
 
 impl StateLog {
@@ -70,7 +66,6 @@ impl StateLog {
             dir: dir.to_path_buf(),
             log: AppendLog::open(&dir.join(LOG_FILE))?,
             compact_bytes,
-            persisting: AtomicU64::new(0),
         })
     }
 
@@ -84,27 +79,12 @@ impl StateLog {
         self.compact_bytes > 0 && self.log.len() >= self.compact_bytes
     }
 
-    pub(crate) fn begin_persist(&self) {
-        self.persisting.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn end_persist(&self) {
-        self.persisting.fetch_sub(1, Ordering::SeqCst);
-    }
-
     /// Atomically installs `snapshot` as [`SNAPSHOT_FILE`] and truncates
     /// the log, with no append able to land between the two; a crash in
     /// between leaves snapshot *plus* the full log, which recovery replays
-    /// idempotently. Refuses (harmlessly — the next terminal transition
-    /// retries) while another thread is between appending an outcome line
-    /// and updating the job table.
+    /// idempotently.
     fn replace_with_snapshot(&self, snapshot: &[u8]) -> std::io::Result<()> {
-        self.log.truncate_after(|| {
-            if self.persisting.load(Ordering::SeqCst) > 0 {
-                return Err(std::io::Error::other("terminal transition mid-persist"));
-            }
-            write_atomic(&self.dir, SNAPSHOT_FILE, snapshot)
-        })
+        self.log.truncate_after(|| write_atomic(&self.dir, SNAPSHOT_FILE, snapshot))
     }
 
     pub(crate) fn log_submit(&self, id: usize, params: &JobParams, admission: &Admission) {
@@ -125,27 +105,30 @@ impl StateLog {
         ));
     }
 
-    pub(crate) fn log_finish(&self, id: usize, outcome: &Result<JobDone, String>) {
-        let line = match outcome {
-            Ok(done) => {
-                let mut mask_file = None;
-                if let Some(mask) = &done.mask {
-                    let name = mask_file_name(id);
-                    // Mask first, then the line claiming it exists.
-                    if write_atomic(&self.dir, &name, &pgm_bytes(mask, 0.0, 1.0)).is_ok() {
-                        mask_file = Some(name);
-                    }
-                }
-                finish_line_ok(id, done, mask_file.as_deref())
-            }
+    /// Makes job `id`'s mask durable as its side file, before any line
+    /// names it: the file's name, or `None` without a mask or a write.
+    pub(crate) fn write_mask(&self, id: usize, result: &Result<JobDone, String>) -> Option<String> {
+        let mask = result.as_ref().ok()?.mask.as_ref()?;
+        let name = mask_file_name(id);
+        write_atomic(&self.dir, &name, &pgm_bytes(mask, 0.0, 1.0)).is_ok().then_some(name)
+    }
+
+    /// The `finish` line; `mask` names the file [`StateLog::write_mask`]
+    /// made durable.
+    pub(crate) fn log_finish(&self, id: usize, result: &Result<JobDone, String>, mask: Option<&str>) {
+        self.append(&match result {
+            Ok(done) => finish_line_ok(id, done, mask),
             Err(e) => finish_line_err(id, e),
-        };
-        self.append(&line);
+        });
     }
 
     pub(crate) fn log_cancel(&self, id: usize) {
-        self.append(&format!("{{\"kind\":\"cancel\",\"id\":{id}}}"));
+        self.append(&cancel_line(id));
     }
+}
+
+fn cancel_line(id: usize) -> String {
+    format!("{{\"kind\":\"cancel\",\"id\":{id}}}")
 }
 
 /// Side file holding job `id`'s inline target raster, when it has one.
@@ -360,8 +343,8 @@ impl JobStore {
             return false;
         }
         // Built and installed under the table lock: the snapshot is a
-        // consistent point-in-time view, and appends (which also take the
-        // store lock on every path that logs) cannot interleave.
+        // consistent point-in-time view, and appends (every one of which is
+        // made under that lock) cannot interleave.
         let inner = self.lock();
         let mut snapshot = format!("{{\"kind\":\"compact\",\"next_id\":{}}}\n", inner.next_id);
         // Side files referenced by snapshot entries; everything else in the
@@ -389,8 +372,16 @@ impl JobStore {
             ));
             snapshot.push('\n');
             keep.extend(target);
-            if entry.result.as_ref().is_some_and(|d| d.mask.is_some()) {
+            // A job not yet terminal may have its mask written already,
+            // ahead of the finish line that will name it.
+            if !entry.state.is_terminal() || entry.result.as_ref().is_some_and(|d| d.mask.is_some())
+            {
                 keep.insert(mask_file_name(entry.id));
+            }
+            if !entry.state.is_terminal() && entry.cancel.is_cancelled() {
+                // A running job's cancel line, which its end will not repeat.
+                snapshot.push_str(&cancel_line(entry.id));
+                snapshot.push('\n');
             }
             if entry.state.is_terminal() {
                 let line = match (&entry.result, &entry.error) {

@@ -318,17 +318,16 @@ impl JobStore {
         }
     }
 
-    /// Records a claimed job's terminal state (persisting it first, mask
+    /// Records a claimed job's terminal state (persisting it too, mask
     /// before log line, when a state log is configured).
     pub fn finish(&self, id: usize, outcome: Result<JobDone, String>) {
-        // Persist outside the lock: mask writes are large and fsynced. The
-        // persist guard keeps a concurrent compaction from truncating this
-        // outcome line away before the table below reflects it.
-        if let Some(state) = &self.state {
-            state.begin_persist();
-            state.log_finish(id, &outcome);
-        }
+        // The mask is written outside the lock (it is large and fsynced);
+        // compaction keeps a running job's mask file.
+        let mask_file = self.state.as_ref().and_then(|state| state.write_mask(id, &outcome));
         let mut inner = self.lock();
+        if let Some(state) = &self.state {
+            state.log_finish(id, &outcome, mask_file.as_deref());
+        }
         inner.running -= 1;
         let entry = inner.jobs.get_mut(&id).expect("finished id exists");
         let client = entry.client.clone();
@@ -350,9 +349,6 @@ impl JobStore {
         entry.finished_at = Some(Instant::now());
         inner.usage.shift(&client, 0, -1);
         drop(inner);
-        if let Some(state) = &self.state {
-            state.end_persist();
-        }
         // finish() may have emptied the pipeline a drain is waiting on.
         self.wakeup.notify_all();
         self.maybe_compact();
@@ -400,16 +396,10 @@ impl JobStore {
             }
             ref terminal => return CancelOutcome::AlreadyFinished(terminal.clone()),
         };
-        // Begun under the table lock (compaction also holds it), so the
-        // cancel record cannot be lost to a concurrent truncation.
-        if let Some(state) = &self.state {
-            state.begin_persist();
-        }
-        drop(inner);
         if let Some(state) = &self.state {
             state.log_cancel(id);
-            state.end_persist();
         }
+        drop(inner);
         if outcome == CancelOutcome::Cancelled {
             self.maybe_compact();
         }
@@ -1243,6 +1233,39 @@ mod tests {
             JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default()).unwrap();
         assert!(store.render_detail(0).is_none(), "GCed id answers 404");
         assert!(matches!(store.mask_pgm(2), MaskFetch::Ready(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A finish writes its mask before it takes the table lock and appends
+    /// the line naming it under the lock; a compaction in between keeps the
+    /// running job's `job-<id>.pgm`, and a running job's cancel line
+    /// survives into the snapshot.
+    #[test]
+    fn compaction_keeps_a_running_jobs_mask_and_cancel() {
+        let dir = temp_dir("running-gc");
+        let store = JobStore::empty(8, 0, 0, Some(StateLog::open(&dir, 1).unwrap()));
+        store.submit(&tiny_params("running"), Admission::default()).unwrap();
+        store.submit(&tiny_params("cancelling"), Admission::default()).unwrap();
+        let (running, ..) = store.take_next().unwrap();
+        let (cancelling, ..) = store.take_next().unwrap();
+        assert_eq!(store.cancel(cancelling), CancelOutcome::Cancelling);
+
+        // The first half of finish(): the mask, durable before any lock.
+        let done = Ok(done_for(&tiny_case("running"), 1));
+        let state = store.state.as_ref().unwrap();
+        assert_eq!(state.write_mask(running, &done), Some(mask_file_name(running)));
+        assert!(store.maybe_compact());
+        assert!(dir.join(mask_file_name(running)).exists(), "a running job's mask is kept");
+        store.finish(running, done);
+        drop(store);
+
+        let (store, stats) =
+            JobStore::open(8, 0, 0, Some(StateLog::open(&dir, 0).unwrap()), &ExecPolicy::default())
+                .unwrap();
+        assert_eq!(stats, RecoveryStats { restored: 2, requeued: 0 });
+        assert!(matches!(store.mask_pgm(running), MaskFetch::Ready(_)));
+        let detail = store.render_detail(cancelling).expect("the cancelled job is kept");
+        assert!(detail.contains("\"state\":\"cancelled\""), "{detail}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use ilt_cluster::transport::{request, MAX_CONNECTIONS};
-use ilt_cluster::{Worker, WorkerConfig};
+use ilt_cluster::{ClusterConfig, Worker, WorkerConfig};
 use ilt_server::{ExecPolicy, ServerConfig, SNAPSHOT_FILE};
 use util::{delete, get, post, shutdown, start, tiny_pgm, wait_for_state, Conn, FAST_JOB};
 
@@ -46,6 +46,52 @@ fn cancelling_a_queued_job_is_immediate_and_counted() {
     assert!(text.contains("ilt_jobs_cancelled_total 1\n"), "{text}");
     assert!(text.contains("ilt_queue_depth{class=\"normal\"} 0\n"), "{text}");
 
+    shutdown(addr, handle);
+}
+
+/// A running clustered job is terminal within seconds of its `DELETE`,
+/// however long the probe interval: the route wakes the job's loop, which
+/// fans the cancel out and ends the exchange when the grace runs out. The
+/// replica accepts every connection and never answers, so no reply, probe
+/// verdict or acknowledgement can end the job instead.
+#[test]
+fn cancelling_a_running_clustered_job_waits_for_no_heartbeat() {
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a silent replica");
+    let replica = silent.local_addr().expect("replica addr").to_string();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        for stream in silent.incoming() {
+            held.extend(stream);
+        }
+    });
+    let (addr, handle) = start(ServerConfig {
+        workers: 1,
+        cluster: Some(ClusterConfig {
+            workers: vec![replica],
+            heartbeat: Duration::from_secs(30),
+            cancel_grace: Duration::from_millis(200),
+            ..ClusterConfig::default()
+        }),
+        ..ServerConfig::default()
+    });
+    let reply = post(addr, &format!("/v1/jobs?{FAST_JOB}"), &tiny_pgm());
+    assert_eq!(reply.status, 202, "{}", reply.text());
+    wait_for_state(addr, 0, "running");
+    // The monitor's first probe round has failed: the next is 30 s away.
+    let probed = Instant::now();
+    while !get(addr, "/metrics").text().contains("ilt_worker_heartbeat_failures_total 1\n") {
+        assert!(probed.elapsed() < Duration::from_secs(30), "the first probe never failed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let reply = delete(addr, "/v1/jobs/0");
+    assert_eq!(reply.status, 202, "{}", reply.text());
+    assert!(reply.text().contains("\"state\":\"cancelling\""), "{}", reply.text());
+    // Fan-out: one unanswered `DELETE /v1/shards/..` (its 2 s read
+    // timeout), then the 200 ms grace.
+    let deleted = Instant::now();
+    wait_for_state(addr, 0, "cancelled");
+    assert!(deleted.elapsed() < Duration::from_secs(10), "took {:?}", deleted.elapsed());
     shutdown(addr, handle);
 }
 

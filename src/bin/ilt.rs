@@ -1,13 +1,10 @@
 //! `ilt` — command-line front end for the multi-level ILT stack.
 //!
 //! ```text
-//! ilt run      --case 1 [--grid 512] [--schedule fast|exact|via] [--out prefix]
-//! ilt run      --via 3  [--grid 256] ...
-//! ilt run      --target design.pgm --clip-nm 2048 ...
-//! ilt batch    [--threads 4] [--tile 512] [--halo 64]
-//!              [--journal run.jsonl] [--no-timing] [--retries 1]
-//!              [--timeout-s 0] [--no-eval] [--checkpoint] [--resume]
-//!              [--inject SPEC[,SPEC...]] [--no-degrade]
+//! ilt run      (--case N | --via SEED | --target design.pgm) [--out prefix]
+//!              [JOB FLAGS]
+//! ilt batch    [--out prefix] [--journal run.jsonl] [--no-timing] [--no-eval]
+//!              [--checkpoint] [--resume] [--no-degrade] [JOB FLAGS]
 //!              case1 case2 via3 design.pgm ...
 //! ilt serve    [--addr 127.0.0.1:8080] [--threads 2] [--queue 16]
 //!              [--journal served.jsonl] [--retries 1] [--timeout-s 0]
@@ -15,17 +12,27 @@
 //!              [--max-masks 0] [--quota-inflight 0] [--quota-queued 0]
 //!              [--allow-inject] [--compact-bytes 0]
 //!              [--keep-alive 32] [--idle-timeout-s 5]
-//!              [--workers host:port,host:port] [--heartbeat-ms 500]
+//!              [--workers host:port,host:port | --cluster] [--heartbeat-ms 500]
+//!              [--speculate-factor 3] [--speculate-after 3]
 //! ilt worker   [--addr 127.0.0.1:8080] [--threads 4] [--state-dir DIR]
 //!              [--retries 1] [--timeout-s 0] [--inject SPEC[,SPEC...]]
-//! ilt evaluate --target design.pgm --mask mask.pgm [--grid 512] [--clip-nm 2048]
+//!              [--register HOST:PORT]
+//! ilt evaluate (--case N | --via SEED | --target design.pgm) --mask mask.pgm
+//!              [JOB FLAGS]
 //! ilt fracture --mask mask.pgm
-//! ilt kernels  [--grid 512] [--kernels 10]
+//! ilt kernels  [--grid 512] [--kernels 10] [--clip-nm 2048]
 //! ilt bench    <list|run> [NAME_GLOB ...] [--smoke] [--reps 5]
 //! ilt tables   <table1..4|fig1|fig4..8|timing|ablation|all>... [--grid 512]
 //!              [--kernels 10] [--max-eff-nm 8] [--case N] [--smoke]
 //!              [--reps 5] [--out bench-out/tables]
+//! JOB FLAGS:   [--grid 512] [--kernels 10] [--clip-nm 2048]
+//!              [--schedule fast|exact|via] [--max-eff-nm 8] [--threads 1]
+//!              [--tile 512] [--halo 64] [--retries 1] [--timeout-s 0]
+//!              [--inject SPEC[,SPEC...]]
 //! ```
+//!
+//! A command refuses a flag it does not read (`kernels does not take
+//! --smoke`), as it refuses one that does not exist.
 //!
 //! Targets may come from the built-in benchmark generators (`--case`,
 //! `--via`) or from a PGM file (`--target`); masks are written/read as
@@ -132,9 +139,36 @@ const FLAGS: [(&str, bool); 31] = [
     ("--register", true), ("--reps", true), ("--smoke", false),
 ];
 
+/// A command's entry point.
+type Run = fn(&Cli) -> Result<(), Box<dyn Error>>;
+
+/// Every command: its name, its entry point, whether it takes every one of
+/// [`JOB_FLAGS`] (the job decoder reads them all), and the other flags it
+/// takes. Any other flag is refused with `<cmd> does not take --<flag>`. The
+/// usage block at the top of this file lists the same sets.
+const COMMANDS: [(&str, Run, bool, &[&str]); 9] = [
+    ("run", cmd_run, true, &["--case", "--via", "--target", "--out"]),
+    ("batch", cmd_batch, true, &["--out", "--journal", "--no-timing", "--no-eval", "--checkpoint",
+        "--resume", "--no-degrade"]),
+    ("serve", cmd_serve, false, &["--addr", "--threads", "--queue", "--journal", "--retries",
+        "--timeout-s", "--cache", "--state-dir", "--result-ttl-s", "--max-masks",
+        "--quota-inflight", "--quota-queued", "--allow-inject", "--compact-bytes", "--keep-alive",
+        "--idle-timeout-s", "--workers", "--cluster", "--heartbeat-ms", "--speculate-factor",
+        "--speculate-after"]),
+    ("worker", cmd_worker, false, &["--addr", "--threads", "--state-dir", "--retries",
+        "--timeout-s", "--inject", "--register"]),
+    ("evaluate", cmd_evaluate, true, &["--case", "--via", "--target", "--mask"]),
+    ("fracture", cmd_fracture, false, &["--mask"]),
+    ("kernels", cmd_kernels, false, &["--grid", "--kernels", "--clip-nm"]),
+    ("bench", cmd_bench, false, &["--smoke", "--reps"]),
+    ("tables", cmd_tables, false, &["--grid", "--kernels", "--max-eff-nm", "--case", "--smoke",
+        "--reps", "--out"]),
+];
+
 /// `--addr` when it is not given (`serve`, `worker`).
 const DEFAULT_ADDR: &str = "127.0.0.1:8080";
 
+#[derive(Default)]
 struct Cli {
     /// The job flags that were given, as `key=value` pairs (`--no-eval` is
     /// `eval=0`). A flag that was not given is not here.
@@ -145,13 +179,15 @@ struct Cli {
     /// `--case N | --via SEED | --target x.pgm`, as `caseN | viaSEED | x.pgm`.
     target: Option<String>,
     cases: Vec<String>,
+    /// Every flag given, as spelled.
+    given: Vec<String>,
 }
 
 impl Cli {
     fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Cli), Box<dyn Error>> {
         let command =
             args.next().ok_or("usage: ilt <run|batch|serve|worker|evaluate|fracture|kernels|bench|tables> ...")?;
-        let mut cli = Cli { job: Vec::new(), opts: Vec::new(), target: None, cases: Vec::new() };
+        let mut cli = Cli::default();
         while let Some(flag) = args.next() {
             if !flag.starts_with("--") {
                 cli.cases.push(flag);
@@ -178,6 +214,7 @@ impl Cli {
                 _ if is_job => cli.job.insert(0, (key, value)),
                 _ => cli.opts.insert(0, (key, value)),
             }
+            cli.given.push(flag);
         }
         Ok((command, cli))
     }
@@ -644,20 +681,16 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = match command.as_str() {
-        "run" => cmd_run(&cli),
-        "batch" => cmd_batch(&cli),
-        "serve" => cmd_serve(&cli),
-        "worker" => cmd_worker(&cli),
-        "evaluate" => cmd_evaluate(&cli),
-        "fracture" => cmd_fracture(&cli),
-        "kernels" => cmd_kernels(&cli),
-        "bench" => cmd_bench(&cli),
-        "tables" => cmd_tables(&cli),
-        other => Err(format!(
-            "unknown command {other} (run|batch|serve|worker|evaluate|fracture|kernels|bench|tables)"
-        )
-        .into()),
+    let result = match COMMANDS.iter().find(|(name, ..)| *name == command) {
+        // The first flag given that the command does not take is refused.
+        Some(&(name, run, job, takes)) => {
+            let taken = |flag: &str| job && JOB_FLAGS.contains(&flag) || takes.contains(&flag);
+            match cli.given.iter().find(|flag| !taken(flag)) {
+                Some(flag) => Err(format!("{name} does not take {flag}").into()),
+                None => run(&cli),
+            }
+        }
+        None => Err(format!("unknown command {command} ({})", COMMANDS.map(|c| c.0).join("|")).into()),
     };
     if let Err(e) = result {
         eprintln!("error: {e}");
@@ -672,6 +705,47 @@ mod tests {
     fn cli(args: &[&str]) -> Cli {
         let argv = std::iter::once("serve").chain(args.iter().copied()).map(String::from);
         Cli::parse(argv).expect("known flags").1
+    }
+
+    /// The usage block at the top of this file lists, command by command,
+    /// exactly the flags [`COMMANDS`] lets each take (`[JOB FLAGS]` for all
+    /// of [`JOB_FLAGS`], which its own entry spells out); and every flag of
+    /// [`FLAGS`] is taken by some command.
+    #[test]
+    fn usage_block_is_the_command_table() {
+        use std::collections::BTreeSet;
+        let block = include_str!("ilt.rs").split("//! ```").nth(1).expect("a usage block");
+        let mut doc: Vec<(String, bool, BTreeSet<String>)> = Vec::new();
+        for line in block.lines().map(|line| line.trim_start_matches("//!").trim()) {
+            if let Some(rest) = line.strip_prefix("ilt ") {
+                let name = rest.split_whitespace().next().expect("a command name");
+                doc.push((name.into(), false, BTreeSet::new()));
+            } else if line.starts_with("JOB FLAGS:") {
+                doc.push(("JOB FLAGS".into(), false, BTreeSet::new()));
+            }
+            let Some((_, job, flags)) = doc.last_mut() else { continue };
+            *job |= line.contains("[JOB FLAGS]");
+            for word in line.split_whitespace().map(|w| w.trim_start_matches(['[', '('])) {
+                if let Some(name) = word.strip_prefix("--") {
+                    let name = name.split(|c: char| !c.is_ascii_lowercase() && c != '-').next();
+                    flags.insert(format!("--{}", name.unwrap_or_default()));
+                }
+            }
+        }
+        let set = |flags: &[&str]| flags.iter().map(|f| f.to_string()).collect::<BTreeSet<_>>();
+        let job_entry = doc.pop().expect("a JOB FLAGS entry");
+        assert_eq!(job_entry, ("JOB FLAGS".into(), false, set(&JOB_FLAGS)));
+        let table: Vec<_> =
+            COMMANDS.iter().map(|&(name, _, job, takes)| (name.into(), job, set(takes))).collect();
+        assert_eq!(doc, table, "the usage block and COMMANDS disagree");
+
+        for (name, .., takes) in COMMANDS {
+            let known = |f: &&str| JOB_FLAGS.contains(f) || FLAGS.iter().any(|(k, _)| k == f);
+            assert!(takes.iter().all(known), "{name} takes an unknown flag: {takes:?}");
+        }
+        for (flag, _) in FLAGS {
+            assert!(COMMANDS.iter().any(|c| c.3.contains(&flag)), "no command takes {flag}");
+        }
     }
 
     /// The whole flag -> config mapping of `serve` and `worker`: no flag

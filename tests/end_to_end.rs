@@ -198,3 +198,29 @@ fn bench_lists_runs_and_refuses_through_the_cli() {
         assert!(!ok && err.contains(refusal), "{args:?}: {err}");
     }
 }
+
+/// Every command refuses a flag it does not read, before it does anything,
+/// as it refuses one that does not exist.
+#[test]
+fn every_command_refuses_a_flag_it_does_not_read() {
+    for (args, refusal) in [
+        (&["run", "--case", "1", "--journal", "j.jsonl"][..], "run does not take --journal"),
+        (&["batch", "--case", "1", "case1"], "batch does not take --case"),
+        (&["serve", "--grid", "64"], "serve does not take --grid"),
+        (&["worker", "--queue", "4"], "worker does not take --queue"),
+        (&["evaluate", "--out", "o"], "evaluate does not take --out"),
+        (&["fracture", "--mask", "m", "--schedule", "exact"], "fracture does not take --schedule"),
+        (&["kernels", "--smoke", "--reps", "3"], "kernels does not take --smoke"),
+        (&["bench", "list", "--grid", "9"], "bench does not take --grid"),
+        (&["tables", "table1", "--threads", "2"], "tables does not take --threads"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ilt"))
+            .args(args)
+            .output()
+            .expect("run ilt");
+        let err = String::from_utf8(out.stderr).expect("utf-8");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(refusal), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} did work before refusing");
+    }
+}
