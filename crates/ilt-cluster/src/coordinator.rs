@@ -19,14 +19,16 @@
 //!   workers from the *live* set ([`Membership::try_acquire`]), so a
 //!   replica that joins mid-job picks up queued shards immediately.
 //! - **Death detection**: a monitor thread probes every member's
-//!   `GET /healthz` every `heartbeat`; after a configured number of
-//!   consecutive failures the worker is marked dead (and revived on the
-//!   next successful probe). Only such a flip wakes the jobs' loops.
+//!   `GET /healthz` every `heartbeat`; after three consecutive failed
+//!   probes the worker is marked dead (and revived on the next successful
+//!   probe). Probes alone bury a worker: a failed shard never counts
+//!   against its liveness. Only a flip wakes the jobs' loops.
 //! - **Quarantine**: each member carries a circuit [`Breaker`]
-//!   (closed → open → half-open, decorrelated-jitter backoff). Consecutive
-//!   *shard* failures open it and only a successful shard closes it — a
-//!   flaky-but-alive worker whose heartbeats pass stops receiving
-//!   dispatches without being declared dead.
+//!   (closed → open → half-open, decorrelated-jitter backoff). Shard
+//!   failures feed only the breaker: consecutive ones open it and only a
+//!   successful shard closes it — a flaky-but-alive worker whose
+//!   heartbeats pass stops receiving dispatches without being declared
+//!   dead.
 //! - **Straggler speculation**: the coordinator tracks a running median of
 //!   shard latency per job; a shard exceeding `speculate_factor × median`
 //!   is speculatively re-executed on a second worker. First result wins;
@@ -46,9 +48,10 @@
 //!   connecting finds the hang-up when it comes to store its stream.
 //! - **Cancel fan-out**: when the job's [`CancelToken`] fires (the
 //!   canceller then calls [`Coordinator::wake`]), each in-flight copy gets
-//!   a `DELETE /v1/shards/<sid>`;
-//!   the coordinator then *keeps waiting* (bounded by the cancel grace
-//!   period) for the worker's cancelled-at-tile-boundary records.
+//!   a `DELETE /v1/shards/<sid>`, sent from a detached thread so the loop
+//!   never blocks on a replica; the coordinator then *keeps waiting*
+//!   (bounded by the cancel grace period) for the worker's
+//!   cancelled-at-tile-boundary records.
 //! - **Lost shards**: a shard that exhausts its attempt budget (or finds
 //!   no live worker) synthesizes terminal `failed` records carrying the
 //!   full per-attempt history — worker, error, elapsed — so the journal
@@ -61,7 +64,6 @@
 //! byte-identical masks to a single-process `ilt batch` run.
 
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -88,10 +90,9 @@ pub struct ClusterConfig {
     /// Initial worker replica addresses (`host:port`); may be empty when
     /// workers will register themselves via `POST /v1/members`.
     pub workers: Vec<String>,
-    /// Interval of the monitor's `GET /healthz` probes.
+    /// Interval of the monitor's `GET /healthz` probes; three failed in a
+    /// row declare a worker dead.
     pub heartbeat: Duration,
-    /// Consecutive failed probes before a worker is declared dead.
-    pub heartbeat_failures: u32,
     /// After cancel fan-out (or a speculation loss), how long to keep
     /// waiting for a worker's records before giving up on the exchange.
     pub cancel_grace: Duration,
@@ -111,7 +112,6 @@ impl Default for ClusterConfig {
         Self {
             workers: Vec::new(),
             heartbeat: Duration::from_millis(500),
-            heartbeat_failures: 3,
             cancel_grace: Duration::from_secs(10),
             max_inflight_per_worker: 2,
             breaker: BreakerConfig::default(),
@@ -686,16 +686,13 @@ impl<'s, 'e: 's> Supervisor<'s, 'e> {
         let coordinator = self.coordinator;
         let verdict = match &result {
             Ok(_) => Settle::Success,
-            // Connection-level flakiness: breaker failure, and declare the
-            // worker suspect immediately (the monitor confirms or revives).
+            // Connection-level flakiness: a breaker failure. Whether the
+            // worker is alive is for its probes to say.
             Err(ShardError::Retry(_)) => Settle::Failure,
             // Deterministic rejections and superseded losers say nothing
             // about the worker's health.
             Err(ShardError::Permanent(_)) | Err(ShardError::Superseded) => Settle::Neutral,
         };
-        if verdict == Settle::Failure {
-            mark_probe(&copy.slot, false, &coordinator.config, &coordinator.stats);
-        }
         coordinator.members.release(&copy.slot, verdict);
         let addr = copy.slot.addr.clone();
         match result {
@@ -816,9 +813,12 @@ fn exchange_shard(
 }
 
 /// Best-effort cancel fan-out to one worker. Any answer is an ack: a 404
-/// means the shard already finished.
+/// means the shard already finished. Returns at once: the `DELETE` runs on
+/// a detached thread (a scoped one would hold `run_job` until the replica
+/// answers or the timeout passes), so the loop never waits on a replica.
 fn send_cancel(addr: &str, sid: &str) {
-    let _ = request(addr, "DELETE", &format!("/v1/shards/{sid}"), &[], CONNECT_TIMEOUT);
+    let (addr, path) = (addr.to_string(), format!("/v1/shards/{sid}"));
+    std::thread::spawn(move || request(&addr, "DELETE", &path, &[], CONNECT_TIMEOUT));
 }
 
 /// When a speculation race yields two results, they must be the same
@@ -891,8 +891,12 @@ fn monitor_loop(
     let (stopped, wake) = stop;
     loop {
         for slot in members.snapshot() {
+            let ok = probe(&slot.addr);
+            if !ok {
+                stats.heartbeat_failures.inc();
+            }
             // A member died or revived: wake every job's loop.
-            if mark_probe(&slot, probe(&slot.addr), config, stats) {
+            if slot.observe_probe(ok) {
                 members.notify();
             }
         }
@@ -910,20 +914,6 @@ fn monitor_loop(
     }
 }
 
-/// Applies one probe (or dispatch-failure) observation to a slot; `true`
-/// when it flipped the slot's liveness. Note this touches only *liveness* —
-/// a successful heartbeat never closes the worker's breaker; quarantine is
-/// earned back through shard successes.
-fn mark_probe(slot: &WorkerSlot, ok: bool, config: &ClusterConfig, stats: &ClusterStats) -> bool {
-    if ok {
-        slot.heartbeat_fails().store(0, Ordering::Relaxed);
-        return slot.set_alive(true);
-    }
-    stats.heartbeat_failures.inc();
-    let fails = slot.heartbeat_fails().fetch_add(1, Ordering::Relaxed) + 1;
-    fails >= config.heartbeat_failures && slot.set_alive(false)
-}
-
 /// One `GET /healthz` probe.
 fn probe(addr: &str) -> bool {
     matches!(request(addr, "GET", "/healthz", &[], CONNECT_TIMEOUT), Ok((200, _)))
@@ -933,22 +923,6 @@ fn probe(addr: &str) -> bool {
 mod tests {
     use super::*;
     use ilt_runtime::JobMetrics;
-
-    #[test]
-    fn probe_failures_accumulate_to_death_and_recovery_resets() {
-        let config = ClusterConfig { heartbeat_failures: 2, ..ClusterConfig::default() };
-        let stats = ClusterStats::default();
-        let members = Membership::new(&["x:1".into()], BreakerConfig::default());
-        let slot = &members.snapshot()[0];
-        mark_probe(slot, false, &config, &stats);
-        assert!(slot.is_alive(), "one failure is not death");
-        mark_probe(slot, false, &config, &stats);
-        assert!(!slot.is_alive(), "threshold reached");
-        assert_eq!(stats.heartbeat_failures.get(), 2);
-        mark_probe(slot, true, &config, &stats);
-        assert!(slot.is_alive(), "a good probe revives");
-        assert_eq!(slot.heartbeat_fails().load(Ordering::Relaxed), 0);
-    }
 
     #[test]
     fn empty_membership_is_allowed_and_grows_at_runtime() {

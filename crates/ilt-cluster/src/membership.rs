@@ -1,12 +1,15 @@
 //! Dynamic worker membership: the live, mutable set of replicas.
 //!
 //! A registry workers can join, drain, and leave at runtime (the
-//! `POST /v1/members` wire call). A job's supervising loop
-//! draws workers from the *current* set through
-//! [`Membership::try_acquire`], which is where the scheduling policy lives:
-//! least-loaded first, draining workers excluded, and every candidate gated
-//! by its circuit [`Breaker`] — so a quarantined worker receives no
-//! dispatches even while its heartbeats pass. Nothing here blocks on a
+//! `POST /v1/members` wire call). A job's supervising loop draws workers
+//! from the *current* set through [`Membership::try_acquire`], which is
+//! where the scheduling policy lives: least-loaded first, draining workers
+//! excluded, and every candidate gated by its circuit [`Breaker`] — so a
+//! quarantined worker receives no dispatches even while its heartbeats
+//! pass. A member's health has two inputs that never mix: `/healthz`
+//! probes alone decide whether it is *alive* (`WorkerSlot::observe_probe`),
+//! settled shards alone decide whether it is *trusted*
+//! ([`Membership::release`] feeds its breaker). Nothing here blocks on a
 //! worker: the loop parks on the membership condvar
 //! ([`Membership::wait_until`]), which a join, a leave, a release, a probe
 //! that flips a member's liveness and a job's cancel notify, so a
@@ -19,6 +22,9 @@ use std::time::Instant;
 use ilt_runtime::fnv1a64;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
+
+/// Consecutive failed `/healthz` probes that declare a worker dead.
+const PROBE_FAILURES: u32 = 3;
 
 /// One registered worker replica and its health ledger.
 pub struct WorkerSlot {
@@ -51,18 +57,23 @@ impl WorkerSlot {
         }
     }
 
-    /// Is the worker considered up (heartbeats within the failure budget)?
+    /// Is the worker considered up (its probes have not failed three times
+    /// in a row since the last good one)?
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
 
-    /// Sets liveness; `true` when that changed it.
-    pub(crate) fn set_alive(&self, v: bool) -> bool {
-        self.alive.swap(v, Ordering::SeqCst) != v
-    }
-
-    pub(crate) fn heartbeat_fails(&self) -> &AtomicU32 {
-        &self.consecutive_fails
+    /// Applies one `/healthz` probe's verdict, the only input to liveness:
+    /// a good probe revives the worker, the [`PROBE_FAILURES`]th failed one
+    /// in a row buries it. `true` when that flipped it. A probe never
+    /// touches the breaker: trust is earned back through shards alone.
+    pub(crate) fn observe_probe(&self, ok: bool) -> bool {
+        if ok {
+            self.consecutive_fails.store(0, Ordering::SeqCst);
+            return !self.alive.swap(true, Ordering::SeqCst);
+        }
+        let fails = self.consecutive_fails.fetch_add(1, Ordering::SeqCst) + 1;
+        fails >= PROBE_FAILURES && self.alive.swap(false, Ordering::SeqCst)
     }
 
     /// Is the worker draining (finishing in-flight shards, no new work)?
@@ -92,7 +103,7 @@ pub enum Settle {
     /// The shard finished: closes the breaker, counts as completed.
     Success,
     /// The worker flaked (transport error, death mid-shard): breaker
-    /// failure.
+    /// failure, and nothing else — only probes decide liveness.
     Failure,
     /// Neither credit nor blame — the dispatch was superseded by a
     /// speculative winner, or refused for reasons that are not the
@@ -172,7 +183,7 @@ impl Membership {
         self.slots.lock().unwrap().len()
     }
 
-    /// Members currently passing heartbeats.
+    /// Members the probes have not declared dead.
     pub fn alive_count(&self) -> usize {
         self.slots.lock().unwrap().iter().filter(|s| s.is_alive()).count()
     }
@@ -275,7 +286,7 @@ impl Membership {
 pub struct MemberView {
     /// Dispatch address.
     pub addr: String,
-    /// Heartbeats within the failure budget?
+    /// Not declared dead by its probes?
     pub alive: bool,
     /// Draining (no new dispatches)?
     pub draining: bool,
@@ -332,6 +343,25 @@ mod tests {
     }
 
     #[test]
+    fn probe_failures_accumulate_to_death_and_recovery_resets() {
+        let m = members(&["x:1"]);
+        let slot = &m.snapshot()[0];
+        for _ in 1..PROBE_FAILURES {
+            assert!(!slot.observe_probe(false), "a failure short of the threshold flips nothing");
+        }
+        assert!(slot.is_alive(), "{} failures are not death", PROBE_FAILURES - 1);
+        assert!(slot.observe_probe(false), "the threshold flips the slot");
+        assert!(!slot.is_alive(), "threshold reached");
+        assert!(!slot.observe_probe(false), "a dead slot stays dead without a flip");
+        assert!(slot.observe_probe(true), "a good probe revives");
+        assert!(!slot.observe_probe(true), "and flips nothing twice");
+        for _ in 1..PROBE_FAILURES {
+            slot.observe_probe(false);
+        }
+        assert!(slot.is_alive(), "the good probe reset the count");
+    }
+
+    #[test]
     fn try_acquire_prefers_least_loaded_and_skips_draining() {
         let m = members(&["a:1", "b:2"]);
         let first = m.try_acquire(2, &[]).expect("a worker");
@@ -348,10 +378,12 @@ mod tests {
     fn try_acquire_admits_no_dead_or_saturated_worker() {
         assert!(members(&[]).try_acquire(2, &[]).is_none(), "no members");
         let m = members(&["a:1"]);
-        m.snapshot()[0].set_alive(false);
+        for _ in 0..PROBE_FAILURES {
+            m.snapshot()[0].observe_probe(false);
+        }
         assert!(m.try_acquire(2, &[]).is_none(), "all dead");
         assert_eq!(m.alive_count(), 0, "what the loop reads as 'no live worker'");
-        m.snapshot()[0].set_alive(true);
+        m.snapshot()[0].observe_probe(true);
         let held = m.try_acquire(1, &[]).expect("a worker");
         assert!(m.try_acquire(1, &[]).is_none(), "saturated: the caller waits for a release");
         m.release(&held, Settle::Neutral);

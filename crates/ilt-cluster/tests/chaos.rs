@@ -76,7 +76,6 @@ fn transport_chaos_with_a_live_worker_is_byte_identical() {
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![a.clone(), b.clone()],
         heartbeat: Duration::from_millis(50),
-        heartbeat_failures: 1000,
         // Pure transport chaos: keep the breaker out of the picture so the
         // assert pins the retry path, not the quarantine path.
         breaker: BreakerConfig { threshold: 1000, ..BreakerConfig::default() },
@@ -137,7 +136,6 @@ fn stragglers_are_speculated_and_the_fast_copy_wins() {
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![slow.clone(), fast.clone()],
         heartbeat: Duration::from_millis(50),
-        heartbeat_failures: 1000,
         speculate_factor: 1.5,
         speculate_min_samples: 1,
         // Losers stuck in the stall get cut short quickly.
@@ -246,7 +244,6 @@ fn disagreeing_speculation_results_fail_the_job_hard() {
         Coordinator::new(ClusterConfig {
             workers: vec![honest.clone()],
             heartbeat: Duration::from_millis(50),
-            heartbeat_failures: 1000,
             // All shards go to the honest replica concurrently, so the
             // liar (joining mid-job) can only ever receive a speculative
             // copy — the worst case for catching it.

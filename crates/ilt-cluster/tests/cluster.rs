@@ -163,14 +163,10 @@ fn dead_worker_shards_are_redispatched_to_survivors() {
     };
     let (live_addr, handle) = spawn_worker(FaultPlan::none());
 
-    // The monitor's one probe before the job starts must not be enough to
-    // declare the replica dead, or no shard would ever be sent to it: the
-    // second strike has to be a failed dispatch, which is what this test
-    // is about.
+    // The dead replica is first in the roster, so it takes the first
+    // dispatches before its probes can bury it.
     let coordinator = Coordinator::new(ClusterConfig {
-        workers: vec![dead_addr, live_addr.clone()],
-        heartbeat: Duration::from_secs(5),
-        heartbeat_failures: 2,
+        workers: vec![dead_addr.clone(), live_addr.clone()],
         ..ClusterConfig::default()
     })
     .expect("coordinator");
@@ -190,11 +186,17 @@ fn dead_worker_shards_are_redispatched_to_survivors() {
         coordinator.stats().shards_redispatched.get() >= 1,
         "the dead replica's shard must be re-dispatched"
     );
-    assert_eq!(
-        coordinator.member_views().iter().filter(|view| view.alive).count(),
-        1,
-        "probe and failed dispatch together must leave exactly one live replica"
-    );
+    let dead = || {
+        let views = coordinator.member_views();
+        views.into_iter().find(|view| view.addr == dead_addr).expect("dead member")
+    };
+    assert_eq!(dead().completed, 0, "the refusing replica completes nothing");
+    // Its refused shards fed only its breaker; its probes bury it.
+    let buried = Instant::now();
+    while dead().alive {
+        assert!(buried.elapsed() < Duration::from_secs(10), "the probes never buried it");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     shutdown(&live_addr);
     handle.join().expect("worker thread");
 }
@@ -313,7 +315,6 @@ fn quarantine_stops_dispatches_while_heartbeats_still_pass() {
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![flaky.clone(), clean.clone()],
         heartbeat: Duration::from_millis(50),
-        heartbeat_failures: 1000, // never declare death: quarantine must act alone
         breaker: BreakerConfig {
             threshold: 1,
             base: Duration::from_secs(60),
@@ -374,14 +375,14 @@ fn open_breaker_re_earns_trust_through_half_open_probes() {
     let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
 
     // The only replica refuses the FIRST dispatch of every shard (the
-    // worker-side per-shard attempt counter), then behaves. The job can
-    // only finish if the open breaker admits half-open probes and the
-    // succeeding probes close it again.
-    let (addr, handle) = spawn_worker(fault_for_all("conn_refuse", plan.len(), ":1"));
-    let coordinator = Coordinator::new(ClusterConfig {
-        workers: vec![addr.clone()],
+    // worker-side per-shard attempt counter), then behaves, and answers
+    // every probe. The job can only finish if the open breaker admits
+    // half-open probes and the succeeding probes close it again. Run once
+    // with a 40 ms backoff, and once as a served job is configured: there,
+    // three refusals in a row open the breaker, and must not bury a
+    // replica whose probes pass, or most of the job's tiles are lost.
+    let fast = ClusterConfig {
         heartbeat: Duration::from_millis(50),
-        heartbeat_failures: 1000,
         breaker: BreakerConfig {
             threshold: 1,
             base: Duration::from_millis(40),
@@ -389,26 +390,33 @@ fn open_breaker_re_earns_trust_through_half_open_probes() {
             ..BreakerConfig::default()
         },
         ..ClusterConfig::default()
-    })
-    .expect("coordinator");
+    };
+    for (run, base) in [("40 ms backoff", fast), ("defaults", ClusterConfig::default())] {
+        let (addr, handle) = spawn_worker(fault_for_all("conn_refuse", plan.len(), ":1"));
+        let coordinator =
+            Coordinator::new(ClusterConfig { workers: vec![addr.clone()], ..base })
+                .expect("coordinator");
 
-    let outputs = coordinator
-        .run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
-        .expect("half-open probes must let the job finish");
-    let outcome = assemble_batch(std::slice::from_ref(&case), &config, outputs, &cache, 0.0)
-        .expect("assemble");
-    assert_eq!(outcome.cases[0].failed_tiles, 0);
-    assert_eq!(pgm_bytes(&outcome.cases[0].mask, 0.0, 1.0), reference_pgm);
-    let view = &coordinator.member_views()[0];
-    assert_eq!(view.breaker, "closed", "successful probes re-earn a closed breaker");
-    assert!(view.completed >= 4, "every shard eventually completes here");
-    assert!(
-        coordinator.stats().shards_redispatched.get() >= plan.len().min(4) as u64,
-        "each shard's refused first attempt forces a re-dispatch"
-    );
+        let outputs = coordinator
+            .run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
+            .expect("half-open probes must let the job finish");
+        let outcome =
+            assemble_batch(std::slice::from_ref(&case), &config, outputs, &cache, 0.0)
+                .expect("assemble");
+        assert_eq!(outcome.cases[0].failed_tiles, 0, "{run}");
+        assert!(pgm_bytes(&outcome.cases[0].mask, 0.0, 1.0) == reference_pgm, "{run}");
+        let view = &coordinator.member_views()[0];
+        assert_eq!(view.breaker, "closed", "{run}: successful probes re-earn a closed breaker");
+        assert!(view.alive, "{run}: refused shards are not failed probes");
+        assert!(view.completed >= 4, "{run}: every shard eventually completes here");
+        assert!(
+            coordinator.stats().shards_redispatched.get() >= plan.len().min(4) as u64,
+            "{run}: each shard's refused first attempt forces a re-dispatch"
+        );
 
-    shutdown(&addr);
-    handle.join().expect("worker thread");
+        shutdown(&addr);
+        handle.join().expect("worker thread");
+    }
 }
 
 #[test]
@@ -489,7 +497,6 @@ fn lost_shard_records_carry_the_full_attempt_history() {
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![addr.clone()],
         heartbeat: Duration::from_millis(50),
-        heartbeat_failures: 1000,
         breaker: BreakerConfig { threshold: 1000, ..BreakerConfig::default() },
         ..ClusterConfig::default()
     })
@@ -527,14 +534,13 @@ fn a_replica_that_never_answers_is_declared_dead_and_its_shards_move() {
     let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
 
     // The black hole is first in the roster, so it takes shards; its
-    // exchanges never end on their own. Only the death verdict (two probes
-    // that time out) can move them to the healthy replica.
+    // exchanges never end on their own. Only the death verdict (three
+    // probes that time out) can move them to the healthy replica.
     let hole = spawn_black_hole();
     let (live, handle) = spawn_worker(FaultPlan::none());
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![hole, live.clone()],
         heartbeat: Duration::from_millis(50),
-        heartbeat_failures: 2,
         // A speculative copy could rescue the shards before the verdict.
         speculate_factor: 0.0,
         ..ClusterConfig::default()
@@ -613,7 +619,6 @@ fn a_409_refusal_is_retried_on_another_replica() {
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![busy, live.clone()],
         heartbeat: Duration::from_millis(50),
-        heartbeat_failures: 1000,
         // The first refusal quarantines the replica for the whole test, so
         // no shard is refused twice.
         breaker: BreakerConfig {

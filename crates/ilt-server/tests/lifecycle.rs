@@ -49,7 +49,7 @@ fn cancelling_a_queued_job_is_immediate_and_counted() {
     shutdown(addr, handle);
 }
 
-/// A running clustered job is terminal within seconds of its `DELETE`,
+/// A running clustered job is terminal within a second of its `DELETE`,
 /// however long the probe interval: the route wakes the job's loop, which
 /// fans the cancel out and ends the exchange when the grace runs out. The
 /// replica accepts every connection and never answers, so no reply, probe
@@ -87,11 +87,12 @@ fn cancelling_a_running_clustered_job_waits_for_no_heartbeat() {
     let reply = delete(addr, "/v1/jobs/0");
     assert_eq!(reply.status, 202, "{}", reply.text());
     assert!(reply.text().contains("\"state\":\"cancelling\""), "{}", reply.text());
-    // Fan-out: one unanswered `DELETE /v1/shards/..` (its 2 s read
-    // timeout), then the 200 ms grace.
+    // Fan-out: the `DELETE /v1/shards/..` goes out on its own thread, so
+    // the replica never answering it holds nothing up; the 200 ms grace
+    // alone stands between the cancel and `cancelled`.
     let deleted = Instant::now();
     wait_for_state(addr, 0, "cancelled");
-    assert!(deleted.elapsed() < Duration::from_secs(10), "took {:?}", deleted.elapsed());
+    assert!(deleted.elapsed() < Duration::from_secs(1), "took {:?}", deleted.elapsed());
     shutdown(addr, handle);
 }
 

@@ -77,12 +77,14 @@
 //! and reassembled centrally (byte-identical to a local run). Membership
 //! is dynamic — `POST /v1/members` joins, drains, or removes replicas at
 //! runtime — and supervision is self-healing: `--heartbeat-ms` sets the
-//! worker-death probe interval (dead workers get their shards
-//! re-dispatched; flaky-but-alive ones are quarantined by a per-worker
-//! circuit breaker) and `--speculate-factor`/`--speculate-after` govern
-//! straggler speculation (a shard running longer than factor × the job's
-//! median latency races a second replica; first result wins, and both
-//! results must agree bit-exactly). Every other supervision setting is
+//! interval of the `/healthz` probes that alone decide a worker's death
+//! (three failed in a row; dead workers get their shards re-dispatched),
+//! while failed shards feed only a per-worker circuit breaker that
+//! quarantines flaky-but-alive ones — and `--speculate-factor` /
+//! `--speculate-after` govern straggler speculation (a shard running
+//! longer than factor × the job's median latency races a second replica;
+//! first result wins, and both results must agree bit-exactly). Every
+//! other supervision setting is
 //! `ClusterConfig::default()`. `worker` starts one replica;
 //! `--register HOST:PORT` makes it announce itself to that coordinator
 //! after binding (and deregister on shutdown); its `--inject` fault plan
@@ -108,6 +110,7 @@
 //! std-only: no python, no registry crates.
 
 use std::error::Error;
+use std::io::{ErrorKind, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -139,8 +142,9 @@ const FLAGS: [(&str, bool); 31] = [
     ("--register", true), ("--reps", true), ("--smoke", false),
 ];
 
-/// A command's entry point.
-type Run = fn(&Cli) -> Result<(), Box<dyn Error>>;
+/// A command's entry point: it writes what it reports to the one stdout
+/// handle `main` passes it.
+type Run = fn(&Cli, &mut dyn Write) -> Result<(), Box<dyn Error>>;
 
 /// Every command: its name, its entry point, whether it takes every one of
 /// [`JOB_FLAGS`] (the job decoder reads them all), and the other flags it
@@ -292,7 +296,7 @@ impl Cli {
     }
 }
 
-fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let (BatchCase { target, nm_per_px: nm, .. }, config, sim) = cli.single()?;
     let grid = target.shape().0;
     let schedule = schedules::clamp_to_grid(
@@ -302,16 +306,16 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
         grid,
         sim.config().kernel_size(),
     );
-    println!("optimizing {grid} px clip at {nm} nm/px with schedule {schedule:?}");
+    writeln!(out, "optimizing {grid} px clip at {nm} nm/px with schedule {schedule:?}")?;
     let timer = TurnaroundTimer::start();
     let result = MultiLevelIlt::new(sim.clone(), config.ilt).run(&target, &schedule);
     let tat = timer.elapsed();
-    println!("ran {} iterations in {:.2} s", result.total_iterations, tat.as_secs_f64());
-    println!("{}", evaluate_mask(&sim, &target, &result.mask, tat));
+    writeln!(out, "ran {} iterations in {:.2} s", result.total_iterations, tat.as_secs_f64())?;
+    writeln!(out, "{}", evaluate_mask(&sim, &target, &result.mask, tat))?;
 
-    let out = cli.get("out").unwrap_or("ilt");
-    let mask_path = format!("{out}_mask.pgm");
-    let wafer_path = format!("{out}_wafer.pgm");
+    let prefix = cli.get("out").unwrap_or("ilt");
+    let mask_path = format!("{prefix}_mask.pgm");
+    let wafer_path = format!("{prefix}_wafer.pgm");
     write_pgm(&result.mask, &mask_path, 0.0, 1.0)?;
     write_pgm(
         &sim.print(&result.mask, ProcessCondition::nominal()),
@@ -319,11 +323,11 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
         0.0,
         1.0,
     )?;
-    println!("wrote {mask_path} and {wafer_path}");
+    writeln!(out, "wrote {mask_path} and {wafer_path}")?;
     Ok(())
 }
 
-fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_batch(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     // The cases share every job flag, so any one plan carries the batch's
     // configuration.
     let mut cases = Vec::with_capacity(cli.cases.len());
@@ -335,9 +339,9 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
     }
     let (schedule, plan) =
         shared.ok_or("batch needs at least one case (caseN, viaN or file.pgm)")?;
-    let out = cli.get("out").unwrap_or("ilt");
+    let prefix = cli.get("out").unwrap_or("ilt");
     let journal_path =
-        cli.get("journal").map_or_else(|| format!("{out}_journal.jsonl"), Into::into);
+        cli.get("journal").map_or_else(|| format!("{prefix}_journal.jsonl"), Into::into);
     let resume = cli.on("resume");
     // Only what is not part of a job is set here.
     let config = BatchConfig {
@@ -346,46 +350,51 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
             .then(|| std::path::PathBuf::from(format!("{journal_path}.ckpt"))),
         ..plan
     };
-    println!(
+    writeln!(
+        out,
         "batch: {} case(s), {} thread(s), tile {} px, halo {} px, schedule {}",
         cases.len(),
         config.threads,
         config.tile,
         config.halo,
         schedule
-    );
+    )?;
     if let Some(dir) = &config.checkpoint {
-        println!("checkpoint: {}", dir.display());
+        writeln!(out, "checkpoint: {}", dir.display())?;
     }
 
     let cache = SimulatorCache::new();
     let outcome = run_batch_resume(&cases, &config, &cache, resume)?;
     if resume {
-        println!(
+        writeln!(
+            out,
             "resume: {} job(s) restored from durable checkpoints",
             outcome.restored_jobs
-        );
+        )?;
     }
-    print!("{}", outcome.report);
-    println!(
+    write!(out, "{}", outcome.report)?;
+    writeln!(
+        out,
         "simulator cache: {} build(s), {} hit(s)",
         cache.misses(),
         cache.hits()
-    );
+    )?;
 
     for case in &outcome.cases {
-        let mask_path = format!("{out}_{}_mask.pgm", case.name);
+        let mask_path = format!("{prefix}_{}_mask.pgm", case.name);
         write_pgm(&case.mask, &mask_path, 0.0, 1.0)
             .map_err(|e| format!("cannot write {mask_path}: {e}"))?;
         match &case.eval {
-            Some(eval) => println!(
+            Some(eval) => writeln!(
+                out,
                 "{}: {} tile(s), {} failed, {} degraded -> {mask_path}\n{eval}",
                 case.name, case.tiles, case.failed_tiles, case.degraded_tiles
-            ),
-            None => println!(
+            )?,
+            None => writeln!(
+                out,
                 "{}: {} tile(s), {} failed, {} degraded -> {mask_path}",
                 case.name, case.tiles, case.failed_tiles, case.degraded_tiles
-            ),
+            )?,
         }
     }
 
@@ -393,7 +402,7 @@ fn cmd_batch(cli: &Cli) -> Result<(), Box<dyn Error>> {
         .report
         .write_jsonl_opts(&journal_path, !cli.on("no_timing"))
         .map_err(|e| format!("cannot write {journal_path}: {e}"))?;
-    println!("journal: {journal_path}");
+    writeln!(out, "journal: {journal_path}")?;
 
     let failed = outcome.report.failed_jobs();
     if failed > 0 {
@@ -474,46 +483,45 @@ fn worker_config(cli: &Cli) -> Result<WorkerConfig, String> {
     })
 }
 
-fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_serve(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let config = server_config(cli)?;
     let workers = config.workers;
     let queue = config.queue_cap;
     if let Some(dir) = &config.state_dir {
-        println!("state: {}", dir.display());
+        writeln!(out, "state: {}", dir.display())?;
     }
     let replicas = config.cluster.as_ref().map(|c| c.workers.clone());
     let server = Server::bind(config)?;
     // `tests/cluster_e2e.rs` parses this line to find the ephemeral port.
-    println!("listening on http://{}", server.local_addr());
-    println!(
-        "{workers} worker(s), queue capacity {queue}; POST /v1/shutdown to drain"
-    );
+    writeln!(out, "listening on http://{}", server.local_addr())?;
+    writeln!(out, "{workers} worker(s), queue capacity {queue}; POST /v1/shutdown to drain")?;
     if let Some(replicas) = replicas {
         if replicas.is_empty() {
-            println!("coordinating an empty cluster; workers register via POST /v1/members");
+            writeln!(out, "coordinating an empty cluster; workers register via POST /v1/members")?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "coordinating {} cluster replica(s): {}",
                 replicas.len(),
                 replicas.join(", ")
-            );
+            )?;
         }
     }
     server.run()?;
-    println!("drained");
+    writeln!(out, "drained")?;
     Ok(())
 }
 
-fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_worker(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let config = worker_config(cli)?;
     if let Some(dir) = &config.state_dir {
-        println!("state: {}", dir.display());
+        writeln!(out, "state: {}", dir.display())?;
     }
     let worker = Worker::bind(config)?;
     let local = worker.local_addr()?;
     // Parsed like `serve`'s listen line.
-    println!("worker listening on http://{local}");
-    println!("POST /v1/shutdown to stop");
+    writeln!(out, "worker listening on http://{local}")?;
+    writeln!(out, "POST /v1/shutdown to stop")?;
     // Self-registration: announce this replica to the coordinator once the
     // socket is bound. Retried in the background so a worker started
     // moments before its coordinator still joins.
@@ -526,7 +534,12 @@ fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
                 match multilevel_ilt::cluster::post_membership(&coordinator, &me, "join", timeout)
                 {
                     Ok(()) => {
-                        println!("registered with coordinator {coordinator}");
+                        // This thread cannot borrow the command's handle; a
+                        // closed pipe costs this line, nothing else.
+                        let _ = writeln!(
+                            std::io::stdout(),
+                            "registered with coordinator {coordinator}"
+                        );
                         return;
                     }
                     Err(e) if attempt == 39 => eprintln!("registration failed: {e}"),
@@ -545,11 +558,11 @@ fn cmd_worker(cli: &Cli) -> Result<(), Box<dyn Error>> {
             Duration::from_secs(2),
         );
     }
-    println!("stopped");
+    writeln!(out, "stopped")?;
     Ok(())
 }
 
-fn cmd_evaluate(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_evaluate(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let (BatchCase { target, .. }, _, sim) = cli.single()?;
     let mask_path = cli.get("mask").ok_or("evaluate needs --mask file.pgm")?;
     let mask = multilevel_ilt::field::read_pgm(mask_path)?.threshold(0.5);
@@ -561,34 +574,25 @@ fn cmd_evaluate(cli: &Cli) -> Result<(), Box<dyn Error>> {
         )
         .into());
     }
-    println!("{}", evaluate_mask(&sim, &target, &mask, Duration::ZERO));
+    writeln!(out, "{}", evaluate_mask(&sim, &target, &mask, Duration::ZERO))?;
     Ok(())
 }
 
-fn cmd_fracture(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_fracture(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mask_path = cli.get("mask").ok_or("fracture needs --mask file.pgm")?;
     let mask = multilevel_ilt::field::read_pgm(mask_path)?.threshold(0.5);
     let rects = fracture(&mask);
-    // Write through a buffered handle and treat a broken pipe (e.g.
-    // `ilt fracture ... | head`) as a clean exit.
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let result: std::io::Result<()> = (|| {
-        writeln!(out, "#shots: {}", rects.len())?;
-        writeln!(out, "# row0 col0 row1 col1 (half-open pixel coordinates)")?;
-        for r in &rects {
-            writeln!(out, "{} {} {} {}", r.r0, r.c0, r.r1, r.c1)?;
-        }
-        out.flush()
-    })();
-    match result {
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
-        other => other.map_err(Into::into),
+    // One line per shot: buffer them rather than write each.
+    let mut out = std::io::BufWriter::new(out);
+    writeln!(out, "#shots: {}", rects.len())?;
+    writeln!(out, "# row0 col0 row1 col1 (half-open pixel coordinates)")?;
+    for r in &rects {
+        writeln!(out, "{} {} {} {}", r.r0, r.c0, r.r1, r.c1)?;
     }
+    Ok(out.flush()?)
 }
 
-fn cmd_kernels(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_kernels(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let grid = cli.flag("grid", 512usize)?;
     let nm = cli.flag("clip_nm", 2048.0)? / grid as f64;
     let cfg = OpticsConfig {
@@ -597,25 +601,28 @@ fn cmd_kernels(cli: &Cli) -> Result<(), Box<dyn Error>> {
         num_kernels: cli.flag("kernels", 10)?,
         ..OpticsConfig::default()
     };
-    println!(
+    writeln!(
+        out,
         "grid {} ({} nm/px), P = {}, N_k = {}",
         grid,
         nm,
         cfg.kernel_size(),
         cfg.num_kernels
-    );
+    )?;
     let (nominal, defocused) = KernelSet::focus_pair(&cfg);
-    println!(
+    writeln!(
+        out,
         "captured energy: nominal {:.2}%, defocused {:.2}%",
         nominal.captured_energy() * 100.0,
         defocused.captured_energy() * 100.0
-    );
+    )?;
     for k in 0..nominal.num_kernels() {
-        println!(
+        writeln!(
+            out,
             "kernel {k:>2}: w_nominal = {:.6}, w_defocus = {:.6}",
             nominal.weights()[k],
             defocused.weights()[k]
-        );
+        )?;
     }
     Ok(())
 }
@@ -626,7 +633,7 @@ fn cmd_kernels(cli: &Cli) -> Result<(), Box<dyn Error>> {
 /// `run` prints the provenance line `ilt tables` also opens with, then one
 /// row per selected workload: median and MAD of its rep times. Entirely
 /// std-only: no python, no network.
-fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_bench(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use multilevel_ilt::perf::{env_stamp, select, MeasureConfig};
 
     let usage = "usage: ilt bench <list|run> [NAME_GLOB ...] [--smoke] [--reps N]";
@@ -638,16 +645,16 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
         "list" | "run" if workloads.is_empty() => Err("no workloads match the selection".into()),
         "list" => {
             for w in &workloads {
-                println!("{:<24} {}", w.name, w.notes);
+                writeln!(out, "{:<24} {}", w.name, w.notes)?;
             }
             Ok(())
         }
         "run" => {
             let cfg = MeasureConfig { smoke: cli.on("smoke"), reps: cli.flag("reps", 5usize)?.max(1) };
-            println!("{}", env_stamp());
+            writeln!(out, "{}", env_stamp())?;
             for w in &workloads {
                 let sample = (w.run)(&cfg)?;
-                println!("{:<24} {:>12.1} us/op (mad {:.1})", w.name, sample.median_us, sample.mad_us);
+                writeln!(out, "{:<24} {:>12.1} us/op (mad {:.1})", w.name, sample.median_us, sample.mad_us)?;
             }
             Ok(())
         }
@@ -657,7 +664,7 @@ fn cmd_bench(cli: &Cli) -> Result<(), Box<dyn Error>> {
 
 /// The paper's tables and figures: `ilt tables <selector>...` over
 /// [`multilevel_ilt::perf::tables`].
-fn cmd_tables(cli: &Cli) -> Result<(), Box<dyn Error>> {
+fn cmd_tables(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use multilevel_ilt::perf::{tables, MeasureConfig};
     let config = tables::TablesConfig {
         grid: cli.flag("grid", 512)?,
@@ -670,7 +677,7 @@ fn cmd_tables(cli: &Cli) -> Result<(), Box<dyn Error>> {
         measure: MeasureConfig { smoke: cli.on("smoke"), reps: cli.flag("reps", 5usize)?.max(1) },
         out: cli.get("out").unwrap_or("bench-out/tables").into(),
     };
-    tables::run(&cli.cases, &config, &mut std::io::stdout().lock())
+    tables::run(&cli.cases, &config, out)
 }
 
 fn main() {
@@ -687,14 +694,18 @@ fn main() {
             let taken = |flag: &str| job && JOB_FLAGS.contains(&flag) || takes.contains(&flag);
             match cli.given.iter().find(|flag| !taken(flag)) {
                 Some(flag) => Err(format!("{name} does not take {flag}").into()),
-                None => run(&cli),
+                None => run(&cli, &mut std::io::stdout()),
             }
         }
         None => Err(format!("unknown command {command} ({})", COMMANDS.map(|c| c.0).join("|")).into()),
     };
     if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+        // Whoever reads the output stopped (`ilt ... | head`): a clean exit.
+        let kind = e.downcast_ref::<std::io::Error>().map(std::io::Error::kind);
+        if kind != Some(ErrorKind::BrokenPipe) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

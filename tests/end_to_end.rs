@@ -224,3 +224,27 @@ fn every_command_refuses_a_flag_it_does_not_read() {
         assert!(out.stdout.is_empty(), "{args:?} did work before refusing");
     }
 }
+
+/// A reader that stops early (`ilt kernels | head -1`) ends the command
+/// cleanly: exit 0 and no panic, though every later line meets a closed
+/// pipe. The kernels are built after the first line is written, so the
+/// pipe is closed long before the second.
+#[test]
+fn a_closed_stdout_is_a_clean_exit() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ilt"))
+        .args(["kernels", "--grid", "64", "--kernels", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run ilt");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    std::io::BufReader::new(stdout).read_line(&mut first).expect("one line");
+    assert!(first.starts_with("grid 64"), "{first}");
+    let out = child.wait_with_output().expect("ilt exits");
+    let err = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
+}
