@@ -19,10 +19,11 @@
 //!   workers from the *live* set ([`Membership::try_acquire`]), so a
 //!   replica that joins mid-job picks up queued shards immediately.
 //! - **Death detection**: a monitor thread probes every member's
-//!   `GET /healthz` every `heartbeat`; after three consecutive failed
-//!   probes the worker is marked dead (and revived on the next successful
-//!   probe). Probes alone bury a worker: a failed shard never counts
-//!   against its liveness. Only a flip wakes the jobs' loops.
+//!   `GET /healthz` every `heartbeat`, all members at once, so a silent
+//!   replica delays no other member's verdict; after three consecutive
+//!   failed probes the worker is marked dead (and revived on the next
+//!   successful probe). Probes alone bury a worker: a failed shard never
+//!   counts against its liveness. Only a flip wakes the jobs' loops.
 //! - **Quarantine**: each member carries a circuit [`Breaker`]
 //!   (closed → open → half-open, decorrelated-jitter backoff). Shard
 //!   failures feed only the breaker: consecutive ones open it and only a
@@ -890,16 +891,22 @@ fn monitor_loop(
 ) {
     let (stopped, wake) = stop;
     loop {
-        for slot in members.snapshot() {
-            let ok = probe(&slot.addr);
-            if !ok {
-                stats.heartbeat_failures.inc();
+        // Every member's probe at once, each verdict applied where its probe
+        // lands: a round costs its slowest probe, not the sum of them.
+        std::thread::scope(|scope| {
+            for slot in members.snapshot() {
+                scope.spawn(move || {
+                    let ok = probe(&slot.addr);
+                    if !ok {
+                        stats.heartbeat_failures.inc();
+                    }
+                    // A member died or revived: wake every job's loop.
+                    if slot.observe_probe(ok) {
+                        members.notify();
+                    }
+                });
             }
-            // A member died or revived: wake every job's loop.
-            if slot.observe_probe(ok) {
-                members.notify();
-            }
-        }
+        });
         // One heartbeat of sleep, cut short the moment drop() sets the flag.
         let (stopped, _) = wake
             .wait_timeout_while(

@@ -2,20 +2,23 @@
 //! shared wire transport of the job service (`ilt serve`), the cluster
 //! worker (`ilt worker`), the coordinator and the test harness.
 //!
-//! Only the subset those need. **Serving:** request-line + header parsing
-//! with a hard size cap, `Content-Length` bodies with their own cap,
-//! percent-decoded query strings, and HTTP/1.1 persistent connections —
-//! [`Request::read_from_buffered`] carries pipelined bytes between requests
-//! and reports whether the client permits keep-alive, [`serve_connection`]
-//! bounds each connection with a request cap and an idle timeout, and
-//! [`Listener::serve`] is the one accept loop (connection cap, shutdown
-//! wake). The robustness limits are constants: [`MAX_HEAD_BYTES`],
-//! [`MAX_BODY_BYTES`], [`MAX_CONNECTIONS`] and a 10 s socket read/write
-//! timeout, which [`serve_connection`] and [`Client::connect`] set on the
-//! stream. The parser reads any `Read`, so every handler path is testable
-//! without a server. **Calling:** [`Client`] is the one client — one
-//! request encoder, one `content-length`-framed response reader — and
-//! [`request`] a one-shot over it.
+//! Only the subset those need. **Reading:** one message reader frames
+//! requests and replies alike — the head up to its blank line under the
+//! [`MAX_HEAD_BYTES`] cap in both directions, then exactly `content-length`
+//! body bytes, with the surplus kept for the next message (pipelining).
+//! **Serving:** on top of it, [`Request::read_from_buffered`] parses the
+//! request line, percent-decoded query strings and whether the client
+//! permits keep-alive, with bodies capped at [`MAX_BODY_BYTES`];
+//! [`serve_connection`] bounds each connection with a request cap and an
+//! idle timeout, and [`Listener::serve`] is the one accept loop (connection
+//! cap, shutdown wake). The robustness limits are constants:
+//! [`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`], [`MAX_CONNECTIONS`] and the 10 s
+//! socket timeout [`serve_connection`] sets for reads and writes (a
+//! [`Client`]'s reads time out after its `connect` argument, its writes
+//! after 10 s). The reader takes any `Read`, so every handler path is
+//! testable without a server. **Calling:** [`Client`] is the one client —
+//! one request encoder, the same reader for its replies (status line
+//! parsed, no body cap) — and [`request`] a one-shot over it.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -25,7 +28,8 @@ use std::time::Duration;
 
 use ilt_runtime::FaultKind;
 
-/// Maximum bytes of one request's line + headers (including the blank line).
+/// Maximum bytes of one message's start line + headers (including the blank
+/// line), request or reply.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Maximum bytes of one request's body: a larger `Content-Length` is
@@ -39,10 +43,11 @@ pub const MAX_CONNECTIONS: usize = 64;
 /// Socket read/write timeout while a request or response is in flight.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Why a request could not be read; maps 1:1 onto an HTTP status.
+/// Why a message could not be read; for a request, maps 1:1 onto an HTTP
+/// status.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Malformed request line, header, or encoding (400).
+    /// Malformed request line, header, encoding, or a close mid-message (400).
     BadRequest(String),
     /// Declared or actual body larger than [`MAX_BODY_BYTES`] (413).
     PayloadTooLarge(usize),
@@ -106,11 +111,7 @@ impl Request {
         stream: &mut impl Read,
         carry: &mut Vec<u8>,
     ) -> Result<(Request, bool), HttpError> {
-        let (head, mut tail) = read_head_buffered(stream, carry)?;
-        let head = std::str::from_utf8(&head)
-            .map_err(|_| HttpError::BadRequest("non-utf8 request head".into()))?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().unwrap_or("");
+        let (request_line, headers, body) = read_message(stream, carry, MAX_BODY_BYTES)?;
         let mut parts = request_line.split(' ');
         let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
         {
@@ -128,53 +129,11 @@ impl Request {
             return Err(HttpError::BadRequest(format!("unsupported request target {target:?}")));
         }
 
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| HttpError::BadRequest(format!("malformed header: {line:?}")))?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-
-        let (raw_path, raw_query) = match target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (target, ""),
-        };
+        let (raw_path, raw_query) = target.split_once('?').unwrap_or((target, ""));
         let path = percent_decode(raw_path, false)
             .map_err(|e| HttpError::BadRequest(format!("bad path encoding: {e}")))?;
         let query = parse_query(raw_query)
             .map_err(|e| HttpError::BadRequest(format!("bad query encoding: {e}")))?;
-
-        let content_length = match first(&headers, "content-length") {
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| HttpError::BadRequest(format!("bad content-length {v:?}")))?,
-            None => 0,
-        };
-        if content_length > MAX_BODY_BYTES {
-            return Err(HttpError::PayloadTooLarge(content_length));
-        }
-        if tail.len() > content_length {
-            // Bytes past this request's body are the next pipelined
-            // request; they wait in the carry buffer.
-            *carry = tail.split_off(content_length);
-        }
-        let mut body = tail;
-        while body.len() < content_length {
-            let mut chunk = [0u8; 8192];
-            let want = (content_length - body.len()).min(chunk.len());
-            let n = stream.read(&mut chunk[..want])?;
-            if n == 0 {
-                return Err(HttpError::BadRequest(format!(
-                    "body truncated at {} of {content_length} bytes",
-                    body.len()
-                )));
-            }
-            body.extend_from_slice(&chunk[..n]);
-        }
 
         let connection = first(&headers, "connection").map(str::to_ascii_lowercase);
         let keep_alive = match connection.as_deref() {
@@ -199,28 +158,34 @@ impl Request {
     }
 }
 
-/// Reads up to and including the `\r\n\r\n` head terminator, starting from
-/// whatever `carry` holds; returns the head (without the terminator) and
-/// any body bytes read past it.
-fn read_head_buffered(
+/// The one HTTP/1.1 message reader, requests and replies alike. Reads the
+/// head up to its blank line — at most [`MAX_HEAD_BYTES`], blank line
+/// included — and returns its start line, its headers (names lower-cased)
+/// and exactly `content-length` body bytes (none without the header; a
+/// length over `max_body` is refused before any body byte is read).
+/// Reading starts from `buf`, and bytes past the message stay there for
+/// the next call (pipelining). A clean close before the first byte is
+/// [`HttpError::Io`] with [`io::ErrorKind::UnexpectedEof`].
+fn read_message(
     stream: &mut impl Read,
-    carry: &mut Vec<u8>,
-) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
-    let mut buf = std::mem::take(carry);
-    loop {
-        if let Some(end) = find_terminator(&buf) {
-            let tail = buf.split_off(end + 4);
-            buf.truncate(end);
-            return Ok((buf, tail));
+    buf: &mut Vec<u8>,
+    max_body: usize,
+) -> Result<(String, Vec<(String, String)>, Vec<u8>), HttpError> {
+    let mut chunk = [0u8; 16 * 1024];
+    let head_end = loop {
+        // Only a terminator inside the cap ends an admissible head: one
+        // read can bring a whole oversized head.
+        let capped = &buf[..buf.len().min(MAX_HEAD_BYTES)];
+        if let Some(end) = capped.windows(4).position(|w| w == b"\r\n\r\n") {
+            break end;
         }
         if buf.len() >= MAX_HEAD_BYTES {
             return Err(HttpError::HeadTooLarge);
         }
-        let mut chunk = [0u8; 1024];
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(if buf.is_empty() {
-                // A clean close between requests: the end of a keep-alive
+                // A clean close between messages: the end of a keep-alive
                 // connection, not a protocol error.
                 HttpError::Io(io::Error::from(io::ErrorKind::UnexpectedEof))
             } else {
@@ -228,11 +193,40 @@ fn read_head_buffered(
             });
         }
         buf.extend_from_slice(&chunk[..n]);
+    };
+    let head = std::str::from_utf8(&buf[..head_end])
+        .map_err(|_| HttpError::BadRequest("non-utf8 message head".into()))?;
+    let mut lines = head.split("\r\n");
+    let start_line = lines.next().unwrap_or_default().to_string();
+    let mut headers = Vec::new();
+    for line in lines {
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| HttpError::BadRequest(format!("malformed header: {line:?}")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-}
-
-fn find_terminator(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    let len = match first(&headers, "content-length") {
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| HttpError::BadRequest(format!("bad content-length {v:?}")))?,
+        None => 0,
+    };
+    if len > max_body {
+        return Err(HttpError::PayloadTooLarge(len));
+    }
+    buf.drain(..head_end + 4);
+    while buf.len() < len {
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(HttpError::BadRequest(format!(
+                "connection closed mid-body at {} of {len} bytes",
+                buf.len()
+            )));
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    let rest = buf.split_off(len);
+    Ok((start_line, headers, std::mem::replace(buf, rest)))
 }
 
 /// The one query codec: `k=v` pairs split at `&`, both sides
@@ -741,45 +735,39 @@ impl Client {
         self.send_raw(&wire)
     }
 
-    /// The one response reader: the head, then exactly `content-length`
-    /// body bytes; whatever arrived beyond them stays buffered for the next
-    /// call.
+    /// The one response reader: [`read_message`] with no body cap (a shard
+    /// reply outgrows [`MAX_BODY_BYTES`]) and a required `content-length`;
+    /// whatever arrived beyond the body stays buffered for the next call.
     ///
     /// # Errors
     ///
     /// A message when a read times out, the connection closes or fails
-    /// before the response is complete, or the head is malformed or carries
-    /// no `content-length`.
+    /// before the response is complete, or the head is malformed, too
+    /// large or carries no `content-length`.
     pub fn read_reply(&mut self) -> Result<Reply, String> {
-        // The parsed head with the body length it promises, once it is in.
-        let mut head: Option<(Reply, usize)> = None;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if head.is_none() && find_terminator(&self.buf).is_some() {
-                let mut reply = parse_response(std::mem::take(&mut self.buf))?;
-                self.buf = std::mem::take(&mut reply.body);
-                let len = first(&reply.headers, "content-length")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| "response carries no content-length".to_string())?;
-                head = Some((reply, len));
+        let message = read_message(&mut self.stream, &mut self.buf, usize::MAX);
+        let (status_line, headers, body) = message.map_err(|e| match e {
+            HttpError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                "connection closed before a full response head".to_string()
             }
-            if let Some((mut reply, len)) = head.take_if(|(_, len)| self.buf.len() >= *len) {
-                let rest = self.buf.split_off(len);
-                reply.body = std::mem::replace(&mut self.buf, rest);
-                return Ok(reply);
+            HttpError::Io(e)
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+            {
+                "timed out waiting for the response".into()
             }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    let at = if head.is_some() { "mid-body" } else { "before a full response head" };
-                    return Err(format!("connection closed {at}"));
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                    return Err("timed out waiting for the response".into());
-                }
-                Err(e) => return Err(format!("connection failed mid-response: {e}")),
-            }
+            HttpError::Io(e) => format!("connection failed mid-response: {e}"),
+            HttpError::BadRequest(why) => why,
+            HttpError::HeadTooLarge | HttpError::PayloadTooLarge(_) => "response too large".into(),
+        })?;
+        if first(&headers, "content-length").is_none() {
+            return Err("response carries no content-length".into());
         }
+        let status = status_line
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| format!("bad status line {status_line:?}"))?;
+        Ok(Reply { status, headers, body })
     }
 
     /// Reads one byte, expecting the peer to have closed the connection
@@ -807,27 +795,6 @@ pub fn request(
     let mut client = Client::connect(addr, timeout)?;
     client.send(method, path, &[], body, true)?;
     client.read_reply().map(|reply| (reply.status, reply.body))
-}
-
-/// Parses the response head that opens `raw`: status code and header
-/// `(name, value)` pairs with names lower-cased; `body` gets whatever
-/// follows the head — split off, not copied.
-fn parse_response(mut raw: Vec<u8>) -> Result<Reply, String> {
-    let head_end = find_terminator(&raw).ok_or("truncated response head")?;
-    let body = raw.split_off(head_end + 4);
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "non-utf8 response head")?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Ok(Reply { status, headers, body })
 }
 
 // ---------------------------------------------------------------------------
@@ -970,20 +937,6 @@ mod tests {
             .map(|(req, _)| req)
     }
 
-    #[test]
-    fn response_parse_extracts_status_and_body() {
-        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nx-empty:\r\n\r\nhello";
-        let Reply { status, headers, body } = parse_response(raw.to_vec()).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(
-            headers,
-            [("content-type".to_string(), "text/plain".to_string()), ("x-empty".into(), "".into())]
-        );
-        assert_eq!(body, b"hello");
-        assert!(parse_response(b"HTTP/1.1 OK\r\n\r\n".to_vec()).is_err());
-        assert!(parse_response(b"HTTP/1.1 200".to_vec()).is_err());
-    }
-
     /// A loopback peer for [`Client`]: runs `peer` on the first accepted
     /// connection and returns what it returns.
     fn with_peer<T: Send + 'static>(
@@ -992,6 +945,32 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         (addr, std::thread::spawn(move || peer(listener.accept().unwrap().0)))
+    }
+
+    #[test]
+    fn response_parse_extracts_status_and_body() {
+        // A peer that sends `raw` and closes.
+        let read = |raw: &'static [u8]| {
+            let (addr, peer) = with_peer(move |mut stream| stream.write_all(raw).unwrap());
+            let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
+            peer.join().unwrap();
+            client.read_reply()
+        };
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nx-empty:\r\n\
+                    content-length: 5\r\n\r\nhello";
+        let Reply { status, headers, body } = read(raw).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(
+            headers,
+            [
+                ("content-type".to_string(), "text/plain".to_string()),
+                ("x-empty".into(), "".into()),
+                ("content-length".into(), "5".into())
+            ]
+        );
+        assert_eq!(body, b"hello");
+        assert!(read(b"HTTP/1.1 OK\r\ncontent-length: 0\r\n\r\n").is_err());
+        assert!(read(b"HTTP/1.1 200").is_err());
     }
 
     #[test]
@@ -1065,6 +1044,20 @@ mod tests {
         let err = client.read_reply().unwrap_err();
         assert!(err.contains("before a full response head"), "{err}");
         hang_up.join().unwrap();
+        assert_eq!(peer.join().unwrap(), 0);
+
+        // A reply head that outgrows the cap is refused as soon as the cap
+        // is passed, not buffered until the peer stops sending.
+        let (addr, peer) = with_peer(|mut stream| {
+            let mut head = b"HTTP/1.1 200 OK\r\nx-pad: ".to_vec();
+            head.extend(std::iter::repeat(b'a').take(MAX_HEAD_BYTES));
+            stream.write_all(&head).unwrap();
+            stream.read(&mut [0u8; 1]).unwrap_or(1) // held open until the client leaves
+        });
+        let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
+        let err = client.read_reply().unwrap_err();
+        assert!(err.contains("too large"), "{err}");
+        drop(client);
         assert_eq!(peer.join().unwrap(), 0);
     }
 
