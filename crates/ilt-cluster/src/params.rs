@@ -285,9 +285,9 @@ impl JobParams {
 
     /// What a coordinator puts on the wire for this job, `(query, body)`:
     /// [`JobParams::to_query`] without `inject=` — faults stay local to a
-    /// replica, and a worker started with its own `--inject` plan applies
-    /// that one — and the target as a PGM body only when it is inline
-    /// (`case=` / `via=` sources are re-resolved by the worker).
+    /// replica: a worker refuses a dispatch that carries one and runs only
+    /// its own `--inject` plan — and the target as a PGM body only when it
+    /// is inline (`case=` / `via=` sources are re-resolved by the worker).
     pub fn dispatch(&self) -> (String, Vec<u8>) {
         let body = match &self.source {
             JobSource::Inline(img) => pgm_bytes(img, 0.0, 1.0),

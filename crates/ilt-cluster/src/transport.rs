@@ -26,8 +26,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use ilt_runtime::FaultKind;
-
 /// Maximum bytes of one message's start line + headers (including the blank
 /// line), request or reply.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -111,66 +109,66 @@ impl Request {
         stream: &mut impl Read,
         carry: &mut Vec<u8>,
     ) -> Result<(Request, bool), HttpError> {
-        let (request_line, headers, body) = read_message(stream, carry, MAX_BODY_BYTES)?;
-        let mut parts = request_line.split(' ');
-        let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-        {
-            (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
-            _ => {
-                return Err(HttpError::BadRequest(format!(
-                    "malformed request line: {request_line:?}"
-                )))
-            }
-        };
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::BadRequest(format!("unsupported version {version:?}")));
-        }
-        if !target.starts_with('/') {
-            return Err(HttpError::BadRequest(format!("unsupported request target {target:?}")));
-        }
-
-        let (raw_path, raw_query) = target.split_once('?').unwrap_or((target, ""));
-        let path = percent_decode(raw_path, false)
-            .map_err(|e| HttpError::BadRequest(format!("bad path encoding: {e}")))?;
-        let query = parse_query(raw_query)
-            .map_err(|e| HttpError::BadRequest(format!("bad query encoding: {e}")))?;
+        let ((mut request, http11), headers, body) =
+            read_message(stream, carry, MAX_BODY_BYTES, parse_request_line)?;
 
         let connection = first(&headers, "connection").map(str::to_ascii_lowercase);
         let keep_alive = match connection.as_deref() {
             Some(v) => {
                 let tokens: Vec<&str> = v.split(',').map(str::trim).collect();
-                !tokens.contains(&"close")
-                    && (version == "HTTP/1.1" || tokens.contains(&"keep-alive"))
+                !tokens.contains(&"close") && (http11 || tokens.contains(&"keep-alive"))
             }
-            None => version == "HTTP/1.1",
+            None => http11,
         };
-
-        Ok((
-            Request {
-                method: method.to_ascii_uppercase(),
-                path,
-                query,
-                headers,
-                body,
-            },
-            keep_alive,
-        ))
+        request.headers = headers;
+        request.body = body;
+        Ok((request, keep_alive))
     }
+}
+
+/// A request line as a [`Request`] with no headers or body yet, and
+/// whether it speaks `HTTP/1.1`. [`read_message`] calls it before reading
+/// any body byte, so a malformed line that declares a body gets its `400`
+/// at once.
+fn parse_request_line(line: &str) -> Result<(Request, bool), HttpError> {
+    let mut parts = line.split(' ');
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
+    {
+        (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
+        _ => return Err(HttpError::BadRequest(format!("malformed request line: {line:?}"))),
+    };
+    if !version.starts_with("HTTP/1.") {
+        return Err(HttpError::BadRequest(format!("unsupported version {version:?}")));
+    }
+    if !target.starts_with('/') {
+        return Err(HttpError::BadRequest(format!("unsupported request target {target:?}")));
+    }
+    let (raw_path, raw_query) = target.split_once('?').unwrap_or((target, ""));
+    let path = percent_decode(raw_path, false)
+        .map_err(|e| HttpError::BadRequest(format!("bad path encoding: {e}")))?;
+    let query = parse_query(raw_query)
+        .map_err(|e| HttpError::BadRequest(format!("bad query encoding: {e}")))?;
+    let method = method.to_ascii_uppercase();
+    let request = Request { method, path, query, headers: Vec::new(), body: Vec::new() };
+    Ok((request, version == "HTTP/1.1"))
 }
 
 /// The one HTTP/1.1 message reader, requests and replies alike. Reads the
 /// head up to its blank line — at most [`MAX_HEAD_BYTES`], blank line
-/// included — and returns its start line, its headers (names lower-cased)
-/// and exactly `content-length` body bytes (none without the header; a
-/// length over `max_body` is refused before any body byte is read).
-/// Reading starts from `buf`, and bytes past the message stay there for
-/// the next call (pipelining). A clean close before the first byte is
-/// [`HttpError::Io`] with [`io::ErrorKind::UnexpectedEof`].
-fn read_message(
+/// included — and hands its start line to the caller's `parse_start`
+/// before it reads anything else, so a malformed request or status line is
+/// refused before any body byte. Returns what `parse_start` made of it,
+/// the headers (names lower-cased) and exactly `content-length` body bytes
+/// (none without the header; a length over `max_body` is refused before
+/// any body byte is read). Reading starts from `buf`, and bytes past the
+/// message stay there for the next call (pipelining). A clean close before
+/// the first byte is [`HttpError::Io`] with [`io::ErrorKind::UnexpectedEof`].
+fn read_message<T>(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
     max_body: usize,
-) -> Result<(String, Vec<(String, String)>, Vec<u8>), HttpError> {
+    parse_start: impl FnOnce(&str) -> Result<T, HttpError>,
+) -> Result<(T, Vec<(String, String)>, Vec<u8>), HttpError> {
     let mut chunk = [0u8; 16 * 1024];
     let head_end = loop {
         // Only a terminator inside the cap ends an admissible head: one
@@ -197,7 +195,7 @@ fn read_message(
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::BadRequest("non-utf8 message head".into()))?;
     let mut lines = head.split("\r\n");
-    let start_line = lines.next().unwrap_or_default().to_string();
+    let start = parse_start(lines.next().unwrap_or_default())?;
     let mut headers = Vec::new();
     for line in lines {
         let (name, value) = line
@@ -226,7 +224,7 @@ fn read_message(
         buf.extend_from_slice(&chunk[..n]);
     }
     let rest = buf.split_off(len);
-    Ok((start_line, headers, std::mem::replace(buf, rest)))
+    Ok((start, headers, std::mem::replace(buf, rest)))
 }
 
 /// The one query codec: `k=v` pairs split at `&`, both sides
@@ -280,12 +278,11 @@ pub struct Response {
     /// Body bytes.
     pub body: Vec<u8>,
     content_type: &'static str,
-    wire_fault: Option<FaultKind>,
 }
 
 impl Response {
     fn new(status: u16, content_type: &'static str, body: Vec<u8>) -> Response {
-        Response { status, headers: Vec::new(), body, content_type, wire_fault: None }
+        Response { status, headers: Vec::new(), body, content_type }
     }
 
     /// A JSON response (the body must already be serialized JSON).
@@ -325,23 +322,6 @@ impl Response {
         self
     }
 
-    /// Arms a transport fault (`conn_refuse` / `read_stall` /
-    /// `torn_response` / `garble`, what `FaultPlan::transport_fault` yields)
-    /// to be applied when this response is written; `None` clears it. The
-    /// response is computed normally and only its trip over the wire is
-    /// damaged, so the coordinator's retry / hash machinery is what the
-    /// worker's chaos injection exercises.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a fault kind that is not a transport kind.
-    #[must_use]
-    pub fn with_wire_fault(mut self, fault: Option<FaultKind>) -> Response {
-        assert!(fault.is_none_or(FaultKind::is_transport), "{fault:?} is not a wire fault");
-        self.wire_fault = fault;
-        self
-    }
-
     /// Serializes status line, headers, and body onto `w`, closing the
     /// connection (`Connection: close`).
     ///
@@ -358,21 +338,12 @@ impl Response {
     ///
     /// Head and body leave in one `write_all`: two writes put two segments
     /// on the wire, and the second then waits for the peer's delayed ACK of
-    /// the first. Only [`FaultKind::ReadStall`] splits the response, on
-    /// purpose.
+    /// the first.
     ///
     /// # Errors
     ///
     /// Propagates socket write errors (including write timeouts).
     pub fn write_with_connection(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        if self.wire_fault == Some(FaultKind::ConnRefuse) {
-            // Write nothing; the caller's connection teardown delivers the
-            // refusal (the client sees EOF before any status line).
-            return Ok(());
-        }
-        // A faulted write always announces `Connection: close`: the stream
-        // is about to be damaged, so it must not be reused.
-        let keep_alive = keep_alive && self.wire_fault.is_none();
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
@@ -386,37 +357,7 @@ impl Response {
         }
         head.push_str("\r\n");
         let mut wire = head.into_bytes();
-        wire.reserve(self.body.len());
-        let body_start = wire.len();
-        match self.wire_fault {
-            Some(FaultKind::TornResponse) => {
-                // Full content-length declared above; deliver only two
-                // thirds and stop — a torn JSONL stream.
-                wire.extend_from_slice(&self.body[..self.body.len() * 2 / 3]);
-            }
-            Some(FaultKind::ReadStall { ms }) => {
-                // Head and half the body, a stall, then the rest — a
-                // half-open, dribbling stream.
-                let half = self.body.len() / 2;
-                wire.extend_from_slice(&self.body[..half]);
-                w.write_all(&wire)?;
-                w.flush()?;
-                std::thread::sleep(Duration::from_millis(ms));
-                wire.clear();
-                wire.extend_from_slice(&self.body[half..]);
-            }
-            Some(FaultKind::Garble) => {
-                // Corruption the mask-hash verification must catch.
-                wire.extend_from_slice(&self.body);
-                let mid = body_start + self.body.len() / 2;
-                for b in wire.iter_mut().skip(mid).take(16) {
-                    *b ^= 0xa5;
-                }
-            }
-            // Unfaulted: `conn_refuse` returned above and `with_wire_fault`
-            // admits no other kind.
-            _ => wire.extend_from_slice(&self.body),
-        }
+        wire.extend_from_slice(&self.body);
         w.write_all(&wire)?;
         w.flush()
     }
@@ -745,8 +686,12 @@ impl Client {
     /// before the response is complete, or the head is malformed, too
     /// large or carries no `content-length`.
     pub fn read_reply(&mut self) -> Result<Reply, String> {
-        let message = read_message(&mut self.stream, &mut self.buf, usize::MAX);
-        let (status_line, headers, body) = message.map_err(|e| match e {
+        let parse_status = |line: &str| {
+            let status = line.split(' ').nth(1).and_then(|s| s.parse().ok());
+            status.ok_or_else(|| HttpError::BadRequest(format!("bad status line {line:?}")))
+        };
+        let message = read_message(&mut self.stream, &mut self.buf, usize::MAX, parse_status);
+        let (status, headers, body) = message.map_err(|e| match e {
             HttpError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
                 "connection closed before a full response head".to_string()
             }
@@ -762,11 +707,6 @@ impl Client {
         if first(&headers, "content-length").is_none() {
             return Err("response carries no content-length".into());
         }
-        let status = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad status line {status_line:?}"))?;
         Ok(Reply { status, headers, body })
     }
 
@@ -1212,20 +1152,20 @@ mod tests {
         assert!(text.contains("connection: keep-alive\r\n"), "{text}");
     }
 
-    /// A sink that keeps each `write` call apart, with its arrival time:
-    /// on a `TCP_NODELAY` socket every call is a segment.
+    /// A sink that keeps each `write` call apart: on a `TCP_NODELAY`
+    /// socket every call is a segment.
     #[derive(Default)]
-    struct Segments(Vec<(std::time::Instant, Vec<u8>)>);
+    struct Segments(Vec<Vec<u8>>);
 
     impl Segments {
         fn bytes(&self) -> Vec<u8> {
-            self.0.iter().flat_map(|(_, segment)| segment.iter().copied()).collect()
+            self.0.concat()
         }
     }
 
     impl Write for Segments {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.push((std::time::Instant::now(), buf.to_vec()));
+            self.0.push(buf.to_vec());
             Ok(buf.len())
         }
 
@@ -1252,58 +1192,6 @@ mod tests {
             expected.extend_from_slice(&body);
             assert!(wire.bytes() == expected, "response bytes changed ({connection})");
             assert_eq!(wire.0.len(), 1, "head and body must leave in one write");
-        }
-    }
-
-    #[test]
-    fn wire_faults_damage_only_the_write() {
-        let body = "abcdefghijklmnopqrstuvwxyz0123456789";
-        let written = |fault: FaultKind, keep_alive: bool| {
-            let mut wire = Segments::default();
-            Response::jsonl(200, body)
-                .with_wire_fault(Some(fault))
-                .write_with_connection(&mut wire, keep_alive)
-                .unwrap();
-            wire
-        };
-        let mut clean = Vec::new();
-        Response::jsonl(200, body).write_to(&mut clean).unwrap();
-
-        let refused = written(FaultKind::ConnRefuse, false);
-        assert!(refused.0.is_empty(), "conn_refuse writes nothing at all");
-
-        let torn = written(FaultKind::TornResponse, false).bytes();
-        let torn_text = String::from_utf8_lossy(&torn);
-        assert!(
-            torn_text.contains(&format!("content-length: {}\r\n", body.len())),
-            "torn response still declares the full length: {torn_text}"
-        );
-        assert!(
-            torn_text.ends_with(&format!("\r\n\r\n{}", &body[..body.len() * 2 / 3])),
-            "torn response stops at two thirds of the body: {torn_text}"
-        );
-
-        let garbled = written(FaultKind::Garble, false).bytes();
-        assert_eq!(garbled.len(), clean.len(), "garble keeps the length");
-        assert_ne!(garbled, clean, "garble flips body bytes");
-        let head_len = clean.len() - body.len();
-        assert_eq!(garbled[..head_len], clean[..head_len], "garble leaves the head alone");
-
-        let stall = Duration::from_millis(20);
-        let stalled = written(FaultKind::ReadStall { ms: 20 }, false);
-        assert_eq!(stalled.bytes(), clean, "read_stall delivers identical bytes, just slowly");
-        assert!(stalled.0.len() >= 2, "read_stall is a deliberate split");
-        let (first, last) = (&stalled.0[0], &stalled.0[stalled.0.len() - 1]);
-        assert!(last.0.duration_since(first.0) >= stall, "the stall sits between the halves");
-        assert!(first.1.ends_with(&body.as_bytes()[..body.len() / 2]), "half the body goes first");
-
-        // A faulted response never keeps the connection alive.
-        for fault in [FaultKind::TornResponse, FaultKind::Garble, FaultKind::ReadStall { ms: 20 }] {
-            let wire = written(fault, true).bytes();
-            assert!(
-                String::from_utf8_lossy(&wire).contains("connection: close\r\n"),
-                "{fault:?} must announce connection: close"
-            );
         }
     }
 

@@ -20,22 +20,19 @@
 //! restores finished tiles from it instead of recomputing them (and wipes
 //! the directory when its fingerprint does not match the new dispatch).
 //! Fault injection is local by design: the coordinator strips `inject=`
-//! from dispatched queries, and a worker only injects the plan given on
-//! its own command line — so a crash fault kills one replica, not every
-//! replica the shard is re-dispatched to. Transport faults (`conn_refuse`,
-//! `read_stall`, `torn_response`, `garble`) damage the shard *response* on
-//! the wire instead of the compute, keyed by this replica's per-shard
-//! dispatch counter — the flaky-network regime where `/healthz` still
-//! passes.
+//! from dispatched queries, a dispatch that carries one anyway is refused
+//! with `400` under the worker's own [`ExecPolicy`], and a worker only
+//! injects the plan given on its own command line — so a crash fault kills
+//! one replica, not every replica the shard is re-dispatched to. A worker
+//! never damages its own replies: network faults are what a test-side
+//! proxy does to the bytes of an honest worker.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use ilt_runtime::{
-    config_fingerprint, run_shard, CancelToken, FaultKind, FaultPlan, SimulatorCache, WAL_FILE,
-};
+use ilt_runtime::{config_fingerprint, run_shard, CancelToken, FaultPlan, SimulatorCache, WAL_FILE};
 
 use crate::params::{is_label, ExecPolicy, JobParams};
 use crate::transport::{ConnOptions, Gate, Listener, Request, Response};
@@ -72,9 +69,6 @@ struct WorkerShared {
     cache: SimulatorCache,
     /// Cancel tokens of shards currently executing, by shard id.
     active: Mutex<HashMap<String, CancelToken>>,
-    /// How often each shard id has been dispatched to this replica — the
-    /// attempt counter transport faults (`conn_refuse@J:A` etc.) address.
-    dispatch_counts: Mutex<HashMap<String, u32>>,
     gate: Arc<Gate>,
 }
 
@@ -96,7 +90,6 @@ impl Worker {
             config,
             cache: SimulatorCache::new(),
             active: Mutex::new(HashMap::new()),
-            dispatch_counts: Mutex::new(HashMap::new()),
             gate: listener.gate(),
         });
         Ok(Worker { listener, shared })
@@ -161,41 +154,14 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
             Err(e) => return Response::error(400, &e),
         },
     };
-    // The dispatch query was validated at original submission; trust it
-    // here (including a replayed inject= from a chaos submission), then
-    // override with this replica's own fault plan so injected crashes stay
-    // local to the replica they were aimed at.
-    let relaxed = ExecPolicy { allow_inject: true, ..shared.config.policy };
-    let mut params = match JobParams::from_request(req, &relaxed) {
+    // A coordinator never sends `inject=`, so the worker's own policy
+    // refuses one; the only plan a replica runs is its own, which keeps an
+    // injected crash local to the replica it was aimed at.
+    let mut params = match JobParams::from_request(req, &shared.config.policy) {
         Ok(p) => p,
         Err(e) => return Response::error(400, &e),
     };
-    if !shared.config.faults.is_empty() {
-        params.faults = shared.config.faults.clone();
-    }
-    // Transport-fault injection (chaos testing): faults address this
-    // replica's per-shard dispatch counter, so `conn_refuse@J:1` damages
-    // exactly the first dispatch of J's shard *to this worker* and a
-    // re-dispatch (or another replica) succeeds.
-    let wire_fault = if params.faults.has_transport_faults() {
-        let attempt = {
-            let mut counts = shared.dispatch_counts.lock().expect("dispatch counts poisoned");
-            if counts.len() > 4096 {
-                counts.clear();
-            }
-            let n = counts.entry(sid.clone()).or_insert(0);
-            *n += 1;
-            *n
-        };
-        job_ids.iter().find_map(|&j| params.faults.transport_fault(j, attempt))
-    } else {
-        None
-    };
-    if wire_fault == Some(FaultKind::ConnRefuse) {
-        // Simulated connection refusal: drop the request without computing
-        // (or writing a single byte — see `Response::with_wire_fault`).
-        return Response::error(503, "injected conn_refuse").with_wire_fault(wire_fault);
-    }
+    params.faults = shared.config.faults.clone();
     let (case, mut config) = match params.plan() {
         Ok(planned) => planned,
         Err(e) => return Response::error(400, &e),
@@ -249,8 +215,5 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
         body.push_str(&shard_job_line(output));
         body.push('\n');
     }
-    // Non-refusal transport faults damage the successful response on the
-    // wire: the shard computed (and checkpointed) fine, the bytes did not
-    // survive the network.
-    finish(Response::jsonl(200, body).with_wire_fault(wire_fault))
+    finish(Response::jsonl(200, body))
 }

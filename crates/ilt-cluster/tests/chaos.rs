@@ -1,41 +1,26 @@
-//! Network-fault chaos: the loopback cluster under injected transport
-//! damage. The standing invariant — for any fault schedule that leaves at
-//! least one worker able to make progress, the clustered mask is
-//! byte-identical to a single-process `ilt batch` run; and when a
-//! speculation race surfaces two *disagreeing* results, the job fails hard
-//! rather than emit a possibly-wrong mask.
+//! Network-fault chaos: the loopback cluster with its shard replies
+//! damaged on the wire by a test proxy in front of honest workers. The
+//! standing invariant — for any fault schedule that leaves at least one
+//! worker able to make progress, the clustered mask is byte-identical to a
+//! single-process `ilt batch` run; and when a speculation race surfaces two
+//! *disagreeing* results, the job fails hard rather than emit a
+//! possibly-wrong mask.
+
+mod support;
 
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ilt_cluster::transport::{request, serve_connection, ConnOptions, Request, Response};
+use ilt_cluster::transport::{serve_connection, ConnOptions, Request, Response};
 use ilt_cluster::wire::{parse_job_ids, shard_header_line, shard_job_line, ShardHeader};
-use ilt_cluster::{
-    BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, Histogram, JobParams, Worker,
-    WorkerConfig,
-};
+use ilt_cluster::{BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, Histogram, JobParams};
 use ilt_field::pgm_bytes;
 use ilt_runtime::{
     assemble_batch, planned_job_list, run_batch, FaultPlan, JobOutput, JobRecord, JobStatus,
     SimulatorCache, StageTimes,
 };
-
-fn spawn_worker(faults: FaultPlan) -> (String, std::thread::JoinHandle<()>) {
-    let worker = Worker::bind(WorkerConfig {
-        addr: "127.0.0.1:0".into(),
-        faults,
-        ..WorkerConfig::default()
-    })
-    .expect("bind worker");
-    let addr = worker.local_addr().expect("worker addr").to_string();
-    let handle = std::thread::spawn(move || worker.run());
-    (addr, handle)
-}
-
-fn shutdown(addr: &str) {
-    let _ = request(addr, "POST", "/v1/shutdown", &[], Duration::from_secs(10));
-}
+use support::{shutdown, spawn_proxy, spawn_worker, Damage};
 
 /// Observations in `histogram`, read off its rendered `_count` line.
 fn observations(histogram: &Histogram) -> u64 {
@@ -64,17 +49,27 @@ fn transport_chaos_with_a_live_worker_is_byte_identical() {
     let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
     let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
 
-    // Every replica damages the FIRST dispatch of whatever shard carries
-    // these jobs: a garbled body (hash-verified away), a torn response
-    // (short read), and a stalled one (slow but intact). Second attempts
-    // are clean — the flaky-network regime where every /healthz passes.
-    let chaos = FaultPlan::parse("garble@0:1,torn_response@1:1,read_stall@2:1=150")
-        .expect("fault plan");
-    let (a, a_handle) = spawn_worker(chaos.clone());
-    let (b, b_handle) = spawn_worker(chaos.clone());
-    let (c, c_handle) = spawn_worker(chaos);
+    // Every replica's link damages the FIRST dispatch of whatever shard
+    // carries these jobs: a garbled body (hash-verified away), a torn
+    // response (short read), and a stalled one (slow but intact). Second
+    // attempts are clean — the flaky-network regime where every /healthz
+    // passes.
+    let chaos = |_: &str, jobs: &[usize], nth: u32| {
+        let first_carrying = |job| nth == 1 && jobs.contains(&job);
+        if first_carrying(0) {
+            Damage::Garble
+        } else if first_carrying(1) {
+            Damage::Tear
+        } else if first_carrying(2) {
+            Damage::Stall(150)
+        } else {
+            Damage::Pass
+        }
+    };
+    let replicas: Vec<_> = (0..3).map(|_| spawn_worker(FaultPlan::none())).collect();
+    let [a, b, c] = [0, 1, 2].map(|i| spawn_proxy(&replicas[i].0, chaos));
     let coordinator = Coordinator::new(ClusterConfig {
-        workers: vec![a.clone(), b.clone()],
+        workers: vec![a, b],
         heartbeat: Duration::from_millis(50),
         // Pure transport chaos: keep the breaker out of the picture so the
         // assert pins the retry path, not the quarantine path.
@@ -106,10 +101,8 @@ fn transport_chaos_with_a_live_worker_is_byte_identical() {
     );
     assert_eq!(coordinator.stats().members_joined.get(), 3);
 
-    for addr in [a, b, c] {
+    for (addr, handle) in replicas {
         shutdown(&addr);
-    }
-    for handle in [a_handle, b_handle, c_handle] {
         handle.join().expect("worker thread");
     }
 }
@@ -124,14 +117,11 @@ fn stragglers_are_speculated_and_the_fast_copy_wins() {
     let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
     let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
 
-    // Replica A stalls every shard response for 2.5 s (computes fine, the
-    // network is molasses); B is healthy. A's shards must be speculated
-    // onto B and B's copies must win.
-    let stall = (0..plan.len())
-        .map(|j| format!("read_stall@{j}=2500"))
-        .collect::<Vec<_>>()
-        .join(",");
-    let (slow, slow_handle) = spawn_worker(FaultPlan::parse(&stall).expect("fault plan"));
+    // Replica A's link stalls every shard response for 2.5 s (A computes
+    // fine, the network is molasses); B is healthy. A's shards must be
+    // speculated onto B and B's copies must win.
+    let (slow_worker, slow_handle) = spawn_worker(FaultPlan::none());
+    let slow = spawn_proxy(&slow_worker, |_, _, _| Damage::Stall(2500));
     let (fast, fast_handle) = spawn_worker(FaultPlan::none());
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![slow.clone(), fast.clone()],
@@ -165,7 +155,7 @@ fn stragglers_are_speculated_and_the_fast_copy_wins() {
         "the healthy copy must win at least one race"
     );
 
-    shutdown(&slow);
+    shutdown(&slow_worker);
     shutdown(&fast);
     slow_handle.join().expect("worker thread");
     fast_handle.join().expect("worker thread");
@@ -235,11 +225,13 @@ fn disagreeing_speculation_results_fail_the_job_hard() {
     let query = params.to_query();
     let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
 
-    // The honest replica computes everything but stalls the response of
-    // whatever shard carries job 0 for 4 s — long enough to look like a
-    // straggler once the other shards' latencies set the median.
-    let (honest, honest_handle) =
-        spawn_worker(FaultPlan::parse("read_stall@0=4000").expect("fault plan"));
+    // The honest replica computes everything, but its link stalls the
+    // response of whatever shard carries job 0 for 4 s — long enough to
+    // look like a straggler once the other shards' latencies set the median.
+    let (honest_worker, honest_handle) = spawn_worker(FaultPlan::none());
+    let honest = spawn_proxy(&honest_worker, |_, jobs, _| {
+        if jobs.contains(&0) { Damage::Stall(4000) } else { Damage::Pass }
+    });
     let coordinator = Arc::new(
         Coordinator::new(ClusterConfig {
             workers: vec![honest.clone()],
@@ -287,6 +279,6 @@ fn disagreeing_speculation_results_fail_the_job_hard() {
         "the liar must have been engaged via speculation"
     );
 
-    shutdown(&honest);
+    shutdown(&honest_worker);
     honest_handle.join().expect("worker thread");
 }

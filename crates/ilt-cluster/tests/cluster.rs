@@ -3,18 +3,21 @@
 //! no child processes; process-crash chaos lives in the root `cluster_e2e`
 //! test, which can afford to lose a worker process).
 
+mod support;
+
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use ilt_cluster::transport::request;
 use ilt_cluster::{
     BreakerConfig, ClusterConfig, Coordinator, ExecPolicy, Histogram, JobParams, Request,
-    Response, Worker, WorkerConfig,
+    Response,
 };
 use ilt_field::pgm_bytes;
 use ilt_runtime::{
     assemble_batch, planned_job_list, run_batch, FaultPlan, JobStatus, SimulatorCache,
 };
+use support::{shutdown, spawn_proxy, spawn_worker, Damage};
 
 /// Observations in `histogram`, read off its rendered `_count` line.
 fn observations(histogram: &Histogram) -> u64 {
@@ -22,24 +25,6 @@ fn observations(histogram: &Histogram) -> u64 {
     histogram.render("h", "s", &mut text);
     let count = text.lines().last().and_then(|line| line.rsplit(' ').next());
     count.and_then(|n| n.parse().ok()).expect("a _count line")
-}
-
-/// Binds one worker replica on an ephemeral loopback port and serves it
-/// from a background thread until `shutdown` is called on its address.
-fn spawn_worker(faults: FaultPlan) -> (String, std::thread::JoinHandle<()>) {
-    let worker = Worker::bind(WorkerConfig {
-        addr: "127.0.0.1:0".into(),
-        faults,
-        ..WorkerConfig::default()
-    })
-    .expect("bind worker");
-    let addr = worker.local_addr().expect("worker addr").to_string();
-    let handle = std::thread::spawn(move || worker.run());
-    (addr, handle)
-}
-
-fn shutdown(addr: &str) {
-    let _ = request(addr, "POST", "/v1/shutdown", &[], Duration::from_secs(10));
 }
 
 /// A replica that accepts every connection and never writes a byte. It
@@ -290,13 +275,6 @@ fn cancellation_fans_out_to_workers() {
     handle.join().expect("worker thread");
 }
 
-/// A fault plan applying `kind` (with optional `=V` argument) to every job
-/// id in the plan, e.g. `conn_refuse@0,conn_refuse@1,...`.
-fn fault_for_all(kind: &str, ids: usize, arg: &str) -> FaultPlan {
-    let spec = (0..ids).map(|j| format!("{kind}@{j}{arg}")).collect::<Vec<_>>().join(",");
-    FaultPlan::parse(&spec).expect("fault plan")
-}
-
 #[test]
 fn quarantine_stops_dispatches_while_heartbeats_still_pass() {
     let params = tiny_params();
@@ -307,10 +285,10 @@ fn quarantine_stops_dispatches_while_heartbeats_still_pass() {
     let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
     let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
 
-    // Replica A refuses every shard dispatch at the transport layer but
-    // keeps answering /healthz: the flaky-but-alive regime heartbeats
-    // cannot catch. B is healthy.
-    let (flaky, flaky_handle) = spawn_worker(fault_for_all("conn_refuse", plan.len(), ""));
+    // Replica A's link refuses every shard dispatch but passes /healthz:
+    // the flaky-but-alive regime heartbeats cannot catch. B is healthy.
+    let (flaky_worker, flaky_handle) = spawn_worker(FaultPlan::none());
+    let flaky = spawn_proxy(&flaky_worker, |_, _, _| Damage::Refuse);
     let (clean, clean_handle) = spawn_worker(FaultPlan::none());
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![flaky.clone(), clean.clone()],
@@ -358,7 +336,7 @@ fn quarantine_stops_dispatches_while_heartbeats_still_pass() {
     // The quarantined replica still passes heartbeats: alive, just unused.
     assert!(flaky_view.alive, "quarantine is not death");
 
-    shutdown(&flaky);
+    shutdown(&flaky_worker);
     shutdown(&clean);
     flaky_handle.join().expect("worker thread");
     clean_handle.join().expect("worker thread");
@@ -374,9 +352,9 @@ fn open_breaker_re_earns_trust_through_half_open_probes() {
     let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
     let plan = planned_job_list(std::slice::from_ref(&case), &config).expect("plan list");
 
-    // The only replica refuses the FIRST dispatch of every shard (the
-    // worker-side per-shard attempt counter), then behaves, and answers
-    // every probe. The job can only finish if the open breaker admits
+    // The only replica's link refuses the FIRST dispatch of every shard
+    // (the proxy's per-shard counter), then behaves, and passes every
+    // probe. The job can only finish if the open breaker admits
     // half-open probes and the succeeding probes close it again. Run once
     // with a 40 ms backoff, and once as a served job is configured: there,
     // three refusals in a row open the breaker, and must not bury a
@@ -392,10 +370,11 @@ fn open_breaker_re_earns_trust_through_half_open_probes() {
         ..ClusterConfig::default()
     };
     for (run, base) in [("40 ms backoff", fast), ("defaults", ClusterConfig::default())] {
-        let (addr, handle) = spawn_worker(fault_for_all("conn_refuse", plan.len(), ":1"));
-        let coordinator =
-            Coordinator::new(ClusterConfig { workers: vec![addr.clone()], ..base })
-                .expect("coordinator");
+        let (worker, handle) = spawn_worker(FaultPlan::none());
+        let addr =
+            spawn_proxy(&worker, |_, _, nth| if nth == 1 { Damage::Refuse } else { Damage::Pass });
+        let coordinator = Coordinator::new(ClusterConfig { workers: vec![addr], ..base })
+            .expect("coordinator");
 
         let outputs = coordinator
             .run_job(1, &query, &[], &plan, &config.cancel, &config.progress)
@@ -414,7 +393,7 @@ fn open_breaker_re_earns_trust_through_half_open_probes() {
             "{run}: each shard's refused first attempt forces a re-dispatch"
         );
 
-        shutdown(&addr);
+        shutdown(&worker);
         handle.join().expect("worker thread");
     }
 }
@@ -493,7 +472,8 @@ fn lost_shard_records_carry_the_full_attempt_history() {
     // Every dispatch is refused and the breaker never opens (threshold
     // 1000), so each shard burns its full attempt budget on the same
     // replica and the synthesized failure must tell that story.
-    let (addr, handle) = spawn_worker(fault_for_all("conn_refuse", plan.len(), ""));
+    let (worker, handle) = spawn_worker(FaultPlan::none());
+    let addr = spawn_proxy(&worker, |_, _, _| Damage::Refuse);
     let coordinator = Coordinator::new(ClusterConfig {
         workers: vec![addr.clone()],
         heartbeat: Duration::from_millis(50),
@@ -519,7 +499,7 @@ fn lost_shard_records_carry_the_full_attempt_history() {
         assert!(reason.contains("ms)"), "per-attempt elapsed time: {reason}");
     }
 
-    shutdown(&addr);
+    shutdown(&worker);
     handle.join().expect("worker thread");
 }
 
@@ -676,6 +656,22 @@ fn crop_is_the_only_seam() {
     let body = String::from_utf8_lossy(&body);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("(only crop)"), "{body}");
+    shutdown(&addr);
+    handle.join().expect("worker thread");
+}
+
+/// A coordinator never sends `inject=`. A worker decodes a dispatch under
+/// its own policy, so one that carries a plan anyway is refused with `400`
+/// and runs nothing: the only plan a replica runs is its own.
+#[test]
+fn a_dispatch_that_carries_inject_is_refused() {
+    let (addr, handle) = spawn_worker(FaultPlan::none());
+    let path = "/v1/shards?shard=0-0&jobs=0&via=3&grid=64&kernels=3&iters=1&inject=nan@0";
+    let (status, body) =
+        request(&addr, "POST", path, &[], Duration::from_secs(10)).expect("worker answers");
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("fault injection is disabled"), "{body}");
     shutdown(&addr);
     handle.join().expect("worker thread");
 }

@@ -1,8 +1,8 @@
 //! Seeded fuzz for the shard-response wire parsers: torn lines, truncated
 //! base64, and byte garbage must come back as typed `Err` values — never a
 //! panic, and never a silently-accepted corrupt mask. These are exactly
-//! the inputs the `torn_response`/`garble` transport faults manufacture,
-//! so the parser is the last line of defense behind the chaos tests.
+//! the inputs the chaos tests' proxy manufactures when it tears or garbles
+//! a worker's reply, so the parser is the last line of defense behind them.
 
 use ilt_cluster::wire::{parse_shard_header, parse_shard_job, shard_header_line, shard_job_line, ShardHeader};
 use ilt_field::Field2D;
@@ -43,7 +43,7 @@ fn header_line() -> String {
     })
 }
 
-/// Every truncation of a valid line — the `torn_response` shape — parses
+/// Every truncation of a valid line — the shape of a torn reply — parses
 /// to a typed error, or (when the tear only shaves trailing syntax and
 /// every field survives intact) to exactly the original value. Never a
 /// panic, never fabricated data.
@@ -84,8 +84,8 @@ fn torn_lines_never_panic_and_never_fabricate() {
     assert!(parse_shard_header(&header).is_ok());
 }
 
-/// Seeded single-byte corruption across the whole line — the `garble`
-/// shape. Corrupting the mask payload or its hash must be caught; nothing
+/// Seeded single-byte corruption across the whole line — the shape of a
+/// garbled reply. Corrupting the mask payload or its hash must be caught; nothing
 /// may panic; and any mutation the parser does accept must decode to a
 /// mask matching its own record's hash (the parser re-verifies, so a
 /// successful parse is self-consistent by construction).

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 /// What a single injected fault does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
+enum FaultKind {
     /// Panic at the start of the attempt (exercises `catch_unwind` + retry).
     Panic,
     /// Sleep this many milliseconds at the start of the attempt (push it
@@ -36,22 +36,6 @@ pub enum FaultKind {
     /// Fail the checkpoint write of this job's result: the job succeeds in
     /// memory but is *not* durable, so a resume must re-run it.
     CheckpointError,
-    /// Transport fault: the worker accepts the shard request, then writes
-    /// nothing and drops the connection (a refused/reset dispatch).
-    ConnRefuse,
-    /// Transport fault: the worker stalls this many milliseconds mid-way
-    /// through writing the response body (a half-open, dribbling stream).
-    ReadStall {
-        /// Milliseconds to stall between the first and second half of the
-        /// response body.
-        ms: u64,
-    },
-    /// Transport fault: the worker declares the full content-length but
-    /// truncates the body part-way (a torn JSONL stream).
-    TornResponse,
-    /// Transport fault: the worker flips bytes in the middle of the
-    /// response body (corruption the hash checks must catch).
-    Garble,
 }
 
 impl FaultKind {
@@ -62,24 +46,7 @@ impl FaultKind {
             FaultKind::BuildError => "build",
             FaultKind::PoisonNan => "nan",
             FaultKind::CheckpointError => "ckpt",
-            FaultKind::ConnRefuse => "conn_refuse",
-            FaultKind::ReadStall { .. } => "read_stall",
-            FaultKind::TornResponse => "torn_response",
-            FaultKind::Garble => "garble",
         }
-    }
-
-    /// True for the transport-level kinds, which fire on the worker's wire
-    /// (not in the compute pool): `conn_refuse`, `read_stall`,
-    /// `torn_response`, `garble`.
-    pub fn is_transport(self) -> bool {
-        matches!(
-            self,
-            FaultKind::ConnRefuse
-                | FaultKind::ReadStall { .. }
-                | FaultKind::TornResponse
-                | FaultKind::Garble
-        )
     }
 }
 
@@ -176,24 +143,6 @@ impl FaultPlan {
         self.crash_after_checkpoint == Some(job_id)
     }
 
-    /// The transport fault (if any) armed for this `(job_id, attempt)`.
-    ///
-    /// Here `attempt` is the *dispatch* counter a worker keeps per shard id
-    /// — the nth time this worker has been asked to serve a shard carrying
-    /// `job_id` — not the compute pool's per-job attempt counter. The first
-    /// matching transport spec wins.
-    pub fn transport_fault(&self, job_id: usize, attempt: u32) -> Option<FaultKind> {
-        self.specs
-            .iter()
-            .find(|s| s.kind.is_transport() && s.matches(job_id, attempt))
-            .map(|s| s.kind)
-    }
-
-    /// True when any spec in the plan is a transport kind.
-    pub fn has_transport_faults(&self) -> bool {
-        self.specs.iter().any(|s| s.kind.is_transport())
-    }
-
     fn fires(&self, job_id: usize, attempt: u32, pred: impl Fn(FaultKind) -> bool) -> bool {
         self.specs.iter().any(|s| s.matches(job_id, attempt) && pred(s.kind))
     }
@@ -207,13 +156,6 @@ impl FaultPlan {
     /// - `nan@J:A` — poison the result of attempt `A` with NaN
     /// - `ckpt@J` — fail job `J`'s checkpoint write
     /// - `crash@J` — abort the process after job `J`'s checkpoint is durable
-    /// - `conn_refuse@J[:A]` — worker drops the shard connection unanswered
-    /// - `read_stall@J[:A]=MS` — worker stalls `MS` ms mid-response-body
-    /// - `torn_response@J[:A]` — worker truncates the response body
-    /// - `garble@J[:A]` — worker flips bytes in the response body
-    ///
-    /// For the four transport kinds, `A` addresses the worker's per-shard
-    /// *dispatch* counter rather than the pool's attempt counter.
     ///
     /// # Errors
     ///
@@ -268,17 +210,6 @@ impl FaultPlan {
                 ("build", None) => FaultKind::BuildError,
                 ("nan", None) => FaultKind::PoisonNan,
                 ("ckpt", None) => FaultKind::CheckpointError,
-                ("conn_refuse", None) => FaultKind::ConnRefuse,
-                ("read_stall", Some(ms)) => FaultKind::ReadStall {
-                    ms: ms
-                        .parse()
-                        .map_err(|_| format!("fault spec `{entry}`: bad stall `{ms}`"))?,
-                },
-                ("read_stall", None) => {
-                    return Err(format!("fault spec `{entry}`: read_stall needs `=MS`"));
-                }
-                ("torn_response", None) => FaultKind::TornResponse,
-                ("garble", None) => FaultKind::Garble,
                 ("crash", None) => {
                     // A crash fires once, when the job's checkpoint lands;
                     // silently dropping an attempt range here would make
@@ -293,7 +224,7 @@ impl FaultPlan {
                 }
                 _ => {
                     return Err(format!(
-                        "fault spec `{entry}`: unknown kind `{kind_tok}` (panic, delay, build, nan, ckpt, crash, conn_refuse, read_stall, torn_response, garble)"
+                        "fault spec `{entry}`: unknown kind `{kind_tok}` (panic, delay, build, nan, ckpt, crash)"
                     ));
                 }
             };
@@ -319,7 +250,7 @@ impl fmt::Display for FaultPlan {
                     write!(f, ":{}-{}", s.first_attempt, s.last_attempt)?;
                 }
             }
-            if let FaultKind::Delay { ms } | FaultKind::ReadStall { ms } = s.kind {
+            if let FaultKind::Delay { ms } = s.kind {
                 write!(f, "={ms}")?;
             }
         }
@@ -397,14 +328,7 @@ mod tests {
             "ckpt@4",
             "ckpt@4:2",
             "crash@5",
-            "conn_refuse@6",
-            "conn_refuse@6:1",
-            "read_stall@7=400",
-            "read_stall@7:1-2=400",
-            "torn_response@8:1",
-            "garble@9",
             "panic@0:2,delay@1:2=250,crash@5",
-            "conn_refuse@0:1,read_stall@1:1=50,torn_response@2:1,garble@3:1",
         ] {
             let plan = FaultPlan::parse(spec).unwrap();
             let display = plan.to_string();
@@ -429,30 +353,15 @@ mod tests {
             "conn_refuse@1=5",
             "torn_response@x",
             "garble@1:0",
+            // The transport kinds left the grammar; a test proxy damages
+            // real reply bytes instead.
+            "garble@0",
+            "conn_refuse@0:1",
+            "read_stall@1=5",
+            "torn_response@2",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
         }
         assert!(FaultPlan::parse("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn transport_faults_are_addressed_by_dispatch_attempt() {
-        let p = FaultPlan::parse("conn_refuse@0:1,read_stall@1:2=75,torn_response@2,garble@0:3")
-            .unwrap();
-        assert!(p.has_transport_faults());
-        assert_eq!(p.transport_fault(0, 1), Some(FaultKind::ConnRefuse));
-        assert_eq!(p.transport_fault(0, 2), None);
-        assert_eq!(p.transport_fault(0, 3), Some(FaultKind::Garble));
-        assert_eq!(p.transport_fault(1, 2), Some(FaultKind::ReadStall { ms: 75 }));
-        assert_eq!(p.transport_fault(1, 1), None);
-        assert_eq!(p.transport_fault(2, 9), Some(FaultKind::TornResponse));
-        // Transport kinds never leak into the compute-pool predicates.
-        assert!(!p.should_panic(0, 1) && !p.build_error(0, 1) && !p.poison_nan(0, 1));
-        assert!(p.delay(1, 2).is_none(), "read_stall is not a pool delay");
-        // And compute kinds never answer the transport query.
-        let q = FaultPlan::parse("panic@0,delay@1=50").unwrap();
-        assert!(!q.has_transport_faults());
-        assert_eq!(q.transport_fault(0, 1), None);
-        assert_eq!(q.transport_fault(1, 1), None);
     }
 }

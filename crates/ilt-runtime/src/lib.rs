@@ -74,7 +74,7 @@ pub use checkpoint::{
     config_fingerprint, load_verified_mask, load_wal, mask_file_name, parse_wal_record,
     restore_output, write_atomic, CheckpointSink, LoadedRecord, LoadedRun, WAL_FILE,
 };
-pub use fault::{FaultKind, FaultPlan};
+pub use fault::FaultPlan;
 pub use job::{evaluate_mask, run_attempt, IltJob, JobSuccess};
 pub use journal::{
     failure_kind, field_hash, fnv1a64, JobMetrics, JobRecord, JobStatus, RunReport, StageTimes,

@@ -321,7 +321,10 @@ fn restart_fails_a_logged_blend_seam_and_replays_the_rest() {
         .append(true)
         .open(state_dir.join("state.jsonl"))
         .expect("state log");
-    writeln!(log, "{}\n{}", saved(1, "crop"), saved(2, "blend:4")).expect("append");
+    // A log written while `garble` was still a fault kind: the grammar
+    // refuses it by name, typed, like any other bad value.
+    let garbled = saved(3, "crop").replace("&eval=1\"", "&eval=1&inject=garble@0\"");
+    writeln!(log, "{}\n{}\n{garbled}", saved(1, "crop"), saved(2, "blend:4")).expect("append");
     drop(log);
 
     let (addr, handle) = start(config());
@@ -330,11 +333,14 @@ fn restart_fails_a_logged_blend_seam_and_replays_the_rest() {
         failed.contains(r#"unreplayable after restart: bad seam=\"blend:4\" (only crop)"#),
         "{failed}"
     );
+    let failed = wait_for_state(addr, 3, "failed");
+    assert!(failed.contains("unreplayable after restart: bad inject: "), "{failed}");
+    assert!(failed.contains("unknown kind `garble`"), "{failed}");
     wait_for_state(addr, 1, "done");
     assert!(get(addr, "/v1/jobs/0").text().contains("\"state\":\"done\""));
     assert_eq!(get(addr, "/v1/jobs/0/mask").body, mask0, "mask 0 differs after restart");
     let text = get(addr, "/metrics").text();
-    assert!(text.contains("ilt_jobs_recovered_total 3\n"), "{text}");
+    assert!(text.contains("ilt_jobs_recovered_total 4\n"), "{text}");
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&state_dir);
 }
@@ -470,6 +476,15 @@ fn malformed_http_gets_clean_errors_and_never_wedges_the_server() {
     let reply = conn.read_reply().expect("garbage half still gets an answer");
     assert_eq!(reply.status, 400);
     assert!(conn.expect_closed(), "connection must drop after a parse error");
+
+    // A malformed request line that declares a body it never sends is
+    // refused on its head, not after the 10 s socket timeout.
+    let mut conn = Conn::open(addr);
+    let sent = Instant::now();
+    conn.send_raw(b"GARBAGE\r\ncontent-length: 10\r\n\r\n").unwrap();
+    let reply = conn.read_reply().expect("a malformed line is answered before its body");
+    assert_eq!(reply.status, 400, "{}", reply.text());
+    assert!(sent.elapsed() < Duration::from_secs(2), "took {:?}", sent.elapsed());
 
     // A bodied POST with no Content-Length: the head parses (empty body →
     // 400, no source), then the stray body bytes fail as a next request.

@@ -88,10 +88,9 @@
 //! `ClusterConfig::default()`. `worker` starts one replica;
 //! `--register HOST:PORT` makes it announce itself to that coordinator
 //! after binding (and deregister on shutdown); its `--inject` fault plan
-//! is deliberately local (never forwarded by a coordinator) and now
-//! includes transport faults (`conn_refuse@J[:A]`, `read_stall@J[:A]=MS`,
-//! `torn_response@J[:A]`, `garble@J[:A]`) that damage shard responses on
-//! the wire while `/healthz` stays green; `--state-dir` keeps per-shard
+//! is deliberately local (never forwarded by a coordinator, and a shard
+//! dispatch that carries `inject=` is refused with `400`) and damages only
+//! the compute, never the reply's bytes; `--state-dir` keeps per-shard
 //! checkpoint WALs so a restarted worker resumes a re-dispatched shard
 //! instead of recomputing it. `bench` is the
 //! hermetic, std-only performance barometer (the `ilt-perf` crate): `list`
@@ -827,7 +826,7 @@ mod tests {
             (&["--retries", "0"], |c| c.policy.default_retries = 0),
             (&["--timeout-s", "9"], |c| c.policy.default_timeout_s = 9.0),
             (&["--state-dir", "sd"], |c| c.state_dir = Some("sd".into())),
-            (&["--inject", "garble@0"], |c| c.faults = FaultPlan::parse("garble@0").unwrap()),
+            (&["--inject", "nan@0"], |c| c.faults = FaultPlan::parse("nan@0").unwrap()),
         ];
         for (args, edit) in worker {
             let mut want = WorkerConfig { addr: DEFAULT_ADDR.into(), ..WorkerConfig::default() };

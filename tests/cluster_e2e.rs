@@ -176,9 +176,9 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
 }
 
 /// The self-healing story on real processes (once `verify_chaos.sh`):
-/// replica A stalls the wire response of whatever shard carries job 0, so
-/// that shard is a straggler; replica B — every shard stalled, so the kill
-/// is sure to catch it mid-shard — dies of `kill -9` under the job; a
+/// replica A delays job 0's tile by 4 s, so whatever shard carries it is a
+/// straggler; replica B — every tile delayed, so the kill is sure to catch
+/// it still computing — dies of `kill -9` under the job; a
 /// replacement started with `--register` announces itself mid-job and picks
 /// up the slack, including the speculative copy of the straggler. The mask
 /// is still the in-process engine's, and `/metrics` tells the story.
@@ -186,14 +186,14 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
 fn killed_worker_is_replaced_by_a_registering_one_and_the_straggler_is_speculated() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     const QUERY: &str = "via=7&grid=128&kernels=3&tile=64&halo=8&iters=2&threads=1&eval=0";
-    const STRAGGLE: &str = "read_stall@0=4000";
+    const STRAGGLE: &str = "delay@0=4000";
 
     let params = JobParams::from_saved(QUERY, Vec::new(), &ExecPolicy::default()).expect("params");
     let (case, config) = params.plan().expect("plan");
     let reference = run_batch(&[case], &config, &SimulatorCache::new()).expect("local batch");
     let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
 
-    let b_stalls: Vec<String> = (0..9).map(|job| format!("read_stall@{job}=5000")).collect();
+    let b_stalls: Vec<String> = (0..9).map(|job| format!("delay@{job}=5000")).collect();
     let (_worker_a, addr_a) =
         spawn_ilt(&["worker", "--addr", "127.0.0.1:0", "--inject", STRAGGLE]);
     let (mut worker_b, addr_b) =
