@@ -222,9 +222,8 @@ impl Coordinator {
     /// the merged per-tile outputs in job-id order, ready for
     /// [`ilt_runtime::assemble_batch`].
     ///
-    /// `query` is the job's persisted parameter query (fault injection
-    /// stripped — faults stay local to workers); `body` carries the target
-    /// PGM for inline sources. `progress` ticks once per executed
+    /// `query` is the job's persisted parameter query; `body` carries the
+    /// target PGM for inline sources. `progress` ticks once per executed
     /// (non-synthesized, non-cancelled) tile as shards complete.
     ///
     /// # Errors

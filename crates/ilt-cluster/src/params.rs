@@ -14,7 +14,7 @@ use ilt_core::{schedules, IltConfig, Stage};
 use ilt_field::{parse_pgm, pgm_bytes, Field2D};
 use ilt_layouts::{m1_case, via_pattern};
 use ilt_optics::OpticsConfig;
-use ilt_runtime::{planned_jobs, BatchCase, BatchConfig, FaultPlan};
+use ilt_runtime::{planned_jobs, BatchCase, BatchConfig};
 
 use crate::transport::{first, parse_query, Request};
 
@@ -38,9 +38,6 @@ pub struct ExecPolicy {
     pub default_retries: u32,
     /// Hard cap on per-job worker threads a request may ask for.
     pub max_threads_per_job: usize,
-    /// Accept the `inject=` fault-injection parameter (chaos testing only;
-    /// keep off in production).
-    pub allow_inject: bool,
 }
 
 impl Default for ExecPolicy {
@@ -49,7 +46,6 @@ impl Default for ExecPolicy {
             default_timeout_s: 0.0,
             default_retries: 1,
             max_threads_per_job: 4,
-            allow_inject: false,
         }
     }
 }
@@ -87,9 +83,6 @@ pub struct JobParams {
     pub retries: u32,
     /// Evaluate the stitched mask.
     pub evaluate: bool,
-    /// Deterministic fault plan (empty unless the request passed `inject=`
-    /// and the policy allows it).
-    pub faults: FaultPlan,
 }
 
 /// Percent-encodes a query *value* for the state log: the HTTP layer hands
@@ -143,8 +136,10 @@ impl JobParams {
     /// an inline PGM target or empty. Keys: exactly one source — `case`
     /// (`N` or `caseN`), `via` (`SEED` or `viaSEED`) or a non-empty `body`
     /// — then `name grid clip_nm kernels tile halo seam schedule iters
-    /// max_eff_nm threads timeout_s retries eval inject`, where `seam`
-    /// accepts only `crop`.
+    /// max_eff_nm threads timeout_s retries eval`, where `seam` accepts
+    /// only `crop`. An `inject` key is refused: a fault plan belongs to the
+    /// process it damages (`--inject`), never to a job, so no submission,
+    /// shard dispatch or replayed state-log line carries one.
     ///
     /// # Errors
     ///
@@ -156,6 +151,9 @@ impl JobParams {
         policy: &ExecPolicy,
     ) -> Result<JobParams, String> {
         let get = |key| first(pairs, key);
+        if get("inject").is_some() {
+            return Err("inject= is not a job setting; give the process --inject".into());
+        }
         let source = match (get("case"), get("via"), body.is_empty()) {
             (Some(c), None, true) => {
                 let id: usize = c
@@ -237,15 +235,6 @@ impl JobParams {
         if std::time::Duration::try_from_secs_f64(timeout_s.max(0.0)).is_err() {
             return Err(format!("bad timeout_s={:?}", get("timeout_s").unwrap_or_default()));
         }
-        let faults = match get("inject") {
-            None => FaultPlan::none(),
-            Some(_) if !policy.allow_inject => {
-                return Err("fault injection is disabled (start the server with --allow-inject)"
-                    .into())
-            }
-            Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("bad inject: {e}"))?,
-        };
-
         Ok(JobParams {
             source,
             name,
@@ -262,7 +251,6 @@ impl JobParams {
             timeout_s,
             retries: num(pairs, "retries", policy.default_retries)?.min(10),
             evaluate,
-            faults,
         })
     }
 
@@ -278,25 +266,9 @@ impl JobParams {
 
     /// Serializes the parameters back into the query string
     /// [`JobParams::from_saved`] parses — the persistence format of the
-    /// state log. Inline targets are carried separately (as a PGM file).
+    /// state log and the shard wire. Inline targets are carried separately
+    /// (as a PGM file or body).
     pub fn to_query(&self) -> String {
-        self.query(true)
-    }
-
-    /// What a coordinator puts on the wire for this job, `(query, body)`:
-    /// [`JobParams::to_query`] without `inject=` — faults stay local to a
-    /// replica: a worker refuses a dispatch that carries one and runs only
-    /// its own `--inject` plan — and the target as a PGM body only when it
-    /// is inline (`case=` / `via=` sources are re-resolved by the worker).
-    pub fn dispatch(&self) -> (String, Vec<u8>) {
-        let body = match &self.source {
-            JobSource::Inline(img) => pgm_bytes(img, 0.0, 1.0),
-            _ => Vec::new(),
-        };
-        (self.query(false), body)
-    }
-
-    fn query(&self, with_faults: bool) -> String {
         let mut q = String::new();
         match &self.source {
             JobSource::Case(id) => q.push_str(&format!("case={id}")),
@@ -325,10 +297,18 @@ impl JobParams {
         push(format!("timeout_s={}", self.timeout_s));
         push(format!("retries={}", self.retries));
         push(format!("eval={}", if self.evaluate { 1 } else { 0 }));
-        if with_faults && !self.faults.is_empty() {
-            push(format!("inject={}", self.faults));
-        }
         q
+    }
+
+    /// What a coordinator puts on the wire for this job, `(query, body)`:
+    /// [`JobParams::to_query`], and the target as a PGM body only when it is
+    /// inline (`case=` / `via=` sources are re-resolved by the worker).
+    pub fn dispatch(&self) -> (String, Vec<u8>) {
+        let body = match &self.source {
+            JobSource::Inline(img) => pgm_bytes(img, 0.0, 1.0),
+            _ => Vec::new(),
+        };
+        (self.to_query(), body)
     }
 
     /// [`JobParams::from_pairs`] on a string [`JobParams::to_query`] wrote
@@ -343,18 +323,14 @@ impl JobParams {
         body: Vec<u8>,
         policy: &ExecPolicy,
     ) -> Result<JobParams, String> {
-        let pairs = parse_query(query)?;
-        // Recovery must replay faults even on a locked-down restart; the
-        // original submission already passed the gate.
-        let relaxed = ExecPolicy { allow_inject: true, ..*policy };
-        JobParams::from_pairs(&pairs, &body, &relaxed)
+        JobParams::from_pairs(&parse_query(query)?, &body, policy)
     }
 
     /// The one place a description becomes batch-engine inputs: rasterizes
     /// the target, looks the schedule up, fills the [`BatchConfig`] (optics
-    /// template, `IltConfig`, tiling, retry policy, fault plan) and checks
-    /// that the tile geometry can be planned. What is not part of a job
-    /// (`degrade`, `checkpoint`, cancel token, progress counter) keeps its
+    /// template, `IltConfig`, tiling, retry policy) and checks that the tile
+    /// geometry can be planned. What is not part of a job (`degrade`,
+    /// `checkpoint`, fault plan, cancel token, progress counter) keeps its
     /// default for the caller to set.
     ///
     /// # Errors
@@ -399,7 +375,6 @@ impl JobParams {
                 .then(|| std::time::Duration::from_secs_f64(self.timeout_s)),
             max_retries: self.retries,
             evaluate_stitched: self.evaluate,
-            faults: self.faults.clone(),
             ..BatchConfig::default()
         };
         planned_jobs(&case, &config)?;
@@ -433,19 +408,18 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_drops_inject_and_carries_only_inline_targets() {
-        let open = ExecPolicy { allow_inject: true, ..ExecPolicy::default() };
-        let via = JobParams::from_saved("via=3&grid=64&inject=panic@0:1", Vec::new(), &open).unwrap();
-        assert!(via.to_query().ends_with("&eval=1&inject=panic@0:1"));
+    fn dispatch_sends_the_saved_query_and_only_inline_targets() {
+        let policy = ExecPolicy::default();
+        let via = JobParams::from_saved("via=3&grid=64", Vec::new(), &policy).unwrap();
         let (query, body) = via.dispatch();
-        assert_eq!(format!("{query}&inject=panic@0:1"), via.to_query());
+        assert_eq!(query, via.to_query());
         assert!(body.is_empty(), "named sources are re-resolved by the worker");
 
         let img = Field2D::from_fn(32, 32, |r, _| f64::from(u8::from(r < 16)));
         let pgm = pgm_bytes(&img, 0.0, 1.0);
-        let inline = JobParams::from_saved("clip_nm=256&inject=crash@0", pgm.clone(), &open).unwrap();
+        let inline = JobParams::from_saved("clip_nm=256", pgm.clone(), &policy).unwrap();
         let (query, body) = inline.dispatch();
-        assert!(!query.contains("inject"), "{query}");
+        assert_eq!(query, inline.to_query());
         assert!(body == pgm, "the inline raster travels as the PGM it arrived as");
     }
 

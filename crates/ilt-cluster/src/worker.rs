@@ -19,13 +19,12 @@
 //! checkpoint WAL under `shard-<S>/`; a worker restarted after a crash
 //! restores finished tiles from it instead of recomputing them (and wipes
 //! the directory when its fingerprint does not match the new dispatch).
-//! Fault injection is local by design: the coordinator strips `inject=`
-//! from dispatched queries, a dispatch that carries one anyway is refused
-//! with `400` under the worker's own [`ExecPolicy`], and a worker only
-//! injects the plan given on its own command line — so a crash fault kills
-//! one replica, not every replica the shard is re-dispatched to. A worker
-//! never damages its own replies: network faults are what a test-side
-//! proxy does to the bytes of an honest worker.
+//! Fault injection is local by design: a job description never carries a
+//! plan, so a dispatch with `inject=` is refused with `400` like any other
+//! bad setting, and a worker injects only the plan given on its own
+//! command line ([`WorkerConfig::faults`]). A worker never damages its own
+//! replies: network faults are what a test-side proxy does to the bytes of
+//! an honest worker, and a crash is a signal the test sends.
 
 use std::collections::HashMap;
 use std::io;
@@ -154,19 +153,17 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
             Err(e) => return Response::error(400, &e),
         },
     };
-    // A coordinator never sends `inject=`, so the worker's own policy
-    // refuses one; the only plan a replica runs is its own, which keeps an
-    // injected crash local to the replica it was aimed at.
-    let mut params = match JobParams::from_request(req, &shared.config.policy) {
+    let params = match JobParams::from_request(req, &shared.config.policy) {
         Ok(p) => p,
         Err(e) => return Response::error(400, &e),
     };
-    params.faults = shared.config.faults.clone();
     let (case, mut config) = match params.plan() {
         Ok(planned) => planned,
         Err(e) => return Response::error(400, &e),
     };
 
+    // The only plan a replica runs is its own.
+    config.faults = shared.config.faults.clone();
     let token = CancelToken::new();
     config.cancel = token.clone();
     {

@@ -660,9 +660,10 @@ fn crop_is_the_only_seam() {
     handle.join().expect("worker thread");
 }
 
-/// A coordinator never sends `inject=`. A worker decodes a dispatch under
-/// its own policy, so one that carries a plan anyway is refused with `400`
-/// and runs nothing: the only plan a replica runs is its own.
+/// A job description never carries a fault plan, so a dispatch with
+/// `inject=` is refused with `400` and runs nothing, and the refusal names
+/// the remedy a worker does have: the only plan a replica runs is its own
+/// `--inject`.
 #[test]
 fn a_dispatch_that_carries_inject_is_refused() {
     let (addr, handle) = spawn_worker(FaultPlan::none());
@@ -671,7 +672,7 @@ fn a_dispatch_that_carries_inject_is_refused() {
         request(&addr, "POST", path, &[], Duration::from_secs(10)).expect("worker answers");
     let body = String::from_utf8_lossy(&body);
     assert_eq!(status, 400, "{body}");
-    assert!(body.contains("fault injection is disabled"), "{body}");
+    assert!(body.contains("inject= is not a job setting; give the process --inject"), "{body}");
     shutdown(&addr);
     handle.join().expect("worker thread");
 }

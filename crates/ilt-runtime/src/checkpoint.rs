@@ -242,10 +242,6 @@ impl CheckpointSink {
         if let Err(e) = self.wal.append(&output.record.to_json_wal(ckpt.as_deref())) {
             eprintln!("checkpoint: WAL append failed for job {job_id}: {e}");
         }
-        if self.faults.crash_after_checkpoint(job_id) {
-            eprintln!("checkpoint: injected process crash after job {job_id} became durable");
-            std::process::abort();
-        }
     }
 }
 

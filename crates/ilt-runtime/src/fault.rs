@@ -2,18 +2,18 @@
 //!
 //! A [`FaultPlan`] is a declarative, fully deterministic description of the
 //! failures a run should suffer: which job, which attempt, what kind. It is
-//! rich enough to exercise every recovery path the engine claims to have —
-//! panic isolation, attempt timeouts, checkpoint-write durability gaps, the
-//! NaN guard in the optimize loop, simulator-cache build failures, and a
-//! hard process crash immediately after a checkpoint becomes durable (the
-//! "kill -9 mid-run" used by `tests/resume_e2e.rs`). Plans are written in
-//! one grammar, [`FaultPlan::parse`]'s, which `--inject`, `inject=` and the
-//! tests all use.
+//! rich enough to exercise the in-pool recovery paths — panic isolation,
+//! attempt timeouts, checkpoint-write durability gaps, the NaN guard in the
+//! optimize loop and simulator-cache build failures. Plans are written in
+//! one grammar, [`FaultPlan::parse`]'s, which `--inject` and the tests use.
+//! A plan belongs to the process it damages: `ilt batch`, `ilt worker` and
+//! `ilt serve` take one on their own command line, and no job description,
+//! state log or shard dispatch carries one. A process crash is not a kind:
+//! a test that needs one sends the process a SIGKILL.
 //!
 //! Determinism is the point: a fault either fires at `(job_id, attempt)` or
 //! it does not, for every execution, regardless of thread count.
 
-use std::fmt;
 use std::time::Duration;
 
 /// What a single injected fault does.
@@ -36,18 +36,6 @@ enum FaultKind {
     /// Fail the checkpoint write of this job's result: the job succeeds in
     /// memory but is *not* durable, so a resume must re-run it.
     CheckpointError,
-}
-
-impl FaultKind {
-    fn token(self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::Delay { .. } => "delay",
-            FaultKind::BuildError => "build",
-            FaultKind::PoisonNan => "nan",
-            FaultKind::CheckpointError => "ckpt",
-        }
-    }
 }
 
 /// One injected fault, addressed to a job and a range of attempts.
@@ -78,8 +66,6 @@ impl FaultSpec {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
-    /// Abort the process right after this job's checkpoint becomes durable.
-    crash_after_checkpoint: Option<usize>,
 }
 
 impl FaultPlan {
@@ -88,19 +74,10 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty() && self.crash_after_checkpoint.is_none()
-    }
-
     /// The largest job id any spec targets (for validation against the
     /// planned job count).
     pub fn max_job_id(&self) -> Option<usize> {
-        self.specs
-            .iter()
-            .map(|s| s.job_id)
-            .chain(self.crash_after_checkpoint)
-            .max()
+        self.specs.iter().map(|s| s.job_id).max()
     }
 
     /// True when the attempt should panic.
@@ -137,12 +114,6 @@ impl FaultPlan {
             .any(|s| s.job_id == job_id && matches!(s.kind, FaultKind::CheckpointError))
     }
 
-    /// True when the process must abort right after this job's checkpoint
-    /// is durable.
-    pub fn crash_after_checkpoint(&self, job_id: usize) -> bool {
-        self.crash_after_checkpoint == Some(job_id)
-    }
-
     fn fires(&self, job_id: usize, attempt: u32, pred: impl Fn(FaultKind) -> bool) -> bool {
         self.specs.iter().any(|s| s.matches(job_id, attempt) && pred(s.kind))
     }
@@ -155,7 +126,6 @@ impl FaultPlan {
     /// - `build@J:A` — fail simulator acquisition on attempt `A`
     /// - `nan@J:A` — poison the result of attempt `A` with NaN
     /// - `ckpt@J` — fail job `J`'s checkpoint write
-    /// - `crash@J` — abort the process after job `J`'s checkpoint is durable
     ///
     /// # Errors
     ///
@@ -210,57 +180,15 @@ impl FaultPlan {
                 ("build", None) => FaultKind::BuildError,
                 ("nan", None) => FaultKind::PoisonNan,
                 ("ckpt", None) => FaultKind::CheckpointError,
-                ("crash", None) => {
-                    // A crash fires once, when the job's checkpoint lands;
-                    // silently dropping an attempt range here would make
-                    // parse → Display → parse lossy, so reject it instead.
-                    if attempts_tok.is_some() {
-                        return Err(format!(
-                            "fault spec `{entry}`: crash takes no attempt range"
-                        ));
-                    }
-                    plan.crash_after_checkpoint = Some(job_id);
-                    continue;
-                }
                 _ => {
                     return Err(format!(
-                        "fault spec `{entry}`: unknown kind `{kind_tok}` (panic, delay, build, nan, ckpt, crash)"
+                        "fault spec `{entry}`: unknown kind `{kind_tok}` (panic, delay, build, nan, ckpt)"
                     ));
                 }
             };
             plan.specs.push(FaultSpec { job_id, first_attempt: first, last_attempt: last, kind });
         }
         Ok(plan)
-    }
-}
-
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for s in &self.specs {
-            if !first {
-                f.write_str(",")?;
-            }
-            first = false;
-            write!(f, "{}@{}", s.kind.token(), s.job_id)?;
-            if (s.first_attempt, s.last_attempt) != (1, u32::MAX) {
-                if s.first_attempt == s.last_attempt {
-                    write!(f, ":{}", s.first_attempt)?;
-                } else {
-                    write!(f, ":{}-{}", s.first_attempt, s.last_attempt)?;
-                }
-            }
-            if let FaultKind::Delay { ms } = s.kind {
-                write!(f, "={ms}")?;
-            }
-        }
-        if let Some(j) = self.crash_after_checkpoint {
-            if !first {
-                f.write_str(",")?;
-            }
-            write!(f, "crash@{j}")?;
-        }
-        Ok(())
     }
 }
 
@@ -271,11 +199,11 @@ mod tests {
     #[test]
     fn empty_plan_fires_nothing() {
         let p = FaultPlan::none();
-        assert!(p.is_empty());
         assert!(!p.should_panic(0, 1));
         assert!(p.delay(0, 1).is_none());
+        assert!(!p.build_error(0, 1));
+        assert!(!p.poison_nan(0, 1));
         assert!(!p.checkpoint_error(0));
-        assert!(!p.crash_after_checkpoint(0));
         assert_eq!(p.max_job_id(), None);
     }
 
@@ -293,48 +221,49 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_every_kind() {
-        let p = FaultPlan::parse("panic@0, delay@1:2=250, build@2:1, nan@3:1-3, ckpt@4, crash@5")
-            .unwrap();
+    fn parse_answers_every_kind() {
+        let p = FaultPlan::parse("panic@0, delay@1:2=250, build@2:1, nan@3:1-3, ckpt@4").unwrap();
         assert!(p.should_panic(0, 1) && p.should_panic(0, 99));
         assert_eq!(p.delay(1, 2), Some(Duration::from_millis(250)));
         assert!(p.delay(1, 1).is_none());
         assert!(p.build_error(2, 1) && !p.build_error(2, 2));
         assert!(p.poison_nan(3, 3) && !p.poison_nan(3, 4));
-        assert!(p.checkpoint_error(4));
-        assert!(p.crash_after_checkpoint(5) && !p.crash_after_checkpoint(4));
-        assert_eq!(p.max_job_id(), Some(5));
-        let display = p.to_string();
-        let reparsed = FaultPlan::parse(&display).unwrap();
-        assert_eq!(p, reparsed, "Display must round-trip: {display}");
+        assert!(p.checkpoint_error(4) && !p.checkpoint_error(3));
+        assert_eq!(p.max_job_id(), Some(4));
     }
 
+    /// Every kind in every attempt-address form fires on exactly the
+    /// attempts it names: `J` on all of them, `J:A` on `A`, `J:A-B` on
+    /// `A..=B`; a checkpoint fault is per job, whatever the address.
     #[test]
-    fn every_kind_round_trips_parse_display_parse() {
-        // The grammar must be a fixed point: parse → Display reproduces the
-        // input exactly, and Display → parse reproduces the plan exactly,
-        // for every kind and every attempt-address form.
-        for spec in [
-            "panic@0",
-            "panic@0:2",
-            "panic@0:2-3",
-            "delay@1=250",
-            "delay@1:2=250",
-            "delay@1:2-4=250",
-            "build@2",
-            "build@2:1",
-            "nan@3",
-            "nan@3:1-3",
-            "ckpt@4",
-            "ckpt@4:2",
-            "crash@5",
-            "panic@0:2,delay@1:2=250,crash@5",
+    fn every_address_form_fires_on_the_attempts_it_names() {
+        type Query = fn(&FaultPlan, u32) -> bool;
+        let fired = |spec: &str, query: Query| -> Vec<u32> {
+            let plan = FaultPlan::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            (1..=5).filter(|&attempt| query(&plan, attempt)).collect()
+        };
+        let panic: Query = |p, a| p.should_panic(0, a);
+        let delay: Query = |p, a| p.delay(1, a) == Some(Duration::from_millis(250));
+        let build: Query = |p, a| p.build_error(2, a);
+        let nan: Query = |p, a| p.poison_nan(3, a);
+        let ckpt: Query = |p, _| p.checkpoint_error(4);
+        for (spec, query, attempts) in [
+            ("panic@0", panic, &[1, 2, 3, 4, 5][..]),
+            ("panic@0:2", panic, &[2]),
+            ("panic@0:2-3", panic, &[2, 3]),
+            ("delay@1=250", delay, &[1, 2, 3, 4, 5]),
+            ("delay@1:2=250", delay, &[2]),
+            ("delay@1:2-4=250", delay, &[2, 3, 4]),
+            ("build@2", build, &[1, 2, 3, 4, 5]),
+            ("build@2:1", build, &[1]),
+            ("nan@3", nan, &[1, 2, 3, 4, 5]),
+            ("nan@3:1-3", nan, &[1, 2, 3]),
+            ("ckpt@4", ckpt, &[1, 2, 3, 4, 5]),
+            ("ckpt@4:2", ckpt, &[1, 2, 3, 4, 5]),
+            ("panic@0:2,delay@1:2=250", panic, &[2]),
+            ("panic@0:2,delay@1:2=250", delay, &[2]),
         ] {
-            let plan = FaultPlan::parse(spec).unwrap();
-            let display = plan.to_string();
-            assert_eq!(display, spec, "Display must reproduce the input");
-            let reparsed = FaultPlan::parse(&display).unwrap();
-            assert_eq!(plan, reparsed, "parse(Display) must reproduce the plan");
+            assert_eq!(fired(spec, query), attempts, "{spec}");
         }
     }
 
@@ -347,7 +276,6 @@ mod tests {
             "warp@0",
             "panic@1:0",
             "panic@1:3-2",
-            "crash@5:2",
             "read_stall@1",
             "read_stall@1:1",
             "conn_refuse@1=5",
@@ -359,9 +287,14 @@ mod tests {
             "conn_refuse@0:1",
             "read_stall@1=5",
             "torn_response@2",
+            // So did `crash`: a test kills the process itself.
+            "crash@0",
+            "crash@5:2",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
         }
-        assert!(FaultPlan::parse("").unwrap().is_empty());
+        let err = FaultPlan::parse("crash@0").unwrap_err();
+        assert!(err.contains("unknown kind `crash`"), "{err}");
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
     }
 }

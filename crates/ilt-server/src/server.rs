@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use ilt_cluster::{is_label, ClusterConfig, Coordinator, ExecPolicy, JobParams};
 use ilt_runtime::{
     assemble_batch, failure_kind, field_hash, json_escape, json_f64, planned_job_list, run_batch,
-    BatchCase, BatchConfig, BatchOutcome, JobStatus, SimulatorCache,
+    BatchCase, BatchConfig, BatchOutcome, FaultPlan, JobStatus, SimulatorCache,
 };
 
 use crate::http::{ConnOptions, Gate, Listener, Request, Response};
@@ -39,6 +39,10 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Per-request execution policy (default timeout/retries, thread cap).
     pub policy: ExecPolicy,
+    /// Fault plan injected into every job this instance runs in-process
+    /// (chaos testing; empty in production). A job never carries one, and
+    /// a coordinator's shards run their worker's own plan.
+    pub faults: FaultPlan,
     /// Append every finished job's records here as JSON Lines.
     pub journal: Option<PathBuf>,
     /// LRU capacity of the shared simulator cache.
@@ -80,6 +84,7 @@ impl Default for ServerConfig {
             workers: 2,
             queue_cap: 16,
             policy: ExecPolicy::default(),
+            faults: FaultPlan::none(),
             journal: None,
             cache_capacity: 16,
             state_dir: None,
@@ -215,7 +220,8 @@ fn worker_loop(shared: &Shared) {
         let started = Instant::now();
         // The claim is the description; this is where it becomes work.
         let outcome = params.plan().and_then(|(case, config)| {
-            let config = BatchConfig { cancel: cancel.clone(), progress, ..config };
+            let faults = shared.config.faults.clone();
+            let config = BatchConfig { faults, cancel: cancel.clone(), progress, ..config };
             let cases = [case];
             match &shared.coordinator {
                 Some(coordinator) => {

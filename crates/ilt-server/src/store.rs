@@ -863,46 +863,46 @@ mod tests {
         assert_eq!(r.name, "we&ird=na me%");
     }
 
+    const INJECT_REFUSAL: &str = "inject= is not a job setting; give the process --inject";
+
+    /// A fault plan is a process's own, so no execution policy opens
+    /// `inject=` on a request: the most permissive policy refuses it just
+    /// as the default does, well-formed spec or not.
     #[test]
     fn inject_param_is_gated_by_policy() {
-        let req = request_with_query("case=case1&inject=panic@0:1");
-        let err = JobParams::from_request(&req, &ExecPolicy::default()).unwrap_err();
-        assert!(err.contains("disabled"), "{err}");
-
-        let open = ExecPolicy { allow_inject: true, ..ExecPolicy::default() };
-        let p = JobParams::from_request(&req, &open).unwrap();
-        assert!(!p.faults.is_empty());
-        let (_, config) = p.plan().unwrap();
-        assert!(!config.faults.is_empty(), "the plan carries the fault plan");
-        // The fault plan round-trips through the persistence query even
-        // under a locked-down policy (recovery replays it).
-        let r = JobParams::from_saved(&p.to_query(), Vec::new(), &ExecPolicy::default()).unwrap();
-        assert_eq!(format!("{}", r.faults), format!("{}", p.faults));
-
-        // A malformed spec is a 400-class error even when allowed.
-        let bad = request_with_query("case=case1&inject=explode@zero");
-        assert!(JobParams::from_request(&bad, &open).is_err());
+        let open = ExecPolicy {
+            default_timeout_s: 30.0,
+            default_retries: 9,
+            max_threads_per_job: usize::MAX,
+        };
+        for policy in [ExecPolicy::default(), open] {
+            for spec in ["panic@0:1", "explode@zero"] {
+                let req = request_with_query(&format!("case=case1&inject={spec}"));
+                let err = JobParams::from_request(&req, &policy).unwrap_err();
+                assert_eq!(err, INJECT_REFUSAL, "{spec}");
+            }
+        }
     }
 
+    /// No fault plan travels through the HTTP query form: every kind, sent
+    /// through the real request parser (percent decoding and all) or read
+    /// back from a saved query, gets the same refusal — including a kind
+    /// the grammar no longer has.
     #[test]
     fn fault_grammar_round_trips_through_the_http_query_form() {
-        // Every fault kind must survive the real wire parser (percent
-        // decoding and all) → JobParams → to_query → from_saved, the path
-        // a recovered job's fault plan takes across a restart. `--inject`
-        // shares the same grammar, pinned in ilt-runtime's fault tests.
-        let open = ExecPolicy { allow_inject: true, ..ExecPolicy::default() };
-        for spec in ["panic@0", "delay@1:2=250", "build@2:1", "nan@3:1-3", "ckpt@4", "crash@5"] {
+        let policy = ExecPolicy::default();
+        for spec in ["panic@0:1", "delay@1:2=250", "ckpt@4", "crash@5", "explode@zero"] {
             let raw = format!(
                 "POST /v1/jobs?case=case1&inject={spec} HTTP/1.1\r\ncontent-length: 0\r\n\r\n"
             );
             let (req, _) =
                 crate::http::Request::read_from_buffered(&mut raw.as_bytes(), &mut Vec::new())
                     .unwrap_or_else(|e| panic!("{spec}: {e:?}"));
-            let p = JobParams::from_request(&req, &open).expect(spec);
-            assert_eq!(p.faults.to_string(), spec, "wire parse must be lossless");
-            let saved = JobParams::from_saved(&p.to_query(), Vec::new(), &ExecPolicy::default())
-                .expect(spec);
-            assert_eq!(saved.faults.to_string(), spec, "persistence round trip");
+            let err = JobParams::from_request(&req, &policy).unwrap_err();
+            assert_eq!(err, INJECT_REFUSAL, "{spec}");
+            let saved = format!("case=1&grid=64&inject={spec}");
+            let err = JobParams::from_saved(&saved, Vec::new(), &policy).unwrap_err();
+            assert_eq!(err, INJECT_REFUSAL, "{spec}");
         }
     }
 

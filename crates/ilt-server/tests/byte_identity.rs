@@ -1,12 +1,11 @@
 //! What a served job leaves on disk and puts on the wire is a function of
 //! its description alone. For one `case=` job, one `via=` job (free-text
-//! name, a tenant and a priority class) and one inline PGM with `inject=`,
-//! the state log, the compaction snapshot and the `POST /v1/shards?...`
-//! request line are pinned to the bytes the binary of commit 7322372 wrote
-//! — when the store still kept the query string, the target file name and
-//! a rasterized plan beside the description, and `server.rs` cut `inject=`
-//! out of the query by splitting it at `&`. Every description carries
-//! `seam=crop`, the one seam policy.
+//! name, a tenant and a priority class) and one inline PGM, the state log,
+//! the compaction snapshot and the `POST /v1/shards?...` request line are
+//! pinned to the bytes the binary of commit 7322372 wrote — when the store
+//! still kept the query string, the target file name and a rasterized plan
+//! beside the description. Every description carries `seam=crop`, the one
+//! seam policy.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -26,17 +25,15 @@ mod util;
 const SUBMISSIONS: [(&str, &str, &str); 3] = [
     ("case=3&grid=64&kernels=3&iters=2", "anonymous", "normal"),
     ("via=7&name=we%26ird%3Dna+me%25&grid=64&kernels=3&iters=2", "tenant-a", "high"),
-    ("clip_nm=512&kernels=3&iters=2&inject=panic@0:1,delay@0:2=5", "tenant-b", "low"),
+    ("clip_nm=512&kernels=3&iters=2", "tenant-b", "low"),
 ];
 
-/// The descriptions as 7322372 serialized them (`JobParams::to_query`),
-/// without the third's `&inject=panic@0:1,delay@0:2=5` tail.
+/// The descriptions as 7322372 serialized them (`JobParams::to_query`).
 const SAVED: [&str; 3] = [
     "case=3&name=case3&grid=64&clip_nm=2048&kernels=3&tile=512&halo=64&seam=crop&schedule=fast&iters=2&max_eff_nm=8&threads=1&timeout_s=0&retries=1&eval=1",
     "via=7&name=we%26ird%3Dna%20me%25&grid=64&clip_nm=2048&kernels=3&tile=512&halo=64&seam=crop&schedule=fast&iters=2&max_eff_nm=8&threads=1&timeout_s=0&retries=1&eval=1",
     "name=inline&grid=512&clip_nm=512&kernels=3&tile=512&halo=64&seam=crop&schedule=fast&iters=2&max_eff_nm=8&threads=1&timeout_s=0&retries=1&eval=1",
 ];
-const INJECT: &str = "&inject=panic@0:1,delay@0:2=5";
 
 fn body_of(i: usize) -> Vec<u8> {
     if i == 2 { tiny_pgm() } else { Vec::new() }
@@ -46,17 +43,12 @@ fn body_of(i: usize) -> Vec<u8> {
 fn submit_records() -> Vec<String> {
     let record = |id: usize, tail: &str| {
         let (_, client, class) = SUBMISSIONS[id];
-        let inject = if id == 2 { INJECT } else { "" };
         format!(
-            r#"{{"kind":"submit","id":{id},"query":"{}{inject}","client":"{client}","class":"{class}"{tail}}}"#,
+            r#"{{"kind":"submit","id":{id},"query":"{}","client":"{client}","class":"{class}"{tail}}}"#,
             SAVED[id]
         )
     };
     vec![record(0, ""), record(1, ""), record(2, r#","target":"job-2-target.pgm""#)]
-}
-
-fn allow_inject() -> ExecPolicy {
-    ExecPolicy { allow_inject: true, ..ExecPolicy::default() }
 }
 
 #[test]
@@ -73,7 +65,7 @@ fn state_log_and_snapshot_equal_the_parent_binarys() {
         raw.extend_from_slice(&body);
         let (req, _) =
             Request::read_from_buffered(&mut &raw[..], &mut Vec::new()).unwrap();
-        let params = JobParams::from_request(&req, &allow_inject()).unwrap();
+        let params = JobParams::from_request(&req, &ExecPolicy::default()).unwrap();
         let class = PriorityClass::parse(class).unwrap();
         assert_eq!(store.submit(&params, Admission { client: client.into(), class }), Ok(i));
     }
@@ -152,7 +144,6 @@ fn shard_dispatch_request_lines_equal_the_parent_binarys() {
     let state_dir = util::temp_dir("byte_identity_wire");
     let (addr, handle) = start(ServerConfig {
         workers: 1,
-        policy: allow_inject(),
         state_dir: Some(state_dir.clone()),
         cluster: Some(ClusterConfig { workers: vec![proxy.to_string()], ..ClusterConfig::default() }),
         ..ServerConfig::default()
@@ -166,7 +157,7 @@ fn shard_dispatch_request_lines_equal_the_parent_binarys() {
     for id in 0..3 {
         util::wait_for_state(addr, id, "done");
     }
-    // One whole-clip shard per job; `inject=` never leaves the coordinator.
+    // One whole-clip shard per job, its query the saved description...
     let mut dispatched: Vec<String> = request_lines
         .lock()
         .unwrap()
@@ -179,7 +170,7 @@ fn shard_dispatch_request_lines_equal_the_parent_binarys() {
         .map(|id| format!("POST /v1/shards?shard={id}-0&jobs=0&{} HTTP/1.1", SAVED[id]))
         .collect();
     assert_eq!(dispatched, expected);
-    // ...while the state log keeps it, for the restart that replays it.
+    // ...which the state log holds too.
     let log = std::fs::read_to_string(state_dir.join("state.jsonl")).unwrap();
     let submits: Vec<&str> = log.lines().filter(|l| l.contains(r#""kind":"submit""#)).collect();
     assert_eq!(submits, submit_records());

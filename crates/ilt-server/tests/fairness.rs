@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ilt_layouts::Xorshift64Star;
-use ilt_runtime::field_hash;
+use ilt_runtime::{field_hash, FaultPlan};
 use ilt_server::{
     Admission, CancelOutcome, ExecPolicy, JobDone, JobParams, JobStore, PriorityClass,
     ServerConfig, SubmitError,
@@ -19,11 +19,6 @@ use util::{
 };
 
 mod util;
-
-/// A policy that accepts `inject=` so tests can stall tiles on demand.
-fn chaos_policy() -> ExecPolicy {
-    ExecPolicy { allow_inject: true, ..ExecPolicy::default() }
-}
 
 /// The description every fuzz submission shares.
 fn fast_work() -> JobParams {
@@ -271,20 +266,20 @@ fn concurrent_cancel_races_reconcile_at_drain() {
 #[test]
 fn a_low_priority_flood_cannot_starve_a_high_priority_job() {
     const LOWS: usize = 6;
+    // Every job stalls 250ms on its single tile, so the flood holds the
+    // lone worker for ~1.5s total.
     let (addr, handle) = start(ServerConfig {
         workers: 1,
-        policy: chaos_policy(),
+        faults: FaultPlan::parse("delay@0=250").unwrap(),
         ..ServerConfig::default()
     });
     let pgm = tiny_pgm();
 
-    // Each low job stalls 250ms on its single tile, so the flood holds the
-    // lone worker for ~1.5s total.
     let mut low_ids = Vec::new();
     for _ in 0..LOWS {
         let reply = post_with_headers(
             addr,
-            &format!("/v1/jobs?{FAST_JOB}&inject=delay@0=250"),
+            &format!("/v1/jobs?{FAST_JOB}"),
             &[("x-ilt-client", "flood"), ("x-ilt-priority", "low")],
             &pgm,
         );
@@ -324,9 +319,10 @@ fn a_low_priority_flood_cannot_starve_a_high_priority_job() {
 /// frees up once the backlog drains.
 #[test]
 fn quota_breach_gets_429_and_other_clients_still_complete() {
+    // Every job stalls long enough to pin the worker.
     let (addr, handle) = start(ServerConfig {
         workers: 1,
-        policy: chaos_policy(),
+        faults: FaultPlan::parse("delay@0=800").unwrap(),
         quota_queued: 1,
         ..ServerConfig::default()
     });
@@ -334,14 +330,9 @@ fn quota_breach_gets_429_and_other_clients_still_complete() {
     let alice: &[(&str, &str)] = &[("x-ilt-client", "alice")];
     let bob: &[(&str, &str)] = &[("x-ilt-client", "bob")];
 
-    // Job 0 stalls long enough to pin the worker; once it is `running` it
-    // no longer counts against alice's *queued* quota.
-    let reply = post_with_headers(
-        addr,
-        &format!("/v1/jobs?{FAST_JOB}&inject=delay@0=800"),
-        alice,
-        &pgm,
-    );
+    // Once job 0 is `running` it no longer counts against alice's *queued*
+    // quota.
+    let reply = post_with_headers(addr, &format!("/v1/jobs?{FAST_JOB}"), alice, &pgm);
     assert_eq!(reply.status, 202, "{}", reply.text());
     wait_for_state(addr, 0, "running");
 

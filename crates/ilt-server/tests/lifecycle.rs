@@ -9,15 +9,11 @@ use std::time::{Duration, Instant};
 
 use ilt_cluster::transport::{request, MAX_CONNECTIONS};
 use ilt_cluster::{ClusterConfig, Worker, WorkerConfig};
-use ilt_server::{ExecPolicy, ServerConfig, SNAPSHOT_FILE};
+use ilt_runtime::FaultPlan;
+use ilt_server::{ServerConfig, SNAPSHOT_FILE};
 use util::{delete, get, post, shutdown, start, tiny_pgm, wait_for_state, Conn, FAST_JOB};
 
 mod util;
-
-/// A policy that accepts `inject=` so tests can stall tiles on demand.
-fn chaos_policy() -> ExecPolicy {
-    ExecPolicy { allow_inject: true, ..ExecPolicy::default() }
-}
 
 #[test]
 fn cancelling_a_queued_job_is_immediate_and_counted() {
@@ -100,19 +96,16 @@ fn cancelling_a_running_clustered_job_waits_for_no_heartbeat() {
 fn cancelling_a_running_job_stops_at_a_tile_boundary() {
     let journal = util::temp_dir("cancel_journal").with_extension("jsonl");
     let _ = std::fs::remove_file(&journal);
+    // 64px target over 16px cores = 16 tile jobs; the first three each
+    // stall 300ms, leaving a ~900ms window to cancel mid-run.
     let (addr, handle) = start(ServerConfig {
         workers: 1,
-        policy: chaos_policy(),
+        faults: FaultPlan::parse("delay@0=300,delay@1=300,delay@2=300").unwrap(),
         journal: Some(journal.clone()),
         ..ServerConfig::default()
     });
 
-    // 64px target over 16px cores = 16 tile jobs; the first three each
-    // stall 300ms, leaving a ~900ms window to cancel mid-run.
-    let submit = format!(
-        "/v1/jobs?{FAST_JOB}&tile=32&halo=8&threads=1\
-         &inject=delay@0=300,delay@1=300,delay@2=300"
-    );
+    let submit = format!("/v1/jobs?{FAST_JOB}&tile=32&halo=8&threads=1");
     let reply = post(addr, &submit, &tiny_pgm());
     assert_eq!(reply.status, 202, "{}", reply.text());
 
@@ -226,9 +219,11 @@ fn cancel_vs_complete_races_stay_clean_across_restart() {
 #[test]
 fn compaction_truncates_the_log_and_restart_replays_the_live_set() {
     let state_dir = util::temp_dir("compact_state");
+    // Every job stalls 600ms on its single tile: job 0 pins the one worker
+    // so jobs 1 and 2 stay queued, and cancelling 2 is deterministic.
     let config = || ServerConfig {
         workers: 1,
-        policy: chaos_policy(),
+        faults: FaultPlan::parse("delay@0=600").unwrap(),
         state_dir: Some(state_dir.clone()),
         // Any nonzero log triggers compaction at the next terminal event.
         compact_state_bytes: 1,
@@ -237,9 +232,7 @@ fn compaction_truncates_the_log_and_restart_replays_the_live_set() {
     let (addr, handle) = start(config());
     let pgm = tiny_pgm();
 
-    // Job 0 stalls 600ms on its single tile, pinning the one worker so
-    // jobs 1 and 2 stay queued; cancelling 2 is then deterministic.
-    let reply = post(addr, &format!("/v1/jobs?{FAST_JOB}&inject=delay@0=600"), &pgm);
+    let reply = post(addr, &format!("/v1/jobs?{FAST_JOB}"), &pgm);
     assert_eq!(reply.status, 202, "{}", reply.text());
     assert_eq!(post(addr, &format!("/v1/jobs?{FAST_JOB}"), &pgm).status, 202);
     assert_eq!(post(addr, &format!("/v1/jobs?{FAST_JOB}"), &pgm).status, 202);
@@ -321,8 +314,8 @@ fn restart_fails_a_logged_blend_seam_and_replays_the_rest() {
         .append(true)
         .open(state_dir.join("state.jsonl"))
         .expect("state log");
-    // A log written while `garble` was still a fault kind: the grammar
-    // refuses it by name, typed, like any other bad value.
+    // A log written while a job could still carry a fault plan: the
+    // decoder refuses `inject=` typed, like any other bad value.
     let garbled = saved(3, "crop").replace("&eval=1\"", "&eval=1&inject=garble@0\"");
     writeln!(log, "{}\n{}\n{garbled}", saved(1, "crop"), saved(2, "blend:4")).expect("append");
     drop(log);
@@ -334,8 +327,12 @@ fn restart_fails_a_logged_blend_seam_and_replays_the_rest() {
         "{failed}"
     );
     let failed = wait_for_state(addr, 3, "failed");
-    assert!(failed.contains("unreplayable after restart: bad inject: "), "{failed}");
-    assert!(failed.contains("unknown kind `garble`"), "{failed}");
+    assert!(
+        failed.contains(
+            "unreplayable after restart: inject= is not a job setting; give the process --inject"
+        ),
+        "{failed}"
+    );
     wait_for_state(addr, 1, "done");
     assert!(get(addr, "/v1/jobs/0").text().contains("\"state\":\"done\""));
     assert_eq!(get(addr, "/v1/jobs/0/mask").body, mask0, "mask 0 differs after restart");

@@ -4,13 +4,14 @@
 //! ilt run      (--case N | --via SEED | --target design.pgm) [--out prefix]
 //!              [JOB FLAGS]
 //! ilt batch    [--out prefix] [--journal run.jsonl] [--no-timing] [--no-eval]
-//!              [--checkpoint] [--resume] [--no-degrade] [JOB FLAGS]
+//!              [--checkpoint] [--resume] [--no-degrade]
+//!              [--inject SPEC[,SPEC...]] [JOB FLAGS]
 //!              case1 case2 via3 design.pgm ...
 //! ilt serve    [--addr 127.0.0.1:8080] [--threads 2] [--queue 16]
 //!              [--journal served.jsonl] [--retries 1] [--timeout-s 0]
 //!              [--cache 16] [--state-dir DIR] [--result-ttl-s 0]
 //!              [--max-masks 0] [--quota-inflight 0] [--quota-queued 0]
-//!              [--allow-inject] [--compact-bytes 0]
+//!              [--inject SPEC[,SPEC...]] [--compact-bytes 0]
 //!              [--keep-alive 32] [--idle-timeout-s 5]
 //!              [--workers host:port,host:port | --cluster] [--heartbeat-ms 500]
 //!              [--speculate-factor 3] [--speculate-after 3]
@@ -28,7 +29,6 @@
 //! JOB FLAGS:   [--grid 512] [--kernels 10] [--clip-nm 2048]
 //!              [--schedule fast|exact|via] [--max-eff-nm 8] [--threads 1]
 //!              [--tile 512] [--halo 64] [--retries 1] [--timeout-s 0]
-//!              [--inject SPEC[,SPEC...]]
 //! ```
 //!
 //! A command refuses a flag it does not read (`kernels does not take
@@ -55,9 +55,12 @@
 //! `--resume` reruns the same command after a crash, restoring every tile
 //! the WAL can vouch for and recomputing only the rest; the resumed
 //! journal and masks are byte-identical to an uninterrupted run.
-//! `--inject` drives the deterministic fault plan (`panic@J[:A[-B]]`,
-//! `delay@J:A=MS`, `build@J:A`, `nan@J:A`, `ckpt@J`, `crash@J`) for chaos
-//! testing, and `--no-degrade` disables the low-resolution fallback that
+//! `--inject` gives the process a deterministic fault plan
+//! (`panic@J[:A[-B]]`, `delay@J:A=MS`, `build@J:A`, `nan@J:A`, `ckpt@J`)
+//! for chaos testing; `batch`, `serve` (every job it runs in-process; a
+//! coordinator refuses it) and `worker` (every shard it runs) take one,
+//! and no job description carries one (`inject=` is refused on every
+//! route). `--no-degrade` disables the low-resolution fallback that
 //! otherwise rescues tiles which exhaust their retry budget.
 //! `serve` turns the same engine into a long-lived HTTP job service (see
 //! the `ilt-server` crate docs for the API); `--state-dir` makes job state
@@ -88,9 +91,9 @@
 //! `ClusterConfig::default()`. `worker` starts one replica;
 //! `--register HOST:PORT` makes it announce itself to that coordinator
 //! after binding (and deregister on shutdown); its `--inject` fault plan
-//! is deliberately local (never forwarded by a coordinator, and a shard
-//! dispatch that carries `inject=` is refused with `400`) and damages only
-//! the compute, never the reply's bytes; `--state-dir` keeps per-shard
+//! is its own (a shard dispatch that carries `inject=` is refused with
+//! `400`) and damages only the compute, never the reply's bytes;
+//! `--state-dir` keeps per-shard
 //! checkpoint WALs so a restarted worker resumes a re-dispatched shard
 //! instead of recomputing it. `bench` is the
 //! hermetic, std-only performance barometer (the `ilt-perf` crate): `list`
@@ -121,9 +124,9 @@ use multilevel_ilt::prelude::*;
 /// decoder's query key spelled with dashes (`--max-eff-nm 8` is
 /// `max_eff_nm=8`), and that is how it is kept: as a pair for
 /// [`JobParams::from_pairs`], which owns every default and every check.
-const JOB_FLAGS: [&str; 11] = [
+const JOB_FLAGS: [&str; 10] = [
     "--grid", "--kernels", "--clip-nm", "--schedule", "--max-eff-nm", "--threads", "--tile",
-    "--halo", "--retries", "--timeout-s", "--inject",
+    "--halo", "--retries", "--timeout-s",
 ];
 
 /// Every other long flag, and whether it takes a value. What a flag means
@@ -135,7 +138,7 @@ const FLAGS: [(&str, bool); 31] = [
     ("--checkpoint", false), ("--resume", false), ("--no-degrade", false), ("--addr", true),
     ("--queue", true), ("--cache", true), ("--state-dir", true), ("--result-ttl-s", true),
     ("--max-masks", true), ("--quota-inflight", true), ("--quota-queued", true),
-    ("--allow-inject", false), ("--compact-bytes", true), ("--keep-alive", true),
+    ("--inject", true), ("--compact-bytes", true), ("--keep-alive", true),
     ("--idle-timeout-s", true), ("--workers", true), ("--cluster", false),
     ("--heartbeat-ms", true), ("--speculate-factor", true), ("--speculate-after", true),
     ("--register", true), ("--reps", true), ("--smoke", false),
@@ -152,10 +155,10 @@ type Run = fn(&Cli, &mut dyn Write) -> Result<(), Box<dyn Error>>;
 const COMMANDS: [(&str, Run, bool, &[&str]); 9] = [
     ("run", cmd_run, true, &["--case", "--via", "--target", "--out"]),
     ("batch", cmd_batch, true, &["--out", "--journal", "--no-timing", "--no-eval", "--checkpoint",
-        "--resume", "--no-degrade"]),
+        "--resume", "--no-degrade", "--inject"]),
     ("serve", cmd_serve, false, &["--addr", "--threads", "--queue", "--journal", "--retries",
         "--timeout-s", "--cache", "--state-dir", "--result-ttl-s", "--max-masks",
-        "--quota-inflight", "--quota-queued", "--allow-inject", "--compact-bytes", "--keep-alive",
+        "--quota-inflight", "--quota-queued", "--inject", "--compact-bytes", "--keep-alive",
         "--idle-timeout-s", "--workers", "--cluster", "--heartbeat-ms", "--speculate-factor",
         "--speculate-after"]),
     ("worker", cmd_worker, false, &["--addr", "--threads", "--state-dir", "--retries",
@@ -254,10 +257,17 @@ impl Cli {
         })
     }
 
+    /// `--inject` as this process's fault plan (`batch`, `serve`,
+    /// `worker`); empty when it was not given.
+    fn faults(&self) -> Result<FaultPlan, String> {
+        let spec = self.get("inject").unwrap_or("");
+        FaultPlan::parse(spec).map_err(|e| format!("bad --inject {spec}: {e}"))
+    }
+
     /// One job through the decoder every route shares: the job flags as
     /// given, plus `spec` (`caseN | viaSEED | x.pgm`) as `case= | via= |
     /// body` + `name=<stem>`. The command line may use every thread it asks
-    /// for and may inject faults.
+    /// for.
     fn plan(&self, spec: &str) -> Result<(JobParams, BatchCase, BatchConfig), Box<dyn Error>> {
         let mut pairs = self.job.clone();
         let mut body = Vec::new();
@@ -269,11 +279,7 @@ impl Cli {
             let key = if spec.starts_with("via") { "via" } else { "case" };
             pairs.push((key.into(), spec.into()));
         }
-        let policy = ExecPolicy {
-            max_threads_per_job: usize::MAX,
-            allow_inject: true,
-            ..ExecPolicy::default()
-        };
+        let policy = ExecPolicy { max_threads_per_job: usize::MAX, ..ExecPolicy::default() };
         let params =
             JobParams::from_pairs(&pairs, &body, &policy).map_err(|e| format!("{spec}: {e}"))?;
         let (case, config) = params.plan()?;
@@ -347,6 +353,7 @@ fn cmd_batch(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         degrade: !cli.on("no_degrade"),
         checkpoint: (cli.on("checkpoint") || resume)
             .then(|| std::path::PathBuf::from(format!("{journal_path}.ckpt"))),
+        faults: cli.faults()?,
         ..plan
     };
     writeln!(
@@ -438,6 +445,9 @@ fn server_config(cli: &Cli) -> Result<ServerConfig, String> {
     } else {
         None
     };
+    if cluster.is_some() && cli.on("inject") {
+        return Err("a coordinator runs no tile itself; give its workers --inject".into());
+    }
     let idle_timeout_s = cli.flag("idle_timeout_s", base.idle_timeout.as_secs_f64())?;
     Ok(ServerConfig {
         addr: cli.get("addr").unwrap_or(DEFAULT_ADDR).into(),
@@ -445,7 +455,8 @@ fn server_config(cli: &Cli) -> Result<ServerConfig, String> {
         queue_cap: cli.flag("queue", base.queue_cap)?,
         journal: cli.get("journal").map(Into::into),
         cache_capacity: cli.flag("cache", base.cache_capacity)?,
-        policy: ExecPolicy { allow_inject: cli.on("allow_inject"), ..cli.policy()? },
+        policy: cli.policy()?,
+        faults: cli.faults()?,
         state_dir: cli.get("state_dir").map(Into::into),
         // `0` spells the unbounded value of each.
         result_ttl: match cli.parsed::<f64>("result_ttl_s")? {
@@ -469,12 +480,11 @@ fn server_config(cli: &Cli) -> Result<ServerConfig, String> {
 
 /// `worker`'s flags as a [`WorkerConfig`], defaults as in [`server_config`].
 fn worker_config(cli: &Cli) -> Result<WorkerConfig, String> {
-    let spec = cli.get("inject").unwrap_or("");
     let policy = cli.policy()?;
     Ok(WorkerConfig {
         addr: cli.get("addr").unwrap_or(DEFAULT_ADDR).into(),
         state_dir: cli.get("state_dir").map(Into::into),
-        faults: FaultPlan::parse(spec).map_err(|e| format!("bad --inject {spec}: {e}"))?,
+        faults: cli.faults()?,
         policy: ExecPolicy {
             max_threads_per_job: cli.flag("threads", policy.max_threads_per_job)?.max(1),
             ..policy
@@ -679,6 +689,19 @@ fn cmd_tables(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     tables::run(&cli.cases, &config, out)
 }
 
+/// Runs `command` on `cli`, refusing before any work the first flag given
+/// that its [`COMMANDS`] entry does not take.
+fn dispatch(command: &str, cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let Some(&(name, run, job, takes)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown command {command} ({})", COMMANDS.map(|c| c.0).join("|")).into());
+    };
+    let taken = |flag: &str| job && JOB_FLAGS.contains(&flag) || takes.contains(&flag);
+    match cli.given.iter().find(|flag| !taken(flag)) {
+        Some(flag) => Err(format!("{name} does not take {flag}").into()),
+        None => run(cli, out),
+    }
+}
+
 fn main() {
     let (command, cli) = match Cli::parse(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
@@ -687,18 +710,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = match COMMANDS.iter().find(|(name, ..)| *name == command) {
-        // The first flag given that the command does not take is refused.
-        Some(&(name, run, job, takes)) => {
-            let taken = |flag: &str| job && JOB_FLAGS.contains(&flag) || takes.contains(&flag);
-            match cli.given.iter().find(|flag| !taken(flag)) {
-                Some(flag) => Err(format!("{name} does not take {flag}").into()),
-                None => run(&cli, &mut std::io::stdout()),
-            }
-        }
-        None => Err(format!("unknown command {command} ({})", COMMANDS.map(|c| c.0).join("|")).into()),
-    };
-    if let Err(e) = result {
+    if let Err(e) = dispatch(&command, &cli, &mut std::io::stdout()) {
         // Whoever reads the output stopped (`ilt ... | head`): a clean exit.
         let kind = e.downcast_ref::<std::io::Error>().map(std::io::Error::kind);
         if kind != Some(ErrorKind::BrokenPipe) {
@@ -756,6 +768,15 @@ mod tests {
         for (flag, _) in FLAGS {
             assert!(COMMANDS.iter().any(|c| c.3.contains(&flag)), "no command takes {flag}");
         }
+
+        // A fault plan is a process's own: the two commands that run no
+        // pool refuse `--inject` before any work.
+        let run: &[&str] = &["--case", "1", "--grid", "64", "--inject", "panic@0"];
+        let evaluate: &[&str] = &["--case", "1", "--mask", "m.pgm", "--inject", "panic@0"];
+        for (command, args) in [("run", run), ("evaluate", evaluate)] {
+            let err = dispatch(command, &cli(args), &mut std::io::sink()).unwrap_err();
+            assert_eq!(err.to_string(), format!("{command} does not take --inject"));
+        }
     }
 
     /// The whole flag -> config mapping of `serve` and `worker`: no flag
@@ -775,7 +796,7 @@ mod tests {
             (&["--cache", "5"], |c| c.cache_capacity = 5),
             (&["--retries", "3"], |c| c.policy.default_retries = 3),
             (&["--timeout-s", "2.5"], |c| c.policy.default_timeout_s = 2.5),
-            (&["--allow-inject"], |c| c.policy.allow_inject = true),
+            (&["--inject", "delay@0=5"], |c| c.faults = FaultPlan::parse("delay@0=5").unwrap()),
             (&["--state-dir", "sd"], |c| c.state_dir = Some("sd".into())),
             (&["--result-ttl-s", "2.5"], |c| c.result_ttl = Some(Duration::from_millis(2500))),
             (&["--result-ttl-s", "0"], |c| c.result_ttl = None),
@@ -815,7 +836,14 @@ mod tests {
             let got = server_config(&cli(args)).unwrap_or_else(|e| panic!("{args:?}: {e}"));
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "serve {args:?}");
         }
-        for bad in [&["--workers", ""][..], &["--workers", " , "], &["--queue", "many"]] {
+        let bad: [&[&str]; 5] = [
+            &["--workers", ""],
+            &["--workers", " , "],
+            &["--queue", "many"],
+            &["--inject", "crash@0"],
+            &["--cluster", "--inject", "delay@0=5"],
+        ];
+        for bad in bad {
             assert!(server_config(&cli(bad)).is_err(), "serve {bad:?} must be refused");
         }
 

@@ -1,11 +1,11 @@
 //! The real `ilt` binary as real processes on loopback.
 //!
 //! Cluster chaos: a coordinator and two `ilt worker` processes, one worker
-//! armed with an injected process crash (`--inject crash@0`) that kills it
-//! mid-job. The coordinator must detect the death, re-dispatch the lost
-//! shard to the survivor, and still serve a mask byte-identical to the
-//! single-process batch engine — with the re-dispatch visible in
-//! `/metrics`.
+//! killed with SIGKILL while it holds a shard (its tiles stall on
+//! `--inject delay@J=MS`, so the kill is sure to catch it computing). The
+//! coordinator must detect the death, re-dispatch the lost shard to the
+//! survivor, and still serve a mask byte-identical to the single-process
+//! batch engine — with the re-dispatch visible in `/metrics`.
 //!
 //! Kill -9 + `--register`: a replica dies under the job, a replacement
 //! announces itself mid-job, a straggler is speculated — same mask.
@@ -20,10 +20,10 @@ use std::time::{Duration, Instant};
 use multilevel_ilt::cluster::transport::request;
 use multilevel_ilt::cluster::{ExecPolicy, JobParams};
 use multilevel_ilt::field::{pgm_bytes, Field2D};
-use multilevel_ilt::runtime::{run_batch, SimulatorCache};
+use multilevel_ilt::runtime::{run_batch, SimulatorCache, WAL_FILE};
 
-/// The tests take turns: each runs several processes, and which worker the
-/// crash test's first shard lands on is sensitive to a loaded machine.
+/// The tests take turns: each runs several processes, and timing-driven
+/// chaos is sensitive to a loaded machine.
 static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Kills the child on drop so a failing assertion never leaks processes.
@@ -105,18 +105,20 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
         run_batch(std::slice::from_ref(&case), &config, &cache).expect("local batch");
     let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
 
-    // Worker A aborts its own process right after job 0's checkpoint is
-    // durable (the crash plan is local: the coordinator never forwards
-    // fault specs). Worker B is healthy.
+    // Worker A stalls every tile it is given, so it still holds its shard
+    // when it is killed; the shard's WAL under its state directory says it
+    // has one. Worker B is healthy.
     let state_a = std::env::temp_dir().join(format!("ilt-cluster-e2e-{}", std::process::id()));
-    let (worker_a, addr_a) = spawn_ilt(&[
+    let _ = std::fs::remove_dir_all(&state_a);
+    let a_stalls: Vec<String> = (0..9).map(|job| format!("delay@{job}=60000")).collect();
+    let (mut worker_a, addr_a) = spawn_ilt(&[
         "worker",
         "--addr",
         "127.0.0.1:0",
         "--state-dir",
         state_a.to_str().expect("utf-8 temp path"),
         "--inject",
-        "crash@0",
+        &a_stalls.join(","),
     ]);
     let (_worker_b, addr_b) = spawn_ilt(&["worker", "--addr", "127.0.0.1:0"]);
     let (_coordinator, addr_c) = spawn_ilt(&[
@@ -131,8 +133,21 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
         "100",
     ]);
 
+    let (status, reply) = http(&addr_c, "POST", &format!("/v1/jobs?{QUERY}"), &[]);
+    assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&reply));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let holds_a_shard = || {
+        let shards = std::fs::read_dir(&state_a).into_iter().flatten().flatten();
+        shards.into_iter().any(|shard| shard.path().join(WAL_FILE).exists())
+    };
+    while !holds_a_shard() {
+        assert!(Instant::now() < deadline, "worker A never started a shard");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    worker_a.0.kill().expect("kill -9 worker A");
+
     // The job must survive the crash.
-    let mask = serve_mask(&addr_c, QUERY, &[]);
+    let mask = await_mask(&addr_c);
     assert!(mask == reference_pgm, "cluster mask must match ilt batch byte-for-byte");
 
     // The heartbeat monitor needs three missed probes to bury worker A;
@@ -163,14 +178,12 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
         assert!(metrics.contains(line), "expected `{line}` after one crash:\n{metrics}");
     }
 
-    // The crash plan really fired: worker A is dead of an abnormal exit,
-    // not still serving.
-    let mut worker_a = worker_a;
+    // Worker A is dead of the kill, not still serving.
     let exit = worker_a
         .0
         .wait_timeout_like(Duration::from_secs(10))
-        .expect("worker A must have aborted");
-    assert!(!exit.success(), "worker A must die of the injected abort, got {exit:?}");
+        .expect("worker A must have died");
+    assert!(!exit.success(), "worker A must die of the kill, got {exit:?}");
 
     let _ = std::fs::remove_dir_all(&state_a);
 }

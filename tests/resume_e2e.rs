@@ -1,15 +1,17 @@
 //! End-to-end crash-safe checkpoint/resume through the real `ilt` binary:
-//! a run killed mid-flight by injected faults (`panic@2` fails job 2 every
-//! attempt, `crash@4` aborts the process the instant job 4's checkpoint is
-//! durable) and then resumed must be byte-identical — journal and stitched
-//! mask — to a run that never crashed; an incompatible resume is rejected;
-//! a checkpoint directory written by an earlier commit's binary resumes the
-//! same way; and a WAL whose tail was torn by the crash resumes cleanly,
-//! twice.
+//! a run killed mid-flight (`--inject panic@2,delay@4=60000` fails job 2
+//! every attempt and holds job 4 back; the test sends SIGKILL once every
+//! other job is in the WAL) and then resumed must be byte-identical —
+//! journal and stitched mask — to a run that never crashed; an
+//! incompatible resume is rejected; a checkpoint directory written by an
+//! earlier commit's binary resumes the same way; and a WAL whose tail was
+//! torn by the crash resumes cleanly, twice.
 
 use std::fs;
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, ExitStatus, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use multilevel_ilt::runtime::{json, load_wal, WAL_FILE};
 
@@ -18,16 +20,46 @@ const COMMON: &[&str] =
 
 /// `ilt batch` on `case1` (3x3 tiles) writing `<dir>/<tag>.jsonl`,
 /// `<dir>/<tag>_case1_mask.pgm` and the checkpoint dir `<dir>/<tag>.jsonl.ckpt`.
-fn batch(dir: &Path, tag: &str, halo: &str, extra: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_ilt"))
+fn batch_command(dir: &Path, tag: &str, halo: &str, extra: &[&str]) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_ilt"));
+    command
         .args(COMMON)
         .args(["--halo", halo])
         .args(["--out", dir.join(tag).to_str().unwrap()])
         .args(["--journal", dir.join(format!("{tag}.jsonl")).to_str().unwrap()])
         .args(extra)
-        .arg("case1")
-        .output()
-        .expect("run ilt batch")
+        .arg("case1");
+    command
+}
+
+/// [`batch_command`] run to its end.
+fn batch(dir: &Path, tag: &str, halo: &str, extra: &[&str]) -> Output {
+    batch_command(dir, tag, halo, extra).output().expect("run ilt batch")
+}
+
+/// [`batch_command`] with `--checkpoint --inject plan`, killed with SIGKILL
+/// once its WAL holds a record of exactly the jobs in `durable`.
+fn killed_batch(dir: &Path, tag: &str, plan: &str, durable: &[usize]) -> ExitStatus {
+    let mut child = batch_command(dir, tag, "8", &["--checkpoint", "--inject", plan])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ilt batch");
+    let ckpt = dir.join(format!("{tag}.jsonl.ckpt"));
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let logged: Vec<usize> =
+            load_wal(&ckpt).map(|run| run.records.into_keys().collect()).unwrap_or_default();
+        if logged == durable {
+            break;
+        }
+        let exited = child.try_wait().expect("poll ilt batch");
+        assert!(exited.is_none(), "the run ended before the kill: {exited:?}, WAL {logged:?}");
+        assert!(Instant::now() < deadline, "the WAL never held {durable:?}: {logged:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.kill().expect("SIGKILL ilt batch");
+    child.wait().expect("reap ilt batch")
 }
 
 fn text(out: &Output) -> String {
@@ -62,10 +94,10 @@ fn crashed_run_resumes_byte_identical_to_an_uninterrupted_one() {
     let reference = batch(&dir, "a", "8", &["--checkpoint"]);
     assert!(reference.status.success(), "{}", text(&reference));
 
-    // The crash: dies mid-run with no canonical journal, only the WAL.
-    let crashed = batch(&dir, "b", "8", &["--checkpoint", "--inject", "panic@2,crash@4"]);
-    assert!(!crashed.status.success(), "the injected crash must kill the run");
-    assert!(text(&crashed).contains("injected process crash"), "{}", text(&crashed));
+    // The crash: killed mid-run while job 4 stalls, with every other job
+    // (job 2 as a failure) in the WAL, no canonical journal, only the WAL.
+    let crashed = killed_batch(&dir, "b", "panic@2,delay@4=60000", &[0, 1, 2, 3, 5, 6, 7, 8]);
+    assert_eq!(crashed.signal(), Some(9), "the run must die of the SIGKILL: {crashed:?}");
     assert!(!dir.join("b.jsonl").exists(), "a crashed run writes no canonical journal");
     assert!(dir.join("b.jsonl.ckpt").join(WAL_FILE).exists(), "the WAL survives the crash");
 
@@ -76,7 +108,7 @@ fn crashed_run_resumes_byte_identical_to_an_uninterrupted_one() {
 
     let resumed = batch(&dir, "b", "8", &["--resume"]);
     assert!(resumed.status.success(), "{}", text(&resumed));
-    assert!(restored(&resumed) >= 1, "job 4 at least was durable before the crash");
+    assert_eq!(restored(&resumed), 7, "every tile but the failed job 2 and the stalled job 4");
     assert_same_outputs(&dir, "a", "b");
 
     // The same crash as the binary of commit 588e7d6 left it (`panic@2,
