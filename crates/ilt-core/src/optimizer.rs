@@ -267,11 +267,9 @@ impl MultiLevelIlt {
                 }
 
                 // Gradient step, restricted to the writable region
-                // (Algorithm 1 line 15). `region_s` is 0/1 and every update
-                // rule maps a zero gradient history to a zero delta, so
-                // masking the gradient masks the step.
-                let masked = grad.hadamard(&region_s);
-                m_raw -= &opt_state.step(self.cfg.update_rule, &masked, self.cfg.learning_rate);
+                // (Algorithm 1 line 15).
+                let (rule, lr) = (self.cfg.update_rule, self.cfg.learning_rate);
+                opt_state.apply(rule, &grad, &region_s, lr, &mut m_raw);
             }
 
             // Keep the best-loss mask of the stage (the iteration budget is

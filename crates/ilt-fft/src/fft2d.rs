@@ -30,6 +30,13 @@
 //!   plus a phase twist, so only the `P` surviving rows are ever
 //!   row-transformed. The real variant packs column pairs and separates them
 //!   through Hermitian symmetry over the closure of the retained set.
+//! * **No data-movement passes on the pruned paths** — each writes its
+//!   input values straight to their bit-reversed slots as it builds its
+//!   band rows, residue grid or fold panels, and an inverse applies its
+//!   `1/len` in the loop that reads the result, so every `q`-point
+//!   transform and the inverse paths' row transforms run their butterflies
+//!   alone. The forward paths' row pass keeps the plan's swap: scattering
+//!   its band writes is slower at large `n`.
 //! * **Batched inverse** ([`Fft2d::inverse_padded_batch_with`]) — many spectra
 //!   of one support stream through one output buffer and one workspace, so
 //!   twiddle tables, memoized twist tables and grown buffers are warm for
@@ -51,18 +58,21 @@ use crate::spectrum::{freq_index, signed_freq};
 /// 2048-point column is 256 KiB — comfortably L2-resident.
 const PANEL_COLS: usize = 8;
 
-/// Runs `plan` down every column of the row-major `rows x cols` buffer.
+/// Runs `plan` down every column of the row-major `rows x cols` buffer,
+/// through `run`: [`FftPlan::process`] for a buffer in natural order,
+/// [`FftPlan::butterflies`] for one whose rows already sit in bit-reversed
+/// order (an inverse's result is then left unscaled by `1/rows`).
 ///
 /// Columns are copied into row-major panels of [`PANEL_COLS`] columns and
-/// transformed side by side by [`FftPlan::process`]: each panel row is
-/// one contiguous 128-byte copy in and out, and the butterflies vectorize
-/// *across* the panel's columns with one twiddle broadcast per butterfly
-/// row.
+/// transformed side by side: each panel row is one contiguous 128-byte copy
+/// in and out, and the butterflies vectorize *across* the panel's columns
+/// with one twiddle broadcast per butterfly row.
 fn col_pass(
     data: &mut [Complex64],
     rows: usize,
     cols: usize,
     plan: &FftPlan,
+    run: fn(&FftPlan, &mut [Complex64], usize),
     panel_buf: &mut Vec<Complex64>,
 ) {
     if rows <= 1 {
@@ -76,7 +86,7 @@ fn col_pass(
             panel[r * w..(r + 1) * w]
                 .copy_from_slice(&data[r * cols + c0..r * cols + c0 + w]);
         }
-        plan.process(&mut panel[..rows * w], w);
+        run(plan, &mut panel[..rows * w], w);
         for r in 0..rows {
             data[r * cols + c0..r * cols + c0 + w]
                 .copy_from_slice(&panel[r * w..(r + 1) * w]);
@@ -183,7 +193,7 @@ impl Fft2d {
         for row in data.chunks_exact_mut(self.cols) {
             row_plan.process(row, 1);
         }
-        col_pass(data, self.rows, self.cols, col_plan, &mut scratch.panel);
+        col_pass(data, self.rows, self.cols, col_plan, FftPlan::process, &mut scratch.panel);
     }
 
     /// Inverse transform of an `n x n` spectrum that is zero outside its
@@ -242,14 +252,17 @@ impl Fft2d {
         let pl = p / 2;
 
         // Row pass over the p nonzero rows only (the dense path transforms
-        // all n rows, n/p of which are identically zero).
+        // all n rows, n/p of which are identically zero). Each value is
+        // loaded into its bit-reversed slot, and the rows stay unscaled:
+        // the twist multiply below applies the 1/n.
+        let row = &self.row_inv;
         let band = grown(&mut scratch.band, p * n);
         for (i, brow) in band.chunks_exact_mut(n).enumerate() {
-            let srow = &spec[i * p..(i + 1) * p];
             brow.fill(Complex64::ZERO);
-            brow[..ph].copy_from_slice(&srow[..ph]);
-            brow[n - pl..].copy_from_slice(&srow[ph..]);
-            self.row_inv.process(brow, 1);
+            for (g, &v) in spec[i * p..(i + 1) * p].iter().enumerate() {
+                brow[row.bit_reversed(freq_index(signed_freq(g, p), n))] = v;
+            }
+            row.butterflies(brow, 1);
         }
 
         // Column pass on the q-grid. Output rows split into s = n/q residue
@@ -260,27 +273,33 @@ impl Fft2d {
         let qplan = q_plan(p, Direction::Inverse);
         let q = qplan.len();
         let s = n / q;
+        let (inv_n, inv_q) = (1.0 / n as f64, 1.0 / q as f64);
         // Twist table `e^{+2 pi i f r0 / n} * q/n`, memoized per (n, p): a
         // multi-level simulator replays the same shapes thousands of times,
         // so the p * s sin_cos calls happen once per scratch, not per call.
         let twist = scratch.twist.get_or_build((n, p, false), || build_inverse_twist(n, p));
         let grid = grown(&mut scratch.grid, q * n);
         for r0 in 0..s {
-            // Band rows land at q-grid rows 0..ph and q-pl..q, each fully
-            // overwritten below; only the middle q-p rows need zeroing
-            // (every row needs it each pass — col_pass overwrites them all).
-            grid[ph * n..(q - pl) * n].fill(Complex64::ZERO);
+            // Band rows land at the bit-reversed slots of q-grid rows 0..ph
+            // and q-pl..q, each fully overwritten below; only the middle q-p
+            // rows need zeroing (every pass — the column pass overwrites all).
+            for j in ph..q - pl {
+                grid[qplan.bit_reversed(j) * n..][..n].fill(Complex64::ZERO);
+            }
             for i in 0..p {
-                let f = signed_freq(i, p);
                 let phase = twist[i * s + r0];
-                let dst = &mut grid[freq_index(f, q) * n..][..n];
+                let slot = qplan.bit_reversed(freq_index(signed_freq(i, p), q));
+                let dst = &mut grid[slot * n..][..n];
                 for (d, &v) in dst.iter_mut().zip(&band[i * n..(i + 1) * n]) {
-                    *d = v * phase;
+                    *d = v.scale(inv_n) * phase;
                 }
             }
-            col_pass(grid, q, n, &qplan, &mut scratch.panel);
+            col_pass(grid, q, n, &qplan, FftPlan::butterflies, &mut scratch.panel);
             for j in 0..q {
-                out[(r0 + s * j) * n..][..n].copy_from_slice(&grid[j * n..(j + 1) * n]);
+                let orow = &mut out[(r0 + s * j) * n..][..n];
+                for (o, z) in orow.iter_mut().zip(&grid[j * n..(j + 1) * n]) {
+                    *o = z.scale(inv_q);
+                }
             }
         }
     }
@@ -337,8 +356,10 @@ impl Fft2d {
             return;
         }
 
-        // Row pass over frequencies 0..=h of the Hermitian part.
+        // Row pass over frequencies 0..=h of the Hermitian part, loaded
+        // bit-reversed and left unscaled as in `inverse_padded_with`.
         let h = p / 2;
+        let row = &self.row_inv;
         let band = grown(&mut scratch.band, (h + 1) * n);
         for (f, brow) in band.chunks_exact_mut(n).enumerate() {
             let srow = &spec[f * p..(f + 1) * p];
@@ -346,9 +367,9 @@ impl Fft2d {
             brow.fill(Complex64::ZERO);
             for (g, &v) in srow.iter().enumerate() {
                 let dst = if g <= h { g } else { n - (p - g) };
-                brow[dst] = (v + mrow[(p - g) % p].conj()).scale(0.5);
+                brow[row.bit_reversed(dst)] = (v + mrow[(p - g) % p].conj()).scale(0.5);
             }
-            self.row_inv.process(brow, 1);
+            row.butterflies(brow, 1);
         }
 
         // Column pass on the q-grid as in `inverse_padded_with`, over packed
@@ -358,29 +379,34 @@ impl Fft2d {
         let q = qplan.len();
         let s = n / q;
         let half = n / 2;
+        let (inv_n, inv_q) = (1.0 / n as f64, 1.0 / q as f64);
         let twist = scratch.twist.get_or_build((n, p, false), || build_inverse_twist(n, p));
         let grid = grown(&mut scratch.grid, q * half);
         for r0 in 0..s {
-            grid[(h + 1) * half..(q - h) * half].fill(Complex64::ZERO);
+            for j in h + 1..q - h {
+                grid[qplan.bit_reversed(j) * half..][..half].fill(Complex64::ZERO);
+            }
             for (f, brow) in band.chunks_exact(n).enumerate() {
                 let t = twist[f * s + r0];
-                let (lower, upper) = grid.split_at_mut((h + 1) * half);
-                let pos = &mut lower[f * half..(f + 1) * half];
+                let pos = &mut grid[qplan.bit_reversed(f) * half..][..half];
                 for (d, ab) in pos.iter_mut().zip(brow.chunks_exact(2)) {
-                    *d = Complex64::new(ab[0].re - ab[1].im, ab[0].im + ab[1].re) * t;
+                    let (a, b) = (ab[0].scale(inv_n), ab[1].scale(inv_n));
+                    *d = Complex64::new(a.re - b.im, a.im + b.re) * t;
                 }
                 if f > 0 {
                     let tc = t.conj();
-                    let neg = &mut upper[(q - f - h - 1) * half..][..half];
+                    let neg = &mut grid[qplan.bit_reversed(q - f) * half..][..half];
                     for (d, ab) in neg.iter_mut().zip(brow.chunks_exact(2)) {
-                        *d = Complex64::new(ab[0].re + ab[1].im, ab[1].re - ab[0].im) * tc;
+                        let (a, b) = (ab[0].scale(inv_n), ab[1].scale(inv_n));
+                        *d = Complex64::new(a.re + b.im, b.re - a.im) * tc;
                     }
                 }
             }
-            col_pass(grid, q, half, &qplan, &mut scratch.panel);
+            col_pass(grid, q, half, &qplan, FftPlan::butterflies, &mut scratch.panel);
             for (j, grow) in grid.chunks_exact(half).enumerate() {
                 let orow = &mut out[(r0 + s * j) * n..][..n];
                 for (pair, z) in orow.chunks_exact_mut(2).zip(grow) {
+                    let z = z.scale(inv_q);
                     pair[0] = z.re;
                     pair[1] = z.im;
                 }
@@ -451,13 +477,14 @@ impl Fft2d {
         let band = grown(&mut scratch.band, p * n);
         let fold = grown(&mut scratch.fold, n * PANEL_COLS.min(n));
 
-        // Column pass in panels of PANEL_COLS columns, each recombined
-        // straight into the p retained band rows.
+        // Column pass in panels of PANEL_COLS columns, each decimated into
+        // its fold panel and recombined straight into the p retained band
+        // rows.
         let mut c0 = 0;
         while c0 < n {
             let w = PANEL_COLS.min(n - c0);
-            for r in 0..n {
-                fold[r * w..(r + 1) * w]
+            for (r, slot) in fold_slots(&qplan, n) {
+                fold[slot * w..(slot + 1) * w]
                     .copy_from_slice(&data[r * n + c0..r * n + c0 + w]);
             }
             fold_and_recombine(&qplan, twist, &mut fold[..n * w], w, p, p, &mut band[c0..], n);
@@ -541,9 +568,10 @@ impl Fft2d {
         let mut cp0 = 0;
         while cp0 < half_cols {
             let w = panel_w.min(half_cols - cp0);
-            for r in 0..n {
+            for (r, slot) in fold_slots(&qplan, n) {
                 let src = &img[r * n + 2 * cp0..r * n + 2 * (cp0 + w)];
-                for (v, pair) in fold[r * w..(r + 1) * w].iter_mut().zip(src.chunks_exact(2)) {
+                let dst = &mut fold[slot * w..(slot + 1) * w];
+                for (v, pair) in dst.iter_mut().zip(src.chunks_exact(2)) {
                     *v = Complex64::new(pair[0], pair[1]);
                 }
             }
@@ -608,14 +636,28 @@ fn q_plan(p: usize, direction: Direction) -> Arc<FftPlan> {
     cached_plan(p.next_power_of_two(), direction)
 }
 
+/// Where the pruned forward's fold panel holds each input row: `(r, slot)`
+/// for every row `r` of an `n`-point column, in order.
+///
+/// Viewed as a `q x (s*w)` block, a panel of `w` columns is the stride-`s`
+/// decimation of its columns: row `r = a*s + b` is element `a` of segment
+/// `b`. The segment transforms read element `a` from the bit-reversed slot
+/// of `qplan`, so the row lands at `slot = rev(a)*s + b`.
+fn fold_slots(qplan: &FftPlan, n: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let s = n / qplan.len();
+    let shift = s.trailing_zeros();
+    (0..n).map(move |r| (r, qplan.bit_reversed(r >> shift) << shift | r & (s - 1)))
+}
+
 /// The pruned forward's column pass over one panel of `w` columns, recombined
 /// at closure frequencies `0..rows` only.
 ///
-/// `fold` is the panel, `n x w` row-major. Viewed as a `q x (s*w)` block it
-/// *is* the stride-`s` decimation of its columns (row `a`, sub-column
-/// `(b, j)` sits at `fold[(a*s + b)*w + j] = col_j[a*s + b]`), so one
-/// `process` call runs every length-`q` segment transform of the panel.
-/// Closure index `ci` ([`closure_freq`]) then receives
+/// `fold` is the panel, `n x w` row-major, filled through [`fold_slots`]:
+/// viewed as a `q x (s*w)` block it is the stride-`s` decimation of its
+/// columns in bit-reversed segment order, so one [`FftPlan::butterflies`]
+/// call runs every length-`q` segment transform of the panel and leaves
+/// `V_b[k]` at `fold[(k*s + b)*w + j]`. Closure index `ci` ([`closure_freq`])
+/// then receives
 /// `X[f] = sum_b e^{-2 pi i f b / n} V_b[f mod q]` in `out[ci * stride..][..w]`.
 #[allow(clippy::too_many_arguments)]
 fn fold_and_recombine(
@@ -630,7 +672,7 @@ fn fold_and_recombine(
 ) {
     let q = qplan.len();
     let s = fold.len() / (q * w);
-    qplan.process(fold, s * w);
+    qplan.butterflies(fold, s * w);
     for ci in 0..rows {
         let fi = freq_index(closure_freq(ci, p), q);
         let dst = &mut out[ci * stride..][..w];

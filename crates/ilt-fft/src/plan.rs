@@ -16,12 +16,16 @@
 //! digit reversal is *not* an involution, so reusing bit reversal is what
 //! keeps the cheap swap-pair permutation valid).
 //!
-//! A plan has one runner: it transforms a row-major `len x width` panel,
-//! every column side by side, and a single row is the panel of width 1.
-//! Each stage picks its butterfly from the kernel selected once per process
-//! ([`crate::active_kernel`]) and the width: AVX2 runs a row through its
-//! row kernels and an even-width panel through its column kernels;
-//! everything else runs through the scalar column kernels. The SIMD kernels
+//! A plan has one runner, [`FftPlan::process`]: it transforms a row-major
+//! `len x width` panel, every column side by side, and a single row is the
+//! panel of width 1. The pruned 2-D paths run only its butterflies
+//! (`FftPlan::butterflies`): they load their input straight into
+//! bit-reversed slots (`FftPlan::bit_reversed`) and apply an inverse's
+//! `1/len` where they read the result. Each stage picks its butterfly from
+//! the kernel selected once per process ([`crate::active_kernel`]) and the
+//! width: AVX2 runs a row through its row kernels and an even-width panel
+//! through its column kernels; everything else runs through the scalar
+//! column kernels. The SIMD kernels
 //! are written to be **bit-identical** to the scalar path (no FMA
 //! contraction, same operation order), so masks produced on any machine
 //! agree bit-for-bit; `ILT_FFT_FORCE_SCALAR=1` pins the scalar path for
@@ -115,7 +119,10 @@ pub(crate) struct Radix4Stage {
 pub struct FftPlan {
     len: usize,
     direction: Direction,
-    /// Bit-reversal swap pairs `(i, j)` with `i < j`.
+    /// `rev[i]` is `i` with its `log2(len)` bits reversed: the slot the
+    /// butterflies read input index `i` from.
+    rev: Vec<u32>,
+    /// The pairs `(i, rev[i])` with `i < rev[i]`: the dense path's swaps.
     swaps: Vec<(u32, u32)>,
     /// `true` when log2(len) is odd: run one twiddle-free radix-2 pass over
     /// adjacent pairs before the radix-4 stages.
@@ -163,17 +170,13 @@ impl FftPlan {
             t *= 4;
         }
 
-        // Bit reversal permutation as swap pairs.
-        let mut swaps = Vec::new();
-        for i in 0..len as u32 {
-            let j = i.reverse_bits() >> (32 - (bits as u32).max(1));
-            let j = if bits == 0 { i } else { j };
-            if i < j {
-                swaps.push((i, j));
-            }
-        }
+        // A shift by all 32 bits (len 1) reverses index 0 to 0.
+        let shift = 32 - bits as u32;
+        let rev: Vec<u32> =
+            (0..len as u32).map(|i| i.reverse_bits().checked_shr(shift).unwrap_or(0)).collect();
+        let swaps = (0..len as u32).zip(rev.iter().copied()).filter(|(i, j)| i < j).collect();
 
-        FftPlan { len, direction, swaps, leading_radix2, stages }
+        FftPlan { len, direction, rev, swaps, leading_radix2, stages }
     }
 
     /// Number of points this plan transforms.
@@ -198,7 +201,7 @@ impl FftPlan {
     ///
     /// Panics if `width` is zero or `panel.len() != len * width`.
     pub fn process(&self, panel: &mut [Complex64], width: usize) {
-        self.run(panel, width, simd::active());
+        self.run::<true>(panel, width, simd::active());
     }
 
     /// [`FftPlan::process`] on the scalar reference path, regardless of
@@ -212,10 +215,29 @@ impl FftPlan {
     ///
     /// As [`FftPlan::process`].
     pub fn process_scalar(&self, panel: &mut [Complex64], width: usize) {
-        self.run(panel, width, Kernel::Scalar);
+        self.run::<true>(panel, width, Kernel::Scalar);
     }
 
-    fn run(&self, panel: &mut [Complex64], width: usize, kernel: Kernel) {
+    /// The slot that input index `i` occupies when the butterflies run: a
+    /// pruned path writes each value there as it builds its input, instead
+    /// of permuting the finished buffer.
+    #[inline]
+    pub(crate) fn bit_reversed(&self, i: usize) -> usize {
+        self.rev[i] as usize
+    }
+
+    /// [`FftPlan::process`] without its two data-movement passes: the input
+    /// must already sit in bit-reversed order ([`FftPlan::bit_reversed`]),
+    /// and an inverse plan leaves its output unscaled by `1/len`. Every
+    /// butterfly is `process`'s own, so a caller that loads bit-reversed and
+    /// multiplies by `1/len` where it reads the result gets `process`'s bits.
+    pub(crate) fn butterflies(&self, panel: &mut [Complex64], width: usize) {
+        self.run::<false>(panel, width, simd::active());
+    }
+
+    /// The butterflies on `kernel`, preceded by the bit-reversal swap and
+    /// followed by an inverse's `1/len` scale when `DENSE`.
+    fn run<const DENSE: bool>(&self, panel: &mut [Complex64], width: usize, kernel: Kernel) {
         assert!(width > 0, "panel width must be nonzero");
         assert_eq!(
             panel.len(),
@@ -227,7 +249,8 @@ impl FftPlan {
             return;
         }
 
-        for &(i, j) in &self.swaps {
+        let swaps: &[(u32, u32)] = if DENSE { &self.swaps } else { &[] };
+        for &(i, j) in swaps {
             let (i0, j0) = (i as usize * width, j as usize * width);
             // A row swaps single values: the width loop would cost a dense
             // 128 x 128 transform pair ~3 %.
@@ -256,7 +279,7 @@ impl FftPlan {
             simd::radix4_stage_cols(panel, width, stage, forward, kernel);
         }
 
-        if self.direction == Direction::Inverse {
+        if DENSE && !forward {
             let scale = 1.0 / self.len as f64;
             for v in panel.iter_mut() {
                 *v = v.scale(scale);

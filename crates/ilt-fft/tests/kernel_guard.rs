@@ -4,11 +4,14 @@
 //! against dense scalar references through the public API, across sizes
 //! 8..=1024 and kernel supports P in {1, 7, 25, N}.
 //!
-//! Two kinds of pin. Paths that re-associate the arithmetic (pruned
+//! Three kinds of pin. Paths that re-associate the arithmetic (pruned
 //! transforms compute the same spectrum through a different factorization)
 //! are held to 1e-12 relative to the reference scale. Paths that promise
 //! the *same* arithmetic (SIMD vs. scalar, batch vs. sequential) are held
-//! to bit identity via `to_bits` — no tolerance at all.
+//! to bit identity via `to_bits` — no tolerance at all. And the four
+//! pruned paths' outputs are held to recorded hashes of their bits, so a
+//! restructuring that means to move no bit (where a permutation or a
+//! `1/len` is applied) is checked for exactly that.
 
 use ilt_fft::{
     axpys, conj_dots, crop_centered, pad_centered_into, sub_axpys, Complex64, Direction, Fft2d,
@@ -216,6 +219,80 @@ fn real_pruned_inverse_is_the_real_part_of_the_dense_inverse() {
             assert_close(&got, &want, 1e-12, &format!("inverse_padded_real n={n} p={p}"));
         }
     }
+}
+
+/// FNV-1a over the bytes of every value's bits, continuing from `h`.
+fn fnv_bits(mut h: u64, vals: impl IntoIterator<Item = f64>) -> u64 {
+    for x in vals {
+        for b in x.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// The supports the bit pins cover: the degenerate and small odd ones, and
+/// every support a workload runs (25, 29, 57, 113) plus `q - 1` at `q = 128`.
+const PIN_SUPPORTS: [usize; 9] = [1, 3, 5, 7, 25, 29, 57, 113, 127];
+
+/// Per size, the FNV-1a of `[inverse_padded, inverse_padded_real,
+/// forward_cropped, forward_real_cropped]` over every `p <= n` of
+/// [`PIN_SUPPORTS`] in order, on the seeded inputs of [`pruned_pin_row`].
+/// Recorded before the pruned paths folded their bit-reversal and `1/len`
+/// passes into their loads and reads: a value that moves is a mask that
+/// moves.
+const PRUNED_PINS: [(usize, [u64; 4]); 11] = [
+    (1, [0x6c1f8cfb078bd6f6, 0xce9e8864601337f7, 0x5197040929f6e261, 0x9e0e677dee2acaa3]),
+    (2, [0xbbe3dd9d6689ebcd, 0x5f327a103fa9eda5, 0xc6b0a00a6e62c942, 0xef411eef73874884]),
+    (4, [0x41a9f6366e494b27, 0x7cb3da577e1abce6, 0x62d7978070efd26b, 0x3567834fa8b6a67a]),
+    (8, [0x39ccd215bd490d66, 0x2c56170c89fb42c3, 0x339e0a148dff57d4, 0xdaf5cfcbe03e784b]),
+    (16, [0x8b8374b61f2ce743, 0x462b779805cc7c7f, 0xb0ee8d9ab7fa438b, 0x57e1cd20a1c00546]),
+    (32, [0x1c6f545f89969757, 0x8fa185fda0379e4f, 0xa1da29beb8a78428, 0x36a3ee30eefe4543]),
+    (64, [0x254cc22c001997ab, 0x167f669cbaf23ad7, 0x32ba44b3f59f7185, 0x6ca7c70bf52cf0f2]),
+    (128, [0xf7c520d119206b63, 0xd56fc5f024005dc5, 0xd6ae72d9a1b14515, 0x3fc26efc33202bd7]),
+    (256, [0x6ef6e7e4df1b2eef, 0x24e0e5204895cfa5, 0x7b13e1271bee4746, 0x2f0b55bd4c98c9a0]),
+    (512, [0xb4f29768d499a47f, 0x2246d9547dd52212, 0x52b54464e160da91, 0x068b11162395e97b]),
+    (1024, [0xb9688a9e30c1276d, 0xd7be48e493ae2ec3, 0x3ae3c6ea7cdc086c, 0xc31edd43f2fc6d22]),
+];
+
+/// The four pruned paths' hashes at size `n`, in [`PRUNED_PINS`] order.
+fn pruned_pin_row(n: usize) -> [u64; 4] {
+    let fft = Fft2d::new(n, n);
+    let mut scratch = Fft2dScratch::new();
+    let mut h = [0xCBF2_9CE4_8422_2325u64; 4];
+    for p in PIN_SUPPORTS.into_iter().filter(|&p| p <= n) {
+        let mut rng = Rng(0x9196_5EED ^ (n << 8 | p) as u64);
+        let spec = rng.complex_buf(p * p);
+        let mut out = vec![Complex64::ZERO; n * n];
+        fft.inverse_padded_with(&spec, p, &mut out, &mut scratch);
+        h[0] = fnv_bits(h[0], out.iter().flat_map(|z| [z.re, z.im]));
+        let mut real = vec![0.0; n * n];
+        fft.inverse_padded_real_with(&spec, p, &mut real, &mut scratch);
+        h[1] = fnv_bits(h[1], real);
+
+        let data = rng.complex_buf(n * n);
+        let mut got = vec![Complex64::ZERO; p * p];
+        fft.forward_cropped_with(&data, p, &mut got, &mut scratch);
+        h[2] = fnv_bits(h[2], got.iter().flat_map(|z| [z.re, z.im]));
+        let img = rng.real_buf(n * n);
+        fft.forward_real_cropped_with(&img, p, &mut got, &mut scratch);
+        h[3] = fnv_bits(h[3], got.iter().flat_map(|z| [z.re, z.im]));
+    }
+    h
+}
+
+#[test]
+fn pruned_paths_are_pinned_to_the_bit() {
+    let got: Vec<(usize, [u64; 4])> =
+        (0..=10).map(|b| 1usize << b).map(|n| (n, pruned_pin_row(n))).collect();
+    let table: String = got
+        .iter()
+        .map(|(n, h)| {
+            let h = h.map(|x| format!("{x:#018x}"));
+            format!("    ({n}, [{}, {}, {}, {}]),\n", h[0], h[1], h[2], h[3])
+        })
+        .collect();
+    assert!(got == PRUNED_PINS, "a pruned path's bits moved; today's table:\n{table}");
 }
 
 /// The edges of the logistic's range: signed zeros, subnormals, the

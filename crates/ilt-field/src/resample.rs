@@ -96,23 +96,36 @@ pub fn avg_pool_same(f: &Field2D, n: usize) -> Field2D {
     let src = f.as_slice();
 
     // Separable, both passes along rows. Every sum adds its terms in index
-    // order from zero, whichever path computes it.
-    let mut horiz = vec![0.0; rows * cols];
+    // order from zero (`-0.0` for a horizontal sum, as `Iterator::sum`
+    // starts), whichever path computes it. The horizontal sums of the `n`
+    // source rows an output row reads live in a ring: row `rr` in slot
+    // `rr % n`.
+    let mut ring = vec![0.0; n * cols];
     // Columns `left..right` see a full window; the rest clamp to the row.
     let left = h.min(cols);
     let right = cols.saturating_sub(h).max(left);
-    for (row, sums) in src.chunks_exact(cols).zip(horiz.chunks_exact_mut(cols)) {
-        for c in (0..left).chain(right..cols) {
-            sums[c] = row[c.saturating_sub(h)..=(c + h).min(cols - 1)].iter().sum();
-        }
-        for (sum, window) in sums[left..right].iter_mut().zip(row.windows(n)) {
-            *sum = window.iter().sum();
-        }
-    }
     let mut out = vec![0.0; rows * cols];
+    // The next source row whose sums are not in the ring yet.
+    let mut next = 0;
     for (r, acc) in out.chunks_exact_mut(cols).enumerate() {
-        for rr in r.saturating_sub(h)..=(r + h).min(rows - 1) {
-            for (a, &v) in acc.iter_mut().zip(&horiz[rr * cols..(rr + 1) * cols]) {
+        let (lo, hi) = (r.saturating_sub(h), (r + h).min(rows - 1));
+        for rr in next..=hi {
+            let row = &src[rr * cols..(rr + 1) * cols];
+            let sums = &mut ring[rr % n * cols..][..cols];
+            for c in (0..left).chain(right..cols) {
+                sums[c] = row[c.saturating_sub(h)..=(c + h).min(cols - 1)].iter().sum();
+            }
+            let inner = &mut sums[left..right];
+            inner.fill(-0.0);
+            for k in 0..n {
+                for (sum, &v) in inner.iter_mut().zip(&row[k.min(cols)..]) {
+                    *sum += v;
+                }
+            }
+        }
+        next = hi + 1;
+        for rr in lo..=hi {
+            for (a, &v) in acc.iter_mut().zip(&ring[rr % n * cols..][..cols]) {
                 *a += v;
             }
         }

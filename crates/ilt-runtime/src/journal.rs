@@ -133,25 +133,42 @@ pub struct RunReport {
     pub total_wall_ms: f64,
 }
 
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit hash.
 pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from the state `h`.
+fn fnv1a64_from(mut h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
     for b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Bit-exact hash of a field (shape and pixel bit patterns).
+/// Bit-exact hash of a field: FNV-1a over the little-endian bytes of its
+/// shape and of every pixel's bit pattern.
+///
+/// A pixel word of eight zero bytes (`+0.0`, most of a binary mask) is one
+/// multiply by `prime^8`: FNV-1a's xor with a zero byte is a no-op, and its
+/// wrapping multiplies associate, so the value is the byte-wise one.
 pub fn field_hash(f: &Field2D) -> u64 {
+    const PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
     let (rows, cols) = f.shape();
     let dims = [rows as u64, cols as u64];
-    fnv1a64(
-        dims.iter()
-            .flat_map(|d| d.to_le_bytes())
-            .chain(f.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes())),
-    )
+    let mut h = fnv1a64(dims.iter().flat_map(|d| d.to_le_bytes()));
+    for v in f.as_slice() {
+        let bits = v.to_bits();
+        h = match bits {
+            0 => h.wrapping_mul(PRIME_POW8),
+            _ => fnv1a64_from(h, bits.to_le_bytes()),
+        };
+    }
+    h
 }
 
 impl JobRecord {
@@ -544,6 +561,30 @@ mod tests {
         let r = Field2D::filled(1, 4, 1.0);
         let c = Field2D::filled(4, 1, 1.0);
         assert_ne!(field_hash(&r), field_hash(&c));
+    }
+
+    #[test]
+    fn field_hash_is_the_byte_wise_fnv() {
+        let byte_wise = |f: &Field2D| {
+            let (rows, cols) = f.shape();
+            fnv1a64(
+                [rows as u64, cols as u64]
+                    .iter()
+                    .flat_map(|d| d.to_le_bytes())
+                    .chain(f.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes())),
+            )
+        };
+        let nan_payload = f64::from_bits(0x7ff8_0000_0000_0001);
+        let fields = [
+            Field2D::from_fn(32, 32, |r, c| if (r * 7 + c * 3) % 5 < 2 { 1.0 } else { 0.0 }),
+            Field2D::from_fn(8, 8, |r, c| if (r + c) % 3 == 0 { -0.0 } else { 0.0 }),
+            Field2D::from_fn(4, 8, |r, c| if r == c { nan_payload } else { f64::NAN }),
+            Field2D::from_fn(16, 8, |r, c| (r as f64 * 0.37 - c as f64).sin() / 3.0),
+            Field2D::zeros(0, 5),
+        ];
+        for f in &fields {
+            assert_eq!(field_hash(f), byte_wise(f), "{:?} field", f.shape());
+        }
     }
 
     #[test]
