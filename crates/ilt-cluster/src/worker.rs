@@ -31,7 +31,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use ilt_runtime::{config_fingerprint, run_shard, CancelToken, FaultPlan, SimulatorCache, WAL_FILE};
+use ilt_runtime::{run_shard, CancelToken, FaultPlan, SimulatorCache, WAL_FILE};
 
 use crate::params::{is_label, ExecPolicy, JobParams};
 use crate::transport::{ConnOptions, Gate, Listener, Request, Response};
@@ -203,7 +203,7 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
     let header = ShardHeader {
         shard: sid.clone(),
         jobs: outcome.outputs.len(),
-        fingerprint: config_fingerprint(std::slice::from_ref(&case), &config),
+        fingerprint: outcome.fingerprint,
         restored: outcome.restored_jobs,
     };
     let mut body = shard_header_line(&header);

@@ -340,7 +340,7 @@ fn execute(
 
     let sink = match &config.checkpoint {
         Some(dir) => Some(
-            CheckpointSink::create(dir, fingerprint, jobs.len(), resume, config.faults.clone())
+            CheckpointSink::create(dir, fingerprint, jobs.len(), resume)
                 .map_err(|e| format!("cannot open checkpoint dir {}: {e}", dir.display()))?,
         ),
         None => None,
@@ -354,7 +354,7 @@ fn execute(
 
     let mut outputs: Vec<JobOutput> = restored.into_values().chain(fresh).collect();
     outputs.sort_by_key(|o| o.record.job_id);
-    Ok((ShardOutcome { outputs, restored_jobs }, total_wall_ms))
+    Ok((ShardOutcome { outputs, restored_jobs, fingerprint }, total_wall_ms))
 }
 
 /// Materializes a planned case into pool jobs (extracting tile windows),
@@ -388,6 +388,9 @@ pub struct ShardOutcome {
     pub outputs: Vec<JobOutput>,
     /// Jobs restored from the shard's checkpoint WAL instead of re-running.
     pub restored_jobs: usize,
+    /// [`config_fingerprint`] of the shard's case and configuration, the
+    /// value its WAL header carries.
+    pub fingerprint: u64,
 }
 
 /// Runs a designated subset of a case's planned tile jobs — the worker half
@@ -629,6 +632,17 @@ mod tests {
         // Records stay grouped by case in submission order.
         assert_eq!(out.report.records[0].case, "a");
         assert!(out.report.records[1..].iter().all(|r| r.case == "b"));
+    }
+
+    #[test]
+    fn a_shard_runs_its_jobs_and_carries_its_fingerprint() {
+        let (case, config) = (bar_case("big", 128), small_config(1));
+        let shard = run_shard(&case, &config, &SimulatorCache::new(), &[4], false).unwrap();
+        assert_eq!(shard.outputs.len(), 1);
+        assert_eq!(shard.outputs[0].record.job_id, 4);
+        // The value a worker's reply header carries and the coordinator
+        // compares across shards.
+        assert_eq!(shard.fingerprint, config_fingerprint(std::slice::from_ref(&case), &config));
     }
 
     #[test]

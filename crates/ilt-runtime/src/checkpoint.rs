@@ -11,6 +11,8 @@
 //!   persisted).
 //! - `job-<id>.pgm` — the finished mask of each successful job, written
 //!   atomically (temp file + `fsync` + rename, then a directory `fsync`).
+//!   A write that fails removes its temp file and leaves the job
+//!   non-durable: the WAL line says `"ckpt":null`, and a resume re-runs it.
 //!
 //! The invariant: at any instant — including halfway through a `kill -9` —
 //! the WAL plus the mask files form a consistent record of progress. A line
@@ -38,7 +40,6 @@ use ilt_optics::OpticsConfig;
 
 use crate::append_log::AppendLog;
 use crate::batch::{BatchCase, BatchConfig};
-use crate::fault::FaultPlan;
 use crate::journal::{field_hash, fnv1a64, JobMetrics, JobRecord, JobStatus, StageTimes};
 use crate::json::Value;
 use crate::pool::JobOutput;
@@ -151,16 +152,18 @@ fn fsync_dir(dir: &Path) {
 
 /// Writes `bytes` to `dir/name` atomically: temp file, data fsync, rename,
 /// directory fsync. After this returns `Ok`, the file survives a crash
-/// complete; before the rename, a crash leaves at most a stray `.tmp`.
+/// complete; before the rename, a crash leaves at most a stray `.tmp`. A
+/// write, sync or rename that fails removes the `.tmp` before returning
+/// the error, so a failed write leaves nothing behind.
 pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
-    let dest = dir.join(name);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+    let written = File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| fs::rename(&tmp, dir.join(name)));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, &dest)?;
+    written?;
     fsync_dir(dir);
     Ok(())
 }
@@ -182,7 +185,6 @@ pub fn load_verified_mask(dir: &Path, name: &str, hash: u64) -> Option<Field2D> 
 pub struct CheckpointSink {
     dir: PathBuf,
     wal: AppendLog,
-    faults: FaultPlan,
 }
 
 impl CheckpointSink {
@@ -193,13 +195,7 @@ impl CheckpointSink {
     /// # Errors
     ///
     /// Propagates I/O errors creating the directory or the log.
-    pub fn create(
-        dir: &Path,
-        fingerprint: u64,
-        jobs: usize,
-        resume: bool,
-        faults: FaultPlan,
-    ) -> std::io::Result<Self> {
+    pub fn create(dir: &Path, fingerprint: u64, jobs: usize, resume: bool) -> std::io::Result<Self> {
         fs::create_dir_all(dir)?;
         let wal_path = dir.join(WAL_FILE);
         let fresh = !(resume && wal_path.exists());
@@ -211,7 +207,7 @@ impl CheckpointSink {
             ))?;
         }
         fsync_dir(dir);
-        Ok(Self { dir: dir.to_path_buf(), wal, faults })
+        Ok(Self { dir: dir.to_path_buf(), wal })
     }
 
     /// Makes one finished job durable: mask first (atomic file), WAL line
@@ -223,17 +219,12 @@ impl CheckpointSink {
         let job_id = output.record.job_id;
         let ckpt = match &output.mask {
             Some(mask) if output.record.status.has_mask() => {
-                if self.faults.checkpoint_error(job_id) {
-                    eprintln!("checkpoint: injected write failure for job {job_id}");
-                    None
-                } else {
-                    let name = mask_file_name(job_id);
-                    match write_atomic(&self.dir, &name, &pgm_bytes(mask, 0.0, 1.0)) {
-                        Ok(()) => Some(name),
-                        Err(e) => {
-                            eprintln!("checkpoint: mask write failed for job {job_id}: {e}");
-                            None
-                        }
+                let name = mask_file_name(job_id);
+                match write_atomic(&self.dir, &name, &pgm_bytes(mask, 0.0, 1.0)) {
+                    Ok(()) => Some(name),
+                    Err(e) => {
+                        eprintln!("checkpoint: mask write failed for job {job_id}: {e}");
+                        None
                     }
                 }
             }
@@ -426,8 +417,7 @@ mod tests {
     fn truncated_trailing_line_is_dropped_and_midfile_corruption_is_not() {
         let dir = std::env::temp_dir().join(format!("ilt-wal-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let sink =
-            CheckpointSink::create(&dir, 0xabcd, 3, false, FaultPlan::none()).unwrap();
+        let sink = CheckpointSink::create(&dir, 0xabcd, 3, false).unwrap();
         drop(sink);
         let wal = dir.join(WAL_FILE);
         let r0 = record(0, JobStatus::Done, true).to_json_wal(Some("job-0.pgm"));
@@ -460,7 +450,7 @@ mod tests {
     fn duplicate_records_resolve_last_wins() {
         let dir = std::env::temp_dir().join(format!("ilt-wal-dup-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let sink = CheckpointSink::create(&dir, 1, 1, false, FaultPlan::none()).unwrap();
+        let sink = CheckpointSink::create(&dir, 1, 1, false).unwrap();
         drop(sink);
         let fail = record(0, JobStatus::Failed("panic: first try".into()), false);
         let done = record(0, JobStatus::Done, true);

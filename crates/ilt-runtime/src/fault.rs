@@ -1,15 +1,17 @@
 //! Deterministic fault injection for chaos-testing the runtime.
 //!
 //! A [`FaultPlan`] is a declarative, fully deterministic description of the
-//! failures a run should suffer: which job, which attempt, what kind. It is
-//! rich enough to exercise the in-pool recovery paths — panic isolation,
-//! attempt timeouts, checkpoint-write durability gaps, the NaN guard in the
-//! optimize loop and simulator-cache build failures. Plans are written in
-//! one grammar, [`FaultPlan::parse`]'s, which `--inject` and the tests use.
-//! A plan belongs to the process it damages: `ilt batch`, `ilt worker` and
-//! `ilt serve` take one on their own command line, and no job description,
-//! state log or shard dispatch carries one. A process crash is not a kind:
-//! a test that needs one sends the process a SIGKILL.
+//! failures a run's attempts should suffer: which job, which attempt, what
+//! kind. It holds only what a test cannot cause from outside the process:
+//! a panic inside one attempt (panic isolation and retry), an in-process
+//! stall (attempt timeouts) and a NaN on chosen attempts only (the numeric
+//! guard). Plans are written in one grammar, [`FaultPlan::parse`]'s, which
+//! `--inject` and the tests use. A plan belongs to the process it damages:
+//! `ilt batch`, `ilt worker` and `ilt serve` take one on their own command
+//! line, and no job description, state log or shard dispatch carries one.
+//! What a test can cause from outside is not a kind: a crash is a SIGKILL
+//! the test sends, a bad optics config fails the real simulator build, and
+//! a checkpoint write fails on a state directory the test has damaged.
 //!
 //! Determinism is the point: a fault either fires at `(job_id, attempt)` or
 //! it does not, for every execution, regardless of thread count.
@@ -27,15 +29,9 @@ enum FaultKind {
         /// Milliseconds to stall before doing any work.
         ms: u64,
     },
-    /// Fail simulator acquisition with an I/O-style error (retryable; the
-    /// cache path for a build that dies underneath a job).
-    BuildError,
     /// Poison the finished mask with a NaN so the numeric guard must catch
     /// it and fail the attempt with a `"numeric"` reason.
     PoisonNan,
-    /// Fail the checkpoint write of this job's result: the job succeeds in
-    /// memory but is *not* durable, so a resume must re-run it.
-    CheckpointError,
 }
 
 /// One injected fault, addressed to a job and a range of attempts.
@@ -95,23 +91,9 @@ impl FaultPlan {
             })
     }
 
-    /// True when simulator acquisition should fail for this attempt.
-    pub fn build_error(&self, job_id: usize, attempt: u32) -> bool {
-        self.fires(job_id, attempt, |k| matches!(k, FaultKind::BuildError))
-    }
-
     /// True when the attempt's result mask should be poisoned with NaN.
     pub fn poison_nan(&self, job_id: usize, attempt: u32) -> bool {
         self.fires(job_id, attempt, |k| matches!(k, FaultKind::PoisonNan))
-    }
-
-    /// True when this job's checkpoint write should fail. Checkpoints are
-    /// written once per job (after its successful attempt), so this matches
-    /// any attempt range covering the job at all.
-    pub fn checkpoint_error(&self, job_id: usize) -> bool {
-        self.specs
-            .iter()
-            .any(|s| s.job_id == job_id && matches!(s.kind, FaultKind::CheckpointError))
     }
 
     fn fires(&self, job_id: usize, attempt: u32, pred: impl Fn(FaultKind) -> bool) -> bool {
@@ -123,9 +105,7 @@ impl FaultPlan {
     /// - `panic@J` — panic on every attempt of job `J`
     /// - `panic@J:A` — panic on attempt `A` only; `panic@J:A-B` for a range
     /// - `delay@J:A=MS` — stall attempt `A` by `MS` milliseconds
-    /// - `build@J:A` — fail simulator acquisition on attempt `A`
     /// - `nan@J:A` — poison the result of attempt `A` with NaN
-    /// - `ckpt@J` — fail job `J`'s checkpoint write
     ///
     /// # Errors
     ///
@@ -177,12 +157,10 @@ impl FaultPlan {
                 ("delay", None) => {
                     return Err(format!("fault spec `{entry}`: delay needs `=MS`"));
                 }
-                ("build", None) => FaultKind::BuildError,
                 ("nan", None) => FaultKind::PoisonNan,
-                ("ckpt", None) => FaultKind::CheckpointError,
                 _ => {
                     return Err(format!(
-                        "fault spec `{entry}`: unknown kind `{kind_tok}` (panic, delay, build, nan, ckpt)"
+                        "fault spec `{entry}`: unknown kind `{kind_tok}` (panic, delay, nan)"
                     ));
                 }
             };
@@ -201,9 +179,7 @@ mod tests {
         let p = FaultPlan::none();
         assert!(!p.should_panic(0, 1));
         assert!(p.delay(0, 1).is_none());
-        assert!(!p.build_error(0, 1));
         assert!(!p.poison_nan(0, 1));
-        assert!(!p.checkpoint_error(0));
         assert_eq!(p.max_job_id(), None);
     }
 
@@ -222,19 +198,17 @@ mod tests {
 
     #[test]
     fn parse_answers_every_kind() {
-        let p = FaultPlan::parse("panic@0, delay@1:2=250, build@2:1, nan@3:1-3, ckpt@4").unwrap();
+        let p = FaultPlan::parse("panic@0, delay@1:2=250, nan@3:1-3").unwrap();
         assert!(p.should_panic(0, 1) && p.should_panic(0, 99));
         assert_eq!(p.delay(1, 2), Some(Duration::from_millis(250)));
         assert!(p.delay(1, 1).is_none());
-        assert!(p.build_error(2, 1) && !p.build_error(2, 2));
         assert!(p.poison_nan(3, 3) && !p.poison_nan(3, 4));
-        assert!(p.checkpoint_error(4) && !p.checkpoint_error(3));
-        assert_eq!(p.max_job_id(), Some(4));
+        assert_eq!(p.max_job_id(), Some(3));
     }
 
     /// Every kind in every attempt-address form fires on exactly the
     /// attempts it names: `J` on all of them, `J:A` on `A`, `J:A-B` on
-    /// `A..=B`; a checkpoint fault is per job, whatever the address.
+    /// `A..=B`.
     #[test]
     fn every_address_form_fires_on_the_attempts_it_names() {
         type Query = fn(&FaultPlan, u32) -> bool;
@@ -244,9 +218,7 @@ mod tests {
         };
         let panic: Query = |p, a| p.should_panic(0, a);
         let delay: Query = |p, a| p.delay(1, a) == Some(Duration::from_millis(250));
-        let build: Query = |p, a| p.build_error(2, a);
         let nan: Query = |p, a| p.poison_nan(3, a);
-        let ckpt: Query = |p, _| p.checkpoint_error(4);
         for (spec, query, attempts) in [
             ("panic@0", panic, &[1, 2, 3, 4, 5][..]),
             ("panic@0:2", panic, &[2]),
@@ -254,12 +226,8 @@ mod tests {
             ("delay@1=250", delay, &[1, 2, 3, 4, 5]),
             ("delay@1:2=250", delay, &[2]),
             ("delay@1:2-4=250", delay, &[2, 3, 4]),
-            ("build@2", build, &[1, 2, 3, 4, 5]),
-            ("build@2:1", build, &[1]),
             ("nan@3", nan, &[1, 2, 3, 4, 5]),
             ("nan@3:1-3", nan, &[1, 2, 3]),
-            ("ckpt@4", ckpt, &[1, 2, 3, 4, 5]),
-            ("ckpt@4:2", ckpt, &[1, 2, 3, 4, 5]),
             ("panic@0:2,delay@1:2=250", panic, &[2]),
             ("panic@0:2,delay@1:2=250", delay, &[2]),
         ] {
@@ -290,11 +258,17 @@ mod tests {
             // So did `crash`: a test kills the process itself.
             "crash@0",
             "crash@5:2",
+            // So did the build and checkpoint kinds: a test fails the real
+            // simulator build or the real mask write instead.
+            "build@0:1",
+            "ckpt@0",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
         }
-        let err = FaultPlan::parse("crash@0").unwrap_err();
-        assert!(err.contains("unknown kind `crash`"), "{err}");
+        for (spec, kind) in [("crash@0", "crash"), ("build@0:1", "build"), ("ckpt@0", "ckpt")] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.contains(&format!("unknown kind `{kind}` (panic, delay, nan)")), "{err}");
+        }
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
     }
 }

@@ -9,11 +9,11 @@
 //!
 //! Faults are injected here, at the attempt boundary, from the run's
 //! [`FaultPlan`]: a panic fires before any work, a delay stalls the attempt
-//! into its timeout, a build error poisons simulator acquisition, and a NaN
-//! poison corrupts the finished mask so the numeric guard below must catch
-//! it. The guard itself is not a test fixture: any non-finite value escaping
-//! the optimizer (poisoned or real) fails the attempt with a typed
-//! `"numeric"` reason instead of journaling a garbage mask.
+//! into its timeout, and a NaN poison corrupts the finished mask so the
+//! numeric guard below must catch it. The guard itself is not a test
+//! fixture: any non-finite value escaping the optimizer (poisoned or real)
+//! fails the attempt with a typed `"numeric"` reason instead of journaling
+//! a garbage mask.
 
 use std::time::{Duration, Instant};
 
@@ -105,8 +105,8 @@ pub struct JobSuccess {
 /// # Errors
 ///
 /// Returns the simulator-construction error for an invalid optics
-/// configuration, an injected `io:` build error, or a typed `numeric:`
-/// error when the result contains non-finite values.
+/// configuration, or a typed `numeric:` error when the result contains
+/// non-finite values.
 ///
 /// # Panics
 ///
@@ -130,12 +130,6 @@ pub fn run_attempt(
     );
 
     let t_sim = Instant::now();
-    if faults.build_error(job.id, attempt) {
-        return Err(format!(
-            "io: injected simulator acquisition failure (job {} attempt {attempt})",
-            job.id
-        ));
-    }
     let sim = cache.get_or_build(&job.optics)?;
     let sim_ms = t_sim.elapsed().as_secs_f64() * 1e3;
 
@@ -269,15 +263,6 @@ mod tests {
         assert!(err.starts_with("numeric:"), "{err}");
         // The next attempt (no fault) is clean.
         assert!(own_recipe(&small_job(), 2, &cache, &faults).is_ok());
-    }
-
-    #[test]
-    fn injected_build_error_is_typed_io() {
-        let cache = SimulatorCache::new();
-        let faults = FaultPlan::parse("build@0:1").unwrap();
-        let err = own_recipe(&small_job(), 1, &cache, &faults).unwrap_err();
-        assert!(err.starts_with("io:"), "{err}");
-        assert_eq!(cache.len(), 0, "injected build error must not populate the cache");
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl JobStatus {
 
 /// Every label [`failure_kind`] returns, in the order the server's
 /// `/metrics` family renders them; `other`, the catch-all, is last.
-pub const FAILURE_KINDS: [&str; 5] = ["panic", "timeout", "numeric", "io", "other"];
+pub const FAILURE_KINDS: [&str; 4] = ["panic", "timeout", "numeric", "other"];
 
 /// Classifies a failure reason into its typed kind, the label used by the
 /// journal summary and the server's `/metrics` failure counters: one of
@@ -63,8 +63,6 @@ pub fn failure_kind(reason: &str) -> &'static str {
         "timeout"
     } else if reason.starts_with("numeric") {
         "numeric"
-    } else if reason.starts_with("io") {
-        "io"
     } else {
         "other"
     }
@@ -634,7 +632,6 @@ mod tests {
             "panic: injected failure",
             "timed out after 1.0s (attempt thread abandoned)",
             "numeric: non-finite values in tile result",
-            "io: injected simulator acquisition failure",
             "grid must be a power of two",
         ];
         let kinds: Vec<&str> = reasons.into_iter().map(failure_kind).collect();

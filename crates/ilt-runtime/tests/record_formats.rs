@@ -10,7 +10,7 @@ use std::fs;
 
 use ilt_runtime::json::{self, Value};
 use ilt_runtime::{
-    load_wal, CheckpointSink, FaultPlan, JobMetrics, JobOutput, JobRecord, JobStatus, RunReport,
+    load_wal, CheckpointSink, JobMetrics, JobOutput, JobRecord, JobStatus, RunReport,
     StageTimes, WAL_FILE,
 };
 
@@ -116,7 +116,7 @@ fn wal_writer_and_reader_agree_with_the_golden_lines() {
         format!("{WAL_HEADER}\n{}\n{WAL_FAILED}\n", wal_line(JOURNAL_TIMED, "\"job-3.pgm\""));
 
     // Writer: a mask makes `ckpt` a file name, no mask leaves it null.
-    let sink = CheckpointSink::create(&dir, 0xf00d, 2, false, FaultPlan::none()).unwrap();
+    let sink = CheckpointSink::create(&dir, 0xf00d, 2, false).unwrap();
     let mask = ilt_field::Field2D::filled(4, 4, 1.0);
     sink.persist(&JobOutput { record: done_record(), mask: Some(mask) });
     sink.persist(&JobOutput { record: failed_record(), mask: None });

@@ -1,6 +1,7 @@
 //! Crash-safe checkpoint/resume, end to end: a run that loses jobs to
-//! injected faults (or to WAL damage) must, after resume, produce masks and
-//! a timing-stripped journal byte-identical to an uninterrupted run.
+//! injected faults, to a failed mask write or to WAL damage must, after
+//! resume, produce masks and a timing-stripped journal byte-identical to an
+//! uninterrupted run.
 
 use std::fs;
 use std::io::Write;
@@ -195,9 +196,11 @@ fn fingerprint_mismatch_rejects_the_resume() {
 fn checkpoint_write_fault_leaves_the_job_nondurable() {
     let cases = [bar_case("solo", 64)]; // one whole-clip job
     let dir = temp_dir("ckptfault");
+    // A directory where the mask file goes: the real rename fails with
+    // EISDIR. (Permission bits would not do: root ignores them.)
+    fs::create_dir_all(dir.join("job-0.pgm")).unwrap();
     let mut cfg = tiled_config();
     cfg.checkpoint = Some(dir.clone());
-    cfg.faults = FaultPlan::parse("ckpt@0").unwrap();
     let out = run_batch(&cases, &cfg, &SimulatorCache::new()).unwrap();
     assert_eq!(out.report.failed_jobs(), 0, "the job itself succeeds in memory");
 
@@ -205,11 +208,11 @@ fn checkpoint_write_fault_leaves_the_job_nondurable() {
     let loaded = load_wal(&dir).unwrap();
     assert_eq!(loaded.records[&0].record.status, JobStatus::Done);
     assert!(loaded.records[&0].ckpt.is_none());
+    // ...and the failed write leaves no temp file behind.
+    assert!(!dir.join("job-0.pgm.tmp").exists(), "a failed mask write leaves its .tmp");
 
-    // ...so a resume does not trust it and re-runs the job.
-    let mut clean = cfg.clone();
-    clean.faults = FaultPlan::none();
-    let resumed = run_batch_resume(&cases, &clean, &SimulatorCache::new(), true).unwrap();
+    // So a resume does not trust the record and re-runs the job.
+    let resumed = run_batch_resume(&cases, &cfg, &SimulatorCache::new(), true).unwrap();
     assert_eq!(resumed.restored_jobs, 0);
     assert_eq!(resumed.report.failed_jobs(), 0);
     assert_eq!(
@@ -251,9 +254,9 @@ fn chaos_run_with_mixed_faults_still_converges_and_resumes() {
     let mut cfg = tiled_config();
     cfg.checkpoint = Some(dir.clone());
     cfg.max_retries = 1;
-    // First attempts suffer a panic, a NaN poison, and a transient build
-    // error on three different jobs; retries are clean.
-    cfg.faults = FaultPlan::parse("panic@1:1,nan@3:1,build@5:1").unwrap();
+    // First attempts suffer a panic or a NaN poison on three different
+    // jobs; retries are clean.
+    cfg.faults = FaultPlan::parse("panic@1:1,nan@3:1,panic@5:1").unwrap();
     let out = run_batch(&cases, &cfg, &SimulatorCache::new()).unwrap();
     assert_eq!(out.report.failed_jobs(), 0);
     assert_eq!(out.report.total_retries(), 3);

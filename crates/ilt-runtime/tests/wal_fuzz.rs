@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 use ilt_layouts::Xorshift64Star;
 use ilt_runtime::{
-    load_wal, CheckpointSink, FaultPlan, JobMetrics, JobOutput, JobRecord, JobStatus, StageTimes,
+    load_wal, CheckpointSink, JobMetrics, JobOutput, JobRecord, JobStatus, StageTimes,
     WAL_FILE,
 };
 
@@ -47,7 +47,7 @@ fn record(id: usize) -> JobRecord {
 /// Writes a healthy WAL of `jobs` records and returns its path + raw bytes.
 fn build_wal(dir: &Path, jobs: usize) -> (PathBuf, Vec<u8>) {
     let _ = fs::remove_dir_all(dir);
-    let sink = CheckpointSink::create(dir, 0xf00d, jobs, false, FaultPlan::none()).unwrap();
+    let sink = CheckpointSink::create(dir, 0xf00d, jobs, false).unwrap();
     drop(sink);
     let path = dir.join(WAL_FILE);
     let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -120,7 +120,7 @@ fn truncation_at_any_offset_is_tolerated_as_one_torn_tail() {
         // Reopen-and-append after the tear: the new record starts its own
         // line, so the log is strict JSON throughout and a second replay
         // sees the survivors plus that record — nothing torn, nothing glued.
-        let sink = CheckpointSink::create(&dir, 0xf00d, jobs, true, FaultPlan::none()).unwrap();
+        let sink = CheckpointSink::create(&dir, 0xf00d, jobs, true).unwrap();
         sink.persist(&JobOutput { record: record(jobs), mask: None });
         drop(sink);
         for line in fs::read_to_string(&path).unwrap().lines() {

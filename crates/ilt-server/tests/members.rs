@@ -77,7 +77,9 @@ fn membership_lifecycle_over_http_and_metrics_exposition() {
 
 /// The whole exposition of a fresh coordinator-mode server — family order,
 /// help text, types, every zeroed sample — is the bytes commit 7322372
-/// served, when five writers formatted `# HELP` / `# TYPE` lines.
+/// served, when five writers formatted `# HELP` / `# TYPE` lines, less the
+/// `ilt_tile_failures_total{kind="io"}` sample: no failure reason has been
+/// `io` since the injected build error left the fault grammar.
 #[test]
 fn metrics_exposition_of_a_fresh_coordinator_is_byte_pinned() {
     let (addr, handle) = start(ServerConfig {

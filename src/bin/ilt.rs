@@ -56,8 +56,7 @@
 //! the WAL can vouch for and recomputing only the rest; the resumed
 //! journal and masks are byte-identical to an uninterrupted run.
 //! `--inject` gives the process a deterministic fault plan
-//! (`panic@J[:A[-B]]`, `delay@J:A=MS`, `build@J:A`, `nan@J:A`, `ckpt@J`)
-//! for chaos testing; `batch`, `serve` (every job it runs in-process; a
+//! (`panic@J[:A[-B]]`, `delay@J:A=MS`, `nan@J:A`) for chaos testing; `batch`, `serve` (every job it runs in-process; a
 //! coordinator refuses it) and `worker` (every shard it runs) take one,
 //! and no job description carries one (`inject=` is refused on every
 //! route). `--no-degrade` disables the low-resolution fallback that
