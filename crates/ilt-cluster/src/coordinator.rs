@@ -37,10 +37,9 @@
 //!   fingerprint and per-job mask hashes) — disagreement poisons the whole
 //!   job rather than emitting a possibly-wrong mask.
 //! - **Re-dispatch**: a shard whose worker dies or flakes mid-exchange is
-//!   re-sent — same shard id, same job ids — to the next admitted worker.
-//!   The shard id keys the worker-side checkpoint WAL directory, so a
-//!   replica that already holds partial results restores them instead of
-//!   recomputing.
+//!   re-sent — same shard id, same job ids — to the next admitted worker,
+//!   which recomputes it from scratch: tiles are deterministic, so the
+//!   replay is idempotent.
 //! - **Hang-up**: an exchange blocks on its socket until the reply, EOF or
 //!   a reset. When the loop must stop it — the worker was declared dead, a
 //!   loser's or a cancel's grace ran out — it shuts down a clone of that

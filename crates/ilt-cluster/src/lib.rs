@@ -15,8 +15,8 @@
 //! - [`wire`] — the shard dispatch/result codec (JSON Lines over HTTP,
 //!   masks as hash-verified base64 PGM).
 //! - [`worker`] — the `ilt worker` service: executes designated tile
-//!   subsets via [`ilt_runtime::run_shard`], checkpoints them to the
-//!   standard WAL, and honors cooperative cancellation per shard.
+//!   subsets via [`ilt_runtime::run_shard`], keeps no state between them,
+//!   and honors cooperative cancellation per shard.
 //! - [`membership`] — the dynamic worker registry (join/drain/leave at
 //!   runtime), the scheduler that admits dispatches without blocking
 //!   (least-loaded first, breaker-gated), and the condvar a job's loop

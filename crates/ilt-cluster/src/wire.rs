@@ -37,9 +37,6 @@ pub struct ShardHeader {
     /// coordinator cross-checks it to catch version/parameter skew between
     /// replicas before trusting any mask.
     pub fingerprint: u64,
-    /// How many of the jobs were restored from the worker's local
-    /// checkpoint WAL instead of recomputed.
-    pub restored: usize,
 }
 
 /// Formats the `jobs=` query value: ascending comma-separated ids.
@@ -67,15 +64,15 @@ pub fn parse_job_ids(raw: &str) -> Result<Vec<usize>, String> {
 /// Serializes the response header line.
 pub fn shard_header_line(header: &ShardHeader) -> String {
     format!(
-        "{{\"kind\":\"shard_header\",\"shard\":\"{}\",\"jobs\":{},\"fingerprint\":\"{:016x}\",\"restored\":{}}}",
+        "{{\"kind\":\"shard_header\",\"shard\":\"{}\",\"jobs\":{},\"fingerprint\":\"{:016x}\"}}",
         json_escape(&header.shard),
         header.jobs,
-        header.fingerprint,
-        header.restored
+        header.fingerprint
     )
 }
 
-/// Parses the response header line.
+/// Parses the response header line. Unknown keys are ignored, so the
+/// `"restored"` count a worker before 0.42.0 sent still parses.
 ///
 /// # Errors
 ///
@@ -90,7 +87,6 @@ pub fn parse_shard_header(line: &str) -> Result<ShardHeader, String> {
         shard: v.field_str("shard")?.to_string(),
         jobs: v.field_usize("jobs")?,
         fingerprint: v.field_hex("fingerprint")?,
-        restored: v.field_usize("restored")?,
     })
 }
 
@@ -189,7 +185,6 @@ mod tests {
             shard: "7-1".into(),
             jobs: 3,
             fingerprint: 0xdead_beef_cafe_f00d,
-            restored: 1,
         };
         assert_eq!(parse_shard_header(&shard_header_line(&header)).unwrap(), header);
         assert!(parse_shard_header("{\"kind\":\"run_header\"}").is_err());
@@ -197,15 +192,18 @@ mod tests {
 
     #[test]
     fn golden_lines_are_pinned_both_ways() {
-        const HEADER: &str = r#"{"kind":"shard_header","shard":"7-1 \"x\"","jobs":3,"fingerprint":"deadbeefcafef00d","restored":1}"#;
+        const HEADER: &str = r#"{"kind":"shard_header","shard":"7-1 \"x\"","jobs":3,"fingerprint":"deadbeefcafef00d"}"#;
         let header = ShardHeader {
             shard: "7-1 \"x\"".into(),
             jobs: 3,
             fingerprint: 0xdead_beef_cafe_f00d,
-            restored: 1,
         };
         assert_eq!(shard_header_line(&header), HEADER);
         assert_eq!(parse_shard_header(HEADER).unwrap(), header);
+        // A worker before 0.42.0 also sent the tiles it restored from its
+        // own WAL; the count is ignored.
+        let old = HEADER.replace("\"}", "\",\"restored\":1}");
+        assert_eq!(parse_shard_header(&old).unwrap(), header);
 
         // The WAL record (ckpt always null on the wire) + the PGM in base64.
         const JOB: &str = r#"{"job_id":4,"case":"wire","tile":[0,1],"grid":64,"attempts":1,"status":"done","l2_nm2":10.0,"pvband_nm2":5.0,"epe":0,"shots":7,"iterations":40,"mask_hash":"36266942fcc0d345","sim_ms":1.0,"optimize_ms":2.0,"evaluate_ms":0.0,"wall_ms":3.0,"ckpt":null,"mask":"UDUKMiAyCjI1NQr/AAD/"}"#;

@@ -15,23 +15,21 @@
 //!   cancelled records at the next tile boundary.
 //! - `POST /v1/shutdown` stops accepting new connections.
 //!
-//! With a state directory configured, each shard writes the standard
-//! checkpoint WAL under `shard-<S>/`; a worker restarted after a crash
-//! restores finished tiles from it instead of recomputing them (and wipes
-//! the directory when its fingerprint does not match the new dispatch).
-//! Fault injection is local by design: a job description never carries a
-//! plan, so a dispatch with `inject=` is refused with `400` like any other
-//! bad setting, and a worker injects only the plan given on its own
-//! command line ([`WorkerConfig::faults`]). A worker never damages its own
-//! replies: network faults are what a test-side proxy does to the bytes of
-//! an honest worker, and a crash is a signal the test sends.
+//! A worker keeps no state between shards and writes no file: every tile is
+//! deterministic, so a shard lost with its replica is recomputed from
+//! scratch on another one. Fault injection is local by design: a job
+//! description never carries a plan, so a dispatch with `inject=` is
+//! refused with `400` like any other bad setting, and a worker injects only
+//! the plan given on its own command line ([`WorkerConfig::faults`]). A
+//! worker never damages its own replies: network faults are what a
+//! test-side proxy does to the bytes of an honest worker, and a crash is a
+//! signal the test sends.
 
 use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use ilt_runtime::{run_shard, CancelToken, FaultPlan, SimulatorCache, WAL_FILE};
+use ilt_runtime::{run_shard, CancelToken, FaultPlan, SimulatorCache};
 
 use crate::params::{is_label, ExecPolicy, JobParams};
 use crate::transport::{ConnOptions, Gate, Listener, Request, Response};
@@ -42,13 +40,12 @@ use crate::wire::{parse_job_ids, shard_header_line, shard_job_line, ShardHeader}
 pub struct WorkerConfig {
     /// Listen address, e.g. `127.0.0.1:0`.
     pub addr: String,
-    /// State directory for per-shard checkpoint WALs; `None` disables
-    /// checkpointing (and local crash resume).
-    pub state_dir: Option<PathBuf>,
     /// Fault plan injected into every shard this replica executes (chaos
     /// testing; empty in production).
     pub faults: FaultPlan,
-    /// Execution policy bounds applied to dispatched job parameters.
+    /// Execution policy bounds applied to dispatched job parameters. A
+    /// dispatch always carries its own `retries=` and `timeout_s=`, so only
+    /// the thread cap applies.
     pub policy: ExecPolicy,
 }
 
@@ -56,7 +53,6 @@ impl Default for WorkerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            state_dir: None,
             faults: FaultPlan::none(),
             policy: ExecPolicy::default(),
         }
@@ -142,7 +138,7 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
     let Some(sid) = req.query_param("shard").map(str::to_string) else {
         return Response::error(400, "missing shard= id");
     };
-    // Shard ids become directory names.
+    // A shard id keys the running-shard registry and `DELETE`'s path.
     if !is_label(&sid, 64, b"") {
         return Response::error(400, &format!("bad shard id {sid:?}"));
     }
@@ -180,22 +176,7 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
         response
     };
 
-    let mut resume = false;
-    if let Some(state_dir) = &shared.config.state_dir {
-        let shard_dir = state_dir.join(format!("shard-{sid}"));
-        resume = shard_dir.join(WAL_FILE).exists();
-        config.checkpoint = Some(shard_dir);
-    }
-    let mut outcome = run_shard(&case, &config, &shared.cache, &job_ids, resume);
-    if outcome.is_err() && resume {
-        // A leftover WAL from a differently-parameterized (or corrupt)
-        // earlier dispatch; wipe the shard dir and run fresh.
-        if let Some(dir) = &config.checkpoint {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        outcome = run_shard(&case, &config, &shared.cache, &job_ids, false);
-    }
-    let outcome = match outcome {
+    let outcome = match run_shard(&case, &config, &shared.cache, &job_ids) {
         Ok(o) => o,
         Err(e) => return finish(Response::error(400, &e)),
     };
@@ -204,7 +185,6 @@ fn run_dispatched_shard(shared: &WorkerShared, req: &Request) -> Response {
         shard: sid.clone(),
         jobs: outcome.outputs.len(),
         fingerprint: outcome.fingerprint,
-        restored: outcome.restored_jobs,
     };
     let mut body = shard_header_line(&header);
     body.push('\n');

@@ -193,7 +193,6 @@ fn lie(req: &Request) -> Response {
         jobs: ids.len(),
         // Not the fingerprint any honest replica would compute.
         fingerprint: 0xbad0_bad0_bad0_bad0,
-        restored: 0,
     };
     let mut body = shard_header_line(&header);
     body.push('\n');

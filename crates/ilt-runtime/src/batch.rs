@@ -24,8 +24,9 @@
 //! every planned job and then [`assemble_batch`]; [`run_shard`] — the
 //! cluster worker's entry point — runs a subset and returns it un-stitched
 //! for [`assemble_batch`] on the coordinator. Both are the same private
-//! `execute` (plan, restore from the WAL, pool, merge in job-id order), so
-//! a sharded mask equals a local one because the same code made it.
+//! `execute` (plan, restore from the WAL when resuming a batch, pool, merge
+//! in job-id order), so a sharded mask equals a local one because the same
+//! code made it.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -270,23 +271,23 @@ pub fn run_batch_resume(
     cache: &SimulatorCache,
     resume: bool,
 ) -> Result<BatchOutcome, String> {
-    let (ran, total_wall_ms) = execute(cases, config, cache, None, resume)?;
+    let (ran, restored_jobs, total_wall_ms) = execute(cases, config, cache, None, resume)?;
     let outcome = assemble_batch(cases, config, ran.outputs, cache, total_wall_ms)?;
-    Ok(BatchOutcome { restored_jobs: ran.restored_jobs, ..outcome })
+    Ok(BatchOutcome { restored_jobs, ..outcome })
 }
 
 /// The one way jobs run, behind [`run_batch_resume`] (every planned job)
-/// and [`run_shard`] (the `wanted` ids, sorted): plan the cases, keep the
-/// wanted jobs, restore what the checkpoint WAL vouches for, run the rest
-/// on the pool, merge in job-id order. Also returns the pool's wall time,
-/// ms.
+/// and [`run_shard`] (the `wanted` ids, sorted, never resumed): plan the
+/// cases, keep the wanted jobs, restore what the checkpoint WAL vouches
+/// for, run the rest on the pool, merge in job-id order. Also returns how
+/// many jobs the WAL restored and the pool's wall time, ms.
 fn execute(
     cases: &[BatchCase],
     config: &BatchConfig,
     cache: &SimulatorCache,
     wanted: Option<&[usize]>,
     resume: bool,
-) -> Result<(ShardOutcome, f64), String> {
+) -> Result<(ShardOutcome, usize, f64), String> {
     if config.threads == 0 {
         return Err("batch needs at least one thread".into());
     }
@@ -323,12 +324,7 @@ fn execute(
                 loaded.fingerprint
             ));
         }
-        // A whole batch owns its checkpoint directory, so a record beyond
-        // the plan is an error; a shard's reused directory may hold records
-        // from a differently-shaped predecessor, which are not its jobs.
-        if wanted.is_none() {
-            in_plan("checkpoint WAL records", loaded.records.keys().next_back().copied())?;
-        }
+        in_plan("checkpoint WAL records", loaded.records.keys().next_back().copied())?;
         for (id, rec) in &loaded.records {
             if jobs.binary_search_by_key(id, |j| j.id).is_ok() {
                 if let Some(output) = restore_output(dir, rec) {
@@ -354,7 +350,7 @@ fn execute(
 
     let mut outputs: Vec<JobOutput> = restored.into_values().chain(fresh).collect();
     outputs.sort_by_key(|o| o.record.job_id);
-    Ok((ShardOutcome { outputs, restored_jobs, fingerprint }, total_wall_ms))
+    Ok((ShardOutcome { outputs, fingerprint }, restored_jobs, total_wall_ms))
 }
 
 /// Materializes a planned case into pool jobs (extracting tile windows),
@@ -386,10 +382,8 @@ fn build_case_jobs(case: &BatchCase, plan: &CasePlan, config: &BatchConfig, jobs
 pub struct ShardOutcome {
     /// One output per requested job id, sorted by job id.
     pub outputs: Vec<JobOutput>,
-    /// Jobs restored from the shard's checkpoint WAL instead of re-running.
-    pub restored_jobs: usize,
     /// [`config_fingerprint`] of the shard's case and configuration, the
-    /// value its WAL header carries.
+    /// value a worker's reply header carries.
     pub fingerprint: u64,
 }
 
@@ -398,21 +392,18 @@ pub struct ShardOutcome {
 /// [`run_batch`] plans them for the same `(case, config)` (ids are the
 /// global batch job ids), then only `job_ids` run; the per-tile results are
 /// returned un-stitched for central reassembly via [`assemble_batch`].
-///
-/// With [`BatchConfig::checkpoint`] set, the shard writes the same WAL
-/// [`run_batch_resume`] uses; `resume` restores any job in `job_ids` whose
-/// checkpoint is durable, so a restarted worker re-runs only what it lost.
+/// A shard never resumes: a lost one is recomputed from scratch, which the
+/// tiles' determinism makes idempotent.
 ///
 /// # Errors
 ///
 /// Everything [`run_batch`] rejects, plus an empty, duplicate, or
-/// out-of-range `job_ids`, and the resume errors of [`run_batch_resume`].
+/// out-of-range `job_ids`.
 pub fn run_shard(
     case: &BatchCase,
     config: &BatchConfig,
     cache: &SimulatorCache,
     job_ids: &[usize],
-    resume: bool,
 ) -> Result<ShardOutcome, String> {
     if job_ids.is_empty() {
         return Err("shard has no job ids".into());
@@ -423,7 +414,7 @@ pub fn run_shard(
     if wanted.len() != job_ids.len() {
         return Err("shard job ids contain duplicates".into());
     }
-    execute(std::slice::from_ref(case), config, cache, Some(&wanted), resume).map(|(ran, _)| ran)
+    execute(std::slice::from_ref(case), config, cache, Some(&wanted), false).map(|(ran, ..)| ran)
 }
 
 /// Reassembles a batch outcome from per-job outputs produced elsewhere
@@ -637,7 +628,7 @@ mod tests {
     #[test]
     fn a_shard_runs_its_jobs_and_carries_its_fingerprint() {
         let (case, config) = (bar_case("big", 128), small_config(1));
-        let shard = run_shard(&case, &config, &SimulatorCache::new(), &[4], false).unwrap();
+        let shard = run_shard(&case, &config, &SimulatorCache::new(), &[4]).unwrap();
         assert_eq!(shard.outputs.len(), 1);
         assert_eq!(shard.outputs[0].record.job_id, 4);
         // The value a worker's reply header carries and the coordinator

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! ilt run      (--case N | --via SEED | --target design.pgm) [--out prefix]
-//!              [JOB FLAGS]
+//!              [--grid 512] [--kernels 10] [--clip-nm 2048]
+//!              [--schedule fast|exact|via] [--max-eff-nm 8]
 //! ilt batch    [--out prefix] [--journal run.jsonl] [--no-timing] [--no-eval]
 //!              [--checkpoint] [--resume] [--no-degrade]
 //!              [--inject SPEC[,SPEC...]] [JOB FLAGS]
@@ -15,11 +16,10 @@
 //!              [--keep-alive 32] [--idle-timeout-s 5]
 //!              [--workers host:port,host:port | --cluster] [--heartbeat-ms 500]
 //!              [--speculate-factor 3] [--speculate-after 3]
-//! ilt worker   [--addr 127.0.0.1:8080] [--threads 4] [--state-dir DIR]
-//!              [--retries 1] [--timeout-s 0] [--inject SPEC[,SPEC...]]
-//!              [--register HOST:PORT]
+//! ilt worker   [--addr 127.0.0.1:8080] [--threads 4]
+//!              [--inject SPEC[,SPEC...]] [--register HOST:PORT]
 //! ilt evaluate (--case N | --via SEED | --target design.pgm) --mask mask.pgm
-//!              [JOB FLAGS]
+//!              [--grid 512] [--kernels 10] [--clip-nm 2048]
 //! ilt fracture --mask mask.pgm
 //! ilt kernels  [--grid 512] [--kernels 10] [--clip-nm 2048]
 //! ilt bench    <list|run> [NAME_GLOB ...] [--smoke] [--reps 5]
@@ -42,9 +42,11 @@
 //! `--no-eval` is `eval=0`, a target `caseN | viaS | x.pgm` is `case= |
 //! via= | body` + `name=<stem>`), handed to `JobParams::from_pairs` — the
 //! one decoder, which owns every default and check — and turned into the
-//! engine's inputs by `JobParams::plan`, so `run`, `evaluate`, `batch`
-//! and a served job with the same description compute the same thing.
-//! `batch` takes its cases
+//! engine's inputs by `JobParams::plan`, so `batch` and a served job with
+//! the same description compute the same thing. `run` and `evaluate` work
+//! on the whole clip, untiled, and read only the flags that shape it (the
+//! grid, pitch, kernels and, for `run`, the schedule), so they match
+//! `batch` when the grid is at most `--tile`. `batch` takes its cases
 //! as positional arguments (`caseN`, `viaN`, or a PGM path), splits targets
 //! wider than `--tile` into overlapping tiles, runs everything on a worker
 //! pool with a shared simulator cache, and journals one JSON line per job;
@@ -91,10 +93,10 @@
 //! `--register HOST:PORT` makes it announce itself to that coordinator
 //! after binding (and deregister on shutdown); its `--inject` fault plan
 //! is its own (a shard dispatch that carries `inject=` is refused with
-//! `400`) and damages only the compute, never the reply's bytes;
-//! `--state-dir` keeps per-shard
-//! checkpoint WALs so a restarted worker resumes a re-dispatched shard
-//! instead of recomputing it. `bench` is the
+//! `400`) and damages only the compute, never the reply's bytes. A worker
+//! keeps no state: a lost shard is recomputed elsewhere, and each dispatch
+//! carries its own retries and timeout, so `--threads` (the most pool
+//! threads one shard may use) is its only execution setting. `bench` is the
 //! hermetic, std-only performance barometer (the `ilt-perf` crate): `list`
 //! shows the workload registry (FFT, simulator and optimizer step
 //! families) and `run` measures the selected workloads, printing the
@@ -115,7 +117,7 @@ use std::io::{ErrorKind, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-use multilevel_ilt::cluster::{ExecPolicy, JobParams};
+use multilevel_ilt::cluster::{post_membership, ExecPolicy, JobParams};
 use multilevel_ilt::geom::fracture;
 use multilevel_ilt::prelude::*;
 
@@ -147,26 +149,27 @@ const FLAGS: [(&str, bool); 31] = [
 /// handle `main` passes it.
 type Run = fn(&Cli, &mut dyn Write) -> Result<(), Box<dyn Error>>;
 
-/// Every command: its name, its entry point, whether it takes every one of
-/// [`JOB_FLAGS`] (the job decoder reads them all), and the other flags it
-/// takes. Any other flag is refused with `<cmd> does not take --<flag>`. The
-/// usage block at the top of this file lists the same sets.
-const COMMANDS: [(&str, Run, bool, &[&str]); 9] = [
-    ("run", cmd_run, true, &["--case", "--via", "--target", "--out"]),
-    ("batch", cmd_batch, true, &["--out", "--journal", "--no-timing", "--no-eval", "--checkpoint",
-        "--resume", "--no-degrade", "--inject"]),
-    ("serve", cmd_serve, false, &["--addr", "--threads", "--queue", "--journal", "--retries",
+/// Every command: its name, its entry point, the [`JOB_FLAGS`] it hands to
+/// the job decoder, and the other flags it takes. Any other flag is refused
+/// with `<cmd> does not take --<flag>`. The usage block at the top of this
+/// file lists the same sets (`[JOB FLAGS]` for all of them).
+const COMMANDS: [(&str, Run, &[&str], &[&str]); 9] = [
+    ("run", cmd_run, &["--grid", "--kernels", "--clip-nm", "--schedule", "--max-eff-nm"],
+        &["--case", "--via", "--target", "--out"]),
+    ("batch", cmd_batch, &JOB_FLAGS, &["--out", "--journal", "--no-timing", "--no-eval",
+        "--checkpoint", "--resume", "--no-degrade", "--inject"]),
+    ("serve", cmd_serve, &[], &["--addr", "--threads", "--queue", "--journal", "--retries",
         "--timeout-s", "--cache", "--state-dir", "--result-ttl-s", "--max-masks",
         "--quota-inflight", "--quota-queued", "--inject", "--compact-bytes", "--keep-alive",
         "--idle-timeout-s", "--workers", "--cluster", "--heartbeat-ms", "--speculate-factor",
         "--speculate-after"]),
-    ("worker", cmd_worker, false, &["--addr", "--threads", "--state-dir", "--retries",
-        "--timeout-s", "--inject", "--register"]),
-    ("evaluate", cmd_evaluate, true, &["--case", "--via", "--target", "--mask"]),
-    ("fracture", cmd_fracture, false, &["--mask"]),
-    ("kernels", cmd_kernels, false, &["--grid", "--kernels", "--clip-nm"]),
-    ("bench", cmd_bench, false, &["--smoke", "--reps"]),
-    ("tables", cmd_tables, false, &["--grid", "--kernels", "--max-eff-nm", "--case", "--smoke",
+    ("worker", cmd_worker, &[], &["--addr", "--threads", "--inject", "--register"]),
+    ("evaluate", cmd_evaluate, &["--grid", "--kernels", "--clip-nm"],
+        &["--case", "--via", "--target", "--mask"]),
+    ("fracture", cmd_fracture, &[], &["--mask"]),
+    ("kernels", cmd_kernels, &[], &["--grid", "--kernels", "--clip-nm"]),
+    ("bench", cmd_bench, &[], &["--smoke", "--reps"]),
+    ("tables", cmd_tables, &[], &["--grid", "--kernels", "--max-eff-nm", "--case", "--smoke",
         "--reps", "--out"]),
 ];
 
@@ -243,17 +246,6 @@ impl Cli {
     /// it was not given (`serve`'s pool size, `kernels`' grid).
     fn flag<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         Ok(self.parsed(key)?.unwrap_or(default))
-    }
-
-    /// `--timeout-s` / `--retries` as the defaults `serve` and `worker` give
-    /// requests that do not set their own.
-    fn policy(&self) -> Result<ExecPolicy, String> {
-        let base = ExecPolicy::default();
-        Ok(ExecPolicy {
-            default_timeout_s: self.flag("timeout_s", base.default_timeout_s)?,
-            default_retries: self.flag("retries", base.default_retries)?,
-            ..base
-        })
     }
 
     /// `--inject` as this process's fault plan (`batch`, `serve`,
@@ -454,7 +446,12 @@ fn server_config(cli: &Cli) -> Result<ServerConfig, String> {
         queue_cap: cli.flag("queue", base.queue_cap)?,
         journal: cli.get("journal").map(Into::into),
         cache_capacity: cli.flag("cache", base.cache_capacity)?,
-        policy: cli.policy()?,
+        // The defaults a request that sets neither runs with.
+        policy: ExecPolicy {
+            default_timeout_s: cli.flag("timeout_s", base.policy.default_timeout_s)?,
+            default_retries: cli.flag("retries", base.policy.default_retries)?,
+            ..base.policy
+        },
         faults: cli.faults()?,
         state_dir: cli.get("state_dir").map(Into::into),
         // `0` spells the unbounded value of each.
@@ -478,15 +475,16 @@ fn server_config(cli: &Cli) -> Result<ServerConfig, String> {
 }
 
 /// `worker`'s flags as a [`WorkerConfig`], defaults as in [`server_config`].
+/// A dispatch carries its own retries and timeout, so the policy takes only
+/// the thread cap.
 fn worker_config(cli: &Cli) -> Result<WorkerConfig, String> {
-    let policy = cli.policy()?;
+    let base = ExecPolicy::default();
     Ok(WorkerConfig {
         addr: cli.get("addr").unwrap_or(DEFAULT_ADDR).into(),
-        state_dir: cli.get("state_dir").map(Into::into),
         faults: cli.faults()?,
         policy: ExecPolicy {
-            max_threads_per_job: cli.flag("threads", policy.max_threads_per_job)?.max(1),
-            ..policy
+            max_threads_per_job: cli.flag("threads", base.max_threads_per_job)?.max(1),
+            ..base
         },
     })
 }
@@ -521,50 +519,33 @@ fn cmd_serve(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_worker(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-    let config = worker_config(cli)?;
-    if let Some(dir) = &config.state_dir {
-        writeln!(out, "state: {}", dir.display())?;
-    }
-    let worker = Worker::bind(config)?;
+    let worker = Worker::bind(worker_config(cli)?)?;
     let local = worker.local_addr()?;
     // Parsed like `serve`'s listen line.
     writeln!(out, "worker listening on http://{local}")?;
     writeln!(out, "POST /v1/shutdown to stop")?;
     // Self-registration: announce this replica to the coordinator once the
-    // socket is bound. Retried in the background so a worker started
+    // socket is bound; connections wait in its backlog until it has joined
+    // or given up. Retried 40 times, 250 ms apart, so a worker started
     // moments before its coordinator still joins.
-    let register = cli.get("register").map(String::from);
-    if let Some(coordinator) = register.clone() {
-        let me = local.to_string();
-        std::thread::spawn(move || {
-            let timeout = Duration::from_secs(2);
-            for attempt in 0..40u32 {
-                match multilevel_ilt::cluster::post_membership(&coordinator, &me, "join", timeout)
-                {
-                    Ok(()) => {
-                        // This thread cannot borrow the command's handle; a
-                        // closed pipe costs this line, nothing else.
-                        let _ = writeln!(
-                            std::io::stdout(),
-                            "registered with coordinator {coordinator}"
-                        );
-                        return;
-                    }
-                    Err(e) if attempt == 39 => eprintln!("registration failed: {e}"),
-                    Err(_) => std::thread::sleep(Duration::from_millis(250)),
+    let register = cli.get("register");
+    let (me, timeout) = (local.to_string(), Duration::from_secs(2));
+    if let Some(coordinator) = register {
+        for attempt in 0..40u32 {
+            match post_membership(coordinator, &me, "join", timeout) {
+                Ok(()) => {
+                    writeln!(out, "registered with coordinator {coordinator}")?;
+                    break;
                 }
+                Err(e) if attempt == 39 => eprintln!("registration failed: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(250)),
             }
-        });
+        }
     }
     worker.run();
-    if let Some(coordinator) = &register {
+    if let Some(coordinator) = register {
         // Best-effort goodbye so the coordinator stops dispatching here.
-        let _ = multilevel_ilt::cluster::post_membership(
-            coordinator,
-            &local.to_string(),
-            "leave",
-            Duration::from_secs(2),
-        );
+        let _ = post_membership(coordinator, &me, "leave", timeout);
     }
     writeln!(out, "stopped")?;
     Ok(())
@@ -694,7 +675,7 @@ fn dispatch(command: &str, cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn
     let Some(&(name, run, job, takes)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
         return Err(format!("unknown command {command} ({})", COMMANDS.map(|c| c.0).join("|")).into());
     };
-    let taken = |flag: &str| job && JOB_FLAGS.contains(&flag) || takes.contains(&flag);
+    let taken = |flag: &str| job.contains(&flag) || takes.contains(&flag);
     match cli.given.iter().find(|flag| !taken(flag)) {
         Some(flag) => Err(format!("{name} does not take {flag}").into()),
         None => run(cli, out),
@@ -756,11 +737,17 @@ mod tests {
         let set = |flags: &[&str]| flags.iter().map(|f| f.to_string()).collect::<BTreeSet<_>>();
         let job_entry = doc.pop().expect("a JOB FLAGS entry");
         assert_eq!(job_entry, ("JOB FLAGS".into(), false, set(&JOB_FLAGS)));
-        let table: Vec<_> =
-            COMMANDS.iter().map(|&(name, _, job, takes)| (name.into(), job, set(takes))).collect();
+        let table: Vec<_> = COMMANDS
+            .iter()
+            .map(|&(name, _, job, takes)| match job == JOB_FLAGS {
+                true => (name.into(), true, set(takes)),
+                false => (name.into(), false, &set(job) | &set(takes)),
+            })
+            .collect();
         assert_eq!(doc, table, "the usage block and COMMANDS disagree");
 
-        for (name, .., takes) in COMMANDS {
+        for (name, _, job, takes) in COMMANDS {
+            assert!(job.iter().all(|f| JOB_FLAGS.contains(f)), "{name} reads a non-job flag");
             let known = |f: &&str| JOB_FLAGS.contains(f) || FLAGS.iter().any(|(k, _)| k == f);
             assert!(takes.iter().all(known), "{name} takes an unknown flag: {takes:?}");
         }
@@ -768,13 +755,24 @@ mod tests {
             assert!(COMMANDS.iter().any(|c| c.3.contains(&flag)), "no command takes {flag}");
         }
 
-        // A fault plan is a process's own: the two commands that run no
-        // pool refuse `--inject` before any work.
-        let run: &[&str] = &["--case", "1", "--grid", "64", "--inject", "panic@0"];
-        let evaluate: &[&str] = &["--case", "1", "--mask", "m.pgm", "--inject", "panic@0"];
-        for (command, args) in [("run", run), ("evaluate", evaluate)] {
+        // A command refuses, before any work, a flag it would ignore. `run`
+        // and `evaluate` run no pool, so they take no fault plan and no
+        // tiling, and `evaluate` optimizes nothing; a worker keeps no state,
+        // and each dispatch carries its own retries and timeout.
+        let refused: [(&str, &[&str], &str); 9] = [
+            ("run", &["--case", "1", "--grid", "64", "--inject", "panic@0"], "--inject"),
+            ("run", &["--case", "1", "--tile", "256"], "--tile"),
+            ("run", &["--case", "1", "--threads", "2"], "--threads"),
+            ("evaluate", &["--case", "1", "--mask", "m.pgm", "--inject", "panic@0"], "--inject"),
+            ("evaluate", &["--case", "1", "--mask", "m.pgm", "--schedule", "exact"], "--schedule"),
+            ("evaluate", &["--case", "1", "--mask", "m.pgm", "--max-eff-nm", "4"], "--max-eff-nm"),
+            ("worker", &["--state-dir", "d"], "--state-dir"),
+            ("worker", &["--retries", "2"], "--retries"),
+            ("worker", &["--timeout-s", "1"], "--timeout-s"),
+        ];
+        for (command, args, flag) in refused {
             let err = dispatch(command, &cli(args), &mut std::io::sink()).unwrap_err();
-            assert_eq!(err.to_string(), format!("{command} does not take --inject"));
+            assert_eq!(err.to_string(), format!("{command} does not take {flag}"));
         }
     }
 
@@ -850,9 +848,6 @@ mod tests {
             (&[], |_| {}),
             (&["--threads", "3"], |c| c.policy.max_threads_per_job = 3),
             (&["--threads", "0"], |c| c.policy.max_threads_per_job = 1),
-            (&["--retries", "0"], |c| c.policy.default_retries = 0),
-            (&["--timeout-s", "9"], |c| c.policy.default_timeout_s = 9.0),
-            (&["--state-dir", "sd"], |c| c.state_dir = Some("sd".into())),
             (&["--inject", "nan@0"], |c| c.faults = FaultPlan::parse("nan@0").unwrap()),
         ];
         for (args, edit) in worker {

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use multilevel_ilt::cluster::transport::request;
 use multilevel_ilt::cluster::{ExecPolicy, JobParams};
 use multilevel_ilt::field::{pgm_bytes, Field2D};
-use multilevel_ilt::runtime::{run_batch, SimulatorCache, WAL_FILE};
+use multilevel_ilt::runtime::{run_batch, SimulatorCache};
 
 /// The tests take turns: each runs several processes, and timing-driven
 /// chaos is sensitive to a loaded machine.
@@ -106,20 +106,11 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
     let reference_pgm = pgm_bytes(&reference.cases[0].mask, 0.0, 1.0);
 
     // Worker A stalls every tile it is given, so it still holds its shard
-    // when it is killed; the shard's WAL under its state directory says it
-    // has one. Worker B is healthy.
-    let state_a = std::env::temp_dir().join(format!("ilt-cluster-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state_a);
+    // when it is killed; the coordinator's membership says it has one.
+    // Worker B is healthy.
     let a_stalls: Vec<String> = (0..9).map(|job| format!("delay@{job}=60000")).collect();
-    let (mut worker_a, addr_a) = spawn_ilt(&[
-        "worker",
-        "--addr",
-        "127.0.0.1:0",
-        "--state-dir",
-        state_a.to_str().expect("utf-8 temp path"),
-        "--inject",
-        &a_stalls.join(","),
-    ]);
+    let (mut worker_a, addr_a) =
+        spawn_ilt(&["worker", "--addr", "127.0.0.1:0", "--inject", &a_stalls.join(",")]);
     let (_worker_b, addr_b) = spawn_ilt(&["worker", "--addr", "127.0.0.1:0"]);
     let (_coordinator, addr_c) = spawn_ilt(&[
         "serve",
@@ -136,9 +127,17 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
     let (status, reply) = http(&addr_c, "POST", &format!("/v1/jobs?{QUERY}"), &[]);
     assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&reply));
     let deadline = Instant::now() + Duration::from_secs(60);
+    // `GET /v1/members` lists each member as one object: A's `inflight`
+    // is the first one after its address.
+    let a_key = format!("\"addr\":\"{addr_a}\"");
     let holds_a_shard = || {
-        let shards = std::fs::read_dir(&state_a).into_iter().flatten().flatten();
-        shards.into_iter().any(|shard| shard.path().join(WAL_FILE).exists())
+        let (status, members) = http(&addr_c, "GET", "/v1/members", &[]);
+        assert_eq!(status, 200);
+        let members = String::from_utf8_lossy(&members).into_owned();
+        let (_, a) = members.split_once(&a_key).expect("A is a member");
+        let (_, inflight) = a.split_once("\"inflight\":").expect("an inflight count");
+        let digits: String = inflight.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse::<u32>().expect("a numeric inflight count") >= 1
     };
     while !holds_a_shard() {
         assert!(Instant::now() < deadline, "worker A never started a shard");
@@ -184,8 +183,6 @@ fn crashed_worker_is_redispatched_and_mask_stays_byte_identical() {
         .wait_timeout_like(Duration::from_secs(10))
         .expect("worker A must have died");
     assert!(!exit.success(), "worker A must die of the kill, got {exit:?}");
-
-    let _ = std::fs::remove_dir_all(&state_a);
 }
 
 /// The self-healing story on real processes (once `verify_chaos.sh`):
